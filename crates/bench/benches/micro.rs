@@ -197,7 +197,7 @@ fn bench_server_paths(c: &mut Criterion) {
             Msg::ReadSliceReq {
                 tx,
                 snapshot: Timestamp::from_physical_micros(500),
-                keys: vec![Key(0), Key(3), Key(6), Key(9), Key(12)],
+                keys: [0, 3, 6, 9, 12].map(|k| Key(k).into()).to_vec(),
                 reply_to: sid,
             },
         );

@@ -43,7 +43,7 @@ fn sample_messages() -> Vec<Msg> {
         Msg::ReadSliceReq {
             tx,
             snapshot: ts(1),
-            keys: vec![Key(1), Key(2), Key(3)],
+            keys: vec![Key(1).into(), Key(2).into(), Key(3).into()],
             reply_to: srv,
         },
         Msg::PrepareReq {

@@ -29,11 +29,55 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use paris_proto::{Envelope, Msg, ReadResult};
+use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
 use paris_storage::{Engine, StableFrontier, StaleSnapshot};
 use paris_types::{ClientId, Key, Mode, ServerId, Timestamp, TxId, Version};
 
 use crate::server::{ReportTable, RootsTable, TxTable};
+
+/// How one slice read's keys were answered.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SliceTally {
+    /// Keys answered `Unchanged`: the client's stamp named the visible
+    /// version.
+    pub(crate) unchanged: u64,
+    /// Keys answered with a full version.
+    pub(crate) shipped: u64,
+}
+
+/// The store half of a slice read (Alg. 3 lines 3–8), shared by the view
+/// and the server loop so pooled and loop-served reads cannot differ: the
+/// freshest version within the snapshot is looked up per key exactly as
+/// for an unstamped read, and only then compared with the stamp — a match
+/// is answered `Unchanged`, anything else ships what the snapshot holds.
+pub(crate) fn read_slice(
+    store: &dyn Engine,
+    snapshot: Timestamp,
+    keys: &[ReadKey],
+) -> (Vec<ReadResult>, SliceTally) {
+    let mut tally = SliceTally::default();
+    let results = keys
+        .iter()
+        .map(|k| {
+            let outcome = match store.read_at(k.key, snapshot) {
+                None => ReadOutcome::Absent,
+                Some(v) if k.held == Some(v.stamp()) => {
+                    tally.unchanged += 1;
+                    ReadOutcome::Unchanged
+                }
+                Some(v) => {
+                    tally.shipped += 1;
+                    ReadOutcome::Found(v)
+                }
+            };
+            ReadResult {
+                key: k.key,
+                outcome,
+            }
+        })
+        .collect();
+    (results, tally)
+}
 
 /// Read-path counters, shared between a server and all its views.
 #[derive(Debug, Default)]
@@ -42,6 +86,10 @@ pub struct ReadViewStats {
     pub(crate) slice_reads: AtomicU64,
     /// Keys returned by view-served slice reads.
     pub(crate) keys_read: AtomicU64,
+    /// Keys those reads answered `Unchanged`.
+    pub(crate) reads_unchanged: AtomicU64,
+    /// Keys those reads answered with a full version.
+    pub(crate) reads_shipped: AtomicU64,
     /// Reads rejected because their snapshot fell below `S_old`.
     pub(crate) stale_rejections: AtomicU64,
     /// Transactions started through views (pooled snapshot assignment).
@@ -66,6 +114,16 @@ impl ReadViewStats {
     /// Keys served through views so far.
     pub fn keys_read(&self) -> u64 {
         self.keys_read.load(Ordering::Relaxed)
+    }
+
+    /// Keys answered `Unchanged` through views so far.
+    pub fn reads_unchanged(&self) -> u64 {
+        self.reads_unchanged.load(Ordering::Relaxed)
+    }
+
+    /// Keys answered with a full version through views so far.
+    pub fn reads_shipped(&self) -> u64 {
+        self.reads_shipped.load(Ordering::Relaxed)
     }
 
     /// Stale-snapshot rejections so far.
@@ -158,7 +216,8 @@ impl ReadView {
     /// Serves one `ReadSliceReq` (Alg. 3 lines 1–8): bumps the published
     /// UST to the snapshot (PaRiS only — BPR snapshots are fresh, not
     /// stable, and must never drag the UST forward), reads the freshest
-    /// version `≤ snapshot` of every key, and returns the
+    /// version `≤ snapshot` of every key — answering `Unchanged` where it
+    /// is the version the key's stamp names — and returns the
     /// `ReadSliceResp` envelope ready to send.
     ///
     /// # Errors
@@ -170,7 +229,7 @@ impl ReadView {
         &self,
         tx: TxId,
         snapshot: Timestamp,
-        keys: &[Key],
+        keys: &[ReadKey],
         reply_to: ServerId,
     ) -> Result<Envelope, StaleSnapshot> {
         let _guard = self.frontier.begin_read(snapshot).inspect_err(|_| {
@@ -180,17 +239,17 @@ impl ReadView {
             // Alg. 3 line 2: ust ← max(ust, snapshot).
             self.frontier.max_ust(snapshot);
         }
+        let (results, tally) = read_slice(&*self.store, snapshot, keys);
         self.stats.slice_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
             .keys_read
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let results: Vec<ReadResult> = keys
-            .iter()
-            .map(|&key| ReadResult {
-                key,
-                version: self.store.read_at(key, snapshot),
-            })
-            .collect();
+        self.stats
+            .reads_unchanged
+            .fetch_add(tally.unchanged, Ordering::Relaxed);
+        self.stats
+            .reads_shipped
+            .fetch_add(tally.shipped, Ordering::Relaxed);
         Ok(Envelope::new(
             self.id,
             reply_to,

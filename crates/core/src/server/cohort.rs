@@ -1,7 +1,7 @@
 //! Transaction-cohort role (paper Algorithm 3).
 
-use paris_proto::{Envelope, Msg, ReadResult};
-use paris_types::{DcId, Key, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{Envelope, Msg, ReadKey};
+use paris_types::{DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
 
 use super::{BlockedRead, CommittedTx, PreparedTx, Server};
 
@@ -21,7 +21,7 @@ impl Server {
         &mut self,
         tx: TxId,
         snapshot: Timestamp,
-        keys: &[Key],
+        keys: &[ReadKey],
         reply_to: ServerId,
         now: u64,
     ) -> Vec<Envelope> {
@@ -68,18 +68,14 @@ impl Server {
         &mut self,
         tx: TxId,
         snapshot: Timestamp,
-        keys: &[Key],
+        keys: &[ReadKey],
         reply_to: ServerId,
     ) -> Envelope {
+        let (results, tally) = crate::read_view::read_slice(&*self.store, snapshot, keys);
         self.stats.slice_reads += 1;
         self.stats.keys_read += keys.len() as u64;
-        let results: Vec<ReadResult> = keys
-            .iter()
-            .map(|&key| ReadResult {
-                key,
-                version: self.store.read_at(key, snapshot),
-            })
-            .collect();
+        self.stats.reads_unchanged += tally.unchanged;
+        self.stats.reads_shipped += tally.shipped;
         Envelope::new(
             self.id,
             reply_to,

@@ -9,8 +9,8 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use paris_proto::{Envelope, Msg, ReadResult};
-use paris_types::{Key, Mode, PartitionId, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{Envelope, Msg, ReadKey, ReadResult};
+use paris_types::{Mode, PartitionId, Timestamp, TxId, WriteSetEntry};
 
 use super::{PendingOp, Server};
 
@@ -60,11 +60,13 @@ impl Server {
 
     /// `ReadReq` (Alg. 2 lines 6–16): fan the keys out to one replica per
     /// partition, local when possible, otherwise the preferred remote DC.
+    /// The client's held-version stamps are relayed to the cohorts as they
+    /// came; the coordinator never interprets them.
     pub(super) fn on_read_req(
         &mut self,
         env: &Envelope,
         tx: TxId,
-        keys: &[Key],
+        keys: &[ReadKey],
         _now: u64,
     ) -> Vec<Envelope> {
         let mut ctxs = self.tx_table.lock();
@@ -85,10 +87,10 @@ impl Server {
         let client = ctx.client;
 
         // Group keys by partition (Alg. 2 line 9).
-        let mut by_partition: BTreeMap<PartitionId, Vec<Key>> = BTreeMap::new();
+        let mut by_partition: BTreeMap<PartitionId, Vec<ReadKey>> = BTreeMap::new();
         for &k in keys {
             by_partition
-                .entry(self.topo.partition_of(k))
+                .entry(self.topo.partition_of(k.key))
                 .or_default()
                 .push(k);
         }

@@ -28,7 +28,7 @@ mod tx_table;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use paris_clock::{Hlc, PhysicalClock};
-use paris_proto::{Envelope, Msg, ReadResult};
+use paris_proto::{Envelope, Msg, ReadKey, ReadResult};
 use paris_storage::{
     DurableConfig, DurableEngine, Engine, MemEngine, RecoveryInfo, StableFrontier,
 };
@@ -107,7 +107,7 @@ pub(crate) struct CommittedTx {
 pub(crate) struct BlockedRead {
     pub tx: TxId,
     pub snapshot: Timestamp,
-    pub keys: Vec<paris_types::Key>,
+    pub keys: Vec<ReadKey>,
     pub reply_to: ServerId,
     pub blocked_at: u64,
 }
@@ -123,6 +123,14 @@ pub struct ServerStats {
     pub slice_reads: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,
+    /// Of those, keys answered `Unchanged`: the client's stamp named the
+    /// version visible in the snapshot, so no value travelled.
+    /// `reads_unchanged / (reads_unchanged + reads_shipped)` is the
+    /// validation hit ratio.
+    pub reads_unchanged: u64,
+    /// Keys answered with a full version (the rest had no visible
+    /// version).
+    pub reads_shipped: u64,
     /// Prepares handled.
     pub prepares: u64,
     /// Transactions applied locally (as 2PC participant).
@@ -461,6 +469,8 @@ impl Server {
         let mut stats = self.stats;
         stats.slice_reads += self.view_stats.slice_reads();
         stats.keys_read += self.view_stats.keys_read();
+        stats.reads_unchanged += self.view_stats.reads_unchanged();
+        stats.reads_shipped += self.view_stats.reads_shipped();
         stats.pooled_gossip_digests += self.view_stats.gossip_digests();
         stats.coalesced_frames += self.view_stats.digest_frames();
         stats

@@ -7,10 +7,10 @@ use std::time::Duration;
 
 use paris_clock::SimClock;
 use paris_core::{Mode, Server, ServerOptions, Topology};
-use paris_proto::{Endpoint, Envelope, Msg, ReplicatedTx};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx};
 use paris_types::{
     ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
-    WriteSetEntry,
+    VersionStamp, WriteSetEntry,
 };
 
 fn topo() -> Arc<Topology> {
@@ -75,14 +75,14 @@ fn view_serves_the_freshest_version_within_the_snapshot() {
     let view = s.read_view();
     let reply_to = ServerId::new(DcId(0), PartitionId(1));
     let env = view
-        .serve_slice(tx(9), ts(15), &[Key(0), Key(2)], reply_to)
+        .serve_slice(tx(9), ts(15), &[Key(0).into(), Key(2).into()], reply_to)
         .expect("snapshot above S_old");
     let Msg::ReadSliceResp { results, .. } = &env.msg else {
         panic!("expected ReadSliceResp, got {}", env.msg.kind());
     };
     assert_eq!(results.len(), 2);
-    assert_eq!(results[0].version.as_ref().unwrap().ut, ts(10));
-    assert!(results[1].version.is_none(), "unwritten key");
+    assert_eq!(results[0].outcome.version().unwrap().ut, ts(10));
+    assert_eq!(results[1].outcome, ReadOutcome::Absent, "unwritten key");
     // Alg. 3 line 2: serving at snapshot 15 advanced the published UST.
     assert_eq!(s.ust(), ts(15));
     assert_eq!(view.stats().slice_reads(), 1);
@@ -109,7 +109,7 @@ fn view_reads_do_not_block_on_a_held_server_lock() {
             .serve_slice(
                 tx(7),
                 ts(10),
-                &[Key(0)],
+                &[Key(0).into()],
                 ServerId::new(DcId(0), PartitionId(1)),
             )
             .expect("view read is lock-free");
@@ -125,7 +125,7 @@ fn view_reads_do_not_block_on_a_held_server_lock() {
     let Msg::ReadSliceResp { results, .. } = &env.msg else {
         panic!("expected ReadSliceResp");
     };
-    assert_eq!(results[0].version.as_ref().unwrap().ut, ts(10));
+    assert_eq!(results[0].outcome.version().unwrap().ut, ts(10));
 }
 
 /// A snapshot below the published `S_old` is rejected by the view (its
@@ -151,12 +151,14 @@ fn view_rejects_snapshots_below_the_gc_horizon() {
     let view = s.read_view();
     let reply_to = ServerId::new(DcId(0), PartitionId(1));
     let err = view
-        .serve_slice(tx(9), ts(14), &[Key(0)], reply_to)
+        .serve_slice(tx(9), ts(14), &[Key(0).into()], reply_to)
         .unwrap_err();
     assert_eq!(err.s_old, ts(15));
     assert_eq!(view.stats().stale_rejections(), 1);
     // At the horizon is fine (GC keeps the freshest version ≤ S_old).
-    assert!(view.serve_slice(tx(9), ts(15), &[Key(0)], reply_to).is_ok());
+    assert!(view
+        .serve_slice(tx(9), ts(15), &[Key(0).into()], reply_to)
+        .is_ok());
     // The server loop path serves the stale snapshot authoritatively
     // (cohort falls back internally on rejection).
     let out = s.handle(
@@ -166,7 +168,7 @@ fn view_rejects_snapshots_below_the_gc_horizon() {
             Msg::ReadSliceReq {
                 tx: tx(9),
                 snapshot: ts(14),
-                keys: vec![Key(0)],
+                keys: vec![Key(0).into()],
                 reply_to,
             },
         ),
@@ -176,7 +178,92 @@ fn view_rejects_snapshots_below_the_gc_horizon() {
     let Msg::ReadSliceResp { results, .. } = &out[0].msg else {
         panic!("expected ReadSliceResp");
     };
-    assert_eq!(results[0].version.as_ref().unwrap().ut, ts(10));
+    assert_eq!(results[0].outcome.version().unwrap().ut, ts(10));
+}
+
+/// Version-validated reads: the cohort looks up the version visible in the
+/// snapshot exactly as for an unstamped key, and answers `Unchanged` only
+/// when that version is the one the stamp names. The view (pooled reads)
+/// and the server loop (BPR, and PaRiS below `S_old`) agree key by key.
+#[test]
+fn stamped_keys_are_validated_against_the_visible_version_on_both_paths() {
+    let stamp = |ut, seq| {
+        Some(VersionStamp {
+            ut: ts(ut),
+            tx: tx(seq),
+        })
+    };
+    let keys = [
+        // Holds the visible version (ut 10 at snapshot 15).
+        ReadKey {
+            key: Key(0),
+            held: stamp(10, 1),
+        },
+        // Holds a version the snapshot does not see yet (ut 20 > 15):
+        // the visible one is shipped.
+        ReadKey {
+            key: Key(0),
+            held: stamp(20, 2),
+        },
+        // Right update time, wrong transaction: not the same version.
+        ReadKey {
+            key: Key(0),
+            held: stamp(10, 7),
+        },
+        // A stamp for a key with no visible version.
+        ReadKey {
+            key: Key(2),
+            held: stamp(10, 1),
+        },
+        Key(0).into(),
+    ];
+    let expect = |results: &[paris_proto::ReadResult]| {
+        assert_eq!(results[0].outcome, ReadOutcome::Unchanged);
+        for shipped in [1, 2, 4] {
+            let v = results[shipped].outcome.version().expect("shipped in full");
+            assert_eq!((v.ut, v.tx), (ts(10), tx(1)), "key {shipped}");
+        }
+        assert_eq!(results[3].outcome, ReadOutcome::Absent);
+    };
+    let reply_to = ServerId::new(DcId(0), PartitionId(1));
+    for mode in [Mode::Paris, Mode::Bpr] {
+        let (mut s, clock) = server(mode);
+        install(&mut s, Key(0), 10, 1);
+        install(&mut s, Key(0), 20, 2);
+        // BPR serves a slice only once the snapshot is installed: move the
+        // server's own version clock past it (the peer's is at 20).
+        clock.advance_to(1_000);
+        s.on_replicate_tick(1_000);
+        let env = s
+            .read_view()
+            .serve_slice(tx(9), ts(15), &keys, reply_to)
+            .expect("snapshot above S_old");
+        let Msg::ReadSliceResp { results, .. } = &env.msg else {
+            panic!("expected ReadSliceResp");
+        };
+        expect(results);
+        // The loop path: BPR serves from the state machine itself.
+        let out = s.handle(
+            &Envelope::new(
+                reply_to,
+                s.id(),
+                Msg::ReadSliceReq {
+                    tx: tx(9),
+                    snapshot: ts(15),
+                    keys: keys.to_vec(),
+                    reply_to,
+                },
+            ),
+            0,
+        );
+        let Msg::ReadSliceResp { results, .. } = &out[0].msg else {
+            panic!("expected ReadSliceResp");
+        };
+        expect(results);
+        let stats = s.stats();
+        assert_eq!((stats.reads_unchanged, stats.reads_shipped), (2, 6));
+        assert_eq!(stats.keys_read, 10);
+    }
 }
 
 /// Pooled snapshot assignment (Alg. 2 lines 1–5 off the server loop):
@@ -207,7 +294,7 @@ fn pooled_start_context_is_visible_to_the_loop() {
             s.id(),
             Msg::ReadReq {
                 tx,
-                keys: vec![Key(0)],
+                keys: vec![Key(0).into()],
             },
         ),
         0,

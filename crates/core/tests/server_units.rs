@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use paris_clock::SimClock;
 use paris_core::{Mode, Server, ServerOptions, Topology};
-use paris_proto::{Endpoint, Envelope, Msg, ReplicatedTx};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReplicatedTx};
 use paris_types::{
     ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
-    WriteSetEntry,
+    VersionStamp, WriteSetEntry,
 };
 
 fn topo() -> Arc<Topology> {
@@ -103,7 +103,7 @@ fn read_req_for_unknown_tx_returns_empty_response() {
             s.id(),
             Msg::ReadReq {
                 tx: bogus,
-                keys: vec![Key(0)],
+                keys: vec![Key(0).into()],
             },
         ),
         0,
@@ -122,7 +122,13 @@ fn read_fan_out_targets_one_replica_per_partition() {
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
     let (tx, _) = start_tx(&mut s, 0);
     // Keys on partitions 0..6: exactly one slice request per partition.
-    let keys: Vec<Key> = (0..12).map(Key).collect();
+    // One key carries the client's held-version stamp.
+    let held = Some(VersionStamp {
+        ut: Timestamp::from_physical_micros(7),
+        tx,
+    });
+    let mut keys: Vec<ReadKey> = (0..12).map(|k| Key(k).into()).collect();
+    keys[7].held = held;
     let out = s.handle(
         &Envelope::new(client(), s.id(), Msg::ReadReq { tx, keys }),
         0,
@@ -138,7 +144,13 @@ fn read_fan_out_targets_one_replica_per_partition() {
         let dst = env.dst.as_server().unwrap();
         assert!(topo.is_replicated_at(dst.partition, dst.dc));
         match &env.msg {
-            Msg::ReadSliceReq { reply_to, .. } => assert_eq!(*reply_to, s.id()),
+            Msg::ReadSliceReq { reply_to, keys, .. } => {
+                assert_eq!(*reply_to, s.id());
+                // The stamp is relayed with its key, and only with it.
+                for k in keys {
+                    assert_eq!(k.held, if k.key == Key(7) { held } else { None });
+                }
+            }
             other => panic!("expected ReadSliceReq, got {}", other.kind()),
         }
     }
@@ -156,7 +168,7 @@ fn duplicate_read_slice_resp_is_ignored() {
             s.id(),
             Msg::ReadReq {
                 tx,
-                keys: vec![Key(0), Key(1)],
+                keys: vec![Key(0).into(), Key(1).into()],
             },
         ),
         0,
@@ -475,7 +487,7 @@ fn bpr_read_blocks_then_drains_in_blocked_order() {
                 Msg::ReadSliceReq {
                     tx: TxId::new(coordinator, seq),
                     snapshot: Timestamp::from_physical_micros(snap),
-                    keys: vec![Key(0)],
+                    keys: vec![Key(0).into()],
                     reply_to: coordinator,
                 },
             ),
@@ -536,7 +548,7 @@ fn bpr_read_at_installed_snapshot_serves_immediately() {
             Msg::ReadSliceReq {
                 tx: TxId::new(coordinator, 9),
                 snapshot: Timestamp::from_physical_micros(9_000),
-                keys: vec![Key(0)],
+                keys: vec![Key(0).into()],
                 reply_to: coordinator,
             },
         ),

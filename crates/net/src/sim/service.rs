@@ -129,13 +129,13 @@ mod tests {
         let one = Msg::ReadSliceReq {
             tx: tx(),
             snapshot: Timestamp::ZERO,
-            keys: vec![Key(1)],
+            keys: vec![Key(1).into()],
             reply_to: ServerId::new(DcId(0), PartitionId(0)),
         };
         let five = Msg::ReadSliceReq {
             tx: tx(),
             snapshot: Timestamp::ZERO,
-            keys: (0..5).map(Key).collect(),
+            keys: (0..5).map(|k| Key(k).into()).collect(),
             reply_to: ServerId::new(DcId(0), PartitionId(0)),
         };
         assert_eq!(m.cost(&five) - m.cost(&one), 4 * m.read_per_key);

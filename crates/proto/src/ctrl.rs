@@ -36,6 +36,11 @@ pub struct SnapshotCounters {
     pub slice_reads: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,
+    /// Keys answered `Unchanged` (the client's stamp named the visible
+    /// version).
+    pub reads_unchanged: u64,
+    /// Keys answered with a full version.
+    pub reads_shipped: u64,
     /// Prepares handled.
     pub prepares: u64,
     /// Transactions applied locally (as 2PC participant).
@@ -62,7 +67,7 @@ pub struct SnapshotCounters {
 }
 
 impl SnapshotCounters {
-    const WIRE_LEN: usize = 15 * 8;
+    const WIRE_LEN: usize = 17 * 8;
 
     fn encode(&self, buf: &mut BytesMut) {
         for v in [
@@ -70,6 +75,8 @@ impl SnapshotCounters {
             self.txs_coordinated,
             self.slice_reads,
             self.keys_read,
+            self.reads_unchanged,
+            self.reads_shipped,
             self.prepares,
             self.applied_local,
             self.applied_remote,
@@ -93,6 +100,8 @@ impl SnapshotCounters {
             txs_coordinated: buf.get_u64_le(),
             slice_reads: buf.get_u64_le(),
             keys_read: buf.get_u64_le(),
+            reads_unchanged: buf.get_u64_le(),
+            reads_shipped: buf.get_u64_le(),
             prepares: buf.get_u64_le(),
             applied_local: buf.get_u64_le(),
             applied_remote: buf.get_u64_le(),
@@ -339,6 +348,8 @@ mod tests {
                     txs_coordinated: 2,
                     slice_reads: 3,
                     keys_read: 4,
+                    reads_unchanged: 16,
+                    reads_shipped: 17,
                     prepares: 5,
                     applied_local: 6,
                     applied_remote: 7,

@@ -1,7 +1,8 @@
 //! Message definitions.
 
 use paris_types::{
-    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Version, WriteSetEntry,
+    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Version, VersionStamp,
+    WriteSetEntry,
 };
 
 /// A network endpoint: either a partition server or a client session.
@@ -88,15 +89,57 @@ impl Envelope {
     }
 }
 
-/// Per-key outcome of a slice read: the key may have no version visible in
-/// the snapshot (the paper returns only found items; carrying the miss
-/// explicitly lets the client distinguish "absent" from "lost").
+/// One key of a read request, optionally stamped with the identity of the
+/// version the client already holds for it (see [`VersionStamp`]). The
+/// stamp never influences *which* version the snapshot read selects — only
+/// whether the reply has to carry that version's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadKey {
+    /// The key to read.
+    pub key: Key,
+    /// The version of `key` the requesting client holds, if any.
+    pub held: Option<VersionStamp>,
+}
+
+impl From<Key> for ReadKey {
+    fn from(key: Key) -> Self {
+        ReadKey { key, held: None }
+    }
+}
+
+/// What a snapshot read found for one key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadOutcome {
+    /// No version is visible in the snapshot (the paper returns only found
+    /// items; carrying the miss explicitly lets the client distinguish
+    /// "absent" from "lost").
+    Absent,
+    /// The freshest visible version, shipped in full.
+    Found(Version),
+    /// The freshest visible version is exactly the one the request's
+    /// [`ReadKey::held`] stamp names: the client resolves it from its own
+    /// copy, so neither value nor metadata travel.
+    Unchanged,
+}
+
+impl ReadOutcome {
+    /// The shipped version, if this outcome carries one.
+    pub fn version(&self) -> Option<&Version> {
+        match self {
+            ReadOutcome::Found(v) => Some(v),
+            ReadOutcome::Absent | ReadOutcome::Unchanged => None,
+        }
+    }
+}
+
+/// Per-key outcome of a slice read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadResult {
     /// The requested key.
     pub key: Key,
-    /// The freshest visible version, if any.
-    pub version: Option<Version>,
+    /// What the snapshot holds for it. A [`ReadOutcome::Found`] version
+    /// always belongs to `key`.
+    pub outcome: ReadOutcome,
 }
 
 /// One transaction inside a replication batch (Alg. 4 lines 9–16): the
@@ -151,8 +194,9 @@ pub enum Msg {
     ReadReq {
         /// Transaction id.
         tx: TxId,
-        /// Keys not satisfied from the client-local sets.
-        keys: Vec<Key>,
+        /// Keys not satisfied from the client-local sets, each stamped
+        /// with the version the client's value cache holds for it.
+        keys: Vec<ReadKey>,
     },
     /// Coordinator → client: the assembled read results (Alg. 2 line 16).
     ReadResp {
@@ -198,8 +242,9 @@ pub enum Msg {
         tx: TxId,
         /// Snapshot to read at.
         snapshot: Timestamp,
-        /// Keys owned by the cohort's partition.
-        keys: Vec<Key>,
+        /// Keys owned by the cohort's partition, with the client's stamps
+        /// relayed unchanged.
+        keys: Vec<ReadKey>,
         /// Coordinator to reply to.
         reply_to: ServerId,
     },
@@ -429,7 +474,7 @@ mod tests {
 
         let rr = Msg::ReadReq {
             tx: TxId::new(ServerId::new(DcId(0), PartitionId(0)), 1),
-            keys: vec![Key(1)],
+            keys: vec![Key(1).into()],
         };
         assert_eq!(rr.kind(), "ReadReq");
         assert!(!rr.is_background());

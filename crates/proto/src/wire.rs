@@ -26,11 +26,13 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use paris_types::{
-    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, Version, WireFormat,
-    WriteSetEntry,
+    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, Version, VersionStamp,
+    WireFormat, WriteSetEntry,
 };
 
-use crate::messages::{DigestReport, Endpoint, Envelope, Msg, ReadResult, ReplicatedTx};
+use crate::messages::{
+    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
+};
 use crate::wire2;
 
 /// Connection-preamble magic: every PaRiS socket connection opens with
@@ -204,25 +206,89 @@ fn get_write(buf: &mut Bytes) -> Result<WriteSetEntry, DecodeError> {
     })
 }
 
+// Read-result option byte (shared verbatim by the v2 codec): the third
+// value tells the client the version it stamped is still the visible one.
+pub(crate) const R_ABSENT: u8 = 0;
+pub(crate) const R_FOUND: u8 = 1;
+pub(crate) const R_UNCHANGED: u8 = 2;
+
 fn put_read_result(buf: &mut BytesMut, r: &ReadResult) {
     put_key(buf, r.key);
-    match &r.version {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
+    match &r.outcome {
+        ReadOutcome::Absent => buf.put_u8(R_ABSENT),
+        ReadOutcome::Found(v) => {
+            buf.put_u8(R_FOUND);
             put_version(buf, v);
         }
+        ReadOutcome::Unchanged => buf.put_u8(R_UNCHANGED),
     }
 }
 
 fn get_read_result(buf: &mut Bytes) -> Result<ReadResult, DecodeError> {
     let key = get_key(buf)?;
     need(buf, 1)?;
-    let version = match buf.get_u8() {
-        0 => None,
-        _ => Some(get_version(buf)?),
+    let outcome = match buf.get_u8() {
+        R_ABSENT => ReadOutcome::Absent,
+        R_FOUND => ReadOutcome::Found(get_version(buf)?),
+        R_UNCHANGED => ReadOutcome::Unchanged,
+        other => return Err(DecodeError::UnknownTag(other)),
     };
-    Ok(ReadResult { key, version })
+    Ok(ReadResult { key, outcome })
+}
+
+/// True when any key carries a held-version stamp: such a request ships
+/// under its stamped tag, every other one in the original stamp-free
+/// layout — validation costs nothing until a client has something to
+/// validate.
+pub(crate) fn any_held(keys: &[ReadKey]) -> bool {
+    keys.iter().any(|k| k.held.is_some())
+}
+
+/// A request's key list: the plain list every peer has always decoded,
+/// followed — under the request's stamped tag only — by the stamps,
+/// fixed-width, as `(key index, update time, transaction id)` in
+/// ascending index order.
+fn put_keys(buf: &mut BytesMut, keys: &[ReadKey]) {
+    put_len(buf, keys.len());
+    for k in keys {
+        put_key(buf, k.key);
+    }
+    if !any_held(keys) {
+        return;
+    }
+    put_len(buf, keys.iter().filter(|k| k.held.is_some()).count());
+    for (index, k) in keys.iter().enumerate() {
+        if let Some(stamp) = k.held {
+            put_len(buf, index);
+            put_ts(buf, stamp.ut);
+            put_tx(buf, stamp.tx);
+        }
+    }
+}
+
+fn get_keys(buf: &mut Bytes, stamped: bool) -> Result<Vec<ReadKey>, DecodeError> {
+    let n = get_len(buf)?;
+    let mut keys = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        keys.push(ReadKey::from(get_key(buf)?));
+    }
+    if !stamped {
+        return Ok(keys);
+    }
+    let stamps = get_len(buf)?;
+    let mut next = 0;
+    for _ in 0..stamps {
+        let index = get_len(buf)?;
+        if index < next || index >= keys.len() {
+            return Err(DecodeError::BadLength);
+        }
+        next = index + 1;
+        keys[index].held = Some(VersionStamp {
+            ut: get_ts(buf)?,
+            tx: get_tx(buf)?,
+        });
+    }
+    Ok(keys)
 }
 
 fn put_replicated_tx(buf: &mut BytesMut, t: &ReplicatedTx) {
@@ -299,6 +365,11 @@ pub(crate) const T_UST_BROADCAST: u8 = 16;
 pub(crate) const T_OP_FAILED: u8 = 17;
 pub(crate) const T_REPLICATE_BATCH: u8 = 18;
 pub(crate) const T_GOSSIP_DIGEST: u8 = 19;
+// The read requests again, with per-key held-version stamps. Tags of their
+// own keep the stamp-free frames above byte-identical to what older peers
+// speak.
+pub(crate) const T_READ_REQ_STAMPED: u8 = 20;
+pub(crate) const T_READ_SLICE_REQ_STAMPED: u8 = 21;
 
 /// Encodes a message to its wire representation.
 pub fn encode(msg: &Msg) -> Bytes {
@@ -314,12 +385,13 @@ pub fn encode(msg: &Msg) -> Bytes {
             put_ts(&mut buf, *snapshot);
         }
         Msg::ReadReq { tx, keys } => {
-            buf.put_u8(T_READ_REQ);
+            buf.put_u8(if any_held(keys) {
+                T_READ_REQ_STAMPED
+            } else {
+                T_READ_REQ
+            });
             put_tx(&mut buf, *tx);
-            put_len(&mut buf, keys.len());
-            for k in keys {
-                put_key(&mut buf, *k);
-            }
+            put_keys(&mut buf, keys);
         }
         Msg::ReadResp { tx, results } => {
             buf.put_u8(T_READ_RESP);
@@ -349,14 +421,15 @@ pub fn encode(msg: &Msg) -> Bytes {
             keys,
             reply_to,
         } => {
-            buf.put_u8(T_READ_SLICE_REQ);
+            buf.put_u8(if any_held(keys) {
+                T_READ_SLICE_REQ_STAMPED
+            } else {
+                T_READ_SLICE_REQ
+            });
             put_tx(&mut buf, *tx);
             put_ts(&mut buf, *snapshot);
             put_server(&mut buf, *reply_to);
-            put_len(&mut buf, keys.len());
-            for k in keys {
-                put_key(&mut buf, *k);
-            }
+            put_keys(&mut buf, keys);
         }
         Msg::ReadSliceResp {
             tx,
@@ -523,15 +596,10 @@ pub fn decode(bytes: &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(&mut buf)?,
             snapshot: get_ts(&mut buf)?,
         },
-        T_READ_REQ => {
-            let tx = get_tx(&mut buf)?;
-            let n = get_len(&mut buf)?;
-            let mut keys = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                keys.push(get_key(&mut buf)?);
-            }
-            Msg::ReadReq { tx, keys }
-        }
+        T_READ_REQ | T_READ_REQ_STAMPED => Msg::ReadReq {
+            tx: get_tx(&mut buf)?,
+            keys: get_keys(&mut buf, tag == T_READ_REQ_STAMPED)?,
+        },
         T_READ_RESP => {
             let tx = get_tx(&mut buf)?;
             let n = get_len(&mut buf)?;
@@ -555,15 +623,11 @@ pub fn decode(bytes: &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(&mut buf)?,
             ct: get_ts(&mut buf)?,
         },
-        T_READ_SLICE_REQ => {
+        T_READ_SLICE_REQ | T_READ_SLICE_REQ_STAMPED => {
             let tx = get_tx(&mut buf)?;
             let snapshot = get_ts(&mut buf)?;
             let reply_to = get_server(&mut buf)?;
-            let n = get_len(&mut buf)?;
-            let mut keys = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                keys.push(get_key(&mut buf)?);
-            }
+            let keys = get_keys(&mut buf, tag == T_READ_SLICE_REQ_STAMPED)?;
             Msg::ReadSliceReq {
                 tx,
                 snapshot,
@@ -732,7 +796,16 @@ pub fn encoded_len(msg: &Msg) -> usize {
         KEY + value_len(&w.value)
     }
     fn result_len(r: &ReadResult) -> usize {
-        KEY + 1 + r.version.as_ref().map_or(0, version_len)
+        KEY + 1 + r.outcome.version().map_or(0, version_len)
+    }
+    fn keys_len(keys: &[ReadKey]) -> usize {
+        let plain = LEN + keys.len() * KEY;
+        if any_held(keys) {
+            let stamps = keys.iter().filter(|k| k.held.is_some()).count();
+            plain + LEN + stamps * (LEN + TS + TX)
+        } else {
+            plain
+        }
     }
     fn replicated_tx_len(t: &ReplicatedTx) -> usize {
         TX + TS + DC + LEN + t.writes.iter().map(write_len).sum::<usize>()
@@ -743,13 +816,13 @@ pub fn encoded_len(msg: &Msg) -> usize {
     1 + match msg {
         Msg::StartTxReq { .. } => TS,
         Msg::StartTxResp { .. } => TX + TS,
-        Msg::ReadReq { keys, .. } => TX + LEN + keys.len() * KEY,
+        Msg::ReadReq { keys, .. } => TX + keys_len(keys),
         Msg::ReadResp { results, .. } => TX + LEN + results.iter().map(result_len).sum::<usize>(),
         Msg::CommitReq { writes, .. } => {
             TX + TS + LEN + writes.iter().map(write_len).sum::<usize>()
         }
         Msg::CommitResp { .. } => TX + TS,
-        Msg::ReadSliceReq { keys, .. } => TX + TS + SERVER + LEN + keys.len() * KEY,
+        Msg::ReadSliceReq { keys, .. } => TX + TS + SERVER + keys_len(keys),
         Msg::ReadSliceResp { results, .. } => {
             TX + PART + LEN + results.iter().map(result_len).sum::<usize>()
         }
@@ -807,16 +880,18 @@ pub fn metadata_len_with(msg: &Msg, wire: WireFormat) -> usize {
         WireFormat::V1 => 4 + v.len(), // length prefix + bytes
         WireFormat::V2 => wire2::value_len(v),
     };
+    // v1 ships a found version with its own copy of the key; v2 does not.
     let result = |r: &ReadResult| {
         key(r.key)
-            + r.version
-                .as_ref()
-                .map_or(0, |v| key(v.key) + value(&v.value))
+            + r.outcome.version().map_or(0, |v| match wire {
+                WireFormat::V1 => key(v.key) + value(&v.value),
+                WireFormat::V2 => value(&v.value),
+            })
     };
     let write = |w: &WriteSetEntry| key(w.key) + value(&w.value);
     let payload_bytes: usize = match msg {
         Msg::ReadReq { keys, .. } | Msg::ReadSliceReq { keys, .. } => {
-            keys.iter().map(|k| key(*k)).sum()
+            keys.iter().map(|k| key(k.key)).sum()
         }
         Msg::ReadResp { results, .. } | Msg::ReadSliceResp { results, .. } => {
             results.iter().map(result).sum()
@@ -996,18 +1071,39 @@ mod tests {
             },
             Msg::ReadReq {
                 tx: t,
-                keys: vec![Key(1), Key(2)],
+                keys: vec![Key(1).into(), Key(2).into()],
+            },
+            Msg::ReadReq {
+                tx: t,
+                keys: vec![
+                    Key(1).into(),
+                    ReadKey {
+                        key: Key(9),
+                        held: Some(ver.stamp()),
+                    },
+                    ReadKey {
+                        key: Key(3),
+                        held: Some(VersionStamp {
+                            ut: Timestamp::from_parts(90, 0),
+                            tx: t,
+                        }),
+                    },
+                ],
             },
             Msg::ReadResp {
                 tx: t,
                 results: vec![
                     ReadResult {
-                        key: Key(1),
-                        version: Some(ver.clone()),
+                        key: Key(9),
+                        outcome: ReadOutcome::Found(ver.clone()),
                     },
                     ReadResult {
                         key: Key(2),
-                        version: None,
+                        outcome: ReadOutcome::Absent,
+                    },
+                    ReadResult {
+                        key: Key(3),
+                        outcome: ReadOutcome::Unchanged,
                     },
                 ],
             },
@@ -1023,16 +1119,34 @@ mod tests {
             Msg::ReadSliceReq {
                 tx: t,
                 snapshot: Timestamp::from_parts(10, 0),
-                keys: vec![Key(4)],
+                keys: vec![Key(4).into()],
+                reply_to: srv,
+            },
+            Msg::ReadSliceReq {
+                tx: t,
+                snapshot: Timestamp::from_parts(120, 0),
+                keys: vec![
+                    ReadKey {
+                        key: Key(9),
+                        held: Some(ver.stamp()),
+                    },
+                    Key(4).into(),
+                ],
                 reply_to: srv,
             },
             Msg::ReadSliceResp {
                 tx: t,
                 partition: PartitionId(7),
-                results: vec![ReadResult {
-                    key: Key(4),
-                    version: Some(ver.clone()),
-                }],
+                results: vec![
+                    ReadResult {
+                        key: Key(9),
+                        outcome: ReadOutcome::Found(ver.clone()),
+                    },
+                    ReadResult {
+                        key: Key(4),
+                        outcome: ReadOutcome::Unchanged,
+                    },
+                ],
             },
             Msg::PrepareReq {
                 tx: t,
@@ -1233,9 +1347,28 @@ mod tests {
         proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value)
     }
 
-    fn arb_version() -> impl Strategy<Value = Version> {
-        (any::<u64>(), arb_value(), arb_ts(), arb_tx(), any::<u16>())
-            .prop_map(|(k, v, ts, tx, dc)| Version::new(Key(k), v, ts, tx, DcId(dc)))
+    fn arb_outcome() -> impl Strategy<Value = ReadOutcome> {
+        // The version's key is filled in by `arb_results`: a found version
+        // always belongs to its result's key.
+        prop_oneof![
+            Just(ReadOutcome::Absent),
+            Just(ReadOutcome::Unchanged),
+            (arb_value(), arb_ts(), arb_tx(), any::<u16>()).prop_map(|(v, ts, tx, dc)| {
+                ReadOutcome::Found(Version::new(Key(0), v, ts, tx, DcId(dc)))
+            }),
+        ]
+    }
+
+    fn arb_keys() -> impl Strategy<Value = Vec<ReadKey>> {
+        proptest::collection::vec(
+            (any::<u64>(), proptest::option::of((arb_ts(), arb_tx()))).prop_map(|(k, held)| {
+                ReadKey {
+                    key: Key(k),
+                    held: held.map(|(ut, tx)| VersionStamp { ut, tx }),
+                }
+            }),
+            0..16,
+        )
     }
 
     fn arb_writes() -> impl Strategy<Value = Vec<WriteSetEntry>> {
@@ -1247,9 +1380,14 @@ mod tests {
 
     fn arb_results() -> impl Strategy<Value = Vec<ReadResult>> {
         proptest::collection::vec(
-            (any::<u64>(), proptest::option::of(arb_version())).prop_map(|(k, v)| ReadResult {
-                key: Key(k),
-                version: v,
+            (any::<u64>(), arb_outcome()).prop_map(|(k, mut outcome)| {
+                if let ReadOutcome::Found(v) = &mut outcome {
+                    v.key = Key(k);
+                }
+                ReadResult {
+                    key: Key(k),
+                    outcome,
+                }
             }),
             0..8,
         )
@@ -1259,12 +1397,7 @@ mod tests {
         prop_oneof![
             arb_ts().prop_map(|client_ust| Msg::StartTxReq { client_ust }),
             (arb_tx(), arb_ts()).prop_map(|(tx, snapshot)| Msg::StartTxResp { tx, snapshot }),
-            (arb_tx(), proptest::collection::vec(any::<u64>(), 0..16)).prop_map(|(tx, ks)| {
-                Msg::ReadReq {
-                    tx,
-                    keys: ks.into_iter().map(Key).collect(),
-                }
-            }),
+            (arb_tx(), arb_keys()).prop_map(|(tx, keys)| Msg::ReadReq { tx, keys }),
             (arb_tx(), arb_results()).prop_map(|(tx, results)| Msg::ReadResp { tx, results }),
             (arb_tx(), arb_ts(), arb_writes()).prop_map(|(tx, hwt, writes)| Msg::CommitReq {
                 tx,
@@ -1272,19 +1405,14 @@ mod tests {
                 writes
             }),
             (arb_tx(), arb_ts()).prop_map(|(tx, ct)| Msg::CommitResp { tx, ct }),
-            (
-                arb_tx(),
-                arb_ts(),
-                proptest::collection::vec(any::<u64>(), 0..16),
-                any::<u16>(),
-                any::<u32>()
-            )
-                .prop_map(|(tx, snapshot, ks, d, p)| Msg::ReadSliceReq {
+            (arb_tx(), arb_ts(), arb_keys(), any::<u16>(), any::<u32>()).prop_map(
+                |(tx, snapshot, keys, d, p)| Msg::ReadSliceReq {
                     tx,
                     snapshot,
-                    keys: ks.into_iter().map(Key).collect(),
+                    keys,
                     reply_to: ServerId::new(DcId(d), PartitionId(p)),
-                }),
+                }
+            ),
             (arb_tx(), any::<u32>(), arb_results()).prop_map(|(tx, p, results)| {
                 Msg::ReadSliceResp {
                     tx,
@@ -1558,7 +1686,7 @@ mod tests {
             tx: tx(u16::MAX, u32::MAX, u64::MAX),
             results: vec![ReadResult {
                 key: Key(u64::MAX),
-                version: Some(Version::new(
+                outcome: ReadOutcome::Found(Version::new(
                     Key(u64::MAX),
                     Value::filled(8, 0xff),
                     max_ts,
@@ -1570,12 +1698,259 @@ mod tests {
         let bytes = wire2::encode(&msg);
         assert_eq!(bytes.len(), wire2::encoded_len(&msg));
         assert_eq!(wire2::decode(&bytes).unwrap(), msg);
+        // Stamps at both ends of the 48-bit range: the deltas swing by the
+        // whole range in either direction and still round-trip.
+        let stamp = |physical, logical| VersionStamp {
+            ut: Timestamp::from_parts(physical, logical),
+            tx: tx(u16::MAX, u32::MAX, u64::MAX),
+        };
+        let msg = Msg::ReadSliceReq {
+            tx: tx(0, 0, 1),
+            snapshot: max_ts,
+            keys: vec![
+                ReadKey {
+                    key: Key(u64::MAX),
+                    held: Some(stamp(0, 0)),
+                },
+                ReadKey {
+                    key: Key(0),
+                    held: Some(stamp((1 << 48) - 1, u16::MAX)),
+                },
+                ReadKey {
+                    key: Key(1),
+                    held: Some(stamp(0, 1)),
+                },
+            ],
+            reply_to: ServerId::new(DcId(u16::MAX), PartitionId(u32::MAX)),
+        };
+        let bytes = wire2::encode(&msg);
+        assert_eq!(bytes.len(), wire2::encoded_len(&msg));
+        assert_eq!(wire2::decode(&bytes).unwrap(), msg);
         // A physical part beyond 48 bits cannot come off the encoder;
         // the decoder must reject it rather than silently truncate.
         let mut forged = BytesMut::new();
         forged.put_u8(T_UST_BROADCAST);
         crate::varint::put(&mut forged, 1 << 48);
         assert!(wire2::decode(forged.as_ref()).is_err());
+    }
+
+    /// A stamped `ReadReq` frame in v2, up to (not including) the first
+    /// stamp's delta varint: tag, tx (0,0,1), one key (5), one stamp, on
+    /// key index 0.
+    fn forged_stamped_read_req_prefix() -> BytesMut {
+        let mut forged = BytesMut::new();
+        forged.put_slice(&[T_READ_REQ_STAMPED, 0, 0, 1, 1, 5, 1, 0]);
+        forged
+    }
+
+    #[test]
+    fn v2_rejects_stamp_deltas_that_leave_the_48_bit_range() {
+        // +2^48 from the zero base: one past the largest physical time.
+        let mut over = forged_stamped_read_req_prefix();
+        crate::varint::put(&mut over, (1u64 << 48) << 1);
+        over.put_slice(&[0, 0, 0, 1]); // logical, tx
+        assert_eq!(wire2::decode(over.as_ref()), Err(DecodeError::BadLength));
+        // −1 from the zero base: below zero.
+        let mut under = forged_stamped_read_req_prefix();
+        crate::varint::put(&mut under, 1);
+        under.put_slice(&[0, 0, 0, 1]);
+        assert_eq!(wire2::decode(under.as_ref()), Err(DecodeError::BadLength));
+        // The widest zigzag value (i64::MIN) must not overflow the sum.
+        let mut widest = forged_stamped_read_req_prefix();
+        crate::varint::put(&mut widest, u64::MAX);
+        widest.put_slice(&[0, 0, 0, 1]);
+        assert_eq!(wire2::decode(widest.as_ref()), Err(DecodeError::BadLength));
+        // A logical part wider than 16 bits.
+        let mut logical = forged_stamped_read_req_prefix();
+        crate::varint::put(&mut logical, 2); // +1 µs
+        crate::varint::put(&mut logical, 1 << 16);
+        logical.put_slice(&[0, 0, 1]);
+        assert_eq!(wire2::decode(logical.as_ref()), Err(DecodeError::BadLength));
+    }
+
+    #[test]
+    fn stamps_outside_the_key_list_are_rejected_in_both_encodings() {
+        // Two keys, one stamp; the stamp's index is the last thing before
+        // its identity. v2: tag, tx, n, k, k, stamps, gap. v1: tag, tx(14),
+        // n(4), k(8), k(8), stamps(4), index(4).
+        let stamped = Msg::ReadReq {
+            tx: tx(0, 0, 1),
+            keys: vec![
+                Key(5).into(),
+                ReadKey {
+                    key: Key(6),
+                    held: Some(VersionStamp {
+                        ut: Timestamp::from_parts(1, 0),
+                        tx: tx(0, 0, 1),
+                    }),
+                },
+            ],
+        };
+        for (wire, index_at) in [(WireFormat::V2, 8), (WireFormat::V1, 39)] {
+            let good = encode_with(&stamped, wire).to_vec();
+            assert_eq!(good[index_at], 1, "{wire}: stamp index located");
+            assert_eq!(decode_with(&good, wire).unwrap(), stamped);
+            let mut past_the_end = good.clone();
+            past_the_end[index_at] = 2;
+            assert_eq!(
+                decode_with(&past_the_end, wire),
+                Err(DecodeError::BadLength),
+                "{wire}"
+            );
+            // More stamps than keys can only repeat or overrun an index.
+            let mut too_many = good.clone();
+            too_many[index_at - if wire == WireFormat::V1 { 4 } else { 1 }] = 3;
+            assert!(decode_with(&too_many, wire).is_err(), "{wire}");
+        }
+        // v1 carries absolute indices: a repeated one is rejected too.
+        let twice = Msg::ReadReq {
+            tx: tx(0, 0, 1),
+            keys: (5..7)
+                .map(|k| ReadKey {
+                    key: Key(k),
+                    held: Some(VersionStamp {
+                        ut: Timestamp::from_parts(1, 0),
+                        tx: tx(0, 0, 1),
+                    }),
+                })
+                .collect(),
+        };
+        let mut repeated = encode(&twice).to_vec();
+        let second_index = 39 + 4 + 8 + 14;
+        assert_eq!(repeated[second_index], 1);
+        repeated[second_index] = 0;
+        assert_eq!(decode(&repeated), Err(DecodeError::BadLength));
+    }
+
+    #[test]
+    fn an_unknown_outcome_byte_is_rejected_in_both_encodings() {
+        let unchanged = Msg::ReadResp {
+            tx: tx(0, 0, 1),
+            results: vec![ReadResult {
+                key: Key(5),
+                outcome: ReadOutcome::Unchanged,
+            }],
+        };
+        for wire in [WireFormat::V1, WireFormat::V2] {
+            let mut bytes = encode_with(&unchanged, wire).to_vec();
+            let last = bytes.len() - 1;
+            assert_eq!(bytes[last], R_UNCHANGED);
+            bytes[last] = 3;
+            assert_eq!(
+                decode_with(&bytes, wire),
+                Err(DecodeError::UnknownTag(3)),
+                "{wire}"
+            );
+        }
+    }
+
+    #[test]
+    fn stamp_free_frames_are_byte_identical_to_the_pre_stamp_codec() {
+        // Goldens taken from the codec before stamps existed: a request
+        // with nothing to validate and a full result must cost exactly
+        // what they always did (v2's result ships its key once now — the
+        // golden is the old frame minus the second copy of the key).
+        let t = tx(1, 2, 3);
+        let read = Msg::ReadReq {
+            tx: t,
+            keys: vec![Key(1).into(), Key(300).into()],
+        };
+        let slice = Msg::ReadSliceReq {
+            tx: t,
+            snapshot: Timestamp::from_parts(10, 2),
+            keys: vec![Key(4).into()],
+            reply_to: ServerId::new(DcId(0), PartitionId(7)),
+        };
+        let resp = Msg::ReadSliceResp {
+            tx: t,
+            partition: PartitionId(7),
+            results: vec![
+                ReadResult {
+                    key: Key(9),
+                    outcome: ReadOutcome::Found(Version::new(
+                        Key(9),
+                        Value::from("hi"),
+                        Timestamp::from_parts(100, 1),
+                        t,
+                        DcId(1),
+                    )),
+                },
+                ReadResult {
+                    key: Key(2),
+                    outcome: ReadOutcome::Absent,
+                },
+            ],
+        };
+        assert_eq!(
+            wire2::encode(&read).as_ref(),
+            [3u8, 1, 2, 3, 2, 1, 0xAC, 0x02]
+        );
+        assert_eq!(
+            wire2::encode(&slice).as_ref(),
+            [7u8, 1, 2, 3, 10, 2, 0, 7, 1, 4]
+        );
+        assert_eq!(
+            wire2::encode(&resp).as_ref(),
+            [
+                8u8, 1, 2, 3, 7, 2, // tag, tx, partition, count
+                9, 1, /* (old: key 9 again) */ 2, b'h', b'i', 100, 1, 1, 2, 3,
+                1, // found
+                2, 0, // absent
+            ]
+        );
+        assert_eq!(
+            encode(&read).as_ref(),
+            [
+                3u8, 1, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // tag, tx
+                2, 0, 0, 0, // count
+                1, 0, 0, 0, 0, 0, 0, 0, 0x2C, 1, 0, 0, 0, 0, 0, 0, // keys
+            ]
+        );
+        assert_eq!(
+            encode(&slice).as_ref(),
+            [
+                7u8, 1, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // tag, tx
+                2, 0, 10, 0, 0, 0, 0, 0, // snapshot: logical | physical << 16
+                0, 0, 7, 0, 0, 0, // reply_to
+                1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, // count, key
+            ]
+        );
+        assert_eq!(
+            encode(&resp).as_ref(),
+            [
+                8u8, 1, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // tag, tx
+                7, 0, 0, 0, 2, 0, 0, 0, // partition, count
+                9, 0, 0, 0, 0, 0, 0, 0, 1, // key, found
+                9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, b'h', b'i', // version: key, value
+                1, 0, 100, 0, 0, 0, 0, 0, // ut
+                1, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, // tx, src
+                2, 0, 0, 0, 0, 0, 0, 0, 0, // key, absent
+            ]
+        );
+    }
+
+    #[test]
+    fn an_unchanged_result_is_three_bytes_where_a_found_one_is_a_version() {
+        let t = tx(1, 2, 12_345);
+        let version = Version::new(
+            Key(831),
+            Value::filled(1024, 7),
+            Timestamp::from_parts(3_600_000_000, 0),
+            t,
+            DcId(1),
+        );
+        let resp = |outcome| Msg::ReadResp {
+            tx: t,
+            results: vec![ReadResult {
+                key: Key(831),
+                outcome,
+            }],
+        };
+        let found = wire2::encoded_len(&resp(ReadOutcome::Found(version)));
+        let unchanged = wire2::encoded_len(&resp(ReadOutcome::Unchanged));
+        let absent = wire2::encoded_len(&resp(ReadOutcome::Absent));
+        assert_eq!(unchanged, absent, "the option byte's third value is free");
+        assert!(found - unchanged > 1024, "{found} vs {unchanged}");
     }
 
     #[test]
@@ -1700,6 +2075,25 @@ mod tests {
                 prop_assert!(meta < encoded_len_with(&msg, wire));
             }
             prop_assert_eq!(metadata_len(&msg), metadata_len_with(&msg, WireFormat::V1));
+        }
+
+        #[test]
+        fn prop_truncated_read_messages_never_decode(tx in arb_tx(), snapshot in arb_ts(), keys in arb_keys(), results in arb_results()) {
+            let reply_to = ServerId::new(DcId(1), PartitionId(2));
+            let msgs = [
+                Msg::ReadReq { tx, keys: keys.clone() },
+                Msg::ReadSliceReq { tx, snapshot, keys, reply_to },
+                Msg::ReadResp { tx, results },
+            ];
+            for msg in msgs {
+                for wire in [WireFormat::V1, WireFormat::V2] {
+                    let bytes = encode_with(&msg, wire);
+                    prop_assert_eq!(bytes.len(), encoded_len_with(&msg, wire));
+                    for cut in 0..bytes.len() {
+                        prop_assert!(decode_with(&bytes[..cut], wire).is_err());
+                    }
+                }
+            }
         }
 
         #[test]

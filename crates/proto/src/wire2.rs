@@ -19,16 +19,20 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use paris_types::{
-    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, Version, WriteSetEntry,
+    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, Version, VersionStamp,
+    WriteSetEntry,
 };
 
-use crate::messages::{DigestReport, Endpoint, Envelope, Msg, ReadResult, ReplicatedTx};
+use crate::messages::{
+    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
+};
 use crate::varint;
 use crate::wire::{
-    need, DecodeError, T_COMMIT_REQ, T_COMMIT_RESP, T_COMMIT_TX, T_GOSSIP_DIGEST, T_GST_REPORT,
-    T_HEARTBEAT, T_OP_FAILED, T_PREPARE_REQ, T_PREPARE_RESP, T_READ_REQ, T_READ_RESP,
-    T_READ_SLICE_REQ, T_READ_SLICE_RESP, T_REPLICATE, T_REPLICATE_BATCH, T_ROOT_GST, T_START_REQ,
-    T_START_RESP, T_UST_BROADCAST,
+    any_held, need, DecodeError, R_ABSENT, R_FOUND, R_UNCHANGED, T_COMMIT_REQ, T_COMMIT_RESP,
+    T_COMMIT_TX, T_GOSSIP_DIGEST, T_GST_REPORT, T_HEARTBEAT, T_OP_FAILED, T_PREPARE_REQ,
+    T_PREPARE_RESP, T_READ_REQ, T_READ_REQ_STAMPED, T_READ_RESP, T_READ_SLICE_REQ,
+    T_READ_SLICE_REQ_STAMPED, T_READ_SLICE_RESP, T_REPLICATE, T_REPLICATE_BATCH, T_ROOT_GST,
+    T_START_REQ, T_START_RESP, T_UST_BROADCAST,
 };
 
 /// First byte of a v2 envelope frame. Chosen disjoint from the v1
@@ -155,17 +159,18 @@ pub(crate) fn value_len(v: &Value) -> usize {
     len_len(v.len()) + v.len()
 }
 
-fn put_version(buf: &mut BytesMut, v: &Version) {
-    put_key(buf, v.key);
+/// A version without its key: a read result already names the key, so
+/// the version body ships value and metadata only.
+fn put_version_body(buf: &mut BytesMut, v: &Version) {
     put_value(buf, &v.value);
     put_ts(buf, v.ut);
     put_tx(buf, v.tx);
     put_dc(buf, v.src);
 }
 
-fn get_version(buf: &mut Bytes) -> Result<Version, DecodeError> {
+fn get_version_body(buf: &mut Bytes, key: Key) -> Result<Version, DecodeError> {
     Ok(Version {
-        key: get_key(buf)?,
+        key,
         value: get_value(buf)?,
         ut: get_ts(buf)?,
         tx: get_tx(buf)?,
@@ -173,8 +178,8 @@ fn get_version(buf: &mut Bytes) -> Result<Version, DecodeError> {
     })
 }
 
-fn version_len(v: &Version) -> usize {
-    key_len(v.key) + value_len(&v.value) + ts_len(v.ut) + tx_len(v.tx) + dc_len(v.src)
+fn version_body_len(v: &Version) -> usize {
+    value_len(&v.value) + ts_len(v.ut) + tx_len(v.tx) + dc_len(v.src)
 }
 
 fn put_write(buf: &mut BytesMut, w: &WriteSetEntry) {
@@ -195,27 +200,151 @@ fn write_len(w: &WriteSetEntry) -> usize {
 
 fn put_read_result(buf: &mut BytesMut, r: &ReadResult) {
     put_key(buf, r.key);
-    match &r.version {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            put_version(buf, v);
+    match &r.outcome {
+        ReadOutcome::Absent => buf.put_u8(R_ABSENT),
+        ReadOutcome::Found(v) => {
+            debug_assert_eq!(v.key, r.key, "a found version belongs to its result's key");
+            buf.put_u8(R_FOUND);
+            put_version_body(buf, v);
         }
+        ReadOutcome::Unchanged => buf.put_u8(R_UNCHANGED),
     }
 }
 
 fn get_read_result(buf: &mut Bytes) -> Result<ReadResult, DecodeError> {
     let key = get_key(buf)?;
     need(buf, 1)?;
-    let version = match buf.get_u8() {
-        0 => None,
-        _ => Some(get_version(buf)?),
+    let outcome = match buf.get_u8() {
+        R_ABSENT => ReadOutcome::Absent,
+        R_FOUND => ReadOutcome::Found(get_version_body(buf, key)?),
+        R_UNCHANGED => ReadOutcome::Unchanged,
+        other => return Err(DecodeError::UnknownTag(other)),
     };
-    Ok(ReadResult { key, version })
+    Ok(ReadResult { key, outcome })
 }
 
 fn result_len(r: &ReadResult) -> usize {
-    key_len(r.key) + 1 + r.version.as_ref().map_or(0, version_len)
+    key_len(r.key) + 1 + r.outcome.version().map_or(0, version_body_len)
+}
+
+// ------------------------------------------------------------- read keys
+
+/// No snapshot travels in a `ReadReq`, so its first stamp ships absolute
+/// and the rest as deltas against it.
+const READ_REQ_STAMP_BASE: Timestamp = Timestamp::ZERO;
+
+/// Zigzag-folded distance from `prev` to `physical` (both 48-bit, so the
+/// difference always fits `i64`): small in either direction costs few
+/// varint bytes.
+fn stamp_delta(prev: u64, physical: u64) -> u64 {
+    let d = physical as i64 - prev as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The stamps of a stamped request, which follow its plain key list:
+/// sparse — each as the gap to its key's index plus the held version's
+/// identity — so a request pays for the stamps it carries, not for the
+/// keys it does not stamp. A stamp's physical time ships as a signed
+/// delta against the previous stamp's — the first against `base`, the
+/// snapshot where the message carries one — because held versions sit
+/// just below the snapshot while absolute wall-clock micros cost seven
+/// bytes.
+fn put_stamps(buf: &mut BytesMut, keys: &[ReadKey], base: Timestamp) {
+    put_len(buf, keys.iter().filter(|k| k.held.is_some()).count());
+    let mut next = 0;
+    let mut prev = base.physical_micros();
+    for (index, k) in keys.iter().enumerate() {
+        let Some(stamp) = k.held else { continue };
+        put_len(buf, index - next);
+        next = index + 1;
+        let physical = stamp.ut.physical_micros();
+        varint::put(buf, stamp_delta(prev, physical));
+        varint::put(buf, u64::from(stamp.ut.logical()));
+        put_tx(buf, stamp.tx);
+        prev = physical;
+    }
+}
+
+fn get_stamps(buf: &mut Bytes, keys: &mut [ReadKey], base: Timestamp) -> Result<(), DecodeError> {
+    let stamps = get_len(buf)?;
+    let mut next: usize = 0;
+    let mut prev = base.physical_micros();
+    for _ in 0..stamps {
+        // Gaps make the indices strictly increasing; they must also stay
+        // inside the key list.
+        let index = next
+            .checked_add(get_len(buf)?)
+            .filter(|i| *i < keys.len())
+            .ok_or(DecodeError::BadLength)?;
+        next = index + 1;
+        let folded = varint::get(buf)?;
+        let delta = (folded >> 1) as i64 ^ -((folded & 1) as i64);
+        // Off the encoder the sum is a 48-bit physical time.
+        let physical = prev
+            .checked_add_signed(delta)
+            .filter(|p| *p < 1 << 48)
+            .ok_or(DecodeError::BadLength)?;
+        let logical = varint::get_u16(buf)?;
+        prev = physical;
+        keys[index].held = Some(VersionStamp {
+            ut: Timestamp::from_parts(physical, logical),
+            tx: get_tx(buf)?,
+        });
+    }
+    Ok(())
+}
+
+fn stamps_len(keys: &[ReadKey], base: Timestamp) -> usize {
+    let mut total = 0;
+    let mut stamps = 0;
+    let mut next = 0;
+    let mut prev = base.physical_micros();
+    for (index, k) in keys.iter().enumerate() {
+        let Some(stamp) = k.held else { continue };
+        stamps += 1;
+        let physical = stamp.ut.physical_micros();
+        total += len_len(index - next)
+            + varint::len(stamp_delta(prev, physical))
+            + varint::len(u64::from(stamp.ut.logical()))
+            + tx_len(stamp.tx);
+        next = index + 1;
+        prev = physical;
+    }
+    total + len_len(stamps)
+}
+
+/// A request's key list: the plain list every peer has always decoded,
+/// followed — under the request's stamped tag only — by the stamps.
+fn put_keys(buf: &mut BytesMut, keys: &[ReadKey], base: Timestamp) {
+    put_len(buf, keys.len());
+    for k in keys {
+        put_key(buf, k.key);
+    }
+    if any_held(keys) {
+        put_stamps(buf, keys, base);
+    }
+}
+
+fn get_keys(buf: &mut Bytes, stamped: bool, base: Timestamp) -> Result<Vec<ReadKey>, DecodeError> {
+    let n = get_len(buf)?;
+    let mut keys = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        keys.push(ReadKey::from(get_key(buf)?));
+    }
+    if stamped {
+        get_stamps(buf, &mut keys, base)?;
+    }
+    Ok(keys)
+}
+
+fn keys_len(keys: &[ReadKey], base: Timestamp) -> usize {
+    len_len(keys.len())
+        + keys.iter().map(|k| key_len(k.key)).sum::<usize>()
+        + if any_held(keys) {
+            stamps_len(keys, base)
+        } else {
+            0
+        }
 }
 
 fn put_replicated_tx(buf: &mut BytesMut, t: &ReplicatedTx) {
@@ -306,12 +435,13 @@ pub fn encode(msg: &Msg) -> Bytes {
             put_ts(&mut buf, *snapshot);
         }
         Msg::ReadReq { tx, keys } => {
-            buf.put_u8(T_READ_REQ);
+            buf.put_u8(if any_held(keys) {
+                T_READ_REQ_STAMPED
+            } else {
+                T_READ_REQ
+            });
             put_tx(&mut buf, *tx);
-            put_len(&mut buf, keys.len());
-            for k in keys {
-                put_key(&mut buf, *k);
-            }
+            put_keys(&mut buf, keys, READ_REQ_STAMP_BASE);
         }
         Msg::ReadResp { tx, results } => {
             buf.put_u8(T_READ_RESP);
@@ -341,14 +471,15 @@ pub fn encode(msg: &Msg) -> Bytes {
             keys,
             reply_to,
         } => {
-            buf.put_u8(T_READ_SLICE_REQ);
+            buf.put_u8(if any_held(keys) {
+                T_READ_SLICE_REQ_STAMPED
+            } else {
+                T_READ_SLICE_REQ
+            });
             put_tx(&mut buf, *tx);
             put_ts(&mut buf, *snapshot);
             put_server(&mut buf, *reply_to);
-            put_len(&mut buf, keys.len());
-            for k in keys {
-                put_key(&mut buf, *k);
-            }
+            put_keys(&mut buf, keys, *snapshot);
         }
         Msg::ReadSliceResp {
             tx,
@@ -516,15 +647,10 @@ pub fn decode(bytes: &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(&mut buf)?,
             snapshot: get_ts(&mut buf)?,
         },
-        T_READ_REQ => {
-            let tx = get_tx(&mut buf)?;
-            let n = get_len(&mut buf)?;
-            let mut keys = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                keys.push(get_key(&mut buf)?);
-            }
-            Msg::ReadReq { tx, keys }
-        }
+        T_READ_REQ | T_READ_REQ_STAMPED => Msg::ReadReq {
+            tx: get_tx(&mut buf)?,
+            keys: get_keys(&mut buf, tag == T_READ_REQ_STAMPED, READ_REQ_STAMP_BASE)?,
+        },
         T_READ_RESP => {
             let tx = get_tx(&mut buf)?;
             let n = get_len(&mut buf)?;
@@ -548,15 +674,11 @@ pub fn decode(bytes: &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(&mut buf)?,
             ct: get_ts(&mut buf)?,
         },
-        T_READ_SLICE_REQ => {
+        T_READ_SLICE_REQ | T_READ_SLICE_REQ_STAMPED => {
             let tx = get_tx(&mut buf)?;
             let snapshot = get_ts(&mut buf)?;
             let reply_to = get_server(&mut buf)?;
-            let n = get_len(&mut buf)?;
-            let mut keys = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                keys.push(get_key(&mut buf)?);
-            }
+            let keys = get_keys(&mut buf, tag == T_READ_SLICE_REQ_STAMPED, snapshot)?;
             Msg::ReadSliceReq {
                 tx,
                 snapshot,
@@ -706,9 +828,7 @@ pub fn encoded_len(msg: &Msg) -> usize {
     1 + match msg {
         Msg::StartTxReq { client_ust } => ts_len(*client_ust),
         Msg::StartTxResp { tx, snapshot } => tx_len(*tx) + ts_len(*snapshot),
-        Msg::ReadReq { tx, keys } => {
-            tx_len(*tx) + len_len(keys.len()) + keys.iter().map(|k| key_len(*k)).sum::<usize>()
-        }
+        Msg::ReadReq { tx, keys } => tx_len(*tx) + keys_len(keys, READ_REQ_STAMP_BASE),
         Msg::ReadResp { tx, results } => {
             tx_len(*tx) + len_len(results.len()) + results.iter().map(result_len).sum::<usize>()
         }
@@ -724,13 +844,7 @@ pub fn encoded_len(msg: &Msg) -> usize {
             snapshot,
             keys,
             reply_to,
-        } => {
-            tx_len(*tx)
-                + ts_len(*snapshot)
-                + server_len(*reply_to)
-                + len_len(keys.len())
-                + keys.iter().map(|k| key_len(*k)).sum::<usize>()
-        }
+        } => tx_len(*tx) + ts_len(*snapshot) + server_len(*reply_to) + keys_len(keys, *snapshot),
         Msg::ReadSliceResp {
             tx,
             partition,

@@ -105,6 +105,22 @@ pub(crate) fn latest_orders(store: &dyn paris_storage::Engine) -> HashMap<Key, O
     latest
 }
 
+/// An interactive session of a deterministic backend: with the value cache
+/// every deployment has, or — for the equivalence tests only, see
+/// `open_clients_without_value_cache` — with none.
+pub(crate) fn interactive_session(
+    id: paris_types::ClientId,
+    coordinator: paris_types::ServerId,
+    mode: paris_types::Mode,
+    value_cache: bool,
+) -> paris_core::ClientSession {
+    if value_cache {
+        paris_core::ClientSession::new(id, coordinator, mode)
+    } else {
+        paris_core::ClientSession::with_value_cache_budget(id, coordinator, mode, 0)
+    }
+}
+
 /// Feeds every retained version of one store into the checker's ground
 /// truth — shared by every backend's report path.
 pub(crate) fn record_store_versions(

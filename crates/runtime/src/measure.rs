@@ -58,6 +58,11 @@ pub struct ClusterStats {
     pub slice_reads: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,
+    /// Keys answered `Unchanged`: the client's stamp named the version
+    /// visible in the snapshot, so no value travelled.
+    pub reads_unchanged: u64,
+    /// Keys answered with a full version.
+    pub reads_shipped: u64,
     /// Prepares handled (2PC cohort side).
     pub prepares: u64,
     /// Transactions applied locally (as 2PC participant).
@@ -83,9 +88,10 @@ pub struct ClusterStats {
     pub lane_applies: u64,
     /// Aggregated BPR read-blocking statistics (zero under PaRiS).
     pub blocking: BlockingStats,
-    /// Total messages the network carried (0 on in-memory transports).
+    /// Total messages the network carried (0 on the mini backend, whose
+    /// synchronous pump has no transport to meter).
     pub net_messages: u64,
-    /// Total wire bytes the network carried (0 on in-memory transports).
+    /// Total wire bytes the network carried (0 on the mini backend).
     pub net_bytes: u64,
     /// The minimum universal stable time across all servers.
     pub min_ust: Timestamp,
@@ -99,6 +105,8 @@ impl ClusterStats {
         self.txs_coordinated += stats.txs_coordinated;
         self.slice_reads += stats.slice_reads;
         self.keys_read += stats.keys_read;
+        self.reads_unchanged += stats.reads_unchanged;
+        self.reads_shipped += stats.reads_shipped;
         self.prepares += stats.prepares;
         self.applied_local += stats.applied_local;
         self.applied_remote += stats.applied_remote;
@@ -125,6 +133,8 @@ impl ClusterStats {
         self.txs_coordinated += c.txs_coordinated;
         self.slice_reads += c.slice_reads;
         self.keys_read += c.keys_read;
+        self.reads_unchanged += c.reads_unchanged;
+        self.reads_shipped += c.reads_shipped;
         self.prepares += c.prepares;
         self.applied_local += c.applied_local;
         self.applied_remote += c.applied_remote;
@@ -141,6 +151,17 @@ impl ClusterStats {
         self.blocking.max_micros = self.blocking.max_micros.max(snap.blocked_micros_max);
         self.net_messages += snap.net_messages;
         self.net_bytes += snap.net_bytes;
+    }
+
+    /// Fraction of value-bearing slice-read answers that were validated
+    /// instead of shipped: `reads_unchanged / (reads_unchanged +
+    /// reads_shipped)` (0 when no read found a version).
+    pub fn validation_hit_ratio(&self) -> f64 {
+        let answered = self.reads_unchanged + self.reads_shipped;
+        if answered == 0 {
+            return 0.0;
+        }
+        self.reads_unchanged as f64 / answered as f64
     }
 
     /// Fraction of remote applies that went through the per-shard commit
@@ -342,6 +363,8 @@ mod tests {
             txs_coordinated: 2,
             slice_reads: 3,
             keys_read: 9,
+            reads_unchanged: 6,
+            reads_shipped: 2,
             prepares: 4,
             applied_local: 4,
             applied_remote: 5,
@@ -364,6 +387,8 @@ mod tests {
                 txs_coordinated: 2,
                 slice_reads: 3,
                 keys_read: 9,
+                reads_unchanged: 6,
+                reads_shipped: 2,
                 prepares: 4,
                 applied_local: 4,
                 applied_remote: 5,
@@ -384,6 +409,11 @@ mod tests {
         assert_eq!(direct.msgs_handled, wired.msgs_handled);
         assert_eq!(direct.applied_remote, wired.applied_remote);
         assert_eq!(direct.gc_removed, wired.gc_removed);
+        assert_eq!(
+            (direct.reads_unchanged, direct.reads_shipped),
+            (wired.reads_unchanged, wired.reads_shipped)
+        );
+        assert!((direct.validation_hit_ratio() - 0.75).abs() < 1e-9);
         assert_eq!(
             direct.blocking.blocked_reads, wired.blocking.blocked_reads,
             "blocking folds the same on both paths"

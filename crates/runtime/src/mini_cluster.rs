@@ -46,6 +46,8 @@ pub struct MiniCluster {
     coalescer: Coalescer,
     events: VecDeque<(ClientId, ClientEvent)>,
     next_client: HashMap<DcId, u32>,
+    /// Whether sessions get a value cache (always, outside tests).
+    value_cache: bool,
     mode: Mode,
     now: u64,
     workload: WorkloadConfig,
@@ -103,6 +105,7 @@ impl MiniCluster {
             coalescer: Coalescer::new(batch, wire),
             events: VecDeque::new(),
             next_client: HashMap::new(),
+            value_cache: true,
             mode,
             now: 1_000,
             workload,
@@ -110,6 +113,15 @@ impl MiniCluster {
             seed,
             record_history,
         })
+    }
+
+    /// Opens every client session from now on without a value cache, so
+    /// all of its reads are shipped in full — the reference behaviour the
+    /// equivalence tests compare version-validated reads against.
+    /// Deployments have no such switch.
+    #[doc(hidden)]
+    pub fn open_clients_without_value_cache(&mut self) {
+        self.value_cache = false;
     }
 
     /// The topology, for inspecting placement.
@@ -242,8 +254,8 @@ impl Cluster for MiniCluster {
         let id = ClientId::new(dc, *seq);
         *seq += 1;
         let coordinator = self.topo.coordinator_for(dc, id.seq);
-        self.clients
-            .insert(id, ClientSession::new(id, coordinator, self.mode));
+        let session = crate::interactive_session(id, coordinator, self.mode, self.value_cache);
+        self.clients.insert(id, session);
         Ok(id)
     }
 

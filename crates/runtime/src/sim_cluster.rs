@@ -189,6 +189,9 @@ pub struct SimCluster {
     interactive: HashMap<ClientId, ClientSession>,
     interactive_events: VecDeque<(ClientId, ClientEvent)>,
     next_interactive: HashMap<DcId, u32>,
+    /// Whether interactive sessions get a value cache (always, outside
+    /// tests).
+    value_cache: bool,
 }
 
 impl SimCluster {
@@ -331,12 +334,22 @@ impl SimCluster {
             interactive: HashMap::new(),
             interactive_events: VecDeque::new(),
             next_interactive: HashMap::new(),
+            value_cache: true,
         })
     }
 
     /// Current simulated time (microseconds).
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// Opens every client session from now on without a value cache, so
+    /// all of its reads are shipped in full — the reference behaviour the
+    /// equivalence tests compare version-validated reads against.
+    /// Deployments have no such switch.
+    #[doc(hidden)]
+    pub fn open_clients_without_value_cache(&mut self) {
+        self.value_cache = false;
     }
 
     /// The topology in use.
@@ -895,10 +908,9 @@ impl Cluster for SimCluster {
         let id = ClientId::new(dc, INTERACTIVE_SEQ_BASE + *offset);
         *offset += 1;
         let coordinator = self.topo.coordinator_for(dc, id.seq);
-        self.interactive.insert(
-            id,
-            ClientSession::new(id, coordinator, self.config.cluster.mode),
-        );
+        let mode = self.config.cluster.mode;
+        let session = crate::interactive_session(id, coordinator, mode, self.value_cache);
+        self.interactive.insert(id, session);
         Ok(id)
     }
 

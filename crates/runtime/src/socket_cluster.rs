@@ -648,6 +648,8 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                             txs_coordinated: stats.txs_coordinated,
                             slice_reads: stats.slice_reads,
                             keys_read: stats.keys_read,
+                            reads_unchanged: stats.reads_unchanged,
+                            reads_shipped: stats.reads_shipped,
                             prepares: stats.prepares,
                             applied_local: stats.applied_local,
                             applied_remote: stats.applied_remote,

@@ -54,6 +54,23 @@ fn threaded_paris_run_is_consistent_and_converges() {
     assert!(recorded > 20);
 }
 
+/// `stats()` reads the router's wire counters — the same cumulative
+/// totals a run report carries (they used to stay at zero here).
+#[test]
+fn threaded_stats_carry_the_routers_wire_counters() {
+    let mut cluster = small(2, 2, Mode::Paris).build_thread().unwrap();
+    let before = cluster.stats().unwrap();
+    let report = cluster.run_workload(0, 300_000).unwrap();
+    let after = cluster.stats().unwrap();
+    assert!(report.net_messages > 0 && report.net_bytes > 0);
+    // Background traffic never stops, so the report's totals lie between
+    // the snapshots taken around it.
+    assert!(before.net_messages <= report.net_messages);
+    assert!(report.net_messages <= after.net_messages);
+    assert!(before.net_bytes <= report.net_bytes);
+    assert!(report.net_bytes <= after.net_bytes);
+}
+
 #[test]
 fn threaded_bpr_run_is_consistent_and_converges() {
     let cluster = small(3, 6, Mode::Bpr).build_thread().unwrap();

@@ -50,4 +50,4 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use ids::{ClientId, DcId, PartitionId, ReplicaIdx, ServerId, TxId};
 pub use keyspace::{Key, Value};
 pub use timestamp::Timestamp;
-pub use version::{Version, VersionOrd, WriteSetEntry};
+pub use version::{Version, VersionOrd, VersionStamp, WriteSetEntry};

@@ -40,6 +40,29 @@ impl Version {
             src: self.src,
         }
     }
+
+    /// This version's identity within its key's chain.
+    #[inline]
+    pub fn stamp(&self) -> VersionStamp {
+        VersionStamp {
+            ut: self.ut,
+            tx: self.tx,
+        }
+    }
+}
+
+/// The identity of one version of a key: its update time and creating
+/// transaction. A transaction writes a key at most once (Alg. 1 line 23:
+/// the last buffered write wins), so `(key, ut, tx)` names exactly one
+/// version system-wide. A client stamps a read with the identity of the
+/// version it already holds; a server whose snapshot read lands on that
+/// same version answers "unchanged" instead of shipping the value back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct VersionStamp {
+    /// Update (commit) timestamp of the held version.
+    pub ut: Timestamp,
+    /// Transaction that created the held version.
+    pub tx: TxId,
 }
 
 /// Total order on (possibly concurrent) versions of the same key.
@@ -127,6 +150,18 @@ mod tests {
         assert_eq!(v.ut.physical_micros(), 42);
         assert_eq!(v.tx.seq, 7);
         assert_eq!(v.src, DcId(1));
+    }
+
+    #[test]
+    fn stamp_identifies_a_version_by_update_time_and_writer() {
+        let v = ver(42, 1, 7, 1);
+        assert_eq!(
+            v.stamp(),
+            ver(42, 1, 7, 0).stamp(),
+            "source DC is not identity"
+        );
+        assert_ne!(v.stamp(), ver(43, 1, 7, 1).stamp());
+        assert_ne!(v.stamp(), ver(42, 1, 8, 1).stamp());
     }
 
     #[test]

@@ -118,6 +118,70 @@ fn socket_backend_honors_facade_semantics() {
     cluster.txn_commit(a).unwrap();
 }
 
+/// Version-validated reads over real sockets: re-reading 1 KiB values —
+/// the session's own (once the UST covers them and they leave the write
+/// cache) and another client's — returns the right bytes, and the servers
+/// report that they validated them instead of shipping them again.
+#[test]
+fn rereading_kilobyte_values_validates_instead_of_reshipping() {
+    use paris::core::ReadSource;
+
+    let mut cluster = small(Backend::Socket).value_size(1024).build().unwrap();
+    let a = cluster.open_client(0).unwrap();
+    let b = cluster.open_client(1).unwrap();
+    let keys: Vec<Key> = (0..8).map(Key).collect();
+    let value = |key: u64, round: u64| Value::filled(1024, 16 * round + key);
+
+    // `a` writes keys 0–3, `b` keys 4–7; wait until both are stable.
+    let mut stable_after = Vec::new();
+    for (client, range) in [(a, 0..4u64), (b, 4..8u64)] {
+        cluster.txn_begin(client).unwrap();
+        let writes: Vec<(Key, Value)> = range.map(|k| (Key(k), value(k, 1))).collect();
+        cluster.txn_write(client, &writes).unwrap();
+        stable_after.push(cluster.txn_commit(client).unwrap());
+    }
+    let wait_stable = |cluster: &mut Box<dyn Cluster>, ct| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.min_ust() < ct {
+            assert!(Instant::now() < deadline, "UST never covered the commit");
+            cluster.stabilize(1);
+        }
+    };
+    for ct in stable_after {
+        wait_stable(&mut cluster, ct);
+    }
+
+    let read_all = |cluster: &mut Box<dyn Cluster>, expect: &dyn Fn(u64) -> Value| {
+        cluster.txn_begin(a).unwrap();
+        let mut reads = cluster.txn_read(a, &keys).unwrap();
+        cluster.txn_commit(a).unwrap();
+        reads.sort_by_key(|r| r.key);
+        for (k, read) in reads.iter().enumerate() {
+            assert_eq!(read.source, ReadSource::Server, "key {k}");
+            assert_eq!(read.value, Some(expect(k as u64)), "key {k}");
+        }
+        let stats = cluster.stats().unwrap();
+        (reads, stats.reads_unchanged, stats.reads_shipped)
+    };
+
+    // First read: `a`'s own four writes are validated (the bytes never
+    // travel back), `b`'s four are shipped.
+    let (first, unchanged, shipped) = read_all(&mut cluster, &|k| value(k, 1));
+    assert_eq!((unchanged, shipped), (4, 4));
+    // Second read: all eight are validated, and the reads are identical.
+    let (second, unchanged, shipped) = read_all(&mut cluster, &|k| value(k, 1));
+    assert_eq!((unchanged, shipped), (12, 4));
+    assert_eq!(first, second);
+
+    // `b` overwrites key 5: exactly that key is shipped again, new bytes.
+    cluster.txn_begin(b).unwrap();
+    cluster.txn_write(b, &[(Key(5), value(5, 2))]).unwrap();
+    let ct = cluster.txn_commit(b).unwrap();
+    wait_stable(&mut cluster, ct);
+    let (_, unchanged, shipped) = read_all(&mut cluster, &|k| value(k, if k == 5 { 2 } else { 1 }));
+    assert_eq!((unchanged, shipped), (19, 5));
+}
+
 #[test]
 fn socket_workload_passes_the_checker_and_counts_wire_traffic() {
     let mut cluster = small(Backend::Socket)
