@@ -1953,6 +1953,275 @@ mod tests {
         assert!(found - unchanged > 1024, "{found} vs {unchanged}");
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One message per v2 tag (both forms where a tag has two), with
+    /// multi-byte varints, and the frame the v2 encoder produced for it.
+    fn golden_messages() -> Vec<(Msg, &'static str)> {
+        let t = tx(1, 2, 12_345);
+        let srv = ServerId::new(DcId(3), PartitionId(300));
+        let now = Timestamp::from_parts(3_600_000_000, 3);
+        let held = VersionStamp {
+            ut: Timestamp::from_parts(3_599_999_000, 1),
+            tx: tx(2, 300, 77),
+        };
+        let older = VersionStamp {
+            ut: Timestamp::from_parts(3_599_000_000, 0),
+            tx: t,
+        };
+        let version = Version::new(Key(831), Value::from("hello"), held.ut, held.tx, DcId(2));
+        let writes = vec![
+            WriteSetEntry::new(Key(831), Value::from("v1")),
+            WriteSetEntry::new(Key(5), Value::filled(3, 0xAB)),
+        ];
+        let rtx = |seq: u64, ct: u64| ReplicatedTx {
+            tx: tx(1, 300, seq),
+            ct: Timestamp::from_parts(ct, 0),
+            src: DcId(1),
+            writes: vec![WriteSetEntry::new(Key(seq), Value::from("w"))],
+        };
+        vec![
+            (Msg::StartTxReq { client_ust: now }, "0180c8ceb40d03"),
+            (Msg::StartTxResp { tx: t, snapshot: now }, "020102b96080c8ceb40d03"),
+            (
+                Msg::ReadReq {
+                    tx: t,
+                    keys: vec![Key(1).into(), Key(831).into()],
+                },
+                "030102b9600201bf06",
+            ),
+            (
+                Msg::ReadReq {
+                    tx: t,
+                    keys: vec![
+                        Key(1).into(),
+                        ReadKey {
+                            key: Key(831),
+                            held: Some(held),
+                        },
+                        Key(7).into(),
+                        ReadKey {
+                            key: Key(9),
+                            held: Some(older),
+                        },
+                    ],
+                },
+                "140102b9600401bf0607090201b0809de91a0102ac024d01aff979000102b960",
+            ),
+            (
+                Msg::ReadResp {
+                    tx: t,
+                    results: vec![
+                        ReadResult {
+                            key: Key(831),
+                            outcome: ReadOutcome::Found(version.clone()),
+                        },
+                        ReadResult {
+                            key: Key(2),
+                            outcome: ReadOutcome::Absent,
+                        },
+                        ReadResult {
+                            key: Key(300),
+                            outcome: ReadOutcome::Unchanged,
+                        },
+                    ],
+                },
+                "040102b96003bf06010568656c6c6f98c0ceb40d0102ac024d020200ac0202",
+            ),
+            (
+                Msg::CommitReq {
+                    tx: t,
+                    hwt: now,
+                    writes: writes.clone(),
+                },
+                "050102b96080c8ceb40d0302bf060276310503acacac",
+            ),
+            (Msg::CommitResp { tx: t, ct: now }, "060102b96080c8ceb40d03"),
+            (
+                Msg::ReadSliceReq {
+                    tx: t,
+                    snapshot: now,
+                    keys: vec![Key(4).into(), Key(831).into()],
+                    reply_to: srv,
+                },
+                "070102b96080c8ceb40d0303ac020204bf06",
+            ),
+            (
+                Msg::ReadSliceReq {
+                    tx: t,
+                    snapshot: now,
+                    keys: vec![
+                        ReadKey {
+                            key: Key(831),
+                            held: Some(held),
+                        },
+                        Key(4).into(),
+                        ReadKey {
+                            key: Key(9),
+                            held: Some(older),
+                        },
+                    ],
+                    reply_to: srv,
+                },
+                "150102b96080c8ceb40d0303ac0203bf0604090200cf0f0102ac024d01aff979000102b960",
+            ),
+            (
+                Msg::ReadSliceResp {
+                    tx: t,
+                    partition: PartitionId(300),
+                    results: vec![
+                        ReadResult {
+                            key: Key(831),
+                            outcome: ReadOutcome::Found(version),
+                        },
+                        ReadResult {
+                            key: Key(4),
+                            outcome: ReadOutcome::Unchanged,
+                        },
+                    ],
+                },
+                "080102b960ac0202bf06010568656c6c6f98c0ceb40d0102ac024d020402",
+            ),
+            (
+                Msg::PrepareReq {
+                    tx: t,
+                    snapshot: now,
+                    ht: Timestamp::from_parts(3_600_000_500, 0),
+                    writes,
+                    reply_to: srv,
+                    src_dc: DcId(1),
+                },
+                "090102b96080c8ceb40d03f4cbceb40d0003ac020102bf060276310503acacac",
+            ),
+            (
+                Msg::PrepareResp {
+                    tx: t,
+                    partition: PartitionId(300),
+                    proposed: now,
+                },
+                "0a0102b960ac0280c8ceb40d03",
+            ),
+            (Msg::CommitTx { tx: t, ct: now }, "0b0102b96080c8ceb40d03"),
+            (
+                Msg::Replicate {
+                    partition: PartitionId(300),
+                    txs: vec![rtx(200, 3_600_000_100)],
+                    watermark: now,
+                },
+                "0cac0280c8ceb40d030101ac02c801e4c8ceb40d000101c8010177",
+            ),
+            (
+                Msg::Heartbeat {
+                    partition: PartitionId(300),
+                    watermark: now,
+                },
+                "0dac0280c8ceb40d03",
+            ),
+            (
+                Msg::GstReport {
+                    partition: PartitionId(300),
+                    mins: vec![(DcId(0), now), (DcId(300), Timestamp::from_parts(5, 0))],
+                    oldest_active: now,
+                },
+                "0eac0280c8ceb40d03020080c8ceb40d03ac020500",
+            ),
+            (
+                Msg::RootGst {
+                    dc: DcId(2),
+                    gst: now,
+                    oldest_active: Timestamp::ZERO,
+                },
+                "0f0280c8ceb40d030000",
+            ),
+            (
+                Msg::UstBroadcast {
+                    ust: now,
+                    s_old: Timestamp::from_parts(3_599_000_000, 0),
+                },
+                "1080c8ceb40d03c0c391b40d00",
+            ),
+            (Msg::OpFailed { tx: t }, "110102b960"),
+            (
+                Msg::ReplicateBatch {
+                    partition: PartitionId(300),
+                    txs: vec![rtx(200, 3_600_000_100), rtx(201, 3_600_000_200)],
+                    watermark: now,
+                    frames: 130,
+                },
+                "12ac0280c8ceb40d0382010201ac02c801e4c8ceb40d000101c801017701ac02c901c8c9ceb40d000101c9010177",
+            ),
+            (
+                Msg::GossipDigest {
+                    reports: vec![DigestReport {
+                        partition: PartitionId(300),
+                        mins: vec![(DcId(0), now), (DcId(1), Timestamp::from_parts(9, 1))],
+                        oldest_active: now,
+                    }],
+                    roots: vec![(DcId(2), now, Timestamp::from_parts(3_599_000_000, 0))],
+                    ust: Some((now, Timestamp::from_parts(3_599_000_000, 0))),
+                    frames: 4,
+                },
+                "130401ac0280c8ceb40d03020080c8ceb40d03010901010280c8ceb40d03c0c391b40d000180c8ceb40d03c0c391b40d00",
+            ),
+            (
+                Msg::GossipDigest {
+                    reports: vec![],
+                    roots: vec![(DcId(0), now, now)],
+                    ust: None,
+                    frames: 1,
+                },
+                "130100010080c8ceb40d0380c8ceb40d0300",
+            ),
+        ]
+    }
+
+    #[test]
+    fn golden_frames_of_every_tag_are_pinned() {
+        let mut tags = std::collections::BTreeSet::new();
+        for (msg, golden) in golden_messages() {
+            let bytes = wire2::encode(&msg);
+            assert_eq!(hex(&bytes), golden, "{}", msg.kind());
+            assert_eq!(wire2::decode(&bytes).unwrap(), msg, "{}", msg.kind());
+            tags.insert(bytes[0]);
+        }
+        assert_eq!(
+            tags.into_iter().collect::<Vec<_>>(),
+            (T_START_REQ..=T_READ_SLICE_REQ_STAMPED).collect::<Vec<_>>(),
+            "one golden per tag"
+        );
+    }
+
+    #[test]
+    fn golden_envelope_frames_are_pinned() {
+        let client = ClientId::new(DcId(3), 70_000);
+        let coordinator = ServerId::new(DcId(3), PartitionId(2));
+        let cohort = ServerId::new(DcId(300), PartitionId(17));
+        let start = Msg::StartTxReq {
+            client_ust: Timestamp::from_parts(3_600_000_000, 3),
+        };
+        let heartbeat = Msg::Heartbeat {
+            partition: PartitionId(17),
+            watermark: Timestamp::from_parts(3_600_000_000, 0),
+        };
+        for (env, golden) in [
+            (
+                Envelope::new(client, coordinator, start),
+                "f20103f0a2040003020180c8ceb40d03",
+            ),
+            (
+                Envelope::new(coordinator, cohort, heartbeat),
+                "f200030200ac02110d1180c8ceb40d00",
+            ),
+        ] {
+            let bytes = wire2::encode_envelope(&env);
+            assert_eq!(bytes[0], wire2::FRAME_V2);
+            assert_eq!(hex(&bytes), golden);
+            assert_eq!(decode_envelope_auto(&bytes).unwrap(), env);
+        }
+    }
+
     #[test]
     fn auto_dispatch_decodes_both_encodings_and_rejects_others() {
         for msg in sample_messages() {
