@@ -7,7 +7,7 @@
 //! wire codec), so the `table1` benchmark can print the taxonomy with
 //! PaRiS's "1 timestamp" claim verified on real messages.
 
-use paris_proto::{wire, Msg};
+use paris_proto::{varint, wire, Msg};
 use paris_types::Timestamp;
 
 /// Transaction support levels in Table I.
@@ -233,15 +233,32 @@ pub fn table1() -> Vec<SystemRow> {
     ]
 }
 
-/// Measured dependency-metadata bytes of the PaRiS snapshot/dependency
-/// machinery, straight off the wire codec: the `ust_c` piggybacked on
-/// transaction start and the snapshot returned — both a single 8-byte
-/// timestamp, independent of `M` and `N`.
+/// Measured dependency metadata of the PaRiS snapshot machinery, straight
+/// off the wire codec, in the paper's fixed-width unit (8 bytes per
+/// timestamp): the `ust_c` piggybacked on transaction start is a single
+/// timestamp and the message carries nothing else — independent of `M`
+/// and `N`.
+///
+/// # Panics
+///
+/// Panics if `StartTxReq` ever carries anything but its tag and one
+/// timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
-    let msg = Msg::StartTxReq {
-        client_ust: Timestamp::from_parts(123_456, 7),
-    };
-    wire::metadata_len(&msg)
+    let ust = Timestamp::from_parts(123_456, 7);
+    let msg = Msg::StartTxReq { client_ust: ust };
+    let measured = wire::metadata(&msg);
+    assert_eq!(measured.timestamps, 1, "one timestamp");
+    assert_eq!(
+        measured.bytes,
+        varint::len(ust.physical_micros()) + varint::len(u64::from(ust.logical())),
+        "and no metadata byte beside it"
+    );
+    assert_eq!(
+        1 + measured.bytes,
+        wire::encoded_len(&msg),
+        "tag + metadata"
+    );
+    measured.timestamps * 8
 }
 
 #[cfg(test)]

@@ -303,7 +303,7 @@ pub struct Coalescer {
 
 impl Coalescer {
     /// Creates a coalescer with the given policy, accounting bytes in the
-    /// given (negotiated) wire format.
+    /// given wire format.
     pub fn new(cfg: BatchConfig, wire: WireFormat) -> Self {
         Coalescer {
             cfg,
@@ -435,7 +435,7 @@ mod tests {
     }
 
     fn coal(cfg: BatchConfig) -> Coalescer {
-        Coalescer::new(cfg, WireFormat::V1)
+        Coalescer::new(cfg, WireFormat::V2)
     }
 
     fn srv(dc: u16, p: u32) -> ServerId {
@@ -742,28 +742,27 @@ mod tests {
     fn byte_accounting_follows_the_active_encoding_exactly() {
         use paris_proto::wire::envelope_len_with;
 
-        for wire in [WireFormat::V1, WireFormat::V2] {
-            let mut c = Coalescer::new(cfg(100, 1_000), wire);
-            let offered = [env(replicate(1, 10, 20)), env(replicate(2, 30, 40))];
-            let expect_in: u64 = offered
-                .iter()
-                .map(|e| envelope_len_with(e, wire) as u64)
-                .sum();
-            for e in offered {
-                c.offer(e, 0);
-            }
-            let flushed = c.flush_all();
-            let expect_out: u64 = flushed
-                .iter()
-                .map(|e| envelope_len_with(e, wire) as u64)
-                .sum();
-            let stats = c.stats();
-            assert_eq!(stats.bytes_in, expect_in, "{wire} bytes_in exact");
-            assert_eq!(stats.bytes_out, expect_out, "{wire} bytes_out exact");
-            assert!(
-                stats.bytes_out < stats.bytes_in,
-                "{wire}: folding two frames into one batch must save bytes"
-            );
+        let wire = WireFormat::V2;
+        let mut c = Coalescer::new(cfg(100, 1_000), wire);
+        let offered = [env(replicate(1, 10, 20)), env(replicate(2, 30, 40))];
+        let expect_in: u64 = offered
+            .iter()
+            .map(|e| envelope_len_with(e, wire) as u64)
+            .sum();
+        for e in offered {
+            c.offer(e, 0);
         }
+        let flushed = c.flush_all();
+        let expect_out: u64 = flushed
+            .iter()
+            .map(|e| envelope_len_with(e, wire) as u64)
+            .sum();
+        let stats = c.stats();
+        assert_eq!(stats.bytes_in, expect_in, "bytes_in exact");
+        assert_eq!(stats.bytes_out, expect_out, "bytes_out exact");
+        assert!(
+            stats.bytes_out < stats.bytes_in,
+            "folding two frames into one batch must save bytes"
+        );
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{DcId, WireFormat};
+use paris_types::DcId;
 use rand::Rng;
 
 /// One-way intra-DC latency in microseconds (≈ 0.5 ms RTT, typical for an
@@ -123,9 +123,6 @@ pub struct SimNetwork {
     /// only populated by fault injection, so fault-free runs never pay
     /// (or float-round through) a lookup result.
     link_scale: HashMap<(DcId, DcId), f64>,
-    /// Wire encoding sizing the byte accounting (the simulator never
-    /// serializes, but reports what each message would cost on the wire).
-    wire: WireFormat,
     /// Count of messages sent (delivered or held).
     sent: u64,
     /// Total bytes sent (wire-encoded size), for bandwidth accounting.
@@ -137,14 +134,9 @@ pub struct SimNetwork {
 
 impl SimNetwork {
     /// Creates a network over the given latency matrix with multiplicative
-    /// jitter fraction `jitter` (0.0 disables jitter), accounting bytes in
-    /// the default wire encoding.
+    /// jitter fraction `jitter` (0.0 disables jitter). The simulator never
+    /// serializes, but accounts what each message would cost on the wire.
     pub fn new(matrix: RegionMatrix, jitter: f64) -> Self {
-        Self::with_wire(matrix, jitter, WireFormat::default())
-    }
-
-    /// Like [`SimNetwork::new`], but sizing the byte accounting in `wire`.
-    pub fn with_wire(matrix: RegionMatrix, jitter: f64, wire: WireFormat) -> Self {
         SimNetwork {
             matrix,
             jitter,
@@ -152,7 +144,6 @@ impl SimNetwork {
             blocked: HashSet::new(),
             held: HashMap::new(),
             link_scale: HashMap::new(),
-            wire,
             sent: 0,
             bytes: 0,
             background_bytes: 0,
@@ -242,7 +233,7 @@ impl SimNetwork {
     /// in which case the envelope is held until healed.
     pub fn send<R: Rng>(&mut self, now: u64, env: Envelope, rng: &mut R) -> Option<u64> {
         self.sent += 1;
-        let frame = paris_proto::wire::encoded_len_with(&env.msg, self.wire) as u64;
+        let frame = paris_proto::wire::encoded_len(&env.msg) as u64;
         self.bytes += frame;
         if env.msg.is_background() {
             self.background_bytes += frame;
@@ -285,11 +276,6 @@ impl SimNetwork {
     /// stabilization gossip) sent so far.
     pub fn background_bytes_sent(&self) -> u64 {
         self.background_bytes
-    }
-
-    /// The wire encoding sizing this network's byte accounting.
-    pub fn wire(&self) -> WireFormat {
-        self.wire
     }
 
     /// The latency matrix in use.
@@ -466,35 +452,23 @@ mod tests {
 
     #[test]
     fn byte_accounting_follows_the_configured_encoding() {
-        let count = |wire: WireFormat| {
-            let mut net = SimNetwork::with_wire(RegionMatrix::uniform(2, 1_000), 0.0, wire);
-            let mut rng = StdRng::seed_from_u64(1);
-            // One background heartbeat, one foreground transaction start.
-            net.send(0, env(0, 1), &mut rng);
-            net.send(
-                0,
-                Envelope::new(
-                    ClientId::new(DcId(0), 1),
-                    ServerId::new(DcId(1), PartitionId(0)),
-                    Msg::StartTxReq {
-                        client_ust: Timestamp::ZERO,
-                    },
-                ),
-                &mut rng,
-            );
-            (net.bytes_sent(), net.background_bytes_sent())
-        };
-        let (v1_total, v1_bg) = count(WireFormat::V1);
-        let (v2_total, v2_bg) = count(WireFormat::V2);
-        assert!(v2_total < v1_total, "v2 must be smaller on the same load");
-        assert!(v2_bg < v1_bg);
-        assert!(v1_bg < v1_total, "foreground bytes are not background");
-        let hb = env(0, 1);
-        assert_eq!(
-            v1_bg,
-            paris_proto::wire::encoded_len(&hb.msg) as u64,
-            "v1 sizing matches the v1 codec exactly"
+        let mut net = SimNetwork::new(RegionMatrix::uniform(2, 1_000), 0.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        // One background heartbeat, one foreground transaction start.
+        let heartbeat = env(0, 1);
+        let start = Envelope::new(
+            ClientId::new(DcId(0), 1),
+            ServerId::new(DcId(1), PartitionId(0)),
+            Msg::StartTxReq {
+                client_ust: Timestamp::ZERO,
+            },
         );
+        let background = paris_proto::wire::encoded_len(&heartbeat.msg) as u64;
+        let foreground = paris_proto::wire::encoded_len(&start.msg) as u64;
+        net.send(0, heartbeat, &mut rng);
+        net.send(0, start, &mut rng);
+        assert_eq!(net.background_bytes_sent(), background);
+        assert_eq!(net.bytes_sent(), background + foreground);
     }
 
     #[test]

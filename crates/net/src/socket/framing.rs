@@ -5,11 +5,10 @@
 //! preamble ([`paris_proto::wire::MAGIC`] + the sender's wire version,
 //! little endian) exchanged in both directions, then carries
 //! length-prefixed frames: a `u32` little-endian payload length followed
-//! by the payload. Each side advertises the version of its *configured*
-//! [`WireFormat`]; the connection then speaks the smaller of the two
-//! (see [`negotiate`]), and a peer advertising a version outside
-//! [`wire::MIN_PROTOCOL_VERSION`]`..=`[`wire::PROTOCOL_VERSION`] is
-//! refused cleanly during the handshake. The frame length is validated
+//! by the payload. A peer advertising any version other than
+//! [`wire::PROTOCOL_VERSION`] is refused cleanly during the handshake —
+//! every process of a deployment is spawned from one build, so there is
+//! nothing to negotiate. The frame length is validated
 //! against [`paris_proto::wire::MAX_FRAME_LEN`] **before** any
 //! allocation, so untrusted bytes can neither panic the reader nor make
 //! it reserve an OOM-sized buffer.
@@ -48,40 +47,26 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Writes this side's preamble, advertising `version` (the configured
-/// wire format's version).
-pub fn write_preamble<W: Write>(w: &mut W, version: u16) -> Result<(), Error> {
+/// Writes this side's preamble, advertising [`wire::PROTOCOL_VERSION`].
+pub fn write_preamble<W: Write>(w: &mut W) -> Result<(), Error> {
     let mut preamble = [0u8; PREAMBLE_LEN];
     preamble[..4].copy_from_slice(&wire::MAGIC);
-    preamble[4..].copy_from_slice(&version.to_le_bytes());
+    preamble[4..].copy_from_slice(&wire::PROTOCOL_VERSION.to_le_bytes());
     w.write_all(&preamble)
         .and_then(|()| w.flush())
         .map_err(|_| Error::Transport("peer connection lost during handshake"))
 }
 
-/// The wire format a connection speaks once both sides have advertised:
-/// the highest version common to `local` and the peer — i.e. the smaller
-/// of the two, since every implementation speaks all versions up to its
-/// advertised one.
-///
-/// The peer's version must already have passed [`read_preamble`]
-/// validation, so the minimum is always a known format.
-pub fn negotiate(local: WireFormat, peer_version: u16) -> WireFormat {
-    WireFormat::from_version(local.version().min(peer_version))
-        .expect("peer version validated by read_preamble")
-}
-
 /// Reads and validates the peer's preamble, retrying socket timeouts until
-/// `deadline`; returns the version the peer advertised. The stream should
-/// have a read timeout configured, or a silent peer holds the reader until
-/// its own timeout fires.
+/// `deadline`. The stream should have a read timeout configured, or a
+/// silent peer holds the reader until its own timeout fires.
 ///
 /// # Errors
 ///
-/// [`Error::Transport`] on bad magic, a version outside
-/// [`wire::MIN_PROTOCOL_VERSION`]`..=`[`wire::PROTOCOL_VERSION`], or a
-/// peer that closes or stalls mid-handshake.
-pub fn read_preamble<R: Read>(r: &mut R, deadline: Instant) -> Result<u16, Error> {
+/// [`Error::Transport`] on bad magic, a version other than
+/// [`wire::PROTOCOL_VERSION`], or a peer that closes or stalls
+/// mid-handshake.
+pub fn read_preamble<R: Read>(r: &mut R, deadline: Instant) -> Result<(), Error> {
     let mut buf = [0u8; PREAMBLE_LEN];
     let mut filled = 0;
     while filled < PREAMBLE_LEN {
@@ -100,11 +85,10 @@ pub fn read_preamble<R: Read>(r: &mut R, deadline: Instant) -> Result<u16, Error
     if buf[..4] != wire::MAGIC {
         return Err(Error::Transport("bad protocol magic"));
     }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if !(wire::MIN_PROTOCOL_VERSION..=wire::PROTOCOL_VERSION).contains(&version) {
+    if u16::from_le_bytes([buf[4], buf[5]]) != wire::PROTOCOL_VERSION {
         return Err(Error::Transport("protocol version mismatch"));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Writes one length-prefixed frame.
@@ -177,19 +161,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameRead, Error> {
     Ok(FrameRead::Frame(payload))
 }
 
-/// Writes one protocol envelope as a frame in the negotiated encoding;
-/// returns the wire bytes spent (header included) for bandwidth
-/// accounting.
+/// Writes one protocol envelope as a frame; returns the wire bytes spent
+/// (header included) for bandwidth accounting.
 pub fn write_envelope<W: Write>(w: &mut W, env: &Envelope, fmt: WireFormat) -> Result<u64, Error> {
     let bytes = wire::encode_envelope_with(env, fmt);
     write_frame(w, &bytes)?;
     Ok(4 + bytes.len() as u64)
 }
 
-/// Decodes a data-plane frame payload into an envelope. Frames are
-/// self-describing (a v2 frame opens with its marker byte), so the
-/// reader accepts either encoding regardless of what was negotiated —
-/// and never misparses one as the other.
+/// Decodes a data-plane frame payload into an envelope.
 pub fn decode_envelope_frame(bytes: &[u8]) -> Result<Envelope, Error> {
     wire::decode_envelope_auto(bytes).map_err(|_| Error::Transport("malformed envelope frame"))
 }
@@ -248,31 +228,17 @@ mod tests {
     }
 
     #[test]
-    fn preamble_roundtrips_and_reports_the_peer_version() {
-        for version in [wire::MIN_PROTOCOL_VERSION, wire::PROTOCOL_VERSION] {
-            let mut buf = Vec::new();
-            write_preamble(&mut buf, version).unwrap();
-            assert_eq!(buf.len(), PREAMBLE_LEN);
-            let mut cur = Cursor::new(buf);
-            let got = read_preamble(&mut cur, deadline_in(Duration::from_secs(1))).unwrap();
-            assert_eq!(got, version);
-        }
-    }
-
-    #[test]
-    fn negotiation_picks_the_highest_common_version() {
-        // A v2 node facing a v1-only peer drops to v1; two v2 nodes speak
-        // v2; a v1-configured node never goes above v1.
-        assert_eq!(negotiate(WireFormat::V2, 1), WireFormat::V1);
-        assert_eq!(negotiate(WireFormat::V2, 2), WireFormat::V2);
-        assert_eq!(negotiate(WireFormat::V1, 2), WireFormat::V1);
-        assert_eq!(negotiate(WireFormat::V1, 1), WireFormat::V1);
+    fn preamble_roundtrips() {
+        let mut buf = Vec::new();
+        write_preamble(&mut buf).unwrap();
+        assert_eq!(buf.len(), PREAMBLE_LEN);
+        read_preamble(&mut Cursor::new(buf), deadline_in(Duration::from_secs(1))).unwrap();
     }
 
     #[test]
     fn preamble_rejects_bad_magic_and_version() {
         let mut good = Vec::new();
-        write_preamble(&mut good, wire::PROTOCOL_VERSION).unwrap();
+        write_preamble(&mut good).unwrap();
 
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
@@ -284,11 +250,11 @@ mod tests {
             Err(Error::Transport("bad protocol magic"))
         );
 
-        // Versions outside [MIN..=CURRENT] are refused: a future v3 peer
-        // and a nonsense v0 peer alike.
-        for version in [0, wire::PROTOCOL_VERSION + 1, u16::MAX] {
-            let mut bad_version = Vec::new();
-            write_preamble(&mut bad_version, version).unwrap();
+        // Every version but ours is refused: the retired v1, a future v3
+        // and a nonsense v0 alike.
+        for version in [0, 1, wire::PROTOCOL_VERSION + 1, u16::MAX] {
+            let mut bad_version = good.clone();
+            bad_version[4..].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 read_preamble(
                     &mut Cursor::new(bad_version),
@@ -311,17 +277,13 @@ mod tests {
     #[test]
     fn frames_roundtrip_envelopes_and_ctrl() {
         let env = sample_env();
-        for fmt in [WireFormat::V1, WireFormat::V2] {
-            let mut buf = Vec::new();
-            let spent = write_envelope(&mut buf, &env, fmt).unwrap();
-            assert_eq!(spent as usize, buf.len());
-            let FrameRead::Frame(payload) = read_frame(&mut Cursor::new(&buf)).unwrap() else {
-                panic!("expected a frame");
-            };
-            // The reader is encoding-agnostic: the frame says which
-            // codec it used.
-            assert_eq!(decode_envelope_frame(&payload).unwrap(), env);
-        }
+        let mut buf = Vec::new();
+        let spent = write_envelope(&mut buf, &env, WireFormat::V2).unwrap();
+        assert_eq!(spent as usize, buf.len());
+        let FrameRead::Frame(payload) = read_frame(&mut Cursor::new(&buf)).unwrap() else {
+            panic!("expected a frame");
+        };
+        assert_eq!(decode_envelope_frame(&payload).unwrap(), env);
 
         let ctrl = Ctrl::StatsReq;
         let mut buf = Vec::new();
@@ -396,11 +358,10 @@ mod tests {
         #[test]
         fn prop_garbage_preamble_is_transport_error(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             // Skip the rare case where garbage IS a valid preamble: right
-            // magic and an in-range version.
+            // magic and our version.
             let valid = bytes.len() >= PREAMBLE_LEN
                 && bytes[..4] == wire::MAGIC
-                && (wire::MIN_PROTOCOL_VERSION..=wire::PROTOCOL_VERSION)
-                    .contains(&u16::from_le_bytes([bytes[4], bytes[5]]));
+                && u16::from_le_bytes([bytes[4], bytes[5]]) == wire::PROTOCOL_VERSION;
             if !valid {
                 let got =
                     read_preamble(&mut Cursor::new(&bytes), deadline_in(Duration::from_secs(1)));

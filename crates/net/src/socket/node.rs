@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{BatchConfig, Error, ServerId, WireFormat};
+use paris_types::{BatchConfig, Error, ServerId};
 
 use crate::socket::framing::{
     deadline_in, decode_envelope_frame, read_frame, read_preamble, write_preamble, FrameRead,
@@ -46,9 +46,6 @@ pub struct SocketConfig {
     /// Read timeout of inbound connections; bounds how long a reader
     /// thread can ignore the stop flag.
     pub read_timeout: Duration,
-    /// Wire encoding this node advertises; every link speaks this or
-    /// whatever lower version its peer negotiates down to.
-    pub wire: WireFormat,
 }
 
 impl Default for SocketConfig {
@@ -57,7 +54,6 @@ impl Default for SocketConfig {
             batch: BatchConfig::DISABLED,
             connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_millis(100),
-            wire: WireFormat::default(),
         }
     }
 }
@@ -157,7 +153,6 @@ impl NodeShared {
                 batch: self.cfg.batch,
                 connect_timeout: self.cfg.connect_timeout,
                 write_timeout: Duration::from_secs(5),
-                wire: self.cfg.wire,
             },
             Arc::clone(&self.counters),
         );
@@ -352,14 +347,11 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<NodeShared>) {
     {
         return;
     }
-    // Acceptor handshake: validate the dialer's preamble, answer with our
-    // configured version. The reader itself is encoding-agnostic —
-    // frames are self-describing — so only the dialer needs the
-    // negotiation result.
+    // Acceptor handshake: validate the dialer's preamble, answer with ours.
     if read_preamble(&mut stream, deadline_in(shared.cfg.connect_timeout)).is_err() {
         return;
     }
-    if write_preamble(&mut stream, shared.cfg.wire.version()).is_err() {
+    if write_preamble(&mut stream).is_err() {
         return;
     }
     while !shared.stop.load(Ordering::Acquire) {

@@ -42,9 +42,7 @@ use paris_proto::Envelope;
 use paris_types::{BatchConfig, Error, WireFormat};
 
 use crate::batch::{Coalescer, Offer};
-use crate::socket::framing::{
-    deadline_in, negotiate, read_preamble, write_envelope, write_preamble,
-};
+use crate::socket::framing::{deadline_in, read_preamble, write_envelope, write_preamble};
 
 /// Wire-level traffic counters shared by every link and reader of one
 /// node. All counts are message/byte totals actually put on (or taken
@@ -74,10 +72,6 @@ pub struct LinkOptions {
     /// Write timeout applied to the stream (a peer that stops reading for
     /// this long is treated as lost).
     pub write_timeout: Duration,
-    /// The wire encoding this node is configured for. The link speaks
-    /// this or whatever lower version the peer advertises during the
-    /// handshake (see [`negotiate`]).
-    pub wire: WireFormat,
 }
 
 /// Dials `addr`, retrying with exponential backoff until `connect_timeout`
@@ -99,9 +93,8 @@ fn dial_with_backoff(addr: SocketAddr, connect_timeout: Duration) -> Result<TcpS
     }
 }
 
-/// Dials, configures and handshakes a write-side stream; returns the
-/// stream plus the wire format the handshake negotiated.
-fn open_stream(addr: SocketAddr, opts: &LinkOptions) -> Result<(TcpStream, WireFormat), Error> {
+/// Dials, configures and handshakes a write-side stream.
+fn open_stream(addr: SocketAddr, opts: &LinkOptions) -> Result<TcpStream, Error> {
     let mut stream = dial_with_backoff(addr, opts.connect_timeout)?;
     let _ = stream.set_nodelay(true);
     stream
@@ -111,9 +104,9 @@ fn open_stream(addr: SocketAddr, opts: &LinkOptions) -> Result<(TcpStream, WireF
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .map_err(|_| Error::Transport("could not configure peer socket"))?;
-    write_preamble(&mut stream, opts.wire.version())?;
-    let peer = read_preamble(&mut stream, deadline_in(opts.connect_timeout))?;
-    Ok((stream, negotiate(opts.wire, peer)))
+    write_preamble(&mut stream)?;
+    read_preamble(&mut stream, deadline_in(opts.connect_timeout))?;
+    Ok(stream)
 }
 
 /// An outbound link to one peer: a queue, a writer thread, a coalescer.
@@ -132,13 +125,13 @@ impl PeerLink {
         opts: LinkOptions,
         counters: Arc<WireCounters>,
     ) -> Result<PeerLink, Error> {
-        let (stream, wire) = open_stream(addr, &opts)?;
+        let stream = open_stream(addr, &opts)?;
         let (tx, rx) = channel();
         let dead = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&dead);
         let handle = std::thread::Builder::new()
             .name(format!("paris-link-{}", addr.port()))
-            .spawn(move || writer_loop(stream, wire, addr, opts, rx, flag, counters))
+            .spawn(move || writer_loop(stream, addr, opts, rx, flag, counters))
             .map_err(|_| Error::Transport("could not spawn link writer"))?;
         Ok(PeerLink {
             tx: Some(tx),
@@ -177,27 +170,20 @@ impl Drop for PeerLink {
 }
 
 /// Writes `env` onto the stream, updating counters. On failure, redials
-/// once and retries (re-negotiating the wire format, in case the peer
-/// restarted with a different configuration); a second failure is fatal
-/// for the link.
+/// once and retries; a second failure is fatal for the link.
 fn write_with_retry(
     stream: &mut TcpStream,
-    wire: &mut WireFormat,
     env: &Envelope,
     addr: SocketAddr,
     opts: &LinkOptions,
     counters: &WireCounters,
 ) -> Result<(), Error> {
-    let first = write_envelope(stream, env, *wire);
-    let bytes = match first {
+    let bytes = match write_envelope(stream, env, WireFormat::V2) {
         Ok(bytes) => bytes,
         Err(_) => {
             // The peer may have restarted; give it one fresh connection.
-            let (mut fresh, renegotiated) = open_stream(addr, opts)?;
-            let bytes = write_envelope(&mut fresh, env, renegotiated)?;
-            *stream = fresh;
-            *wire = renegotiated;
-            bytes
+            *stream = open_stream(addr, opts)?;
+            write_envelope(stream, env, WireFormat::V2)?
         }
     };
     counters.messages_out.fetch_add(1, Ordering::Relaxed);
@@ -207,7 +193,6 @@ fn write_with_retry(
 
 fn writer_loop(
     mut stream: TcpStream,
-    mut wire: WireFormat,
     addr: SocketAddr,
     opts: LinkOptions,
     rx: Receiver<Envelope>,
@@ -218,7 +203,7 @@ fn writer_loop(
     // irrelevant because only deltas matter for flush deadlines.
     let epoch = Instant::now();
     let now_micros = || epoch.elapsed().as_micros() as u64;
-    let mut coalescer = Coalescer::new(opts.batch, wire);
+    let mut coalescer = Coalescer::new(opts.batch, WireFormat::V2);
 
     let die = |counters: &WireCounters, rx: &Receiver<Envelope>, dead: &AtomicBool| {
         dead.store(true, Ordering::Release);
@@ -242,9 +227,7 @@ fn writer_loop(
             Err(RecvTimeoutError::Disconnected) => {
                 // Owner dropped the link: flush residue and exit cleanly.
                 for env in coalescer.flush_all() {
-                    if write_with_retry(&mut stream, &mut wire, &env, addr, &opts, &counters)
-                        .is_err()
-                    {
+                    if write_with_retry(&mut stream, &env, addr, &opts, &counters).is_err() {
                         break;
                     }
                 }
@@ -264,7 +247,7 @@ fn writer_loop(
         to_write.extend(coalescer.poll(now_micros()));
 
         for env in to_write {
-            if write_with_retry(&mut stream, &mut wire, &env, addr, &opts, &counters).is_err() {
+            if write_with_retry(&mut stream, &env, addr, &opts, &counters).is_err() {
                 die(&counters, &rx, &dead);
                 return;
             }
@@ -276,6 +259,7 @@ fn writer_loop(
 mod tests {
     use super::*;
     use crate::socket::framing::{decode_envelope_frame, read_frame, FrameRead, PREAMBLE_LEN};
+    use paris_proto::wire::PROTOCOL_VERSION;
     use paris_proto::Msg;
     use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp};
     use std::io::Read;
@@ -286,7 +270,6 @@ mod tests {
             batch: BatchConfig::DISABLED,
             connect_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
-            wire: WireFormat::default(),
         }
     }
 
@@ -312,13 +295,14 @@ mod tests {
             let (mut conn, _) = listener.accept().unwrap();
             let mut preamble = [0u8; PREAMBLE_LEN];
             conn.read_exact(&mut preamble).unwrap();
-            write_preamble(&mut conn, version).unwrap();
+            preamble[4..].copy_from_slice(&version.to_le_bytes());
+            conn.write_all(&preamble).unwrap();
             conn
         })
     }
 
     fn accept_handshaken(listener: TcpListener) -> std::thread::JoinHandle<TcpStream> {
-        accept_with_version(listener, paris_proto::wire::PROTOCOL_VERSION)
+        accept_with_version(listener, PROTOCOL_VERSION)
     }
 
     #[test]
@@ -347,41 +331,21 @@ mod tests {
     }
 
     #[test]
-    fn v2_dialer_speaks_v1_to_a_v1_only_peer() {
-        // Interop: a current (v2-configured) node dialing an old peer
-        // that only advertises v1 must drop to v1 frames — the exact
-        // bytes an old decoder understands, with no v2 marker.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let acceptor = accept_with_version(listener, 1);
-        let link = PeerLink::connect(addr, opts(), Arc::new(WireCounters::default())).unwrap();
-        let mut conn = acceptor.join().unwrap();
-
-        assert!(link.send(env(7)));
-        let FrameRead::Frame(payload) = read_frame(&mut conn).unwrap() else {
-            panic!("expected frame");
-        };
-        assert_eq!(
-            payload,
-            paris_proto::wire::encode_envelope(&env(7)).as_ref(),
-            "negotiated-down link must emit bit-for-bit v1 frames"
-        );
-        assert_eq!(decode_envelope_frame(&payload).unwrap(), env(7));
-    }
-
-    #[test]
     fn unsupported_peer_version_refuses_the_link() {
-        // A "future" peer advertising v3 is refused during the
-        // handshake: the dialer never treats the connection as open.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let acceptor = accept_with_version(listener, paris_proto::wire::PROTOCOL_VERSION + 1);
-        let got = PeerLink::connect(addr, opts(), Arc::new(WireCounters::default()));
-        assert!(matches!(
-            got,
-            Err(Error::Transport("protocol version mismatch"))
-        ));
-        let _ = acceptor.join();
+        // A peer advertising any version but ours — the retired v1 or a
+        // "future" v3 — is refused during the handshake: the dialer never
+        // treats the connection as open.
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let acceptor = accept_with_version(listener, version);
+            let got = PeerLink::connect(addr, opts(), Arc::new(WireCounters::default()));
+            assert!(matches!(
+                got,
+                Err(Error::Transport("protocol version mismatch"))
+            ));
+            let _ = acceptor.join();
+        }
     }
 
     #[test]

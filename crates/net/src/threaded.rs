@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 
-use paris_proto::wire::encoded_len_with;
+use paris_proto::wire::encoded_len;
 use paris_proto::{Endpoint, Envelope, Msg};
 use paris_types::{BatchConfig, DcId, WireFormat};
 use rand::rngs::StdRng;
@@ -43,7 +43,7 @@ pub struct ThreadedNetConfig {
     /// latency injection. Flush deadlines are wall-clock and *not* scaled
     /// by [`ThreadedNetConfig::scale`].
     pub batch: BatchConfig,
-    /// Wire encoding sizing the router's byte accounting (the in-process
+    /// Wire encoding of the router's byte accounting (the in-process
     /// wheel never serializes, but reports what the traffic would cost).
     pub wire: WireFormat,
 }
@@ -85,8 +85,8 @@ struct NetCounters {
 }
 
 impl NetCounters {
-    fn record(&self, env: &Envelope, wire: WireFormat) {
-        let frame = encoded_len_with(&env.msg, wire) as u64;
+    fn record(&self, env: &Envelope) {
+        let frame = encoded_len(&env.msg) as u64;
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(frame, Ordering::Relaxed);
         if env.msg.is_background() {
@@ -453,7 +453,7 @@ impl WheelState {
         // the "NIC" — coalesced traffic was already folded upstream. Held
         // traffic counts as sent (it left the source; the link lost it),
         // matching the simulated network's accounting.
-        self.counters.record(&env, config.wire);
+        self.counters.record(&env);
         let (sdc, ddc) = (env.src.dc(), env.dst.dc());
         if sdc != ddc && self.blocked.contains(&link_key(sdc, ddc)) {
             self.held.entry((sdc, ddc)).or_default().push_back(env);
@@ -826,37 +826,32 @@ mod tests {
 
     #[test]
     fn counters_report_scheduled_traffic_in_the_configured_encoding() {
-        for wire in [WireFormat::V1, WireFormat::V2] {
-            let router = Router::start(ThreadedNetConfig {
-                wire,
-                ..ThreadedNetConfig::fast(2)
-            });
-            let a = ServerId::new(DcId(0), PartitionId(0));
-            let b = ServerId::new(DcId(1), PartitionId(1));
-            let rx = router.register(b);
-            let background = Envelope::new(a, b, hb(1));
-            let foreground = Envelope::new(
-                ClientId::new(DcId(0), 0),
-                b,
-                Msg::StartTxReq {
-                    client_ust: Timestamp::ZERO,
-                },
-            );
-            let expect_bg = encoded_len_with(&background.msg, wire) as u64;
-            let expect_total = expect_bg + encoded_len_with(&foreground.msg, wire) as u64;
-            router.handle().send(background);
-            router.handle().send(foreground);
-            for _ in 0..2 {
-                rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
-            }
-            let stats = router.net_stats();
-            assert_eq!(stats.messages, 2, "{wire}");
-            assert_eq!(stats.bytes, expect_total, "{wire}");
-            assert_eq!(
-                stats.background_bytes, expect_bg,
-                "{wire}: only the heartbeat is background"
-            );
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        let a = ServerId::new(DcId(0), PartitionId(0));
+        let b = ServerId::new(DcId(1), PartitionId(1));
+        let rx = router.register(b);
+        let background = Envelope::new(a, b, hb(1));
+        let foreground = Envelope::new(
+            ClientId::new(DcId(0), 0),
+            b,
+            Msg::StartTxReq {
+                client_ust: Timestamp::ZERO,
+            },
+        );
+        let expect_bg = encoded_len(&background.msg) as u64;
+        let expect_total = expect_bg + encoded_len(&foreground.msg) as u64;
+        router.handle().send(background);
+        router.handle().send(foreground);
+        for _ in 0..2 {
+            rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
         }
+        let stats = router.net_stats();
+        assert_eq!(stats.messages, 2);
+        assert_eq!(stats.bytes, expect_total);
+        assert_eq!(
+            stats.background_bytes, expect_bg,
+            "only the heartbeat is background"
+        );
     }
 
     #[test]
@@ -889,10 +884,7 @@ mod tests {
         // Only the a→b message was wire traffic.
         let stats = router.net_stats();
         assert_eq!(stats.messages, 1);
-        assert_eq!(
-            stats.bytes,
-            encoded_len_with(&hb(0), WireFormat::default()) as u64
-        );
+        assert_eq!(stats.bytes, encoded_len(&hb(0)) as u64);
     }
 
     #[test]

@@ -10,111 +10,85 @@
 //! never be confused with a [`crate::Msg`].
 //!
 //! Keeping `Ctrl` separate from `Msg` preserves the protocol codec's
-//! paper-facing properties: `encoded_len`/`metadata_len` keep measuring
-//! exactly the algorithmic messages of Table I.
+//! paper-facing properties: `encoded_len`/`metadata` keep measuring
+//! exactly the algorithmic messages of Table I. The frames are built from
+//! the same field put/get pairs as the protocol codec ([`crate::wire`]).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use paris_types::{Key, ServerId, Timestamp, VersionOrd};
 
+use crate::varint;
 use crate::wire::{
-    get_dc, get_key, get_len, get_server, get_ts, get_tx, need, put_dc, put_key, put_len,
-    put_server, put_ts, put_tx, DecodeError,
+    finish, get_dc, get_key, get_opt, get_server, get_ts, get_tx, get_u8, get_vec, put_dc, put_opt,
+    put_server, put_tx, put_vec, DecodeError, Sink,
 };
 
-/// The flat protocol/pipeline counter block a child reports alongside its
-/// snapshot — a wire-stable mirror of the server's internal statistics
-/// (message counts, 2PC roles, replication applies) plus the per-shard
-/// commit-pipeline counters, so the parent can aggregate a cluster-wide
-/// view without reaching into child processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SnapshotCounters {
-    /// Messages handled, any kind.
-    pub msgs_handled: u64,
-    /// Update transactions committed with this server as coordinator.
-    pub txs_coordinated: u64,
-    /// Slice reads served.
-    pub slice_reads: u64,
-    /// Keys returned by slice reads.
-    pub keys_read: u64,
-    /// Keys answered `Unchanged` (the client's stamp named the visible
-    /// version).
-    pub reads_unchanged: u64,
-    /// Keys answered with a full version.
-    pub reads_shipped: u64,
-    /// Prepares handled.
-    pub prepares: u64,
-    /// Transactions applied locally (as 2PC participant).
-    pub applied_local: u64,
-    /// Transactions applied from remote replication.
-    pub applied_remote: u64,
-    /// Replication batches sent.
-    pub replicate_batches: u64,
-    /// Heartbeats sent.
-    pub heartbeats: u64,
-    /// Logical frames folded inside coalesced messages.
-    pub coalesced_frames: u64,
-    /// Whole coalesced gossip digests served off the server loop by the
-    /// read pool (through the published `ReadView`).
-    pub pooled_gossip_digests: u64,
-    /// Versions removed by GC.
-    pub gc_removed: u64,
-    /// Prepares staged through the commit pipeline.
-    pub staged_prepares: u64,
-    /// Replication frames applied through the pipeline's lanes.
-    pub lane_batches: u64,
-    /// Versions inserted through the pipeline's lanes.
-    pub lane_applies: u64,
+/// Defines the counter block and its encode and decode walks from one
+/// field list, so the three cannot disagree on the order.
+macro_rules! snapshot_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// The flat protocol/pipeline counter block a child reports
+        /// alongside its snapshot — a wire-stable mirror of the server's
+        /// internal statistics (message counts, 2PC roles, replication
+        /// applies) plus the per-shard commit-pipeline counters, so the
+        /// parent can aggregate a cluster-wide view without reaching into
+        /// child processes.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct SnapshotCounters {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl SnapshotCounters {
+            fn encode(&self, buf: &mut BytesMut) {
+                $(buf.varint(self.$field);)*
+            }
+
+            fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
+                Ok(SnapshotCounters {
+                    $($field: varint::get(r)?,)*
+                })
+            }
+        }
+    };
 }
 
-impl SnapshotCounters {
-    const WIRE_LEN: usize = 17 * 8;
-
-    fn encode(&self, buf: &mut BytesMut) {
-        for v in [
-            self.msgs_handled,
-            self.txs_coordinated,
-            self.slice_reads,
-            self.keys_read,
-            self.reads_unchanged,
-            self.reads_shipped,
-            self.prepares,
-            self.applied_local,
-            self.applied_remote,
-            self.replicate_batches,
-            self.heartbeats,
-            self.coalesced_frames,
-            self.pooled_gossip_digests,
-            self.gc_removed,
-            self.staged_prepares,
-            self.lane_batches,
-            self.lane_applies,
-        ] {
-            buf.put_u64_le(v);
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need(buf, Self::WIRE_LEN)?;
-        Ok(SnapshotCounters {
-            msgs_handled: buf.get_u64_le(),
-            txs_coordinated: buf.get_u64_le(),
-            slice_reads: buf.get_u64_le(),
-            keys_read: buf.get_u64_le(),
-            reads_unchanged: buf.get_u64_le(),
-            reads_shipped: buf.get_u64_le(),
-            prepares: buf.get_u64_le(),
-            applied_local: buf.get_u64_le(),
-            applied_remote: buf.get_u64_le(),
-            replicate_batches: buf.get_u64_le(),
-            heartbeats: buf.get_u64_le(),
-            coalesced_frames: buf.get_u64_le(),
-            pooled_gossip_digests: buf.get_u64_le(),
-            gc_removed: buf.get_u64_le(),
-            staged_prepares: buf.get_u64_le(),
-            lane_batches: buf.get_u64_le(),
-            lane_applies: buf.get_u64_le(),
-        })
-    }
+snapshot_counters! {
+    /// Messages handled, any kind.
+    msgs_handled,
+    /// Update transactions committed with this server as coordinator.
+    txs_coordinated,
+    /// Slice reads served.
+    slice_reads,
+    /// Keys returned by slice reads.
+    keys_read,
+    /// Keys answered `Unchanged` (the client's stamp named the visible
+    /// version).
+    reads_unchanged,
+    /// Keys answered with a full version.
+    reads_shipped,
+    /// Prepares handled.
+    prepares,
+    /// Transactions applied locally (as 2PC participant).
+    applied_local,
+    /// Transactions applied from remote replication.
+    applied_remote,
+    /// Replication batches sent.
+    replicate_batches,
+    /// Heartbeats sent.
+    heartbeats,
+    /// Logical frames folded inside coalesced messages.
+    coalesced_frames,
+    /// Whole coalesced gossip digests served off the server loop by the
+    /// read pool (through the published `ReadView`).
+    pooled_gossip_digests,
+    /// Versions removed by GC.
+    gc_removed,
+    /// Prepares staged through the commit pipeline.
+    staged_prepares,
+    /// Replication frames applied through the pipeline's lanes.
+    lane_batches,
+    /// Versions inserted through the pipeline's lanes.
+    lane_applies,
 }
 
 /// Everything the parent needs from one child at collection time: the
@@ -178,56 +152,62 @@ const C_STATS_REQ: u8 = 3;
 const C_STATS_RESP: u8 = 4;
 const C_STOP: u8 = 5;
 
+fn put_port(buf: &mut BytesMut, (server, port): &(ServerId, u16)) {
+    put_server(buf, *server);
+    buf.varint(u64::from(*port));
+}
+
+fn get_port(r: &mut &[u8]) -> Result<(ServerId, u16), DecodeError> {
+    Ok((get_server(r)?, varint::get_u16(r)?))
+}
+
+fn put_order(buf: &mut BytesMut, ord: &VersionOrd) {
+    buf.timestamp(ord.ut);
+    put_tx(buf, ord.tx);
+    put_dc(buf, ord.src);
+}
+
+fn get_order(r: &mut &[u8]) -> Result<VersionOrd, DecodeError> {
+    Ok(VersionOrd {
+        ut: get_ts(r)?,
+        tx: get_tx(r)?,
+        src: get_dc(r)?,
+    })
+}
+
 /// Encodes a control frame payload.
 pub fn encode_ctrl(ctrl: &Ctrl) -> Bytes {
     let mut buf = BytesMut::new();
     match ctrl {
         Ctrl::Hello { server, data_port } => {
-            buf.put_u8(C_HELLO);
-            put_server(&mut buf, *server);
-            buf.put_u16_le(*data_port);
+            buf.tag(C_HELLO);
+            put_port(&mut buf, &(*server, *data_port));
         }
         Ctrl::Peers {
             client_port,
             servers,
         } => {
-            buf.put_u8(C_PEERS);
-            buf.put_u16_le(*client_port);
-            put_len(&mut buf, servers.len());
-            for (s, port) in servers {
-                put_server(&mut buf, *s);
-                buf.put_u16_le(*port);
-            }
+            buf.tag(C_PEERS);
+            buf.varint(u64::from(*client_port));
+            put_vec(&mut buf, servers, put_port);
         }
-        Ctrl::StatsReq => buf.put_u8(C_STATS_REQ),
+        Ctrl::StatsReq => buf.tag(C_STATS_REQ),
         Ctrl::StatsResp(snap) => {
-            buf.put_u8(C_STATS_RESP);
-            match snap.server {
-                None => buf.put_u8(0),
-                Some(s) => {
-                    buf.put_u8(1);
-                    put_server(&mut buf, s);
-                }
-            }
-            put_ts(&mut buf, snap.ust);
-            buf.put_u64_le(snap.blocked_reads);
-            buf.put_u64_le(snap.blocked_micros_total);
-            buf.put_u64_le(snap.blocked_micros_max);
-            buf.put_u64_le(snap.net_messages);
-            buf.put_u64_le(snap.net_bytes);
+            buf.tag(C_STATS_RESP);
+            put_opt(&mut buf, &snap.server, |buf, s| put_server(buf, *s));
+            buf.timestamp(snap.ust);
+            buf.varint(snap.blocked_reads);
+            buf.varint(snap.blocked_micros_total);
+            buf.varint(snap.blocked_micros_max);
+            buf.varint(snap.net_messages);
+            buf.varint(snap.net_bytes);
             snap.counters.encode(&mut buf);
-            put_len(&mut buf, snap.chains.len());
-            for (key, orders) in &snap.chains {
-                put_key(&mut buf, *key);
-                put_len(&mut buf, orders.len());
-                for ord in orders {
-                    put_ts(&mut buf, ord.ut);
-                    put_tx(&mut buf, ord.tx);
-                    put_dc(&mut buf, ord.src);
-                }
-            }
+            put_vec(&mut buf, &snap.chains, |buf, (key, orders)| {
+                buf.key(*key);
+                put_vec(buf, orders, put_order);
+            });
         }
-        Ctrl::Stop => buf.put_u8(C_STOP),
+        Ctrl::Stop => buf.tag(C_STOP),
     }
     buf.freeze()
 }
@@ -236,81 +216,36 @@ pub fn encode_ctrl(ctrl: &Ctrl) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] for truncated buffers, unknown tags or
-/// impossible lengths — never panics, whatever the input.
+/// Returns a [`DecodeError`] for truncated buffers, unknown tags,
+/// impossible lengths or trailing bytes — never panics, whatever the
+/// input.
 pub fn decode_ctrl(bytes: &[u8]) -> Result<Ctrl, DecodeError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    need(&buf, 1)?;
-    let tag = buf.get_u8();
-    let ctrl = match tag {
+    let r = &mut &*bytes;
+    let ctrl = match get_u8(r)? {
         C_HELLO => {
-            let server = get_server(&mut buf)?;
-            need(&buf, 2)?;
-            Ctrl::Hello {
-                server,
-                data_port: buf.get_u16_le(),
-            }
+            let (server, data_port) = get_port(r)?;
+            Ctrl::Hello { server, data_port }
         }
-        C_PEERS => {
-            need(&buf, 2)?;
-            let client_port = buf.get_u16_le();
-            let n = get_len(&mut buf)?;
-            let mut servers = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let s = get_server(&mut buf)?;
-                need(&buf, 2)?;
-                servers.push((s, buf.get_u16_le()));
-            }
-            Ctrl::Peers {
-                client_port,
-                servers,
-            }
-        }
+        C_PEERS => Ctrl::Peers {
+            client_port: varint::get_u16(r)?,
+            servers: get_vec(r, get_port)?,
+        },
         C_STATS_REQ => Ctrl::StatsReq,
-        C_STATS_RESP => {
-            need(&buf, 1)?;
-            let server = match buf.get_u8() {
-                0 => None,
-                _ => Some(get_server(&mut buf)?),
-            };
-            let ust = get_ts(&mut buf)?;
-            need(&buf, 40)?;
-            let blocked_reads = buf.get_u64_le();
-            let blocked_micros_total = buf.get_u64_le();
-            let blocked_micros_max = buf.get_u64_le();
-            let net_messages = buf.get_u64_le();
-            let net_bytes = buf.get_u64_le();
-            let counters = SnapshotCounters::decode(&mut buf)?;
-            let n = get_len(&mut buf)?;
-            let mut chains = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let key = get_key(&mut buf)?;
-                let m = get_len(&mut buf)?;
-                let mut orders = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    orders.push(VersionOrd {
-                        ut: get_ts(&mut buf)?,
-                        tx: get_tx(&mut buf)?,
-                        src: get_dc(&mut buf)?,
-                    });
-                }
-                chains.push((key, orders));
-            }
-            Ctrl::StatsResp(Box::new(ServerSnapshot {
-                server,
-                ust,
-                blocked_reads,
-                blocked_micros_total,
-                blocked_micros_max,
-                net_messages,
-                net_bytes,
-                counters,
-                chains,
-            }))
-        }
+        C_STATS_RESP => Ctrl::StatsResp(Box::new(ServerSnapshot {
+            server: get_opt(r, get_server)?,
+            ust: get_ts(r)?,
+            blocked_reads: varint::get(r)?,
+            blocked_micros_total: varint::get(r)?,
+            blocked_micros_max: varint::get(r)?,
+            net_messages: varint::get(r)?,
+            net_bytes: varint::get(r)?,
+            counters: SnapshotCounters::decode(r)?,
+            chains: get_vec(r, |r| Ok((get_key(r)?, get_vec(r, get_order)?)))?,
+        })),
         C_STOP => Ctrl::Stop,
         other => return Err(DecodeError::UnknownTag(other)),
     };
+    finish(r)?;
     Ok(ctrl)
 }
 
@@ -322,6 +257,11 @@ mod tests {
 
     fn sample_frames() -> Vec<Ctrl> {
         let s = ServerId::new(DcId(1), PartitionId(2));
+        let ord = |physical, logical, seq, src| VersionOrd {
+            ut: Timestamp::from_parts(physical, logical),
+            tx: TxId::new(s, seq),
+            src: DcId(src),
+        };
         vec![
             Ctrl::Hello {
                 server: s,
@@ -345,39 +285,12 @@ mod tests {
                 net_bytes: 3_456,
                 counters: SnapshotCounters {
                     msgs_handled: 1,
-                    txs_coordinated: 2,
-                    slice_reads: 3,
-                    keys_read: 4,
                     reads_unchanged: 16,
-                    reads_shipped: 17,
-                    prepares: 5,
-                    applied_local: 6,
-                    applied_remote: 7,
-                    replicate_batches: 8,
-                    heartbeats: 9,
-                    coalesced_frames: 10,
-                    pooled_gossip_digests: 15,
-                    gc_removed: 11,
-                    staged_prepares: 12,
-                    lane_batches: 13,
-                    lane_applies: 14,
+                    lane_applies: 300,
+                    ..SnapshotCounters::default()
                 },
                 chains: vec![
-                    (
-                        Key(9),
-                        vec![
-                            VersionOrd {
-                                ut: Timestamp::from_parts(90, 1),
-                                tx: TxId::new(s, 4),
-                                src: DcId(1),
-                            },
-                            VersionOrd {
-                                ut: Timestamp::from_parts(80, 0),
-                                tx: TxId::new(s, 2),
-                                src: DcId(0),
-                            },
-                        ],
-                    ),
+                    (Key(9), vec![ord(90, 1, 4, 1), ord(80, 0, 2, 0)]),
                     (Key(10), vec![]),
                 ],
             })),
@@ -405,6 +318,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ctrl_decode_rejects_trailing_bytes_and_unknown_option_bytes() {
+        for frame in sample_frames() {
+            let mut bytes = encode_ctrl(&frame).to_vec();
+            bytes.push(0);
+            assert_eq!(
+                decode_ctrl(&bytes),
+                Err(DecodeError::BadLength),
+                "{frame:?}"
+            );
+        }
+        // The byte after the StatsResp tag says whether a server follows.
+        let mut bytes = encode_ctrl(&Ctrl::StatsResp(Box::default())).to_vec();
+        assert_eq!(bytes[1], 0);
+        bytes[1] = 2;
+        assert_eq!(decode_ctrl(&bytes), Err(DecodeError::UnknownTag(2)));
     }
 
     #[test]

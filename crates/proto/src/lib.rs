@@ -5,12 +5,11 @@
 //! implement the UST gossip (§IV-B, "Stabilization protocol") and the
 //! garbage-collection aggregate piggybacked on it.
 //!
-//! The crate also provides two compact hand-rolled binary codecs — the
-//! fixed-width **v1** ([`wire`]) and the varint **v2** ([`wire2`]),
-//! selected by `paris_types::WireFormat` and negotiated per connection —
-//! used to (a) measure the *metadata* cost of each message — reproducing
-//! the "1 timestamp" claim of the paper's Table I — and (b) property-test
-//! that every message round-trips losslessly under both encodings.
+//! The crate also provides the compact binary codec ([`wire`]): one field
+//! walk per message that yields its bytes, its exact size and its
+//! *metadata* cost — the measured side of the "1 timestamp" claim of the
+//! paper's Table I — and is property-tested to round-trip every message
+//! losslessly and to reject every malformed frame.
 //!
 //! # Example
 //!
@@ -31,7 +30,6 @@ pub mod ctrl;
 mod messages;
 pub mod varint;
 pub mod wire;
-pub mod wire2;
 
 pub use ctrl::{Ctrl, ServerSnapshot, SnapshotCounters};
 pub use messages::{

@@ -1,12 +1,13 @@
-//! LEB128 unsigned varints for the v2 wire codec.
+//! LEB128 unsigned varints for the wire codec and the WAL.
 //!
 //! Little-endian base-128: each byte carries 7 value bits, the high bit
 //! flags continuation. Values below 128 cost one byte; `u64::MAX` costs
-//! the maximum ten. Decoding is strict — a varint longer than ten bytes
-//! or with set bits beyond the 64th is rejected rather than wrapped, so
-//! every encoded value has exactly one accepted representation length.
+//! the maximum ten. Decoding is strict — a varint longer than ten bytes,
+//! with set bits beyond the 64th, or padded with a trailing zero byte is
+//! rejected rather than wrapped or shortened, so every value has exactly
+//! one accepted encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::wire::DecodeError;
 
@@ -35,20 +36,16 @@ pub fn put(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-/// Reads a LEB128 varint.
+/// Reads a LEB128 varint off the front of `r`, advancing it.
 ///
 /// # Errors
 ///
-/// [`DecodeError::Truncated`] when the buffer ends mid-varint,
-/// [`DecodeError::BadLength`] when the encoding exceeds ten bytes or
-/// overflows 64 bits.
-pub fn get(buf: &mut Bytes) -> Result<u64, DecodeError> {
+/// [`DecodeError::Truncated`] when the bytes end mid-varint,
+/// [`DecodeError::BadLength`] when the encoding exceeds ten bytes,
+/// overflows 64 bits or is not the value's shortest.
+pub fn get(r: &mut &[u8]) -> Result<u64, DecodeError> {
     let mut v: u64 = 0;
-    for i in 0..MAX_VARINT_LEN {
-        if buf.remaining() == 0 {
-            return Err(DecodeError::Truncated);
-        }
-        let byte = buf.get_u8();
+    for (i, &byte) in r.iter().take(MAX_VARINT_LEN).enumerate() {
         let bits = u64::from(byte & 0x7f);
         // The tenth byte may only carry the single remaining bit.
         if i == MAX_VARINT_LEN - 1 && bits > 1 {
@@ -56,21 +53,30 @@ pub fn get(buf: &mut Bytes) -> Result<u64, DecodeError> {
         }
         v |= bits << (7 * i);
         if byte & 0x80 == 0 {
+            // A zero byte after the first only pads a shorter encoding.
+            if i > 0 && byte == 0 {
+                return Err(DecodeError::BadLength);
+            }
+            *r = &r[i + 1..];
             return Ok(v);
         }
     }
-    Err(DecodeError::BadLength)
+    Err(if r.len() < MAX_VARINT_LEN {
+        DecodeError::Truncated
+    } else {
+        DecodeError::BadLength
+    })
 }
 
 /// Reads a varint that must fit `u16` (DC ids, logical clocks).
-pub fn get_u16(buf: &mut Bytes) -> Result<u16, DecodeError> {
-    u16::try_from(get(buf)?).map_err(|_| DecodeError::BadLength)
+pub fn get_u16(r: &mut &[u8]) -> Result<u16, DecodeError> {
+    u16::try_from(get(r)?).map_err(|_| DecodeError::BadLength)
 }
 
 /// Reads a varint that must fit `u32` (partitions, frame counts, client
 /// sequence numbers).
-pub fn get_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
-    u32::try_from(get(buf)?).map_err(|_| DecodeError::BadLength)
+pub fn get_u32(r: &mut &[u8]) -> Result<u32, DecodeError> {
+    u32::try_from(get(r)?).map_err(|_| DecodeError::BadLength)
 }
 
 #[cfg(test)]
@@ -82,9 +88,9 @@ mod tests {
         let mut buf = BytesMut::new();
         put(&mut buf, v);
         assert_eq!(buf.len(), len(v), "len({v}) exact");
-        let mut bytes = buf.freeze();
-        let back = get(&mut bytes).unwrap();
-        assert_eq!(bytes.remaining(), 0, "no trailing bytes for {v}");
+        let mut r = buf.as_ref();
+        let back = get(&mut r).unwrap();
+        assert!(r.is_empty(), "no trailing bytes for {v}");
         back
     }
 
@@ -107,39 +113,41 @@ mod tests {
 
     #[test]
     fn truncated_varint_is_rejected() {
-        let mut bytes = Bytes::copy_from_slice(&[0x80, 0x80]);
-        assert_eq!(get(&mut bytes), Err(DecodeError::Truncated));
-        let mut empty = Bytes::copy_from_slice(&[]);
-        assert_eq!(get(&mut empty), Err(DecodeError::Truncated));
+        assert_eq!(get(&mut &[0x80, 0x80][..]), Err(DecodeError::Truncated));
+        assert_eq!(get(&mut &[][..]), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn overlong_and_overflowing_varints_are_rejected() {
         // Eleven continuation bytes: too long however it ends.
-        let mut bytes = Bytes::copy_from_slice(&[0x80; 11]);
-        assert_eq!(get(&mut bytes), Err(DecodeError::BadLength));
+        assert_eq!(get(&mut &[0x80; 11][..]), Err(DecodeError::BadLength));
         // Ten bytes whose last carries more than the one bit left of a
         // u64: would silently drop bits.
-        let mut overflow =
-            Bytes::copy_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]);
-        assert_eq!(get(&mut overflow), Err(DecodeError::BadLength));
+        let overflow = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+        assert_eq!(get(&mut &overflow[..]), Err(DecodeError::BadLength));
         // u64::MAX itself (last byte 0x01) stays legal.
-        let mut max =
-            Bytes::copy_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
-        assert_eq!(get(&mut max), Ok(u64::MAX));
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(get(&mut &max[..]), Ok(u64::MAX));
+        // Padded encodings of 0, 1 and 128: a second representation of a
+        // value that already has a shorter one.
+        for padded in [&[0x80, 0x00][..], &[0x81, 0x00], &[0x80, 0x81, 0x00]] {
+            assert_eq!(get(&mut &padded[..]), Err(DecodeError::BadLength));
+        }
+        // A lone zero byte is zero.
+        assert_eq!(get(&mut &[0x00][..]), Ok(0));
     }
 
     #[test]
     fn narrow_reads_enforce_their_width() {
         let mut buf = BytesMut::new();
         put(&mut buf, u64::from(u16::MAX) + 1);
-        assert_eq!(get_u16(&mut buf.freeze()), Err(DecodeError::BadLength));
+        assert_eq!(get_u16(&mut buf.as_ref()), Err(DecodeError::BadLength));
         let mut buf = BytesMut::new();
         put(&mut buf, u64::from(u32::MAX) + 1);
-        assert_eq!(get_u32(&mut buf.freeze()), Err(DecodeError::BadLength));
+        assert_eq!(get_u32(&mut buf.as_ref()), Err(DecodeError::BadLength));
         let mut buf = BytesMut::new();
         put(&mut buf, u64::from(u32::MAX));
-        assert_eq!(get_u32(&mut buf.freeze()), Ok(u32::MAX));
+        assert_eq!(get_u32(&mut buf.as_ref()), Ok(u32::MAX));
     }
 
     proptest! {
@@ -150,8 +158,7 @@ mod tests {
 
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..16)) {
-            let mut b = Bytes::from(bytes);
-            let _ = get(&mut b);
+            let _ = get(&mut bytes.as_slice());
         }
     }
 }

@@ -21,7 +21,6 @@ use paris_net::sim::{RegionMatrix, ServiceModel};
 use paris_net::threaded::ThreadedNetConfig;
 use paris_types::{
     BatchConfig, ClusterConfig, ConfigError, Error, FaultPlan, FlushPolicy, Intervals, Mode,
-    WireFormat,
 };
 use paris_workload::WorkloadConfig;
 
@@ -132,7 +131,6 @@ pub struct ClusterBuilder {
     record_history: bool,
     stab_branching: usize,
     tuning: Tuning,
-    wire: WireFormat,
     durability: Option<Durability>,
     fault_plan: Option<FaultPlan>,
 }
@@ -170,7 +168,6 @@ impl ClusterBuilder {
             record_history: false,
             stab_branching: 0,
             tuning: Tuning::default(),
-            wire: WireFormat::default(),
             durability: None,
             fault_plan: None,
         }
@@ -375,15 +372,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Wire encoding the deployment speaks: compact varint v2 (the
-    /// default) or the fixed-width v1 frames of earlier releases.
-    /// Socket peers negotiate down to the lower of the two sides'
-    /// versions; in-process backends use it for byte accounting.
-    pub fn wire_format(mut self, wire: WireFormat) -> Self {
-        self.wire = wire;
-        self
-    }
-
     /// Installs a scripted [`FaultPlan`]: timed DC crashes, link
     /// partitions/slowdowns and clock-skew steps, applied automatically
     /// once the cluster is built. Validated against the deployment shape
@@ -442,7 +430,6 @@ impl ClusterBuilder {
             .mode(self.mode)
             .max_clock_skew_micros(self.max_clock_skew_micros)
             .batch(batch)
-            .wire(self.wire)
             .build()?;
         if cfg.servers_per_dc() == 0 {
             return Err(ConfigError::new(

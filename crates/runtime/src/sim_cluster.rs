@@ -209,7 +209,7 @@ impl SimCluster {
         ));
         let clock = SimClock::new();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let net = SimNetwork::with_wire(config.matrix.clone(), config.jitter, config.cluster.wire);
+        let net = SimNetwork::new(config.matrix.clone(), config.jitter);
         let mut queue = EventQueue::new();
 
         let mut servers = HashMap::new();

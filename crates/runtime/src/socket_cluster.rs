@@ -242,7 +242,6 @@ impl ChildSpec {
                 w.u64(max_flush_micros);
             }
         }
-        w.u8(c.wire.version() as u8);
         w.opt_u64(self.tuning.store_shards.map(|v| v as u64));
         w.opt_u64(self.tuning.read_slots.map(|v| v as u64));
         w.opt_u64(self.tuning.write_lanes.map(|v| v as u64));
@@ -313,10 +312,6 @@ impl ChildSpec {
             },
             _ => return Err(Error::Transport("unknown flush policy in child spec")),
         };
-        let wire = match WireFormat::from_version(r.u8()? as u16) {
-            Some(wire) => wire,
-            None => return Err(Error::Transport("unknown wire format in child spec")),
-        };
         let cluster = ClusterConfig {
             dcs,
             partitions,
@@ -327,7 +322,7 @@ impl ChildSpec {
             mode,
             max_clock_skew_micros,
             batch: BatchConfig { max_batch, flush },
-            wire,
+            wire: WireFormat::default(),
         };
         let store_shards = r.opt_u64()?.map(|v| v as usize);
         let read_slots = r.opt_u64()?.map(|v| v as usize);
@@ -399,7 +394,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     let id = spec.server;
     let socket_cfg = SocketConfig {
         batch: spec.cluster.batch,
-        wire: spec.cluster.wire,
         connect_timeout: Duration::from_micros(spec.connect_timeout_micros),
         read_timeout: Duration::from_micros(spec.read_timeout_micros),
     };
@@ -426,9 +420,12 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     let ctrl_addr = SocketAddr::from(([127, 0, 0, 1], spec.ctrl_port));
     let mut ctrl = TcpStream::connect_timeout(&ctrl_addr, Duration::from_secs(5))
         .map_err(|_| Error::Transport("could not dial the control plane"))?;
+    // A control frame is two small writes (length, payload): without
+    // NODELAY the second waits out the peer's delayed ACK, ~40 ms a frame.
+    let _ = ctrl.set_nodelay(true);
     ctrl.set_read_timeout(Some(Duration::from_millis(100)))
         .map_err(|_| Error::Transport("could not configure the control socket"))?;
-    write_preamble(&mut ctrl, spec.cluster.wire.version())?;
+    write_preamble(&mut ctrl)?;
     read_preamble(&mut ctrl, deadline_in(HELLO_TIMEOUT))?;
     write_ctrl(
         &mut ctrl,
@@ -785,7 +782,6 @@ impl SocketCluster {
             NodeIdentity::ClientHost,
             SocketConfig {
                 batch: config.cluster.batch,
-                wire: config.cluster.wire,
                 connect_timeout: config.connect_timeout,
                 read_timeout: config.read_timeout,
             },
@@ -845,11 +841,12 @@ impl SocketCluster {
             match ctrl_listener.accept() {
                 Ok((mut stream, _)) => {
                     let joined = (|| -> Result<(), Error> {
+                        let _ = stream.set_nodelay(true);
                         stream
                             .set_read_timeout(Some(Duration::from_millis(100)))
                             .map_err(|_| Error::Transport("control socket"))?;
                         read_preamble(&mut stream, deadline)?;
-                        write_preamble(&mut stream, config.cluster.wire.version())?;
+                        write_preamble(&mut stream)?;
                         match read_ctrl_deadline(&mut stream, deadline)? {
                             Ctrl::Hello { server, data_port } => {
                                 hellos.insert(server, (stream, data_port));
@@ -1080,11 +1077,12 @@ impl SocketCluster {
             match self.ctrl_listener.accept() {
                 Ok((mut stream, _)) => {
                     let hello = (|| -> Result<(ServerId, u16), Error> {
+                        let _ = stream.set_nodelay(true);
                         stream
                             .set_read_timeout(Some(Duration::from_millis(100)))
                             .map_err(|_| Error::Transport("control socket"))?;
                         read_preamble(&mut stream, deadline)?;
-                        write_preamble(&mut stream, self.config.cluster.wire.version())?;
+                        write_preamble(&mut stream)?;
                         match read_ctrl_deadline(&mut stream, deadline)? {
                             Ctrl::Hello { server, data_port } => Ok((server, data_port)),
                             _ => Err(Error::Transport("expected a hello")),

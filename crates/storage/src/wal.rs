@@ -10,9 +10,10 @@
 //! segment := magic(4) format(2) record*
 //! ```
 //!
-//! All integer fields ride the same LEB128 varints as the `wire2` frame
-//! codec ([`paris_proto::varint`]), so the zero-heavy logical clocks and
-//! small ids of background traffic cost one byte each. The trailing CRC
+//! The body is the wire codec's own encoding of a [`Version`]
+//! ([`paris_proto::wire::put_version`]): every integer field a LEB128
+//! varint, so the zero-heavy logical clocks and small ids of background
+//! traffic cost one byte each. The trailing CRC
 //! makes replay **torn-tail-safe**: a crash mid-append leaves a record
 //! whose length, body or CRC cannot check out, replay stops at the last
 //! good record and the tail is truncated away. Declared lengths are
@@ -24,10 +25,10 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use paris_proto::varint;
-use paris_proto::wire::DecodeError;
-use paris_types::{DcId, Key, PartitionId, Timestamp, TxId, Value, Version};
+use paris_proto::wire::{decode_version, put_version};
+use paris_types::{Timestamp, Version};
 
 use crate::durable::DurableError;
 
@@ -81,66 +82,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --------------------------------------------------------------- records
 
-fn put_ts(buf: &mut BytesMut, ts: Timestamp) {
-    varint::put(buf, ts.physical_micros());
-    varint::put(buf, u64::from(ts.logical()));
-}
-
-fn get_ts(buf: &mut Bytes) -> Result<Timestamp, DecodeError> {
-    let physical = varint::get(buf)?;
-    if physical >= 1 << 48 {
-        return Err(DecodeError::BadLength);
-    }
-    let logical = varint::get_u16(buf)?;
-    Ok(Timestamp::from_parts(physical, logical))
-}
-
-/// Encodes one version as a WAL record body (no framing).
-fn encode_body(v: &Version) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(24 + v.value.len());
-    varint::put(&mut buf, v.key.0);
-    varint::put(&mut buf, v.value.len() as u64);
-    buf.put_slice(v.value.as_bytes());
-    put_ts(&mut buf, v.ut);
-    varint::put(&mut buf, u64::from(v.tx.dc.0));
-    varint::put(&mut buf, u64::from(v.tx.partition.0));
-    varint::put(&mut buf, v.tx.seq);
-    varint::put(&mut buf, u64::from(v.src.0));
-    buf
-}
-
-fn decode_body(mut buf: Bytes) -> Result<Version, DecodeError> {
-    let key = Key(varint::get(&mut buf)?);
-    let vlen = usize::try_from(varint::get(&mut buf)?).map_err(|_| DecodeError::BadLength)?;
-    if buf.remaining() < vlen {
-        return Err(DecodeError::BadLength);
-    }
-    let mut value = vec![0u8; vlen];
-    buf.copy_to_slice(&mut value);
-    let ut = get_ts(&mut buf)?;
-    let dc = DcId(varint::get_u16(&mut buf)?);
-    let partition = PartitionId(varint::get_u32(&mut buf)?);
-    let seq = varint::get(&mut buf)?;
-    let src = DcId(varint::get_u16(&mut buf)?);
-    if buf.remaining() != 0 {
-        return Err(DecodeError::BadLength);
-    }
-    Ok(Version {
-        key,
-        value: Value(value),
-        ut,
-        tx: TxId { dc, partition, seq },
-        src,
-    })
-}
-
 /// Encodes one version as a framed WAL record: length, body, CRC.
 pub fn encode_record(v: &Version) -> Bytes {
-    let body = encode_body(v).freeze();
+    let mut body = BytesMut::with_capacity(24 + v.value.len());
+    put_version(&mut body, v);
+    let body = body.as_ref();
     let mut buf = BytesMut::with_capacity(varint::len(body.len() as u64) + body.len() + 4);
     varint::put(&mut buf, body.len() as u64);
-    buf.put_slice(&body);
-    buf.put_u32_le(crc32(&body));
+    buf.put_slice(body);
+    buf.put_u32_le(crc32(body));
     buf.freeze()
 }
 
@@ -160,12 +110,11 @@ fn decode_step(bytes: &[u8]) -> Step {
     if bytes.is_empty() {
         return Step::Eof;
     }
-    let mut buf = Bytes::copy_from_slice(&bytes[..bytes.len().min(varint::MAX_VARINT_LEN)]);
-    let before = buf.remaining();
-    let Ok(len) = varint::get(&mut buf) else {
+    let mut rest = bytes;
+    let Ok(len) = varint::get(&mut rest) else {
         return Step::Torn;
     };
-    let len_bytes = before - buf.remaining();
+    let len_bytes = bytes.len() - rest.len();
     let Ok(len) = usize::try_from(len) else {
         return Step::Torn;
     };
@@ -181,7 +130,7 @@ fn decode_step(bytes: &[u8]) -> Step {
     if crc32(body) != crc {
         return Step::Torn;
     }
-    match decode_body(Bytes::copy_from_slice(body)) {
+    match decode_version(body) {
         Ok(v) => Step::Record(Box::new(v), len_bytes + len + 4),
         Err(_) => Step::Torn,
     }
@@ -330,7 +279,7 @@ pub struct ClosedSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paris_types::ServerId;
+    use paris_types::{DcId, Key, PartitionId, ServerId, TxId, Value};
     use proptest::prelude::*;
 
     fn version(key: u64, val: &[u8], ut: u64, seq: u64, src: u16) -> Version {
@@ -367,6 +316,24 @@ mod tests {
         let replay = replay_segment(&bytes).unwrap();
         assert_eq!(replay.versions, vec![v]);
         assert_eq!(replay.good_len, bytes.len());
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        // On-disk compatibility: a record written before the WAL body moved
+        // onto the wire codec's `Version` encoding, byte for byte.
+        let v = Version::new(
+            Key(831),
+            Value(b"hello".to_vec()),
+            Timestamp::from_parts(3_600_000_000, 3),
+            TxId::new(ServerId::new(DcId(2), PartitionId(300)), 12_345),
+            DcId(2),
+        );
+        let hex: String = encode_record(&v)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, "14bf060568656c6c6f80c8ceb40d0302ac02b960022a59fe74");
     }
 
     #[test]

@@ -27,55 +27,19 @@ impl std::fmt::Display for Mode {
     }
 }
 
-/// Wire encoding version a deployment runs.
+/// The wire encoding a deployment's network substrates speak.
 ///
-/// * **v1**: fixed-width little-endian fields — every timestamp, id,
-///   length and count costs its full 2/4/8 bytes. Kept bit-for-bit
-///   stable for interop with older peers.
-/// * **v2** (default): LEB128 varints for lengths, counts, sequence
-///   numbers, keys and ids, and trimmed timestamps (physical and logical
-///   parts encoded separately as varints), cutting background-traffic
-///   frames by well over a third at typical magnitudes.
-///
-/// Peers negotiate the highest version both sides support in the socket
-/// connection preamble; a v1-only peer and a v2 peer settle on v1, and a
-/// peer advertising an unknown version is refused before any frame is
+/// There is one: LEB128 varints for lengths, counts, sequence numbers,
+/// keys and ids, and timestamps as two varints (physical and logical
+/// part). Every frame entry point takes the format, so a successor
+/// encoding has a place to be told apart; a peer advertising another
+/// version in the connection preamble is refused before any frame is
 /// parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireFormat {
-    /// Fixed-width little-endian codec (the original encoding).
-    V1,
-    /// Varint codec with trimmed timestamps.
+    /// Varint codec with two-varint timestamps.
     #[default]
     V2,
-}
-
-impl WireFormat {
-    /// The preamble version number this encoding advertises.
-    pub const fn version(self) -> u16 {
-        match self {
-            WireFormat::V1 => 1,
-            WireFormat::V2 => 2,
-        }
-    }
-
-    /// The encoding for a preamble version number, if supported.
-    pub const fn from_version(v: u16) -> Option<WireFormat> {
-        match v {
-            1 => Some(WireFormat::V1),
-            2 => Some(WireFormat::V2),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireFormat::V1 => write!(f, "v1"),
-            WireFormat::V2 => write!(f, "v2"),
-        }
-    }
 }
 
 /// Periods of the background protocols, in simulated/real microseconds.
@@ -321,8 +285,7 @@ pub struct ClusterConfig {
     pub max_clock_skew_micros: u64,
     /// Background-traffic coalescing policy (adaptive, on by default).
     pub batch: BatchConfig,
-    /// Wire encoding the deployment's network substrates use (v2 varint
-    /// codec by default; v1 for interop with fixed-width peers).
+    /// Wire encoding the deployment's network substrates use.
     pub wire: WireFormat,
 }
 
@@ -522,12 +485,6 @@ impl ClusterConfigBuilder {
     pub fn batch(mut self, batch: BatchConfig) -> Self {
         self.cfg.batch = batch;
         self.batch_set = true;
-        self
-    }
-
-    /// Sets the wire encoding version (v2 varint codec by default).
-    pub fn wire(mut self, wire: WireFormat) -> Self {
-        self.cfg.wire = wire;
         self
     }
 
@@ -783,23 +740,5 @@ mod tests {
     fn mode_display() {
         assert_eq!(Mode::Paris.to_string(), "PaRiS");
         assert_eq!(Mode::Bpr.to_string(), "BPR");
-    }
-
-    #[test]
-    fn wire_format_defaults_to_v2_and_maps_versions() {
-        assert_eq!(ClusterConfig::default().wire, WireFormat::V2);
-        let cfg = ClusterConfig::builder()
-            .wire(WireFormat::V1)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.wire, WireFormat::V1);
-        assert_eq!(WireFormat::V1.version(), 1);
-        assert_eq!(WireFormat::V2.version(), 2);
-        assert_eq!(WireFormat::from_version(1), Some(WireFormat::V1));
-        assert_eq!(WireFormat::from_version(2), Some(WireFormat::V2));
-        assert_eq!(WireFormat::from_version(0), None);
-        assert_eq!(WireFormat::from_version(3), None);
-        assert_eq!(WireFormat::V1.to_string(), "v1");
-        assert_eq!(WireFormat::V2.to_string(), "v2");
     }
 }
