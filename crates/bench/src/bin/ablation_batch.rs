@@ -62,7 +62,7 @@ fn run_arm(mode: Mode, batched: bool) -> Arm {
     .record_history(true);
     // Batching is on by default now: the off arm must opt out explicitly,
     // and the on arm pins the PR-2 fixed policy so the ablation keeps
-    // measuring the same thing across releases (fig4 sweeps adaptive).
+    // measuring the same thing across releases (fig4 sweeps the default).
     builder = if batched {
         builder
             .batch_size(BATCH_FRAMES)

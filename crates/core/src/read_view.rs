@@ -33,7 +33,7 @@ use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
 use paris_storage::{Engine, StableFrontier, StaleSnapshot};
 use paris_types::{ClientId, Key, Mode, ServerId, Timestamp, TxId, Version};
 
-use crate::server::{ReportTable, RootsTable, TxTable};
+use crate::server::TxTable;
 
 /// How one slice read's keys were answered.
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,15 +94,6 @@ pub struct ReadViewStats {
     pub(crate) stale_rejections: AtomicU64,
     /// Transactions started through views (pooled snapshot assignment).
     pub(crate) start_txs: AtomicU64,
-    /// Stabilization child reports folded through views (off-loop
-    /// `GstReport` handling).
-    pub(crate) gst_reports: AtomicU64,
-    /// Whole coalesced `GossipDigest`s folded through views (off-loop
-    /// digest handling).
-    pub(crate) gossip_digests: AtomicU64,
-    /// Logical frames carried inside those digests (the server folds
-    /// this into its `coalesced_frames` counter).
-    pub(crate) digest_frames: AtomicU64,
 }
 
 impl ReadViewStats {
@@ -136,21 +127,6 @@ impl ReadViewStats {
     pub fn start_txs(&self) -> u64 {
         self.start_txs.load(Ordering::Relaxed)
     }
-
-    /// Stabilization child reports folded through views so far.
-    pub fn gst_reports(&self) -> u64 {
-        self.gst_reports.load(Ordering::Relaxed)
-    }
-
-    /// Whole gossip digests folded through views so far.
-    pub fn gossip_digests(&self) -> u64 {
-        self.gossip_digests.load(Ordering::Relaxed)
-    }
-
-    /// Logical frames carried inside view-folded digests so far.
-    pub fn digest_frames(&self) -> u64 {
-        self.digest_frames.load(Ordering::Relaxed)
-    }
 }
 
 /// A concurrently-usable handle serving Algorithm 3 snapshot reads from a
@@ -165,12 +141,9 @@ pub struct ReadView {
     frontier: Arc<StableFrontier>,
     stats: Arc<ReadViewStats>,
     tx_table: Arc<TxTable>,
-    child_reports: Arc<ReportTable>,
-    dc_roots: Arc<RootsTable>,
 }
 
 impl ReadView {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: ServerId,
         mode: Mode,
@@ -178,8 +151,6 @@ impl ReadView {
         frontier: Arc<StableFrontier>,
         stats: Arc<ReadViewStats>,
         tx_table: Arc<TxTable>,
-        child_reports: Arc<ReportTable>,
-        dc_roots: Arc<RootsTable>,
     ) -> Self {
         ReadView {
             id,
@@ -188,8 +159,6 @@ impl ReadView {
             frontier,
             stats,
             tx_table,
-            child_reports,
-            dc_roots,
         }
     }
 
@@ -291,62 +260,6 @@ impl ReadView {
             client,
             Msg::StartTxResp { tx, snapshot },
         ))
-    }
-
-    /// Folds one `GstReport` (a tree child's stabilization aggregate)
-    /// into the shared report table, off the server loop. Folding is
-    /// read-only with respect to storage and touches only the dedicated
-    /// table, so the threaded runtime's read pool can absorb report
-    /// frames that would otherwise queue behind commits and replication
-    /// batches on the server mailbox. Out-of-order deliveries (racing
-    /// pool lanes, or a pool frame racing a loop frame) are handled by
-    /// the table's monotone fold — see `server::report_table`.
-    ///
-    /// Unbatched reports travel through here; with coalescing enabled,
-    /// gossip arrives folded inside `GossipDigest` frames, which
-    /// [`ReadView::serve_gossip_digest`] absorbs whole.
-    pub fn serve_gst_report(
-        &self,
-        partition: paris_types::PartitionId,
-        mins: &[(paris_types::DcId, Timestamp)],
-        oldest_active: Timestamp,
-    ) {
-        self.child_reports.fold(partition, mins, oldest_active);
-        self.stats.gst_reports.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds one coalesced `GossipDigest` entirely off the server loop:
-    /// child reports into the shared report table, root GSTs into the
-    /// shared roots table, and the UST/`S_old` broadcast into the atomic
-    /// frontier. Every component is a monotone maximum, so pool delivery
-    /// is indistinguishable from in-order loop delivery — the digest
-    /// never has to queue behind commits and replication batches.
-    ///
-    /// Runtimes that record protocol events must keep digests on the
-    /// loop instead: the off-loop path cannot stamp `ust_advances` into
-    /// the server's [`EventLog`](crate::EventLog).
-    pub fn serve_gossip_digest(
-        &self,
-        reports: &[paris_proto::DigestReport],
-        roots: &[(paris_types::DcId, Timestamp, Timestamp)],
-        ust: Option<(Timestamp, Timestamp)>,
-        frames: u32,
-    ) {
-        for r in reports {
-            self.child_reports
-                .fold(r.partition, &r.mins, r.oldest_active);
-        }
-        for (dc, gst, oldest_active) in roots {
-            self.dc_roots.fold_remote(*dc, *gst, *oldest_active);
-        }
-        if let Some((ust, s_old)) = ust {
-            self.frontier.advance_ust(ust);
-            self.frontier.advance_s_old(s_old);
-        }
-        self.stats.gossip_digests.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .digest_frames
-            .fetch_add(u64::from(frames), Ordering::Relaxed);
     }
 
     /// Reads one key at `snapshot` through the view (stress tests and

@@ -153,10 +153,6 @@ pub struct ServerStats {
     pub blocked_micros_max: u64,
     /// Versions removed by GC.
     pub gc_removed: u64,
-    /// Coalesced `GossipDigest` messages folded off the server loop by
-    /// the read pool (via [`crate::ReadView::serve_gossip_digest`]);
-    /// proves digest handling actually moved off the loop.
-    pub pooled_gossip_digests: u64,
 }
 
 /// Timestamped protocol events, recorded when
@@ -254,14 +250,18 @@ pub struct Server {
     pub(crate) committed: BTreeMap<(Timestamp, TxId), CommittedTx>,
     /// BPR: reads blocked until `min(VV) ≥ snapshot`.
     pub(crate) blocked: Vec<BlockedRead>,
-    /// Stabilization: freshest report per tree child partition, shared
-    /// with every [`ReadView`] so unbatched `GstReport`s can be folded
-    /// off the server loop (see [`report_table`]).
-    pub(crate) child_reports: std::sync::Arc<ReportTable>,
-    /// Root only: latest (gst, oldest_active) per DC, shared with every
-    /// [`ReadView`] so coalesced `GossipDigest`s can be folded off the
-    /// server loop (see [`roots_table`]).
-    pub(crate) dc_roots: std::sync::Arc<RootsTable>,
+    /// Stabilization: freshest report per tree child partition.
+    pub(crate) child_reports: ReportTable,
+    /// Root only: latest (gst, oldest_active) per DC.
+    pub(crate) dc_roots: RootsTable,
+    /// Stabilization is push-on-arrival: the deployment's links are paced
+    /// by stable-time progress ([`paris_types::BatchConfig::is_paced`]),
+    /// so forwarding every move of the stable time costs no wire messages
+    /// (see [`stabilization`]).
+    pub(crate) push: bool,
+    /// The stable time (subtree minimum; at a root, the GST) this server
+    /// last forwarded — what a push must exceed.
+    pub(crate) pushed_stable: Timestamp,
     /// What the durable engine recovered at construction, if durability
     /// is on ([`RecoveryInfo::default`]-equal when the directory was
     /// empty).
@@ -373,8 +373,6 @@ impl Server {
         ));
         let root_state = std::sync::Arc::new(RootState::default());
         let tx_table = std::sync::Arc::new(TxTable::default());
-        let child_reports = std::sync::Arc::new(ReportTable::default());
-        let dc_roots = std::sync::Arc::new(RootsTable::default());
         let mut hlc = Hlc::new();
         if let Some(info) = &recovery {
             // Resume where the log ends: recovered versions were committed
@@ -403,9 +401,8 @@ impl Server {
             std::sync::Arc::clone(&frontier),
             std::sync::Arc::clone(&view_stats),
             std::sync::Arc::clone(&tx_table),
-            std::sync::Arc::clone(&child_reports),
-            std::sync::Arc::clone(&dc_roots),
         );
+        let push = topology.config().batch.is_paced();
         let mut server = Server {
             id,
             topo: topology,
@@ -424,8 +421,10 @@ impl Server {
             prepared_index: BTreeSet::new(),
             committed: BTreeMap::new(),
             blocked: Vec::new(),
-            child_reports,
-            dc_roots,
+            child_reports: ReportTable::default(),
+            dc_roots: RootsTable::default(),
+            push,
+            pushed_stable: Timestamp::ZERO,
             recovery,
             unreachable: HashSet::new(),
             stats: ServerStats::default(),
@@ -463,16 +462,13 @@ impl Server {
     }
 
     /// Statistics counters: the state machine's own plus the shared
-    /// read-view counters (slice reads and gossip digests may be served
-    /// off-loop).
+    /// read-view counters (slice reads may be served off-loop).
     pub fn stats(&self) -> ServerStats {
         let mut stats = self.stats;
         stats.slice_reads += self.view_stats.slice_reads();
         stats.keys_read += self.view_stats.keys_read();
         stats.reads_unchanged += self.view_stats.reads_unchanged();
         stats.reads_shipped += self.view_stats.reads_shipped();
-        stats.pooled_gossip_digests += self.view_stats.gossip_digests();
-        stats.coalesced_frames += self.view_stats.digest_frames();
         stats
     }
 
@@ -592,12 +588,12 @@ impl Server {
                 partition,
                 mins,
                 oldest_active,
-            } => self.on_gst_report(*partition, mins, *oldest_active),
+            } => self.on_gst_report(*partition, mins, *oldest_active, now),
             Msg::RootGst {
                 dc,
                 gst,
                 oldest_active,
-            } => self.on_root_gst(*dc, *gst, *oldest_active),
+            } => self.on_root_gst(*dc, *gst, *oldest_active, now),
             Msg::UstBroadcast { ust, s_old } => self.on_ust_broadcast(*ust, *s_old, now),
             Msg::GossipDigest {
                 reports,

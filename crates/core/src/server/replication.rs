@@ -105,7 +105,16 @@ impl Server {
             }
         }
 
-        // The local watermark moved: blocked BPR reads may now be servable.
+        out.extend(self.after_clock_move(now));
+        out
+    }
+
+    /// What follows any move of a version-vector entry: behind paced
+    /// links the stabilisation aggregate is forwarded at once if the move
+    /// shifted it, and under BPR reads blocked on the installed watermark
+    /// may now be servable.
+    fn after_clock_move(&mut self, now: u64) -> Vec<Envelope> {
+        let mut out = self.push_stable(now);
         if self.mode == Mode::Bpr {
             out.extend(self.drain_blocked(now));
         }
@@ -159,11 +168,7 @@ impl Server {
             }
         }
         self.bump_replica_clock(from, watermark);
-        if self.mode == Mode::Bpr {
-            self.drain_blocked(now)
-        } else {
-            Vec::new()
-        }
+        self.after_clock_move(now)
     }
 
     /// `ReplicateBatch` from the coalescing layer: several replication
@@ -194,11 +199,7 @@ impl Server {
     ) -> Vec<Envelope> {
         debug_assert_eq!(partition, self.id.partition, "heartbeat cross-partition");
         self.bump_replica_clock(env.src.dc(), watermark);
-        if self.mode == Mode::Bpr {
-            self.drain_blocked(now)
-        } else {
-            Vec::new()
-        }
+        self.after_clock_move(now)
     }
 
     /// Advances the version-vector entry of a peer replica DC. FIFO

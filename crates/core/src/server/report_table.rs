@@ -1,35 +1,15 @@
-//! The shared stabilization child-report table.
+//! The stabilization child-report table.
 //!
-//! Every ∆G each tree child pushes a `GstReport` (its subtree's
-//! per-source-DC minima plus its oldest active snapshot) one level up;
-//! the parent folds the freshest report per child into its own aggregate
-//! (see [`super::Server::on_gst_tick`]). Historically the table was a
-//! plain field of the server state machine — which meant report frames
-//! queued behind commits, replication batches and reads on the server
-//! mailbox. Folding a report is read-only with respect to storage, so
-//! the threaded runtime now taps unbatched `GstReport`s into the read
-//! pool and serves them through [`crate::ReadView::serve_gst_report`];
-//! this table is the state both paths share.
-//!
-//! **Why folding is not a plain overwrite.** On the FIFO server loop the
-//! later report is always the fresher one, so overwriting was exact. Pool
-//! lanes, however, may deliver two reports from the same child out of
-//! order — and while the `mins` vector is monotone (version vectors only
-//! grow), `oldest_active` is *not*: a newly started transaction can pull
-//! it back down. Overwriting a fresh low `oldest_active` with a stale
-//! high one would overstate the `S_old` aggregate and let GC reclaim
-//! versions an active transaction still reads. The fold therefore uses
-//! the monotone `mins` as the freshness witness: an incoming report
-//! replaces `oldest_active` only when its `mins` are entry-wise at least
-//! the stored ones (it provably was sent no earlier); `mins` themselves
-//! always merge entry-wise `max`; and on an exact `mins` tie the lower
-//! `oldest_active` wins — conservative, and corrected by the next
-//! genuine report. Every outcome either equals the FIFO result or
-//! under-approximates it, which is the safe direction for both the GST
-//! (stability) and `S_old` (GC) aggregates.
+//! Each tree child forwards a `GstReport` (its subtree's per-source-DC
+//! minima plus its oldest active snapshot) one level up; the parent keeps
+//! the freshest report per child and folds them into its own aggregate
+//! (see `stabilization`). Reports reach the table on the server loop
+//! only, over a FIFO link, so the later report is the fresher one and a
+//! fold is a plain overwrite — which matters for `oldest_active`, the one
+//! component that may legitimately move *backwards* (a newly started
+//! transaction pulls it down).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use paris_types::{DcId, PartitionId, Timestamp};
 
@@ -37,72 +17,36 @@ use paris_types::{DcId, PartitionId, Timestamp};
 /// oldest active snapshot.
 type StoredReport = (Vec<(DcId, Timestamp)>, Timestamp);
 
-/// Freshest-known report per tree child, shared between a server's state
-/// machine and all its [`crate::ReadView`]s. See the module docs.
+/// Freshest report per tree child. See the module docs.
 #[derive(Debug, Default)]
-pub struct ReportTable {
-    reports: Mutex<HashMap<PartitionId, StoredReport>>,
+pub(crate) struct ReportTable {
+    reports: HashMap<PartitionId, StoredReport>,
 }
 
 impl ReportTable {
     /// Seeds a child at `Timestamp::ZERO` for every DC it replicates
     /// with, so the parent's aggregate under-approximates children it
     /// has not heard from yet (the stabilization safety requirement).
-    pub(crate) fn seed(&self, partition: PartitionId, dcs: impl IntoIterator<Item = DcId>) {
+    pub(crate) fn seed(&mut self, partition: PartitionId, dcs: impl IntoIterator<Item = DcId>) {
         let mins: Vec<(DcId, Timestamp)> =
             dcs.into_iter().map(|dc| (dc, Timestamp::ZERO)).collect();
-        self.reports
-            .lock()
-            .expect("report table poisoned")
-            .insert(partition, (mins, Timestamp::ZERO));
+        self.reports.insert(partition, (mins, Timestamp::ZERO));
     }
 
-    /// Folds one child report (loop- or pool-served) under the ordering
-    /// rule in the module docs.
+    /// Stores a child's report over its previous one.
     pub(crate) fn fold(
-        &self,
+        &mut self,
         partition: PartitionId,
         mins: &[(DcId, Timestamp)],
         oldest_active: Timestamp,
     ) {
-        let mut table = self.reports.lock().expect("report table poisoned");
-        let (stored_mins, stored_oldest) = table
-            .entry(partition)
-            .or_insert_with(|| (Vec::new(), Timestamp::ZERO));
-        // Freshness witness, judged *before* the merge: the vv entries a
-        // report carries only ever grow, so a report sent later is
-        // entry-wise ≥ one sent earlier — and strictly greater somewhere
-        // unless the child's state did not move between the two.
-        let dominates = stored_mins.iter().all(|(dc, stored)| {
-            mins.iter()
-                .find(|(d, _)| d == dc)
-                .is_some_and(|(_, ts)| ts >= stored)
-        });
-        let strictly_fresher = dominates
-            && stored_mins.iter().any(|(dc, stored)| {
-                mins.iter()
-                    .find(|(d, _)| d == dc)
-                    .is_some_and(|(_, ts)| ts > stored)
-            });
-        for (dc, ts) in mins {
-            match stored_mins.iter_mut().find(|(d, _)| d == dc) {
-                Some((_, cur)) => *cur = (*cur).max(*ts),
-                None => stored_mins.push((*dc, *ts)),
-            }
-        }
-        if strictly_fresher {
-            *stored_oldest = oldest_active;
-        } else if dominates {
-            // Same mins on both sides: order unknowable, keep the
-            // conservative (lower) oldest-active.
-            *stored_oldest = (*stored_oldest).min(oldest_active);
-        }
+        self.reports
+            .insert(partition, (mins.to_vec(), oldest_active));
     }
 
-    /// Visits every child's freshest report under the lock (the ∆G
-    /// aggregation pass).
+    /// Visits every child's freshest report (the aggregation pass).
     pub(crate) fn for_each(&self, mut f: impl FnMut(&[(DcId, Timestamp)], Timestamp)) {
-        for (mins, oldest) in self.reports.lock().expect("report table poisoned").values() {
+        for (mins, oldest) in self.reports.values() {
             f(mins, *oldest);
         }
     }
@@ -124,7 +68,7 @@ mod tests {
 
     #[test]
     fn seed_under_approximates() {
-        let t = ReportTable::default();
+        let mut t = ReportTable::default();
         t.seed(PartitionId(1), [DcId(0), DcId(1)]);
         let got = collect(&t);
         assert_eq!(got.len(), 1);
@@ -134,41 +78,14 @@ mod tests {
 
     #[test]
     fn in_order_reports_behave_like_overwrite() {
-        let t = ReportTable::default();
+        let mut t = ReportTable::default();
         t.seed(PartitionId(1), [DcId(0)]);
         t.fold(PartitionId(1), &[(DcId(0), ts(10))], ts(5));
         // Fresher report with a *lower* oldest (a new tx started): must
-        // be accepted, exactly like the FIFO loop path.
+        // be accepted.
         t.fold(PartitionId(1), &[(DcId(0), ts(20))], ts(3));
         let got = collect(&t);
         assert_eq!(got[0].0, vec![(DcId(0), ts(20))]);
         assert_eq!(got[0].1, ts(3));
-    }
-
-    #[test]
-    fn stale_report_cannot_raise_oldest_active() {
-        let t = ReportTable::default();
-        t.seed(PartitionId(1), [DcId(0)]);
-        // Fresh report arrives first (racing lanes): mins 20, oldest 3.
-        t.fold(PartitionId(1), &[(DcId(0), ts(20))], ts(3));
-        // The stale one (sent earlier: mins 10, oldest 15) lands second.
-        t.fold(PartitionId(1), &[(DcId(0), ts(10))], ts(15));
-        let got = collect(&t);
-        assert_eq!(got[0].0, vec![(DcId(0), ts(20))], "mins keep the max");
-        assert_eq!(got[0].1, ts(3), "stale oldest_active must not win");
-    }
-
-    #[test]
-    fn tied_mins_keep_the_conservative_oldest() {
-        let t = ReportTable::default();
-        t.seed(PartitionId(1), [DcId(0)]);
-        t.fold(PartitionId(1), &[(DcId(0), ts(10))], ts(9));
-        t.fold(PartitionId(1), &[(DcId(0), ts(10))], ts(4));
-        assert_eq!(collect(&t)[0].1, ts(4), "tie takes the lower oldest");
-        t.fold(PartitionId(1), &[(DcId(0), ts(10))], ts(7));
-        assert_eq!(collect(&t)[0].1, ts(4), "a tied higher oldest loses");
-        // The next genuinely fresher report corrects it upward.
-        t.fold(PartitionId(1), &[(DcId(0), ts(11))], ts(7));
-        assert_eq!(collect(&t)[0].1, ts(7));
     }
 }

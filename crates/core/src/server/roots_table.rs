@@ -1,56 +1,39 @@
-//! The shared inter-DC root table: latest `(GST, oldest_active)` per DC.
+//! The inter-DC root table: latest `(GST, oldest_active)` per DC.
 //!
-//! Historically this map was a private field of the server loop, which
-//! forced every coalesced `GossipDigest` — the dominant gossip carrier
-//! once coalescing is on — to queue on the server mailbox behind commits
-//! and replication batches, just to fold a handful of monotone maxima.
-//! Hoisting the map into a shared table (mirroring
-//! [`super::ReportTable`] for child reports) lets
-//! [`crate::ReadView::serve_gossip_digest`] absorb whole digests on the
-//! read pool.
-//!
-//! Concurrency is trivial because every fold is a per-entry monotone
-//! maximum: out-of-order deliveries (racing pool lanes, or a pool frame
-//! racing a loop frame) converge to the same state as in-order delivery.
-//! The one asymmetry is the root's **own** entry: the loop's ∆G tick is
-//! the single authoritative writer of the local aggregate, and its
-//! `oldest_active` component may legitimately move backwards (a
-//! fresh long-lived transaction lowers the DC's oldest active snapshot),
-//! so [`RootsTable::publish_own`] overwrites it instead of max-folding —
-//! exactly what the loop-owned map did.
+//! Remote entries fold as per-entry monotone maxima (FIFO links make
+//! announcements monotonic per sender anyway). The one asymmetry is the
+//! root's **own** entry: its `oldest_active` component may legitimately
+//! move backwards (a fresh long-lived transaction lowers the DC's oldest
+//! active snapshot), so [`RootsTable::publish_own`] overwrites it instead
+//! of max-folding.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use paris_types::{DcId, Timestamp};
 
-/// Latest known `(GST, oldest_active)` per DC root, shared between a
-/// root server's loop and its read views. See the module docs.
+/// Latest known `(GST, oldest_active)` per DC root. See the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct RootsTable {
-    entries: Mutex<HashMap<DcId, (Timestamp, Timestamp)>>,
+    entries: HashMap<DcId, (Timestamp, Timestamp)>,
 }
 
 impl RootsTable {
-    /// Folds a remote root's `RootGst` announcement. FIFO channels keep
-    /// announcements monotonic per sender; the entry-wise max makes
-    /// racing pool/loop deliveries commute.
-    pub(crate) fn fold_remote(&self, dc: DcId, gst: Timestamp, oldest_active: Timestamp) {
-        let mut entries = self.entries.lock().expect("roots table poisoned");
-        let entry = entries
+    /// Folds a remote root's `RootGst` announcement.
+    pub(crate) fn fold_remote(&mut self, dc: DcId, gst: Timestamp, oldest_active: Timestamp) {
+        let entry = self
+            .entries
             .entry(dc)
             .or_insert((Timestamp::ZERO, Timestamp::ZERO));
         entry.0 = entry.0.max(gst);
         entry.1 = entry.1.max(oldest_active);
     }
 
-    /// Publishes the local root's own aggregate (∆G tick, loop-only).
+    /// Publishes the local root's own aggregate.
     /// The GST is monotone (it derives from the version vector), but
     /// `oldest_active` is authoritative and may regress when a long-lived
     /// transaction opens, so it overwrites.
-    pub(crate) fn publish_own(&self, dc: DcId, gst: Timestamp, oldest_active: Timestamp) {
-        let mut entries = self.entries.lock().expect("roots table poisoned");
-        let entry = entries.entry(dc).or_insert((gst, oldest_active));
+    pub(crate) fn publish_own(&mut self, dc: DcId, gst: Timestamp, oldest_active: Timestamp) {
+        let entry = self.entries.entry(dc).or_insert((gst, oldest_active));
         entry.0 = entry.0.max(gst);
         entry.1 = oldest_active;
     }
@@ -59,12 +42,11 @@ impl RootsTable {
     /// least `required` DCs have reported (Alg. 4 line 36 demands every
     /// DC's GST before the first UST can exist).
     pub(crate) fn stable_mins(&self, required: usize) -> Option<(Timestamp, Timestamp)> {
-        let entries = self.entries.lock().expect("roots table poisoned");
-        if entries.len() < required {
+        if self.entries.len() < required {
             return None;
         }
-        let min_gst = entries.values().map(|(gst, _)| *gst).min()?;
-        let min_oldest = entries.values().map(|(_, oldest)| *oldest).min()?;
+        let min_gst = self.entries.values().map(|(gst, _)| *gst).min()?;
+        let min_oldest = self.entries.values().map(|(_, oldest)| *oldest).min()?;
         Some((min_gst, min_oldest))
     }
 }
@@ -79,7 +61,7 @@ mod tests {
 
     #[test]
     fn empty_until_required_dcs_report() {
-        let table = RootsTable::default();
+        let mut table = RootsTable::default();
         assert_eq!(table.stable_mins(1), None);
         table.fold_remote(DcId(1), ts(10), ts(5));
         assert_eq!(table.stable_mins(2), None, "one of two DCs known");
@@ -88,7 +70,7 @@ mod tests {
 
     #[test]
     fn remote_folds_are_entrywise_monotone() {
-        let table = RootsTable::default();
+        let mut table = RootsTable::default();
         table.fold_remote(DcId(1), ts(10), ts(8));
         table.fold_remote(DcId(1), ts(7), ts(12)); // out-of-order race
         assert_eq!(table.stable_mins(1), Some((ts(10), ts(12))));
@@ -96,7 +78,7 @@ mod tests {
 
     #[test]
     fn own_entry_overwrites_oldest_active() {
-        let table = RootsTable::default();
+        let mut table = RootsTable::default();
         table.publish_own(DcId(0), ts(20), ts(20));
         // A long-lived transaction opens: oldest active regresses.
         table.publish_own(DcId(0), ts(25), ts(15));
@@ -105,7 +87,7 @@ mod tests {
 
     #[test]
     fn mins_span_all_dcs() {
-        let table = RootsTable::default();
+        let mut table = RootsTable::default();
         table.publish_own(DcId(0), ts(30), ts(25));
         table.fold_remote(DcId(1), ts(20), ts(40));
         table.fold_remote(DcId(2), ts(50), ts(10));

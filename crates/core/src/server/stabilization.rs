@@ -1,14 +1,25 @@
 //! The Universal Stable Time protocol (paper §IV-B, Alg. 4 lines 34–38).
 //!
-//! Within each DC, servers form an aggregation tree. Every ∆G each server
-//! merges its version vector with the freshest reports of its tree
-//! children and forwards the aggregate towards the DC root; the root's
-//! aggregate is the DC's Global Stabilization Vector (GSV), whose minimum
-//! entry is the DC's Global Stable Time (GST). Roots exchange GSTs; every
-//! ∆U each root takes the minimum over all DCs — the **UST** — and
-//! broadcasts it (monotonically) to its DC. The same messages carry the
-//! oldest-active-snapshot aggregate that bounds garbage collection
-//! (`S_old`).
+//! Within each DC, servers form an aggregation tree. Each server merges
+//! its version vector with the freshest reports of its tree children and
+//! forwards the aggregate towards the DC root; the root's aggregate is the
+//! DC's Global Stabilization Vector (GSV), whose minimum entry is the DC's
+//! Global Stable Time (GST). Roots exchange GSTs; the minimum over all DCs
+//! is the **UST**, which each root broadcasts (monotonically) to its DC.
+//! The same messages carry the oldest-active-snapshot aggregate that
+//! bounds garbage collection (`S_old`).
+//!
+//! *When* a server forwards depends on its links. The paper's schedule is
+//! one frame per ∆G / ∆U tick, and that is exactly what runs when batching
+//! is off or flushes on a fixed deadline. Behind links paced by
+//! stable-time progress (`BatchConfig::is_paced`) stabilisation is
+//! **push-on-arrival**: whenever an arrival or the server's own replicate
+//! tick moves its stable time, the derived frame is returned at once —
+//! child → `GstReport`, root → `RootGst` and, when the UST moved,
+//! `UstBroadcast` — and the ticks remain only as keep-alives for idle
+//! links (and for `S_old`, which rides along). Offering more frames is
+//! free there because the coalescer sends one message per quantum of
+//! stable-time progress however many it is offered.
 //!
 //! Safety note: a server's aggregate must *under*-approximate its subtree,
 //! so children it has not heard from yet are seeded at `Timestamp::ZERO`
@@ -52,11 +63,31 @@ impl Server {
         (mins, oldest)
     }
 
+    /// This server's stable time: the minimum of its subtree aggregate (at
+    /// a root, the DC's GST). The allocation-free test of whether an
+    /// arrival moved anything worth forwarding.
+    fn stable_min(&self) -> Timestamp {
+        let mut min = self.installed_watermark();
+        self.child_reports.for_each(|report, _| {
+            for (_, ts) in report {
+                min = min.min(*ts);
+            }
+        });
+        min
+    }
+
     /// The ∆G tick: push the subtree aggregate one level up the tree, or —
     /// at the root — refresh the DC's GSV/GST and exchange it with the
-    /// other DC roots.
+    /// other DC roots. Behind paced links this is the keep-alive;
+    /// `push_stable` forwards every move as it happens.
     pub fn on_gst_tick(&mut self, _now: u64) -> Vec<Envelope> {
         let (mins, oldest_active) = self.subtree_aggregate();
+        let stable = mins
+            .iter()
+            .map(|(_, ts)| *ts)
+            .min()
+            .unwrap_or(Timestamp::ZERO);
+        self.pushed_stable = stable;
         match self.topo.tree_parent(self.id) {
             Some(parent) => vec![Envelope::new(
                 self.id,
@@ -69,12 +100,7 @@ impl Server {
             )],
             None => {
                 // Root: GST = min over the GSV entries (Alg. 4 line 35).
-                let gst = mins
-                    .iter()
-                    .map(|(_, ts)| *ts)
-                    .min()
-                    .unwrap_or(Timestamp::ZERO);
-                self.dc_roots.publish_own(self.id.dc, gst, oldest_active);
+                self.dc_roots.publish_own(self.id.dc, stable, oldest_active);
                 self.topo
                     .all_roots()
                     .into_iter()
@@ -85,7 +111,7 @@ impl Server {
                             r,
                             Msg::RootGst {
                                 dc: self.id.dc,
-                                gst,
+                                gst: stable,
                                 oldest_active,
                             },
                         )
@@ -99,6 +125,12 @@ impl Server {
     /// (Alg. 4 lines 36–38), `S_old` = min over every DC's oldest active
     /// snapshot; both advance monotonically and are broadcast to the DC.
     pub fn on_ust_tick(&mut self, now: u64) -> Vec<Envelope> {
+        self.ust_round(now, true)
+    }
+
+    /// One UST computation at a root. The tick broadcasts whatever it
+    /// finds (`keep_alive`); a push broadcasts only a UST that moved.
+    fn ust_round(&mut self, now: u64, keep_alive: bool) -> Vec<Envelope> {
         if self.topo.tree_parent(self.id).is_some() {
             return Vec::new(); // not a root
         }
@@ -108,8 +140,11 @@ impl Server {
             return Vec::new();
         };
         // Alg. 4 line 38: enforce monotonicity (the frontier's fetch_max).
-        if self.frontier.advance_ust(min_gst) {
+        let moved = self.frontier.advance_ust(min_gst);
+        if moved {
             self.log_ust(min_gst, now);
+        } else if !keep_alive {
+            return Vec::new();
         }
         let ust = self.frontier.ust();
         self.frontier.advance_s_old(min_oldest.min(ust));
@@ -122,39 +157,54 @@ impl Server {
             .collect()
     }
 
-    /// A child's subtree report (tree-internal message). The fold goes
-    /// through the shared [`super::ReportTable`] — the exact same path
-    /// [`crate::ReadView::serve_gst_report`] uses when the threaded
-    /// runtime serves an unbatched report off the loop — so loop and pool
-    /// deliveries can interleave safely.
+    /// Push-on-arrival (paced links only; see the module docs): called
+    /// after anything that may have moved this server's inputs — a
+    /// replication frame or heartbeat, a child's report, another root's
+    /// GST, the server's own replicate tick. Forwards the aggregate if its
+    /// stable time moved past what was last forwarded and, at a root,
+    /// broadcasts the UST if that moved. Without pacing it returns
+    /// nothing and the ticks are the whole schedule.
+    pub(super) fn push_stable(&mut self, now: u64) -> Vec<Envelope> {
+        if !self.push {
+            return Vec::new();
+        }
+        let mut out = if self.stable_min() > self.pushed_stable {
+            self.on_gst_tick(now)
+        } else {
+            Vec::new()
+        };
+        out.extend(self.ust_round(now, false));
+        out
+    }
+
+    /// A child's subtree report (tree-internal message).
     pub(super) fn on_gst_report(
         &mut self,
         partition: PartitionId,
         mins: &[(DcId, Timestamp)],
         oldest_active: Timestamp,
+        now: u64,
     ) -> Vec<Envelope> {
         self.child_reports.fold(partition, mins, oldest_active);
-        Vec::new()
+        self.push_stable(now)
     }
 
-    /// Another DC root's GST (inter-DC exchange). The fold goes through
-    /// the shared [`super::RootsTable`] — the same path
-    /// [`crate::ReadView::serve_gossip_digest`] uses when the threaded
-    /// runtime folds a whole digest off the loop.
+    /// Another DC root's GST (inter-DC exchange).
     pub(super) fn on_root_gst(
         &mut self,
         dc: DcId,
         gst: Timestamp,
         oldest_active: Timestamp,
+        now: u64,
     ) -> Vec<Envelope> {
         self.dc_roots.fold_remote(dc, gst, oldest_active);
-        Vec::new()
+        self.push_stable(now)
     }
 
     /// A coalesced gossip digest: folds each component into the exact
-    /// handler an individual frame would have hit. Because every component
-    /// is monotonic and the handlers keep only the freshest value, a
-    /// digest is indistinguishable from delivering its frames in order.
+    /// table an individual frame would have hit. Because every component
+    /// is monotonic and the tables keep only the freshest value, a digest
+    /// is indistinguishable from delivering its frames in order.
     pub(super) fn on_gossip_digest(
         &mut self,
         reports: &[paris_proto::DigestReport],
@@ -164,17 +214,17 @@ impl Server {
         now: u64,
     ) -> Vec<Envelope> {
         self.stats.coalesced_frames += u64::from(frames);
-        let mut out = Vec::new();
         for r in reports {
-            out.extend(self.on_gst_report(r.partition, &r.mins, r.oldest_active));
+            self.child_reports
+                .fold(r.partition, &r.mins, r.oldest_active);
         }
         for (dc, gst, oldest_active) in roots {
-            out.extend(self.on_root_gst(*dc, *gst, *oldest_active));
+            self.dc_roots.fold_remote(*dc, *gst, *oldest_active);
         }
         if let Some((ust, s_old)) = ust {
-            out.extend(self.on_ust_broadcast(ust, s_old, now));
+            self.on_ust_broadcast(ust, s_old, now);
         }
-        out
+        self.push_stable(now)
     }
 
     /// The root's UST/S_old broadcast.

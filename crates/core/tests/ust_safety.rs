@@ -8,6 +8,12 @@
 //! deliveries (FIFO per link, as the network guarantees) and assert the
 //! invariant at every step, plus the derived guarantee that every version
 //! with `ut ≤ ust` is present at every replica of its partition.
+//!
+//! The same harness pins push-on-arrival stabilisation (see
+//! `server::stabilization`): behind paced links a commit is universally
+//! stable after *one replicate tick everywhere* — no ∆G or ∆U tick fires —
+//! in any per-link-FIFO delivery order; on unpaced links the same arrivals
+//! return nothing and the ticks are the whole schedule, as in the paper.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -15,7 +21,7 @@ use std::sync::Arc;
 use paris_clock::SimClock;
 use paris_core::{ClientSession, Mode, ReadStep, Server, ServerOptions, Topology};
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{ClientId, ClusterConfig, DcId, Key, ServerId, Timestamp, Value};
+use paris_types::{BatchConfig, ClientId, ClusterConfig, DcId, Key, ServerId, Timestamp, Value};
 use proptest::prelude::*;
 
 struct RandomizedCluster {
@@ -46,14 +52,21 @@ enum Step {
 
 impl RandomizedCluster {
     fn new(mode: Mode) -> Self {
-        let cfg = ClusterConfig::builder()
-            .dcs(3)
-            .partitions(3)
+        RandomizedCluster::of_shape(mode, 3, None)
+    }
+
+    /// `n` DCs × `n` partitions, R = 2, one client per DC, on the default
+    /// batching policy or an explicit one.
+    fn of_shape(mode: Mode, n: u16, batch: Option<BatchConfig>) -> Self {
+        let mut cfg = ClusterConfig::builder()
+            .dcs(n)
+            .partitions(u32::from(n))
             .replication_factor(2)
-            .max_clock_skew_micros(0)
-            .build()
-            .unwrap();
-        let topo = Arc::new(Topology::new(cfg));
+            .max_clock_skew_micros(0);
+        if let Some(batch) = batch {
+            cfg = cfg.batch(batch);
+        }
+        let topo = Arc::new(Topology::new(cfg.build().unwrap()));
         let clock = SimClock::new();
         clock.advance_to(1_000);
         let servers = topo
@@ -67,13 +80,13 @@ impl RandomizedCluster {
                         topology: Arc::clone(&topo),
                         clock: Box::new(clock.clone()),
                         mode,
-                        record_events: false,
+                        record_events: true,
                     }),
                 )
             })
             .collect();
         let mut clients = HashMap::new();
-        for dc in 0..3u16 {
+        for dc in 0..n {
             let id = ClientId::new(DcId(dc), 0);
             let coord = topo.coordinator_for(DcId(dc), 0);
             clients.insert(id, ClientSession::new(id, coord, mode));
@@ -106,6 +119,40 @@ impl RandomizedCluster {
             .collect();
         keys.sort_unstable();
         keys
+    }
+
+    /// Delivers until every link is empty; returns how many deliveries
+    /// that took.
+    fn drain(&mut self) -> usize {
+        let mut delivered = 0;
+        while !self.non_empty_links().is_empty() {
+            self.apply(&Step::Deliver(0));
+            delivered += 1;
+        }
+        delivered
+    }
+
+    /// 2 DCs × 2 partitions holding one committed write and, a millisecond
+    /// later, one replicate tick on every server — whose frames are still
+    /// on the links. Returns the commit time too.
+    fn committed_and_replicated(batch: Option<BatchConfig>) -> (Self, Timestamp) {
+        let mut c = RandomizedCluster::of_shape(Mode::Paris, 2, batch);
+        c.apply(&Step::Client(0));
+        c.drain();
+        c.apply(&Step::Advance(1_000));
+        for k in 0..c.servers.len() {
+            c.apply(&Step::Replicate(k));
+        }
+        // The tick applied the write at its origin: the version's update
+        // time is the commit time.
+        let mut ct = Timestamp::ZERO;
+        for server in c.servers.values() {
+            server.store().for_each_chain(&mut |_, chain| {
+                ct = chain.iter().map(|v| v.ut).fold(ct, Timestamp::max);
+            });
+        }
+        assert!(ct > Timestamp::ZERO, "the write committed and applied");
+        (c, ct)
     }
 
     fn sorted_servers(&self) -> Vec<ServerId> {
@@ -380,31 +427,23 @@ fn reads_at_or_below_ust_always_succeed_everywhere() {
     }
     // Drain, then run full stabilization rounds on every server so each
     // DC root recomputes and broadcasts its UST.
-    let drain = |cluster: &mut RandomizedCluster| {
-        for i in 0..10_000 {
-            if cluster.non_empty_links().is_empty() {
-                break;
-            }
-            cluster.apply(&Step::Deliver(i));
-        }
-    };
-    drain(&mut cluster);
+    cluster.drain();
     for round in 0..3 {
         let n = cluster.servers.len();
         for k in 0..n {
             cluster.apply(&Step::Replicate(k));
         }
-        drain(&mut cluster);
+        cluster.drain();
         for _ in 0..2 {
             for k in 0..n {
                 cluster.apply(&Step::Gst(k));
             }
-            drain(&mut cluster);
+            cluster.drain();
         }
         for k in 0..n {
             cluster.apply(&Step::Ust(k));
         }
-        drain(&mut cluster);
+        cluster.drain();
         let _ = round;
     }
     cluster.assert_ust_safety();
@@ -461,5 +500,76 @@ fn reads_at_or_below_ust_always_succeed_everywhere() {
             }
         }
         assert!(done, "PaRiS read must complete without background ticks");
+    }
+}
+
+#[test]
+fn one_replicate_tick_everywhere_makes_a_commit_universally_stable() {
+    let (mut c, ct) = RandomizedCluster::committed_and_replicated(None);
+    c.drain();
+    for (id, server) in &c.servers {
+        assert!(
+            server.ust() >= ct,
+            "{id}: UST {:?} does not cover the commit at {ct:?} — and no ∆G/∆U tick fired",
+            server.ust()
+        );
+        // fig4's visibility is computed from this log: the push path must
+        // stamp it like the ticks do.
+        let log = &server.events().expect("events recorded").ust_advances;
+        assert!(
+            log.iter().any(|(ust, at)| *ust >= ct && *at == c.now),
+            "{id}: the advance was not stamped into the event log: {log:?}"
+        );
+    }
+}
+
+#[test]
+fn on_unpaced_links_the_same_arrivals_return_no_stabilisation_frames() {
+    // Batching off, and a fixed deadline — which bounds messages per
+    // window, not per progress, so pushing would cost wire messages.
+    for batch in [BatchConfig::DISABLED, BatchConfig::fixed(64, 2_000)] {
+        let (mut c, _) = RandomizedCluster::committed_and_replicated(Some(batch));
+        assert_eq!(
+            c.drain(),
+            4,
+            "one replication frame per server and nothing in return"
+        );
+        for server in c.servers.values() {
+            assert_eq!(server.ust(), Timestamp::ZERO, "only the ticks move the UST");
+        }
+        // The paper's schedule still gets there: ∆G, ∆G (the roots see
+        // their children's reports), ∆U.
+        for tick in [Step::Gst, Step::Gst, Step::Ust] {
+            for k in 0..c.servers.len() {
+                c.apply(&tick(k));
+            }
+            c.drain();
+        }
+        assert!(c.servers.values().all(|s| s.ust() > Timestamp::ZERO));
+    }
+}
+
+proptest! {
+    /// Whatever per-link-FIFO order the frames of that round arrive in,
+    /// every server's UST is monotone, never passes what every DC has
+    /// installed, and ends up covering the commit.
+    #[test]
+    fn prop_pushed_ust_is_safe_and_live_under_any_fifo_delivery_order(
+        picks in proptest::collection::vec(any::<usize>(), 64),
+    ) {
+        let (mut c, ct) = RandomizedCluster::committed_and_replicated(None);
+        let mut seen: HashMap<ServerId, Timestamp> = HashMap::new();
+        let mut picks = picks.into_iter().cycle();
+        while !c.non_empty_links().is_empty() {
+            c.apply(&Step::Deliver(picks.next().unwrap()));
+            c.assert_ust_safety();
+            for (id, server) in &c.servers {
+                let before = seen.insert(*id, server.ust()).unwrap_or(Timestamp::ZERO);
+                prop_assert!(server.ust() >= before, "{}: UST went backwards", id);
+            }
+        }
+        for (id, server) in &c.servers {
+            prop_assert!(server.ust() >= ct, "{}: UST never covered the commit", id);
+        }
     }
 }

@@ -3,20 +3,29 @@
 //! PaRiS's data path ships one wire message per replication push and one
 //! gossip frame per tree edge per tick, so per-message overhead — not
 //! metadata — dominates once deployments grow. The [`Coalescer`] sits
-//! between the protocol state machines and a substrate (simulated network
-//! or threaded router): background envelopes are queued per directed link
-//! and folded into at most one [`Msg::ReplicateBatch`] and one
-//! [`Msg::GossipDigest`] wire message, flushed when
-//! [`BatchConfig::max_batch`] logical frames have accumulated or the
-//! oldest frame reaches the link's [`FlushPolicy`] deadline.
+//! between the protocol state machines and a substrate (simulated network,
+//! threaded router or socket link): background envelopes are queued per
+//! directed link in two classes and folded into at most one
+//! [`Msg::ReplicateBatch`] (replication class) and one
+//! [`Msg::GossipDigest`] (stabilisation class) wire message.
 //!
-//! Deadlines come in two flavours: `Fixed` flushes a constant interval
-//! after a link's first queued frame, while `Adaptive` (the default)
-//! gives each link its own controller — a [`LinkLoad`] EWMA of the
-//! frame inter-arrival gap — so a hot link flushes after roughly two
-//! gaps (small delay, still folding) and a quiet link stretches its
-//! deadline toward the configured ceiling. The deadline is always inside
-//! the configured `[min_flush, max_flush]` bounds.
+//! What releases a queue is *news*, not a clock. Every background frame
+//! exists to move a stable time: a replication frame carries its sender's
+//! watermark, a stabilisation frame a report minimum, a GST or the UST.
+//! Under the default [`FlushPolicy::StableTime`] a class leaves the moment
+//! the value it holds crosses the next multiple of the quantum `Q` past
+//! the value that class last sent on that link — so a link sends at most
+//! one message per class per `Q` of timestamp progress, however many
+//! frames it is offered, and all links of a deployment release on the
+//! same grid, because hybrid-clock timestamps are the loosely synchronised
+//! clock the protocol already assumes. A watermark crossing a grid line
+//! therefore cascades through apply → report → GST → UST with no stage
+//! waiting out a timer. Two triggers remain beside the crossing: the
+//! size bound ([`BatchConfig::max_batch`] frames on a link) and the
+//! ceiling (`max_flush_micros` after a class's first queued frame), which
+//! is what drains a link whose value stalled or regressed.
+//! [`FlushPolicy::Fixed`] knows the size bound and a constant deadline
+//! only.
 //!
 //! Foreground transaction traffic (client operations, read fan-out, 2PC)
 //! is latency-critical and always passes through untouched.
@@ -37,60 +46,14 @@ use paris_proto::wire::envelope_len_with;
 use paris_proto::{DigestReport, Endpoint, Envelope, Msg, ReplicatedTx};
 use paris_types::{BatchConfig, DcId, FlushPolicy, PartitionId, Timestamp, WireFormat};
 
-/// Per-link arrival-rate estimate feeding the adaptive [`FlushPolicy`]:
-/// an exponentially-weighted moving average of the gap between
-/// consecutive background frames on one directed link. The state
-/// survives flushes (unlike the link's frame queue), so the controller
-/// remembers how busy a link was across batch windows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkLoad {
-    last_arrival: Option<u64>,
-    ewma_gap: Option<u64>,
-}
-
-impl LinkLoad {
-    /// Weight of history in the gap EWMA: `new = (3·old + sample) / 4`.
-    /// Converges within a handful of frames without whipsawing on one
-    /// odd gap.
-    const HISTORY_WEIGHT: u64 = 3;
-
-    /// Records a frame arrival at `now` (monotone microseconds).
-    pub fn observe(&mut self, now: u64) {
-        if let Some(last) = self.last_arrival {
-            let sample = now.saturating_sub(last);
-            self.ewma_gap = Some(match self.ewma_gap {
-                None => sample,
-                Some(ewma) => {
-                    (Self::HISTORY_WEIGHT
-                        .saturating_mul(ewma)
-                        .saturating_add(sample))
-                        / (Self::HISTORY_WEIGHT + 1)
-                }
-            });
-        }
-        self.last_arrival = Some(self.last_arrival.unwrap_or(0).max(now));
-    }
-
-    /// The estimated mean inter-arrival gap, once two frames have been
-    /// seen.
-    pub fn gap_micros(&self) -> Option<u64> {
-        self.ewma_gap
-    }
-
-    /// The flush deadline `policy` assigns this link right now.
-    pub fn deadline_micros(&self, policy: &FlushPolicy) -> u64 {
-        policy.interval_micros(self.ewma_gap)
-    }
-}
-
 /// Outcome of [`Coalescer::offer`].
 #[derive(Debug)]
 pub enum Offer {
     /// Not coalescable (foreground traffic) or batching disabled: send the
     /// envelope as-is, now.
     Pass(Envelope),
-    /// The envelope was queued and its link hit the size trigger: send
-    /// these flushed wire messages now.
+    /// The envelope was queued and released its class (a crossing) or its
+    /// link (the size trigger): send these flushed wire messages now.
     Flush(Vec<Envelope>),
     /// The envelope was queued; nothing to send until `next_due` (the
     /// earliest flush deadline across all links), when the caller should
@@ -108,12 +71,19 @@ pub enum Offer {
 /// [`WireFormat`]: `bytes_in` is what the queued frames would have cost
 /// sent as-is, `bytes_out` what the folded wire messages actually cost —
 /// so `bytes_in - bytes_out` is the wire traffic coalescing saved.
+///
+/// The three flush counters are the trigger mix: a healthy paced
+/// deployment is almost all crossings, a stalled or partitioned DC shows
+/// up as deadline (ceiling) flushes on the links that carry its values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalescerStats {
     /// Logical background frames offered and queued.
     pub frames_in: u64,
     /// Wire messages flushed out.
     pub messages_out: u64,
+    /// Class flushes triggered by stable-time progress (the carried value
+    /// crossed a quantum boundary).
+    pub crossing_flushes: u64,
     /// Link flushes triggered by the size bound (`max_batch`).
     pub size_flushes: u64,
     /// Link flushes triggered by a deadline (or a forced `flush_all`).
@@ -124,121 +94,29 @@ pub struct CoalescerStats {
     pub bytes_out: u64,
 }
 
+/// The queued replication class of one link.
 #[derive(Debug)]
-struct RepAccum {
+struct RepQueue {
+    /// First enqueue time + the policy's ceiling (not extended by later
+    /// frames, so no frame waits longer than one ceiling).
+    due: u64,
+    frames: u32,
     partition: PartitionId,
     txs: Vec<ReplicatedTx>,
     watermark: Timestamp,
 }
 
-#[derive(Debug, Default)]
-struct LinkQueue {
-    /// Flush deadline: first enqueue time + flush interval (not extended
-    /// by later frames, so no frame waits longer than one interval).
+/// The queued stabilisation class of one link.
+#[derive(Debug)]
+struct StabQueue {
     due: u64,
-    /// Replication-class logical frames folded in so far.
-    rep_frames: u32,
-    /// Gossip-class logical frames folded in so far.
-    gossip_frames: u32,
-    rep: Option<RepAccum>,
+    frames: u32,
     reports: Vec<DigestReport>,
     roots: Vec<(DcId, Timestamp, Timestamp)>,
     ust: Option<(Timestamp, Timestamp)>,
 }
 
-impl LinkQueue {
-    fn fold(&mut self, msg: Msg) {
-        match msg {
-            Msg::Replicate {
-                partition,
-                txs,
-                watermark,
-            } => {
-                self.rep_frames += 1;
-                self.fold_rep(partition, txs, watermark);
-            }
-            Msg::Heartbeat {
-                partition,
-                watermark,
-            } => {
-                self.rep_frames += 1;
-                self.fold_rep(partition, Vec::new(), watermark);
-            }
-            Msg::ReplicateBatch {
-                partition,
-                txs,
-                watermark,
-                frames,
-            } => {
-                self.rep_frames += frames;
-                self.fold_rep(partition, txs, watermark);
-            }
-            Msg::GstReport {
-                partition,
-                mins,
-                oldest_active,
-            } => {
-                self.gossip_frames += 1;
-                self.fold_report(DigestReport {
-                    partition,
-                    mins,
-                    oldest_active,
-                });
-            }
-            Msg::RootGst {
-                dc,
-                gst,
-                oldest_active,
-            } => {
-                self.gossip_frames += 1;
-                self.fold_root(dc, gst, oldest_active);
-            }
-            Msg::UstBroadcast { ust, s_old } => {
-                self.gossip_frames += 1;
-                self.fold_ust(ust, s_old);
-            }
-            Msg::GossipDigest {
-                reports,
-                roots,
-                ust,
-                frames,
-            } => {
-                self.gossip_frames += frames;
-                for r in reports {
-                    self.fold_report(r);
-                }
-                for (dc, gst, oldest) in roots {
-                    self.fold_root(dc, gst, oldest);
-                }
-                if let Some((u, s)) = ust {
-                    self.fold_ust(u, s);
-                }
-            }
-            other => unreachable!("foreground message offered to fold: {}", other.kind()),
-        }
-    }
-
-    fn frames(&self) -> u32 {
-        self.rep_frames + self.gossip_frames
-    }
-
-    fn fold_rep(&mut self, partition: PartitionId, txs: Vec<ReplicatedTx>, watermark: Timestamp) {
-        match self.rep.as_mut() {
-            None => {
-                self.rep = Some(RepAccum {
-                    partition,
-                    txs,
-                    watermark,
-                })
-            }
-            Some(acc) => {
-                debug_assert_eq!(acc.partition, partition, "one partition per replica link");
-                acc.txs.extend(txs);
-                acc.watermark = acc.watermark.max(watermark);
-            }
-        }
-    }
-
+impl StabQueue {
     fn fold_report(&mut self, report: DigestReport) {
         match self
             .reports
@@ -266,25 +144,179 @@ impl LinkQueue {
         self.ust = Some((u.max(ust), s.max(s_old)));
     }
 
-    fn into_messages(self) -> Vec<Msg> {
-        let mut out = Vec::with_capacity(2);
-        if let Some(rep) = self.rep {
-            out.push(Msg::ReplicateBatch {
-                partition: rep.partition,
-                txs: rep.txs,
-                watermark: rep.watermark,
-                frames: self.rep_frames,
-            });
+    /// The stable time this queue carries: the smallest report minimum,
+    /// GST or UST it holds.
+    fn stable_time(&self) -> Option<Timestamp> {
+        let reports = self
+            .reports
+            .iter()
+            .flat_map(|r| r.mins.iter().map(|(_, ts)| *ts));
+        let roots = self.roots.iter().map(|(_, gst, _)| *gst);
+        let ust = self.ust.map(|(ust, _)| ust);
+        reports.chain(roots).chain(ust).min()
+    }
+}
+
+/// The two classes a link queues apart: a crossing releases only its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Rep,
+    Stab,
+}
+
+/// One directed link: its two queues, and per class the stable time it
+/// last sent. The latter survives flushes — it is what the next crossing
+/// is measured from.
+#[derive(Debug, Default)]
+struct Link {
+    rep: Option<RepQueue>,
+    stab: Option<StabQueue>,
+    rep_sent: u64,
+    stab_sent: u64,
+}
+
+impl Link {
+    /// Folds a background message in, opening the class's queue with
+    /// deadline `due` if it is empty; returns the class it joined.
+    fn fold(&mut self, msg: Msg, due: u64) -> Class {
+        let (partition, txs, watermark, frames) = match msg {
+            Msg::Replicate {
+                partition,
+                txs,
+                watermark,
+            } => (partition, txs, watermark, 1),
+            Msg::Heartbeat {
+                partition,
+                watermark,
+            } => (partition, Vec::new(), watermark, 1),
+            Msg::ReplicateBatch {
+                partition,
+                txs,
+                watermark,
+                frames,
+            } => (partition, txs, watermark, frames),
+            other => {
+                self.fold_stab(other, due);
+                return Class::Stab;
+            }
+        };
+        match self.rep.as_mut() {
+            None => {
+                self.rep = Some(RepQueue {
+                    due,
+                    frames,
+                    partition,
+                    txs,
+                    watermark,
+                })
+            }
+            Some(q) => {
+                debug_assert_eq!(q.partition, partition, "one partition per replica link");
+                q.frames += frames;
+                q.txs.extend(txs);
+                q.watermark = q.watermark.max(watermark);
+            }
         }
-        if !self.reports.is_empty() || !self.roots.is_empty() || self.ust.is_some() {
-            out.push(Msg::GossipDigest {
-                reports: self.reports,
-                roots: self.roots,
-                ust: self.ust,
-                frames: self.gossip_frames,
-            });
+        Class::Rep
+    }
+
+    fn fold_stab(&mut self, msg: Msg, due: u64) {
+        let queue = self.stab.get_or_insert(StabQueue {
+            due,
+            frames: 0,
+            reports: Vec::new(),
+            roots: Vec::new(),
+            ust: None,
+        });
+        queue.frames += match msg {
+            Msg::GossipDigest { frames, .. } => frames,
+            _ => 1,
+        };
+        match msg {
+            Msg::GstReport {
+                partition,
+                mins,
+                oldest_active,
+            } => queue.fold_report(DigestReport {
+                partition,
+                mins,
+                oldest_active,
+            }),
+            Msg::RootGst {
+                dc,
+                gst,
+                oldest_active,
+            } => queue.fold_root(dc, gst, oldest_active),
+            Msg::UstBroadcast { ust, s_old } => queue.fold_ust(ust, s_old),
+            Msg::GossipDigest {
+                reports,
+                roots,
+                ust,
+                ..
+            } => {
+                for r in reports {
+                    queue.fold_report(r);
+                }
+                for (dc, gst, oldest) in roots {
+                    queue.fold_root(dc, gst, oldest);
+                }
+                if let Some((u, s)) = ust {
+                    queue.fold_ust(u, s);
+                }
+            }
+            other => unreachable!("foreground message offered to fold: {}", other.kind()),
         }
-        out
+    }
+
+    fn frames(&self) -> u32 {
+        self.rep.as_ref().map_or(0, |q| q.frames) + self.stab.as_ref().map_or(0, |q| q.frames)
+    }
+
+    /// The earlier of the two queues' deadlines, if anything is queued.
+    fn due(&self) -> Option<u64> {
+        let rep = self.rep.as_ref().map(|q| q.due);
+        let stab = self.stab.as_ref().map(|q| q.due);
+        rep.into_iter().chain(stab).min()
+    }
+
+    /// Whether the stable time `class` holds has crossed a multiple of
+    /// `quantum` since that class last sent.
+    fn crossed(&self, class: Class, quantum: u64) -> bool {
+        let (held, sent) = match class {
+            Class::Rep => (self.rep.as_ref().map(|q| q.watermark), self.rep_sent),
+            Class::Stab => (
+                self.stab.as_ref().and_then(StabQueue::stable_time),
+                self.stab_sent,
+            ),
+        };
+        held.is_some_and(|ts| ts.physical_micros() / quantum > sent / quantum)
+    }
+
+    /// Takes `class`'s queue as its wire message, noting the stable time
+    /// it carries as sent.
+    fn take(&mut self, class: Class) -> Option<Msg> {
+        match class {
+            Class::Rep => self.rep.take().map(|q| {
+                self.rep_sent = q.watermark.physical_micros();
+                Msg::ReplicateBatch {
+                    partition: q.partition,
+                    txs: q.txs,
+                    watermark: q.watermark,
+                    frames: q.frames,
+                }
+            }),
+            Class::Stab => self.stab.take().map(|q| {
+                if let Some(ts) = q.stable_time() {
+                    self.stab_sent = ts.physical_micros();
+                }
+                Msg::GossipDigest {
+                    reports: q.reports,
+                    roots: q.roots,
+                    ust: q.ust,
+                    frames: q.frames,
+                }
+            }),
+        }
     }
 }
 
@@ -294,10 +326,9 @@ pub struct Coalescer {
     cfg: BatchConfig,
     /// Encoding the owning link speaks; sizes the byte accounting.
     wire: WireFormat,
-    links: BTreeMap<(Endpoint, Endpoint), LinkQueue>,
-    /// Per-link arrival-rate controllers; unlike `links`, entries persist
-    /// across flushes so the adaptive deadline remembers link load.
-    loads: BTreeMap<(Endpoint, Endpoint), LinkLoad>,
+    /// Entries persist across flushes: a drained link keeps the stable
+    /// times it last sent.
+    links: BTreeMap<(Endpoint, Endpoint), Link>,
     stats: CoalescerStats,
 }
 
@@ -309,7 +340,6 @@ impl Coalescer {
             cfg,
             wire,
             links: BTreeMap::new(),
-            loads: BTreeMap::new(),
             stats: CoalescerStats::default(),
         }
     }
@@ -331,31 +361,23 @@ impl Coalescer {
             return Offer::Pass(env);
         }
         let key = (env.src, env.dst);
-        let deadline = match self.cfg.flush {
-            // Fixed deadlines don't depend on link load: keep the PR-2
-            // hot path free of per-frame rate bookkeeping.
-            FlushPolicy::Fixed { interval_micros } => interval_micros,
-            FlushPolicy::Adaptive { .. } => {
-                let load = self.loads.entry(key).or_default();
-                load.observe(now);
-                load.deadline_micros(&self.cfg.flush)
-            }
-        };
-        let queue = self.links.entry(key).or_insert_with(|| LinkQueue {
-            due: now + deadline,
-            ..LinkQueue::default()
-        });
         self.stats.bytes_in += envelope_len_with(&env, self.wire) as u64;
-        queue.fold(env.msg);
         self.stats.frames_in += 1;
-        if queue.frames() as usize >= self.cfg.max_batch {
-            let queue = self.links.remove(&key).expect("just inserted");
+        let due = now.saturating_add(self.cfg.max_flush_micros());
+        let link = self.links.entry(key).or_default();
+        let class = link.fold(env.msg, due);
+        if link.frames() as usize >= self.cfg.max_batch {
             self.stats.size_flushes += 1;
-            Offer::Flush(self.drain(key, queue))
-        } else {
-            Offer::Queued {
-                next_due: self.next_due().expect("just queued"),
+            return Offer::Flush(self.release(key, &[Class::Rep, Class::Stab]));
+        }
+        if let FlushPolicy::StableTime { quantum_micros, .. } = self.cfg.flush {
+            if link.crossed(class, quantum_micros) {
+                self.stats.crossing_flushes += 1;
+                return Offer::Flush(self.release(key, &[class]));
             }
+        }
+        Offer::Queued {
+            next_due: self.next_due().expect("just queued"),
         }
     }
 
@@ -365,43 +387,30 @@ impl Coalescer {
         let due: Vec<(Endpoint, Endpoint)> = self
             .links
             .iter()
-            .filter(|(_, q)| q.due <= now)
-            .map(|(k, _)| *k)
+            .filter(|(_, link)| link.due().is_some_and(|due| due <= now))
+            .map(|(key, _)| *key)
             .collect();
         let mut out = Vec::new();
         for key in due {
-            let queue = self.links.remove(&key).expect("collected above");
             self.stats.deadline_flushes += 1;
-            out.extend(self.drain(key, queue));
+            out.extend(self.release(key, &[Class::Rep, Class::Stab]));
         }
         out
     }
 
     /// Flushes everything regardless of deadlines (shutdown, quiesce).
     pub fn flush_all(&mut self) -> Vec<Envelope> {
-        let keys: Vec<(Endpoint, Endpoint)> = self.links.keys().copied().collect();
-        let mut out = Vec::new();
-        for key in keys {
-            let queue = self.links.remove(&key).expect("keyed");
-            self.stats.deadline_flushes += 1;
-            out.extend(self.drain(key, queue));
-        }
-        out
-    }
-
-    /// The arrival-rate estimate of one directed link (tests, metrics).
-    pub fn link_load(&self, src: Endpoint, dst: Endpoint) -> Option<LinkLoad> {
-        self.loads.get(&(src, dst)).copied()
+        self.poll(u64::MAX)
     }
 
     /// The earliest pending flush deadline, if any link is queued.
     pub fn next_due(&self) -> Option<u64> {
-        self.links.values().map(|q| q.due).min()
+        self.links.values().filter_map(Link::due).min()
     }
 
     /// Number of links currently holding queued frames.
     pub fn pending_links(&self) -> usize {
-        self.links.len()
+        self.links.values().filter(|l| l.due().is_some()).count()
     }
 
     /// Running totals.
@@ -409,14 +418,19 @@ impl Coalescer {
         self.stats
     }
 
-    fn drain(&mut self, key: (Endpoint, Endpoint), queue: LinkQueue) -> Vec<Envelope> {
-        let (src, dst) = key;
-        let msgs = queue.into_messages();
-        self.stats.messages_out += msgs.len() as u64;
-        let out: Vec<Envelope> = msgs
-            .into_iter()
-            .map(|msg| Envelope { src, dst, msg })
+    /// Takes the queues of `classes` off one link as wire messages.
+    fn release(&mut self, key: (Endpoint, Endpoint), classes: &[Class]) -> Vec<Envelope> {
+        let link = self.links.get_mut(&key).expect("a queued link exists");
+        let out: Vec<Envelope> = classes
+            .iter()
+            .filter_map(|class| link.take(*class))
+            .map(|msg| Envelope {
+                src: key.0,
+                dst: key.1,
+                msg,
+            })
             .collect();
+        self.stats.messages_out += out.len() as u64;
         self.stats.bytes_out += out
             .iter()
             .map(|env| envelope_len_with(env, self.wire) as u64)
@@ -642,60 +656,104 @@ mod tests {
         assert_eq!(c.pending_links(), 1);
     }
 
-    #[test]
-    fn adaptive_deadline_shortens_on_a_hot_link_and_stretches_when_quiet() {
-        let mut c = coal(BatchConfig::adaptive(1_000, 500, 10_000));
-        // First frame ever: no gap estimate yet, the link is presumed
-        // quiet and gets the ceiling.
-        match c.offer(env(replicate(1, 10, 20)), 0) {
-            Offer::Queued { next_due } => assert_eq!(next_due, 10_000),
-            other => panic!("expected queue, got {other:?}"),
-        }
-        c.poll(10_000);
-        // A hot burst (100 µs gaps) drives the deadline to the floor.
-        let mut now = 10_000;
-        for seq in 2..40 {
-            now += 100;
-            c.offer(env(replicate(seq, 10 * seq, 20 * seq)), now);
-            c.poll(now + 20_000); // drain so windows keep reopening
-        }
-        let src = srv(0, 0).into();
-        let dst = srv(1, 0).into();
-        let load = c.link_load(src, dst).expect("tracked");
-        assert_eq!(
-            load.deadline_micros(&c.cfg.flush),
-            500,
-            "hot link must flush at the floor (gap ≈ 100 µs)"
-        );
-        // A long idle period stretches the estimate back toward quiet.
-        now += 1_000_000;
-        c.offer(env(replicate(99, 990, 999)), now);
-        let load = c.link_load(src, dst).expect("tracked");
-        assert_eq!(
-            load.deadline_micros(&c.cfg.flush),
-            10_000,
-            "a 1 s gap must stretch the deadline to the ceiling"
-        );
+    fn heartbeat(wm: u64) -> Envelope {
+        env(Msg::Heartbeat {
+            partition: PartitionId(0),
+            watermark: ts(wm),
+        })
+    }
+
+    fn ust(ust: u64) -> Envelope {
+        env(Msg::UstBroadcast {
+            ust: ts(ust),
+            s_old: ts(0),
+        })
     }
 
     #[test]
-    fn adaptive_load_state_survives_flushes() {
-        let mut c = coal(BatchConfig::adaptive(2, 500, 10_000));
-        // Size-trigger flush after two frames 200 µs apart.
-        c.offer(env(replicate(1, 10, 20)), 0);
+    fn a_watermark_crossing_the_grid_releases_the_frames_behind_it() {
+        // Q = 15 ms: 5 ms ticks fold three to a message, released by the
+        // frame whose watermark crosses, not by the clock (`now` is far
+        // from any deadline throughout).
+        let mut c = coal(BatchConfig::stable_time(64, 15_000, 30_000));
+        assert!(matches!(c.offer(heartbeat(31_000), 0), Offer::Flush(_)));
         assert!(matches!(
-            c.offer(env(replicate(2, 30, 40)), 200),
-            Offer::Flush(_)
+            c.offer(heartbeat(36_000), 1),
+            Offer::Queued { next_due: 30_001 }
         ));
-        assert_eq!(c.pending_links(), 0, "queue gone after flush");
-        // The controller remembered the 200 µs gap: the next window opens
-        // with a floor deadline, not the quiet ceiling.
-        match c.offer(env(replicate(3, 50, 60)), 400) {
-            Offer::Queued { next_due } => assert_eq!(next_due, 400 + 500),
-            other => panic!("expected queue, got {other:?}"),
+        assert!(matches!(
+            c.offer(heartbeat(41_000), 2),
+            Offer::Queued { .. }
+        ));
+        let flushed = match c.offer(heartbeat(46_000), 3) {
+            Offer::Flush(envs) => envs,
+            other => panic!("46 ms is past the 45 ms grid line, got {other:?}"),
+        };
+        assert_eq!(flushed.len(), 1);
+        assert!(matches!(
+            flushed[0].msg,
+            Msg::ReplicateBatch { frames: 3, watermark, .. } if watermark == ts(46_000)
+        ));
+        assert_eq!(c.next_due(), None);
+        assert_eq!(c.stats().crossing_flushes, 2);
+        assert_eq!(c.stats().deadline_flushes, 0);
+    }
+
+    #[test]
+    fn a_crossing_releases_only_its_own_class() {
+        let mut c = coal(BatchConfig::stable_time(64, 15_000, 30_000));
+        // Open both grids at 30 ms.
+        c.offer(heartbeat(30_000), 0);
+        c.offer(ust(30_000), 0);
+        // A UST below the next line waits; the watermark that crosses it
+        // takes the replication class and leaves the digest queued.
+        assert!(matches!(c.offer(ust(44_000), 10), Offer::Queued { .. }));
+        match c.offer(heartbeat(45_000), 20) {
+            Offer::Flush(envs) => {
+                assert_eq!(envs.len(), 1);
+                assert!(matches!(envs[0].msg, Msg::ReplicateBatch { .. }));
+            }
+            other => panic!("expected a crossing flush, got {other:?}"),
         }
-        let stats = c.stats();
-        assert_eq!(stats.size_flushes, 1);
+        assert_eq!(c.pending_links(), 1, "the digest is still queued");
+        assert_eq!(c.next_due(), Some(30_010), "on its own first-frame ceiling");
+        match c.offer(ust(45_000), 30) {
+            Offer::Flush(envs) => assert!(matches!(
+                envs[0].msg,
+                Msg::GossipDigest { frames: 2, ust: Some((u, _)), .. } if u == ts(45_000)
+            )),
+            other => panic!("expected the digest's own crossing, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stalled_or_regressed_value_leaves_by_the_ceiling() {
+        let mut c = coal(BatchConfig::stable_time(64, 15_000, 30_000));
+        c.offer(heartbeat(46_000), 0);
+        // Stalled (same value) and regressed (lower): no crossing, ever.
+        assert!(matches!(
+            c.offer(heartbeat(46_000), 100),
+            Offer::Queued { .. }
+        ));
+        assert!(matches!(c.offer(ust(20_000), 200), Offer::Flush(_)));
+        assert!(matches!(c.offer(ust(10_000), 300), Offer::Queued { .. }));
+        assert!(c.poll(30_099).is_empty(), "inside the ceiling");
+        let flushed = c.poll(30_100);
+        assert_eq!(
+            flushed.len(),
+            2,
+            "the first-queued class's ceiling drains the link"
+        );
+        assert_eq!(c.stats().deadline_flushes, 1);
+        // The digest's minimum is what the crossing is judged by: a report
+        // far ahead does not release a UST that lags.
+        c.offer(ust(10_000), 40_000);
+        let report = env(Msg::GstReport {
+            partition: PartitionId(1),
+            mins: vec![(DcId(0), ts(90_000)), (DcId(1), ts(95_000))],
+            oldest_active: ts(1),
+        });
+        assert!(matches!(c.offer(report, 40_001), Offer::Queued { .. }));
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod sim;
 pub mod socket;
 pub mod threaded;
 
-pub use batch::{Coalescer, CoalescerStats, LinkLoad, Offer};
+pub use batch::{Coalescer, CoalescerStats, Offer};

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use paris_proto::Envelope;
 use paris_types::{BatchConfig, Error, WireFormat};
 
-use crate::batch::{Coalescer, Offer};
+use crate::batch::{Coalescer, CoalescerStats, Offer};
 use crate::socket::framing::{deadline_in, read_preamble, write_envelope, write_preamble};
 
 /// Wire-level traffic counters shared by every link and reader of one
@@ -60,6 +60,34 @@ pub struct WireCounters {
     pub bytes_in: AtomicU64,
     /// Envelopes dropped because their link was dead.
     pub dropped: AtomicU64,
+    /// Coalescer flushes released by stable-time progress, over all of
+    /// the node's links.
+    pub crossing_flushes: AtomicU64,
+    /// Coalescer flushes released by the size bound.
+    pub size_flushes: AtomicU64,
+    /// Coalescer flushes released by a deadline (the ceiling).
+    pub deadline_flushes: AtomicU64,
+}
+
+impl WireCounters {
+    /// Adds what one link's coalescer flushed between two readings of its
+    /// totals to the node's flush-trigger mix.
+    fn add_flushes(&self, before: &CoalescerStats, after: &CoalescerStats) {
+        let add = |total: &AtomicU64, delta: u64| {
+            if delta > 0 {
+                total.fetch_add(delta, Ordering::Relaxed);
+            }
+        };
+        add(
+            &self.crossing_flushes,
+            after.crossing_flushes - before.crossing_flushes,
+        );
+        add(&self.size_flushes, after.size_flushes - before.size_flushes);
+        add(
+            &self.deadline_flushes,
+            after.deadline_flushes - before.deadline_flushes,
+        );
+    }
 }
 
 /// Options governing one outbound link.
@@ -204,6 +232,7 @@ fn writer_loop(
     let epoch = Instant::now();
     let now_micros = || epoch.elapsed().as_micros() as u64;
     let mut coalescer = Coalescer::new(opts.batch, WireFormat::V2);
+    let mut flushed = coalescer.stats();
 
     let die = |counters: &WireCounters, rx: &Receiver<Envelope>, dead: &AtomicBool| {
         dead.store(true, Ordering::Release);
@@ -245,6 +274,8 @@ fn writer_loop(
             }
         }
         to_write.extend(coalescer.poll(now_micros()));
+        counters.add_flushes(&flushed, &coalescer.stats());
+        flushed = coalescer.stats();
 
         for env in to_write {
             if write_with_retry(&mut stream, &env, addr, &opts, &counters).is_err() {

@@ -23,7 +23,7 @@ use paris_types::{BatchConfig, DcId, WireFormat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::batch::{Coalescer, Offer};
+use crate::batch::{Coalescer, CoalescerStats, Offer};
 use crate::sim::RegionMatrix;
 
 /// Configuration of the threaded transport.
@@ -75,6 +75,9 @@ pub struct NetStats {
     /// The subset of `bytes` carried by background traffic
     /// (replication, heartbeats, stabilization gossip).
     pub background_bytes: u64,
+    /// Running totals of the router's coalescer, its flush-trigger mix
+    /// included.
+    pub coalescer: CoalescerStats,
 }
 
 #[derive(Debug, Default)]
@@ -82,6 +85,8 @@ struct NetCounters {
     messages: AtomicU64,
     bytes: AtomicU64,
     background_bytes: AtomicU64,
+    /// Published by the wheel thread, which owns the coalescer.
+    coalescer: Mutex<CoalescerStats>,
 }
 
 impl NetCounters {
@@ -99,6 +104,7 @@ impl NetCounters {
             messages: self.messages.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             background_bytes: self.background_bytes.load(Ordering::Relaxed),
+            coalescer: *self.coalescer.lock().expect("net counters poisoned"),
         }
     }
 }
@@ -329,14 +335,12 @@ impl Router {
     }
 
     /// Installs the read tap: from now on, read-path envelopes bound for
-    /// *server* endpoints — `ReadSliceReq` slice reads, `StartTxReq`
-    /// snapshot assignments, unbatched `GstReport` stabilization
-    /// reports and whole coalesced `GossipDigest`s, all served against
-    /// shared (lock-free or table-folded) state — are delivered
-    /// round-robin into `lanes` (after their normal link latency)
-    /// instead of the destination inbox; the runtime's read-thread pool
-    /// drains the lanes and serves them off the server loop. All other
-    /// traffic is unaffected. A lane that has shut down is
+    /// *server* endpoints — `ReadSliceReq` slice reads and `StartTxReq`
+    /// snapshot assignments, both served against shared lock-free state
+    /// — are delivered round-robin into `lanes` (after their normal
+    /// link latency) instead of the destination inbox; the runtime's
+    /// read-thread pool drains the lanes and serves them off the server
+    /// loop. All other traffic is unaffected. A lane that has shut down is
     /// pruned from the tap on first failed delivery (the tap uninstalls
     /// itself when the last lane goes), and the envelope is retried on the
     /// surviving lanes, falling back to the server inbox — so no request
@@ -366,12 +370,12 @@ impl Router {
     /// server loop. Routing is **source-keyed**, never round-robin: a
     /// `CommitTx` must trail its `PrepareReq` and a watermark its
     /// applies, and per-src FIFO on one lane preserves exactly that.
-    /// (Coalesced gossip — `GossipDigest` — carries loop-owned
-    /// components and is never tapped.) Dead lanes are pruned like the
-    /// read tap's — the envelope re-routes by the shrunken lane set, and
-    /// when the last lane dies the tap uninstalls and traffic falls back
-    /// to the server inboxes. Passing an empty vector uninstalls the
-    /// tap.
+    /// (Stabilisation frames are never tapped: their arrival must reach
+    /// `Server::handle`, which forwards the aggregate it moved.) Dead
+    /// lanes are pruned like the read tap's — the envelope re-routes by
+    /// the shrunken lane set, and when the last lane dies the tap
+    /// uninstalls and traffic falls back to the server inboxes. Passing
+    /// an empty vector uninstalls the tap.
     pub fn set_write_tap(&self, lanes: Vec<Sender<Envelope>>) {
         let mut reg = self.registry.lock().expect("registry poisoned");
         reg.tap_epoch += 1;
@@ -538,21 +542,17 @@ impl WheelState {
 }
 
 /// Delivers one due envelope: read-tapped traffic (server-bound
-/// `ReadSliceReq`/`StartTxReq`/`GstReport`/`GossipDigest`) goes to a
-/// pool lane (round-robin), the rest to the destination inbox. On the tapped happy path only the lane
-/// sender is cloned under the registry lock — the inbox is looked up only
-/// when delivery actually falls back. A lane whose receiver is gone is
+/// `ReadSliceReq`/`StartTxReq`) goes to a pool lane (round-robin),
+/// write-tapped traffic to its source's lane, the rest to the destination
+/// inbox. On the tapped happy path only the lane sender is cloned under
+/// the registry lock — the inbox is looked up only when delivery actually
+/// falls back. A lane whose receiver is gone is
 /// pruned from the tap (uninstalling the tap when the last lane dies) so
 /// later deliveries never pay for it again.
 fn deliver(registry: &Arc<Mutex<Registry>>, mut env: Envelope) {
     let server_bound = matches!(env.dst, Endpoint::Server(_));
-    let is_tapped_read = matches!(
-        env.msg,
-        Msg::ReadSliceReq { .. }
-            | Msg::StartTxReq { .. }
-            | Msg::GstReport { .. }
-            | Msg::GossipDigest { .. }
-    ) && server_bound;
+    let is_tapped_read =
+        matches!(env.msg, Msg::ReadSliceReq { .. } | Msg::StartTxReq { .. }) && server_bound;
     let is_tapped_write = matches!(
         env.msg,
         Msg::PrepareReq { .. }
@@ -663,6 +663,11 @@ fn wheel_loop(
         for env in coalescer.poll(now_micros) {
             wheel.schedule(&config, env, Instant::now());
         }
+        *wheel
+            .counters
+            .coalescer
+            .lock()
+            .expect("net counters poisoned") = coalescer.stats();
         // Deliver everything due.
         let now = Instant::now();
         while wheel.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {

@@ -78,9 +78,13 @@ snapshot_counters! {
     heartbeats,
     /// Logical frames folded inside coalesced messages.
     coalesced_frames,
-    /// Whole coalesced gossip digests served off the server loop by the
-    /// read pool (through the published `ReadView`).
-    pooled_gossip_digests,
+    /// Coalescer flushes on this node's links released by stable-time
+    /// progress.
+    crossing_flushes,
+    /// Coalescer flushes released by the size bound.
+    size_flushes,
+    /// Coalescer flushes released by a deadline (the ceiling).
+    deadline_flushes,
     /// Versions removed by GC.
     gc_removed,
     /// Prepares staged through the commit pipeline.

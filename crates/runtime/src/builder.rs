@@ -88,13 +88,11 @@ enum Latency {
 /// outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FlushChoice {
-    /// Adaptive, bounds derived from the replication period (the
-    /// default): deadlines in `[∆R/8, 6·∆R]`.
+    /// Paced by stable-time progress, quantum and ceiling derived from
+    /// the replication period (the default): `Q = 3·∆R`, ceiling `6·∆R`.
     Auto,
     /// Fixed deadline; `0` resolves to two replication ticks.
     FixedMicros(u64),
-    /// Adaptive with explicit bounds.
-    Adaptive { min: u64, max: u64 },
 }
 
 /// Fluent configuration of a PaRiS deployment on any backend.
@@ -229,9 +227,9 @@ impl ClusterBuilder {
 
     /// Size trigger of the background-traffic batching layer: a link
     /// flushes once `frames` logical frames are queued on it (or its
-    /// flush deadline elapses). Batching is **on by default** with
-    /// [`BatchConfig::DEFAULT_MAX_BATCH`] frames and an adaptive flush
-    /// deadline; `0` or `1` disables batching entirely (see
+    /// flush policy releases it). Batching is **on by default** with
+    /// [`BatchConfig::DEFAULT_MAX_BATCH`] frames, paced by stable-time
+    /// progress; `0` or `1` disables batching entirely (see
     /// [`no_batching`](Self::no_batching)). Honored by all three
     /// backends.
     pub fn batch_size(mut self, frames: usize) -> Self {
@@ -240,8 +238,9 @@ impl ClusterBuilder {
     }
 
     /// Disables background-traffic batching: every replication and
-    /// gossip frame ships as its own wire message, the paper's
-    /// one-frame-per-tick behaviour. Equivalent to `batch_size(1)`.
+    /// gossip frame ships as its own wire message and stabilisation runs
+    /// on the ∆G/∆U ticks alone — the paper's one-frame-per-tick
+    /// behaviour. Equivalent to `batch_size(1)`.
     pub fn no_batching(mut self) -> Self {
         self.batch_frames = Some(1);
         self
@@ -253,27 +252,11 @@ impl ClusterBuilder {
     /// load-independent. `0` resolves at build time to two replication
     /// ticks' worth of accumulation, whatever order the builder methods
     /// were called in; validated against the GC period. The default is
-    /// not fixed but adaptive (see
-    /// [`adaptive_flush`](Self::adaptive_flush)).
+    /// not a deadline at all: a link releases when the stable time it
+    /// carries crosses a multiple of `3·∆R`
+    /// ([`paris_types::FlushPolicy::StableTime`]).
     pub fn flush_interval_micros(mut self, micros: u64) -> Self {
         self.flush = FlushChoice::FixedMicros(micros);
-        self
-    }
-
-    /// Uses a **load-responsive** flush deadline with explicit bounds
-    /// (the default policy, with bounds derived from the replication
-    /// period): each link tracks its background frame inter-arrival gap
-    /// and flushes after about two gaps — a hot link flushes early
-    /// (batching still wins, visibility barely taxed), a quiet link
-    /// stretches its deadline toward `max_micros`. `max_micros` is the
-    /// per-hop staleness ceiling the configuration promises; validation
-    /// rejects `min_micros == 0`, inverted bounds and ceilings at/above
-    /// the GC period.
-    pub fn adaptive_flush(mut self, min_micros: u64, max_micros: u64) -> Self {
-        self.flush = FlushChoice::Adaptive {
-            min: min_micros,
-            max: max_micros,
-        };
         self
     }
 
@@ -395,12 +378,12 @@ impl ClusterBuilder {
             plan.validate(self.dcs)?;
         }
         // The untouched default derives from the configured intervals
-        // (adaptive bounds capped below the GC period), so interval
+        // (ceiling capped below the GC period), so interval
         // choices can neither invalidate nor silently neuter a batching
         // policy the user never asked for; explicit choices are
         // validated strictly. Resolving here keeps the fluent call
         // order irrelevant.
-        let derived = BatchConfig::default_adaptive_for(&self.intervals);
+        let derived = BatchConfig::default_for(&self.intervals);
         let batch = BatchConfig {
             max_batch: match self.batch_frames {
                 Some(frames) => frames,
@@ -414,10 +397,6 @@ impl ClusterBuilder {
                     interval_micros: 2 * self.intervals.replication_micros,
                 },
                 FlushChoice::FixedMicros(m) => FlushPolicy::Fixed { interval_micros: m },
-                FlushChoice::Adaptive { min, max } => FlushPolicy::Adaptive {
-                    min_flush_micros: min,
-                    max_flush_micros: max,
-                },
             },
         };
         let cfg = ClusterConfig::builder()

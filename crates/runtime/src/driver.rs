@@ -27,11 +27,10 @@ use paris_workload::{WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One read-pool thread: drains its lane of tapped `ReadSliceReq`s,
-/// `StartTxReq`s and unbatched `GstReport`s and serves each through the
-/// destination server's [`ReadView`] — Alg. 3 slice reads, Alg. 2
-/// snapshot assignment and Alg. 4 child-report folds, all executed
-/// entirely off the server loop. A read whose snapshot
+/// One read-pool thread: drains its lane of tapped `ReadSliceReq`s and
+/// `StartTxReq`s and serves each through the destination server's
+/// [`ReadView`] — Alg. 3 slice reads and Alg. 2 snapshot assignment,
+/// executed entirely off the server loop. A read whose snapshot
 /// fell below `S_old` (possible only for reads that raced a GC advance)
 /// is punted to the authoritative server state machine. `service_micros`
 /// models per-read storage/CPU occupancy (see
@@ -89,29 +88,6 @@ pub(crate) fn read_pool_loop(
                             // only): the loop owns the HLC.
                             None => punt(&env, sid),
                         }
-                    }
-                    paris_proto::Msg::GstReport {
-                        partition,
-                        ref mins,
-                        oldest_active,
-                    } => {
-                        // A tree child's stabilization aggregate: folded
-                        // into the shared report table off the loop (no
-                        // reply traffic). The parent's next ∆G tick reads
-                        // the fold.
-                        views[&sid].serve_gst_report(partition, mins, oldest_active);
-                    }
-                    paris_proto::Msg::GossipDigest {
-                        ref reports,
-                        ref roots,
-                        ust,
-                        frames,
-                    } => {
-                        // A whole coalesced gossip digest: every component
-                        // folds into shared tables (child reports, DC
-                        // roots) or the lock-free frontier, so the digest
-                        // never queues behind commits on the server loop.
-                        views[&sid].serve_gossip_digest(reports, roots, ust, frames);
                     }
                     // The tap only diverts read-path messages; anything
                     // else is handed to the owning server untouched.
@@ -295,15 +271,16 @@ pub(crate) fn server_loop(
     write_service_micros: u64,
 ) {
     let is_root = topo.tree_parent(id).is_none();
-    let mut next_rep = clock.now_micros() + intervals.replication_micros;
-    let mut next_gst = clock.now_micros() + intervals.gst_micros;
-    let mut next_ust = clock.now_micros() + intervals.ust_micros;
-    let mut next_gc = clock.now_micros() + intervals.gc_micros;
+    let start = clock.now_micros();
+    let mut rep = Tick::starting(start, intervals.replication_micros);
+    let mut gst = Tick::starting(start, intervals.gst_micros);
+    let mut ust = Tick::starting(start, intervals.ust_micros);
+    let mut gc = Tick::starting(start, intervals.gc_micros);
     loop {
         let now = clock.now_micros();
-        let mut deadline = next_rep.min(next_gst).min(next_gc);
+        let mut deadline = rep.next.min(gst.next).min(gc.next);
         if is_root {
-            deadline = deadline.min(next_ust);
+            deadline = deadline.min(ust.next);
         }
         let timeout = Duration::from_micros(deadline.saturating_sub(now).min(5_000));
         match inbox.recv_timeout(timeout) {
@@ -342,25 +319,23 @@ pub(crate) fn server_loop(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         let now = clock.now_micros();
-        if now >= next_rep || now >= next_gst || (is_root && now >= next_ust) || now >= next_gc {
+        let (rep_due, gst_due, gc_due) = (rep.fire(now), gst.fire(now), gc.fire(now));
+        let ust_due = is_root && ust.fire(now);
+        if rep_due || gst_due || ust_due || gc_due {
             let mut out = Vec::new();
             {
                 let mut server = server.lock().expect("server poisoned");
-                if now >= next_rep {
+                if rep_due {
                     out.extend(server.on_replicate_tick(now));
-                    next_rep = now + intervals.replication_micros;
                 }
-                if now >= next_gst {
+                if gst_due {
                     out.extend(server.on_gst_tick(now));
-                    next_gst = now + intervals.gst_micros;
                 }
-                if is_root && now >= next_ust {
+                if ust_due {
                     out.extend(server.on_ust_tick(now));
-                    next_ust = now + intervals.ust_micros;
                 }
-                if now >= next_gc {
+                if gc_due {
                     server.on_gc_tick(now);
-                    next_gc = now + intervals.gc_micros;
                 }
             }
             for e in out {
@@ -370,6 +345,35 @@ pub(crate) fn server_loop(
         if stop.load(Ordering::Relaxed) {
             break;
         }
+    }
+}
+
+/// A periodic deadline that re-arms from its own schedule, not from the
+/// wake-up that served it: `every` = 5 ms means 200 ticks a second
+/// however late each wake-up runs. A loop that was held up for whole
+/// periods skips them rather than firing a burst.
+#[derive(Debug)]
+struct Tick {
+    next: u64,
+    every: u64,
+}
+
+impl Tick {
+    fn starting(now: u64, every: u64) -> Tick {
+        Tick {
+            next: now + every,
+            every,
+        }
+    }
+
+    /// Whether the tick is due at `now`; if so, re-arms it to the first
+    /// deadline of its schedule after `now`.
+    fn fire(&mut self, now: u64) -> bool {
+        if now < self.next {
+            return false;
+        }
+        self.next += ((now - self.next) / self.every + 1) * self.every;
+        true
     }
 }
 
@@ -501,5 +505,51 @@ pub(crate) fn run_client(
         aborted,
         latency,
         start_latency,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paris_clock::SimClock;
+
+    #[test]
+    fn a_tick_rearms_from_its_deadline_not_from_the_late_wake_up() {
+        let clock = SimClock::new();
+        clock.advance_to(1_000);
+        let mut tick = Tick::starting(clock.now_micros(), 5_000);
+        assert!(!tick.fire(clock.now_micros()));
+        clock.advance_to(5_999);
+        assert!(!tick.fire(clock.now_micros()), "due at 6 000");
+        // Every wake-up is 700 µs late; the cadence stays on the 5 ms grid.
+        let mut fired = 0;
+        for deadline in (6_000..=1_001_000).step_by(5_000) {
+            clock.advance_to(deadline + 700);
+            assert!(tick.fire(clock.now_micros()));
+            assert_eq!(tick.next, deadline + 5_000, "re-armed from the deadline");
+            assert!(!tick.fire(clock.now_micros()), "once per period");
+            fired += 1;
+        }
+        assert_eq!(
+            fired, 200,
+            "one second of ∆ = 5 ms is 200 ticks, lateness or not"
+        );
+    }
+
+    #[test]
+    fn a_stalled_loop_skips_whole_missed_periods() {
+        let clock = SimClock::new();
+        let mut tick = Tick::starting(clock.now_micros(), 5_000);
+        // Held up for 3.4 periods past the first deadline: one firing, and
+        // the next deadline is the first grid point still ahead.
+        clock.advance_to(22_000);
+        assert!(tick.fire(clock.now_micros()));
+        assert_eq!(tick.next, 25_000);
+        assert!(!tick.fire(clock.now_micros()));
+        // Exactly on a deadline: fires, and the following one is a full
+        // period away.
+        clock.advance_to(25_000);
+        assert!(tick.fire(clock.now_micros()));
+        assert_eq!(tick.next, 30_000);
     }
 }

@@ -82,7 +82,7 @@ pub(crate) fn gossip_round_micros(
     }
     let wan = (max_one_way as f64 * latency_scale) as u64;
     let flush = if batch.is_enabled() {
-        // The ceiling: adaptive links may flush earlier, never later.
+        // The ceiling: paced links may flush earlier, never later.
         4 * batch.max_flush_micros()
     } else {
         0

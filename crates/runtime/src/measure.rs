@@ -75,9 +75,17 @@ pub struct ClusterStats {
     pub heartbeats: u64,
     /// Logical frames folded inside coalesced messages.
     pub coalesced_frames: u64,
-    /// Whole coalesced gossip digests served off the server loops by the
-    /// read pools (zero when digests are loop-served).
-    pub pooled_gossip_digests: u64,
+    /// Coalescer flushes released by stable-time progress: the carried
+    /// watermark / report minimum / GST / UST crossed a quantum boundary.
+    /// With the two counters below, the flush-trigger mix — a healthy
+    /// paced deployment is almost all crossings.
+    pub crossing_flushes: u64,
+    /// Coalescer flushes released by the size bound.
+    pub size_flushes: u64,
+    /// Coalescer flushes released by a deadline: the fixed interval, or
+    /// under the default policy the ceiling — a stalled or partitioned DC
+    /// shows up here.
+    pub deadline_flushes: u64,
     /// Versions removed by GC.
     pub gc_removed: u64,
     /// Prepares staged through the commit pipelines (on- or off-loop).
@@ -113,9 +121,15 @@ impl ClusterStats {
         self.replicate_batches += stats.replicate_batches;
         self.heartbeats += stats.heartbeats;
         self.coalesced_frames += stats.coalesced_frames;
-        self.pooled_gossip_digests += stats.pooled_gossip_digests;
         self.gc_removed += stats.gc_removed;
         self.blocking.accumulate(stats);
+    }
+
+    /// Sets the flush-trigger mix from an in-process coalescer's totals.
+    pub(crate) fn set_flush_mix(&mut self, coalescer: &paris_net::CoalescerStats) {
+        self.crossing_flushes = coalescer.crossing_flushes;
+        self.size_flushes = coalescer.size_flushes;
+        self.deadline_flushes = coalescer.deadline_flushes;
     }
 
     /// Folds one server's commit-pipeline counters into the aggregate.
@@ -141,7 +155,9 @@ impl ClusterStats {
         self.replicate_batches += c.replicate_batches;
         self.heartbeats += c.heartbeats;
         self.coalesced_frames += c.coalesced_frames;
-        self.pooled_gossip_digests += c.pooled_gossip_digests;
+        self.crossing_flushes += c.crossing_flushes;
+        self.size_flushes += c.size_flushes;
+        self.deadline_flushes += c.deadline_flushes;
         self.gc_removed += c.gc_removed;
         self.staged_prepares += c.staged_prepares;
         self.lane_batches += c.lane_batches;
@@ -371,7 +387,6 @@ mod tests {
             replicate_batches: 6,
             heartbeats: 7,
             coalesced_frames: 8,
-            pooled_gossip_digests: 12,
             blocked_reads: 1,
             blocked_micros_total: 500,
             blocked_micros_max: 500,
@@ -395,7 +410,7 @@ mod tests {
                 replicate_batches: 6,
                 heartbeats: 7,
                 coalesced_frames: 8,
-                pooled_gossip_digests: 12,
+                crossing_flushes: 12,
                 gc_removed: 11,
                 ..Default::default()
             },

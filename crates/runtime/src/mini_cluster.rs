@@ -442,6 +442,7 @@ impl Cluster for MiniCluster {
             out.fold_server(&server.stats());
             out.fold_pipeline(server.commit_pipeline().stats());
         }
+        out.set_flush_mix(&self.coalescer.stats());
         out.min_ust = self.min_ust();
         Ok(out)
     }

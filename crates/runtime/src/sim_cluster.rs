@@ -1001,6 +1001,7 @@ impl Cluster for SimCluster {
         }
         out.net_messages = self.net.messages_sent();
         out.net_bytes = self.net.bytes_sent();
+        out.set_flush_mix(&self.coalescer.stats());
         out.min_ust = SimCluster::min_ust(self);
         Ok(out)
     }

@@ -233,12 +233,12 @@ impl ChildSpec {
                 w.u8(0);
                 w.u64(interval_micros);
             }
-            FlushPolicy::Adaptive {
-                min_flush_micros,
+            FlushPolicy::StableTime {
+                quantum_micros,
                 max_flush_micros,
             } => {
                 w.u8(1);
-                w.u64(min_flush_micros);
+                w.u64(quantum_micros);
                 w.u64(max_flush_micros);
             }
         }
@@ -306,8 +306,8 @@ impl ChildSpec {
             0 => FlushPolicy::Fixed {
                 interval_micros: r.u64()?,
             },
-            1 => FlushPolicy::Adaptive {
-                min_flush_micros: r.u64()?,
+            1 => FlushPolicy::StableTime {
+                quantum_micros: r.u64()?,
                 max_flush_micros: r.u64()?,
             },
             _ => return Err(Error::Transport("unknown flush policy in child spec")),
@@ -547,8 +547,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                                 env.msg,
                                 paris_proto::Msg::ReadSliceReq { .. }
                                     | paris_proto::Msg::StartTxReq { .. }
-                                    | paris_proto::Msg::GstReport { .. }
-                                    | paris_proto::Msg::GossipDigest { .. }
                             );
                         let write_tapped =
                             !write_lanes.is_empty() && crate::driver::is_write_path(&env);
@@ -653,7 +651,9 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                             replicate_batches: stats.replicate_batches,
                             heartbeats: stats.heartbeats,
                             coalesced_frames: stats.coalesced_frames,
-                            pooled_gossip_digests: stats.pooled_gossip_digests,
+                            crossing_flushes: counters.crossing_flushes.load(Ordering::Relaxed),
+                            size_flushes: counters.size_flushes.load(Ordering::Relaxed),
+                            deadline_flushes: counters.deadline_flushes.load(Ordering::Relaxed),
                             gc_removed: stats.gc_removed,
                             staged_prepares: pipeline.staged_prepares(),
                             lane_batches: pipeline.lane_batches(),

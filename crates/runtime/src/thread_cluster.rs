@@ -54,9 +54,9 @@ pub(crate) struct ThreadClusterConfig {
     pub(crate) workload: WorkloadConfig,
     pub(crate) seed: u64,
     pub(crate) record_history: bool,
-    /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s,
-    /// `StartTxReq`s and unbatched `GstReport`s to a pool serving
-    /// through [`ReadView`]s, off the server loop.
+    /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s and
+    /// `StartTxReq`s to a pool serving through [`ReadView`]s, off the
+    /// server loop.
     pub(crate) read_threads: usize,
     /// Modeled per-slice-read service occupancy (µs wall clock).
     pub(crate) read_service_micros: u64,
@@ -605,6 +605,7 @@ impl Cluster for ThreadCluster {
         let net = self.router.net_stats();
         out.net_messages = net.messages;
         out.net_bytes = net.bytes;
+        out.set_flush_mix(&net.coalescer);
         Ok(out)
     }
 

@@ -91,9 +91,8 @@ impl Tuning {
 
     /// Size of the read-thread pool: with `n > 0` (PaRiS only — BPR reads
     /// must block on the server loop), incoming `ReadSliceReq` slice
-    /// reads, `StartTxReq` snapshot assignments *and* unbatched
-    /// `GstReport` stabilization folds — all read-only against published
-    /// state — are served by `n` pool threads through the server's
+    /// reads and `StartTxReq` snapshot assignments — both read-only
+    /// against published state — are served by `n` pool threads through the server's
     /// published `ReadView` instead of the server mailbox, so they never
     /// queue behind commits, replication batches or gossip ticks — the
     /// paper's parallel non-blocking reads (§I, Alg. 2–4).

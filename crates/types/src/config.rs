@@ -72,7 +72,7 @@ impl Default for Intervals {
 /// How a coalescing link decides *when* to flush its queued frames.
 ///
 /// The size trigger ([`BatchConfig::max_batch`]) is policy-independent;
-/// this chooses the deadline trigger.
+/// this chooses what else releases a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Every link flushes a constant interval after its first queued
@@ -82,62 +82,35 @@ pub enum FlushPolicy {
         /// microseconds.
         interval_micros: u64,
     },
-    /// Load-responsive deadlines: each link tracks the inter-arrival gap
-    /// of its background frames and flushes after about two gaps —
-    /// shorter when the link is hot (frames arrive faster than a fixed
-    /// interval would drain them, so a short window still folds plenty),
-    /// stretched toward `max_flush_micros` when the link is quiet. The
-    /// deadline always stays within `[min_flush_micros,
-    /// max_flush_micros]`, so `max_flush_micros` is the staleness bound
-    /// the configuration promises.
-    Adaptive {
-        /// Floor of the per-link flush deadline, in microseconds.
-        min_flush_micros: u64,
-        /// Ceiling of the per-link flush deadline, in microseconds —
-        /// the most extra staleness any background frame can be charged
-        /// per hop.
+    /// Paced by stable-time progress (the default): a link's replication
+    /// class leaves the moment its folded watermark — and its
+    /// stabilisation class the moment the smallest report-min / GST / UST
+    /// it holds — crosses the next multiple of `quantum_micros` past the
+    /// value that class last sent on that link. Every background frame
+    /// exists to move a stable time, so a link sends at most one message
+    /// per class per quantum of progress however many frames it is
+    /// offered, and because hybrid-clock timestamps are the loosely
+    /// synchronised clock the protocol already assumes, all links of a
+    /// deployment release on the same grid: a watermark that crosses a
+    /// grid line cascades through apply → report → GST → UST without
+    /// waiting on anyone's timer.
+    StableTime {
+        /// Grid spacing `Q` in timestamp microseconds.
+        quantum_micros: u64,
+        /// Ceiling: a frame whose value stalled or regressed still leaves
+        /// once it has been queued this long, in microseconds — the most
+        /// extra staleness any background frame can be charged per hop.
         max_flush_micros: u64,
     },
 }
 
 impl FlushPolicy {
-    /// The flush deadline for a link whose observed mean frame
-    /// inter-arrival gap is `gap_micros` (`None` until a link has seen
-    /// two frames; an unknown gap is treated as quiet).
-    ///
-    /// Monotone: a higher arrival rate (smaller gap) never yields a
-    /// longer deadline, and adaptive deadlines always land inside
-    /// `[min_flush_micros, max_flush_micros]`.
-    pub fn interval_micros(&self, gap_micros: Option<u64>) -> u64 {
-        /// Target fold factor: wait about this many inter-arrival gaps so
-        /// a flush folds ≥ 2 frames without taxing latency further.
-        const ADAPTIVE_FOLD: u64 = 2;
-        match *self {
-            FlushPolicy::Fixed { interval_micros } => interval_micros,
-            FlushPolicy::Adaptive {
-                min_flush_micros,
-                max_flush_micros,
-            } => {
-                // Config validation rejects inverted bounds, but this is
-                // a pure function on a public type: normalize instead of
-                // letting `clamp` panic on an unvalidated literal.
-                let lo = min_flush_micros.min(max_flush_micros);
-                match gap_micros {
-                    None => max_flush_micros,
-                    Some(gap) => gap
-                        .saturating_mul(ADAPTIVE_FOLD)
-                        .clamp(lo, max_flush_micros),
-                }
-            }
-        }
-    }
-
-    /// The longest deadline this policy can produce — the per-hop
-    /// staleness bound.
+    /// The longest a queued frame can wait under this policy — the
+    /// per-hop staleness bound.
     pub fn max_interval_micros(&self) -> u64 {
         match *self {
             FlushPolicy::Fixed { interval_micros } => interval_micros,
-            FlushPolicy::Adaptive {
+            FlushPolicy::StableTime {
                 max_flush_micros, ..
             } => max_flush_micros,
         }
@@ -149,23 +122,27 @@ impl FlushPolicy {
 /// When enabled, the network substrate queues background frames per link
 /// and folds them into one `ReplicateBatch` / `GossipDigest` wire message,
 /// flushing a link when [`BatchConfig::max_batch`] frames have accumulated
-/// or the oldest queued frame reaches the [`FlushPolicy`] deadline.
-/// Foreground transaction traffic is never batched (it is
-/// latency-critical).
+/// or the [`FlushPolicy`] releases it. Foreground transaction traffic is
+/// never batched (it is latency-critical).
 ///
-/// **On by default** (adaptive): the fold is exact — replication frames
-/// concatenate in commit-time order keeping the newest watermark, every
-/// gossip component is monotonic — so batching changes *when* background
-/// messages travel, never what replicas agree on. Opt out with
+/// **On by default** (paced by stable time): the fold is exact —
+/// replication frames concatenate in commit-time order keeping the newest
+/// watermark, every gossip component is monotonic — so batching changes
+/// *when* background messages travel, never what replicas agree on. A
+/// server behind paced links ([`BatchConfig::is_paced`]) also forwards
+/// its stabilisation aggregate the moment an arrival moves it (the ∆G/∆U
+/// ticks remain as idle-link keep-alives), which is free precisely
+/// because the pacing makes the wire count independent of how many
+/// frames are offered. Opt out with
 /// [`BatchConfig::DISABLED`] (or `ClusterBuilder::no_batching()` through
-/// the facade).
+/// the facade): every tick's frame is then its own wire message, as in
+/// the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush a link once this many logical frames are queued on it.
     /// `0` or `1` disables batching (every frame ships immediately).
     pub max_batch: usize,
-    /// When a link flushes queued frames that did not hit the size
-    /// trigger.
+    /// What else releases a link's queued frames.
     pub flush: FlushPolicy,
 }
 
@@ -187,57 +164,52 @@ impl BatchConfig {
         }
     }
 
-    /// Load-responsive batching with deadlines in
-    /// `[min_flush_micros, max_flush_micros]`.
-    pub fn adaptive(max_batch: usize, min_flush_micros: u64, max_flush_micros: u64) -> Self {
+    /// Batching paced by stable-time progress on a grid of
+    /// `quantum_micros`, with `max_flush_micros` as the ceiling.
+    pub fn stable_time(max_batch: usize, quantum_micros: u64, max_flush_micros: u64) -> Self {
         BatchConfig {
             max_batch,
-            flush: FlushPolicy::Adaptive {
-                min_flush_micros,
+            flush: FlushPolicy::StableTime {
+                quantum_micros,
                 max_flush_micros,
             },
         }
     }
 
-    /// The default adaptive policy for a deployment with replication
-    /// period `replication_micros`: deadlines between an eighth of a
-    /// tick and six ticks. The controller itself settles near two
-    /// inter-arrival gaps (≈ two ticks on a steadily ticking link), so
-    /// the ceiling's headroom exists for the *end-to-end* staleness
-    /// promise: an update's visibility pipeline crosses several
-    /// coalesced hops (replicate, tree report, root exchange, UST
-    /// broadcast), and `fig4` gates the total p90 visibility inflation
-    /// against this single ceiling.
-    pub fn default_adaptive(replication_micros: u64) -> Self {
-        BatchConfig::adaptive(
-            Self::DEFAULT_MAX_BATCH,
-            (replication_micros / 8).max(50),
-            6 * replication_micros,
-        )
-    }
-
-    /// The default adaptive policy *derived from a full interval set*:
-    /// [`BatchConfig::default_adaptive`] bounds, additionally capped to
-    /// half the GC period so an untouched default can never invalidate
-    /// interval combinations that were legal before batching-by-default
-    /// (a user who never asked for batching must never see a batching
-    /// validation error). Both config builders resolve an unset batch
-    /// policy through here at build time. Degenerate GC periods (≤ 1 µs
-    /// — nothing can flush below them) disable batching instead.
-    pub fn default_adaptive_for(intervals: &Intervals) -> Self {
+    /// The default policy *derived from a full interval set*: quantum
+    /// `Q = 3·∆R`, ceiling `6·∆R`. A steadily ticking link then folds
+    /// three frames per message, and a commit waits at most one quantum
+    /// for the watermark that carries it. The ceiling is additionally
+    /// capped to half the GC period so an untouched default can never
+    /// invalidate interval combinations that were legal before
+    /// batching-by-default (a user who never asked for batching must
+    /// never see a batching validation error). Both config builders
+    /// resolve an unset batch policy through here at build time.
+    /// Degenerate GC periods (≤ 1 µs — nothing can flush below them)
+    /// disable batching instead.
+    pub fn default_for(intervals: &Intervals) -> Self {
         if intervals.gc_micros <= 1 {
             return BatchConfig::DISABLED;
         }
         let ceiling = (6 * intervals.replication_micros)
             .min(intervals.gc_micros / 2)
             .max(1);
-        let floor = (intervals.replication_micros / 8).max(50).min(ceiling);
-        BatchConfig::adaptive(Self::DEFAULT_MAX_BATCH, floor, ceiling)
+        let quantum = (3 * intervals.replication_micros).clamp(1, ceiling);
+        BatchConfig::stable_time(Self::DEFAULT_MAX_BATCH, quantum, ceiling)
     }
 
     /// Whether this configuration actually coalesces anything.
     pub fn is_enabled(&self) -> bool {
         self.max_batch > 1
+    }
+
+    /// Whether links release on stable-time progress — the property that
+    /// makes a link's wire count independent of how many frames it is
+    /// offered, and so makes push-on-arrival stabilisation free. A fixed
+    /// deadline bounds messages per window only: a window shorter than a
+    /// tick would turn every pushed frame into a wire message.
+    pub fn is_paced(&self) -> bool {
+        self.is_enabled() && matches!(self.flush, FlushPolicy::StableTime { .. })
     }
 
     /// The most extra staleness any background frame can be charged per
@@ -248,11 +220,11 @@ impl BatchConfig {
 }
 
 impl Default for BatchConfig {
-    /// Batching is on by default, adaptive, sized for the paper's 5 ms
-    /// replication tick (the builders re-derive the bounds when the
-    /// intervals change).
+    /// Batching is on by default, paced by stable time, sized for the
+    /// paper's 5 ms replication tick (the builders re-derive the bounds
+    /// when the intervals change).
     fn default() -> Self {
-        BatchConfig::default_adaptive(Intervals::default().replication_micros)
+        BatchConfig::default_for(&Intervals::default())
     }
 }
 
@@ -283,7 +255,7 @@ pub struct ClusterConfig {
     /// Maximum absolute physical-clock skew injected per server, in
     /// microseconds (NTP-like; 0 disables skew).
     pub max_clock_skew_micros: u64,
-    /// Background-traffic coalescing policy (adaptive, on by default).
+    /// Background-traffic coalescing policy (on by default).
     pub batch: BatchConfig,
     /// Wire encoding the deployment's network substrates use.
     pub wire: WireFormat,
@@ -349,19 +321,14 @@ impl ClusterConfig {
                         ));
                     }
                 }
-                FlushPolicy::Adaptive {
-                    min_flush_micros,
+                FlushPolicy::StableTime {
+                    quantum_micros,
                     max_flush_micros,
                 } => {
-                    if min_flush_micros == 0 {
+                    if quantum_micros == 0 || max_flush_micros == 0 {
                         return Err(ConfigError::new(
-                            "adaptive batching needs a non-zero minimum flush interval \
+                            "stable-time batching needs a non-zero quantum and ceiling \
                              (unbounded queues otherwise)",
-                        ));
-                    }
-                    if min_flush_micros > max_flush_micros {
-                        return Err(ConfigError::new(
-                            "adaptive flush bounds are inverted (min above max)",
                         ));
                     }
                 }
@@ -480,7 +447,7 @@ impl ClusterConfigBuilder {
 
     /// Sets the background-traffic coalescing policy explicitly
     /// (explicit policies are validated strictly; left unset, the
-    /// default adaptive policy is derived from the final intervals at
+    /// default policy is derived from the final intervals at
     /// build time).
     pub fn batch(mut self, batch: BatchConfig) -> Self {
         self.cfg.batch = batch;
@@ -496,7 +463,7 @@ impl ClusterConfigBuilder {
     /// `R > M`, zero partitions, zero intervals).
     pub fn build(mut self) -> Result<ClusterConfig, ConfigError> {
         if !self.batch_set {
-            self.cfg.batch = BatchConfig::default_adaptive_for(&self.cfg.intervals);
+            self.cfg.batch = BatchConfig::default_for(&self.cfg.intervals);
         }
         self.cfg.validate()?;
         Ok(self.cfg)
@@ -585,21 +552,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_config_default_is_adaptive_and_enabled() {
+    fn batch_config_default_is_paced_by_stable_time_and_enabled() {
         let b = BatchConfig::default();
         assert!(b.is_enabled(), "batching is on by default");
         assert_eq!(b.max_batch, BatchConfig::DEFAULT_MAX_BATCH);
         let d = Intervals::default().replication_micros;
         assert_eq!(
             b.flush,
-            FlushPolicy::Adaptive {
-                min_flush_micros: d / 8,
+            FlushPolicy::StableTime {
+                quantum_micros: 3 * d,
                 max_flush_micros: 6 * d,
             }
         );
         assert_eq!(b.max_flush_micros(), 6 * d);
+        assert!(b.is_paced());
         assert!(!BatchConfig::DISABLED.is_enabled());
         assert!(BatchConfig::fixed(2, 1_000).is_enabled());
+        assert!(
+            !BatchConfig::fixed(2, 1_000).is_paced(),
+            "a deadline is not pacing"
+        );
+        assert!(
+            !BatchConfig::stable_time(1, 15_000, 30_000).is_paced(),
+            "off is off"
+        );
     }
 
     #[test]
@@ -618,23 +594,23 @@ mod tests {
             .batch(BatchConfig::fixed(8, gc))
             .build()
             .is_err());
-        // The adaptive ceiling is held to the same rule.
+        // The stable-time ceiling is held to the same rule.
         assert!(ClusterConfig::builder()
-            .batch(BatchConfig::adaptive(8, 1_000, gc))
+            .batch(BatchConfig::stable_time(8, 1_000, gc))
             .build()
             .is_err());
     }
 
     #[test]
-    fn rejects_bad_adaptive_bounds() {
-        // A zero floor would mean unbounded queue churn decisions.
+    fn rejects_a_zero_quantum_or_ceiling() {
+        // A zero quantum has no grid; a zero ceiling never drains a
+        // stalled link.
         assert!(ClusterConfig::builder()
-            .batch(BatchConfig::adaptive(8, 0, 10_000))
+            .batch(BatchConfig::stable_time(8, 0, 10_000))
             .build()
             .is_err());
-        // Inverted bounds.
         assert!(ClusterConfig::builder()
-            .batch(BatchConfig::adaptive(8, 10_000, 1_000))
+            .batch(BatchConfig::stable_time(8, 1_000, 0))
             .build()
             .is_err());
         // A disabled config is never validated against flush rules.
@@ -658,10 +634,17 @@ mod tests {
             .build()
             .expect("short GC must not invalidate the untouched default");
         assert!(cfg.batch.is_enabled());
-        assert_eq!(cfg.batch.max_flush_micros(), 12_500);
+        assert_eq!(
+            cfg.batch.flush,
+            FlushPolicy::StableTime {
+                quantum_micros: 12_500,
+                max_flush_micros: 12_500,
+            },
+            "the quantum never exceeds the ceiling"
+        );
 
-        // Slow ticks: the derived bounds must track them (a stale 30 ms
-        // ceiling would sit below one tick and fold nothing).
+        // Slow ticks: the derived bounds must track them (a stale 15 ms
+        // quantum would sit below one tick and fold nothing).
         let cfg = ClusterConfig::builder()
             .intervals(Intervals {
                 replication_micros: 50_000,
@@ -673,8 +656,8 @@ mod tests {
             .unwrap();
         assert_eq!(
             cfg.batch.flush,
-            FlushPolicy::Adaptive {
-                min_flush_micros: 6_250,
+            FlushPolicy::StableTime {
+                quantum_micros: 150_000,
                 max_flush_micros: 300_000,
             }
         );
@@ -703,37 +686,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(!cfg.batch.is_enabled());
-    }
-
-    #[test]
-    fn adaptive_deadline_tracks_the_gap_within_bounds() {
-        let p = FlushPolicy::Adaptive {
-            min_flush_micros: 500,
-            max_flush_micros: 10_000,
-        };
-        // Unknown gap = quiet = ceiling.
-        assert_eq!(p.interval_micros(None), 10_000);
-        // Hot link: clamped to the floor.
-        assert_eq!(p.interval_micros(Some(100)), 500);
-        // Mid-range: about two gaps.
-        assert_eq!(p.interval_micros(Some(2_000)), 4_000);
-        // Quiet link: clamped to the ceiling.
-        assert_eq!(p.interval_micros(Some(60_000)), 10_000);
-        // Fixed policy ignores the gap entirely.
-        let f = FlushPolicy::Fixed {
-            interval_micros: 7_000,
-        };
-        assert_eq!(f.interval_micros(None), 7_000);
-        assert_eq!(f.interval_micros(Some(1)), 7_000);
-        assert_eq!(f.max_interval_micros(), 7_000);
-        // Inverted bounds never reach a validated config, but the pure
-        // function must not panic on an unvalidated literal.
-        let inverted = FlushPolicy::Adaptive {
-            min_flush_micros: 10_000,
-            max_flush_micros: 1_000,
-        };
-        assert_eq!(inverted.interval_micros(Some(5_000)), 1_000);
-        assert_eq!(inverted.interval_micros(None), 1_000);
     }
 
     #[test]

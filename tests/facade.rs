@@ -215,43 +215,13 @@ fn builder_validation_errors() {
         .build();
     assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
 
-    // Adaptive bounds: a zero floor is rejected (unbounded queue churn),
-    // as are inverted bounds and ceilings at/above the GC period.
-    let err = Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .adaptive_flush(0, 10_000)
-        .build();
-    assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
-    let err = Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .adaptive_flush(10_000, 1_000)
-        .build();
-    assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
-    let err = Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .adaptive_flush(1_000, 1_000_000)
-        .build();
-    assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
-    // Valid bounds pass; with batching disabled the bounds are moot.
-    assert!(Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .adaptive_flush(1_000, 10_000)
-        .build()
-        .is_ok());
+    // With batching disabled an explicit deadline is moot, not an error.
     assert!(Paris::builder()
         .dcs(3)
         .partitions(6)
         .replication(2)
         .no_batching()
-        .adaptive_flush(0, 0)
+        .flush_interval_micros(1_000_000)
         .build()
         .is_ok());
 
@@ -507,12 +477,12 @@ fn builder_rejects_read_pool_with_bpr() {
 }
 
 /// The three batching configurations every combination test sweeps:
-/// explicitly off, fixed-deadline, and the adaptive default.
+/// explicitly off, fixed-deadline, and the stable-time default.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Batching {
     Off,
     Fixed,
-    AdaptiveDefault,
+    Default,
 }
 
 #[test]
@@ -520,7 +490,7 @@ fn backends_agree_on_causal_chain_under_every_batching_policy() {
     // The coalescing layer may delay and merge background frames but must
     // never change what any observer can read: the same causal chain has
     // to come out of every (backend, batching policy) combination —
-    // including the new default (adaptive, on).
+    // including the default (paced by stable time, on).
     let scenario_builder = |backend, batching: Batching| {
         let b = Paris::builder()
             .dcs(3)
@@ -535,13 +505,13 @@ fn backends_agree_on_causal_chain_under_every_batching_policy() {
         match batching {
             Batching::Off => b.no_batching(),
             Batching::Fixed => b.batch_size(32).flush_interval_micros(3_000),
-            Batching::AdaptiveDefault => b, // on by default
+            Batching::Default => b, // on by default
         }
     };
 
     let mut outcomes = Vec::new();
     for backend in [Backend::Sim, Backend::Thread] {
-        for batching in [Batching::Off, Batching::Fixed, Batching::AdaptiveDefault] {
+        for batching in [Batching::Off, Batching::Fixed, Batching::Default] {
             let mut cluster = scenario_builder(backend, batching).build().unwrap();
             let outcome = causal_chain(cluster.as_mut());
             assert!(
@@ -576,15 +546,15 @@ fn batching_reduces_network_messages_at_equal_load() {
         let b = match batching {
             Batching::Off => b.no_batching(),
             Batching::Fixed => b.batch_size(64).flush_interval_micros(15_000),
-            Batching::AdaptiveDefault => b, // on by default
+            Batching::Default => b, // on by default
         };
         let mut cluster = b.build().unwrap();
         cluster.run_workload(100_000, 400_000).unwrap()
     };
     let off = run(Batching::Off);
     let fixed = run(Batching::Fixed);
-    let adaptive = run(Batching::AdaptiveDefault);
-    for (report, name) in [(&off, "off"), (&fixed, "fixed"), (&adaptive, "default")] {
+    let default = run(Batching::Default);
+    for (report, name) in [(&off, "off"), (&fixed, "fixed"), (&default, "default")] {
         assert!(report.stats.committed > 0, "{name}: no progress");
         assert!(
             report.violations.is_empty(),
@@ -601,10 +571,10 @@ fn batching_reduces_network_messages_at_equal_load() {
     // The untouched default must batch: this is what "on by default"
     // means at the wire.
     assert!(
-        (adaptive.net_messages as f64) < off.net_messages as f64 * 0.75,
-        "default (adaptive) batching saved too little: {} -> {} messages",
+        (default.net_messages as f64) < off.net_messages as f64 * 0.75,
+        "default batching saved too little: {} -> {} messages",
         off.net_messages,
-        adaptive.net_messages
+        default.net_messages
     );
 }
 
