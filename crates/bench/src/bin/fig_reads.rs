@@ -1,9 +1,9 @@
-//! Parallel non-blocking reads: read throughput vs. reader threads, read
-//! admission vs. the registry, and pooled snapshot assignment.
+//! Parallel non-blocking reads: read throughput vs. reader threads, and
+//! read admission vs. the registry.
 //!
 //! The paper's headline property (§I, §V) is that transactional reads are
 //! served from the UST snapshot "on any server … with minimal overhead and
-//! without blocking" — i.e. the read path parallelizes. Four measurements:
+//! without blocking" — i.e. the read path parallelizes. Three measurements:
 //!
 //! 1. **Pool ladder (threaded backend).** A read-dominant zipfian mix at a
 //!    fixed offered load sweeps `read_threads ∈ {1, 2, 4}` with modeled
@@ -19,14 +19,7 @@
 //!    the slots buy at full contention. On a single-core host the two
 //!    paths serialize anyway, so the ratio is gated relative to the
 //!    committed baseline rather than self-checked.
-//! 3. **Pooled start-tx latency.** `StartTxReq` (snapshot assignment,
-//!    Alg. 2) also rides the pool, so the start phase must get *faster*
-//!    as the pool widens — under the modeled occupancy, loop-served
-//!    starts would be flat across pool sizes, while pooled starts shed
-//!    lane queueing with every doubling. The ladder's start-latency
-//!    ratio evidences that, and the service-0 max-pool arm contributes
-//!    the absolute pooled start latency the gate tracks over time.
-//! 4. **Sim lane ladder.** The deterministic backend's multi-queue read
+//! 3. **Sim lane ladder.** The deterministic backend's multi-queue read
 //!    service model sweeps the same pool sizes in simulated time — exact,
 //!    machine-independent scaling evidence, gated tightly.
 //!
@@ -37,9 +30,6 @@
 //! * thread ladder throughput increases monotonically 1 → 2 → 4 reader
 //!   threads (each step ≥ `MIN_STEP_GAIN`);
 //! * sim lane ladder gains ≥ `SIM_MIN_TOTAL_GAIN` from 1 → 4 lanes;
-//! * start-tx latency improves with the pool (≥ `MIN_STEP_GAIN` from
-//!   1 → 4 reader threads — flat latency would mean starts fell back to
-//!   the loop);
 //! * zero consistency violations in every arm.
 //!
 //! Emits `results/fig_reads.csv` and `results/BENCH_reads.json`.
@@ -71,7 +61,6 @@ struct Arm {
     kreads_s: f64,
     mean_ms: f64,
     p99_ms: f64,
-    start_mean_us: f64,
     violations: usize,
 }
 
@@ -111,11 +100,10 @@ fn run_thread_arm(spec: &ArmSpec, warmup: u64, window: u64) -> Arm {
         .expect("threaded workload cannot fail");
     let arm = arm_of(spec.label, spec.read_threads, &report);
     eprintln!(
-        "  [{}] {} | {:.1} Kreads/s | start mean {:.0} µs",
+        "  [{}] {} | {:.1} Kreads/s",
         spec.label,
         report.summary(),
-        arm.kreads_s,
-        arm.start_mean_us
+        arm.kreads_s
     );
     arm
 }
@@ -129,7 +117,6 @@ fn arm_of(label: &str, read_threads: usize, report: &RunReport) -> Arm {
         kreads_s: report.ktps() * reads_per_tx,
         mean_ms: report.stats.mean_latency_ms(),
         p99_ms: report.stats.percentile_ms(99.0),
-        start_mean_us: report.stats.start_latency.mean(),
         violations: report.violations.len(),
     }
 }
@@ -166,7 +153,7 @@ fn run_sim_arm(lanes: usize, warmup: u64, window: u64) -> Arm {
 }
 
 fn main() {
-    section("Parallel non-blocking reads: pool scaling, registry contention, pooled starts");
+    section("Parallel non-blocking reads: pool scaling and registry contention");
     // Wall-clock windows: the threaded backend measures real time.
     let (warmup, window) = if quick() {
         (200_000, 1_200_000)
@@ -183,24 +170,17 @@ fn main() {
     let record =
         |arm: &Arm, rows: &mut Vec<String>, points: &mut Vec<Json>, violations_total: &mut u64| {
             println!(
-                "  {:>26} {:>14.2} {:>14.1} {:>11.2} {:>10.2} {:>13.0} {:>11}",
-                arm.label,
-                arm.ktps,
-                arm.kreads_s,
-                arm.mean_ms,
-                arm.p99_ms,
-                arm.start_mean_us,
-                arm.violations
+                "  {:>26} {:>14.2} {:>14.1} {:>11.2} {:>10.2} {:>11}",
+                arm.label, arm.ktps, arm.kreads_s, arm.mean_ms, arm.p99_ms, arm.violations
             );
             rows.push(format!(
-                "{},{},{:.3},{:.1},{:.3},{:.3},{:.1},{}",
+                "{},{},{:.3},{:.1},{:.3},{:.3},{}",
                 arm.label.replace(',', ";"),
                 arm.read_threads,
                 arm.ktps,
                 arm.kreads_s,
                 arm.mean_ms,
                 arm.p99_ms,
-                arm.start_mean_us,
                 arm.violations
             ));
             points.push(Json::obj(vec![
@@ -210,15 +190,14 @@ fn main() {
                 ("kreads_s", arm.kreads_s.into()),
                 ("mean_ms", arm.mean_ms.into()),
                 ("p99_ms", arm.p99_ms.into()),
-                ("start_mean_us", arm.start_mean_us.into()),
                 ("violations", (arm.violations as u64).into()),
             ]));
             *violations_total += arm.violations as u64;
         };
 
     println!(
-        "\n  {:>26} {:>14} {:>14} {:>11} {:>10} {:>13} {:>11}",
-        "arm", "tput (KTx/s)", "Kreads/s", "mean (ms)", "p99 (ms)", "start (µs)", "violations"
+        "\n  {:>26} {:>14} {:>14} {:>11} {:>10} {:>11}",
+        "arm", "tput (KTx/s)", "Kreads/s", "mean (ms)", "p99 (ms)", "violations"
     );
 
     // 1. Thread pool ladder (service-occupancy bound).
@@ -276,53 +255,7 @@ fn main() {
     println!("  1 → 4 reader threads: {speedup:.2}× read throughput");
     metrics.push(("reads_speedup_4v1".into(), speedup));
 
-    // 2. Pooled start-tx latency. Starts ride the same lanes as the
-    //    occupancy-modeled reads, so the start phase must shed queueing
-    //    with every pool doubling — if the StartTxReq tap silently broke
-    //    (starts falling back to the mostly-idle loop), the start
-    //    latencies across the ladder would flatten out instead. The loop
-    //    baseline below is context: with reads occupying the 8 server
-    //    loops at ~50% there is little queueing anywhere, which is why
-    //    loop starts are cheap here — the pooled path is not a latency
-    //    shortcut under saturation, it is what lets admission scale with
-    //    the pool at all.
-    let loop_arm = run_thread_arm(
-        &ArmSpec {
-            label: "loop (pool 0)",
-            read_threads: 0,
-            read_service_micros: READ_SERVICE_MICROS,
-            read_slots: None,
-        },
-        warmup,
-        window,
-    );
-    record(&loop_arm, &mut rows, &mut points, &mut violations_total);
-    if loop_arm.violations != 0 {
-        failures.push(format!(
-            "loop baseline: {} consistency violations",
-            loop_arm.violations
-        ));
-    }
-    let start_pool_speedup =
-        ladder.first().unwrap().start_mean_us / ladder.last().unwrap().start_mean_us.max(1e-9);
-    println!(
-        "  start-tx mean latency across the ladder: {:.0} → {:.0} → {:.0} µs \
-         ({start_pool_speedup:.2}× from 1 → 4 reader threads; loop baseline {:.0} µs)",
-        ladder[0].start_mean_us,
-        ladder[1].start_mean_us,
-        ladder[2].start_mean_us,
-        loop_arm.start_mean_us
-    );
-    metrics.push(("reads_start_loop_mean_us".into(), loop_arm.start_mean_us));
-    metrics.push(("reads_start_pool_speedup_4v1".into(), start_pool_speedup));
-    if start_pool_speedup < MIN_STEP_GAIN {
-        failures.push(format!(
-            "start-tx latency improved only {start_pool_speedup:.2}× from 1 → 4 reader \
-             threads (< {MIN_STEP_GAIN}×): starts are not riding the pool"
-        ));
-    }
-
-    // 3. Registry contention point: zero service time, max pool — read
+    // 2. Registry contention point: zero service time, max pool — read
     //    admission itself is the hot spot. Slots vs the mutex registry.
     let contention_slots = run_thread_arm(
         &ArmSpec {
@@ -374,14 +307,8 @@ fn main() {
     // admissions serialize and the ratio hovers near 1 — which is why
     // there is no absolute self-check here.
     metrics.push(("reads_contention_speedup_slots".into(), contention_ratio));
-    // The absolute pooled start latency at the realistic (service-0)
-    // operating point, tracked by the gate's latency rule.
-    metrics.push((
-        "reads_start_pooled_mean_us".into(),
-        contention_slots.start_mean_us,
-    ));
 
-    // 4. Deterministic lane ladder on the simulated backend.
+    // 3. Deterministic lane ladder on the simulated backend.
     println!();
     let (sim_warmup, sim_window) = (300_000, 2_000_000); // simulated time: always cheap
     let sim_ladder: Vec<Arm> = THREADS
@@ -411,7 +338,7 @@ fn main() {
 
     write_csv(
         "fig_reads.csv",
-        "arm,read_threads,ktps,kreads_s,mean_ms,p99_ms,start_mean_us,violations",
+        "arm,read_threads,ktps,kreads_s,mean_ms,p99_ms,violations",
         &rows,
     );
     write_bench_json("BENCH_reads.json", &bench_doc("fig_reads", metrics, points));
@@ -422,9 +349,7 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!(
-        "\n  (reads and starts are served off the server loop by the pool; scaling comes from"
-    );
+    println!("\n  (reads are served off the server loop by the pool; scaling comes from");
     println!("   overlapping per-read occupancy, and admission is one CAS on a snapshot slot —");
     println!("   the parallel non-blocking read claim, measured end to end)");
 }

@@ -2,7 +2,10 @@
 //! non-blocking reads, partial replication and dependency-metadata cost —
 //! with PaRiS's "1 timestamp" claim *measured* on the wire codec: per
 //! message, the metadata bytes as shipped (varints) beside what the paper
-//! counts (8 bytes per timestamp carried).
+//! counts (8 bytes per timestamp carried). The claim holds whichever way a
+//! transaction begins: a `StartTxReq` is one timestamp, and a first read
+//! that carries the start instead is exactly one timestamp more than a
+//! plain read.
 //!
 //! Besides the taxonomy, this bench pins the byte cost of a seeded
 //! simulated deployment: the run's byte totals feed `bench/baseline.json`
@@ -14,7 +17,7 @@ use paris_bench::{
     bench_doc, paper_deployment, section, warmup_micros, window_micros, write_bench_json,
 };
 use paris_core::metadata::{measured_paris_snapshot_metadata, table1, MetadataCost};
-use paris_proto::{wire, Msg};
+use paris_proto::{wire, Msg, TxRef};
 use paris_runtime::Cluster;
 use paris_types::{DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, WriteSetEntry};
 use paris_workload::WorkloadConfig;
@@ -32,6 +35,8 @@ fn sample_messages() -> Vec<Msg> {
             tx,
             snapshot: ts(1),
         },
+        read_req(TxRef::Known(tx)),
+        read_req(TxRef::Start { client_ust: ts(0) }),
         Msg::ReadSliceReq {
             tx,
             snapshot: ts(1),
@@ -56,6 +61,14 @@ fn sample_messages() -> Vec<Msg> {
             s_old: ts(4),
         },
     ]
+}
+
+/// A first read of three keys, plain or in its start form.
+fn read_req(tx: TxRef) -> Msg {
+    Msg::ReadReq {
+        tx,
+        keys: vec![Key(1).into(), Key(2).into(), Key(3).into()],
+    }
 }
 
 fn main() {
@@ -83,24 +96,41 @@ fn main() {
         "\n  snapshot/dependency metadata on StartTxReq: 1 timestamp = {snapshot_meta} bytes \
          as the paper counts"
     );
+    // The start may instead ride the first operation: that costs the
+    // same one timestamp, on top of what the operation carries anyway.
+    let timestamps = |tx| wire::metadata(&read_req(tx)).timestamps;
+    let fused_extra = timestamps(TxRef::Start {
+        client_ust: Timestamp::from_parts(3_600_000_000, 3),
+    }) - timestamps(TxRef::Known(TxId::new(
+        ServerId::new(DcId(3), PartitionId(17)),
+        9,
+    )));
+    println!("  a first ReadReq carrying the start: {fused_extra} timestamp more than a plain one");
     println!(
         "\n  {:<16} {:>8} {:>11} {:>11} {:>14}",
         "message", "bytes", "metadata B", "timestamps", "× 8 B (paper)"
     );
     let mut points: Vec<Json> = Vec::new();
     for msg in &sample_messages() {
+        let label = match msg {
+            Msg::ReadReq {
+                tx: TxRef::Start { .. },
+                ..
+            } => "ReadReq (start)",
+            _ => msg.kind(),
+        };
         let bytes = wire::encoded_len(msg);
         let meta = wire::metadata(msg);
         println!(
             "  {:<16} {bytes:>8} {:>11} {:>11} {:>14}",
-            msg.kind(),
+            label,
             meta.bytes,
             meta.timestamps,
             meta.timestamps * 8
         );
         points.push(Json::obj(vec![
             ("figure", "table1_wire".into()),
-            ("message", msg.kind().into()),
+            ("message", label.into()),
             ("v2_bytes", (bytes as u64).into()),
             ("v2_metadata_bytes", (meta.bytes as u64).into()),
             ("timestamps", (meta.timestamps as u64).into()),
@@ -159,6 +189,10 @@ fn main() {
     assert_eq!(
         snapshot_meta, 8,
         "PaRiS tracks dependencies with 1 timestamp"
+    );
+    assert_eq!(
+        fused_extra, 1,
+        "a start-form ReadReq carries exactly one timestamp more than the plain form"
     );
     assert!(
         report.violations.is_empty(),

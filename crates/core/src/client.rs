@@ -11,6 +11,31 @@
 //! consumes responses and emits [`ClientEvent`]s. Clients are sequential
 //! (one outstanding operation), matching §II-C.
 //!
+//! # Beginning a transaction
+//!
+//! START (Alg. 1 lines 1–7) is a round trip that only assigns the snapshot
+//! `max(ust_c, ust)`. [`ClientSession::begin`] pays it up front: a
+//! `StartTxReq`, and the transaction opens on the reply.
+//! [`ClientSession::begin_deferred`] opens the transaction locally instead
+//! and lets its first operation carry the start: the first `ReadReq` or
+//! `CommitReq` is sent in its start form ([`TxRef::Start`], `ust_c` where
+//! the transaction id would be), and its reply names the transaction id
+//! and snapshot, which the session adopts exactly as it adopts a
+//! `StartTxResp` — `ust_c` raised, `WC_c` pruned (line 6).
+//!
+//! Line 6 is the subtle part: until the snapshot is known, the session
+//! cannot tell which of its own writes the snapshot already holds. So a
+//! deferred first read sends every key of `WC_c` to the coordinator,
+//! stamped with the own write's identity (always — correctness, not a byte
+//! bet). The coordinator answers a stamp above the snapshot it just
+//! assigned `Unchanged` without asking any cohort; the cohorts handle the
+//! rest as any stamp. On the reply the own write wins iff its commit time
+//! is above the snapshot (`source: Cache`, as if served locally);
+//! otherwise `Unchanged` means it *is* the visible version and anything
+//! shipped is newer (`source: Server`, as after a prune). Only then is
+//! `WC_c` pruned. Later reads of the transaction serve `WC_c` locally as
+//! usual.
+//!
 //! # The two client caches
 //!
 //! `WC_c` is part of the protocol: it *answers* reads, because the stable
@@ -37,12 +62,13 @@
 //! per-entry overhead), evicting the least recently observed key first.
 //! A reply can never name an evicted entry: the session is sequential,
 //! nothing enters the cache between a `ReadReq` and its `ReadResp`, and
-//! the reply's `Unchanged` outcomes are resolved before its shipped
-//! versions are admitted.
+//! the reply's `Unchanged` outcomes are resolved before anything is
+//! admitted — the own writes a deferred start prunes from `WC_c`, then the
+//! shipped versions.
 
 use std::collections::{BTreeMap, HashMap};
 
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef};
 use paris_types::{
     ClientId, Error, Key, Mode, ServerId, Timestamp, TxId, Value, Version, VersionStamp,
     WriteSetEntry,
@@ -81,7 +107,8 @@ pub struct ClientRead {
 /// Events produced by [`ClientSession::handle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientEvent {
-    /// `START-TX` completed (Alg. 1 lines 1–7).
+    /// An eager `START-TX` completed (Alg. 1 lines 1–7). A deferred begin
+    /// reports none: its first operation's event stands for it.
     Started {
         /// The transaction id.
         tx: TxId,
@@ -99,12 +126,16 @@ pub enum ClientEvent {
     Committed {
         /// The transaction id.
         tx: TxId,
+        /// The snapshot the transaction read from — for a deferred begin
+        /// whose first operation was this commit, known only now.
+        snapshot: Timestamp,
         /// Commit timestamp; `Timestamp::ZERO` for read-only transactions.
         ct: Timestamp,
     },
-    /// The coordinator aborted the transaction because a target partition
-    /// had no reachable replica (§III-C unavailability). The session is
-    /// idle again; none of the transaction's writes took effect.
+    /// The coordinator aborted the transaction — a target partition had
+    /// no reachable replica (§III-C unavailability), or the coordinator
+    /// no longer knew the transaction. The session is idle again; none of
+    /// the transaction's writes took effect.
     Aborted {
         /// The transaction id.
         tx: TxId,
@@ -121,10 +152,11 @@ pub enum ReadStep {
     Send(Envelope),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct OpenTx {
-    tx: TxId,
-    snapshot: Timestamp,
+    /// `(tx, snapshot)` as the coordinator assigned them; `None` for a
+    /// deferred begin until the reply to its first operation.
+    assigned: Option<(TxId, Timestamp)>,
     /// `RS_c`: completed reads, for repeatable-read semantics.
     read_set: HashMap<Key, ClientRead>,
     /// `WS_c`: buffered writes (last write per key wins, Alg. 1 line 23).
@@ -133,6 +165,17 @@ struct OpenTx {
     pending_local: Vec<ClientRead>,
     /// Whether a server operation is in flight.
     in_flight: bool,
+}
+
+impl OpenTx {
+    /// How the next request names the transaction: by id, or — before
+    /// the coordinator assigned one — by the start it carries.
+    fn tx_ref(&self, client_ust: Timestamp) -> TxRef {
+        match self.assigned {
+            Some((tx, _)) => TxRef::Known(tx),
+            None => TxRef::Start { client_ust },
+        }
+    }
 }
 
 /// A cached own-write: value plus the commit timestamp it received.
@@ -319,12 +362,13 @@ pub struct ClientSession {
     open: Option<OpenTx>,
     /// Waiting for a `StartTxResp`.
     starting: bool,
-    /// `StartTxResp`s still owed to begins abandoned by
-    /// [`ClientSession::reset`]. `StartTxResp` carries no transaction-id
-    /// correlation (the coordinator assigns the id), but the channel is
-    /// FIFO, so responses arrive in request order: the next
-    /// `discard_starts` of them belong to abandoned begins and must be
-    /// dropped, not adopted by a newer begin.
+    /// Replies still owed to starts abandoned by [`ClientSession::reset`]
+    /// — a `StartTxResp`, or the reply to a deferred begin's first
+    /// operation. A start's reply carries no correlation the client chose
+    /// (the coordinator assigns the id), but the channel is FIFO, so
+    /// replies arrive in request order: the next `discard_starts` replies
+    /// to starts belong to abandoned ones and must be dropped, not adopted
+    /// by a newer transaction.
     discard_starts: u32,
     /// Transactions run (stats).
     started_count: u64,
@@ -401,15 +445,16 @@ impl ClientSession {
         self.values.used
     }
 
-    /// The open transaction's id, if a transaction is open.
+    /// The open transaction's id, if a transaction is open and the
+    /// coordinator has assigned it.
     pub fn open_tx(&self) -> Option<TxId> {
-        self.open.as_ref().map(|o| o.tx)
+        self.open.as_ref()?.assigned.map(|(tx, _)| tx)
     }
 
-    /// The open transaction's snapshot, if a transaction is open — what
-    /// the measurement harness records for the consistency checker.
+    /// The open transaction's snapshot, if a transaction is open and the
+    /// coordinator has assigned it.
     pub fn open_snapshot(&self) -> Option<Timestamp> {
-        self.open.as_ref().map(|o| o.snapshot)
+        self.open.as_ref()?.assigned.map(|(_, snapshot)| snapshot)
     }
 
     /// Transactions started / committed so far.
@@ -433,19 +478,24 @@ impl ClientSession {
     /// and the value cache are untouched, so causal ordering of
     /// *completed* transactions is preserved (a value-cache entry is a
     /// fact about one `(key, ut, tx)` and cannot go stale). The abandoned
-    /// transaction's buffered writes are discarded; if its commit actually landed server-side and only the
-    /// reply was lost, those writes are *not* entered into the write cache
-    /// — read-your-own-writes is forfeited for exactly that transaction
-    /// until the UST covers it. Late replies for the abandoned
-    /// transaction are ignored by [`ClientSession::handle`]: reads and
-    /// commits by their transaction-id checks, and a start abandoned
-    /// mid-flight by counting it — the channel is FIFO, so the next
-    /// `StartTxResp` to arrive is the abandoned one and is dropped
-    /// rather than adopted by a newer begin. The coordinator-side
-    /// context, if any, is reclaimed by the server's stale-context
-    /// cleanup.
+    /// transaction's buffered writes are discarded; if its commit actually
+    /// landed server-side and only the reply was lost, those writes are
+    /// *not* entered into the write cache — read-your-own-writes is
+    /// forfeited for exactly that transaction until the UST covers it.
+    /// Late replies for the abandoned transaction are ignored by
+    /// [`ClientSession::handle`]: reads and commits by their
+    /// transaction-id checks, and a start abandoned mid-flight — a
+    /// `StartTxReq`, or a deferred begin's first operation — by counting
+    /// it: the channel is FIFO, so the next reply to a start is the
+    /// abandoned one and is dropped rather than adopted by a newer
+    /// transaction. The coordinator-side context, if any, is reclaimed by
+    /// the server's stale-context cleanup on its GC tick.
     pub fn reset(&mut self) {
-        if self.starting {
+        let first_op_in_flight = self
+            .open
+            .as_ref()
+            .is_some_and(|o| o.in_flight && o.assigned.is_none());
+        if self.starting || first_op_in_flight {
             self.discard_starts += 1;
         }
         self.starting = false;
@@ -454,16 +504,15 @@ impl ClientSession {
 
     // ------------------------------------------------------------ START
 
-    /// `START-TX` (Alg. 1 lines 1–7): returns the request envelope.
+    /// `START-TX` (Alg. 1 lines 1–7), eager: returns the `StartTxReq` to
+    /// send; the transaction opens on its reply.
     ///
     /// # Errors
     ///
     /// [`Error::TransactionAlreadyOpen`] if a transaction is open or
     /// starting.
     pub fn begin(&mut self) -> Result<Envelope, Error> {
-        if self.open.is_some() || self.starting {
-            return Err(Error::TransactionAlreadyOpen);
-        }
+        self.ensure_idle()?;
         self.starting = true;
         Ok(Envelope::new(
             self.id,
@@ -474,11 +523,37 @@ impl ClientSession {
         ))
     }
 
+    /// `START-TX` (Alg. 1 lines 1–7), deferred: opens the transaction
+    /// locally, without a message. Its first [`ClientSession::read`] or
+    /// [`ClientSession::commit`] carries the start, and the reply to it
+    /// assigns the id and snapshot (see the module docs); until then
+    /// [`ClientSession::open_tx`] and [`ClientSession::open_snapshot`]
+    /// are `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::TransactionAlreadyOpen`] if a transaction is open or
+    /// starting.
+    pub fn begin_deferred(&mut self) -> Result<(), Error> {
+        self.ensure_idle()?;
+        self.open = Some(OpenTx::default());
+        Ok(())
+    }
+
+    fn ensure_idle(&self) -> Result<(), Error> {
+        if self.open.is_some() || self.starting {
+            return Err(Error::TransactionAlreadyOpen);
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------- READ
 
     /// `READ` (Alg. 1 lines 8–20): serves keys from the write set, read
     /// set and cache (in that order); missing keys go to the coordinator,
-    /// each stamped with the version the value cache holds for it.
+    /// each stamped with the version the value cache holds for it. The
+    /// first read of a deferred begin carries the start and sends the
+    /// keys of `WC_c` too (module docs).
     ///
     /// # Errors
     ///
@@ -507,14 +582,22 @@ impl ClientSession {
                     version: prev.version.clone(),
                     source: ReadSource::ReadSet,
                 });
-            } else if self.mode == Mode::Paris && self.cache.contains_key(&key) {
-                let cached = &self.cache[&key];
-                local.push(ClientRead {
-                    key,
-                    value: Some(cached.version.value.clone()),
-                    version: Some(cached.version.clone()),
-                    source: ReadSource::Cache,
-                });
+            } else if let Some(cached) = self.cache.get(&key).filter(|_| self.mode == Mode::Paris) {
+                if open.assigned.is_some() {
+                    local.push(ClientRead {
+                        key,
+                        value: Some(cached.version.value.clone()),
+                        version: Some(cached.version.clone()),
+                        source: ReadSource::Cache,
+                    });
+                } else {
+                    // Line 6 has not run: the coordinator says whether
+                    // the snapshot holds this own write.
+                    remote.push(ReadKey {
+                        key,
+                        held: Some(cached.version.stamp()),
+                    });
+                }
             } else {
                 remote.push(ReadKey {
                     key,
@@ -530,11 +613,13 @@ impl ClientSession {
         }
         open.in_flight = true;
         open.pending_local = local;
-        let tx = open.tx;
         Ok(ReadStep::Send(Envelope::new(
             self.id,
             self.coordinator,
-            Msg::ReadReq { tx, keys: remote },
+            Msg::ReadReq {
+                tx: open.tx_ref(self.ust),
+                keys: remote,
+            },
         )))
     }
 
@@ -558,7 +643,8 @@ impl ClientSession {
     /// `COMMIT-TX` (Alg. 1 lines 26–32): ships the write set to the
     /// coordinator with `hwt_c`. Also used to close read-only
     /// transactions (empty write set), which frees the coordinator's
-    /// context (and its hold on the GC horizon).
+    /// context (and its hold on the GC horizon). The commit of a deferred
+    /// begin that has not reached the coordinator yet carries the start.
     ///
     /// # Errors
     ///
@@ -579,7 +665,7 @@ impl ClientSession {
             self.id,
             self.coordinator,
             Msg::CommitReq {
-                tx: open.tx,
+                tx: open.tx_ref(self.ust),
                 hwt: self.hwt,
                 writes,
             },
@@ -596,110 +682,40 @@ impl ClientSession {
         debug_assert_eq!(env.dst, Endpoint::Client(self.id));
         match &env.msg {
             Msg::StartTxResp { tx, snapshot } => {
-                if self.discard_starts > 0 {
-                    // Owed to a begin abandoned by `reset`; FIFO order
-                    // makes this response the abandoned one.
-                    self.discard_starts -= 1;
-                    return None;
-                }
-                if !self.starting {
+                if self.owed_to_abandoned_start() || !self.starting {
                     return None;
                 }
                 self.starting = false;
-                self.started_count += 1;
-                // Alg. 1 line 4: ust_c ← ust. The coordinator guarantees
-                // monotonicity (it maxes with the piggybacked ust_c).
-                self.ust = self.ust.max(*snapshot);
-                // Alg. 1 line 6: prune cache entries covered by ust_c. From
-                // here on the servers answer for these keys; the bytes move
-                // to the value cache so the next read of an own write only
-                // has to be validated, not shipped back. Oldest first, in a
-                // seed-stable order.
-                let horizon = self.ust;
-                let mut covered: Vec<(Timestamp, Key)> = self
-                    .cache
-                    .iter()
-                    .filter(|(_, w)| w.version.ut <= horizon)
-                    .map(|(key, w)| (w.version.ut, *key))
-                    .collect();
-                covered.sort_unstable();
-                for (_, key) in covered {
-                    if let Some(w) = self.cache.remove(&key) {
-                        self.values.admit(w.version);
-                    }
-                }
-                self.open = Some(OpenTx {
-                    tx: *tx,
-                    snapshot: *snapshot,
-                    read_set: HashMap::new(),
-                    write_set: HashMap::new(),
-                    pending_local: Vec::new(),
-                    in_flight: false,
-                });
+                self.open = Some(OpenTx::default());
+                self.adopt(*tx, *snapshot);
                 Some(ClientEvent::Started {
                     tx: *tx,
                     snapshot: *snapshot,
                 })
             }
-            Msg::ReadResp { tx, results } => {
-                let open = self.open.as_mut()?;
-                if open.tx != *tx || !open.in_flight {
+            Msg::ReadResp {
+                tx,
+                snapshot,
+                results,
+            } => {
+                if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
                 }
-                open.in_flight = false;
-                let mut reads = std::mem::take(&mut open.pending_local);
-                // Every `Unchanged` is resolved before any shipped version
-                // is admitted (the second pass below): admission evicts, and
-                // must not evict what a later outcome of this same reply
-                // names.
-                for ReadResult { key, outcome } in results {
-                    let version = match outcome {
-                        ReadOutcome::Absent => None,
-                        ReadOutcome::Found(v) => {
-                            if let Some(held) = self.values.get(*key) {
-                                let same = held.stamp() == v.stamp();
-                                self.values.stability.record(same);
-                            }
-                            Some(v.clone())
-                        }
-                        ReadOutcome::Unchanged => match self.values.get(*key) {
-                            Some(held) => {
-                                let held = held.clone();
-                                self.values.stability.record(true);
-                                self.values.touch(*key);
-                                Some(held)
-                            }
-                            None => {
-                                // Only a key stamped from the cache can come
-                                // back unchanged, and the cache has not
-                                // changed since. A coordinator that says
-                                // otherwise is broken; never invent a value.
-                                self.open = None;
-                                return Some(ClientEvent::Aborted { tx: *tx });
-                            }
-                        },
-                    };
-                    reads.push(ClientRead {
-                        key: *key,
-                        value: version.as_ref().map(|v| v.value.clone()),
-                        version,
-                        source: ReadSource::Server,
-                    });
-                }
-                for v in results.iter().filter_map(|r| r.outcome.version()) {
-                    self.values.admit(v.clone());
-                }
-                // Alg. 1 line 18: RS_c ← RS_c ∪ D.
-                for r in &reads {
-                    open.read_set.entry(r.key).or_insert_with(|| r.clone());
-                }
-                Some(ClientEvent::ReadDone { tx: *tx, reads })
+                self.on_read_resp(*tx, *snapshot, results)
             }
-            Msg::CommitResp { tx, ct } => {
-                let open = self.open.take()?;
-                if open.tx != *tx {
-                    self.open = Some(open);
+            Msg::CommitResp { tx, snapshot, ct } => {
+                if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
+                }
+                if let Some(snapshot) = snapshot {
+                    self.adopt(*tx, *snapshot);
+                }
+                let open = self.open.take()?;
+                let (_, snapshot) = open.assigned?;
+                if *ct == Timestamp::ZERO && !open.write_set.is_empty() {
+                    // No commit time, so the writes were not committed —
+                    // whatever the coordinator meant by answering.
+                    return Some(ClientEvent::Aborted { tx: *tx });
                 }
                 self.committed_count += 1;
                 if *ct != Timestamp::ZERO {
@@ -726,16 +742,19 @@ impl ClientSession {
                         }
                     }
                 }
-                Some(ClientEvent::Committed { tx: *tx, ct: *ct })
+                Some(ClientEvent::Committed {
+                    tx: *tx,
+                    snapshot,
+                    ct: *ct,
+                })
             }
-            Msg::OpFailed { tx } => {
-                let open = self.open.take()?;
-                if open.tx != *tx {
-                    self.open = Some(open);
+            Msg::OpFailed { tx, snapshot } => {
+                if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
                 }
                 // The transaction is gone coordinator-side; drop all local
-                // state (nothing committed, cache untouched).
+                // state (nothing committed, caches untouched).
+                self.open = None;
                 Some(ClientEvent::Aborted { tx: *tx })
             }
             _ => {
@@ -743,6 +762,140 @@ impl ClientSession {
                 None
             }
         }
+    }
+
+    /// Consumes one reply owed to a start abandoned by
+    /// [`ClientSession::reset`], if one is still owed (see
+    /// `discard_starts`).
+    fn owed_to_abandoned_start(&mut self) -> bool {
+        if self.discard_starts == 0 {
+            return false;
+        }
+        self.discard_starts -= 1;
+        true
+    }
+
+    /// Whether a reply answers the operation in flight. A reply naming a
+    /// snapshot answers a start form, so it belongs to a deferred begin's
+    /// first operation — unless it is owed to a start abandoned by
+    /// [`ClientSession::reset`]; any other reply must name the open
+    /// transaction.
+    fn answers_in_flight(&mut self, tx: TxId, snapshot: Option<Timestamp>) -> bool {
+        if snapshot.is_some() && self.owed_to_abandoned_start() {
+            return false;
+        }
+        self.open.as_ref().is_some_and(|open| {
+            open.in_flight
+                && match open.assigned {
+                    None => snapshot.is_some(),
+                    Some((open_tx, _)) => snapshot.is_none() && open_tx == tx,
+                }
+        })
+    }
+
+    /// Takes the coordinator's `(tx, snapshot)` for the open transaction —
+    /// from a `StartTxResp`, or from the reply to a deferred begin's first
+    /// operation (Alg. 1 lines 3–6).
+    fn adopt(&mut self, tx: TxId, snapshot: Timestamp) {
+        self.started_count += 1;
+        // Alg. 1 line 4: ust_c ← ust. The coordinator guarantees
+        // monotonicity (it maxes with the piggybacked ust_c).
+        self.ust = self.ust.max(snapshot);
+        // Alg. 1 line 6: prune cache entries covered by ust_c. From here on
+        // the servers answer for these keys; the bytes move to the value
+        // cache so the next read of an own write only has to be validated,
+        // not shipped back. Oldest first, in a seed-stable order.
+        let horizon = self.ust;
+        let mut covered: Vec<(Timestamp, Key)> = self
+            .cache
+            .iter()
+            .filter(|(_, w)| w.version.ut <= horizon)
+            .map(|(key, w)| (w.version.ut, *key))
+            .collect();
+        covered.sort_unstable();
+        for (_, key) in covered {
+            if let Some(w) = self.cache.remove(&key) {
+                self.values.admit(w.version);
+            }
+        }
+        if let Some(open) = self.open.as_mut() {
+            open.assigned = Some((tx, snapshot));
+        }
+    }
+
+    /// A `ReadResp` that answers the read in flight; `start` is the
+    /// snapshot it assigns, for a deferred begin's first read.
+    fn on_read_resp(
+        &mut self,
+        tx: TxId,
+        start: Option<Timestamp>,
+        results: &[ReadResult],
+    ) -> Option<ClientEvent> {
+        let open = self.open.as_mut()?;
+        let snapshot = start.or(open.assigned.map(|(_, s)| s))?;
+        open.in_flight = false;
+        let mut reads = std::mem::take(&mut open.pending_local);
+        // Every `Unchanged` is resolved before anything enters the value
+        // cache (the start's prune, then the shipped versions): admission
+        // evicts, and must not evict what an outcome of this same reply
+        // names.
+        for ReadResult { key, outcome } in results {
+            // In a start form, a key of `WC_c` was stamped with the own
+            // write (module docs). These answers do not feed `Stability`:
+            // that stamp was not a bet.
+            let own = self
+                .cache
+                .get(key)
+                .filter(|_| start.is_some())
+                .map(|w| &w.version);
+            let (version, source) = match (own, outcome) {
+                (Some(own), _) if own.ut > snapshot => (Some(own.clone()), ReadSource::Cache),
+                (Some(own), ReadOutcome::Unchanged) => (Some(own.clone()), ReadSource::Server),
+                (Some(_), other) => (other.version().cloned(), ReadSource::Server),
+                (None, ReadOutcome::Absent) => (None, ReadSource::Server),
+                (None, ReadOutcome::Found(v)) => {
+                    if let Some(held) = self.values.get(*key) {
+                        let same = held.stamp() == v.stamp();
+                        self.values.stability.record(same);
+                    }
+                    (Some(v.clone()), ReadSource::Server)
+                }
+                (None, ReadOutcome::Unchanged) => match self.values.get(*key) {
+                    Some(held) => {
+                        let held = held.clone();
+                        self.values.stability.record(true);
+                        self.values.touch(*key);
+                        (Some(held), ReadSource::Server)
+                    }
+                    None => {
+                        // Only a key stamped from the cache can come back
+                        // unchanged, and the cache has not changed since. A
+                        // coordinator that says otherwise is broken; never
+                        // invent a value.
+                        self.open = None;
+                        return Some(ClientEvent::Aborted { tx });
+                    }
+                },
+            };
+            reads.push(ClientRead {
+                key: *key,
+                value: version.as_ref().map(|v| v.value.clone()),
+                version,
+                source,
+            });
+        }
+        if let Some(snapshot) = start {
+            self.adopt(tx, snapshot);
+        }
+        for v in results.iter().filter_map(|r| r.outcome.version()) {
+            self.values.admit(v.clone());
+        }
+        // Alg. 1 line 18: RS_c ← RS_c ∪ D.
+        let open = self.open.as_mut()?;
+        for r in &reads {
+            open.read_set.entry(r.key).or_insert_with(|| r.clone());
+        }
+        Some(ClientEvent::ReadDone { tx, reads })
     }
 }
 
@@ -829,7 +982,7 @@ mod tests {
         match s.read(&[Key(1), Key(2)]).unwrap() {
             ReadStep::Send(env) => match env.msg {
                 Msg::ReadReq { tx, keys } => {
-                    assert_eq!(tx, t);
+                    assert_eq!(tx, TxRef::Known(t));
                     assert_eq!(keys.len(), 2);
                 }
                 _ => panic!("wrong message"),
@@ -855,6 +1008,7 @@ mod tests {
             s.id(),
             Msg::ReadResp {
                 tx: t,
+                snapshot: None,
                 results: vec![ReadResult {
                     key: Key(1),
                     outcome: ReadOutcome::Found(ver),
@@ -883,9 +1037,20 @@ mod tests {
         let ev = s.handle(&Envelope::new(
             s.coordinator(),
             s.id(),
-            Msg::CommitResp { tx: t, ct },
+            Msg::CommitResp {
+                tx: t,
+                snapshot: None,
+                ct,
+            },
         ));
-        assert_eq!(ev, Some(ClientEvent::Committed { tx: t, ct }));
+        assert_eq!(
+            ev,
+            Some(ClientEvent::Committed {
+                tx: t,
+                snapshot: Timestamp::from_physical_micros(100),
+                ct
+            })
+        );
         assert_eq!(s.hwt(), ct);
         assert_eq!(s.cache_len(), 1);
         assert!(s.open_tx().is_none());
@@ -902,6 +1067,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t1,
+                snapshot: None,
                 ct: Timestamp::from_physical_micros(500),
             },
         ));
@@ -927,6 +1093,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t1,
+                snapshot: None,
                 ct: Timestamp::from_physical_micros(500),
             },
         ));
@@ -947,6 +1114,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t,
+                snapshot: None,
                 ct: Timestamp::ZERO,
             },
         ));
@@ -954,6 +1122,7 @@ mod tests {
             ev,
             Some(ClientEvent::Committed {
                 tx: t,
+                snapshot: Timestamp::from_physical_micros(100),
                 ct: Timestamp::ZERO
             })
         );
@@ -971,7 +1140,11 @@ mod tests {
         s.handle(&Envelope::new(
             s.coordinator(),
             s.id(),
-            Msg::CommitResp { tx: t, ct },
+            Msg::CommitResp {
+                tx: t,
+                snapshot: None,
+                ct,
+            },
         ));
         assert_eq!(s.cache_len(), 0, "BPR keeps no write cache");
         assert!(s.ust() >= ct, "snapshot floor must cover own writes");
@@ -994,6 +1167,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: tx(1),
+                snapshot: None,
                 ct: Timestamp::ZERO,
             },
         ));
@@ -1014,6 +1188,7 @@ mod tests {
                 s.id(),
                 Msg::ReadResp {
                     tx: t,
+                    snapshot: None,
                     results: vec![]
                 },
             ))
@@ -1025,6 +1200,7 @@ mod tests {
                 s.id(),
                 Msg::CommitResp {
                     tx: tx(42),
+                    snapshot: None,
                     ct: Timestamp::ZERO
                 },
             ))
@@ -1097,6 +1273,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: old,
+                snapshot: None,
                 ct: Timestamp::from_physical_micros(500),
             },
         ));
@@ -1116,6 +1293,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t1,
+                snapshot: None,
                 ct: Timestamp::from_physical_micros(500),
             },
         ));
@@ -1153,7 +1331,11 @@ mod tests {
         s.handle(&Envelope::new(
             s.coordinator(),
             s.id(),
-            Msg::ReadResp { tx: t, results },
+            Msg::ReadResp {
+                tx: t,
+                snapshot: None,
+                results,
+            },
         ))
     }
 
@@ -1186,6 +1368,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t,
+                snapshot: None,
                 ct: Timestamp::ZERO,
             },
         ));
@@ -1243,7 +1426,11 @@ mod tests {
         s.handle(&Envelope::new(
             s.coordinator(),
             s.id(),
-            Msg::CommitResp { tx: t1, ct },
+            Msg::CommitResp {
+                tx: t1,
+                snapshot: None,
+                ct,
+            },
         ));
         assert_eq!((s.cache_len(), s.value_cache_len()), (1, 0));
         // Snapshot ≥ ct: pruned from WC_c (Alg. 1 line 6) — into the value
@@ -1413,9 +1600,325 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t,
+                snapshot: None,
                 ct: Timestamp::ZERO,
             },
         ));
         assert_eq!(s.counts(), (1, 1));
+    }
+
+    // ------------------------------------------------- the deferred begin
+
+    fn ts(t: u64) -> Timestamp {
+        Timestamp::from_physical_micros(t)
+    }
+
+    /// An eager transaction (snapshot 100) that writes `writes` and gets
+    /// commit time `ct`: the writes land in `WC_c`.
+    fn commit_own(s: &mut ClientSession, seq: u64, writes: &[(u64, Value)], ct: u64) {
+        let t = started(s, seq, 100);
+        let writes: Vec<(Key, Value)> = writes.iter().map(|(k, v)| (Key(*k), v.clone())).collect();
+        s.write(&writes).unwrap();
+        s.commit().unwrap();
+        let ev = s.handle(&Envelope::new(
+            s.coordinator(),
+            s.id(),
+            Msg::CommitResp {
+                tx: t,
+                snapshot: None,
+                ct: ts(ct),
+            },
+        ));
+        assert!(matches!(ev, Some(ClientEvent::Committed { .. })));
+    }
+
+    /// A deferred begin and its first read, which must go to the server
+    /// in the start form: the `ust_c` it carries and the keys it sends.
+    fn deferred_read(s: &mut ClientSession, keys: &[u64]) -> (Timestamp, Vec<ReadKey>) {
+        s.begin_deferred().unwrap();
+        let keys: Vec<Key> = keys.iter().copied().map(Key).collect();
+        match s.read(&keys).unwrap() {
+            ReadStep::Send(Envelope {
+                msg:
+                    Msg::ReadReq {
+                        tx: TxRef::Start { client_ust },
+                        keys,
+                    },
+                ..
+            }) => (client_ust, keys),
+            other => panic!("expected a start-form ReadReq, got {other:?}"),
+        }
+    }
+
+    /// The reply to a start-form read: transaction `t` at `snap`.
+    fn start_reply(
+        s: &mut ClientSession,
+        t: TxId,
+        snap: u64,
+        results: Vec<ReadResult>,
+    ) -> Option<ClientEvent> {
+        s.handle(&Envelope::new(
+            s.coordinator(),
+            s.id(),
+            Msg::ReadResp {
+                tx: t,
+                snapshot: Some(ts(snap)),
+                results,
+            },
+        ))
+    }
+
+    fn by_key(mut reads: Vec<ClientRead>) -> Vec<ClientRead> {
+        reads.sort_by_key(|r| r.key);
+        reads
+    }
+
+    #[test]
+    fn a_deferred_begin_sends_nothing_until_its_first_read_carries_the_start() {
+        let mut s = session(Mode::Paris);
+        observe(&mut s, 1, 100, version(1, 8, 50, 99));
+        s.begin_deferred().unwrap();
+        assert_eq!((s.open_tx(), s.open_snapshot()), (None, None));
+        assert!(!s.has_operation_in_flight());
+        assert_eq!(s.begin_deferred(), Err(Error::TransactionAlreadyOpen));
+        assert_eq!(s.begin().unwrap_err(), Error::TransactionAlreadyOpen);
+        // The transaction's own buffered writes need no snapshot.
+        s.write(&[(Key(9), Value::from("mine"))]).unwrap();
+        assert!(matches!(s.read(&[Key(9)]).unwrap(), ReadStep::Done(_)));
+        s.reset();
+
+        let (client_ust, keys) = deferred_read(&mut s, &[1, 2]);
+        assert_eq!(client_ust, ts(100), "the start carries ust_c");
+        assert_eq!(keys[0].held.map(|h| h.ut), Some(ts(50)), "value cache");
+        assert!(s.has_operation_in_flight());
+        let t = tx(2);
+        let reads = reads_of(start_reply(
+            &mut s,
+            t,
+            150,
+            vec![
+                unchanged(1),
+                ReadResult {
+                    key: Key(2),
+                    outcome: ReadOutcome::Absent,
+                },
+            ],
+        ));
+        assert_eq!(reads[0].version, Some(version(1, 8, 50, 99)));
+        // Adopted exactly as a StartTxResp would be.
+        assert_eq!((s.open_tx(), s.open_snapshot()), (Some(t), Some(ts(150))));
+        assert_eq!((s.ust(), s.counts()), (ts(150), (2, 1)));
+        // Later operations name the transaction.
+        match s.read(&[Key(3)]).unwrap() {
+            ReadStep::Send(env) => {
+                assert!(matches!(
+                    env.msg,
+                    Msg::ReadReq {
+                        tx: TxRef::Known(known),
+                        ..
+                    } if known == t
+                ))
+            }
+            ReadStep::Done(_) => panic!("key 3 is not local"),
+        }
+    }
+
+    #[test]
+    fn a_write_only_deferred_transaction_starts_with_its_commit() {
+        let mut s = session(Mode::Paris);
+        s.begin_deferred().unwrap();
+        s.write(&[(Key(7), Value::from("w"))]).unwrap();
+        let env = s.commit().unwrap();
+        let Msg::CommitReq {
+            tx: TxRef::Start { client_ust },
+            writes,
+            ..
+        } = env.msg
+        else {
+            panic!("expected a start-form CommitReq, got {env:?}");
+        };
+        assert_eq!((client_ust, writes.len()), (Timestamp::ZERO, 1));
+        let t = tx(1);
+        let ev = s.handle(&Envelope::new(
+            s.coordinator(),
+            s.id(),
+            Msg::CommitResp {
+                tx: t,
+                snapshot: Some(ts(200)),
+                ct: ts(300),
+            },
+        ));
+        assert_eq!(
+            ev,
+            Some(ClientEvent::Committed {
+                tx: t,
+                snapshot: ts(200),
+                ct: ts(300)
+            })
+        );
+        assert_eq!((s.ust(), s.hwt(), s.cache_len()), (ts(200), ts(300), 1));
+        assert_eq!(s.counts(), (1, 1));
+        assert!(s.open_tx().is_none());
+    }
+
+    #[test]
+    fn an_own_write_in_a_deferred_first_read_resolves_as_the_eager_path_would() {
+        // Own writes of keys 2 and 3 at ct 300, of key 1 at ct 500; the
+        // snapshot will be 400. Key 1: the snapshot does not hold it, the
+        // own write wins. Key 2: the snapshot holds it, and it is the
+        // visible version. Key 3: the snapshot holds it, but a newer
+        // foreign version is visible.
+        let own = |s: &mut ClientSession| {
+            commit_own(
+                s,
+                1,
+                &[(2, Value::from("two")), (3, Value::from("three"))],
+                300,
+            );
+            commit_own(s, 2, &[(1, Value::from("one"))], 500);
+        };
+        let foreign = version(3, 8, 350, 77);
+        let mut lazy = session(Mode::Paris);
+        own(&mut lazy);
+        let (_, keys) = deferred_read(&mut lazy, &[1, 2, 3]);
+        // Every WC_c key is sent, stamped with the own write — always.
+        let stamps: Vec<Option<Timestamp>> = keys.iter().map(|k| k.held.map(|h| h.ut)).collect();
+        assert_eq!(stamps, [Some(ts(500)), Some(ts(300)), Some(ts(300))]);
+        // The coordinator answered key 1 itself (stamp above 400).
+        let results = vec![unchanged(1), unchanged(2), found(foreign.clone())];
+        let lazy_reads = by_key(reads_of(start_reply(&mut lazy, tx(3), 400, results)));
+        let sources: Vec<ReadSource> = lazy_reads.iter().map(|r| r.source).collect();
+        assert_eq!(
+            sources,
+            [ReadSource::Cache, ReadSource::Server, ReadSource::Server]
+        );
+        assert_eq!(lazy_reads[0].value, Some(Value::from("one")));
+        assert_eq!(lazy_reads[1].value, Some(Value::from("two")));
+        assert_eq!(lazy_reads[2].version, Some(foreign.clone()));
+        // Line 6 ran after the reply: only key 1 is still in WC_c.
+        assert_eq!((lazy.cache_len(), lazy.value_cache_len()), (1, 2));
+
+        // The eager path, same history, same snapshot: same reads.
+        let mut eager = session(Mode::Paris);
+        own(&mut eager);
+        let t = started(&mut eager, 3, 400);
+        let keys = read_remote(&mut eager, &[1, 2, 3]);
+        assert_eq!(keys.len(), 2, "key 1 served from WC_c");
+        let eager_reads = reads_of(reply(&mut eager, t, vec![unchanged(2), found(foreign)]));
+        assert_eq!(by_key(eager_reads), lazy_reads);
+    }
+
+    #[test]
+    fn a_deferred_start_resolves_unchanged_before_its_prune_can_evict() {
+        // Room for one value-cache entry. Key 1 is held there; WC_c holds
+        // an own write of key 2 that the snapshot covers, whose admission
+        // by the prune evicts key 1 — after the reply resolved both.
+        let entry = 100 + VALUE_CACHE_ENTRY_OVERHEAD;
+        let id = ClientId::new(DcId(0), 1);
+        let coordinator = ServerId::new(DcId(0), PartitionId(3));
+        let mut s = ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, entry);
+        let v1 = version(1, 100, 10, 91);
+        observe(&mut s, 1, 50, v1.clone());
+        commit_own(&mut s, 2, &[(2, Value::filled(100, 2))], 300);
+        let (_, keys) = deferred_read(&mut s, &[1, 2]);
+        assert!(keys.iter().all(|k| k.held.is_some()));
+        let reads = by_key(reads_of(start_reply(
+            &mut s,
+            tx(3),
+            400,
+            vec![unchanged(1), unchanged(2)],
+        )));
+        assert_eq!(reads[0].version, Some(v1), "resolved from the held copy");
+        assert_eq!(reads[1].value, Some(Value::filled(100, 2)));
+        assert_eq!(reads[1].source, ReadSource::Server);
+        assert_eq!((s.cache_len(), s.value_cache_len()), (0, 1), "then pruned");
+    }
+
+    #[test]
+    fn reset_during_a_deferred_first_read_discards_its_late_reply() {
+        let mut s = session(Mode::Paris);
+        deferred_read(&mut s, &[1]);
+        s.reset();
+        assert!(!s.has_operation_in_flight());
+        // A new deferred transaction; the channel (FIFO) delivers the
+        // abandoned first read's reply first — it must not be adopted.
+        deferred_read(&mut s, &[2]);
+        let absent = |key| ReadResult {
+            key: Key(key),
+            outcome: ReadOutcome::Absent,
+        };
+        assert!(start_reply(&mut s, tx(1), 100, vec![absent(1)]).is_none());
+        assert_eq!(s.open_tx(), None);
+        let reads = reads_of(start_reply(&mut s, tx(2), 100, vec![absent(2)]));
+        assert_eq!(reads[0].key, Key(2));
+        assert_eq!(s.open_tx(), Some(tx(2)));
+        finish(&mut s, tx(2));
+
+        // The same for an eager begin after the reset, and for an abandoned
+        // first commit that failed.
+        s.begin_deferred().unwrap();
+        s.commit().unwrap();
+        s.reset();
+        s.begin().unwrap();
+        let failed = Msg::OpFailed {
+            tx: tx(3),
+            snapshot: Some(ts(100)),
+        };
+        assert!(s
+            .handle(&Envelope::new(s.coordinator(), s.id(), failed))
+            .is_none());
+        let ev = s.handle(&Envelope::new(
+            s.coordinator(),
+            s.id(),
+            Msg::StartTxResp {
+                tx: tx(4),
+                snapshot: ts(100),
+            },
+        ));
+        assert!(matches!(ev, Some(ClientEvent::Started { tx: got, .. }) if got == tx(4)));
+    }
+
+    #[test]
+    fn op_failed_on_a_deferred_first_op_aborts_it() {
+        let mut s = session(Mode::Paris);
+        deferred_read(&mut s, &[1]);
+        let reply = |tx, snapshot| {
+            Envelope::new(
+                ServerId::new(DcId(0), PartitionId(3)),
+                ClientId::new(DcId(0), 1),
+                Msg::OpFailed { tx, snapshot },
+            )
+        };
+        // A failure of some earlier transaction's operation is not this
+        // one's: it names no snapshot.
+        assert!(s.handle(&reply(tx(9), None)).is_none());
+        assert!(s.has_operation_in_flight());
+        let ev = s.handle(&reply(tx(5), Some(ts(100))));
+        assert_eq!(ev, Some(ClientEvent::Aborted { tx: tx(5) }));
+        assert!(!s.has_operation_in_flight() && s.open_tx().is_none());
+        assert_eq!(s.counts(), (0, 0));
+        started(&mut s, 6, 100);
+    }
+
+    #[test]
+    fn a_commit_reply_without_a_commit_time_for_writes_is_an_abort() {
+        // A coordinator that lost the transaction once answered so; the
+        // writes never committed, whatever the reply claims.
+        let mut s = session(Mode::Paris);
+        let t = started(&mut s, 1, 100);
+        s.write(&[(Key(7), Value::from("lost"))]).unwrap();
+        s.commit().unwrap();
+        let ev = s.handle(&Envelope::new(
+            s.coordinator(),
+            s.id(),
+            Msg::CommitResp {
+                tx: t,
+                snapshot: None,
+                ct: Timestamp::ZERO,
+            },
+        ));
+        assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
+        assert_eq!((s.cache_len(), s.counts()), (0, (1, 0)));
+        assert!(s.open_tx().is_none());
     }
 }

@@ -22,7 +22,8 @@
 //!   reads served concurrently off the server loop (the paper's parallel
 //!   non-blocking reads), GC-safe via the shared stable frontier;
 //! * [`ClientSession`] — the client state machine (Alg. 1) with the
-//!   private write cache;
+//!   private write cache, beginning eagerly (`StartTxReq`) or lazily (the
+//!   start rides the first operation);
 //! * [`HistoryChecker`] — validates executions against the paper's
 //!   correctness propositions;
 //! * [`metadata`] — the Table I cost taxonomy.
@@ -71,7 +72,7 @@ pub use client::{ClientEvent, ClientRead, ClientSession, ReadSource, ReadStep};
 pub use read_view::{ReadView, ReadViewStats};
 pub use server::{
     CommitPipeline, EventLog, LaneGuard, PipelineStats, RootState, Server, ServerOptions,
-    ServerStats, ServerTuning, StagedPrepare,
+    ServerStats, ServerTuning, StagedPrepare, STALE_CONTEXT_MICROS,
 };
 pub use topology::Topology;
 

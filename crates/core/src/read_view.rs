@@ -31,9 +31,7 @@ use std::sync::Arc;
 
 use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
 use paris_storage::{Engine, StableFrontier, StaleSnapshot};
-use paris_types::{ClientId, Key, Mode, ServerId, Timestamp, TxId, Version};
-
-use crate::server::TxTable;
+use paris_types::{Key, Mode, ServerId, Timestamp, TxId, Version};
 
 /// How one slice read's keys were answered.
 #[derive(Debug, Clone, Copy, Default)]
@@ -92,8 +90,6 @@ pub struct ReadViewStats {
     pub(crate) reads_shipped: AtomicU64,
     /// Reads rejected because their snapshot fell below `S_old`.
     pub(crate) stale_rejections: AtomicU64,
-    /// Transactions started through views (pooled snapshot assignment).
-    pub(crate) start_txs: AtomicU64,
 }
 
 impl ReadViewStats {
@@ -121,12 +117,6 @@ impl ReadViewStats {
     pub fn stale_rejections(&self) -> u64 {
         self.stale_rejections.load(Ordering::Relaxed)
     }
-
-    /// Transactions started through views (pooled snapshot assignment) so
-    /// far.
-    pub fn start_txs(&self) -> u64 {
-        self.start_txs.load(Ordering::Relaxed)
-    }
 }
 
 /// A concurrently-usable handle serving Algorithm 3 snapshot reads from a
@@ -140,7 +130,6 @@ pub struct ReadView {
     store: Arc<dyn Engine>,
     frontier: Arc<StableFrontier>,
     stats: Arc<ReadViewStats>,
-    tx_table: Arc<TxTable>,
 }
 
 impl ReadView {
@@ -150,7 +139,6 @@ impl ReadView {
         store: Arc<dyn Engine>,
         frontier: Arc<StableFrontier>,
         stats: Arc<ReadViewStats>,
-        tx_table: Arc<TxTable>,
     ) -> Self {
         ReadView {
             id,
@@ -158,7 +146,6 @@ impl ReadView {
             store,
             frontier,
             stats,
-            tx_table,
         }
     }
 
@@ -227,38 +214,6 @@ impl ReadView {
                 partition: self.id.partition,
                 results,
             },
-        ))
-    }
-
-    /// Serves one `StartTxReq` (Alg. 2 lines 1–5) off the server loop:
-    /// assigns the PaRiS snapshot (`ust ← max(ust, ust_c)`), registers the
-    /// coordinator context in the shared transaction table — atomically
-    /// with the snapshot read, so the `S_old` aggregate can never miss it
-    /// — and returns the `StartTxResp` envelope ready to send. Snapshot
-    /// assignment is read-only with respect to storage, which is why the
-    /// read pool may carry it.
-    ///
-    /// Returns `None` under BPR: fresh snapshots come from the loop's HLC,
-    /// so the caller must punt the request to the server state machine
-    /// (pools are rejected for BPR at build time; this is the defensive
-    /// backstop).
-    pub fn serve_start_tx(
-        &self,
-        client: ClientId,
-        client_ust: Timestamp,
-        now: u64,
-    ) -> Option<Envelope> {
-        if self.mode != Mode::Paris {
-            return None;
-        }
-        let (tx, snapshot) =
-            self.tx_table
-                .begin_paris(self.id, client, &self.frontier, client_ust, now);
-        self.stats.start_txs.fetch_add(1, Ordering::Relaxed);
-        Some(Envelope::new(
-            self.id,
-            client,
-            Msg::StartTxResp { tx, snapshot },
         ))
     }
 

@@ -1,44 +1,58 @@
 //! Transaction-coordinator role (paper Algorithm 2).
 //!
-//! Coordinator state lives in the shared [`TxTable`](super::TxTable):
-//! snapshot assignment (`StartTxReq`) may execute on read-pool threads
-//! through [`ReadView::serve_start_tx`](crate::ReadView::serve_start_tx),
-//! while the fan-out bookkeeping below still runs exclusively on the
-//! server loop. Each handler takes the table lock once, for a few map
-//! operations.
+//! Snapshot assignment (Alg. 2 lines 1–5) has one implementation,
+//! [`Server::begin_tx`], reached two ways: an eager `StartTxReq` (the
+//! facade's `Cluster::txn_begin`), or the *start form* of a transaction's
+//! first `ReadReq` / `CommitReq` ([`TxRef::Start`]), which carries `ust_c`
+//! instead of a transaction id. A start form is handled exactly like the
+//! plain operation on a transaction begun the moment it arrives, and its
+//! reply names the assigned snapshot — so a transaction whose client
+//! begins lazily costs one round trip less than the paper's START.
+//!
+//! A start-form read may carry stamps of the client's own writes (`WC_c`,
+//! Alg. 1 line 6: the client cannot prune it against a snapshot it does
+//! not know yet). A stamp above the snapshot just assigned names an own
+//! write the snapshot does not contain; it is answered `Unchanged` here,
+//! with no fan-out, and the client serves it from `WC_c`. Every other
+//! stamp — whether the client's own write or its value cache's — is
+//! relayed to the cohorts as it came; the coordinator never interprets
+//! them further.
+//!
+//! Coordinator state lives in the [`TxTable`](super::TxTable); each
+//! handler takes its lock once, for a few map operations.
 
 use std::collections::{BTreeMap, HashSet};
 
-use paris_proto::{Envelope, Msg, ReadKey, ReadResult};
-use paris_types::{Mode, PartitionId, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef};
+use paris_types::{ClientId, Mode, PartitionId, Timestamp, TxId, WriteSetEntry};
 
 use super::{PendingOp, Server};
 
+/// The client that sent a request, if a client did.
+fn client_of(env: &Envelope) -> Option<ClientId> {
+    match env.src {
+        Endpoint::Client(c) => Some(c),
+        Endpoint::Server(_) => {
+            debug_assert!(false, "{} from a server", env.msg.kind());
+            None
+        }
+    }
+}
+
 impl Server {
-    /// `StartTxReq` (Alg. 2 lines 1–5): assign a snapshot and a fresh
-    /// transaction id.
+    /// Alg. 2 lines 1–5: assigns a snapshot and a fresh transaction id
+    /// and registers the transaction's context.
     ///
     /// * PaRiS: `ust ← max(ust, ust_c)`, snapshot = `ust` — a stable
     ///   snapshot installed everywhere, hence non-blocking reads. The
-    ///   assignment goes through the shared table, atomically with the
-    ///   context registration, exactly as the pooled path does.
+    ///   assignment and the registration are one [`TxTable`] critical
+    ///   section (see `tx_table` on why `S_old` needs that).
     /// * BPR: snapshot = `max(ust_c, HLC)` — fresh, but reads must block
-    ///   until the serving partition installs it (§V). The HLC belongs to
-    ///   the loop, so BPR starts are never pooled.
-    pub(super) fn on_start_tx(
-        &mut self,
-        env: &Envelope,
-        client_ust: Timestamp,
-        now: u64,
-    ) -> Vec<Envelope> {
-        let client = match env.src {
-            paris_proto::Endpoint::Client(c) => c,
-            paris_proto::Endpoint::Server(_) => {
-                debug_assert!(false, "StartTxReq from a server");
-                return Vec::new();
-            }
-        };
-        let (tx, snapshot) = match self.mode {
+    ///   until the serving partition installs it (§V).
+    ///
+    /// [`TxTable`]: super::TxTable
+    fn begin_tx(&mut self, client: ClientId, client_ust: Timestamp, now: u64) -> (TxId, Timestamp) {
+        match self.mode {
             Mode::Paris => {
                 self.tx_table
                     .begin_paris(self.id, client, &self.frontier, client_ust, now)
@@ -50,7 +64,37 @@ impl Server {
                     .begin_with_snapshot(self.id, client, snapshot, now);
                 (tx, snapshot)
             }
+        }
+    }
+
+    /// The transaction a request names, begun here if the request is a
+    /// start form — whose reply must then name the snapshot too.
+    fn resolve_tx(
+        &mut self,
+        env: &Envelope,
+        tx: TxRef,
+        now: u64,
+    ) -> Option<(TxId, Option<Timestamp>)> {
+        match tx {
+            TxRef::Known(tx) => Some((tx, None)),
+            TxRef::Start { client_ust } => {
+                let (tx, snapshot) = self.begin_tx(client_of(env)?, client_ust, now);
+                Some((tx, Some(snapshot)))
+            }
+        }
+    }
+
+    /// `StartTxReq` (Alg. 2 lines 1–5): the eager start.
+    pub(super) fn on_start_tx(
+        &mut self,
+        env: &Envelope,
+        client_ust: Timestamp,
+        now: u64,
+    ) -> Vec<Envelope> {
+        let Some(client) = client_of(env) else {
+            return Vec::new();
         };
+        let (tx, snapshot) = self.begin_tx(client, client_ust, now);
         vec![Envelope::new(
             self.id,
             client,
@@ -60,39 +104,47 @@ impl Server {
 
     /// `ReadReq` (Alg. 2 lines 6–16): fan the keys out to one replica per
     /// partition, local when possible, otherwise the preferred remote DC.
-    /// The client's held-version stamps are relayed to the cohorts as they
-    /// came; the coordinator never interprets them.
     pub(super) fn on_read_req(
         &mut self,
         env: &Envelope,
-        tx: TxId,
+        tx: TxRef,
         keys: &[ReadKey],
-        _now: u64,
+        now: u64,
     ) -> Vec<Envelope> {
+        let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
+            return Vec::new();
+        };
         let mut ctxs = self.tx_table.lock();
         let Some(ctx) = ctxs.get(&tx) else {
-            // Unknown transaction (e.g. coordinator restarted): return an
-            // empty result so the client does not hang.
+            // Unknown transaction (the coordinator restarted, or reclaimed
+            // the context as abandoned): its snapshot is gone, so nothing
+            // can be read at it.
             return vec![Envelope::new(
                 self.id,
                 env.src,
-                Msg::ReadResp {
-                    tx,
-                    results: Vec::new(),
-                },
+                Msg::OpFailed { tx, snapshot: None },
             )];
         };
         debug_assert!(ctx.pending.is_none(), "client issued overlapping ops");
         let snapshot = ctx.snapshot;
         let client = ctx.client;
 
-        // Group keys by partition (Alg. 2 line 9).
+        // Group keys by partition (Alg. 2 line 9) — except, in a start
+        // form, an own write above the snapshot (module docs).
+        let mut results = Vec::new();
         let mut by_partition: BTreeMap<PartitionId, Vec<ReadKey>> = BTreeMap::new();
         for &k in keys {
-            by_partition
-                .entry(self.topo.partition_of(k.key))
-                .or_default()
-                .push(k);
+            if start.is_some() && k.held.is_some_and(|held| held.ut > snapshot) {
+                results.push(ReadResult {
+                    key: k.key,
+                    outcome: ReadOutcome::Unchanged,
+                });
+            } else {
+                by_partition
+                    .entry(self.topo.partition_of(k.key))
+                    .or_default()
+                    .push(k);
+            }
         }
         // Resolve a reachable replica per partition; if any partition has
         // none, the operation cannot complete (§III-C) and the
@@ -106,15 +158,34 @@ impl Server {
                 Some(dc) => targets.push(paris_types::ServerId::new(dc, *partition)),
                 None => {
                     ctxs.remove(&tx);
-                    return vec![Envelope::new(self.id, client, Msg::OpFailed { tx })];
+                    return vec![Envelope::new(
+                        self.id,
+                        client,
+                        Msg::OpFailed {
+                            tx,
+                            snapshot: start,
+                        },
+                    )];
                 }
             }
+        }
+        if by_partition.is_empty() {
+            return vec![Envelope::new(
+                self.id,
+                client,
+                Msg::ReadResp {
+                    tx,
+                    snapshot: start,
+                    results,
+                },
+            )];
         }
 
         let awaiting: HashSet<PartitionId> = by_partition.keys().copied().collect();
         ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Read {
             awaiting,
-            results: Vec::new(),
+            results,
+            start,
         });
 
         // One slice request per involved partition, in parallel
@@ -153,6 +224,7 @@ impl Server {
         let Some(PendingOp::Read {
             awaiting,
             results: acc,
+            ..
         }) = ctx.pending.as_mut()
         else {
             return Vec::new();
@@ -164,14 +236,18 @@ impl Server {
         if !awaiting.is_empty() {
             return Vec::new();
         }
-        let results = match ctx.pending.take() {
-            Some(PendingOp::Read { results, .. }) => results,
+        let (results, start) = match ctx.pending.take() {
+            Some(PendingOp::Read { results, start, .. }) => (results, start),
             _ => unreachable!("checked above"),
         };
         vec![Envelope::new(
             self.id,
             ctx.client,
-            Msg::ReadResp { tx, results },
+            Msg::ReadResp {
+                tx,
+                snapshot: start,
+                results,
+            },
         )]
     }
 
@@ -183,20 +259,22 @@ impl Server {
     pub(super) fn on_commit_req(
         &mut self,
         env: &Envelope,
-        tx: TxId,
+        tx: TxRef,
         hwt: Timestamp,
         writes: &[WriteSetEntry],
-        _now: u64,
+        now: u64,
     ) -> Vec<Envelope> {
+        let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
+            return Vec::new();
+        };
         let mut ctxs = self.tx_table.lock();
         let Some(ctx) = ctxs.get(&tx) else {
+            // Unknown transaction: its writes would be dropped, so the
+            // commit fails rather than report a success that never was.
             return vec![Envelope::new(
                 self.id,
                 env.src,
-                Msg::CommitResp {
-                    tx,
-                    ct: Timestamp::ZERO,
-                },
+                Msg::OpFailed { tx, snapshot: None },
             )];
         };
         debug_assert!(ctx.pending.is_none(), "client issued overlapping ops");
@@ -211,6 +289,7 @@ impl Server {
                 client,
                 Msg::CommitResp {
                     tx,
+                    snapshot: start,
                     ct: Timestamp::ZERO,
                 },
             )];
@@ -236,7 +315,14 @@ impl Server {
                 Some(dc) => participants.push(paris_types::ServerId::new(dc, *partition)),
                 None => {
                     ctxs.remove(&tx);
-                    return vec![Envelope::new(self.id, client, Msg::OpFailed { tx })];
+                    return vec![Envelope::new(
+                        self.id,
+                        client,
+                        Msg::OpFailed {
+                            tx,
+                            snapshot: start,
+                        },
+                    )];
                 }
             }
         }
@@ -245,6 +331,7 @@ impl Server {
             awaiting,
             participants: participants.clone(),
             max_proposed: Timestamp::ZERO,
+            start,
         });
 
         // PrepareReq to each involved partition (Alg. 2 lines 21–25).
@@ -277,7 +364,7 @@ impl Server {
         proposed: Timestamp,
         now: u64,
     ) -> Vec<Envelope> {
-        let (participants, ct, client) = {
+        let (participants, ct, client, start) = {
             let mut ctxs = self.tx_table.lock();
             let Some(ctx) = ctxs.get_mut(&tx) else {
                 return Vec::new();
@@ -298,17 +385,18 @@ impl Server {
                 return Vec::new();
             }
 
-            let (participants, ct) = match ctx.pending.take() {
+            let (participants, ct, start) = match ctx.pending.take() {
                 Some(PendingOp::Commit {
                     participants,
                     max_proposed,
+                    start,
                     ..
-                }) => (participants, max_proposed),
+                }) => (participants, max_proposed, start),
                 _ => unreachable!("checked above"),
             };
             let client = ctx.client;
             ctxs.remove(&tx); // Alg. 2 line 28
-            (participants, ct, client)
+            (participants, ct, client, start)
         };
         self.stats.txs_coordinated += 1;
         if let Some(log) = self.events.as_mut() {
@@ -319,7 +407,15 @@ impl Server {
             .into_iter()
             .map(|p| Envelope::new(self.id, p, Msg::CommitTx { tx, ct }))
             .collect();
-        out.push(Envelope::new(self.id, client, Msg::CommitResp { tx, ct }));
+        out.push(Envelope::new(
+            self.id,
+            client,
+            Msg::CommitResp {
+                tx,
+                snapshot: start,
+                ct,
+            },
+        ));
         out
     }
 

@@ -44,6 +44,12 @@ pub(crate) use report_table::ReportTable;
 pub(crate) use roots_table::RootsTable;
 pub(crate) use tx_table::TxTable;
 
+/// How long a coordinator context may sit idle-since-start before the GC
+/// tick reclaims it as abandoned: five minutes, far above any transaction
+/// (a workload transaction takes milliseconds; a simulated WAN partition,
+/// seconds).
+pub const STALE_CONTEXT_MICROS: u64 = 300_000_000;
+
 /// Coordinator-side state of one running transaction (the paper's
 /// `TX[id_T]`, Alg. 2 line 4).
 #[derive(Debug)]
@@ -69,6 +75,9 @@ pub(crate) enum PendingOp {
         awaiting: HashSet<PartitionId>,
         /// Accumulated results.
         results: Vec<ReadResult>,
+        /// The snapshot the reply must name: `Some` when the request was
+        /// a start form.
+        start: Option<Timestamp>,
     },
     /// A 2PC awaiting prepare responses (Alg. 2 lines 21–25).
     Commit {
@@ -78,6 +87,9 @@ pub(crate) enum PendingOp {
         participants: Vec<ServerId>,
         /// Max proposed timestamp so far (Alg. 2 line 26).
         max_proposed: Timestamp,
+        /// The snapshot the reply must name: `Some` when the request was
+        /// a start form.
+        start: Option<Timestamp>,
     },
 }
 
@@ -239,10 +251,8 @@ pub struct Server {
     /// Version vector `VV_n^m`: one entry per replica DC of this partition
     /// (keyed by DC for clarity; own DC included).
     pub(crate) vv: BTreeMap<DcId, Timestamp>,
-    /// Coordinator contexts + transaction-id sequence, shared with every
-    /// [`ReadView`] so snapshot assignment (Alg. 2 lines 1–5) can run on
-    /// pool threads (see [`tx_table`]).
-    pub(crate) tx_table: std::sync::Arc<TxTable>,
+    /// Coordinator contexts + transaction-id sequence (see [`tx_table`]).
+    pub(crate) tx_table: TxTable,
     /// Prepared queue (`Prepared_n^m`), with a sorted index for `min pt`.
     pub(crate) prepared: HashMap<TxId, PreparedTx>,
     pub(crate) prepared_index: BTreeSet<(Timestamp, TxId)>,
@@ -372,7 +382,6 @@ impl Server {
             tuning.write_lanes.unwrap_or_else(|| store.shard_count()),
         ));
         let root_state = std::sync::Arc::new(RootState::default());
-        let tx_table = std::sync::Arc::new(TxTable::default());
         let mut hlc = Hlc::new();
         if let Some(info) = &recovery {
             // Resume where the log ends: recovered versions were committed
@@ -400,7 +409,6 @@ impl Server {
             std::sync::Arc::clone(&store),
             std::sync::Arc::clone(&frontier),
             std::sync::Arc::clone(&view_stats),
-            std::sync::Arc::clone(&tx_table),
         );
         let push = topology.config().batch.is_paced();
         let mut server = Server {
@@ -416,7 +424,7 @@ impl Server {
             root_state,
             view,
             vv,
-            tx_table,
+            tx_table: TxTable::default(),
             prepared: HashMap::new(),
             prepared_index: BTreeSet::new(),
             committed: BTreeMap::new(),
@@ -630,11 +638,12 @@ impl Server {
         &self.unreachable
     }
 
-    /// Drops coordinator contexts older than `timeout_micros` (§III-C:
-    /// "contexts corresponding to transactions of failed clients are
-    /// cleaned in the background after a timeout"). Returns the number of
-    /// contexts dropped. Call with a timeout far above any legitimate
-    /// transaction duration.
+    /// Drops coordinator contexts older than `timeout_micros` that have
+    /// no operation in flight (§III-C: "contexts corresponding to
+    /// transactions of failed clients are cleaned in the background after
+    /// a timeout"). Returns the number of contexts dropped. The GC tick
+    /// runs it with [`STALE_CONTEXT_MICROS`]; a client that comes back
+    /// later gets `OpFailed`.
     pub fn cleanup_stale_contexts(&mut self, now: u64, timeout_micros: u64) -> usize {
         self.tx_table.expire(now, timeout_micros)
     }
@@ -645,12 +654,19 @@ impl Server {
     /// of any in-flight off-loop read (so the read pool never loses a
     /// version it is entitled to). Returns versions removed.
     ///
+    /// The same tick first reclaims coordinator contexts abandoned for
+    /// [`STALE_CONTEXT_MICROS`]: an open context pins this server's
+    /// oldest active snapshot, and with it `S_old` everywhere, so one
+    /// client that vanished mid-transaction would otherwise stop GC for
+    /// good.
+    ///
     /// With durability on, the same tick drives checkpointing: the engine
     /// freezes the ≤ UST stable prefix when its interval has elapsed
     /// (`now` is the substrate clock in microseconds), and GC doubles as
     /// the WAL-truncation point — closed segments fully covered by both
     /// the last checkpoint and the GC horizon are deleted.
     pub fn on_gc_tick(&mut self, now: u64) -> usize {
+        self.tx_table.expire(now, STALE_CONTEXT_MICROS);
         self.store.maybe_checkpoint(self.frontier.ust(), now);
         let removed = self.store.gc(self.frontier.gc_horizon());
         self.stats.gc_removed += removed as u64;

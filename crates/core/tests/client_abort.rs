@@ -41,7 +41,10 @@ fn abort_during_read_resets_session() {
     let ev = s.handle(&Envelope::new(
         s.coordinator(),
         s.id(),
-        Msg::OpFailed { tx: t },
+        Msg::OpFailed {
+            tx: t,
+            snapshot: None,
+        },
     ));
     assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
     assert!(s.open_tx().is_none(), "session is idle after abort");
@@ -59,7 +62,10 @@ fn abort_during_commit_leaves_no_trace_in_cache() {
     let ev = s.handle(&Envelope::new(
         s.coordinator(),
         s.id(),
-        Msg::OpFailed { tx: t },
+        Msg::OpFailed {
+            tx: t,
+            snapshot: None,
+        },
     ));
     assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
     assert_eq!(s.cache_len(), 0, "aborted writes never reach the cache");
@@ -79,7 +85,10 @@ fn abort_for_wrong_transaction_is_ignored() {
     let ev = s.handle(&Envelope::new(
         s.coordinator(),
         s.id(),
-        Msg::OpFailed { tx: tx(99) },
+        Msg::OpFailed {
+            tx: tx(99),
+            snapshot: None,
+        },
     ));
     assert!(ev.is_none());
     assert_eq!(s.open_tx(), Some(t), "current transaction unaffected");
@@ -93,7 +102,10 @@ fn counts_do_not_include_aborts_as_commits() {
     s.handle(&Envelope::new(
         s.coordinator(),
         s.id(),
-        Msg::OpFailed { tx: t },
+        Msg::OpFailed {
+            tx: t,
+            snapshot: None,
+        },
     ));
     assert_eq!(s.counts(), (1, 0), "one started, none committed");
 }

@@ -8,7 +8,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use paris_clock::SimClock;
-use paris_core::{ClientEvent, ClientSession, Mode, ReadStep, Server, ServerOptions, Topology};
+use paris_core::{
+    ClientEvent, ClientSession, Mode, ReadStep, Server, ServerOptions, Topology,
+    STALE_CONTEXT_MICROS,
+};
 use paris_proto::{Endpoint, Envelope};
 use paris_types::{ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, Value};
 
@@ -131,6 +134,18 @@ impl MiniCluster {
         let env = self.clients.get_mut(&c).unwrap().begin().unwrap();
         self.queue.push_back(env);
         self.pump();
+    }
+
+    /// Opens a transaction whose first operation will carry its start.
+    fn begin_deferred(&mut self, c: ClientId) {
+        self.clients.get_mut(&c).unwrap().begin_deferred().unwrap();
+    }
+
+    /// Runs every server's GC tick at the current time.
+    fn gc_all(&mut self) {
+        for server in self.servers.values_mut() {
+            server.on_gc_tick(self.now);
+        }
     }
 
     fn read(&mut self, c: ClientId, keys: &[Key]) -> Vec<(Key, Option<Value>)> {
@@ -521,6 +536,92 @@ fn stale_context_cleanup_removes_abandoned_transactions() {
         .unwrap()
         .cleanup_stale_contexts(c.now, 30_000_000);
     assert_eq!(dropped, 1);
+    assert_eq!(c.servers[&coord].open_transactions(), 0);
+}
+
+#[test]
+fn an_abandoned_context_is_reclaimed_on_the_gc_tick_and_releases_the_gc_horizon() {
+    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let alice = c.add_client(0, 0, Mode::Paris);
+    c.advance(10_000);
+    for _ in 0..3 {
+        c.tick_all();
+    }
+    c.begin(alice);
+    let pinned = c.clients[&alice].open_snapshot().unwrap();
+    let abandoned = c.clients[&alice].open_tx().unwrap();
+    // The client gives up mid-transaction (a transport timeout, say); its
+    // coordinator context stays behind.
+    c.clients.get_mut(&alice).unwrap().reset();
+    let coord = c.clients[&alice].coordinator();
+    for _ in 0..5 {
+        c.tick_all();
+    }
+    c.gc_all();
+    assert!(c.min_ust() > pinned, "the UST moves on");
+    assert_eq!(c.servers[&coord].open_transactions(), 1);
+    assert!(
+        c.servers.values().all(|s| s.s_old() <= pinned),
+        "an open context pins S_old, so GC everywhere"
+    );
+    // Past the timeout, the GC tick reclaims it — and GC resumes.
+    c.advance(STALE_CONTEXT_MICROS);
+    c.gc_all();
+    assert_eq!(c.servers[&coord].open_transactions(), 0);
+    for _ in 0..3 {
+        c.tick_all();
+    }
+    assert!(c.servers.values().all(|s| s.s_old() > pinned));
+    // A client that comes back to the reclaimed transaction is told so.
+    let late = Envelope::new(
+        alice,
+        coord,
+        paris_proto::Msg::CommitReq {
+            tx: paris_proto::TxRef::Known(abandoned),
+            hwt: Timestamp::ZERO,
+            writes: vec![],
+        },
+    );
+    let out = c.servers.get_mut(&coord).unwrap().handle(&late, c.now);
+    assert!(matches!(out[0].msg, paris_proto::Msg::OpFailed { tx, .. } if tx == abandoned));
+}
+
+#[test]
+fn deferred_begins_read_their_own_writes_and_then_the_stable_snapshot() {
+    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let alice = c.add_client(0, 0, Mode::Paris);
+    c.advance(10_000);
+    // A write-only transaction: its commit carries its start.
+    c.begin_deferred(alice);
+    c.write(alice, Key(1), "mine");
+    let ct = c.commit(alice);
+    let coord = c.clients[&alice].coordinator();
+    assert_eq!(c.servers[&coord].open_transactions(), 0);
+    assert_eq!(
+        c.servers[&coord].stats().msgs_handled,
+        2,
+        "the CommitReq and its PrepareResp: no StartTxReq"
+    );
+
+    // Not stable yet: the first read carries the start and the own write,
+    // and the coordinator answers it without a slice read.
+    c.begin_deferred(alice);
+    assert_eq!(c.value_of(alice, Key(1)), Some("mine".into()));
+    assert!(c.clients[&alice].open_snapshot().unwrap() < ct);
+    let slice_reads: u64 = c.servers.values().map(|s| s.stats().slice_reads).sum();
+    assert_eq!(slice_reads, 0);
+    c.commit(alice);
+
+    // Stable: the snapshot holds the write, the server serves it, and the
+    // start prunes it from WC_c.
+    for _ in 0..5 {
+        c.tick_all();
+    }
+    c.begin_deferred(alice);
+    assert_eq!(c.value_of(alice, Key(1)), Some("mine".into()));
+    assert!(c.clients[&alice].open_snapshot().unwrap() >= ct);
+    assert_eq!(c.clients[&alice].cache_len(), 0, "pruned by ust_c");
+    c.commit(alice);
     assert_eq!(c.servers[&coord].open_transactions(), 0);
 }
 

@@ -7,10 +7,10 @@ use std::time::Duration;
 
 use paris_clock::SimClock;
 use paris_core::{Mode, Server, ServerOptions, Topology};
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx};
+use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx};
 use paris_types::{
-    ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
-    VersionStamp, WriteSetEntry,
+    ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, VersionStamp,
+    WriteSetEntry,
 };
 
 fn topo() -> Arc<Topology> {
@@ -264,83 +264,6 @@ fn stamped_keys_are_validated_against_the_visible_version_on_both_paths() {
         assert_eq!((stats.reads_unchanged, stats.reads_shipped), (2, 6));
         assert_eq!(stats.keys_read, 10);
     }
-}
-
-/// Pooled snapshot assignment (Alg. 2 lines 1–5 off the server loop):
-/// the view assigns the snapshot, and the context it registers in the
-/// shared transaction table is immediately visible to the loop, which
-/// serves the transaction's subsequent read fan-out.
-#[test]
-fn pooled_start_context_is_visible_to_the_loop() {
-    let (mut s, _clock) = server(Mode::Paris);
-    install(&mut s, Key(0), 10, 1);
-    let view = s.read_view();
-    let client = ClientId::new(DcId(0), 7);
-    let env = view
-        .serve_start_tx(client, ts(5), 0)
-        .expect("PaRiS views serve starts");
-    let Msg::StartTxResp { tx, snapshot } = env.msg else {
-        panic!("expected StartTxResp, got {}", env.msg.kind());
-    };
-    assert_eq!(env.dst, Endpoint::Client(client));
-    assert_eq!(snapshot, s.ust(), "snapshot is the post-advance UST");
-    assert!(snapshot >= ts(5), "ust ← max(ust, ust_c)");
-    assert_eq!(s.open_transactions(), 1, "context registered");
-    assert_eq!(view.stats().start_txs(), 1);
-    // The loop recognizes the pooled transaction and fans its read out.
-    let out = s.handle(
-        &Envelope::new(
-            client,
-            s.id(),
-            Msg::ReadReq {
-                tx,
-                keys: vec![Key(0).into()],
-            },
-        ),
-        0,
-    );
-    assert!(!out.is_empty());
-    assert!(
-        out.iter()
-            .all(|e| matches!(e.msg, Msg::ReadSliceReq { .. })),
-        "an unknown tx would have produced an empty ReadResp"
-    );
-}
-
-/// Snapshot assignment completes while another thread holds the server
-/// lock — starts, like reads, never queue behind loop work.
-#[test]
-fn pooled_start_does_not_block_on_a_held_server_lock() {
-    let (s, _clock) = server(Mode::Paris);
-    let view = s.read_view();
-    let server = Arc::new(Mutex::new(s));
-    let guard = server.lock().unwrap();
-
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let starter = std::thread::spawn(move || {
-        let env = view
-            .serve_start_tx(ClientId::new(DcId(0), 1), ts(3), 0)
-            .expect("PaRiS view");
-        done_tx.send(env).expect("main thread alive");
-    });
-    let env = done_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("start completed without the server lock");
-    drop(guard);
-    starter.join().expect("starter panicked");
-    assert!(matches!(env.msg, Msg::StartTxResp { .. }));
-}
-
-/// BPR snapshots are fresh (HLC-derived) and belong to the loop: views
-/// refuse to assign them.
-#[test]
-fn bpr_views_never_assign_snapshots() {
-    let (s, _clock) = server(Mode::Bpr);
-    let view = s.read_view();
-    assert!(view
-        .serve_start_tx(ClientId::new(DcId(0), 1), ts(5), 0)
-        .is_none());
-    assert_eq!(s.open_transactions(), 0, "no context was registered");
 }
 
 /// An in-flight view read pins the GC horizon: `on_gc_tick` must not

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use paris_clock::SimClock;
 use paris_core::{Mode, Server, ServerOptions, Topology};
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReplicatedTx};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx, TxRef};
 use paris_types::{
     ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
     VersionStamp, WriteSetEntry,
@@ -92,7 +92,9 @@ fn transaction_ids_are_unique_and_coordinator_tagged() {
 }
 
 #[test]
-fn read_req_for_unknown_tx_returns_empty_response() {
+fn read_req_for_unknown_tx_fails_the_operation() {
+    // E.g. after the coordinator restarted: an empty `ReadResp` would make
+    // the requested keys silently vanish from the client's result.
     let topo = topo();
     let clock = SimClock::new();
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
@@ -102,17 +104,255 @@ fn read_req_for_unknown_tx_returns_empty_response() {
             client(),
             s.id(),
             Msg::ReadReq {
-                tx: bogus,
+                tx: TxRef::Known(bogus),
                 keys: vec![Key(0).into()],
             },
         ),
         0,
     );
     assert_eq!(out.len(), 1);
-    match &out[0].msg {
-        Msg::ReadResp { results, .. } => assert!(results.is_empty()),
-        other => panic!("expected ReadResp, got {}", other.kind()),
-    }
+    assert_eq!(out[0].dst, Endpoint::Client(client()));
+    assert_eq!(
+        out[0].msg,
+        Msg::OpFailed {
+            tx: bogus,
+            snapshot: None
+        }
+    );
+}
+
+#[test]
+fn commit_req_for_unknown_tx_fails_instead_of_faking_success() {
+    // `CommitResp { ct: ZERO }` here told the client its writes committed
+    // when they were dropped.
+    let topo = topo();
+    let clock = SimClock::new();
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let bogus = TxId::new(s.id(), 999);
+    let out = s.handle(
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::CommitReq {
+                tx: TxRef::Known(bogus),
+                hwt: Timestamp::ZERO,
+                writes: vec![WriteSetEntry::new(Key(0), Value::from("lost"))],
+            },
+        ),
+        0,
+    );
+    assert_eq!(
+        out.iter().map(|e| &e.msg).collect::<Vec<_>>(),
+        [&Msg::OpFailed {
+            tx: bogus,
+            snapshot: None
+        }]
+    );
+    assert_eq!(s.stats().prepares, 0);
+}
+
+#[test]
+fn a_start_form_read_begins_the_transaction_and_names_its_snapshot() {
+    let topo = topo();
+    let clock = SimClock::new();
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let ust = Timestamp::from_physical_micros(30_000);
+    let out = s.handle(
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::ReadReq {
+                tx: TxRef::Start { client_ust: ust },
+                keys: vec![Key(0).into()],
+            },
+        ),
+        0,
+    );
+    // Assigned exactly as a `StartTxReq` would (Alg. 2 line 2), and the
+    // context is open before the fan-out.
+    assert_eq!(s.ust(), ust);
+    assert_eq!(s.open_transactions(), 1);
+    let [Envelope {
+        msg: Msg::ReadSliceReq { tx, snapshot, .. },
+        ..
+    }] = out.as_slice()
+    else {
+        panic!("expected one ReadSliceReq, got {out:?}");
+    };
+    assert_eq!((*snapshot, tx.coordinator()), (ust, s.id()));
+    let out = s.handle(
+        &Envelope::new(
+            ServerId::new(DcId(0), PartitionId(0)),
+            s.id(),
+            Msg::ReadSliceResp {
+                tx: *tx,
+                partition: PartitionId(0),
+                results: vec![],
+            },
+        ),
+        0,
+    );
+    assert_eq!(
+        out[0].msg,
+        Msg::ReadResp {
+            tx: *tx,
+            snapshot: Some(ust),
+            results: vec![]
+        }
+    );
+}
+
+#[test]
+fn a_stamp_above_the_assigned_snapshot_is_answered_without_any_slice_read() {
+    // A start-form read carries the client's own writes stamped: the
+    // client could not prune WC_c against a snapshot it did not know.
+    let topo = topo();
+    let clock = SimClock::new();
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let ust = Timestamp::from_physical_micros(30_000);
+    let own = |ut: u64| {
+        Some(VersionStamp {
+            ut: Timestamp::from_physical_micros(ut),
+            tx: TxId::new(s.id(), 1),
+        })
+    };
+    let keys = vec![
+        // Partition 1: an own write the snapshot does not hold.
+        ReadKey {
+            key: Key(1),
+            held: own(30_001),
+        },
+        // Partition 2: one it does — the cohort decides.
+        ReadKey {
+            key: Key(2),
+            held: own(29_000),
+        },
+    ];
+    let out = s.handle(
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::ReadReq {
+                tx: TxRef::Start { client_ust: ust },
+                keys: keys.clone(),
+            },
+        ),
+        0,
+    );
+    let slices: Vec<&Vec<ReadKey>> = out
+        .iter()
+        .map(|e| match &e.msg {
+            Msg::ReadSliceReq { keys, .. } => keys,
+            other => panic!("expected ReadSliceReq, got {}", other.kind()),
+        })
+        .collect();
+    assert_eq!(slices, [&vec![keys[1]]], "only key 2 fans out");
+    let Msg::ReadSliceReq { tx, .. } = out[0].msg else {
+        unreachable!()
+    };
+    let out = s.handle(
+        &Envelope::new(
+            ServerId::new(DcId(0), PartitionId(2)),
+            s.id(),
+            Msg::ReadSliceResp {
+                tx,
+                partition: PartitionId(2),
+                results: vec![paris_proto::ReadResult {
+                    key: Key(2),
+                    outcome: ReadOutcome::Unchanged,
+                }],
+            },
+        ),
+        0,
+    );
+    let Msg::ReadResp {
+        snapshot, results, ..
+    } = &out[0].msg
+    else {
+        panic!("expected ReadResp");
+    };
+    assert_eq!(*snapshot, Some(ust));
+    let outcomes: Vec<(Key, &ReadOutcome)> = results.iter().map(|r| (r.key, &r.outcome)).collect();
+    assert_eq!(
+        outcomes,
+        [
+            (Key(1), &ReadOutcome::Unchanged),
+            (Key(2), &ReadOutcome::Unchanged)
+        ]
+    );
+
+    // All of a read's keys above the snapshot: answered at once.
+    let out = s.handle(
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::ReadReq {
+                tx: TxRef::Start { client_ust: ust },
+                keys: vec![keys[0]],
+            },
+        ),
+        0,
+    );
+    assert!(matches!(
+        &out[..],
+        [Envelope {
+            msg: Msg::ReadResp { snapshot: Some(snap), .. },
+            ..
+        }] if *snap == ust
+    ));
+    assert_eq!(s.stats().slice_reads, 0);
+}
+
+#[test]
+fn a_start_form_commit_names_the_snapshot_it_committed_on() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let ust = Timestamp::from_physical_micros(5_000);
+    let commit = |writes| {
+        Envelope::new(
+            client(),
+            ServerId::new(DcId(0), PartitionId(0)),
+            Msg::CommitReq {
+                tx: TxRef::Start { client_ust: ust },
+                hwt: Timestamp::ZERO,
+                writes,
+            },
+        )
+    };
+    // Nothing to write: assigned, answered, and no context left behind.
+    let out = s.handle(&commit(vec![]), 0);
+    assert!(matches!(
+        out[0].msg,
+        Msg::CommitResp { snapshot: Some(snap), ct, .. } if snap == ust && ct == Timestamp::ZERO
+    ));
+    assert_eq!(s.open_transactions(), 0);
+    // A write-only transaction: one round trip for start, 2PC and reply.
+    let out = s.handle(
+        &commit(vec![WriteSetEntry::new(Key(0), Value::from("w"))]),
+        0,
+    );
+    let Msg::PrepareReq { tx, snapshot, .. } = out[0].msg else {
+        panic!("expected PrepareReq");
+    };
+    assert_eq!(snapshot, ust);
+    let out = s.handle(
+        &Envelope::new(
+            s.id(),
+            s.id(),
+            Msg::PrepareResp {
+                tx,
+                partition: PartitionId(0),
+                proposed: Timestamp::from_physical_micros(10_001),
+            },
+        ),
+        0,
+    );
+    assert!(out.iter().any(|e| matches!(
+        e.msg,
+        Msg::CommitResp { snapshot: Some(snap), .. } if snap == ust
+    )));
 }
 
 #[test]
@@ -130,7 +370,14 @@ fn read_fan_out_targets_one_replica_per_partition() {
     let mut keys: Vec<ReadKey> = (0..12).map(|k| Key(k).into()).collect();
     keys[7].held = held;
     let out = s.handle(
-        &Envelope::new(client(), s.id(), Msg::ReadReq { tx, keys }),
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::ReadReq {
+                tx: TxRef::Known(tx),
+                keys,
+            },
+        ),
         0,
     );
     assert_eq!(out.len(), 6);
@@ -167,7 +414,7 @@ fn duplicate_read_slice_resp_is_ignored() {
             client(),
             s.id(),
             Msg::ReadReq {
-                tx,
+                tx: TxRef::Known(tx),
                 keys: vec![Key(0).into(), Key(1).into()],
             },
         ),
@@ -214,7 +461,7 @@ fn stale_read_slice_resp_after_tx_finished_is_dropped() {
             client(),
             s.id(),
             Msg::CommitReq {
-                tx,
+                tx: TxRef::Known(tx),
                 hwt: Timestamp::ZERO,
                 writes: vec![],
             },
@@ -252,7 +499,7 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
             client(),
             s.id(),
             Msg::CommitReq {
-                tx,
+                tx: TxRef::Known(tx),
                 hwt: Timestamp::ZERO,
                 writes,
             },

@@ -1,6 +1,6 @@
 //! CPU service-time model for simulated servers.
 
-use paris_proto::Msg;
+use paris_proto::{Msg, TxRef};
 
 /// Per-message CPU costs of a partition server, in microseconds.
 ///
@@ -19,7 +19,8 @@ use paris_proto::Msg;
 /// this "synchronization overhead to block and unblock reads" (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
-    /// Fixed cost of starting a transaction (snapshot assignment).
+    /// Fixed cost of starting a transaction (snapshot assignment), whether
+    /// by `StartTxReq` or in the start form of a first operation.
     pub start_tx: u64,
     /// Coordinator-side fixed cost of a read fan-out.
     pub read_coord: u64,
@@ -85,9 +86,14 @@ impl ServiceModel {
         match msg {
             Msg::StartTxReq { .. } => self.start_tx,
             Msg::StartTxResp { .. } | Msg::OpFailed { .. } => 0,
-            Msg::ReadReq { .. } => self.read_coord,
+            Msg::ReadReq { tx, .. } | Msg::CommitReq { tx, .. } => {
+                let start = match tx {
+                    TxRef::Known(_) => 0,
+                    TxRef::Start { .. } => self.start_tx,
+                };
+                self.read_coord + start
+            }
             Msg::ReadResp { .. } => 0,
-            Msg::CommitReq { .. } => self.read_coord,
             Msg::CommitResp { .. } => 0,
             Msg::ReadSliceReq { keys, .. } => {
                 self.read_slice_base + self.read_per_key * keys.len() as u64

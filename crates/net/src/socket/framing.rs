@@ -250,9 +250,9 @@ mod tests {
             Err(Error::Transport("bad protocol magic"))
         );
 
-        // Every version but ours is refused: the retired v1, a future v3
-        // and a nonsense v0 alike.
-        for version in [0, 1, wire::PROTOCOL_VERSION + 1, u16::MAX] {
+        // Every version but ours is refused: the retired v1, v2 (which
+        // cannot decode a start form), a future v4 and a nonsense v0 alike.
+        for version in [0, 1, 2, wire::PROTOCOL_VERSION + 1, u16::MAX] {
             let mut bad_version = good.clone();
             bad_version[4..].copy_from_slice(&version.to_le_bytes());
             assert_eq!(

@@ -155,9 +155,8 @@ struct Registry {
     tap_epoch: u64,
 }
 
-/// Round-robin fan-out of server-bound read-path deliveries
-/// (`ReadSliceReq` and `StartTxReq`) into read-pool lanes (see
-/// [`Router::set_read_tap`]).
+/// Round-robin fan-out of server-bound slice reads (`ReadSliceReq`) into
+/// read-pool lanes (see [`Router::set_read_tap`]).
 struct ReadTap {
     lanes: Vec<Sender<Envelope>>,
     next: usize,
@@ -334,10 +333,9 @@ impl Router {
         }
     }
 
-    /// Installs the read tap: from now on, read-path envelopes bound for
-    /// *server* endpoints — `ReadSliceReq` slice reads and `StartTxReq`
-    /// snapshot assignments, both served against shared lock-free state
-    /// — are delivered round-robin into `lanes` (after their normal
+    /// Installs the read tap: from now on, `ReadSliceReq` slice reads bound
+    /// for *server* endpoints — served against shared lock-free state —
+    /// are delivered round-robin into `lanes` (after their normal
     /// link latency) instead of the destination inbox; the runtime's
     /// read-thread pool drains the lanes and serves them off the server
     /// loop. All other traffic is unaffected. A lane that has shut down is
@@ -542,7 +540,7 @@ impl WheelState {
 }
 
 /// Delivers one due envelope: read-tapped traffic (server-bound
-/// `ReadSliceReq`/`StartTxReq`) goes to a pool lane (round-robin),
+/// `ReadSliceReq`) goes to a pool lane (round-robin),
 /// write-tapped traffic to its source's lane, the rest to the destination
 /// inbox. On the tapped happy path only the lane sender is cloned under
 /// the registry lock — the inbox is looked up only when delivery actually
@@ -551,8 +549,7 @@ impl WheelState {
 /// later deliveries never pay for it again.
 fn deliver(registry: &Arc<Mutex<Registry>>, mut env: Envelope) {
     let server_bound = matches!(env.dst, Endpoint::Server(_));
-    let is_tapped_read =
-        matches!(env.msg, Msg::ReadSliceReq { .. } | Msg::StartTxReq { .. }) && server_bound;
+    let is_tapped_read = matches!(env.msg, Msg::ReadSliceReq { .. }) && server_bound;
     let is_tapped_write = matches!(
         env.msg,
         Msg::PrepareReq { .. }
@@ -1047,7 +1044,9 @@ mod tests {
     }
 
     #[test]
-    fn read_tap_diverts_start_tx_requests() {
+    fn read_tap_leaves_start_tx_requests_to_the_server_loop() {
+        // Snapshot assignment mutates the coordinator's transaction table,
+        // which only the server loop touches.
         let router = Router::start(ThreadedNetConfig::fast(2));
         let a = ClientId::new(DcId(0), 3);
         let b = ServerId::new(DcId(1), PartitionId(0));
@@ -1061,9 +1060,9 @@ mod tests {
                 client_ust: Timestamp::ZERO,
             },
         ));
-        let got = lane.recv_timeout(Duration::from_secs(2)).expect("tapped");
+        let got = inbox.recv_timeout(Duration::from_secs(2)).expect("inbox");
         assert!(matches!(got.msg, Msg::StartTxReq { .. }));
-        assert!(inbox.recv_timeout(Duration::from_millis(100)).is_err());
+        assert!(lane.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod wire;
 
 pub use ctrl::{Ctrl, ServerSnapshot, SnapshotCounters};
 pub use messages::{
-    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
+    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx, TxRef,
 };

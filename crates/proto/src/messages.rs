@@ -107,6 +107,21 @@ impl From<Key> for ReadKey {
     }
 }
 
+/// The transaction a client request belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxRef {
+    /// A transaction the coordinator already started.
+    Known(TxId),
+    /// The request is the transaction's first operation and carries its
+    /// start (Alg. 1 lines 1–7 fused into it): the coordinator assigns
+    /// the id and the snapshot exactly as for a [`Msg::StartTxReq`], and
+    /// the reply names both.
+    Start {
+        /// The client's `ust_c`.
+        client_ust: Timestamp,
+    },
+}
+
 /// What a snapshot read found for one key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadOutcome {
@@ -190,26 +205,31 @@ pub enum Msg {
         snapshot: Timestamp,
     },
     /// Client → coordinator: read a set of keys within a transaction
-    /// (Alg. 1 line 15).
+    /// (Alg. 1 line 15) — or, in its start form, start the transaction
+    /// and read.
     ReadReq {
-        /// Transaction id.
-        tx: TxId,
+        /// The transaction, or the start it carries.
+        tx: TxRef,
         /// Keys not satisfied from the client-local sets, each stamped
-        /// with the version the client's value cache holds for it.
+        /// with the version the client's value cache holds for it (in a
+        /// start form, a key of `WC_c` with the client's own write).
         keys: Vec<ReadKey>,
     },
     /// Coordinator → client: the assembled read results (Alg. 2 line 16).
     ReadResp {
         /// Transaction id.
         tx: TxId,
+        /// The assigned snapshot, when the request was a start form.
+        snapshot: Option<Timestamp>,
         /// Per-key results.
         results: Vec<ReadResult>,
     },
     /// Client → coordinator: commit the transaction's buffered writes
-    /// (Alg. 1 line 27).
+    /// (Alg. 1 line 27) — or, in its start form, start the transaction
+    /// and commit.
     CommitReq {
-        /// Transaction id.
-        tx: TxId,
+        /// The transaction, or the start it carries.
+        tx: TxRef,
         /// Commit time of the client's previous update transaction
         /// (`hwt_c`), so commit timestamps reflect session order.
         hwt: Timestamp,
@@ -220,18 +240,23 @@ pub enum Msg {
     CommitResp {
         /// Transaction id.
         tx: TxId,
+        /// The assigned snapshot, when the request was a start form.
+        snapshot: Option<Timestamp>,
         /// Commit timestamp.
         ct: Timestamp,
     },
     /// Coordinator → client: the operation could not be completed and the
-    /// transaction is aborted — in this reproduction this happens only
-    /// when *no* replica of a target partition is reachable (§III-C:
-    /// "If all replicas of one partition cannot be reached by a DC, then
-    /// PaRiS cannot complete remote operations that target that
-    /// partition, thus leading to unavailability").
+    /// transaction is aborted — when *no* replica of a target partition is
+    /// reachable (§III-C: "If all replicas of one partition cannot be
+    /// reached by a DC, then PaRiS cannot complete remote operations that
+    /// target that partition, thus leading to unavailability"), or when
+    /// the coordinator holds no context for the transaction (it restarted,
+    /// or reclaimed the context as abandoned).
     OpFailed {
         /// Transaction id.
         tx: TxId,
+        /// The assigned snapshot, when the request was a start form.
+        snapshot: Option<Timestamp>,
     },
 
     // ------------------------------------------------------ server ↔ server
@@ -473,11 +498,19 @@ mod tests {
         assert!(hb.is_background());
 
         let rr = Msg::ReadReq {
-            tx: TxId::new(ServerId::new(DcId(0), PartitionId(0)), 1),
+            tx: TxRef::Known(TxId::new(ServerId::new(DcId(0), PartitionId(0)), 1)),
             keys: vec![Key(1).into()],
         };
         assert_eq!(rr.kind(), "ReadReq");
         assert!(!rr.is_background());
+        // A start form is the same kind of message.
+        let start = Msg::ReadReq {
+            tx: TxRef::Start {
+                client_ust: Timestamp::ZERO,
+            },
+            keys: vec![Key(1).into()],
+        };
+        assert_eq!(start.kind(), "ReadReq");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! logical part), so the zero-heavy stamps of background traffic cost 2–7
 //! bytes instead of a fixed 8. A message is its tag byte followed by its
 //! fields; an envelope frame is the [`FRAME_V2`] marker, both endpoints,
-//! then the message.
+//! then the message. Protocol version 3 added the start forms of
+//! `ReadReq` / `CommitReq` and of their replies under tags of their own;
+//! every other frame is the v2 one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -40,7 +42,7 @@ use paris_types::{
 };
 
 use crate::messages::{
-    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
+    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx, TxRef,
 };
 use crate::varint;
 
@@ -52,7 +54,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -383,9 +385,45 @@ fn any_held(keys: &[ReadKey]) -> bool {
     keys.iter().any(|k| k.held.is_some())
 }
 
-/// No snapshot travels in a `ReadReq`, so its first stamp ships absolute
-/// and the rest as deltas against it.
-const READ_REQ_STAMP_BASE: Timestamp = Timestamp::ZERO;
+/// A request's transaction: its id, or — in a start form — the client's
+/// `ust_c`.
+fn put_tx_ref<S: Sink>(s: &mut S, tx: TxRef) {
+    match tx {
+        TxRef::Known(tx) => put_tx(s, tx),
+        TxRef::Start { client_ust } => s.timestamp(client_ust),
+    }
+}
+
+fn get_tx_ref(r: &mut &[u8], start: bool) -> Result<TxRef, DecodeError> {
+    Ok(if start {
+        TxRef::Start {
+            client_ust: get_ts(r)?,
+        }
+    } else {
+        TxRef::Known(get_tx(r)?)
+    })
+}
+
+/// What a request's stamps are delta-coded against. No snapshot travels
+/// in a client request, so a plain form's first stamp ships absolute,
+/// while a start form's stamps sit around the `ust_c` it carries.
+fn stamp_base(tx: TxRef) -> Timestamp {
+    match tx {
+        TxRef::Known(_) => Timestamp::ZERO,
+        TxRef::Start { client_ust } => client_ust,
+    }
+}
+
+/// A reply's snapshot, present in the start form only (its tag says which).
+fn put_start_snapshot<S: Sink>(s: &mut S, snapshot: Option<Timestamp>) {
+    if let Some(snapshot) = snapshot {
+        s.timestamp(snapshot);
+    }
+}
+
+fn get_start_snapshot(r: &mut &[u8], start: bool) -> Result<Option<Timestamp>, DecodeError> {
+    start.then(|| get_ts(r)).transpose()
+}
 
 /// A request's key list: the plain list, followed — under the request's
 /// stamped tag only — by the stamps. Those are sparse: each ships as the
@@ -541,6 +579,24 @@ const T_GOSSIP_DIGEST: u8 = 19;
 // own keep the stamp-free frames free of any stamp bytes.
 const T_READ_REQ_STAMPED: u8 = 20;
 const T_READ_SLICE_REQ_STAMPED: u8 = 21;
+// The start forms (`TxRef::Start`) of the client requests, and the replies
+// to them, which name the assigned snapshot. Tags of their own keep every
+// earlier frame byte-identical.
+const T_READ_REQ_START: u8 = 22;
+const T_READ_REQ_START_STAMPED: u8 = 23;
+const T_READ_RESP_START: u8 = 24;
+const T_COMMIT_REQ_START: u8 = 25;
+const T_COMMIT_RESP_START: u8 = 26;
+const T_OP_FAILED_START: u8 = 27;
+
+/// A message's tag: `plain`, or `start` for its start form.
+fn form(start: bool, plain: u8, start_tag: u8) -> u8 {
+    if start {
+        start_tag
+    } else {
+        plain
+    }
+}
 
 /// Walks a message into a sink: its tag, then its fields.
 fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
@@ -555,28 +611,36 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             s.timestamp(*snapshot);
         }
         Msg::ReadReq { tx, keys } => {
+            let start = matches!(tx, TxRef::Start { .. });
             s.tag(if any_held(keys) {
-                T_READ_REQ_STAMPED
+                form(start, T_READ_REQ_STAMPED, T_READ_REQ_START_STAMPED)
             } else {
-                T_READ_REQ
+                form(start, T_READ_REQ, T_READ_REQ_START)
             });
-            put_tx(s, *tx);
-            put_keys(s, keys, READ_REQ_STAMP_BASE);
+            put_tx_ref(s, *tx);
+            put_keys(s, keys, stamp_base(*tx));
         }
-        Msg::ReadResp { tx, results } => {
-            s.tag(T_READ_RESP);
+        Msg::ReadResp {
+            tx,
+            snapshot,
+            results,
+        } => {
+            s.tag(form(snapshot.is_some(), T_READ_RESP, T_READ_RESP_START));
             put_tx(s, *tx);
+            put_start_snapshot(s, *snapshot);
             put_vec(s, results, put_read_result);
         }
         Msg::CommitReq { tx, hwt, writes } => {
-            s.tag(T_COMMIT_REQ);
-            put_tx(s, *tx);
+            let start = matches!(tx, TxRef::Start { .. });
+            s.tag(form(start, T_COMMIT_REQ, T_COMMIT_REQ_START));
+            put_tx_ref(s, *tx);
             s.timestamp(*hwt);
             put_vec(s, writes, put_write);
         }
-        Msg::CommitResp { tx, ct } => {
-            s.tag(T_COMMIT_RESP);
+        Msg::CommitResp { tx, snapshot, ct } => {
+            s.tag(form(snapshot.is_some(), T_COMMIT_RESP, T_COMMIT_RESP_START));
             put_tx(s, *tx);
+            put_start_snapshot(s, *snapshot);
             s.timestamp(*ct);
         }
         Msg::ReadSliceReq {
@@ -710,9 +774,10 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
                 s.timestamp(*s_old);
             });
         }
-        Msg::OpFailed { tx } => {
-            s.tag(T_OP_FAILED);
+        Msg::OpFailed { tx, snapshot } => {
+            s.tag(form(snapshot.is_some(), T_OP_FAILED, T_OP_FAILED_START));
             put_tx(s, *tx);
+            put_start_snapshot(s, *snapshot);
         }
     }
 }
@@ -729,21 +794,30 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(r)?,
             snapshot: get_ts(r)?,
         },
-        T_READ_REQ | T_READ_REQ_STAMPED => Msg::ReadReq {
+        T_READ_REQ | T_READ_REQ_STAMPED | T_READ_REQ_START | T_READ_REQ_START_STAMPED => {
+            let tx = get_tx_ref(
+                r,
+                matches!(tag, T_READ_REQ_START | T_READ_REQ_START_STAMPED),
+            )?;
+            let stamped = matches!(tag, T_READ_REQ_STAMPED | T_READ_REQ_START_STAMPED);
+            Msg::ReadReq {
+                tx,
+                keys: get_keys(r, stamped, stamp_base(tx))?,
+            }
+        }
+        T_READ_RESP | T_READ_RESP_START => Msg::ReadResp {
             tx: get_tx(r)?,
-            keys: get_keys(r, tag == T_READ_REQ_STAMPED, READ_REQ_STAMP_BASE)?,
-        },
-        T_READ_RESP => Msg::ReadResp {
-            tx: get_tx(r)?,
+            snapshot: get_start_snapshot(r, tag == T_READ_RESP_START)?,
             results: get_vec(r, get_read_result)?,
         },
-        T_COMMIT_REQ => Msg::CommitReq {
-            tx: get_tx(r)?,
+        T_COMMIT_REQ | T_COMMIT_REQ_START => Msg::CommitReq {
+            tx: get_tx_ref(r, tag == T_COMMIT_REQ_START)?,
             hwt: get_ts(r)?,
             writes: get_vec(r, get_write)?,
         },
-        T_COMMIT_RESP => Msg::CommitResp {
+        T_COMMIT_RESP | T_COMMIT_RESP_START => Msg::CommitResp {
             tx: get_tx(r)?,
+            snapshot: get_start_snapshot(r, tag == T_COMMIT_RESP_START)?,
             ct: get_ts(r)?,
         },
         T_READ_SLICE_REQ | T_READ_SLICE_REQ_STAMPED => {
@@ -813,7 +887,10 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             roots: get_vec(r, |r| Ok((get_dc(r)?, get_ts(r)?, get_ts(r)?)))?,
             ust: get_opt(r, |r| Ok((get_ts(r)?, get_ts(r)?)))?,
         },
-        T_OP_FAILED => Msg::OpFailed { tx: get_tx(r)? },
+        T_OP_FAILED | T_OP_FAILED_START => Msg::OpFailed {
+            tx: get_tx(r)?,
+            snapshot: get_start_snapshot(r, tag == T_OP_FAILED_START)?,
+        },
         other => return Err(DecodeError::UnknownTag(other)),
     })
 }
@@ -1028,7 +1105,7 @@ mod tests {
     fn decode_rejects_oversized_value_length() {
         // CommitReq with a write whose value length prefix exceeds buffer.
         let msg = Msg::CommitReq {
-            tx: tx(0, 0, 1),
+            tx: TxRef::Known(tx(0, 0, 1)),
             hwt: Timestamp::ZERO,
             writes: vec![WriteSetEntry::new(Key(1), Value::from("abc"))],
         };
@@ -1064,9 +1141,49 @@ mod tests {
     }
 
     #[test]
+    fn a_start_form_carries_one_timestamp_more_than_its_plain_form() {
+        // Fusing the start into the first operation ships the same one
+        // timestamp `StartTxReq` did; the transaction id the plain form
+        // carries instead is an id, not metadata about dependencies.
+        let ust = Timestamp::from_parts(3_600_000_000, 3);
+        let t = tx(1, 2, 12_345);
+        let keys: Vec<ReadKey> = vec![Key(1).into(), Key(831).into()];
+        let writes = vec![WriteSetEntry::new(Key(5), Value::from("w"))];
+        let start = TxRef::Start { client_ust: ust };
+        for (plain, fused) in [
+            (
+                Msg::ReadReq {
+                    tx: TxRef::Known(t),
+                    keys: keys.clone(),
+                },
+                Msg::ReadReq { tx: start, keys },
+            ),
+            (
+                Msg::CommitReq {
+                    tx: TxRef::Known(t),
+                    hwt: ust,
+                    writes: writes.clone(),
+                },
+                Msg::CommitReq {
+                    tx: start,
+                    hwt: ust,
+                    writes,
+                },
+            ),
+        ] {
+            let kind = plain.kind();
+            assert_eq!(
+                metadata(&fused).timestamps,
+                metadata(&plain).timestamps + 1,
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
     fn metadata_excludes_key_and_value_payload() {
         let mk = |size: usize| Msg::CommitReq {
-            tx: tx(0, 0, 1),
+            tx: TxRef::Known(tx(0, 0, 1)),
             hwt: Timestamp::ZERO,
             writes: vec![WriteSetEntry::new(Key(1), Value::filled(size, 1))],
         };
@@ -1107,6 +1224,13 @@ mod tests {
 
     fn arb_tx() -> impl Strategy<Value = TxId> {
         (any::<u16>(), any::<u32>(), any::<u64>()).prop_map(|(d, p, s)| tx(d, p, s))
+    }
+
+    fn arb_tx_ref() -> impl Strategy<Value = TxRef> {
+        prop_oneof![
+            arb_tx().prop_map(TxRef::Known),
+            arb_ts().prop_map(|client_ust| TxRef::Start { client_ust }),
+        ]
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {
@@ -1200,14 +1324,21 @@ mod tests {
         prop_oneof![
             arb_ts().prop_map(|client_ust| Msg::StartTxReq { client_ust }),
             (arb_tx(), arb_ts()).prop_map(|(tx, snapshot)| Msg::StartTxResp { tx, snapshot }),
-            (arb_tx(), arb_keys()).prop_map(|(tx, keys)| Msg::ReadReq { tx, keys }),
-            (arb_tx(), arb_results()).prop_map(|(tx, results)| Msg::ReadResp { tx, results }),
-            (arb_tx(), arb_ts(), arb_writes()).prop_map(|(tx, hwt, writes)| Msg::CommitReq {
+            (arb_tx_ref(), arb_keys()).prop_map(|(tx, keys)| Msg::ReadReq { tx, keys }),
+            (arb_tx(), proptest::option::of(arb_ts()), arb_results()).prop_map(
+                |(tx, snapshot, results)| Msg::ReadResp {
+                    tx,
+                    snapshot,
+                    results
+                }
+            ),
+            (arb_tx_ref(), arb_ts(), arb_writes()).prop_map(|(tx, hwt, writes)| Msg::CommitReq {
                 tx,
                 hwt,
                 writes
             }),
-            (arb_tx(), arb_ts()).prop_map(|(tx, ct)| Msg::CommitResp { tx, ct }),
+            (arb_tx(), proptest::option::of(arb_ts()), arb_ts())
+                .prop_map(|(tx, snapshot, ct)| Msg::CommitResp { tx, snapshot, ct }),
             (arb_tx(), arb_ts(), arb_keys(), arb_server()).prop_map(
                 |(tx, snapshot, keys, reply_to)| Msg::ReadSliceReq {
                     tx,
@@ -1273,7 +1404,8 @@ mod tests {
                 oldest_active,
             }),
             (arb_ts(), arb_ts()).prop_map(|(ust, s_old)| Msg::UstBroadcast { ust, s_old }),
-            arb_tx().prop_map(|tx| Msg::OpFailed { tx }),
+            (arb_tx(), proptest::option::of(arb_ts()))
+                .prop_map(|(tx, snapshot)| Msg::OpFailed { tx, snapshot }),
             (arb_partition(), arb_txs(), arb_ts(), any::<u32>()).prop_map(
                 |(partition, txs, watermark, frames)| Msg::ReplicateBatch {
                     partition,
@@ -1301,8 +1433,10 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// One message per v2 tag (both forms where a tag has two), with
-    /// multi-byte varints, and the frame the v2 encoder produced for it.
+    /// One message per tag (both forms where a tag has two), with
+    /// multi-byte varints, and the frame the encoder produced for it. The
+    /// frames of tags 1–21 are the v2 codec's, byte for byte: v3 only
+    /// added the start forms (22–27).
     fn golden_messages() -> Vec<(Msg, &'static str)> {
         let t = tx(1, 2, 12_345);
         let p = PartitionId(300);
@@ -1314,6 +1448,7 @@ mod tests {
             tx: tx(2, 300, 77),
         };
         let older = VersionStamp { ut: old, tx: t };
+        let start = TxRef::Start { client_ust: now };
         let version = Version::new(Key(831), Value::from("hello"), held.ut, held.tx, DcId(2));
         let writes = vec![
             WriteSetEntry::new(Key(831), Value::from("v1")),
@@ -1330,14 +1465,14 @@ mod tests {
             (Msg::StartTxResp { tx: t, snapshot: now }, "020102b96080c8ceb40d03"),
             (
                 Msg::ReadReq {
-                    tx: t,
+                    tx: TxRef::Known(t),
                     keys: vec![Key(1).into(), Key(831).into()],
                 },
                 "030102b9600201bf06",
             ),
             (
                 Msg::ReadReq {
-                    tx: t,
+                    tx: TxRef::Known(t),
                     keys: vec![
                         Key(1).into(),
                         stamped(831, held),
@@ -1350,6 +1485,7 @@ mod tests {
             (
                 Msg::ReadResp {
                     tx: t,
+                    snapshot: None,
                     results: vec![
                         result(831, ReadOutcome::Found(version.clone())),
                         result(2, ReadOutcome::Absent),
@@ -1360,13 +1496,20 @@ mod tests {
             ),
             (
                 Msg::CommitReq {
-                    tx: t,
+                    tx: TxRef::Known(t),
                     hwt: now,
                     writes: writes.clone(),
                 },
                 "050102b96080c8ceb40d0302bf060276310503acacac",
             ),
-            (Msg::CommitResp { tx: t, ct: now }, "060102b96080c8ceb40d03"),
+            (
+                Msg::CommitResp {
+                    tx: t,
+                    snapshot: None,
+                    ct: now,
+                },
+                "060102b96080c8ceb40d03",
+            ),
             (
                 Msg::ReadSliceReq {
                     tx: t,
@@ -1458,7 +1601,13 @@ mod tests {
                 },
                 "1080c8ceb40d03c0c391b40d00",
             ),
-            (Msg::OpFailed { tx: t }, "110102b960"),
+            (
+                Msg::OpFailed {
+                    tx: t,
+                    snapshot: None,
+                },
+                "110102b960",
+            ),
             (
                 Msg::ReplicateBatch {
                     partition: p,
@@ -1490,6 +1639,58 @@ mod tests {
                 },
                 "130100010080c8ceb40d0380c8ceb40d0300",
             ),
+            // The start forms: a timestamp where the plain form has the id,
+            // and replies that add the assigned snapshot.
+            (
+                Msg::ReadReq {
+                    tx: start,
+                    keys: vec![Key(1).into(), Key(831).into()],
+                },
+                "1680c8ceb40d030201bf06",
+            ),
+            (
+                Msg::ReadReq {
+                    tx: start,
+                    keys: vec![
+                        Key(1).into(),
+                        stamped(831, held),
+                        Key(7).into(),
+                        stamped(9, older),
+                    ],
+                },
+                "1780c8ceb40d030401bf0607090201cf0f0102ac024d01aff979000102b960",
+            ),
+            (
+                Msg::ReadResp {
+                    tx: t,
+                    snapshot: Some(now),
+                    results: vec![result(300, ReadOutcome::Unchanged)],
+                },
+                "180102b96080c8ceb40d0301ac0202",
+            ),
+            (
+                Msg::CommitReq {
+                    tx: start,
+                    hwt: old,
+                    writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
+                },
+                "1980c8ceb40d03c0c391b40d0001050177",
+            ),
+            (
+                Msg::CommitResp {
+                    tx: t,
+                    snapshot: Some(old),
+                    ct: now,
+                },
+                "1a0102b960c0c391b40d0080c8ceb40d03",
+            ),
+            (
+                Msg::OpFailed {
+                    tx: t,
+                    snapshot: Some(now),
+                },
+                "1b0102b96080c8ceb40d03",
+            ),
         ]
     }
 
@@ -1503,7 +1704,7 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_READ_SLICE_REQ_STAMPED).collect::<Vec<_>>(),
+            (T_START_REQ..=T_OP_FAILED_START).collect::<Vec<_>>(),
             "one golden per tag"
         );
     }
@@ -1579,6 +1780,7 @@ mod tests {
         let max_ts = Timestamp::from_parts((1 << 48) - 1, u16::MAX);
         let msg = Msg::ReadResp {
             tx: tx(u16::MAX, u32::MAX, u64::MAX),
+            snapshot: Some(max_ts),
             results: vec![result(
                 u64::MAX,
                 ReadOutcome::Found(Version::new(
@@ -1648,7 +1850,7 @@ mod tests {
         // Two keys, one stamp; the stamp's index gap is the last thing
         // before its identity: tag, tx, n, k, k, stamps, gap.
         let stamped = Msg::ReadReq {
-            tx: tx(0, 0, 1),
+            tx: TxRef::Known(tx(0, 0, 1)),
             keys: vec![
                 Key(5).into(),
                 stamped(
@@ -1676,6 +1878,7 @@ mod tests {
     fn an_unknown_outcome_byte_is_rejected() {
         let unchanged = Msg::ReadResp {
             tx: tx(0, 0, 1),
+            snapshot: None,
             results: vec![result(5, ReadOutcome::Unchanged)],
         };
         let mut bytes = encode(&unchanged).to_vec();
@@ -1693,7 +1896,7 @@ mod tests {
         // golden is the old frame minus the second copy of the key).
         let t = tx(1, 2, 3);
         let read = Msg::ReadReq {
-            tx: t,
+            tx: TxRef::Known(t),
             keys: vec![Key(1).into(), Key(300).into()],
         };
         let slice = Msg::ReadSliceReq {
@@ -1744,6 +1947,7 @@ mod tests {
         );
         let resp = |outcome| Msg::ReadResp {
             tx: t,
+            snapshot: None,
             results: vec![result(831, outcome)],
         };
         let found = encoded_len(&resp(ReadOutcome::Found(version)));

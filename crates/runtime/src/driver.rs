@@ -28,15 +28,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One read-pool thread: drains its lane of tapped `ReadSliceReq`s and
-/// `StartTxReq`s and serves each through the destination server's
-/// [`ReadView`] — Alg. 3 slice reads and Alg. 2 snapshot assignment,
-/// executed entirely off the server loop. A read whose snapshot
-/// fell below `S_old` (possible only for reads that raced a GC advance)
-/// is punted to the authoritative server state machine. `service_micros`
-/// models per-read storage/CPU occupancy (see
-/// [`crate::ClusterBuilder::read_service_micros`]); starts are pure
-/// admission work and are not charged it — the sim models their (small)
-/// fixed cost separately.
+/// serves each through the destination server's [`ReadView`] — Alg. 3
+/// slice reads executed entirely off the server loop. A read whose
+/// snapshot fell below `S_old` (possible only for reads that raced a GC
+/// advance) is punted to the authoritative server state machine.
+/// `service_micros` models per-read storage/CPU occupancy (see
+/// [`crate::ClusterBuilder::read_service_micros`]).
 pub(crate) fn read_pool_loop(
     lane: Receiver<Envelope>,
     views: HashMap<ServerId, ReadView>,
@@ -75,18 +72,6 @@ pub(crate) fn read_pool_loop(
                         match views[&sid].serve_slice(tx, snapshot, keys, reply_to) {
                             Ok(resp) => send(resp),
                             Err(_) => punt(&env, sid),
-                        }
-                    }
-                    paris_proto::Msg::StartTxReq { client_ust } => {
-                        let paris_proto::Endpoint::Client(client) = env.src else {
-                            debug_assert!(false, "StartTxReq from a server");
-                            continue;
-                        };
-                        match views[&sid].serve_start_tx(client, client_ust, clock.now_micros()) {
-                            Some(resp) => send(resp),
-                            // BPR view (cannot happen: pools are PaRiS-
-                            // only): the loop owns the HLC.
-                            None => punt(&env, sid),
                         }
                     }
                     // The tap only diverts read-path messages; anything
@@ -383,13 +368,14 @@ pub(crate) struct ClientOutcome {
     pub(crate) committed: u64,
     pub(crate) aborted: u64,
     pub(crate) latency: Histogram,
-    pub(crate) start_latency: Histogram,
 }
 
 /// One closed-loop workload client: begin → read → write → commit,
-/// retrying on aborts, until `stop` is raised. Statistics count only
-/// operations completing after `measure_after` (warmup is untimed);
-/// the checker records everything.
+/// retrying on aborts, until `stop` is raised. The begin is deferred: the
+/// first read (or, for a write-only transaction, the commit) carries it,
+/// so a transaction costs one round trip less than with an eager
+/// `StartTxReq`. Statistics count only operations completing after
+/// `measure_after` (warmup is untimed); the checker records everything.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_client(
     id: ClientId,
@@ -410,7 +396,6 @@ pub(crate) fn run_client(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut records = Vec::new();
     let mut latency = Histogram::new();
-    let mut start_latency = Histogram::new();
     let mut committed = 0u64;
     let mut aborted = 0u64;
 
@@ -435,15 +420,7 @@ pub(crate) fn run_client(
 
     while !stop.load(Ordering::Relaxed) {
         let begin = clock.now_micros();
-        send(session.begin().expect("idle session"));
-        let Some(ClientEvent::Started { tx, snapshot }) = wait_event(&mut session) else {
-            break;
-        };
-        // Admission latency of the start phase alone — the pooled
-        // StartTxReq path is measured by this.
-        if Instant::now() >= measure_after {
-            start_latency.record(clock.now_micros().saturating_sub(begin));
-        }
+        session.begin_deferred().expect("idle session");
         let spec = generator.next_tx(&mut rng);
         let mut reads = Vec::new();
         if !spec.read_keys.is_empty() {
@@ -472,8 +449,8 @@ pub(crate) fn run_client(
             session.write(&spec.writes).expect("open tx");
         }
         send(session.commit().expect("open tx"));
-        let ct = match wait_event(&mut session) {
-            Some(ClientEvent::Committed { ct, .. }) => ct,
+        let (tx, snapshot, ct) = match wait_event(&mut session) {
+            Some(ClientEvent::Committed { tx, snapshot, ct }) => (tx, snapshot, ct),
             Some(ClientEvent::Aborted { .. }) => {
                 if Instant::now() >= measure_after {
                     aborted += 1;
@@ -504,7 +481,6 @@ pub(crate) fn run_client(
         committed,
         aborted,
         latency,
-        start_latency,
     }
 }
 

@@ -24,7 +24,9 @@ use paris_core::{
 };
 use paris_net::batch::{Coalescer, Offer};
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{ClientId, ClusterConfig, DcId, Error, Key, Mode, ServerId, Timestamp, Value};
+use paris_types::{
+    ClientId, ClusterConfig, DcId, Error, Key, Mode, ServerId, Timestamp, TxId, Value,
+};
 use paris_workload::stats::RunStats;
 use paris_workload::{WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
@@ -219,6 +221,49 @@ impl MiniCluster {
         }
     }
 
+    /// Opens a transaction whose first operation carries its start (see
+    /// [`ClientSession::begin_deferred`]) — how `run_workload` begins.
+    /// Exposed for the tests that compare it with the eager
+    /// [`Cluster::txn_begin`]; the facade stays eager.
+    ///
+    /// # Errors
+    ///
+    /// Propagates session errors (unknown client, transaction already
+    /// open).
+    #[doc(hidden)]
+    pub fn txn_begin_deferred(&mut self, client: ClientId) -> Result<(), Error> {
+        self.now += 10;
+        self.clock.advance_to(self.now);
+        self.clients
+            .get_mut(&client)
+            .ok_or(Error::UnknownTransaction)?
+            .begin_deferred()
+    }
+
+    /// The open transaction's snapshot, once the coordinator assigned it.
+    #[doc(hidden)]
+    pub fn txn_snapshot(&self, client: ClientId) -> Option<Timestamp> {
+        self.clients.get(&client)?.open_snapshot()
+    }
+
+    /// Commits `client`'s open transaction: its id, snapshot and commit
+    /// time.
+    fn commit(&mut self, client: ClientId) -> Result<(TxId, Timestamp, Timestamp), Error> {
+        self.now += 10;
+        self.clock.advance_to(self.now);
+        let env = self
+            .clients
+            .get_mut(&client)
+            .ok_or(Error::UnknownTransaction)?
+            .commit()?;
+        self.queue.push_back(env);
+        self.pump();
+        match self.expect_event(client)? {
+            ClientEvent::Committed { tx, snapshot, ct } => Ok((tx, snapshot, ct)),
+            _ => Err(Error::UnknownTransaction),
+        }
+    }
+
     fn expect_event(&mut self, cid: ClientId) -> Result<ClientEvent, Error> {
         // The pump is synchronous: the response is already queued.
         match self.events.pop_front() {
@@ -310,19 +355,7 @@ impl Cluster for MiniCluster {
     }
 
     fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        self.now += 10;
-        self.clock.advance_to(self.now);
-        let env = self
-            .clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .commit()?;
-        self.queue.push_back(env);
-        self.pump();
-        match self.expect_event(client)? {
-            ClientEvent::Committed { ct, .. } => Ok(ct),
-            _ => Err(Error::UnknownTransaction),
-        }
+        self.commit(client).map(|(_, _, ct)| ct)
     }
 
     fn reset_client(&mut self, client: ClientId) -> Result<(), Error> {
@@ -369,21 +402,12 @@ impl Cluster for MiniCluster {
         }
 
         // Closed loop, round-robin over clients, with a stabilization
-        // round between laps so the UST keeps pace with the writers.
+        // round between laps so the UST keeps pace with the writers. The
+        // begin is deferred: the first operation carries it.
         while self.now < end {
             for (id, generator, rng) in &mut workers {
                 let begun_at = self.now;
-                let snapshot = self.txn_begin(*id)?;
-                if self.now >= window_start && self.now <= end {
-                    stats
-                        .start_latency
-                        .record(self.now.saturating_sub(begun_at));
-                }
-                let tx = self
-                    .clients
-                    .get(id)
-                    .and_then(ClientSession::open_tx)
-                    .ok_or(Error::UnknownTransaction)?;
+                self.txn_begin_deferred(*id)?;
                 let spec = generator.next_tx(rng);
                 let mut reads = Vec::new();
                 if !spec.read_keys.is_empty() {
@@ -395,7 +419,7 @@ impl Cluster for MiniCluster {
                 if !spec.writes.is_empty() {
                     self.txn_write(*id, &spec.writes)?;
                 }
-                let ct = self.txn_commit(*id)?;
+                let (tx, snapshot, ct) = self.commit(*id)?;
                 if self.now >= window_start && self.now <= end {
                     stats.committed += 1;
                     stats.latency.record(self.now.saturating_sub(begun_at));

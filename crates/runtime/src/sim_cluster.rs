@@ -20,7 +20,7 @@ use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
 use paris_proto::{Endpoint, Envelope};
 use paris_types::{
     ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Key, Mode, ServerId, Timestamp,
-    TxId, Value,
+    Value,
 };
 use paris_workload::stats::RunStats;
 use paris_workload::{TxSpec, WorkloadConfig, WorkloadGenerator};
@@ -57,7 +57,7 @@ pub(crate) struct SimConfig {
     /// small fanouts).
     pub(crate) stab_branching: usize,
     /// Per-server read service queues: with `n > 0` (PaRiS only),
-    /// `ReadSliceReq`/`StartTxReq` occupy one of `n` independent read
+    /// `ReadSliceReq`s occupy one of `n` independent read
     /// lanes instead of the server's single CPU queue — the deterministic
     /// mirror of the threaded backend's read-thread pool, so pool scaling
     /// is observable (and gated) on this backend too. `0` (default)
@@ -140,7 +140,6 @@ struct ServerSlot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Idle,
-    Starting,
     Reading,
     Committing,
 }
@@ -152,9 +151,7 @@ struct ClientSlot {
     phase: Phase,
     spec: Option<TxSpec>,
     tx_begin: u64,
-    // History recording for the checker.
-    cur_tx: Option<TxId>,
-    cur_snapshot: Timestamp,
+    /// The open transaction's reads, for the checker.
     cur_reads: Vec<paris_core::RecordedRead>,
 }
 
@@ -294,8 +291,6 @@ impl SimCluster {
                         phase: Phase::Idle,
                         spec: None,
                         tx_begin: 0,
-                        cur_tx: None,
-                        cur_snapshot: Timestamp::ZERO,
                         cur_reads: Vec::new(),
                     },
                 );
@@ -603,11 +598,8 @@ impl SimCluster {
                     debug_assert!(false, "message to unknown server {sid}");
                     return;
                 };
-                let is_read_path = matches!(
-                    env.msg,
-                    paris_proto::Msg::ReadSliceReq { .. } | paris_proto::Msg::StartTxReq { .. }
-                );
-                let extra_read_cost = if matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. }) {
+                let is_read_path = matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. });
+                let extra_read_cost = if is_read_path {
                     self.config.read_service_micros
                 } else {
                     0
@@ -720,6 +712,8 @@ impl SimCluster {
 
     // ------------------------------------------------------ client driving
 
+    /// Starts the client's next transaction. The begin is deferred: the
+    /// first read (or a write-only transaction's commit) carries it.
     fn kick_client(&mut self, cid: ClientId) {
         if self.now >= self.client_stop {
             return;
@@ -730,43 +724,33 @@ impl SimCluster {
             // network partition); it re-enters the loop on completion.
             return;
         }
-        slot.phase = Phase::Starting;
         slot.tx_begin = self.now;
-        let env = slot.session.begin().expect("session is idle");
-        self.send_all(self.now, vec![env]);
+        slot.session.begin_deferred().expect("session is idle");
+        slot.cur_reads.clear();
+        let spec = slot.generator.next_tx(&mut slot.rng);
+        let read_keys = spec.read_keys.clone();
+        slot.spec = Some(spec);
+        if read_keys.is_empty() {
+            self.client_commit(cid);
+            return;
+        }
+        slot.phase = Phase::Reading;
+        match slot.session.read(&read_keys).expect("tx is open") {
+            ReadStep::Done(reads) => {
+                if self.checker.is_some() {
+                    slot.cur_reads
+                        .extend(reads.iter().map(HistoryChecker::recorded_read));
+                }
+                self.client_commit(cid);
+            }
+            ReadStep::Send(env) => self.send_all(self.now, vec![env]),
+        }
     }
 
     fn client_event(&mut self, cid: ClientId, event: ClientEvent) {
         match event {
-            ClientEvent::Started { tx, snapshot } => {
-                let slot = self.clients.get_mut(&cid).expect("unknown client");
-                debug_assert_eq!(slot.phase, Phase::Starting);
-                if self.now >= self.window_start && self.now <= self.window_end {
-                    self.stats
-                        .start_latency
-                        .record(self.now.saturating_sub(slot.tx_begin));
-                }
-                slot.cur_tx = Some(tx);
-                slot.cur_snapshot = snapshot;
-                slot.cur_reads.clear();
-                let spec = slot.generator.next_tx(&mut slot.rng);
-                let read_keys = spec.read_keys.clone();
-                slot.spec = Some(spec);
-                if read_keys.is_empty() {
-                    self.client_commit(cid);
-                    return;
-                }
-                slot.phase = Phase::Reading;
-                match slot.session.read(&read_keys).expect("tx is open") {
-                    ReadStep::Done(reads) => {
-                        if self.checker.is_some() {
-                            slot.cur_reads
-                                .extend(reads.iter().map(HistoryChecker::recorded_read));
-                        }
-                        self.client_commit(cid);
-                    }
-                    ReadStep::Send(env) => self.send_all(self.now, vec![env]),
-                }
+            ClientEvent::Started { .. } => {
+                debug_assert!(false, "workload clients begin deferred");
             }
             ClientEvent::ReadDone { reads, .. } => {
                 {
@@ -779,7 +763,7 @@ impl SimCluster {
                 }
                 self.client_commit(cid);
             }
-            ClientEvent::Committed { ct, .. } => {
+            ClientEvent::Committed { tx, snapshot, ct } => {
                 let slot = self.clients.get_mut(&cid).expect("unknown client");
                 debug_assert_eq!(slot.phase, Phase::Committing);
                 slot.phase = Phase::Idle;
@@ -793,8 +777,8 @@ impl SimCluster {
                     checker.record_tx(
                         cid,
                         RecordedTx {
-                            tx: slot.cur_tx.take().expect("tx recorded"),
-                            snapshot: slot.cur_snapshot,
+                            tx,
+                            snapshot,
                             reads: std::mem::take(&mut slot.cur_reads),
                             writes: spec.writes.iter().map(|(k, _)| *k).collect(),
                             ct: Some(ct),
@@ -812,7 +796,6 @@ impl SimCluster {
                 let slot = self.clients.get_mut(&cid).expect("unknown client");
                 slot.phase = Phase::Idle;
                 slot.spec = None;
-                slot.cur_tx = None;
                 slot.cur_reads.clear();
                 if self.now >= self.window_start && self.now <= self.window_end {
                     self.stats.aborted += 1;

@@ -543,11 +543,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 match inbox.recv_timeout(Duration::from_millis(100)) {
                     Ok(env) => {
                         let read_tapped = !lanes.is_empty()
-                            && matches!(
-                                env.msg,
-                                paris_proto::Msg::ReadSliceReq { .. }
-                                    | paris_proto::Msg::StartTxReq { .. }
-                            );
+                            && matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. });
                         let write_tapped =
                             !write_lanes.is_empty() && crate::driver::is_write_path(&env);
                         let delivered = if read_tapped {
@@ -1281,7 +1277,6 @@ impl Cluster for SocketCluster {
             stats.committed += outcome.committed;
             stats.aborted += outcome.aborted;
             stats.latency.merge(&outcome.latency);
-            stats.start_latency.merge(&outcome.start_latency);
             if let Some(checker) = checker.as_mut() {
                 for (cid, rec) in outcome.records {
                     checker.record_tx(cid, rec);

@@ -54,9 +54,8 @@ pub(crate) struct ThreadClusterConfig {
     pub(crate) workload: WorkloadConfig,
     pub(crate) seed: u64,
     pub(crate) record_history: bool,
-    /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s and
-    /// `StartTxReq`s to a pool serving through [`ReadView`]s, off the
-    /// server loop.
+    /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s to a
+    /// pool serving through [`ReadView`]s, off the server loop.
     pub(crate) read_threads: usize,
     /// Modeled per-slice-read service occupancy (µs wall clock).
     pub(crate) read_service_micros: u64,
@@ -182,8 +181,8 @@ impl ThreadCluster {
 
         // The read-thread pool: lanes fed round-robin by the router's
         // read tap, each lane drained by one pool thread serving Alg. 3
-        // slice reads and Alg. 2 snapshot assignments through the shared
-        // views — never touching the server mutexes. Only meaningful
+        // slice reads through the shared views — never touching the
+        // server mutexes. Only meaningful
         // under PaRiS (the builder rejects BPR + read_threads).
         let mut read_pool = Vec::new();
         if config.read_threads > 0 && config.cluster.mode == Mode::Paris {
@@ -553,7 +552,6 @@ impl Cluster for ThreadCluster {
             stats.committed += outcome.committed;
             stats.aborted += outcome.aborted;
             stats.latency.merge(&outcome.latency);
-            stats.start_latency.merge(&outcome.start_latency);
             if let Some(checker) = checker.as_mut() {
                 for (cid, rec) in outcome.records {
                     checker.record_tx(cid, rec);

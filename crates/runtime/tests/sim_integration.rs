@@ -276,23 +276,3 @@ fn sim_read_lanes_scale_read_throughput_deterministically() {
         "4 read lanes must out-commit 1 lane by a real margin: {one} vs {four}"
     );
 }
-
-#[test]
-fn sim_start_latency_is_recorded() {
-    // The start-phase histogram feeds the pooled-start bench metric; the
-    // deterministic backend must populate it.
-    let mut sim = small(2, 4, Mode::Paris, 37)
-        .record_events(false)
-        .build_sim()
-        .unwrap();
-    let report = sim.run_workload(300_000, 1_500_000).unwrap();
-    assert!(report.stats.committed > 0);
-    assert!(
-        report.stats.start_latency.count() > 0,
-        "start latencies were not recorded"
-    );
-    assert!(
-        report.stats.start_latency.mean() <= report.stats.latency.mean(),
-        "the start phase cannot exceed whole-transaction latency on average"
-    );
-}

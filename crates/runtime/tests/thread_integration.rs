@@ -225,41 +225,6 @@ fn threaded_batched_gossip_stays_on_the_loop() {
 }
 
 #[test]
-fn threaded_read_pool_serves_start_tx() {
-    // Interactive `begin` issues a StartTxReq, which the router tap
-    // diverts into the pool: snapshot assignment must run through the
-    // views (counted by their start counter), and the transaction must
-    // still work end to end — its context lives in the shared table the
-    // loop reads.
-    use paris_types::{Key, Value};
-    let mut cluster = small(3, 6, Mode::Paris)
-        .clients_per_dc(0)
-        .tuning(Tuning::default().read_threads(2))
-        .build_thread()
-        .unwrap();
-    let a = cluster.open_client(0).unwrap();
-    let mut txn = cluster.begin(a).unwrap();
-    txn.write(Key(8), Value::from("pooled-start"));
-    txn.commit().unwrap();
-    cluster.stabilize(5);
-    let b = cluster.open_client(1).unwrap();
-    let mut txn = cluster.begin(b).unwrap();
-    assert_eq!(
-        txn.read_one(Key(8)).unwrap(),
-        Some(Value::from("pooled-start"))
-    );
-    txn.commit().unwrap();
-    let pooled_starts: u64 = cluster
-        .topology()
-        .all_servers()
-        .into_iter()
-        .filter_map(|id| cluster.read_view(id))
-        .map(|v| v.stats().start_txs())
-        .sum();
-    assert!(pooled_starts >= 2, "starts did not go through the views");
-}
-
-#[test]
 fn unset_read_threads_derives_a_pool_under_paris_but_not_bpr() {
     // No explicit read_threads: the threaded backend derives a PaRiS pool
     // from the host's parallelism, and — crucially — BPR still builds

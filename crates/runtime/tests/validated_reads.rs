@@ -1,10 +1,11 @@
-//! Version-validated reads change what crosses the wire and nothing else:
-//! the same seeded operation stream — readers and writers in one DC,
-//! concurrent writers in another — is run against two identical
+//! Version-validated reads and deferred begins change what crosses the wire
+//! and nothing else: the same seeded operation stream — readers and writers
+//! in one DC, concurrent writers in another — is run against two identical
 //! deployments, one whose sessions stamp their reads from a value cache and
-//! one whose sessions have none, on the mini and the simulated backend.
-//! Every read must return the same `ClientRead`, the checker must find
-//! nothing, and the cached run must ship strictly less.
+//! one whose sessions have none (mini and simulated backend), and one whose
+//! transactions begin eagerly and one whose transactions begin with their
+//! first read (mini). Every read must return the same `ClientRead`, the
+//! checker must find nothing, and the cached run must ship strictly less.
 
 use std::collections::HashMap;
 
@@ -103,9 +104,56 @@ fn check(history: &[Observed]) -> Vec<String> {
     checker.check().iter().map(ToString::to_string).collect()
 }
 
-/// Drives the seeded stream through the facade.
-fn drive(cluster: &mut dyn Cluster, seed: u64, steps: usize) -> Outcome {
+/// How the stream's transactions begin.
+trait Begins {
+    fn cluster(&mut self) -> &mut dyn Cluster;
+    /// Begins `client`'s transaction: its snapshot, if already assigned.
+    fn begin(&mut self, client: ClientId) -> Option<Timestamp>;
+    /// The open transaction's snapshot, once its first read assigned it.
+    fn snapshot(&self, client: ClientId) -> Timestamp;
+}
+
+/// Through the facade: a `StartTxReq` round trip.
+struct Eager<C>(C);
+
+impl<C: Cluster> Begins for Eager<C> {
+    fn cluster(&mut self) -> &mut dyn Cluster {
+        &mut self.0
+    }
+
+    fn begin(&mut self, client: ClientId) -> Option<Timestamp> {
+        Some(self.0.txn_begin(client).expect("begin"))
+    }
+
+    fn snapshot(&self, _: ClientId) -> Timestamp {
+        unreachable!("eager begins know their snapshot")
+    }
+}
+
+/// As `run_workload` begins: the first read carries the start.
+struct Deferred(MiniCluster);
+
+impl Begins for Deferred {
+    fn cluster(&mut self) -> &mut dyn Cluster {
+        &mut self.0
+    }
+
+    fn begin(&mut self, client: ClientId) -> Option<Timestamp> {
+        self.0.txn_begin_deferred(client).expect("begin");
+        None
+    }
+
+    fn snapshot(&self, client: ClientId) -> Timestamp {
+        self.0
+            .txn_snapshot(client)
+            .expect("the first read assigned it")
+    }
+}
+
+/// Drives the seeded stream.
+fn drive(begins: &mut impl Begins, seed: u64, steps: usize) -> Outcome {
     let mut rng = StdRng::seed_from_u64(seed);
+    let cluster = begins.cluster();
     // Two sessions in DC 0, two concurrent writers in DC 1.
     let clients: Vec<ClientId> = [0, 0, 1, 1]
         .iter()
@@ -132,7 +180,8 @@ fn drive(cluster: &mut dyn Cluster, seed: u64, steps: usize) -> Outcome {
 
     for step in 0..steps {
         let client = clients[rng.gen_range(0..clients.len())];
-        let snapshot = cluster.txn_begin(client).expect("begin");
+        let early = begins.begin(client);
+        let cluster = begins.cluster();
         // Skewed towards the low keys, with a couple of quiet keys in most
         // batches; duplicates are welcome.
         let mut keys: Vec<Key> = (0..rng.gen_range(1..6))
@@ -147,6 +196,8 @@ fn drive(cluster: &mut dyn Cluster, seed: u64, steps: usize) -> Outcome {
         }
         let mut got = cluster.txn_read(client, &keys).expect("read");
         got.sort_by_key(|r| r.key);
+        let snapshot = early.unwrap_or_else(|| begins.snapshot(client));
+        let cluster = begins.cluster();
         let mut writes = Vec::new();
         if rng.gen::<f64>() < 0.5 {
             for _ in 0..rng.gen_range(1..4) {
@@ -169,6 +220,7 @@ fn drive(cluster: &mut dyn Cluster, seed: u64, steps: usize) -> Outcome {
             cluster.stabilize(1);
         }
     }
+    let cluster = begins.cluster();
     cluster.stabilize(4);
     let convergence = cluster.check_convergence().expect("convergence check");
     let mut violations = check(&history);
@@ -180,22 +232,19 @@ fn drive(cluster: &mut dyn Cluster, seed: u64, steps: usize) -> Outcome {
     }
 }
 
+/// Both runs are correct and returned the same reads.
+fn assert_same_reads(what: &str, a: &Outcome, b: &Outcome) {
+    assert_eq!(a.violations, Vec::<String>::new(), "{what}");
+    assert_eq!(b.violations, Vec::<String>::new(), "{what}");
+    assert_eq!(a.reads.len(), b.reads.len());
+    for (step, (a, b)) in a.reads.iter().zip(&b.reads).enumerate() {
+        assert_eq!(a, b, "{what}: read batch {step} differs");
+    }
+}
+
 /// What both backends must show, given the cached and the uncached run.
 fn assert_equivalent(backend: &str, cached: &Outcome, plain: &Outcome) {
-    assert_eq!(
-        cached.violations,
-        Vec::<String>::new(),
-        "{backend}, value cache on"
-    );
-    assert_eq!(
-        plain.violations,
-        Vec::<String>::new(),
-        "{backend}, value cache off"
-    );
-    assert_eq!(cached.reads.len(), plain.reads.len());
-    for (step, (a, b)) in cached.reads.iter().zip(&plain.reads).enumerate() {
-        assert_eq!(a, b, "{backend}: read batch {step} differs");
-    }
+    assert_same_reads(backend, cached, plain);
     let (on, off) = (&cached.stats, &plain.stats);
     assert_eq!(
         off.reads_unchanged, 0,
@@ -221,7 +270,7 @@ proptest! {
             if !cache {
                 mini.open_clients_without_value_cache();
             }
-            drive(&mut mini, seed, 160)
+            drive(&mut Eager(mini), seed, 160)
         };
         let (cached, plain) = (run(true), run(false));
         assert_equivalent("mini", &cached, &plain);
@@ -236,7 +285,7 @@ proptest! {
             if !cache {
                 sim.open_clients_without_value_cache();
             }
-            drive(&mut sim, seed, 160)
+            drive(&mut Eager(sim), seed, 160)
         };
         let (cached, plain) = (run(true), run(false));
         assert_equivalent("sim", &cached, &plain);
@@ -247,5 +296,17 @@ proptest! {
             cached.stats.net_bytes < plain.stats.net_bytes,
             "{} vs {} wire bytes", cached.stats.net_bytes, plain.stats.net_bytes
         );
+    }
+
+    #[test]
+    fn prop_mini_reads_are_identical_with_eager_and_deferred_begins(seed in 0u64..10_000) {
+        let mini = || -> MiniCluster { deployment(seed).build_mini().expect("valid shape") };
+        let eager = drive(&mut Eager(mini()), seed, 160);
+        let deferred = drive(&mut Deferred(mini()), seed, 160);
+        assert_same_reads("eager vs deferred begins", &eager, &deferred);
+        // The same transactions committed, and the servers handled fewer
+        // messages: no StartTxReq.
+        prop_assert_eq!(eager.stats.txs_coordinated, deferred.stats.txs_coordinated);
+        prop_assert!(deferred.stats.msgs_handled < eager.stats.msgs_handled);
     }
 }

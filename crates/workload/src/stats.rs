@@ -172,11 +172,6 @@ pub struct RunStats {
     pub window_micros: u64,
     /// Transaction latency histogram (microseconds).
     pub latency: Histogram,
-    /// Latency of the start/snapshot-assignment phase alone
-    /// (microseconds): from issuing `StartTxReq` to `Started`. Separates
-    /// admission queueing from end-to-end transaction latency — what the
-    /// pooled start-tx path is measured by.
-    pub start_latency: Histogram,
 }
 
 impl RunStats {
@@ -187,7 +182,6 @@ impl RunStats {
             aborted: 0,
             window_micros,
             latency: Histogram::new(),
-            start_latency: Histogram::new(),
         }
     }
 

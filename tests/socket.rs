@@ -364,3 +364,34 @@ fn interactive_operation_on_a_killed_server_fails_cleanly() {
         begun.elapsed()
     );
 }
+
+#[test]
+fn a_commit_whose_coordinator_restarted_fails_instead_of_faking_success() {
+    // The restarted process lost the transaction's context. It used to
+    // answer the commit with `ct = 0`, which the facade reported as a
+    // successful read-only commit while the writes were dropped.
+    let mut cluster = small(Backend::Socket).build_socket().unwrap();
+    let a = cluster.open_client(0).unwrap();
+    let coordinator = cluster.topology().coordinator_for(a.dc, a.seq);
+    let index = cluster
+        .topology()
+        .all_servers()
+        .iter()
+        .position(|s| *s == coordinator)
+        .unwrap();
+    cluster.txn_begin(a).unwrap();
+    cluster
+        .txn_write(a, &[(Key(9), Value::from("lost"))])
+        .unwrap();
+    cluster.restart_server(index).unwrap();
+    assert_eq!(
+        cluster.txn_commit(a).unwrap_err(),
+        Error::PartitionUnreachable,
+        "a commit of dropped writes must not succeed"
+    );
+    // The session is usable again, and nothing of the lost commit shows.
+    cluster.stabilize(3);
+    let mut txn = cluster.begin(a).unwrap();
+    assert_eq!(txn.read_one(Key(9)).unwrap(), None);
+    txn.commit().unwrap();
+}
