@@ -6,6 +6,9 @@
 //! root's fan-in (max messages any single node handles per round) but add
 //! hops, so the UST lags more and update visibility grows. The flat tree
 //! is the right default at the paper's 18 servers/DC.
+//!
+//! Self-check (non-zero exit on failure): the flat tree's visibility p50
+//! is at most every deeper tree's.
 
 use paris_bench::{paper_deployment, run_settled, section, write_csv};
 use paris_types::Mode;
@@ -16,6 +19,7 @@ fn main() {
     // 0 = flat (root has 17 children at 18 servers/DC).
     let branchings = [0usize, 4, 2];
     let mut rows = Vec::new();
+    let mut p50s = Vec::new();
     println!(
         "\n  {:>9} {:>12} {:>14} {:>16} {:>16}",
         "branching", "tree depth", "tput (KTx/s)", "visib. p50 (ms)", "visib. p90 (ms)"
@@ -41,6 +45,7 @@ fn main() {
         };
         let report = run_settled(config);
         let vis = report.visibility.as_ref().expect("events recorded");
+        p50s.push((bf, vis.percentile(50.0)));
         let label = if bf == 0 {
             "flat".to_string()
         } else {
@@ -65,4 +70,17 @@ fn main() {
         &rows,
     );
     println!("\n  (expectation: deeper trees add aggregation hops → higher visibility latency)");
+    let flat = p50s[0].1;
+    let mut failed = false;
+    for &(bf, p50) in &p50s[1..] {
+        if flat > p50 {
+            eprintln!(
+                "FAIL: flat tree's visibility p50 {flat} µs exceeds branching {bf}'s {p50} µs"
+            );
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }

@@ -10,12 +10,9 @@
 //! * any `*net_bytes*` / `*bytes_per_tx*` metric may not rise more than
 //!   10% above baseline — wire bytes are a first-class perf axis, so a
 //!   codec or framing change that bloats traffic fails the gate;
-//! * any `*speedup*` metric (the read-pool / read-lane scaling factors
-//!   and the slot-vs-mutex registry contention ratio of `fig_reads`) may
-//!   not drop more than 50% below baseline —
-//!   ratios are machine-robust (service-occupancy overlap), unlike the
-//!   wall-clock absolute throughputs they are derived from, which stay
-//!   informational;
+//! * any `*speedup*` metric (`fig_reads`' read-lane scaling factor, and
+//!   the fig2b scale-out ratios) may not drop more than 50% below
+//!   baseline;
 //! * any `*violations*` metric must be exactly zero;
 //! * every baseline metric must be present in the current results
 //!   (a silently vanished benchmark is a regression too).
@@ -66,7 +63,6 @@ const GATED: &[(&str, &str)] = &[
     ("table1", "BENCH_table1.json"),
     ("ablation_batch", "BENCH_batch.json"),
     ("fig_reads", "BENCH_reads.json"),
-    ("fig_writes", "BENCH_writes.json"),
     ("fig4", "BENCH_fig4.json"),
     ("fig2a", "BENCH_fig2a.json"),
     ("fig_recovery", "BENCH_recovery.json"),
@@ -144,34 +140,8 @@ fn judge(key: &str, base: f64, cur: f64) -> (&'static str, bool) {
     }
 }
 
-/// The baseline's metric map with its `curated` overrides applied — the
-/// same precedence `--write-baseline` persists, so a hand-edited curated
-/// entry changes the gate immediately, not only after the next refresh.
-fn baseline_metrics_with_curated(baseline: &Json, baseline_path: &str) -> Vec<(String, f64)> {
-    let mut metrics: Vec<(String, f64)> = baseline
-        .get("metrics")
-        .and_then(Json::as_obj)
-        .unwrap_or_else(|| panic!("bench_gate: {baseline_path} has no metrics object"))
-        .iter()
-        .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n)))
-        .collect();
-    if let Some(curated) = baseline.get("curated").and_then(Json::as_obj) {
-        for (key, pinned) in curated
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|n| (k, n)))
-        {
-            match metrics.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = pinned,
-                None => metrics.push((key.clone(), pinned)),
-            }
-        }
-    }
-    metrics
-}
-
 fn gate(baseline_path: &str, results_dir: &str) -> ! {
-    let baseline = load(baseline_path);
-    let baseline_metrics = baseline_metrics_with_curated(&baseline, baseline_path);
+    let baseline_metrics = metrics_of(&load(baseline_path), baseline_path);
     let current = current_metrics(results_dir);
 
     let mut rows: Vec<Row> = Vec::new();
@@ -283,52 +253,20 @@ fn write_step_summary(rows: &[Row]) {
 /// Writes `bench/baseline.json` (or `$PARIS_BASELINE`) from the current
 /// results — the documented refresh path after an intentional perf
 /// change.
-///
-/// Hand-curated thresholds survive the refresh: any entry of the
-/// existing baseline's optional `curated` object (key → value +
-/// `curated_notes` prose) overrides the freshly measured value and is
-/// carried into the new file verbatim, so deliberately slack baselines
-/// (e.g. ratios committed below one machine's measurement to keep
-/// 1-core CI hosts inside the tolerance) are never silently clobbered
-/// by a single machine's numbers.
 fn write_baseline(baseline_path: &str, results_dir: &str) -> ! {
     let mut metrics = current_metrics(results_dir);
-    let (curated, curated_notes) = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => {
-            let old = Json::parse(&text)
-                .unwrap_or_else(|e| panic!("bench_gate: {baseline_path} is not valid JSON: {e}"));
-            (
-                old.get("curated").and_then(Json::as_obj).map(<[_]>::to_vec),
-                old.get("curated_notes").cloned(),
-            )
-        }
-        Err(_) => (None, None),
-    };
-    if let Some(curated) = &curated {
-        for (key, value) in curated {
-            let Some(pinned) = value.as_f64() else {
-                continue;
-            };
-            match metrics.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = pinned,
-                None => metrics.push((key.clone(), pinned)),
-            }
-            println!("bench_gate: kept curated {key} = {pinned}");
-        }
-    }
     metrics.sort_by(|a, b| a.0.cmp(&b.0));
     let gated: Vec<&str> = GATED.iter().map(|(bin, _)| *bin).collect();
-    let mut fields: Vec<(&str, Json)> = vec![
+    let doc = Json::obj(vec![
         ("schema", "paris-bench-baseline/v1".into()),
         (
             "note",
             format!(
                 "Quick-mode (PARIS_BENCH_QUICK=1) metrics from the gated benches ({}). \
-                 Sim metrics are deterministic in simulated time; fig_reads' absolute \
-                 threaded throughputs/latencies are machine-dependent and informational \
-                 — the gate checks ratios, ceilings and violation counts. Refresh with \
-                 `bench_gate --write-baseline` after rerunning the gated benches; \
-                 entries in `curated` override measured values and survive refreshes.",
+                 Sim metrics are deterministic in simulated time; fig_recovery's and \
+                 fig_chaos' socket arms run in wall-clock time, so the gate checks \
+                 their counts and violations, not their speed. Refresh with \
+                 `bench_gate --write-baseline` after rerunning the gated benches.",
                 gated.join(", ")
             )
             .into(),
@@ -342,14 +280,7 @@ fn write_baseline(baseline_path: &str, results_dir: &str) -> ! {
                     .collect(),
             ),
         ),
-    ];
-    if let Some(curated) = curated {
-        fields.push(("curated", Json::Obj(curated)));
-    }
-    if let Some(notes) = curated_notes {
-        fields.push(("curated_notes", notes));
-    }
-    let doc = Json::obj(fields);
+    ]);
     std::fs::write(baseline_path, doc.render())
         .unwrap_or_else(|e| panic!("bench_gate: cannot write {baseline_path}: {e}"));
     println!("bench_gate: wrote {baseline_path}");

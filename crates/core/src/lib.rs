@@ -71,8 +71,7 @@ pub use checker::{HistoryChecker, RecordedRead, RecordedTx, Violation};
 pub use client::{ClientEvent, ClientRead, ClientSession, ReadSource, ReadStep};
 pub use read_view::{ReadView, ReadViewStats};
 pub use server::{
-    CommitPipeline, EventLog, LaneGuard, PipelineStats, RootState, Server, ServerOptions,
-    ServerStats, ServerTuning, StagedPrepare, STALE_CONTEXT_MICROS,
+    EventLog, Server, ServerOptions, ServerStats, ServerTuning, STALE_CONTEXT_MICROS,
 };
 pub use topology::Topology;
 

@@ -112,12 +112,8 @@ impl Server {
 
     /// `PrepareReq` (Alg. 3 lines 9–14): propose a commit timestamp that
     /// exceeds the transaction snapshot, the client's last commit (`ht`)
-    /// and everything this server has seen (`HLC`).
-    ///
-    /// The loop path is the two pipeline halves run back to back: stage
-    /// (UST bump, write-set copy, shard partitioning — what the threaded
-    /// runtime's write pool does off-loop) then admit (HLC stamp,
-    /// `Prepared` insert — loop-owned everywhere).
+    /// and everything this server has seen (`HLC`), then queue the
+    /// transaction as prepared.
     pub(super) fn on_prepare_req(
         &mut self,
         tx: TxId,
@@ -127,33 +123,18 @@ impl Server {
         reply_to: ServerId,
         src_dc: DcId,
     ) -> Vec<Envelope> {
-        let staged = self.pipeline.stage_prepare(snapshot, writes);
-        self.admit_prepared(tx, staged, ht, reply_to, src_dc)
-    }
-
-    /// Loop-owned half of a prepare (Alg. 3 lines 10 & 12): stamps the
-    /// proposal strictly above `ht`, the staged UST and the previous HLC
-    /// value, and at least the physical clock, then queues the
-    /// transaction as prepared. The staged half comes from
-    /// [`CommitPipeline::stage_prepare`](super::CommitPipeline::stage_prepare),
-    /// on this loop or on a write-pool thread.
-    pub fn admit_prepared(
-        &mut self,
-        tx: TxId,
-        staged: super::StagedPrepare,
-        ht: Timestamp,
-        reply_to: ServerId,
-        src_dc: DcId,
-    ) -> Vec<Envelope> {
         self.stats.prepares += 1;
-        let floor = ht.max(staged.ust);
-        let pt = self.hlc.now_after(&self.clock, floor);
-        self.root_state.publish_hlc(pt);
+        // Alg. 3 line 11: ust ← max(ust, snapshot), on the frontier the
+        // read path shares.
+        let ust = self.frontier.max_ust(snapshot);
+        // Alg. 3 lines 10 & 12: strictly above `ht`, the UST and the
+        // previous HLC value, and at least the physical clock.
+        let pt = self.hlc.now_after(&self.clock, ht.max(ust));
         self.prepared.insert(
             tx,
             PreparedTx {
                 pt,
-                writes: staged.writes,
+                writes: writes.to_vec(),
                 src: src_dc,
             },
         );
@@ -174,7 +155,6 @@ impl Server {
     pub(super) fn on_commit_tx(&mut self, tx: TxId, ct: Timestamp) -> Vec<Envelope> {
         // Alg. 3 line 16: HLC ← max(HLC, ct, Clock).
         self.hlc.observe(&self.clock, ct);
-        self.root_state.publish_hlc(ct);
         let Some(p) = self.prepared.remove(&tx) else {
             debug_assert!(false, "commit for unprepared transaction {tx}");
             return Vec::new();

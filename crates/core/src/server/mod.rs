@@ -17,10 +17,8 @@
 
 mod cohort;
 mod coordinator;
-mod pipeline;
 mod replication;
 mod report_table;
-mod root_state;
 mod roots_table;
 mod stabilization;
 mod tx_table;
@@ -36,9 +34,6 @@ use paris_types::{ClientId, DcId, Mode, PartitionId, ServerId, Timestamp, TxId, 
 
 use crate::read_view::{ReadView, ReadViewStats};
 use crate::topology::Topology;
-
-pub use pipeline::{CommitPipeline, LaneGuard, PipelineStats, StagedPrepare};
-pub use root_state::RootState;
 
 pub(crate) use report_table::ReportTable;
 pub(crate) use roots_table::RootsTable;
@@ -196,7 +191,7 @@ pub struct ServerOptions {
     pub record_events: bool,
 }
 
-/// Concurrency-sizing knobs of a [`Server`]'s shared storage structures.
+/// Storage knobs of a [`Server`]: shard count and durability.
 /// [`Server::new`] uses the defaults; runtimes that know the host's
 /// parallelism pass explicit values through [`Server::with_tuning`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -204,15 +199,6 @@ pub struct ServerTuning {
     /// Chain-shard count of the [`MemEngine`] (`None` → the store's
     /// default of 16). More shards reduce reader/writer lock overlap.
     pub store_shards: Option<usize>,
-    /// Atomic read-slot count of the [`StableFrontier`]'s in-flight
-    /// registry (`None` → the frontier's default of 64; `Some(0)`
-    /// disables the slots so every read admission takes the mutexed
-    /// fallback — the pre-slot behavior, kept measurable for benches).
-    pub read_slots: Option<usize>,
-    /// Apply-lane count of the [`CommitPipeline`] (`None` → one lane per
-    /// store shard — maximal write parallelism). Clamped to
-    /// `1..=store_shards`; more lanes than shards buys nothing.
-    pub write_lanes: Option<usize>,
     /// Durable-storage configuration. `None` (the default) keeps the
     /// pure in-memory [`MemEngine`]; `Some` wraps it in a
     /// [`DurableEngine`] — write-ahead log plus stable-prefix checkpoints
@@ -231,20 +217,13 @@ pub struct Server {
     pub(crate) clock: Box<dyn PhysicalClock + Send>,
     pub(crate) hlc: Hlc,
     /// The storage engine — in-memory or durable — shared with every
-    /// [`ReadView`] and the [`CommitPipeline`].
+    /// [`ReadView`].
     pub(crate) store: std::sync::Arc<dyn Engine>,
     /// Published stable timestamps (`ust_n^m`, `S_old`) and the in-flight
     /// read registry, shared with every [`ReadView`].
     pub(crate) frontier: std::sync::Arc<StableFrontier>,
     /// Read-path counters shared with every [`ReadView`].
     pub(crate) view_stats: std::sync::Arc<ReadViewStats>,
-    /// The per-shard commit pipeline, shared with the runtimes' write
-    /// pools; the loop itself stages prepares and applies replication
-    /// batches through it, so every backend exercises one write path.
-    pub(crate) pipeline: std::sync::Arc<CommitPipeline>,
-    /// Loop-owned root state (HLC, installed watermark), published for
-    /// lock-free observation off the loop.
-    pub(crate) root_state: std::sync::Arc<RootState>,
     /// The server's own cached view (the loop-served read path uses it on
     /// every slice read; cloning three `Arc`s per read would be waste).
     pub(crate) view: ReadView,
@@ -334,7 +313,7 @@ impl Server {
     /// When `tuning.durable` is set, construction is also **recovery**:
     /// the newest intact checkpoint is loaded, the WAL suffix replayed
     /// (truncating a torn tail), and the server's version vector, HLC
-    /// floor, stable frontier and published root state are re-seeded so
+    /// floor and stable frontier are re-seeded so
     /// the state machine resumes exactly where the log ends. What came
     /// back is reported by [`Server::recovery`].
     ///
@@ -371,17 +350,8 @@ impl Server {
                 }
                 None => (std::sync::Arc::new(MemEngine::with_shards(shards)), None),
             };
-        let frontier = std::sync::Arc::new(match tuning.read_slots {
-            Some(slots) => StableFrontier::with_slots(slots),
-            None => StableFrontier::new(),
-        });
+        let frontier = std::sync::Arc::new(StableFrontier::new());
         let view_stats = std::sync::Arc::new(ReadViewStats::default());
-        let pipeline = std::sync::Arc::new(CommitPipeline::new(
-            std::sync::Arc::clone(&store),
-            std::sync::Arc::clone(&frontier),
-            tuning.write_lanes.unwrap_or_else(|| store.shard_count()),
-        ));
-        let root_state = std::sync::Arc::new(RootState::default());
         let mut hlc = Hlc::new();
         if let Some(info) = &recovery {
             // Resume where the log ends: recovered versions were committed
@@ -398,8 +368,6 @@ impl Server {
             // already have trimmed up to `s_old`.
             frontier.advance_ust(info.ust);
             frontier.advance_s_old(info.s_old);
-            root_state.publish_hlc(info.max_recovered());
-            root_state.publish_watermark(vv.values().copied().min().unwrap_or(Timestamp::ZERO));
             // New commit timestamps must sort after everything persisted.
             hlc.observe(&clock, info.max_recovered());
         }
@@ -420,8 +388,6 @@ impl Server {
             store,
             frontier,
             view_stats,
-            pipeline,
-            root_state,
             view,
             vv,
             tx_table: TxTable::default(),
@@ -478,21 +444,6 @@ impl Server {
         stats.reads_unchanged += self.view_stats.reads_unchanged();
         stats.reads_shipped += self.view_stats.reads_shipped();
         stats
-    }
-
-    /// The shared per-shard commit pipeline: the write-path counterpart
-    /// of [`Server::read_view`]. The threaded runtime hands it to its
-    /// write-thread pool (prepare staging and replication apply run
-    /// off-loop through its lanes); the deterministic backends exercise
-    /// the same path synchronously.
-    pub fn commit_pipeline(&self) -> std::sync::Arc<CommitPipeline> {
-        std::sync::Arc::clone(&self.pipeline)
-    }
-
-    /// The published loop-owned root state (HLC, installed watermark):
-    /// lock-free reads of what only the server loop may mutate.
-    pub fn root_state(&self) -> std::sync::Arc<RootState> {
-        std::sync::Arc::clone(&self.root_state)
     }
 
     /// A cloneable handle serving Algorithm 3 snapshot reads from this
@@ -579,17 +530,17 @@ impl Server {
                 partition,
                 txs,
                 watermark,
-            } => self.on_replicate(env, *partition, txs, *watermark, now),
-            Msg::Heartbeat {
-                partition,
-                watermark,
-            } => self.on_heartbeat(env, *partition, *watermark, now),
+            } => self.on_replicate(env, *partition, txs, *watermark, 0, now),
             Msg::ReplicateBatch {
                 partition,
                 txs,
                 watermark,
                 frames,
-            } => self.on_replicate_batch(env, *partition, txs, *watermark, *frames, now),
+            } => self.on_replicate(env, *partition, txs, *watermark, *frames, now),
+            Msg::Heartbeat {
+                partition,
+                watermark,
+            } => self.on_heartbeat(env, *partition, *watermark, now),
 
             // Stabilization.
             Msg::GstReport {

@@ -67,13 +67,8 @@ impl Server {
             });
         }
 
-        // Advance the local version clock (Alg. 4 lines 18/20) and
-        // publish the new installed watermark and HLC for lock-free
-        // observers.
+        // Advance the local version clock (Alg. 4 lines 18/20).
         self.vv.insert(own, ub);
-        self.root_state.publish_hlc(ub);
-        self.root_state
-            .publish_watermark(self.installed_watermark());
 
         let peers = self.topo.peer_replicas(self.id);
         let mut out: Vec<Envelope> = Vec::with_capacity(peers.len() + 4);
@@ -122,37 +117,17 @@ impl Server {
     }
 
     /// `Replicate` from a peer replica (Alg. 4 lines 23–30): apply the
-    /// batch and advance that replica's version-vector entry to the
-    /// sender's watermark.
+    /// batch in its ascending `(ct, tx)` order, then advance that
+    /// replica's version-vector entry to the sender's watermark — after
+    /// the store writes, so the installed watermark never announces a
+    /// version that is not yet readable.
     ///
-    /// The loop path is the pipeline apply plus the loop-owned
-    /// completion, run back to back — the same two halves the threaded
-    /// runtime's write pool splits across threads.
+    /// A `ReplicateBatch` from the coalescing layer lands here too, with
+    /// `frames` > 0: several frames from the same peer folded into one
+    /// message, in ascending `ct` order under the newest watermark.
     pub(super) fn on_replicate(
         &mut self,
         env: &Envelope,
-        partition: PartitionId,
-        txs: &[ReplicatedTx],
-        watermark: Timestamp,
-        now: u64,
-    ) -> Vec<Envelope> {
-        self.pipeline.apply_replicated(txs);
-        self.note_remote_applied(env.src.dc(), partition, txs, watermark, 0, now)
-    }
-
-    /// Loop-owned completion of a replication apply (Alg. 4 lines 29–30
-    /// plus accounting): counts the transactions, logs the applies, folds
-    /// coalesced frames and — strictly *after* the batch's store writes
-    /// have landed through
-    /// [`CommitPipeline::apply_replicated`](super::CommitPipeline::apply_replicated)
-    /// — advances the sender's version-vector entry to its watermark, so
-    /// the installed watermark never announces a version that is not yet
-    /// readable. Callers moving the apply off-loop (the runtimes' write
-    /// pools) must keep all frames of one source on one worker: per-src
-    /// FIFO is what makes the watermark argument hold.
-    pub fn note_remote_applied(
-        &mut self,
-        from: DcId,
         partition: PartitionId,
         txs: &[ReplicatedTx],
         watermark: Timestamp,
@@ -162,31 +137,16 @@ impl Server {
         debug_assert_eq!(partition, self.id.partition, "replication cross-partition");
         self.stats.coalesced_frames += u64::from(frames);
         for t in txs {
+            for w in &t.writes {
+                self.store.apply(w.key, w.value.clone(), t.ct, t.tx, t.src);
+            }
             self.stats.applied_remote += 1;
             if let Some(log) = self.events.as_mut() {
                 log.applies.push((t.tx, t.ct, now));
             }
         }
-        self.bump_replica_clock(from, watermark);
+        self.bump_replica_clock(env.src.dc(), watermark);
         self.after_clock_move(now)
-    }
-
-    /// `ReplicateBatch` from the coalescing layer: several replication
-    /// frames from the same peer folded into one message. The fold
-    /// preserves ascending `ct` order and keeps the newest watermark, so a
-    /// single [`Server::on_replicate`] pass applies the whole window.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_replicate_batch(
-        &mut self,
-        env: &Envelope,
-        partition: PartitionId,
-        txs: &[ReplicatedTx],
-        watermark: Timestamp,
-        frames: u32,
-        now: u64,
-    ) -> Vec<Envelope> {
-        self.pipeline.apply_replicated(txs);
-        self.note_remote_applied(env.src.dc(), partition, txs, watermark, frames, now)
     }
 
     /// `Heartbeat` from a peer replica (Alg. 4 lines 31–33).
@@ -212,7 +172,5 @@ impl Server {
             "replica clock regression from {from}: {entry:?} -> {watermark:?}"
         );
         *entry = (*entry).max(watermark);
-        self.root_state
-            .publish_watermark(self.installed_watermark());
     }
 }

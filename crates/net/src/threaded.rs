@@ -148,10 +148,9 @@ fn link_key(a: DcId, b: DcId) -> (DcId, DcId) {
 struct Registry {
     inboxes: HashMap<Endpoint, Sender<Envelope>>,
     read_tap: Option<ReadTap>,
-    write_tap: Option<WriteTap>,
-    /// Bumped on every [`Router::set_read_tap`] /
-    /// [`Router::set_write_tap`], so a pruning delivery that raced a tap
-    /// replacement never removes a healthy lane of the new tap.
+    /// Bumped on every [`Router::set_read_tap`], so a pruning delivery
+    /// that raced a tap replacement never removes a healthy lane of the
+    /// new tap.
     tap_epoch: u64,
 }
 
@@ -160,16 +159,6 @@ struct Registry {
 struct ReadTap {
     lanes: Vec<Sender<Envelope>>,
     next: usize,
-    epoch: u64,
-}
-
-/// Source-keyed fan-out of server-bound write-path deliveries into
-/// write-pool lanes (see [`Router::set_write_tap`]). Unlike the read
-/// tap there is no round-robin cursor: the lane is a pure function of
-/// the envelope's source, so all traffic of one source stays FIFO on
-/// one lane — the ordering the commit and replication handlers rely on.
-struct WriteTap {
-    lanes: Vec<Sender<Envelope>>,
     epoch: u64,
 }
 
@@ -271,7 +260,6 @@ impl Router {
         let registry = Arc::new(Mutex::new(Registry {
             inboxes: HashMap::new(),
             read_tap: None,
-            write_tap: None,
             tap_epoch: 0,
         }));
         let (wheel_tx, wheel_rx) = channel::<WheelCmd>();
@@ -356,32 +344,6 @@ impl Router {
                 next: 0,
                 epoch,
             })
-        };
-    }
-
-    /// Installs the write tap: from now on, write-path envelopes bound
-    /// for *server* endpoints — `PrepareReq`, `CommitTx`, `Replicate`,
-    /// `ReplicateBatch` and `Heartbeat` — are delivered (after their
-    /// normal link latency) into `lanes[source.route_key() % lanes]`
-    /// instead of the destination inbox; the runtime's write-thread pool
-    /// drains the lanes and runs the store-touching half of each off the
-    /// server loop. Routing is **source-keyed**, never round-robin: a
-    /// `CommitTx` must trail its `PrepareReq` and a watermark its
-    /// applies, and per-src FIFO on one lane preserves exactly that.
-    /// (Stabilisation frames are never tapped: their arrival must reach
-    /// `Server::handle`, which forwards the aggregate it moved.) Dead
-    /// lanes are pruned like the read tap's — the envelope re-routes by
-    /// the shrunken lane set, and when the last lane dies the tap
-    /// uninstalls and traffic falls back to the server inboxes. Passing
-    /// an empty vector uninstalls the tap.
-    pub fn set_write_tap(&self, lanes: Vec<Sender<Envelope>>) {
-        let mut reg = self.registry.lock().expect("registry poisoned");
-        reg.tap_epoch += 1;
-        let epoch = reg.tap_epoch;
-        reg.write_tap = if lanes.is_empty() {
-            None
-        } else {
-            Some(WriteTap { lanes, epoch })
         };
     }
 }
@@ -540,55 +502,15 @@ impl WheelState {
 }
 
 /// Delivers one due envelope: read-tapped traffic (server-bound
-/// `ReadSliceReq`) goes to a pool lane (round-robin),
-/// write-tapped traffic to its source's lane, the rest to the destination
-/// inbox. On the tapped happy path only the lane sender is cloned under
-/// the registry lock — the inbox is looked up only when delivery actually
-/// falls back. A lane whose receiver is gone is
-/// pruned from the tap (uninstalling the tap when the last lane dies) so
-/// later deliveries never pay for it again.
+/// `ReadSliceReq`) goes to a pool lane (round-robin), the rest to the
+/// destination inbox. On the tapped happy path only the lane sender is
+/// cloned under the registry lock — the inbox is looked up only when
+/// delivery actually falls back. A lane whose receiver is gone is pruned
+/// from the tap (uninstalling the tap when the last lane dies) so later
+/// deliveries never pay for it again.
 fn deliver(registry: &Arc<Mutex<Registry>>, mut env: Envelope) {
-    let server_bound = matches!(env.dst, Endpoint::Server(_));
-    let is_tapped_read = matches!(env.msg, Msg::ReadSliceReq { .. }) && server_bound;
-    let is_tapped_write = matches!(
-        env.msg,
-        Msg::PrepareReq { .. }
-            | Msg::CommitTx { .. }
-            | Msg::Replicate { .. }
-            | Msg::ReplicateBatch { .. }
-            | Msg::Heartbeat { .. }
-    ) && server_bound;
-    if is_tapped_write {
-        loop {
-            let picked = {
-                let mut reg = registry.lock().expect("registry poisoned");
-                reg.write_tap.as_mut().map(|tap| {
-                    // Source-keyed, not round-robin: one source, one lane,
-                    // FIFO (see `set_write_tap`).
-                    let idx = (env.src.route_key() as usize) % tap.lanes.len();
-                    (tap.epoch, idx, tap.lanes[idx].clone())
-                })
-            };
-            let Some((epoch, idx, lane)) = picked else {
-                break; // no tap (or it just uninstalled): inbox fallback
-            };
-            match lane.send(env) {
-                Ok(()) => return,
-                Err(std::sync::mpsc::SendError(returned)) => {
-                    env = returned;
-                    let mut reg = registry.lock().expect("registry poisoned");
-                    if let Some(tap) = reg.write_tap.as_mut() {
-                        if tap.epoch == epoch {
-                            tap.lanes.remove(idx);
-                            if tap.lanes.is_empty() {
-                                reg.write_tap = None;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let is_tapped_read =
+        matches!(env.msg, Msg::ReadSliceReq { .. }) && matches!(env.dst, Endpoint::Server(_));
     if is_tapped_read {
         loop {
             let picked = {
@@ -1087,96 +1009,13 @@ mod tests {
     }
 
     #[test]
-    fn write_tap_routes_by_source_not_round_robin() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let src_a = ServerId::new(DcId(0), PartitionId(0));
-        let src_b = ServerId::new(DcId(0), PartitionId(1));
-        let dst = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(dst);
-        let (l1_tx, l1) = std::sync::mpsc::channel();
-        let (l2_tx, l2) = std::sync::mpsc::channel();
-        router.set_write_tap(vec![l1_tx, l2_tx]);
-        let h = router.handle();
-        // Several messages from each source: all of a source's traffic
-        // must land on one lane, in order.
-        for i in 0..3 {
-            h.send(Envelope::new(src_a, dst, commit_tx(i, src_a)));
-            h.send(Envelope::new(src_b, dst, commit_tx(i, src_b)));
-        }
-        let lane_of = |src: ServerId| (Endpoint::Server(src).route_key() as usize) % 2;
-        let lanes = [&l1, &l2];
-        for (src, n) in [(src_a, 3u64), (src_b, 3)] {
-            let lane = lanes[lane_of(src)];
-            for i in 0..n {
-                let got = lane.recv_timeout(Duration::from_secs(2)).expect("tapped");
-                assert_eq!(got.msg, commit_tx(i, src), "per-src FIFO on one lane");
-            }
-        }
-        assert!(inbox.recv_timeout(Duration::from_millis(100)).is_err());
-    }
-
-    #[test]
-    fn write_tap_diverts_the_whole_write_path_and_nothing_else() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(b);
-        let (lane_tx, lane) = std::sync::mpsc::channel();
-        router.set_write_tap(vec![lane_tx]);
-        let h = router.handle();
-        h.send(Envelope::new(a, b, hb(1))); // Heartbeat: tapped (ordering!)
-        h.send(Envelope::new(
-            a,
-            b,
-            Msg::Replicate {
-                partition: PartitionId(0),
-                txs: Vec::new(),
-                watermark: Timestamp::ZERO,
-            },
-        ));
-        // Read-path traffic is NOT the write tap's business.
-        h.send(Envelope::new(a, b, read_req(1)));
-        let got = lane.recv_timeout(Duration::from_secs(2)).expect("tapped");
-        assert_eq!(got.msg, hb(1));
-        let got = lane.recv_timeout(Duration::from_secs(2)).expect("tapped");
-        assert!(matches!(got.msg, Msg::Replicate { .. }));
-        let got = inbox.recv_timeout(Duration::from_secs(2)).expect("inbox");
-        assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
-        assert!(lane.recv_timeout(Duration::from_millis(100)).is_err());
-    }
-
-    #[test]
-    fn write_tap_falls_back_to_inbox_when_lane_closes() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(b);
-        let (lane_tx, lane_rx) = std::sync::mpsc::channel();
-        router.set_write_tap(vec![lane_tx]);
-        drop(lane_rx); // pool died
-        router.handle().send(Envelope::new(a, b, commit_tx(1, a)));
-        let got = inbox
-            .recv_timeout(Duration::from_secs(2))
-            .expect("fallback");
-        assert!(matches!(got.msg, Msg::CommitTx { .. }));
-        // The dead lane took the tap with it; later writes skip it.
-        router.handle().send(Envelope::new(a, b, commit_tx(2, a)));
-        let got = inbox
-            .recv_timeout(Duration::from_secs(2))
-            .expect("tap uninstalled");
-        assert!(matches!(got.msg, Msg::CommitTx { .. }));
-    }
-
-    #[test]
     fn read_and_write_taps_coexist() {
         let router = Router::start(ThreadedNetConfig::fast(2));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(0));
         let inbox = router.register(b);
         let (r_tx, r_lane) = std::sync::mpsc::channel();
-        let (w_tx, w_lane) = std::sync::mpsc::channel();
         router.set_read_tap(vec![r_tx]);
-        router.set_write_tap(vec![w_tx]);
         let h = router.handle();
         h.send(Envelope::new(a, b, read_req(1)));
         h.send(Envelope::new(a, b, commit_tx(1, a)));
@@ -1192,11 +1031,11 @@ mod tests {
             r_lane.recv_timeout(Duration::from_secs(2)).unwrap().msg,
             Msg::ReadSliceReq { .. }
         ));
+        // The write path and stabilisation stay on the server loop.
         assert!(matches!(
-            w_lane.recv_timeout(Duration::from_secs(2)).unwrap().msg,
+            inbox.recv_timeout(Duration::from_secs(2)).unwrap().msg,
             Msg::CommitTx { .. }
         ));
-        // Loop-owned traffic (stabilization broadcast) is untapped.
         assert!(matches!(
             inbox.recv_timeout(Duration::from_secs(2)).unwrap().msg,
             Msg::UstBroadcast { .. }

@@ -27,12 +27,11 @@ use crate::wire::{
 /// field list, so the three cannot disagree on the order.
 macro_rules! snapshot_counters {
     ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// The flat protocol/pipeline counter block a child reports
-        /// alongside its snapshot — a wire-stable mirror of the server's
-        /// internal statistics (message counts, 2PC roles, replication
-        /// applies) plus the per-shard commit-pipeline counters, so the
-        /// parent can aggregate a cluster-wide view without reaching into
-        /// child processes.
+        /// The flat protocol counter block a child reports alongside its
+        /// snapshot — a wire-stable mirror of the server's internal
+        /// statistics (message counts, 2PC roles, replication applies)
+        /// plus its node's flush mix, so the parent can aggregate a
+        /// cluster-wide view without reaching into child processes.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct SnapshotCounters {
             $($(#[$doc])* pub $field: u64,)*
@@ -87,17 +86,11 @@ snapshot_counters! {
     deadline_flushes,
     /// Versions removed by GC.
     gc_removed,
-    /// Prepares staged through the commit pipeline.
-    staged_prepares,
-    /// Replication frames applied through the pipeline's lanes.
-    lane_batches,
-    /// Versions inserted through the pipeline's lanes.
-    lane_applies,
 }
 
 /// Everything the parent needs from one child at collection time: the
 /// server's stable frontier, its blocking counters, its wire accounting,
-/// its protocol/pipeline counter block and the retained version orders of
+/// its protocol counter block and the retained version orders of
 /// every key — the checker's ground truth and the convergence oracle's
 /// input.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -116,7 +109,7 @@ pub struct ServerSnapshot {
     pub net_messages: u64,
     /// Wire bytes this child's node sent.
     pub net_bytes: u64,
-    /// Protocol and commit-pipeline counters.
+    /// Protocol counters.
     pub counters: SnapshotCounters,
     /// Per key: every retained version's order stamp, freshest first.
     pub chains: Vec<(Key, Vec<VersionOrd>)>,
@@ -290,7 +283,7 @@ mod tests {
                 counters: SnapshotCounters {
                     msgs_handled: 1,
                     reads_unchanged: 16,
-                    lane_applies: 300,
+                    applied_remote: 300,
                     ..SnapshotCounters::default()
                 },
                 chains: vec![

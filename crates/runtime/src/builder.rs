@@ -334,10 +334,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Installs a typed concurrency [`Tuning`]: read pool, write
-    /// pipeline, store sharding, admission slots and modeled service
-    /// occupancies, in one value. The last call wins wholesale (knobs
-    /// are not merged across calls).
+    /// Installs a typed concurrency [`Tuning`]: read pool and store
+    /// sharding, in one value. The last call wins wholesale (knobs are
+    /// not merged across calls).
     pub fn tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
         self
@@ -508,9 +507,6 @@ impl ClusterBuilder {
             // Deterministic backend: pools are modeled, never derived —
             // an unset knob must not make sim results depend on the host.
             read_threads: self.tuning.read_threads.unwrap_or(0),
-            read_service_micros: self.tuning.read_service_micros,
-            write_threads: self.tuning.write_threads_or_zero(),
-            write_service_micros: self.tuning.write_service_micros,
             tuning,
             durability: self.durability,
             fault_plan: self.fault_plan,
@@ -547,8 +543,6 @@ impl ClusterBuilder {
         // Real threads: an unset read pool defaults to the host's
         // parallelism under PaRiS (explicit knobs always win; BPR pools
         // are rejected above, so the auto default stays loop-served).
-        // The write pool stays opt-in: parallel commits pay for mutex
-        // re-entry, which only a write-heavy load amortizes.
         let read_threads = match self.tuning.read_threads {
             Some(n) => n,
             None if cluster.mode == Mode::Paris => derived_read_threads(),
@@ -563,9 +557,6 @@ impl ClusterBuilder {
             seed: self.seed,
             record_history: self.record_history,
             read_threads,
-            read_service_micros: self.tuning.read_service_micros,
-            write_threads: self.tuning.write_threads_or_zero(),
-            write_service_micros: self.tuning.write_service_micros,
             tuning,
             durability: self.durability,
         })?;
@@ -616,9 +607,6 @@ impl ClusterBuilder {
             seed: self.seed,
             record_history: self.record_history,
             read_threads,
-            read_service_micros: self.tuning.read_service_micros,
-            write_threads: self.tuning.write_threads_or_zero(),
-            write_service_micros: self.tuning.write_service_micros,
             tuning,
             durability: self.durability,
             connect_timeout: std::time::Duration::from_secs(5),

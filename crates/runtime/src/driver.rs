@@ -17,9 +17,7 @@ use std::time::{Duration, Instant};
 
 use paris_clock::PhysicalClock;
 use paris_core::checker::{HistoryChecker, RecordedTx};
-use paris_core::{
-    ClientEvent, ClientSession, CommitPipeline, ReadStep, ReadView, Server, Topology,
-};
+use paris_core::{ClientEvent, ClientSession, ReadStep, ReadView, Server, Topology};
 use paris_proto::Envelope;
 use paris_types::{ClientId, Mode, ServerId};
 use paris_workload::stats::Histogram;
@@ -32,8 +30,6 @@ use rand::SeedableRng;
 /// slice reads executed entirely off the server loop. A read whose
 /// snapshot fell below `S_old` (possible only for reads that raced a GC
 /// advance) is punted to the authoritative server state machine.
-/// `service_micros` models per-read storage/CPU occupancy (see
-/// [`crate::ClusterBuilder::read_service_micros`]).
 pub(crate) fn read_pool_loop(
     lane: Receiver<Envelope>,
     views: HashMap<ServerId, ReadView>,
@@ -41,7 +37,6 @@ pub(crate) fn read_pool_loop(
     send: impl Fn(Envelope),
     clock: impl PhysicalClock,
     stop: Arc<AtomicBool>,
-    service_micros: u64,
 ) {
     let punt = |env: &Envelope, sid: ServerId| {
         let out = {
@@ -65,168 +60,13 @@ pub(crate) fn read_pool_loop(
                         snapshot,
                         ref keys,
                         reply_to,
-                    } => {
-                        if service_micros > 0 {
-                            std::thread::sleep(Duration::from_micros(service_micros));
-                        }
-                        match views[&sid].serve_slice(tx, snapshot, keys, reply_to) {
-                            Ok(resp) => send(resp),
-                            Err(_) => punt(&env, sid),
-                        }
-                    }
+                    } => match views[&sid].serve_slice(tx, snapshot, keys, reply_to) {
+                        Ok(resp) => send(resp),
+                        Err(_) => punt(&env, sid),
+                    },
                     // The tap only diverts read-path messages; anything
                     // else is handed to the owning server untouched.
                     _ => punt(&env, sid),
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// True when `env` is a write-path message the write pool may carry:
-/// prepares, commit decisions, replication frames and heartbeats bound
-/// for a server. Shared by the in-process router tap and the socket
-/// child's demux so the two backends divert exactly the same set.
-pub(crate) fn is_write_path(env: &Envelope) -> bool {
-    matches!(
-        env.msg,
-        paris_proto::Msg::PrepareReq { .. }
-            | paris_proto::Msg::CommitTx { .. }
-            | paris_proto::Msg::Replicate { .. }
-            | paris_proto::Msg::ReplicateBatch { .. }
-            | paris_proto::Msg::Heartbeat { .. }
-    ) && matches!(env.dst, paris_proto::Endpoint::Server(_))
-}
-
-/// The write lane a tapped envelope belongs on: keyed by the **source**
-/// endpoint ([`paris_proto::Endpoint::route_key`]), never round-robin.
-/// Per-src FIFO is load-bearing twice over — a `CommitTx` must trail its
-/// `PrepareReq` (same coordinator), and a `Heartbeat`'s watermark must
-/// trail the `Replicate` frames it covers (same peer) — so every message
-/// of one source must drain through one lane.
-pub(crate) fn write_lane_of(src: paris_proto::Endpoint, lanes: usize) -> usize {
-    (src.route_key() as usize) % lanes
-}
-
-/// One write-pool thread: drains its (source-keyed) lane of tapped
-/// write-path messages and runs the off-loop half of each through the
-/// destination server's [`CommitPipeline`] — prepare staging (Alg. 3
-/// lines 9–11) and replication apply (Alg. 4 lines 24–28) execute here,
-/// concurrently across lanes, while the loop-owned half (HLC stamping,
-/// queue moves, version-vector bumps) briefly takes the server mutex.
-/// `service_micros` models per-message write occupancy on prepares and
-/// replication frames (see
-/// [`crate::Tuning::write_service_micros`]); commit decisions and
-/// heartbeats are queue moves and are not charged it.
-pub(crate) fn write_pool_loop(
-    lane: Receiver<Envelope>,
-    pipelines: HashMap<ServerId, Arc<CommitPipeline>>,
-    servers: HashMap<ServerId, Arc<Mutex<Server>>>,
-    send: impl Fn(Envelope),
-    clock: impl PhysicalClock,
-    stop: Arc<AtomicBool>,
-    service_micros: u64,
-) {
-    let occupancy = || {
-        if service_micros > 0 {
-            std::thread::sleep(Duration::from_micros(service_micros));
-        }
-    };
-    loop {
-        match lane.recv_timeout(Duration::from_millis(100)) {
-            Ok(env) => {
-                let paris_proto::Endpoint::Server(sid) = env.dst else {
-                    debug_assert!(false, "write tap delivered a client-bound envelope");
-                    continue;
-                };
-                match env.msg {
-                    paris_proto::Msg::PrepareReq {
-                        tx,
-                        snapshot,
-                        ht,
-                        ref writes,
-                        reply_to,
-                        src_dc,
-                    } => {
-                        occupancy();
-                        // Stage off-lock (UST bump, write-set copy, shard
-                        // partitioning), then admit under the server mutex
-                        // (HLC stamp, Prepared insert).
-                        let staged = pipelines[&sid].stage_prepare(snapshot, writes);
-                        let out = {
-                            let mut server = servers[&sid].lock().expect("server poisoned");
-                            server.admit_prepared(tx, staged, ht, reply_to, src_dc)
-                        };
-                        for e in out {
-                            send(e);
-                        }
-                    }
-                    paris_proto::Msg::Replicate {
-                        partition,
-                        ref txs,
-                        watermark,
-                    } => {
-                        occupancy();
-                        // Apply off-lock through the shard lanes, then
-                        // complete (stats, events, watermark bump) under
-                        // the mutex — strictly after the writes landed.
-                        pipelines[&sid].apply_replicated(txs);
-                        let out = {
-                            let mut server = servers[&sid].lock().expect("server poisoned");
-                            server.note_remote_applied(
-                                env.src.dc(),
-                                partition,
-                                txs,
-                                watermark,
-                                0,
-                                clock.now_micros(),
-                            )
-                        };
-                        for e in out {
-                            send(e);
-                        }
-                    }
-                    paris_proto::Msg::ReplicateBatch {
-                        partition,
-                        ref txs,
-                        watermark,
-                        frames,
-                    } => {
-                        occupancy();
-                        pipelines[&sid].apply_replicated(txs);
-                        let out = {
-                            let mut server = servers[&sid].lock().expect("server poisoned");
-                            server.note_remote_applied(
-                                env.src.dc(),
-                                partition,
-                                txs,
-                                watermark,
-                                frames,
-                                clock.now_micros(),
-                            )
-                        };
-                        for e in out {
-                            send(e);
-                        }
-                    }
-                    // CommitTx, Heartbeat, and anything a dying lane
-                    // re-routed here: cheap loop-owned state moves, run
-                    // under the mutex via the ordinary handler.
-                    _ => {
-                        let out = {
-                            let mut server = servers[&sid].lock().expect("server poisoned");
-                            server.handle(&env, clock.now_micros())
-                        };
-                        for e in out {
-                            send(e);
-                        }
-                    }
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -252,8 +92,6 @@ pub(crate) fn server_loop(
     stop: Arc<AtomicBool>,
     intervals: paris_types::Intervals,
     id: ServerId,
-    read_service_micros: u64,
-    write_service_micros: u64,
 ) {
     let is_root = topo.tree_parent(id).is_none();
     let start = clock.now_micros();
@@ -270,28 +108,6 @@ pub(crate) fn server_loop(
         let timeout = Duration::from_micros(deadline.saturating_sub(now).min(5_000));
         match inbox.recv_timeout(timeout) {
             Ok(env) => {
-                // Loop-served reads pay the same modeled service occupancy
-                // as pool-served ones, so read_threads comparisons stay
-                // apples-to-apples.
-                if read_service_micros > 0
-                    && matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. })
-                {
-                    std::thread::sleep(Duration::from_micros(read_service_micros));
-                }
-                // Likewise for loop-served writes: prepares and
-                // replication applies pay the same modeled occupancy the
-                // write pool would, so write_threads ladders measure
-                // parallelism, not a vanishing service time.
-                if write_service_micros > 0
-                    && matches!(
-                        env.msg,
-                        paris_proto::Msg::PrepareReq { .. }
-                            | paris_proto::Msg::Replicate { .. }
-                            | paris_proto::Msg::ReplicateBatch { .. }
-                    )
-                {
-                    std::thread::sleep(Duration::from_micros(write_service_micros));
-                }
                 let out = {
                     let mut server = server.lock().expect("server poisoned");
                     server.handle(&env, clock.now_micros())

@@ -140,9 +140,9 @@ pub trait Cluster {
 
     /// A cluster-wide [`ClusterStats`] counters snapshot, aggregated over
     /// every server: protocol message counts, 2PC roles, replication
-    /// applies, commit-pipeline lane activity, BPR blocking and network
-    /// accounting. Counters are cumulative since the cluster was built —
-    /// diff two snapshots to meter an interval.
+    /// applies, BPR blocking and network accounting. Counters are
+    /// cumulative since the cluster was built — diff two snapshots to
+    /// meter an interval.
     ///
     /// # Errors
     ///

@@ -42,10 +42,10 @@ impl BlockingStats {
 /// [`Cluster::stats`](crate::Cluster::stats).
 ///
 /// Every backend reports through this one struct: the in-process backends
-/// fold [`paris_core::ServerStats`] and the commit-pipeline counters
-/// directly; the socket backend carries the same numbers over its control
-/// plane (`SnapshotCounters`). Counters are cumulative since the cluster
-/// was built, so diff two snapshots to meter an interval.
+/// fold [`paris_core::ServerStats`] directly; the socket backend carries
+/// the same numbers over its control plane (`SnapshotCounters`). Counters
+/// are cumulative since the cluster was built, so diff two snapshots to
+/// meter an interval.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterStats {
     /// Servers folded into this snapshot.
@@ -88,12 +88,6 @@ pub struct ClusterStats {
     pub deadline_flushes: u64,
     /// Versions removed by GC.
     pub gc_removed: u64,
-    /// Prepares staged through the commit pipelines (on- or off-loop).
-    pub staged_prepares: u64,
-    /// Replication frames applied through the pipelines' shard lanes.
-    pub lane_batches: u64,
-    /// Versions inserted through the pipelines' shard lanes.
-    pub lane_applies: u64,
     /// Aggregated BPR read-blocking statistics (zero under PaRiS).
     pub blocking: BlockingStats,
     /// Total messages the network carried (0 on the mini backend, whose
@@ -132,13 +126,6 @@ impl ClusterStats {
         self.deadline_flushes = coalescer.deadline_flushes;
     }
 
-    /// Folds one server's commit-pipeline counters into the aggregate.
-    pub(crate) fn fold_pipeline(&mut self, stats: &paris_core::PipelineStats) {
-        self.staged_prepares += stats.staged_prepares();
-        self.lane_batches += stats.lane_batches();
-        self.lane_applies += stats.lane_applies();
-    }
-
     /// Folds one socket-child snapshot counter block into the aggregate.
     pub(crate) fn fold_snapshot(&mut self, snap: &paris_proto::ServerSnapshot) {
         self.servers += 1;
@@ -159,9 +146,6 @@ impl ClusterStats {
         self.size_flushes += c.size_flushes;
         self.deadline_flushes += c.deadline_flushes;
         self.gc_removed += c.gc_removed;
-        self.staged_prepares += c.staged_prepares;
-        self.lane_batches += c.lane_batches;
-        self.lane_applies += c.lane_applies;
         self.blocking.blocked_reads += snap.blocked_reads;
         self.blocking.total_micros += snap.blocked_micros_total;
         self.blocking.max_micros = self.blocking.max_micros.max(snap.blocked_micros_max);
@@ -180,28 +164,15 @@ impl ClusterStats {
         self.reads_unchanged as f64 / answered as f64
     }
 
-    /// Fraction of remote applies that went through the per-shard commit
-    /// pipeline lanes (1.0 when every apply used the parallel write path;
-    /// 0 when nothing was applied).
-    pub fn lane_apply_share(&self) -> f64 {
-        if self.applied_remote == 0 {
-            return 0.0;
-        }
-        self.lane_applies as f64 / self.applied_remote as f64
-    }
-
     /// One-line summary, e.g. for progress output.
     pub fn summary(&self) -> String {
         format!(
-            "{} servers: {} msgs, {} coordinated, {} prepares ({} staged), \
-             {} applied remote ({} via lanes), ust {}",
+            "{} servers: {} msgs, {} coordinated, {} prepares, {} applied remote, ust {}",
             self.servers,
             self.msgs_handled,
             self.txs_coordinated,
             self.prepares,
-            self.staged_prepares,
             self.applied_remote,
-            self.lane_applies,
             self.min_ust,
         )
     }
@@ -436,32 +407,18 @@ mod tests {
     }
 
     #[test]
-    fn cluster_stats_lane_apply_share() {
-        let mut s = ClusterStats::default();
-        assert_eq!(s.lane_apply_share(), 0.0, "no applies, no share");
-        s.applied_remote = 8;
-        s.lane_applies = 8;
-        assert!((s.lane_apply_share() - 1.0).abs() < 1e-9);
-        s.lane_applies = 2;
-        assert!((s.lane_apply_share() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cluster_stats_summary_mentions_pipeline_counters() {
+    fn cluster_stats_summary_mentions_write_counters() {
         let s = ClusterStats {
             servers: 18,
             msgs_handled: 1_000,
-            staged_prepares: 42,
-            lane_applies: 17,
+            prepares: 42,
+            applied_remote: 17,
             ..Default::default()
         };
         let line = s.summary();
         assert!(line.contains("18 servers"), "{line}");
-        assert!(
-            line.contains("42 staged") || line.contains("(42 staged)"),
-            "{line}"
-        );
-        assert!(line.contains("17 via lanes"), "{line}");
+        assert!(line.contains("42 prepares"), "{line}");
+        assert!(line.contains("17 applied remote"), "{line}");
     }
 
     #[test]

@@ -464,7 +464,6 @@ impl Cluster for MiniCluster {
         let mut out = ClusterStats::default();
         for server in self.servers.values() {
             out.fold_server(&server.stats());
-            out.fold_pipeline(server.commit_pipeline().stats());
         }
         out.set_flush_mix(&self.coalescer.stats());
         out.min_ust = self.min_ust();

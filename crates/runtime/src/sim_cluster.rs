@@ -63,27 +63,6 @@ pub(crate) struct SimConfig {
     /// is observable (and gated) on this backend too. `0` (default)
     /// keeps the single-queue model.
     pub(crate) read_threads: usize,
-    /// Additional modeled occupancy per slice read (µs of simulated
-    /// time), matching the threaded backend's `read_service_micros`
-    /// semantics: charged to the serving read lane, or to the single
-    /// server queue when `read_threads` is 0.
-    pub(crate) read_service_micros: u64,
-    /// Per-server write service lanes: with `n > 0` (PaRiS only), tapped
-    /// write-path messages (`PrepareReq`/`CommitTx`/`Replicate`/
-    /// `ReplicateBatch`/`Heartbeat`) occupy one of `n` independent write
-    /// lanes — chosen by the **source** endpoint's stable hash, exactly
-    /// like the threaded write pool's source-keyed lanes — instead of the
-    /// server's single CPU queue. Deterministic: state-machine effects
-    /// still apply in delivery order; only modeled occupancy overlaps.
-    /// `0` (default) keeps the single-queue model and is bit-identical
-    /// to the pre-pipeline simulator.
-    pub(crate) write_threads: usize,
-    /// Additional modeled occupancy per staged prepare or replication
-    /// apply (µs of simulated time), matching the threaded backend's
-    /// `write_service_micros`: charged to the serving write lane, or to
-    /// the single server queue when `write_threads` is 0. Never charged
-    /// on `CommitTx`/`Heartbeat` (loop-owned metadata moves).
-    pub(crate) write_service_micros: u64,
     /// Storage-concurrency sizing for every server (does not affect
     /// simulated time; kept consistent with the other backends so
     /// explicit knobs behave identically everywhere).
@@ -130,11 +109,6 @@ struct ServerSlot {
     /// Round-robin cursor over `read_lanes` — mirrors the threaded
     /// router's read-tap lane assignment.
     next_lane: usize,
-    /// Busy-until times of the server's write lanes (empty when the
-    /// write-pipeline service model is off). Write-path messages occupy
-    /// the lane their **source** hashes to — mirroring the threaded
-    /// write tap — so one link's traffic always queues on one lane.
-    write_lanes: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,7 +216,6 @@ impl SimCluster {
                     busy_until: 0,
                     read_lanes: vec![0; config.read_threads],
                     next_lane: 0,
-                    write_lanes: vec![0; config.write_threads],
                 },
             );
             // Stagger the periodic protocols per server.
@@ -598,13 +571,9 @@ impl SimCluster {
                     debug_assert!(false, "message to unknown server {sid}");
                     return;
                 };
-                let is_read_path = matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. });
-                let extra_read_cost = if is_read_path {
-                    self.config.read_service_micros
-                } else {
-                    0
-                };
-                if is_read_path && !slot.read_lanes.is_empty() {
+                if !slot.read_lanes.is_empty()
+                    && matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. })
+                {
                     // Multi-queue read service model (PaRiS only): the
                     // read-path message occupies one of the server's read
                     // lanes — the deterministic counterpart of a pool
@@ -614,40 +583,14 @@ impl SimCluster {
                     let lane = slot.next_lane % slot.read_lanes.len();
                     slot.next_lane = slot.next_lane.wrapping_add(1);
                     let start = self.now.max(slot.read_lanes[lane]);
-                    let finish = start + self.config.service.cost(&env.msg) + extra_read_cost;
+                    let finish = start + self.config.service.cost(&env.msg);
                     slot.read_lanes[lane] = finish;
                     let out = slot.server.handle(&env, finish);
                     self.send_all(finish, out);
                     return;
                 }
-                let extra_write_cost = if matches!(
-                    env.msg,
-                    paris_proto::Msg::PrepareReq { .. }
-                        | paris_proto::Msg::Replicate { .. }
-                        | paris_proto::Msg::ReplicateBatch { .. }
-                ) {
-                    self.config.write_service_micros
-                } else {
-                    0
-                };
-                if !slot.write_lanes.is_empty() && crate::driver::is_write_path(&env) {
-                    // Multi-lane write service model (PaRiS only): the
-                    // write-path message occupies the lane its source
-                    // hashes to — the deterministic counterpart of the
-                    // threaded write pool — so occupancy from disjoint
-                    // sources overlaps while one link's stays serial.
-                    // Effects still apply in delivery order: determinism
-                    // and per-src FIFO are untouched, only time moves.
-                    let lane = crate::driver::write_lane_of(env.src, slot.write_lanes.len());
-                    let start = self.now.max(slot.write_lanes[lane]);
-                    let finish = start + self.config.service.cost(&env.msg) + extra_write_cost;
-                    slot.write_lanes[lane] = finish;
-                    let out = slot.server.handle(&env, finish);
-                    self.send_all(finish, out);
-                    return;
-                }
                 let start = self.now.max(slot.busy_until);
-                let cost = self.config.service.cost(&env.msg) + extra_read_cost + extra_write_cost;
+                let cost = self.config.service.cost(&env.msg);
                 let blocked_before = slot.server.blocked_reads_now() as u64;
                 let blocks_before = slot.server.stats().blocked_reads;
                 let finish = start + cost;
@@ -980,7 +923,6 @@ impl Cluster for SimCluster {
         let mut out = ClusterStats::default();
         for slot in self.servers.values() {
             out.fold_server(&slot.server.stats());
-            out.fold_pipeline(slot.server.commit_pipeline().stats());
         }
         out.net_messages = self.net.messages_sent();
         out.net_bytes = self.net.bytes_sent();

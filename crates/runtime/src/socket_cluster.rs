@@ -97,10 +97,6 @@ pub(crate) struct SocketClusterConfig {
     pub(crate) record_history: bool,
     /// Per-child read-pool size (see the threaded backend's knob).
     pub(crate) read_threads: usize,
-    pub(crate) read_service_micros: u64,
-    /// Per-child write-pool size (see the threaded backend's knob).
-    pub(crate) write_threads: usize,
-    pub(crate) write_service_micros: u64,
     pub(crate) tuning: ServerTuning,
     /// Durable-engine deployment: each child gets its own log directory
     /// derived from this (see [`crate::Durability::server_config`]).
@@ -124,16 +120,10 @@ pub struct ChildSpec {
     pub server: ServerId,
     /// The deployment configuration (topology, mode, intervals, batching).
     pub cluster: ClusterConfig,
-    /// Storage-concurrency sizing.
+    /// Store sizing and durability.
     pub tuning: ServerTuning,
     /// Read-pool size inside the child.
     pub read_threads: usize,
-    /// Modeled per-slice-read service occupancy (µs).
-    pub read_service_micros: u64,
-    /// Write-pool size inside the child.
-    pub write_threads: usize,
-    /// Modeled per-write service occupancy (µs).
-    pub write_service_micros: u64,
     /// Data-plane connect window (µs).
     pub connect_timeout_micros: u64,
     /// Inbound read timeout (µs).
@@ -243,8 +233,6 @@ impl ChildSpec {
             }
         }
         w.opt_u64(self.tuning.store_shards.map(|v| v as u64));
-        w.opt_u64(self.tuning.read_slots.map(|v| v as u64));
-        w.opt_u64(self.tuning.write_lanes.map(|v| v as u64));
         match &self.tuning.durable {
             None => w.u8(0),
             Some(d) => {
@@ -260,9 +248,6 @@ impl ChildSpec {
             }
         }
         w.u64(self.read_threads as u64);
-        w.u64(self.read_service_micros);
-        w.u64(self.write_threads as u64);
-        w.u64(self.write_service_micros);
         w.u64(self.connect_timeout_micros);
         w.u64(self.read_timeout_micros);
         w.0.iter().map(|b| format!("{b:02x}")).collect()
@@ -325,8 +310,6 @@ impl ChildSpec {
             wire: WireFormat::default(),
         };
         let store_shards = r.opt_u64()?.map(|v| v as usize);
-        let read_slots = r.opt_u64()?.map(|v| v as usize);
-        let write_lanes = r.opt_u64()?.map(|v| v as usize);
         let durable = match r.u8()? {
             0 => None,
             1 => {
@@ -347,8 +330,6 @@ impl ChildSpec {
         };
         let tuning = ServerTuning {
             store_shards,
-            read_slots,
-            write_lanes,
             durable,
         };
         Ok(ChildSpec {
@@ -357,9 +338,6 @@ impl ChildSpec {
             cluster,
             tuning,
             read_threads: r.u64()? as usize,
-            read_service_micros: r.u64()?,
-            write_threads: r.u64()? as usize,
-            write_service_micros: r.u64()?,
             connect_timeout_micros: r.u64()?,
             read_timeout_micros: r.u64()?,
         })
@@ -474,7 +452,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
         let send = node.handle();
         let clock = Arc::clone(&clock);
         let stop = Arc::clone(&stop);
-        let service = spec.read_service_micros;
         pool_handles.push(
             std::thread::Builder::new()
                 .name(format!("read-pool-{i}"))
@@ -486,49 +463,9 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                         move |e| send.send_lossy(e),
                         clock,
                         stop,
-                        service,
                     )
                 })
                 .map_err(|_| Error::Transport("could not spawn read pool thread"))?,
-        );
-    }
-    // The write-pipeline pool (the socket mirror of the threaded
-    // router's write tap): source-keyed lanes, each drained by one
-    // worker running the off-loop pipeline halves.
-    let write_threads = if spec.cluster.mode == Mode::Paris {
-        spec.write_threads
-    } else {
-        0
-    };
-    let mut write_lanes: Vec<Sender<Envelope>> = Vec::new();
-    for i in 0..write_threads {
-        let (lane_tx, lane_rx) = channel::<Envelope>();
-        write_lanes.push(lane_tx);
-        let pipeline = server
-            .lock()
-            .map_err(|_| Error::Transport("server poisoned"))?
-            .commit_pipeline();
-        let pipelines = HashMap::from([(id, pipeline)]);
-        let servers = HashMap::from([(id, Arc::clone(&server))]);
-        let send = node.handle();
-        let clock = Arc::clone(&clock);
-        let stop = Arc::clone(&stop);
-        let service = spec.write_service_micros;
-        pool_handles.push(
-            std::thread::Builder::new()
-                .name(format!("write-pool-{i}"))
-                .spawn(move || {
-                    crate::driver::write_pool_loop(
-                        lane_rx,
-                        pipelines,
-                        servers,
-                        move |e| send.send_lossy(e),
-                        clock,
-                        stop,
-                        service,
-                    )
-                })
-                .map_err(|_| Error::Transport("could not spawn write pool thread"))?,
         );
     }
     let inbox = node
@@ -544,16 +481,9 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                     Ok(env) => {
                         let read_tapped = !lanes.is_empty()
                             && matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. });
-                        let write_tapped =
-                            !write_lanes.is_empty() && crate::driver::is_write_path(&env);
                         let delivered = if read_tapped {
                             rr = (rr + 1) % lanes.len();
                             lanes[rr].send(env).is_ok()
-                        } else if write_tapped {
-                            // Source-keyed, never round-robin: one link's
-                            // write traffic must drain through one lane.
-                            let lane = crate::driver::write_lane_of(env.src, write_lanes.len());
-                            write_lanes[lane].send(env).is_ok()
                         } else {
                             mailbox_tx.send(env).is_ok()
                         };
@@ -578,18 +508,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     let loop_clock = Arc::clone(&clock);
     let loop_stop = Arc::clone(&stop);
     let intervals = spec.cluster.intervals;
-    // With a read pool, the loop never sees ReadSliceReqs, so it must not
-    // also charge the modeled read service time; same for the write pool.
-    let loop_read_service = if read_threads > 0 {
-        0
-    } else {
-        spec.read_service_micros
-    };
-    let loop_write_service = if write_threads > 0 {
-        0
-    } else {
-        spec.write_service_micros
-    };
     let server_handle = std::thread::Builder::new()
         .name(format!("server-{id}"))
         .spawn(move || {
@@ -602,8 +520,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 loop_stop,
                 intervals,
                 id,
-                loop_read_service,
-                loop_write_service,
             )
         })
         .map_err(|_| Error::Transport("could not spawn server loop"))?;
@@ -620,8 +536,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                     // treat it as fatal and let the parent see EOF.
                     let Ok(server) = server.lock() else { break };
                     let stats = server.stats();
-                    let pipeline = server.commit_pipeline();
-                    let pipeline = pipeline.stats();
                     let mut chains = Vec::new();
                     server.store().for_each_chain(&mut |key, chain| {
                         chains.push((key, chain.iter().map(|v| v.order()).collect()));
@@ -651,9 +565,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                             size_flushes: counters.size_flushes.load(Ordering::Relaxed),
                             deadline_flushes: counters.deadline_flushes.load(Ordering::Relaxed),
                             gc_removed: stats.gc_removed,
-                            staged_prepares: pipeline.staged_prepares(),
-                            lane_batches: pipeline.lane_batches(),
-                            lane_applies: pipeline.lane_applies(),
                         },
                         chains,
                     }
@@ -757,6 +668,23 @@ pub struct SocketCluster {
     peer_map: Vec<(ServerId, u16)>,
 }
 
+/// The spawn spec for the child hosting `id` — identical for the initial
+/// bring-up and for every relaunch, so a restarted server finds its own
+/// durable directory again.
+fn child_spec(config: &SocketClusterConfig, ctrl_port: u16, id: ServerId) -> ChildSpec {
+    let mut tuning = config.tuning.clone();
+    tuning.durable = config.durability.as_ref().map(|d| d.server_config(id));
+    ChildSpec {
+        ctrl_port,
+        server: id,
+        cluster: config.cluster.clone(),
+        tuning,
+        read_threads: config.read_threads,
+        connect_timeout_micros: config.connect_timeout.as_micros() as u64,
+        read_timeout_micros: config.read_timeout.as_micros() as u64,
+    }
+}
+
 /// Kills and reaps every child in `children` (bring-up failure path).
 fn kill_all(children: &mut Vec<Child>) {
     for child in children.iter_mut() {
@@ -796,20 +724,7 @@ impl SocketCluster {
         let all_servers: Vec<ServerId> = topo.all_servers();
         let mut procs: Vec<Child> = Vec::with_capacity(all_servers.len());
         for &id in &all_servers {
-            let mut tuning = config.tuning.clone();
-            tuning.durable = config.durability.as_ref().map(|d| d.server_config(id));
-            let spec = ChildSpec {
-                ctrl_port,
-                server: id,
-                cluster: config.cluster.clone(),
-                tuning,
-                read_threads: config.read_threads,
-                read_service_micros: config.read_service_micros,
-                write_threads: config.write_threads,
-                write_service_micros: config.write_service_micros,
-                connect_timeout_micros: config.connect_timeout.as_micros() as u64,
-                read_timeout_micros: config.read_timeout.as_micros() as u64,
-            };
+            let spec = child_spec(&config, ctrl_port, id);
             match Command::new(&binary)
                 .env(CHILD_SPEC_ENV, spec.encode())
                 .stdin(Stdio::null())
@@ -1038,26 +953,6 @@ impl SocketCluster {
             }
         }
         Ok(snaps)
-    }
-
-    /// The spawn spec for the child hosting `id` — identical for the
-    /// initial bring-up and for every relaunch, so a restarted server
-    /// finds its own durable directory again.
-    fn child_spec(&self, id: ServerId) -> ChildSpec {
-        let mut tuning = self.config.tuning.clone();
-        tuning.durable = self.config.durability.as_ref().map(|d| d.server_config(id));
-        ChildSpec {
-            ctrl_port: self.ctrl_port,
-            server: id,
-            cluster: self.config.cluster.clone(),
-            tuning,
-            read_threads: self.config.read_threads,
-            read_service_micros: self.config.read_service_micros,
-            write_threads: self.config.write_threads,
-            write_service_micros: self.config.write_service_micros,
-            connect_timeout_micros: self.config.connect_timeout.as_micros() as u64,
-            read_timeout_micros: self.config.read_timeout.as_micros() as u64,
-        }
     }
 
     /// Accepts control-plane dialers on the retained listener until the
@@ -1369,7 +1264,7 @@ impl Cluster for SocketCluster {
             let _ = proc.wait();
         }
 
-        let spec = self.child_spec(id);
+        let spec = child_spec(&self.config, self.ctrl_port, id);
         let child = Command::new(&self.binary)
             .env(CHILD_SPEC_ENV, spec.encode())
             .stdin(Stdio::null())
@@ -1501,14 +1396,9 @@ mod tests {
                 .unwrap(),
             tuning: ServerTuning {
                 store_shards: Some(16),
-                read_slots: None,
-                write_lanes: Some(4),
                 durable: None,
             },
             read_threads: 2,
-            read_service_micros: 7,
-            write_threads: 3,
-            write_service_micros: 11,
             connect_timeout_micros: 5_000_000,
             read_timeout_micros: 100_000,
         };
@@ -1519,9 +1409,8 @@ mod tests {
         let mut spec2 = spec.clone();
         spec2.cluster.mode = Mode::Bpr;
         spec2.cluster.batch = BatchConfig::fixed(8, 1_000);
-        spec2.tuning.read_slots = Some(0);
-        spec2.tuning.write_lanes = None;
-        spec2.write_threads = 0;
+        spec2.tuning.store_shards = None;
+        spec2.read_threads = 0;
         assert_eq!(ChildSpec::decode(&spec2.encode()).unwrap(), spec2);
 
         // A durable tuning (the crash-recovery deployment shape) survives
@@ -1546,9 +1435,6 @@ mod tests {
             cluster: ClusterConfig::default(),
             tuning: ServerTuning::default(),
             read_threads: 0,
-            read_service_micros: 0,
-            write_threads: 0,
-            write_service_micros: 0,
             connect_timeout_micros: 1,
             read_timeout_micros: 1,
         }

@@ -57,18 +57,8 @@ pub(crate) struct ThreadClusterConfig {
     /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s to a
     /// pool serving through [`ReadView`]s, off the server loop.
     pub(crate) read_threads: usize,
-    /// Modeled per-slice-read service occupancy (µs wall clock).
-    pub(crate) read_service_micros: u64,
-    /// Write-pool size: `> 0` (PaRiS only) diverts the write path
-    /// (`PrepareReq`/`CommitTx`/`Replicate`/`ReplicateBatch`/`Heartbeat`)
-    /// to source-keyed pool lanes running the [`paris_core::CommitPipeline`]
-    /// halves off the server loop.
-    pub(crate) write_threads: usize,
-    /// Modeled per-write service occupancy (µs wall clock), charged on
-    /// prepares and replication applies wherever they are served.
-    pub(crate) write_service_micros: u64,
-    /// Storage-concurrency sizing for every server (shard count, read
-    /// slots, write lanes), resolved by the builder.
+    /// Store sizing for every server (shard count), resolved by the
+    /// builder.
     pub(crate) tuning: ServerTuning,
     /// Durable storage engine (WAL + checkpoints) for every server; off
     /// (`None`, purely in-memory) by default.
@@ -90,7 +80,6 @@ pub struct ThreadCluster {
     stop_servers: Arc<AtomicBool>,
     server_handles: Vec<JoinHandle<()>>,
     read_pool: Vec<JoinHandle<()>>,
-    write_pool: Vec<JoinHandle<()>>,
     servers: HashMap<ServerId, Arc<Mutex<Server>>>,
     views: HashMap<ServerId, ReadView>,
     interactive: HashMap<ClientId, InteractiveClient>,
@@ -116,19 +105,6 @@ impl ThreadCluster {
         let clock = Arc::new(SystemClock::new());
         let stop_servers = Arc::new(AtomicBool::new(false));
 
-        // With a read pool, the server loop never sees ReadSliceReqs, so
-        // it must not also charge the modeled read service time. Same for
-        // the write pool and write-path frames.
-        let loop_read_service = if config.read_threads > 0 {
-            0
-        } else {
-            config.read_service_micros
-        };
-        let loop_write_service = if config.write_threads > 0 {
-            0
-        } else {
-            config.write_service_micros
-        };
         let mut servers = HashMap::new();
         let mut views = HashMap::new();
         let mut server_handles = Vec::new();
@@ -171,8 +147,6 @@ impl ThreadCluster {
                             stop,
                             intervals,
                             id,
-                            loop_read_service,
-                            loop_write_service,
                         )
                     })
                     .expect("spawn server thread"),
@@ -195,7 +169,6 @@ impl ThreadCluster {
                 let net = router.handle();
                 let clock = Arc::clone(&clock);
                 let stop = Arc::clone(&stop_servers);
-                let service = config.read_service_micros;
                 read_pool.push(
                     std::thread::Builder::new()
                         .name(format!("read-pool-{i}"))
@@ -207,56 +180,12 @@ impl ThreadCluster {
                                 move |e| net.send(e),
                                 clock,
                                 stop,
-                                service,
                             )
                         })
                         .expect("spawn read pool thread"),
                 );
             }
             router.set_read_tap(lanes);
-        }
-
-        // The write-pipeline pool: lanes fed by the router's write tap,
-        // keyed by *source* endpoint so each link's FIFO survives the
-        // fan-out (CommitTx after its PrepareReq, watermark after its
-        // applies). Each worker runs the off-loop pipeline halves —
-        // prepare staging, replication apply — and re-enters the server
-        // mutex only for root state. PaRiS only (the builder rejects
-        // BPR + write_threads).
-        let mut write_pool = Vec::new();
-        if config.write_threads > 0 && config.cluster.mode == Mode::Paris {
-            let pipelines: HashMap<ServerId, _> = servers
-                .iter()
-                .map(|(id, s)| (*id, s.lock().expect("fresh server").commit_pipeline()))
-                .collect();
-            let mut lanes = Vec::with_capacity(config.write_threads);
-            for i in 0..config.write_threads {
-                let (lane_tx, lane_rx) = std::sync::mpsc::channel::<Envelope>();
-                lanes.push(lane_tx);
-                let pipelines = pipelines.clone();
-                let servers = servers.clone();
-                let net = router.handle();
-                let clock = Arc::clone(&clock);
-                let stop = Arc::clone(&stop_servers);
-                let service = config.write_service_micros;
-                write_pool.push(
-                    std::thread::Builder::new()
-                        .name(format!("write-pool-{i}"))
-                        .spawn(move || {
-                            crate::driver::write_pool_loop(
-                                lane_rx,
-                                pipelines,
-                                servers,
-                                move |e| net.send(e),
-                                clock,
-                                stop,
-                                service,
-                            )
-                        })
-                        .expect("spawn write pool thread"),
-                );
-            }
-            router.set_write_tap(lanes);
         }
 
         Ok(ThreadCluster {
@@ -268,7 +197,6 @@ impl ThreadCluster {
             stop_servers,
             server_handles,
             read_pool,
-            write_pool,
             servers,
             views,
             interactive: HashMap::new(),
@@ -596,7 +524,6 @@ impl Cluster for ThreadCluster {
         for server in self.servers.values() {
             let server = server.lock().expect("server poisoned");
             out.fold_server(&server.stats());
-            out.fold_pipeline(server.commit_pipeline().stats());
             min_ust = Some(min_ust.map_or(server.ust(), |u: Timestamp| u.min(server.ust())));
         }
         out.min_ust = min_ust.unwrap_or(Timestamp::ZERO);
@@ -630,9 +557,6 @@ impl Drop for ThreadCluster {
             let _ = h.join();
         }
         for h in self.read_pool.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.write_pool.drain(..) {
             let _ = h.join();
         }
     }

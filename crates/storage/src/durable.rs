@@ -433,14 +433,6 @@ impl Engine for DurableEngine {
         self.mem.stats()
     }
 
-    fn shard_count(&self) -> usize {
-        self.mem.shard_count()
-    }
-
-    fn shard_index(&self, key: Key) -> usize {
-        self.mem.shard_index(key)
-    }
-
     fn maybe_checkpoint(&self, ust: Timestamp, now_micros: u64) -> bool {
         let mut log = self.log.lock().expect("wal state poisoned");
         match log.last_ckpt_micros {

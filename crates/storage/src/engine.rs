@@ -1,7 +1,7 @@
 //! The storage-engine boundary.
 //!
 //! Every server owns its partition's store through the [`Engine`] trait:
-//! the protocol layers (commit pipeline, read view, replication) only
+//! the protocol layers (read view, prepare/commit, replication) only
 //! ever see `Arc<dyn Engine>`, so the in-memory store
 //! ([`MemEngine`](crate::MemEngine)) and the durable WAL + checkpoint
 //! engine ([`DurableEngine`](crate::DurableEngine)) are interchangeable
@@ -42,8 +42,8 @@ pub struct DurableStats {
 /// This is the `update(k, v, ut, id_T)` / snapshot-read target of
 /// Alg. 3–4: idempotent version-chain inserts, snapshot reads at a
 /// timestamp, and GC below the stable horizon. Implementations must be
-/// safe to share across the server loop, the commit pipeline lanes and
-/// the read pool (all methods take `&self`).
+/// safe to share between the server loop and the read pool (all
+/// methods take `&self`).
 pub trait Engine: Send + Sync + std::fmt::Debug {
     /// Applies one committed update: inserts version
     /// `⟨k, v, ut, tx, src⟩` into `k`'s chain (Alg. 4, `update`).
@@ -73,14 +73,6 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
 
     /// Current contents/activity counters.
     fn stats(&self) -> StoreStats;
-
-    /// Number of chain shards (the commit pipeline sizes its lanes off
-    /// this).
-    fn shard_count(&self) -> usize;
-
-    /// Index of the shard holding `key`'s chain (the commit pipeline
-    /// partitions write sets by shard to route them onto lanes).
-    fn shard_index(&self, key: Key) -> usize;
 
     /// Offers the engine a chance to freeze the `≤ ust` stable prefix
     /// into a checkpoint. `now_micros` is the server's monotone clock so

@@ -87,9 +87,7 @@ impl MemEngine {
 
     /// Index of the shard holding `key`'s chain (Fibonacci multiplicative
     /// hash so the dense key layouts used by the workloads spread evenly).
-    /// Public so the commit pipeline can partition write sets by shard and
-    /// route disjoint shard sets onto different apply lanes.
-    pub fn shard_index(&self, key: Key) -> usize {
+    fn shard_index(&self, key: Key) -> usize {
         let h = key.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         (h as usize) % self.shards.len()
     }
@@ -214,14 +212,6 @@ impl Engine for MemEngine {
 
     fn stats(&self) -> StoreStats {
         MemEngine::stats(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        MemEngine::shard_count(self)
-    }
-
-    fn shard_index(&self, key: Key) -> usize {
-        MemEngine::shard_index(self, key)
     }
 }
 

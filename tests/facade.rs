@@ -125,16 +125,6 @@ fn builder_validation_errors() {
         .build();
     assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
 
-    // Zero read-admission *slots* is legal: it selects the mutex-only
-    // fallback registry (what fig_reads measures the slots against).
-    assert!(Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .tuning(Tuning::default().read_slots(0))
-        .build()
-        .is_ok());
-
     // Sim-only knobs are rejected, not silently ignored, on other
     // backends.
     let err = Paris::builder()
@@ -359,57 +349,9 @@ fn sim_and_thread_backends_agree_on_causal_chain_with_read_pool() {
 }
 
 #[test]
-fn sim_and_thread_backends_agree_on_causal_chain_with_write_pool() {
-    // Same scenario, but with `write_threads > 1`: the thread backend
-    // runs prepares and replication applies on its write pool (staging
-    // and lane applies off the server loop), the sim executes the
-    // identical CommitPipeline path through deterministic write lanes —
-    // observers on both must still see the same causal chain.
-    let scenario_builder = |backend| {
-        Paris::builder()
-            .dcs(3)
-            .partitions(6)
-            .replication(2)
-            .keys_per_partition(100)
-            .clients_per_dc(0)
-            .uniform_latency_micros(5_000)
-            .jitter(0.0)
-            .seed(31)
-            .tuning(Tuning::default().write_threads(2))
-            .backend(backend)
-    };
-
-    let mut sim = scenario_builder(Backend::Sim).build().unwrap();
-    let mut thread = scenario_builder(Backend::Thread).build().unwrap();
-
-    let from_sim = causal_chain(sim.as_mut());
-    let from_thread = causal_chain(thread.as_mut());
-
-    assert_eq!(
-        from_sim, from_thread,
-        "sim and thread must observe the same causal chain with write_threads > 1"
-    );
-    assert_eq!(from_sim, (Some(Value::from("y")), Some(Value::from("x"))));
-    assert!(sim.check_convergence().unwrap().is_empty());
-    assert!(thread.check_convergence().unwrap().is_empty());
-
-    // The pipeline carried the write path on both backends, and the
-    // unified stats surface says so through the same API.
-    for (cluster, name) in [(&mut sim, "sim"), (&mut thread, "thread")] {
-        let stats = cluster.stats().unwrap();
-        assert!(stats.staged_prepares > 0, "{name}: no prepares staged");
-        assert_eq!(
-            stats.staged_prepares, stats.prepares,
-            "{name}: every prepare goes through the pipeline"
-        );
-        assert!(stats.lane_batches > 0, "{name}: no lane applies");
-    }
-}
-
-#[test]
 fn cluster_stats_unifies_all_backends() {
     // One snapshot type for every backend: after the same workload,
-    // `Cluster::stats()` must report a live write pipeline and counters
+    // `Cluster::stats()` must report a live write path and counters
     // consistent with the run — and a second snapshot must be monotone
     // (counters are cumulative since build).
     for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
@@ -430,13 +372,9 @@ fn cluster_stats_unifies_all_backends() {
         let first = cluster.stats().unwrap();
         assert_eq!(first.servers, 12, "{backend:?}: 6 partitions × R=2");
         assert!(first.txs_coordinated > 0, "{backend:?}: no transactions");
-        assert_eq!(
-            first.staged_prepares, first.prepares,
-            "{backend:?}: every prepare must be staged through the pipeline"
-        );
         assert!(
-            first.lane_batches > 0 && first.lane_applies > 0,
-            "{backend:?}: replication must flow through the apply lanes"
+            first.prepares >= first.txs_coordinated,
+            "{backend:?}: every committed update prepared at least once"
         );
         assert!(
             first.applied_remote > 0,
@@ -455,8 +393,8 @@ fn cluster_stats_unifies_all_backends() {
         let second = cluster.stats().unwrap();
         assert!(
             second.msgs_handled > first.msgs_handled
-                && second.prepares >= first.prepares
-                && second.staged_prepares >= first.staged_prepares,
+                && second.prepares > first.prepares
+                && second.applied_remote >= first.applied_remote,
             "{backend:?}: stats regressed between snapshots"
         );
     }
