@@ -10,9 +10,8 @@
 //! * any `*net_bytes*` / `*bytes_per_tx*` metric may not rise more than
 //!   10% above baseline — wire bytes are a first-class perf axis, so a
 //!   codec or framing change that bloats traffic fails the gate;
-//! * any `*speedup*` metric (`fig_reads`' read-lane scaling factor, and
-//!   the fig2b scale-out ratios) may not drop more than 50% below
-//!   baseline;
+//! * any `*speedup*` metric (the fig2b scale-out ratios) may not drop
+//!   more than 50% below baseline;
 //! * any `*violations*` metric must be exactly zero;
 //! * every baseline metric must be present in the current results
 //!   (a silently vanished benchmark is a regression too).
@@ -62,7 +61,6 @@ const GATED: &[(&str, &str)] = &[
     ("fig1", "BENCH_fig1.json"),
     ("table1", "BENCH_table1.json"),
     ("ablation_batch", "BENCH_batch.json"),
-    ("fig_reads", "BENCH_reads.json"),
     ("fig4", "BENCH_fig4.json"),
     ("fig2a", "BENCH_fig2a.json"),
     ("fig_recovery", "BENCH_recovery.json"),

@@ -17,10 +17,12 @@
 //!   stabilization tree;
 //! * [`Server`] — the partition server state machine: coordinator
 //!   (Alg. 2), cohort (Alg. 3), replication + UST stabilization (Alg. 4);
-//!   runs in [`Mode::Paris`] or as the blocking [`Mode::Bpr`] baseline;
-//! * [`ReadView`] — the published snapshot-read handle: Algorithm 3 slice
-//!   reads served concurrently off the server loop (the paper's parallel
-//!   non-blocking reads), GC-safe via the shared stable frontier;
+//!   runs in [`Mode::Paris`] or as the blocking [`Mode::Bpr`] baseline.
+//!   Every message, slice reads included, is handled by the one state
+//!   machine: reads are non-blocking because the UST snapshot is
+//!   installed everywhere, and parallel because the coordinator fans
+//!   them out to all partitions at once (Alg. 2) — neither needs a
+//!   thread of its own;
 //! * [`ClientSession`] — the client state machine (Alg. 1) with the
 //!   private write cache, beginning eagerly (`StartTxReq`) or lazily (the
 //!   start rides the first operation);
@@ -63,17 +65,15 @@
 pub mod checker;
 mod client;
 pub mod metadata;
-mod read_view;
 mod server;
 mod topology;
 
 pub use checker::{HistoryChecker, RecordedRead, RecordedTx, Violation};
 pub use client::{ClientEvent, ClientRead, ClientSession, ReadSource, ReadStep};
-pub use read_view::{ReadView, ReadViewStats};
 pub use server::{
     EventLog, Server, ServerOptions, ServerStats, ServerTuning, STALE_CONTEXT_MICROS,
 };
 pub use topology::Topology;
 
-pub use paris_storage::{DurableConfig, DurableStats, FsyncPolicy, RecoveryInfo, StaleSnapshot};
+pub use paris_storage::{DurableConfig, DurableStats, FsyncPolicy, RecoveryInfo};
 pub use paris_types::Mode;

@@ -1,6 +1,6 @@
 //! Transaction-cohort role (paper Algorithm 3).
 
-use paris_proto::{Envelope, Msg, ReadKey};
+use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
 use paris_types::{DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
 
 use super::{BlockedRead, CommittedTx, PreparedTx, Server};
@@ -10,13 +10,11 @@ impl Server {
     ///
     /// PaRiS serves immediately: the snapshot is universally stable, so the
     /// freshest version `≤ snapshot` is guaranteed present — the
-    /// non-blocking read property. The serve goes through the same
-    /// [`crate::ReadView`] path the threaded runtime's read pool uses, so
-    /// every backend exercises one code path; in the rare case the view
-    /// rejects (snapshot below `S_old`), this loop — which serializes with
-    /// its own GC — serves authoritatively. BPR must first check that the
-    /// partition has *installed* the (fresh) snapshot — `min(VV) ≥
-    /// snapshot` — and parks the read otherwise (§V).
+    /// non-blocking read property. It needs no thread of its own: the
+    /// read runs on the server loop, which also runs GC, so no read ever
+    /// races the horizon. BPR must first check that the partition has
+    /// *installed* the (fresh) snapshot — `min(VV) ≥ snapshot` — and
+    /// parks the read otherwise (§V).
     pub(super) fn on_read_slice_req(
         &mut self,
         tx: TxId,
@@ -27,19 +25,14 @@ impl Server {
     ) -> Vec<Envelope> {
         match self.mode {
             Mode::Paris => {
-                // This loop serializes with its own GC, so one S_old check
-                // suffices: a below-horizon snapshot (a read the pool
-                // punted back, or one that raced a horizon advance) is
-                // served directly, without a doomed view registration.
-                if snapshot < self.frontier.s_old() {
-                    return vec![self.serve_slice(tx, snapshot, keys, reply_to)];
+                // Alg. 3 line 2: ust ← max(ust, snapshot). A snapshot below
+                // `S_old` is one no open context pins any more (GC may have
+                // trimmed what it would see); it is served from what is
+                // left and never drags the UST.
+                if snapshot >= self.s_old {
+                    self.ust = self.ust.max(snapshot);
                 }
-                // Alg. 3 line 2 (ust ← max(ust, snapshot)) happens inside
-                // the view, against the shared frontier.
-                match self.view.serve_slice(tx, snapshot, keys, reply_to) {
-                    Ok(env) => vec![env],
-                    Err(_) => vec![self.serve_slice(tx, snapshot, keys, reply_to)],
-                }
+                vec![self.serve_slice(tx, snapshot, keys, reply_to)]
             }
             Mode::Bpr => {
                 if self.installed_watermark() >= snapshot {
@@ -59,11 +52,11 @@ impl Server {
         }
     }
 
-    /// Serves a slice read from the store on the server loop (Alg. 3
-    /// lines 3–8): freshest version within the snapshot per key. Used by
-    /// BPR (whose reads may park first) and as the authoritative fallback
-    /// when a view read is rejected below `S_old` — the loop serializes
-    /// with its own GC, so no guard is needed here.
+    /// Serves a slice read from the store (Alg. 3 lines 3–8): the
+    /// freshest version within the snapshot per key, looked up exactly as
+    /// for an unstamped read and only then compared with the client's
+    /// stamp — a match is answered `Unchanged`, anything else ships what
+    /// the snapshot holds.
     pub(super) fn serve_slice(
         &mut self,
         tx: TxId,
@@ -71,11 +64,28 @@ impl Server {
         keys: &[ReadKey],
         reply_to: ServerId,
     ) -> Envelope {
-        let (results, tally) = crate::read_view::read_slice(&*self.store, snapshot, keys);
         self.stats.slice_reads += 1;
         self.stats.keys_read += keys.len() as u64;
-        self.stats.reads_unchanged += tally.unchanged;
-        self.stats.reads_shipped += tally.shipped;
+        let results = keys
+            .iter()
+            .map(|k| {
+                let outcome = match self.store.read_at(k.key, snapshot) {
+                    None => ReadOutcome::Absent,
+                    Some(v) if k.held == Some(v.stamp()) => {
+                        self.stats.reads_unchanged += 1;
+                        ReadOutcome::Unchanged
+                    }
+                    Some(v) => {
+                        self.stats.reads_shipped += 1;
+                        ReadOutcome::Found(v)
+                    }
+                };
+                ReadResult {
+                    key: k.key,
+                    outcome,
+                }
+            })
+            .collect();
         Envelope::new(
             self.id,
             reply_to,
@@ -124,12 +134,11 @@ impl Server {
         src_dc: DcId,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
-        // Alg. 3 line 11: ust ← max(ust, snapshot), on the frontier the
-        // read path shares.
-        let ust = self.frontier.max_ust(snapshot);
+        // Alg. 3 line 11: ust ← max(ust, snapshot).
+        self.ust = self.ust.max(snapshot);
         // Alg. 3 lines 10 & 12: strictly above `ht`, the UST and the
         // previous HLC value, and at least the physical clock.
-        let pt = self.hlc.now_after(&self.clock, ht.max(ust));
+        let pt = self.hlc.now_after(&self.clock, ht.max(self.ust));
         self.prepared.insert(
             tx,
             PreparedTx {

@@ -18,8 +18,7 @@
 //! relayed to the cohorts as it came; the coordinator never interprets
 //! them further.
 //!
-//! Coordinator state lives in the [`TxTable`](super::TxTable); each
-//! handler takes its lock once, for a few map operations.
+//! Coordinator state lives in the [`TxTable`](super::TxTable).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -44,27 +43,21 @@ impl Server {
     /// and registers the transaction's context.
     ///
     /// * PaRiS: `ust ← max(ust, ust_c)`, snapshot = `ust` — a stable
-    ///   snapshot installed everywhere, hence non-blocking reads. The
-    ///   assignment and the registration are one [`TxTable`] critical
-    ///   section (see `tx_table` on why `S_old` needs that).
+    ///   snapshot installed everywhere, hence non-blocking reads.
     /// * BPR: snapshot = `max(ust_c, HLC)` — fresh, but reads must block
     ///   until the serving partition installs it (§V).
-    ///
-    /// [`TxTable`]: super::TxTable
     fn begin_tx(&mut self, client: ClientId, client_ust: Timestamp, now: u64) -> (TxId, Timestamp) {
-        match self.mode {
+        let snapshot = match self.mode {
             Mode::Paris => {
-                self.tx_table
-                    .begin_paris(self.id, client, &self.frontier, client_ust, now)
+                self.ust = self.ust.max(client_ust);
+                self.ust
             }
-            Mode::Bpr => {
-                let snapshot = client_ust.max(self.hlc.peek(&self.clock));
-                let tx = self
-                    .tx_table
-                    .begin_with_snapshot(self.id, client, snapshot, now);
-                (tx, snapshot)
-            }
-        }
+            Mode::Bpr => client_ust.max(self.hlc.peek(&self.clock)),
+        };
+        (
+            self.tx_table.begin(self.id, client, snapshot, now),
+            snapshot,
+        )
     }
 
     /// The transaction a request names, begun here if the request is a
@@ -114,7 +107,7 @@ impl Server {
         let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
             return Vec::new();
         };
-        let mut ctxs = self.tx_table.lock();
+        let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
             // Unknown transaction (the coordinator restarted, or reclaimed
             // the context as abandoned): its snapshot is gone, so nothing
@@ -217,7 +210,7 @@ impl Server {
         results: &[ReadResult],
         _now: u64,
     ) -> Vec<Envelope> {
-        let mut ctxs = self.tx_table.lock();
+        let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get_mut(&tx) else {
             return Vec::new(); // stale response for a finished transaction
         };
@@ -267,7 +260,7 @@ impl Server {
         let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
             return Vec::new();
         };
-        let mut ctxs = self.tx_table.lock();
+        let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
             // Unknown transaction: its writes would be dropped, so the
             // commit fails rather than report a success that never was.
@@ -365,7 +358,7 @@ impl Server {
         now: u64,
     ) -> Vec<Envelope> {
         let (participants, ct, client, start) = {
-            let mut ctxs = self.tx_table.lock();
+            let ctxs = &mut self.tx_table.ctxs;
             let Some(ctx) = ctxs.get_mut(&tx) else {
                 return Vec::new();
             };
@@ -423,6 +416,6 @@ impl Server {
     /// current UST when idle — this server's contribution to the `S_old`
     /// aggregate (§IV-B, garbage collection).
     pub(crate) fn oldest_active_snapshot(&self) -> Timestamp {
-        self.tx_table.oldest_active_snapshot(&self.frontier)
+        self.tx_table.oldest_active_snapshot(self.ust)
     }
 }

@@ -27,12 +27,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use paris_clock::{Hlc, PhysicalClock};
 use paris_proto::{Envelope, Msg, ReadKey, ReadResult};
-use paris_storage::{
-    DurableConfig, DurableEngine, Engine, MemEngine, RecoveryInfo, StableFrontier,
-};
+use paris_storage::{DurableConfig, DurableEngine, Engine, MemEngine, RecoveryInfo};
 use paris_types::{ClientId, DcId, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry};
 
-use crate::read_view::{ReadView, ReadViewStats};
 use crate::topology::Topology;
 
 pub(crate) use report_table::ReportTable;
@@ -191,14 +188,11 @@ pub struct ServerOptions {
     pub record_events: bool,
 }
 
-/// Storage knobs of a [`Server`]: shard count and durability.
-/// [`Server::new`] uses the defaults; runtimes that know the host's
-/// parallelism pass explicit values through [`Server::with_tuning`].
+/// Storage configuration of a [`Server`]: durability. [`Server::new`]
+/// uses the default (in-memory); runtimes pass a per-server durable
+/// directory through [`Server::with_tuning`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerTuning {
-    /// Chain-shard count of the [`MemEngine`] (`None` → the store's
-    /// default of 16). More shards reduce reader/writer lock overlap.
-    pub store_shards: Option<usize>,
     /// Durable-storage configuration. `None` (the default) keeps the
     /// pure in-memory [`MemEngine`]; `Some` wraps it in a
     /// [`DurableEngine`] — write-ahead log plus stable-prefix checkpoints
@@ -216,17 +210,14 @@ pub struct Server {
     pub(crate) mode: Mode,
     pub(crate) clock: Box<dyn PhysicalClock + Send>,
     pub(crate) hlc: Hlc,
-    /// The storage engine — in-memory or durable — shared with every
-    /// [`ReadView`].
-    pub(crate) store: std::sync::Arc<dyn Engine>,
-    /// Published stable timestamps (`ust_n^m`, `S_old`) and the in-flight
-    /// read registry, shared with every [`ReadView`].
-    pub(crate) frontier: std::sync::Arc<StableFrontier>,
-    /// Read-path counters shared with every [`ReadView`].
-    pub(crate) view_stats: std::sync::Arc<ReadViewStats>,
-    /// The server's own cached view (the loop-served read path uses it on
-    /// every slice read; cloning three `Arc`s per read would be waste).
-    pub(crate) view: ReadView,
+    /// The storage engine — in-memory or durable.
+    pub(crate) store: Box<dyn Engine>,
+    /// Universal stable time `ust_n^m`: monotone (Alg. 3 lines 2 & 11,
+    /// Alg. 4 line 38).
+    pub(crate) ust: Timestamp,
+    /// GC horizon `S_old`: monotone, and the floor of every snapshot this
+    /// server may still serve.
+    pub(crate) s_old: Timestamp,
     /// Version vector `VV_n^m`: one entry per replica DC of this partition
     /// (keyed by DC for clarity; own DC included).
     pub(crate) vv: BTreeMap<DcId, Timestamp>,
@@ -269,7 +260,7 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("id", &self.id)
             .field("mode", &self.mode)
-            .field("ust", &self.frontier.ust())
+            .field("ust", &self.ust)
             .field("vv", &self.vv)
             .field("prepared", &self.prepared.len())
             .field("committed", &self.committed.len())
@@ -289,15 +280,13 @@ impl Server {
         Server::with_tuning(options, ServerTuning::default())
     }
 
-    /// Creates a server with explicit storage-concurrency sizing (the
-    /// runtimes derive it from the host's parallelism).
+    /// Creates a server with explicit storage configuration.
     ///
     /// # Panics
     ///
     /// Panics if the topology does not place this server's partition in
-    /// its DC (the server would not exist in the deployment), if
-    /// `tuning.store_shards` is `Some(0)`, or if `tuning.durable` is set
-    /// and the durable store cannot be opened (use
+    /// its DC (the server would not exist in the deployment), or if
+    /// `tuning.durable` is set and the durable store cannot be opened (use
     /// [`Server::try_with_tuning`] to handle that case).
     pub fn with_tuning(options: ServerOptions, tuning: ServerTuning) -> Self {
         match Server::try_with_tuning(options, tuning) {
@@ -313,14 +302,14 @@ impl Server {
     /// When `tuning.durable` is set, construction is also **recovery**:
     /// the newest intact checkpoint is loaded, the WAL suffix replayed
     /// (truncating a torn tail), and the server's version vector, HLC
-    /// floor and stable frontier are re-seeded so
-    /// the state machine resumes exactly where the log ends. What came
-    /// back is reported by [`Server::recovery`].
+    /// floor, UST and `S_old` are re-seeded so the state machine resumes
+    /// exactly where the log ends. What came back is reported by
+    /// [`Server::recovery`].
     ///
     /// # Panics
     ///
     /// Panics if the topology does not place this server's partition in
-    /// its DC, or if `tuning.store_shards` is `Some(0)`.
+    /// its DC.
     pub fn try_with_tuning(
         options: ServerOptions,
         tuning: ServerTuning,
@@ -341,18 +330,15 @@ impl Server {
             .into_iter()
             .map(|dc| (dc, Timestamp::ZERO))
             .collect();
-        let shards = tuning.store_shards.unwrap_or(paris_storage::DEFAULT_SHARDS);
-        let (store, recovery): (std::sync::Arc<dyn Engine>, Option<RecoveryInfo>) =
-            match tuning.durable {
-                Some(cfg) => {
-                    let (engine, info) = DurableEngine::open(cfg, shards)?;
-                    (std::sync::Arc::new(engine), Some(info))
-                }
-                None => (std::sync::Arc::new(MemEngine::with_shards(shards)), None),
-            };
-        let frontier = std::sync::Arc::new(StableFrontier::new());
-        let view_stats = std::sync::Arc::new(ReadViewStats::default());
+        let (store, recovery): (Box<dyn Engine>, Option<RecoveryInfo>) = match tuning.durable {
+            Some(cfg) => {
+                let (engine, info) = DurableEngine::open(cfg, paris_storage::DEFAULT_SHARDS)?;
+                (Box::new(engine), Some(info))
+            }
+            None => (Box::new(MemEngine::new()), None),
+        };
         let mut hlc = Hlc::new();
+        let (mut ust, mut s_old) = (Timestamp::ZERO, Timestamp::ZERO);
         if let Some(info) = &recovery {
             // Resume where the log ends: recovered versions were committed
             // and acknowledged, so the replication watermark per source DC
@@ -363,21 +349,13 @@ impl Server {
                     *entry = ut;
                 }
             }
-            // The stable frontier the checkpoint froze is still valid:
-            // every DC had installed `≤ ust` before the crash, and GC may
+            // The stable times the checkpoint froze are still valid: every
+            // DC had installed `≤ ust` before the crash, and GC may
             // already have trimmed up to `s_old`.
-            frontier.advance_ust(info.ust);
-            frontier.advance_s_old(info.s_old);
+            (ust, s_old) = (info.ust, info.s_old);
             // New commit timestamps must sort after everything persisted.
             hlc.observe(&clock, info.max_recovered());
         }
-        let view = ReadView::new(
-            id,
-            mode,
-            std::sync::Arc::clone(&store),
-            std::sync::Arc::clone(&frontier),
-            std::sync::Arc::clone(&view_stats),
-        );
         let push = topology.config().batch.is_paced();
         let mut server = Server {
             id,
@@ -386,9 +364,8 @@ impl Server {
             clock,
             hlc,
             store,
-            frontier,
-            view_stats,
-            view,
+            ust,
+            s_old,
             vv,
             tx_table: TxTable::default(),
             prepared: HashMap::new(),
@@ -422,12 +399,12 @@ impl Server {
 
     /// Current universal stable time.
     pub fn ust(&self) -> Timestamp {
-        self.frontier.ust()
+        self.ust
     }
 
     /// Current GC horizon.
     pub fn s_old(&self) -> Timestamp {
-        self.frontier.s_old()
+        self.s_old
     }
 
     /// The version vector (per replica DC).
@@ -435,24 +412,9 @@ impl Server {
         &self.vv
     }
 
-    /// Statistics counters: the state machine's own plus the shared
-    /// read-view counters (slice reads may be served off-loop).
+    /// Statistics counters.
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.stats;
-        stats.slice_reads += self.view_stats.slice_reads();
-        stats.keys_read += self.view_stats.keys_read();
-        stats.reads_unchanged += self.view_stats.reads_unchanged();
-        stats.reads_shipped += self.view_stats.reads_shipped();
-        stats
-    }
-
-    /// A cloneable handle serving Algorithm 3 snapshot reads from this
-    /// server's published state, off the server loop. All views of one
-    /// server share its store, stable frontier and read counters; the
-    /// threaded runtime hands them to its read-thread pool, while the
-    /// deterministic backends exercise the same path synchronously.
-    pub fn read_view(&self) -> ReadView {
-        self.view.clone()
+        self.stats
     }
 
     /// The recorded event log, if enabled.
@@ -480,7 +442,7 @@ impl Server {
 
     /// Number of currently open coordinator contexts.
     pub fn open_transactions(&self) -> usize {
-        self.tx_table.len()
+        self.tx_table.ctxs.len()
     }
 
     /// Number of currently blocked reads (BPR).
@@ -601,9 +563,8 @@ impl Server {
 
     /// Runs periodic garbage collection (the paper's background GC,
     /// §IV-B): trims every version chain to the horizon `S_old` computed by
-    /// the stabilization protocol, further bounded by the oldest snapshot
-    /// of any in-flight off-loop read (so the read pool never loses a
-    /// version it is entitled to). Returns versions removed.
+    /// the stabilization protocol. Slice reads run on the same loop, so
+    /// none is in flight while GC runs. Returns versions removed.
     ///
     /// The same tick first reclaims coordinator contexts abandoned for
     /// [`STALE_CONTEXT_MICROS`]: an open context pins this server's
@@ -618,8 +579,8 @@ impl Server {
     /// the last checkpoint and the GC horizon are deleted.
     pub fn on_gc_tick(&mut self, now: u64) -> usize {
         self.tx_table.expire(now, STALE_CONTEXT_MICROS);
-        self.store.maybe_checkpoint(self.frontier.ust(), now);
-        let removed = self.store.gc(self.frontier.gc_horizon());
+        self.store.maybe_checkpoint(self.ust, now);
+        let removed = self.store.gc(self.s_old);
         self.stats.gc_removed += removed as u64;
         removed
     }

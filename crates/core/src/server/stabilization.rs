@@ -139,16 +139,16 @@ impl Server {
         else {
             return Vec::new();
         };
-        // Alg. 4 line 38: enforce monotonicity (the frontier's fetch_max).
-        let moved = self.frontier.advance_ust(min_gst);
-        if moved {
+        // Alg. 4 line 38: enforce monotonicity.
+        if min_gst > self.ust {
+            self.ust = min_gst;
             self.log_ust(min_gst, now);
         } else if !keep_alive {
             return Vec::new();
         }
-        let ust = self.frontier.ust();
-        self.frontier.advance_s_old(min_oldest.min(ust));
-        let s_old = self.frontier.s_old();
+        let ust = self.ust;
+        self.s_old = self.s_old.max(min_oldest.min(ust));
+        let s_old = self.s_old;
         self.topo
             .servers_in_dc(self.id.dc)
             .into_iter()
@@ -234,10 +234,11 @@ impl Server {
         s_old: Timestamp,
         now: u64,
     ) -> Vec<Envelope> {
-        if self.frontier.advance_ust(ust) {
+        if ust > self.ust {
+            self.ust = ust;
             self.log_ust(ust, now);
         }
-        self.frontier.advance_s_old(s_old);
+        self.s_old = self.s_old.max(s_old);
         Vec::new()
     }
 }

@@ -969,3 +969,145 @@ fn server_debug_is_informative() {
     let dbg = format!("{s:?}");
     assert!(dbg.contains("Server") && dbg.contains("ust"));
 }
+
+/// A 2 DC × 2 partition deployment (R = 2) for the slice-read tests:
+/// server dc0-p0, whose only peer replica is dc1-p0.
+fn slice_server(mode: Mode) -> (Server, SimClock) {
+    let topo = Arc::new(Topology::new(
+        ClusterConfig::builder()
+            .dcs(2)
+            .partitions(2)
+            .replication_factor(2)
+            .build()
+            .unwrap(),
+    ));
+    let clock = SimClock::new();
+    let s = server_at(&topo, &clock, 0, 0, mode);
+    (s, clock)
+}
+
+fn ts(t: u64) -> Timestamp {
+    Timestamp::from_physical_micros(t)
+}
+
+fn peer_tx(seq: u64) -> TxId {
+    TxId::new(ServerId::new(DcId(1), PartitionId(0)), seq)
+}
+
+/// Installs a version of `key` at `ut` through the replication path.
+fn install(s: &mut Server, key: Key, ut: u64, seq: u64) {
+    let peer = ServerId::new(DcId(1), PartitionId(0));
+    let env = Envelope::new(
+        peer,
+        s.id(),
+        Msg::Replicate {
+            partition: PartitionId(0),
+            txs: vec![ReplicatedTx {
+                tx: peer_tx(seq),
+                ct: ts(ut),
+                src: DcId(1),
+                writes: vec![WriteSetEntry {
+                    key,
+                    value: Value::filled(8, seq),
+                }],
+            }],
+            watermark: ts(ut),
+        },
+    );
+    s.handle(&env, 0);
+}
+
+/// Sends one `ReadSliceReq` at `snapshot` and returns the slice's results.
+fn slice_read(s: &mut Server, snapshot: u64, keys: &[ReadKey]) -> Vec<paris_proto::ReadResult> {
+    let reply_to = ServerId::new(DcId(0), PartitionId(1));
+    let out = s.handle(
+        &Envelope::new(
+            reply_to,
+            s.id(),
+            Msg::ReadSliceReq {
+                tx: peer_tx(9),
+                snapshot: ts(snapshot),
+                keys: keys.to_vec(),
+                reply_to,
+            },
+        ),
+        0,
+    );
+    assert_eq!(out.len(), 1, "one reply: {out:?}");
+    assert_eq!(out[0].dst, Endpoint::Server(reply_to));
+    match &out[0].msg {
+        Msg::ReadSliceResp { results, .. } => results.clone(),
+        other => panic!("expected ReadSliceResp, got {}", other.kind()),
+    }
+}
+
+#[test]
+fn slice_read_serves_the_freshest_version_within_the_snapshot() {
+    let (mut s, _clock) = slice_server(Mode::Paris);
+    install(&mut s, Key(0), 10, 1);
+    install(&mut s, Key(0), 20, 2);
+    let results = slice_read(&mut s, 15, &[Key(0).into(), Key(2).into()]);
+    assert_eq!(results.len(), 2);
+    assert_eq!(results[0].outcome.version().unwrap().ut, ts(10));
+    assert_eq!(results[1].outcome, ReadOutcome::Absent, "unwritten key");
+    // Alg. 3 line 2: serving at snapshot 15 advanced the UST.
+    assert_eq!(s.ust(), ts(15));
+    let stats = s.stats();
+    assert_eq!((stats.slice_reads, stats.keys_read), (1, 2));
+}
+
+/// Version-validated reads: the cohort looks up the version visible in the
+/// snapshot exactly as for an unstamped key, and answers `Unchanged` only
+/// when that version is the one the stamp names — in PaRiS and in BPR.
+#[test]
+fn stamped_keys_are_validated_against_the_visible_version_in_both_modes() {
+    let stamp = |ut, seq| {
+        Some(VersionStamp {
+            ut: ts(ut),
+            tx: peer_tx(seq),
+        })
+    };
+    let keys = [
+        // Holds the visible version (ut 10 at snapshot 15).
+        ReadKey {
+            key: Key(0),
+            held: stamp(10, 1),
+        },
+        // Holds a version the snapshot does not see yet (ut 20 > 15):
+        // the visible one is shipped.
+        ReadKey {
+            key: Key(0),
+            held: stamp(20, 2),
+        },
+        // Right update time, wrong transaction: not the same version.
+        ReadKey {
+            key: Key(0),
+            held: stamp(10, 7),
+        },
+        // A stamp for a key with no visible version.
+        ReadKey {
+            key: Key(2),
+            held: stamp(10, 1),
+        },
+        Key(0).into(),
+    ];
+    for mode in [Mode::Paris, Mode::Bpr] {
+        let (mut s, clock) = slice_server(mode);
+        install(&mut s, Key(0), 10, 1);
+        install(&mut s, Key(0), 20, 2);
+        // BPR serves a slice only once the snapshot is installed: move the
+        // server's own version clock past it (the peer's is at 20).
+        clock.advance_to(1_000);
+        s.on_replicate_tick(1_000);
+        let results = slice_read(&mut s, 15, &keys);
+        assert_eq!(results[0].outcome, ReadOutcome::Unchanged, "{mode:?}");
+        for shipped in [1, 2, 4] {
+            let v = results[shipped].outcome.version().expect("shipped in full");
+            assert_eq!((v.ut, v.tx), (ts(10), peer_tx(1)), "{mode:?} key {shipped}");
+        }
+        assert_eq!(results[3].outcome, ReadOutcome::Absent, "{mode:?}");
+        let stats = s.stats();
+        assert_eq!((stats.reads_unchanged, stats.reads_shipped), (1, 3));
+        assert_eq!(stats.keys_read, 5);
+    }
+}

@@ -36,7 +36,7 @@ use crate::socket::session::{LinkOptions, PeerLink, WireCounters};
 /// timeout each time; one cooldown per window bounds that cost.
 const REDIAL_COOLDOWN: Duration = Duration::from_secs(1);
 
-/// Tuning for a socket node.
+/// Configuration of a socket node.
 #[derive(Debug, Clone)]
 pub struct SocketConfig {
     /// Batching applied to every outbound link.

@@ -18,7 +18,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 
 use paris_proto::wire::encoded_len;
-use paris_proto::{Endpoint, Envelope, Msg};
+use paris_proto::{Endpoint, Envelope};
 use paris_types::{BatchConfig, DcId, WireFormat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -145,22 +145,8 @@ fn link_key(a: DcId, b: DcId) -> (DcId, DcId) {
     }
 }
 
-struct Registry {
-    inboxes: HashMap<Endpoint, Sender<Envelope>>,
-    read_tap: Option<ReadTap>,
-    /// Bumped on every [`Router::set_read_tap`], so a pruning delivery
-    /// that raced a tap replacement never removes a healthy lane of the
-    /// new tap.
-    tap_epoch: u64,
-}
-
-/// Round-robin fan-out of server-bound slice reads (`ReadSliceReq`) into
-/// read-pool lanes (see [`Router::set_read_tap`]).
-struct ReadTap {
-    lanes: Vec<Sender<Envelope>>,
-    next: usize,
-    epoch: u64,
-}
+/// Every registered endpoint's inbox.
+type Registry = HashMap<Endpoint, Sender<Envelope>>;
 
 /// The in-process network router.
 ///
@@ -257,11 +243,7 @@ impl LinkControl {
 impl Router {
     /// Starts the router and its delay-wheel thread.
     pub fn start(config: ThreadedNetConfig) -> Self {
-        let registry = Arc::new(Mutex::new(Registry {
-            inboxes: HashMap::new(),
-            read_tap: None,
-            tap_epoch: 0,
-        }));
+        let registry = Arc::new(Mutex::new(Registry::new()));
         let (wheel_tx, wheel_rx) = channel::<WheelCmd>();
         let wheel_registry = Arc::clone(&registry);
         let counters = Arc::new(NetCounters::default());
@@ -292,7 +274,6 @@ impl Router {
         self.registry
             .lock()
             .expect("registry poisoned")
-            .inboxes
             .insert(endpoint.into(), tx);
         rx
     }
@@ -303,7 +284,6 @@ impl Router {
         self.registry
             .lock()
             .expect("registry poisoned")
-            .inboxes
             .remove(&endpoint.into());
     }
 
@@ -319,32 +299,6 @@ impl Router {
         LinkControl {
             wheel_tx: self.wheel_tx.clone(),
         }
-    }
-
-    /// Installs the read tap: from now on, `ReadSliceReq` slice reads bound
-    /// for *server* endpoints — served against shared lock-free state —
-    /// are delivered round-robin into `lanes` (after their normal
-    /// link latency) instead of the destination inbox; the runtime's
-    /// read-thread pool drains the lanes and serves them off the server
-    /// loop. All other traffic is unaffected. A lane that has shut down is
-    /// pruned from the tap on first failed delivery (the tap uninstalls
-    /// itself when the last lane goes), and the envelope is retried on the
-    /// surviving lanes, falling back to the server inbox — so no request
-    /// is ever lost and dead lanes are not paid for again. Passing an
-    /// empty vector uninstalls the tap.
-    pub fn set_read_tap(&self, lanes: Vec<Sender<Envelope>>) {
-        let mut reg = self.registry.lock().expect("registry poisoned");
-        reg.tap_epoch += 1;
-        let epoch = reg.tap_epoch;
-        reg.read_tap = if lanes.is_empty() {
-            None
-        } else {
-            Some(ReadTap {
-                lanes,
-                next: 0,
-                epoch,
-            })
-        };
     }
 }
 
@@ -401,8 +355,8 @@ impl WheelState {
         if env.src == env.dst {
             // A server's message to itself (the coordinator's own slice,
             // prepare and commit) never touches a wire: due at once — so
-            // it still goes through `deliver`, taps and per-link FIFO
-            // included — and not counted, exactly as the socket node
+            // it still goes through `deliver`, per-link FIFO included —
+            // and not counted, exactly as the socket node
             // handles local delivery.
             let seq = self.seq;
             self.seq += 1;
@@ -501,53 +455,14 @@ impl WheelState {
     }
 }
 
-/// Delivers one due envelope: read-tapped traffic (server-bound
-/// `ReadSliceReq`) goes to a pool lane (round-robin), the rest to the
-/// destination inbox. On the tapped happy path only the lane sender is
-/// cloned under the registry lock — the inbox is looked up only when
-/// delivery actually falls back. A lane whose receiver is gone is pruned
-/// from the tap (uninstalling the tap when the last lane dies) so later
-/// deliveries never pay for it again.
-fn deliver(registry: &Arc<Mutex<Registry>>, mut env: Envelope) {
-    let is_tapped_read =
-        matches!(env.msg, Msg::ReadSliceReq { .. }) && matches!(env.dst, Endpoint::Server(_));
-    if is_tapped_read {
-        loop {
-            let picked = {
-                let mut reg = registry.lock().expect("registry poisoned");
-                reg.read_tap.as_mut().map(|tap| {
-                    let idx = tap.next % tap.lanes.len();
-                    tap.next = tap.next.wrapping_add(1);
-                    (tap.epoch, idx, tap.lanes[idx].clone())
-                })
-            };
-            let Some((epoch, idx, lane)) = picked else {
-                break; // no tap (or it just uninstalled): inbox fallback
-            };
-            match lane.send(env) {
-                Ok(()) => return,
-                Err(std::sync::mpsc::SendError(returned)) => {
-                    env = returned;
-                    let mut reg = registry.lock().expect("registry poisoned");
-                    if let Some(tap) = reg.read_tap.as_mut() {
-                        // Only prune from the tap the dead lane came from;
-                        // a replacement installed meanwhile keeps all its
-                        // (healthy) lanes.
-                        if tap.epoch == epoch {
-                            tap.lanes.remove(idx);
-                            if tap.lanes.is_empty() {
-                                reg.read_tap = None;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let inbox = {
-        let reg = registry.lock().expect("registry poisoned");
-        reg.inboxes.get(&env.dst).cloned()
-    };
+/// Delivers one due envelope to its destination inbox; envelopes to
+/// unregistered endpoints are dropped.
+fn deliver(registry: &Arc<Mutex<Registry>>, env: Envelope) {
+    let inbox = registry
+        .lock()
+        .expect("registry poisoned")
+        .get(&env.dst)
+        .cloned();
     if let Some(tx) = inbox {
         let _ = tx.send(env);
     }
@@ -886,121 +801,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn read_tap_diverts_slice_reads_round_robin() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(b);
-        let (l1_tx, l1) = std::sync::mpsc::channel();
-        let (l2_tx, l2) = std::sync::mpsc::channel();
-        router.set_read_tap(vec![l1_tx, l2_tx]);
-        let h = router.handle();
-        for i in 0..4 {
-            h.send(Envelope::new(a, b, read_req(i)));
-        }
-        // Non-read traffic still reaches the inbox.
-        h.send(Envelope::new(a, b, hb(9)));
-        for lane in [&l1, &l2] {
-            for _ in 0..2 {
-                let got = lane.recv_timeout(Duration::from_secs(2)).expect("tapped");
-                assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
-            }
-        }
-        let got = inbox.recv_timeout(Duration::from_secs(2)).expect("inbox");
-        assert_eq!(got.msg, hb(9));
-        assert!(inbox.recv_timeout(Duration::from_millis(100)).is_err());
-    }
-
-    #[test]
-    fn read_tap_falls_back_to_inbox_when_lane_closes() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(b);
-        let (lane_tx, lane_rx) = std::sync::mpsc::channel();
-        router.set_read_tap(vec![lane_tx]);
-        drop(lane_rx); // pool died
-        router.handle().send(Envelope::new(a, b, read_req(1)));
-        let got = inbox
-            .recv_timeout(Duration::from_secs(2))
-            .expect("fallback");
-        assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
-        // The dead lane took the tap with it (it was the only lane), so
-        // later reads go straight to the inbox too.
-        router.handle().send(Envelope::new(a, b, read_req(2)));
-        let got = inbox
-            .recv_timeout(Duration::from_secs(2))
-            .expect("tap uninstalled");
-        assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
-    }
-
-    #[test]
-    fn read_tap_prunes_a_dead_lane_and_keeps_the_survivor() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(b);
-        let (l1_tx, l1_rx) = std::sync::mpsc::channel();
-        let (l2_tx, l2) = std::sync::mpsc::channel();
-        router.set_read_tap(vec![l1_tx, l2_tx]);
-        drop(l1_rx); // one pool thread died
-        let h = router.handle();
-        for i in 0..6 {
-            h.send(Envelope::new(a, b, read_req(i)));
-        }
-        // Every read lands on the surviving lane: the first delivery that
-        // hits the dead lane prunes it and retries, and once pruned the
-        // dead lane is never offered traffic again (nothing reaches the
-        // inbox, which is where a failed lane send would fall back to).
-        for i in 0..6 {
-            let got = l2
-                .recv_timeout(Duration::from_secs(2))
-                .unwrap_or_else(|e| panic!("read {i} missing from survivor: {e}"));
-            assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
-        }
-        assert!(
-            inbox.recv_timeout(Duration::from_millis(100)).is_err(),
-            "a read fell back to the inbox after the dead lane was pruned"
-        );
-    }
-
-    #[test]
-    fn read_tap_leaves_start_tx_requests_to_the_server_loop() {
-        // Snapshot assignment mutates the coordinator's transaction table,
-        // which only the server loop touches.
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ClientId::new(DcId(0), 3);
-        let b = ServerId::new(DcId(1), PartitionId(0));
-        let inbox = router.register(b);
-        let (lane_tx, lane) = std::sync::mpsc::channel();
-        router.set_read_tap(vec![lane_tx]);
-        router.handle().send(Envelope::new(
-            a,
-            b,
-            Msg::StartTxReq {
-                client_ust: Timestamp::ZERO,
-            },
-        ));
-        let got = inbox.recv_timeout(Duration::from_secs(2)).expect("inbox");
-        assert!(matches!(got.msg, Msg::StartTxReq { .. }));
-        assert!(lane.recv_timeout(Duration::from_millis(100)).is_err());
-    }
-
-    #[test]
-    fn client_bound_reads_are_never_tapped() {
-        // Defensive: the tap keys on Server destinations only.
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let c = ClientId::new(DcId(1), 7);
-        let inbox = router.register(c);
-        let (lane_tx, _lane_rx) = std::sync::mpsc::channel();
-        router.set_read_tap(vec![lane_tx]);
-        router.handle().send(Envelope::new(a, c, read_req(1)));
-        let got = inbox.recv_timeout(Duration::from_secs(2)).expect("inbox");
-        assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
-    }
-
     fn commit_tx(tx_seq: u64, coordinator: ServerId) -> Msg {
         Msg::CommitTx {
             tx: paris_types::TxId::new(coordinator, tx_seq),
@@ -1009,13 +809,11 @@ mod tests {
     }
 
     #[test]
-    fn read_and_write_taps_coexist() {
+    fn slice_reads_commits_and_stabilisation_share_the_inbox() {
         let router = Router::start(ThreadedNetConfig::fast(2));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(0));
         let inbox = router.register(b);
-        let (r_tx, r_lane) = std::sync::mpsc::channel();
-        router.set_read_tap(vec![r_tx]);
         let h = router.handle();
         h.send(Envelope::new(a, b, read_req(1)));
         h.send(Envelope::new(a, b, commit_tx(1, a)));
@@ -1027,11 +825,11 @@ mod tests {
                 s_old: Timestamp::ZERO,
             },
         ));
+        // One server loop drains everything, in link order.
         assert!(matches!(
-            r_lane.recv_timeout(Duration::from_secs(2)).unwrap().msg,
+            inbox.recv_timeout(Duration::from_secs(2)).unwrap().msg,
             Msg::ReadSliceReq { .. }
         ));
-        // The write path and stabilisation stay on the server loop.
         assert!(matches!(
             inbox.recv_timeout(Duration::from_secs(2)).unwrap().msg,
             Msg::CommitTx { .. }

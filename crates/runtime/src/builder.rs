@@ -28,7 +28,7 @@ use crate::mini_cluster::MiniCluster;
 use crate::sim_cluster::{SimCluster, SimConfig};
 use crate::socket_cluster::{SocketCluster, SocketClusterConfig};
 use crate::thread_cluster::{ThreadCluster, ThreadClusterConfig};
-use crate::tuning::{derived_read_threads, Durability, Tuning};
+use crate::tuning::Durability;
 use crate::Cluster;
 
 /// The substrate a deployment runs on.
@@ -128,7 +128,6 @@ pub struct ClusterBuilder {
     record_events: bool,
     record_history: bool,
     stab_branching: usize,
-    tuning: Tuning,
     durability: Option<Durability>,
     fault_plan: Option<FaultPlan>,
 }
@@ -165,7 +164,6 @@ impl ClusterBuilder {
             record_events: false,
             record_history: false,
             stab_branching: 0,
-            tuning: Tuning::default(),
             durability: None,
             fault_plan: None,
         }
@@ -334,14 +332,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Installs a typed concurrency [`Tuning`]: read pool and store
-    /// sharding, in one value. The last call wins wholesale (knobs are
-    /// not merged across calls).
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
     /// Turns on the durable storage engine: every server writes its
     /// committed versions to a write-ahead log and periodic stable-prefix
     /// checkpoints under `durability`'s base directory (one
@@ -372,7 +362,6 @@ impl ClusterBuilder {
         if !self.latency_scale.is_finite() || self.latency_scale <= 0.0 {
             return Err(ConfigError::new("latency scale must be positive").into());
         }
-        self.tuning.validate(self.mode)?;
         if let Some(plan) = &self.fault_plan {
             plan.validate(self.dcs)?;
         }
@@ -471,14 +460,12 @@ impl ClusterBuilder {
         }
         let cfg = self.cluster_config()?;
         let workload = self.workload_config();
-        let tuning = self.tuning.server_tuning();
         MiniCluster::from_parts(
             cfg,
             workload,
             self.clients_per_dc,
             self.seed,
             self.record_history,
-            tuning,
             self.durability,
         )
     }
@@ -492,7 +479,6 @@ impl ClusterBuilder {
     pub fn build_sim(self) -> Result<SimCluster, Error> {
         let cluster = self.cluster_config()?;
         let workload = self.workload_config();
-        let tuning = self.tuning.server_tuning();
         SimCluster::new(SimConfig {
             matrix: self.matrix(),
             cluster,
@@ -504,10 +490,6 @@ impl ClusterBuilder {
             record_events: self.record_events,
             record_history: self.record_history,
             stab_branching: self.stab_branching,
-            // Deterministic backend: pools are modeled, never derived —
-            // an unset knob must not make sim results depend on the host.
-            read_threads: self.tuning.read_threads.unwrap_or(0),
-            tuning,
             durability: self.durability,
             fault_plan: self.fault_plan,
         })
@@ -531,7 +513,6 @@ impl ClusterBuilder {
         }
         let cluster = self.cluster_config()?;
         let workload = self.workload_config();
-        let tuning = self.tuning.server_tuning();
         let net = ThreadedNetConfig {
             matrix: self.matrix(),
             scale: self.latency_scale,
@@ -539,14 +520,6 @@ impl ClusterBuilder {
             seed: self.seed,
             batch: cluster.batch,
             wire: cluster.wire,
-        };
-        // Real threads: an unset read pool defaults to the host's
-        // parallelism under PaRiS (explicit knobs always win; BPR pools
-        // are rejected above, so the auto default stays loop-served).
-        let read_threads = match self.tuning.read_threads {
-            Some(n) => n,
-            None if cluster.mode == Mode::Paris => derived_read_threads(),
-            None => 0,
         };
         let fault_plan = self.fault_plan;
         let mut cluster = ThreadCluster::start(ThreadClusterConfig {
@@ -556,8 +529,6 @@ impl ClusterBuilder {
             workload,
             seed: self.seed,
             record_history: self.record_history,
-            read_threads,
-            tuning,
             durability: self.durability,
         })?;
         if let Some(plan) = fault_plan {
@@ -594,20 +565,12 @@ impl ClusterBuilder {
         }
         let cluster = self.cluster_config()?;
         let workload = self.workload_config();
-        let tuning = self.tuning.server_tuning();
-        // Processes already parallelize the servers across cores; pools
-        // inside every child would oversubscribe small hosts, so the
-        // unset default is loop-served (an explicit knob still wins and
-        // applies per child).
-        let read_threads = self.tuning.read_threads.unwrap_or(0);
         SocketCluster::start(SocketClusterConfig {
             cluster,
             clients_per_dc: self.clients_per_dc,
             workload,
             seed: self.seed,
             record_history: self.record_history,
-            read_threads,
-            tuning,
             durability: self.durability,
             connect_timeout: std::time::Duration::from_secs(5),
             read_timeout: std::time::Duration::from_millis(100),

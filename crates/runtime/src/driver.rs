@@ -2,14 +2,13 @@
 //!
 //! The threaded backend (one OS thread per server, in-process channels)
 //! and the socket backend (one OS *process* per server, TCP frames) run
-//! the same loops: a server loop pumping a mailbox and the periodic
-//! ticks, an optional read-pool loop serving the tapped read path
-//! through [`ReadView`]s, and a closed-loop workload client. This module
-//! is those loops, generic over how an envelope leaves the node (a
-//! `send` closure) and which [`PhysicalClock`] stamps time — the only
-//! two things that differ between the substrates.
+//! the same loops: a server loop pumping its inbox — every protocol
+//! message, slice reads and writes alike, goes through `Server::handle`
+//! there — plus the periodic ticks, and a closed-loop workload client.
+//! This module is those loops, generic over how an envelope leaves the
+//! node (a `send` closure) and which [`PhysicalClock`] stamps time — the
+//! only two things that differ between the substrates.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -17,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use paris_clock::PhysicalClock;
 use paris_core::checker::{HistoryChecker, RecordedTx};
-use paris_core::{ClientEvent, ClientSession, ReadStep, ReadView, Server, Topology};
+use paris_core::{ClientEvent, ClientSession, ReadStep, Server, Topology};
 use paris_proto::Envelope;
 use paris_types::{ClientId, Mode, ServerId};
 use paris_workload::stats::Histogram;
@@ -25,61 +24,7 @@ use paris_workload::{WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One read-pool thread: drains its lane of tapped `ReadSliceReq`s and
-/// serves each through the destination server's [`ReadView`] — Alg. 3
-/// slice reads executed entirely off the server loop. A read whose
-/// snapshot fell below `S_old` (possible only for reads that raced a GC
-/// advance) is punted to the authoritative server state machine.
-pub(crate) fn read_pool_loop(
-    lane: Receiver<Envelope>,
-    views: HashMap<ServerId, ReadView>,
-    servers: HashMap<ServerId, Arc<Mutex<Server>>>,
-    send: impl Fn(Envelope),
-    clock: impl PhysicalClock,
-    stop: Arc<AtomicBool>,
-) {
-    let punt = |env: &Envelope, sid: ServerId| {
-        let out = {
-            let mut server = servers[&sid].lock().expect("server poisoned");
-            server.handle(env, clock.now_micros())
-        };
-        for e in out {
-            send(e);
-        }
-    };
-    loop {
-        match lane.recv_timeout(Duration::from_millis(100)) {
-            Ok(env) => {
-                let paris_proto::Endpoint::Server(sid) = env.dst else {
-                    debug_assert!(false, "read tap delivered a client-bound envelope");
-                    continue;
-                };
-                match env.msg {
-                    paris_proto::Msg::ReadSliceReq {
-                        tx,
-                        snapshot,
-                        ref keys,
-                        reply_to,
-                    } => match views[&sid].serve_slice(tx, snapshot, keys, reply_to) {
-                        Ok(resp) => send(resp),
-                        Err(_) => punt(&env, sid),
-                    },
-                    // The tap only diverts read-path messages; anything
-                    // else is handed to the owning server untouched.
-                    _ => punt(&env, sid),
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// One server's protocol loop: pumps the mailbox into the state machine
+/// One server's protocol loop: pumps the inbox into the state machine
 /// and fires the periodic background protocols (Alg. 4's replicate, GST,
 /// UST-at-root and GC ticks) on their wall-clock deadlines.
 #[allow(clippy::too_many_arguments)]

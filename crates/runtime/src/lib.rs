@@ -51,7 +51,7 @@ pub use socket_cluster::{
     socket_child_main, ChildSpec, SocketCluster, CHILD_SPEC_ENV, SERVER_BIN_ENV,
 };
 pub use thread_cluster::ThreadCluster;
-pub use tuning::{Durability, Tuning};
+pub use tuning::Durability;
 
 pub use paris_core::{DurableStats, FsyncPolicy, RecoveryInfo};
 

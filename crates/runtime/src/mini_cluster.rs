@@ -19,8 +19,7 @@ use std::sync::Arc;
 use paris_clock::SimClock;
 use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::{
-    ClientEvent, ClientRead, ClientSession, ReadStep, Server, ServerOptions, ServerTuning,
-    Topology, Violation,
+    ClientEvent, ClientRead, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
 };
 use paris_net::batch::{Coalescer, Offer};
 use paris_proto::{Endpoint, Envelope};
@@ -71,7 +70,6 @@ impl MiniCluster {
         clients_per_dc: u32,
         seed: u64,
         record_history: bool,
-        tuning: ServerTuning,
         durability: Option<crate::Durability>,
     ) -> Result<Self, Error> {
         let mode = cfg.mode;
@@ -82,8 +80,6 @@ impl MiniCluster {
         clock.advance_to(1_000);
         let mut servers = HashMap::new();
         for id in topo.all_servers() {
-            let mut tuning = tuning.clone();
-            tuning.durable = durability.as_ref().map(|d| d.server_config(id));
             servers.insert(
                 id,
                 Server::try_with_tuning(
@@ -94,7 +90,7 @@ impl MiniCluster {
                         mode,
                         record_events: false,
                     },
-                    tuning,
+                    crate::tuning::server_tuning(durability.as_ref(), id),
                 )?,
             );
         }

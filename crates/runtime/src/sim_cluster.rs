@@ -13,7 +13,7 @@ use paris_clock::{SimClock, SkewCell, SteppableClock};
 use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::ClientRead;
 use paris_core::{
-    ClientEvent, ClientSession, ReadStep, Server, ServerOptions, ServerTuning, Topology, Violation,
+    ClientEvent, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
 };
 use paris_net::batch::{Coalescer, Offer};
 use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
@@ -56,17 +56,6 @@ pub(crate) struct SimConfig {
     /// lowest partition per DC, the default; the tree-shape ablation sets
     /// small fanouts).
     pub(crate) stab_branching: usize,
-    /// Per-server read service queues: with `n > 0` (PaRiS only),
-    /// `ReadSliceReq`s occupy one of `n` independent read
-    /// lanes instead of the server's single CPU queue — the deterministic
-    /// mirror of the threaded backend's read-thread pool, so pool scaling
-    /// is observable (and gated) on this backend too. `0` (default)
-    /// keeps the single-queue model.
-    pub(crate) read_threads: usize,
-    /// Storage-concurrency sizing for every server (does not affect
-    /// simulated time; kept consistent with the other backends so
-    /// explicit knobs behave identically everywhere).
-    pub(crate) tuning: ServerTuning,
     /// Durable storage engine (WAL + checkpoints) for every server; off
     /// (`None`, purely in-memory) by default. Does not affect simulated
     /// time — gated metrics stay bit-identical — but real files are
@@ -102,13 +91,6 @@ enum SimEvent {
 struct ServerSlot {
     server: Server,
     busy_until: u64,
-    /// Busy-until times of the server's read lanes (empty when the
-    /// multi-queue read service model is off). Read-path messages occupy
-    /// a lane, everything else the single CPU queue above.
-    read_lanes: Vec<u64>,
-    /// Round-robin cursor over `read_lanes` — mirrors the threaded
-    /// router's read-tap lane assignment.
-    next_lane: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,8 +174,6 @@ impl SimCluster {
             } else {
                 0
             };
-            let mut tuning = config.tuning.clone();
-            tuning.durable = config.durability.as_ref().map(|d| d.server_config(id));
             // Steppable skew: reading-identical to a fixed SkewedClock
             // until a fault plan steps the cell, so fault-free runs stay
             // bit-reproducible across the chaos subsystem's introduction.
@@ -207,15 +187,13 @@ impl SimCluster {
                     mode: config.cluster.mode,
                     record_events: config.record_events,
                 },
-                tuning,
+                crate::tuning::server_tuning(config.durability.as_ref(), id),
             )?;
             servers.insert(
                 id,
                 ServerSlot {
                     server,
                     busy_until: 0,
-                    read_lanes: vec![0; config.read_threads],
-                    next_lane: 0,
                 },
             );
             // Stagger the periodic protocols per server.
@@ -571,24 +549,6 @@ impl SimCluster {
                     debug_assert!(false, "message to unknown server {sid}");
                     return;
                 };
-                if !slot.read_lanes.is_empty()
-                    && matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. })
-                {
-                    // Multi-queue read service model (PaRiS only): the
-                    // read-path message occupies one of the server's read
-                    // lanes — the deterministic counterpart of a pool
-                    // thread — so its occupancy overlaps with the single
-                    // CPU queue and with the other lanes, exactly like
-                    // the threaded pool's occupancy does.
-                    let lane = slot.next_lane % slot.read_lanes.len();
-                    slot.next_lane = slot.next_lane.wrapping_add(1);
-                    let start = self.now.max(slot.read_lanes[lane]);
-                    let finish = start + self.config.service.cost(&env.msg);
-                    slot.read_lanes[lane] = finish;
-                    let out = slot.server.handle(&env, finish);
-                    self.send_all(finish, out);
-                    return;
-                }
                 let start = self.now.max(slot.busy_until);
                 let cost = self.config.service.cost(&env.msg);
                 let blocked_before = slot.server.blocked_reads_now() as u64;

@@ -95,9 +95,6 @@ pub(crate) struct SocketClusterConfig {
     pub(crate) workload: WorkloadConfig,
     pub(crate) seed: u64,
     pub(crate) record_history: bool,
-    /// Per-child read-pool size (see the threaded backend's knob).
-    pub(crate) read_threads: usize,
-    pub(crate) tuning: ServerTuning,
     /// Durable-engine deployment: each child gets its own log directory
     /// derived from this (see [`crate::Durability::server_config`]).
     pub(crate) durability: Option<crate::Durability>,
@@ -120,10 +117,8 @@ pub struct ChildSpec {
     pub server: ServerId,
     /// The deployment configuration (topology, mode, intervals, batching).
     pub cluster: ClusterConfig,
-    /// Store sizing and durability.
+    /// Storage configuration (durability).
     pub tuning: ServerTuning,
-    /// Read-pool size inside the child.
-    pub read_threads: usize,
     /// Data-plane connect window (µs).
     pub connect_timeout_micros: u64,
     /// Inbound read timeout (µs).
@@ -144,15 +139,6 @@ impl SpecWriter {
     }
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-        }
     }
     fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
@@ -182,12 +168,6 @@ impl SpecReader<'_> {
     }
     fn u64(&mut self) -> Result<u64, Error> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, Error> {
-        Ok(match self.u8()? {
-            0 => None,
-            _ => Some(self.u64()?),
-        })
     }
     fn bytes(&mut self) -> Result<Vec<u8>, Error> {
         let len = self.u32()? as usize;
@@ -232,7 +212,6 @@ impl ChildSpec {
                 w.u64(max_flush_micros);
             }
         }
-        w.opt_u64(self.tuning.store_shards.map(|v| v as u64));
         match &self.tuning.durable {
             None => w.u8(0),
             Some(d) => {
@@ -247,7 +226,6 @@ impl ChildSpec {
                 w.u64(d.checkpoint_interval_micros);
             }
         }
-        w.u64(self.read_threads as u64);
         w.u64(self.connect_timeout_micros);
         w.u64(self.read_timeout_micros);
         w.0.iter().map(|b| format!("{b:02x}")).collect()
@@ -309,7 +287,6 @@ impl ChildSpec {
             batch: BatchConfig { max_batch, flush },
             wire: WireFormat::default(),
         };
-        let store_shards = r.opt_u64()?.map(|v| v as usize);
         let durable = match r.u8()? {
             0 => None,
             1 => {
@@ -328,16 +305,11 @@ impl ChildSpec {
             }
             _ => return Err(Error::Transport("unknown durable flag in child spec")),
         };
-        let tuning = ServerTuning {
-            store_shards,
-            durable,
-        };
         Ok(ChildSpec {
             ctrl_port,
             server,
             cluster,
-            tuning,
-            read_threads: r.u64()? as usize,
+            tuning: ServerTuning { durable },
             connect_timeout_micros: r.u64()?,
             read_timeout_micros: r.u64()?,
         })
@@ -426,86 +398,14 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
             .into_iter()
             .map(|(s, port)| (s, SocketAddr::from(([127, 0, 0, 1], port)))),
     );
-    let view = server
-        .lock()
-        .map_err(|_| Error::Transport("server poisoned"))?
-        .read_view();
-    let clock = Arc::new(WallClock::new());
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Demux the node inbox: read-path messages to the pool lanes (the
-    // socket mirror of the threaded router's read tap), everything else
-    // to the server mailbox.
-    let read_threads = if spec.cluster.mode == Mode::Paris {
-        spec.read_threads
-    } else {
-        0
-    };
-    let (mailbox_tx, mailbox_rx) = channel::<Envelope>();
-    let mut lanes: Vec<Sender<Envelope>> = Vec::new();
-    let mut pool_handles = Vec::new();
-    for i in 0..read_threads {
-        let (lane_tx, lane_rx) = channel::<Envelope>();
-        lanes.push(lane_tx);
-        let views = HashMap::from([(id, view.clone())]);
-        let servers = HashMap::from([(id, Arc::clone(&server))]);
-        let send = node.handle();
-        let clock = Arc::clone(&clock);
-        let stop = Arc::clone(&stop);
-        pool_handles.push(
-            std::thread::Builder::new()
-                .name(format!("read-pool-{i}"))
-                .spawn(move || {
-                    crate::driver::read_pool_loop(
-                        lane_rx,
-                        views,
-                        servers,
-                        move |e| send.send_lossy(e),
-                        clock,
-                        stop,
-                    )
-                })
-                .map_err(|_| Error::Transport("could not spawn read pool thread"))?,
-        );
-    }
+    // The server loop drains the node inbox itself: every message, slice
+    // reads included, is handled there.
     let inbox = node
         .take_inbox()
         .ok_or(Error::Transport("node inbox already taken"))?;
-    let demux_stop = Arc::clone(&stop);
-    let demux = std::thread::Builder::new()
-        .name("demux".into())
-        .spawn(move || {
-            let mut rr = 0usize;
-            loop {
-                match inbox.recv_timeout(Duration::from_millis(100)) {
-                    Ok(env) => {
-                        let read_tapped = !lanes.is_empty()
-                            && matches!(env.msg, paris_proto::Msg::ReadSliceReq { .. });
-                        let delivered = if read_tapped {
-                            rr = (rr + 1) % lanes.len();
-                            lanes[rr].send(env).is_ok()
-                        } else {
-                            mailbox_tx.send(env).is_ok()
-                        };
-                        if !delivered {
-                            return;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if demux_stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        })
-        .map_err(|_| Error::Transport("could not spawn demux thread"))?;
-
+    let stop = Arc::new(AtomicBool::new(false));
     let loop_server = Arc::clone(&server);
     let loop_send = node.handle();
-    let loop_topo = Arc::clone(&topo);
-    let loop_clock = Arc::clone(&clock);
     let loop_stop = Arc::clone(&stop);
     let intervals = spec.cluster.intervals;
     let server_handle = std::thread::Builder::new()
@@ -513,10 +413,10 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
         .spawn(move || {
             server_loop(
                 loop_server,
-                mailbox_rx,
+                inbox,
                 move |e| loop_send.send_lossy(e),
-                loop_topo,
-                loop_clock,
+                topo,
+                WallClock::new(),
                 loop_stop,
                 intervals,
                 id,
@@ -596,10 +496,6 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
 
     stop.store(true, Ordering::Relaxed);
     let _ = server_handle.join();
-    for h in pool_handles {
-        let _ = h.join();
-    }
-    let _ = demux.join();
     node.shutdown();
     Ok(())
 }
@@ -672,14 +568,11 @@ pub struct SocketCluster {
 /// bring-up and for every relaunch, so a restarted server finds its own
 /// durable directory again.
 fn child_spec(config: &SocketClusterConfig, ctrl_port: u16, id: ServerId) -> ChildSpec {
-    let mut tuning = config.tuning.clone();
-    tuning.durable = config.durability.as_ref().map(|d| d.server_config(id));
     ChildSpec {
         ctrl_port,
         server: id,
         cluster: config.cluster.clone(),
-        tuning,
-        read_threads: config.read_threads,
+        tuning: crate::tuning::server_tuning(config.durability.as_ref(), id),
         connect_timeout_micros: config.connect_timeout.as_micros() as u64,
         read_timeout_micros: config.read_timeout.as_micros() as u64,
     }
@@ -1394,11 +1287,7 @@ mod tests {
                 .keys_per_partition(50)
                 .build()
                 .unwrap(),
-            tuning: ServerTuning {
-                store_shards: Some(16),
-                durable: None,
-            },
-            read_threads: 2,
+            tuning: ServerTuning::default(),
             connect_timeout_micros: 5_000_000,
             read_timeout_micros: 100_000,
         };
@@ -1409,8 +1298,6 @@ mod tests {
         let mut spec2 = spec.clone();
         spec2.cluster.mode = Mode::Bpr;
         spec2.cluster.batch = BatchConfig::fixed(8, 1_000);
-        spec2.tuning.store_shards = None;
-        spec2.read_threads = 0;
         assert_eq!(ChildSpec::decode(&spec2.encode()).unwrap(), spec2);
 
         // A durable tuning (the crash-recovery deployment shape) survives
@@ -1434,7 +1321,6 @@ mod tests {
             server: ServerId::new(DcId(0), PartitionId(0)),
             cluster: ClusterConfig::default(),
             tuning: ServerTuning::default(),
-            read_threads: 0,
             connect_timeout_micros: 1,
             read_timeout_micros: 1,
         }

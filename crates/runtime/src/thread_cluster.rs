@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 use paris_clock::{SkewCell, SteppableClock, SystemClock};
 use paris_core::checker::HistoryChecker;
 use paris_core::{
-    ClientEvent, ClientRead, ClientSession, ReadStep, ReadView, Server, ServerOptions,
-    ServerTuning, Topology, Violation,
+    ClientEvent, ClientRead, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
 };
 use paris_net::threaded::{NetHandle, Router, ThreadedNetConfig};
 use paris_proto::Envelope;
@@ -54,12 +53,6 @@ pub(crate) struct ThreadClusterConfig {
     pub(crate) workload: WorkloadConfig,
     pub(crate) seed: u64,
     pub(crate) record_history: bool,
-    /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s to a
-    /// pool serving through [`ReadView`]s, off the server loop.
-    pub(crate) read_threads: usize,
-    /// Store sizing for every server (shard count), resolved by the
-    /// builder.
-    pub(crate) tuning: ServerTuning,
     /// Durable storage engine (WAL + checkpoints) for every server; off
     /// (`None`, purely in-memory) by default.
     pub(crate) durability: Option<crate::Durability>,
@@ -79,9 +72,7 @@ pub struct ThreadCluster {
     clock: Arc<SystemClock>,
     stop_servers: Arc<AtomicBool>,
     server_handles: Vec<JoinHandle<()>>,
-    read_pool: Vec<JoinHandle<()>>,
     servers: HashMap<ServerId, Arc<Mutex<Server>>>,
-    views: HashMap<ServerId, ReadView>,
     interactive: HashMap<ClientId, InteractiveClient>,
     next_interactive: HashMap<DcId, u32>,
     /// One shared skew cell per server, grouped by DC, so a scripted
@@ -106,12 +97,9 @@ impl ThreadCluster {
         let stop_servers = Arc::new(AtomicBool::new(false));
 
         let mut servers = HashMap::new();
-        let mut views = HashMap::new();
         let mut server_handles = Vec::new();
         let mut skew_cells: HashMap<DcId, Vec<SkewCell>> = HashMap::new();
         for id in topo.all_servers() {
-            let mut tuning = config.tuning.clone();
-            tuning.durable = config.durability.as_ref().map(|d| d.server_config(id));
             // Each server's HLC reads wall time through a steppable shim so
             // a scripted SkewClock fault can shift one DC's clocks at runtime.
             let (server_clock, cell) = SteppableClock::new(Arc::clone(&clock), 0);
@@ -124,9 +112,8 @@ impl ThreadCluster {
                     mode: config.cluster.mode,
                     record_events: false,
                 },
-                tuning,
+                crate::tuning::server_tuning(config.durability.as_ref(), id),
             )?));
-            views.insert(id, server.lock().expect("fresh server").read_view());
             servers.insert(id, Arc::clone(&server));
             let inbox = router.register(id);
             let net = router.handle();
@@ -153,41 +140,6 @@ impl ThreadCluster {
             );
         }
 
-        // The read-thread pool: lanes fed round-robin by the router's
-        // read tap, each lane drained by one pool thread serving Alg. 3
-        // slice reads through the shared views — never touching the
-        // server mutexes. Only meaningful
-        // under PaRiS (the builder rejects BPR + read_threads).
-        let mut read_pool = Vec::new();
-        if config.read_threads > 0 && config.cluster.mode == Mode::Paris {
-            let mut lanes = Vec::with_capacity(config.read_threads);
-            for i in 0..config.read_threads {
-                let (lane_tx, lane_rx) = std::sync::mpsc::channel::<Envelope>();
-                lanes.push(lane_tx);
-                let views = views.clone();
-                let servers = servers.clone();
-                let net = router.handle();
-                let clock = Arc::clone(&clock);
-                let stop = Arc::clone(&stop_servers);
-                read_pool.push(
-                    std::thread::Builder::new()
-                        .name(format!("read-pool-{i}"))
-                        .spawn(move || {
-                            crate::driver::read_pool_loop(
-                                lane_rx,
-                                views,
-                                servers,
-                                move |e| net.send(e),
-                                clock,
-                                stop,
-                            )
-                        })
-                        .expect("spawn read pool thread"),
-                );
-            }
-            router.set_read_tap(lanes);
-        }
-
         Ok(ThreadCluster {
             config,
             topo,
@@ -196,22 +148,13 @@ impl ThreadCluster {
             clock,
             stop_servers,
             server_handles,
-            read_pool,
             servers,
-            views,
             interactive: HashMap::new(),
             next_interactive: HashMap::new(),
             skew_cells,
             chaos_stop: Arc::new(AtomicBool::new(false)),
             chaos_handles: Vec::new(),
         })
-    }
-
-    /// The published [`ReadView`] of one server (tests and direct
-    /// embedding): serves Alg. 3 snapshot reads without entering the
-    /// server loop.
-    pub fn read_view(&self, id: ServerId) -> Option<ReadView> {
-        self.views.get(&id).cloned()
     }
 
     /// The topology, for inspecting placement.
@@ -554,9 +497,6 @@ impl Drop for ThreadCluster {
         }
         self.stop_servers.store(true, Ordering::Relaxed);
         for h in self.server_handles.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.read_pool.drain(..) {
             let _ = h.join();
         }
     }

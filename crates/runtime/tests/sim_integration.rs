@@ -2,7 +2,6 @@
 //! load with the consistency checker as the oracle, all built through the
 //! `Paris::builder()` facade.
 
-use paris_net::sim::ServiceModel;
 use paris_runtime::{Cluster, ClusterBuilder, Paris, RunReport, SimCluster};
 use paris_types::{DcId, Mode, Timestamp};
 
@@ -236,40 +235,4 @@ fn larger_deployment_five_dcs_smoke() {
     assert!(report.stats.committed > 50);
     assert!(report.violations.is_empty(), "{:#?}", report.violations);
     assert!(sim.check_convergence().unwrap().is_empty());
-}
-
-#[test]
-fn sim_read_lanes_scale_read_throughput_deterministically() {
-    // The sim's multi-queue read service model (the deterministic mirror
-    // of the threaded read pool): same seed, same offered load, heavy
-    // per-read cost in the service model — more read lanes must commit
-    // strictly more transactions, and both arms stay checker-clean. Being
-    // simulated time, the result is exact and machine-independent.
-    let arm = |lanes: usize| {
-        // Short WAN + a 2 ms slice read: the read lanes, not the network
-        // round trips, bound the closed loop.
-        let mut sim = small(2, 4, Mode::Paris, 31)
-            .record_events(false)
-            .uniform_latency_micros(1_000)
-            .jitter(0.0)
-            .clients_per_dc(8)
-            .workload(paris_workload::WorkloadConfig::read_mostly())
-            .service(ServiceModel {
-                read_slice_base: 8 + 2_000,
-                ..ServiceModel::default()
-            })
-            .tuning(paris_runtime::Tuning::default().read_threads(lanes))
-            .build_sim()
-            .unwrap();
-        let report = sim.run_workload(300_000, 2_000_000).unwrap();
-        assert!(
-            report.violations.is_empty(),
-            "{lanes} lanes: {:#?}",
-            report.violations
-        );
-        report.stats.committed
-    };
-    // Pinned: simulated time is exact, so any change to the read-lane
-    // model or its costs moves these counts.
-    assert_eq!((arm(1), arm(4)), (3_124, 6_014));
 }

@@ -2,7 +2,7 @@
 //! protocol code under genuine concurrency, with the consistency checker
 //! as the oracle — built through the facade like every other backend.
 
-use paris_runtime::{Cluster, ClusterBuilder, Paris, ThreadCluster, Tuning};
+use paris_runtime::{Cluster, ClusterBuilder, Paris, ThreadCluster};
 use paris_types::{Intervals, Mode};
 use paris_workload::WorkloadConfig;
 
@@ -103,69 +103,15 @@ fn threaded_five_dc_deployment_smoke() {
 }
 
 #[test]
-fn threaded_read_pool_run_is_consistent_and_converges() {
-    // The same checker-verified workload, but with every PaRiS slice read
-    // served by the read-thread pool instead of the server mailboxes.
-    let cluster = small(3, 6, Mode::Paris)
-        .tuning(Tuning::default().read_threads(2))
-        .build_thread()
-        .unwrap();
-    let (report, _) = run(cluster, 1_500);
-    assert!(
-        report.stats.committed > 20,
-        "progress: {} txs",
-        report.stats.committed
-    );
-    assert!(
-        report.violations.is_empty(),
-        "violations with pool-served reads: {:#?}",
-        report.violations
-    );
-    assert_eq!(report.blocking.blocked_reads, 0, "PaRiS never blocks");
-}
-
-#[test]
-fn threaded_read_pool_serves_interactive_reads() {
-    // An interactive causal write→read pair where the read is tapped into
-    // the pool: the reply must still arrive and see the stable write.
-    use paris_types::{Key, Value};
-    let mut cluster = small(3, 6, Mode::Paris)
-        .clients_per_dc(0)
-        .tuning(Tuning::default().read_threads(3))
-        .build_thread()
-        .unwrap();
-    let a = cluster.open_client(0).unwrap();
-    let mut txn = cluster.begin(a).unwrap();
-    txn.write(Key(5), Value::from("pooled"));
-    txn.commit().unwrap();
-    cluster.stabilize(5);
-    let b = cluster.open_client(1).unwrap();
-    let mut txn = cluster.begin(b).unwrap();
-    assert_eq!(txn.read_one(Key(5)).unwrap(), Some(Value::from("pooled")));
-    txn.commit().unwrap();
-    // The pool actually served reads: the per-server view counters moved.
-    let total_view_reads: u64 = cluster
-        .topology()
-        .all_servers()
-        .into_iter()
-        .filter_map(|id| cluster.read_view(id))
-        .map(|v| v.stats().slice_reads())
-        .sum();
-    assert!(total_view_reads > 0, "no read went through the views");
-}
-
-#[test]
-fn threaded_bare_gst_reports_reach_the_loop_beside_a_read_pool() {
+fn threaded_bare_gst_reports_advance_the_ust() {
     // With batching off, stabilization child reports travel as bare
-    // GstReport frames. The read tap diverts slice reads and starts only:
-    // reports must reach the server loops, so the UST advances (the
-    // paper's liveness: stabilization keeps running) and writes become
-    // stable, with a read pool installed.
+    // GstReport frames. They must reach the server loops, so the UST
+    // advances (the paper's liveness: stabilization keeps running) and
+    // writes become stable.
     use paris_types::{Key, Timestamp, Value};
     let mut cluster = small(3, 6, Mode::Paris)
         .clients_per_dc(0)
         .no_batching()
-        .tuning(Tuning::default().read_threads(2))
         .build_thread()
         .unwrap();
     let a = cluster.open_client(0).unwrap();
@@ -175,7 +121,7 @@ fn threaded_bare_gst_reports_reach_the_loop_beside_a_read_pool() {
     cluster.stabilize(5);
     assert!(
         cluster.min_ust() > Timestamp::ZERO,
-        "UST must advance with a read pool installed"
+        "UST must advance on bare reports"
     );
     let b = cluster.open_client(1).unwrap();
     let mut txn = cluster.begin(b).unwrap();
@@ -196,13 +142,12 @@ fn threaded_bare_gst_reports_reach_the_loop_beside_a_read_pool() {
 #[test]
 fn threaded_batched_gossip_stays_on_the_loop() {
     // With batching on (the default), gossip arrives folded inside
-    // GossipDigest frames. They are never tapped: the server loops fold
-    // them (their coalesced-frame counters move), stabilization works,
-    // and the links release on stable-time progress, not on deadlines.
+    // GossipDigest frames. The server loops fold them (their
+    // coalesced-frame counters move), stabilization works, and the links
+    // release on stable-time progress, not on deadlines.
     use paris_types::{Key, Timestamp, Value};
     let mut cluster = small(3, 6, Mode::Paris)
         .clients_per_dc(0)
-        .tuning(Tuning::default().read_threads(2))
         .build_thread()
         .unwrap();
     let a = cluster.open_client(0).unwrap();
@@ -222,29 +167,6 @@ fn threaded_batched_gossip_stays_on_the_loop() {
         stats.crossing_flushes,
         stats.deadline_flushes
     );
-}
-
-#[test]
-fn unset_read_threads_derives_a_pool_under_paris_but_not_bpr() {
-    // No explicit read_threads: the threaded backend derives a PaRiS pool
-    // from the host's parallelism, and — crucially — BPR still builds
-    // (the auto default must not trip the explicit-knob rejection).
-    let paris = small(3, 6, Mode::Paris).build_thread().unwrap();
-    drop(paris);
-    let bpr = small(3, 6, Mode::Bpr).build_thread();
-    assert!(bpr.is_ok(), "auto pool sizing must leave BPR loop-served");
-}
-
-#[test]
-fn builder_rejects_read_threads_under_bpr() {
-    let err = match small(3, 6, Mode::Bpr)
-        .tuning(Tuning::default().read_threads(2))
-        .build_thread()
-    {
-        Ok(_) => panic!("BPR + read_threads must be rejected"),
-        Err(err) => err,
-    };
-    assert!(err.to_string().contains("read_threads"), "{err}");
 }
 
 #[test]

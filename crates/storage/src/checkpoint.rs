@@ -4,9 +4,8 @@
 //! model) is that the prefix of the version history at or below the
 //! universal stable time is **immutable**: every DC has already received
 //! it and no snapshot read below it can start once GC passes. Freezing
-//! exactly that prefix therefore needs no coordination — the
-//! `StableFrontier` the stabilization protocol already maintains *is*
-//! the checkpoint barrier.
+//! exactly that prefix therefore needs no coordination — the UST the
+//! server loop already maintains *is* the checkpoint barrier.
 //!
 //! A checkpoint is one compact segment file:
 //!
@@ -49,7 +48,8 @@ pub const CKPT_HEADER_LEN: usize = CKPT_MAGIC.len() + 2 + 8 + 8 + 4;
 pub struct CheckpointMeta {
     /// Universal stable time at freeze: every record has `ut ≤ ust`.
     pub ust: Timestamp,
-    /// GC horizon at freeze (recovery re-seeds the frontier with it).
+    /// GC horizon at freeze (recovery re-seeds the server's `S_old` with
+    /// it).
     pub s_old: Timestamp,
 }
 

@@ -8,7 +8,7 @@
 //! deleted. Recovery ([`DurableEngine::open`]) loads the newest intact
 //! checkpoint, replays every WAL segment (truncating a torn tail), and
 //! reports a [`RecoveryInfo`] the server uses to re-seed its version
-//! vector, HLC and stable frontier — so a restarted server resumes
+//! vector, HLC, UST and `S_old` — so a restarted server resumes
 //! exactly where its log ends.
 
 use std::fs;

@@ -1,8 +1,8 @@
 //! The storage-engine boundary.
 //!
 //! Every server owns its partition's store through the [`Engine`] trait:
-//! the protocol layers (read view, prepare/commit, replication) only
-//! ever see `Arc<dyn Engine>`, so the in-memory store
+//! the protocol layers (slice reads, prepare/commit, replication) only
+//! ever see `dyn Engine`, so the in-memory store
 //! ([`MemEngine`](crate::MemEngine)) and the durable WAL + checkpoint
 //! engine ([`DurableEngine`](crate::DurableEngine)) are interchangeable
 //! at construction time. The trait is deliberately the exact surface the
@@ -42,8 +42,8 @@ pub struct DurableStats {
 /// This is the `update(k, v, ut, id_T)` / snapshot-read target of
 /// Alg. 3–4: idempotent version-chain inserts, snapshot reads at a
 /// timestamp, and GC below the stable horizon. Implementations must be
-/// safe to share between the server loop and the read pool (all
-/// methods take `&self`).
+/// safe to share between the server loop and observers on other threads
+/// (statistics, the checker), so all methods take `&self`.
 pub trait Engine: Send + Sync + std::fmt::Debug {
     /// Applies one committed update: inserts version
     /// `⟨k, v, ut, tx, src⟩` into `k`'s chain (Alg. 4, `update`).

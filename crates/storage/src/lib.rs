@@ -13,10 +13,11 @@
 //! below it, which is exactly the set a future read may return.
 //!
 //! The store is sharded: keys hash over N chain shards, each behind its
-//! own `RwLock`, and the published stable timestamps (UST, `S_old`) live
-//! in the atomic [`StableFrontier`] — so snapshot reads run concurrently
-//! on any number of threads while the single-writer server applies updates
-//! (the paper's *parallel non-blocking reads*, §I).
+//! own `RwLock`, behind a `&self` API — so observers (statistics, the
+//! consistency checker) can walk it while the server applies updates. The
+//! server loop both serves snapshot reads and runs GC, so no read ever
+//! races the horizon; reads are non-blocking because the snapshot is
+//! stable (the paper's UST, §I), not because of any locking scheme here.
 //!
 //! Storage sits behind the [`Engine`] trait: [`MemEngine`] is the sharded
 //! in-memory store above, and [`DurableEngine`] wraps it with an
@@ -47,7 +48,6 @@ mod chain;
 pub mod checkpoint;
 mod durable;
 mod engine;
-mod stable;
 mod store;
 pub mod wal;
 
@@ -57,7 +57,6 @@ pub use durable::{
     DEFAULT_CHECKPOINT_INTERVAL_MICROS,
 };
 pub use engine::{DurableStats, Engine};
-pub use stable::{ReadGuard, StableFrontier, StaleSnapshot, DEFAULT_READ_SLOTS};
 pub use store::{MemEngine, StoreStats, DEFAULT_SHARDS};
 
 pub use paris_types::Version;

@@ -1,4 +1,4 @@
-//! The per-partition multi-version store, sharded for parallel reads.
+//! The per-partition multi-version store, sharded behind per-shard locks.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,7 +9,6 @@ use paris_types::{DcId, Key, Timestamp, TxId, Value, Version};
 use crate::chain::VersionChain;
 use crate::engine::Engine;
 
-/// Default number of chain shards per store.
 /// Default chain-shard count of a [`MemEngine`].
 pub const DEFAULT_SHARDS: usize = 16;
 
@@ -35,12 +34,11 @@ pub struct StoreStats {
 /// [`Engine`] trait.
 ///
 /// The key space is hashed over N *chain shards*, each behind its own
-/// `RwLock`, so any number of reader threads can execute Alg. 3 snapshot
-/// reads (`read_at`) while the single-writer server state machine applies
-/// updates and runs GC — the storage half of the paper's *parallel
-/// non-blocking read* property. Writers (`apply`, `gc`) take one shard
-/// write lock at a time; readers take shard read locks, so a read only
-/// ever waits for the microseconds a writer spends inside one chain.
+/// `RwLock`, so observers on other threads (statistics, the consistency
+/// checker) can read while the server state machine applies updates and
+/// runs GC. Writers (`apply`, `gc`) take one shard write lock at a time;
+/// readers take shard read locks, so a read only ever waits for the
+/// microseconds a writer spends inside one chain.
 /// Aggregate counters are carried in atomics, so [`MemEngine::stats`]
 /// is O(1) and lock-free (it used to walk every chain).
 #[derive(Debug)]
@@ -122,9 +120,8 @@ impl MemEngine {
     /// Snapshot read: the freshest version of `key` with `ut ≤ ts`
     /// (Alg. 3 lines 5–6). `None` if the key has no visible version.
     ///
-    /// Takes only the key's shard read lock, so reads from any number of
-    /// threads proceed in parallel with each other and with writes to
-    /// other shards.
+    /// Takes only the key's shard read lock, so concurrent readers proceed
+    /// in parallel with each other and with writes to other shards.
     pub fn read_at(&self, key: Key, ts: Timestamp) -> Option<Version> {
         let shard = self.shard_of(key).read().expect("shard poisoned");
         shard.get(&key).and_then(|c| c.read_at(ts)).cloned()
@@ -146,8 +143,8 @@ impl MemEngine {
     /// Runs garbage collection on every chain with the oldest-active
     /// snapshot horizon `s_old` (§IV-B). Returns versions removed.
     ///
-    /// Locks one shard at a time, so concurrent snapshot reads at or above
-    /// the horizon are never blocked for more than one shard sweep.
+    /// Locks one shard at a time, so a concurrent reader is never blocked
+    /// for more than one shard sweep.
     pub fn gc(&self, s_old: Timestamp) -> usize {
         let mut removed = 0;
         for shard in self.shards.iter() {

@@ -1,12 +1,14 @@
-//! Multi-threaded stress tests for the sharded snapshot-read path: N
-//! reader threads race the single writer (and GC) through the shared
-//! store + frontier, asserting every observed version respects the
-//! snapshot rule and that reads make progress while writes are applied.
+//! Multi-threaded stress test for the sharded snapshot-read path: N reader
+//! threads race the single writer through the shared store, asserting
+//! every observed version respects the snapshot rule and that reads make
+//! progress while writes are applied. The store's shard locks are shared
+//! between the server loop and its readers (stats, the checker), so they
+//! must hold up under real concurrency.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use paris_storage::{PartitionStore, StableFrontier};
+use paris_storage::PartitionStore;
 use paris_types::{DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value};
 
 const KEYS: u64 = 32;
@@ -28,13 +30,14 @@ fn ts(t: u64) -> Timestamp {
 #[test]
 fn readers_race_writer_and_respect_the_snapshot_rule() {
     let store = Arc::new(PartitionStore::new());
-    let frontier = Arc::new(StableFrontier::new());
+    // The published UST, packed.
+    let ust = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicBool::new(false));
     let reads_served = Arc::new(AtomicU64::new(0));
 
     let writer = {
         let store = Arc::clone(&store);
-        let frontier = Arc::clone(&frontier);
+        let ust = Arc::clone(&ust);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             for t in 1..=WRITES {
@@ -42,7 +45,7 @@ fn readers_race_writer_and_respect_the_snapshot_rule() {
                 store.apply(key, Value::filled(8, t), ts(t), tx(t), DcId(0));
                 // Install first, publish second — the stabilization
                 // protocol's ordering.
-                frontier.max_ust(ts(t));
+                ust.fetch_max(ts(t).as_u64(), Ordering::SeqCst);
             }
             done.store(true, Ordering::SeqCst);
         })
@@ -51,7 +54,7 @@ fn readers_race_writer_and_respect_the_snapshot_rule() {
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let store = Arc::clone(&store);
-            let frontier = Arc::clone(&frontier);
+            let ust = Arc::clone(&ust);
             let done = Arc::clone(&done);
             let reads_served = Arc::clone(&reads_served);
             std::thread::spawn(move || {
@@ -62,10 +65,7 @@ fn readers_race_writer_and_respect_the_snapshot_rule() {
                 let mut served = 0u64;
                 let mut k = r as u64; // stagger readers over keys
                 while !done.load(Ordering::SeqCst) {
-                    let snapshot = frontier.ust();
-                    let _guard = frontier
-                        .begin_read(snapshot)
-                        .expect("no GC in this test: never stale");
+                    let snapshot = Timestamp::from_u64(ust.load(Ordering::SeqCst));
                     let key = Key(k % KEYS);
                     k += 1;
                     if let Some(v) = store.read_at(key, snapshot) {
@@ -109,193 +109,12 @@ fn readers_race_writer_and_respect_the_snapshot_rule() {
         reads_served.load(Ordering::Relaxed) > 0,
         "readers made progress while the writer ran"
     );
-    // Everything is visible at the final frontier.
-    let final_ust = frontier.ust();
+    // Everything is visible at the final UST.
+    let final_ust = Timestamp::from_u64(ust.load(Ordering::SeqCst));
     for k in 0..KEYS {
         let v = store.read_at(Key(k), final_ust).expect("key written");
         assert_eq!(v.ut.physical_micros() % KEYS, k, "freshest write of {k}");
     }
     assert_eq!(store.stats().applied, WRITES);
     assert_eq!(store.stats().versions as u64, WRITES, "no GC ran");
-}
-
-/// GC races the readers: the horizon honors in-flight read guards, so a
-/// guarded read at snapshot `S ≥ gc_horizon` always finds the version it
-/// is entitled to — even while GC trims the same chains.
-#[test]
-fn gc_racing_readers_never_loses_a_guarded_read() {
-    let store = Arc::new(PartitionStore::new());
-    let frontier = Arc::new(StableFrontier::new());
-    let done = Arc::new(AtomicBool::new(false));
-
-    let writer = {
-        let store = Arc::clone(&store);
-        let frontier = Arc::clone(&frontier);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            for t in 1..=WRITES {
-                store.apply(Key(t % KEYS), Value::filled(8, t), ts(t), tx(t), DcId(0));
-                frontier.max_ust(ts(t));
-                // S_old trails the UST, as the stabilization protocol
-                // guarantees (S_old ≤ UST always).
-                if t > 64 {
-                    frontier.advance_s_old(ts(t - 64));
-                }
-            }
-            done.store(true, Ordering::SeqCst);
-        })
-    };
-
-    let gc = {
-        let store = Arc::clone(&store);
-        let frontier = Arc::clone(&frontier);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            let mut removed = 0usize;
-            while !done.load(Ordering::SeqCst) {
-                removed += store.gc(frontier.gc_horizon());
-                std::thread::yield_now();
-            }
-            removed
-        })
-    };
-
-    let readers: Vec<_> = (0..READERS)
-        .map(|_| {
-            let store = Arc::clone(&store);
-            let frontier = Arc::clone(&frontier);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut k = 0u64;
-                while !done.load(Ordering::SeqCst) {
-                    let snapshot = frontier.ust();
-                    // Register first; a rejection means GC already passed
-                    // this snapshot — retry with a fresher one.
-                    let Ok(_guard) = frontier.begin_read(snapshot) else {
-                        continue;
-                    };
-                    let key = Key(k % KEYS);
-                    k += 1;
-                    // Every key is (re)written every KEYS ticks; once the
-                    // snapshot is past the first full lap, a guarded read
-                    // must find a version despite concurrent GC.
-                    if snapshot.physical_micros() > KEYS {
-                        let v = store
-                            .read_at(key, snapshot)
-                            .expect("guarded read lost to GC");
-                        assert!(v.ut <= snapshot);
-                    }
-                }
-            })
-        })
-        .collect();
-
-    writer.join().expect("writer panicked");
-    let removed = gc.join().expect("gc panicked");
-    for r in readers {
-        r.join().expect("reader panicked");
-    }
-    assert!(removed > 0, "GC actually trimmed chains during the race");
-    let stats = store.stats();
-    assert_eq!(stats.versions as u64, WRITES - stats.gc_removed);
-}
-
-/// The slot registry under deliberate slot exhaustion: more concurrent
-/// readers than atomic slots, racing the writer and GC through claim /
-/// release. Every reader, slot-admitted or overflow-admitted, holds a
-/// guard and asserts the GC horizon never exceeds its registered
-/// snapshot — the invariant `gc_horizon ≤ oldest registered read`
-/// regardless of which registry path admitted the read.
-#[test]
-fn slot_overflow_readers_still_pin_the_horizon() {
-    const SLOTS: usize = 2; // far fewer than the reader count below
-    const OVERFLOW_READERS: usize = 6;
-    let store = Arc::new(PartitionStore::new());
-    let frontier = Arc::new(StableFrontier::with_slots(SLOTS));
-    let done = Arc::new(AtomicBool::new(false));
-
-    let writer = {
-        let store = Arc::clone(&store);
-        let frontier = Arc::clone(&frontier);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            // Occupy every slot for the first half of the run (far-future
-            // snapshots never pin the horizon below `S_old`), so every
-            // racing reader is *guaranteed* through the overflow fallback;
-            // the second half releases the slots and races the CAS path.
-            let far = ts(WRITES * 10);
-            let mut slot_pins: Vec<_> = (0..SLOTS)
-                .map(|_| frontier.begin_read(far).expect("far above S_old"))
-                .collect();
-            for t in 1..=WRITES {
-                store.apply(Key(t % KEYS), Value::filled(8, t), ts(t), tx(t), DcId(0));
-                frontier.max_ust(ts(t));
-                if t > 64 {
-                    frontier.advance_s_old(ts(t - 64));
-                }
-                if t == WRITES / 2 {
-                    slot_pins.clear();
-                }
-            }
-            done.store(true, Ordering::SeqCst);
-        })
-    };
-
-    let gc = {
-        let store = Arc::clone(&store);
-        let frontier = Arc::clone(&frontier);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::SeqCst) {
-                store.gc(frontier.gc_horizon());
-                std::thread::yield_now();
-            }
-        })
-    };
-
-    let readers: Vec<_> = (0..OVERFLOW_READERS)
-        .map(|_| {
-            let store = Arc::clone(&store);
-            let frontier = Arc::clone(&frontier);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut k = 0u64;
-                while !done.load(Ordering::SeqCst) {
-                    let snapshot = frontier.ust();
-                    let Ok(guard) = frontier.begin_read(snapshot) else {
-                        continue; // raced a horizon advance: retry fresher
-                    };
-                    // The registered read bounds the horizon, whether it
-                    // claimed a slot or fell back to the overflow map.
-                    let horizon = frontier.gc_horizon();
-                    assert!(
-                        horizon <= guard.snapshot(),
-                        "gc_horizon {horizon:?} above a registered read at {snapshot:?}"
-                    );
-                    let key = Key(k % KEYS);
-                    k += 1;
-                    if snapshot.physical_micros() > KEYS {
-                        let v = store
-                            .read_at(key, snapshot)
-                            .expect("guarded read lost to GC");
-                        assert!(v.ut <= snapshot);
-                    }
-                }
-            })
-        })
-        .collect();
-
-    writer.join().expect("writer panicked");
-    gc.join().expect("gc panicked");
-    for r in readers {
-        r.join().expect("reader panicked");
-    }
-    assert!(
-        frontier.overflow_registrations() > 0,
-        "{OVERFLOW_READERS} readers over {SLOTS} slots never exercised the fallback"
-    );
-    assert!(
-        frontier.oldest_inflight().is_none(),
-        "all guards released both registries"
-    );
 }

@@ -97,6 +97,6 @@ pub use paris_workload as workload;
 pub use paris_core::{ClientSession, HistoryChecker, Server, ServerOptions, Topology};
 pub use paris_runtime::{
     Backend, BlockingStats, Cluster, ClusterBuilder, ClusterStats, Durability, FsyncPolicy,
-    MiniCluster, Paris, RecoveryInfo, RunReport, SimCluster, ThreadCluster, Tuning, Txn,
+    MiniCluster, Paris, RecoveryInfo, RunReport, SimCluster, ThreadCluster, Txn,
 };
 pub use paris_types::{ClusterConfig, Error, Mode};

@@ -3,7 +3,7 @@
 //! the same causal scenario.
 
 use paris::types::{Key, Value};
-use paris::{Backend, Cluster, Error, Mode, Paris, Tuning};
+use paris::{Backend, Cluster, Error, Mode, Paris};
 
 fn mini() -> paris::MiniCluster {
     Paris::builder()
@@ -113,15 +113,6 @@ fn builder_validation_errors() {
         .dcs(10)
         .partitions(2)
         .replication(2)
-        .build();
-    assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
-
-    // A store with zero chain shards cannot exist.
-    let err = Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .tuning(Tuning::default().store_shards(0))
         .build();
     assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
 
@@ -314,41 +305,6 @@ fn sim_and_thread_backends_agree_on_causal_chain() {
 }
 
 #[test]
-fn sim_and_thread_backends_agree_on_causal_chain_with_read_pool() {
-    // Same scenario, but with `read_threads > 1`: the thread backend
-    // serves slice reads on its read pool (off the server loop), the sim
-    // executes the identical ReadView path synchronously — observers on
-    // both must still see the same causal chain.
-    let scenario_builder = |backend| {
-        Paris::builder()
-            .dcs(3)
-            .partitions(6)
-            .replication(2)
-            .keys_per_partition(100)
-            .clients_per_dc(0)
-            .uniform_latency_micros(5_000)
-            .jitter(0.0)
-            .seed(29)
-            .tuning(Tuning::default().read_threads(2))
-            .backend(backend)
-    };
-
-    let mut sim = scenario_builder(Backend::Sim).build().unwrap();
-    let mut thread = scenario_builder(Backend::Thread).build().unwrap();
-
-    let from_sim = causal_chain(sim.as_mut());
-    let from_thread = causal_chain(thread.as_mut());
-
-    assert_eq!(
-        from_sim, from_thread,
-        "sim and thread must observe the same causal chain with read_threads > 1"
-    );
-    assert_eq!(from_sim, (Some(Value::from("y")), Some(Value::from("x"))));
-    assert!(sim.check_convergence().unwrap().is_empty());
-    assert!(thread.check_convergence().unwrap().is_empty());
-}
-
-#[test]
 fn cluster_stats_unifies_all_backends() {
     // One snapshot type for every backend: after the same workload,
     // `Cluster::stats()` must report a live write path and counters
@@ -398,20 +354,6 @@ fn cluster_stats_unifies_all_backends() {
             "{backend:?}: stats regressed between snapshots"
         );
     }
-}
-
-#[test]
-fn builder_rejects_read_pool_with_bpr() {
-    let err = match Paris::builder()
-        .mode(Mode::Bpr)
-        .tuning(Tuning::default().read_threads(4))
-        .backend(Backend::Thread)
-        .build()
-    {
-        Ok(_) => panic!("BPR + read_threads must be rejected"),
-        Err(err) => err,
-    };
-    assert!(err.to_string().contains("read_threads"), "{err}");
 }
 
 /// The three batching configurations every combination test sweeps:
