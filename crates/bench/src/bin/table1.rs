@@ -52,6 +52,13 @@ fn sample_messages() -> Vec<Msg> {
             src_dc: DcId(3),
         },
         Msg::CommitTx { tx, ct: ts(3) },
+        Msg::CommitOne {
+            tx,
+            ht: ts(2),
+            writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
+            src_dc: DcId(3),
+            reply_to: tx.coordinator().into(),
+        },
         Msg::Heartbeat {
             partition: PartitionId(4),
             watermark: ts(4),
@@ -90,7 +97,8 @@ fn main() {
     }
 
     section("Measured PaRiS metadata (wire codec)");
-    // Asserts, on the codec, that StartTxReq is its tag and one timestamp.
+    // Asserts on the codec: StartTxReq is its tag and one timestamp, and
+    // CommitOne carries one.
     let snapshot_meta = measured_paris_snapshot_metadata();
     println!(
         "\n  snapshot/dependency metadata on StartTxReq: 1 timestamp = {snapshot_meta} bytes \

@@ -674,7 +674,8 @@ impl ClientSession {
 
     // ----------------------------------------------------------- HANDLE
 
-    /// Consumes a response from the coordinator.
+    /// Consumes a response from the coordinator, or from the participant
+    /// of a plain one-phase commit.
     ///
     /// Returns the completed event, or `None` for stale/duplicate
     /// messages.
@@ -1876,6 +1877,81 @@ mod tests {
             },
         ));
         assert!(matches!(ev, Some(ClientEvent::Started { tx: got, .. }) if got == tx(4)));
+    }
+
+    #[test]
+    fn reset_during_a_one_phase_commit_drops_its_late_reply() {
+        // A one-phase commit of a plain transaction is answered by its
+        // participant, not the coordinator: the reply may straggle in
+        // behind anything the next transaction does.
+        let participant = ServerId::new(DcId(0), PartitionId(5));
+        let mut s = session(Mode::Paris);
+        let old = started(&mut s, 1, 100);
+        s.write(&[(Key(7), Value::from("w"))]).unwrap();
+        s.commit().unwrap();
+        s.reset();
+        deferred_read(&mut s, &[2]);
+        let late = Msg::CommitResp {
+            tx: old,
+            snapshot: None,
+            ct: ts(500),
+        };
+        assert!(s
+            .handle(&Envelope::new(participant, s.id(), late.clone()))
+            .is_none());
+        assert_eq!((s.hwt(), s.cache_len()), (Timestamp::ZERO, 0));
+        // The read's own start reply is still the one adopted.
+        let absent = ReadResult {
+            key: Key(2),
+            outcome: ReadOutcome::Absent,
+        };
+        assert_eq!(
+            reads_of(start_reply(&mut s, tx(2), 100, vec![absent])).len(),
+            1
+        );
+        assert_eq!(s.open_tx(), Some(tx(2)));
+        // And once that transaction is committing, the reply still names
+        // the wrong transaction.
+        s.commit().unwrap();
+        assert!(s
+            .handle(&Envelope::new(participant, s.id(), late))
+            .is_none());
+        assert!(s.has_operation_in_flight());
+        let closed = Msg::CommitResp {
+            tx: tx(2),
+            snapshot: None,
+            ct: Timestamp::ZERO,
+        };
+        assert!(s
+            .handle(&Envelope::new(s.coordinator(), s.id(), closed))
+            .is_some());
+
+        // A start-form one-phase commit is answered through the
+        // coordinator, in request order: its late reply is the start owed
+        // to the reset, and the next start's reply is adopted.
+        s.begin_deferred().unwrap();
+        s.write(&[(Key(8), Value::from("w"))]).unwrap();
+        s.commit().unwrap();
+        s.reset();
+        deferred_read(&mut s, &[3]);
+        let late = Msg::CommitResp {
+            tx: tx(3),
+            snapshot: Some(ts(150)),
+            ct: ts(600),
+        };
+        assert!(s
+            .handle(&Envelope::new(s.coordinator(), s.id(), late))
+            .is_none());
+        assert_eq!((s.hwt(), s.cache_len()), (Timestamp::ZERO, 0));
+        let absent = ReadResult {
+            key: Key(3),
+            outcome: ReadOutcome::Absent,
+        };
+        assert_eq!(
+            reads_of(start_reply(&mut s, tx(4), 160, vec![absent])).len(),
+            1
+        );
+        assert_eq!(s.open_snapshot(), Some(ts(160)));
     }
 
     #[test]

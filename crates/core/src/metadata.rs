@@ -8,7 +8,7 @@
 //! PaRiS's "1 timestamp" claim verified on real messages.
 
 use paris_proto::{varint, wire, Msg};
-use paris_types::Timestamp;
+use paris_types::{DcId, PartitionId, ServerId, Timestamp, TxId};
 
 /// Transaction support levels in Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,13 +237,22 @@ pub fn table1() -> Vec<SystemRow> {
 /// off the wire codec, in the paper's fixed-width unit (8 bytes per
 /// timestamp): the `ust_c` piggybacked on transaction start is a single
 /// timestamp and the message carries nothing else — independent of `M`
-/// and `N`.
+/// and `N`. A one-phase commit forwards one timestamp too, `ht`.
 ///
 /// # Panics
 ///
 /// Panics if `StartTxReq` ever carries anything but its tag and one
-/// timestamp.
+/// timestamp, or `CommitOne` more than one timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
+    let coordinator = ServerId::new(DcId(3), PartitionId(17));
+    let one_phase = Msg::CommitOne {
+        tx: TxId::new(coordinator, 9),
+        ht: Timestamp::from_parts(123_456, 7),
+        writes: Vec::new(),
+        src_dc: DcId(3),
+        reply_to: coordinator.into(),
+    };
+    assert_eq!(wire::metadata(&one_phase).timestamps, 1, "one-phase commit");
     let ust = Timestamp::from_parts(123_456, 7);
     let msg = Msg::StartTxReq { client_ust: ust };
     let measured = wire::metadata(&msg);

@@ -1,6 +1,12 @@
 //! Transaction-cohort role (paper Algorithm 3).
+//!
+//! A write set on one partition commits in one phase ([`Msg::CommitOne`]):
+//! PaRiS never aborts, so a proposal is a commit time nobody can refuse,
+//! and the `max` over one proposal is that proposal: `ct = pt`. It exceeds
+//! `ht` and the HLC, which bounds every watermark announced here, so it
+//! skips the prepared queue and phase two has nothing to add.
 
-use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
 use paris_types::{DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
 
 use super::{BlockedRead, CommittedTx, PreparedTx, Server};
@@ -117,7 +123,7 @@ impl Server {
             }
         }
         self.blocked = still_blocked;
-        out
+        self.in_place(out, now, |_| {})
     }
 
     /// `PrepareReq` (Alg. 3 lines 9–14): propose a commit timestamp that
@@ -178,6 +184,49 @@ impl Server {
             },
         );
         Vec::new()
+    }
+
+    /// `CommitOne` (module docs): propose as [`Server::on_prepare_req`]
+    /// does and commit under the proposal; a start form's coordinator gets
+    /// the proposal, to reply with the snapshot.
+    pub(super) fn on_commit_one(
+        &mut self,
+        tx: TxId,
+        ht: Timestamp,
+        writes: &[WriteSetEntry],
+        src_dc: DcId,
+        reply_to: Endpoint,
+        now: u64,
+    ) -> Vec<Envelope> {
+        self.stats.prepares += 1;
+        // Alg. 3 lines 10 & 12, and line 16's HLC update with it.
+        let ct = self.hlc.now_after(&self.clock, ht.max(self.ust));
+        self.committed.insert(
+            (ct, tx),
+            CommittedTx {
+                writes: writes.to_vec(),
+                src: src_dc,
+            },
+        );
+        let msg = match reply_to {
+            Endpoint::Client(_) => {
+                self.stats.txs_coordinated += 1;
+                if let Some(log) = self.events.as_mut() {
+                    log.commits.push((tx, ct, now));
+                }
+                Msg::CommitResp {
+                    tx,
+                    snapshot: None,
+                    ct,
+                }
+            }
+            Endpoint::Server(_) => Msg::PrepareResp {
+                tx,
+                partition: self.id.partition,
+                proposed: ct,
+            },
+        };
+        vec![Envelope::new(self.id, reply_to, msg)]
     }
 
     /// Lowest proposed timestamp among prepared transactions, if any.

@@ -3,7 +3,7 @@
 //! A [`Server`] implements every server-side role of the paper:
 //!
 //! * **transaction coordinator** (Alg. 2): snapshot assignment, parallel
-//!   read fan-out, 2PC commit;
+//!   read fan-out, 2PC commit (one phase for a single partition);
 //! * **transaction cohort** (Alg. 3): slice reads, prepare, commit;
 //! * **replication** (Alg. 4): applying committed transactions in commit
 //!   order, pushing them to peer replicas, heartbeats;
@@ -26,7 +26,7 @@ mod tx_table;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use paris_clock::{Hlc, PhysicalClock};
-use paris_proto::{Envelope, Msg, ReadKey, ReadResult};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadResult};
 use paris_storage::{DurableConfig, DurableEngine, Engine, MemEngine, RecoveryInfo};
 use paris_types::{ClientId, DcId, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry};
 
@@ -71,11 +71,11 @@ pub(crate) enum PendingOp {
         /// a start form.
         start: Option<Timestamp>,
     },
-    /// A 2PC awaiting prepare responses (Alg. 2 lines 21–25).
+    /// A 2PC, or a start form's one phase, awaiting proposals (Alg. 2 l. 21–25).
     Commit {
         /// Partitions not yet heard from.
         awaiting: HashSet<PartitionId>,
-        /// Cohort servers contacted (phase-2 targets).
+        /// Cohort servers contacted (phase-2 targets; none in one phase).
         participants: Vec<ServerId>,
         /// Max proposed timestamp so far (Alg. 2 line 26).
         max_proposed: Timestamp,
@@ -121,7 +121,7 @@ pub(crate) struct BlockedRead {
 pub struct ServerStats {
     /// Messages handled, any kind.
     pub msgs_handled: u64,
-    /// Update transactions committed with this server as coordinator.
+    /// Update transactions whose commit time this server decided.
     pub txs_coordinated: u64,
     /// Slice reads served (including after unblocking).
     pub slice_reads: u64,
@@ -135,7 +135,7 @@ pub struct ServerStats {
     /// Keys answered with a full version (the rest had no visible
     /// version).
     pub reads_shipped: u64,
-    /// Prepares handled.
+    /// Proposals made: prepares and one-phase commits handled.
     pub prepares: u64,
     /// Transactions applied locally (as 2PC participant).
     pub applied_local: u64,
@@ -451,9 +451,44 @@ impl Server {
     }
 
     /// Handles one incoming envelope at time `now` (microseconds on the
-    /// substrate's clock), returning the envelopes to send.
+    /// substrate's clock), returning the envelopes to send — never one
+    /// addressed to this server, whose own share runs in place.
     pub fn handle(&mut self, env: &Envelope, now: u64) -> Vec<Envelope> {
+        self.handle_and(env, now, |_| {})
+    }
+
+    /// [`Server::handle`], showing `local` each message it ran in place —
+    /// the simulator charges their service time.
+    pub fn handle_and(
+        &mut self,
+        env: &Envelope,
+        now: u64,
+        local: impl FnMut(&Msg),
+    ) -> Vec<Envelope> {
         self.stats.msgs_handled += 1;
+        let out = self.dispatch(env, now);
+        self.in_place(out, now, local)
+    }
+
+    /// Runs every envelope in `out` addressed to this server (the
+    /// coordinator's own share) in place, and returns the rest.
+    pub(crate) fn in_place(
+        &mut self,
+        mut out: Vec<Envelope>,
+        now: u64,
+        mut local: impl FnMut(&Msg),
+    ) -> Vec<Envelope> {
+        let me = Endpoint::Server(self.id);
+        while let Some(i) = out.iter().position(|e| e.dst == me) {
+            let env = out.remove(i);
+            local(&env.msg);
+            let more = self.dispatch(&env, now);
+            out.extend(more);
+        }
+        out
+    }
+
+    fn dispatch(&mut self, env: &Envelope, now: u64) -> Vec<Envelope> {
         match &env.msg {
             // Coordinator role.
             Msg::StartTxReq { client_ust } => self.on_start_tx(env, *client_ust, now),
@@ -486,6 +521,13 @@ impl Server {
                 src_dc,
             } => self.on_prepare_req(*tx, *snapshot, *ht, writes, *reply_to, *src_dc),
             Msg::CommitTx { tx, ct } => self.on_commit_tx(*tx, *ct),
+            Msg::CommitOne {
+                tx,
+                ht,
+                writes,
+                src_dc,
+                reply_to,
+            } => self.on_commit_one(*tx, *ht, writes, *src_dc, *reply_to, now),
 
             // Replication.
             Msg::Replicate {

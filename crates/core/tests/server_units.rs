@@ -163,7 +163,7 @@ fn a_start_form_read_begins_the_transaction_and_names_its_snapshot() {
             s.id(),
             Msg::ReadReq {
                 tx: TxRef::Start { client_ust: ust },
-                keys: vec![Key(0).into()],
+                keys: vec![Key(2).into()],
             },
         ),
         0,
@@ -182,11 +182,11 @@ fn a_start_form_read_begins_the_transaction_and_names_its_snapshot() {
     assert_eq!((*snapshot, tx.coordinator()), (ust, s.id()));
     let out = s.handle(
         &Envelope::new(
-            ServerId::new(DcId(0), PartitionId(0)),
+            ServerId::new(DcId(0), PartitionId(2)),
             s.id(),
             Msg::ReadSliceResp {
                 tx: *tx,
-                partition: PartitionId(0),
+                partition: PartitionId(2),
                 results: vec![],
             },
         ),
@@ -328,31 +328,63 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
         Msg::CommitResp { snapshot: Some(snap), ct, .. } if snap == ust && ct == Timestamp::ZERO
     ));
     assert_eq!(s.open_transactions(), 0);
-    // A write-only transaction: one round trip for start, 2PC and reply.
+    // A write-only transaction on the coordinator's own partition: one
+    // round trip for start, commit and reply — all of it in place.
     let out = s.handle(
         &commit(vec![WriteSetEntry::new(Key(0), Value::from("w"))]),
         0,
     );
-    let Msg::PrepareReq { tx, snapshot, .. } = out[0].msg else {
-        panic!("expected PrepareReq");
+    assert!(matches!(
+        &out[..],
+        [Envelope {
+            dst: Endpoint::Client(_),
+            msg: Msg::CommitResp { snapshot: Some(snap), ct, .. },
+            ..
+        }] if *snap == ust && *ct > ust
+    ));
+    assert_eq!(s.open_transactions(), 0);
+    // On another partition: the participant's proposal comes back to the
+    // coordinator, whose reply names the snapshot.
+    let out = s.handle(
+        &commit(vec![WriteSetEntry::new(Key(2), Value::from("w"))]),
+        0,
+    );
+    let [Envelope {
+        dst,
+        msg: Msg::CommitOne { tx, reply_to, .. },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected one CommitOne, got {out:?}");
     };
-    assert_eq!(snapshot, ust);
+    assert_eq!(
+        *dst,
+        Endpoint::Server(ServerId::new(DcId(0), PartitionId(2)))
+    );
+    assert_eq!(*reply_to, Endpoint::Server(s.id()));
+    assert_eq!(s.open_transactions(), 1, "held for the snapshot");
     let out = s.handle(
         &Envelope::new(
-            s.id(),
+            ServerId::new(DcId(0), PartitionId(2)),
             s.id(),
             Msg::PrepareResp {
-                tx,
-                partition: PartitionId(0),
+                tx: *tx,
+                partition: PartitionId(2),
                 proposed: Timestamp::from_physical_micros(10_001),
             },
         ),
         0,
     );
-    assert!(out.iter().any(|e| matches!(
-        e.msg,
-        Msg::CommitResp { snapshot: Some(snap), .. } if snap == ust
-    )));
+    assert_eq!(
+        out.iter().map(|e| &e.msg).collect::<Vec<_>>(),
+        [&Msg::CommitResp {
+            tx: *tx,
+            snapshot: Some(ust),
+            ct: Timestamp::from_physical_micros(10_001)
+        }],
+        "no phase two: the proposal is already committed"
+    );
+    assert_eq!(s.open_transactions(), 0);
 }
 
 #[test]
@@ -380,13 +412,15 @@ fn read_fan_out_targets_one_replica_per_partition() {
         ),
         0,
     );
-    assert_eq!(out.len(), 6);
+    // The coordinator's own partition 0 is read in place.
+    assert_eq!(out.len(), 5);
     let mut partitions: Vec<u32> = out
         .iter()
         .map(|e| e.dst.as_server().unwrap().partition.0)
         .collect();
     partitions.sort_unstable();
-    assert_eq!(partitions, vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(partitions, vec![1, 2, 3, 4, 5]);
+    assert_eq!(s.stats().slice_reads, 1);
     for env in &out {
         let dst = env.dst.as_server().unwrap();
         assert!(topo.is_replicated_at(dst.partition, dst.dc));
@@ -415,36 +449,36 @@ fn duplicate_read_slice_resp_is_ignored() {
             s.id(),
             Msg::ReadReq {
                 tx: TxRef::Known(tx),
-                keys: vec![Key(0).into(), Key(1).into()],
+                keys: vec![Key(2).into(), Key(3).into()],
             },
         ),
         0,
     );
     assert_eq!(out.len(), 2);
-    let from_p0 = Envelope::new(
-        ServerId::new(DcId(0), PartitionId(0)),
+    let from_p2 = Envelope::new(
+        ServerId::new(DcId(0), PartitionId(2)),
         s.id(),
         Msg::ReadSliceResp {
             tx,
-            partition: PartitionId(0),
+            partition: PartitionId(2),
             results: vec![],
         },
     );
-    // First copy: still waiting for partition 1 → no client reply.
-    assert!(s.handle(&from_p0, 0).is_empty());
+    // First copy: still waiting for partition 3 → no client reply.
+    assert!(s.handle(&from_p2, 0).is_empty());
     // Duplicate: still nothing, and no panic/double-count.
-    assert!(s.handle(&from_p0, 0).is_empty());
+    assert!(s.handle(&from_p2, 0).is_empty());
     // The real second partition completes the read.
-    let from_p1 = Envelope::new(
-        ServerId::new(DcId(0), PartitionId(1)),
+    let from_p3 = Envelope::new(
+        ServerId::new(DcId(0), PartitionId(3)),
         s.id(),
         Msg::ReadSliceResp {
             tx,
-            partition: PartitionId(1),
+            partition: PartitionId(3),
             results: vec![],
         },
     );
-    let out = s.handle(&from_p1, 0);
+    let out = s.handle(&from_p3, 0);
     assert_eq!(out.len(), 1);
     assert!(matches!(out[0].msg, Msg::ReadResp { .. }));
 }
@@ -491,8 +525,8 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
     let (tx, _) = start_tx(&mut s, 0);
     let writes = vec![
-        WriteSetEntry::new(Key(0), Value::from("a")), // partition 0
-        WriteSetEntry::new(Key(1), Value::from("b")), // partition 1
+        WriteSetEntry::new(Key(2), Value::from("a")), // partition 2
+        WriteSetEntry::new(Key(3), Value::from("b")), // partition 3
     ];
     let out = s.handle(
         &Envelope::new(
@@ -513,11 +547,11 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
     assert!(s
         .handle(
             &Envelope::new(
-                ServerId::new(DcId(0), PartitionId(0)),
+                ServerId::new(DcId(0), PartitionId(2)),
                 s.id(),
                 Msg::PrepareResp {
                     tx,
-                    partition: PartitionId(0),
+                    partition: PartitionId(2),
                     proposed: p1
                 },
             ),
@@ -526,11 +560,11 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
         .is_empty());
     let out = s.handle(
         &Envelope::new(
-            ServerId::new(DcId(0), PartitionId(1)),
+            ServerId::new(DcId(0), PartitionId(3)),
             s.id(),
             Msg::PrepareResp {
                 tx,
-                partition: PartitionId(1),
+                partition: PartitionId(3),
                 proposed: p2,
             },
         ),
@@ -549,6 +583,215 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
     assert!(commit_ts.iter().all(|ct| *ct == p2), "max proposal wins");
     assert_eq!(s.open_transactions(), 0, "context cleared (Alg. 2 line 28)");
     assert_eq!(s.stats().txs_coordinated, 1);
+}
+
+/// A plain commit of `writes` in a fresh transaction at `s`, whose
+/// client has already committed at `hwt`.
+fn commit_known(s: &mut Server, hwt: u64, writes: Vec<WriteSetEntry>) -> (TxId, Vec<Envelope>) {
+    let (tx, _) = start_tx(s, 0);
+    let out = s.handle(
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::CommitReq {
+                tx: TxRef::Known(tx),
+                hwt: Timestamp::from_physical_micros(hwt),
+                writes,
+            },
+        ),
+        0,
+    );
+    (tx, out)
+}
+
+#[test]
+fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut coordinator = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let mut participant = server_at(&topo, &clock, 0, 2, Mode::Paris);
+    // The participant announces a watermark first (Alg. 4 line 18).
+    let announced = participant
+        .on_replicate_tick(0)
+        .iter()
+        .find_map(|e| match e.msg {
+            Msg::Heartbeat { watermark, .. } => Some(watermark),
+            _ => None,
+        })
+        .expect("a heartbeat to the peer replica");
+
+    let write = WriteSetEntry::new(Key(2), Value::from("one"));
+    let (tx, out) = commit_known(&mut coordinator, 9_000, vec![write.clone()]);
+    let ht = Timestamp::from_physical_micros(9_000);
+    // Exactly one forward, and the context is gone (Alg. 2 line 28).
+    let [forward] = &out[..] else {
+        panic!("expected one forward, got {out:?}");
+    };
+    assert_eq!(forward.dst, Endpoint::Server(participant.id()));
+    assert_eq!(
+        forward.msg,
+        Msg::CommitOne {
+            tx,
+            ht,
+            writes: vec![write],
+            src_dc: DcId(0),
+            reply_to: Endpoint::Client(client()),
+        }
+    );
+    assert_eq!(coordinator.open_transactions(), 0);
+
+    // The participant's proposal is the commit time, and it answers the
+    // client itself.
+    let out = participant.handle(forward, 0);
+    let [Envelope {
+        dst: Endpoint::Client(c),
+        msg:
+            Msg::CommitResp {
+                tx: t,
+                snapshot: None,
+                ct,
+            },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected one CommitResp to the client, got {out:?}");
+    };
+    assert_eq!((*c, *t), (client(), tx));
+    assert!(*ct > ht, "above ht");
+    assert!(*ct > announced, "above the announced watermark (Prop. 2)");
+    assert_eq!(participant.stats().txs_coordinated, 1);
+    assert_eq!(participant.events().unwrap().commits, [(tx, *ct, 0)]);
+    // Committed, not prepared: the next tick applies it.
+    participant.on_replicate_tick(0);
+    assert_eq!(participant.store().latest(Key(2)).unwrap().ut, *ct);
+}
+
+#[test]
+fn a_local_single_partition_commit_emits_only_the_client_reply() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let (tx, out) = commit_known(
+        &mut s,
+        0,
+        vec![WriteSetEntry::new(Key(0), Value::from("x"))],
+    );
+    let [Envelope {
+        dst: Endpoint::Client(_),
+        msg:
+            Msg::CommitResp {
+                tx: t,
+                snapshot: None,
+                ct,
+            },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected only the CommitResp, got {out:?}");
+    };
+    assert_eq!(*t, tx);
+    assert!(ct.physical_micros() >= 10_000);
+    assert_eq!(s.open_transactions(), 0);
+    s.on_replicate_tick(0);
+    assert_eq!(s.store().latest(Key(0)).unwrap().ut, *ct);
+}
+
+#[test]
+fn the_coordinators_own_partition_is_read_and_committed_in_place() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let remote = ServerId::new(DcId(0), PartitionId(2));
+    let only_remote = |out: &[Envelope]| {
+        out.iter()
+            .filter_map(|e| e.dst.as_server())
+            .all(|dst| dst == remote)
+    };
+
+    // A read of partitions 0 (own) and 2: one slice request, to p2.
+    let (tx, _) = start_tx(&mut s, 0);
+    let out = s.handle(
+        &Envelope::new(
+            client(),
+            s.id(),
+            Msg::ReadReq {
+                tx: TxRef::Known(tx),
+                keys: vec![Key(0).into(), Key(2).into()],
+            },
+        ),
+        0,
+    );
+    assert_eq!(out.len(), 1);
+    assert!(only_remote(&out));
+    let out = s.handle(
+        &Envelope::new(
+            remote,
+            s.id(),
+            Msg::ReadSliceResp {
+                tx,
+                partition: PartitionId(2),
+                results: vec![paris_proto::ReadResult {
+                    key: Key(2),
+                    outcome: ReadOutcome::Absent,
+                }],
+            },
+        ),
+        0,
+    );
+    let [Envelope {
+        msg: Msg::ReadResp { results, .. },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected the ReadResp, got {out:?}");
+    };
+    assert_eq!(results.len(), 2, "the local slice was folded in");
+
+    // A commit over partitions 0 and 2: prepared here in place, one
+    // PrepareReq to p2, and phase two goes to p2 only.
+    let writes = vec![
+        WriteSetEntry::new(Key(0), Value::from("a")),
+        WriteSetEntry::new(Key(2), Value::from("b")),
+    ];
+    let (tx, out) = commit_known(&mut s, 0, writes);
+    assert!(matches!(
+        &out[..],
+        [Envelope {
+            msg: Msg::PrepareReq { .. },
+            ..
+        }]
+    ));
+    assert!(only_remote(&out));
+    assert_eq!(s.stats().prepares, 1, "the own share is prepared");
+    // A low remote proposal: the own one is the max.
+    let out = s.handle(
+        &Envelope::new(
+            remote,
+            s.id(),
+            Msg::PrepareResp {
+                tx,
+                partition: PartitionId(2),
+                proposed: Timestamp::from_physical_micros(1),
+            },
+        ),
+        0,
+    );
+    assert_eq!(out.len(), 2, "CommitTx to p2 + CommitResp");
+    assert!(only_remote(&out));
+    let cts: Vec<Timestamp> = out
+        .iter()
+        .map(|e| match e.msg {
+            Msg::CommitTx { ct, .. } | Msg::CommitResp { ct, .. } => ct,
+            ref other => panic!("unexpected {}", other.kind()),
+        })
+        .collect();
+    assert!(cts[0] == cts[1] && cts[0].physical_micros() >= 10_000);
+    // The own share committed in place: the next tick applies it.
+    s.on_replicate_tick(0);
+    assert_eq!(s.store().latest(Key(0)).unwrap().ut, cts[0]);
 }
 
 #[test]

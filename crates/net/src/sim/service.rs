@@ -99,7 +99,8 @@ impl ServiceModel {
                 self.read_slice_base + self.read_per_key * keys.len() as u64
             }
             Msg::ReadSliceResp { .. } => 1,
-            Msg::PrepareReq { writes, .. } => {
+            // A one-phase commit skips the prepared queue: a prepare's work.
+            Msg::PrepareReq { writes, .. } | Msg::CommitOne { writes, .. } => {
                 self.prepare_base + self.prepare_per_key * writes.len() as u64
             }
             Msg::PrepareResp { .. } => 1,

@@ -352,21 +352,6 @@ struct WheelState {
 
 impl WheelState {
     fn schedule(&mut self, config: &ThreadedNetConfig, env: Envelope, sent_at: Instant) {
-        if env.src == env.dst {
-            // A server's message to itself (the coordinator's own slice,
-            // prepare and commit) never touches a wire: due at once — so
-            // it still goes through `deliver`, per-link FIFO included —
-            // and not counted, exactly as the socket node
-            // handles local delivery.
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse(Pending {
-                due: sent_at,
-                seq,
-                env,
-            }));
-            return;
-        }
         // Every envelope entering the wheel is one wire message leaving
         // the "NIC" — coalesced traffic was already folded upstream. Held
         // traffic counts as sent (it left the source; the link lost it),
@@ -691,39 +676,6 @@ mod tests {
             stats.background_bytes, expect_bg,
             "only the heartbeat is background"
         );
-    }
-
-    #[test]
-    fn self_addressed_envelopes_skip_the_wire() {
-        // Stretch the matrix's 250 µs intra-DC hop to 50 ms: a self-delivery
-        // that still took the hop would lose the race below.
-        let router = Router::start(ThreadedNetConfig {
-            scale: 200.0,
-            ..ThreadedNetConfig::fast(1)
-        });
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(0), PartitionId(1));
-        let (rx_a, rx_b) = (router.register(a), router.register(b));
-        let h = router.handle();
-        h.send(Envelope::new(a, b, hb(0)));
-        for i in 1..=50 {
-            h.send(Envelope::new(a, a, hb(i)));
-        }
-        // The fifty self-deliveries arrive in order, and all of them before
-        // the one message that crosses the (slow) intra-DC link.
-        for i in 1..=50 {
-            let got = rx_a
-                .recv_timeout(Duration::from_secs(2))
-                .expect("delivered");
-            assert_eq!(got.msg, hb(i), "self-delivery {i} out of order");
-        }
-        assert!(rx_b.try_recv().is_err(), "the wire hop is still in flight");
-        rx_b.recv_timeout(Duration::from_secs(2))
-            .expect("delivered");
-        // Only the a→b message was wire traffic.
-        let stats = router.net_stats();
-        assert_eq!(stats.messages, 1);
-        assert_eq!(stats.bytes, encoded_len(&hb(0)) as u64);
     }
 
     #[test]

@@ -236,7 +236,8 @@ pub enum Msg {
         /// The buffered write set.
         writes: Vec<WriteSetEntry>,
     },
-    /// Coordinator → client: the commit timestamp (Alg. 2 line 29).
+    /// Coordinator or sole participant → client: the commit timestamp
+    /// (Alg. 2 line 29; see [`Msg::CommitOne`]).
     CommitResp {
         /// Transaction id.
         tx: TxId,
@@ -282,7 +283,8 @@ pub enum Msg {
         /// Per-key results.
         results: Vec<ReadResult>,
     },
-    /// Coordinator → cohort: first phase of 2PC (Alg. 2 line 23).
+    /// Coordinator → cohort: first phase of 2PC (Alg. 2 line 23) over two
+    /// or more partitions (one partition takes [`Msg::CommitOne`]).
     PrepareReq {
         /// Transaction id.
         tx: TxId,
@@ -314,6 +316,21 @@ pub enum Msg {
         tx: TxId,
         /// Final commit timestamp (max over proposals).
         ct: Timestamp,
+    },
+    /// Coordinator → the only participant of a write set: prepare and
+    /// commit in one step, `ct` = its proposal. It answers `reply_to`: the
+    /// client, or a start form's coordinator, which names the snapshot.
+    CommitOne {
+        /// Transaction id.
+        tx: TxId,
+        /// `ht`: max(snapshot, client's `hwt`) (Alg. 2 line 19).
+        ht: Timestamp,
+        /// The transaction's writes, all owned by the participant.
+        writes: Vec<WriteSetEntry>,
+        /// DC of the committing client/coordinator (the versions' `sr`).
+        src_dc: DcId,
+        /// Who gets the `CommitResp`.
+        reply_to: Endpoint,
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version
@@ -424,6 +441,7 @@ impl Msg {
             Msg::PrepareReq { .. } => "PrepareReq",
             Msg::PrepareResp { .. } => "PrepareResp",
             Msg::CommitTx { .. } => "CommitTx",
+            Msg::CommitOne { .. } => "CommitOne",
             Msg::Replicate { .. } => "Replicate",
             Msg::Heartbeat { .. } => "Heartbeat",
             Msg::ReplicateBatch { .. } => "ReplicateBatch",

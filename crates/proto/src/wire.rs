@@ -24,8 +24,9 @@
 //! bytes instead of a fixed 8. A message is its tag byte followed by its
 //! fields; an envelope frame is the [`FRAME_V2`] marker, both endpoints,
 //! then the message. Protocol version 3 added the start forms of
-//! `ReadReq` / `CommitReq` and of their replies under tags of their own;
-//! every other frame is the v2 one, byte for byte.
+//! `ReadReq` / `CommitReq` and of their replies under tags of their own,
+//! and version 4 the one-phase `CommitOne`; every other frame is the v2
+//! one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -54,7 +55,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -588,6 +589,8 @@ const T_READ_RESP_START: u8 = 24;
 const T_COMMIT_REQ_START: u8 = 25;
 const T_COMMIT_RESP_START: u8 = 26;
 const T_OP_FAILED_START: u8 = 27;
+// The one-phase commit of a single-partition write set.
+const T_COMMIT_ONE: u8 = 28;
 
 /// A message's tag: `plain`, or `start` for its start form.
 fn form(start: bool, plain: u8, start_tag: u8) -> u8 {
@@ -699,6 +702,20 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             s.tag(T_COMMIT_TX);
             put_tx(s, *tx);
             s.timestamp(*ct);
+        }
+        Msg::CommitOne {
+            tx,
+            ht,
+            writes,
+            src_dc,
+            reply_to,
+        } => {
+            s.tag(T_COMMIT_ONE);
+            put_tx(s, *tx);
+            s.timestamp(*ht);
+            put_endpoint(s, *reply_to);
+            put_dc(s, *src_dc);
+            put_vec(s, writes, put_write);
         }
         Msg::Replicate {
             partition,
@@ -851,6 +868,13 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
         T_COMMIT_TX => Msg::CommitTx {
             tx: get_tx(r)?,
             ct: get_ts(r)?,
+        },
+        T_COMMIT_ONE => Msg::CommitOne {
+            tx: get_tx(r)?,
+            ht: get_ts(r)?,
+            reply_to: get_endpoint(r)?,
+            src_dc: get_dc(r)?,
+            writes: get_vec(r, get_write)?,
         },
         T_REPLICATE => Msg::Replicate {
             partition: get_partition(r)?,
@@ -1032,9 +1056,9 @@ mod tests {
             Msg::ReadResp { results, .. } | Msg::ReadSliceResp { results, .. } => {
                 results.iter().map(result).sum()
             }
-            Msg::CommitReq { writes, .. } | Msg::PrepareReq { writes, .. } => {
-                writes.iter().map(write).sum()
-            }
+            Msg::CommitReq { writes, .. }
+            | Msg::PrepareReq { writes, .. }
+            | Msg::CommitOne { writes, .. } => writes.iter().map(write).sum(),
             Msg::Replicate { txs, .. } | Msg::ReplicateBatch { txs, .. } => {
                 txs.iter().flat_map(|t| &t.writes).map(write).sum()
             }
@@ -1380,6 +1404,24 @@ mod tests {
                 }
             }),
             (arb_tx(), arb_ts()).prop_map(|(tx, ct)| Msg::CommitTx { tx, ct }),
+            (
+                arb_tx(),
+                arb_ts(),
+                arb_writes(),
+                arb_dc(),
+                prop_oneof![
+                    arb_server().prop_map(Endpoint::Server),
+                    (arb_dc(), any::<u32>())
+                        .prop_map(|(dc, seq)| { Endpoint::Client(ClientId::new(dc, seq)) }),
+                ]
+            )
+                .prop_map(|(tx, ht, writes, src_dc, reply_to)| Msg::CommitOne {
+                    tx,
+                    ht,
+                    writes,
+                    src_dc,
+                    reply_to,
+                }),
             (arb_partition(), arb_txs(), arb_ts()).prop_map(|(partition, txs, watermark)| {
                 Msg::Replicate {
                     partition,
@@ -1436,7 +1478,7 @@ mod tests {
     /// One message per tag (both forms where a tag has two), with
     /// multi-byte varints, and the frame the encoder produced for it. The
     /// frames of tags 1–21 are the v2 codec's, byte for byte: v3 only
-    /// added the start forms (22–27).
+    /// added the start forms (22–27), v4 only the one-phase commit (28).
     fn golden_messages() -> Vec<(Msg, &'static str)> {
         let t = tx(1, 2, 12_345);
         let p = PartitionId(300);
@@ -1691,6 +1733,28 @@ mod tests {
                 },
                 "1b0102b96080c8ceb40d03",
             ),
+            // The one-phase commit, answering the client, then answering
+            // the coordinator (a start form).
+            (
+                Msg::CommitOne {
+                    tx: t,
+                    ht: now,
+                    writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
+                    src_dc: DcId(1),
+                    reply_to: Endpoint::Client(ClientId::new(DcId(1), 70_000)),
+                },
+                "1c0102b96080c8ceb40d030101f0a2040101050177",
+            ),
+            (
+                Msg::CommitOne {
+                    tx: t,
+                    ht: now,
+                    writes: vec![],
+                    src_dc: DcId(1),
+                    reply_to: Endpoint::Server(srv),
+                },
+                "1c0102b96080c8ceb40d030003ac020100",
+            ),
         ]
     }
 
@@ -1704,7 +1768,7 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_OP_FAILED_START).collect::<Vec<_>>(),
+            (T_START_REQ..=T_COMMIT_ONE).collect::<Vec<_>>(),
             "one golden per tag"
         );
     }

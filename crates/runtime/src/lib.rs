@@ -60,6 +60,11 @@ pub use paris_core::{DurableStats, FsyncPolicy, RecoveryInfo};
 /// never collide on ids or inboxes.
 pub(crate) const INTERACTIVE_SEQ_BASE: u32 = 1 << 20;
 
+/// How long a thread- or socket-backend operation may wait for its reply
+/// before it is a transport failure. Generous: even BPR blocked reads
+/// resolve within a few background-protocol periods.
+pub(crate) const OP_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// One stabilization round, in microseconds: long enough for every
 /// periodic protocol to fire at least once and for its messages to cross
 /// the (optionally scaled) WAN, plus `slack` for processing. With

@@ -554,8 +554,13 @@ impl SimCluster {
                 let blocked_before = slot.server.blocked_reads_now() as u64;
                 let blocks_before = slot.server.stats().blocked_reads;
                 let finish = start + cost;
-                slot.busy_until = finish;
-                let out = slot.server.handle(&env, finish);
+                // The coordinator's own share, run in place, costs its CPU.
+                let mut local = 0;
+                let service = self.config.service;
+                let out = slot
+                    .server
+                    .handle_and(&env, finish, |m| local += service.cost(m));
+                slot.busy_until = finish + local;
                 // BPR pays to park a read and to wake it back up — the
                 // "synchronization overhead to block and unblock reads" the
                 // paper charges BPR's throughput loss to (§V-B).

@@ -67,10 +67,7 @@ use paris_workload::WorkloadConfig;
 
 use crate::driver::{run_client, server_loop, ClientOutcome};
 use crate::measure::{BlockingStats, ClusterStats, RunReport};
-use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE};
-
-/// How long an interactive operation may wait for its reply.
-const OP_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
 
 /// How long the parent waits for every child to say hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(30);

@@ -37,12 +37,7 @@ use paris_workload::WorkloadConfig;
 
 use crate::driver::{run_client, server_loop, ClientOutcome};
 use crate::measure::{BlockingStats, ClusterStats, RunReport};
-use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE};
-
-/// How long an interactive operation may wait for its reply before it is
-/// reported as a transport failure. Generous: even BPR blocked reads
-/// resolve within a few background-protocol periods.
-const OP_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
 
 /// Configuration of a threaded deployment (assembled by the builder).
 #[derive(Debug, Clone)]

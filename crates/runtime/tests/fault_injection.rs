@@ -3,7 +3,7 @@
 //! fault hooks themselves are `SimCluster` powers.
 
 use paris_runtime::{Cluster, ClusterBuilder, Paris};
-use paris_types::{DcId, Mode, Timestamp};
+use paris_types::{DcId, FaultPlan, Mode, PartitionId, Timestamp, Value};
 
 fn small(seed: u64) -> ClusterBuilder {
     Paris::builder()
@@ -102,4 +102,47 @@ fn staleness_grows_during_partition_but_reads_stay_available() {
         "stale but still causal: {:#?}",
         report.violations
     );
+}
+
+#[test]
+fn a_participant_cut_off_after_a_one_phase_forward_holds_the_commit_until_heal() {
+    // A write to one remote partition commits in one phase: the
+    // coordinator forwards it and forgets it, and the participant answers
+    // the client. Cut the participant's DC off while the forward is in
+    // flight: the forward lands (it left before the cut), the reply is
+    // held, and the commit completes on the heal — it neither hangs nor
+    // commits twice, and the checker stays clean.
+    let mut sim = small(53).build_sim().unwrap();
+    sim.run_workload(300_000, 500_000).unwrap();
+    let partition = PartitionId(1); // replicated at DCs 1 and 2 only
+    let key = sim.topology().key_at(partition, 0);
+    let participant = sim.topology().target_dc(partition, DcId(0));
+    assert_ne!(participant, DcId(0));
+
+    let client = sim.open_client(0).unwrap();
+    sim.txn_begin(client).unwrap();
+    sim.txn_write(client, &[(key, Value::from("one-phase"))])
+        .unwrap();
+    // Half a WAN hop after the commit leaves: the forward is in flight.
+    let plan = FaultPlan::new()
+        .crash_dc(5_000, participant)
+        .rejoin_dc(1_000_000, participant);
+    sim.install_fault_plan(plan).unwrap();
+    let sent_at = sim.now();
+    let ct = sim.txn_commit(client).unwrap();
+    assert!(
+        sim.now() >= sent_at + 1_000_000,
+        "the reply was held until the heal"
+    );
+    assert!(ct > Timestamp::ZERO);
+
+    sim.stabilize(20);
+    let mut txn = sim.begin(client).unwrap();
+    assert_eq!(txn.read_one(key).unwrap(), Some(Value::from("one-phase")));
+    txn.commit().unwrap();
+    let report = sim.run_workload(0, 500_000).unwrap();
+    sim.settle(4_000_000);
+    assert!(report.stats.committed > 0);
+    assert!(sim.report().violations.is_empty());
+    assert!(sim.check_convergence().unwrap().is_empty());
 }
