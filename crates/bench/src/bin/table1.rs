@@ -57,7 +57,7 @@ fn sample_messages() -> Vec<Msg> {
             ht: ts(2),
             writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
             src_dc: DcId(3),
-            reply_to: tx.coordinator().into(),
+            client: paris_types::ClientId::new(DcId(3), 4),
         },
         Msg::Heartbeat {
             partition: PartitionId(4),

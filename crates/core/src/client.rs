@@ -1926,9 +1926,10 @@ mod tests {
             .handle(&Envelope::new(s.coordinator(), s.id(), closed))
             .is_some());
 
-        // A start-form one-phase commit is answered through the
-        // coordinator, in request order: its late reply is the start owed
-        // to the reset, and the next start's reply is adopted.
+        // A start-form commit keeps 2PC even on one partition, so it is
+        // answered by the coordinator, in request order: its late reply is
+        // the start owed to the reset, and the next start's reply is
+        // adopted.
         s.begin_deferred().unwrap();
         s.write(&[(Key(8), Value::from("w"))]).unwrap();
         s.commit().unwrap();

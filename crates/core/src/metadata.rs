@@ -8,7 +8,7 @@
 //! PaRiS's "1 timestamp" claim verified on real messages.
 
 use paris_proto::{varint, wire, Msg};
-use paris_types::{DcId, PartitionId, ServerId, Timestamp, TxId};
+use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp, TxId};
 
 /// Transaction support levels in Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,13 +244,12 @@ pub fn table1() -> Vec<SystemRow> {
 /// Panics if `StartTxReq` ever carries anything but its tag and one
 /// timestamp, or `CommitOne` more than one timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
-    let coordinator = ServerId::new(DcId(3), PartitionId(17));
     let one_phase = Msg::CommitOne {
-        tx: TxId::new(coordinator, 9),
+        tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
         ht: Timestamp::from_parts(123_456, 7),
         writes: Vec::new(),
         src_dc: DcId(3),
-        reply_to: coordinator.into(),
+        client: ClientId::new(DcId(3), 4),
     };
     assert_eq!(wire::metadata(&one_phase).timestamps, 1, "one-phase commit");
     let ust = Timestamp::from_parts(123_456, 7);

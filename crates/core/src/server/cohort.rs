@@ -1,13 +1,13 @@
 //! Transaction-cohort role (paper Algorithm 3).
 //!
 //! A write set on one partition commits in one phase ([`Msg::CommitOne`]):
-//! PaRiS never aborts, so a proposal is a commit time nobody can refuse,
-//! and the `max` over one proposal is that proposal: `ct = pt`. It exceeds
-//! `ht` and the HLC, which bounds every watermark announced here, so it
-//! skips the prepared queue and phase two has nothing to add.
+//! PaRiS never aborts, and the `max` over one proposal is that proposal,
+//! `ct = pt`. It exceeds `ht` and the HLC, which bounds every watermark
+//! announced here, so it skips the prepared queue. It skips line 11's
+//! `ust` bump too: `ht ≥ snapshot` already puts `ct` above the snapshot.
 
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
-use paris_types::{DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
+use paris_types::{ClientId, DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
 
 use super::{BlockedRead, CommittedTx, PreparedTx, Server};
 
@@ -187,18 +187,18 @@ impl Server {
     }
 
     /// `CommitOne` (module docs): propose as [`Server::on_prepare_req`]
-    /// does and commit under the proposal; a start form's coordinator gets
-    /// the proposal, to reply with the snapshot.
+    /// does, commit under the proposal and answer the client.
     pub(super) fn on_commit_one(
         &mut self,
         tx: TxId,
         ht: Timestamp,
         writes: &[WriteSetEntry],
         src_dc: DcId,
-        reply_to: Endpoint,
+        client: ClientId,
         now: u64,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
+        self.stats.txs_coordinated += 1;
         // Alg. 3 lines 10 & 12, and line 16's HLC update with it.
         let ct = self.hlc.now_after(&self.clock, ht.max(self.ust));
         self.committed.insert(
@@ -208,25 +208,15 @@ impl Server {
                 src: src_dc,
             },
         );
-        let msg = match reply_to {
-            Endpoint::Client(_) => {
-                self.stats.txs_coordinated += 1;
-                if let Some(log) = self.events.as_mut() {
-                    log.commits.push((tx, ct, now));
-                }
-                Msg::CommitResp {
-                    tx,
-                    snapshot: None,
-                    ct,
-                }
-            }
-            Endpoint::Server(_) => Msg::PrepareResp {
-                tx,
-                partition: self.id.partition,
-                proposed: ct,
-            },
+        if let Some(log) = self.events.as_mut() {
+            log.commits.push((tx, ct, now));
+        }
+        let msg = Msg::CommitResp {
+            tx,
+            snapshot: None,
+            ct,
         };
-        vec![Envelope::new(self.id, reply_to, msg)]
+        vec![Envelope::new(self.id, client, msg)]
     }
 
     /// Lowest proposed timestamp among prepared transactions, if any.

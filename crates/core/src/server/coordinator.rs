@@ -18,11 +18,9 @@
 //! relayed to the cohorts as it came; the coordinator never interprets
 //! them further.
 //!
-//! Writes on one partition commit in one phase (`CommitOne`, safety in the
-//! cohort docs): a plain commit's context goes at once and the participant
-//! answers the client; a start form's participant answers here, since the
-//! client matches snapshot-naming replies by arrival order from one server.
-//! The coordinator's own share runs in place ([`Server::in_place`]).
+//! A plain commit whose writes land on one partition is one `CommitOne`
+//! (cohort docs); a start form keeps 2PC, as only the coordinator's reply
+//! may name the snapshot. Its own share runs in place ([`Server::in_place`]).
 //!
 //! Coordinator state lives in the [`TxTable`](super::TxTable).
 
@@ -326,39 +324,25 @@ impl Server {
                 }
             }
         }
-        let awaiting: HashSet<PartitionId> = by_partition.keys().copied().collect();
-        let one_phase = participants.len() == 1;
-        if one_phase && start.is_none() {
+        if let ([participant], None) = (&participants[..], start) {
             ctxs.remove(&tx); // Alg. 2 line 28: the participant answers
-        } else {
-            ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Commit {
-                awaiting,
-                // One phase leaves no second phase to send.
-                participants: if one_phase {
-                    Vec::new()
-                } else {
-                    participants.clone()
-                },
-                max_proposed: Timestamp::ZERO,
-                start,
-            });
-        }
-        if one_phase {
-            // Only the coordinator's reply may name the snapshot.
-            let reply_to = start.map_or(Endpoint::Client(client), |_| self.id.into());
             let writes = by_partition.into_values().next().expect("one partition");
-            return vec![Envelope::new(
-                self.id,
-                participants[0],
-                Msg::CommitOne {
-                    tx,
-                    ht,
-                    writes,
-                    src_dc: self.id.dc,
-                    reply_to,
-                },
-            )];
+            let msg = Msg::CommitOne {
+                tx,
+                ht,
+                writes,
+                src_dc: self.id.dc,
+                client,
+            };
+            return vec![Envelope::new(self.id, *participant, msg)];
         }
+        let awaiting: HashSet<PartitionId> = by_partition.keys().copied().collect();
+        ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Commit {
+            awaiting,
+            participants: participants.clone(),
+            max_proposed: Timestamp::ZERO,
+            start,
+        });
 
         // PrepareReq to each involved partition (Alg. 2 lines 21–25).
         by_partition
@@ -382,8 +366,7 @@ impl Server {
     }
 
     /// `PrepareResp`: gather proposals; when all arrived, pick the max as
-    /// commit time, notify cohorts and the client (Alg. 2 lines 26–29) —
-    /// none for a start form's one phase, whose proposal is committed.
+    /// commit time, notify cohorts and the client (Alg. 2 lines 26–29).
     pub(super) fn on_prepare_resp(
         &mut self,
         tx: TxId,

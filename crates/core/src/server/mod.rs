@@ -71,11 +71,11 @@ pub(crate) enum PendingOp {
         /// a start form.
         start: Option<Timestamp>,
     },
-    /// A 2PC, or a start form's one phase, awaiting proposals (Alg. 2 l. 21–25).
+    /// A 2PC awaiting prepare responses (Alg. 2 lines 21–25).
     Commit {
         /// Partitions not yet heard from.
         awaiting: HashSet<PartitionId>,
-        /// Cohort servers contacted (phase-2 targets; none in one phase).
+        /// Cohort servers contacted (phase-2 targets).
         participants: Vec<ServerId>,
         /// Max proposed timestamp so far (Alg. 2 line 26).
         max_proposed: Timestamp,
@@ -526,8 +526,8 @@ impl Server {
                 ht,
                 writes,
                 src_dc,
-                reply_to,
-            } => self.on_commit_one(*tx, *ht, writes, *src_dc, *reply_to, now),
+                client,
+            } => self.on_commit_one(*tx, *ht, writes, *src_dc, *client, now),
 
             // Replication.
             Msg::Replicate {

@@ -343,25 +343,22 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
         }] if *snap == ust && *ct > ust
     ));
     assert_eq!(s.open_transactions(), 0);
-    // On another partition: the participant's proposal comes back to the
-    // coordinator, whose reply names the snapshot.
+    // On another partition it keeps 2PC: the participant's proposal comes
+    // back to the coordinator, whose reply names the snapshot.
+    let participant = ServerId::new(DcId(0), PartitionId(2));
     let out = s.handle(
         &commit(vec![WriteSetEntry::new(Key(2), Value::from("w"))]),
         0,
     );
     let [Envelope {
         dst,
-        msg: Msg::CommitOne { tx, reply_to, .. },
+        msg: Msg::PrepareReq { tx, .. },
         ..
     }] = &out[..]
     else {
-        panic!("expected one CommitOne, got {out:?}");
+        panic!("expected one PrepareReq, got {out:?}");
     };
-    assert_eq!(
-        *dst,
-        Endpoint::Server(ServerId::new(DcId(0), PartitionId(2)))
-    );
-    assert_eq!(*reply_to, Endpoint::Server(s.id()));
+    assert_eq!(*dst, Endpoint::Server(participant));
     assert_eq!(s.open_transactions(), 1, "held for the snapshot");
     let out = s.handle(
         &Envelope::new(
@@ -376,13 +373,24 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
         0,
     );
     assert_eq!(
-        out.iter().map(|e| &e.msg).collect::<Vec<_>>(),
-        [&Msg::CommitResp {
-            tx: *tx,
-            snapshot: Some(ust),
-            ct: Timestamp::from_physical_micros(10_001)
-        }],
-        "no phase two: the proposal is already committed"
+        out.iter().map(|e| (e.dst, &e.msg)).collect::<Vec<_>>(),
+        [
+            (
+                Endpoint::Server(participant),
+                &Msg::CommitTx {
+                    tx: *tx,
+                    ct: Timestamp::from_physical_micros(10_001)
+                }
+            ),
+            (
+                Endpoint::Client(client()),
+                &Msg::CommitResp {
+                    tx: *tx,
+                    snapshot: Some(ust),
+                    ct: Timestamp::from_physical_micros(10_001)
+                }
+            )
+        ]
     );
     assert_eq!(s.open_transactions(), 0);
 }
@@ -636,7 +644,7 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
             ht,
             writes: vec![write],
             src_dc: DcId(0),
-            reply_to: Endpoint::Client(client()),
+            client: client(),
         }
     );
     assert_eq!(coordinator.open_transactions(), 0);

@@ -317,9 +317,9 @@ pub enum Msg {
         /// Final commit timestamp (max over proposals).
         ct: Timestamp,
     },
-    /// Coordinator → the only participant of a write set: prepare and
-    /// commit in one step, `ct` = its proposal. It answers `reply_to`: the
-    /// client, or a start form's coordinator, which names the snapshot.
+    /// Coordinator → the only participant of a plain commit's write set:
+    /// prepare and commit in one step, `ct` = its proposal, answered to
+    /// the client.
     CommitOne {
         /// Transaction id.
         tx: TxId,
@@ -329,8 +329,8 @@ pub enum Msg {
         writes: Vec<WriteSetEntry>,
         /// DC of the committing client/coordinator (the versions' `sr`).
         src_dc: DcId,
-        /// Who gets the `CommitResp`.
-        reply_to: Endpoint,
+        /// The client that gets the `CommitResp`.
+        client: ClientId,
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version

@@ -708,12 +708,13 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             ht,
             writes,
             src_dc,
-            reply_to,
+            client,
         } => {
             s.tag(T_COMMIT_ONE);
             put_tx(s, *tx);
             s.timestamp(*ht);
-            put_endpoint(s, *reply_to);
+            put_dc(s, client.dc);
+            s.varint(u64::from(client.seq));
             put_dc(s, *src_dc);
             put_vec(s, writes, put_write);
         }
@@ -872,7 +873,7 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
         T_COMMIT_ONE => Msg::CommitOne {
             tx: get_tx(r)?,
             ht: get_ts(r)?,
-            reply_to: get_endpoint(r)?,
+            client: ClientId::new(get_dc(r)?, varint::get_u32(r)?),
             src_dc: get_dc(r)?,
             writes: get_vec(r, get_write)?,
         },
@@ -1409,18 +1410,14 @@ mod tests {
                 arb_ts(),
                 arb_writes(),
                 arb_dc(),
-                prop_oneof![
-                    arb_server().prop_map(Endpoint::Server),
-                    (arb_dc(), any::<u32>())
-                        .prop_map(|(dc, seq)| { Endpoint::Client(ClientId::new(dc, seq)) }),
-                ]
+                (arb_dc(), any::<u32>()).prop_map(|(dc, seq)| ClientId::new(dc, seq)),
             )
-                .prop_map(|(tx, ht, writes, src_dc, reply_to)| Msg::CommitOne {
+                .prop_map(|(tx, ht, writes, src_dc, client)| Msg::CommitOne {
                     tx,
                     ht,
                     writes,
                     src_dc,
-                    reply_to,
+                    client,
                 }),
             (arb_partition(), arb_txs(), arb_ts()).prop_map(|(partition, txs, watermark)| {
                 Msg::Replicate {
@@ -1733,27 +1730,16 @@ mod tests {
                 },
                 "1b0102b96080c8ceb40d03",
             ),
-            // The one-phase commit, answering the client, then answering
-            // the coordinator (a start form).
+            // The one-phase commit.
             (
                 Msg::CommitOne {
                     tx: t,
                     ht: now,
                     writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
                     src_dc: DcId(1),
-                    reply_to: Endpoint::Client(ClientId::new(DcId(1), 70_000)),
+                    client: ClientId::new(DcId(1), 70_000),
                 },
-                "1c0102b96080c8ceb40d030101f0a2040101050177",
-            ),
-            (
-                Msg::CommitOne {
-                    tx: t,
-                    ht: now,
-                    writes: vec![],
-                    src_dc: DcId(1),
-                    reply_to: Endpoint::Server(srv),
-                },
-                "1c0102b96080c8ceb40d030003ac020100",
+                "1c0102b96080c8ceb40d0301f0a2040101050177",
             ),
         ]
     }
