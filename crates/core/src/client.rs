@@ -2,9 +2,10 @@
 //!
 //! A [`ClientSession`] holds the paper's client-side state: the highest
 //! stable snapshot seen (`ust_c`), the commit time of the last update
-//! transaction (`hwt_c`), the private write cache (`WC_c`) holding the
-//! client's own writes not yet covered by the stable snapshot, and — for
-//! the open transaction — the read set (`RS_c`) and write set (`WS_c`).
+//! transaction (`hwt_c`), the versions it holds — the private write cache
+//! (`WC_c`) of own writes not yet covered by the stable snapshot among
+//! them — and, for the open transaction, the read set (`RS_c`) and write
+//! set (`WS_c`).
 //!
 //! The session is sans-I/O: API calls return either an immediately
 //! available result or an [`Envelope`] to send; [`ClientSession::handle`]
@@ -21,50 +22,45 @@
 //! `CommitReq` is sent in its start form ([`TxRef::Start`], `ust_c` where
 //! the transaction id would be), and its reply names the transaction id
 //! and snapshot, which the session adopts exactly as it adopts a
-//! `StartTxResp` — `ust_c` raised, `WC_c` pruned (line 6).
+//! `StartTxResp` — `ust_c` raised (lines 4–6).
 //!
-//! Line 6 is the subtle part: until the snapshot is known, the session
-//! cannot tell which of its own writes the snapshot already holds. So a
-//! deferred first read sends every key of `WC_c` to the coordinator,
-//! stamped with the own write's identity (always — correctness, not a byte
-//! bet). The coordinator answers a stamp above the snapshot it just
-//! assigned `Unchanged` without asking any cohort; the cohorts handle the
-//! rest as any stamp. On the reply the own write wins iff its commit time
-//! is above the snapshot (`source: Cache`, as if served locally);
-//! otherwise `Unchanged` means it *is* the visible version and anything
-//! shipped is newer (`source: Server`, as after a prune). Only then is
-//! `WC_c` pruned. Later reads of the transaction serve `WC_c` locally as
-//! usual.
+//! # The version store
 //!
-//! # The two client caches
+//! The session holds at most one version per key, in one map. An entry's
+//! role follows from its update time against `ust_c`; no entry ever moves:
 //!
-//! `WC_c` is part of the protocol: it *answers* reads, because the stable
-//! snapshot may not contain the client's own latest writes yet (Alg. 1
-//! lines 11 and 29–31), and an entry leaves it the moment the UST covers
-//! it (line 6).
+//! * **Above `ust_c`, an own write** — `WC_c`. The stable snapshot may not
+//!   contain it yet, so once the snapshot is known a read serves it
+//!   locally (Alg. 1 lines 11 and 29–31). It is never evicted, nor
+//!   replaced by a shipped version. Line 6's prune is `ust_c` rising past
+//!   it.
+//! * **At or below `ust_c`, a validation candidate.** It never answers a
+//!   read. It is the last version observed for the key — shipped, or an
+//!   own write the UST has since covered — and a read of the key is
+//!   stamped with its identity `(ut, tx)` while stamping is expected to
+//!   pay. The cohort picks the version visible in the snapshot as for an
+//!   unstamped key, and answers [`ReadOutcome::Unchanged`] instead of key,
+//!   value and metadata only when that version's identity equals the
+//!   stamp; the session resolves the outcome from its copy into the same
+//!   [`ClientRead`] (`source: Server`) a shipped version produces. The
+//!   server decides *which* version the snapshot sees, so a candidate
+//!   cannot return stale data, needs no invalidation, and survives
+//!   [`ClientSession::reset`].
 //!
-//! The **value cache** is not: it never answers a read. It remembers the
-//! last version the session observed per key — shipped by a server, or
-//! the session's own write at the moment it is pruned from `WC_c` — and
-//! stamps every key of a `ReadReq` with the identity `(ut, tx)` of the
-//! version it holds. The cohort picks the version visible in the snapshot
-//! exactly as it would for an unstamped key; only when that version's
-//! identity equals the stamp does it answer
-//! [`ReadOutcome::Unchanged`] instead of key, value and metadata, and the
-//! session resolves the outcome from its copy into the same
-//! [`ClientRead`] (`source: Server`) a shipped version produces. The
-//! server decides *which* version the snapshot sees; the client only
-//! supplies bytes it holds for exactly that `(key, ut, tx)` — so the
-//! cache cannot return stale data whatever it contains, needs no
-//! invalidation, and survives [`ClientSession::reset`] untouched.
+//! Until a deferred begin's snapshot is known, the session cannot tell
+//! which own writes it covers. So a start-form read stamps every own write
+//! it reads (always — correctness, not a byte bet); the coordinator answers
+//! a stamp above the snapshot it just assigned `Unchanged` itself. On the
+//! reply the own write wins iff its commit time is above the snapshot
+//! (`source: Cache`, as if served locally); otherwise `Unchanged` means it
+//! *is* the visible version and anything shipped is newer.
 //!
-//! The cache is bounded by a fixed per-session byte budget (values plus a
-//! per-entry overhead), evicting the least recently observed key first.
-//! A reply can never name an evicted entry: the session is sequential,
-//! nothing enters the cache between a `ReadReq` and its `ReadResp`, and
-//! the reply's `Unchanged` outcomes are resolved before anything is
-//! admitted — the own writes a deferred start prunes from `WC_c`, then the
-//! shipped versions.
+//! A fixed per-session byte budget (values plus a per-entry overhead)
+//! bounds the candidates, least recently observed evicted first. Eviction
+//! runs after every admission — a shipped version, or a commit's own
+//! writes — and whenever `ust_c` rises. A reply never names an evicted
+//! entry: the session is sequential, and every outcome of a reply is
+//! resolved before `ust_c` rises or anything is admitted.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -178,23 +174,18 @@ impl OpenTx {
     }
 }
 
-/// A cached own-write: value plus the commit timestamp it received.
-#[derive(Debug, Clone)]
-struct CachedWrite {
-    version: Version,
-}
+/// Bytes one session's validation candidates may account for. Validation
+/// pays on the reads that reach a server, which are the *colder* keys (the
+/// hot ones a writing session holds as own writes), so the budget has to
+/// cover a working set, not a hot set: this holds some 3 600 one-kilobyte
+/// values. A session only ever fills it with keys it actually read or
+/// wrote, which is what bounds the simulator's thousands of small-value
+/// sessions.
+const HELD_BUDGET: usize = 4096 * 1024;
 
-/// Bytes one session's value cache may account for. Validation pays on
-/// the reads that reach a server, which are the *colder* keys (the hot
-/// ones a writing session finds in `WC_c`), so the budget has to cover a
-/// working set, not a hot set: this holds some 3 600 one-kilobyte values.
-/// A session only ever fills it with keys it actually read, which is what
-/// bounds the simulator's thousands of small-value sessions.
-const VALUE_CACHE_BUDGET: usize = 4096 * 1024;
-
-/// Bytes charged per cached entry on top of its value: the version's
+/// Bytes charged per held entry on top of its value: the version's
 /// metadata, the two index slots and the value's allocation.
-const VALUE_CACHE_ENTRY_OVERHEAD: usize = 128;
+const HELD_ENTRY_OVERHEAD: usize = 128;
 
 /// Wire bytes of one stamp per hop (index gap, time delta, logical part,
 /// transaction id), and of what an `Unchanged` answer leaves out per hop
@@ -208,7 +199,7 @@ const ANSWER_METADATA_WIRE_BYTES: u64 = 16;
 /// lets the measured stability overrule its optimism.
 const STABILITY_MIN_SAMPLE: u32 = 8;
 
-/// How often a server's answer for a key the cache already held turned out
+/// How often a server's answer for a key held as a candidate turned out
 /// to be the held version — measured on every such answer, stamped or not
 /// (a shipped version is compared with the held one), so the session keeps
 /// learning while it is not stamping. Counts decay by halving, so the
@@ -242,12 +233,17 @@ impl Stability {
     }
 }
 
-/// The last version observed per key, within a byte budget (see the
-/// module docs). Eviction is least-recently-observed first.
-#[derive(Debug)]
-struct ValueCache {
+/// The version store (module docs): whether an entry is an own write or a
+/// candidate depends on the `ust_c` a method is given.
+#[derive(Debug, Default)]
+struct Held {
+    /// Bytes the candidates may account for.
     budget: usize,
+    /// Bytes every entry accounts for.
     used: usize,
+    /// Bytes of own writes per commit time, for commit times above
+    /// `ust_c`; the rest of `used` is candidates.
+    own_bytes: BTreeMap<Timestamp, usize>,
     /// Observation counter; an entry's tick is its place in the eviction
     /// order.
     tick: u64,
@@ -259,28 +255,18 @@ struct ValueCache {
     stability: Stability,
 }
 
-impl ValueCache {
-    fn new(budget: usize) -> Self {
-        ValueCache {
-            budget,
-            used: 0,
-            tick: 0,
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
-            stability: Stability::default(),
-        }
-    }
-
+impl Held {
     fn cost(version: &Version) -> usize {
-        version.value.len() + VALUE_CACHE_ENTRY_OVERHEAD
+        version.value.len() + HELD_ENTRY_OVERHEAD
     }
 
     fn get(&self, key: Key) -> Option<&Version> {
         self.entries.get(&key).map(|(_, version)| version)
     }
 
-    /// The stamp to send with a read of `key`: the held version's
-    /// identity, if one is held and stamping it is expected to pay.
+    /// The stamp to send with a read of a key that has no own write: the
+    /// candidate's identity, if one is held and stamping it is expected to
+    /// pay.
     fn stamp(&self, key: Key) -> Option<VersionStamp> {
         self.get(key)
             .filter(|held| self.stability.favours_stamping(held.value.len()))
@@ -297,34 +283,78 @@ impl ValueCache {
         }
     }
 
-    /// Records `version` as the one now held for its key, then evicts the
-    /// least recently observed entries until the budget holds again. A
-    /// version that alone exceeds the budget is not kept; neither is a key
-    /// new to the cache while held versions of this size go stale before
-    /// they are re-read — a copy would only be dead weight. Keys already
-    /// held stay current either way, which keeps the stability measure
-    /// alive.
-    fn admit(&mut self, version: Version) {
-        match self.entries.remove(&version.key) {
-            Some((at, old)) => {
-                self.order.remove(&at);
-                self.used -= Self::cost(&old);
-            }
-            None if !self.stability.favours_stamping(version.value.len()) => return,
-            None => {}
-        }
-        let cost = Self::cost(&version);
-        if cost > self.budget {
-            return;
-        }
+    /// Holds `version` for its key, as the most recent observation.
+    fn insert(&mut self, version: Version) {
+        self.remove(version.key);
         self.tick += 1;
-        self.used += cost;
+        self.used += Self::cost(&version);
         self.order.insert(self.tick, version.key);
         self.entries.insert(version.key, (self.tick, version));
-        while self.used > self.budget {
-            let (_, oldest) = self.order.pop_first().expect("bytes in use, so an entry");
-            let (_, evicted) = self.entries.remove(&oldest).expect("indexed entry exists");
-            self.used -= Self::cost(&evicted);
+    }
+
+    fn remove(&mut self, key: Key) {
+        if let Some((at, old)) = self.entries.remove(&key) {
+            self.order.remove(&at);
+            self.used -= Self::cost(&old);
+            if let Some(bytes) = self.own_bytes.get_mut(&old.ut) {
+                *bytes -= Self::cost(&old);
+            }
+        }
+    }
+
+    /// Alg. 1 lines 29–31: one commit's writes, tagged with its commit
+    /// time, become own writes — in key order, so which entry is evicted
+    /// first never depends on the write set's hash order.
+    fn commit(&mut self, mut writes: Vec<Version>, ust: Timestamp) {
+        writes.sort_unstable_by_key(|v| v.key);
+        for version in writes {
+            if version.ut > ust {
+                *self.own_bytes.entry(version.ut).or_default() += Self::cost(&version);
+            }
+            self.insert(version);
+        }
+        self.evict(ust);
+    }
+
+    /// Holds a `version` a server shipped as the key's candidate, then
+    /// evicts. It never replaces an own write. A version that alone
+    /// exceeds the budget is not kept; neither is a key new to the store
+    /// while held versions of this size go stale before they are re-read
+    /// — a copy would only be dead weight. Keys already held stay current
+    /// either way, which keeps the stability measure alive.
+    fn admit(&mut self, version: Version, ust: Timestamp) {
+        match self.get(version.key) {
+            Some(held) if held.ut > ust => return,
+            None if !self.stability.favours_stamping(version.value.len()) => return,
+            _ => {}
+        }
+        if Self::cost(&version) > self.budget {
+            self.remove(version.key);
+            return;
+        }
+        self.insert(version);
+        self.evict(ust);
+    }
+
+    /// Evicts the least recently observed candidates until they fit the
+    /// budget; own writes above `ust` are neither counted nor evicted.
+    fn evict(&mut self, ust: Timestamp) {
+        self.own_bytes.retain(|ct, _| *ct > ust);
+        let own: usize = self.own_bytes.values().sum();
+        let mut excess = self.used.saturating_sub(own + self.budget);
+        let mut doomed = Vec::new();
+        for key in self.order.values() {
+            if excess == 0 {
+                break;
+            }
+            let held = &self.entries[key].1;
+            if held.ut <= ust {
+                excess = excess.saturating_sub(Self::cost(held));
+                doomed.push(*key);
+            }
+        }
+        for key in doomed {
+            self.remove(key);
         }
     }
 }
@@ -354,11 +384,8 @@ pub struct ClientSession {
     ust: Timestamp,
     /// `hwt_c`: commit time of the last update transaction.
     hwt: Timestamp,
-    /// `WC_c`: own committed writes not yet in the stable snapshot.
-    cache: HashMap<Key, CachedWrite>,
-    /// The value cache: what reads are stamped from and `Unchanged`
-    /// outcomes are resolved from (see the module docs).
-    values: ValueCache,
+    /// The version store: `WC_c` above `ust_c`, candidates at or below.
+    held: Held,
     open: Option<OpenTx>,
     /// Waiting for a `StartTxResp`.
     starting: bool,
@@ -378,13 +405,14 @@ pub struct ClientSession {
 impl ClientSession {
     /// Creates a session pinned to `coordinator` in the client's local DC.
     pub fn new(id: ClientId, coordinator: ServerId, mode: Mode) -> Self {
-        ClientSession::with_value_cache_budget(id, coordinator, mode, VALUE_CACHE_BUDGET)
+        ClientSession::with_value_cache_budget(id, coordinator, mode, HELD_BUDGET)
     }
 
-    /// A session whose value cache holds at most `budget` bytes instead of
-    /// the fixed default; `0` disables version-validated reads altogether
-    /// (every read is shipped in full). For tests that compare the two
-    /// behaviours or exercise eviction — deployments have no such knob.
+    /// A session whose validation candidates take at most `budget` bytes
+    /// instead of the fixed default; `0` disables version-validated reads
+    /// altogether (every read outside a start form is shipped in full). For
+    /// tests that compare the two behaviours or exercise eviction —
+    /// deployments have no such knob.
     #[doc(hidden)]
     pub fn with_value_cache_budget(
         id: ClientId,
@@ -399,8 +427,10 @@ impl ClientSession {
             mode,
             ust: Timestamp::ZERO,
             hwt: Timestamp::ZERO,
-            cache: HashMap::new(),
-            values: ValueCache::new(budget),
+            held: Held {
+                budget,
+                ..Held::default()
+            },
             open: None,
             starting: false,
             discard_starts: 0,
@@ -429,20 +459,11 @@ impl ClientSession {
         self.hwt
     }
 
-    /// Number of entries currently in the private write cache.
+    /// Number of own writes `ust_c` does not cover yet — the private write
+    /// cache `WC_c`.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of entries currently in the value cache.
-    pub fn value_cache_len(&self) -> usize {
-        self.values.entries.len()
-    }
-
-    /// Bytes the value cache currently accounts for (values plus the
-    /// per-entry overhead) — never above its budget.
-    pub fn value_cache_bytes(&self) -> usize {
-        self.values.used
+        let held = self.held.entries.values();
+        held.filter(|(_, v)| v.ut > self.ust).count()
     }
 
     /// The open transaction's id, if a transaction is open and the
@@ -474,14 +495,14 @@ impl ClientSession {
     /// succeeds. The recovery path for a transport-timed-out operation
     /// that would otherwise wedge the session.
     ///
-    /// Durable session state survives: `ust_c`, `hwt_c`, the write cache
-    /// and the value cache are untouched, so causal ordering of
-    /// *completed* transactions is preserved (a value-cache entry is a
-    /// fact about one `(key, ut, tx)` and cannot go stale). The abandoned
-    /// transaction's buffered writes are discarded; if its commit actually
-    /// landed server-side and only the reply was lost, those writes are
-    /// *not* entered into the write cache — read-your-own-writes is
-    /// forfeited for exactly that transaction until the UST covers it.
+    /// Durable session state survives: `ust_c`, `hwt_c` and the version
+    /// store are untouched, so causal ordering of *completed* transactions
+    /// is preserved (a held version is a fact about one `(key, ut, tx)` and
+    /// cannot go stale). The abandoned transaction's buffered writes are
+    /// discarded; if its commit actually landed server-side and only the
+    /// reply was lost, those writes are *not* held as own writes —
+    /// read-your-own-writes is forfeited for exactly that transaction until
+    /// the UST covers it.
     /// Late replies for the abandoned transaction are ignored by
     /// [`ClientSession::handle`]: reads and commits by their
     /// transaction-id checks, and a start abandoned mid-flight — a
@@ -550,10 +571,10 @@ impl ClientSession {
     // ------------------------------------------------------------- READ
 
     /// `READ` (Alg. 1 lines 8–20): serves keys from the write set, read
-    /// set and cache (in that order); missing keys go to the coordinator,
-    /// each stamped with the version the value cache holds for it. The
-    /// first read of a deferred begin carries the start and sends the
-    /// keys of `WC_c` too (module docs).
+    /// set and own writes (in that order); missing keys go to the
+    /// coordinator, each stamped with the candidate held for it. The first
+    /// read of a deferred begin carries the start and sends its own-write
+    /// keys too (module docs).
     ///
     /// # Errors
     ///
@@ -582,26 +603,26 @@ impl ClientSession {
                     version: prev.version.clone(),
                     source: ReadSource::ReadSet,
                 });
-            } else if let Some(cached) = self.cache.get(&key).filter(|_| self.mode == Mode::Paris) {
+            } else if let Some(own) = self.held.get(key).filter(|v| v.ut > self.ust) {
                 if open.assigned.is_some() {
                     local.push(ClientRead {
                         key,
-                        value: Some(cached.version.value.clone()),
-                        version: Some(cached.version.clone()),
+                        value: Some(own.value.clone()),
+                        version: Some(own.clone()),
                         source: ReadSource::Cache,
                     });
                 } else {
-                    // Line 6 has not run: the coordinator says whether
-                    // the snapshot holds this own write.
+                    // No snapshot yet: the coordinator says whether it
+                    // holds this own write.
                     remote.push(ReadKey {
                         key,
-                        held: Some(cached.version.stamp()),
+                        held: Some(own.stamp()),
                     });
                 }
             } else {
                 remote.push(ReadKey {
                     key,
-                    held: self.values.stamp(key),
+                    held: self.held.stamp(key),
                 });
             }
         }
@@ -722,22 +743,20 @@ impl ClientSession {
                 if *ct != Timestamp::ZERO {
                     match self.mode {
                         Mode::Paris => {
-                            // Alg. 1 lines 29–31: hwt_c ← ct; tag WS_c with
-                            // ct and move it into the cache.
+                            // Alg. 1 lines 29–31: hwt_c ← ct; WS_c, tagged
+                            // with ct, is held as own writes.
                             self.hwt = *ct;
-                            for (key, value) in open.write_set {
-                                self.cache.insert(
-                                    key,
-                                    CachedWrite {
-                                        version: Version::new(key, value, *ct, *tx, self.id.dc),
-                                    },
-                                );
-                            }
+                            let dc = self.id.dc;
+                            let writes = open.write_set.into_iter();
+                            let writes = writes
+                                .map(|(key, value)| Version::new(key, value, *ct, *tx, dc))
+                                .collect();
+                            self.held.commit(writes, self.ust);
                         }
                         Mode::Bpr => {
-                            // BPR has no cache: the client instead raises
-                            // its snapshot floor so the next transaction
-                            // observes (and blocks for) its own writes.
+                            // BPR holds no own writes: the client instead
+                            // raises its snapshot floor so the next
+                            // transaction observes (and blocks for) them.
                             self.hwt = *ct;
                             self.ust = self.ust.max(*ct);
                         }
@@ -802,23 +821,9 @@ impl ClientSession {
         // Alg. 1 line 4: ust_c ← ust. The coordinator guarantees
         // monotonicity (it maxes with the piggybacked ust_c).
         self.ust = self.ust.max(snapshot);
-        // Alg. 1 line 6: prune cache entries covered by ust_c. From here on
-        // the servers answer for these keys; the bytes move to the value
-        // cache so the next read of an own write only has to be validated,
-        // not shipped back. Oldest first, in a seed-stable order.
-        let horizon = self.ust;
-        let mut covered: Vec<(Timestamp, Key)> = self
-            .cache
-            .iter()
-            .filter(|(_, w)| w.version.ut <= horizon)
-            .map(|(key, w)| (w.version.ut, *key))
-            .collect();
-        covered.sort_unstable();
-        for (_, key) in covered {
-            if let Some(w) = self.cache.remove(&key) {
-                self.values.admit(w.version);
-            }
-        }
+        // Alg. 1 line 6: the own writes ust_c now covers are candidates
+        // from here on — validated when read, counted against the budget.
+        self.held.evict(self.ust);
         if let Some(open) = self.open.as_mut() {
             open.assigned = Some((tx, snapshot));
         }
@@ -836,47 +841,38 @@ impl ClientSession {
         let snapshot = start.or(open.assigned.map(|(_, s)| s))?;
         open.in_flight = false;
         let mut reads = std::mem::take(&mut open.pending_local);
-        // Every `Unchanged` is resolved before anything enters the value
-        // cache (the start's prune, then the shipped versions): admission
-        // evicts, and must not evict what an outcome of this same reply
-        // names.
+        // Every outcome is resolved before `ust_c` rises or a shipped
+        // version is admitted: either evicts, and must not evict what an
+        // outcome of this same reply names.
         for ReadResult { key, outcome } in results {
-            // In a start form, a key of `WC_c` was stamped with the own
-            // write (module docs). These answers do not feed `Stability`:
-            // that stamp was not a bet.
-            let own = self
-                .cache
-                .get(key)
-                .filter(|_| start.is_some())
-                .map(|w| &w.version);
-            let (version, source) = match (own, outcome) {
-                (Some(own), _) if own.ut > snapshot => (Some(own.clone()), ReadSource::Cache),
-                (Some(own), ReadOutcome::Unchanged) => (Some(own.clone()), ReadSource::Server),
-                (Some(_), other) => (other.version().cloned(), ReadSource::Server),
-                (None, ReadOutcome::Absent) => (None, ReadSource::Server),
-                (None, ReadOutcome::Found(v)) => {
-                    if let Some(held) = self.values.get(*key) {
-                        let same = held.stamp() == v.stamp();
-                        self.values.stability.record(same);
+            let held = self.held.get(*key);
+            // Only a start form sends an own write, stamped as no bet
+            // (module docs): its answer does not feed `Stability`.
+            let own = held.is_some_and(|h| h.ut > self.ust);
+            let (version, source) = match (held, outcome) {
+                (Some(h), _) if own && h.ut > snapshot => (Some(h.clone()), ReadSource::Cache),
+                (Some(h), ReadOutcome::Unchanged) => {
+                    let h = h.clone();
+                    if !own {
+                        self.held.stability.record(true);
                     }
-                    (Some(v.clone()), ReadSource::Server)
+                    self.held.touch(*key);
+                    (Some(h), ReadSource::Server)
                 }
-                (None, ReadOutcome::Unchanged) => match self.values.get(*key) {
-                    Some(held) => {
-                        let held = held.clone();
-                        self.values.stability.record(true);
-                        self.values.touch(*key);
-                        (Some(held), ReadSource::Server)
+                (None, ReadOutcome::Unchanged) => {
+                    // Only a stamped key can come back unchanged, and the
+                    // store has not changed since. A coordinator that says
+                    // otherwise is broken; never invent a value.
+                    self.open = None;
+                    return Some(ClientEvent::Aborted { tx });
+                }
+                (held, other) => {
+                    let shipped = other.version();
+                    if let (Some(h), Some(v), false) = (held, shipped, own) {
+                        self.held.stability.record(h.stamp() == v.stamp());
                     }
-                    None => {
-                        // Only a key stamped from the cache can come back
-                        // unchanged, and the cache has not changed since. A
-                        // coordinator that says otherwise is broken; never
-                        // invent a value.
-                        self.open = None;
-                        return Some(ClientEvent::Aborted { tx });
-                    }
-                },
+                    (shipped.cloned(), ReadSource::Server)
+                }
             };
             reads.push(ClientRead {
                 key: *key,
@@ -889,7 +885,7 @@ impl ClientSession {
             self.adopt(tx, snapshot);
         }
         for v in results.iter().filter_map(|r| r.outcome.version()) {
-            self.values.admit(v.clone());
+            self.held.admit(v.clone(), self.ust);
         }
         // Alg. 1 line 18: RS_c ← RS_c ∪ D.
         let open = self.open.as_mut()?;
@@ -927,6 +923,18 @@ mod tests {
         ));
         assert!(matches!(ev, Some(ClientEvent::Started { .. })));
         t
+    }
+
+    /// The coordinator's reply to `t`'s commit: commit time `ct`, or 0 for
+    /// a read-only close.
+    fn committed(s: &mut ClientSession, t: TxId, ct: u64) -> Option<ClientEvent> {
+        let ct = Timestamp::from_physical_micros(ct);
+        let reply = Msg::CommitResp {
+            tx: t,
+            snapshot: None,
+            ct,
+        };
+        s.handle(&Envelope::new(s.coordinator(), s.id(), reply))
     }
 
     #[test]
@@ -1035,15 +1043,7 @@ mod tests {
         let env = s.commit().unwrap();
         assert!(matches!(env.msg, Msg::CommitReq { .. }));
         let ct = Timestamp::from_physical_micros(500);
-        let ev = s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct,
-            },
-        ));
+        let ev = committed(&mut s, t, 500);
         assert_eq!(
             ev,
             Some(ClientEvent::Committed {
@@ -1063,15 +1063,7 @@ mod tests {
         let t1 = started(&mut s, 1, 100);
         s.write(&[(Key(7), Value::from("w"))]).unwrap();
         s.commit().unwrap();
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t1,
-                snapshot: None,
-                ct: Timestamp::from_physical_micros(500),
-            },
-        ));
+        committed(&mut s, t1, 500);
         // Next tx gets a snapshot *older* than the commit: cache must hit.
         started(&mut s, 2, 200);
         match s.read(&[Key(7)]).unwrap() {
@@ -1089,15 +1081,7 @@ mod tests {
         let t1 = started(&mut s, 1, 100);
         s.write(&[(Key(7), Value::from("w"))]).unwrap();
         s.commit().unwrap();
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t1,
-                snapshot: None,
-                ct: Timestamp::from_physical_micros(500),
-            },
-        ));
+        committed(&mut s, t1, 500);
         assert_eq!(s.cache_len(), 1);
         // Snapshot ≥ ct: entry pruned (Alg. 1 line 6), server now serves it.
         started(&mut s, 2, 600);
@@ -1110,15 +1094,7 @@ mod tests {
         let mut s = session(Mode::Paris);
         let t = started(&mut s, 1, 100);
         s.commit().unwrap();
-        let ev = s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct: Timestamp::ZERO,
-            },
-        ));
+        let ev = committed(&mut s, t, 0);
         assert_eq!(
             ev,
             Some(ClientEvent::Committed {
@@ -1138,15 +1114,7 @@ mod tests {
         s.write(&[(Key(7), Value::from("w"))]).unwrap();
         s.commit().unwrap();
         let ct = Timestamp::from_physical_micros(900);
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct,
-            },
-        ));
+        committed(&mut s, t, 900);
         assert_eq!(s.cache_len(), 0, "BPR keeps no write cache");
         assert!(s.ust() >= ct, "snapshot floor must cover own writes");
         // Next begin piggybacks the raised floor.
@@ -1163,15 +1131,7 @@ mod tests {
         started(&mut s, 1, 1_000);
         // Finish tx 1 (read-only).
         s.commit().unwrap();
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: tx(1),
-                snapshot: None,
-                ct: Timestamp::ZERO,
-            },
-        ));
+        committed(&mut s, tx(1), 0);
         // A (buggy) coordinator replies with an older snapshot: ust_c must
         // not regress.
         started(&mut s, 2, 50);
@@ -1183,29 +1143,9 @@ mod tests {
         let mut s = session(Mode::Paris);
         let t = started(&mut s, 1, 100);
         // A ReadResp with no read in flight.
-        assert!(s
-            .handle(&Envelope::new(
-                s.coordinator(),
-                s.id(),
-                Msg::ReadResp {
-                    tx: t,
-                    snapshot: None,
-                    results: vec![]
-                },
-            ))
-            .is_none());
+        assert!(reply(&mut s, t, vec![]).is_none());
         // A CommitResp for a different transaction.
-        assert!(s
-            .handle(&Envelope::new(
-                s.coordinator(),
-                s.id(),
-                Msg::CommitResp {
-                    tx: tx(42),
-                    snapshot: None,
-                    ct: Timestamp::ZERO
-                },
-            ))
-            .is_none());
+        assert!(committed(&mut s, tx(42), 0).is_none());
         assert_eq!(s.open_tx(), Some(t));
     }
 
@@ -1269,15 +1209,7 @@ mod tests {
         let fresh = started(&mut s, 2, 200);
         // The old commit's reply straggles in: it must not complete the
         // new transaction or pollute the cache.
-        let ev = s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: old,
-                snapshot: None,
-                ct: Timestamp::from_physical_micros(500),
-            },
-        ));
+        let ev = committed(&mut s, old, 500);
         assert!(ev.is_none(), "late reply for an abandoned tx leaked");
         assert_eq!(s.open_tx(), Some(fresh));
         assert_eq!(s.cache_len(), 0, "abandoned writes must not be cached");
@@ -1289,22 +1221,19 @@ mod tests {
         let t1 = started(&mut s, 1, 100);
         s.write(&[(Key(3), Value::from("v"))]).unwrap();
         s.commit().unwrap();
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t1,
-                snapshot: None,
-                ct: Timestamp::from_physical_micros(500),
-            },
-        ));
+        committed(&mut s, t1, 500);
         let (ust, hwt, cached) = (s.ust(), s.hwt(), s.cache_len());
         s.begin().unwrap();
         s.reset();
         assert_eq!((s.ust(), s.hwt(), s.cache_len()), (ust, hwt, cached));
     }
 
-    // ------------------------------------------------- the value cache
+    // ------------------------------------------------- the version store
+
+    /// Entries and bytes the version store holds, own writes included.
+    fn held(s: &ClientSession) -> (usize, usize) {
+        (s.held.entries.len(), s.held.used)
+    }
 
     fn version(key: u64, len: usize, ut: u64, seq: u64) -> Version {
         Version::new(
@@ -1364,15 +1293,7 @@ mod tests {
     /// Closes the open transaction read-only.
     fn finish(s: &mut ClientSession, t: TxId) {
         s.commit().unwrap();
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct: Timestamp::ZERO,
-            },
-        ));
+        committed(s, t, 0);
     }
 
     /// One transaction that reads `v.key` from the server and is shipped `v`.
@@ -1389,7 +1310,7 @@ mod tests {
         let mut s = session(Mode::Paris);
         let v = version(1, 8, 50, 99);
         let shipped = observe(&mut s, 1, 100, v.clone());
-        assert_eq!(s.value_cache_len(), 1);
+        assert_eq!(held(&s).0, 1);
 
         let t = started(&mut s, 2, 200);
         let keys = read_remote(&mut s, &[1, 2]);
@@ -1418,26 +1339,19 @@ mod tests {
     }
 
     #[test]
-    fn an_own_write_moves_to_the_value_cache_when_the_ust_covers_it() {
+    fn an_own_write_becomes_a_candidate_when_the_ust_covers_it() {
         let mut s = session(Mode::Paris);
         let t1 = started(&mut s, 1, 100);
         s.write(&[(Key(7), Value::from("mine"))]).unwrap();
         s.commit().unwrap();
         let ct = Timestamp::from_physical_micros(500);
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t1,
-                snapshot: None,
-                ct,
-            },
-        ));
-        assert_eq!((s.cache_len(), s.value_cache_len()), (1, 0));
-        // Snapshot ≥ ct: pruned from WC_c (Alg. 1 line 6) — into the value
-        // cache, so the re-read is validated instead of shipped back.
+        committed(&mut s, t1, 500);
+        assert_eq!((s.cache_len(), held(&s).0), (1, 1));
+        // Snapshot ≥ ct: no longer in WC_c (Alg. 1 line 6), but still held
+        // — a candidate, so the re-read is validated instead of shipped
+        // back.
         let t2 = started(&mut s, 2, 600);
-        assert_eq!((s.cache_len(), s.value_cache_len()), (0, 1));
+        assert_eq!((s.cache_len(), held(&s).0), (0, 1));
         let keys = read_remote(&mut s, &[7]);
         assert_eq!(keys[0].held, Some(VersionStamp { ut: ct, tx: t1 }));
         let reads = reads_of(reply(&mut s, t2, vec![unchanged(7)]));
@@ -1450,42 +1364,42 @@ mod tests {
 
     #[test]
     fn eviction_honours_the_byte_budget_oldest_observation_first() {
-        let entry = 100 + VALUE_CACHE_ENTRY_OVERHEAD;
+        let entry = 100 + HELD_ENTRY_OVERHEAD;
         let id = ClientId::new(DcId(0), 1);
         let coordinator = ServerId::new(DcId(0), PartitionId(3));
         let mut s =
             ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, 3 * entry + 50);
         for k in 1..=6 {
             observe(&mut s, k, 100 * k, version(k, 100, 10 * k, 90 + k));
-            assert!(s.value_cache_bytes() <= 3 * entry + 50, "after key {k}");
+            assert!(held(&s).1 <= 3 * entry + 50, "after key {k}");
         }
-        assert_eq!((s.value_cache_len(), s.value_cache_bytes()), (3, 3 * entry));
+        assert_eq!(held(&s), (3, 3 * entry));
         // Keys 4–6 survive. Validating key 4 makes it the freshest
         // observation, so the next admission evicts key 5 instead.
         let t = started(&mut s, 7, 700);
         let keys = read_remote(&mut s, &[1, 2, 3, 4, 5, 6]);
-        let held: Vec<bool> = keys.iter().map(|k| k.held.is_some()).collect();
-        assert_eq!(held, [false, false, false, true, true, true]);
+        let stamped: Vec<bool> = keys.iter().map(|k| k.held.is_some()).collect();
+        assert_eq!(stamped, [false, false, false, true, true, true]);
         let results = vec![unchanged(4), found(version(1, 100, 10, 91))];
         reads_of(reply(&mut s, t, results));
         finish(&mut s, t);
         started(&mut s, 8, 800);
         let keys = read_remote(&mut s, &[1, 4, 5, 6]);
-        let held: Vec<bool> = keys.iter().map(|k| k.held.is_some()).collect();
-        assert_eq!(held, [true, true, false, true]);
+        let stamped: Vec<bool> = keys.iter().map(|k| k.held.is_some()).collect();
+        assert_eq!(stamped, [true, true, false, true]);
         // A value that alone exceeds the budget is never kept (and takes
         // its key's older entry with it: the held version is not current).
         s.reset();
         observe(&mut s, 9, 900, version(6, 4 * entry, 60, 99));
-        assert_eq!(s.value_cache_len(), 2);
-        assert!(s.value_cache_bytes() <= 3 * entry + 50);
+        assert_eq!(held(&s).0, 2);
+        assert!(held(&s).1 <= 3 * entry + 50);
     }
 
     #[test]
     fn unchanged_outcomes_resolve_before_the_same_reply_can_evict_them() {
         // Room for one entry. Key 1 is held; the reply ships key 2 (whose
         // admission evicts key 1) *before* it says key 1 is unchanged.
-        let entry = 100 + VALUE_CACHE_ENTRY_OVERHEAD;
+        let entry = 100 + HELD_ENTRY_OVERHEAD;
         let id = ClientId::new(DcId(0), 1);
         let coordinator = ServerId::new(DcId(0), PartitionId(3));
         let mut s = ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, entry);
@@ -1497,13 +1411,13 @@ mod tests {
         let reads = reads_of(reply(&mut s, t, vec![found(v2.clone()), unchanged(1)]));
         assert_eq!(reads[0].version, Some(v2));
         assert_eq!(reads[1].version, Some(v1), "resolved from the held copy");
-        assert_eq!(s.value_cache_len(), 1, "and only then evicted");
+        assert_eq!(held(&s).0, 1, "and only then evicted");
     }
 
     #[test]
     fn unchanged_without_a_held_version_aborts_rather_than_inventing_a_value() {
         // Only a stamped key can come back unchanged, and nothing leaves
-        // the cache between request and reply; a coordinator that claims
+        // the store between request and reply; a coordinator that claims
         // otherwise must not make the session fabricate a read.
         let mut s = session(Mode::Paris);
         let t = started(&mut s, 1, 100);
@@ -1526,7 +1440,7 @@ mod tests {
         let old = started(&mut s, 2, 200);
         assert_eq!(read_remote(&mut s, &[1])[0].held, Some(v.stamp()));
         s.reset();
-        assert_eq!(s.value_cache_len(), 1, "reset leaves the cache alone");
+        assert_eq!(held(&s).0, 1, "reset leaves the store alone");
         let fresh = started(&mut s, 3, 300);
         // The abandoned read's reply straggles in and is ignored.
         assert!(reply(&mut s, old, vec![unchanged(1)]).is_none());
@@ -1543,7 +1457,7 @@ mod tests {
         let coordinator = ServerId::new(DcId(0), PartitionId(3));
         let mut s = ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, 0);
         observe(&mut s, 1, 100, version(1, 8, 50, 99));
-        assert_eq!((s.value_cache_len(), s.value_cache_bytes()), (0, 0));
+        assert_eq!(held(&s), (0, 0));
         started(&mut s, 2, 200);
         assert_eq!(read_remote(&mut s, &[1])[0].held, None);
     }
@@ -1596,15 +1510,7 @@ mod tests {
         let mut s = session(Mode::Paris);
         let t = started(&mut s, 1, 100);
         s.commit().unwrap();
-        s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct: Timestamp::ZERO,
-            },
-        ));
+        committed(&mut s, t, 0);
         assert_eq!(s.counts(), (1, 1));
     }
 
@@ -1621,15 +1527,7 @@ mod tests {
         let writes: Vec<(Key, Value)> = writes.iter().map(|(k, v)| (Key(*k), v.clone())).collect();
         s.write(&writes).unwrap();
         s.commit().unwrap();
-        let ev = s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct: ts(ct),
-            },
-        ));
+        let ev = committed(s, t, ct);
         assert!(matches!(ev, Some(ClientEvent::Committed { .. })));
     }
 
@@ -1690,7 +1588,7 @@ mod tests {
 
         let (client_ust, keys) = deferred_read(&mut s, &[1, 2]);
         assert_eq!(client_ust, ts(100), "the start carries ust_c");
-        assert_eq!(keys[0].held.map(|h| h.ut), Some(ts(50)), "value cache");
+        assert_eq!(keys[0].held.map(|h| h.ut), Some(ts(50)), "candidate");
         assert!(s.has_operation_in_flight());
         let t = tx(2);
         let reads = reads_of(start_reply(
@@ -1796,8 +1694,9 @@ mod tests {
         assert_eq!(lazy_reads[0].value, Some(Value::from("one")));
         assert_eq!(lazy_reads[1].value, Some(Value::from("two")));
         assert_eq!(lazy_reads[2].version, Some(foreign.clone()));
-        // Line 6 ran after the reply: only key 1 is still in WC_c.
-        assert_eq!((lazy.cache_len(), lazy.value_cache_len()), (1, 2));
+        // ust_c rose after the reply: only key 1 is still in WC_c; key 2
+        // is a candidate, and key 3 holds the foreign version.
+        assert_eq!((lazy.cache_len(), held(&lazy).0), (1, 3));
 
         // The eager path, same history, same snapshot: same reads.
         let mut eager = session(Mode::Paris);
@@ -1810,11 +1709,12 @@ mod tests {
     }
 
     #[test]
-    fn a_deferred_start_resolves_unchanged_before_its_prune_can_evict() {
-        // Room for one value-cache entry. Key 1 is held there; WC_c holds
-        // an own write of key 2 that the snapshot covers, whose admission
-        // by the prune evicts key 1 — after the reply resolved both.
-        let entry = 100 + VALUE_CACHE_ENTRY_OVERHEAD;
+    fn a_deferred_start_resolves_unchanged_before_its_ust_rise_can_evict() {
+        // Room for one candidate. Key 1 is one; WC_c holds an own write of
+        // key 2 that the snapshot covers, so once ust_c rises key 2 counts
+        // against the budget too and key 1 is evicted — after the reply
+        // resolved both.
+        let entry = 100 + HELD_ENTRY_OVERHEAD;
         let id = ClientId::new(DcId(0), 1);
         let coordinator = ServerId::new(DcId(0), PartitionId(3));
         let mut s = ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, entry);
@@ -1832,7 +1732,74 @@ mod tests {
         assert_eq!(reads[0].version, Some(v1), "resolved from the held copy");
         assert_eq!(reads[1].value, Some(Value::filled(100, 2)));
         assert_eq!(reads[1].source, ReadSource::Server);
-        assert_eq!((s.cache_len(), s.value_cache_len()), (0, 1), "then pruned");
+        assert_eq!((s.cache_len(), held(&s).0), (0, 1), "then evicted");
+        assert!(s.held.get(Key(2)).is_some(), "the fresher one stays");
+    }
+
+    #[test]
+    fn an_own_write_above_the_budget_is_served_locally_until_the_ust_covers_it() {
+        let id = ClientId::new(DcId(0), 1);
+        let coordinator = ServerId::new(DcId(0), PartitionId(3));
+        // Room for one 8-byte candidate; the own write takes 100 bytes.
+        let entry = 8 + HELD_ENTRY_OVERHEAD;
+        let mut s = ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, entry);
+        let mine = Value::filled(100, 7);
+        commit_own(&mut s, 1, &[(7, mine.clone())], 500);
+        for (seq, snap) in [(2, 200), (3, 300), (4, 499)] {
+            let t = started(&mut s, seq, snap);
+            match s.read(&[Key(7)]).unwrap() {
+                ReadStep::Done(reads) => {
+                    assert_eq!(reads[0].source, ReadSource::Cache, "snapshot {snap}");
+                    assert_eq!(reads[0].value, Some(mine.clone()));
+                }
+                ReadStep::Send(_) => panic!("an own write must be served locally"),
+            }
+            // Each shipped candidate evicts the one before it, never the
+            // older own write.
+            read_remote(&mut s, &[seq]);
+            reply(&mut s, t, vec![found(version(seq, 8, snap, 90 + seq))]);
+            finish(&mut s, t);
+        }
+        assert_eq!((s.cache_len(), held(&s).0), (1, 2));
+        // Covered, it is the oldest candidate, over the budget: gone, so
+        // the next read is shipped in full.
+        started(&mut s, 5, 500);
+        assert_eq!((s.cache_len(), held(&s)), (0, (1, entry)));
+        assert_eq!(read_remote(&mut s, &[7])[0].held, None);
+    }
+
+    #[test]
+    fn sessions_fed_the_same_history_hold_the_same_keys_under_a_tight_budget() {
+        // Room for three candidates. Multi-key commits land in a write set
+        // whose iteration order differs between two `HashMap`s; eviction
+        // must not depend on it.
+        let entry = 8 + HELD_ENTRY_OVERHEAD;
+        let run = || {
+            let id = ClientId::new(DcId(0), 1);
+            let coordinator = ServerId::new(DcId(0), PartitionId(3));
+            let mut s =
+                ClientSession::with_value_cache_budget(id, coordinator, Mode::Paris, 3 * entry);
+            for round in 0..6u64 {
+                let base = 10 * round;
+                let writes: Vec<(u64, Value)> =
+                    (base..base + 4).map(|k| (k, Value::filled(8, k))).collect();
+                commit_own(&mut s, 2 * round + 1, &writes, 1_000 * (round + 1));
+                let snap = 1_000 * (round + 1);
+                let t = started(&mut s, 2 * round + 2, snap);
+                let k = 100 + round;
+                read_remote(&mut s, &[k]);
+                reply(&mut s, t, vec![found(version(k, 8, snap - 1, 50 + round))]);
+                finish(&mut s, t);
+            }
+            let mut keys: Vec<Key> = s.held.entries.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        };
+        let first = run();
+        assert_eq!(first.len(), 3);
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]
@@ -1917,14 +1884,7 @@ mod tests {
             .handle(&Envelope::new(participant, s.id(), late))
             .is_none());
         assert!(s.has_operation_in_flight());
-        let closed = Msg::CommitResp {
-            tx: tx(2),
-            snapshot: None,
-            ct: Timestamp::ZERO,
-        };
-        assert!(s
-            .handle(&Envelope::new(s.coordinator(), s.id(), closed))
-            .is_some());
+        assert!(committed(&mut s, tx(2), 0).is_some());
 
         // A start-form commit keeps 2PC even on one partition, so it is
         // answered by the coordinator, in request order: its late reply is
@@ -1985,15 +1945,7 @@ mod tests {
         let t = started(&mut s, 1, 100);
         s.write(&[(Key(7), Value::from("lost"))]).unwrap();
         s.commit().unwrap();
-        let ev = s.handle(&Envelope::new(
-            s.coordinator(),
-            s.id(),
-            Msg::CommitResp {
-                tx: t,
-                snapshot: None,
-                ct: Timestamp::ZERO,
-            },
-        ));
+        let ev = committed(&mut s, t, 0);
         assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
         assert_eq!((s.cache_len(), s.counts()), (0, (1, 0)));
         assert!(s.open_tx().is_none());

@@ -7,8 +7,9 @@
 //! the *Universal Stable Time* (UST): a single scalar timestamp, gossiped
 //! in the background, identifying a snapshot installed by every DC — from
 //! which any server in any DC can serve transactional reads without
-//! blocking. A small client-side write cache layers read-your-own-writes
-//! on top of the (slightly stale) stable snapshot.
+//! blocking. The client's own writes above the stable snapshot layer
+//! read-your-own-writes on top of it; the same store of held versions
+//! lets servers answer "unchanged" instead of shipping a version again.
 //!
 //! This crate contains everything protocol-level and nothing I/O-level:
 //!
@@ -23,9 +24,10 @@
 //!   installed everywhere, and parallel because the coordinator fans
 //!   them out to all partitions at once (Alg. 2) — neither needs a
 //!   thread of its own;
-//! * [`ClientSession`] — the client state machine (Alg. 1) with the
-//!   private write cache, beginning eagerly (`StartTxReq`) or lazily (the
-//!   start rides the first operation);
+//! * [`ClientSession`] — the client state machine (Alg. 1) with one
+//!   version store (an entry above `ust_c` is an own write of `WC_c`, one
+//!   at or below it a validation candidate), beginning eagerly
+//!   (`StartTxReq`) or lazily (the start rides the first operation);
 //! * [`HistoryChecker`] — validates executions against the paper's
 //!   correctness propositions;
 //! * [`metadata`] — the Table I cost taxonomy.

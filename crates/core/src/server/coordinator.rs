@@ -10,13 +10,13 @@
 //! begins lazily costs one round trip less than the paper's START.
 //!
 //! A start-form read may carry stamps of the client's own writes (`WC_c`,
-//! Alg. 1 line 6: the client cannot prune it against a snapshot it does
-//! not know yet). A stamp above the snapshot just assigned names an own
-//! write the snapshot does not contain; it is answered `Unchanged` here,
-//! with no fan-out, and the client serves it from `WC_c`. Every other
-//! stamp — whether the client's own write or its value cache's — is
-//! relayed to the cohorts as it came; the coordinator never interprets
-//! them further.
+//! Alg. 1 line 6: the client cannot tell which of them a snapshot it does
+//! not know yet covers). A stamp above the snapshot just assigned names an
+//! own write the snapshot does not contain; it is answered `Unchanged`
+//! here, with no fan-out, and the client serves it from `WC_c`. Every other
+//! stamp — the client's own write or a validation candidate — is relayed
+//! to the cohorts as it came; the coordinator never interprets them
+//! further.
 //!
 //! A plain commit whose writes land on one partition is one `CommitOne`
 //! (cohort docs); a start form keeps 2PC, as only the coordinator's reply

@@ -211,8 +211,8 @@ pub enum Msg {
         /// The transaction, or the start it carries.
         tx: TxRef,
         /// Keys not satisfied from the client-local sets, each stamped
-        /// with the version the client's value cache holds for it (in a
-        /// start form, a key of `WC_c` with the client's own write).
+        /// with the version the client holds for it (in a start form, a
+        /// key of `WC_c` with the client's own write).
         keys: Vec<ReadKey>,
     },
     /// Coordinator → client: the assembled read results (Alg. 2 line 16).

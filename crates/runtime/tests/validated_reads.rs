@@ -2,10 +2,11 @@
 //! and nothing else: the same seeded operation stream — readers and writers
 //! in one DC, concurrent writers in another — is run against two identical
 //! deployments, one whose sessions stamp their reads from a value cache and
-//! one whose sessions have none (mini and simulated backend), and one whose
-//! transactions begin eagerly and one whose transactions begin with their
-//! first read (mini). Every read must return the same `ClientRead`, the
-//! checker must find nothing, and the cached run must ship strictly less.
+//! one whose sessions have none (mini and simulated backend, eager begins;
+//! mini, deferred begins), and one whose transactions begin eagerly and one
+//! whose transactions begin with their first read (mini). Every read must
+//! return the same `ClientRead`, the checker must find nothing, and the
+//! cached run must ship strictly less.
 
 use std::collections::HashMap;
 
@@ -296,6 +297,31 @@ proptest! {
             cached.stats.net_bytes < plain.stats.net_bytes,
             "{} vs {} wire bytes", cached.stats.net_bytes, plain.stats.net_bytes
         );
+    }
+
+    #[test]
+    fn prop_mini_deferred_reads_are_identical_with_and_without_the_value_cache(
+        seed in 0u64..10_000,
+    ) {
+        // Where start-form own-write stamps and the value cache meet.
+        let run = |cache: bool| {
+            let mut mini: MiniCluster = deployment(seed).build_mini().expect("valid shape");
+            if !cache {
+                mini.open_clients_without_value_cache();
+            }
+            drive(&mut Deferred(mini), seed, 160)
+        };
+        let (cached, plain) = (run(true), run(false));
+        assert_same_reads("mini, deferred begins", &cached, &plain);
+        // A start form stamps its own writes with or without a cache, so
+        // the plain run validates some reads too — fewer.
+        let (on, off) = (&cached.stats, &plain.stats);
+        prop_assert_eq!(on.keys_read, off.keys_read);
+        prop_assert_eq!(
+            on.reads_unchanged + on.reads_shipped,
+            off.reads_unchanged + off.reads_shipped
+        );
+        prop_assert!(on.reads_shipped < off.reads_shipped);
     }
 
     #[test]
