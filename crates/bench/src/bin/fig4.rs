@@ -7,10 +7,9 @@
 //! worse in the tail) — the deliberate freshness cost of reading from the
 //! universally-stable snapshot instead of blocking.
 //!
-//! This bench also answers the question that kept batching off by
-//! default through PR 2: **what does coalescing cost in freshness?**
-//! A second sweep runs PaRiS with batching off, with a ladder of fixed
-//! flush deadlines, and with the default policy (paced by stable-time
+//! This bench also answers the question batching by default raises:
+//! **what does coalescing cost in freshness?** A second sweep runs PaRiS
+//! with batching off and with the default policy (paced by stable-time
 //! progress, stabilisation pushed on arrival), recording per-arm
 //! visibility percentiles and network message counts — the
 //! visibility/freshness trade-off as data instead of a footnote. The
@@ -41,14 +40,6 @@ use paris_workload::WorkloadConfig;
 /// The default policy's quantum at the paper's 5 ms replication tick
 /// (`Q = 3·∆R`), the self-check's staleness bound.
 const QUANTUM_MICROS: u64 = 15_000;
-/// Fixed flush-deadline ladder (µs).
-fn fixed_ladder() -> &'static [u64] {
-    if paris_bench::quick() {
-        &[2_000, 10_000]
-    } else {
-        &[2_000, 5_000, 10_000, 20_000]
-    }
-}
 /// Required total message reduction of the default arm at equal load.
 const MIN_REDUCTION: f64 = 0.25;
 const CLIENTS_PER_DC: u32 = 16;
@@ -151,16 +142,11 @@ fn main() {
 
     // The batching sweep: what coalescing costs in freshness, PaRiS only
     // (the protocol whose visibility the paper characterizes).
-    section("Fig 4b: batching staleness sweep (off / fixed ladder / default)");
-    let mut arms: Vec<Arm> = vec![off_arm];
-    for &flush in fixed_ladder() {
-        arms.push(measure(
-            &format!("fixed_{}ms", flush / 1_000),
-            &format!("PaRiS fixed ∆={} ms", flush as f64 / 1_000.0),
-            move |b| b.batch_size(64).flush_interval_micros(flush),
-        ));
-    }
-    arms.push(measure("adaptive", "PaRiS default (stable-time)", |b| b));
+    section("Fig 4b: batching staleness sweep (off / default)");
+    let arms = [
+        off_arm,
+        measure("adaptive", "PaRiS default (stable-time)", |b| b),
+    ];
 
     println!(
         "\n  {:<14} {:>10} {:>10} {:>10} {:>12} {:>10} {:>11}",
@@ -224,7 +210,7 @@ fn main() {
     }
 
     // The two bars that make batching defensible as a default.
-    let default = arms.last().expect("default arm present");
+    let default = &arms[1];
     let reduction = 1.0 - default.net_messages as f64 / off_msgs.max(1) as f64;
     let inflation_us = default.visibility.percentile(90.0) as f64 - off_p90 as f64;
     println!(

@@ -234,10 +234,10 @@ pub struct Server {
     pub(crate) child_reports: ReportTable,
     /// Root only: latest (gst, oldest_active) per DC.
     pub(crate) dc_roots: RootsTable,
-    /// Stabilization is push-on-arrival: the deployment's links are paced
-    /// by stable-time progress ([`paris_types::BatchConfig::is_paced`]),
-    /// so forwarding every move of the stable time costs no wire messages
-    /// (see [`stabilization`]).
+    /// Stabilization is push-on-arrival: the deployment batches its links
+    /// ([`paris_types::BatchConfig::is_enabled`]), and batching paces them
+    /// by stable-time progress, so forwarding every move of the stable
+    /// time costs no wire messages (see [`stabilization`]).
     pub(crate) push: bool,
     /// The stable time (subtree minimum; at a root, the GST) this server
     /// last forwarded — what a push must exceed.
@@ -356,7 +356,7 @@ impl Server {
             // New commit timestamps must sort after everything persisted.
             hlc.observe(&clock, info.max_recovered());
         }
-        let push = topology.config().batch.is_paced();
+        let push = topology.config().batch.is_enabled();
         let mut server = Server {
             id,
             topo: topology,

@@ -11,9 +11,8 @@
 //!
 //! *When* a server forwards depends on its links. The paper's schedule is
 //! one frame per ∆G / ∆U tick, and that is exactly what runs when batching
-//! is off or flushes on a fixed deadline. Behind links paced by
-//! stable-time progress (`BatchConfig::is_paced`) stabilisation is
-//! **push-on-arrival**: whenever an arrival or the server's own replicate
+//! is off. Behind batched links, which are paced by stable-time progress,
+//! stabilisation is **push-on-arrival**: whenever an arrival or the server's own replicate
 //! tick moves its stable time, the derived frame is returned at once —
 //! child → `GstReport`, root → `RootGst` and, when the UST moved,
 //! `UstBroadcast` — and the ticks remain only as keep-alives for idle

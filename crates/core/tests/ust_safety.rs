@@ -10,10 +10,11 @@
 //! with `ut ≤ ust` is present at every replica of its partition.
 //!
 //! The same harness pins push-on-arrival stabilisation (see
-//! `server::stabilization`): behind paced links a commit is universally
+//! `server::stabilization`): behind batched links a commit is universally
 //! stable after *one replicate tick everywhere* — no ∆G or ∆U tick fires —
-//! in any per-link-FIFO delivery order; on unpaced links the same arrivals
-//! return nothing and the ticks are the whole schedule, as in the paper.
+//! in any per-link-FIFO delivery order; with batching off the same
+//! arrivals return nothing and the ticks are the whole schedule, as in the
+//! paper.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -525,28 +526,25 @@ fn one_replicate_tick_everywhere_makes_a_commit_universally_stable() {
 
 #[test]
 fn on_unpaced_links_the_same_arrivals_return_no_stabilisation_frames() {
-    // Batching off, and a fixed deadline — which bounds messages per
-    // window, not per progress, so pushing would cost wire messages.
-    for batch in [BatchConfig::DISABLED, BatchConfig::fixed(64, 2_000)] {
-        let (mut c, _) = RandomizedCluster::committed_and_replicated(Some(batch));
-        assert_eq!(
-            c.drain(),
-            4,
-            "one replication frame per server and nothing in return"
-        );
-        for server in c.servers.values() {
-            assert_eq!(server.ust(), Timestamp::ZERO, "only the ticks move the UST");
-        }
-        // The paper's schedule still gets there: ∆G, ∆G (the roots see
-        // their children's reports), ∆U.
-        for tick in [Step::Gst, Step::Gst, Step::Ust] {
-            for k in 0..c.servers.len() {
-                c.apply(&tick(k));
-            }
-            c.drain();
-        }
-        assert!(c.servers.values().all(|s| s.ust() > Timestamp::ZERO));
+    // Batching off: without pacing, pushing would cost wire messages.
+    let (mut c, _) = RandomizedCluster::committed_and_replicated(Some(BatchConfig::DISABLED));
+    assert_eq!(
+        c.drain(),
+        4,
+        "one replication frame per server and nothing in return"
+    );
+    for server in c.servers.values() {
+        assert_eq!(server.ust(), Timestamp::ZERO, "only the ticks move the UST");
     }
+    // The paper's schedule still gets there: ∆G, ∆G (the roots see
+    // their children's reports), ∆U.
+    for tick in [Step::Gst, Step::Gst, Step::Ust] {
+        for k in 0..c.servers.len() {
+            c.apply(&tick(k));
+        }
+        c.drain();
+    }
+    assert!(c.servers.values().all(|s| s.ust() > Timestamp::ZERO));
 }
 
 proptest! {

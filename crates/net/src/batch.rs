@@ -12,20 +12,18 @@
 //! What releases a queue is *news*, not a clock. Every background frame
 //! exists to move a stable time: a replication frame carries its sender's
 //! watermark, a stabilisation frame a report minimum, a GST or the UST.
-//! Under the default [`FlushPolicy::StableTime`] a class leaves the moment
-//! the value it holds crosses the next multiple of the quantum `Q` past
-//! the value that class last sent on that link — so a link sends at most
-//! one message per class per `Q` of timestamp progress, however many
-//! frames it is offered, and all links of a deployment release on the
-//! same grid, because hybrid-clock timestamps are the loosely synchronised
-//! clock the protocol already assumes. A watermark crossing a grid line
-//! therefore cascades through apply → report → GST → UST with no stage
-//! waiting out a timer. Two triggers remain beside the crossing: the
-//! size bound ([`BatchConfig::max_batch`] frames on a link) and the
-//! ceiling (`max_flush_micros` after a class's first queued frame), which
-//! is what drains a link whose value stalled or regressed.
-//! [`FlushPolicy::Fixed`] knows the size bound and a constant deadline
-//! only.
+//! A class leaves the moment the value it holds crosses the next multiple
+//! of the quantum `Q` ([`BatchConfig::quantum_micros`]) past the value
+//! that class last sent on that link — so a link sends at most one
+//! message per class per `Q` of timestamp progress, however many frames
+//! it is offered, and all links of a deployment release on the same grid,
+//! because hybrid-clock timestamps are the loosely synchronised clock the
+//! protocol already assumes. A watermark crossing a grid line therefore
+//! cascades through apply → report → GST → UST with no stage waiting out
+//! a timer. Two triggers remain beside the crossing: the size bound
+//! ([`BatchConfig::max_batch`] frames on a link) and the ceiling
+//! ([`BatchConfig::max_flush_micros`] after a class's first queued
+//! frame), which is what drains a link whose value stalled or regressed.
 //!
 //! Foreground transaction traffic (client operations, read fan-out, 2PC)
 //! is latency-critical and always passes through untouched.
@@ -44,7 +42,7 @@ use std::collections::BTreeMap;
 
 use paris_proto::wire::envelope_len_with;
 use paris_proto::{DigestReport, Endpoint, Envelope, Msg, ReplicatedTx};
-use paris_types::{BatchConfig, DcId, FlushPolicy, PartitionId, Timestamp, WireFormat};
+use paris_types::{BatchConfig, DcId, PartitionId, Timestamp, WireFormat};
 
 /// Outcome of [`Coalescer::offer`].
 #[derive(Debug)]
@@ -363,18 +361,16 @@ impl Coalescer {
         let key = (env.src, env.dst);
         self.stats.bytes_in += envelope_len_with(&env, self.wire) as u64;
         self.stats.frames_in += 1;
-        let due = now.saturating_add(self.cfg.max_flush_micros());
+        let due = now.saturating_add(self.cfg.max_flush_micros);
         let link = self.links.entry(key).or_default();
         let class = link.fold(env.msg, due);
         if link.frames() as usize >= self.cfg.max_batch {
             self.stats.size_flushes += 1;
             return Offer::Flush(self.release(key, &[Class::Rep, Class::Stab]));
         }
-        if let FlushPolicy::StableTime { quantum_micros, .. } = self.cfg.flush {
-            if link.crossed(class, quantum_micros) {
-                self.stats.crossing_flushes += 1;
-                return Offer::Flush(self.release(key, &[class]));
-            }
+        if link.crossed(class, self.cfg.quantum_micros) {
+            self.stats.crossing_flushes += 1;
+            return Offer::Flush(self.release(key, &[class]));
         }
         Offer::Queued {
             next_due: self.next_due().expect("just queued"),
@@ -444,8 +440,10 @@ mod tests {
     use super::*;
     use paris_types::{ClientId, Key, ServerId, TxId, Value, WriteSetEntry};
 
+    /// A policy no watermark crosses: only the size trigger and the
+    /// first-frame deadline `flush` release a link.
     fn cfg(max_batch: usize, flush: u64) -> BatchConfig {
-        BatchConfig::fixed(max_batch, flush)
+        BatchConfig::stable_time(max_batch, u64::MAX, flush)
     }
 
     fn coal(cfg: BatchConfig) -> Coalescer {

@@ -681,7 +681,7 @@ mod tests {
     #[test]
     fn batching_coalesces_heartbeats_into_one_frame() {
         let router = Router::start(ThreadedNetConfig {
-            batch: BatchConfig::fixed(4, 2_000_000), // force the size trigger
+            batch: BatchConfig::stable_time(4, u64::MAX, 2_000_000), // force the size trigger
             ..ThreadedNetConfig::fast(2)
         });
         let a = ServerId::new(DcId(0), PartitionId(0));
@@ -715,7 +715,7 @@ mod tests {
     #[test]
     fn batching_flushes_on_deadline() {
         let router = Router::start(ThreadedNetConfig {
-            batch: BatchConfig::fixed(1_000, 20_000), // never hit the size trigger
+            batch: BatchConfig::stable_time(1_000, u64::MAX, 20_000), // only the deadline
             ..ThreadedNetConfig::fast(2)
         });
         let a = ServerId::new(DcId(0), PartitionId(0));
@@ -731,7 +731,7 @@ mod tests {
         let rx;
         {
             let router = Router::start(ThreadedNetConfig {
-                batch: BatchConfig::fixed(1_000, 60_000_000), // would park for a minute
+                batch: BatchConfig::stable_time(1_000, u64::MAX, 60_000_000), // would park for a minute
                 ..ThreadedNetConfig::fast(2)
             });
             let a = ServerId::new(DcId(0), PartitionId(0));

@@ -1,7 +1,7 @@
-//! Property tests of the coalescer's flush policies.
+//! Property tests of the coalescer's flush triggers.
 //!
-//! Under the default stable-time policy, for arbitrary monotone frame
-//! streams on the kinds of link a deployment has:
+//! For arbitrary monotone frame streams on the kinds of link a deployment
+//! has:
 //!
 //! 1. a link sends, per class, at most one message per quantum of
 //!    stable-time progress, plus its size and ceiling flushes — however
@@ -15,7 +15,8 @@
 //! 4. a crossing releases only its own class;
 //! 5. `poll(u64::MAX)` drains everything.
 //!
-//! And fixed mode is exactly the original coalescer: its offer/flush
+//! And with a quantum no watermark crosses (`u64::MAX`), what remains is
+//! exactly the first-frame deadline and the size trigger: offer/flush
 //! behaviour matches an independent model of the fold (one deadline per
 //! link window, size trigger at `max_batch`, newest watermark survives).
 
@@ -347,17 +348,20 @@ proptest! {
         check_stable_time(&steps, 15_000, max_flush, 64);
     }
 
-    /// Fixed mode is the original PR-2 coalescer: offer/flush behaviour
-    /// matches an independent single-link model (window deadline = first
-    /// enqueue + interval, size trigger at `max_batch`, heartbeats fold
-    /// into the newest watermark, frame counts exact).
+    /// With an uncrossable quantum the coalescer's deadline and size
+    /// triggers match an independent single-link model (window deadline =
+    /// first enqueue + ceiling, size trigger at `max_batch`, heartbeats
+    /// fold into the newest watermark, frame counts exact).
     #[test]
-    fn prop_fixed_mode_matches_reference_fold(
+    fn prop_uncrossable_quantum_matches_reference_fold(
         steps in proptest::collection::vec((0u64..20_000, 0u64..1_000, any::<bool>()), 1..200),
         max_batch in 2usize..10,
         interval in 1u64..30_000,
     ) {
-        let mut c = Coalescer::new(BatchConfig::fixed(max_batch, interval), WireFormat::default());
+        let mut c = Coalescer::new(
+            BatchConfig::stable_time(max_batch, u64::MAX, interval),
+            WireFormat::default(),
+        );
         // Reference model of one link's window.
         let mut window: Option<(u64, u32, u64)> = None; // (due, frames, max_wm)
         let mut now = 0u64;
@@ -406,7 +410,7 @@ proptest! {
                         window = Some((due, frames, max_wm));
                         prop_assert_eq!(
                             next_due, due,
-                            "fixed deadline must be first-enqueue + interval"
+                            "the deadline must be first-enqueue + ceiling"
                         );
                     }
                 }

@@ -19,9 +19,7 @@
 
 use paris_net::sim::{RegionMatrix, ServiceModel};
 use paris_net::threaded::ThreadedNetConfig;
-use paris_types::{
-    BatchConfig, ClusterConfig, ConfigError, Error, FaultPlan, FlushPolicy, Intervals, Mode,
-};
+use paris_types::{BatchConfig, ClusterConfig, ConfigError, Error, FaultPlan, Intervals, Mode};
 use paris_workload::WorkloadConfig;
 
 use crate::mini_cluster::MiniCluster;
@@ -83,18 +81,6 @@ enum Latency {
     UniformMicros(u64),
 }
 
-/// The builder's flush-deadline selection, resolved against the protocol
-/// intervals at build time so fluent call order cannot change the
-/// outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FlushChoice {
-    /// Paced by stable-time progress, quantum and ceiling derived from
-    /// the replication period (the default): `Q = 3·∆R`, ceiling `6·∆R`.
-    Auto,
-    /// Fixed deadline; `0` resolves to two replication ticks.
-    FixedMicros(u64),
-}
-
 /// Fluent configuration of a PaRiS deployment on any backend.
 ///
 /// Shape knobs mirror [`ClusterConfig`]; load and substrate knobs cover
@@ -114,8 +100,7 @@ pub struct ClusterBuilder {
     mode: Mode,
     intervals: Intervals,
     max_clock_skew_micros: u64,
-    batch_frames: Option<usize>,
-    flush: FlushChoice,
+    batching: bool,
     // Load.
     clients_per_dc: u32,
     workload: WorkloadConfig,
@@ -152,8 +137,7 @@ impl ClusterBuilder {
             mode: Mode::Paris,
             intervals: Intervals::default(),
             max_clock_skew_micros: 500,
-            batch_frames: None,
-            flush: FlushChoice::Auto,
+            batching: true,
             clients_per_dc: 4,
             workload: WorkloadConfig::read_heavy(),
             seed: 42,
@@ -223,38 +207,16 @@ impl ClusterBuilder {
         self
     }
 
-    /// Size trigger of the background-traffic batching layer: a link
-    /// flushes once `frames` logical frames are queued on it (or its
-    /// flush policy releases it). Batching is **on by default** with
-    /// [`BatchConfig::DEFAULT_MAX_BATCH`] frames, paced by stable-time
-    /// progress; `0` or `1` disables batching entirely (see
-    /// [`no_batching`](Self::no_batching)). Honored by all three
-    /// backends.
-    pub fn batch_size(mut self, frames: usize) -> Self {
-        self.batch_frames = Some(frames);
-        self
-    }
-
     /// Disables background-traffic batching: every replication and
     /// gossip frame ships as its own wire message and stabilisation runs
     /// on the ∆G/∆U ticks alone — the paper's one-frame-per-tick
-    /// behaviour. Equivalent to `batch_size(1)`.
+    /// behaviour. Batching is **on by default** on every backend: a link
+    /// releases when the stable time it carries crosses a multiple of
+    /// `Q = 3·∆R` (ceiling `6·∆R`, size trigger
+    /// [`BatchConfig::DEFAULT_MAX_BATCH`] frames), derived from the final
+    /// intervals by [`BatchConfig::default_for`].
     pub fn no_batching(mut self) -> Self {
-        self.batch_frames = Some(1);
-        self
-    }
-
-    /// Switches the flush deadline to a **fixed** interval: a link
-    /// flushes once its oldest coalesced frame has waited `micros` —
-    /// a hard bound on the extra staleness batching introduces,
-    /// load-independent. `0` resolves at build time to two replication
-    /// ticks' worth of accumulation, whatever order the builder methods
-    /// were called in; validated against the GC period. The default is
-    /// not a deadline at all: a link releases when the stable time it
-    /// carries crosses a multiple of `3·∆R`
-    /// ([`paris_types::FlushPolicy::StableTime`]).
-    pub fn flush_interval_micros(mut self, micros: u64) -> Self {
-        self.flush = FlushChoice::FixedMicros(micros);
+        self.batching = false;
         self
     }
 
@@ -312,7 +274,8 @@ impl ClusterBuilder {
     }
 
     /// Records server event logs (update-visibility latency, Fig. 4).
-    /// Sim backend only: `build_mini`/`build_thread` reject it.
+    /// Sim backend only: `build_mini`/`build_thread`/`build_socket`
+    /// reject it.
     pub fn record_events(mut self, on: bool) -> Self {
         self.record_events = on;
         self
@@ -326,7 +289,8 @@ impl ClusterBuilder {
     }
 
     /// Stabilization-tree branching factor (0 = flat tree, the default).
-    /// Sim backend only: `build_mini`/`build_thread` reject non-zero values.
+    /// Sim backend only: `build_mini`/`build_thread`/`build_socket`
+    /// reject non-zero values.
     pub fn stab_branching(mut self, branching: usize) -> Self {
         self.stab_branching = branching;
         self
@@ -365,29 +329,7 @@ impl ClusterBuilder {
         if let Some(plan) = &self.fault_plan {
             plan.validate(self.dcs)?;
         }
-        // The untouched default derives from the configured intervals
-        // (ceiling capped below the GC period), so interval
-        // choices can neither invalidate nor silently neuter a batching
-        // policy the user never asked for; explicit choices are
-        // validated strictly. Resolving here keeps the fluent call
-        // order irrelevant.
-        let derived = BatchConfig::default_for(&self.intervals);
-        let batch = BatchConfig {
-            max_batch: match self.batch_frames {
-                Some(frames) => frames,
-                // Degenerate GC periods (≤ 1 µs) derive batching off.
-                None if !derived.is_enabled() => derived.max_batch,
-                None => BatchConfig::DEFAULT_MAX_BATCH,
-            },
-            flush: match self.flush {
-                FlushChoice::Auto => derived.flush,
-                FlushChoice::FixedMicros(0) => FlushPolicy::Fixed {
-                    interval_micros: 2 * self.intervals.replication_micros,
-                },
-                FlushChoice::FixedMicros(m) => FlushPolicy::Fixed { interval_micros: m },
-            },
-        };
-        let cfg = ClusterConfig::builder()
+        let mut cfg = ClusterConfig::builder()
             .dcs(self.dcs)
             .partitions(self.partitions)
             .replication_factor(self.replication)
@@ -395,9 +337,12 @@ impl ClusterBuilder {
             .value_size(self.value_size)
             .intervals(self.intervals)
             .mode(self.mode)
-            .max_clock_skew_micros(self.max_clock_skew_micros)
-            .batch(batch)
-            .build()?;
+            .max_clock_skew_micros(self.max_clock_skew_micros);
+        // Left unset, the batch policy is derived from the final intervals.
+        if !self.batching {
+            cfg = cfg.batch(BatchConfig::DISABLED);
+        }
+        let cfg = cfg.build()?;
         if cfg.servers_per_dc() == 0 {
             return Err(ConfigError::new(
                 "shape leaves some DC without servers (partitions × R < DCs)",

@@ -3,7 +3,8 @@
 //!
 //! Every runtime — the synchronous in-process [`crate::MiniCluster`], the
 //! discrete-event [`crate::SimCluster`], the multi-threaded
-//! [`crate::ThreadCluster`] — exposes the same surface:
+//! [`crate::ThreadCluster`] and the multi-process [`crate::SocketCluster`]
+//! — exposes the same surface:
 //!
 //! * [`Cluster::open_client`] to place a client session in a DC,
 //! * [`Cluster::begin`] to open a transaction and get a [`Txn`] handle
@@ -53,7 +54,7 @@ use crate::measure::{ClusterStats, RunReport};
 /// and the [`Txn`] handle, which layer transactional buffering and
 /// abort-on-drop on top of them.
 pub trait Cluster {
-    /// A short name of the backend ("mini", "sim", "thread").
+    /// A short name of the backend ("mini", "sim", "thread", "socket").
     fn backend_name(&self) -> &'static str;
 
     /// The protocol variant this deployment runs.

@@ -69,7 +69,7 @@ pub(crate) const OP_TIMEOUT: std::time::Duration = std::time::Duration::from_sec
 /// periodic protocol to fire at least once and for its messages to cross
 /// the (optionally scaled) WAN, plus `slack` for processing. With
 /// batching enabled, every hop of the round (replicate, tree report, root
-/// exchange, UST broadcast) may additionally sit one flush interval in a
+/// exchange, UST broadcast) may additionally sit one flush ceiling in a
 /// coalescing queue.
 pub(crate) fn gossip_round_micros(
     intervals: &Intervals,
@@ -88,7 +88,7 @@ pub(crate) fn gossip_round_micros(
     let wan = (max_one_way as f64 * latency_scale) as u64;
     let flush = if batch.is_enabled() {
         // The ceiling: paced links may flush earlier, never later.
-        4 * batch.max_flush_micros()
+        4 * batch.max_flush_micros
     } else {
         0
     };

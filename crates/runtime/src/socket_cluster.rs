@@ -59,8 +59,8 @@ use paris_net::socket::framing::{
 use paris_net::socket::{NodeIdentity, SocketConfig, SocketHandle, SocketNode};
 use paris_proto::{Ctrl, Endpoint, Envelope, ServerSnapshot, SnapshotCounters};
 use paris_types::{
-    BatchConfig, ClientId, ClusterConfig, DcId, Error, FlushPolicy, Intervals, Key, Mode, ServerId,
-    Timestamp, Value, VersionOrd, WireFormat,
+    BatchConfig, ClientId, ClusterConfig, DcId, Error, Intervals, Key, Mode, ServerId, Timestamp,
+    Value, VersionOrd,
 };
 use paris_workload::stats::RunStats;
 use paris_workload::WorkloadConfig;
@@ -195,20 +195,8 @@ impl ChildSpec {
         });
         w.u64(c.max_clock_skew_micros);
         w.u64(c.batch.max_batch as u64);
-        match c.batch.flush {
-            FlushPolicy::Fixed { interval_micros } => {
-                w.u8(0);
-                w.u64(interval_micros);
-            }
-            FlushPolicy::StableTime {
-                quantum_micros,
-                max_flush_micros,
-            } => {
-                w.u8(1);
-                w.u64(quantum_micros);
-                w.u64(max_flush_micros);
-            }
-        }
+        w.u64(c.batch.quantum_micros);
+        w.u64(c.batch.max_flush_micros);
         match &self.tuning.durable {
             None => w.u8(0),
             Some(d) => {
@@ -232,7 +220,9 @@ impl ChildSpec {
     ///
     /// # Errors
     ///
-    /// [`Error::Transport`] for malformed hex or truncated fields.
+    /// [`Error::Transport`] for malformed hex or truncated fields,
+    /// [`Error::Config`] for a configuration that fails validation or a
+    /// server outside its placement.
     pub fn decode(hex: &str) -> Result<ChildSpec, Error> {
         if !hex.len().is_multiple_of(2) {
             return Err(Error::Transport("odd-length child spec"));
@@ -244,46 +234,39 @@ impl ChildSpec {
         let mut r = SpecReader(&bytes);
         let ctrl_port = r.u16()?;
         let server = ServerId::new(DcId(r.u16()?), paris_types::PartitionId(r.u32()?));
-        let dcs = r.u16()?;
-        let partitions = r.u32()?;
-        let replication_factor = r.u16()?;
-        let keys_per_partition = r.u64()?;
-        let value_size = r.u64()? as usize;
-        let intervals = Intervals {
-            replication_micros: r.u64()?,
-            gst_micros: r.u64()?,
-            ust_micros: r.u64()?,
-            gc_micros: r.u64()?,
-        };
-        let mode = match r.u8()? {
-            0 => Mode::Paris,
-            1 => Mode::Bpr,
-            _ => return Err(Error::Transport("unknown mode in child spec")),
-        };
-        let max_clock_skew_micros = r.u64()?;
-        let max_batch = r.u64()? as usize;
-        let flush = match r.u8()? {
-            0 => FlushPolicy::Fixed {
-                interval_micros: r.u64()?,
-            },
-            1 => FlushPolicy::StableTime {
-                quantum_micros: r.u64()?,
-                max_flush_micros: r.u64()?,
-            },
-            _ => return Err(Error::Transport("unknown flush policy in child spec")),
-        };
-        let cluster = ClusterConfig {
-            dcs,
-            partitions,
-            replication_factor,
-            keys_per_partition,
-            value_size,
-            intervals,
-            mode,
-            max_clock_skew_micros,
-            batch: BatchConfig { max_batch, flush },
-            wire: WireFormat::default(),
-        };
+        let cluster = ClusterConfig::builder()
+            .dcs(r.u16()?)
+            .partitions(r.u32()?)
+            .replication_factor(r.u16()?)
+            .keys_per_partition(r.u64()?)
+            .value_size(r.u64()? as usize)
+            .intervals(Intervals {
+                replication_micros: r.u64()?,
+                gst_micros: r.u64()?,
+                ust_micros: r.u64()?,
+                gc_micros: r.u64()?,
+            })
+            .mode(match r.u8()? {
+                0 => Mode::Paris,
+                1 => Mode::Bpr,
+                _ => return Err(Error::Transport("unknown mode in child spec")),
+            })
+            .max_clock_skew_micros(r.u64()?)
+            .batch(BatchConfig::stable_time(
+                r.u64()? as usize,
+                r.u64()?,
+                r.u64()?,
+            ))
+            .build()?;
+        let placed = Topology::new(cluster.clone())
+            .all_servers()
+            .contains(&server);
+        if !placed {
+            return Err(paris_types::ConfigError::new(
+                "child spec names a server outside the placement",
+            )
+            .into());
+        }
         let durable = match r.u8()? {
             0 => None,
             1 => {
@@ -1291,11 +1274,17 @@ mod tests {
         let hex = spec.encode();
         assert_eq!(ChildSpec::decode(&hex).unwrap(), spec);
 
-        // Both flush policies and both modes survive the trip.
-        let mut spec2 = spec.clone();
-        spec2.cluster.mode = Mode::Bpr;
-        spec2.cluster.batch = BatchConfig::fixed(8, 1_000);
-        assert_eq!(ChildSpec::decode(&spec2.encode()).unwrap(), spec2);
+        // Batching off, a non-default policy and both modes survive the
+        // trip.
+        for batch in [
+            BatchConfig::DISABLED,
+            BatchConfig::stable_time(8, 1_000, 7_000),
+        ] {
+            let mut spec2 = spec.clone();
+            spec2.cluster.mode = Mode::Bpr;
+            spec2.cluster.batch = batch;
+            assert_eq!(ChildSpec::decode(&spec2.encode()).unwrap(), spec2);
+        }
 
         // A durable tuning (the crash-recovery deployment shape) survives
         // too, directory path and knobs intact.
@@ -1325,6 +1314,38 @@ mod tests {
         // Truncations never panic.
         for cut in (0..valid.len()).step_by(2) {
             let _ = ChildSpec::decode(&valid[..cut]);
+        }
+    }
+
+    #[test]
+    fn child_spec_rejects_a_config_the_child_could_not_run() {
+        let valid = ChildSpec {
+            ctrl_port: 1,
+            server: ServerId::new(DcId(1), PartitionId(0)),
+            cluster: ClusterConfig::builder()
+                .dcs(2)
+                .partitions(4)
+                .replication_factor(2)
+                .build()
+                .unwrap(),
+            tuning: ServerTuning::default(),
+            connect_timeout_micros: 1,
+            read_timeout_micros: 1,
+        };
+        assert_eq!(ChildSpec::decode(&valid.encode()).unwrap(), valid);
+        let mut above_dcs = valid.clone();
+        above_dcs.cluster.replication_factor = 3;
+        let mut no_dcs = valid.clone();
+        no_dcs.cluster.dcs = 0;
+        let mut outside = valid.clone();
+        outside.server = ServerId::new(DcId(2), PartitionId(0));
+        let mut past_partitions = valid;
+        past_partitions.server = ServerId::new(DcId(0), PartitionId(4));
+        for spec in [above_dcs, no_dcs, outside, past_partitions] {
+            assert!(
+                matches!(ChildSpec::decode(&spec.encode()), Err(Error::Config(_))),
+                "{spec:?} decoded"
+            );
         }
     }
 }

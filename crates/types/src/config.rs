@@ -69,110 +69,66 @@ impl Default for Intervals {
     }
 }
 
-/// How a coalescing link decides *when* to flush its queued frames.
-///
-/// The size trigger ([`BatchConfig::max_batch`]) is policy-independent;
-/// this chooses what else releases a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushPolicy {
-    /// Every link flushes a constant interval after its first queued
-    /// frame — the original coalescing behaviour.
-    Fixed {
-        /// Flush a link once its oldest queued frame is this old, in
-        /// microseconds.
-        interval_micros: u64,
-    },
-    /// Paced by stable-time progress (the default): a link's replication
-    /// class leaves the moment its folded watermark — and its
-    /// stabilisation class the moment the smallest report-min / GST / UST
-    /// it holds — crosses the next multiple of `quantum_micros` past the
-    /// value that class last sent on that link. Every background frame
-    /// exists to move a stable time, so a link sends at most one message
-    /// per class per quantum of progress however many frames it is
-    /// offered, and because hybrid-clock timestamps are the loosely
-    /// synchronised clock the protocol already assumes, all links of a
-    /// deployment release on the same grid: a watermark that crosses a
-    /// grid line cascades through apply → report → GST → UST without
-    /// waiting on anyone's timer.
-    StableTime {
-        /// Grid spacing `Q` in timestamp microseconds.
-        quantum_micros: u64,
-        /// Ceiling: a frame whose value stalled or regressed still leaves
-        /// once it has been queued this long, in microseconds — the most
-        /// extra staleness any background frame can be charged per hop.
-        max_flush_micros: u64,
-    },
-}
-
-impl FlushPolicy {
-    /// The longest a queued frame can wait under this policy — the
-    /// per-hop staleness bound.
-    pub fn max_interval_micros(&self) -> u64 {
-        match *self {
-            FlushPolicy::Fixed { interval_micros } => interval_micros,
-            FlushPolicy::StableTime {
-                max_flush_micros, ..
-            } => max_flush_micros,
-        }
-    }
-}
-
 /// Coalescing policy for background (replication + stabilization) traffic.
 ///
 /// When enabled, the network substrate queues background frames per link
-/// and folds them into one `ReplicateBatch` / `GossipDigest` wire message,
-/// flushing a link when [`BatchConfig::max_batch`] frames have accumulated
-/// or the [`FlushPolicy`] releases it. Foreground transaction traffic is
+/// and folds them into one `ReplicateBatch` / `GossipDigest` wire message.
+/// A link's replication class leaves the moment its folded watermark —
+/// and its stabilisation class the moment the smallest report-min / GST /
+/// UST it holds — crosses the next multiple of
+/// [`BatchConfig::quantum_micros`] past the value that class last sent on
+/// that link. Every background frame exists to move a stable time, so a
+/// link sends at most one message per class per quantum of progress
+/// however many frames it is offered, and because hybrid-clock timestamps
+/// are the loosely synchronised clock the protocol already assumes, all
+/// links of a deployment release on the same grid: a watermark that
+/// crosses a grid line cascades through apply → report → GST → UST
+/// without waiting on anyone's timer. Two more triggers drain a link: the
+/// size bound [`BatchConfig::max_batch`] and the ceiling
+/// [`BatchConfig::max_flush_micros`]. Foreground transaction traffic is
 /// never batched (it is latency-critical).
 ///
-/// **On by default** (paced by stable time): the fold is exact —
-/// replication frames concatenate in commit-time order keeping the newest
-/// watermark, every gossip component is monotonic — so batching changes
-/// *when* background messages travel, never what replicas agree on. A
-/// server behind paced links ([`BatchConfig::is_paced`]) also forwards
-/// its stabilisation aggregate the moment an arrival moves it (the ∆G/∆U
-/// ticks remain as idle-link keep-alives), which is free precisely
-/// because the pacing makes the wire count independent of how many
-/// frames are offered. Opt out with
-/// [`BatchConfig::DISABLED`] (or `ClusterBuilder::no_batching()` through
-/// the facade): every tick's frame is then its own wire message, as in
-/// the paper.
+/// **On by default**: the fold is exact — replication frames concatenate
+/// in commit-time order keeping the newest watermark, every gossip
+/// component is monotonic — so batching changes *when* background
+/// messages travel, never what replicas agree on. A server behind batched
+/// links also forwards its stabilisation aggregate the moment an arrival
+/// moves it (the ∆G/∆U ticks remain as idle-link keep-alives), which is
+/// free precisely because the pacing makes the wire count independent of
+/// how many frames are offered. Opt out with [`BatchConfig::DISABLED`]
+/// (or `ClusterBuilder::no_batching()` through the facade): every tick's
+/// frame is then its own wire message, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush a link once this many logical frames are queued on it.
     /// `0` or `1` disables batching (every frame ships immediately).
     pub max_batch: usize,
-    /// What else releases a link's queued frames.
-    pub flush: FlushPolicy,
+    /// Grid spacing `Q` in timestamp microseconds.
+    pub quantum_micros: u64,
+    /// Ceiling: a frame whose value stalled or regressed still leaves once
+    /// it has been queued this long, in microseconds — the most extra
+    /// staleness any background frame can be charged per hop.
+    pub max_flush_micros: u64,
 }
 
 impl BatchConfig {
     /// Batching off: every envelope ships as its own wire message.
     pub const DISABLED: BatchConfig = BatchConfig {
         max_batch: 1,
-        flush: FlushPolicy::Fixed { interval_micros: 0 },
+        quantum_micros: 0,
+        max_flush_micros: 0,
     };
 
     /// The default frame count of the size trigger.
     pub const DEFAULT_MAX_BATCH: usize = 64;
-
-    /// Fixed-deadline batching (the original behaviour).
-    pub fn fixed(max_batch: usize, interval_micros: u64) -> Self {
-        BatchConfig {
-            max_batch,
-            flush: FlushPolicy::Fixed { interval_micros },
-        }
-    }
 
     /// Batching paced by stable-time progress on a grid of
     /// `quantum_micros`, with `max_flush_micros` as the ceiling.
     pub fn stable_time(max_batch: usize, quantum_micros: u64, max_flush_micros: u64) -> Self {
         BatchConfig {
             max_batch,
-            flush: FlushPolicy::StableTime {
-                quantum_micros,
-                max_flush_micros,
-            },
+            quantum_micros,
+            max_flush_micros,
         }
     }
 
@@ -183,8 +139,8 @@ impl BatchConfig {
     /// capped to half the GC period so an untouched default can never
     /// invalidate interval combinations that were legal before
     /// batching-by-default (a user who never asked for batching must
-    /// never see a batching validation error). Both config builders
-    /// resolve an unset batch policy through here at build time.
+    /// never see a batching validation error). The config builder
+    /// resolves an unset batch policy through here at build time.
     /// Degenerate GC periods (≤ 1 µs — nothing can flush below them)
     /// disable batching instead.
     pub fn default_for(intervals: &Intervals) -> Self {
@@ -202,27 +158,12 @@ impl BatchConfig {
     pub fn is_enabled(&self) -> bool {
         self.max_batch > 1
     }
-
-    /// Whether links release on stable-time progress — the property that
-    /// makes a link's wire count independent of how many frames it is
-    /// offered, and so makes push-on-arrival stabilisation free. A fixed
-    /// deadline bounds messages per window only: a window shorter than a
-    /// tick would turn every pushed frame into a wire message.
-    pub fn is_paced(&self) -> bool {
-        self.is_enabled() && matches!(self.flush, FlushPolicy::StableTime { .. })
-    }
-
-    /// The most extra staleness any background frame can be charged per
-    /// hop — the flush-deadline ceiling.
-    pub fn max_flush_micros(&self) -> u64 {
-        self.flush.max_interval_micros()
-    }
 }
 
 impl Default for BatchConfig {
     /// Batching is on by default, paced by stable time, sized for the
-    /// paper's 5 ms replication tick (the builders re-derive the bounds
-    /// when the intervals change).
+    /// paper's 5 ms replication tick (the config builder re-derives the
+    /// bounds when the intervals change).
     fn default() -> Self {
         BatchConfig::default_for(&Intervals::default())
     }
@@ -313,27 +254,12 @@ impl ClusterConfig {
             return Err(ConfigError::new("protocol intervals must be non-zero"));
         }
         if self.batch.is_enabled() {
-            match self.batch.flush {
-                FlushPolicy::Fixed { interval_micros } => {
-                    if interval_micros == 0 {
-                        return Err(ConfigError::new(
-                            "batching needs a non-zero flush interval (unbounded queues otherwise)",
-                        ));
-                    }
-                }
-                FlushPolicy::StableTime {
-                    quantum_micros,
-                    max_flush_micros,
-                } => {
-                    if quantum_micros == 0 || max_flush_micros == 0 {
-                        return Err(ConfigError::new(
-                            "stable-time batching needs a non-zero quantum and ceiling \
-                             (unbounded queues otherwise)",
-                        ));
-                    }
-                }
+            if self.batch.quantum_micros == 0 || self.batch.max_flush_micros == 0 {
+                return Err(ConfigError::new(
+                    "batching needs a non-zero quantum and ceiling (unbounded queues otherwise)",
+                ));
             }
-            if self.batch.max_flush_micros() >= self.intervals.gc_micros {
+            if self.batch.max_flush_micros >= self.intervals.gc_micros {
                 return Err(ConfigError::new(
                     "batch flush deadline ceiling must stay below the GC period",
                 ));
@@ -557,32 +483,20 @@ mod tests {
         assert!(b.is_enabled(), "batching is on by default");
         assert_eq!(b.max_batch, BatchConfig::DEFAULT_MAX_BATCH);
         let d = Intervals::default().replication_micros;
-        assert_eq!(
-            b.flush,
-            FlushPolicy::StableTime {
-                quantum_micros: 3 * d,
-                max_flush_micros: 6 * d,
-            }
-        );
-        assert_eq!(b.max_flush_micros(), 6 * d);
-        assert!(b.is_paced());
+        assert_eq!((b.quantum_micros, b.max_flush_micros), (3 * d, 6 * d));
         assert!(!BatchConfig::DISABLED.is_enabled());
-        assert!(BatchConfig::fixed(2, 1_000).is_enabled());
         assert!(
-            !BatchConfig::fixed(2, 1_000).is_paced(),
-            "a deadline is not pacing"
-        );
-        assert!(
-            !BatchConfig::stable_time(1, 15_000, 30_000).is_paced(),
+            !BatchConfig::stable_time(1, 15_000, 30_000).is_enabled(),
             "off is off"
         );
     }
 
     #[test]
     fn rejects_enabled_batching_without_flush_interval() {
-        let bad = BatchConfig::fixed(8, 0);
+        // A zero ceiling never drains a stalled link.
+        let bad = BatchConfig::stable_time(8, 1_000, 0);
         assert!(ClusterConfig::builder().batch(bad).build().is_err());
-        let good = BatchConfig::fixed(8, 10_000);
+        let good = BatchConfig::stable_time(8, 1_000, 10_000);
         let cfg = ClusterConfig::builder().batch(good).build().unwrap();
         assert_eq!(cfg.batch, good);
     }
@@ -591,11 +505,6 @@ mod tests {
     fn rejects_flush_interval_at_or_above_gc_period() {
         let gc = Intervals::default().gc_micros;
         assert!(ClusterConfig::builder()
-            .batch(BatchConfig::fixed(8, gc))
-            .build()
-            .is_err());
-        // The stable-time ceiling is held to the same rule.
-        assert!(ClusterConfig::builder()
             .batch(BatchConfig::stable_time(8, 1_000, gc))
             .build()
             .is_err());
@@ -603,14 +512,9 @@ mod tests {
 
     #[test]
     fn rejects_a_zero_quantum_or_ceiling() {
-        // A zero quantum has no grid; a zero ceiling never drains a
-        // stalled link.
+        // A zero quantum has no grid.
         assert!(ClusterConfig::builder()
             .batch(BatchConfig::stable_time(8, 0, 10_000))
-            .build()
-            .is_err());
-        assert!(ClusterConfig::builder()
-            .batch(BatchConfig::stable_time(8, 1_000, 0))
             .build()
             .is_err());
         // A disabled config is never validated against flush rules.
@@ -635,11 +539,8 @@ mod tests {
             .expect("short GC must not invalidate the untouched default");
         assert!(cfg.batch.is_enabled());
         assert_eq!(
-            cfg.batch.flush,
-            FlushPolicy::StableTime {
-                quantum_micros: 12_500,
-                max_flush_micros: 12_500,
-            },
+            cfg.batch,
+            BatchConfig::stable_time(BatchConfig::DEFAULT_MAX_BATCH, 12_500, 12_500),
             "the quantum never exceeds the ceiling"
         );
 
@@ -655,15 +556,12 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            cfg.batch.flush,
-            FlushPolicy::StableTime {
-                quantum_micros: 150_000,
-                max_flush_micros: 300_000,
-            }
+            (cfg.batch.quantum_micros, cfg.batch.max_flush_micros),
+            (150_000, 300_000)
         );
 
         // An explicit policy is never overridden by the derivation.
-        let explicit = BatchConfig::fixed(8, 10_000);
+        let explicit = BatchConfig::stable_time(8, 1_000, 10_000);
         let cfg = ClusterConfig::builder()
             .batch(explicit)
             .intervals(Intervals {

@@ -42,9 +42,7 @@ mod keyspace;
 mod timestamp;
 mod version;
 
-pub use config::{
-    BatchConfig, ClusterConfig, ClusterConfigBuilder, FlushPolicy, Intervals, Mode, WireFormat,
-};
+pub use config::{BatchConfig, ClusterConfig, ClusterConfigBuilder, Intervals, Mode, WireFormat};
 pub use error::{ConfigError, Error};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use ids::{ClientId, DcId, PartitionId, ReplicaIdx, ServerId, TxId};

@@ -141,68 +141,19 @@ fn builder_validation_errors() {
         Error::Unsupported(_)
     ));
 
-    // Batching with fixed flush interval 0 means "default: two
-    // replication ticks", resolved at build time regardless of call
-    // order.
+    // The batch policy derives from the final intervals, capped below
+    // the GC period — so interval choices (here 600 ms ticks, where six
+    // ticks would overrun the 1 s GC period) can never invalidate it.
     assert!(Paris::builder()
         .dcs(3)
         .partitions(6)
         .replication(2)
-        .batch_size(8)
-        .flush_interval_micros(0)
-        .build()
-        .is_ok());
-    // An *unset* flush policy derives from the final intervals, capped
-    // below the GC period — so interval choices (here 600 ms ticks,
-    // where six ticks would overrun the 1 s GC period) can never
-    // invalidate a deadline the user did not pick.
-    assert!(Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .batch_size(8)
         .intervals(paris::types::Intervals {
             replication_micros: 600_000,
             gst_micros: 5_000,
             ust_micros: 5_000,
             gc_micros: 1_000_000,
         })
-        .build()
-        .is_ok());
-    // An *explicit* fixed deadline resolving above the GC period is
-    // still a clear error, never a silent adjustment.
-    let err = Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .batch_size(8)
-        .flush_interval_micros(0) // = 2 × 600 ms, above the gc period
-        .intervals(paris::types::Intervals {
-            replication_micros: 600_000,
-            gst_micros: 5_000,
-            ust_micros: 5_000,
-            gc_micros: 1_000_000,
-        })
-        .build();
-    assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
-
-    // Flush interval at/above the GC period.
-    let err = Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .batch_size(8)
-        .flush_interval_micros(1_000_000)
-        .build();
-    assert!(matches!(err.err().expect("must fail"), Error::Config(_)));
-
-    // With batching disabled an explicit deadline is moot, not an error.
-    assert!(Paris::builder()
-        .dcs(3)
-        .partitions(6)
-        .replication(2)
-        .no_batching()
-        .flush_interval_micros(1_000_000)
         .build()
         .is_ok());
 
@@ -356,12 +307,11 @@ fn cluster_stats_unifies_all_backends() {
     }
 }
 
-/// The three batching configurations every combination test sweeps:
-/// explicitly off, fixed-deadline, and the stable-time default.
+/// The two batching configurations every combination test sweeps:
+/// explicitly off, and the stable-time default.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Batching {
     Off,
-    Fixed,
     Default,
 }
 
@@ -384,14 +334,13 @@ fn backends_agree_on_causal_chain_under_every_batching_policy() {
             .backend(backend);
         match batching {
             Batching::Off => b.no_batching(),
-            Batching::Fixed => b.batch_size(32).flush_interval_micros(3_000),
             Batching::Default => b, // on by default
         }
     };
 
     let mut outcomes = Vec::new();
     for backend in [Backend::Sim, Backend::Thread] {
-        for batching in [Batching::Off, Batching::Fixed, Batching::Default] {
+        for batching in [Batching::Off, Batching::Default] {
             let mut cluster = scenario_builder(backend, batching).build().unwrap();
             let outcome = causal_chain(cluster.as_mut());
             assert!(
@@ -425,16 +374,14 @@ fn batching_reduces_network_messages_at_equal_load() {
             .backend(Backend::Sim);
         let b = match batching {
             Batching::Off => b.no_batching(),
-            Batching::Fixed => b.batch_size(64).flush_interval_micros(15_000),
             Batching::Default => b, // on by default
         };
         let mut cluster = b.build().unwrap();
         cluster.run_workload(100_000, 400_000).unwrap()
     };
     let off = run(Batching::Off);
-    let fixed = run(Batching::Fixed);
     let default = run(Batching::Default);
-    for (report, name) in [(&off, "off"), (&fixed, "fixed"), (&default, "default")] {
+    for (report, name) in [(&off, "off"), (&default, "default")] {
         assert!(report.stats.committed > 0, "{name}: no progress");
         assert!(
             report.violations.is_empty(),
@@ -442,12 +389,6 @@ fn batching_reduces_network_messages_at_equal_load() {
             report.violations
         );
     }
-    assert!(
-        (fixed.net_messages as f64) < off.net_messages as f64 * 0.75,
-        "fixed batching saved too little: {} -> {} messages",
-        off.net_messages,
-        fixed.net_messages
-    );
     // The untouched default must batch: this is what "on by default"
     // means at the wire.
     assert!(

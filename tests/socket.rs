@@ -64,7 +64,7 @@ fn thread_and_socket_backends_agree_on_causal_chain() {
     for batching_on in [false, true] {
         let with_batching = |b: paris::ClusterBuilder| {
             if batching_on {
-                b.batch_size(32).flush_interval_micros(3_000)
+                b // on by default
             } else {
                 b.no_batching()
             }
