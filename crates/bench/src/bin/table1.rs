@@ -52,13 +52,8 @@ fn sample_messages() -> Vec<Msg> {
             src_dc: DcId(3),
         },
         Msg::CommitTx { tx, ct: ts(3) },
-        Msg::CommitOne {
-            tx,
-            ht: ts(2),
-            writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
-            src_dc: DcId(3),
-            client: paris_types::ClientId::new(DcId(3), 4),
-        },
+        commit_one(false),
+        commit_one(true),
         Msg::Heartbeat {
             partition: PartitionId(4),
             watermark: ts(4),
@@ -68,6 +63,19 @@ fn sample_messages() -> Vec<Msg> {
             s_old: ts(4),
         },
     ]
+}
+
+/// A one-phase commit of one write; with the coordinator's share, the
+/// last-agent form, whose `ht` carries the coordinator's proposal.
+fn commit_one(coordinator_share: bool) -> Msg {
+    Msg::CommitOne {
+        tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
+        ht: Timestamp::from_parts(3_600_000_002, 3),
+        writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
+        src_dc: DcId(3),
+        client: paris_types::ClientId::new(DcId(3), 4),
+        coordinator_share,
+    }
 }
 
 /// A first read of three keys, plain or in its start form.
@@ -98,7 +106,7 @@ fn main() {
 
     section("Measured PaRiS metadata (wire codec)");
     // Asserts on the codec: StartTxReq is its tag and one timestamp, and
-    // CommitOne carries one.
+    // CommitOne carries one, with or without the coordinator's share.
     let snapshot_meta = measured_paris_snapshot_metadata();
     println!(
         "\n  snapshot/dependency metadata on StartTxReq: 1 timestamp = {snapshot_meta} bytes \
@@ -125,6 +133,10 @@ fn main() {
                 tx: TxRef::Start { .. },
                 ..
             } => "ReadReq (start)",
+            Msg::CommitOne {
+                coordinator_share: true,
+                ..
+            } => "CommitOne+share",
             _ => msg.kind(),
         };
         let bytes = wire::encoded_len(msg);

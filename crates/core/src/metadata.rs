@@ -237,21 +237,31 @@ pub fn table1() -> Vec<SystemRow> {
 /// off the wire codec, in the paper's fixed-width unit (8 bytes per
 /// timestamp): the `ust_c` piggybacked on transaction start is a single
 /// timestamp and the message carries nothing else — independent of `M`
-/// and `N`. A one-phase commit forwards one timestamp too, `ht`.
+/// and `N`. A one-phase commit forwards one timestamp too, `ht` — also
+/// when it hands a last agent the decision, since the coordinator's own
+/// proposal is folded into `ht` rather than added beside it.
 ///
 /// # Panics
 ///
 /// Panics if `StartTxReq` ever carries anything but its tag and one
-/// timestamp, or `CommitOne` more than one timestamp.
+/// timestamp, or `CommitOne`, with or without the coordinator's share,
+/// more than one timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
-    let one_phase = Msg::CommitOne {
-        tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
-        ht: Timestamp::from_parts(123_456, 7),
-        writes: Vec::new(),
-        src_dc: DcId(3),
-        client: ClientId::new(DcId(3), 4),
-    };
-    assert_eq!(wire::metadata(&one_phase).timestamps, 1, "one-phase commit");
+    for coordinator_share in [false, true] {
+        let one_phase = Msg::CommitOne {
+            tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
+            ht: Timestamp::from_parts(123_456, 7),
+            writes: Vec::new(),
+            src_dc: DcId(3),
+            client: ClientId::new(DcId(3), 4),
+            coordinator_share,
+        };
+        assert_eq!(
+            wire::metadata(&one_phase).timestamps,
+            1,
+            "one-phase commit, coordinator share {coordinator_share}"
+        );
+    }
     let ust = Timestamp::from_parts(123_456, 7);
     let msg = Msg::StartTxReq { client_ust: ust };
     let measured = wire::metadata(&msg);

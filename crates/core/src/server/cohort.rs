@@ -5,6 +5,17 @@
 //! `ct = pt`. It exceeds `ht` and the HLC, which bounds every watermark
 //! announced here, so it skips the prepared queue. It skips line 11's
 //! `ust` bump too: `ht ≥ snapshot` already puts `ct` above the snapshot.
+//!
+//! The same message makes this server the *last agent* of a two-partition
+//! write set whose other share the coordinator has prepared already: `ht`
+//! then carries that proposal, so `ct = pt > ht` is the max over both
+//! (Alg. 2 line 26). This server decides, answers the client, and sends
+//! the decision back to the coordinator as a `CommitTx`.
+//!
+//! A `CommitTx` that finds no prepared share here is counted
+//! ([`ServerStats::orphan_commits`](super::ServerStats::orphan_commits)),
+//! never silently dropped: the server restarted between prepare and
+//! commit, and its share of the writes is lost.
 
 use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
 use paris_types::{ClientId, DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
@@ -171,7 +182,7 @@ impl Server {
         // Alg. 3 line 16: HLC ← max(HLC, ct, Clock).
         self.hlc.observe(&self.clock, ct);
         let Some(p) = self.prepared.remove(&tx) else {
-            debug_assert!(false, "commit for unprepared transaction {tx}");
+            self.stats.orphan_commits += 1;
             return Vec::new();
         };
         self.prepared_index.remove(&(p.pt, tx));
@@ -187,7 +198,9 @@ impl Server {
     }
 
     /// `CommitOne` (module docs): propose as [`Server::on_prepare_req`]
-    /// does, commit under the proposal and answer the client.
+    /// does, commit under the proposal and answer the client — and the
+    /// coordinator, when it holds a share.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn on_commit_one(
         &mut self,
         tx: TxId,
@@ -195,6 +208,7 @@ impl Server {
         writes: &[WriteSetEntry],
         src_dc: DcId,
         client: ClientId,
+        coordinator_share: bool,
         now: u64,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
@@ -216,11 +230,20 @@ impl Server {
             snapshot: None,
             ct,
         };
-        vec![Envelope::new(self.id, client, msg)]
+        let mut out = vec![Envelope::new(self.id, client, msg)];
+        if coordinator_share {
+            out.push(Envelope::new(
+                self.id,
+                tx.coordinator(),
+                Msg::CommitTx { tx, ct },
+            ));
+        }
+        out
     }
 
-    /// Lowest proposed timestamp among prepared transactions, if any.
-    pub(crate) fn min_prepared(&self) -> Option<Timestamp> {
+    /// Lowest proposed timestamp among prepared transactions, if any: the
+    /// bound that holds this server's watermark below it (Alg. 4 line 7).
+    pub fn min_prepared(&self) -> Option<Timestamp> {
         self.prepared_index.iter().next().map(|(pt, _)| *pt)
     }
 }

@@ -19,8 +19,17 @@
 //! further.
 //!
 //! A plain commit whose writes land on one partition is one `CommitOne`
-//! (cohort docs); a start form keeps 2PC, as only the coordinator's reply
-//! may name the snapshot. Its own share runs in place ([`Server::in_place`]).
+//! (cohort docs). One whose writes land on the coordinator's own partition
+//! and one other is a *last-agent* commit: the coordinator prepares its
+//! own share first (Alg. 3 lines 10–13, proposal `pt_c`), then hands the
+//! other participant a `CommitOne` with `ht` raised to `pt_c`. That
+//! participant's proposal is then the max over both (Alg. 2 line 26): it
+//! decides `ct`, answers the client and sends `CommitTx` back here. Until
+//! that lands, the prepared share holds this partition's watermark — and
+//! so the UST — below `pt_c ≤ ct`, as any participant's prepared share
+//! does. 4 messages instead of 5. A start form keeps 2PC, as only the
+//! coordinator's reply may name the snapshot, and so do two or more
+//! remote participants. The own share runs in place ([`Server::in_place`]).
 //!
 //! Coordinator state lives in the [`TxTable`](super::TxTable).
 
@@ -249,7 +258,8 @@ impl Server {
     }
 
     /// `CommitReq` (Alg. 2 lines 17–25): first phase of 2PC, or the only
-    /// phase when the writes land on one partition.
+    /// phase when the writes land on one partition, or the own prepare of
+    /// a last-agent commit (module docs).
     ///
     /// Read-only transactions (empty write set) are finalized immediately:
     /// the context is dropped — releasing its snapshot from the GC
@@ -333,15 +343,34 @@ impl Server {
                 writes,
                 src_dc: self.id.dc,
                 client,
+                coordinator_share: false,
             };
             return vec![Envelope::new(self.id, *participant, msg)];
         }
+        // Last agent (module docs): the own share is prepared first, and
+        // the one other participant decides. The own prepare is the usual
+        // self-addressed `PrepareReq` that `in_place` runs within this same
+        // `handle` call, rather than a direct `on_prepare_req`, so that
+        // `handle_and`'s `local` sees it and the simulator charges it; the
+        // decider waits in the pending op for that `PrepareResp`.
+        let decider = match (&participants[..], start) {
+            (&[a, b], None) if a == self.id || b == self.id => {
+                let other = if a == self.id { b } else { a };
+                let writes = by_partition
+                    .remove(&other.partition)
+                    .expect("a share per participant");
+                participants = vec![self.id];
+                Some((other, writes))
+            }
+            _ => None,
+        };
         let awaiting: HashSet<PartitionId> = by_partition.keys().copied().collect();
         ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Commit {
             awaiting,
             participants: participants.clone(),
             max_proposed: Timestamp::ZERO,
             start,
+            decider,
         });
 
         // PrepareReq to each involved partition (Alg. 2 lines 21–25).
@@ -366,7 +395,8 @@ impl Server {
     }
 
     /// `PrepareResp`: gather proposals; when all arrived, pick the max as
-    /// commit time, notify cohorts and the client (Alg. 2 lines 26–29).
+    /// commit time, notify cohorts and the client (Alg. 2 lines 26–29) —
+    /// or, in a last-agent commit, pass the own proposal to the decider.
     pub(super) fn on_prepare_resp(
         &mut self,
         tx: TxId,
@@ -395,17 +425,31 @@ impl Server {
                 return Vec::new();
             }
 
-            let (participants, ct, start) = match ctx.pending.take() {
+            let (participants, ct, start, decider) = match ctx.pending.take() {
                 Some(PendingOp::Commit {
                     participants,
                     max_proposed,
                     start,
+                    decider,
                     ..
-                }) => (participants, max_proposed, start),
+                }) => (participants, max_proposed, start, decider),
                 _ => unreachable!("checked above"),
             };
             let client = ctx.client;
             ctxs.remove(&tx); // Alg. 2 line 28
+            if let Some((participant, writes)) = decider {
+                // Last agent: the own proposal rides in `ht`, and the
+                // participant decides, answers and sends `CommitTx` back.
+                let msg = Msg::CommitOne {
+                    tx,
+                    ht: ct,
+                    writes,
+                    src_dc: self.id.dc,
+                    client,
+                    coordinator_share: true,
+                };
+                return vec![Envelope::new(self.id, participant, msg)];
+            }
             (participants, ct, client, start)
         };
         self.stats.txs_coordinated += 1;

@@ -3,7 +3,8 @@
 //! A [`Server`] implements every server-side role of the paper:
 //!
 //! * **transaction coordinator** (Alg. 2): snapshot assignment, parallel
-//!   read fan-out, 2PC commit (one phase for a single partition);
+//!   read fan-out, 2PC commit (one phase for a single partition, the
+//!   other participant deciding when the own partition is one of two);
 //! * **transaction cohort** (Alg. 3): slice reads, prepare, commit;
 //! * **replication** (Alg. 4): applying committed transactions in commit
 //!   order, pushing them to peer replicas, heartbeats;
@@ -82,6 +83,9 @@ pub(crate) enum PendingOp {
         /// The snapshot the reply must name: `Some` when the request was
         /// a start form.
         start: Option<Timestamp>,
+        /// A last-agent commit: the participant that decides once the own
+        /// share is prepared, and its writes.
+        decider: Option<(ServerId, Vec<WriteSetEntry>)>,
     },
 }
 
@@ -157,6 +161,10 @@ pub struct ServerStats {
     pub blocked_micros_max: u64,
     /// Versions removed by GC.
     pub gc_removed: u64,
+    /// `CommitTx` messages for a transaction with no prepared share here:
+    /// the decision reached a server that lost (or never had) the
+    /// prepare, so its writes are missing.
+    pub orphan_commits: u64,
 }
 
 /// Timestamped protocol events, recorded when
@@ -527,7 +535,8 @@ impl Server {
                 writes,
                 src_dc,
                 client,
-            } => self.on_commit_one(*tx, *ht, writes, *src_dc, *client, now),
+                coordinator_share,
+            } => self.on_commit_one(*tx, *ht, writes, *src_dc, *client, *coordinator_share, now),
 
             // Replication.
             Msg::Replicate {

@@ -393,6 +393,69 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
         ]
     );
     assert_eq!(s.open_transactions(), 0);
+
+    // The own partition plus another keeps 2PC too, the coordinator's
+    // share prepared in place: one PrepareReq, to p2 only.
+    let prepares = s.stats().prepares;
+    let out = s.handle(
+        &commit(vec![
+            WriteSetEntry::new(Key(0), Value::from("a")),
+            WriteSetEntry::new(Key(2), Value::from("b")),
+        ]),
+        0,
+    );
+    let [Envelope {
+        dst,
+        msg: Msg::PrepareReq { tx, .. },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected one PrepareReq, got {out:?}");
+    };
+    assert_eq!(*dst, Endpoint::Server(participant));
+    assert_eq!(
+        s.stats().prepares,
+        prepares + 1,
+        "the own share is prepared"
+    );
+    let own = s.min_prepared().expect("the own share waits prepared");
+    // A low remote proposal: the own one is the max, and phase two goes to
+    // p2 only, at the same `ct` as the reply.
+    let out = s.handle(
+        &Envelope::new(
+            participant,
+            s.id(),
+            Msg::PrepareResp {
+                tx: *tx,
+                partition: PartitionId(2),
+                proposed: Timestamp::from_physical_micros(1),
+            },
+        ),
+        0,
+    );
+    assert_eq!(
+        out.iter().map(|e| (e.dst, &e.msg)).collect::<Vec<_>>(),
+        [
+            (
+                Endpoint::Server(participant),
+                &Msg::CommitTx { tx: *tx, ct: own }
+            ),
+            (
+                Endpoint::Client(client()),
+                &Msg::CommitResp {
+                    tx: *tx,
+                    snapshot: Some(ust),
+                    ct: own
+                }
+            )
+        ]
+    );
+    assert_eq!(s.open_transactions(), 0);
+    // The own share committed in place at that `ct`: the next tick
+    // applies it.
+    assert_eq!(s.min_prepared(), None);
+    s.on_replicate_tick(0);
+    assert_eq!(s.store().latest(Key(0)).unwrap().ut, own);
 }
 
 #[test]
@@ -532,6 +595,8 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
     clock.advance_to(10_000);
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
     let (tx, _) = start_tx(&mut s, 0);
+    // Two remote participants (the own partition 0 is not written): full
+    // 2PC, the coordinator decides.
     let writes = vec![
         WriteSetEntry::new(Key(2), Value::from("a")), // partition 2
         WriteSetEntry::new(Key(3), Value::from("b")), // partition 3
@@ -645,6 +710,7 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
             writes: vec![write],
             src_dc: DcId(0),
             client: client(),
+            coordinator_share: false,
         }
     );
     assert_eq!(coordinator.open_transactions(), 0);
@@ -758,48 +824,133 @@ fn the_coordinators_own_partition_is_read_and_committed_in_place() {
     };
     assert_eq!(results.len(), 2, "the local slice was folded in");
 
-    // A commit over partitions 0 and 2: prepared here in place, one
-    // PrepareReq to p2, and phase two goes to p2 only.
+    // A commit over partitions 0 and 2: prepared here in place, and one
+    // CommitOne hands p2 the decision, the own proposal riding in `ht`.
     let writes = vec![
         WriteSetEntry::new(Key(0), Value::from("a")),
         WriteSetEntry::new(Key(2), Value::from("b")),
     ];
+    let open = s.open_transactions();
     let (tx, out) = commit_known(&mut s, 0, writes);
-    assert!(matches!(
-        &out[..],
-        [Envelope {
-            msg: Msg::PrepareReq { .. },
-            ..
-        }]
-    ));
+    let [Envelope {
+        msg:
+            Msg::CommitOne {
+                ht: pt_c,
+                coordinator_share: true,
+                ..
+            },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected one CommitOne, got {out:?}");
+    };
     assert!(only_remote(&out));
     assert_eq!(s.stats().prepares, 1, "the own share is prepared");
-    // A low remote proposal: the own one is the max.
-    let out = s.handle(
-        &Envelope::new(
-            remote,
-            s.id(),
-            Msg::PrepareResp {
-                tx,
-                partition: PartitionId(2),
-                proposed: Timestamp::from_physical_micros(1),
-            },
-        ),
-        0,
+    assert_eq!(s.min_prepared(), Some(*pt_c));
+    assert_eq!(
+        s.open_transactions(),
+        open,
+        "the decider answers the client"
     );
-    assert_eq!(out.len(), 2, "CommitTx to p2 + CommitResp");
-    assert!(only_remote(&out));
-    let cts: Vec<Timestamp> = out
-        .iter()
-        .map(|e| match e.msg {
-            Msg::CommitTx { ct, .. } | Msg::CommitResp { ct, .. } => ct,
-            ref other => panic!("unexpected {}", other.kind()),
-        })
-        .collect();
-    assert!(cts[0] == cts[1] && cts[0].physical_micros() >= 10_000);
-    // The own share committed in place: the next tick applies it.
+    // The decision comes back: the own share commits in place, and the
+    // next tick applies it.
+    let ct = Timestamp::from_physical_micros(pt_c.physical_micros() + 1);
+    assert!(s
+        .handle(&Envelope::new(remote, s.id(), Msg::CommitTx { tx, ct }), 0)
+        .is_empty());
+    assert_eq!(s.min_prepared(), None);
     s.on_replicate_tick(0);
-    assert_eq!(s.store().latest(Key(0)).unwrap().ut, cts[0]);
+    assert_eq!(s.store().latest(Key(0)).unwrap().ut, ct);
+}
+
+/// The coordinator's own partition plus one other: the last-agent commit.
+#[test]
+fn a_two_partition_commit_with_the_own_share_is_decided_by_the_other_participant() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut coordinator = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let mut participant = server_at(&topo, &clock, 0, 2, Mode::Paris);
+
+    let writes = vec![
+        WriteSetEntry::new(Key(0), Value::from("own")),
+        WriteSetEntry::new(Key(2), Value::from("other")),
+    ];
+    // Envelope 1: the CommitReq. Envelope 2: the only thing it sends.
+    let (tx, out) = commit_known(&mut coordinator, 9_000, writes);
+    let [forward] = &out[..] else {
+        panic!("expected one forward, got {out:?}");
+    };
+    assert_eq!(forward.dst, Endpoint::Server(participant.id()));
+    let Msg::CommitOne {
+        ht: pt_c,
+        ref writes,
+        coordinator_share: true,
+        ..
+    } = forward.msg
+    else {
+        panic!("expected a CommitOne with the coordinator's share");
+    };
+    assert_eq!(writes, &[WriteSetEntry::new(Key(2), Value::from("other"))]);
+    assert!(pt_c > Timestamp::from_physical_micros(9_000), "above ht");
+    assert_eq!(coordinator.open_transactions(), 0, "the context is gone");
+    assert_eq!(coordinator.min_prepared(), Some(pt_c));
+    assert_eq!(coordinator.stats().txs_coordinated, 0, "it decides nothing");
+
+    // Envelopes 3 and 4: the participant answers the client and the
+    // coordinator.
+    let out = participant.handle(forward, 0);
+    let [Envelope {
+        dst: Endpoint::Client(c),
+        msg: Msg::CommitResp { ct, .. },
+        ..
+    }, back] = &out[..]
+    else {
+        panic!("expected CommitResp + CommitTx, got {out:?}");
+    };
+    assert_eq!(*c, client());
+    assert_eq!(back.dst, Endpoint::Server(coordinator.id()));
+    assert_eq!(back.msg, Msg::CommitTx { tx, ct: *ct });
+    assert!(*ct > pt_c, "the max over both proposals is the decider's");
+    assert_eq!(participant.stats().txs_coordinated, 1);
+    assert_eq!(participant.events().unwrap().commits, [(tx, *ct, 0)]);
+
+    // Until the decision lands, the prepared share holds the coordinator's
+    // watermark below its proposal.
+    clock.advance_to(50_000);
+    coordinator.on_replicate_tick(0);
+    assert_eq!(coordinator.min_prepared(), Some(pt_c));
+    assert!(coordinator.version_vector()[&DcId(0)] < pt_c);
+    assert!(coordinator.store().latest(Key(0)).is_none());
+
+    // Then both shares apply at exactly `ct`.
+    assert!(coordinator.handle(back, 0).is_empty());
+    assert_eq!(coordinator.min_prepared(), None);
+    coordinator.on_replicate_tick(0);
+    participant.on_replicate_tick(0);
+    assert_eq!(coordinator.store().latest(Key(0)).unwrap().ut, *ct);
+    assert_eq!(participant.store().latest(Key(2)).unwrap().ut, *ct);
+    let prepares = coordinator.stats().prepares + participant.stats().prepares;
+    assert_eq!(prepares, 2);
+    assert_eq!(coordinator.stats().orphan_commits, 0);
+}
+
+#[test]
+fn a_commit_tx_with_no_prepared_share_is_counted() {
+    // A restarted participant, say: the decision finds nothing to commit.
+    let topo = topo();
+    let clock = SimClock::new();
+    let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let coordinator = ServerId::new(DcId(0), PartitionId(3));
+    let stray = Msg::CommitTx {
+        tx: TxId::new(coordinator, 7),
+        ct: Timestamp::from_physical_micros(5_000),
+    };
+    assert!(s
+        .handle(&Envelope::new(coordinator, s.id(), stray), 0)
+        .is_empty());
+    assert_eq!(s.stats().orphan_commits, 1);
+    assert_eq!(s.min_prepared(), None);
 }
 
 #[test]

@@ -86,6 +86,8 @@ snapshot_counters! {
     deadline_flushes,
     /// Versions removed by GC.
     gc_removed,
+    /// `CommitTx` messages that found no prepared share.
+    orphan_commits,
 }
 
 /// Everything the parent needs from one child at collection time: the

@@ -236,7 +236,7 @@ pub enum Msg {
         /// The buffered write set.
         writes: Vec<WriteSetEntry>,
     },
-    /// Coordinator or sole participant → client: the commit timestamp
+    /// Coordinator or deciding participant → client: the commit timestamp
     /// (Alg. 2 line 29; see [`Msg::CommitOne`]).
     CommitResp {
         /// Transaction id.
@@ -283,8 +283,9 @@ pub enum Msg {
         /// Per-key results.
         results: Vec<ReadResult>,
     },
-    /// Coordinator → cohort: first phase of 2PC (Alg. 2 line 23) over two
-    /// or more partitions (one partition takes [`Msg::CommitOne`]).
+    /// Coordinator → cohort: first phase of 2PC (Alg. 2 line 23), for a
+    /// start form or two or more remote partitions (one remote partition
+    /// takes [`Msg::CommitOne`]).
     PrepareReq {
         /// Transaction id.
         tx: TxId,
@@ -309,28 +310,35 @@ pub enum Msg {
         /// Proposed commit timestamp.
         proposed: Timestamp,
     },
-    /// Coordinator → cohort: second phase of 2PC with the final commit
-    /// timestamp (Alg. 2 line 27).
+    /// Second phase of 2PC with the final commit timestamp (Alg. 2 line
+    /// 27): coordinator → cohort, or — after a [`Msg::CommitOne`] whose
+    /// `coordinator_share` is set — the deciding participant → the
+    /// coordinator, which holds the other share prepared.
     CommitTx {
         /// Transaction id.
         tx: TxId,
         /// Final commit timestamp (max over proposals).
         ct: Timestamp,
     },
-    /// Coordinator → the only participant of a plain commit's write set:
-    /// prepare and commit in one step, `ct` = its proposal, answered to
-    /// the client.
+    /// Coordinator → the one remote participant of a plain commit's write
+    /// set: prepare and commit in one step, `ct` = its proposal, answered
+    /// to the client. The participant decides: every other proposal is
+    /// already folded into `ht`.
     CommitOne {
         /// Transaction id.
         tx: TxId,
-        /// `ht`: max(snapshot, client's `hwt`) (Alg. 2 line 19).
+        /// `ht`: max(snapshot, client's `hwt`) (Alg. 2 line 19), raised to
+        /// the coordinator's own proposal when it holds a share.
         ht: Timestamp,
-        /// The transaction's writes, all owned by the participant.
+        /// The participant's writes.
         writes: Vec<WriteSetEntry>,
         /// DC of the committing client/coordinator (the versions' `sr`).
         src_dc: DcId,
         /// The client that gets the `CommitResp`.
         client: ClientId,
+        /// The coordinator holds the rest of the write set prepared, and
+        /// gets a [`Msg::CommitTx`] with the decided `ct`.
+        coordinator_share: bool,
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version

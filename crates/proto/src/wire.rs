@@ -25,8 +25,9 @@
 //! fields; an envelope frame is the [`FRAME_V2`] marker, both endpoints,
 //! then the message. Protocol version 3 added the start forms of
 //! `ReadReq` / `CommitReq` and of their replies under tags of their own,
-//! and version 4 the one-phase `CommitOne`; every other frame is the v2
-//! one, byte for byte.
+//! version 4 the one-phase `CommitOne`, and version 5 its last-agent form
+//! (`coordinator_share` set) under a tag of its own; every other frame is
+//! the v2 one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -55,7 +56,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -589,13 +590,17 @@ const T_READ_RESP_START: u8 = 24;
 const T_COMMIT_REQ_START: u8 = 25;
 const T_COMMIT_RESP_START: u8 = 26;
 const T_OP_FAILED_START: u8 = 27;
-// The one-phase commit of a single-partition write set.
+// The one-phase commit of a single-partition write set, and its last-agent
+// form (the coordinator holds the rest of the write set prepared): the same
+// fields, so the plain frame stays byte-identical.
 const T_COMMIT_ONE: u8 = 28;
+const T_COMMIT_ONE_SHARE: u8 = 29;
 
-/// A message's tag: `plain`, or `start` for its start form.
-fn form(start: bool, plain: u8, start_tag: u8) -> u8 {
-    if start {
-        start_tag
+/// A message's tag: `plain`, or `other` for its other form (a start form,
+/// or the last-agent commit).
+fn form(is_other: bool, plain: u8, other: u8) -> u8 {
+    if is_other {
+        other
     } else {
         plain
     }
@@ -709,8 +714,9 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             writes,
             src_dc,
             client,
+            coordinator_share,
         } => {
-            s.tag(T_COMMIT_ONE);
+            s.tag(form(*coordinator_share, T_COMMIT_ONE, T_COMMIT_ONE_SHARE));
             put_tx(s, *tx);
             s.timestamp(*ht);
             put_dc(s, client.dc);
@@ -870,11 +876,12 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(r)?,
             ct: get_ts(r)?,
         },
-        T_COMMIT_ONE => Msg::CommitOne {
+        T_COMMIT_ONE | T_COMMIT_ONE_SHARE => Msg::CommitOne {
             tx: get_tx(r)?,
             ht: get_ts(r)?,
             client: ClientId::new(get_dc(r)?, varint::get_u32(r)?),
             src_dc: get_dc(r)?,
+            coordinator_share: tag == T_COMMIT_ONE_SHARE,
             writes: get_vec(r, get_write)?,
         },
         T_REPLICATE => Msg::Replicate {
@@ -1411,13 +1418,17 @@ mod tests {
                 arb_writes(),
                 arb_dc(),
                 (arb_dc(), any::<u32>()).prop_map(|(dc, seq)| ClientId::new(dc, seq)),
+                any::<bool>(),
             )
-                .prop_map(|(tx, ht, writes, src_dc, client)| Msg::CommitOne {
-                    tx,
-                    ht,
-                    writes,
-                    src_dc,
-                    client,
+                .prop_map(|(tx, ht, writes, src_dc, client, coordinator_share)| {
+                    Msg::CommitOne {
+                        tx,
+                        ht,
+                        writes,
+                        src_dc,
+                        client,
+                        coordinator_share,
+                    }
                 }),
             (arb_partition(), arb_txs(), arb_ts()).prop_map(|(partition, txs, watermark)| {
                 Msg::Replicate {
@@ -1475,7 +1486,8 @@ mod tests {
     /// One message per tag (both forms where a tag has two), with
     /// multi-byte varints, and the frame the encoder produced for it. The
     /// frames of tags 1–21 are the v2 codec's, byte for byte: v3 only
-    /// added the start forms (22–27), v4 only the one-phase commit (28).
+    /// added the start forms (22–27), v4 only the one-phase commit (28),
+    /// and v5 only its last-agent form (29).
     fn golden_messages() -> Vec<(Msg, &'static str)> {
         let t = tx(1, 2, 12_345);
         let p = PartitionId(300);
@@ -1730,18 +1742,22 @@ mod tests {
                 },
                 "1b0102b96080c8ceb40d03",
             ),
-            // The one-phase commit.
-            (
-                Msg::CommitOne {
-                    tx: t,
-                    ht: now,
-                    writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
-                    src_dc: DcId(1),
-                    client: ClientId::new(DcId(1), 70_000),
-                },
-                "1c0102b96080c8ceb40d0301f0a2040101050177",
-            ),
+            // The one-phase commit (the v4 frame), and its last-agent form:
+            // the same bytes under tag 29.
+            (commit_one(false), "1c0102b96080c8ceb40d0301f0a2040101050177"),
+            (commit_one(true), "1d0102b96080c8ceb40d0301f0a2040101050177"),
         ]
+    }
+
+    fn commit_one(coordinator_share: bool) -> Msg {
+        Msg::CommitOne {
+            tx: tx(1, 2, 12_345),
+            ht: Timestamp::from_parts(3_600_000_000, 3),
+            writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
+            src_dc: DcId(1),
+            client: ClientId::new(DcId(1), 70_000),
+            coordinator_share,
+        }
     }
 
     #[test]
@@ -1754,7 +1770,7 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_COMMIT_ONE).collect::<Vec<_>>(),
+            (T_START_REQ..=T_COMMIT_ONE_SHARE).collect::<Vec<_>>(),
             "one golden per tag"
         );
     }

@@ -88,6 +88,9 @@ pub struct ClusterStats {
     pub deadline_flushes: u64,
     /// Versions removed by GC.
     pub gc_removed: u64,
+    /// `CommitTx` messages that found no prepared share: a server lost a
+    /// prepare, and with it its share of a committed write set.
+    pub orphan_commits: u64,
     /// Aggregated BPR read-blocking statistics (zero under PaRiS).
     pub blocking: BlockingStats,
     /// Total messages the network carried (0 on the mini backend, whose
@@ -116,6 +119,7 @@ impl ClusterStats {
         self.heartbeats += stats.heartbeats;
         self.coalesced_frames += stats.coalesced_frames;
         self.gc_removed += stats.gc_removed;
+        self.orphan_commits += stats.orphan_commits;
         self.blocking.accumulate(stats);
     }
 
@@ -146,6 +150,7 @@ impl ClusterStats {
         self.size_flushes += c.size_flushes;
         self.deadline_flushes += c.deadline_flushes;
         self.gc_removed += c.gc_removed;
+        self.orphan_commits += c.orphan_commits;
         self.blocking.blocked_reads += snap.blocked_reads;
         self.blocking.total_micros += snap.blocked_micros_total;
         self.blocking.max_micros = self.blocking.max_micros.max(snap.blocked_micros_max);
@@ -362,6 +367,7 @@ mod tests {
             blocked_micros_total: 500,
             blocked_micros_max: 500,
             gc_removed: 11,
+            orphan_commits: 13,
         };
         let snap = paris_proto::ServerSnapshot {
             ust: Timestamp::from_physical_micros(50),
@@ -383,6 +389,7 @@ mod tests {
                 coalesced_frames: 8,
                 crossing_flushes: 12,
                 gc_removed: 11,
+                orphan_commits: 13,
                 ..Default::default()
             },
             ..Default::default()
@@ -395,6 +402,7 @@ mod tests {
         assert_eq!(direct.msgs_handled, wired.msgs_handled);
         assert_eq!(direct.applied_remote, wired.applied_remote);
         assert_eq!(direct.gc_removed, wired.gc_removed);
+        assert_eq!((direct.orphan_commits, wired.orphan_commits), (13, 13));
         assert_eq!(
             (direct.reads_unchanged, direct.reads_shipped),
             (wired.reads_unchanged, wired.reads_shipped)

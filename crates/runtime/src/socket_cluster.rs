@@ -445,6 +445,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                             size_flushes: counters.size_flushes.load(Ordering::Relaxed),
                             deadline_flushes: counters.deadline_flushes.load(Ordering::Relaxed),
                             gc_removed: stats.gc_removed,
+                            orphan_commits: stats.orphan_commits,
                         },
                         chains,
                     }

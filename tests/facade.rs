@@ -493,6 +493,61 @@ fn workload_runs_on_every_backend() {
 }
 
 #[test]
+fn two_partition_commits_are_decided_by_the_last_agent_on_every_backend() {
+    // 2 DCs × 2 partitions, fully replicated: every write set spans the
+    // coordinator's own partition and the other one, and the read that
+    // comes first makes each commit a plain one. So every update commits
+    // last-agent: one prepare at the coordinator, one proposal at the
+    // participant that decides — never a coordinator-decided 2PC.
+    let workload = paris::workload::WorkloadConfig {
+        reads_per_tx: 1,
+        writes_per_tx: 2,
+        partitions_per_tx: 2,
+        local_tx_ratio: 1.0,
+        ..paris::workload::WorkloadConfig::read_heavy()
+    };
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
+        let mut cluster = Paris::builder()
+            .dcs(2)
+            .partitions(2)
+            .replication(2)
+            .keys_per_partition(100)
+            .workload(workload.clone())
+            .clients_per_dc(2)
+            .uniform_latency_micros(2_000)
+            .record_history(true)
+            .seed(31)
+            .backend(backend)
+            .build()
+            .unwrap();
+        let report = cluster.run_workload(50_000, 300_000).unwrap();
+        assert!(report.stats.committed > 0, "{backend:?}: no progress");
+        assert!(
+            report.violations.is_empty(),
+            "{backend:?} violated TCC: {:#?}",
+            report.violations
+        );
+        // Let every decision in flight at the window's end land.
+        cluster.stabilize(5);
+        let stats = cluster.stats().unwrap();
+        assert!(
+            stats.txs_coordinated > 0,
+            "{backend:?}: no update committed"
+        );
+        assert_eq!(
+            stats.prepares,
+            2 * stats.txs_coordinated,
+            "{backend:?}: two proposals per decided commit"
+        );
+        assert_eq!(stats.orphan_commits, 0, "{backend:?}");
+        assert!(
+            cluster.check_convergence().unwrap().is_empty(),
+            "{backend:?}"
+        );
+    }
+}
+
+#[test]
 fn bpr_mode_works_through_the_facade_on_all_backends() {
     for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
         let mut cluster = Paris::builder()
