@@ -27,6 +27,7 @@ mod tx_table;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use paris_clock::{Hlc, PhysicalClock};
+pub use paris_proto::ServerStats;
 use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadResult};
 use paris_storage::{DurableConfig, DurableEngine, Engine, MemEngine, RecoveryInfo};
 use paris_types::{ClientId, DcId, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry};
@@ -118,53 +119,6 @@ pub(crate) struct BlockedRead {
     pub keys: Vec<ReadKey>,
     pub reply_to: ServerId,
     pub blocked_at: u64,
-}
-
-/// Counters exposed by a server, aggregated by the measurement harness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Messages handled, any kind.
-    pub msgs_handled: u64,
-    /// Update transactions whose commit time this server decided.
-    pub txs_coordinated: u64,
-    /// Slice reads served (including after unblocking).
-    pub slice_reads: u64,
-    /// Keys returned by slice reads.
-    pub keys_read: u64,
-    /// Of those, keys answered `Unchanged`: the client's stamp named the
-    /// version visible in the snapshot, so no value travelled.
-    /// `reads_unchanged / (reads_unchanged + reads_shipped)` is the
-    /// validation hit ratio.
-    pub reads_unchanged: u64,
-    /// Keys answered with a full version (the rest had no visible
-    /// version).
-    pub reads_shipped: u64,
-    /// Proposals made: prepares and one-phase commits handled.
-    pub prepares: u64,
-    /// Transactions applied locally (as 2PC participant).
-    pub applied_local: u64,
-    /// Transactions applied from remote replication.
-    pub applied_remote: u64,
-    /// Replication batches sent.
-    pub replicate_batches: u64,
-    /// Heartbeats sent.
-    pub heartbeats: u64,
-    /// Logical frames received folded inside coalesced
-    /// `ReplicateBatch`/`GossipDigest` messages (each such message counts
-    /// its `frames`, so `coalesced_frames - messages` is the wire saving).
-    pub coalesced_frames: u64,
-    /// Reads that had to block (BPR only).
-    pub blocked_reads: u64,
-    /// Total microseconds reads spent blocked (BPR only).
-    pub blocked_micros_total: u64,
-    /// Maximum single blocking duration (BPR only).
-    pub blocked_micros_max: u64,
-    /// Versions removed by GC.
-    pub gc_removed: u64,
-    /// `CommitTx` messages for a transaction with no prepared share here:
-    /// the decision reached a server that lost (or never had) the
-    /// prepare, so its writes are missing.
-    pub orphan_commits: u64,
 }
 
 /// Timestamped protocol events, recorded when

@@ -187,14 +187,15 @@ pub fn decode_ctrl_frame(bytes: &[u8]) -> Result<Ctrl, Error> {
 /// Reads control frames until one arrives, the peer disappears, or
 /// `deadline` passes — the blocking request/response helper the control
 /// plane is built on. Timeouts at frame boundaries are retried within the
-/// deadline.
-pub fn read_ctrl_deadline<R: Read>(r: &mut R, deadline: Instant) -> Result<Ctrl, Error> {
+/// deadline; with no deadline they are retried for as long as the peer is
+/// there, so only EOF, an I/O error or a malformed frame ends the wait.
+pub fn read_ctrl_deadline<R: Read>(r: &mut R, deadline: Option<Instant>) -> Result<Ctrl, Error> {
     loop {
         match read_frame(r)? {
             FrameRead::Frame(bytes) => return decode_ctrl_frame(&bytes),
             FrameRead::Eof => return Err(Error::Transport("control peer closed")),
             FrameRead::TimedOut => {
-                if Instant::now() >= deadline {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Err(Error::Transport("control operation timed out"));
                 }
             }
@@ -292,6 +293,25 @@ mod tests {
             panic!("expected a frame");
         };
         assert_eq!(decode_ctrl_frame(&payload).unwrap(), ctrl);
+    }
+
+    #[test]
+    fn a_control_read_without_deadline_outwaits_read_timeouts() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let writer = std::thread::spawn(move || {
+            // Several 20 ms read timeouts pass before the frame is written;
+            // dropping `peer` then closes the connection.
+            std::thread::sleep(Duration::from_millis(150));
+            write_ctrl(&mut peer, &Ctrl::Stop).unwrap();
+        });
+        let timeout = Some(Duration::from_millis(20));
+        stream.set_read_timeout(timeout).unwrap();
+        assert_eq!(read_ctrl_deadline(&mut stream, None), Ok(Ctrl::Stop));
+        writer.join().unwrap();
+        let closed = Err(Error::Transport("control peer closed"));
+        assert_eq!(read_ctrl_deadline(&mut stream, None), closed);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! paper-facing properties: `encoded_len`/`metadata` keep measuring
 //! exactly the algorithmic messages of Table I. The frames are built from
 //! the same field put/get pairs as the protocol codec ([`crate::wire`]).
+//!
+//! Control frames only travel between a parent and the children it
+//! spawned from its own build, so their layout (the [`ServerSnapshot`]
+//! field order, say) may change without a
+//! [`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION) bump.
 
 use bytes::{Bytes, BytesMut};
 use paris_types::{Key, ServerId, Timestamp, VersionOrd};
@@ -25,25 +30,25 @@ use crate::wire::{
 
 /// Defines the counter block and its encode and decode walks from one
 /// field list, so the three cannot disagree on the order.
-macro_rules! snapshot_counters {
+macro_rules! server_stats {
     ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// The flat protocol counter block a child reports alongside its
-        /// snapshot — a wire-stable mirror of the server's internal
-        /// statistics (message counts, 2PC roles, replication applies)
-        /// plus its node's flush mix, so the parent can aggregate a
-        /// cluster-wide view without reaching into child processes.
+        /// Counters exposed by a server: message counts, 2PC roles,
+        /// replication applies and BPR blocking. The server keeps them,
+        /// every backend folds them into its cluster-wide statistics, and
+        /// a socket child carries them to its parent in a
+        /// [`ServerSnapshot`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct SnapshotCounters {
+        pub struct ServerStats {
             $($(#[$doc])* pub $field: u64,)*
         }
 
-        impl SnapshotCounters {
+        impl ServerStats {
             fn encode(&self, buf: &mut BytesMut) {
                 $(buf.varint(self.$field);)*
             }
 
             fn decode(r: &mut &[u8]) -> Result<Self, DecodeError> {
-                Ok(SnapshotCounters {
+                Ok(ServerStats {
                     $($field: varint::get(r)?,)*
                 })
             }
@@ -51,21 +56,24 @@ macro_rules! snapshot_counters {
     };
 }
 
-snapshot_counters! {
+server_stats! {
     /// Messages handled, any kind.
     msgs_handled,
-    /// Update transactions committed with this server as coordinator.
+    /// Update transactions whose commit time this server decided.
     txs_coordinated,
-    /// Slice reads served.
+    /// Slice reads served (including after unblocking).
     slice_reads,
     /// Keys returned by slice reads.
     keys_read,
-    /// Keys answered `Unchanged` (the client's stamp named the visible
-    /// version).
+    /// Of those, keys answered `Unchanged`: the client's stamp named the
+    /// version visible in the snapshot, so no value travelled.
+    /// `reads_unchanged / (reads_unchanged + reads_shipped)` is the
+    /// validation hit ratio.
     reads_unchanged,
-    /// Keys answered with a full version.
+    /// Keys answered with a full version (the rest had no visible
+    /// version).
     reads_shipped,
-    /// Prepares handled.
+    /// Proposals made: prepares and one-phase commits handled.
     prepares,
     /// Transactions applied locally (as 2PC participant).
     applied_local,
@@ -75,44 +83,50 @@ snapshot_counters! {
     replicate_batches,
     /// Heartbeats sent.
     heartbeats,
-    /// Logical frames folded inside coalesced messages.
+    /// Logical frames received folded inside coalesced
+    /// `ReplicateBatch`/`GossipDigest` messages (each such message counts
+    /// its `frames`, so `coalesced_frames - messages` is the wire saving).
     coalesced_frames,
-    /// Coalescer flushes on this node's links released by stable-time
-    /// progress.
-    crossing_flushes,
-    /// Coalescer flushes released by the size bound.
-    size_flushes,
-    /// Coalescer flushes released by a deadline (the ceiling).
-    deadline_flushes,
+    /// Reads that had to block (BPR only).
+    blocked_reads,
+    /// Total microseconds reads spent blocked (BPR only).
+    blocked_micros_total,
+    /// Maximum single blocking duration (BPR only).
+    blocked_micros_max,
     /// Versions removed by GC.
     gc_removed,
-    /// `CommitTx` messages that found no prepared share.
+    /// `CommitTx` messages for a transaction with no prepared share here:
+    /// the decision reached a server that lost (or never had) the
+    /// prepare, so its writes are missing.
     orphan_commits,
 }
 
-/// Everything the parent needs from one child at collection time: the
-/// server's stable frontier, its blocking counters, its wire accounting,
-/// its protocol counter block and the retained version orders of
-/// every key — the checker's ground truth and the convergence oracle's
-/// input.
+/// One server as its observers see it: its stable frontier, its counter
+/// block, its node's wire accounting and flush mix, and (when asked for)
+/// the retained version orders of every key — the checker's ground truth
+/// and the convergence oracle's input. The thread backend's server loops
+/// answer with one in-process; a socket child sends one in
+/// [`Ctrl::StatsResp`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServerSnapshot {
     /// The reporting server.
     pub server: Option<ServerId>,
     /// Its current universal stable time.
     pub ust: Timestamp,
-    /// BPR reads that blocked on this server.
-    pub blocked_reads: u64,
-    /// Total microseconds those reads spent blocked.
-    pub blocked_micros_total: u64,
-    /// Longest single block, in microseconds.
-    pub blocked_micros_max: u64,
-    /// Wire messages this child's node sent.
+    /// Its protocol counters.
+    pub stats: ServerStats,
+    /// Wire messages this server's node sent (0 where the transport is
+    /// shared and metered as a whole).
     pub net_messages: u64,
-    /// Wire bytes this child's node sent.
+    /// Wire bytes this server's node sent.
     pub net_bytes: u64,
-    /// Protocol counters.
-    pub counters: SnapshotCounters,
+    /// Coalescer flushes on this node's links released by stable-time
+    /// progress.
+    pub crossing_flushes: u64,
+    /// Coalescer flushes released by the size bound.
+    pub size_flushes: u64,
+    /// Coalescer flushes released by a deadline (the ceiling).
+    pub deadline_flushes: u64,
     /// Per key: every retained version's order stamp, freshest first.
     pub chains: Vec<(Key, Vec<VersionOrd>)>,
 }
@@ -195,12 +209,12 @@ pub fn encode_ctrl(ctrl: &Ctrl) -> Bytes {
             buf.tag(C_STATS_RESP);
             put_opt(&mut buf, &snap.server, |buf, s| put_server(buf, *s));
             buf.timestamp(snap.ust);
-            buf.varint(snap.blocked_reads);
-            buf.varint(snap.blocked_micros_total);
-            buf.varint(snap.blocked_micros_max);
+            snap.stats.encode(&mut buf);
             buf.varint(snap.net_messages);
             buf.varint(snap.net_bytes);
-            snap.counters.encode(&mut buf);
+            buf.varint(snap.crossing_flushes);
+            buf.varint(snap.size_flushes);
+            buf.varint(snap.deadline_flushes);
             put_vec(&mut buf, &snap.chains, |buf, (key, orders)| {
                 buf.key(*key);
                 put_vec(buf, orders, put_order);
@@ -233,12 +247,12 @@ pub fn decode_ctrl(bytes: &[u8]) -> Result<Ctrl, DecodeError> {
         C_STATS_RESP => Ctrl::StatsResp(Box::new(ServerSnapshot {
             server: get_opt(r, get_server)?,
             ust: get_ts(r)?,
-            blocked_reads: varint::get(r)?,
-            blocked_micros_total: varint::get(r)?,
-            blocked_micros_max: varint::get(r)?,
+            stats: ServerStats::decode(r)?,
             net_messages: varint::get(r)?,
             net_bytes: varint::get(r)?,
-            counters: SnapshotCounters::decode(r)?,
+            crossing_flushes: varint::get(r)?,
+            size_flushes: varint::get(r)?,
+            deadline_flushes: varint::get(r)?,
             chains: get_vec(r, |r| Ok((get_key(r)?, get_vec(r, get_order)?)))?,
         })),
         C_STOP => Ctrl::Stop,
@@ -274,20 +288,35 @@ mod tests {
                 ],
             },
             Ctrl::StatsReq,
+            // Every counter non-zero and distinct, so a field the walks
+            // drop or swap cannot roundtrip.
             Ctrl::StatsResp(Box::new(ServerSnapshot {
                 server: Some(s),
                 ust: Timestamp::from_parts(100, 3),
-                blocked_reads: 7,
-                blocked_micros_total: 4_200,
-                blocked_micros_max: 900,
-                net_messages: 12,
-                net_bytes: 3_456,
-                counters: SnapshotCounters {
+                stats: ServerStats {
                     msgs_handled: 1,
-                    reads_unchanged: 16,
-                    applied_remote: 300,
-                    ..SnapshotCounters::default()
+                    txs_coordinated: 2,
+                    slice_reads: 3,
+                    keys_read: 4,
+                    reads_unchanged: 5,
+                    reads_shipped: 6,
+                    prepares: 7,
+                    applied_local: 8,
+                    applied_remote: 9,
+                    replicate_batches: 10,
+                    heartbeats: 11,
+                    coalesced_frames: 12,
+                    blocked_reads: 13,
+                    blocked_micros_total: 4_200,
+                    blocked_micros_max: 15,
+                    gc_removed: 16,
+                    orphan_commits: 17,
                 },
+                net_messages: 18,
+                net_bytes: 3_456,
+                crossing_flushes: 20,
+                size_flushes: 21,
+                deadline_flushes: 22,
                 chains: vec![
                     (Key(9), vec![ord(90, 1, 4, 1), ord(80, 0, 2, 0)]),
                     (Key(10), vec![]),

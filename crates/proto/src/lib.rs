@@ -31,7 +31,7 @@ mod messages;
 pub mod varint;
 pub mod wire;
 
-pub use ctrl::{Ctrl, ServerSnapshot, SnapshotCounters};
+pub use ctrl::{Ctrl, ServerSnapshot, ServerStats};
 pub use messages::{
     DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx, TxRef,
 };

@@ -8,37 +8,95 @@
 //! This module is those loops, generic over how an envelope leaves the
 //! node (a `send` closure) and which [`PhysicalClock`] stamps time — the
 //! only two things that differ between the substrates.
+//!
+//! The server loop owns its [`Server`] outright: nothing else holds it,
+//! so nothing locks it. Whoever wants to observe the server — the thread
+//! backend's `stats()`, `min_ust()` and checker, a socket child's control
+//! thread — sends a [`SnapshotReq`], and the loop answers it with a
+//! [`ServerSnapshot`] between messages and ticks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paris_clock::PhysicalClock;
 use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::{ClientEvent, ClientSession, ReadStep, Server, Topology};
-use paris_proto::Envelope;
-use paris_types::{ClientId, Mode, ServerId};
-use paris_workload::stats::Histogram;
+use paris_proto::{Envelope, ServerSnapshot};
+use paris_types::{ClientId, Error, Mode, ServerId};
+use paris_workload::stats::{Histogram, RunStats};
 use paris_workload::{WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One server's protocol loop: pumps the inbox into the state machine
-/// and fires the periodic background protocols (Alg. 4's replicate, GST,
-/// UST-at-root and GC ticks) on their wall-clock deadlines.
+use crate::measure::{ClusterStats, RunReport};
+
+/// A request for one server's [`ServerSnapshot`], answered by its loop.
+pub(crate) struct SnapshotReq {
+    /// Whether to walk the store for every key's version orders (the
+    /// checker's ground truth, the convergence oracle); a stats or UST
+    /// poll leaves them out.
+    chains: bool,
+    /// Where the answer goes. The loop never blocks on it: a reply with
+    /// no room, or nobody left to read it, is dropped.
+    reply: SyncSender<ServerSnapshot>,
+}
+
+/// Asks every loop in `servers` for a snapshot — every request first,
+/// then every answer, so one poll costs at most one loop wake-up, not one
+/// per server. Answers come back in arrival order.
+///
+/// # Errors
+///
+/// [`Error::Transport`] when a loop has exited, still holds an earlier
+/// request, or does not answer within [`crate::OP_TIMEOUT`].
+pub(crate) fn request_snapshots(
+    servers: &[SyncSender<SnapshotReq>],
+    chains: bool,
+) -> Result<Vec<ServerSnapshot>, Error> {
+    let (reply, answers) = sync_channel(servers.len());
+    for server in servers {
+        let req = SnapshotReq {
+            chains,
+            reply: reply.clone(),
+        };
+        server
+            .try_send(req)
+            .map_err(|_| Error::Transport("a server loop is not taking snapshot requests"))?;
+    }
+    // Only the loops hold a reply sender now: one that exits unanswered
+    // disconnects the wait instead of running out the timeout.
+    drop(reply);
+    let deadline = Instant::now() + crate::OP_TIMEOUT;
+    servers
+        .iter()
+        .map(|_| {
+            answers
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .map_err(|_| Error::Transport("a server loop did not answer a snapshot request"))
+        })
+        .collect()
+}
+
+/// One server's protocol loop: pumps the inbox into the state machine,
+/// fires the periodic background protocols (Alg. 4's replicate, GST,
+/// UST-at-root and GC ticks) on their wall-clock deadlines, and answers
+/// snapshot requests after every wake-up — so an idle loop answers within
+/// its 5 ms wait. It returns when the inbox disconnects or `stop` is
+/// raised.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn server_loop(
-    server: Arc<Mutex<Server>>,
+    mut server: Server,
     inbox: Receiver<Envelope>,
+    snapshots: Receiver<SnapshotReq>,
     send: impl Fn(Envelope),
     topo: Arc<Topology>,
     clock: impl PhysicalClock,
     stop: Arc<AtomicBool>,
     intervals: paris_types::Intervals,
-    id: ServerId,
 ) {
-    let is_root = topo.tree_parent(id).is_none();
+    let is_root = topo.tree_parent(server.id()).is_none();
     let start = clock.now_micros();
     let mut rep = Tick::starting(start, intervals.replication_micros);
     let mut gst = Tick::starting(start, intervals.gst_micros);
@@ -53,11 +111,7 @@ pub(crate) fn server_loop(
         let timeout = Duration::from_micros(deadline.saturating_sub(now).min(5_000));
         match inbox.recv_timeout(timeout) {
             Ok(env) => {
-                let out = {
-                    let mut server = server.lock().expect("server poisoned");
-                    server.handle(&env, clock.now_micros())
-                };
-                for e in out {
+                for e in server.handle(&env, clock.now_micros()) {
                     send(e);
                 }
             }
@@ -67,26 +121,26 @@ pub(crate) fn server_loop(
         let now = clock.now_micros();
         let (rep_due, gst_due, gc_due) = (rep.fire(now), gst.fire(now), gc.fire(now));
         let ust_due = is_root && ust.fire(now);
-        if rep_due || gst_due || ust_due || gc_due {
-            let mut out = Vec::new();
-            {
-                let mut server = server.lock().expect("server poisoned");
-                if rep_due {
-                    out.extend(server.on_replicate_tick(now));
-                }
-                if gst_due {
-                    out.extend(server.on_gst_tick(now));
-                }
-                if ust_due {
-                    out.extend(server.on_ust_tick(now));
-                }
-                if gc_due {
-                    server.on_gc_tick(now);
-                }
-            }
-            for e in out {
-                send(e);
-            }
+        let mut out = Vec::new();
+        if rep_due {
+            out.extend(server.on_replicate_tick(now));
+        }
+        if gst_due {
+            out.extend(server.on_gst_tick(now));
+        }
+        if ust_due {
+            out.extend(server.on_ust_tick(now));
+        }
+        if gc_due {
+            server.on_gc_tick(now);
+        }
+        for e in out {
+            send(e);
+        }
+        while let Ok(req) = snapshots.try_recv() {
+            let _ = req
+                .reply
+                .try_send(crate::server_snapshot(&server, req.chains));
         }
         if stop.load(Ordering::Relaxed) {
             break;
@@ -129,6 +183,44 @@ pub(crate) struct ClientOutcome {
     pub(crate) committed: u64,
     pub(crate) aborted: u64,
     pub(crate) latency: Histogram,
+}
+
+/// A live backend's run report: the clients' outcomes merged into the
+/// window's statistics and, when history is recorded, their transactions
+/// judged against `truth`, the servers' snapshots taken with their
+/// chains. `cluster` supplies the blocking and wire totals.
+pub(crate) fn live_report(
+    mode: Mode,
+    window_micros: u64,
+    outcomes: Vec<ClientOutcome>,
+    cluster: &ClusterStats,
+    truth: Option<&[ServerSnapshot]>,
+) -> RunReport {
+    let mut stats = RunStats::new(window_micros);
+    let mut checker = truth.map(|truth| {
+        let mut checker = HistoryChecker::new();
+        crate::record_ground_truth(&mut checker, truth);
+        checker
+    });
+    for outcome in outcomes {
+        stats.committed += outcome.committed;
+        stats.aborted += outcome.aborted;
+        stats.latency.merge(&outcome.latency);
+        if let Some(checker) = checker.as_mut() {
+            for (cid, rec) in outcome.records {
+                checker.record_tx(cid, rec);
+            }
+        }
+    }
+    RunReport {
+        mode,
+        stats,
+        blocking: cluster.blocking,
+        visibility: None,
+        violations: checker.map_or_else(Vec::new, |checker| checker.check()),
+        net_messages: cluster.net_messages,
+        net_bytes: cluster.net_bytes,
+    }
 }
 
 /// One closed-loop workload client: begin → read → write → commit,
@@ -249,6 +341,120 @@ pub(crate) fn run_client(
 mod tests {
     use super::*;
     use paris_clock::SimClock;
+    use paris_core::ServerOptions;
+    use paris_proto::{Msg, ReplicatedTx};
+    use paris_types::{ClusterConfig, DcId, Key, PartitionId, Timestamp, TxId, WriteSetEntry};
+    use std::sync::mpsc::{channel, Sender};
+    use std::thread::JoinHandle;
+
+    /// The server under test is at DC 1; DC 0 holds its peer replica.
+    fn at(dc: u16) -> ServerId {
+        ServerId::new(DcId(dc), PartitionId(0))
+    }
+
+    type Running = (Sender<Envelope>, SyncSender<SnapshotReq>, Arc<AtomicBool>);
+
+    /// A loop over a bare server (2 DCs × 1 partition, this one at DC 1)
+    /// whose clock never moves, so no tick fires: only envelopes and
+    /// snapshot requests drive it.
+    fn spawn_loop() -> (Running, JoinHandle<()>) {
+        let config = ClusterConfig::builder().dcs(2).partitions(1);
+        let topo = Arc::new(Topology::new(config.replication_factor(2).build().unwrap()));
+        let clock = SimClock::new();
+        let server = Server::new(ServerOptions {
+            id: at(1),
+            topology: Arc::clone(&topo),
+            clock: Box::new(clock.clone()),
+            mode: Mode::Paris,
+            record_events: false,
+        });
+        let intervals = topo.config().intervals;
+        let ((inbox, inbox_rx), (asks, asks_rx)) = (channel(), sync_channel(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let loop_stop = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            server_loop(
+                server,
+                inbox_rx,
+                asks_rx,
+                |_| {},
+                topo,
+                clock,
+                loop_stop,
+                intervals,
+            )
+        });
+        ((inbox, asks, stop), handle)
+    }
+
+    fn ask(asks: &SyncSender<SnapshotReq>, chains: bool) -> Result<ServerSnapshot, Error> {
+        Ok(request_snapshots(std::slice::from_ref(asks), chains)?.remove(0))
+    }
+
+    /// Whether the loop thread returns within two seconds.
+    fn returns(handle: JoinHandle<()>) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !handle.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.is_finished() && handle.join().is_ok()
+    }
+
+    #[test]
+    fn an_idle_loop_answers_promptly_and_returns_when_stopped() {
+        let ((_inbox, asks, stop), handle) = spawn_loop();
+        let asked = Instant::now();
+        let snap = ask(&asks, false).unwrap();
+        let waited = asked.elapsed();
+        assert!(waited < Duration::from_millis(50), "{waited:?}");
+        assert_eq!((snap.server, snap.stats.msgs_handled), (Some(at(1)), 0));
+        stop.store(true, Ordering::Relaxed);
+        assert!(returns(handle), "stop raised");
+    }
+
+    #[test]
+    fn a_snapshot_counts_the_handled_envelopes_and_holds_what_they_applied() {
+        const N: u64 = 5;
+        let ((inbox, asks, stop), handle) = spawn_loop();
+        let ct = |i| Timestamp::from_physical_micros(1_000 * i);
+        for i in 1..=N {
+            let tx = ReplicatedTx {
+                tx: TxId::new(at(0), i),
+                ct: ct(i),
+                src: DcId(0),
+                writes: vec![WriteSetEntry::new(Key(i), "v".into())],
+            };
+            let msg = Msg::Replicate {
+                partition: PartitionId(0),
+                txs: vec![tx],
+                watermark: ct(i),
+            };
+            inbox.send(Envelope::new(at(0), at(1), msg)).unwrap();
+        }
+        // The loop answers between envelopes: poll until all N are in.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut snap = ask(&asks, true).unwrap();
+        while snap.stats.msgs_handled < N && Instant::now() < deadline {
+            snap = ask(&asks, true).unwrap();
+        }
+        assert_eq!((snap.stats.msgs_handled, snap.stats.applied_remote), (N, N));
+        snap.chains.sort_by_key(|(key, _)| *key);
+        assert_eq!(snap.chains.len(), N as usize);
+        for (i, (key, orders)) in (1..=N).zip(&snap.chains) {
+            let order = (orders.len(), orders[0].ut, orders[0].tx);
+            assert_eq!((*key, order), (Key(i), (1, ct(i), TxId::new(at(0), i))));
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(returns(handle));
+    }
+
+    #[test]
+    fn the_loop_returns_when_its_inbox_disconnects() {
+        let ((inbox, asks, _stop), handle) = spawn_loop();
+        drop(inbox);
+        assert!(returns(handle), "inbox disconnected");
+        assert!(ask(&asks, false).is_err(), "nobody is left to answer");
+    }
 
     #[test]
     fn a_tick_rearms_from_its_deadline_not_from_the_late_wake_up() {

@@ -26,8 +26,9 @@
 use std::collections::HashMap;
 
 use paris_core::checker::HistoryChecker;
-use paris_core::{Topology, Violation};
+use paris_core::{Server, Topology, Violation};
 use paris_net::sim::RegionMatrix;
+use paris_proto::ServerSnapshot;
 use paris_types::{DcId, Intervals, Key, PartitionId, ServerId, VersionOrd};
 
 mod builder;
@@ -100,14 +101,34 @@ pub(crate) fn gossip_round_micros(
         + slack
 }
 
-/// Snapshot of each key's freshest version order in one store — the
-/// per-server input every backend feeds to [`replica_convergence`].
-pub(crate) fn latest_orders(store: &dyn paris_storage::Engine) -> HashMap<Key, Option<VersionOrd>> {
-    let mut latest = HashMap::new();
-    store.for_each_chain(&mut |k, chain| {
-        latest.insert(k, chain.latest_order());
-    });
-    latest
+/// One server as a [`ServerSnapshot`]: its UST, its counter block and,
+/// when `chains` is set, every retained version's order. The node's wire
+/// and flush counters stay zero; a socket child fills in its own.
+pub(crate) fn server_snapshot(server: &Server, chains: bool) -> ServerSnapshot {
+    let mut snap = ServerSnapshot {
+        server: Some(server.id()),
+        ust: server.ust(),
+        stats: server.stats(),
+        ..ServerSnapshot::default()
+    };
+    if chains {
+        server.store().for_each_chain(&mut |key, chain| {
+            snap.chains
+                .push((key, chain.iter().map(|v| v.order()).collect()));
+        });
+    }
+    snap
+}
+
+/// Snapshots of in-process servers — how the mini and sim backends feed
+/// the same helpers as the live ones.
+pub(crate) fn server_snapshots<'a>(
+    servers: impl Iterator<Item = &'a Server>,
+    chains: bool,
+) -> Vec<ServerSnapshot> {
+    servers
+        .map(|server| server_snapshot(server, chains))
+        .collect()
 }
 
 /// An interactive session of a deterministic backend: with the value cache
@@ -126,30 +147,38 @@ pub(crate) fn interactive_session(
     }
 }
 
-/// Feeds every retained version of one store into the checker's ground
+/// Feeds every retained version in `snaps` into the checker's ground
 /// truth — shared by every backend's report path.
-pub(crate) fn record_store_versions(
-    checker: &mut HistoryChecker,
-    store: &dyn paris_storage::Engine,
-) {
-    store.for_each_chain(&mut |key, chain| {
-        checker.record_versions(key, chain.iter().map(|v| v.order()));
-    });
+pub(crate) fn record_ground_truth(checker: &mut HistoryChecker, snaps: &[ServerSnapshot]) {
+    for snap in snaps {
+        for (key, orders) in &snap.chains {
+            checker.record_versions(*key, orders.iter().copied());
+        }
+    }
 }
 
 /// Shared replica-agreement oracle: for every partition, compares the
-/// latest version of every key across all replicas.
-pub(crate) fn replica_convergence<F>(topo: &Topology, mut latest_of: F) -> Vec<Violation>
-where
-    F: FnMut(ServerId) -> HashMap<Key, Option<VersionOrd>>,
-{
+/// latest version of every key across all replicas' snapshots (taken with
+/// their chains).
+pub(crate) fn replica_convergence(topo: &Topology, snaps: &[ServerSnapshot]) -> Vec<Violation> {
+    let mut by_server: HashMap<ServerId, HashMap<Key, Option<VersionOrd>>> = snaps
+        .iter()
+        .filter_map(|snap| {
+            let latest = snap
+                .chains
+                .iter()
+                .map(|(key, orders)| (*key, orders.first().copied()))
+                .collect();
+            Some((snap.server?, latest))
+        })
+        .collect();
     let mut violations = Vec::new();
     for p in 0..topo.partitions() {
         let p = PartitionId(p);
         let maps: Vec<HashMap<Key, Option<VersionOrd>>> = topo
             .replicas(p)
             .into_iter()
-            .map(|dc| latest_of(ServerId::new(dc, p)))
+            .map(|dc| by_server.remove(&ServerId::new(dc, p)).unwrap_or_default())
             .collect();
         violations.extend(HistoryChecker::check_convergence(&maps));
     }

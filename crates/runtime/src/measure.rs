@@ -2,6 +2,7 @@
 //! visibility latency (paper §V-E).
 
 use paris_core::{EventLog, Violation};
+use paris_proto::ServerSnapshot;
 use paris_types::Timestamp;
 use paris_types::{Mode, TxId};
 use paris_workload::stats::{Histogram, RunStats};
@@ -21,13 +22,6 @@ pub struct BlockingStats {
 }
 
 impl BlockingStats {
-    /// Folds one server's counters into the aggregate.
-    pub(crate) fn accumulate(&mut self, stats: &paris_core::ServerStats) {
-        self.blocked_reads += stats.blocked_reads;
-        self.total_micros += stats.blocked_micros_total;
-        self.max_micros = self.max_micros.max(stats.blocked_micros_max);
-    }
-
     /// Mean blocking time in milliseconds (0 when nothing blocked).
     pub fn mean_ms(&self) -> f64 {
         if self.blocked_reads == 0 {
@@ -41,11 +35,13 @@ impl BlockingStats {
 /// deployment — the unified statistics surface of
 /// [`Cluster::stats`](crate::Cluster::stats).
 ///
-/// Every backend reports through this one struct: the in-process backends
-/// fold [`paris_core::ServerStats`] directly; the socket backend carries
-/// the same numbers over its control plane (`SnapshotCounters`). Counters
-/// are cumulative since the cluster was built, so diff two snapshots to
-/// meter an interval.
+/// Every backend reports through this one struct, folded by one fold
+/// from one stats block: each server's [`paris_core::ServerStats`],
+/// carried in a [`ServerSnapshot`]. The mini and sim backends take the
+/// snapshots off their servers directly; on the thread and socket
+/// backends each server's own loop answers with one, in-process or across
+/// the control plane. Counters are cumulative since the cluster was
+/// built, so diff two snapshots to meter an interval.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterStats {
     /// Servers folded into this snapshot.
@@ -103,24 +99,41 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Folds one server's protocol counters into the aggregate.
-    pub(crate) fn fold_server(&mut self, stats: &paris_core::ServerStats) {
-        self.servers += 1;
-        self.msgs_handled += stats.msgs_handled;
-        self.txs_coordinated += stats.txs_coordinated;
-        self.slice_reads += stats.slice_reads;
-        self.keys_read += stats.keys_read;
-        self.reads_unchanged += stats.reads_unchanged;
-        self.reads_shipped += stats.reads_shipped;
-        self.prepares += stats.prepares;
-        self.applied_local += stats.applied_local;
-        self.applied_remote += stats.applied_remote;
-        self.replicate_batches += stats.replicate_batches;
-        self.heartbeats += stats.heartbeats;
-        self.coalesced_frames += stats.coalesced_frames;
-        self.gc_removed += stats.gc_removed;
-        self.orphan_commits += stats.orphan_commits;
-        self.blocking.accumulate(stats);
+    /// The cluster view of one snapshot per server — the one fold every
+    /// backend uses: every counter block summed, the nodes' wire and flush
+    /// counters summed, and the minimum UST. Traffic metered outside the
+    /// servers' nodes (the socket parent's client host, an in-process
+    /// network) is the caller's to add.
+    pub(crate) fn of_snapshots(snaps: &[ServerSnapshot]) -> ClusterStats {
+        let mut out = ClusterStats::default();
+        for snap in snaps {
+            let stats = &snap.stats;
+            out.servers += 1;
+            out.msgs_handled += stats.msgs_handled;
+            out.txs_coordinated += stats.txs_coordinated;
+            out.slice_reads += stats.slice_reads;
+            out.keys_read += stats.keys_read;
+            out.reads_unchanged += stats.reads_unchanged;
+            out.reads_shipped += stats.reads_shipped;
+            out.prepares += stats.prepares;
+            out.applied_local += stats.applied_local;
+            out.applied_remote += stats.applied_remote;
+            out.replicate_batches += stats.replicate_batches;
+            out.heartbeats += stats.heartbeats;
+            out.coalesced_frames += stats.coalesced_frames;
+            out.gc_removed += stats.gc_removed;
+            out.orphan_commits += stats.orphan_commits;
+            out.blocking.blocked_reads += stats.blocked_reads;
+            out.blocking.total_micros += stats.blocked_micros_total;
+            out.blocking.max_micros = out.blocking.max_micros.max(stats.blocked_micros_max);
+            out.net_messages += snap.net_messages;
+            out.net_bytes += snap.net_bytes;
+            out.crossing_flushes += snap.crossing_flushes;
+            out.size_flushes += snap.size_flushes;
+            out.deadline_flushes += snap.deadline_flushes;
+        }
+        out.min_ust = snaps.iter().map(|s| s.ust).min().unwrap_or(Timestamp::ZERO);
+        out
     }
 
     /// Sets the flush-trigger mix from an in-process coalescer's totals.
@@ -128,34 +141,6 @@ impl ClusterStats {
         self.crossing_flushes = coalescer.crossing_flushes;
         self.size_flushes = coalescer.size_flushes;
         self.deadline_flushes = coalescer.deadline_flushes;
-    }
-
-    /// Folds one socket-child snapshot counter block into the aggregate.
-    pub(crate) fn fold_snapshot(&mut self, snap: &paris_proto::ServerSnapshot) {
-        self.servers += 1;
-        let c = &snap.counters;
-        self.msgs_handled += c.msgs_handled;
-        self.txs_coordinated += c.txs_coordinated;
-        self.slice_reads += c.slice_reads;
-        self.keys_read += c.keys_read;
-        self.reads_unchanged += c.reads_unchanged;
-        self.reads_shipped += c.reads_shipped;
-        self.prepares += c.prepares;
-        self.applied_local += c.applied_local;
-        self.applied_remote += c.applied_remote;
-        self.replicate_batches += c.replicate_batches;
-        self.heartbeats += c.heartbeats;
-        self.coalesced_frames += c.coalesced_frames;
-        self.crossing_flushes += c.crossing_flushes;
-        self.size_flushes += c.size_flushes;
-        self.deadline_flushes += c.deadline_flushes;
-        self.gc_removed += c.gc_removed;
-        self.orphan_commits += c.orphan_commits;
-        self.blocking.blocked_reads += snap.blocked_reads;
-        self.blocking.total_micros += snap.blocked_micros_total;
-        self.blocking.max_micros = self.blocking.max_micros.max(snap.blocked_micros_max);
-        self.net_messages += snap.net_messages;
-        self.net_bytes += snap.net_bytes;
     }
 
     /// Fraction of value-bearing slice-read answers that were validated
@@ -349,80 +334,18 @@ mod tests {
     }
 
     #[test]
-    fn cluster_stats_folds_servers_and_snapshots_identically() {
-        let server_stats = paris_core::ServerStats {
-            msgs_handled: 10,
-            txs_coordinated: 2,
-            slice_reads: 3,
-            keys_read: 9,
-            reads_unchanged: 6,
-            reads_shipped: 2,
-            prepares: 4,
-            applied_local: 4,
-            applied_remote: 5,
-            replicate_batches: 6,
-            heartbeats: 7,
-            coalesced_frames: 8,
-            blocked_reads: 1,
-            blocked_micros_total: 500,
-            blocked_micros_max: 500,
-            gc_removed: 11,
-            orphan_commits: 13,
-        };
-        let snap = paris_proto::ServerSnapshot {
-            ust: Timestamp::from_physical_micros(50),
-            blocked_reads: 1,
-            blocked_micros_total: 500,
-            blocked_micros_max: 500,
-            counters: paris_proto::SnapshotCounters {
-                msgs_handled: 10,
-                txs_coordinated: 2,
-                slice_reads: 3,
-                keys_read: 9,
-                reads_unchanged: 6,
-                reads_shipped: 2,
-                prepares: 4,
-                applied_local: 4,
-                applied_remote: 5,
-                replicate_batches: 6,
-                heartbeats: 7,
-                coalesced_frames: 8,
-                crossing_flushes: 12,
-                gc_removed: 11,
-                orphan_commits: 13,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut direct = ClusterStats::default();
-        direct.fold_server(&server_stats);
-        let mut wired = ClusterStats::default();
-        wired.fold_snapshot(&snap);
-        assert_eq!(direct.servers, 1);
-        assert_eq!(direct.msgs_handled, wired.msgs_handled);
-        assert_eq!(direct.applied_remote, wired.applied_remote);
-        assert_eq!(direct.gc_removed, wired.gc_removed);
-        assert_eq!((direct.orphan_commits, wired.orphan_commits), (13, 13));
-        assert_eq!(
-            (direct.reads_unchanged, direct.reads_shipped),
-            (wired.reads_unchanged, wired.reads_shipped)
-        );
-        assert!((direct.validation_hit_ratio() - 0.75).abs() < 1e-9);
-        assert_eq!(
-            direct.blocking.blocked_reads, wired.blocking.blocked_reads,
-            "blocking folds the same on both paths"
-        );
-    }
-
-    #[test]
     fn cluster_stats_summary_mentions_write_counters() {
         let s = ClusterStats {
             servers: 18,
             msgs_handled: 1_000,
             prepares: 42,
             applied_remote: 17,
+            reads_unchanged: 6,
+            reads_shipped: 2,
             ..Default::default()
         };
+        assert!((s.validation_hit_ratio() - 0.75).abs() < 1e-9);
+        assert_eq!(ClusterStats::default().validation_hit_ratio(), 0.0);
         let line = s.summary();
         assert!(line.contains("18 servers"), "{line}");
         assert!(line.contains("42 prepares"), "{line}");

@@ -31,7 +31,7 @@ use paris_workload::{WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::measure::{BlockingStats, ClusterStats, RunReport};
+use crate::measure::{ClusterStats, RunReport};
 use crate::{replica_convergence, Cluster};
 
 /// A synchronous in-process PaRiS cluster. See the module docs.
@@ -267,14 +267,6 @@ impl MiniCluster {
             _ => Err(Error::UnknownTransaction),
         }
     }
-
-    fn blocking_stats(&self) -> BlockingStats {
-        let mut out = BlockingStats::default();
-        for server in self.servers.values() {
-            out.accumulate(&server.stats());
-        }
-        out
-    }
 }
 
 impl Cluster for MiniCluster {
@@ -438,9 +430,8 @@ impl Cluster for MiniCluster {
 
         let violations = match checker.as_mut() {
             Some(checker) => {
-                for server in self.servers.values() {
-                    crate::record_store_versions(checker, server.store());
-                }
+                let snaps = crate::server_snapshots(self.servers.values(), true);
+                crate::record_ground_truth(checker, &snaps);
                 checker.check()
             }
             None => Vec::new(),
@@ -448,7 +439,7 @@ impl Cluster for MiniCluster {
         Ok(RunReport {
             mode: self.mode,
             stats,
-            blocking: self.blocking_stats(),
+            blocking: self.stats()?.blocking,
             visibility: None,
             violations,
             net_messages: 0,
@@ -457,12 +448,9 @@ impl Cluster for MiniCluster {
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let mut out = ClusterStats::default();
-        for server in self.servers.values() {
-            out.fold_server(&server.stats());
-        }
+        let snaps = crate::server_snapshots(self.servers.values(), false);
+        let mut out = ClusterStats::of_snapshots(&snaps);
         out.set_flush_mix(&self.coalescer.stats());
-        out.min_ust = self.min_ust();
         Ok(out)
     }
 
@@ -489,9 +477,7 @@ impl Cluster for MiniCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let topo = Arc::clone(&self.topo);
-        Ok(replica_convergence(&topo, |id| {
-            crate::latest_orders(self.servers[&id].store())
-        }))
+        let snaps = crate::server_snapshots(self.servers.values(), true);
+        Ok(replica_convergence(&self.topo, &snaps))
     }
 }

@@ -27,7 +27,7 @@ use paris_workload::{TxSpec, WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::measure::{visibility_histogram, BlockingStats, ClusterStats, RunReport};
+use crate::measure::{visibility_histogram, ClusterStats, RunReport};
 use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE};
 
 /// Configuration of a simulated deployment (assembled by the builder).
@@ -727,15 +727,6 @@ impl SimCluster {
 
     // -------------------------------------------------------- reporting
 
-    /// Aggregated BPR blocking statistics across all servers.
-    pub fn blocking_stats(&self) -> BlockingStats {
-        let mut out = BlockingStats::default();
-        for slot in self.servers.values() {
-            out.accumulate(&slot.server.stats());
-        }
-        out
-    }
-
     /// Builds the run report: throughput/latency stats, blocking,
     /// visibility (if events recorded) and checker verdict (if history
     /// recorded).
@@ -746,12 +737,11 @@ impl SimCluster {
                 self.servers.values().filter_map(|s| s.server.events()),
             )
         });
+        let servers = self.servers.values().map(|slot| &slot.server);
+        let snaps = crate::server_snapshots(servers, self.checker.is_some());
         let violations = match self.checker.as_mut() {
             Some(checker) => {
-                // Feed ground truth from every store.
-                for slot in self.servers.values() {
-                    crate::record_store_versions(checker, slot.server.store());
-                }
+                crate::record_ground_truth(checker, &snaps);
                 checker.check()
             }
             None => Vec::new(),
@@ -759,7 +749,7 @@ impl SimCluster {
         RunReport {
             mode: self.config.cluster.mode,
             stats: self.stats.clone(),
-            blocking: self.blocking_stats(),
+            blocking: ClusterStats::of_snapshots(&snaps).blocking,
             visibility,
             violations,
             net_messages: self.net.messages_sent(),
@@ -885,14 +875,11 @@ impl Cluster for SimCluster {
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let mut out = ClusterStats::default();
-        for slot in self.servers.values() {
-            out.fold_server(&slot.server.stats());
-        }
+        let snaps = crate::server_snapshots(self.servers.values().map(|slot| &slot.server), false);
+        let mut out = ClusterStats::of_snapshots(&snaps);
         out.net_messages = self.net.messages_sent();
         out.net_bytes = self.net.bytes_sent();
         out.set_flush_mix(&self.coalescer.stats());
-        out.min_ust = SimCluster::min_ust(self);
         Ok(out)
     }
 
@@ -928,9 +915,7 @@ impl Cluster for SimCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let topo = Arc::clone(&self.topo);
-        Ok(replica_convergence(&topo, |id| {
-            crate::latest_orders(self.servers[&id].server.store())
-        }))
+        let snaps = crate::server_snapshots(self.servers.values().map(|slot| &slot.server), true);
+        Ok(replica_convergence(&self.topo, &snaps))
     }
 }

@@ -41,13 +41,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::WallClock;
-use paris_core::checker::HistoryChecker;
 use paris_core::{
     ClientEvent, ClientRead, ClientSession, DurableConfig, FsyncPolicy, ReadStep, Server,
     ServerOptions, ServerTuning, Topology, Violation,
@@ -57,16 +56,15 @@ use paris_net::socket::framing::{
     deadline_in, read_ctrl_deadline, read_preamble, write_ctrl, write_preamble,
 };
 use paris_net::socket::{NodeIdentity, SocketConfig, SocketHandle, SocketNode};
-use paris_proto::{Ctrl, Endpoint, Envelope, ServerSnapshot, SnapshotCounters};
+use paris_proto::{Ctrl, Endpoint, Envelope, ServerSnapshot};
 use paris_types::{
     BatchConfig, ClientId, ClusterConfig, DcId, Error, Intervals, Key, Mode, ServerId, Timestamp,
-    Value, VersionOrd,
+    Value,
 };
-use paris_workload::stats::RunStats;
 use paris_workload::WorkloadConfig;
 
-use crate::driver::{run_client, server_loop, ClientOutcome};
-use crate::measure::{BlockingStats, ClusterStats, RunReport};
+use crate::driver::{live_report, request_snapshots, run_client, server_loop, ClientOutcome};
+use crate::measure::{ClusterStats, RunReport};
 use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
 
 /// How long the parent waits for every child to say hello.
@@ -334,7 +332,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     // tuning this is also the recovery point: a relaunched child replays
     // its checkpoint + WAL suffix here, *before* it says hello — joining
     // the deployment advertises readiness to serve.
-    let server = Arc::new(Mutex::new(Server::try_with_tuning(
+    let server = Server::try_with_tuning(
         ServerOptions {
             id,
             topology: Arc::clone(&topo),
@@ -343,7 +341,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
             record_events: false,
         },
         spec.tuning.clone(),
-    )?));
+    )?;
 
     // Join the deployment: dial the control port, handshake, say hello,
     // learn the peer map.
@@ -364,7 +362,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
             data_port: node.local_addr().port(),
         },
     )?;
-    let peers = read_ctrl_deadline(&mut ctrl, deadline_in(HELLO_TIMEOUT))?;
+    let peers = read_ctrl_deadline(&mut ctrl, Some(deadline_in(HELLO_TIMEOUT)))?;
     let Ctrl::Peers {
         client_port,
         servers,
@@ -378,13 +376,14 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
             .into_iter()
             .map(|(s, port)| (s, SocketAddr::from(([127, 0, 0, 1], port)))),
     );
-    // The server loop drains the node inbox itself: every message, slice
-    // reads included, is handled there.
+    // The server loop owns the server and drains the node inbox itself:
+    // every message, slice reads included, is handled there, and so is
+    // every snapshot request of the control loop below.
     let inbox = node
         .take_inbox()
         .ok_or(Error::Transport("node inbox already taken"))?;
+    let (snapshot_tx, snapshots) = sync_channel(1);
     let stop = Arc::new(AtomicBool::new(false));
-    let loop_server = Arc::clone(&server);
     let loop_send = node.handle();
     let loop_stop = Arc::clone(&stop);
     let intervals = spec.cluster.intervals;
@@ -392,64 +391,36 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
         .name(format!("server-{id}"))
         .spawn(move || {
             server_loop(
-                loop_server,
+                server,
                 inbox,
+                snapshots,
                 move |e| loop_send.send_lossy(e),
                 topo,
                 WallClock::new(),
                 loop_stop,
                 intervals,
-                id,
             )
         })
         .map_err(|_| Error::Transport("could not spawn server loop"))?;
 
-    // Control loop on the main thread: stats requests and shutdown. A
-    // vanished parent (EOF or error) is a shutdown too — children never
-    // outlive their parent.
+    // Control loop on the main thread: stats requests and shutdown. It
+    // waits for as long as the parent is there; a vanished parent (EOF or
+    // error) is a shutdown too — children never outlive their parent.
     let counters = node.counters();
     loop {
-        match read_ctrl_deadline(&mut ctrl, deadline_in(Duration::from_secs(3600))) {
+        match read_ctrl_deadline(&mut ctrl, None) {
             Ok(Ctrl::StatsReq) => {
-                let snap = {
-                    // A poisoned server means a loop thread panicked;
-                    // treat it as fatal and let the parent see EOF.
-                    let Ok(server) = server.lock() else { break };
-                    let stats = server.stats();
-                    let mut chains = Vec::new();
-                    server.store().for_each_chain(&mut |key, chain| {
-                        chains.push((key, chain.iter().map(|v| v.order()).collect()));
-                    });
-                    ServerSnapshot {
-                        server: Some(id),
-                        ust: server.ust(),
-                        blocked_reads: stats.blocked_reads,
-                        blocked_micros_total: stats.blocked_micros_total,
-                        blocked_micros_max: stats.blocked_micros_max,
-                        net_messages: counters.messages_out.load(Ordering::Relaxed),
-                        net_bytes: counters.bytes_out.load(Ordering::Relaxed),
-                        counters: SnapshotCounters {
-                            msgs_handled: stats.msgs_handled,
-                            txs_coordinated: stats.txs_coordinated,
-                            slice_reads: stats.slice_reads,
-                            keys_read: stats.keys_read,
-                            reads_unchanged: stats.reads_unchanged,
-                            reads_shipped: stats.reads_shipped,
-                            prepares: stats.prepares,
-                            applied_local: stats.applied_local,
-                            applied_remote: stats.applied_remote,
-                            replicate_batches: stats.replicate_batches,
-                            heartbeats: stats.heartbeats,
-                            coalesced_frames: stats.coalesced_frames,
-                            crossing_flushes: counters.crossing_flushes.load(Ordering::Relaxed),
-                            size_flushes: counters.size_flushes.load(Ordering::Relaxed),
-                            deadline_flushes: counters.deadline_flushes.load(Ordering::Relaxed),
-                            gc_removed: stats.gc_removed,
-                            orphan_commits: stats.orphan_commits,
-                        },
-                        chains,
-                    }
+                // The loop answers between messages; one that cannot
+                // answer has died, so let the parent see EOF.
+                let answer = request_snapshots(std::slice::from_ref(&snapshot_tx), true);
+                let Some(mut snap) = answer.ok().and_then(|mut one| one.pop()) else {
+                    break;
                 };
+                snap.net_messages = counters.messages_out.load(Ordering::Relaxed);
+                snap.net_bytes = counters.bytes_out.load(Ordering::Relaxed);
+                snap.crossing_flushes = counters.crossing_flushes.load(Ordering::Relaxed);
+                snap.size_flushes = counters.size_flushes.load(Ordering::Relaxed);
+                snap.deadline_flushes = counters.deadline_flushes.load(Ordering::Relaxed);
                 if write_ctrl(&mut ctrl, &Ctrl::StatsResp(Box::new(snap))).is_err() {
                     break;
                 }
@@ -632,7 +603,7 @@ impl SocketCluster {
                             .map_err(|_| Error::Transport("control socket"))?;
                         read_preamble(&mut stream, deadline)?;
                         write_preamble(&mut stream)?;
-                        match read_ctrl_deadline(&mut stream, deadline)? {
+                        match read_ctrl_deadline(&mut stream, Some(deadline))? {
                             Ctrl::Hello { server, data_port } => {
                                 hellos.insert(server, (stream, data_port));
                                 Ok(())
@@ -812,21 +783,39 @@ impl SocketCluster {
         }
     }
 
-    /// Pulls a stats snapshot from every child over the control plane.
+    /// Pulls a stats snapshot from every child over the control plane:
+    /// every request first, then every answer, so one poll costs at most
+    /// one server-loop wake-up, not one per child.
     fn snapshot_all(&self) -> Result<Vec<ServerSnapshot>, Error> {
-        let mut snaps = Vec::with_capacity(self.children.len());
+        let mut ctrls = Vec::with_capacity(self.children.len());
         for child in &self.children {
             let mut ctrl = child
                 .ctrl
                 .lock()
                 .map_err(|_| Error::Transport("control channel poisoned"))?;
             write_ctrl(&mut *ctrl, &Ctrl::StatsReq)?;
-            match read_ctrl_deadline(&mut *ctrl, deadline_in(OP_TIMEOUT))? {
-                Ctrl::StatsResp(snap) => snaps.push(*snap),
-                _ => return Err(Error::Transport("expected a stats response")),
-            }
+            ctrls.push(ctrl);
         }
-        Ok(snaps)
+        let deadline = deadline_in(OP_TIMEOUT);
+        ctrls
+            .iter_mut()
+            .map(
+                |ctrl| match read_ctrl_deadline(&mut **ctrl, Some(deadline))? {
+                    Ctrl::StatsResp(snap) => Ok(*snap),
+                    _ => Err(Error::Transport("expected a stats response")),
+                },
+            )
+            .collect()
+    }
+
+    /// The cluster view of the children's snapshots, plus the client
+    /// traffic the parent's own node carries.
+    fn cluster_stats(&self, snapshots: &[ServerSnapshot]) -> ClusterStats {
+        let mut out = ClusterStats::of_snapshots(snapshots);
+        let counters = self.node.counters();
+        out.net_messages += counters.messages_out.load(Ordering::Relaxed);
+        out.net_bytes += counters.bytes_out.load(Ordering::Relaxed);
+        out
     }
 
     /// Accepts control-plane dialers on the retained listener until the
@@ -848,7 +837,7 @@ impl SocketCluster {
                             .map_err(|_| Error::Transport("control socket"))?;
                         read_preamble(&mut stream, deadline)?;
                         write_preamble(&mut stream)?;
-                        match read_ctrl_deadline(&mut stream, deadline)? {
+                        match read_ctrl_deadline(&mut stream, Some(deadline))? {
                             Ctrl::Hello { server, data_port } => Ok((server, data_port)),
                             _ => Err(Error::Transport("expected a hello")),
                         }
@@ -959,7 +948,7 @@ impl Cluster for SocketCluster {
 
     fn min_ust(&self) -> Timestamp {
         self.snapshot_all()
-            .map(|snaps| snaps.iter().map(|s| s.ust).min().unwrap_or(Timestamp::ZERO))
+            .map(|snaps| ClusterStats::of_snapshots(&snaps).min_ust)
             .unwrap_or(Timestamp::ZERO)
     }
 
@@ -1031,8 +1020,7 @@ impl Cluster for SocketCluster {
                 Err(_) => return Err(Error::Transport("a client thread panicked")),
             }
         }
-        if let Some(id) = died {
-            let _ = id;
+        if died.is_some() {
             return Err(Error::Transport(
                 "a server process died during the workload",
             ));
@@ -1040,69 +1028,15 @@ impl Cluster for SocketCluster {
         // Let replication/stabilization settle before snapshotting.
         std::thread::sleep(Duration::from_millis(300));
 
-        let mut stats = RunStats::new(window_micros);
-        let mut checker = self.config.record_history.then(HistoryChecker::new);
-        for outcome in outcomes {
-            stats.committed += outcome.committed;
-            stats.aborted += outcome.aborted;
-            stats.latency.merge(&outcome.latency);
-            if let Some(checker) = checker.as_mut() {
-                for (cid, rec) in outcome.records {
-                    checker.record_tx(cid, rec);
-                }
-            }
-        }
-
-        let snapshots = self.snapshot_all()?;
-        let violations = match checker.as_mut() {
-            Some(checker) => {
-                for snap in &snapshots {
-                    for (key, orders) in &snap.chains {
-                        checker.record_versions(*key, orders.iter().copied());
-                    }
-                }
-                checker.check()
-            }
-            None => Vec::new(),
-        };
-
-        let mut blocking = BlockingStats::default();
-        let counters = self.node.counters();
-        let mut net_messages = counters.messages_out.load(Ordering::Relaxed);
-        let mut net_bytes = counters.bytes_out.load(Ordering::Relaxed);
-        for snap in &snapshots {
-            blocking.blocked_reads += snap.blocked_reads;
-            blocking.total_micros += snap.blocked_micros_total;
-            blocking.max_micros = blocking.max_micros.max(snap.blocked_micros_max);
-            net_messages += snap.net_messages;
-            net_bytes += snap.net_bytes;
-        }
-
-        Ok(RunReport {
-            mode: self.config.cluster.mode,
-            stats,
-            blocking,
-            visibility: None,
-            violations,
-            net_messages,
-            net_bytes,
-        })
+        let (mode, history) = (self.config.cluster.mode, self.config.record_history);
+        let snaps = self.snapshot_all()?;
+        let totals = self.cluster_stats(&snaps);
+        let truth = history.then_some(&snaps[..]);
+        Ok(live_report(mode, window_micros, outcomes, &totals, truth))
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let snapshots = self.snapshot_all()?;
-        let mut out = ClusterStats::default();
-        let mut min_ust = None;
-        for snap in &snapshots {
-            out.fold_snapshot(snap);
-            min_ust = Some(min_ust.map_or(snap.ust, |u: Timestamp| u.min(snap.ust)));
-        }
-        // The parent's own node carries the client traffic.
-        let counters = self.node.counters();
-        out.net_messages += counters.messages_out.load(Ordering::Relaxed);
-        out.net_bytes += counters.bytes_out.load(Ordering::Relaxed);
-        out.min_ust = min_ust.unwrap_or(Timestamp::ZERO);
-        Ok(out)
+        Ok(self.cluster_stats(&self.snapshot_all()?))
     }
 
     fn kill_server(&mut self, index: usize) -> Result<(), Error> {
@@ -1198,21 +1132,7 @@ impl Cluster for SocketCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let snapshots = self.snapshot_all()?;
-        let mut by_server: HashMap<ServerId, HashMap<Key, Option<VersionOrd>>> = HashMap::new();
-        for snap in snapshots {
-            let Some(id) = snap.server else { continue };
-            let latest = snap
-                .chains
-                .into_iter()
-                .map(|(key, orders)| (key, orders.first().copied()))
-                .collect();
-            by_server.insert(id, latest);
-        }
-        let topo = Arc::clone(&self.topo);
-        Ok(replica_convergence(&topo, |id| {
-            by_server.get(&id).cloned().unwrap_or_default()
-        }))
+        Ok(replica_convergence(&self.topo, &self.snapshot_all()?))
     }
 }
 

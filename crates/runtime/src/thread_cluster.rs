@@ -13,30 +13,35 @@
 //! ([`Cluster::run_workload`](crate::Cluster::run_workload)). Build one
 //! with [`crate::Paris::builder`] and
 //! [`Backend::Thread`](crate::Backend::Thread).
+//!
+//! Each server thread owns its [`Server`]: the cluster keeps no handle on
+//! the state machine, only a bounded snapshot-request channel to its loop
+//! (see [`crate::driver`]). `stats()`, `min_ust()`, the checker's ground
+//! truth and `check_convergence()` all read the servers' answers, one
+//! snapshot per server, through the same helpers as the socket backend.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::{SkewCell, SteppableClock, SystemClock};
-use paris_core::checker::HistoryChecker;
 use paris_core::{
     ClientEvent, ClientRead, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
 };
 use paris_net::threaded::{NetHandle, Router, ThreadedNetConfig};
-use paris_proto::Envelope;
+use paris_proto::{Envelope, ServerSnapshot};
 use paris_types::{
-    ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Key, Mode, ServerId, Timestamp,
-    Value,
+    ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Key, Mode, Timestamp, Value,
 };
-use paris_workload::stats::RunStats;
 use paris_workload::WorkloadConfig;
 
-use crate::driver::{run_client, server_loop, ClientOutcome};
-use crate::measure::{BlockingStats, ClusterStats, RunReport};
+use crate::driver::{
+    live_report, request_snapshots, run_client, server_loop, ClientOutcome, SnapshotReq,
+};
+use crate::measure::{ClusterStats, RunReport};
 use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
 
 /// Configuration of a threaded deployment (assembled by the builder).
@@ -67,7 +72,8 @@ pub struct ThreadCluster {
     clock: Arc<SystemClock>,
     stop_servers: Arc<AtomicBool>,
     server_handles: Vec<JoinHandle<()>>,
-    servers: HashMap<ServerId, Arc<Mutex<Server>>>,
+    /// One snapshot-request channel per server loop.
+    servers: Vec<SyncSender<SnapshotReq>>,
     interactive: HashMap<ClientId, InteractiveClient>,
     next_interactive: HashMap<DcId, u32>,
     /// One shared skew cell per server, grouped by DC, so a scripted
@@ -91,7 +97,7 @@ impl ThreadCluster {
         let clock = Arc::new(SystemClock::new());
         let stop_servers = Arc::new(AtomicBool::new(false));
 
-        let mut servers = HashMap::new();
+        let mut servers = Vec::new();
         let mut server_handles = Vec::new();
         let mut skew_cells: HashMap<DcId, Vec<SkewCell>> = HashMap::new();
         for id in topo.all_servers() {
@@ -99,7 +105,7 @@ impl ThreadCluster {
             // a scripted SkewClock fault can shift one DC's clocks at runtime.
             let (server_clock, cell) = SteppableClock::new(Arc::clone(&clock), 0);
             skew_cells.entry(id.dc).or_default().push(cell);
-            let server = Arc::new(Mutex::new(Server::try_with_tuning(
+            let server = Server::try_with_tuning(
                 ServerOptions {
                     id,
                     topology: Arc::clone(&topo),
@@ -108,8 +114,11 @@ impl ThreadCluster {
                     record_events: false,
                 },
                 crate::tuning::server_tuning(config.durability.as_ref(), id),
-            )?));
-            servers.insert(id, Arc::clone(&server));
+            )?;
+            // One request in flight per loop: every caller awaits its
+            // answers before it asks again.
+            let (snapshot_tx, snapshots) = sync_channel(1);
+            servers.push(snapshot_tx);
             let inbox = router.register(id);
             let net = router.handle();
             let topo = Arc::clone(&topo);
@@ -123,12 +132,12 @@ impl ThreadCluster {
                         server_loop(
                             server,
                             inbox,
+                            snapshots,
                             move |e| net.send(e),
                             topo,
                             clock,
                             stop,
                             intervals,
-                            id,
                         )
                     })
                     .expect("spawn server thread"),
@@ -187,11 +196,14 @@ impl ThreadCluster {
         }
     }
 
-    fn blocking_stats(&self) -> BlockingStats {
-        let mut out = BlockingStats::default();
-        for server in self.servers.values() {
-            out.accumulate(&server.lock().expect("server poisoned").stats());
-        }
+    /// The cluster view of the servers' snapshots. The router meters the
+    /// whole network, client traffic included.
+    fn cluster_stats(&self, snapshots: &[ServerSnapshot]) -> ClusterStats {
+        let mut out = ClusterStats::of_snapshots(snapshots);
+        let net = self.router.net_stats();
+        out.net_messages = net.messages;
+        out.net_bytes = net.bytes;
+        out.set_flush_mix(&net.coalescer);
         out
     }
 
@@ -352,10 +364,8 @@ impl Cluster for ThreadCluster {
     }
 
     fn min_ust(&self) -> Timestamp {
-        self.servers
-            .values()
-            .map(|s| s.lock().expect("server poisoned").ust())
-            .min()
+        request_snapshots(&self.servers, false)
+            .map(|snaps| ClusterStats::of_snapshots(&snaps).min_ust)
             .unwrap_or(Timestamp::ZERO)
     }
 
@@ -408,68 +418,18 @@ impl Cluster for ThreadCluster {
         for h in handles {
             outcomes.push(h.join().expect("client thread panicked"));
         }
-        // Let replication/stabilization settle before taking the
-        // consistent store snapshot.
+        // Let replication/stabilization settle before snapshotting.
         std::thread::sleep(Duration::from_millis(300));
 
-        let mut stats = RunStats::new(window_micros);
-        let mut checker = self.config.record_history.then(HistoryChecker::new);
-        for outcome in outcomes {
-            stats.committed += outcome.committed;
-            stats.aborted += outcome.aborted;
-            stats.latency.merge(&outcome.latency);
-            if let Some(checker) = checker.as_mut() {
-                for (cid, rec) in outcome.records {
-                    checker.record_tx(cid, rec);
-                }
-            }
-        }
-        // Freeze every server at once (each thread only locks its own
-        // server, so grabbing all guards cannot deadlock) for a consistent
-        // ground-truth snapshot.
-        let violations = match checker.as_mut() {
-            Some(checker) => {
-                let guards: Vec<_> = {
-                    let mut ids: Vec<&ServerId> = self.servers.keys().collect();
-                    ids.sort_unstable();
-                    ids.into_iter()
-                        .map(|id| self.servers[id].lock().expect("server poisoned"))
-                        .collect()
-                };
-                for server in &guards {
-                    crate::record_store_versions(checker, server.store());
-                }
-                checker.check()
-            }
-            None => Vec::new(),
-        };
-
-        let net = self.router.net_stats();
-        Ok(RunReport {
-            mode: self.config.cluster.mode,
-            stats,
-            blocking: self.blocking_stats(),
-            visibility: None,
-            violations,
-            net_messages: net.messages,
-            net_bytes: net.bytes,
-        })
+        let (mode, history) = (self.config.cluster.mode, self.config.record_history);
+        let snaps = request_snapshots(&self.servers, history)?;
+        let totals = self.cluster_stats(&snaps);
+        let truth = history.then_some(&snaps[..]);
+        Ok(live_report(mode, window_micros, outcomes, &totals, truth))
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let mut out = ClusterStats::default();
-        let mut min_ust = None;
-        for server in self.servers.values() {
-            let server = server.lock().expect("server poisoned");
-            out.fold_server(&server.stats());
-            min_ust = Some(min_ust.map_or(server.ust(), |u: Timestamp| u.min(server.ust())));
-        }
-        out.min_ust = min_ust.unwrap_or(Timestamp::ZERO);
-        let net = self.router.net_stats();
-        out.net_messages = net.messages;
-        out.net_bytes = net.bytes;
-        out.set_flush_mix(&net.coalescer);
-        Ok(out)
+        Ok(self.cluster_stats(&request_snapshots(&self.servers, false)?))
     }
 
     fn begin(&mut self, client: ClientId) -> Result<crate::Txn<'_>, Error> {
@@ -477,10 +437,10 @@ impl Cluster for ThreadCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let topo = Arc::clone(&self.topo);
-        Ok(replica_convergence(&topo, |id| {
-            crate::latest_orders(self.servers[&id].lock().expect("server poisoned").store())
-        }))
+        Ok(replica_convergence(
+            &self.topo,
+            &request_snapshots(&self.servers, true)?,
+        ))
     }
 }
 

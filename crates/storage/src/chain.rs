@@ -1,6 +1,6 @@
 //! Per-key version chains.
 
-use paris_types::{Timestamp, Version, VersionOrd};
+use paris_types::{Timestamp, Version};
 
 /// The version chain of one key: all retained versions, newest first.
 ///
@@ -53,7 +53,7 @@ impl VersionChain {
     /// The freshest version visible in the snapshot `ts`: the version with
     /// the largest total order whose `ut ≤ ts` (Alg. 3 lines 5–6).
     ///
-    /// The chain is sorted descending by [`VersionOrd`], whose leading
+    /// The chain is sorted descending by `VersionOrd`, whose leading
     /// component is `ut`, so `ut` is non-increasing along the vector and
     /// the answer is found by binary search — this is the hottest path in
     /// the system (every key of every slice read lands here).
@@ -90,11 +90,6 @@ impl VersionChain {
         let removed = self.versions.len().saturating_sub(keep);
         self.versions.truncate(keep);
         removed
-    }
-
-    /// The total order key of the freshest version, if any.
-    pub fn latest_order(&self) -> Option<VersionOrd> {
-        self.versions.first().map(Version::order)
     }
 }
 
@@ -205,17 +200,6 @@ mod tests {
         assert_eq!(chain.gc(Timestamp::from_physical_micros(99)), 2);
         assert_eq!(chain.len(), 1);
         assert_eq!(chain.latest().unwrap().ut.physical_micros(), 30);
-    }
-
-    #[test]
-    fn latest_order_matches_latest() {
-        let mut chain = VersionChain::new();
-        chain.insert(ver(10, 0, 1));
-        chain.insert(ver(20, 0, 2));
-        assert_eq!(
-            chain.latest_order().unwrap(),
-            chain.latest().unwrap().order()
-        );
     }
 
     proptest! {

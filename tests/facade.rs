@@ -257,11 +257,16 @@ fn sim_and_thread_backends_agree_on_causal_chain() {
 
 #[test]
 fn cluster_stats_unifies_all_backends() {
-    // One snapshot type for every backend: after the same workload,
-    // `Cluster::stats()` must report a live write path and counters
-    // consistent with the run — and a second snapshot must be monotone
-    // (counters are cumulative since build).
-    for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
+    // One snapshot type and fold for every backend, the socket's across
+    // its control plane: after the same workload, `Cluster::stats()` must
+    // report a live write path and counters consistent with the run — and
+    // a second snapshot must be monotone (cumulative since build).
+    for backend in [
+        Backend::Mini,
+        Backend::Sim,
+        Backend::Thread,
+        Backend::Socket,
+    ] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
