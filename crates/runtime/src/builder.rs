@@ -24,10 +24,10 @@ use paris_workload::WorkloadConfig;
 
 use crate::mini_cluster::MiniCluster;
 use crate::sim_cluster::{SimCluster, SimConfig};
-use crate::socket_cluster::{SocketCluster, SocketClusterConfig};
-use crate::thread_cluster::{ThreadCluster, ThreadClusterConfig};
+use crate::socket_cluster::SocketCluster;
+use crate::thread_cluster::ThreadCluster;
 use crate::tuning::Durability;
-use crate::Cluster;
+use crate::{BackendConfig, Cluster};
 
 /// The substrate a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -359,6 +359,33 @@ impl ClusterBuilder {
         }
     }
 
+    /// Rejects the options only the sim backend has.
+    fn reject_sim_only_options(&self) -> Result<(), Error> {
+        if self.record_events {
+            return Err(Error::Unsupported(
+                "event recording (visibility latency) needs the sim backend",
+            ));
+        }
+        if self.stab_branching != 0 {
+            return Err(Error::Unsupported(
+                "stabilization-tree branching needs the sim backend",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The configuration of a mini, thread or socket deployment.
+    fn backend_config(&self) -> Result<BackendConfig, Error> {
+        Ok(BackendConfig {
+            cluster: self.cluster_config()?,
+            clients_per_dc: self.clients_per_dc,
+            workload: self.workload_config(),
+            seed: self.seed,
+            record_history: self.record_history,
+            durability: self.durability.clone(),
+        })
+    }
+
     fn workload_config(&self) -> WorkloadConfig {
         WorkloadConfig {
             keys_per_partition: self.keys_per_partition,
@@ -388,31 +415,13 @@ impl ClusterBuilder {
     ///
     /// Returns a configuration error for invalid shapes.
     pub fn build_mini(self) -> Result<MiniCluster, Error> {
-        if self.record_events {
-            return Err(Error::Unsupported(
-                "event recording (visibility latency) needs the sim backend",
-            ));
-        }
-        if self.stab_branching != 0 {
-            return Err(Error::Unsupported(
-                "stabilization-tree branching needs the sim backend",
-            ));
-        }
+        self.reject_sim_only_options()?;
         if self.fault_plan.is_some() {
             return Err(Error::Unsupported(
                 "fault plans need a backend with a controllable network (sim or thread)",
             ));
         }
-        let cfg = self.cluster_config()?;
-        let workload = self.workload_config();
-        MiniCluster::from_parts(
-            cfg,
-            workload,
-            self.clients_per_dc,
-            self.seed,
-            self.record_history,
-            self.durability,
-        )
+        MiniCluster::from_parts(self.backend_config()?)
     }
 
     /// Builds the concrete [`SimCluster`] backend (fault injection,
@@ -446,37 +455,18 @@ impl ClusterBuilder {
     ///
     /// Returns a configuration error for invalid shapes.
     pub fn build_thread(self) -> Result<ThreadCluster, Error> {
-        if self.record_events {
-            return Err(Error::Unsupported(
-                "event recording (visibility latency) needs the sim backend",
-            ));
-        }
-        if self.stab_branching != 0 {
-            return Err(Error::Unsupported(
-                "stabilization-tree branching needs the sim backend",
-            ));
-        }
-        let cluster = self.cluster_config()?;
-        let workload = self.workload_config();
+        self.reject_sim_only_options()?;
+        let config = self.backend_config()?;
         let net = ThreadedNetConfig {
             matrix: self.matrix(),
             scale: self.latency_scale,
             jitter: self.jitter,
             seed: self.seed,
-            batch: cluster.batch,
-            wire: cluster.wire,
+            batch: config.cluster.batch,
+            wire: config.cluster.wire,
         };
-        let fault_plan = self.fault_plan;
-        let mut cluster = ThreadCluster::start(ThreadClusterConfig {
-            cluster,
-            net,
-            clients_per_dc: self.clients_per_dc,
-            workload,
-            seed: self.seed,
-            record_history: self.record_history,
-            durability: self.durability,
-        })?;
-        if let Some(plan) = fault_plan {
+        let mut cluster = ThreadCluster::start(config, net)?;
+        if let Some(plan) = self.fault_plan {
             cluster.install_fault_plan(plan)?;
         }
         Ok(cluster)
@@ -492,33 +482,13 @@ impl ClusterBuilder {
     /// processes cannot be spawned (missing `paris-server` binary,
     /// bring-up timeout).
     pub fn build_socket(self) -> Result<SocketCluster, Error> {
-        if self.record_events {
-            return Err(Error::Unsupported(
-                "event recording (visibility latency) needs the sim backend",
-            ));
-        }
-        if self.stab_branching != 0 {
-            return Err(Error::Unsupported(
-                "stabilization-tree branching needs the sim backend",
-            ));
-        }
+        self.reject_sim_only_options()?;
         if self.fault_plan.is_some() {
             return Err(Error::Unsupported(
                 "fault plans need a backend with a controllable network (sim or thread); \
                  the socket backend injects faults via kill_server/restart_server",
             ));
         }
-        let cluster = self.cluster_config()?;
-        let workload = self.workload_config();
-        SocketCluster::start(SocketClusterConfig {
-            cluster,
-            clients_per_dc: self.clients_per_dc,
-            workload,
-            seed: self.seed,
-            record_history: self.record_history,
-            durability: self.durability,
-            connect_timeout: std::time::Duration::from_secs(5),
-            read_timeout: std::time::Duration::from_millis(100),
-        })
+        SocketCluster::start(self.backend_config()?)
     }
 }

@@ -24,13 +24,10 @@ use paris_clock::PhysicalClock;
 use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::{ClientEvent, ClientSession, ReadStep, Server, Topology};
 use paris_proto::{Envelope, ServerSnapshot};
-use paris_types::{ClientId, Error, Mode, ServerId};
-use paris_workload::stats::{Histogram, RunStats};
-use paris_workload::{WorkloadConfig, WorkloadGenerator};
+use paris_types::{ClientId, Error};
+use paris_workload::stats::Histogram;
+use paris_workload::WorkloadGenerator;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::measure::{ClusterStats, RunReport};
 
 /// A request for one server's [`ServerSnapshot`], answered by its loop.
 pub(crate) struct SnapshotReq {
@@ -185,44 +182,6 @@ pub(crate) struct ClientOutcome {
     pub(crate) latency: Histogram,
 }
 
-/// A live backend's run report: the clients' outcomes merged into the
-/// window's statistics and, when history is recorded, their transactions
-/// judged against `truth`, the servers' snapshots taken with their
-/// chains. `cluster` supplies the blocking and wire totals.
-pub(crate) fn live_report(
-    mode: Mode,
-    window_micros: u64,
-    outcomes: Vec<ClientOutcome>,
-    cluster: &ClusterStats,
-    truth: Option<&[ServerSnapshot]>,
-) -> RunReport {
-    let mut stats = RunStats::new(window_micros);
-    let mut checker = truth.map(|truth| {
-        let mut checker = HistoryChecker::new();
-        crate::record_ground_truth(&mut checker, truth);
-        checker
-    });
-    for outcome in outcomes {
-        stats.committed += outcome.committed;
-        stats.aborted += outcome.aborted;
-        stats.latency.merge(&outcome.latency);
-        if let Some(checker) = checker.as_mut() {
-            for (cid, rec) in outcome.records {
-                checker.record_tx(cid, rec);
-            }
-        }
-    }
-    RunReport {
-        mode,
-        stats,
-        blocking: cluster.blocking,
-        visibility: None,
-        violations: checker.map_or_else(Vec::new, |checker| checker.check()),
-        net_messages: cluster.net_messages,
-        net_bytes: cluster.net_bytes,
-    }
-}
-
 /// One closed-loop workload client: begin → read → write → commit,
 /// retrying on aborts, until `stop` is raised. The begin is deferred: the
 /// first read (or, for a write-only transaction, the commit) carries it,
@@ -231,22 +190,16 @@ pub(crate) fn live_report(
 /// `measure_after` (warmup is untimed); the checker records everything.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_client(
-    id: ClientId,
-    coordinator: ServerId,
-    mode: Mode,
-    workload: WorkloadConfig,
-    n_partitions: u32,
-    local_partitions: Vec<paris_types::PartitionId>,
-    seed: u64,
+    mut session: ClientSession,
+    mut generator: WorkloadGenerator,
+    mut rng: StdRng,
     inbox: Receiver<Envelope>,
     send: impl Fn(Envelope),
     stop: Arc<AtomicBool>,
     clock: impl PhysicalClock,
     measure_after: Instant,
 ) -> ClientOutcome {
-    let mut session = ClientSession::new(id, coordinator, mode);
-    let mut generator = WorkloadGenerator::new(workload, n_partitions, local_partitions);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let id = session.id();
     let mut records = Vec::new();
     let mut latency = Histogram::new();
     let mut committed = 0u64;
@@ -343,7 +296,9 @@ mod tests {
     use paris_clock::SimClock;
     use paris_core::ServerOptions;
     use paris_proto::{Msg, ReplicatedTx};
-    use paris_types::{ClusterConfig, DcId, Key, PartitionId, Timestamp, TxId, WriteSetEntry};
+    use paris_types::{
+        ClusterConfig, DcId, Key, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry,
+    };
     use std::sync::mpsc::{channel, Sender};
     use std::thread::JoinHandle;
 

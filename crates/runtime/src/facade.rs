@@ -18,6 +18,14 @@
 //! Backends are built with [`crate::Paris::builder`]; code written against
 //! this trait runs unchanged on all of them.
 //!
+//! The raw transaction operations (`txn_begin`, `txn_read`, `txn_write`,
+//! `txn_commit`, `reset_client`) are written once, here, as provided
+//! methods. They rest on two primitives every backend implements: its
+//! client sessions, and a round trip that sends one envelope and waits for
+//! the [`ClientEvent`] that completes the operation. Those primitives live
+//! on a sealed supertrait, so [`Cluster`] has exactly the four
+//! implementations of this crate.
+//!
 //! ```
 //! use paris_runtime::{Backend, Cluster, Paris};
 //! use paris_types::{Key, Value};
@@ -42,18 +50,77 @@
 //! # Ok::<(), paris_types::Error>(())
 //! ```
 
-use paris_core::{ClientRead, ReadSource, Violation};
+use paris_core::{ClientEvent, ClientRead, ReadSource, ReadStep, Violation};
 use paris_types::{ClientId, Error, FaultPlan, Key, Mode, Timestamp, Value};
 
 use crate::measure::{ClusterStats, RunReport};
 
+pub(crate) use sealed::Sessions;
+
+mod sealed {
+    use paris_core::{ClientEvent, ClientSession};
+    use paris_proto::Envelope;
+    use paris_types::{ClientId, Error};
+
+    use super::Cluster;
+
+    /// A backend as the trait object a [`super::Txn`] holds — what lets
+    /// [`Cluster::begin`] be written once, for `dyn Cluster` too.
+    pub trait AsCluster {
+        /// `self` as a `dyn Cluster`.
+        fn as_cluster(&mut self) -> &mut dyn Cluster;
+    }
+
+    impl<T: Cluster> AsCluster for T {
+        fn as_cluster(&mut self) -> &mut dyn Cluster {
+            self
+        }
+    }
+
+    /// The two primitives the raw operations of [`super::Cluster`] rest
+    /// on. Public inside a private module: nothing outside this crate can
+    /// name it, so nothing outside it can implement `Cluster`.
+    pub trait Sessions {
+        /// `client`'s session.
+        ///
+        /// # Errors
+        ///
+        /// [`Error::UnknownTransaction`] if `client` is not an interactive
+        /// session of this cluster.
+        fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error>;
+
+        /// Sends `env` on behalf of `client` and waits for the event that
+        /// completes the operation. Replies queue per client; the session
+        /// reads them here, so a stale one (owed to an operation abandoned
+        /// by `reset_client`) is discarded on the way.
+        ///
+        /// # Errors
+        ///
+        /// [`Error::UnknownTransaction`] for an unknown client, a transport
+        /// failure when no reply comes.
+        fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error>;
+    }
+}
+
+/// The error of an operation completed by an event other than the one it
+/// waits for: an abort means a participant was unreachable.
+fn failed<T>(event: ClientEvent) -> Result<T, Error> {
+    match event {
+        ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
+        _ => Err(Error::UnknownTransaction),
+    }
+}
+
 /// A PaRiS deployment, independent of the substrate executing it.
 ///
-/// The `txn_*` methods are the raw, client-id-keyed operations each
-/// backend implements; application code should prefer [`Cluster::begin`]
-/// and the [`Txn`] handle, which layer transactional buffering and
-/// abort-on-drop on top of them.
-pub trait Cluster {
+/// The `txn_*` methods are the raw, client-id-keyed operations, written
+/// once for every backend; application code should prefer
+/// [`Cluster::begin`] and the [`Txn`] handle, which layer transactional
+/// buffering and abort-on-drop on top of them.
+///
+/// The trait is sealed: the four backends of this crate are its only
+/// implementations.
+pub trait Cluster: Sessions + sealed::AsCluster {
     /// A short name of the backend ("mini", "sim", "thread", "socket").
     fn backend_name(&self) -> &'static str;
 
@@ -73,15 +140,31 @@ pub trait Cluster {
     /// # Errors
     ///
     /// Propagates session errors (unknown client, transaction already
-    /// open) and transport failures.
-    fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error>;
+    /// open) and transport failures; an abort is
+    /// [`Error::PartitionUnreachable`].
+    fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error> {
+        let env = self.session(client)?.begin()?;
+        match self.round_trip(client, env)? {
+            ClientEvent::Started { snapshot, .. } => Ok(snapshot),
+            other => failed(other),
+        }
+    }
 
     /// Raw operation: reads `keys` within the open transaction.
     ///
     /// # Errors
     ///
-    /// Propagates session errors and transport failures.
-    fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error>;
+    /// Propagates session errors and transport failures; an abort is
+    /// [`Error::PartitionUnreachable`].
+    fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
+        match self.session(client)?.read(keys)? {
+            ReadStep::Done(reads) => Ok(reads),
+            ReadStep::Send(env) => match self.round_trip(client, env)? {
+                ClientEvent::ReadDone { reads, .. } => Ok(reads),
+                other => failed(other),
+            },
+        }
+    }
 
     /// Raw operation: buffers `entries` in the open transaction's write
     /// set.
@@ -89,15 +172,24 @@ pub trait Cluster {
     /// # Errors
     ///
     /// Propagates session errors.
-    fn txn_write(&mut self, client: ClientId, entries: &[(Key, Value)]) -> Result<(), Error>;
+    fn txn_write(&mut self, client: ClientId, entries: &[(Key, Value)]) -> Result<(), Error> {
+        self.session(client)?.write(entries)
+    }
 
     /// Raw operation: commits the open transaction, returning its commit
     /// timestamp ([`Timestamp::ZERO`] for read-only transactions).
     ///
     /// # Errors
     ///
-    /// Propagates session errors and transport failures.
-    fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error>;
+    /// Propagates session errors and transport failures; an abort is
+    /// [`Error::PartitionUnreachable`].
+    fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error> {
+        let env = self.session(client)?.commit()?;
+        match self.round_trip(client, env)? {
+            ClientEvent::Committed { ct, .. } => Ok(ct),
+            other => failed(other),
+        }
+    }
 
     /// Abandons `client`'s open transaction and any in-flight operation,
     /// returning the session to idle so the next [`Cluster::begin`]
@@ -110,15 +202,19 @@ pub trait Cluster {
     /// the abandoned commit actually landed server-side and only its
     /// reply was lost, read-your-own-writes is forfeited for exactly that
     /// transaction until the UST covers it. Late replies for the
-    /// abandoned transaction are discarded; the orphaned coordinator
-    /// context is reclaimed by the server's background stale-context
-    /// cleanup.
+    /// abandoned transaction stay queued for the client and are discarded
+    /// by the session when its next operation reads them; the orphaned
+    /// coordinator context is reclaimed by the server's background
+    /// stale-context cleanup.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownTransaction`] if `client` is not an
     /// interactive session of this cluster.
-    fn reset_client(&mut self, client: ClientId) -> Result<(), Error>;
+    fn reset_client(&mut self, client: ClientId) -> Result<(), Error> {
+        self.session(client)?.reset();
+        Ok(())
+    }
 
     /// Advances the background protocols (replication, GST/UST gossip)
     /// for `rounds` full rounds; after 3–5 rounds all previously committed
@@ -172,12 +268,7 @@ pub trait Cluster {
     ///
     /// [`Error::Unsupported`] on backends without server processes,
     /// [`Error::Transport`] if the process cannot be killed.
-    fn kill_server(&mut self, index: usize) -> Result<(), Error> {
-        let _ = index;
-        Err(Error::Unsupported(
-            "kill_server requires a backend with server processes (socket)",
-        ))
-    }
+    fn kill_server(&mut self, index: usize) -> Result<(), Error>;
 
     /// Relaunches the server at `index` after [`Cluster::kill_server`].
     /// With durability configured the replacement process recovers its
@@ -190,12 +281,7 @@ pub trait Cluster {
     /// [`Error::Unsupported`] on backends without server processes,
     /// [`Error::Transport`] if the replacement cannot be spawned or fails
     /// to rejoin the deployment.
-    fn restart_server(&mut self, index: usize) -> Result<(), Error> {
-        let _ = index;
-        Err(Error::Unsupported(
-            "restart_server requires a backend with server processes (socket)",
-        ))
-    }
+    fn restart_server(&mut self, index: usize) -> Result<(), Error>;
 
     /// Installs a scripted [`FaultPlan`]: each event fires at its
     /// plan-relative time — virtual time on the deterministic simulator
@@ -228,14 +314,12 @@ pub trait Cluster {
     /// transaction: buffered writes are discarded and the coordinator's
     /// context is released.
     ///
-    /// Implementations delegate to [`Txn::begin_on`]; the method lives on
-    /// the trait (rather than as a provided default) so it is callable on
-    /// `dyn Cluster` trait objects too.
-    ///
     /// # Errors
     ///
     /// Propagates [`Cluster::txn_begin`] errors.
-    fn begin(&mut self, client: ClientId) -> Result<Txn<'_>, Error>;
+    fn begin(&mut self, client: ClientId) -> Result<Txn<'_>, Error> {
+        Txn::begin_on(self.as_cluster(), client)
+    }
 }
 
 /// An open transaction on a [`Cluster`].
@@ -257,14 +341,16 @@ pub struct Txn<'a> {
 }
 
 impl<'a> Txn<'a> {
-    /// Starts a transaction on `cluster` — the canonical implementation of
-    /// [`Cluster::begin`], public so external backend implementations can
-    /// delegate to it too.
+    /// Starts a transaction on `cluster` — the one implementation of
+    /// [`Cluster::begin`].
     ///
     /// # Errors
     ///
     /// Propagates [`Cluster::txn_begin`] errors.
-    pub fn begin_on(cluster: &'a mut (dyn Cluster + 'a), client: ClientId) -> Result<Self, Error> {
+    pub(crate) fn begin_on(
+        cluster: &'a mut (dyn Cluster + 'a),
+        client: ClientId,
+    ) -> Result<Self, Error> {
         let snapshot = cluster.txn_begin(client)?;
         Ok(Txn {
             cluster,

@@ -19,22 +19,31 @@
 //! [`Txn`] handle; measure with [`Cluster::run_workload`], which produces
 //! a [`RunReport`] with throughput, latency percentiles, blocking
 //! statistics and (when enabled) the consistency checker's verdict.
+//!
+//! The client path is written once: [`Cluster`]'s raw operations and
+//! [`Cluster::begin`] are provided methods over each backend's client
+//! sessions and its round trip (see the [`Cluster`] docs), and the thread
+//! and socket backends share one live core for their interactive
+//! sessions, `run_workload` and snapshot observers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use paris_core::checker::HistoryChecker;
-use paris_core::{Server, Topology, Violation};
+use paris_core::{ClientEvent, ClientSession, Server, Topology, Violation};
 use paris_net::sim::RegionMatrix;
-use paris_proto::ServerSnapshot;
-use paris_types::{DcId, Intervals, Key, PartitionId, ServerId, VersionOrd};
+use paris_proto::{Envelope, ServerSnapshot};
+use paris_types::{
+    ClientId, ClusterConfig, DcId, Error, Intervals, Key, Mode, PartitionId, ServerId, VersionOrd,
+};
 
 mod builder;
 pub mod chaos;
 mod driver;
 mod facade;
+mod live;
 mod measure;
 mod mini_cluster;
 mod sim_cluster;
@@ -131,20 +140,68 @@ pub(crate) fn server_snapshots<'a>(
         .collect()
 }
 
-/// An interactive session of a deterministic backend: with the value cache
-/// every deployment has, or — for the equivalence tests only, see
-/// `open_clients_without_value_cache` — with none.
-pub(crate) fn interactive_session(
-    id: paris_types::ClientId,
-    coordinator: paris_types::ServerId,
-    mode: paris_types::Mode,
-    value_cache: bool,
-) -> paris_core::ClientSession {
-    if value_cache {
-        paris_core::ClientSession::new(id, coordinator, mode)
-    } else {
-        paris_core::ClientSession::with_value_cache_budget(id, coordinator, mode, 0)
+/// The deployment and workload the mini, thread and socket backends are
+/// built from (assembled by the builder; the sim has its own config).
+#[derive(Debug, Clone)]
+pub(crate) struct BackendConfig {
+    pub(crate) cluster: ClusterConfig,
+    pub(crate) clients_per_dc: u32,
+    pub(crate) workload: paris_workload::WorkloadConfig,
+    pub(crate) seed: u64,
+    pub(crate) record_history: bool,
+    /// Durable storage engine (WAL + checkpoints) for every server; off
+    /// (`None`, purely in-memory) by default.
+    pub(crate) durability: Option<Durability>,
+}
+
+/// An interactive client: its session and the replies queued for it. The
+/// session reads them only inside its backend's round trip.
+pub(crate) struct Interactive<I> {
+    pub(crate) session: ClientSession,
+    pub(crate) inbox: I,
+}
+
+impl Interactive<VecDeque<Envelope>> {
+    /// An interactive client of a deterministic backend: with the value
+    /// cache every deployment has, or — for the equivalence tests only, see
+    /// `open_clients_without_value_cache` — with none.
+    pub(crate) fn new(id: ClientId, coordinator: ServerId, mode: Mode, value_cache: bool) -> Self {
+        let session = if value_cache {
+            ClientSession::new(id, coordinator, mode)
+        } else {
+            ClientSession::with_value_cache_budget(id, coordinator, mode, 0)
+        };
+        Interactive {
+            session,
+            inbox: VecDeque::new(),
+        }
     }
+
+    /// Hands the queued replies to the session until one completes an
+    /// operation.
+    pub(crate) fn next_event(&mut self) -> Option<ClientEvent> {
+        while let Some(env) = self.inbox.pop_front() {
+            if let Some(event) = self.session.handle(&env) {
+                return Some(event);
+            }
+        }
+        None
+    }
+}
+
+/// `kill_server` and `restart_server` on a backend without server
+/// processes: an index outside the `servers` is a configuration error, any
+/// other index is [`Error::Unsupported`] with `message`, which names the
+/// backend.
+pub(crate) fn no_server_processes(
+    index: usize,
+    servers: usize,
+    message: &'static str,
+) -> Result<(), Error> {
+    if index >= servers {
+        return Err(paris_types::ConfigError::new("server index out of range").into());
+    }
+    Err(Error::Unsupported(message))
 }
 
 /// Feeds every retained version in `snaps` into the checker's ground

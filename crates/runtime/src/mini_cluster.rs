@@ -18,43 +18,35 @@ use std::sync::Arc;
 
 use paris_clock::SimClock;
 use paris_core::checker::{HistoryChecker, RecordedTx};
-use paris_core::{
-    ClientEvent, ClientRead, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
-};
+use paris_core::{ClientEvent, ClientSession, Server, ServerOptions, Topology, Violation};
 use paris_net::batch::{Coalescer, Offer};
-use paris_proto::{Endpoint, Envelope};
-use paris_types::{
-    ClientId, ClusterConfig, DcId, Error, Key, Mode, ServerId, Timestamp, TxId, Value,
-};
+use paris_proto::{Endpoint, Envelope, Msg};
+use paris_types::{ClientId, DcId, Error, Mode, ServerId, Timestamp};
 use paris_workload::stats::RunStats;
-use paris_workload::{WorkloadConfig, WorkloadGenerator};
+use paris_workload::WorkloadGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::facade::Sessions;
 use crate::measure::{ClusterStats, RunReport};
-use crate::{replica_convergence, Cluster};
+use crate::{replica_convergence, BackendConfig, Cluster, Interactive};
 
 /// A synchronous in-process PaRiS cluster. See the module docs.
 pub struct MiniCluster {
     topo: Arc<Topology>,
     clock: SimClock,
     servers: HashMap<ServerId, Server>,
-    clients: HashMap<ClientId, ClientSession>,
+    clients: HashMap<ClientId, Interactive<VecDeque<Envelope>>>,
     queue: VecDeque<Envelope>,
     /// Coalesces background traffic from the periodic ticks; flushed
     /// before every pump (the mini backend's synchronous quantum), so
     /// batching never delays a stabilization round.
     coalescer: Coalescer,
-    events: VecDeque<(ClientId, ClientEvent)>,
     next_client: HashMap<DcId, u32>,
     /// Whether sessions get a value cache (always, outside tests).
     value_cache: bool,
-    mode: Mode,
     now: u64,
-    workload: WorkloadConfig,
-    clients_per_dc: u32,
-    seed: u64,
-    record_history: bool,
+    config: BackendConfig,
 }
 
 impl MiniCluster {
@@ -64,18 +56,8 @@ impl MiniCluster {
     ///
     /// Returns [`Error::Storage`] when durability is requested and a
     /// server's data directory cannot be opened or recovered.
-    pub(crate) fn from_parts(
-        cfg: ClusterConfig,
-        workload: WorkloadConfig,
-        clients_per_dc: u32,
-        seed: u64,
-        record_history: bool,
-        durability: Option<crate::Durability>,
-    ) -> Result<Self, Error> {
-        let mode = cfg.mode;
-        let batch = cfg.batch;
-        let wire = cfg.wire;
-        let topo = Arc::new(Topology::new(cfg));
+    pub(crate) fn from_parts(config: BackendConfig) -> Result<Self, Error> {
+        let topo = Arc::new(Topology::new(config.cluster.clone()));
         let clock = SimClock::new();
         clock.advance_to(1_000);
         let mut servers = HashMap::new();
@@ -87,10 +69,10 @@ impl MiniCluster {
                         id,
                         topology: Arc::clone(&topo),
                         clock: Box::new(clock.clone()),
-                        mode,
+                        mode: config.cluster.mode,
                         record_events: false,
                     },
-                    crate::tuning::server_tuning(durability.as_ref(), id),
+                    crate::tuning::server_tuning(config.durability.as_ref(), id),
                 )?,
             );
         }
@@ -100,16 +82,11 @@ impl MiniCluster {
             servers,
             clients: HashMap::new(),
             queue: VecDeque::new(),
-            coalescer: Coalescer::new(batch, wire),
-            events: VecDeque::new(),
+            coalescer: Coalescer::new(config.cluster.batch, config.cluster.wire),
             next_client: HashMap::new(),
             value_cache: true,
-            mode,
             now: 1_000,
-            workload,
-            clients_per_dc,
-            seed,
-            record_history,
+            config,
         })
     }
 
@@ -142,10 +119,8 @@ impl MiniCluster {
                     }
                 }
                 Endpoint::Client(cid) => {
-                    if let Some(session) = self.clients.get_mut(&cid) {
-                        if let Some(ev) = session.handle(&env) {
-                            self.events.push_back((cid, ev));
-                        }
+                    if let Some(client) = self.clients.get_mut(&cid) {
+                        client.inbox.push_back(env);
                     }
                 }
             }
@@ -173,47 +148,26 @@ impl MiniCluster {
     }
 
     fn stabilize_rounds(&mut self, rounds: usize) {
-        let ids: Vec<ServerId> = {
-            let mut v: Vec<ServerId> = self.servers.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        // Two GST aggregation passes so child reports reach the roots.
+        let ticks: [fn(&mut Server, u64) -> Vec<Envelope>; 4] = [
+            Server::on_replicate_tick,
+            Server::on_gst_tick,
+            Server::on_gst_tick,
+            Server::on_ust_tick,
+        ];
+        let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
+        ids.sort_unstable();
         for _ in 0..rounds {
             self.now += 1_000;
             self.clock.advance_to(self.now);
-            for id in &ids {
-                let out = self
-                    .servers
-                    .get_mut(id)
-                    .expect("known")
-                    .on_replicate_tick(self.now);
-                self.enqueue_background(out);
-            }
-            self.flush_coalesced();
-            self.pump();
-            // Two aggregation passes so child reports reach the roots.
-            for _ in 0..2 {
+            for tick in ticks {
                 for id in &ids {
-                    let out = self
-                        .servers
-                        .get_mut(id)
-                        .expect("known")
-                        .on_gst_tick(self.now);
+                    let out = tick(self.servers.get_mut(id).expect("known"), self.now);
                     self.enqueue_background(out);
                 }
                 self.flush_coalesced();
                 self.pump();
             }
-            for id in &ids {
-                let out = self
-                    .servers
-                    .get_mut(id)
-                    .expect("known")
-                    .on_ust_tick(self.now);
-                self.enqueue_background(out);
-            }
-            self.flush_coalesced();
-            self.pump();
         }
     }
 
@@ -230,41 +184,51 @@ impl MiniCluster {
     pub fn txn_begin_deferred(&mut self, client: ClientId) -> Result<(), Error> {
         self.now += 10;
         self.clock.advance_to(self.now);
-        self.clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .begin_deferred()
+        self.session(client)?.begin_deferred()
     }
 
     /// The open transaction's snapshot, once the coordinator assigned it.
     #[doc(hidden)]
     pub fn txn_snapshot(&self, client: ClientId) -> Option<Timestamp> {
-        self.clients.get(&client)?.open_snapshot()
+        self.clients.get(&client)?.session.open_snapshot()
+    }
+}
+
+impl Sessions for MiniCluster {
+    fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error> {
+        self.clients
+            .get_mut(&client)
+            .map(|c| &mut c.session)
+            .ok_or(Error::UnknownTransaction)
     }
 
-    /// Commits `client`'s open transaction: its id, snapshot and commit
-    /// time.
-    fn commit(&mut self, client: ClientId) -> Result<(TxId, Timestamp, Timestamp), Error> {
-        self.now += 10;
-        self.clock.advance_to(self.now);
-        let env = self
-            .clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .commit()?;
+    /// The pump is synchronous, so the reply is usually in once it
+    /// returns. The clock steps 10 µs before every begin and commit, never
+    /// before a read.
+    fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error> {
+        if !matches!(env.msg, Msg::ReadReq { .. }) {
+            self.now += 10;
+            self.clock.advance_to(self.now);
+        }
         self.queue.push_back(env);
         self.pump();
-        match self.expect_event(client)? {
-            ClientEvent::Committed { tx, snapshot, ct } => Ok((tx, snapshot, ct)),
-            _ => Err(Error::UnknownTransaction),
-        }
-    }
-
-    fn expect_event(&mut self, cid: ClientId) -> Result<ClientEvent, Error> {
-        // The pump is synchronous: the response is already queued.
-        match self.events.pop_front() {
-            Some((id, ev)) if id == cid => Ok(ev),
-            _ => Err(Error::UnknownTransaction),
+        // Under BPR a fresh-snapshot read blocks server-side until the
+        // snapshot is installed; advance background rounds until this
+        // client's reply is in (PaRiS never takes a round here).
+        let mut rounds = 0;
+        loop {
+            let waiting = self
+                .clients
+                .get_mut(&client)
+                .ok_or(Error::UnknownTransaction)?;
+            if let Some(event) = waiting.next_event() {
+                return Ok(event);
+            }
+            if rounds == 64 {
+                return Err(Error::UnknownTransaction);
+            }
+            self.stabilize_rounds(1);
+            rounds += 1;
         }
     }
 }
@@ -275,7 +239,7 @@ impl Cluster for MiniCluster {
     }
 
     fn mode(&self) -> Mode {
-        self.mode
+        self.config.cluster.mode
     }
 
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
@@ -287,72 +251,9 @@ impl Cluster for MiniCluster {
         let id = ClientId::new(dc, *seq);
         *seq += 1;
         let coordinator = self.topo.coordinator_for(dc, id.seq);
-        let session = crate::interactive_session(id, coordinator, self.mode, self.value_cache);
-        self.clients.insert(id, session);
+        let client = Interactive::new(id, coordinator, self.config.cluster.mode, self.value_cache);
+        self.clients.insert(id, client);
         Ok(id)
-    }
-
-    fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        self.now += 10;
-        self.clock.advance_to(self.now);
-        let env = self
-            .clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .begin()?;
-        self.queue.push_back(env);
-        self.pump();
-        match self.expect_event(client)? {
-            ClientEvent::Started { snapshot, .. } => Ok(snapshot),
-            _ => Err(Error::UnknownTransaction),
-        }
-    }
-
-    fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
-        let step = self
-            .clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .read(keys)?;
-        match step {
-            ReadStep::Done(reads) => Ok(reads),
-            ReadStep::Send(env) => {
-                self.queue.push_back(env);
-                self.pump();
-                // Under BPR a fresh-snapshot read blocks server-side until
-                // the snapshot is installed; advance background rounds
-                // until it completes (PaRiS never takes this path).
-                let mut rounds = 0;
-                while self.events.is_empty() && rounds < 64 {
-                    self.stabilize_rounds(1);
-                    rounds += 1;
-                }
-                match self.expect_event(client)? {
-                    ClientEvent::ReadDone { reads, .. } => Ok(reads),
-                    _ => Err(Error::UnknownTransaction),
-                }
-            }
-        }
-    }
-
-    fn txn_write(&mut self, client: ClientId, entries: &[(Key, Value)]) -> Result<(), Error> {
-        self.clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .write(entries)
-    }
-
-    fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        self.commit(client).map(|(_, _, ct)| ct)
-    }
-
-    fn reset_client(&mut self, client: ClientId) -> Result<(), Error> {
-        self.clients
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .reset();
-        self.events.retain(|(cid, _)| *cid != client);
-        Ok(())
     }
 
     fn stabilize(&mut self, rounds: usize) {
@@ -371,20 +272,21 @@ impl Cluster for MiniCluster {
         let window_start = self.now + warmup_micros;
         let end = window_start + window_micros;
         let mut stats = RunStats::new(window_micros);
-        let mut checker = self.record_history.then(HistoryChecker::new);
+        let mut checker = self.config.record_history.then(HistoryChecker::new);
 
         let mut workers = Vec::new();
         for dc in 0..self.topo.dcs() {
             let local = self.topo.partitions_in_dc(DcId(dc));
-            for _ in 0..self.clients_per_dc {
+            for _ in 0..self.config.clients_per_dc {
                 let id = self.open_client(dc)?;
                 let generator = WorkloadGenerator::new(
-                    self.workload.clone(),
+                    self.config.workload.clone(),
                     self.topo.partitions(),
                     local.clone(),
                 );
-                let rng =
-                    StdRng::seed_from_u64(self.seed ^ (u64::from(dc) << 32) ^ u64::from(id.seq));
+                let rng = StdRng::seed_from_u64(
+                    self.config.seed ^ (u64::from(dc) << 32) ^ u64::from(id.seq),
+                );
                 workers.push((id, generator, rng));
             }
         }
@@ -407,7 +309,10 @@ impl Cluster for MiniCluster {
                 if !spec.writes.is_empty() {
                     self.txn_write(*id, &spec.writes)?;
                 }
-                let (tx, snapshot, ct) = self.commit(*id)?;
+                let env = self.session(*id)?.commit()?;
+                let ClientEvent::Committed { tx, snapshot, ct } = self.round_trip(*id, env)? else {
+                    return Err(Error::UnknownTransaction);
+                };
                 if self.now >= window_start && self.now <= end {
                     stats.committed += 1;
                     stats.latency.record(self.now.saturating_sub(begun_at));
@@ -437,7 +342,7 @@ impl Cluster for MiniCluster {
             None => Vec::new(),
         };
         Ok(RunReport {
-            mode: self.mode,
+            mode: self.config.cluster.mode,
             stats,
             blocking: self.stats()?.blocking,
             visibility: None,
@@ -455,25 +360,19 @@ impl Cluster for MiniCluster {
     }
 
     fn kill_server(&mut self, index: usize) -> Result<(), Error> {
-        if index >= self.servers.len() {
-            return Err(paris_types::ConfigError::new("server index out of range").into());
-        }
-        Err(Error::Unsupported(
+        crate::no_server_processes(
+            index,
+            self.servers.len(),
             "kill_server is not available on the mini backend (no server processes); use the socket backend",
-        ))
+        )
     }
 
     fn restart_server(&mut self, index: usize) -> Result<(), Error> {
-        if index >= self.servers.len() {
-            return Err(paris_types::ConfigError::new("server index out of range").into());
-        }
-        Err(Error::Unsupported(
+        crate::no_server_processes(
+            index,
+            self.servers.len(),
             "restart_server is not available on the mini backend (no server processes); use the socket backend",
-        ))
-    }
-
-    fn begin(&mut self, client: ClientId) -> Result<crate::Txn<'_>, Error> {
-        crate::Txn::begin_on(self, client)
+        )
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use paris_clock::{SimClock, SkewCell, SteppableClock};
 use paris_core::checker::{HistoryChecker, RecordedTx};
-use paris_core::ClientRead;
 use paris_core::{
     ClientEvent, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
 };
@@ -19,16 +18,16 @@ use paris_net::batch::{Coalescer, Offer};
 use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
 use paris_proto::{Endpoint, Envelope};
 use paris_types::{
-    ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Key, Mode, ServerId, Timestamp,
-    Value,
+    ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Mode, ServerId, Timestamp,
 };
 use paris_workload::stats::RunStats;
 use paris_workload::{TxSpec, WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::facade::Sessions;
 use crate::measure::{visibility_histogram, ClusterStats, RunReport};
-use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE};
+use crate::{replica_convergence, Cluster, Interactive, INTERACTIVE_SEQ_BASE};
 
 /// Configuration of a simulated deployment (assembled by the builder).
 #[derive(Debug, Clone)]
@@ -139,8 +138,7 @@ pub struct SimCluster {
     /// Per-DC skew cells of the servers' steppable clocks, for the
     /// clock-skew-step fault (one cell per server, grouped by DC).
     skew_cells: HashMap<DcId, Vec<SkewCell>>,
-    interactive: HashMap<ClientId, ClientSession>,
-    interactive_events: VecDeque<(ClientId, ClientEvent)>,
+    interactive: HashMap<ClientId, Interactive<VecDeque<Envelope>>>,
     next_interactive: HashMap<DcId, u32>,
     /// Whether interactive sessions get a value cache (always, outside
     /// tests).
@@ -278,7 +276,6 @@ impl SimCluster {
             failure_detection: false,
             skew_cells,
             interactive: HashMap::new(),
-            interactive_events: VecDeque::new(),
             next_interactive: HashMap::new(),
             value_cache: true,
         })
@@ -464,26 +461,6 @@ impl SimCluster {
         true
     }
 
-    /// Advances the simulation until `client`'s next event arrives.
-    fn await_interactive(&mut self, client: ClientId) -> Result<ClientEvent, Error> {
-        let deadline = self.now + 120_000_000; // 120 simulated seconds
-        loop {
-            if let Some(pos) = self
-                .interactive_events
-                .iter()
-                .position(|(c, _)| *c == client)
-            {
-                return Ok(self.interactive_events.remove(pos).expect("present").1);
-            }
-            if self.now > deadline {
-                return Err(Error::Transport("simulated operation timed out"));
-            }
-            if !self.step() {
-                return Err(Error::Transport("simulation ran out of events"));
-            }
-        }
-    }
-
     /// One stabilization round in simulated microseconds.
     fn stabilize_round_micros(&self) -> u64 {
         crate::gossip_round_micros(
@@ -571,10 +548,8 @@ impl SimCluster {
                 self.send_all(finish, out);
             }
             Endpoint::Client(cid) => {
-                if let Some(session) = self.interactive.get_mut(&cid) {
-                    if let Some(ev) = session.handle(&env) {
-                        self.interactive_events.push_back((cid, ev));
-                    }
+                if let Some(client) = self.interactive.get_mut(&cid) {
+                    client.inbox.push_back(env);
                     return;
                 }
                 let Some(event) = self
@@ -771,6 +746,37 @@ impl SimCluster {
     }
 }
 
+impl Sessions for SimCluster {
+    fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error> {
+        self.interactive
+            .get_mut(&client)
+            .map(|c| &mut c.session)
+            .ok_or(Error::UnknownTransaction)
+    }
+
+    /// Advances the simulation until `client`'s reply arrives.
+    fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error> {
+        let at = self.now;
+        self.send_all(at, vec![env]);
+        let deadline = self.now + 120_000_000; // 120 simulated seconds
+        loop {
+            let waiting = self
+                .interactive
+                .get_mut(&client)
+                .ok_or(Error::UnknownTransaction)?;
+            if let Some(event) = waiting.next_event() {
+                return Ok(event);
+            }
+            if self.now > deadline {
+                return Err(Error::Transport("simulated operation timed out"));
+            }
+            if !self.step() {
+                return Err(Error::Transport("simulation ran out of events"));
+            }
+        }
+    }
+}
+
 impl Cluster for SimCluster {
     fn backend_name(&self) -> &'static str {
         "sim"
@@ -790,75 +796,9 @@ impl Cluster for SimCluster {
         *offset += 1;
         let coordinator = self.topo.coordinator_for(dc, id.seq);
         let mode = self.config.cluster.mode;
-        let session = crate::interactive_session(id, coordinator, mode, self.value_cache);
-        self.interactive.insert(id, session);
+        let client = Interactive::new(id, coordinator, mode, self.value_cache);
+        self.interactive.insert(id, client);
         Ok(id)
-    }
-
-    fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        let env = self
-            .interactive
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .begin()?;
-        let at = self.now;
-        self.send_all(at, vec![env]);
-        match self.await_interactive(client)? {
-            ClientEvent::Started { snapshot, .. } => Ok(snapshot),
-            ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
-            _ => Err(Error::UnknownTransaction),
-        }
-    }
-
-    fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
-        let step = self
-            .interactive
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .read(keys)?;
-        match step {
-            ReadStep::Done(reads) => Ok(reads),
-            ReadStep::Send(env) => {
-                let at = self.now;
-                self.send_all(at, vec![env]);
-                match self.await_interactive(client)? {
-                    ClientEvent::ReadDone { reads, .. } => Ok(reads),
-                    ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
-                    _ => Err(Error::UnknownTransaction),
-                }
-            }
-        }
-    }
-
-    fn txn_write(&mut self, client: ClientId, entries: &[(Key, Value)]) -> Result<(), Error> {
-        self.interactive
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .write(entries)
-    }
-
-    fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        let env = self
-            .interactive
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .commit()?;
-        let at = self.now;
-        self.send_all(at, vec![env]);
-        match self.await_interactive(client)? {
-            ClientEvent::Committed { ct, .. } => Ok(ct),
-            ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
-            _ => Err(Error::UnknownTransaction),
-        }
-    }
-
-    fn reset_client(&mut self, client: ClientId) -> Result<(), Error> {
-        self.interactive
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)?
-            .reset();
-        self.interactive_events.retain(|(cid, _)| *cid != client);
-        Ok(())
     }
 
     fn stabilize(&mut self, rounds: usize) {
@@ -884,21 +824,19 @@ impl Cluster for SimCluster {
     }
 
     fn kill_server(&mut self, index: usize) -> Result<(), Error> {
-        if index >= self.servers.len() {
-            return Err(paris_types::ConfigError::new("server index out of range").into());
-        }
-        Err(Error::Unsupported(
+        crate::no_server_processes(
+            index,
+            self.servers.len(),
             "kill_server is not available on the sim backend (no server processes); crash a whole DC with a FaultPlan instead",
-        ))
+        )
     }
 
     fn restart_server(&mut self, index: usize) -> Result<(), Error> {
-        if index >= self.servers.len() {
-            return Err(paris_types::ConfigError::new("server index out of range").into());
-        }
-        Err(Error::Unsupported(
+        crate::no_server_processes(
+            index,
+            self.servers.len(),
             "restart_server is not available on the sim backend (no server processes); rejoin a crashed DC with a FaultPlan instead",
-        ))
+        )
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), Error> {
@@ -908,10 +846,6 @@ impl Cluster for SimCluster {
                 .push(self.now + event.at_micros, SimEvent::Fault(event.kind));
         }
         Ok(())
-    }
-
-    fn begin(&mut self, client: ClientId) -> Result<crate::Txn<'_>, Error> {
-        crate::Txn::begin_on(self, client)
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {

@@ -7,6 +7,13 @@
 //! [`Server`] state machine driven by the same loops as the threaded
 //! backend ([`crate::driver`]) over a [`SocketNode`] transport.
 //!
+//! The parent's clients are the live core it shares with the thread
+//! backend ([`crate::live`]): the interactive sessions and their round
+//! trip, `run_workload`, `stabilize` and the snapshot observers. This
+//! module supplies [`SocketNet`] — the client demux, the data-plane node,
+//! the children's control streams and their liveness — plus the process
+//! management of bring-up, `kill_server` and `restart_server`.
+//!
 //! ## Bring-up
 //!
 //! 1. The parent binds its data-plane node and a control listener, then
@@ -14,7 +21,8 @@
 //!    (configuration + control port) in an environment variable.
 //! 2. Each child binds its own data-plane node, dials the control port,
 //!    handshakes (magic + protocol version, like every connection) and
-//!    sends [`Ctrl::Hello`] with its data port.
+//!    sends [`Ctrl::Hello`] with its data port. A relaunched child rejoins
+//!    through the same handshake ([`await_hello`]).
 //! 3. Once every child has said hello, the parent broadcasts
 //!    [`Ctrl::Peers`] — the full address map — and installs its own
 //!    routes. Data-plane links open lazily from here on.
@@ -38,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
@@ -48,8 +56,8 @@ use std::time::{Duration, Instant};
 
 use paris_clock::WallClock;
 use paris_core::{
-    ClientEvent, ClientRead, ClientSession, DurableConfig, FsyncPolicy, ReadStep, Server,
-    ServerOptions, ServerTuning, Topology, Violation,
+    ClientEvent, ClientSession, DurableConfig, FsyncPolicy, Server, ServerOptions, ServerTuning,
+    Topology, Violation,
 };
 use paris_net::sim::RegionMatrix;
 use paris_net::socket::framing::{
@@ -58,14 +66,14 @@ use paris_net::socket::framing::{
 use paris_net::socket::{NodeIdentity, SocketConfig, SocketHandle, SocketNode};
 use paris_proto::{Ctrl, Endpoint, Envelope, ServerSnapshot};
 use paris_types::{
-    BatchConfig, ClientId, ClusterConfig, DcId, Error, Intervals, Key, Mode, ServerId, Timestamp,
-    Value,
+    BatchConfig, ClientId, ClusterConfig, DcId, Error, Intervals, Mode, ServerId, Timestamp,
 };
-use paris_workload::WorkloadConfig;
 
-use crate::driver::{live_report, request_snapshots, run_client, server_loop, ClientOutcome};
+use crate::driver::{request_snapshots, server_loop};
+use crate::facade::Sessions;
+use crate::live::{Live, LiveNet};
 use crate::measure::{ClusterStats, RunReport};
-use crate::{replica_convergence, Cluster, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
+use crate::{BackendConfig, Cluster, OP_TIMEOUT};
 
 /// How long the parent waits for every child to say hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(30);
@@ -82,20 +90,11 @@ pub const CHILD_SPEC_ENV: &str = "PARIS_CHILD_SPEC";
 /// `paris-server` binary.
 pub const SERVER_BIN_ENV: &str = "PARIS_SERVER_BIN";
 
-/// Configuration of a socket deployment (assembled by the builder).
-#[derive(Debug, Clone)]
-pub(crate) struct SocketClusterConfig {
-    pub(crate) cluster: ClusterConfig,
-    pub(crate) clients_per_dc: u32,
-    pub(crate) workload: WorkloadConfig,
-    pub(crate) seed: u64,
-    pub(crate) record_history: bool,
-    /// Durable-engine deployment: each child gets its own log directory
-    /// derived from this (see [`crate::Durability::server_config`]).
-    pub(crate) durability: Option<crate::Durability>,
-    pub(crate) connect_timeout: Duration,
-    pub(crate) read_timeout: Duration,
-}
+/// How long a data-plane link may take to connect.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The read timeout of every inbound data-plane link.
+const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 // ---------------------------------------------------------------------
 // Child spec: everything a child process needs, hand-serialized into an
@@ -294,6 +293,16 @@ impl ChildSpec {
     }
 }
 
+/// Points `node` at the loopback data ports of `servers` and, when given,
+/// of the client host.
+fn route_loopback(node: &SocketNode, client_port: Option<u16>, servers: &[(ServerId, u16)]) {
+    let at = |port| SocketAddr::from(([127, 0, 0, 1], port));
+    node.set_routes(
+        client_port.map(at),
+        servers.iter().map(|&(s, port)| (s, at(port))),
+    );
+}
+
 // ---------------------------------------------------------------------
 // Child process entry point
 // ---------------------------------------------------------------------
@@ -370,12 +379,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     else {
         return Err(Error::Transport("expected a peer map from the parent"));
     };
-    node.set_routes(
-        Some(SocketAddr::from(([127, 0, 0, 1], client_port))),
-        servers
-            .into_iter()
-            .map(|(s, port)| (s, SocketAddr::from(([127, 0, 0, 1], port)))),
-    );
+    route_loopback(&node, Some(client_port), &servers);
     // The server loop owns the server and drains the node inbox itself:
     // every message, slice reads included, is handled there, and so is
     // every snapshot request of the control loop below.
@@ -432,12 +436,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 // A peer process restarted on fresh ports: install the
                 // updated map so future dials reach the new addresses
                 // (stale links fail on their own and are redialed).
-                node.set_routes(
-                    Some(SocketAddr::from(([127, 0, 0, 1], client_port))),
-                    servers
-                        .into_iter()
-                        .map(|(s, port)| (s, SocketAddr::from(([127, 0, 0, 1], port)))),
-                );
+                route_loopback(&node, Some(client_port), &servers);
             }
             Ok(Ctrl::Stop) | Err(_) => break,
             // Unexpected frames are ignored: the control protocol may
@@ -488,26 +487,99 @@ struct ChildProc {
     ctrl: Mutex<TcpStream>,
 }
 
-struct InteractiveClient {
-    session: ClientSession,
-    inbox: Receiver<Envelope>,
+type ClientRegistry = Arc<Mutex<HashMap<ClientId, Sender<Envelope>>>>;
+
+/// The parent's data-plane node, the client demux's registry and the
+/// children with their control streams.
+struct SocketNet {
+    node: SocketNode,
+    handle: SocketHandle,
+    children: Vec<ChildProc>,
+    registry: ClientRegistry,
 }
 
-type ClientRegistry = Arc<Mutex<HashMap<ClientId, Sender<Envelope>>>>;
+impl LiveNet for SocketNet {
+    fn register(&self, client: ClientId) -> Result<Receiver<Envelope>, Error> {
+        let (tx, inbox) = channel();
+        self.registry
+            .lock()
+            .map_err(|_| Error::Transport("client registry poisoned"))?
+            .insert(client, tx);
+        Ok(inbox)
+    }
+
+    fn send(&self, env: Envelope) -> Result<(), Error> {
+        self.handle.send(env)
+    }
+
+    fn lossy_sender(&self) -> impl Fn(Envelope) + Send + 'static {
+        let send = self.handle.clone();
+        move |e| send.send_lossy(e)
+    }
+
+    /// Pulls a stats snapshot from every child over the control plane:
+    /// every request first, then every answer, so one poll costs at most
+    /// one server-loop wake-up, not one per child. A child always answers
+    /// with its chains, so `chains` changes nothing here.
+    fn snapshots(&self, _chains: bool) -> Result<Vec<ServerSnapshot>, Error> {
+        let mut ctrls = Vec::with_capacity(self.children.len());
+        for child in &self.children {
+            let mut ctrl = child
+                .ctrl
+                .lock()
+                .map_err(|_| Error::Transport("control channel poisoned"))?;
+            write_ctrl(&mut *ctrl, &Ctrl::StatsReq)?;
+            ctrls.push(ctrl);
+        }
+        let deadline = deadline_in(OP_TIMEOUT);
+        ctrls
+            .iter_mut()
+            .map(
+                |ctrl| match read_ctrl_deadline(&mut **ctrl, Some(deadline))? {
+                    Ctrl::StatsResp(snap) => Ok(*snap),
+                    _ => Err(Error::Transport("expected a stats response")),
+                },
+            )
+            .collect()
+    }
+
+    /// The client traffic the parent's own node carries; each child's
+    /// snapshot carries its own.
+    fn add_wire_totals(&self, stats: &mut ClusterStats) {
+        let counters = self.node.counters();
+        stats.net_messages += counters.messages_out.load(Ordering::Relaxed);
+        stats.net_bytes += counters.bytes_out.load(Ordering::Relaxed);
+    }
+
+    /// Fails once a child has exited (and reaps it).
+    fn alive(&self) -> Result<(), Error> {
+        let exited = |c: &ChildProc| c.proc.lock().ok()?.try_wait().ok().flatten();
+        match self.children.iter().find_map(exited) {
+            Some(_) => Err(Error::Transport("a server process exited")),
+            None => Ok(()),
+        }
+    }
+
+    /// Loopback has no WAN leg, so the round is the protocol periods plus
+    /// batching slack plus a generous scheduling allowance for 2·servers
+    /// processes on one host.
+    fn round_micros(&self, cluster: &ClusterConfig) -> u64 {
+        crate::gossip_round_micros(
+            &cluster.intervals,
+            &RegionMatrix::uniform(cluster.dcs, 0),
+            cluster.dcs,
+            1.0,
+            &cluster.batch,
+            10_000,
+        )
+    }
+}
 
 /// The multi-process socket backend. See the module docs.
 pub struct SocketCluster {
-    config: SocketClusterConfig,
-    topo: Arc<Topology>,
-    node: SocketNode,
-    handle: SocketHandle,
-    clock: Arc<WallClock>,
-    children: Vec<ChildProc>,
-    registry: ClientRegistry,
+    live: Live<SocketNet>,
     demux_stop: Arc<AtomicBool>,
     demux_handle: Option<JoinHandle<()>>,
-    interactive: HashMap<ClientId, InteractiveClient>,
-    next_interactive: HashMap<DcId, u32>,
     // Retained for `restart_server`: a relaunched child dials back on the
     // same control port and slots into the updated peer map.
     binary: PathBuf,
@@ -519,15 +591,24 @@ pub struct SocketCluster {
 /// The spawn spec for the child hosting `id` — identical for the initial
 /// bring-up and for every relaunch, so a restarted server finds its own
 /// durable directory again.
-fn child_spec(config: &SocketClusterConfig, ctrl_port: u16, id: ServerId) -> ChildSpec {
+fn child_spec(config: &BackendConfig, ctrl_port: u16, id: ServerId) -> ChildSpec {
     ChildSpec {
         ctrl_port,
         server: id,
         cluster: config.cluster.clone(),
         tuning: crate::tuning::server_tuning(config.durability.as_ref(), id),
-        connect_timeout_micros: config.connect_timeout.as_micros() as u64,
-        read_timeout_micros: config.read_timeout.as_micros() as u64,
+        connect_timeout_micros: CONNECT_TIMEOUT.as_micros() as u64,
+        read_timeout_micros: READ_TIMEOUT.as_micros() as u64,
     }
+}
+
+/// Spawns the `paris-server` child that `spec` describes.
+fn spawn_child(binary: &Path, spec: &ChildSpec) -> std::io::Result<Child> {
+    Command::new(binary)
+        .env(CHILD_SPEC_ENV, spec.encode())
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .spawn()
 }
 
 /// Kills and reaps every child in `children` (bring-up failure path).
@@ -541,18 +622,59 @@ fn kill_all(children: &mut Vec<Child>) {
     children.clear();
 }
 
+/// Accepts control-plane dialers until one whose server `from` accepts
+/// says hello; returns that server, its data port and its control stream.
+/// Other dialers (a port scanner, a stale child) are ignored.
+///
+/// # Errors
+///
+/// [`Error::Transport`] once `deadline` passes.
+fn await_hello(
+    listener: &TcpListener,
+    deadline: Instant,
+    from: impl Fn(ServerId) -> bool,
+) -> Result<(ServerId, u16, TcpStream), Error> {
+    while Instant::now() < deadline {
+        let Ok((mut stream, _)) = listener.accept() else {
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        if let Some((server, port)) = read_hello(&mut stream, deadline).filter(|&(s, _)| from(s)) {
+            return Ok((server, port, stream));
+        }
+    }
+    Err(Error::Transport(
+        "timed out waiting for a server process to join",
+    ))
+}
+
+/// The control-plane handshake of a joining child: NODELAY, a 100 ms read
+/// timeout, the preamble both ways, then its [`Ctrl::Hello`].
+fn read_hello(stream: &mut TcpStream, deadline: Instant) -> Option<(ServerId, u16)> {
+    let _ = stream.set_nodelay(true);
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .ok()?;
+    read_preamble(stream, deadline).ok()?;
+    write_preamble(stream).ok()?;
+    match read_ctrl_deadline(stream, Some(deadline)).ok()? {
+        Ctrl::Hello { server, data_port } => Some((server, data_port)),
+        _ => None,
+    }
+}
+
 impl SocketCluster {
     /// Spawns the child server processes, completes the control-plane
     /// bring-up and returns the live deployment.
-    pub(crate) fn start(config: SocketClusterConfig) -> Result<SocketCluster, Error> {
+    pub(crate) fn start(config: BackendConfig) -> Result<SocketCluster, Error> {
         let binary = server_binary()?;
         let topo = Arc::new(Topology::new(config.cluster.clone()));
         let mut node = SocketNode::bind(
             NodeIdentity::ClientHost,
             SocketConfig {
                 batch: config.cluster.batch,
-                connect_timeout: config.connect_timeout,
-                read_timeout: config.read_timeout,
+                connect_timeout: CONNECT_TIMEOUT,
+                read_timeout: READ_TIMEOUT,
             },
         )?;
         let ctrl_listener = TcpListener::bind("127.0.0.1:0")
@@ -569,13 +691,7 @@ impl SocketCluster {
         let all_servers: Vec<ServerId> = topo.all_servers();
         let mut procs: Vec<Child> = Vec::with_capacity(all_servers.len());
         for &id in &all_servers {
-            let spec = child_spec(&config, ctrl_port, id);
-            match Command::new(&binary)
-                .env(CHILD_SPEC_ENV, spec.encode())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .spawn()
-            {
+            match spawn_child(&binary, &child_spec(&config, ctrl_port, id)) {
                 Ok(child) => procs.push(child),
                 Err(_) => {
                     kill_all(&mut procs);
@@ -588,76 +704,47 @@ impl SocketCluster {
         let deadline = deadline_in(HELLO_TIMEOUT);
         let mut hellos: HashMap<ServerId, (TcpStream, u16)> = HashMap::new();
         while hellos.len() < all_servers.len() {
-            if Instant::now() >= deadline {
-                kill_all(&mut procs);
-                return Err(Error::Transport(
-                    "timed out waiting for server processes to join",
-                ));
-            }
-            match ctrl_listener.accept() {
-                Ok((mut stream, _)) => {
-                    let joined = (|| -> Result<(), Error> {
-                        let _ = stream.set_nodelay(true);
-                        stream
-                            .set_read_timeout(Some(Duration::from_millis(100)))
-                            .map_err(|_| Error::Transport("control socket"))?;
-                        read_preamble(&mut stream, deadline)?;
-                        write_preamble(&mut stream)?;
-                        match read_ctrl_deadline(&mut stream, Some(deadline))? {
-                            Ctrl::Hello { server, data_port } => {
-                                hellos.insert(server, (stream, data_port));
-                                Ok(())
-                            }
-                            _ => Err(Error::Transport("expected a hello")),
-                        }
-                    })();
-                    if joined.is_err() {
-                        // A confused dialer (port scanner, stale child):
-                        // ignore it, the deadline still guards bring-up.
-                    }
+            match await_hello(&ctrl_listener, deadline, |_| true) {
+                Ok((server, data_port, stream)) => {
+                    hellos.insert(server, (stream, data_port));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                Err(e) => {
+                    kill_all(&mut procs);
+                    return Err(e);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         }
 
         // Broadcast the peer map and install the parent's own routes.
         let peer_map: Vec<(ServerId, u16)> = hellos.iter().map(|(&s, &(_, p))| (s, p)).collect();
-        let client_port = node.local_addr().port();
-        let mut children = Vec::with_capacity(all_servers.len());
-        for (i, &id) in all_servers.iter().enumerate() {
-            let Some((mut stream, _)) = hellos.remove(&id) else {
+        let peers = Ctrl::Peers {
+            client_port: node.local_addr().port(),
+            servers: peer_map.clone(),
+        };
+        let mut ctrls = Vec::with_capacity(all_servers.len());
+        for id in &all_servers {
+            let Some((mut stream, _)) = hellos.remove(id) else {
                 kill_all(&mut procs);
                 return Err(Error::Transport("a server process joined twice"));
             };
-            if write_ctrl(
-                &mut stream,
-                &Ctrl::Peers {
-                    client_port,
-                    servers: peer_map.clone(),
-                },
-            )
-            .is_err()
-            {
+            if write_ctrl(&mut stream, &peers).is_err() {
                 kill_all(&mut procs);
                 return Err(Error::Transport("a server process left during bring-up"));
             }
-            // procs was pushed in all_servers order, so index i is child i.
-            let _ = i;
-            children.push(ChildProc {
-                id,
-                proc: Mutex::new(procs.remove(0)),
-                ctrl: Mutex::new(stream),
-            });
+            ctrls.push(stream);
         }
-        node.set_routes(
-            None,
-            peer_map
-                .iter()
-                .map(|&(s, port)| (s, SocketAddr::from(([127, 0, 0, 1], port)))),
-        );
+        // procs and ctrls are both in all_servers order.
+        let children = all_servers
+            .iter()
+            .zip(procs)
+            .zip(ctrls)
+            .map(|((&id, proc), ctrl)| ChildProc {
+                id,
+                proc: Mutex::new(proc),
+                ctrl: Mutex::new(ctrl),
+            })
+            .collect();
+        route_loopback(&node, None, &peer_map);
 
         // Demux envelopes arriving at the client host to their sessions.
         let registry: ClientRegistry = Arc::new(Mutex::new(HashMap::new()));
@@ -693,19 +780,16 @@ impl SocketCluster {
                 .map_err(|_| Error::Transport("could not spawn the client demux"))?
         };
 
-        let handle = node.handle();
-        Ok(SocketCluster {
-            config,
-            topo,
+        let net = SocketNet {
+            handle: node.handle(),
             node,
-            handle,
-            clock: Arc::new(WallClock::new()),
             children,
             registry,
+        };
+        Ok(SocketCluster {
+            live: Live::new(net, config, topo, Arc::new(WallClock::new())),
             demux_stop,
             demux_handle: Some(demux_handle),
-            interactive: HashMap::new(),
-            next_interactive: HashMap::new(),
             binary,
             ctrl_listener,
             ctrl_port,
@@ -715,13 +799,15 @@ impl SocketCluster {
 
     /// The topology, for inspecting placement.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.live.topo
     }
 
     /// The OS process id of the child hosting `id` — robustness tests
     /// kill it to exercise failure handling.
     pub fn server_pid(&self, id: ServerId) -> Option<u32> {
-        self.children
+        self.live
+            .net
+            .children
             .iter()
             .find(|c| c.id == id)
             .and_then(|c| c.proc.lock().ok().map(|p| p.id()))
@@ -729,146 +815,22 @@ impl SocketCluster {
 
     /// The OS process ids of every child server.
     pub fn server_pids(&self) -> Vec<u32> {
-        self.children
+        self.live
+            .net
+            .children
             .iter()
             .filter_map(|c| c.proc.lock().ok().map(|p| p.id()))
             .collect()
     }
+}
 
-    /// The first child that has exited, if any (reaps it as a side
-    /// effect).
-    fn dead_child(&self) -> Option<ServerId> {
-        self.children.iter().find_map(|c| {
-            let mut proc = c.proc.lock().ok()?;
-            proc.try_wait().ok().flatten().map(|_| c.id)
-        })
+impl Sessions for SocketCluster {
+    fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error> {
+        self.live.session(client)
     }
 
-    fn session(&mut self, client: ClientId) -> Result<&mut InteractiveClient, Error> {
-        self.interactive
-            .get_mut(&client)
-            .ok_or(Error::UnknownTransaction)
-    }
-
-    /// Sends `env` and waits for the event that completes the operation,
-    /// surfacing a dead server process as a transport error instead of
-    /// hanging out the full timeout.
     fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error> {
-        self.handle.send(env)?;
-        let deadline = Instant::now() + OP_TIMEOUT;
-        loop {
-            let ic = self
-                .interactive
-                .get_mut(&client)
-                .ok_or(Error::UnknownTransaction)?;
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(Error::Transport("interactive operation timed out"));
-            }
-            match ic.inbox.recv_timeout(left.min(Duration::from_millis(100))) {
-                Ok(env) => {
-                    if let Some(ev) = ic.session.handle(&env) {
-                        return Ok(ev);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.dead_child().is_some() {
-                        return Err(Error::Transport("server process exited"));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(Error::Transport("client demux shut down"));
-                }
-            }
-        }
-    }
-
-    /// Pulls a stats snapshot from every child over the control plane:
-    /// every request first, then every answer, so one poll costs at most
-    /// one server-loop wake-up, not one per child.
-    fn snapshot_all(&self) -> Result<Vec<ServerSnapshot>, Error> {
-        let mut ctrls = Vec::with_capacity(self.children.len());
-        for child in &self.children {
-            let mut ctrl = child
-                .ctrl
-                .lock()
-                .map_err(|_| Error::Transport("control channel poisoned"))?;
-            write_ctrl(&mut *ctrl, &Ctrl::StatsReq)?;
-            ctrls.push(ctrl);
-        }
-        let deadline = deadline_in(OP_TIMEOUT);
-        ctrls
-            .iter_mut()
-            .map(
-                |ctrl| match read_ctrl_deadline(&mut **ctrl, Some(deadline))? {
-                    Ctrl::StatsResp(snap) => Ok(*snap),
-                    _ => Err(Error::Transport("expected a stats response")),
-                },
-            )
-            .collect()
-    }
-
-    /// The cluster view of the children's snapshots, plus the client
-    /// traffic the parent's own node carries.
-    fn cluster_stats(&self, snapshots: &[ServerSnapshot]) -> ClusterStats {
-        let mut out = ClusterStats::of_snapshots(snapshots);
-        let counters = self.node.counters();
-        out.net_messages += counters.messages_out.load(Ordering::Relaxed);
-        out.net_bytes += counters.bytes_out.load(Ordering::Relaxed);
-        out
-    }
-
-    /// Accepts control-plane dialers on the retained listener until the
-    /// child hosting `id` says hello; returns its control stream and data
-    /// port. Stray dialers are ignored — the deadline guards the wait.
-    fn await_rejoin(&self, id: ServerId, deadline: Instant) -> Result<(TcpStream, u16), Error> {
-        loop {
-            if Instant::now() >= deadline {
-                return Err(Error::Transport(
-                    "timed out waiting for the restarted server to rejoin",
-                ));
-            }
-            match self.ctrl_listener.accept() {
-                Ok((mut stream, _)) => {
-                    let hello = (|| -> Result<(ServerId, u16), Error> {
-                        let _ = stream.set_nodelay(true);
-                        stream
-                            .set_read_timeout(Some(Duration::from_millis(100)))
-                            .map_err(|_| Error::Transport("control socket"))?;
-                        read_preamble(&mut stream, deadline)?;
-                        write_preamble(&mut stream)?;
-                        match read_ctrl_deadline(&mut stream, Some(deadline))? {
-                            Ctrl::Hello { server, data_port } => Ok((server, data_port)),
-                            _ => Err(Error::Transport("expected a hello")),
-                        }
-                    })();
-                    if let Ok((server, data_port)) = hello {
-                        if server == id {
-                            return Ok((stream, data_port));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
-    }
-
-    /// One stabilization round in wall-clock microseconds. Loopback has
-    /// no WAN leg, so the round is the protocol periods plus batching
-    /// slack plus a generous scheduling allowance for 2·servers
-    /// processes on one host.
-    fn round_micros(&self) -> u64 {
-        crate::gossip_round_micros(
-            &self.config.cluster.intervals,
-            &RegionMatrix::uniform(self.config.cluster.dcs, 0),
-            self.config.cluster.dcs,
-            1.0,
-            &self.config.cluster.batch,
-            10_000,
-        )
+        self.live.round_trip(client, env)
     }
 }
 
@@ -878,169 +840,31 @@ impl Cluster for SocketCluster {
     }
 
     fn mode(&self) -> Mode {
-        self.config.cluster.mode
+        self.live.config.cluster.mode
     }
 
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
-        if dc >= self.config.cluster.dcs {
-            return Err(paris_types::ConfigError::new("client DC out of range").into());
-        }
-        let dc = DcId(dc);
-        let offset = self.next_interactive.entry(dc).or_insert(0);
-        let id = ClientId::new(dc, INTERACTIVE_SEQ_BASE + *offset);
-        *offset += 1;
-        let (tx, inbox) = channel();
-        self.registry
-            .lock()
-            .map_err(|_| Error::Transport("client registry poisoned"))?
-            .insert(id, tx);
-        let coordinator = self.topo.coordinator_for(dc, id.seq);
-        let session = ClientSession::new(id, coordinator, self.config.cluster.mode);
-        self.interactive
-            .insert(id, InteractiveClient { session, inbox });
-        Ok(id)
-    }
-
-    fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        let env = self.session(client)?.session.begin()?;
-        match self.round_trip(client, env)? {
-            ClientEvent::Started { snapshot, .. } => Ok(snapshot),
-            ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
-            _ => Err(Error::UnknownTransaction),
-        }
-    }
-
-    fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
-        let step = self.session(client)?.session.read(keys)?;
-        match step {
-            ReadStep::Done(reads) => Ok(reads),
-            ReadStep::Send(env) => match self.round_trip(client, env)? {
-                ClientEvent::ReadDone { reads, .. } => Ok(reads),
-                ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
-                _ => Err(Error::UnknownTransaction),
-            },
-        }
-    }
-
-    fn txn_write(&mut self, client: ClientId, entries: &[(Key, Value)]) -> Result<(), Error> {
-        self.session(client)?.session.write(entries)
-    }
-
-    fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error> {
-        let env = self.session(client)?.session.commit()?;
-        match self.round_trip(client, env)? {
-            ClientEvent::Committed { ct, .. } => Ok(ct),
-            ClientEvent::Aborted { .. } => Err(Error::PartitionUnreachable),
-            _ => Err(Error::UnknownTransaction),
-        }
-    }
-
-    fn reset_client(&mut self, client: ClientId) -> Result<(), Error> {
-        // No inbox drain, for the same reason as the threaded backend:
-        // the session's own discard logic owns reply hygiene.
-        self.session(client)?.session.reset();
-        Ok(())
+        self.live.open_client(dc)
     }
 
     fn stabilize(&mut self, rounds: usize) {
-        std::thread::sleep(Duration::from_micros(self.round_micros() * rounds as u64));
+        self.live.stabilize(rounds);
     }
 
     fn min_ust(&self) -> Timestamp {
-        self.snapshot_all()
-            .map(|snaps| ClusterStats::of_snapshots(&snaps).min_ust)
-            .unwrap_or(Timestamp::ZERO)
+        self.live.min_ust()
     }
 
     fn run_workload(&mut self, warmup_micros: u64, window_micros: u64) -> Result<RunReport, Error> {
-        let stop_clients = Arc::new(AtomicBool::new(false));
-        let measure_after = Instant::now() + Duration::from_micros(warmup_micros);
-        let mut handles: Vec<JoinHandle<ClientOutcome>> = Vec::new();
-        for dc in 0..self.config.cluster.dcs {
-            let dc = DcId(dc);
-            let local_partitions = self.topo.partitions_in_dc(dc);
-            for seq in 0..self.config.clients_per_dc {
-                let id = ClientId::new(dc, seq);
-                let (tx, inbox) = channel();
-                self.registry
-                    .lock()
-                    .map_err(|_| Error::Transport("client registry poisoned"))?
-                    .insert(id, tx);
-                let send = self.handle.clone();
-                let coordinator = self.topo.coordinator_for(dc, seq);
-                let mode = self.config.cluster.mode;
-                let stop = Arc::clone(&stop_clients);
-                let clock = Arc::clone(&self.clock);
-                let workload = self.config.workload.clone();
-                let n_partitions = self.config.cluster.partitions;
-                let local = local_partitions.clone();
-                let seed = self.config.seed ^ (u64::from(dc.0) << 32) ^ u64::from(seq);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("client-{id}"))
-                        .spawn(move || {
-                            run_client(
-                                id,
-                                coordinator,
-                                mode,
-                                workload,
-                                n_partitions,
-                                local,
-                                seed,
-                                inbox,
-                                move |e| send.send_lossy(e),
-                                stop,
-                                clock,
-                                measure_after,
-                            )
-                        })
-                        .map_err(|_| Error::Transport("could not spawn a client thread"))?,
-                );
-            }
-        }
-
-        // Sleep out the run in slices, watching child liveness: a killed
-        // server stops the run promptly instead of wedging every client.
-        let run_until = Instant::now() + Duration::from_micros(warmup_micros + window_micros);
-        let mut died = None;
-        while Instant::now() < run_until {
-            if let Some(id) = self.dead_child() {
-                died = Some(id);
-                break;
-            }
-            std::thread::sleep(
-                Duration::from_millis(100).min(run_until.saturating_duration_since(Instant::now())),
-            );
-        }
-        stop_clients.store(true, Ordering::Relaxed);
-        let mut outcomes = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(_) => return Err(Error::Transport("a client thread panicked")),
-            }
-        }
-        if died.is_some() {
-            return Err(Error::Transport(
-                "a server process died during the workload",
-            ));
-        }
-        // Let replication/stabilization settle before snapshotting.
-        std::thread::sleep(Duration::from_millis(300));
-
-        let (mode, history) = (self.config.cluster.mode, self.config.record_history);
-        let snaps = self.snapshot_all()?;
-        let totals = self.cluster_stats(&snaps);
-        let truth = history.then_some(&snaps[..]);
-        Ok(live_report(mode, window_micros, outcomes, &totals, truth))
+        self.live.run_workload(warmup_micros, window_micros)
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        Ok(self.cluster_stats(&self.snapshot_all()?))
+        self.live.stats()
     }
 
     fn kill_server(&mut self, index: usize) -> Result<(), Error> {
-        let child = self.children.get(index).ok_or_else(|| {
+        let child = self.live.net.children.get(index).ok_or_else(|| {
             Error::from(paris_types::ConfigError::new("server index out of range"))
         })?;
         let mut proc = child
@@ -1056,38 +880,21 @@ impl Cluster for SocketCluster {
     }
 
     fn restart_server(&mut self, index: usize) -> Result<(), Error> {
-        let id = self
-            .children
-            .get(index)
-            .ok_or_else(|| Error::from(paris_types::ConfigError::new("server index out of range")))?
-            .id;
-        {
-            // Idempotent after kill_server: make sure the old process is
-            // gone before its replacement binds anything.
-            let mut proc = self.children[index]
-                .proc
-                .lock()
-                .map_err(|_| Error::Transport("child handle poisoned"))?;
-            let _ = proc.kill();
-            let _ = proc.wait();
-        }
-
-        let spec = child_spec(&self.config, self.ctrl_port, id);
-        let child = Command::new(&self.binary)
-            .env(CHILD_SPEC_ENV, spec.encode())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
+        // Idempotent after kill_server: make sure the old process is gone
+        // before its replacement binds anything.
+        self.kill_server(index)?;
+        let id = self.live.net.children[index].id;
+        let spec = child_spec(&self.live.config, self.ctrl_port, id);
+        let child = spawn_child(&self.binary, &spec)
             .map_err(|_| Error::Transport("could not spawn a replacement server process"))?;
 
         // The replacement recovers (checkpoint + WAL replay) before it
         // says hello, so rejoining means ready-to-serve.
-        let (stream, data_port) = match self.await_rejoin(id, deadline_in(HELLO_TIMEOUT)) {
+        let deadline = deadline_in(HELLO_TIMEOUT);
+        let (_, data_port, stream) = match await_hello(&self.ctrl_listener, deadline, |s| s == id) {
             Ok(joined) => joined,
             Err(e) => {
-                let mut child = child;
-                let _ = child.kill();
-                let _ = child.wait();
+                kill_all(&mut vec![child]);
                 return Err(e);
             }
         };
@@ -1098,54 +905,44 @@ impl Cluster for SocketCluster {
         if let Some(entry) = self.peer_map.iter_mut().find(|(s, _)| *s == id) {
             entry.1 = data_port;
         }
-        self.children[index] = ChildProc {
+        let net = &mut self.live.net;
+        net.children[index] = ChildProc {
             id,
             proc: Mutex::new(child),
             ctrl: Mutex::new(stream),
         };
-        let client_port = self.node.local_addr().port();
-        for child in &self.children {
+        let peers = Ctrl::Peers {
+            client_port: net.node.local_addr().port(),
+            servers: self.peer_map.clone(),
+        };
+        for child in &net.children {
             let mut ctrl = child
                 .ctrl
                 .lock()
                 .map_err(|_| Error::Transport("control channel poisoned"))?;
-            write_ctrl(
-                &mut *ctrl,
-                &Ctrl::Peers {
-                    client_port,
-                    servers: self.peer_map.clone(),
-                },
-            )
-            .map_err(|_| Error::Transport("a server process left during restart"))?;
+            write_ctrl(&mut *ctrl, &peers)
+                .map_err(|_| Error::Transport("a server process left during restart"))?;
         }
-        self.node.set_routes(
-            None,
-            self.peer_map
-                .iter()
-                .map(|&(s, port)| (s, SocketAddr::from(([127, 0, 0, 1], port)))),
-        );
+        route_loopback(&net.node, None, &self.peer_map);
         Ok(())
     }
 
-    fn begin(&mut self, client: ClientId) -> Result<crate::Txn<'_>, Error> {
-        crate::Txn::begin_on(self, client)
-    }
-
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        Ok(replica_convergence(&self.topo, &self.snapshot_all()?))
+        self.live.check_convergence()
     }
 }
 
 impl Drop for SocketCluster {
     fn drop(&mut self) {
         // Ask every child to stop, give them a grace window, then kill.
-        for child in &self.children {
+        let net = &mut self.live.net;
+        for child in &net.children {
             if let Ok(mut ctrl) = child.ctrl.lock() {
                 let _ = write_ctrl(&mut *ctrl, &Ctrl::Stop);
             }
         }
         let deadline = Instant::now() + STOP_GRACE;
-        for child in &self.children {
+        for child in &net.children {
             let Ok(mut proc) = child.proc.lock() else {
                 continue;
             };
@@ -1164,7 +961,7 @@ impl Drop for SocketCluster {
             }
         }
         self.demux_stop.store(true, Ordering::Relaxed);
-        self.node.shutdown();
+        net.node.shutdown();
         if let Some(h) = self.demux_handle.take() {
             let _ = h.join();
         }

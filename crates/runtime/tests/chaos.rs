@@ -96,7 +96,7 @@ fn install_fault_plan_validates_against_the_running_shape() {
 
 #[test]
 fn kill_server_on_sim_and_mini_names_the_backend_after_the_index_check() {
-    for backend in [Backend::Mini, Backend::Sim] {
+    for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
         let mut cluster = sim_builder(1).backend(backend).build().unwrap();
         // Out-of-range index: the unified config error, on every backend.
         let err = cluster.kill_server(10_000).unwrap_err();

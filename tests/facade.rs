@@ -80,13 +80,59 @@ fn double_begin_is_rejected_per_session() {
 
 #[test]
 fn operations_on_unknown_clients_fail() {
-    let mut cluster = mini();
-    let a = cluster.open_client(0).unwrap();
-    drop(cluster);
-    let mut other = mini();
-    // A client id from another deployment is unknown here.
-    let bogus = paris::types::ClientId::new(paris::types::DcId(0), a.seq + 999);
-    assert!(other.txn_begin(bogus).is_err());
+    // The raw operations are written once for every backend: each of them
+    // rejects a client id the deployment never opened, the same way.
+    for backend in [
+        Backend::Mini,
+        Backend::Sim,
+        Backend::Thread,
+        Backend::Socket,
+    ] {
+        let mut cluster = Paris::builder()
+            .dcs(3)
+            .partitions(6)
+            .replication(2)
+            .keys_per_partition(100)
+            .clients_per_dc(0)
+            .uniform_latency_micros(5_000)
+            .backend(backend)
+            .build()
+            .unwrap();
+        let a = cluster.open_client(0).unwrap();
+        let bogus = paris::types::ClientId::new(a.dc, a.seq + 999);
+        let unknown = Error::UnknownTransaction;
+        assert_eq!(
+            cluster.txn_begin(bogus).unwrap_err(),
+            unknown,
+            "{backend:?}"
+        );
+        assert_eq!(
+            cluster.txn_read(bogus, &[Key(1)]).unwrap_err(),
+            unknown,
+            "{backend:?}"
+        );
+        assert_eq!(
+            cluster
+                .txn_write(bogus, &[(Key(1), Value::from("x"))])
+                .unwrap_err(),
+            unknown,
+            "{backend:?}"
+        );
+        assert_eq!(
+            cluster.txn_commit(bogus).unwrap_err(),
+            unknown,
+            "{backend:?}"
+        );
+        assert_eq!(
+            cluster.reset_client(bogus).unwrap_err(),
+            unknown,
+            "{backend:?}"
+        );
+        // The known client is untouched by all of that.
+        let mut txn = cluster.begin(a).unwrap();
+        txn.write(Key(1), Value::from("known"));
+        txn.commit().unwrap();
+    }
 }
 
 #[test]
@@ -450,7 +496,12 @@ fn reset_client_recovers_a_wedged_session() {
 
 #[test]
 fn reset_client_works_on_every_backend() {
-    for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
+    for backend in [
+        Backend::Mini,
+        Backend::Sim,
+        Backend::Thread,
+        Backend::Socket,
+    ] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -554,7 +605,12 @@ fn two_partition_commits_are_decided_by_the_last_agent_on_every_backend() {
 
 #[test]
 fn bpr_mode_works_through_the_facade_on_all_backends() {
-    for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
+    for backend in [
+        Backend::Mini,
+        Backend::Sim,
+        Backend::Thread,
+        Backend::Socket,
+    ] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
