@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use paris_proto::{Endpoint, Envelope};
-use paris_types::DcId;
+use paris_types::{DcId, FaultKind};
 use rand::Rng;
 
 /// One-way intra-DC latency in microseconds (≈ 0.5 ms RTT, typical for an
@@ -88,13 +88,26 @@ impl RegionMatrix {
         self.one_way_micros.len() as u16
     }
 
-    /// One-way latency between two DCs in microseconds.
+    /// One-way latency between two DCs in microseconds (in the new unit
+    /// after [`RegionMatrix::scaled`]).
     ///
     /// # Panics
     ///
     /// Panics if either DC id is out of range.
     pub fn one_way(&self, a: DcId, b: DcId) -> u64 {
         self.one_way_micros[a.index()][b.index()]
+    }
+
+    /// Every latency multiplied by `factor`, truncated to whole units.
+    /// `factor` may change the unit as well as the size: the threaded
+    /// router passes `scale × 1000` to run on nanoseconds.
+    pub fn scaled(&self, factor: f64) -> Self {
+        let one_way_micros = self
+            .one_way_micros
+            .iter()
+            .map(|row| row.iter().map(|&l| ((l as f64) * factor) as u64).collect())
+            .collect();
+        RegionMatrix { one_way_micros }
     }
 }
 
@@ -107,6 +120,10 @@ impl RegionMatrix {
 ///   delivery time is clamped to be after the previous one on that link);
 /// * a partitioned link *holds* traffic instead of dropping it, and
 ///   releases it in order when healed — mirroring TCP retransmission.
+///
+/// Two drivers share this one link model: the simulator, in virtual
+/// microseconds, and the threaded router's delay wheel, in wall-clock
+/// nanoseconds over a [`RegionMatrix::scaled`] matrix.
 #[derive(Debug)]
 pub struct SimNetwork {
     matrix: RegionMatrix,
@@ -181,30 +198,60 @@ impl SimNetwork {
         }
     }
 
-    /// Heals the partition between `a` and `b`, returning the held traffic
-    /// (in FIFO order, both directions) so the caller can re-schedule it.
-    pub fn heal(&mut self, a: DcId, b: DcId) -> Vec<Envelope> {
+    /// Heals the partition between `a` and `b` at `now`, scheduling the
+    /// held traffic (in FIFO order, `a → b` first) and returning its
+    /// deliveries. Released traffic was counted when it was held.
+    pub fn heal<R: Rng>(
+        &mut self,
+        now: u64,
+        a: DcId,
+        b: DcId,
+        rng: &mut R,
+    ) -> Vec<(u64, Envelope)> {
         self.blocked.remove(&Self::key(a, b));
         let mut out = Vec::new();
-        if let Some(q) = self.held.remove(&(a, b)) {
-            out.extend(q);
-        }
-        if let Some(q) = self.held.remove(&(b, a)) {
-            out.extend(q);
+        for link in [(a, b), (b, a)] {
+            for env in self.held.remove(&link).into_iter().flatten() {
+                out.push((self.schedule(now, &env, rng), env));
+            }
         }
         out
     }
 
-    /// Heals every partition involving `dc`, returning held traffic.
-    pub fn heal_all(&mut self, dc: DcId) -> Vec<Envelope> {
+    /// Heals every partition involving `dc` at `now`, scheduling the held
+    /// traffic and returning its deliveries.
+    pub fn heal_all<R: Rng>(&mut self, now: u64, dc: DcId, rng: &mut R) -> Vec<(u64, Envelope)> {
         let mut out = Vec::new();
         for other in 0..self.matrix.dcs() {
             let other = DcId(other);
             if other != dc {
-                out.extend(self.heal(dc, other));
+                out.extend(self.heal(now, dc, other, rng));
             }
         }
         out
+    }
+
+    /// Applies the link operation of one scripted fault at `now` and
+    /// returns the deliveries of the traffic it releases: the one mapping
+    /// of a [`FaultKind`] onto the network, shared by every backend that
+    /// runs on this model. A DC crash cuts every link to it. Kinds that
+    /// are not about links (clock skew) are no-ops.
+    pub fn apply<R: Rng>(
+        &mut self,
+        now: u64,
+        kind: FaultKind,
+        rng: &mut R,
+    ) -> Vec<(u64, Envelope)> {
+        match kind {
+            FaultKind::CrashDc(dc) => self.isolate(dc),
+            FaultKind::RejoinDc(dc) => return self.heal_all(now, dc, rng),
+            FaultKind::PartitionLink(a, b) => self.partition(a, b),
+            FaultKind::HealLink(a, b) => return self.heal(now, a, b, rng),
+            FaultKind::SlowLink { a, b, factor } => self.set_link_scale(a, b, factor),
+            FaultKind::RestoreLink(a, b) => self.set_link_scale(a, b, 1.0),
+            _ => {}
+        }
+        Vec::new()
     }
 
     /// Multiplies the one-way latency of the `a`–`b` link by `factor`
@@ -230,8 +277,8 @@ impl SimNetwork {
 
     /// Computes the delivery time for `env` sent at `now`, enforcing FIFO
     /// on the (src, dst) link. Returns `None` if the link is partitioned,
-    /// in which case the envelope is held until healed.
-    pub fn send<R: Rng>(&mut self, now: u64, env: Envelope, rng: &mut R) -> Option<u64> {
+    /// in which case a copy of the envelope is held until healed.
+    pub fn send<R: Rng>(&mut self, now: u64, env: &Envelope, rng: &mut R) -> Option<u64> {
         self.sent += 1;
         let frame = paris_proto::wire::encoded_len(&env.msg) as u64;
         self.bytes += frame;
@@ -240,9 +287,18 @@ impl SimNetwork {
         }
         let (sdc, ddc) = (env.src.dc(), env.dst.dc());
         if sdc != ddc && self.is_blocked(sdc, ddc) {
-            self.held.entry((sdc, ddc)).or_default().push_back(env);
+            self.held
+                .entry((sdc, ddc))
+                .or_default()
+                .push_back(env.clone());
             return None;
         }
+        Some(self.schedule(now, env, rng))
+    }
+
+    /// The delivery time of `env` leaving at `now` on an open link.
+    fn schedule<R: Rng>(&mut self, now: u64, env: &Envelope, rng: &mut R) -> u64 {
+        let (sdc, ddc) = (env.src.dc(), env.dst.dc());
         let mut base = self.matrix.one_way(sdc, ddc);
         if sdc != ddc {
             if let Some(scale) = self.link_scale.get(&Self::key(sdc, ddc)) {
@@ -259,7 +315,7 @@ impl SimNetwork {
         let earliest = self.fifo.get(&link).copied().unwrap_or(0);
         let at = (now + delay).max(earliest.saturating_add(1));
         self.fifo.insert(link, at);
-        Some(at)
+        at
     }
 
     /// Messages sent so far (including held ones).
@@ -347,11 +403,11 @@ mod tests {
     fn send_applies_latency_and_fifo() {
         let mut net = SimNetwork::new(RegionMatrix::uniform(2, 1_000), 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let t1 = net.send(0, env(0, 1), &mut rng).unwrap();
+        let t1 = net.send(0, &env(0, 1), &mut rng).unwrap();
         assert_eq!(t1, 1_000);
         // Second message on the same link sent at the same instant must be
         // delivered strictly after the first.
-        let t2 = net.send(0, env(0, 1), &mut rng).unwrap();
+        let t2 = net.send(0, &env(0, 1), &mut rng).unwrap();
         assert!(t2 > t1);
     }
 
@@ -361,7 +417,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut last = 0;
         for i in 0..200 {
-            let at = net.send(i, env(0, 1), &mut rng).unwrap();
+            let at = net.send(i, &env(0, 1), &mut rng).unwrap();
             assert!(at > last, "delivery {i} reordered");
             last = at;
         }
@@ -371,9 +427,9 @@ mod tests {
     fn distinct_links_are_independent() {
         let mut net = SimNetwork::new(RegionMatrix::uniform(2, 1_000), 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let a = net.send(0, env(0, 1), &mut rng).unwrap();
+        let a = net.send(0, &env(0, 1), &mut rng).unwrap();
         // Reverse direction is a different link: no FIFO coupling.
-        let b = net.send(0, env(1, 0), &mut rng).unwrap();
+        let b = net.send(0, &env(1, 0), &mut rng).unwrap();
         assert_eq!(a, b);
     }
 
@@ -383,11 +439,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         net.partition(DcId(0), DcId(1));
         assert!(net.is_blocked(DcId(0), DcId(1)));
-        assert!(net.send(0, env(0, 1), &mut rng).is_none());
-        assert!(net.send(5, env(0, 1), &mut rng).is_none());
+        assert!(net.send(0, &env(0, 1), &mut rng).is_none());
+        assert!(net.send(5, &env(0, 1), &mut rng).is_none());
         // Unrelated link unaffected.
-        assert!(net.send(0, env(0, 2), &mut rng).is_some());
-        let released = net.heal(DcId(0), DcId(1));
+        assert!(net.send(0, &env(0, 2), &mut rng).is_some());
+        let released = net.heal(10, DcId(0), DcId(1), &mut rng);
         assert_eq!(released.len(), 2);
         assert!(!net.is_blocked(DcId(0), DcId(1)));
     }
@@ -399,9 +455,9 @@ mod tests {
         net.isolate(DcId(2));
         for other in [0u16, 1, 3] {
             assert!(net.is_blocked(DcId(2), DcId(other)));
-            assert!(net.send(0, env(2, other), &mut rng).is_none());
+            assert!(net.send(0, &env(2, other), &mut rng).is_none());
         }
-        let released = net.heal_all(DcId(2));
+        let released = net.heal_all(10, DcId(2), &mut rng);
         assert_eq!(released.len(), 3);
         for other in [0u16, 1, 3] {
             assert!(!net.is_blocked(DcId(2), DcId(other)));
@@ -420,7 +476,7 @@ mod tests {
                 client_ust: Timestamp::ZERO,
             },
         );
-        assert!(net.send(0, local, &mut rng).is_some());
+        assert!(net.send(0, &local, &mut rng).is_some());
     }
 
     #[test]
@@ -429,14 +485,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         net.set_link_scale(DcId(0), DcId(1), 10.0);
         assert_eq!(net.link_scale(DcId(0), DcId(1)), 10.0);
-        assert_eq!(net.send(0, env(0, 1), &mut rng), Some(10_000));
+        assert_eq!(net.send(0, &env(0, 1), &mut rng), Some(10_000));
         // Symmetric: the reverse direction is scaled too.
-        assert_eq!(net.send(0, env(1, 0), &mut rng), Some(10_000));
+        assert_eq!(net.send(0, &env(1, 0), &mut rng), Some(10_000));
         // Other links keep the nominal latency.
-        assert_eq!(net.send(0, env(0, 2), &mut rng), Some(1_000));
+        assert_eq!(net.send(0, &env(0, 2), &mut rng), Some(1_000));
         net.set_link_scale(DcId(1), DcId(0), 1.0);
         assert_eq!(net.link_scale(DcId(0), DcId(1)), 1.0);
-        let at = net.send(20_000, env(0, 1), &mut rng).unwrap();
+        let at = net.send(20_000, &env(0, 1), &mut rng).unwrap();
         assert_eq!(at, 21_000);
     }
 
@@ -444,10 +500,67 @@ mod tests {
     fn counters_track_messages_and_bytes() {
         let mut net = SimNetwork::new(RegionMatrix::uniform(2, 1_000), 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        net.send(0, env(0, 1), &mut rng);
-        net.send(0, env(0, 1), &mut rng);
+        net.send(0, &env(0, 1), &mut rng);
+        net.send(0, &env(0, 1), &mut rng);
         assert_eq!(net.messages_sent(), 2);
         assert!(net.bytes_sent() > 0);
+    }
+
+    #[test]
+    fn held_traffic_is_counted_once_and_released_in_fifo_order() {
+        let mut net = SimNetwork::new(RegionMatrix::uniform(2, 1_000), 0.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        let frame = paris_proto::wire::encoded_len(&env(0, 1).msg) as u64;
+        net.partition(DcId(0), DcId(1));
+        assert!(net.send(0, &env(0, 1), &mut rng).is_none());
+        assert!(net.send(5, &env(0, 1), &mut rng).is_none());
+        let released = net.heal(100, DcId(0), DcId(1), &mut rng);
+        assert_eq!(net.messages_sent(), 2, "a held message is sent once");
+        assert_eq!(net.bytes_sent(), 2 * frame);
+        let due: Vec<u64> = released.iter().map(|&(at, _)| at).collect();
+        assert_eq!(due, vec![1_100, 1_101], "FIFO, due after the heal");
+    }
+
+    #[test]
+    fn apply_maps_every_link_fault_and_ignores_the_rest() {
+        let mut net = SimNetwork::new(RegionMatrix::uniform(3, 1_000), 0.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut apply = |net: &mut SimNetwork, kind| net.apply(0, kind, &mut rng).len();
+        assert_eq!(apply(&mut net, FaultKind::CrashDc(DcId(1))), 0);
+        assert!(net.is_blocked(DcId(1), DcId(0)) && net.is_blocked(DcId(1), DcId(2)));
+        assert_eq!(apply(&mut net, FaultKind::RejoinDc(DcId(1))), 0);
+        assert!(!net.is_blocked(DcId(1), DcId(0)) && !net.is_blocked(DcId(1), DcId(2)));
+        apply(&mut net, FaultKind::PartitionLink(DcId(0), DcId(2)));
+        assert!(net.is_blocked(DcId(2), DcId(0)));
+        apply(&mut net, FaultKind::HealLink(DcId(2), DcId(0)));
+        assert!(!net.is_blocked(DcId(0), DcId(2)));
+        let slow = FaultKind::SlowLink {
+            a: DcId(0),
+            b: DcId(1),
+            factor: 4.0,
+        };
+        apply(&mut net, slow);
+        assert_eq!(net.link_scale(DcId(1), DcId(0)), 4.0);
+        apply(&mut net, FaultKind::RestoreLink(DcId(0), DcId(1)));
+        assert_eq!(net.link_scale(DcId(0), DcId(1)), 1.0);
+        let skew = FaultKind::SkewClock {
+            dc: DcId(0),
+            delta_micros: 5,
+        };
+        assert_eq!(apply(&mut net, skew), 0);
+    }
+
+    #[test]
+    fn scaled_matrix_multiplies_every_latency() {
+        let m = RegionMatrix::aws_10(3).scaled(1_000.0);
+        assert_eq!(m.one_way(DcId(0), DcId(1)), 35_000_000);
+        assert_eq!(m.one_way(DcId(2), DcId(2)), INTRA_DC_ONE_WAY_MICROS * 1_000);
+        assert_eq!(
+            RegionMatrix::uniform(2, 30_000)
+                .scaled(0.01 * 1_000.0)
+                .one_way(DcId(0), DcId(1)),
+            300_000
+        );
     }
 
     #[test]
@@ -465,8 +578,8 @@ mod tests {
         );
         let background = paris_proto::wire::encoded_len(&heartbeat.msg) as u64;
         let foreground = paris_proto::wire::encoded_len(&start.msg) as u64;
-        net.send(0, heartbeat, &mut rng);
-        net.send(0, start, &mut rng);
+        net.send(0, &heartbeat, &mut rng);
+        net.send(0, &start, &mut rng);
         assert_eq!(net.background_bytes_sent(), background);
         assert_eq!(net.bytes_sent(), background + foreground);
     }
@@ -477,7 +590,7 @@ mod tests {
             let mut net = SimNetwork::new(RegionMatrix::uniform(2, 10_000), 0.3);
             let mut rng = StdRng::seed_from_u64(seed);
             (0..50)
-                .map(|i| net.send(i * 10, env(0, 1), &mut rng).unwrap())
+                .map(|i| net.send(i * 10, &env(0, 1), &mut rng).unwrap())
                 .collect()
         };
         assert_eq!(run(42), run(42));

@@ -1,30 +1,34 @@
 //! Real multi-threaded in-process transport.
 //!
-//! Endpoints register an inbox; a *delay wheel* thread injects the same
-//! WAN latencies as the simulated network (optionally scaled down so tests
-//! run fast) while preserving per-link FIFO order. This substrate runs the
-//! protocol state machines under genuine concurrency and is what the
-//! integration tests use to catch races the deterministic simulator
-//! cannot.
+//! Endpoints register an inbox; a *delay wheel* thread delivers every
+//! envelope after the link latency, under genuine concurrency. The wheel
+//! is a driver of [`SimNetwork`], the same link model the simulator runs:
+//! per-link FIFO, jitter, partitions that hold traffic and heals that
+//! release it in order, slow links, and the message and byte counters.
+//! Its time is nanoseconds since the router started, over the matrix
+//! scaled by [`ThreadedNetConfig::scale`], so the faults of a
+//! [`FaultKind`] mean the same on this substrate as in the simulator by
+//! construction. This substrate is what the integration tests use to
+//! catch races the deterministic simulator cannot.
+//!
+//! The wheel thread owns all of its state — the network, the delivery
+//! queue, the coalescer and the inbox registry. Everything reaches it as a
+//! command on one channel, so registrations, faults and traffic are
+//! totally ordered; its counters are published once per loop pass.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
-
-use paris_proto::wire::encoded_len;
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{BatchConfig, DcId, WireFormat};
+use paris_types::{BatchConfig, DcId, FaultKind, WireFormat};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::batch::{Coalescer, CoalescerStats, Offer};
-use crate::sim::RegionMatrix;
+use crate::sim::{EventQueue, RegionMatrix, SimNetwork};
 
 /// Configuration of the threaded transport.
 #[derive(Debug, Clone)]
@@ -33,9 +37,11 @@ pub struct ThreadedNetConfig {
     pub matrix: RegionMatrix,
     /// Multiplier applied to every latency (e.g. `0.01` compresses a 70 ms
     /// RTT to 0.7 ms so tests finish quickly while preserving relative
-    /// latency structure).
+    /// latency structure). The wheel runs on
+    /// `matrix.scaled(scale × 1000)`: nanoseconds, truncated once.
     pub scale: f64,
-    /// Jitter fraction (±), applied before scaling.
+    /// Jitter fraction (±) of [`SimNetwork`], applied to the scaled delay
+    /// on the wheel's nanosecond timebase.
     pub jitter: f64,
     /// RNG seed for jitter.
     pub seed: u64,
@@ -80,73 +86,17 @@ pub struct NetStats {
     pub coalescer: CoalescerStats,
 }
 
-#[derive(Debug, Default)]
-struct NetCounters {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    background_bytes: AtomicU64,
-    /// Published by the wheel thread, which owns the coalescer.
-    coalescer: Mutex<CoalescerStats>,
-}
-
-impl NetCounters {
-    fn record(&self, env: &Envelope) {
-        let frame = encoded_len(&env.msg) as u64;
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(frame, Ordering::Relaxed);
-        if env.msg.is_background() {
-            self.background_bytes.fetch_add(frame, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            background_bytes: self.background_bytes.load(Ordering::Relaxed),
-            coalescer: *self.coalescer.lock().expect("net counters poisoned"),
-        }
-    }
-}
-
 enum WheelCmd {
-    Send {
-        env: Envelope,
-        sent_at: Instant,
-    },
-    /// Fault injection: reconfigure one inter-DC link. Shares the command
-    /// channel with `Send`, so a partition is totally ordered against the
+    /// A wire message and the sender's instant, which its delay runs from.
+    Send(Envelope, Instant),
+    /// Fault injection, executed by [`SimNetwork::apply`]. Shares the
+    /// channel with `Send`, so a fault is totally ordered against the
     /// traffic around it.
-    SetLink {
-        a: DcId,
-        b: DcId,
-        op: LinkOp,
-    },
+    Fault(FaultKind),
+    Register(Endpoint, Sender<Envelope>),
+    Deregister(Endpoint),
     Shutdown,
 }
-
-enum LinkOp {
-    /// Cut the link; cross-DC traffic on it is held (TCP semantics), not
-    /// dropped.
-    Partition,
-    /// Reconnect the link and schedule everything held, in FIFO order.
-    Heal,
-    /// Multiply the link's one-way latency by the factor (≤ 1.0 restores
-    /// the nominal latency).
-    Scale(f64),
-}
-
-/// The unordered map key of the `a`–`b` link.
-fn link_key(a: DcId, b: DcId) -> (DcId, DcId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Every registered endpoint's inbox.
-type Registry = HashMap<Endpoint, Sender<Envelope>>;
 
 /// The in-process network router.
 ///
@@ -155,10 +105,10 @@ type Registry = HashMap<Endpoint, Sender<Envelope>>;
 /// that drive servers and clients. Dropping the router shuts the wheel
 /// down after draining.
 pub struct Router {
-    registry: Arc<Mutex<Registry>>,
     wheel_tx: Sender<WheelCmd>,
     wheel: Option<JoinHandle<()>>,
-    counters: Arc<NetCounters>,
+    /// Published by the wheel thread once per loop pass.
+    stats: Arc<Mutex<NetStats>>,
 }
 
 /// A cheap cloneable sender into the network.
@@ -173,118 +123,76 @@ impl NetHandle {
     /// endpoints are dropped (the destination may have shut down).
     pub fn send(&self, env: Envelope) {
         // Ignore errors: the wheel is gone only during teardown.
-        let _ = self.wheel_tx.send(WheelCmd::Send {
-            env,
-            sent_at: Instant::now(),
-        });
+        let _ = self.wheel_tx.send(WheelCmd::Send(env, Instant::now()));
     }
 }
 
-/// A cheap cloneable fault-injection handle: link partition, heal and
-/// latency scaling, executed by the delay-wheel thread in arrival order
-/// relative to the traffic around each command.
+/// A cheap cloneable fault-injection handle, executed by the delay-wheel
+/// thread in arrival order relative to the traffic around each command.
 ///
-/// A partitioned link *holds* cross-DC traffic instead of dropping it
-/// (the TCP model, matching the simulated network); healing releases the
-/// held messages in FIFO order. Intra-DC traffic is never affected.
+/// The faults mean what [`SimNetwork::apply`] makes them mean: a cut link
+/// *holds* cross-DC traffic instead of dropping it (the TCP model) and
+/// healing releases it in FIFO order; intra-DC traffic is never affected.
 #[derive(Clone)]
 pub struct LinkControl {
     wheel_tx: Sender<WheelCmd>,
 }
 
 impl LinkControl {
-    /// Cuts the `a`–`b` link (both directions).
-    pub fn partition_link(&self, a: DcId, b: DcId) {
-        let _ = self.wheel_tx.send(WheelCmd::SetLink {
-            a,
-            b,
-            op: LinkOp::Partition,
-        });
-    }
-
-    /// Reconnects the `a`–`b` link, releasing held traffic.
-    pub fn heal_link(&self, a: DcId, b: DcId) {
-        let _ = self.wheel_tx.send(WheelCmd::SetLink {
-            a,
-            b,
-            op: LinkOp::Heal,
-        });
-    }
-
-    /// Multiplies the `a`–`b` link latency by `factor` (≥ 1.0); `1.0`
-    /// restores the nominal latency.
-    pub fn set_link_scale(&self, a: DcId, b: DcId, factor: f64) {
-        let _ = self.wheel_tx.send(WheelCmd::SetLink {
-            a,
-            b,
-            op: LinkOp::Scale(factor),
-        });
-    }
-
-    /// Cuts every link between `dc` and the other `dcs` DCs.
-    pub fn isolate_dc(&self, dc: DcId, dcs: u16) {
-        for other in 0..dcs {
-            if DcId(other) != dc {
-                self.partition_link(dc, DcId(other));
-            }
-        }
-    }
-
-    /// Reconnects every link between `dc` and the other `dcs` DCs.
-    pub fn rejoin_dc(&self, dc: DcId, dcs: u16) {
-        for other in 0..dcs {
-            if DcId(other) != dc {
-                self.heal_link(dc, DcId(other));
-            }
-        }
+    /// Applies one scripted fault's link operation; kinds that are not
+    /// about links (clock skew) are no-ops.
+    pub fn apply(&self, kind: FaultKind) {
+        let _ = self.wheel_tx.send(WheelCmd::Fault(kind));
     }
 }
 
 impl Router {
     /// Starts the router and its delay-wheel thread.
     pub fn start(config: ThreadedNetConfig) -> Self {
-        let registry = Arc::new(Mutex::new(Registry::new()));
         let (wheel_tx, wheel_rx) = channel::<WheelCmd>();
-        let wheel_registry = Arc::clone(&registry);
-        let counters = Arc::new(NetCounters::default());
-        let wheel_counters = Arc::clone(&counters);
+        let stats = Arc::new(Mutex::new(NetStats::default()));
+        let wheel = Wheel {
+            net: SimNetwork::new(config.matrix.scaled(config.scale * 1_000.0), config.jitter),
+            queue: EventQueue::new(),
+            rng: StdRng::seed_from_u64(config.seed),
+            // Before the spawn, so every `sent_at` falls after it.
+            epoch: Instant::now(),
+            inboxes: HashMap::new(),
+            coalescer: Coalescer::new(config.batch, config.wire),
+        };
+        let published = Arc::clone(&stats);
         let wheel = std::thread::Builder::new()
             .name("paris-net-wheel".into())
-            .spawn(move || wheel_loop(config, wheel_rx, wheel_registry, wheel_counters))
+            .spawn(move || wheel.run(wheel_rx, &published))
             .expect("spawn delay wheel");
         Router {
-            registry,
             wheel_tx,
             wheel: Some(wheel),
-            counters,
+            stats,
         }
     }
 
     /// Traffic scheduled onto the wire so far (post-coalescing).
     pub fn net_stats(&self) -> NetStats {
-        self.counters.snapshot()
+        // A plain `Copy` value: a panicking writer cannot leave it torn.
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers an endpoint, returning the inbox it should drain.
     ///
     /// Re-registering an endpoint replaces its inbox (the old receiver
-    /// starts reporting disconnection once the sender is dropped).
+    /// starts reporting disconnection once the sender is dropped). The
+    /// registration is queued ahead of any send issued after it returns.
     pub fn register(&self, endpoint: impl Into<Endpoint>) -> Receiver<Envelope> {
         let (tx, rx) = channel();
-        self.registry
-            .lock()
-            .expect("registry poisoned")
-            .insert(endpoint.into(), tx);
+        let _ = self.wheel_tx.send(WheelCmd::Register(endpoint.into(), tx));
         rx
     }
 
     /// Removes an endpoint; in-flight messages to it are dropped on
     /// delivery.
     pub fn deregister(&self, endpoint: impl Into<Endpoint>) {
-        self.registry
-            .lock()
-            .expect("registry poisoned")
-            .remove(&endpoint.into());
+        let _ = self.wheel_tx.send(WheelCmd::Deregister(endpoint.into()));
     }
 
     /// A sender handle for use by server/client threads.
@@ -311,247 +219,130 @@ impl Drop for Router {
     }
 }
 
-struct Pending {
-    due: Instant,
-    seq: u64,
-    env: Envelope,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-/// The latency-injection state of the wheel: everything needed to turn an
-/// accepted envelope into a delayed, per-link-FIFO delivery.
-struct WheelState {
-    heap: BinaryHeap<Reverse<Pending>>,
-    fifo: HashMap<(Endpoint, Endpoint), Instant>,
+/// The delay wheel: a [`SimNetwork`] driven in wall-clock nanoseconds, the
+/// queue of its scheduled deliveries, the coalescer in front of it and
+/// the inboxes behind it.
+struct Wheel {
+    net: SimNetwork,
+    queue: EventQueue<Envelope>,
     rng: StdRng,
-    seq: u64,
-    counters: Arc<NetCounters>,
-    /// Partitioned DC pairs (stored with a ≤ b).
-    blocked: HashSet<(DcId, DcId)>,
-    /// Traffic held on blocked links, per ordered (src DC, dst DC), FIFO.
-    held: HashMap<(DcId, DcId), VecDeque<Envelope>>,
-    /// Per-link latency multipliers (stored with a ≤ b); absent = nominal.
-    link_scale: HashMap<(DcId, DcId), f64>,
+    epoch: Instant,
+    inboxes: HashMap<Endpoint, Sender<Envelope>>,
+    /// Runs on microseconds since `epoch`; envelopes it holds back get
+    /// their link latency from flush time (the batch leaves the "NIC" when
+    /// it flushes).
+    coalescer: Coalescer,
 }
 
-impl WheelState {
-    fn schedule(&mut self, config: &ThreadedNetConfig, env: Envelope, sent_at: Instant) {
-        // Every envelope entering the wheel is one wire message leaving
-        // the "NIC" — coalesced traffic was already folded upstream. Held
-        // traffic counts as sent (it left the source; the link lost it),
-        // matching the simulated network's accounting.
-        self.counters.record(&env);
-        let (sdc, ddc) = (env.src.dc(), env.dst.dc());
-        if sdc != ddc && self.blocked.contains(&link_key(sdc, ddc)) {
-            self.held.entry((sdc, ddc)).or_default().push_back(env);
-            return;
-        }
-        self.schedule_now(config, env, sent_at);
+impl Wheel {
+    /// Nanoseconds since the router started.
+    fn nanos(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    /// Latency injection without the partition check — the release path
-    /// for healed traffic, which must not be re-held or re-counted.
-    fn schedule_now(&mut self, config: &ThreadedNetConfig, env: Envelope, sent_at: Instant) {
-        let (sdc, ddc) = (env.src.dc(), env.dst.dc());
-        let mut base = config.matrix.one_way(sdc, ddc) as f64;
-        if sdc != ddc {
-            if let Some(scale) = self.link_scale.get(&link_key(sdc, ddc)) {
-                base *= scale;
-            }
-        }
-        let jittered = if config.jitter > 0.0 {
-            base * (1.0 + config.jitter * (self.rng.gen::<f64>() * 2.0 - 1.0))
-        } else {
-            base
-        };
-        let delay = Duration::from_micros((jittered * config.scale).max(0.0) as u64);
-        let link = (env.src, env.dst);
-        let natural = sent_at + delay;
-        let due = match self.fifo.get(&link) {
-            Some(prev) => natural.max(*prev + Duration::from_nanos(1)),
-            None => natural,
-        };
-        self.fifo.insert(link, due);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Pending { due, seq, env }));
-    }
-
-    fn set_link(&mut self, config: &ThreadedNetConfig, a: DcId, b: DcId, op: LinkOp) {
-        let key = link_key(a, b);
-        match op {
-            LinkOp::Partition => {
-                self.blocked.insert(key);
-            }
-            LinkOp::Heal => {
-                self.blocked.remove(&key);
-                let now = Instant::now();
-                let mut release = Vec::new();
-                if let Some(q) = self.held.remove(&(a, b)) {
-                    release.extend(q);
-                }
-                if let Some(q) = self.held.remove(&(b, a)) {
-                    release.extend(q);
-                }
-                for env in release {
-                    self.schedule_now(config, env, now);
-                }
-            }
-            LinkOp::Scale(factor) => {
-                if factor > 1.0 {
-                    self.link_scale.insert(key, factor);
-                } else {
-                    self.link_scale.remove(&key);
-                }
-            }
+    /// Hands one wire message to the network; the wait in the command
+    /// channel adds no latency, since the delay runs from `sent_at`.
+    fn send(&mut self, env: Envelope, sent_at: Instant) {
+        let now = self.nanos(sent_at);
+        if let Some(at) = self.net.send(now, &env, &mut self.rng) {
+            self.queue.push(at, env);
         }
     }
 
-    /// Shutdown path: nothing may stay held past teardown — heal every
-    /// link and schedule all held traffic for delivery.
-    fn release_all(&mut self, config: &ThreadedNetConfig) {
-        self.blocked.clear();
+    fn apply(&mut self, kind: FaultKind) {
+        let now = self.nanos(Instant::now());
+        for (at, env) in self.net.apply(now, kind, &mut self.rng) {
+            self.queue.push(at, env);
+        }
+    }
+
+    /// Shutdown path: nothing may stay parked or held past teardown.
+    fn release_all(&mut self) {
         let now = Instant::now();
-        let mut links: Vec<(DcId, DcId)> = self.held.keys().copied().collect();
-        links.sort_unstable();
-        for link in links {
-            if let Some(q) = self.held.remove(&link) {
-                for env in q {
-                    self.schedule_now(config, env, now);
+        for env in self.coalescer.flush_all() {
+            self.send(env, now);
+        }
+        for dc in 0..self.net.matrix().dcs() {
+            self.apply(FaultKind::RejoinDc(DcId(dc)));
+        }
+    }
+
+    fn run(mut self, rx: Receiver<WheelCmd>, stats: &Mutex<NetStats>) {
+        let mut shutting_down = false;
+        loop {
+            // Flush coalescing deadlines that have passed.
+            let now = Instant::now();
+            for env in self.coalescer.poll(self.nanos(now) / 1_000) {
+                self.send(env, now);
+            }
+            // Counts go out before the messages they count.
+            *stats.lock().unwrap_or_else(PoisonError::into_inner) = NetStats {
+                messages: self.net.messages_sent(),
+                bytes: self.net.bytes_sent(),
+                background_bytes: self.net.background_bytes_sent(),
+                coalescer: self.coalescer.stats(),
+            };
+            // Deliver everything due; unregistered destinations drop.
+            let now = self.nanos(Instant::now());
+            while self.queue.peek_time().is_some_and(|due| due <= now) {
+                let env = self.queue.pop().expect("peeked").event;
+                if let Some(inbox) = self.inboxes.get(&env.dst) {
+                    let _ = inbox.send(env);
                 }
             }
-        }
-    }
-}
-
-/// Delivers one due envelope to its destination inbox; envelopes to
-/// unregistered endpoints are dropped.
-fn deliver(registry: &Arc<Mutex<Registry>>, env: Envelope) {
-    let inbox = registry
-        .lock()
-        .expect("registry poisoned")
-        .get(&env.dst)
-        .cloned();
-    if let Some(tx) = inbox {
-        let _ = tx.send(env);
-    }
-}
-
-fn wheel_loop(
-    config: ThreadedNetConfig,
-    rx: Receiver<WheelCmd>,
-    registry: Arc<Mutex<Registry>>,
-    counters: Arc<NetCounters>,
-) {
-    let mut wheel = WheelState {
-        heap: BinaryHeap::new(),
-        fifo: HashMap::new(),
-        rng: StdRng::seed_from_u64(config.seed),
-        seq: 0,
-        counters,
-        blocked: HashSet::new(),
-        held: HashMap::new(),
-        link_scale: HashMap::new(),
-    };
-    // The coalescer runs on a wall-clock microsecond timebase anchored at
-    // wheel start; envelopes it holds back get their link latency applied
-    // from flush time (the batch leaves the "NIC" when it flushes).
-    let epoch = Instant::now();
-    let mut coalescer = Coalescer::new(config.batch, config.wire);
-    let mut shutting_down = false;
-
-    loop {
-        // Flush coalescing deadlines that have passed.
-        let now_micros = epoch.elapsed().as_micros() as u64;
-        for env in coalescer.poll(now_micros) {
-            wheel.schedule(&config, env, Instant::now());
-        }
-        *wheel
-            .counters
-            .coalescer
-            .lock()
-            .expect("net counters poisoned") = coalescer.stats();
-        // Deliver everything due.
-        let now = Instant::now();
-        while wheel.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
-            let Reverse(p) = wheel.heap.pop().expect("peeked");
-            deliver(&registry, p.env);
-        }
-        if shutting_down && wheel.heap.is_empty() && coalescer.pending_links() == 0 {
-            return;
-        }
-        // Wait for the next delivery, the next flush deadline, or a new
-        // command — whichever comes first.
-        let heap_wait = wheel
-            .heap
-            .peek()
-            .map(|Reverse(p)| p.due.saturating_duration_since(Instant::now()));
-        let flush_wait = coalescer.next_due().map(|due| {
-            Duration::from_micros(due.saturating_sub(epoch.elapsed().as_micros() as u64))
-        });
-        let timeout = [heap_wait, flush_wait]
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(WheelCmd::Send { env, sent_at }) if shutting_down => {
-                // Past shutdown, nothing may be parked again — a queued
-                // frame would hold the wheel (and `Router::drop`) hostage
-                // for up to a flush interval.
-                wheel.schedule(&config, env, sent_at);
+            if shutting_down && self.queue.is_empty() && self.coalescer.pending_links() == 0 {
+                return;
             }
-            Ok(WheelCmd::Send { env, sent_at }) => {
-                let now_micros = epoch.elapsed().as_micros() as u64;
-                match coalescer.offer(env, now_micros) {
-                    Offer::Pass(env) => wheel.schedule(&config, env, sent_at),
-                    Offer::Flush(envs) => {
-                        for env in envs {
-                            wheel.schedule(&config, env, sent_at);
+            // Wait for the next delivery, the next flush deadline, or a new
+            // command — whichever comes first.
+            let flush_due = self.coalescer.next_due().map(|due| due * 1_000);
+            let timeout = [self.queue.peek_time(), flush_due]
+                .into_iter()
+                .flatten()
+                .min()
+                .map_or(Duration::from_millis(50), |due| {
+                    Duration::from_nanos(due.saturating_sub(self.nanos(Instant::now())))
+                });
+            match rx.recv_timeout(timeout) {
+                Ok(WheelCmd::Send(env, sent_at)) if shutting_down => {
+                    // Past shutdown, nothing may be parked again — a queued
+                    // frame would hold the wheel (and `Router::drop`)
+                    // hostage for up to a flush interval.
+                    self.send(env, sent_at);
+                }
+                Ok(WheelCmd::Send(env, sent_at)) => {
+                    match self
+                        .coalescer
+                        .offer(env, self.nanos(Instant::now()) / 1_000)
+                    {
+                        Offer::Pass(env) => self.send(env, sent_at),
+                        Offer::Flush(envs) => {
+                            for env in envs {
+                                self.send(env, sent_at);
+                            }
                         }
+                        Offer::Queued { .. } => {}
                     }
-                    Offer::Queued { .. } => {}
                 }
-            }
-            Ok(WheelCmd::SetLink { a, b, op }) => {
-                // Past shutdown a fresh partition would strand traffic in
-                // the held queues and hang `Router::drop`; heals and scale
-                // changes stay harmless.
-                if !(shutting_down && matches!(op, LinkOp::Partition)) {
-                    wheel.set_link(&config, a, b, op);
+                Ok(WheelCmd::Fault(kind)) => {
+                    self.apply(kind);
+                    // Past shutdown a fresh cut would strand traffic in the
+                    // held queues and hang `Router::drop`: undo it at once.
+                    if shutting_down {
+                        self.release_all();
+                    }
                 }
-            }
-            Ok(WheelCmd::Shutdown) => {
-                shutting_down = true;
-                // Nothing may stay parked or held past teardown.
-                for env in coalescer.flush_all() {
-                    wheel.schedule(&config, env, Instant::now());
+                Ok(WheelCmd::Register(endpoint, inbox)) => {
+                    self.inboxes.insert(endpoint, inbox);
                 }
-                wheel.release_all(&config);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                shutting_down = true;
-                for env in coalescer.flush_all() {
-                    wheel.schedule(&config, env, Instant::now());
+                Ok(WheelCmd::Deregister(endpoint)) => {
+                    self.inboxes.remove(&endpoint);
                 }
-                wheel.release_all(&config);
+                Ok(WheelCmd::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+                    shutting_down = true;
+                    self.release_all();
+                }
+                Err(RecvTimeoutError::Timeout) => {}
             }
         }
     }
@@ -560,6 +351,7 @@ fn wheel_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paris_proto::wire::encoded_len;
     use paris_proto::Msg;
     use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp};
 
@@ -801,7 +593,7 @@ mod tests {
         let rx_b = router.register(b);
         let rx_c = router.register(c);
         let ctl = router.link_control();
-        ctl.partition_link(DcId(0), DcId(1));
+        ctl.apply(FaultKind::PartitionLink(DcId(0), DcId(1)));
         let h = router.handle();
         for i in 0..5 {
             h.send(Envelope::new(a, b, hb(i)));
@@ -816,7 +608,7 @@ mod tests {
             rx_b.recv_timeout(Duration::from_millis(150)).is_err(),
             "partitioned link must hold traffic"
         );
-        ctl.heal_link(DcId(1), DcId(0)); // unordered: either orientation heals
+        ctl.apply(FaultKind::HealLink(DcId(1), DcId(0))); // unordered: either orientation heals
         for i in 0..5 {
             let got = rx_b.recv_timeout(Duration::from_secs(2)).expect("released");
             assert_eq!(got.msg, hb(i), "held traffic must release in order");
@@ -830,10 +622,10 @@ mod tests {
         let b = ServerId::new(DcId(1), PartitionId(1));
         let rx = router.register(b);
         let ctl = router.link_control();
-        ctl.isolate_dc(DcId(1), 3);
+        ctl.apply(FaultKind::CrashDc(DcId(1)));
         router.handle().send(Envelope::new(a, b, hb(1)));
         assert!(rx.recv_timeout(Duration::from_millis(150)).is_err());
-        ctl.rejoin_dc(DcId(1), 3);
+        ctl.apply(FaultKind::RejoinDc(DcId(1)));
         let got = rx.recv_timeout(Duration::from_secs(2)).expect("rejoined");
         assert_eq!(got.msg, hb(1));
     }
@@ -852,7 +644,11 @@ mod tests {
         let b = ServerId::new(DcId(1), PartitionId(1));
         let rx = router.register(b);
         let ctl = router.link_control();
-        ctl.set_link_scale(DcId(0), DcId(1), 25.0); // → 50 ms
+        ctl.apply(FaultKind::SlowLink {
+            a: DcId(0),
+            b: DcId(1),
+            factor: 25.0,
+        }); // → 50 ms
         let start = Instant::now();
         router.handle().send(Envelope::new(a, b, hb(1)));
         rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
@@ -860,7 +656,7 @@ mod tests {
             start.elapsed() >= Duration::from_millis(40),
             "slowdown factor must apply"
         );
-        ctl.set_link_scale(DcId(0), DcId(1), 1.0);
+        ctl.apply(FaultKind::RestoreLink(DcId(0), DcId(1)));
         let start = Instant::now();
         router.handle().send(Envelope::new(a, b, hb(2)));
         rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
@@ -878,7 +674,9 @@ mod tests {
             let a = ServerId::new(DcId(0), PartitionId(0));
             let b = ServerId::new(DcId(1), PartitionId(1));
             rx = router.register(b);
-            router.link_control().partition_link(DcId(0), DcId(1));
+            router
+                .link_control()
+                .apply(FaultKind::PartitionLink(DcId(0), DcId(1)));
             router.handle().send(Envelope::new(a, b, hb(7)));
             // Router dropped with the link still cut: the held message
             // must not hang the wheel thread, and still arrives.

@@ -50,7 +50,7 @@ proptest! {
                 ServerId::new(DcId(dst), PartitionId(1)),
                 Msg::Heartbeat { partition: PartitionId(0), watermark: Timestamp::ZERO },
             );
-            let at = net.send(now, env, &mut rng).expect("no partitions active");
+            let at = net.send(now, &env, &mut rng).expect("no partitions active");
             prop_assert!(at > now, "delivery strictly after send");
             if let Some(prev) = last.insert((src, dst), at) {
                 prop_assert!(at > prev, "link ({src},{dst}) reordered");
@@ -73,19 +73,19 @@ proptest! {
         );
         let mut delivered = 0;
         for _ in 0..n_before {
-            if net.send(0, env(), &mut rng).is_some() {
+            if net.send(0, &env(), &mut rng).is_some() {
                 delivered += 1;
             }
         }
         net.partition(DcId(0), DcId(1));
         for _ in 0..n_during {
-            prop_assert!(net.send(10, env(), &mut rng).is_none(), "held during cut");
+            prop_assert!(net.send(10, &env(), &mut rng).is_none(), "held during cut");
         }
-        let released = net.heal(DcId(0), DcId(1));
+        let released = net.heal(15, DcId(0), DcId(1), &mut rng);
         prop_assert_eq!(released.len(), n_during, "exactly the held traffic");
         prop_assert_eq!(delivered, n_before);
         // Subsequent sends flow again.
-        prop_assert!(net.send(20, env(), &mut rng).is_some());
+        prop_assert!(net.send(20, &env(), &mut rng).is_some());
     }
 }
 

@@ -343,69 +343,54 @@ impl SimCluster {
     /// Partitions the given DC away from every other DC (§III-C fault
     /// scenario). Traffic is held, not lost, until [`Self::heal_dc`].
     pub fn isolate_dc(&mut self, dc: DcId) {
-        self.net.isolate(dc);
-        for other in 0..self.config.cluster.dcs {
-            let other = DcId(other);
-            if other != dc {
-                self.notify_link(dc, other, false);
-            }
-        }
+        self.apply_fault(FaultKind::CrashDc(dc));
     }
 
-    /// Heals all partitions involving `dc`, re-injecting held traffic.
+    /// Heals all partitions involving `dc`, releasing held traffic.
     pub fn heal_dc(&mut self, dc: DcId) {
-        let held = self.net.heal_all(dc);
-        self.reinject(held);
-        for other in 0..self.config.cluster.dcs {
-            let other = DcId(other);
-            if other != dc {
-                self.notify_link(dc, other, true);
-            }
-        }
+        self.apply_fault(FaultKind::RejoinDc(dc));
     }
 
     /// Cuts the single link between two DCs (both directions). Traffic is
     /// held, not lost, until [`Self::heal_link`].
     pub fn partition_link(&mut self, a: DcId, b: DcId) {
-        self.net.partition(a, b);
-        self.notify_link(a, b, false);
+        self.apply_fault(FaultKind::PartitionLink(a, b));
     }
 
-    /// Heals one link, re-injecting held traffic.
+    /// Heals one link, releasing held traffic.
     pub fn heal_link(&mut self, a: DcId, b: DcId) {
-        let held = self.net.heal(a, b);
-        self.reinject(held);
-        self.notify_link(a, b, true);
+        self.apply_fault(FaultKind::HealLink(a, b));
     }
 
     /// Applies one scripted fault (the execution half of a [`FaultPlan`]).
+    /// The network maps it onto its links; what stays here is the
+    /// failure detector's view of those links and the clock-skew step.
     fn apply_fault(&mut self, kind: FaultKind) {
+        // The simulator has no processes to kill: a DC "crash" is its
+        // disappearance from the network (§III-C), with state intact —
+        // the rejoin-behind-UST scenario.
+        for (at, env) in self.net.apply(self.now, kind, &mut self.rng) {
+            self.queue.push(at, SimEvent::Deliver(env));
+        }
         match kind {
-            // The simulator has no processes to kill: a DC "crash" is its
-            // disappearance from the network (§III-C), with state intact —
-            // the rejoin-behind-UST scenario.
-            FaultKind::CrashDc(dc) => self.isolate_dc(dc),
-            FaultKind::RejoinDc(dc) => self.heal_dc(dc),
-            FaultKind::PartitionLink(a, b) => self.partition_link(a, b),
-            FaultKind::HealLink(a, b) => self.heal_link(a, b),
-            FaultKind::SlowLink { a, b, factor } => self.net.set_link_scale(a, b, factor),
-            FaultKind::RestoreLink(a, b) => self.net.set_link_scale(a, b, 1.0),
+            FaultKind::CrashDc(dc) | FaultKind::RejoinDc(dc) => {
+                let reachable = matches!(kind, FaultKind::RejoinDc(_));
+                for other in 0..self.config.cluster.dcs {
+                    if DcId(other) != dc {
+                        self.notify_link(dc, DcId(other), reachable);
+                    }
+                }
+            }
+            FaultKind::PartitionLink(a, b) => self.notify_link(a, b, false),
+            FaultKind::HealLink(a, b) => self.notify_link(a, b, true),
             FaultKind::SkewClock { dc, delta_micros } => {
                 for cell in self.skew_cells.get(&dc).into_iter().flatten() {
                     cell.step(delta_micros);
                 }
             }
-            // Non-exhaustive upstream: unknown future fault kinds are
-            // no-ops rather than panics mid-simulation.
+            // Link slowdowns have no detector signal; unknown future kinds
+            // (non-exhaustive upstream) are no-ops rather than panics.
             _ => {}
-        }
-    }
-
-    fn reinject(&mut self, held: Vec<Envelope>) {
-        for env in held {
-            if let Some(at) = self.net.send(self.now, env.clone(), &mut self.rng) {
-                self.queue.push(at, SimEvent::Deliver(env));
-            }
         }
     }
 
@@ -476,7 +461,7 @@ impl SimCluster {
     /// Hands an envelope to the network (past the coalescer), scheduling
     /// its delivery.
     fn transmit(&mut self, at: u64, env: Envelope) {
-        if let Some(deliver_at) = self.net.send(at, env.clone(), &mut self.rng) {
+        if let Some(deliver_at) = self.net.send(at, &env, &mut self.rng) {
             self.queue.push(deliver_at, SimEvent::Deliver(env));
         }
     }

@@ -21,6 +21,13 @@
 //! core it shares with the socket backend ([`crate::live`]), reached
 //! through [`ThreadNet`].
 //!
+//! The router's delay wheel drives the simulator's link model
+//! ([`paris_net::sim::SimNetwork`]), so the chaos thread only times a
+//! plan's events: each link fault goes to
+//! [`LinkControl::apply`](paris_net::threaded::LinkControl::apply) and
+//! means exactly what it means on the sim backend. A clock-skew step stays
+//! here, on the DC's shared skew cells.
+//!
 //! Each server thread owns its [`Server`]: the cluster keeps no handle on
 //! the state machine, only a bounded snapshot-request channel to its loop
 //! (see [`crate::driver`]). `stats()`, `min_ust()`, the checker's ground
@@ -258,20 +265,12 @@ impl Cluster for ThreadCluster {
                         std::thread::sleep(left.min(Duration::from_millis(20)));
                     }
                     match event.kind {
-                        FaultKind::CrashDc(dc) => control.isolate_dc(dc, dcs),
-                        FaultKind::RejoinDc(dc) => control.rejoin_dc(dc, dcs),
-                        FaultKind::PartitionLink(a, b) => control.partition_link(a, b),
-                        FaultKind::HealLink(a, b) => control.heal_link(a, b),
-                        FaultKind::SlowLink { a, b, factor } => {
-                            control.set_link_scale(a, b, factor)
-                        }
-                        FaultKind::RestoreLink(a, b) => control.set_link_scale(a, b, 1.0),
                         FaultKind::SkewClock { dc, delta_micros } => {
                             for cell in cells.get(&dc).into_iter().flatten() {
                                 cell.step(delta_micros);
                             }
                         }
-                        _ => {}
+                        kind => control.apply(kind),
                     }
                 }
             })
