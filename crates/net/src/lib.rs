@@ -14,7 +14,7 @@
 //!   simulator's link model ([`sim::SimNetwork`]) in wall-clock time, used
 //!   by integration tests to exercise the protocol under true concurrency.
 //! * [`socket`] — a real TCP substrate for *multi-process* deployments:
-//!   loopback listeners, per-link writer threads and framed envelopes,
+//!   loopback listeners, links written by their senders and framed envelopes,
 //!   the closest shape to the paper's actual testbed.
 //!
 //! All three substrates carry the same [`paris_proto::Envelope`]s and

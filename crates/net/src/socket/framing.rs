@@ -13,7 +13,7 @@
 //! allocation, so untrusted bytes can neither panic the reader nor make
 //! it reserve an OOM-sized buffer.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::time::{Duration, Instant};
 
 use paris_proto::ctrl::{self, Ctrl};
@@ -40,7 +40,7 @@ pub enum FrameRead {
     TimedOut,
 }
 
-fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -91,16 +91,65 @@ pub fn read_preamble<R: Read>(r: &mut R, deadline: Instant) -> Result<(), Error>
     Ok(())
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame: header and payload leave in one
+/// gathered write.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), Error> {
-    if payload.len() > wire::MAX_FRAME_LEN {
-        return Err(Error::Transport("frame exceeds maximum length"));
+    write_frames(w, &[payload], None)
+        .map(drop)
+        .map_err(|e| frame_error(&e))
+}
+
+/// Writes `payloads` as consecutive length-prefixed frames in one gathered
+/// `write(2)` (`writev`), looping only over what the kernel did not take;
+/// returns the wire bytes spent, headers included. Every length is checked
+/// before anything is written. A peer that drains a few bytes at a time
+/// cannot stretch the loop past `deadline`: that is a `TimedOut` error,
+/// like the socket's own write timeout, so the caller can tell a peer that
+/// stopped reading from one that went away.
+pub fn write_frames<W: Write, P: AsRef<[u8]>>(
+    w: &mut W,
+    payloads: &[P],
+    deadline: Option<Instant>,
+) -> io::Result<u64> {
+    let too_long = |p: &P| p.as_ref().len() > wire::MAX_FRAME_LEN;
+    if payloads.iter().any(too_long) {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, TOO_LONG));
     }
-    let header = (payload.len() as u32).to_le_bytes();
-    w.write_all(&header)
-        .and_then(|()| w.write_all(payload))
-        .and_then(|()| w.flush())
-        .map_err(|_| Error::Transport("peer connection lost"))
+    let headers: Vec<[u8; 4]> = payloads
+        .iter()
+        .map(|p| (p.as_ref().len() as u32).to_le_bytes())
+        .collect();
+    let mut slices: Vec<IoSlice> = headers
+        .iter()
+        .zip(payloads)
+        .flat_map(|(h, p)| [IoSlice::new(h), IoSlice::new(p.as_ref())])
+        .collect();
+    let total = slices.iter().map(|s| s.len() as u64).sum();
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !left.is_empty() && deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+    }
+    w.flush()?;
+    Ok(total)
+}
+
+const TOO_LONG: &str = "frame exceeds maximum length";
+
+/// The transport error of a failed [`write_frames`].
+fn frame_error(e: &io::Error) -> Error {
+    if e.kind() == io::ErrorKind::InvalidInput {
+        Error::Transport(TOO_LONG)
+    } else {
+        Error::Transport("peer connection lost")
+    }
 }
 
 /// Reads one length-prefixed frame.
@@ -117,38 +166,33 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), Error> {
 /// before allocating).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameRead, Error> {
     let mut header = [0u8; 4];
-    let mut filled = 0;
-    let mut stalls = 0;
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameRead::Eof),
-            Ok(0) => return Err(Error::Transport("peer closed mid-frame")),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 {
-                    return Ok(FrameRead::TimedOut);
-                }
-                stalls += 1;
-                if stalls > MAX_MID_FRAME_STALLS {
-                    return Err(Error::Transport("peer stalled mid-frame"));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(Error::Transport("peer connection lost")),
-        }
+    if let Some(boundary) = fill(r, &mut header, true)? {
+        return Ok(boundary);
     }
     let len = u32::from_le_bytes(header) as usize;
     if len > wire::MAX_FRAME_LEN {
-        return Err(Error::Transport("frame exceeds maximum length"));
+        return Err(Error::Transport(TOO_LONG));
     }
     let mut payload = vec![0u8; len];
+    fill(r, &mut payload, false)?;
+    Ok(FrameRead::Frame(payload))
+}
+
+/// Fills `buf`, retrying mid-frame timeouts up to the stall bound. At a
+/// frame `boundary`, EOF or a timeout before the first byte is returned as
+/// [`FrameRead::Eof`] / [`FrameRead::TimedOut`] instead.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8], boundary: bool) -> Result<Option<FrameRead>, Error> {
     let mut filled = 0;
     let mut stalls = 0;
-    while filled < len {
-        match r.read(&mut payload[filled..]) {
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if boundary && filled == 0 => return Ok(Some(FrameRead::Eof)),
             Ok(0) => return Err(Error::Transport("peer closed mid-frame")),
             Ok(n) => filled += n,
             Err(e) if is_timeout(&e) => {
+                if boundary && filled == 0 {
+                    return Ok(Some(FrameRead::TimedOut));
+                }
                 stalls += 1;
                 if stalls > MAX_MID_FRAME_STALLS {
                     return Err(Error::Transport("peer stalled mid-frame"));
@@ -158,15 +202,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameRead, Error> {
             Err(_) => return Err(Error::Transport("peer connection lost")),
         }
     }
-    Ok(FrameRead::Frame(payload))
+    Ok(None)
 }
 
 /// Writes one protocol envelope as a frame; returns the wire bytes spent
 /// (header included) for bandwidth accounting.
 pub fn write_envelope<W: Write>(w: &mut W, env: &Envelope, fmt: WireFormat) -> Result<u64, Error> {
-    let bytes = wire::encode_envelope_with(env, fmt);
-    write_frame(w, &bytes)?;
-    Ok(4 + bytes.len() as u64)
+    write_frames(w, &[wire::encode_envelope_with(env, fmt)], None).map_err(|e| frame_error(&e))
 }
 
 /// Decodes a data-plane frame payload into an envelope.
@@ -349,6 +391,97 @@ mod tests {
             Error::Transport("frame exceeds maximum length")
         );
         assert!(sink.is_empty(), "nothing written for a rejected frame");
+    }
+
+    /// A loopback pair: a writer, and its peer read through a buffer with
+    /// a 20 ms read timeout, the way a node's readers read.
+    fn buffered_pair() -> (std::net::TcpStream, io::BufReader<std::net::TcpStream>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        reader
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        (writer, io::BufReader::new(reader))
+    }
+
+    #[test]
+    fn a_buffered_read_outwaits_a_frame_split_across_two_writes() {
+        let (mut writer, mut reader) = buffered_pair();
+        let mut frame = Vec::new();
+        write_envelope(&mut frame, &sample_env(), WireFormat::V2).unwrap();
+        let half = frame.len() / 2;
+        let tail = frame.split_off(half);
+        let paused = std::thread::spawn(move || {
+            writer.write_all(&frame).unwrap();
+            // Several read timeouts pass mid-frame.
+            std::thread::sleep(Duration::from_millis(150));
+            writer.write_all(&tail).unwrap();
+            writer
+        });
+        let FrameRead::Frame(payload) = read_frame(&mut reader).unwrap() else {
+            panic!("expected the split frame");
+        };
+        assert_eq!(decode_envelope_frame(&payload).unwrap(), sample_env());
+        drop(paused.join().unwrap());
+        assert!(matches!(read_frame(&mut reader).unwrap(), FrameRead::Eof));
+    }
+
+    #[test]
+    fn a_buffered_read_times_out_at_a_frame_boundary() {
+        let (mut writer, mut reader) = buffered_pair();
+        assert!(matches!(
+            read_frame(&mut reader).unwrap(),
+            FrameRead::TimedOut
+        ));
+        // Two frames in one write: the buffer takes both, and the read
+        // after them times out at the boundary again.
+        write_frames(&mut writer, &[b"one".as_slice(), b"two".as_slice()], None).unwrap();
+        for want in [b"one", b"two"] {
+            let FrameRead::Frame(payload) = read_frame(&mut reader).unwrap() else {
+                panic!("expected a frame");
+            };
+            assert_eq!(payload, want);
+        }
+        assert!(matches!(
+            read_frame(&mut reader).unwrap(),
+            FrameRead::TimedOut
+        ));
+    }
+
+    #[test]
+    fn a_buffered_read_rejects_an_oversized_length_before_allocating() {
+        let (mut writer, mut reader) = buffered_pair();
+        let too_long = (wire::MAX_FRAME_LEN as u32 + 1).to_le_bytes();
+        writer.write_all(&too_long).unwrap();
+        assert_eq!(
+            read_frame(&mut reader).unwrap_err(),
+            Error::Transport("frame exceeds maximum length")
+        );
+    }
+
+    #[test]
+    fn gathered_frames_cost_their_payloads_plus_headers() {
+        let mut sink = Vec::new();
+        let spent = write_frames(
+            &mut sink,
+            &[b"ab".as_slice(), b"".as_slice(), b"cde".as_slice()],
+            None,
+        );
+        assert_eq!(spent.unwrap(), 3 * 4 + 5);
+        assert_eq!(sink.len(), 3 * 4 + 5);
+        let mut cur = Cursor::new(&sink);
+        for want in [&b"ab"[..], b"", b"cde"] {
+            let FrameRead::Frame(payload) = read_frame(&mut cur).unwrap() else {
+                panic!("expected a frame");
+            };
+            assert_eq!(payload, want);
+        }
+        let payloads = [&[0u8; 3][..], &vec![0u8; wire::MAX_FRAME_LEN + 1]];
+        let mut sink = Vec::new();
+        let refused = write_frames(&mut sink, &payloads, None).unwrap_err();
+        assert_eq!(frame_error(&refused), Error::Transport(TOO_LONG));
+        assert!(sink.is_empty(), "no frame written when one is too long");
     }
 
     proptest! {

@@ -12,12 +12,13 @@
 //!   connection, length-prefixed frames bounded by
 //!   [`paris_proto::wire::MAX_FRAME_LEN`] *before* allocation, and the
 //!   envelope/control codecs on top. Hardened against garbage input.
-//! * [`session`] — outbound links: one writer thread per directed peer
-//!   connection, hosting that link's [`crate::batch::Coalescer`], with
-//!   dial backoff, one reconnect attempt and dead-link marking.
-//! * [`node`] — a process's endpoint: loopback listener, per-connection
-//!   reader threads, route table, and a [`node::SocketHandle`] whose
-//!   `send` mirrors the threaded router's.
+//! * [`session`] — outbound links: each directed peer connection and its
+//!   [`crate::batch::Coalescer`], written by the sending thread in one
+//!   gathered write, with one redial attempt and dead-link marking.
+//! * [`node`] — a process's endpoint: blocking listener, buffered
+//!   per-connection readers delivering into per-endpoint inboxes, route
+//!   table, and a [`node::SocketHandle`] whose `send` mirrors the
+//!   threaded router's.
 //!
 //! The runtime crate builds the multi-process control plane (process
 //! spawning, peer-map distribution, stats collection) on top of this.
@@ -27,5 +28,5 @@ pub mod node;
 pub mod session;
 
 pub use framing::{FrameRead, PREAMBLE_LEN};
-pub use node::{NodeIdentity, SocketConfig, SocketHandle, SocketNode};
-pub use session::{LinkOptions, PeerLink, WireCounters};
+pub use node::{NodeIdentity, SocketHandle, SocketNode};
+pub use session::{PeerLink, SocketConfig, WireCounters};

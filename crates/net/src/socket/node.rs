@@ -1,13 +1,19 @@
 //! A TCP node: one process's endpoint in a socket deployment.
 //!
-//! A [`SocketNode`] binds a loopback listener, accepts inbound
-//! connections (each served by its own reader thread feeding the node's
-//! inbox), and lazily opens outbound [`PeerLink`]s as traffic demands.
-//! Identity decides local delivery: a node hosting a server delivers
-//! envelopes addressed to that server straight to its inbox without
-//! touching the wire; the client-host node does the same for every
-//! client endpoint (all client sessions of a deployment live in the
-//! parent process, mirroring the in-process backends' client loops).
+//! A [`SocketNode`] binds a loopback listener whose accept thread blocks
+//! in `accept` (shutdown wakes it by dialing the listener itself), serves
+//! each inbound connection with a reader thread that reads through a
+//! buffer, and lazily opens outbound [`PeerLink`]s as traffic demands.
+//! Identity decides what is local: a node hosting a server owns that
+//! server's inbox, which its server loop drains; the client-host node
+//! (the parent process, home of every client session, mirroring the
+//! in-process backends' client loops) owns one inbox per session. A
+//! reader delivers each envelope straight into the inbox its `dst` names,
+//! so a reply wakes exactly one thread: the one waiting for it.
+//!
+//! Sends run on the caller's thread, dialing outside the link table's
+//! lock. A server loop calls [`SocketHandle::flush_due`] on each wake-up
+//! so batched background traffic leaves by its ceiling.
 //!
 //! Routing is static after setup: the control plane learns every
 //! server's data port during deployment bring-up and installs the full
@@ -16,6 +22,7 @@
 //! discovery service.
 
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -24,39 +31,21 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{BatchConfig, Error, ServerId};
+use paris_types::{Error, ServerId};
 
 use crate::socket::framing::{
     deadline_in, decode_envelope_frame, read_frame, read_preamble, write_preamble, FrameRead,
 };
-use crate::socket::session::{LinkOptions, PeerLink, WireCounters};
+use crate::socket::session::{PeerLink, SocketConfig, WireCounters};
 
 /// How long a failed peer stays on the no-redial blacklist. Retrying a
-/// dead address on every send would stall the caller for a connect
-/// timeout each time; one cooldown per window bounds that cost.
+/// dead address on every send would cost the caller a dial each time;
+/// one cooldown per window bounds that cost.
 const REDIAL_COOLDOWN: Duration = Duration::from_secs(1);
 
-/// Configuration of a socket node.
-#[derive(Debug, Clone)]
-pub struct SocketConfig {
-    /// Batching applied to every outbound link.
-    pub batch: BatchConfig,
-    /// Window within which an outbound dial (plus handshake) must succeed.
-    pub connect_timeout: Duration,
-    /// Read timeout of inbound connections; bounds how long a reader
-    /// thread can ignore the stop flag.
-    pub read_timeout: Duration,
-}
-
-impl Default for SocketConfig {
-    fn default() -> Self {
-        SocketConfig {
-            batch: BatchConfig::DISABLED,
-            connect_timeout: Duration::from_secs(5),
-            read_timeout: Duration::from_millis(100),
-        }
-    }
-}
+/// The buffer each reader thread reads through: one `read(2)` takes every
+/// frame already in flight, not one header and one payload at a time.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// What this process hosts, deciding which envelopes are local.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,17 +62,31 @@ struct RouteTable {
     servers: HashMap<ServerId, SocketAddr>,
 }
 
+/// One peer address in the link table.
+#[derive(Debug)]
+enum Slot {
+    /// An open link.
+    Up(Arc<PeerLink>),
+    /// A peer that failed: no redial before this instant.
+    Down(Instant),
+}
+
 #[derive(Debug)]
 struct NodeShared {
     cfg: SocketConfig,
     identity: NodeIdentity,
     stop: AtomicBool,
     routes: Mutex<RouteTable>,
-    links: Mutex<HashMap<SocketAddr, PeerLink>>,
-    down_until: Mutex<HashMap<SocketAddr, Instant>>,
-    inbox_tx: Sender<Envelope>,
+    links: Mutex<HashMap<SocketAddr, Slot>>,
+    /// The inbox of every endpoint this node hosts.
+    inboxes: Mutex<HashMap<Endpoint, Sender<Envelope>>>,
     counters: Arc<WireCounters>,
     readers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// The error of a lock a panicked thread left poisoned.
+fn poisoned<T>(_: T) -> Error {
+    Error::Transport("node state poisoned")
 }
 
 impl NodeShared {
@@ -105,72 +108,69 @@ impl NodeShared {
         }
     }
 
+    /// Hands a local envelope to the inbox its `dst` names. One for an
+    /// endpoint without an inbox (not registered, or finished) is dropped,
+    /// as a reply nobody waits for.
+    fn deliver(&self, env: Envelope) -> Result<(), Error> {
+        if let Some(inbox) = self.inboxes.lock().map_err(poisoned)?.get(&env.dst) {
+            let _ = inbox.send(env);
+        }
+        Ok(())
+    }
+
     fn send(&self, env: Envelope) -> Result<(), Error> {
         if self.local(&env.dst) {
             // Wire counters only count the wire: local delivery skips
             // them, matching the in-process routers' accounting.
-            return self
-                .inbox_tx
-                .send(env)
-                .map_err(|_| Error::Transport("node inbox closed"));
+            return self.deliver(env);
         }
-        let Some(addr) = self.route(&env.dst) else {
+        let sent = self
+            .route(&env.dst)
+            .ok_or(Error::Transport("no route to destination"))
+            .and_then(|addr| self.send_to(addr, env));
+        if sent.is_err() {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::Transport("no route to destination"));
-        };
-
-        let mut links = self
-            .links
-            .lock()
-            .map_err(|_| Error::Transport("link table poisoned"))?;
-        if let Some(link) = links.get(&addr) {
-            if link.send(env) {
-                return Ok(());
-            }
-            // The writer gave up on this peer: discard the link and put
-            // the address on cooldown so we don't redial in a hot loop.
-            links.remove(&addr);
-            if let Ok(mut down) = self.down_until.lock() {
-                down.insert(addr, Instant::now() + REDIAL_COOLDOWN);
-            }
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::Transport("peer connection lost"));
         }
+        sent
+    }
 
-        let cooling = self
-            .down_until
-            .lock()
-            .map(|down| down.get(&addr).is_some_and(|until| Instant::now() < *until))
-            .unwrap_or(false);
-        if cooling {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::Transport("peer is down"));
+    fn send_to(&self, addr: SocketAddr, env: Envelope) -> Result<(), Error> {
+        let link = self.link(addr)?;
+        if link.send(env) {
+            return Ok(());
         }
+        // The link gave up on this peer: put the address on cooldown so
+        // we don't redial in a hot loop — unless a fresh link replaced it.
+        let mut links = self.links.lock().map_err(poisoned)?;
+        if matches!(links.get(&addr), Some(Slot::Up(l)) if Arc::ptr_eq(l, &link)) {
+            links.insert(addr, Slot::Down(Instant::now() + REDIAL_COOLDOWN));
+        }
+        Err(Error::Transport("peer connection lost"))
+    }
 
-        let link = PeerLink::connect(
-            addr,
-            LinkOptions {
-                batch: self.cfg.batch,
-                connect_timeout: self.cfg.connect_timeout,
-                write_timeout: Duration::from_secs(5),
-            },
-            Arc::clone(&self.counters),
-        );
-        match link {
-            Ok(link) => {
-                let ok = link.send(env);
-                links.insert(addr, link);
-                if ok {
-                    Ok(())
-                } else {
-                    Err(Error::Transport("peer connection lost"))
-                }
+    /// The open link to `addr`, dialed (outside the table lock) when there
+    /// is none and the address is not cooling down.
+    fn link(&self, addr: SocketAddr) -> Result<Arc<PeerLink>, Error> {
+        match self.links.lock().map_err(poisoned)?.get(&addr) {
+            Some(Slot::Up(link)) => return Ok(Arc::clone(link)),
+            Some(Slot::Down(until)) if Instant::now() < *until => {
+                return Err(Error::Transport("peer is down"));
             }
-            Err(e) => {
-                if let Ok(mut down) = self.down_until.lock() {
-                    down.insert(addr, Instant::now() + REDIAL_COOLDOWN);
-                }
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            _ => {}
+        }
+        let dialed = PeerLink::connect(addr, self.cfg.clone(), Arc::clone(&self.counters));
+        let mut links = self.links.lock().map_err(poisoned)?;
+        match (dialed, links.get(&addr)) {
+            // A sender racing this one got its link in first: everybody
+            // uses that one.
+            (_, Some(Slot::Up(first))) => Ok(Arc::clone(first)),
+            (Ok(link), _) => {
+                let link = Arc::new(link);
+                links.insert(addr, Slot::Up(Arc::clone(&link)));
+                Ok(link)
+            }
+            (Err(e), _) => {
+                links.insert(addr, Slot::Down(Instant::now() + REDIAL_COOLDOWN));
                 Err(e)
             }
         }
@@ -185,7 +185,8 @@ pub struct SocketHandle {
 }
 
 impl SocketHandle {
-    /// Routes `env`: locally into the inbox, or over TCP to its peer.
+    /// Routes `env`: locally into its inbox, or over TCP to its peer,
+    /// written on this thread.
     ///
     /// # Errors
     ///
@@ -201,15 +202,35 @@ impl SocketHandle {
     pub fn send_lossy(&self, env: Envelope) {
         let _ = self.inner.send(env);
     }
+
+    /// Writes what every outbound link's coalescer holds past its
+    /// ceiling. The owner of a node that sends background traffic calls
+    /// it on each wake-up; with nothing due it only reads one atomic per
+    /// link.
+    pub fn flush_due(&self) {
+        let Ok(links) = self.inner.links.lock() else {
+            return;
+        };
+        let due: Vec<Arc<PeerLink>> = links
+            .values()
+            .filter_map(|slot| match slot {
+                Slot::Up(link) if link.is_due() => Some(Arc::clone(link)),
+                _ => None,
+            })
+            .collect();
+        drop(links);
+        for link in due {
+            link.flush_due();
+        }
+    }
 }
 
-/// One process's TCP endpoint: listener, readers, outbound links, inbox.
+/// One process's TCP endpoint: listener, readers, outbound links, inboxes.
 #[derive(Debug)]
 pub struct SocketNode {
     inner: Arc<NodeShared>,
     local_addr: SocketAddr,
     accept_handle: Option<JoinHandle<()>>,
-    inbox: Option<Receiver<Envelope>>,
 }
 
 impl SocketNode {
@@ -220,19 +241,13 @@ impl SocketNode {
         let local_addr = listener
             .local_addr()
             .map_err(|_| Error::Transport("could not read listener address"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|_| Error::Transport("could not configure listener"))?;
-
-        let (inbox_tx, inbox_rx) = channel();
         let inner = Arc::new(NodeShared {
             cfg,
             identity,
             stop: AtomicBool::new(false),
             routes: Mutex::new(RouteTable::default()),
             links: Mutex::new(HashMap::new()),
-            down_until: Mutex::new(HashMap::new()),
-            inbox_tx,
+            inboxes: Mutex::new(HashMap::new()),
             counters: Arc::new(WireCounters::default()),
             readers: Mutex::new(Vec::new()),
         });
@@ -245,18 +260,12 @@ impl SocketNode {
             inner,
             local_addr,
             accept_handle: Some(accept_handle),
-            inbox: Some(inbox_rx),
         })
     }
 
     /// The loopback address the listener bound.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// This node's identity.
-    pub fn identity(&self) -> NodeIdentity {
-        self.inner.identity
     }
 
     /// Installs the deployment's full route map.
@@ -279,10 +288,27 @@ impl SocketNode {
         }
     }
 
-    /// Takes the inbox receiver (once): every locally-delivered and
-    /// wire-received envelope arrives here, in per-connection FIFO order.
-    pub fn take_inbox(&mut self) -> Option<Receiver<Envelope>> {
-        self.inbox.take()
+    /// Opens the inbox of `endpoint`, which this node hosts — its server,
+    /// or on the client host a client session. Every envelope addressed to
+    /// it, local or from the wire, arrives there in per-connection FIFO
+    /// order, straight from the thread that read it. A new registration
+    /// replaces an earlier one.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Transport`] for an endpoint this node does not host.
+    pub fn register(&self, endpoint: impl Into<Endpoint>) -> Result<Receiver<Envelope>, Error> {
+        let endpoint = endpoint.into();
+        if !self.inner.local(&endpoint) {
+            return Err(Error::Transport("endpoint hosted elsewhere"));
+        }
+        let (tx, inbox) = channel();
+        self.inner
+            .inboxes
+            .lock()
+            .map_err(poisoned)?
+            .insert(endpoint, tx);
+        Ok(inbox)
     }
 
     /// Wire traffic counters (shared with all links and readers).
@@ -290,22 +316,23 @@ impl SocketNode {
         Arc::clone(&self.inner.counters)
     }
 
-    /// Stops accepting, closes every outbound link (flushing coalesced
+    /// Stops accepting, closes every outbound link (writing coalesced
     /// residue), and joins all I/O threads.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
         if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
+            // Wake the blocking accept: it takes this connection, sees the
+            // stop flag and returns. Should the dial fail, the thread is
+            // left blocked rather than joined forever.
+            if TcpStream::connect(self.local_addr).is_ok() {
+                let _ = handle.join();
+            }
         }
-        // Dropping links closes their queues; writers flush and exit.
-        if let Ok(mut links) = self.inner.links.lock() {
-            links.clear();
-        }
-        let readers: Vec<_> = match self.inner.readers.lock() {
-            Ok(mut readers) => readers.drain(..).collect(),
-            Err(_) => Vec::new(),
-        };
-        for handle in readers {
+        // Dropping the links writes their residue and closes them, outside
+        // the table lock.
+        drop(self.inner.links.lock().map(|mut l| std::mem::take(&mut *l)));
+        let readers = self.inner.readers.lock().map(|mut r| r.split_off(0));
+        for handle in readers.unwrap_or_default() {
             let _ = handle.join();
         }
     }
@@ -318,23 +345,19 @@ impl Drop for SocketNode {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<NodeShared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name("paris-reader".into())
-                    .spawn(move || reader_loop(stream, conn_shared));
-                if let Ok(handle) = spawned {
-                    if let Ok(mut readers) = shared.readers.lock() {
-                        readers.push(handle);
-                    }
-                }
+    for conn in listener.incoming() {
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        let Ok(stream) = conn else { continue };
+        let conn_shared = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name("paris-reader".into())
+            .spawn(move || reader_loop(stream, conn_shared));
+        if let Ok(handle) = spawned {
+            if let Ok(mut readers) = shared.readers.lock() {
+                readers.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
@@ -354,6 +377,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<NodeShared>) {
     if write_preamble(&mut stream).is_err() {
         return;
     }
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     while !shared.stop.load(Ordering::Acquire) {
         match read_frame(&mut stream) {
             Ok(FrameRead::Frame(payload)) => {
@@ -367,7 +391,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<NodeShared>) {
                     .counters
                     .bytes_in
                     .fetch_add(4 + payload.len() as u64, Ordering::Relaxed);
-                if shared.inbox_tx.send(env).is_err() {
+                if shared.deliver(env).is_err() {
                     return;
                 }
             }
@@ -401,12 +425,12 @@ mod tests {
     fn two_nodes_exchange_envelopes_both_ways() {
         let a_id = server(0, 0);
         let b_id = server(0, 1);
-        let mut a = SocketNode::bind(NodeIdentity::Server(a_id), SocketConfig::default()).unwrap();
-        let mut b = SocketNode::bind(NodeIdentity::Server(b_id), SocketConfig::default()).unwrap();
+        let a = SocketNode::bind(NodeIdentity::Server(a_id), SocketConfig::default()).unwrap();
+        let b = SocketNode::bind(NodeIdentity::Server(b_id), SocketConfig::default()).unwrap();
         a.set_routes(None, [(b_id, b.local_addr())]);
         b.set_routes(None, [(a_id, a.local_addr())]);
-        let a_inbox = a.take_inbox().unwrap();
-        let b_inbox = b.take_inbox().unwrap();
+        let a_inbox = a.register(a_id).unwrap();
+        let b_inbox = b.register(b_id).unwrap();
 
         a.handle().send(env(a_id, b_id, 1)).unwrap();
         let got = b_inbox.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -423,8 +447,8 @@ mod tests {
     #[test]
     fn local_destinations_skip_the_wire() {
         let id = server(1, 0);
-        let mut node = SocketNode::bind(NodeIdentity::Server(id), SocketConfig::default()).unwrap();
-        let inbox = node.take_inbox().unwrap();
+        let node = SocketNode::bind(NodeIdentity::Server(id), SocketConfig::default()).unwrap();
+        let inbox = node.register(id).unwrap();
         node.handle().send(env(id, id, 9)).unwrap();
         assert_eq!(
             inbox.recv_timeout(Duration::from_secs(1)).unwrap(),
@@ -437,10 +461,10 @@ mod tests {
     fn client_endpoints_route_to_the_client_host() {
         let s = server(0, 0);
         let client = ClientId::new(DcId(0), 3);
-        let mut host = SocketNode::bind(NodeIdentity::ClientHost, SocketConfig::default()).unwrap();
+        let host = SocketNode::bind(NodeIdentity::ClientHost, SocketConfig::default()).unwrap();
         let child = SocketNode::bind(NodeIdentity::Server(s), SocketConfig::default()).unwrap();
         child.set_routes(Some(host.local_addr()), []);
-        let host_inbox = host.take_inbox().unwrap();
+        let host_inbox = host.register(client).unwrap();
 
         child.handle().send(env(s, client, 4)).unwrap();
         assert_eq!(
@@ -485,5 +509,87 @@ mod tests {
         );
         assert!(started.elapsed() < Duration::from_millis(100), "cooldown");
         assert_eq!(node.counters().dropped.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn an_idle_node_shuts_down_promptly() {
+        let mut node =
+            SocketNode::bind(NodeIdentity::Server(server(0, 0)), SocketConfig::default()).unwrap();
+        let started = Instant::now();
+        node.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "{took:?}");
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_costs_one_write_timeout() {
+        use paris_proto::ReplicatedTx;
+        use paris_types::{Key, TxId, WriteSetEntry};
+        use std::io::{Read, Write};
+
+        let id = server(0, 0);
+        let other = server(0, 1);
+        // The peer handshakes, then never reads; it holds the connection
+        // until the test is done with it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, hold) = std::sync::mpsc::sync_channel::<()>(1);
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut preamble = [0u8; crate::socket::PREAMBLE_LEN];
+            conn.read_exact(&mut preamble).unwrap();
+            conn.write_all(&preamble).unwrap();
+            let _ = hold.recv();
+        });
+        let mut node = SocketNode::bind(NodeIdentity::Server(id), SocketConfig::default()).unwrap();
+        node.set_routes(None, [(other, addr)]);
+
+        // 1 MiB frames until the loopback buffers are full and a write
+        // runs out its timeout.
+        let big = |seq| {
+            let tx = ReplicatedTx {
+                tx: TxId::new(id, seq),
+                ct: Timestamp::from_parts(seq, 0),
+                src: DcId(0),
+                writes: vec![WriteSetEntry::new(Key(seq), vec![7u8; 1 << 20].into())],
+            };
+            let msg = Msg::Replicate {
+                partition: PartitionId(1),
+                txs: vec![tx],
+                watermark: Timestamp::from_parts(seq, 0),
+            };
+            Envelope::new(id, other, msg)
+        };
+        // Every send that blocked, for how long in all.
+        let mut blocked = Duration::ZERO;
+        let mut seq = 0;
+        let lost = loop {
+            seq += 1;
+            assert!(seq < 1_000, "the loopback buffers never filled");
+            let started = Instant::now();
+            let sent = node.handle().send(big(seq));
+            if started.elapsed() > Duration::from_millis(100) {
+                blocked += started.elapsed();
+            }
+            if let Err(e) = sent {
+                break e;
+            }
+        };
+        assert_eq!(lost, Error::Transport("peer connection lost"));
+        let timeout = SocketConfig::default().write_timeout;
+        assert!(blocked >= timeout, "{blocked:?}");
+        assert!(blocked < timeout + Duration::from_secs(1), "{blocked:?}");
+
+        // The link is gone and the address cooling down: refused at once.
+        let started = Instant::now();
+        let refused = node.handle().send(big(seq + 1));
+        assert_eq!(refused, Err(Error::Transport("peer is down")));
+        assert!(started.elapsed() < Duration::from_millis(100));
+
+        let started = Instant::now();
+        node.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1));
+        drop(done);
+        peer.join().unwrap();
     }
 }

@@ -1,11 +1,11 @@
-//! Outbound peer sessions: one writer thread per directed TCP link.
+//! Outbound peer sessions: one directed TCP link, written by its senders.
 //!
-//! A [`PeerLink`] owns the dialed connection to one peer and a dedicated
-//! writer thread that drains an in-process queue onto the wire. The
-//! thread also hosts the link's [`Coalescer`], so background traffic
-//! folds into batch frames exactly as on the in-process backends — the
-//! socket substrate reuses the same batching layer rather than
-//! reimplementing it.
+//! A [`PeerLink`] owns the dialed connection to one peer and that link's
+//! [`Coalescer`] — the batching layer of the in-process backends, reused.
+//! It has no thread of its own: the sending thread offers its envelope to
+//! the coalescer and writes whatever leaves — the envelope, or the batch
+//! it released — as one gathered `write(2)` under the link's lock, so
+//! concurrent senders never interleave frames.
 //!
 //! Links are unidirectional by design: the dialing side only writes, the
 //! accepting side only reads. That keeps every TCP stream single-owner
@@ -15,34 +15,34 @@
 //!
 //! ## Lifecycle
 //!
-//! * **Connect**: [`PeerLink::connect`] dials with exponential backoff
-//!   inside a configurable window (the listener may not be up yet during
-//!   deployment bring-up), then exchanges preambles — both sides verify
-//!   magic and protocol version before any frame flows.
-//! * **Steady state**: the writer blocks on its queue with a timeout
-//!   bounded by the coalescer's next flush deadline, so batch deadlines
-//!   fire on time even when the link goes quiet.
-//! * **Failure**: on a write error the thread redials once (the peer may
-//!   have restarted); if that fails the link marks itself dead and
-//!   drains its queue to the floor. The owning node notices `is_dead`,
-//!   discards the link and surfaces the loss to callers as
-//!   [`Error::Transport`].
-//! * **Shutdown**: dropping the link closes the queue; the writer flushes
-//!   any coalesced residue onto the wire and exits, and `Drop` joins it.
+//! * **Connect**: [`PeerLink::connect`] dials once and exchanges
+//!   preambles — both sides verify magic and protocol version before any
+//!   frame flows. A peer's address is only known once its listener is
+//!   bound, whose backlog takes the connection before `accept`, so there
+//!   is no bring-up race to wait out.
+//! * **Steady state**: every send also polls the coalescer; an owner calls
+//!   [`PeerLink::flush_due`] on its wake-ups (a socket child's server loop,
+//!   at least every 5 ms) so a quiet link still meets its ceiling.
+//! * **Failure**: a write that times out (the peer stopped reading) kills
+//!   the link. Any other write error redials once — the peer may have
+//!   restarted — and writes again; if that fails too, the link is dead.
+//!   Neither path sleeps. The node sees `false` from `send`, puts the
+//!   address on cooldown and surfaces [`Error::Transport`].
+//! * **Shutdown**: dropping the link writes any coalesced residue and
+//!   closes the stream.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use paris_proto::Envelope;
+use paris_proto::{wire, Envelope};
 use paris_types::{BatchConfig, Error, WireFormat};
 
 use crate::batch::{Coalescer, CoalescerStats, Offer};
-use crate::socket::framing::{deadline_in, read_preamble, write_envelope, write_preamble};
+use crate::socket::framing::{
+    deadline_in, is_timeout, read_preamble, write_frames, write_preamble,
+};
 
 /// Wire-level traffic counters shared by every link and reader of one
 /// node. All counts are message/byte totals actually put on (or taken
@@ -69,219 +69,195 @@ pub struct WireCounters {
     pub deadline_flushes: AtomicU64,
 }
 
-impl WireCounters {
-    /// Adds what one link's coalescer flushed between two readings of its
-    /// totals to the node's flush-trigger mix.
-    fn add_flushes(&self, before: &CoalescerStats, after: &CoalescerStats) {
-        let add = |total: &AtomicU64, delta: u64| {
-            if delta > 0 {
-                total.fetch_add(delta, Ordering::Relaxed);
-            }
-        };
-        add(
-            &self.crossing_flushes,
-            after.crossing_flushes - before.crossing_flushes,
-        );
-        add(&self.size_flushes, after.size_flushes - before.size_flushes);
-        add(
-            &self.deadline_flushes,
-            after.deadline_flushes - before.deadline_flushes,
-        );
-    }
-}
-
-/// Options governing one outbound link.
+/// Configuration of a socket node.
 #[derive(Debug, Clone)]
-pub struct LinkOptions {
-    /// Batching configuration for this link's coalescer.
+pub struct SocketConfig {
+    /// Batching applied to every outbound link.
     pub batch: BatchConfig,
-    /// Total window within which the initial dial must succeed.
+    /// Bound on an outbound dial, and on its handshake.
     pub connect_timeout: Duration,
-    /// Write timeout applied to the stream (a peer that stops reading for
-    /// this long is treated as lost).
+    /// How long one gathered write may block before its peer counts as
+    /// lost: it stopped reading.
     pub write_timeout: Duration,
+    /// Read timeout of inbound connections; bounds how long a reader
+    /// thread can ignore the stop flag.
+    pub read_timeout: Duration,
 }
 
-/// Dials `addr`, retrying with exponential backoff until `connect_timeout`
-/// elapses. Bring-up races (listener not bound yet) resolve within the
-/// first retries; a genuinely absent peer fails the whole window.
-fn dial_with_backoff(addr: SocketAddr, connect_timeout: Duration) -> Result<TcpStream, Error> {
-    let deadline = deadline_in(connect_timeout);
-    let per_attempt = Duration::from_millis(500).min(connect_timeout);
-    let mut backoff = Duration::from_millis(10);
-    loop {
-        match TcpStream::connect_timeout(&addr, per_attempt) {
-            Ok(stream) => return Ok(stream),
-            Err(_) if Instant::now() + backoff < deadline => {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(200));
-            }
-            Err(_) => return Err(Error::Transport("could not connect to peer")),
+impl Default for SocketConfig {
+    fn default() -> Self {
+        SocketConfig {
+            batch: BatchConfig::DISABLED,
+            connect_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
+            read_timeout: Duration::from_millis(100),
         }
     }
 }
 
-/// Dials, configures and handshakes a write-side stream.
-fn open_stream(addr: SocketAddr, opts: &LinkOptions) -> Result<TcpStream, Error> {
-    let mut stream = dial_with_backoff(addr, opts.connect_timeout)?;
+/// Dials `addr` once, configures the stream and handshakes.
+fn open_stream(addr: SocketAddr, cfg: &SocketConfig) -> Result<TcpStream, Error> {
+    let mut stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
+        .map_err(|_| Error::Transport("could not connect to peer"))?;
     let _ = stream.set_nodelay(true);
     stream
-        .set_write_timeout(Some(opts.write_timeout))
+        .set_write_timeout(Some(cfg.write_timeout))
         .map_err(|_| Error::Transport("could not configure peer socket"))?;
     // The dialer must also *read* the acceptor's preamble; bound that read.
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .map_err(|_| Error::Transport("could not configure peer socket"))?;
     write_preamble(&mut stream)?;
-    read_preamble(&mut stream, deadline_in(opts.connect_timeout))?;
+    read_preamble(&mut stream, deadline_in(cfg.connect_timeout))?;
     Ok(stream)
 }
 
-/// An outbound link to one peer: a queue, a writer thread, a coalescer.
+/// What the link's lock guards: the stream and its coalescer.
+#[derive(Debug)]
+struct LinkIo {
+    stream: TcpStream,
+    coalescer: Coalescer,
+    /// The coalescer's totals when the node's flush mix last took them.
+    flushed: CoalescerStats,
+}
+
+/// An outbound link to one peer: a stream and its coalescer, written by
+/// whichever thread sends.
 #[derive(Debug)]
 pub struct PeerLink {
-    tx: Option<Sender<Envelope>>,
-    dead: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    addr: SocketAddr,
+    cfg: SocketConfig,
+    counters: Arc<WireCounters>,
+    /// The coalescer's timebase; only deltas matter for its deadlines.
+    epoch: Instant,
+    /// When the coalescer next needs a poll, in µs since `epoch`
+    /// (`u64::MAX` while it holds nothing), readable without the lock.
+    due: AtomicU64,
+    dead: AtomicBool,
+    io: Mutex<LinkIo>,
 }
 
 impl PeerLink {
-    /// Opens a link to `addr`: dials (with backoff), handshakes, spawns
-    /// the writer thread.
+    /// Opens a link to `addr`: dials once and handshakes.
     pub fn connect(
         addr: SocketAddr,
-        opts: LinkOptions,
+        cfg: SocketConfig,
         counters: Arc<WireCounters>,
     ) -> Result<PeerLink, Error> {
-        let stream = open_stream(addr, &opts)?;
-        let (tx, rx) = channel();
-        let dead = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&dead);
-        let handle = std::thread::Builder::new()
-            .name(format!("paris-link-{}", addr.port()))
-            .spawn(move || writer_loop(stream, addr, opts, rx, flag, counters))
-            .map_err(|_| Error::Transport("could not spawn link writer"))?;
+        let stream = open_stream(addr, &cfg)?;
+        let coalescer = Coalescer::new(cfg.batch, WireFormat::V2);
         Ok(PeerLink {
-            tx: Some(tx),
-            dead,
-            handle: Some(handle),
+            addr,
+            cfg,
+            counters,
+            epoch: Instant::now(),
+            due: AtomicU64::new(u64::MAX),
+            dead: AtomicBool::new(false),
+            io: Mutex::new(LinkIo {
+                stream,
+                flushed: coalescer.stats(),
+                coalescer,
+            }),
         })
     }
 
-    /// Queues an envelope for the writer. `false` means the link is dead
-    /// (or shutting down) and the envelope was not accepted.
+    /// Offers `env` to the coalescer and writes whatever leaves, on this
+    /// thread. `false` means the link is dead and the envelope was not
+    /// sent.
     pub fn send(&self, env: Envelope) -> bool {
-        if self.dead.load(Ordering::Acquire) {
+        let Some(mut io) = self.io.lock().ok().filter(|_| !self.is_dead()) else {
             return false;
-        }
-        match &self.tx {
-            Some(tx) => tx.send(env).is_ok(),
-            None => false,
-        }
+        };
+        let now = self.now_micros();
+        let mut out = match io.coalescer.offer(env, now) {
+            Offer::Pass(env) => vec![env],
+            Offer::Flush(batch) => batch,
+            Offer::Queued { .. } => Vec::new(),
+        };
+        out.extend(io.coalescer.poll(now));
+        self.write(&mut io, &out)
     }
 
-    /// Whether the writer has given up on the peer.
+    /// Writes what the coalescer holds past its ceiling. The caller checks
+    /// [`PeerLink::is_due`] first; a link another thread is writing is
+    /// skipped, since that write polls too.
+    pub fn flush_due(&self) {
+        let Ok(mut io) = self.io.try_lock() else {
+            return;
+        };
+        let out = io.coalescer.poll(self.now_micros());
+        self.write(&mut io, &out);
+    }
+
+    /// Whether the coalescer holds a class whose ceiling has passed.
+    pub fn is_due(&self) -> bool {
+        self.due.load(Ordering::Relaxed) <= self.now_micros()
+    }
+
+    /// Whether the link has given up on the peer.
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
+    }
+
+    fn now_micros(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// Writes `envs` as one gathered write and books the coalescer's
+    /// flushes. A write that times out kills the link; any other failure
+    /// redials once and writes again.
+    fn write(&self, io: &mut LinkIo, envs: &[Envelope]) -> bool {
+        let (s, t, c) = (io.coalescer.stats(), io.flushed, &self.counters);
+        if s != t {
+            let relaxed = Ordering::Relaxed;
+            c.crossing_flushes
+                .fetch_add(s.crossing_flushes - t.crossing_flushes, relaxed);
+            c.size_flushes
+                .fetch_add(s.size_flushes - t.size_flushes, relaxed);
+            c.deadline_flushes
+                .fetch_add(s.deadline_flushes - t.deadline_flushes, relaxed);
+            io.flushed = s;
+        }
+        let due = io.coalescer.next_due().unwrap_or(u64::MAX);
+        self.due.store(due, Ordering::Relaxed);
+        if envs.is_empty() {
+            return true;
+        }
+        let frames: Vec<_> = envs
+            .iter()
+            .map(|env| wire::encode_envelope_with(env, WireFormat::V2))
+            .collect();
+        let deadline = Some(deadline_in(self.cfg.write_timeout));
+        let mut written = write_frames(&mut io.stream, &frames, deadline);
+        if written.as_ref().is_err_and(|e| !is_timeout(e)) {
+            // The peer may have restarted; give it one fresh connection.
+            if let Ok(stream) = open_stream(self.addr, &self.cfg) {
+                io.stream = stream;
+                written = write_frames(&mut io.stream, &frames, deadline);
+            }
+        }
+        let Ok(bytes) = written else {
+            // Dead for good: nothing of it is due any more.
+            self.due.store(u64::MAX, Ordering::Relaxed);
+            self.dead.store(true, Ordering::Release);
+            return false;
+        };
+        let (messages, relaxed) = (envs.len() as u64, Ordering::Relaxed);
+        self.counters.messages_out.fetch_add(messages, relaxed);
+        self.counters.bytes_out.fetch_add(bytes, relaxed);
+        true
     }
 }
 
 impl Drop for PeerLink {
     fn drop(&mut self) {
-        // Closing the queue is the shutdown signal; the writer flushes its
-        // coalescer residue and exits.
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        // The owner is done with the link: write the coalesced residue.
+        if self.is_dead() {
+            return;
         }
-    }
-}
-
-/// Writes `env` onto the stream, updating counters. On failure, redials
-/// once and retries; a second failure is fatal for the link.
-fn write_with_retry(
-    stream: &mut TcpStream,
-    env: &Envelope,
-    addr: SocketAddr,
-    opts: &LinkOptions,
-    counters: &WireCounters,
-) -> Result<(), Error> {
-    let bytes = match write_envelope(stream, env, WireFormat::V2) {
-        Ok(bytes) => bytes,
-        Err(_) => {
-            // The peer may have restarted; give it one fresh connection.
-            *stream = open_stream(addr, opts)?;
-            write_envelope(stream, env, WireFormat::V2)?
-        }
-    };
-    counters.messages_out.fetch_add(1, Ordering::Relaxed);
-    counters.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    Ok(())
-}
-
-fn writer_loop(
-    mut stream: TcpStream,
-    addr: SocketAddr,
-    opts: LinkOptions,
-    rx: Receiver<Envelope>,
-    dead: Arc<AtomicBool>,
-    counters: Arc<WireCounters>,
-) {
-    // The coalescer wants a monotone microsecond timebase; which epoch is
-    // irrelevant because only deltas matter for flush deadlines.
-    let epoch = Instant::now();
-    let now_micros = || epoch.elapsed().as_micros() as u64;
-    let mut coalescer = Coalescer::new(opts.batch, WireFormat::V2);
-    let mut flushed = coalescer.stats();
-
-    let die = |counters: &WireCounters, rx: &Receiver<Envelope>, dead: &AtomicBool| {
-        dead.store(true, Ordering::Release);
-        // Drain so senders never block on a full queue (unbounded today,
-        // but the drain also makes the drop counter meaningful).
-        while rx.try_recv().is_ok() {
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-
-    loop {
-        // Sleep until the next envelope or the next coalescer deadline.
-        let wait = match coalescer.next_due() {
-            Some(due) => Duration::from_micros(due.saturating_sub(now_micros())),
-            None => Duration::from_millis(100),
-        }
-        .min(Duration::from_millis(100));
-        let incoming = match rx.recv_timeout(wait) {
-            Ok(env) => Some(env),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                // Owner dropped the link: flush residue and exit cleanly.
-                for env in coalescer.flush_all() {
-                    if write_with_retry(&mut stream, &env, addr, &opts, &counters).is_err() {
-                        break;
-                    }
-                }
-                let _ = stream.flush();
-                return;
-            }
-        };
-
-        let mut to_write = Vec::new();
-        if let Some(env) = incoming {
-            match coalescer.offer(env, now_micros()) {
-                Offer::Pass(env) => to_write.push(env),
-                Offer::Flush(batch) => to_write.extend(batch),
-                Offer::Queued { .. } => {}
-            }
-        }
-        to_write.extend(coalescer.poll(now_micros()));
-        counters.add_flushes(&flushed, &coalescer.stats());
-        flushed = coalescer.stats();
-
-        for env in to_write {
-            if write_with_retry(&mut stream, &env, addr, &opts, &counters).is_err() {
-                die(&counters, &rx, &dead);
-                return;
-            }
+        if let Ok(mut io) = self.io.lock() {
+            let residue = io.coalescer.flush_all();
+            self.write(&mut io, &residue);
         }
     }
 }
@@ -291,16 +267,16 @@ mod tests {
     use super::*;
     use crate::socket::framing::{decode_envelope_frame, read_frame, FrameRead, PREAMBLE_LEN};
     use paris_proto::wire::PROTOCOL_VERSION;
-    use paris_proto::Msg;
+    use paris_proto::{Endpoint, Msg};
     use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp};
-    use std::io::Read;
+    use std::io::{BufReader, Read, Write};
     use std::net::TcpListener;
 
-    fn opts() -> LinkOptions {
-        LinkOptions {
-            batch: BatchConfig::DISABLED,
+    fn opts() -> SocketConfig {
+        SocketConfig {
             connect_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
+            ..SocketConfig::default()
         }
     }
 
@@ -389,7 +365,7 @@ mod tests {
         let started = Instant::now();
         let got = PeerLink::connect(
             addr,
-            LinkOptions {
+            SocketConfig {
                 connect_timeout: Duration::from_millis(200),
                 write_timeout: Duration::from_secs(1),
                 ..opts()
@@ -408,7 +384,7 @@ mod tests {
         let counters = Arc::new(WireCounters::default());
         let link = PeerLink::connect(
             addr,
-            LinkOptions {
+            SocketConfig {
                 connect_timeout: Duration::from_millis(300),
                 write_timeout: Duration::from_millis(300),
                 ..opts()
@@ -430,5 +406,143 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(!link.send(env(seq)), "dead link must refuse traffic");
+    }
+
+    #[test]
+    fn concurrent_senders_never_interleave_frames() {
+        const THREADS: u32 = 4;
+        const FRAMES: u32 = 250;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor = accept_handshaken(listener);
+        let counters = Arc::new(WireCounters::default());
+        let link = Arc::new(PeerLink::connect(addr, opts(), Arc::clone(&counters)).unwrap());
+        let conn = acceptor.join().unwrap();
+
+        // Thread `t` sends frames from client `t`, its sequence numbers
+        // in the timestamps.
+        let frame = |t: u32, seq: u64| {
+            Envelope::new(
+                ClientId::new(DcId(0), t),
+                ServerId::new(DcId(0), PartitionId(0)),
+                Msg::StartTxReq {
+                    client_ust: Timestamp::from_parts(seq, 0),
+                },
+            )
+        };
+        let senders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let link = Arc::clone(&link);
+                std::thread::spawn(move || {
+                    for seq in 0..u64::from(FRAMES) {
+                        assert!(link.send(frame(t, seq)));
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+
+        let mut reader = BufReader::new(conn);
+        let mut next = [0u64; THREADS as usize];
+        let mut bytes = 0;
+        for _ in 0..THREADS * FRAMES {
+            let FrameRead::Frame(payload) = read_frame(&mut reader).unwrap() else {
+                panic!("a frame went missing");
+            };
+            bytes += 4 + payload.len() as u64;
+            let env = decode_envelope_frame(&payload).expect("every frame decodes whole");
+            let Endpoint::Client(client) = env.src else {
+                panic!("unexpected source {:?}", env.src);
+            };
+            let t = client.seq as usize;
+            assert_eq!(env, frame(client.seq, next[t]), "thread {t} out of order");
+            next[t] += 1;
+        }
+        assert_eq!(next, [u64::from(FRAMES); THREADS as usize]);
+        let sent = u64::from(THREADS * FRAMES);
+        assert_eq!(counters.messages_out.load(Ordering::Relaxed), sent);
+        assert_eq!(counters.bytes_out.load(Ordering::Relaxed), bytes);
+    }
+
+    /// A heartbeat: background traffic a batched link holds.
+    fn heartbeat() -> Envelope {
+        Envelope::new(
+            ServerId::new(DcId(0), PartitionId(0)),
+            ServerId::new(DcId(1), PartitionId(0)),
+            Msg::Heartbeat {
+                partition: PartitionId(0),
+                watermark: Timestamp::ZERO,
+            },
+        )
+    }
+
+    /// Options whose quantum is never crossed: only the ceiling (or the
+    /// owner dropping the link) releases what the link holds.
+    fn held(ceiling: Duration) -> SocketConfig {
+        let ceiling = ceiling.as_micros() as u64;
+        SocketConfig {
+            batch: BatchConfig::stable_time(1_000, u64::MAX, ceiling),
+            ..opts()
+        }
+    }
+
+    #[test]
+    fn a_quiet_batched_link_releases_by_its_ceiling_when_polled() {
+        let ceiling = Duration::from_millis(30);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor = accept_handshaken(listener);
+        let counters = Arc::new(WireCounters::default());
+        let link = PeerLink::connect(addr, held(ceiling), Arc::clone(&counters)).unwrap();
+        let conn = acceptor.join().unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        let mut reader = BufReader::new(conn);
+
+        let sent = Instant::now();
+        assert!(link.send(heartbeat()));
+        assert!(!link.is_due());
+        assert!(matches!(
+            read_frame(&mut reader).unwrap(),
+            FrameRead::TimedOut
+        ));
+        assert_eq!(counters.messages_out.load(Ordering::Relaxed), 0, "held");
+
+        // Nothing else is sent: only the owner's polls can release it.
+        while !link.is_due() {
+            assert!(sent.elapsed() < Duration::from_secs(5), "never due");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(sent.elapsed() >= ceiling);
+        link.flush_due();
+        let FrameRead::Frame(payload) = read_frame(&mut reader).unwrap() else {
+            panic!("the ceiling released nothing");
+        };
+        let got = decode_envelope_frame(&payload).unwrap();
+        assert!(matches!(got.msg, Msg::ReplicateBatch { frames: 1, .. }));
+        assert!(!link.is_due(), "nothing is left to release");
+        assert_eq!(counters.messages_out.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.deadline_flushes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn dropping_a_link_writes_its_coalesced_residue() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor = accept_handshaken(listener);
+        // A minute-long ceiling: only the drop can release the frame.
+        let held = held(Duration::from_secs(60));
+        let link = PeerLink::connect(addr, held, Arc::new(WireCounters::default())).unwrap();
+        let mut conn = acceptor.join().unwrap();
+        assert!(link.send(heartbeat()));
+        drop(link);
+        let FrameRead::Frame(payload) = read_frame(&mut conn).unwrap() else {
+            panic!("the residue was not written");
+        };
+        let got = decode_envelope_frame(&payload).unwrap();
+        assert!(matches!(got.msg, Msg::ReplicateBatch { frames: 1, .. }));
+        assert!(matches!(read_frame(&mut conn).unwrap(), FrameRead::Eof));
     }
 }

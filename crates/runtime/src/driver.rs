@@ -80,14 +80,16 @@ pub(crate) fn request_snapshots(
 /// fires the periodic background protocols (Alg. 4's replicate, GST,
 /// UST-at-root and GC ticks) on their wall-clock deadlines, and answers
 /// snapshot requests after every wake-up — so an idle loop answers within
-/// its 5 ms wait. It returns when the inbox disconnects or `stop` is
-/// raised.
+/// its 5 ms wait — and calls `flush_due`, so a transport that batches on
+/// the sending thread meets its ceilings. It returns when the inbox
+/// disconnects or `stop` is raised.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn server_loop(
     mut server: Server,
     inbox: Receiver<Envelope>,
     snapshots: Receiver<SnapshotReq>,
     send: impl Fn(Envelope),
+    flush_due: impl Fn(),
     topo: Arc<Topology>,
     clock: impl PhysicalClock,
     stop: Arc<AtomicBool>,
@@ -134,6 +136,7 @@ pub(crate) fn server_loop(
         for e in out {
             send(e);
         }
+        flush_due();
         while let Ok(req) = snapshots.try_recv() {
             let _ = req
                 .reply
@@ -333,6 +336,7 @@ mod tests {
                 inbox_rx,
                 asks_rx,
                 |_| {},
+                || {},
                 topo,
                 clock,
                 loop_stop,

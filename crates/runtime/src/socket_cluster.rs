@@ -10,8 +10,9 @@
 //! The parent's clients are the live core it shares with the thread
 //! backend ([`crate::live`]): the interactive sessions and their round
 //! trip, `run_workload`, `stabilize` and the snapshot observers. This
-//! module supplies [`SocketNet`] — the client demux, the data-plane node,
-//! the children's control streams and their liveness — plus the process
+//! module supplies [`SocketNet`] — the data-plane node, whose reader
+//! threads deliver each reply straight into its session's inbox, the
+//! children's control streams and their liveness — plus the process
 //! management of bring-up, `kill_server` and `restart_server`.
 //!
 //! ## Bring-up
@@ -22,7 +23,9 @@
 //! 2. Each child binds its own data-plane node, dials the control port,
 //!    handshakes (magic + protocol version, like every connection) and
 //!    sends [`Ctrl::Hello`] with its data port. A relaunched child rejoins
-//!    through the same handshake ([`await_hello`]).
+//!    through the same handshake ([`await_hello`]). The parent blocks in
+//!    `accept` meanwhile; an alarm dialing the listener itself ends the
+//!    wait at the hello deadline.
 //! 3. Once every child has said hello, the parent broadcasts
 //!    [`Ctrl::Peers`] — the full address map — and installs its own
 //!    routes. Data-plane links open lazily from here on.
@@ -49,9 +52,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::WallClock;
@@ -63,8 +65,8 @@ use paris_net::sim::RegionMatrix;
 use paris_net::socket::framing::{
     deadline_in, read_ctrl_deadline, read_preamble, write_ctrl, write_preamble,
 };
-use paris_net::socket::{NodeIdentity, SocketConfig, SocketHandle, SocketNode};
-use paris_proto::{Ctrl, Endpoint, Envelope, ServerSnapshot};
+use paris_net::socket::{NodeIdentity, SocketConfig, SocketNode};
+use paris_proto::{Ctrl, Envelope, ServerSnapshot};
 use paris_types::{
     BatchConfig, ClientId, ClusterConfig, DcId, Error, Intervals, Mode, ServerId, Timestamp,
 };
@@ -90,12 +92,6 @@ pub const CHILD_SPEC_ENV: &str = "PARIS_CHILD_SPEC";
 /// `paris-server` binary.
 pub const SERVER_BIN_ENV: &str = "PARIS_SERVER_BIN";
 
-/// How long a data-plane link may take to connect.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The read timeout of every inbound data-plane link.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
-
 // ---------------------------------------------------------------------
 // Child spec: everything a child process needs, hand-serialized into an
 // environment variable (hex over a little-endian byte stream — no serde
@@ -113,10 +109,6 @@ pub struct ChildSpec {
     pub cluster: ClusterConfig,
     /// Storage configuration (durability).
     pub tuning: ServerTuning,
-    /// Data-plane connect window (µs).
-    pub connect_timeout_micros: u64,
-    /// Inbound read timeout (µs).
-    pub read_timeout_micros: u64,
 }
 
 struct SpecWriter(Vec<u8>);
@@ -208,8 +200,6 @@ impl ChildSpec {
                 w.u64(d.checkpoint_interval_micros);
             }
         }
-        w.u64(self.connect_timeout_micros);
-        w.u64(self.read_timeout_micros);
         w.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 
@@ -287,9 +277,15 @@ impl ChildSpec {
             server,
             cluster,
             tuning: ServerTuning { durable },
-            connect_timeout_micros: r.u64()?,
-            read_timeout_micros: r.u64()?,
         })
+    }
+}
+
+/// A deployment's data-plane node: its batching, the default timeouts.
+fn socket_config(cluster: &ClusterConfig) -> SocketConfig {
+    SocketConfig {
+        batch: cluster.batch,
+        ..SocketConfig::default()
     }
 }
 
@@ -329,12 +325,10 @@ pub fn socket_child_main() -> Result<(), Error> {
 fn run_child(spec: ChildSpec) -> Result<(), Error> {
     let topo = Arc::new(Topology::new(spec.cluster.clone()));
     let id = spec.server;
-    let socket_cfg = SocketConfig {
-        batch: spec.cluster.batch,
-        connect_timeout: Duration::from_micros(spec.connect_timeout_micros),
-        read_timeout: Duration::from_micros(spec.read_timeout_micros),
-    };
-    let mut node = SocketNode::bind(NodeIdentity::Server(id), socket_cfg)?;
+    let mut node = SocketNode::bind(NodeIdentity::Server(id), socket_config(&spec.cluster))?;
+    // The inbox opens before anyone learns the data port: a peer's first
+    // frame must find it.
+    let inbox = node.register(id)?;
 
     // The server state machine, stamped by the host-wide wall clock so
     // every process in the deployment shares a timebase. With a durable
@@ -383,12 +377,10 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     // The server loop owns the server and drains the node inbox itself:
     // every message, slice reads included, is handled there, and so is
     // every snapshot request of the control loop below.
-    let inbox = node
-        .take_inbox()
-        .ok_or(Error::Transport("node inbox already taken"))?;
     let (snapshot_tx, snapshots) = sync_channel(1);
     let stop = Arc::new(AtomicBool::new(false));
     let loop_send = node.handle();
+    let loop_flush = node.handle();
     let loop_stop = Arc::clone(&stop);
     let intervals = spec.cluster.intervals;
     let server_handle = std::thread::Builder::new()
@@ -399,6 +391,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 inbox,
                 snapshots,
                 move |e| loop_send.send_lossy(e),
+                move || loop_flush.flush_due(),
                 topo,
                 WallClock::new(),
                 loop_stop,
@@ -487,33 +480,24 @@ struct ChildProc {
     ctrl: Mutex<TcpStream>,
 }
 
-type ClientRegistry = Arc<Mutex<HashMap<ClientId, Sender<Envelope>>>>;
-
-/// The parent's data-plane node, the client demux's registry and the
-/// children with their control streams.
+/// The parent's data-plane node and the children with their control
+/// streams.
 struct SocketNet {
     node: SocketNode,
-    handle: SocketHandle,
     children: Vec<ChildProc>,
-    registry: ClientRegistry,
 }
 
 impl LiveNet for SocketNet {
     fn register(&self, client: ClientId) -> Result<Receiver<Envelope>, Error> {
-        let (tx, inbox) = channel();
-        self.registry
-            .lock()
-            .map_err(|_| Error::Transport("client registry poisoned"))?
-            .insert(client, tx);
-        Ok(inbox)
+        self.node.register(client)
     }
 
     fn send(&self, env: Envelope) -> Result<(), Error> {
-        self.handle.send(env)
+        self.node.handle().send(env)
     }
 
     fn lossy_sender(&self) -> impl Fn(Envelope) + Send + 'static {
-        let send = self.handle.clone();
+        let send = self.node.handle();
         move |e| send.send_lossy(e)
     }
 
@@ -578,8 +562,6 @@ impl LiveNet for SocketNet {
 /// The multi-process socket backend. See the module docs.
 pub struct SocketCluster {
     live: Live<SocketNet>,
-    demux_stop: Arc<AtomicBool>,
-    demux_handle: Option<JoinHandle<()>>,
     // Retained for `restart_server`: a relaunched child dials back on the
     // same control port and slots into the updated peer map.
     binary: PathBuf,
@@ -597,8 +579,6 @@ fn child_spec(config: &BackendConfig, ctrl_port: u16, id: ServerId) -> ChildSpec
         server: id,
         cluster: config.cluster.clone(),
         tuning: crate::tuning::server_tuning(config.durability.as_ref(), id),
-        connect_timeout_micros: CONNECT_TIMEOUT.as_micros() as u64,
-        read_timeout_micros: READ_TIMEOUT.as_micros() as u64,
     }
 }
 
@@ -626,6 +606,11 @@ fn kill_all(children: &mut Vec<Child>) {
 /// says hello; returns that server, its data port and its control stream.
 /// Other dialers (a port scanner, a stale child) are ignored.
 ///
+/// The wait blocks in `accept`. An alarm thread sleeps on a channel until
+/// `deadline` and then dials the listener itself, so a wait nobody
+/// answers still ends on time; a wait that succeeds first hangs up on the
+/// alarm instead.
+///
 /// # Errors
 ///
 /// [`Error::Transport`] once `deadline` passes.
@@ -634,18 +619,34 @@ fn await_hello(
     deadline: Instant,
     from: impl Fn(ServerId) -> bool,
 ) -> Result<(ServerId, u16, TcpStream), Error> {
-    while Instant::now() < deadline {
-        let Ok((mut stream, _)) = listener.accept() else {
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
+    let addr = listener
+        .local_addr()
+        .map_err(|_| Error::Transport("could not read the control address"))?;
+    let (hang_up, alarm) = sync_channel::<()>(1);
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if alarm.recv_timeout(left) == Err(RecvTimeoutError::Timeout) {
+                let _ = TcpStream::connect(addr);
+            }
+        });
+        let joined = loop {
+            let conn = listener.accept();
+            if Instant::now() >= deadline {
+                break Err(Error::Transport(
+                    "timed out waiting for a server process to join",
+                ));
+            }
+            let Ok((mut stream, _)) = conn else { continue };
+            if let Some((server, port)) =
+                read_hello(&mut stream, deadline).filter(|&(s, _)| from(s))
+            {
+                break Ok((server, port, stream));
+            }
         };
-        if let Some((server, port)) = read_hello(&mut stream, deadline).filter(|&(s, _)| from(s)) {
-            return Ok((server, port, stream));
-        }
-    }
-    Err(Error::Transport(
-        "timed out waiting for a server process to join",
-    ))
+        drop(hang_up);
+        joined
+    })
 }
 
 /// The control-plane handshake of a joining child: NODELAY, a 100 ms read
@@ -669,23 +670,13 @@ impl SocketCluster {
     pub(crate) fn start(config: BackendConfig) -> Result<SocketCluster, Error> {
         let binary = server_binary()?;
         let topo = Arc::new(Topology::new(config.cluster.clone()));
-        let mut node = SocketNode::bind(
-            NodeIdentity::ClientHost,
-            SocketConfig {
-                batch: config.cluster.batch,
-                connect_timeout: CONNECT_TIMEOUT,
-                read_timeout: READ_TIMEOUT,
-            },
-        )?;
+        let node = SocketNode::bind(NodeIdentity::ClientHost, socket_config(&config.cluster))?;
         let ctrl_listener = TcpListener::bind("127.0.0.1:0")
             .map_err(|_| Error::Transport("could not bind the control listener"))?;
         let ctrl_port = ctrl_listener
             .local_addr()
             .map_err(|_| Error::Transport("could not read the control address"))?
             .port();
-        ctrl_listener
-            .set_nonblocking(true)
-            .map_err(|_| Error::Transport("could not configure the control listener"))?;
 
         // Spawn one child per server.
         let all_servers: Vec<ServerId> = topo.all_servers();
@@ -746,50 +737,9 @@ impl SocketCluster {
             .collect();
         route_loopback(&node, None, &peer_map);
 
-        // Demux envelopes arriving at the client host to their sessions.
-        let registry: ClientRegistry = Arc::new(Mutex::new(HashMap::new()));
-        let inbox = node
-            .take_inbox()
-            .ok_or(Error::Transport("node inbox already taken"))?;
-        let demux_stop = Arc::new(AtomicBool::new(false));
-        let demux_handle = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&demux_stop);
-            std::thread::Builder::new()
-                .name("client-demux".into())
-                .spawn(move || loop {
-                    match inbox.recv_timeout(Duration::from_millis(100)) {
-                        Ok(env) => {
-                            if let Endpoint::Client(cid) = env.dst {
-                                // A poisoned registry means the parent is
-                                // tearing down mid-panic; just exit.
-                                let Ok(guard) = registry.lock() else { return };
-                                if let Some(tx) = guard.get(&cid) {
-                                    let _ = tx.send(env);
-                                }
-                            }
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                })
-                .map_err(|_| Error::Transport("could not spawn the client demux"))?
-        };
-
-        let net = SocketNet {
-            handle: node.handle(),
-            node,
-            children,
-            registry,
-        };
+        let net = SocketNet { node, children };
         Ok(SocketCluster {
             live: Live::new(net, config, topo, Arc::new(WallClock::new())),
-            demux_stop,
-            demux_handle: Some(demux_handle),
             binary,
             ctrl_listener,
             ctrl_port,
@@ -960,11 +910,7 @@ impl Drop for SocketCluster {
                 }
             }
         }
-        self.demux_stop.store(true, Ordering::Relaxed);
         net.node.shutdown();
-        if let Some(h) = self.demux_handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -986,8 +932,6 @@ mod tests {
                 .build()
                 .unwrap(),
             tuning: ServerTuning::default(),
-            connect_timeout_micros: 5_000_000,
-            read_timeout_micros: 100_000,
         };
         let hex = spec.encode();
         assert_eq!(ChildSpec::decode(&hex).unwrap(), spec);
@@ -1025,8 +969,6 @@ mod tests {
             server: ServerId::new(DcId(0), PartitionId(0)),
             cluster: ClusterConfig::default(),
             tuning: ServerTuning::default(),
-            connect_timeout_micros: 1,
-            read_timeout_micros: 1,
         }
         .encode();
         // Truncations never panic.
@@ -1047,8 +989,6 @@ mod tests {
                 .build()
                 .unwrap(),
             tuning: ServerTuning::default(),
-            connect_timeout_micros: 1,
-            read_timeout_micros: 1,
         };
         assert_eq!(ChildSpec::decode(&valid.encode()).unwrap(), valid);
         let mut above_dcs = valid.clone();

@@ -167,6 +167,8 @@ impl ThreadCluster {
                             inbox,
                             snapshots,
                             move |e| net.send(e),
+                            // The router's delay wheel keeps the ceilings.
+                            || {},
                             topo,
                             clock,
                             stop,
