@@ -328,7 +328,7 @@ mod tests {
         };
         assert_eq!(decode_envelope_frame(&payload).unwrap(), env);
 
-        let ctrl = Ctrl::StatsReq;
+        let ctrl = Ctrl::StatsReq { chains: false };
         let mut buf = Vec::new();
         write_ctrl(&mut buf, &ctrl).unwrap();
         let FrameRead::Frame(payload) = read_frame(&mut Cursor::new(&buf)).unwrap() else {

@@ -3,11 +3,12 @@
 //! A multi-process deployment needs a thin out-of-band channel next to the
 //! protocol traffic: the parent process spawns one child per partition
 //! server, learns each child's data port, distributes the peer map, pulls
-//! run statistics, and asks for graceful shutdown. These frames travel on
-//! a dedicated control connection per child, framed exactly like protocol
-//! envelopes (length prefix, [`crate::wire::MAX_FRAME_LEN`] bound, magic +
-//! version preamble) but in their own tag space so a control frame can
-//! never be confused with a [`crate::Msg`].
+//! run statistics and the UST, and asks for graceful shutdown. These
+//! frames travel on a dedicated control connection per child, framed
+//! exactly like protocol envelopes (length prefix,
+//! [`crate::wire::MAX_FRAME_LEN`] bound, magic + version preamble) but in
+//! their own tag space so a control frame can never be confused with a
+//! [`crate::Msg`].
 //!
 //! Keeping `Ctrl` separate from `Msg` preserves the protocol codec's
 //! paper-facing properties: `encoded_len`/`metadata` keep measuring
@@ -150,10 +151,17 @@ pub enum Ctrl {
         /// Data-plane port of every server in the deployment.
         servers: Vec<(ServerId, u16)>,
     },
-    /// Parent → child: report your statistics and store contents.
-    StatsReq,
+    /// Parent → child: report your statistics.
+    StatsReq {
+        /// Whether to add the store's version orders (the snapshot's chains).
+        chains: bool,
+    },
     /// Child → parent: the requested snapshot.
     StatsResp(Box<ServerSnapshot>),
+    /// Parent → child: report the UST your server loop last published.
+    UstReq,
+    /// Child → parent: the published UST.
+    UstResp(Timestamp),
     /// Parent → child: shut down gracefully and exit.
     Stop,
 }
@@ -164,6 +172,8 @@ const C_PEERS: u8 = 2;
 const C_STATS_REQ: u8 = 3;
 const C_STATS_RESP: u8 = 4;
 const C_STOP: u8 = 5;
+const C_UST_REQ: u8 = 6;
+const C_UST_RESP: u8 = 7;
 
 fn put_port(buf: &mut BytesMut, (server, port): &(ServerId, u16)) {
     put_server(buf, *server);
@@ -204,7 +214,10 @@ pub fn encode_ctrl(ctrl: &Ctrl) -> Bytes {
             buf.varint(u64::from(*client_port));
             put_vec(&mut buf, servers, put_port);
         }
-        Ctrl::StatsReq => buf.tag(C_STATS_REQ),
+        Ctrl::StatsReq { chains } => {
+            buf.tag(C_STATS_REQ);
+            buf.u8(u8::from(*chains));
+        }
         Ctrl::StatsResp(snap) => {
             buf.tag(C_STATS_RESP);
             put_opt(&mut buf, &snap.server, |buf, s| put_server(buf, *s));
@@ -221,6 +234,11 @@ pub fn encode_ctrl(ctrl: &Ctrl) -> Bytes {
             });
         }
         Ctrl::Stop => buf.tag(C_STOP),
+        Ctrl::UstReq => buf.tag(C_UST_REQ),
+        Ctrl::UstResp(ust) => {
+            buf.tag(C_UST_RESP);
+            buf.timestamp(*ust);
+        }
     }
     buf.freeze()
 }
@@ -243,7 +261,11 @@ pub fn decode_ctrl(bytes: &[u8]) -> Result<Ctrl, DecodeError> {
             client_port: varint::get_u16(r)?,
             servers: get_vec(r, get_port)?,
         },
-        C_STATS_REQ => Ctrl::StatsReq,
+        C_STATS_REQ => match get_u8(r)? {
+            0 => Ctrl::StatsReq { chains: false },
+            1 => Ctrl::StatsReq { chains: true },
+            other => return Err(DecodeError::UnknownTag(other)),
+        },
         C_STATS_RESP => Ctrl::StatsResp(Box::new(ServerSnapshot {
             server: get_opt(r, get_server)?,
             ust: get_ts(r)?,
@@ -256,6 +278,8 @@ pub fn decode_ctrl(bytes: &[u8]) -> Result<Ctrl, DecodeError> {
             chains: get_vec(r, |r| Ok((get_key(r)?, get_vec(r, get_order)?)))?,
         })),
         C_STOP => Ctrl::Stop,
+        C_UST_REQ => Ctrl::UstReq,
+        C_UST_RESP => Ctrl::UstResp(get_ts(r)?),
         other => return Err(DecodeError::UnknownTag(other)),
     };
     finish(r)?;
@@ -287,7 +311,8 @@ mod tests {
                     (ServerId::new(DcId(0), PartitionId(0)), 40_002),
                 ],
             },
-            Ctrl::StatsReq,
+            Ctrl::StatsReq { chains: false },
+            Ctrl::StatsReq { chains: true },
             // Every counter non-zero and distinct, so a field the walks
             // drop or swap cannot roundtrip.
             Ctrl::StatsResp(Box::new(ServerSnapshot {
@@ -324,6 +349,9 @@ mod tests {
             })),
             Ctrl::StatsResp(Box::default()),
             Ctrl::Stop,
+            Ctrl::UstReq,
+            Ctrl::UstResp(Timestamp::from_parts(1_700, 2)),
+            Ctrl::UstResp(Timestamp::ZERO),
         ]
     }
 
@@ -362,6 +390,11 @@ mod tests {
         // The byte after the StatsResp tag says whether a server follows.
         let mut bytes = encode_ctrl(&Ctrl::StatsResp(Box::default())).to_vec();
         assert_eq!(bytes[1], 0);
+        bytes[1] = 2;
+        assert_eq!(decode_ctrl(&bytes), Err(DecodeError::UnknownTag(2)));
+        // So does the byte after the StatsReq tag whether chains follow.
+        let mut bytes = encode_ctrl(&Ctrl::StatsReq { chains: true }).to_vec();
+        assert_eq!(bytes[1], 1);
         bytes[1] = 2;
         assert_eq!(decode_ctrl(&bytes), Err(DecodeError::UnknownTag(2)));
     }

@@ -10,12 +10,17 @@
 //! only two things that differ between the substrates.
 //!
 //! The server loop owns its [`Server`] outright: nothing else holds it,
-//! so nothing locks it. Whoever wants to observe the server — the thread
-//! backend's `stats()`, `min_ust()` and checker, a socket child's control
-//! thread — sends a [`SnapshotReq`], and the loop answers it with a
-//! [`ServerSnapshot`] between messages and ticks.
+//! so nothing locks it. Observers (`stats()`, the checker, a socket
+//! child's control thread) send a [`SnapshotReq`], which the loop answers
+//! with a [`ServerSnapshot`] between messages and ticks; the UST behind
+//! `min_ust()` it publishes in a relaxed atomic (no data rides on it).
+//!
+//! The ∆R, ∆G and ∆U ticks are on the links' grid
+//! ([`paris_types::BatchConfig`]): each deadline is a multiple of its
+//! period on the loop clock (the HLC timebase), so every server crosses a
+//! quantum line at the same tick.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,16 +83,17 @@ pub(crate) fn request_snapshots(
 
 /// One server's protocol loop: pumps the inbox into the state machine,
 /// fires the periodic background protocols (Alg. 4's replicate, GST,
-/// UST-at-root and GC ticks) on their wall-clock deadlines, and answers
-/// snapshot requests after every wake-up — so an idle loop answers within
-/// its 5 ms wait — and calls `flush_due`, so a transport that batches on
-/// the sending thread meets its ceilings. It returns when the inbox
-/// disconnects or `stop` is raised.
+/// UST-at-root and GC ticks) on their wall-clock deadlines, and after
+/// every wake-up publishes the UST, calls `flush_due` (so a transport
+/// that batches on the sending thread meets its ceilings) and answers
+/// snapshot requests (so an idle loop answers within its 5 ms wait). It
+/// returns when the inbox disconnects or `stop` is raised.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn server_loop(
     mut server: Server,
     inbox: Receiver<Envelope>,
     snapshots: Receiver<SnapshotReq>,
+    published_ust: Arc<AtomicU64>,
     send: impl Fn(Envelope),
     flush_due: impl Fn(),
     topo: Arc<Topology>,
@@ -97,9 +103,9 @@ pub(crate) fn server_loop(
 ) {
     let is_root = topo.tree_parent(server.id()).is_none();
     let start = clock.now_micros();
-    let mut rep = Tick::starting(start, intervals.replication_micros);
-    let mut gst = Tick::starting(start, intervals.gst_micros);
-    let mut ust = Tick::starting(start, intervals.ust_micros);
+    let mut rep = Tick::on_grid(start, intervals.replication_micros);
+    let mut gst = Tick::on_grid(start, intervals.gst_micros);
+    let mut ust = Tick::on_grid(start, intervals.ust_micros);
     let mut gc = Tick::starting(start, intervals.gc_micros);
     loop {
         let now = clock.now_micros();
@@ -133,6 +139,7 @@ pub(crate) fn server_loop(
         if gc_due {
             server.on_gc_tick(now);
         }
+        published_ust.store(server.ust().as_u64(), Ordering::Relaxed);
         for e in out {
             send(e);
         }
@@ -159,6 +166,12 @@ struct Tick {
 }
 
 impl Tick {
+    /// First due on the next multiple of `every`, so ticks share a grid.
+    fn on_grid(now: u64, every: u64) -> Tick {
+        Tick::starting(now - now % every, every)
+    }
+
+    /// First due one period after `now`, keeping the phase of its start.
     fn starting(now: u64, every: u64) -> Tick {
         Tick {
             next: now + every,
@@ -310,7 +323,12 @@ mod tests {
         ServerId::new(DcId(dc), PartitionId(0))
     }
 
-    type Running = (Sender<Envelope>, SyncSender<SnapshotReq>, Arc<AtomicBool>);
+    struct Running {
+        inbox: Sender<Envelope>,
+        asks: SyncSender<SnapshotReq>,
+        published_ust: Arc<AtomicU64>,
+        stop: Arc<AtomicBool>,
+    }
 
     /// A loop over a bare server (2 DCs × 1 partition, this one at DC 1)
     /// whose clock never moves, so no tick fires: only envelopes and
@@ -329,12 +347,14 @@ mod tests {
         let intervals = topo.config().intervals;
         let ((inbox, inbox_rx), (asks, asks_rx)) = (channel(), sync_channel(1));
         let stop = Arc::new(AtomicBool::new(false));
-        let loop_stop = Arc::clone(&stop);
+        let published_ust = Arc::new(AtomicU64::new(0));
+        let (loop_stop, loop_ust) = (Arc::clone(&stop), Arc::clone(&published_ust));
         let handle = std::thread::spawn(move || {
             server_loop(
                 server,
                 inbox_rx,
                 asks_rx,
+                loop_ust,
                 |_| {},
                 || {},
                 topo,
@@ -343,7 +363,13 @@ mod tests {
                 intervals,
             )
         });
-        ((inbox, asks, stop), handle)
+        let running = Running {
+            inbox,
+            asks,
+            published_ust,
+            stop,
+        };
+        (running, handle)
     }
 
     fn ask(asks: &SyncSender<SnapshotReq>, chains: bool) -> Result<ServerSnapshot, Error> {
@@ -361,20 +387,23 @@ mod tests {
 
     #[test]
     fn an_idle_loop_answers_promptly_and_returns_when_stopped() {
-        let ((_inbox, asks, stop), handle) = spawn_loop();
+        let (running, handle) = spawn_loop();
         let asked = Instant::now();
-        let snap = ask(&asks, false).unwrap();
+        let snap = ask(&running.asks, false).unwrap();
         let waited = asked.elapsed();
         assert!(waited < Duration::from_millis(50), "{waited:?}");
         assert_eq!((snap.server, snap.stats.msgs_handled), (Some(at(1)), 0));
-        stop.store(true, Ordering::Relaxed);
+        running.stop.store(true, Ordering::Relaxed);
         assert!(returns(handle), "stop raised");
     }
 
     #[test]
     fn a_snapshot_counts_the_handled_envelopes_and_holds_what_they_applied() {
         const N: u64 = 5;
-        let ((inbox, asks, stop), handle) = spawn_loop();
+        let (running, handle) = spawn_loop();
+        let Running {
+            inbox, asks, stop, ..
+        } = &running;
         let ct = |i| Timestamp::from_physical_micros(1_000 * i);
         for i in 1..=N {
             let tx = ReplicatedTx {
@@ -392,9 +421,9 @@ mod tests {
         }
         // The loop answers between envelopes: poll until all N are in.
         let deadline = Instant::now() + Duration::from_secs(2);
-        let mut snap = ask(&asks, true).unwrap();
+        let mut snap = ask(asks, true).unwrap();
         while snap.stats.msgs_handled < N && Instant::now() < deadline {
-            snap = ask(&asks, true).unwrap();
+            snap = ask(asks, true).unwrap();
         }
         assert_eq!((snap.stats.msgs_handled, snap.stats.applied_remote), (N, N));
         snap.chains.sort_by_key(|(key, _)| *key);
@@ -409,10 +438,74 @@ mod tests {
 
     #[test]
     fn the_loop_returns_when_its_inbox_disconnects() {
-        let ((inbox, asks, _stop), handle) = spawn_loop();
+        let (Running { inbox, asks, .. }, handle) = spawn_loop();
         drop(inbox);
         assert!(returns(handle), "inbox disconnected");
         assert!(ask(&asks, false).is_err(), "nobody is left to answer");
+    }
+
+    #[test]
+    fn the_loop_publishes_the_ust_a_broadcast_moved_without_a_snapshot_request() {
+        let (running, handle) = spawn_loop();
+        let ust = Timestamp::from_parts(42_000, 3);
+        let msg = Msg::UstBroadcast {
+            ust,
+            s_old: Timestamp::ZERO,
+        };
+        running
+            .inbox
+            .send(Envelope::new(at(0), at(1), msg))
+            .unwrap();
+        // Only the atomic is read until the broadcast shows: no request
+        // wakes the loop.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let published = || Timestamp::from_u64(running.published_ust.load(Ordering::Relaxed));
+        while published() != ust && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            published(),
+            ust,
+            "published after the wake-up that handled it"
+        );
+        assert_eq!(
+            ask(&running.asks, false).unwrap().ust,
+            ust,
+            "the server's own UST"
+        );
+        running.stop.store(true, Ordering::Relaxed);
+        assert!(returns(handle));
+    }
+
+    #[test]
+    fn grid_ticks_made_at_different_instants_fire_together() {
+        let (early, late) = (Tick::on_grid(1_000, 5_000), Tick::on_grid(3_999, 5_000));
+        assert_eq!(
+            (early.next, late.next),
+            (5_000, 5_000),
+            "the next grid line"
+        );
+        // On a grid line the first deadline is a full period away.
+        assert_eq!(Tick::on_grid(5_000, 5_000).next, 10_000);
+        let mut ticks = [early, late, Tick::on_grid(9_000, 5_000)];
+        for now in [5_000, 10_000, 15_000] {
+            let fired: Vec<bool> = ticks.iter_mut().map(|t| t.fire(now)).collect();
+            // The third tick was made after the first line passed.
+            assert_eq!(fired, [true, true, now > 5_000], "at {now}");
+        }
+    }
+
+    #[test]
+    fn a_late_wake_up_rearms_a_grid_tick_onto_the_grid() {
+        let mut tick = Tick::on_grid(2_345, 5_000);
+        assert!(!tick.fire(4_999));
+        // 2.3 ms late: fires once and re-arms on the next line.
+        assert!(tick.fire(7_300));
+        assert_eq!(tick.next, 10_000);
+        // Held up past two lines: one firing, then back on the grid.
+        assert!(tick.fire(21_000));
+        assert_eq!(tick.next, 25_000);
+        assert!(!tick.fire(24_999));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! loops, or TCP frames and control-plane requests to child processes.
 //! Everything above that is written once here: the interactive sessions
 //! with their inboxes, the blocking round trip, the closed-loop workload
-//! and the observers (`stabilize`, `min_ust`, `stats`,
-//! `check_convergence`), all of them over one [`LiveNet::snapshots`].
+//! and the observers: `stats` and `check_convergence` over one
+//! [`LiveNet::snapshots`], `min_ust` over the UST each server loop
+//! publishes ([`LiveNet::min_ust`]), and `stabilize`.
 //!
 //! A parent supplies a [`LiveNet`] and forwards its [`crate::Cluster`]
 //! methods to a [`Live`] that owns it.
@@ -53,6 +54,9 @@ pub(crate) trait LiveNet {
     /// One snapshot per server, with every key's version orders when
     /// `chains` is set.
     fn snapshots(&self, chains: bool) -> Result<Vec<ServerSnapshot>, Error>;
+
+    /// The least UST the server loops published, read without waking one.
+    fn min_ust(&self) -> Result<Timestamp, Error>;
 
     /// Adds the wire totals the servers' snapshots do not carry.
     fn add_wire_totals(&self, stats: &mut ClusterStats);
@@ -264,10 +268,7 @@ impl<N: LiveNet> Live<N> {
     }
 
     pub(crate) fn min_ust(&self) -> Timestamp {
-        self.net
-            .snapshots(false)
-            .map(|snaps| ClusterStats::of_snapshots(&snaps).min_ust)
-            .unwrap_or(Timestamp::ZERO)
+        self.net.min_ust().unwrap_or(Timestamp::ZERO)
     }
 
     pub(crate) fn stats(&self) -> Result<ClusterStats, Error> {

@@ -48,10 +48,10 @@
 //! skew the OS provides.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -378,6 +378,8 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     // every message, slice reads included, is handled there, and so is
     // every snapshot request of the control loop below.
     let (snapshot_tx, snapshots) = sync_channel(1);
+    let published_ust = Arc::new(AtomicU64::new(0));
+    let loop_ust = Arc::clone(&published_ust);
     let stop = Arc::new(AtomicBool::new(false));
     let loop_send = node.handle();
     let loop_flush = node.handle();
@@ -390,6 +392,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 server,
                 inbox,
                 snapshots,
+                loop_ust,
                 move |e| loop_send.send_lossy(e),
                 move || loop_flush.flush_due(),
                 topo,
@@ -400,16 +403,19 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
         })
         .map_err(|_| Error::Transport("could not spawn server loop"))?;
 
-    // Control loop on the main thread: stats requests and shutdown. It
-    // waits for as long as the parent is there; a vanished parent (EOF or
+    // Control loop on the main thread: requests and shutdown. It waits
+    // for as long as the parent is there; a vanished parent (EOF or
     // error) is a shutdown too — children never outlive their parent.
     let counters = node.counters();
     loop {
-        match read_ctrl_deadline(&mut ctrl, None) {
-            Ok(Ctrl::StatsReq) => {
+        let answer = match read_ctrl_deadline(&mut ctrl, None) {
+            Ok(Ctrl::UstReq) => {
+                Ctrl::UstResp(Timestamp::from_u64(published_ust.load(Ordering::Relaxed)))
+            }
+            Ok(Ctrl::StatsReq { chains }) => {
                 // The loop answers between messages; one that cannot
                 // answer has died, so let the parent see EOF.
-                let answer = request_snapshots(std::slice::from_ref(&snapshot_tx), true);
+                let answer = request_snapshots(std::slice::from_ref(&snapshot_tx), chains);
                 let Some(mut snap) = answer.ok().and_then(|mut one| one.pop()) else {
                     break;
                 };
@@ -418,9 +424,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 snap.crossing_flushes = counters.crossing_flushes.load(Ordering::Relaxed);
                 snap.size_flushes = counters.size_flushes.load(Ordering::Relaxed);
                 snap.deadline_flushes = counters.deadline_flushes.load(Ordering::Relaxed);
-                if write_ctrl(&mut ctrl, &Ctrl::StatsResp(Box::new(snap))).is_err() {
-                    break;
-                }
+                Ctrl::StatsResp(Box::new(snap))
             }
             Ok(Ctrl::Peers {
                 client_port,
@@ -430,11 +434,15 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
                 // updated map so future dials reach the new addresses
                 // (stale links fail on their own and are redialed).
                 route_loopback(&node, Some(client_port), &servers);
+                continue;
             }
             Ok(Ctrl::Stop) | Err(_) => break,
             // Unexpected frames are ignored: the control protocol may
             // grow and old children should not die on new requests.
-            Ok(_) => {}
+            Ok(_) => continue,
+        };
+        if write_ctrl(&mut ctrl, &answer).is_err() {
+            break;
         }
     }
 
@@ -477,7 +485,6 @@ fn server_binary() -> Result<PathBuf, Error> {
 struct ChildProc {
     id: ServerId,
     proc: Mutex<Child>,
-    ctrl: Mutex<TcpStream>,
 }
 
 /// The parent's data-plane node and the children with their control
@@ -485,6 +492,8 @@ struct ChildProc {
 struct SocketNet {
     node: SocketNode,
     children: Vec<ChildProc>,
+    /// Each child's control stream, in `children` order.
+    ctrls: Vec<Mutex<TcpStream>>,
 }
 
 impl LiveNet for SocketNet {
@@ -501,30 +510,24 @@ impl LiveNet for SocketNet {
         move |e| send.send_lossy(e)
     }
 
-    /// Pulls a stats snapshot from every child over the control plane:
-    /// every request first, then every answer, so one poll costs at most
-    /// one server-loop wake-up, not one per child. A child always answers
-    /// with its chains, so `chains` changes nothing here.
-    fn snapshots(&self, _chains: bool) -> Result<Vec<ServerSnapshot>, Error> {
-        let mut ctrls = Vec::with_capacity(self.children.len());
-        for child in &self.children {
-            let mut ctrl = child
-                .ctrl
-                .lock()
-                .map_err(|_| Error::Transport("control channel poisoned"))?;
-            write_ctrl(&mut *ctrl, &Ctrl::StatsReq)?;
-            ctrls.push(ctrl);
-        }
-        let deadline = deadline_in(OP_TIMEOUT);
-        ctrls
-            .iter_mut()
-            .map(
-                |ctrl| match read_ctrl_deadline(&mut **ctrl, Some(deadline))? {
-                    Ctrl::StatsResp(snap) => Ok(*snap),
-                    _ => Err(Error::Transport("expected a stats response")),
-                },
-            )
+    /// Pulls a stats snapshot from every child over the control plane.
+    fn snapshots(&self, chains: bool) -> Result<Vec<ServerSnapshot>, Error> {
+        ask_each(&self.ctrls, &Ctrl::StatsReq { chains })
+            .into_iter()
+            .map(|answer| match answer? {
+                Ctrl::StatsResp(snap) => Ok(*snap),
+                _ => Err(Error::Transport("unexpected control answer")),
+            })
             .collect()
+    }
+
+    fn min_ust(&self) -> Result<Timestamp, Error> {
+        ask_each(&self.ctrls, &Ctrl::UstReq)
+            .into_iter()
+            .try_fold(Timestamp::MAX, |min, answer| match answer? {
+                Ctrl::UstResp(ust) => Ok(min.min(ust)),
+                _ => Err(Error::Transport("unexpected control answer")),
+            })
     }
 
     /// The client traffic the parent's own node carries; each child's
@@ -557,6 +560,35 @@ impl LiveNet for SocketNet {
             10_000,
         )
     }
+}
+
+const POISONED: Error = Error::Transport("control channel poisoned");
+
+/// Sends `req` on every control stream, then reads every answer: one round
+/// trip for all the children. Every answer asked for is read whatever
+/// failed before it; a stream whose answer cannot be read is shut down, so
+/// no later request reads a stale answer (and its child exits).
+fn ask_each(ctrls: &[Mutex<TcpStream>], req: &Ctrl) -> Vec<Result<Ctrl, Error>> {
+    let asked: Vec<Result<_, Error>> = ctrls
+        .iter()
+        .map(|ctrl| {
+            let mut stream = ctrl.lock().map_err(|_| POISONED)?;
+            write_ctrl(&mut *stream, req)?;
+            Ok(stream)
+        })
+        .collect();
+    let deadline = deadline_in(OP_TIMEOUT);
+    asked
+        .into_iter()
+        .map(|stream| {
+            let mut stream = stream?;
+            let answer = read_ctrl_deadline(&mut *stream, Some(deadline));
+            if answer.is_err() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            answer
+        })
+        .collect()
 }
 
 /// The multi-process socket backend. See the module docs.
@@ -722,22 +754,24 @@ impl SocketCluster {
                 kill_all(&mut procs);
                 return Err(Error::Transport("a server process left during bring-up"));
             }
-            ctrls.push(stream);
+            ctrls.push(Mutex::new(stream));
         }
         // procs and ctrls are both in all_servers order.
         let children = all_servers
             .iter()
             .zip(procs)
-            .zip(ctrls)
-            .map(|((&id, proc), ctrl)| ChildProc {
+            .map(|(&id, proc)| ChildProc {
                 id,
                 proc: Mutex::new(proc),
-                ctrl: Mutex::new(ctrl),
             })
             .collect();
         route_loopback(&node, None, &peer_map);
 
-        let net = SocketNet { node, children };
+        let net = SocketNet {
+            node,
+            children,
+            ctrls,
+        };
         Ok(SocketCluster {
             live: Live::new(net, config, topo, Arc::new(WallClock::new())),
             binary,
@@ -859,17 +893,14 @@ impl Cluster for SocketCluster {
         net.children[index] = ChildProc {
             id,
             proc: Mutex::new(child),
-            ctrl: Mutex::new(stream),
         };
+        net.ctrls[index] = Mutex::new(stream);
         let peers = Ctrl::Peers {
             client_port: net.node.local_addr().port(),
             servers: self.peer_map.clone(),
         };
-        for child in &net.children {
-            let mut ctrl = child
-                .ctrl
-                .lock()
-                .map_err(|_| Error::Transport("control channel poisoned"))?;
+        for ctrl in &net.ctrls {
+            let mut ctrl = ctrl.lock().map_err(|_| POISONED)?;
             write_ctrl(&mut *ctrl, &peers)
                 .map_err(|_| Error::Transport("a server process left during restart"))?;
         }
@@ -886,8 +917,8 @@ impl Drop for SocketCluster {
     fn drop(&mut self) {
         // Ask every child to stop, give them a grace window, then kill.
         let net = &mut self.live.net;
-        for child in &net.children {
-            if let Ok(mut ctrl) = child.ctrl.lock() {
+        for ctrl in &net.ctrls {
+            if let Ok(mut ctrl) = ctrl.lock() {
                 let _ = write_ctrl(&mut *ctrl, &Ctrl::Stop);
             }
         }
@@ -917,7 +948,62 @@ impl Drop for SocketCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paris_net::socket::framing::write_frame;
+    use paris_proto::ctrl::encode_ctrl;
     use paris_types::PartitionId;
+    use std::thread::JoinHandle;
+
+    /// The parent's end of a loopback control stream whose peer answers
+    /// the n-th request with the n-th payload of `answers`, raw, and the
+    /// peer's thread, which returns once the parent's end is gone.
+    fn scripted_peer(answers: Vec<Vec<u8>>) -> (Mutex<TcpStream>, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let parent = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        parent
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let peer = std::thread::spawn(move || {
+            for answer in answers {
+                if read_ctrl_deadline(&mut peer, None).is_err() {
+                    return;
+                }
+                write_frame(&mut peer, &answer).unwrap();
+            }
+            // Answers out: wait for the parent to hang up.
+            let _ = read_ctrl_deadline(&mut peer, None);
+        });
+        (Mutex::new(parent), peer)
+    }
+
+    #[test]
+    fn every_asked_answer_is_read_even_after_an_earlier_one_failed() {
+        let ust = |n| encode_ctrl(&Ctrl::UstResp(Timestamp::from_parts(n, 0))).to_vec();
+        let (ctrls, peers): (Vec<_>, Vec<_>) = [
+            // First an undecodable frame, then a good answer.
+            scripted_peer(vec![vec![0xEE, 1, 2], ust(2)]),
+            // First a well-formed answer of the wrong kind, then a good one.
+            scripted_peer(vec![encode_ctrl(&Ctrl::Stop).to_vec(), ust(2)]),
+            scripted_peer(vec![ust(1), ust(2)]),
+        ]
+        .into_iter()
+        .unzip();
+        let ask = || {
+            let answers = ask_each(&ctrls, &Ctrl::UstReq).into_iter();
+            answers.map(Result::ok).collect::<Vec<_>>()
+        };
+        let ust = |n| Some(Ctrl::UstResp(Timestamp::from_parts(n, 0)));
+        // The failure comes first, and the later answers are still read.
+        assert_eq!(ask(), [None, Some(Ctrl::Stop), ust(1)]);
+        // So the second round reads second answers, none left over from
+        // the first. The malformed stream was retired; the one that
+        // answered out of kind stayed in step.
+        assert_eq!(ask(), [None, ust(2), ust(2)]);
+        drop(ctrls);
+        for peer in peers {
+            peer.join().unwrap();
+        }
+    }
 
     #[test]
     fn child_spec_roundtrips_through_hex() {

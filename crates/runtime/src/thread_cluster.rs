@@ -30,12 +30,12 @@
 //!
 //! Each server thread owns its [`Server`]: the cluster keeps no handle on
 //! the state machine, only a bounded snapshot-request channel to its loop
-//! (see [`crate::driver`]). `stats()`, `min_ust()`, the checker's ground
-//! truth and `check_convergence()` all read the servers' answers, one
-//! snapshot per server.
+//! and the UST the loop publishes (see [`crate::driver`]). `stats()`, the
+//! checker's ground truth and `check_convergence()` read the servers'
+//! answers, one snapshot per server; `min_ust()` reads the published USTs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -53,12 +53,14 @@ use crate::live::{Live, LiveNet};
 use crate::measure::{ClusterStats, RunReport};
 use crate::{BackendConfig, Cluster};
 
-/// The router and the server loops' snapshot channels.
+/// The router and the server loops' snapshot channels and USTs.
 struct ThreadNet {
     router: Router,
     handle: NetHandle,
     /// One snapshot-request channel per server loop.
     servers: Vec<SyncSender<SnapshotReq>>,
+    /// The UST each server loop publishes, in `servers` order.
+    usts: Vec<Arc<AtomicU64>>,
     /// The WAN shape, for the round length.
     config: ThreadedNetConfig,
 }
@@ -80,6 +82,11 @@ impl LiveNet for ThreadNet {
 
     fn snapshots(&self, chains: bool) -> Result<Vec<ServerSnapshot>, Error> {
         request_snapshots(&self.servers, chains)
+    }
+
+    fn min_ust(&self) -> Result<Timestamp, Error> {
+        let min = self.usts.iter().map(|u| u.load(Ordering::Relaxed)).min();
+        Ok(Timestamp::from_u64(min.unwrap_or(0)))
     }
 
     /// The router meters the whole network, client traffic included.
@@ -131,9 +138,10 @@ impl ThreadCluster {
         let stop_servers = Arc::new(AtomicBool::new(false));
 
         let mut servers = Vec::new();
+        let usts: Vec<Arc<AtomicU64>> = topo.all_servers().iter().map(|_| Arc::default()).collect();
         let mut server_handles = Vec::new();
         let mut skew_cells: HashMap<DcId, Vec<SkewCell>> = HashMap::new();
-        for id in topo.all_servers() {
+        for (id, ust) in topo.all_servers().into_iter().zip(&usts) {
             // Each server's HLC reads wall time through a steppable shim so
             // a scripted SkewClock fault can shift one DC's clocks at runtime.
             let (server_clock, cell) = SteppableClock::new(Arc::clone(&clock), 0);
@@ -152,6 +160,7 @@ impl ThreadCluster {
             // answers before it asks again.
             let (snapshot_tx, snapshots) = sync_channel(1);
             servers.push(snapshot_tx);
+            let ust = Arc::clone(ust);
             let inbox = router.register(id);
             let net = router.handle();
             let topo = Arc::clone(&topo);
@@ -166,6 +175,7 @@ impl ThreadCluster {
                             server,
                             inbox,
                             snapshots,
+                            ust,
                             move |e| net.send(e),
                             // The router's delay wheel keeps the ceilings.
                             || {},
@@ -183,6 +193,7 @@ impl ThreadCluster {
             handle: router.handle(),
             router,
             servers,
+            usts,
             config: net_config,
         };
         Ok(ThreadCluster {

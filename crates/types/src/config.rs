@@ -83,8 +83,11 @@ impl Default for Intervals {
 /// are the loosely synchronised clock the protocol already assumes, all
 /// links of a deployment release on the same grid: a watermark that
 /// crosses a grid line cascades through apply → report → GST → UST
-/// without waiting on anyone's timer. Two more triggers drain a link: the
-/// size bound [`BatchConfig::max_batch`] and the ceiling
+/// without waiting on anyone's timer. The live backends' server loops run
+/// their ∆R, ∆G and ∆U ticks on the same timebase, each deadline a
+/// multiple of its period, so every line of the default quantum (3·∆R) is
+/// a replicate tick on every server at once. Two more triggers drain a
+/// link: the size bound [`BatchConfig::max_batch`] and the ceiling
 /// [`BatchConfig::max_flush_micros`]. Foreground transaction traffic is
 /// never batched (it is latency-critical).
 ///

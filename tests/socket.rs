@@ -91,6 +91,61 @@ fn thread_and_socket_backends_agree_on_causal_chain() {
     }
 }
 
+/// `min_ust()` reads the UST each server loop publishes: on an idle
+/// deployment a call costs no loop wake-up (a 5 ms wait when idle), and a
+/// commit is covered within two batching quanta plus scheduling slack.
+#[test]
+fn min_ust_answers_without_a_loop_wake_up_and_covers_a_commit_promptly() {
+    let quantum = Duration::from_micros(paris::types::BatchConfig::default().quantum_micros);
+    let median = |mut xs: Vec<Duration>| {
+        xs.sort();
+        xs[xs.len() / 2]
+    };
+    for backend in [Backend::Thread, Backend::Socket] {
+        let mut cluster = small(backend).uniform_latency_micros(0).build().unwrap();
+        let a = cluster.open_client(0).unwrap();
+        cluster.stabilize(2);
+
+        let calls: Vec<Duration> = (0..50)
+            .map(|_| {
+                let asked = Instant::now();
+                cluster.min_ust();
+                asked.elapsed()
+            })
+            .collect();
+        let call = median(calls);
+        assert!(
+            call < Duration::from_millis(1),
+            "{backend:?}: a min_ust() call took {call:?}"
+        );
+
+        // The lag of five commits, each polled until the UST covers it;
+        // the median keeps one stall of a loaded host from deciding.
+        let lags: Vec<Duration> = (0..5u64)
+            .map(|i| {
+                let mut txn = cluster.begin(a).unwrap();
+                txn.write(Key(i), Value::from("v"));
+                let ct = txn.commit().unwrap();
+                let committed = Instant::now();
+                while cluster.min_ust() < ct {
+                    assert!(
+                        committed.elapsed() < Duration::from_secs(5),
+                        "{backend:?}: never covered"
+                    );
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                committed.elapsed()
+            })
+            .collect();
+        let lag = median(lags);
+        let bound = 2 * quantum + Duration::from_millis(20);
+        assert!(
+            lag < bound,
+            "{backend:?}: min_ust() covered a commit after {lag:?}, over {bound:?}"
+        );
+    }
+}
+
 #[test]
 fn socket_backend_honors_facade_semantics() {
     let mut cluster = small(Backend::Socket).build().unwrap();
