@@ -26,8 +26,7 @@ use crate::mini_cluster::MiniCluster;
 use crate::sim_cluster::{SimCluster, SimConfig};
 use crate::socket_cluster::SocketCluster;
 use crate::thread_cluster::ThreadCluster;
-use crate::tuning::Durability;
-use crate::{BackendConfig, Cluster};
+use crate::{BackendConfig, Cluster, Durability};
 
 /// The substrate a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -7,7 +7,9 @@
 //! there — plus the periodic ticks, and a closed-loop workload client.
 //! This module is those loops, generic over how an envelope leaves the
 //! node (a `send` closure) and which [`PhysicalClock`] stamps time — the
-//! only two things that differ between the substrates.
+//! only two things that differ between the substrates. The workload loop
+//! is the shared [`WorkloadClient`] behind a blocking wait on its inbox;
+//! only the stop flag and the warm-up instant are its own.
 //!
 //! The server loop owns its [`Server`] outright: nothing else holds it,
 //! so nothing locks it. Observers (`stats()`, the checker, a socket
@@ -26,13 +28,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paris_clock::PhysicalClock;
-use paris_core::checker::{HistoryChecker, RecordedTx};
-use paris_core::{ClientEvent, ClientSession, ReadStep, Server, Topology};
+use paris_core::{ClientSession, Server, Topology};
 use paris_proto::{Envelope, ServerSnapshot};
-use paris_types::{ClientId, Error};
-use paris_workload::stats::Histogram;
-use paris_workload::WorkloadGenerator;
-use rand::rngs::StdRng;
+use paris_types::Error;
+
+use crate::workload_client::{Step, WorkloadClient};
 
 /// A request for one server's [`ServerSnapshot`], answered by its loop.
 pub(crate) struct SnapshotReq {
@@ -190,120 +190,44 @@ impl Tick {
     }
 }
 
-/// What one closed-loop workload client brings home.
-pub(crate) struct ClientOutcome {
-    pub(crate) records: Vec<(ClientId, RecordedTx)>,
-    pub(crate) committed: u64,
-    pub(crate) aborted: u64,
-    pub(crate) latency: Histogram,
-}
+/// A live workload client's finished transactions, each with whether it
+/// finished inside the window.
+pub(crate) type Finished = Vec<(Step, bool)>;
 
-/// One closed-loop workload client: begin → read → write → commit,
-/// retrying on aborts, until `stop` is raised. The begin is deferred: the
-/// first read (or, for a write-only transaction, the commit) carries it,
-/// so a transaction costs one round trip less than with an eager
-/// `StartTxReq`. Statistics count only operations completing after
-/// `measure_after` (warmup is untimed); the checker records everything.
-#[allow(clippy::too_many_arguments)]
+/// One live workload client: runs `client`'s transactions back to back,
+/// retrying at once after an abort, until `stop` is raised. A transaction
+/// is inside the window when it finishes after `measure_after` (warmup is
+/// untimed; the history records everything).
 pub(crate) fn run_client(
     mut session: ClientSession,
-    mut generator: WorkloadGenerator,
-    mut rng: StdRng,
+    mut client: WorkloadClient,
     inbox: Receiver<Envelope>,
     send: impl Fn(Envelope),
     stop: Arc<AtomicBool>,
     clock: impl PhysicalClock,
     measure_after: Instant,
-) -> ClientOutcome {
-    let id = session.id();
-    let mut records = Vec::new();
-    let mut latency = Histogram::new();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-
-    // Waits for the next client event, bailing out on stop.
-    let wait_event = |session: &mut ClientSession| -> Option<ClientEvent> {
-        loop {
-            match inbox.recv_timeout(Duration::from_millis(100)) {
-                Ok(env) => {
-                    if let Some(ev) = session.handle(&env) {
-                        return Some(ev);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
-    };
-
-    while !stop.load(Ordering::Relaxed) {
-        let begin = clock.now_micros();
-        session.begin_deferred().expect("idle session");
-        let spec = generator.next_tx(&mut rng);
-        let mut reads = Vec::new();
-        if !spec.read_keys.is_empty() {
-            match session.read(&spec.read_keys).expect("open tx") {
-                ReadStep::Done(local) => {
-                    reads.extend(local.iter().map(HistoryChecker::recorded_read))
-                }
-                ReadStep::Send(env) => {
-                    send(env);
-                    match wait_event(&mut session) {
-                        Some(ClientEvent::ReadDone { reads: got, .. }) => {
-                            reads.extend(got.iter().map(HistoryChecker::recorded_read));
+) -> Finished {
+    let mut finished = Vec::new();
+    'txs: while !stop.load(Ordering::Relaxed) {
+        let mut step = Step::Send(client.start(&mut session, clock.now_micros()));
+        while let Step::Send(env) = step {
+            send(env);
+            let event = loop {
+                match inbox.recv_timeout(Duration::from_millis(100)) {
+                    Ok(reply) => {
+                        if let Some(event) = session.handle(&reply) {
+                            break event;
                         }
-                        Some(ClientEvent::Aborted { .. }) => {
-                            if Instant::now() >= measure_after {
-                                aborted += 1;
-                            }
-                            continue; // retry
-                        }
-                        _ => break,
                     }
+                    Err(RecvTimeoutError::Timeout) if !stop.load(Ordering::Relaxed) => {}
+                    Err(_) => break 'txs,
                 }
-            }
+            };
+            step = client.on_event(&mut session, event, clock.now_micros());
         }
-        if !spec.writes.is_empty() {
-            session.write(&spec.writes).expect("open tx");
-        }
-        send(session.commit().expect("open tx"));
-        let (tx, snapshot, ct) = match wait_event(&mut session) {
-            Some(ClientEvent::Committed { tx, snapshot, ct }) => (tx, snapshot, ct),
-            Some(ClientEvent::Aborted { .. }) => {
-                if Instant::now() >= measure_after {
-                    aborted += 1;
-                }
-                continue; // retry
-            }
-            _ => break,
-        };
-        // Stats count only the measurement window (warmup is untimed, as
-        // on the deterministic backends); the checker records everything.
-        if Instant::now() >= measure_after {
-            committed += 1;
-            latency.record(clock.now_micros().saturating_sub(begin));
-        }
-        records.push((
-            id,
-            RecordedTx {
-                tx,
-                snapshot,
-                reads,
-                writes: spec.writes.iter().map(|(k, _)| *k).collect(),
-                ct: Some(ct),
-            },
-        ));
+        finished.push((step, Instant::now() >= measure_after));
     }
-    ClientOutcome {
-        records,
-        committed,
-        aborted,
-        latency,
-    }
+    finished
 }
 
 #[cfg(test)]

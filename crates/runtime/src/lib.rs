@@ -22,9 +22,11 @@
 //!
 //! The client path is written once: [`Cluster`]'s raw operations and
 //! [`Cluster::begin`] are provided methods over each backend's client
-//! sessions and its round trip (see the [`Cluster`] docs), and the thread
-//! and socket backends share one live core for their interactive
-//! sessions, `run_workload` and snapshot observers.
+//! sessions and its round trip (see the [`Cluster`] docs), the closed
+//! loop of [`Cluster::run_workload`] is one sans-I/O workload client that
+//! every backend drives at its own pace, and the thread and socket
+//! backends share one live core for their interactive sessions,
+//! `run_workload` and snapshot observers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +52,7 @@ mod sim_cluster;
 mod socket_cluster;
 mod thread_cluster;
 mod tuning;
+mod workload_client;
 
 pub use builder::{Backend, ClusterBuilder, Paris};
 pub use chaos::{chaos_scenario, ChaosOutcome, ChaosScenario, CHAOS_SCENARIOS};

@@ -9,7 +9,10 @@
 //! with their inboxes, the blocking round trip, the closed-loop workload
 //! and the observers: `stats` and `check_convergence` over one
 //! [`LiveNet::snapshots`], `min_ust` over the UST each server loop
-//! publishes ([`LiveNet::min_ust`]), and `stabilize`.
+//! publishes ([`LiveNet::min_ust`]), and `stabilize`. The workload runs
+//! one thread per [`crate::workload_client::WorkloadClient`]
+//! ([`crate::driver::run_client`]) until a stop flag, counts what
+//! finishes after the warm-up instant, and reports after a 300 ms settle.
 //!
 //! A parent supplies a [`LiveNet`] and forwards its [`crate::Cluster`]
 //! methods to a [`Live`] that owns it.
@@ -22,17 +25,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::PhysicalClock;
-use paris_core::checker::HistoryChecker;
 use paris_core::{ClientEvent, ClientSession, Topology, Violation};
 use paris_proto::{Envelope, ServerSnapshot};
 use paris_types::{ClientId, ClusterConfig, DcId, Error, Timestamp};
-use paris_workload::stats::RunStats;
-use paris_workload::WorkloadGenerator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::driver::{run_client, ClientOutcome};
+use crate::driver::{run_client, Finished};
 use crate::measure::{ClusterStats, RunReport};
+use crate::workload_client::{Tally, WorkloadClient};
 use crate::{replica_convergence, BackendConfig, Interactive, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
 
 /// The longest a blocking wait sleeps before it probes liveness again.
@@ -177,44 +176,23 @@ impl<N: LiveNet> Live<N> {
             status = self.net.alive();
         }
         stop.store(true, Ordering::Relaxed);
-        let mut outcomes = Vec::with_capacity(clients.len());
-        for client in clients {
-            let outcome = client.join();
-            outcomes.push(outcome.map_err(|_| Error::Transport("a client thread panicked"))?);
+        let mut tally = Tally::new(window_micros, self.config.record_history);
+        for (id, client) in clients {
+            let finished = client.join();
+            let finished = finished.map_err(|_| Error::Transport("a client thread panicked"))?;
+            for (step, in_window) in finished {
+                tally.finish(id, step, in_window);
+            }
         }
         status?;
         // Let replication/stabilization settle before snapshotting.
         std::thread::sleep(Duration::from_millis(300));
-
-        // The clients' outcomes merge into the window's statistics; with
-        // history recorded, their transactions are judged against the
-        // servers' chains.
-        let history = self.config.record_history;
-        let snaps = self.net.snapshots(history)?;
+        let snaps = self.net.snapshots(self.config.record_history)?;
         let totals = self.totals(&snaps);
-        let mut checker = history.then(HistoryChecker::new);
-        if let Some(checker) = checker.as_mut() {
-            crate::record_ground_truth(checker, &snaps);
-        }
-        let mut stats = RunStats::new(window_micros);
-        for outcome in outcomes {
-            stats.committed += outcome.committed;
-            stats.aborted += outcome.aborted;
-            stats.latency.merge(&outcome.latency);
-            if let Some(checker) = checker.as_mut() {
-                for (cid, rec) in outcome.records {
-                    checker.record_tx(cid, rec);
-                }
-            }
-        }
         Ok(RunReport {
-            mode: self.config.cluster.mode,
-            stats,
-            blocking: totals.blocking,
-            visibility: None,
-            violations: checker.map_or_else(Vec::new, |checker| checker.check()),
             net_messages: totals.net_messages,
             net_bytes: totals.net_bytes,
+            ..tally.report(self.config.cluster.mode, &snaps)
         })
     }
 
@@ -222,41 +200,27 @@ impl<N: LiveNet> Live<N> {
         &self,
         stop: &Arc<AtomicBool>,
         measure_after: Instant,
-        clients: &mut Vec<JoinHandle<ClientOutcome>>,
+        clients: &mut Vec<(ClientId, JoinHandle<Finished>)>,
     ) -> Result<(), Error> {
         let cluster = &self.config.cluster;
         for dc in 0..cluster.dcs {
-            let dc = DcId(dc);
-            let local_partitions = self.topo.partitions_in_dc(dc);
             for seq in 0..self.config.clients_per_dc {
-                let id = ClientId::new(dc, seq);
-                let coordinator = self.topo.coordinator_for(dc, seq);
+                let id = ClientId::new(DcId(dc), seq);
+                let coordinator = self.topo.coordinator_for(id.dc, seq);
                 let session = ClientSession::new(id, coordinator, cluster.mode);
-                let workload = self.config.workload.clone();
-                let local = local_partitions.clone();
-                let generator = WorkloadGenerator::new(workload, cluster.partitions, local);
-                let seed = self.config.seed ^ (u64::from(dc.0) << 32) ^ u64::from(seq);
-                let rng = StdRng::seed_from_u64(seed);
+                let (workload, seed) = (&self.config.workload, self.config.seed);
+                let client = WorkloadClient::new(id, &self.topo, workload, seed);
                 let inbox = self.net.register(id)?;
                 let send = self.net.lossy_sender();
                 let stop = Arc::clone(stop);
                 let clock = Arc::clone(&self.clock);
-                let client = std::thread::Builder::new()
+                let handle = std::thread::Builder::new()
                     .name(format!("client-{id}"))
                     .spawn(move || {
-                        run_client(
-                            session,
-                            generator,
-                            rng,
-                            inbox,
-                            send,
-                            stop,
-                            clock,
-                            measure_after,
-                        )
+                        run_client(session, client, inbox, send, stop, clock, measure_after)
                     })
                     .map_err(|_| Error::Transport("could not spawn a client thread"))?;
-                clients.push(client);
+                clients.push((id, handle));
             }
         }
         Ok(())

@@ -8,27 +8,29 @@
 //! protocols (replication, UST stabilization) advance when
 //! [`Cluster::stabilize`](crate::Cluster::stabilize) is called.
 //!
+//! `run_workload` runs its [`WorkloadClient`]s round-robin, one whole
+//! transaction each, with a stabilization round per lap. The clock steps
+//! 10 µs before every begin and commit. The clients are opened by the
+//! first call and kept for later ones.
+//!
 //! Build one with [`crate::Paris::builder`] and
 //! [`Backend::Mini`](crate::Backend::Mini); for performance work use the
 //! [`crate::SimCluster`] backend (WAN latency, CPU model), for
 //! concurrency testing the [`crate::ThreadCluster`] backend.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use paris_clock::SimClock;
-use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::{ClientEvent, ClientSession, Server, ServerOptions, Topology, Violation};
 use paris_net::batch::{Coalescer, Offer};
 use paris_proto::{Endpoint, Envelope, Msg};
 use paris_types::{ClientId, DcId, Error, Mode, ServerId, Timestamp};
-use paris_workload::stats::RunStats;
-use paris_workload::WorkloadGenerator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::facade::Sessions;
 use crate::measure::{ClusterStats, RunReport};
+use crate::workload_client::{Step, Tally, WorkloadClient};
 use crate::{replica_convergence, BackendConfig, Cluster, Interactive};
 
 /// A synchronous in-process PaRiS cluster. See the module docs.
@@ -43,6 +45,8 @@ pub struct MiniCluster {
     /// batching never delays a stabilization round.
     coalescer: Coalescer,
     next_client: HashMap<DcId, u32>,
+    /// `run_workload`'s clients, opened by its first call.
+    workers: Vec<(ClientId, WorkloadClient)>,
     /// Whether sessions get a value cache (always, outside tests).
     value_cache: bool,
     now: u64,
@@ -84,6 +88,7 @@ impl MiniCluster {
             queue: VecDeque::new(),
             coalescer: Coalescer::new(config.cluster.batch, config.cluster.wire),
             next_client: HashMap::new(),
+            workers: Vec::new(),
             value_cache: true,
             now: 1_000,
             config,
@@ -187,6 +192,33 @@ impl MiniCluster {
         self.session(client)?.begin_deferred()
     }
 
+    /// `run_workload`'s closed loop until the window ends: one whole
+    /// transaction per client in turn, then a stabilization round, so the
+    /// UST keeps pace with the writers.
+    fn run_laps(
+        &mut self,
+        workers: &mut [(ClientId, WorkloadClient)],
+        tally: &mut Tally,
+        window: RangeInclusive<u64>,
+    ) -> Result<(), Error> {
+        while self.now < *window.end() {
+            for (id, client) in workers.iter_mut() {
+                let begun = self.now;
+                self.now += 10;
+                self.clock.advance_to(self.now);
+                let mut step = Step::Send(client.start(self.session(*id)?, begun));
+                while let Step::Send(env) = step {
+                    let event = self.round_trip(*id, env)?;
+                    let now = self.now;
+                    step = client.on_event(self.session(*id)?, event, now);
+                }
+                tally.finish(*id, step, window.contains(&self.now));
+            }
+            self.stabilize_rounds(1);
+        }
+        Ok(())
+    }
+
     /// The open transaction's snapshot, once the coordinator assigned it.
     #[doc(hidden)]
     pub fn txn_snapshot(&self, client: ClientId) -> Option<Timestamp> {
@@ -271,85 +303,23 @@ impl Cluster for MiniCluster {
     fn run_workload(&mut self, warmup_micros: u64, window_micros: u64) -> Result<RunReport, Error> {
         let window_start = self.now + warmup_micros;
         let end = window_start + window_micros;
-        let mut stats = RunStats::new(window_micros);
-        let mut checker = self.config.record_history.then(HistoryChecker::new);
-
-        let mut workers = Vec::new();
-        for dc in 0..self.topo.dcs() {
-            let local = self.topo.partitions_in_dc(DcId(dc));
-            for _ in 0..self.config.clients_per_dc {
-                let id = self.open_client(dc)?;
-                let generator = WorkloadGenerator::new(
-                    self.config.workload.clone(),
-                    self.topo.partitions(),
-                    local.clone(),
-                );
-                let rng = StdRng::seed_from_u64(
-                    self.config.seed ^ (u64::from(dc) << 32) ^ u64::from(id.seq),
-                );
-                workers.push((id, generator, rng));
+        if self.workers.is_empty() {
+            for dc in 0..self.topo.dcs() {
+                for _ in 0..self.config.clients_per_dc {
+                    let id = self.open_client(dc)?;
+                    let (workload, seed) = (&self.config.workload, self.config.seed);
+                    let client = WorkloadClient::new(id, &self.topo, workload, seed);
+                    self.workers.push((id, client));
+                }
             }
         }
-
-        // Closed loop, round-robin over clients, with a stabilization
-        // round between laps so the UST keeps pace with the writers. The
-        // begin is deferred: the first operation carries it.
-        while self.now < end {
-            for (id, generator, rng) in &mut workers {
-                let begun_at = self.now;
-                self.txn_begin_deferred(*id)?;
-                let spec = generator.next_tx(rng);
-                let mut reads = Vec::new();
-                if !spec.read_keys.is_empty() {
-                    let got = self.txn_read(*id, &spec.read_keys)?;
-                    if checker.is_some() {
-                        reads.extend(got.iter().map(HistoryChecker::recorded_read));
-                    }
-                }
-                if !spec.writes.is_empty() {
-                    self.txn_write(*id, &spec.writes)?;
-                }
-                let env = self.session(*id)?.commit()?;
-                let ClientEvent::Committed { tx, snapshot, ct } = self.round_trip(*id, env)? else {
-                    return Err(Error::UnknownTransaction);
-                };
-                if self.now >= window_start && self.now <= end {
-                    stats.committed += 1;
-                    stats.latency.record(self.now.saturating_sub(begun_at));
-                }
-                if let Some(checker) = checker.as_mut() {
-                    checker.record_tx(
-                        *id,
-                        RecordedTx {
-                            tx,
-                            snapshot,
-                            reads,
-                            writes: spec.writes.iter().map(|(k, _)| *k).collect(),
-                            ct: Some(ct),
-                        },
-                    );
-                }
-            }
-            self.stabilize_rounds(1);
-        }
-
-        let violations = match checker.as_mut() {
-            Some(checker) => {
-                let snaps = crate::server_snapshots(self.servers.values(), true);
-                crate::record_ground_truth(checker, &snaps);
-                checker.check()
-            }
-            None => Vec::new(),
-        };
-        Ok(RunReport {
-            mode: self.config.cluster.mode,
-            stats,
-            blocking: self.stats()?.blocking,
-            visibility: None,
-            violations,
-            net_messages: 0,
-            net_bytes: 0,
-        })
+        let mut tally = Tally::new(window_micros, self.config.record_history);
+        let mut workers = std::mem::take(&mut self.workers);
+        let ran = self.run_laps(&mut workers, &mut tally, window_start..=end);
+        self.workers = workers;
+        ran?;
+        let snaps = crate::server_snapshots(self.servers.values(), self.config.record_history);
+        Ok(tally.report(self.config.cluster.mode, &snaps))
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {

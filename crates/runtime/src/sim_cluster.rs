@@ -5,15 +5,17 @@
 //! the AWS RTT matrix with per-link FIFO, clients are closed-loop sessions
 //! collocated with their coordinator (paper §V-A), and the whole run is
 //! reproducible from a seed.
+//!
+//! The workload clients are [`WorkloadClient`]s driven by events: a kick
+//! starts a transaction, each reply delivered advances it, and a finished
+//! one kicks the next 1 µs later, or 10 ms after an abort.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use paris_clock::{SimClock, SkewCell, SteppableClock};
-use paris_core::checker::{HistoryChecker, RecordedTx};
-use paris_core::{
-    ClientEvent, ClientSession, ReadStep, Server, ServerOptions, Topology, Violation,
-};
+use paris_core::{ClientEvent, ClientSession, Server, ServerOptions, Topology, Violation};
 use paris_net::batch::{Coalescer, Offer};
 use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
 use paris_proto::{Endpoint, Envelope};
@@ -21,12 +23,13 @@ use paris_types::{
     ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Mode, ServerId, Timestamp,
 };
 use paris_workload::stats::RunStats;
-use paris_workload::{TxSpec, WorkloadConfig, WorkloadGenerator};
+use paris_workload::WorkloadConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::facade::Sessions;
 use crate::measure::{visibility_histogram, ClusterStats, RunReport};
+use crate::workload_client::{Step, Tally, WorkloadClient};
 use crate::{replica_convergence, Cluster, Interactive, INTERACTIVE_SEQ_BASE};
 
 /// Configuration of a simulated deployment (assembled by the builder).
@@ -92,24 +95,6 @@ struct ServerSlot {
     busy_until: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    Reading,
-    Committing,
-}
-
-struct ClientSlot {
-    session: ClientSession,
-    generator: WorkloadGenerator,
-    rng: StdRng,
-    phase: Phase,
-    spec: Option<TxSpec>,
-    tx_begin: u64,
-    /// The open transaction's reads, for the checker.
-    cur_reads: Vec<paris_core::RecordedRead>,
-}
-
 /// The simulated cluster. See the module docs.
 pub struct SimCluster {
     config: SimConfig,
@@ -125,15 +110,13 @@ pub struct SimCluster {
     rng: StdRng,
     queue: EventQueue<SimEvent>,
     servers: HashMap<ServerId, ServerSlot>,
-    clients: HashMap<ClientId, ClientSlot>,
+    clients: HashMap<ClientId, (ClientSession, WorkloadClient)>,
     now: u64,
     /// Clients stop beginning new transactions at this time.
     client_stop: u64,
     /// Measurement window for throughput/latency.
-    window_start: u64,
-    window_end: u64,
-    stats: RunStats,
-    checker: Option<HistoryChecker>,
+    window: RangeInclusive<u64>,
+    tally: Tally,
     failure_detection: bool,
     /// Per-DC skew cells of the servers' steppable clocks, for the
     /// clock-skew-step fault (one cell per server, grouped by DC).
@@ -219,34 +202,16 @@ impl SimCluster {
         let mut clients = HashMap::new();
         for dc in 0..config.cluster.dcs {
             let dc = DcId(dc);
-            let local_partitions = topo.partitions_in_dc(dc);
             for seq in 0..config.clients_per_dc {
                 let id = ClientId::new(dc, seq);
                 let coordinator = topo.coordinator_for(dc, seq);
                 let session = ClientSession::new(id, coordinator, config.cluster.mode);
-                let generator = WorkloadGenerator::new(
-                    config.workload.clone(),
-                    config.cluster.partitions,
-                    local_partitions.clone(),
-                );
-                let client_rng =
-                    StdRng::seed_from_u64(config.seed ^ (u64::from(dc.0) << 32) ^ u64::from(seq));
-                clients.insert(
-                    id,
-                    ClientSlot {
-                        session,
-                        generator,
-                        rng: client_rng,
-                        phase: Phase::Idle,
-                        spec: None,
-                        tx_begin: 0,
-                        cur_reads: Vec::new(),
-                    },
-                );
+                let client = WorkloadClient::new(id, &topo, &config.workload, config.seed);
+                clients.insert(id, (session, client));
             }
         }
 
-        let checker = config.record_history.then(HistoryChecker::new);
+        let tally = Tally::new(0, config.record_history);
         let coalescer = Coalescer::new(config.cluster.batch, config.cluster.wire);
         // Schedule the fault plan last: with no plan this is a no-op, so
         // fault-free runs push exactly the same events in exactly the same
@@ -269,10 +234,8 @@ impl SimCluster {
             clients,
             now: 0,
             client_stop: 0,
-            window_start: 0,
-            window_end: 0,
-            stats: RunStats::new(0),
-            checker,
+            window: 0..=0,
+            tally,
             failure_detection: false,
             skew_cells,
             interactive: HashMap::new(),
@@ -398,10 +361,10 @@ impl SimCluster {
     /// window is `[warmup, warmup + window]`, then clients stop and
     /// in-flight transactions drain.
     fn drive_workload(&mut self, warmup_micros: u64, window_micros: u64) {
-        self.window_start = self.now + warmup_micros;
-        self.window_end = self.window_start + window_micros;
-        self.client_stop = self.window_end;
-        self.stats = RunStats::new(window_micros);
+        let window_start = self.now + warmup_micros;
+        self.client_stop = window_start + window_micros;
+        self.window = window_start..=self.client_stop;
+        self.tally.stats = RunStats::new(window_micros);
         let mut ids: Vec<ClientId> = self.clients.keys().copied().collect();
         ids.sort_unstable(); // HashMap order must not leak into the schedule
         for id in ids {
@@ -410,7 +373,7 @@ impl SimCluster {
         }
         // Drain budget: a multi-DC transaction needs a few WAN round trips.
         let drain = 2_000_000;
-        self.run_until(self.window_end + drain);
+        self.run_until(self.client_stop + drain);
     }
 
     /// Runs background protocols only (no new client transactions) for
@@ -537,14 +500,13 @@ impl SimCluster {
                     client.inbox.push_back(env);
                     return;
                 }
-                let Some(event) = self
-                    .clients
-                    .get_mut(&cid)
-                    .and_then(|slot| slot.session.handle(&env))
-                else {
+                let Some((session, client)) = self.clients.get_mut(&cid) else {
                     return;
                 };
-                self.client_event(cid, event);
+                if let Some(event) = session.handle(&env) {
+                    let step = client.on_event(session, event, self.now);
+                    self.client_step(cid, step);
+                }
             }
         }
     }
@@ -580,109 +542,34 @@ impl SimCluster {
 
     // ------------------------------------------------------ client driving
 
-    /// Starts the client's next transaction. The begin is deferred: the
-    /// first read (or a write-only transaction's commit) carries it.
+    /// Starts the client's next transaction, unless the window is over.
     fn kick_client(&mut self, cid: ClientId) {
         if self.now >= self.client_stop {
             return;
         }
-        let slot = self.clients.get_mut(&cid).expect("unknown client");
-        if slot.phase != Phase::Idle {
+        let (session, client) = self.clients.get_mut(&cid).expect("unknown client");
+        if client.is_busy() {
             // Still mid-transaction (e.g. waiting on traffic held behind a
             // network partition); it re-enters the loop on completion.
             return;
         }
-        slot.tx_begin = self.now;
-        slot.session.begin_deferred().expect("session is idle");
-        slot.cur_reads.clear();
-        let spec = slot.generator.next_tx(&mut slot.rng);
-        let read_keys = spec.read_keys.clone();
-        slot.spec = Some(spec);
-        if read_keys.is_empty() {
-            self.client_commit(cid);
-            return;
-        }
-        slot.phase = Phase::Reading;
-        match slot.session.read(&read_keys).expect("tx is open") {
-            ReadStep::Done(reads) => {
-                if self.checker.is_some() {
-                    slot.cur_reads
-                        .extend(reads.iter().map(HistoryChecker::recorded_read));
-                }
-                self.client_commit(cid);
-            }
-            ReadStep::Send(env) => self.send_all(self.now, vec![env]),
-        }
-    }
-
-    fn client_event(&mut self, cid: ClientId, event: ClientEvent) {
-        match event {
-            ClientEvent::Started { .. } => {
-                debug_assert!(false, "workload clients begin deferred");
-            }
-            ClientEvent::ReadDone { reads, .. } => {
-                {
-                    let slot = self.clients.get_mut(&cid).expect("unknown client");
-                    debug_assert_eq!(slot.phase, Phase::Reading);
-                    if self.checker.is_some() {
-                        slot.cur_reads
-                            .extend(reads.iter().map(HistoryChecker::recorded_read));
-                    }
-                }
-                self.client_commit(cid);
-            }
-            ClientEvent::Committed { tx, snapshot, ct } => {
-                let slot = self.clients.get_mut(&cid).expect("unknown client");
-                debug_assert_eq!(slot.phase, Phase::Committing);
-                slot.phase = Phase::Idle;
-                let latency = self.now.saturating_sub(slot.tx_begin);
-                if self.now >= self.window_start && self.now <= self.window_end {
-                    self.stats.committed += 1;
-                    self.stats.latency.record(latency);
-                }
-                if let Some(checker) = self.checker.as_mut() {
-                    let spec = slot.spec.take().expect("spec present");
-                    checker.record_tx(
-                        cid,
-                        RecordedTx {
-                            tx,
-                            snapshot,
-                            reads: std::mem::take(&mut slot.cur_reads),
-                            writes: spec.writes.iter().map(|(k, _)| *k).collect(),
-                            ct: Some(ct),
-                        },
-                    );
-                } else {
-                    slot.spec = None;
-                }
-                // Closed loop: next transaction immediately.
-                self.queue.push(self.now + 1, SimEvent::ClientKick(cid));
-            }
-            ClientEvent::Aborted { .. } => {
-                // No reachable replica for some partition (§III-C): the
-                // transaction is gone; record and retry after a beat.
-                let slot = self.clients.get_mut(&cid).expect("unknown client");
-                slot.phase = Phase::Idle;
-                slot.spec = None;
-                slot.cur_reads.clear();
-                if self.now >= self.window_start && self.now <= self.window_end {
-                    self.stats.aborted += 1;
-                }
-                self.queue
-                    .push(self.now + 10_000, SimEvent::ClientKick(cid));
-            }
-        }
-    }
-
-    fn client_commit(&mut self, cid: ClientId) {
-        let slot = self.clients.get_mut(&cid).expect("unknown client");
-        let writes = slot.spec.as_ref().expect("spec present").writes.clone();
-        if !writes.is_empty() {
-            slot.session.write(&writes).expect("tx is open");
-        }
-        slot.phase = Phase::Committing;
-        let env = slot.session.commit().expect("tx is open");
+        let env = client.start(session, self.now);
         self.send_all(self.now, vec![env]);
+    }
+
+    /// Sends the client's next envelope, or tallies its finished
+    /// transaction and kicks the next one: at once in the closed loop, or
+    /// after a beat when no replica of some partition was reachable
+    /// (§III-C).
+    fn client_step(&mut self, cid: ClientId, step: Step) {
+        let pause = match step {
+            Step::Send(env) => return self.send_all(self.now, vec![env]),
+            Step::Committed { .. } => 1,
+            Step::Aborted => 10_000,
+        };
+        self.tally
+            .finish(cid, step, self.window.contains(&self.now));
+        self.queue.push(self.now + pause, SimEvent::ClientKick(cid));
     }
 
     // -------------------------------------------------------- reporting
@@ -698,22 +585,12 @@ impl SimCluster {
             )
         });
         let servers = self.servers.values().map(|slot| &slot.server);
-        let snaps = crate::server_snapshots(servers, self.checker.is_some());
-        let violations = match self.checker.as_mut() {
-            Some(checker) => {
-                crate::record_ground_truth(checker, &snaps);
-                checker.check()
-            }
-            None => Vec::new(),
-        };
+        let snaps = crate::server_snapshots(servers, self.config.record_history);
         RunReport {
-            mode: self.config.cluster.mode,
-            stats: self.stats.clone(),
-            blocking: ClusterStats::of_snapshots(&snaps).blocking,
             visibility,
-            violations,
             net_messages: self.net.messages_sent(),
             net_bytes: self.net.bytes_sent(),
+            ..self.tally.report(self.config.cluster.mode, &snaps)
         }
     }
 
@@ -725,9 +602,8 @@ impl SimCluster {
 
     /// Number of transactions the checker has recorded.
     pub fn recorded_transactions(&self) -> usize {
-        self.checker
-            .as_ref()
-            .map_or(0, HistoryChecker::transactions)
+        let history = self.tally.history.as_ref();
+        history.map_or(0, paris_core::HistoryChecker::transactions)
     }
 }
 

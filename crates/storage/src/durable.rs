@@ -77,7 +77,9 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// A config writing under `dir` with default cadence and no fsync.
+    /// A config writing under `dir` (created on demand), with fsync off
+    /// and the default checkpoint cadence.
+    #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurableConfig {
             dir: dir.into(),
@@ -86,13 +88,19 @@ impl DurableConfig {
         }
     }
 
-    /// Sets the fsync policy.
+    /// When the WAL is flushed to stable media: [`FsyncPolicy::Never`]
+    /// (crash-safe against process death, the default) or
+    /// [`FsyncPolicy::Always`] (also power-loss safe, much slower).
+    #[must_use]
     pub fn fsync(mut self, fsync: FsyncPolicy) -> Self {
         self.fsync = fsync;
         self
     }
 
-    /// Sets the checkpoint cadence.
+    /// Minimum spacing between stable-prefix checkpoints, in microseconds
+    /// of the driving clock. `0` is stored as 1 µs, which behaves the
+    /// same: a checkpoint on every GC tick.
+    #[must_use]
     pub fn checkpoint_interval_micros(mut self, micros: u64) -> Self {
         self.checkpoint_interval_micros = micros.max(1);
         self

@@ -549,6 +549,28 @@ fn workload_runs_on_every_backend() {
 }
 
 #[test]
+fn mini_run_workload_reuses_its_clients_window_after_window() {
+    let mut cluster = Paris::builder()
+        .dcs(2)
+        .partitions(2)
+        .keys_per_partition(100)
+        .clients_per_dc(2)
+        .record_history(true)
+        .build_mini()
+        .unwrap();
+    for window in 0..3 {
+        let report = cluster.run_workload(0, 20_000).unwrap();
+        assert!(
+            report.stats.committed > 0,
+            "window {window} made no progress"
+        );
+        assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    }
+    // The workload holds seqs 0 and 1 of each DC, opened once.
+    assert_eq!(cluster.open_client(0).unwrap().seq, 2);
+}
+
+#[test]
 fn two_partition_commits_are_decided_by_the_last_agent_on_every_backend() {
     // 2 DCs × 2 partitions, fully replicated: every write set spans the
     // coordinator's own partition and the other one, and the read that
