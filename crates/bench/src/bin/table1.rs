@@ -28,7 +28,6 @@ use paris_workload::WorkloadConfig;
 fn sample_messages() -> Vec<Msg> {
     let ts = |seq: u64| Timestamp::from_parts(3_600_000_000 + seq, 3);
     let tx = TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9);
-    let srv = ServerId::new(DcId(1), PartitionId(4));
     vec![
         Msg::StartTxReq { client_ust: ts(0) },
         Msg::StartTxResp {
@@ -41,14 +40,12 @@ fn sample_messages() -> Vec<Msg> {
             tx,
             snapshot: ts(1),
             keys: vec![Key(1).into(), Key(2).into(), Key(3).into()],
-            reply_to: srv,
         },
         Msg::PrepareReq {
             tx,
             snapshot: ts(1),
             ht: ts(2),
             writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
-            reply_to: srv,
             src_dc: DcId(3),
         },
         Msg::CommitTx { tx, ct: ts(3) },

@@ -8,9 +8,26 @@
 //! set (`WS_c`).
 //!
 //! The session is sans-I/O: API calls return either an immediately
-//! available result or an [`Envelope`] to send; [`ClientSession::handle`]
+//! available result or the envelopes to send; [`ClientSession::handle`]
 //! consumes responses and emits [`ClientEvent`]s. Clients are sequential
 //! (one outstanding operation), matching §II-C.
+//!
+//! # Where reads go
+//!
+//! The UST names a snapshot every DC has installed, so any replica of a
+//! partition can serve a read at it without blocking. A session given the
+//! placement ([`ClientSession::with_topology`]) uses that: once its
+//! transaction has a snapshot, a read sends one `ReadSliceReq` per
+//! partition straight to the replica [`Topology::reachable_target_dc`]
+//! picks for the session's DC — the replica the coordinator would pick —
+//! and merges the `ReadSliceResp`s into one [`ClientEvent::ReadDone`]: two
+//! messages and two hops per partition, where the coordinator's detour
+//! (Alg. 2 lines 6–16) costs four hops and carries every key and result
+//! twice. Only the start form of a deferred begin's first read still goes
+//! to the coordinator, which alone can assign the snapshot; so does a read
+//! for which some partition has no reachable replica, which the
+//! coordinator then fails. A session without a topology
+//! ([`ClientSession::new`]) sends every read to its coordinator.
 //!
 //! # Beginning a transaction
 //!
@@ -62,13 +79,16 @@
 //! entry: the session is sequential, and every outcome of a reply is
 //! resolved before `ust_c` rises or anything is admitted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef};
 use paris_types::{
-    ClientId, Error, Key, Mode, ServerId, Timestamp, TxId, Value, Version, VersionStamp,
-    WriteSetEntry,
+    ClientId, DcId, Error, Key, Mode, PartitionId, ServerId, Timestamp, TxId, Value, Version,
+    VersionStamp, WriteSetEntry,
 };
+
+use crate::topology::Topology;
 
 /// Where a read result came from, in the priority order of Alg. 1 line 11:
 /// write set, then read set, then write cache, then the server.
@@ -128,10 +148,11 @@ pub enum ClientEvent {
         /// Commit timestamp; `Timestamp::ZERO` for read-only transactions.
         ct: Timestamp,
     },
-    /// The coordinator aborted the transaction — a target partition had
-    /// no reachable replica (§III-C unavailability), or the coordinator
-    /// no longer knew the transaction. The session is idle again; none of
-    /// the transaction's writes took effect.
+    /// The transaction aborted — a target partition had no reachable
+    /// replica (§III-C unavailability), the coordinator no longer knew the
+    /// transaction, or a replica refused a snapshot below its GC horizon.
+    /// The session is idle again; none of the transaction's writes took
+    /// effect.
     Aborted {
         /// The transaction id.
         tx: TxId,
@@ -139,13 +160,17 @@ pub enum ClientEvent {
 }
 
 /// Outcome of [`ClientSession::read`]: either all keys were satisfied
-/// locally, or a request must be sent.
+/// locally, or requests must be sent (module docs: where reads go).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadStep {
     /// Every key was served from the write set / read set / cache.
     Done(Vec<ClientRead>),
-    /// Send this to the coordinator; completion arrives via `handle`.
+    /// Send this `ReadReq` to the coordinator; completion arrives via
+    /// `handle`.
     Send(Envelope),
+    /// Send each of these `ReadSliceReq`s, one per partition, to its
+    /// replica; completion arrives via `handle` once every one is answered.
+    Slices(Vec<Envelope>),
 }
 
 #[derive(Debug, Default)]
@@ -161,6 +186,10 @@ struct OpenTx {
     pending_local: Vec<ClientRead>,
     /// Whether a server operation is in flight.
     in_flight: bool,
+    /// Of a read sent as slices: the partitions still to answer, and the
+    /// results of those that did.
+    awaiting: Vec<PartitionId>,
+    gathered: Vec<ReadResult>,
 }
 
 impl OpenTx {
@@ -359,6 +388,29 @@ impl Held {
     }
 }
 
+/// Groups `keys` by partition (Alg. 2 line 9), each with the replica the
+/// coordinator of a client in `dc` would read it from; `None` if some
+/// partition has no reachable replica.
+fn route(
+    topology: &Topology,
+    dc: DcId,
+    unreachable: &HashSet<DcId>,
+    keys: &[ReadKey],
+) -> Option<Vec<(ServerId, Vec<ReadKey>)>> {
+    let mut by_partition: BTreeMap<PartitionId, Vec<ReadKey>> = BTreeMap::new();
+    for k in keys {
+        let partition = topology.partition_of(k.key);
+        by_partition.entry(partition).or_default().push(*k);
+    }
+    by_partition
+        .into_iter()
+        .map(|(partition, keys)| {
+            let replica = topology.reachable_target_dc(partition, dc, unreachable)?;
+            Some((ServerId::new(replica, partition), keys))
+        })
+        .collect()
+}
+
 /// The PaRiS client session (see module docs).
 ///
 /// # Example
@@ -380,6 +432,11 @@ pub struct ClientSession {
     id: ClientId,
     coordinator: ServerId,
     mode: Mode,
+    /// The placement, for reads sent straight to the replicas; `None`
+    /// sends every read to the coordinator.
+    topology: Option<Arc<Topology>>,
+    /// DCs whose replicas a read must route around.
+    unreachable: HashSet<DcId>,
     /// `ust_c`: highest stable snapshot seen.
     ust: Timestamp,
     /// `hwt_c`: commit time of the last update transaction.
@@ -425,6 +482,8 @@ impl ClientSession {
             id,
             coordinator,
             mode,
+            topology: None,
+            unreachable: HashSet::new(),
             ust: Timestamp::ZERO,
             hwt: Timestamp::ZERO,
             held: Held {
@@ -436,6 +495,26 @@ impl ClientSession {
             discard_starts: 0,
             started_count: 0,
             committed_count: 0,
+        }
+    }
+
+    /// The same session, reading straight from the replicas once its
+    /// transaction has a snapshot (module docs: where reads go).
+    #[must_use]
+    pub fn with_topology(mut self, topology: Arc<Topology>) -> Self {
+        self.topology = Some(topology);
+        self
+    }
+
+    /// Marks a remote DC reachable or unreachable, as
+    /// `Server::set_dc_reachability` does for the session's coordinator:
+    /// reads route around an unreachable DC's replicas exactly as the
+    /// coordinator's would.
+    pub fn set_dc_reachability(&mut self, dc: DcId, reachable: bool) {
+        if reachable {
+            self.unreachable.remove(&dc);
+        } else if dc != self.id.dc {
+            self.unreachable.insert(dc);
         }
     }
 
@@ -571,10 +650,11 @@ impl ClientSession {
     // ------------------------------------------------------------- READ
 
     /// `READ` (Alg. 1 lines 8–20): serves keys from the write set, read
-    /// set and own writes (in that order); missing keys go to the
-    /// coordinator, each stamped with the candidate held for it. The first
-    /// read of a deferred begin carries the start and sends its own-write
-    /// keys too (module docs).
+    /// set and own writes (in that order); missing keys go to the servers,
+    /// each stamped with the candidate held for it — straight to the
+    /// replicas once the snapshot is known and the session has a topology,
+    /// otherwise to the coordinator. The first read of a deferred begin
+    /// carries the start and sends its own-write keys too (module docs).
     ///
     /// # Errors
     ///
@@ -634,6 +714,18 @@ impl ClientSession {
         }
         open.in_flight = true;
         open.pending_local = local;
+        if let (Some((tx, snapshot)), Some(topology)) = (open.assigned, &self.topology) {
+            let routed = route(topology, self.id.dc, &self.unreachable, &remote);
+            if let Some(routed) = routed {
+                let mut slices = Vec::with_capacity(routed.len());
+                for (replica, keys) in routed {
+                    open.awaiting.push(replica.partition);
+                    let msg = Msg::ReadSliceReq { tx, snapshot, keys };
+                    slices.push(Envelope::new(self.id, replica, msg));
+                }
+                return Ok(ReadStep::Slices(slices));
+            }
+        }
         Ok(ReadStep::Send(Envelope::new(
             self.id,
             self.coordinator,
@@ -695,8 +787,9 @@ impl ClientSession {
 
     // ----------------------------------------------------------- HANDLE
 
-    /// Consumes a response from the coordinator, or from the participant
-    /// of a plain one-phase commit.
+    /// Consumes a response from the coordinator, from a replica that
+    /// served one of the session's slice reads, or from the participant of
+    /// a plain one-phase commit.
     ///
     /// Returns the completed event, or `None` for stale/duplicate
     /// messages.
@@ -725,6 +818,11 @@ impl ClientSession {
                 }
                 self.on_read_resp(*tx, *snapshot, results)
             }
+            Msg::ReadSliceResp {
+                tx,
+                partition,
+                results,
+            } => self.on_read_slice_resp(*tx, *partition, results),
             Msg::CommitResp { tx, snapshot, ct } => {
                 if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
@@ -772,7 +870,8 @@ impl ClientSession {
                 if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
                 }
-                // The transaction is gone coordinator-side; drop all local
+                // The transaction is gone coordinator-side, or a replica
+                // refused a snapshot below its GC horizon; drop all local
                 // state (nothing committed, caches untouched).
                 self.open = None;
                 Some(ClientEvent::Aborted { tx: *tx })
@@ -827,6 +926,28 @@ impl ClientSession {
         if let Some(open) = self.open.as_mut() {
             open.assigned = Some((tx, snapshot));
         }
+    }
+
+    /// One replica's answer to a read sent as slices: the read completes
+    /// with the last partition's, as if the coordinator had merged them.
+    fn on_read_slice_resp(
+        &mut self,
+        tx: TxId,
+        partition: PartitionId,
+        results: &[ReadResult],
+    ) -> Option<ClientEvent> {
+        let open = self.open.as_mut()?;
+        if !open.in_flight || open.assigned.map(|(open_tx, _)| open_tx) != Some(tx) {
+            return None;
+        }
+        let owed = open.awaiting.iter().position(|p| *p == partition)?;
+        open.awaiting.swap_remove(owed);
+        open.gathered.extend_from_slice(results);
+        if !open.awaiting.is_empty() {
+            return None;
+        }
+        let results = std::mem::take(&mut open.gathered);
+        self.on_read_resp(tx, None, &results)
     }
 
     /// A `ReadResp` that answers the read in flight; `start` is the
@@ -899,7 +1020,7 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paris_types::{DcId, PartitionId};
+    use paris_types::{ClusterConfig, DcId, PartitionId};
 
     fn session(mode: Mode) -> ClientSession {
         let id = ClientId::new(DcId(0), 1);
@@ -966,7 +1087,7 @@ mod tests {
                 assert_eq!(reads[0].source, ReadSource::WriteSet);
                 assert_eq!(reads[0].value.as_ref().unwrap().as_bytes(), b"mine");
             }
-            ReadStep::Send(_) => panic!("should not hit the server"),
+            other => panic!("should not hit the server: {other:?}"),
         }
     }
 
@@ -994,9 +1115,9 @@ mod tests {
                     assert_eq!(tx, TxRef::Known(t));
                     assert_eq!(keys.len(), 2);
                 }
-                _ => panic!("wrong message"),
+                other => panic!("wrong message: {other:?}"),
             },
-            ReadStep::Done(_) => panic!("keys are not local"),
+            other => panic!("keys are not local: {other:?}"),
         }
     }
 
@@ -1253,7 +1374,7 @@ mod tests {
                 Msg::ReadReq { keys, .. } => keys,
                 other => panic!("expected ReadReq, got {}", other.kind()),
             },
-            ReadStep::Done(_) => panic!("keys are not local"),
+            other => panic!("keys are not local: {other:?}"),
         }
     }
 
@@ -1334,7 +1455,7 @@ mod tests {
         // And repeatable within the transaction, like any server read.
         match s.read(&[Key(1)]).unwrap() {
             ReadStep::Done(again) => assert_eq!(again[0].version, Some(v)),
-            ReadStep::Send(_) => panic!("read set must satisfy repeat reads"),
+            other => panic!("read set must satisfy repeat reads: {other:?}"),
         }
     }
 
@@ -1618,7 +1739,7 @@ mod tests {
                     } if known == t
                 ))
             }
-            ReadStep::Done(_) => panic!("key 3 is not local"),
+            other => panic!("key 3 is not local: {other:?}"),
         }
     }
 
@@ -1752,7 +1873,7 @@ mod tests {
                     assert_eq!(reads[0].source, ReadSource::Cache, "snapshot {snap}");
                     assert_eq!(reads[0].value, Some(mine.clone()));
                 }
-                ReadStep::Send(_) => panic!("an own write must be served locally"),
+                other => panic!("an own write must be served locally: {other:?}"),
             }
             // Each shipped candidate evicts the one before it, never the
             // older own write.
@@ -1949,5 +2070,183 @@ mod tests {
         assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
         assert_eq!((s.cache_len(), s.counts()), (0, (1, 0)));
         assert!(s.open_tx().is_none());
+    }
+
+    // ------------------------------------------ reads straight to replicas
+
+    /// 3 DCs × 6 partitions, R = 2: DC 0 hosts partitions 0, 2, 3 and 5;
+    /// partitions 1 and 4 live in DCs 1 and 2 only.
+    fn routed_session() -> (ClientSession, Arc<Topology>) {
+        let config = ClusterConfig::builder().dcs(3).partitions(6);
+        let config = config.replication_factor(2).build().unwrap();
+        let topo = Arc::new(Topology::new(config));
+        let id = ClientId::new(DcId(0), 1);
+        let coordinator = topo.coordinator_for(id.dc, id.seq);
+        let session = ClientSession::new(id, coordinator, Mode::Paris);
+        (session.with_topology(Arc::clone(&topo)), topo)
+    }
+
+    fn slices_of(step: ReadStep) -> Vec<Envelope> {
+        match step {
+            ReadStep::Slices(slices) => slices,
+            other => panic!("expected slice reads, got {other:?}"),
+        }
+    }
+
+    /// The replica's answer to `slice`: every key absent.
+    fn slice_reply(s: &ClientSession, t: TxId, slice: &Envelope) -> Envelope {
+        let Msg::ReadSliceReq { keys, .. } = &slice.msg else {
+            panic!("expected a ReadSliceReq, got {}", slice.msg.kind());
+        };
+        let results = keys
+            .iter()
+            .map(|k| ReadResult {
+                key: k.key,
+                outcome: ReadOutcome::Absent,
+            })
+            .collect();
+        let replica = slice.dst.as_server().expect("a server");
+        let partition = replica.partition;
+        let msg = Msg::ReadSliceResp {
+            tx: t,
+            partition,
+            results,
+        };
+        Envelope::new(replica, s.id(), msg)
+    }
+
+    #[test]
+    fn a_known_snapshot_reads_one_slice_per_partition_from_the_coordinators_replica() {
+        let (mut s, topo) = routed_session();
+        let t = started(&mut s, 1, 100);
+        let keys: Vec<Key> = (0..12).map(Key).collect();
+        let slices = slices_of(s.read(&keys).unwrap());
+        let none = HashSet::new();
+        let mut partitions = Vec::new();
+        for slice in &slices {
+            let replica = slice.dst.as_server().unwrap();
+            let picked = topo.reachable_target_dc(replica.partition, DcId(0), &none);
+            assert_eq!(Some(replica.dc), picked, "the coordinator's pick");
+            let Msg::ReadSliceReq { tx, snapshot, keys } = &slice.msg else {
+                panic!("expected a ReadSliceReq");
+            };
+            assert_eq!((*tx, *snapshot), (t, ts(100)));
+            assert!(keys
+                .iter()
+                .all(|k| topo.partition_of(k.key) == replica.partition));
+            assert_eq!(keys.len(), 2);
+            partitions.push(replica.partition.0);
+        }
+        assert_eq!(partitions, [0, 1, 2, 3, 4, 5]);
+        assert!(s.has_operation_in_flight());
+        assert_eq!(s.read(&keys), Err(Error::TransactionAlreadyOpen));
+
+        // The read completes with the last replica's answer, whatever the
+        // order; a repeat of one, or one for another transaction, is not
+        // an answer.
+        let (last, rest) = slices.split_last().unwrap();
+        for slice in rest.iter().rev() {
+            assert_eq!(s.handle(&slice_reply(&s, t, slice)), None);
+            assert_eq!(s.handle(&slice_reply(&s, t, slice)), None, "a repeat");
+            assert_eq!(s.handle(&slice_reply(&s, tx(9), last)), None, "another tx");
+        }
+        let reads = reads_of(s.handle(&slice_reply(&s, t, last)));
+        assert_eq!(
+            by_key(reads).iter().map(|r| r.key).collect::<Vec<_>>(),
+            keys
+        );
+        assert!(!s.has_operation_in_flight());
+        // Served from the read set from now on, like any server read.
+        assert!(matches!(s.read(&keys).unwrap(), ReadStep::Done(_)));
+    }
+
+    #[test]
+    fn a_routed_read_avoids_an_unreachable_dc_and_leaves_a_partition_without_replicas_to_the_coordinator(
+    ) {
+        let (mut s, _) = routed_session();
+        let dcs_of = |slices: &[Envelope]| -> Vec<(u32, u16)> {
+            let replicas = slices.iter().map(|e| e.dst.as_server().unwrap());
+            replicas.map(|r| (r.partition.0, r.dc.0)).collect()
+        };
+        started(&mut s, 1, 100);
+        let keys = [Key(1), Key(4)];
+        let slices = slices_of(s.read(&keys).unwrap());
+        assert_eq!(dcs_of(&slices), [(1, 2), (4, 1)]);
+        s.reset();
+
+        s.set_dc_reachability(DcId(1), false);
+        s.set_dc_reachability(DcId(0), false);
+        started(&mut s, 2, 200);
+        let slices = slices_of(s.read(&keys).unwrap());
+        assert_eq!(dcs_of(&slices), [(1, 2), (4, 2)], "around DC 1; DC 0 stays");
+        s.reset();
+
+        // Neither replica of partitions 1 and 4 is reachable: the
+        // coordinator is asked, and fails the read (§III-C) — freeing its
+        // context, which a read the session gave up on locally would not.
+        s.set_dc_reachability(DcId(2), false);
+        let t3 = started(&mut s, 3, 300);
+        match s.read(&keys).unwrap() {
+            ReadStep::Send(Envelope {
+                dst,
+                msg: Msg::ReadReq { tx, .. },
+                ..
+            }) => assert_eq!((dst, tx), (s.coordinator().into(), TxRef::Known(t3))),
+            other => panic!("expected a ReadReq to the coordinator, got {other:?}"),
+        }
+        let failed = Msg::OpFailed {
+            tx: t3,
+            snapshot: None,
+        };
+        let ev = s.handle(&Envelope::new(s.coordinator(), s.id(), failed));
+        assert_eq!(ev, Some(ClientEvent::Aborted { tx: t3 }));
+
+        s.set_dc_reachability(DcId(1), true);
+        started(&mut s, 4, 400);
+        let slices = slices_of(s.read(&keys).unwrap());
+        assert_eq!(dcs_of(&slices), [(1, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn a_deferred_begin_reads_through_the_coordinator_until_it_knows_its_snapshot() {
+        let (mut s, _) = routed_session();
+        let (_, keys) = deferred_read(&mut s, &[1, 2]);
+        assert_eq!(keys.len(), 2, "the start form goes to the coordinator");
+        let absent = |key| ReadResult {
+            key: Key(key),
+            outcome: ReadOutcome::Absent,
+        };
+        reads_of(start_reply(&mut s, tx(1), 150, vec![absent(1), absent(2)]));
+        let slices = slices_of(s.read(&[Key(3)]).unwrap());
+        assert_eq!(slices.len(), 1);
+        assert!(matches!(
+            slices[0].msg,
+            Msg::ReadSliceReq { tx: t, snapshot, .. } if t == tx(1) && snapshot == ts(150)
+        ));
+    }
+
+    #[test]
+    fn a_replica_refusing_the_snapshot_aborts_the_read_and_its_late_slices_are_ignored() {
+        let (mut s, _) = routed_session();
+        let t = started(&mut s, 1, 100);
+        let slices = slices_of(s.read(&[Key(0), Key(1)]).unwrap());
+        // Below the replica's GC horizon (cohort docs): refused.
+        let refused = Msg::OpFailed {
+            tx: t,
+            snapshot: None,
+        };
+        let replica = slices[0].dst.as_server().unwrap();
+        let ev = s.handle(&Envelope::new(replica, s.id(), refused));
+        assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
+        assert!(!s.has_operation_in_flight() && s.open_tx().is_none());
+        // The other replica's answer straggles in: nothing to complete.
+        let t2 = started(&mut s, 2, 200);
+        assert_eq!(s.handle(&slice_reply(&s, t, &slices[1])), None);
+        // Nor after a reset mid-read.
+        let slices = slices_of(s.read(&[Key(0)]).unwrap());
+        s.reset();
+        started(&mut s, 3, 300);
+        assert_eq!(s.handle(&slice_reply(&s, t2, &slices[0])), None);
+        assert_eq!(s.open_tx(), Some(tx(3)));
     }
 }

@@ -1,5 +1,17 @@
 //! Transaction-cohort role (paper Algorithm 3).
 //!
+//! A cohort answers every request to the envelope's source. A slice read
+//! comes from the client itself once its transaction has a snapshot, and
+//! from the coordinator for a start form's first read (coordinator docs);
+//! the cohort serves both alike. It refuses a snapshot below its GC horizon
+//! `S_old` with an `OpFailed`: no open context pins such a snapshot any
+//! more, so GC may have trimmed what it would see, and a read served from
+//! what is left could miss the version the snapshot holds. An open context
+//! pins `S_old` at or below its snapshot everywhere, so a refusal means the
+//! coordinator reclaimed the context as abandoned
+//! ([`STALE_CONTEXT_MICROS`](super::STALE_CONTEXT_MICROS)) — which it never
+//! does while a read of its own is pending, so only a client is refused.
+//!
 //! A write set on one partition commits in one phase ([`Msg::CommitOne`]):
 //! PaRiS never aborts, and the `max` over one proposal is that proposal,
 //! `ct = pt`. It exceeds `ht` and the HLC, which bounds every watermark
@@ -17,13 +29,13 @@
 //! never silently dropped: the server restarted between prepare and
 //! commit, and its share of the writes is lost.
 
-use paris_proto::{Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
-use paris_types::{ClientId, DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
+use paris_types::{ClientId, DcId, Mode, Timestamp, TxId, WriteSetEntry};
 
 use super::{BlockedRead, CommittedTx, PreparedTx, Server};
 
 impl Server {
-    /// `ReadSliceReq` (Alg. 3 lines 1–8).
+    /// `ReadSliceReq` (Alg. 3 lines 1–8), answered to `env.src`.
     ///
     /// PaRiS serves immediately: the snapshot is universally stable, so the
     /// freshest version `≤ snapshot` is guaranteed present — the
@@ -31,36 +43,37 @@ impl Server {
     /// read runs on the server loop, which also runs GC, so no read ever
     /// races the horizon. BPR must first check that the partition has
     /// *installed* the (fresh) snapshot — `min(VV) ≥ snapshot` — and
-    /// parks the read otherwise (§V).
+    /// parks the read otherwise (§V). A snapshot below `S_old` is refused
+    /// (module docs).
     pub(super) fn on_read_slice_req(
         &mut self,
+        env: &Envelope,
         tx: TxId,
         snapshot: Timestamp,
         keys: &[ReadKey],
-        reply_to: ServerId,
         now: u64,
     ) -> Vec<Envelope> {
+        let reader = env.src;
+        if snapshot < self.s_old {
+            let refused = Msg::OpFailed { tx, snapshot: None };
+            return vec![Envelope::new(self.id, reader, refused)];
+        }
         match self.mode {
             Mode::Paris => {
-                // Alg. 3 line 2: ust ← max(ust, snapshot). A snapshot below
-                // `S_old` is one no open context pins any more (GC may have
-                // trimmed what it would see); it is served from what is
-                // left and never drags the UST.
-                if snapshot >= self.s_old {
-                    self.ust = self.ust.max(snapshot);
-                }
-                vec![self.serve_slice(tx, snapshot, keys, reply_to)]
+                // Alg. 3 line 2: ust ← max(ust, snapshot).
+                self.ust = self.ust.max(snapshot);
+                vec![self.serve_slice(tx, snapshot, keys, reader)]
             }
             Mode::Bpr => {
                 if self.installed_watermark() >= snapshot {
-                    vec![self.serve_slice(tx, snapshot, keys, reply_to)]
+                    vec![self.serve_slice(tx, snapshot, keys, reader)]
                 } else {
                     self.stats.blocked_reads += 1;
                     self.blocked.push(BlockedRead {
                         tx,
                         snapshot,
                         keys: keys.to_vec(),
-                        reply_to,
+                        reader,
                         blocked_at: now,
                     });
                     Vec::new()
@@ -79,7 +92,7 @@ impl Server {
         tx: TxId,
         snapshot: Timestamp,
         keys: &[ReadKey],
-        reply_to: ServerId,
+        reader: Endpoint,
     ) -> Envelope {
         self.stats.slice_reads += 1;
         self.stats.keys_read += keys.len() as u64;
@@ -105,7 +118,7 @@ impl Server {
             .collect();
         Envelope::new(
             self.id,
-            reply_to,
+            reader,
             Msg::ReadSliceResp {
                 tx,
                 partition: self.id.partition,
@@ -128,7 +141,7 @@ impl Server {
                 let waited = now.saturating_sub(b.blocked_at);
                 self.stats.blocked_micros_total += waited;
                 self.stats.blocked_micros_max = self.stats.blocked_micros_max.max(waited);
-                out.push(self.serve_slice(b.tx, b.snapshot, &b.keys, b.reply_to));
+                out.push(self.serve_slice(b.tx, b.snapshot, &b.keys, b.reader));
             } else {
                 still_blocked.push(b);
             }
@@ -140,14 +153,14 @@ impl Server {
     /// `PrepareReq` (Alg. 3 lines 9–14): propose a commit timestamp that
     /// exceeds the transaction snapshot, the client's last commit (`ht`)
     /// and everything this server has seen (`HLC`), then queue the
-    /// transaction as prepared.
+    /// transaction as prepared and answer the coordinator, `env.src`.
     pub(super) fn on_prepare_req(
         &mut self,
+        env: &Envelope,
         tx: TxId,
         snapshot: Timestamp,
         ht: Timestamp,
         writes: &[WriteSetEntry],
-        reply_to: ServerId,
         src_dc: DcId,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
@@ -167,7 +180,7 @@ impl Server {
         self.prepared_index.insert((pt, tx));
         vec![Envelope::new(
             self.id,
-            reply_to,
+            env.src,
             Msg::PrepareResp {
                 tx,
                 partition: self.id.partition,

@@ -1,5 +1,14 @@
 //! Transaction-coordinator role (paper Algorithm 2).
 //!
+//! Reads reach a coordinator only when the client cannot send them to the
+//! cohorts itself: the start form of a deferred begin's first read, whose
+//! snapshot only the coordinator can assign, and every read of a session
+//! built without a topology. A client that knows its snapshot and the
+//! placement sends one `ReadSliceReq` per partition to the replica
+//! [`Topology::reachable_target_dc`](crate::Topology::reachable_target_dc)
+//! picks — the one this coordinator would pick — and merges the replies:
+//! two hops instead of four (client docs).
+//!
 //! Snapshot assignment (Alg. 2 lines 1–5) has one implementation,
 //! [`Server::begin_tx`], reached two ways: an eager `StartTxReq` (the
 //! facade's `Cluster::txn_begin`), or the *start form* of a transaction's
@@ -110,6 +119,8 @@ impl Server {
 
     /// `ReadReq` (Alg. 2 lines 6–16): fan the keys out to one replica per
     /// partition, local when possible, otherwise the preferred remote DC.
+    /// Only start forms and sessions without a topology send one (module
+    /// docs).
     pub(super) fn on_read_req(
         &mut self,
         env: &Envelope,
@@ -117,6 +128,7 @@ impl Server {
         keys: &[ReadKey],
         now: u64,
     ) -> Vec<Envelope> {
+        self.stats.coordinator_reads += 1;
         let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
             return Vec::new();
         };
@@ -200,16 +212,7 @@ impl Server {
             .into_values()
             .zip(targets)
             .map(|(keys, target)| {
-                Envelope::new(
-                    self.id,
-                    target,
-                    Msg::ReadSliceReq {
-                        tx,
-                        snapshot,
-                        keys,
-                        reply_to: self.id,
-                    },
-                )
+                Envelope::new(self.id, target, Msg::ReadSliceReq { tx, snapshot, keys })
             })
             .collect()
     }
@@ -386,7 +389,6 @@ impl Server {
                         snapshot,
                         ht,
                         writes,
-                        reply_to: self.id,
                         src_dc: self.id.dc,
                     },
                 )

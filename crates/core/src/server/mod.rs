@@ -2,9 +2,11 @@
 //!
 //! A [`Server`] implements every server-side role of the paper:
 //!
-//! * **transaction coordinator** (Alg. 2): snapshot assignment, parallel
-//!   read fan-out, 2PC commit (one phase for a single partition, the
-//!   other participant deciding when the own partition is one of two);
+//! * **transaction coordinator** (Alg. 2): snapshot assignment, the
+//!   parallel read fan-out of a start form (a client that knows its
+//!   snapshot sends its slice reads to the cohorts itself), 2PC commit
+//!   (one phase for a single partition, the other participant deciding
+//!   when the own partition is one of two);
 //! * **transaction cohort** (Alg. 3): slice reads, prepare, commit;
 //! * **replication** (Alg. 4): applying committed transactions in commit
 //!   order, pushing them to peer replicas, heartbeats;
@@ -63,7 +65,9 @@ pub(crate) struct TxContext {
 /// An in-flight fan-out operation at the coordinator.
 #[derive(Debug)]
 pub(crate) enum PendingOp {
-    /// A parallel read awaiting slice responses (Alg. 2 lines 10–15).
+    /// A parallel read awaiting slice responses (Alg. 2 lines 10–15): a
+    /// start form's, or one from a session without a topology, which
+    /// routes every read through its coordinator.
     Read {
         /// Partitions not yet heard from.
         awaiting: HashSet<PartitionId>,
@@ -117,7 +121,7 @@ pub(crate) struct BlockedRead {
     pub tx: TxId,
     pub snapshot: Timestamp,
     pub keys: Vec<ReadKey>,
-    pub reply_to: ServerId,
+    pub reader: Endpoint,
     pub blocked_at: u64,
 }
 
@@ -468,20 +472,16 @@ impl Server {
             } => self.on_prepare_resp(*tx, *partition, *proposed, now),
 
             // Cohort role.
-            Msg::ReadSliceReq {
-                tx,
-                snapshot,
-                keys,
-                reply_to,
-            } => self.on_read_slice_req(*tx, *snapshot, keys, *reply_to, now),
+            Msg::ReadSliceReq { tx, snapshot, keys } => {
+                self.on_read_slice_req(env, *tx, *snapshot, keys, now)
+            }
             Msg::PrepareReq {
                 tx,
                 snapshot,
                 ht,
                 writes,
-                reply_to,
                 src_dc,
-            } => self.on_prepare_req(*tx, *snapshot, *ht, writes, *reply_to, *src_dc),
+            } => self.on_prepare_req(env, *tx, *snapshot, *ht, writes, *src_dc),
             Msg::CommitTx { tx, ct } => self.on_commit_tx(*tx, *ct),
             Msg::CommitOne {
                 tx,

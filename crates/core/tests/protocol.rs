@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use paris_clock::SimClock;
 use paris_core::{
-    ClientEvent, ClientSession, Mode, ReadStep, Server, ServerOptions, Topology,
+    ClientEvent, ClientRead, ClientSession, Mode, ReadStep, Server, ServerOptions, Topology,
     STALE_CONTEXT_MICROS,
 };
 use paris_proto::{Endpoint, Envelope};
@@ -152,19 +152,23 @@ impl MiniCluster {
         let step = self.clients.get_mut(&c).unwrap().read(keys).unwrap();
         let reads = match step {
             ReadStep::Done(reads) => reads,
-            ReadStep::Send(env) => {
-                self.queue.push_back(env);
-                self.pump();
-                match self.events.pop() {
-                    Some((cid, ClientEvent::ReadDone { reads, .. })) => {
-                        assert_eq!(cid, c);
-                        reads
-                    }
-                    other => panic!("expected ReadDone, got {other:?}"),
-                }
-            }
+            ReadStep::Send(env) => self.read_round_trip(c, vec![env]),
+            ReadStep::Slices(slices) => self.read_round_trip(c, slices),
         };
         reads.into_iter().map(|r| (r.key, r.value)).collect()
+    }
+
+    /// Sends a read's envelopes and returns the reads they complete.
+    fn read_round_trip(&mut self, c: ClientId, sent: Vec<Envelope>) -> Vec<ClientRead> {
+        self.queue.extend(sent);
+        self.pump();
+        match self.events.pop() {
+            Some((cid, ClientEvent::ReadDone { reads, .. })) => {
+                assert_eq!(cid, c);
+                reads
+            }
+            other => panic!("expected ReadDone, got {other:?}"),
+        }
     }
 
     fn write(&mut self, c: ClientId, key: Key, value: &str) {
@@ -403,7 +407,7 @@ fn bpr_read_blocks_until_snapshot_installed() {
     let step = c.clients.get_mut(&alice).unwrap().read(&[Key(0)]).unwrap();
     let env = match step {
         ReadStep::Send(env) => env,
-        ReadStep::Done(_) => panic!("key is not local"),
+        other => panic!("expected a ReadReq to the coordinator, got {other:?}"),
     };
     c.events.clear(); // drop the Started event
     c.queue.push_back(env);

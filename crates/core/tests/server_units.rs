@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use paris_clock::SimClock;
-use paris_core::{Mode, Server, ServerOptions, Topology};
+use paris_core::{Mode, Server, ServerOptions, Topology, STALE_CONTEXT_MICROS};
 use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx, TxRef};
 use paris_types::{
     ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
@@ -496,8 +496,8 @@ fn read_fan_out_targets_one_replica_per_partition() {
         let dst = env.dst.as_server().unwrap();
         assert!(topo.is_replicated_at(dst.partition, dst.dc));
         match &env.msg {
-            Msg::ReadSliceReq { reply_to, keys, .. } => {
-                assert_eq!(*reply_to, s.id());
+            Msg::ReadSliceReq { keys, .. } => {
+                assert_eq!(env.src, Endpoint::Server(s.id()));
                 // The stamp is relayed with its key, and only with it.
                 for k in keys {
                     assert_eq!(k.held, if k.key == Key(7) { held } else { None });
@@ -971,7 +971,6 @@ fn cohort_prepare_proposes_above_ht_snapshot_and_ust() {
                 snapshot,
                 ht,
                 writes: vec![WriteSetEntry::new(Key(0), Value::from("x"))],
-                reply_to: coordinator,
                 src_dc: DcId(0),
             },
         ),
@@ -1006,7 +1005,6 @@ fn cohort_commit_applies_on_next_replicate_tick_in_ct_order() {
                     snapshot: Timestamp::ZERO,
                     ht: Timestamp::ZERO,
                     writes: vec![WriteSetEntry::new(Key(0), Value::filled(8, seq))],
-                    reply_to: coordinator,
                     src_dc: DcId(0),
                 },
             ),
@@ -1137,7 +1135,6 @@ fn bpr_read_blocks_then_drains_in_blocked_order() {
                     tx: TxId::new(coordinator, seq),
                     snapshot: Timestamp::from_physical_micros(snap),
                     keys: vec![Key(0).into()],
-                    reply_to: coordinator,
                 },
             ),
             100,
@@ -1198,7 +1195,6 @@ fn bpr_read_at_installed_snapshot_serves_immediately() {
                 tx: TxId::new(coordinator, 9),
                 snapshot: Timestamp::from_physical_micros(9_000),
                 keys: vec![Key(0).into()],
-                reply_to: coordinator,
             },
         ),
         20,
@@ -1329,7 +1325,6 @@ fn event_log_records_commits_applies_and_ust() {
                 snapshot: Timestamp::ZERO,
                 ht: Timestamp::ZERO,
                 writes: vec![WriteSetEntry::new(Key(0), Value::from("e"))],
-                reply_to: coordinator,
                 src_dc: DcId(0),
             },
         ),
@@ -1421,22 +1416,21 @@ fn install(s: &mut Server, key: Key, ut: u64, seq: u64) {
 
 /// Sends one `ReadSliceReq` at `snapshot` and returns the slice's results.
 fn slice_read(s: &mut Server, snapshot: u64, keys: &[ReadKey]) -> Vec<paris_proto::ReadResult> {
-    let reply_to = ServerId::new(DcId(0), PartitionId(1));
+    let sender = ServerId::new(DcId(0), PartitionId(1));
     let out = s.handle(
         &Envelope::new(
-            reply_to,
+            sender,
             s.id(),
             Msg::ReadSliceReq {
                 tx: peer_tx(9),
                 snapshot: ts(snapshot),
                 keys: keys.to_vec(),
-                reply_to,
             },
         ),
         0,
     );
     assert_eq!(out.len(), 1, "one reply: {out:?}");
-    assert_eq!(out[0].dst, Endpoint::Server(reply_to));
+    assert_eq!(out[0].dst, Endpoint::Server(sender));
     match &out[0].msg {
         Msg::ReadSliceResp { results, .. } => results.clone(),
         other => panic!("expected ReadSliceResp, got {}", other.kind()),
@@ -1511,5 +1505,55 @@ fn stamped_keys_are_validated_against_the_visible_version_in_both_modes() {
         let stats = s.stats();
         assert_eq!((stats.reads_unchanged, stats.reads_shipped), (1, 3));
         assert_eq!(stats.keys_read, 5);
+    }
+}
+
+/// The GC guard: a slice read at a snapshot below the cohort's horizon
+/// comes from a transaction whose context was reclaimed, and GC may have
+/// trimmed the version that snapshot sees — here it has.
+#[test]
+fn a_direct_read_below_the_gc_horizon_is_refused_never_served_from_a_trimmed_chain() {
+    let (mut s, _clock) = slice_server(Mode::Paris);
+    install(&mut s, Key(0), 10, 1);
+    // A transaction begins here at snapshot 15, which sees version 10;
+    // its client goes quiet, and version 20 lands.
+    let (tx, snapshot) = start_tx(&mut s, 15);
+    assert_eq!(snapshot, ts(15));
+    install(&mut s, Key(0), 20, 2);
+    // Past the stale-context timeout the GC tick reclaims the context, the
+    // horizon passes the snapshot, and GC trims version 10.
+    s.on_gc_tick(STALE_CONTEXT_MICROS);
+    assert_eq!(s.open_transactions(), 0);
+    let root = ServerId::new(DcId(0), PartitionId(0));
+    let moved = Msg::UstBroadcast {
+        ust: ts(30),
+        s_old: ts(25),
+    };
+    s.handle(&Envelope::new(root, s.id(), moved), 0);
+    assert_eq!(s.on_gc_tick(STALE_CONTEXT_MICROS), 1, "version 10 trimmed");
+    assert!(s.store().read_at(Key(0), snapshot).is_none());
+
+    // The client comes back and reads straight from this replica at its
+    // snapshot: refused, to the client — never answered `Absent` from what
+    // is left.
+    let read = |snapshot| Msg::ReadSliceReq {
+        tx,
+        snapshot,
+        keys: vec![Key(0).into()],
+    };
+    let out = s.handle(&Envelope::new(client(), s.id(), read(snapshot)), 0);
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].dst, Endpoint::Client(client()));
+    assert_eq!(out[0].msg, Msg::OpFailed { tx, snapshot: None });
+    assert_eq!(s.stats().slice_reads, 0, "nothing served");
+    assert_eq!(s.ust(), ts(30), "nor the UST touched");
+    // At the horizon, the replica serves, and answers the client.
+    let out = s.handle(&Envelope::new(client(), s.id(), read(ts(25))), 0);
+    assert_eq!(out[0].dst, Endpoint::Client(client()));
+    match &out[0].msg {
+        Msg::ReadSliceResp { results, .. } => {
+            assert_eq!(results[0].outcome.version().unwrap().ut, ts(20));
+        }
+        other => panic!("expected ReadSliceResp, got {}", other.kind()),
     }
 }

@@ -541,7 +541,6 @@ mod tests {
             tx: paris_types::TxId::new(ServerId::new(DcId(0), PartitionId(0)), tx_seq),
             snapshot: Timestamp::ZERO,
             keys: vec![paris_types::Key(1).into()],
-            reply_to: ServerId::new(DcId(0), PartitionId(0)),
         }
     }
 

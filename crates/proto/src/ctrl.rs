@@ -74,6 +74,10 @@ server_stats! {
     /// Keys answered with a full version (the rest had no visible
     /// version).
     reads_shipped,
+    /// Reads a coordinator fanned out: `ReadReq`s handled. Each is
+    /// answered once and gathers the `ReadSliceResp`s of the partitions it
+    /// sent to; a read whose client sent its slices itself counts none.
+    coordinator_reads,
     /// Proposals made: prepares and one-phase commits handled.
     prepares,
     /// Transactions applied locally (as 2PC participant).
@@ -336,6 +340,7 @@ mod tests {
                     blocked_micros_max: 15,
                     gc_removed: 16,
                     orphan_commits: 17,
+                    coordinator_reads: 19,
                 },
                 net_messages: 18,
                 net_bytes: 3_456,

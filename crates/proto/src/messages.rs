@@ -185,8 +185,9 @@ pub struct DigestReport {
 
 /// Every PaRiS protocol message.
 ///
-/// Naming follows the paper's algorithms; the `reply_to` fields make the
-/// state machines self-contained (no transport-level correlation needed).
+/// Naming follows the paper's algorithms. A request is answered to its
+/// envelope's source, so the state machines need no transport-level
+/// correlation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
     // ------------------------------------------------------ client ↔ server
@@ -252,7 +253,10 @@ pub enum Msg {
     /// reached by a DC, then PaRiS cannot complete remote operations that
     /// target that partition, thus leading to unavailability"), or when
     /// the coordinator holds no context for the transaction (it restarted,
-    /// or reclaimed the context as abandoned).
+    /// or reclaimed the context as abandoned). Also cohort → sender of a
+    /// `ReadSliceReq` whose snapshot is below the cohort's GC horizon: no
+    /// open context pins that snapshot any more, so GC may have trimmed
+    /// what it would see.
     OpFailed {
         /// Transaction id.
         tx: TxId,
@@ -260,21 +264,21 @@ pub enum Msg {
         snapshot: Option<Timestamp>,
     },
 
-    // ------------------------------------------------------ server ↔ server
-    /// Coordinator → cohort: read `keys` at `snapshot` (Alg. 2 line 12).
-    /// The cohort may be in any DC that replicates the partition.
+    // ---------------------------------------------------- to and from cohorts
+    /// Client or coordinator → cohort: read `keys` at `snapshot` (Alg. 2
+    /// line 12). A client that knows its transaction's snapshot sends its
+    /// slices itself; a start form's slices come from the coordinator. The
+    /// cohort may be in any DC that replicates the partition, and answers
+    /// the envelope's source.
     ReadSliceReq {
         /// Transaction id (correlation only).
         tx: TxId,
         /// Snapshot to read at.
         snapshot: Timestamp,
-        /// Keys owned by the cohort's partition, with the client's stamps
-        /// relayed unchanged.
+        /// Keys owned by the cohort's partition, with the client's stamps.
         keys: Vec<ReadKey>,
-        /// Coordinator to reply to.
-        reply_to: ServerId,
     },
-    /// Cohort → coordinator: slice results (Alg. 3 line 8).
+    /// Cohort → the slice read's sender: slice results (Alg. 3 line 8).
     ReadSliceResp {
         /// Transaction id.
         tx: TxId,
@@ -295,8 +299,6 @@ pub enum Msg {
         ht: Timestamp,
         /// Writes owned by the cohort's partition.
         writes: Vec<WriteSetEntry>,
-        /// Coordinator to reply to.
-        reply_to: ServerId,
         /// DC of the committing client/coordinator — recorded as the
         /// version's source (`sr`) consistently at every replica.
         src_dc: DcId,

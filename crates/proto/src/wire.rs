@@ -26,8 +26,10 @@
 //! then the message. Protocol version 3 added the start forms of
 //! `ReadReq` / `CommitReq` and of their replies under tags of their own,
 //! version 4 the one-phase `CommitOne`, and version 5 its last-agent form
-//! (`coordinator_share` set) under a tag of its own; every other frame is
-//! the v2 one, byte for byte.
+//! (`coordinator_share` set) under a tag of its own. Version 6 dropped the
+//! reply address of `ReadSliceReq` and `PrepareReq`: a cohort answers the
+//! envelope's source, which for a slice read may be the client. Every
+//! other frame is the v2 one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -56,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 5;
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -651,12 +653,7 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             put_start_snapshot(s, *snapshot);
             s.timestamp(*ct);
         }
-        Msg::ReadSliceReq {
-            tx,
-            snapshot,
-            keys,
-            reply_to,
-        } => {
+        Msg::ReadSliceReq { tx, snapshot, keys } => {
             s.tag(if any_held(keys) {
                 T_READ_SLICE_REQ_STAMPED
             } else {
@@ -664,7 +661,6 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             });
             put_tx(s, *tx);
             s.timestamp(*snapshot);
-            put_server(s, *reply_to);
             put_keys(s, keys, *snapshot);
         }
         Msg::ReadSliceResp {
@@ -682,14 +678,12 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             snapshot,
             ht,
             writes,
-            reply_to,
             src_dc,
         } => {
             s.tag(T_PREPARE_REQ);
             put_tx(s, *tx);
             s.timestamp(*snapshot);
             s.timestamp(*ht);
-            put_server(s, *reply_to);
             put_dc(s, *src_dc);
             put_vec(s, writes, put_write);
         }
@@ -850,7 +844,6 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             Msg::ReadSliceReq {
                 tx,
                 snapshot,
-                reply_to: get_server(r)?,
                 keys: get_keys(r, tag == T_READ_SLICE_REQ_STAMPED, snapshot)?,
             }
         }
@@ -863,7 +856,6 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(r)?,
             snapshot: get_ts(r)?,
             ht: get_ts(r)?,
-            reply_to: get_server(r)?,
             src_dc: get_dc(r)?,
             writes: get_vec(r, get_write)?,
         },
@@ -1320,10 +1312,6 @@ mod tests {
         any::<u32>().prop_map(PartitionId)
     }
 
-    fn arb_server() -> impl Strategy<Value = ServerId> {
-        (arb_dc(), arb_partition()).prop_map(|(dc, p)| ServerId::new(dc, p))
-    }
-
     fn arb_mins() -> impl Strategy<Value = Vec<(DcId, Timestamp)>> {
         proptest::collection::vec((arb_dc(), arb_ts()), 0..8)
     }
@@ -1371,14 +1359,11 @@ mod tests {
             }),
             (arb_tx(), proptest::option::of(arb_ts()), arb_ts())
                 .prop_map(|(tx, snapshot, ct)| Msg::CommitResp { tx, snapshot, ct }),
-            (arb_tx(), arb_ts(), arb_keys(), arb_server()).prop_map(
-                |(tx, snapshot, keys, reply_to)| Msg::ReadSliceReq {
-                    tx,
-                    snapshot,
-                    keys,
-                    reply_to,
-                }
-            ),
+            (arb_tx(), arb_ts(), arb_keys()).prop_map(|(tx, snapshot, keys)| Msg::ReadSliceReq {
+                tx,
+                snapshot,
+                keys
+            }),
             (arb_tx(), arb_partition(), arb_results()).prop_map(|(tx, partition, results)| {
                 Msg::ReadSliceResp {
                     tx,
@@ -1386,24 +1371,15 @@ mod tests {
                     results,
                 }
             }),
-            (
-                arb_tx(),
-                arb_ts(),
-                arb_ts(),
-                arb_writes(),
-                arb_server(),
-                arb_dc()
-            )
-                .prop_map(|(tx, snapshot, ht, writes, reply_to, src_dc)| {
-                    Msg::PrepareReq {
-                        tx,
-                        snapshot,
-                        ht,
-                        writes,
-                        reply_to,
-                        src_dc,
-                    }
-                }),
+            (arb_tx(), arb_ts(), arb_ts(), arb_writes(), arb_dc()).prop_map(
+                |(tx, snapshot, ht, writes, src_dc)| Msg::PrepareReq {
+                    tx,
+                    snapshot,
+                    ht,
+                    writes,
+                    src_dc,
+                }
+            ),
             (arb_tx(), arb_partition(), arb_ts()).prop_map(|(tx, partition, proposed)| {
                 Msg::PrepareResp {
                     tx,
@@ -1487,11 +1463,12 @@ mod tests {
     /// multi-byte varints, and the frame the encoder produced for it. The
     /// frames of tags 1–21 are the v2 codec's, byte for byte: v3 only
     /// added the start forms (22–27), v4 only the one-phase commit (28),
-    /// and v5 only its last-agent form (29).
+    /// and v5 only its last-agent form (29) — except the three requests
+    /// to a cohort, which v6 took the reply address out of (see
+    /// `v6_cohort_requests_are_the_v5_frames_without_the_reply_address`).
     fn golden_messages() -> Vec<(Msg, &'static str)> {
         let t = tx(1, 2, 12_345);
         let p = PartitionId(300);
-        let srv = ServerId::new(DcId(3), p);
         let now = Timestamp::from_parts(3_600_000_000, 3);
         let old = Timestamp::from_parts(3_599_000_000, 0);
         let held = VersionStamp {
@@ -1566,9 +1543,8 @@ mod tests {
                     tx: t,
                     snapshot: now,
                     keys: vec![Key(4).into(), Key(831).into()],
-                    reply_to: srv,
                 },
-                "070102b96080c8ceb40d0303ac020204bf06",
+                "070102b96080c8ceb40d030204bf06",
             ),
             (
                 Msg::ReadSliceReq {
@@ -1579,9 +1555,8 @@ mod tests {
                         Key(4).into(),
                         stamped(9, older),
                     ],
-                    reply_to: srv,
                 },
-                "150102b96080c8ceb40d0303ac0203bf0604090200cf0f0102ac024d01aff979000102b960",
+                "150102b96080c8ceb40d0303bf0604090200cf0f0102ac024d01aff979000102b960",
             ),
             (
                 Msg::ReadSliceResp {
@@ -1600,10 +1575,9 @@ mod tests {
                     snapshot: now,
                     ht: Timestamp::from_parts(3_600_000_500, 0),
                     writes,
-                    reply_to: srv,
                     src_dc: DcId(1),
                 },
-                "090102b96080c8ceb40d03f4cbceb40d0003ac020102bf060276310503acacac",
+                "090102b96080c8ceb40d03f4cbceb40d000102bf060276310503acacac",
             ),
             (
                 Msg::PrepareResp {
@@ -1776,6 +1750,36 @@ mod tests {
     }
 
     #[test]
+    fn v6_cohort_requests_are_the_v5_frames_without_the_reply_address() {
+        // The v5 frames of `golden_messages`' three requests to a cohort,
+        // pinned before the change. Each carried its reply address (server
+        // (3, 300): `03 ac02`) right after its timestamps; v6 drops exactly
+        // those three bytes and moves nothing else.
+        let v5 = [
+            ("070102b96080c8ceb40d0303ac020204bf06", 11),
+            (
+                "150102b96080c8ceb40d0303ac0203bf0604090200cf0f0102ac024d01aff979000102b960",
+                11,
+            ),
+            (
+                "090102b96080c8ceb40d03f4cbceb40d0003ac020102bf060276310503acacac",
+                17,
+            ),
+        ];
+        let goldens = golden_messages();
+        for (old, at) in v5 {
+            let (at, tag) = (2 * at, &old[..2]);
+            assert_eq!(&old[at..at + 6], "03ac02", "the reply address of tag {tag}");
+            let new = format!("{}{}", &old[..at], &old[at + 6..]);
+            let (msg, golden) = goldens
+                .iter()
+                .find(|(_, golden)| golden.starts_with(tag))
+                .expect("a golden per tag");
+            assert_eq!(*golden, new, "{}", msg.kind());
+        }
+    }
+
+    #[test]
     fn golden_envelope_frames_are_pinned() {
         let client = ClientId::new(DcId(3), 70_000);
         let coordinator = ServerId::new(DcId(3), PartitionId(2));
@@ -1875,7 +1879,6 @@ mod tests {
                 stamped(0, stamp((1 << 48) - 1, u16::MAX)),
                 stamped(1, stamp(0, 1)),
             ],
-            reply_to: ServerId::new(DcId(u16::MAX), PartitionId(u32::MAX)),
         };
         let bytes = encode(&msg);
         assert_eq!(bytes.len(), encoded_len(&msg));
@@ -1959,7 +1962,9 @@ mod tests {
         // Goldens taken from the codec before stamps existed: a request
         // with nothing to validate and a full result must cost exactly
         // what they always did (a result ships its key once now — the
-        // golden is the old frame minus the second copy of the key).
+        // golden is the old frame minus the second copy of the key — and
+        // since v6 a slice request carries no reply address: minus `0 7`,
+        // server (0, 7), after the snapshot).
         let t = tx(1, 2, 3);
         let read = Msg::ReadReq {
             tx: TxRef::Known(t),
@@ -1969,7 +1974,6 @@ mod tests {
             tx: t,
             snapshot: Timestamp::from_parts(10, 2),
             keys: vec![Key(4).into()],
-            reply_to: ServerId::new(DcId(0), PartitionId(7)),
         };
         let resp = Msg::ReadSliceResp {
             tx: t,
@@ -1989,7 +1993,7 @@ mod tests {
             ],
         };
         assert_eq!(encode(&read).as_ref(), [3u8, 1, 2, 3, 2, 1, 0xAC, 0x02]);
-        assert_eq!(encode(&slice).as_ref(), [7u8, 1, 2, 3, 10, 2, 0, 7, 1, 4]);
+        assert_eq!(encode(&slice).as_ref(), [7u8, 1, 2, 3, 10, 2, 1, 4]);
         assert_eq!(
             encode(&resp).as_ref(),
             [

@@ -21,10 +21,11 @@
 //! The raw transaction operations (`txn_begin`, `txn_read`, `txn_write`,
 //! `txn_commit`, `reset_client`) are written once, here, as provided
 //! methods. They rest on two primitives every backend implements: its
-//! client sessions, and a round trip that sends one envelope and waits for
-//! the [`ClientEvent`] that completes the operation. Those primitives live
-//! on a sealed supertrait, so [`Cluster`] has exactly the four
-//! implementations of this crate.
+//! client sessions, and a round trip that sends an operation's envelopes —
+//! one request, or a read's slices — and waits for the [`ClientEvent`]
+//! that completes the operation. Those primitives live on a sealed
+//! supertrait, so [`Cluster`] has exactly the four implementations of this
+//! crate.
 //!
 //! ```
 //! use paris_runtime::{Backend, Cluster, Paris};
@@ -89,16 +90,21 @@ mod sealed {
         /// session of this cluster.
         fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error>;
 
-        /// Sends `env` on behalf of `client` and waits for the event that
-        /// completes the operation. Replies queue per client; the session
-        /// reads them here, so a stale one (owed to an operation abandoned
-        /// by `reset_client`) is discarded on the way.
+        /// Sends `envs` on behalf of `client` — one request, or a read's
+        /// slices ([`paris_core::ReadStep::Slices`]) — and waits for the
+        /// event that completes the operation. Replies queue per client;
+        /// the session reads them here, so a stale one (owed to an
+        /// operation abandoned by `reset_client`) is discarded on the way.
         ///
         /// # Errors
         ///
         /// [`Error::UnknownTransaction`] for an unknown client, a transport
         /// failure when no reply comes.
-        fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error>;
+        fn round_trip(
+            &mut self,
+            client: ClientId,
+            envs: Vec<Envelope>,
+        ) -> Result<ClientEvent, Error>;
     }
 }
 
@@ -134,6 +140,18 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// Returns a configuration error if `dc` is out of range.
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error>;
 
+    /// Opens a client session as [`Cluster::open_client`] does, but one
+    /// that sends every read through its coordinator, as a session built
+    /// without a topology does: the reference the tests compare reads
+    /// straight from the replicas against. Deployments open no such
+    /// sessions.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error if `dc` is out of range.
+    #[doc(hidden)]
+    fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error>;
+
     /// Raw operation: starts a transaction for `client`, returning its
     /// snapshot timestamp.
     ///
@@ -144,7 +162,7 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// [`Error::PartitionUnreachable`].
     fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error> {
         let env = self.session(client)?.begin()?;
-        match self.round_trip(client, env)? {
+        match self.round_trip(client, vec![env])? {
             ClientEvent::Started { snapshot, .. } => Ok(snapshot),
             other => failed(other),
         }
@@ -157,12 +175,14 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// Propagates session errors and transport failures; an abort is
     /// [`Error::PartitionUnreachable`].
     fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
-        match self.session(client)?.read(keys)? {
-            ReadStep::Done(reads) => Ok(reads),
-            ReadStep::Send(env) => match self.round_trip(client, env)? {
-                ClientEvent::ReadDone { reads, .. } => Ok(reads),
-                other => failed(other),
-            },
+        let sent = match self.session(client)?.read(keys)? {
+            ReadStep::Done(reads) => return Ok(reads),
+            ReadStep::Send(env) => vec![env],
+            ReadStep::Slices(slices) => slices,
+        };
+        match self.round_trip(client, sent)? {
+            ClientEvent::ReadDone { reads, .. } => Ok(reads),
+            other => failed(other),
         }
     }
 
@@ -185,7 +205,7 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// [`Error::PartitionUnreachable`].
     fn txn_commit(&mut self, client: ClientId) -> Result<Timestamp, Error> {
         let env = self.session(client)?.commit()?;
-        match self.round_trip(client, env)? {
+        match self.round_trip(client, vec![env])? {
             ClientEvent::Committed { ct, .. } => Ok(ct),
             other => failed(other),
         }

@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use paris_core::checker::HistoryChecker;
 use paris_core::{ClientEvent, ClientSession, Server, Topology, Violation};
@@ -164,16 +165,34 @@ pub(crate) struct Interactive<I> {
     pub(crate) inbox: I,
 }
 
+/// Client `id`'s session as the runtime opens one: pinned to its
+/// coordinator, and reading straight from the replicas unless
+/// `via_coordinator` ([`Cluster::open_client_via_coordinator`]). With the
+/// value cache every deployment has, or — for the equivalence tests only,
+/// see `open_clients_without_value_cache` — with none.
+pub(crate) fn open_session(
+    id: ClientId,
+    topo: &Arc<Topology>,
+    mode: Mode,
+    value_cache: bool,
+    via_coordinator: bool,
+) -> ClientSession {
+    let coordinator = topo.coordinator_for(id.dc, id.seq);
+    let session = if value_cache {
+        ClientSession::new(id, coordinator, mode)
+    } else {
+        ClientSession::with_value_cache_budget(id, coordinator, mode, 0)
+    };
+    if via_coordinator {
+        session
+    } else {
+        session.with_topology(Arc::clone(topo))
+    }
+}
+
 impl Interactive<VecDeque<Envelope>> {
-    /// An interactive client of a deterministic backend: with the value
-    /// cache every deployment has, or — for the equivalence tests only, see
-    /// `open_clients_without_value_cache` — with none.
-    pub(crate) fn new(id: ClientId, coordinator: ServerId, mode: Mode, value_cache: bool) -> Self {
-        let session = if value_cache {
-            ClientSession::new(id, coordinator, mode)
-        } else {
-            ClientSession::with_value_cache_budget(id, coordinator, mode, 0)
-        };
+    /// An interactive client of a deterministic backend.
+    pub(crate) fn new(session: ClientSession) -> Self {
         Interactive {
             session,
             inbox: VecDeque::new(),

@@ -32,7 +32,9 @@ use paris_types::{ClientId, ClusterConfig, DcId, Error, Timestamp};
 use crate::driver::{run_client, Finished};
 use crate::measure::{ClusterStats, RunReport};
 use crate::workload_client::{Tally, WorkloadClient};
-use crate::{replica_convergence, BackendConfig, Interactive, INTERACTIVE_SEQ_BASE, OP_TIMEOUT};
+use crate::{
+    open_session, replica_convergence, BackendConfig, Interactive, INTERACTIVE_SEQ_BASE, OP_TIMEOUT,
+};
 
 /// The longest a blocking wait sleeps before it probes liveness again.
 const SLICE: Duration = Duration::from_millis(100);
@@ -98,7 +100,11 @@ impl<N: LiveNet> Live<N> {
         }
     }
 
-    pub(crate) fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
+    pub(crate) fn open_client(
+        &mut self,
+        dc: u16,
+        via_coordinator: bool,
+    ) -> Result<ClientId, Error> {
         if dc >= self.config.cluster.dcs {
             return Err(paris_types::ConfigError::new("client DC out of range").into());
         }
@@ -107,8 +113,8 @@ impl<N: LiveNet> Live<N> {
         let id = ClientId::new(dc, INTERACTIVE_SEQ_BASE + *offset);
         *offset += 1;
         let inbox = self.net.register(id)?;
-        let coordinator = self.topo.coordinator_for(dc, id.seq);
-        let session = ClientSession::new(id, coordinator, self.config.cluster.mode);
+        let mode = self.config.cluster.mode;
+        let session = open_session(id, &self.topo, mode, true, via_coordinator);
         self.interactive.insert(id, Interactive { session, inbox });
         Ok(id)
     }
@@ -120,19 +126,21 @@ impl<N: LiveNet> Live<N> {
             .ok_or(Error::UnknownTransaction)
     }
 
-    /// Sends `env` and waits for the event that completes the operation,
+    /// Sends `envs` and waits for the event that completes the operation,
     /// probing liveness on every empty slice: a dead server surfaces as a
     /// transport error instead of hanging out the full timeout.
     pub(crate) fn round_trip(
         &mut self,
         client: ClientId,
-        env: Envelope,
+        envs: Vec<Envelope>,
     ) -> Result<ClientEvent, Error> {
         let Interactive { session, inbox } = self
             .interactive
             .get_mut(&client)
             .ok_or(Error::UnknownTransaction)?;
-        self.net.send(env)?;
+        for env in envs {
+            self.net.send(env)?;
+        }
         let deadline = Instant::now() + OP_TIMEOUT;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -206,8 +214,7 @@ impl<N: LiveNet> Live<N> {
         for dc in 0..cluster.dcs {
             for seq in 0..self.config.clients_per_dc {
                 let id = ClientId::new(DcId(dc), seq);
-                let coordinator = self.topo.coordinator_for(id.dc, seq);
-                let session = ClientSession::new(id, coordinator, cluster.mode);
+                let session = open_session(id, &self.topo, cluster.mode, true, false);
                 let (workload, seed) = (&self.config.workload, self.config.seed);
                 let client = WorkloadClient::new(id, &self.topo, workload, seed);
                 let inbox = self.net.register(id)?;

@@ -52,6 +52,10 @@ pub struct ClusterStats {
     pub txs_coordinated: u64,
     /// Slice reads served.
     pub slice_reads: u64,
+    /// Reads a coordinator fanned out (`ReadReq`s handled). A read whose
+    /// client knew its snapshot sent its slices itself and counts none;
+    /// the start form of a deferred begin's first read counts one.
+    pub coordinator_reads: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,
     /// Keys answered `Unchanged`: the client's stamp named the version
@@ -112,6 +116,7 @@ impl ClusterStats {
             out.msgs_handled += stats.msgs_handled;
             out.txs_coordinated += stats.txs_coordinated;
             out.slice_reads += stats.slice_reads;
+            out.coordinator_reads += stats.coordinator_reads;
             out.keys_read += stats.keys_read;
             out.reads_unchanged += stats.reads_unchanged;
             out.reads_shipped += stats.reads_shipped;

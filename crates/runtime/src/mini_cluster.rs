@@ -208,7 +208,7 @@ impl MiniCluster {
                 self.clock.advance_to(self.now);
                 let mut step = Step::Send(client.start(self.session(*id)?, begun));
                 while let Step::Send(env) = step {
-                    let event = self.round_trip(*id, env)?;
+                    let event = self.round_trip(*id, vec![env])?;
                     let now = self.now;
                     step = client.on_event(self.session(*id)?, event, now);
                 }
@@ -217,6 +217,22 @@ impl MiniCluster {
             self.stabilize_rounds(1);
         }
         Ok(())
+    }
+
+    /// [`Cluster::open_client`], or with `via_coordinator`
+    /// [`Cluster::open_client_via_coordinator`].
+    fn open(&mut self, dc: u16, via_coordinator: bool) -> Result<ClientId, Error> {
+        if dc >= self.topo.dcs() {
+            return Err(paris_types::ConfigError::new("client DC out of range").into());
+        }
+        let dc = DcId(dc);
+        let seq = self.next_client.entry(dc).or_insert(0);
+        let id = ClientId::new(dc, *seq);
+        *seq += 1;
+        let (mode, cache) = (self.config.cluster.mode, self.value_cache);
+        let session = crate::open_session(id, &self.topo, mode, cache, via_coordinator);
+        self.clients.insert(id, Interactive::new(session));
+        Ok(id)
     }
 
     /// The open transaction's snapshot, once the coordinator assigned it.
@@ -237,12 +253,14 @@ impl Sessions for MiniCluster {
     /// The pump is synchronous, so the reply is usually in once it
     /// returns. The clock steps 10 µs before every begin and commit, never
     /// before a read.
-    fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error> {
-        if !matches!(env.msg, Msg::ReadReq { .. }) {
+    fn round_trip(&mut self, client: ClientId, envs: Vec<Envelope>) -> Result<ClientEvent, Error> {
+        let read =
+            |env: &Envelope| matches!(env.msg, Msg::ReadReq { .. } | Msg::ReadSliceReq { .. });
+        if !envs.iter().any(read) {
             self.now += 10;
             self.clock.advance_to(self.now);
         }
-        self.queue.push_back(env);
+        self.queue.extend(envs);
         self.pump();
         // Under BPR a fresh-snapshot read blocks server-side until the
         // snapshot is installed; advance background rounds until this
@@ -275,17 +293,11 @@ impl Cluster for MiniCluster {
     }
 
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
-        if dc >= self.topo.dcs() {
-            return Err(paris_types::ConfigError::new("client DC out of range").into());
-        }
-        let dc = DcId(dc);
-        let seq = self.next_client.entry(dc).or_insert(0);
-        let id = ClientId::new(dc, *seq);
-        *seq += 1;
-        let coordinator = self.topo.coordinator_for(dc, id.seq);
-        let client = Interactive::new(id, coordinator, self.config.cluster.mode, self.value_cache);
-        self.clients.insert(id, client);
-        Ok(id)
+        self.open(dc, false)
+    }
+
+    fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error> {
+        self.open(dc, true)
     }
 
     fn stabilize(&mut self, rounds: usize) {

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use crate::facade::Sessions;
 use crate::measure::{visibility_histogram, ClusterStats, RunReport};
 use crate::workload_client::{Step, Tally, WorkloadClient};
-use crate::{replica_convergence, Cluster, Interactive, INTERACTIVE_SEQ_BASE};
+use crate::{open_session, replica_convergence, Cluster, Interactive, INTERACTIVE_SEQ_BASE};
 
 /// Configuration of a simulated deployment (assembled by the builder).
 #[derive(Debug, Clone)]
@@ -204,8 +204,7 @@ impl SimCluster {
             let dc = DcId(dc);
             for seq in 0..config.clients_per_dc {
                 let id = ClientId::new(dc, seq);
-                let coordinator = topo.coordinator_for(dc, seq);
-                let session = ClientSession::new(id, coordinator, config.cluster.mode);
+                let session = open_session(id, &topo, config.cluster.mode, true, false);
                 let client = WorkloadClient::new(id, &topo, &config.workload, config.seed);
                 clients.insert(id, (session, client));
             }
@@ -290,15 +289,25 @@ impl SimCluster {
         self.failure_detection = enabled;
     }
 
+    /// Tells the servers and client sessions on either side of the link
+    /// between `a` and `b` whether it is up, when the detector is on: a
+    /// session then routes its reads around a cut DC exactly as its
+    /// coordinator does.
     fn notify_link(&mut self, a: DcId, b: DcId, reachable: bool) {
         if !self.failure_detection {
             return;
         }
+        let other = |dc: DcId| (dc == a).then_some(b).or((dc == b).then_some(a));
         for slot in self.servers.values_mut() {
-            if slot.server.id().dc == a {
-                slot.server.set_dc_reachability(b, reachable);
-            } else if slot.server.id().dc == b {
-                slot.server.set_dc_reachability(a, reachable);
+            if let Some(peer) = other(slot.server.id().dc) {
+                slot.server.set_dc_reachability(peer, reachable);
+            }
+        }
+        let workload = self.clients.values_mut().map(|(session, _)| session);
+        let interactive = self.interactive.values_mut().map(|c| &mut c.session);
+        for session in workload.chain(interactive) {
+            if let Some(peer) = other(session.id().dc) {
+                session.set_dc_reachability(peer, reachable);
             }
         }
     }
@@ -594,6 +603,27 @@ impl SimCluster {
         }
     }
 
+    /// [`Cluster::open_client`], or with `via_coordinator`
+    /// [`Cluster::open_client_via_coordinator`].
+    fn open(&mut self, dc: u16, via_coordinator: bool) -> Result<ClientId, Error> {
+        if dc >= self.config.cluster.dcs {
+            return Err(paris_types::ConfigError::new("client DC out of range").into());
+        }
+        let dc = DcId(dc);
+        let offset = self.next_interactive.entry(dc).or_insert(0);
+        let id = ClientId::new(dc, INTERACTIVE_SEQ_BASE + *offset);
+        *offset += 1;
+        let (mode, cache) = (self.config.cluster.mode, self.value_cache);
+        let mut session = open_session(id, &self.topo, mode, cache, via_coordinator);
+        // The failure detector's view so far, as the coordinator has it.
+        let coordinator = &self.servers[&session.coordinator()].server;
+        for &cut in coordinator.unreachable_dcs() {
+            session.set_dc_reachability(cut, false);
+        }
+        self.interactive.insert(id, Interactive::new(session));
+        Ok(id)
+    }
+
     /// Wire bytes carried by background traffic (replication, heartbeats,
     /// stabilization gossip) so far, sized in the configured encoding.
     pub fn net_background_bytes(&self) -> u64 {
@@ -616,9 +646,9 @@ impl Sessions for SimCluster {
     }
 
     /// Advances the simulation until `client`'s reply arrives.
-    fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error> {
+    fn round_trip(&mut self, client: ClientId, envs: Vec<Envelope>) -> Result<ClientEvent, Error> {
         let at = self.now;
-        self.send_all(at, vec![env]);
+        self.send_all(at, envs);
         let deadline = self.now + 120_000_000; // 120 simulated seconds
         loop {
             let waiting = self
@@ -648,18 +678,11 @@ impl Cluster for SimCluster {
     }
 
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
-        if dc >= self.config.cluster.dcs {
-            return Err(paris_types::ConfigError::new("client DC out of range").into());
-        }
-        let dc = DcId(dc);
-        let offset = self.next_interactive.entry(dc).or_insert(0);
-        let id = ClientId::new(dc, INTERACTIVE_SEQ_BASE + *offset);
-        *offset += 1;
-        let coordinator = self.topo.coordinator_for(dc, id.seq);
-        let mode = self.config.cluster.mode;
-        let client = Interactive::new(id, coordinator, mode, self.value_cache);
-        self.interactive.insert(id, client);
-        Ok(id)
+        self.open(dc, false)
+    }
+
+    fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error> {
+        self.open(dc, true)
     }
 
     fn stabilize(&mut self, rounds: usize) {

@@ -217,8 +217,8 @@ impl Sessions for ThreadCluster {
         self.live.session(client)
     }
 
-    fn round_trip(&mut self, client: ClientId, env: Envelope) -> Result<ClientEvent, Error> {
-        self.live.round_trip(client, env)
+    fn round_trip(&mut self, client: ClientId, envs: Vec<Envelope>) -> Result<ClientEvent, Error> {
+        self.live.round_trip(client, envs)
     }
 }
 
@@ -293,7 +293,11 @@ impl Cluster for ThreadCluster {
     }
 
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
-        self.live.open_client(dc)
+        self.live.open_client(dc, false)
+    }
+
+    fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error> {
+        self.live.open_client(dc, true)
     }
 
     fn stabilize(&mut self, rounds: usize) {

@@ -88,6 +88,7 @@ impl WorkloadClient {
         match first {
             ReadStep::Send(env) => env,
             ReadStep::Done(local) => self.commit(session, &local),
+            ReadStep::Slices(_) => unreachable!("a deferred begin's first read is a start form"),
         }
     }
 

@@ -4,7 +4,7 @@
 //! explicitly, with aborts, never by hanging or by violating TCC.
 
 use paris_runtime::{Cluster, ClusterBuilder, Paris};
-use paris_types::{DcId, Mode};
+use paris_types::{DcId, Error, Key, Mode, PartitionId, ServerId, Value};
 use paris_workload::WorkloadConfig;
 
 fn small(seed: u64, local_tx_ratio: f64) -> ClusterBuilder {
@@ -103,5 +103,61 @@ fn failure_detection_off_preserves_held_traffic_semantics() {
     sim.settle(4_000_000);
     let report = sim.report();
     assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    assert!(sim.check_convergence().unwrap().is_empty());
+}
+
+#[test]
+fn a_direct_read_routes_around_an_isolated_dc_or_aborts_never_hangs() {
+    // An eager begin knows its snapshot, so a facade read sends its slices
+    // straight to the replicas. From DC 0, partitions 1 and 4 live in DCs
+    // 1 and 2 only, and partition 4's preferred replica is DC 1's.
+    let mut sim = small(83, 0.5).clients_per_dc(0).build_sim().unwrap();
+    sim.set_failure_detection(true);
+    let writer = sim.open_client(0).unwrap();
+    let mut txn = sim.begin(writer).unwrap();
+    txn.write(Key(1), Value::from("one"));
+    txn.write(Key(4), Value::from("four"));
+    txn.commit().unwrap();
+    sim.stabilize(4);
+    let keys = [Key(1), Key(4)];
+    let served = |sim: &paris_runtime::SimCluster, dc: u16| {
+        let replica = ServerId::new(DcId(dc), PartitionId(4));
+        sim.server(replica).stats().slice_reads
+    };
+    let read = |sim: &mut paris_runtime::SimCluster, client| {
+        sim.txn_begin(client).unwrap();
+        let reads = sim.txn_read(client, &keys);
+        if reads.is_ok() {
+            sim.txn_commit(client).unwrap();
+        }
+        reads.map(|reads| reads.into_iter().map(|r| r.value).collect::<Vec<_>>())
+    };
+    let values = vec![Some(Value::from("one")), Some(Value::from("four"))];
+    let reader = sim.open_client(0).unwrap();
+    assert_eq!(read(&mut sim, reader), Ok(values.clone()));
+    assert_eq!((served(&sim, 1), served(&sim, 2)), (1, 0), "DC 1 preferred");
+
+    // DC 1 is cut: DC 2 serves partition 4 — for the session open since
+    // before the cut, and for one opened during it.
+    sim.isolate_dc(DcId(1));
+    let late = sim.open_client(0).unwrap();
+    for client in [reader, late] {
+        assert_eq!(read(&mut sim, client), Ok(values.clone()));
+    }
+    assert_eq!((served(&sim, 1), served(&sim, 2)), (1, 2), "around DC 1");
+
+    // DC 2 too: no replica of partitions 1 and 4 is reachable. The read
+    // goes to the coordinator, which fails it and frees its context.
+    sim.isolate_dc(DcId(2));
+    assert_eq!(read(&mut sim, reader), Err(Error::PartitionUnreachable));
+    let coordinator = sim.topology().coordinator_for(reader.dc, reader.seq);
+    assert_eq!(sim.server(coordinator).open_transactions(), 0);
+
+    // Healed: DC 1 serves again, and the data converges.
+    sim.heal_dc(DcId(1));
+    sim.heal_dc(DcId(2));
+    assert_eq!(read(&mut sim, reader), Ok(values));
+    assert_eq!(served(&sim, 1), 2);
+    sim.settle(4_000_000);
     assert!(sim.check_convergence().unwrap().is_empty());
 }

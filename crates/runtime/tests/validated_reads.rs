@@ -330,9 +330,12 @@ proptest! {
         let eager = drive(&mut Eager(mini()), seed, 160);
         let deferred = drive(&mut Deferred(mini()), seed, 160);
         assert_same_reads("eager vs deferred begins", &eager, &deferred);
-        // The same transactions committed, and the servers handled fewer
-        // messages: no StartTxReq.
+        // The same transactions committed. An eager begin knows its
+        // snapshot, so its reads went straight to the replicas; a deferred
+        // begin's one read carried the start, so its coordinator handled
+        // exactly one `ReadReq` per transaction instead of a `StartTxReq`.
         prop_assert_eq!(eager.stats.txs_coordinated, deferred.stats.txs_coordinated);
-        prop_assert!(deferred.stats.msgs_handled < eager.stats.msgs_handled);
+        prop_assert_eq!(eager.stats.coordinator_reads, 0);
+        prop_assert_eq!(deferred.stats.coordinator_reads, 160);
     }
 }

@@ -358,6 +358,59 @@ fn cluster_stats_unifies_all_backends() {
     }
 }
 
+#[test]
+fn a_read_goes_straight_to_the_replicas_on_every_backend() {
+    // Exact counts of one facade read over two partitions, from the
+    // servers' counters: a slice read served is one `ReadSliceReq` and its
+    // one `ReadSliceResp`; a coordinator read is one `ReadReq`, its one
+    // `ReadResp`, and the gathering of its slices' `ReadSliceResp`s. A
+    // session that knows its snapshot sends 0 `ReadReq` and 2
+    // `ReadSliceReq`, and receives 0 `ReadResp` and both `ReadSliceResp`s.
+    // The reference session through the coordinator shows what a detour
+    // counts.
+    for backend in [
+        Backend::Mini,
+        Backend::Sim,
+        Backend::Thread,
+        Backend::Socket,
+    ] {
+        let mut cluster = Paris::builder()
+            .dcs(3)
+            .partitions(6)
+            .replication(2)
+            .keys_per_partition(100)
+            .backend(backend)
+            .build()
+            .unwrap();
+        let routed = cluster.open_client(0).unwrap();
+        let detour = cluster.open_client_via_coordinator(0).unwrap();
+        // Keys 0 and 1: partition 0 has a replica in DC 0, partition 1
+        // lives in DCs 1 and 2 only.
+        let mut count = |client| {
+            cluster.txn_begin(client).unwrap();
+            let before = cluster.stats().unwrap();
+            let reads = cluster.txn_read(client, &[Key(0), Key(1)]).unwrap();
+            let after = cluster.stats().unwrap();
+            cluster.txn_commit(client).unwrap();
+            assert_eq!(reads.len(), 2, "{backend:?}");
+            (
+                after.coordinator_reads - before.coordinator_reads,
+                after.slice_reads - before.slice_reads,
+            )
+        };
+        assert_eq!(
+            count(routed),
+            (0, 2),
+            "{backend:?}: straight to the replicas"
+        );
+        assert_eq!(
+            count(detour),
+            (1, 2),
+            "{backend:?}: the coordinator's detour"
+        );
+    }
+}
+
 /// The two batching configurations every combination test sweeps:
 /// explicitly off, and the stable-time default.
 #[derive(Debug, Clone, Copy, PartialEq)]
