@@ -2,36 +2,42 @@
 //!
 //! The threaded backend (one OS thread per server, in-process channels)
 //! and the socket backend (one OS *process* per server, TCP frames) run
-//! the same loops: a server loop pumping its inbox — every protocol
-//! message, slice reads and writes alike, goes through `Server::handle`
-//! there — plus the periodic ticks, and a closed-loop workload client.
-//! This module is those loops, generic over how an envelope leaves the
-//! node (a `send` closure) and which [`PhysicalClock`] stamps time — the
-//! only two things that differ between the substrates. The workload loop
-//! is the shared [`WorkloadClient`] behind a blocking wait on its inbox;
-//! only the stop flag and the warm-up instant are its own.
+//! the same loops: a server loop pumping its inbox into a
+//! [`ServerHost`] — every protocol message, slice reads and writes alike,
+//! goes through `Server::handle` there — and firing the host's due ticks,
+//! plus a closed-loop workload client. This module is those loops,
+//! generic over how an envelope leaves the node (a `send` closure) and
+//! which [`PhysicalClock`] stamps time — the only two things that differ
+//! between the substrates. Both backends start a server loop through
+//! [`spawn_server_loop`]. The workload loop is the shared
+//! [`WorkloadClient`] behind a blocking wait on its inbox; only the stop
+//! flag and the warm-up instant are its own.
 //!
-//! The server loop owns its [`Server`] outright: nothing else holds it,
-//! so nothing locks it. Observers (`stats()`, the checker, a socket
-//! child's control thread) send a [`SnapshotReq`], which the loop answers
-//! with a [`ServerSnapshot`] between messages and ticks; the UST behind
+//! The server loop owns its host, and with it the
+//! [`Server`](paris_core::Server): nothing else holds it, so nothing locks
+//! it. Observers (`stats()`, the checker, a socket child's control thread)
+//! send a [`SnapshotReq`], which the loop answers with a
+//! [`ServerSnapshot`] between messages and ticks; the UST behind
 //! `min_ust()` it publishes in a relaxed atomic (no data rides on it).
+//! Dropping the loop's request sender stops it.
 //!
 //! The ∆R, ∆G and ∆U ticks are on the links' grid
-//! ([`paris_types::BatchConfig`]): each deadline is a multiple of its
-//! period on the loop clock (the HLC timebase), so every server crosses a
-//! quantum line at the same tick.
+//! ([`paris_types::BatchConfig`], [`crate::host::grid`]): each deadline is
+//! a multiple of its period on the loop clock (the HLC timebase), so
+//! every server crosses a quantum line at the same tick.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::PhysicalClock;
-use paris_core::{ClientSession, Server, Topology};
+use paris_core::ClientSession;
 use paris_proto::{Envelope, ServerSnapshot};
 use paris_types::Error;
 
+use crate::host::{grid, ServerHost};
 use crate::workload_client::{Step, WorkloadClient};
 
 /// A request for one server's [`ServerSnapshot`], answered by its loop.
@@ -81,112 +87,79 @@ pub(crate) fn request_snapshots(
         .collect()
 }
 
-/// One server's protocol loop: pumps the inbox into the state machine,
-/// fires the periodic background protocols (Alg. 4's replicate, GST,
-/// UST-at-root and GC ticks) on their wall-clock deadlines, and after
-/// every wake-up publishes the UST, calls `flush_due` (so a transport
-/// that batches on the sending thread meets its ceilings) and answers
-/// snapshot requests (so an idle loop answers within its 5 ms wait). It
-/// returns when the inbox disconnects or `stop` is raised.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn server_loop(
-    mut server: Server,
+/// A spawned server loop: its thread, the sender of its snapshot requests
+/// — dropping it stops the loop — and the UST the loop publishes.
+pub(crate) type ServerLoop = (JoinHandle<()>, SyncSender<SnapshotReq>, Arc<AtomicU64>);
+
+/// Spawns [`server_loop`] over `host` on a thread of its own. One
+/// snapshot request is in flight per loop: every caller awaits its
+/// answers before it asks again.
+///
+/// # Errors
+///
+/// [`Error::Transport`] when the thread cannot be spawned.
+pub(crate) fn spawn_server_loop(
+    host: ServerHost,
+    inbox: Receiver<Envelope>,
+    send: impl Fn(Envelope) + Send + 'static,
+    flush_due: impl Fn() + Send + 'static,
+    clock: impl PhysicalClock + Send + 'static,
+) -> Result<ServerLoop, Error> {
+    let (asks, snapshots) = sync_channel(1);
+    let published_ust = Arc::new(AtomicU64::new(0));
+    let ust = Arc::clone(&published_ust);
+    let handle = std::thread::Builder::new()
+        .name(format!("server-{}", host.server.id()))
+        .spawn(move || server_loop(host, inbox, snapshots, &ust, send, flush_due, clock))
+        .map_err(|_| Error::Transport("could not spawn a server loop"))?;
+    Ok((handle, asks, published_ust))
+}
+
+/// One server's protocol loop: pumps the inbox into the host's server,
+/// fires the host's due ticks ([`ServerHost::fire_due`]), and after every
+/// wake-up publishes the UST, calls `flush_due` (so a transport that
+/// batches on the sending thread meets its ceilings) and answers snapshot
+/// requests (so an idle loop answers within its 5 ms wait). It returns
+/// when the inbox disconnects or the snapshot requests' sender is dropped.
+fn server_loop(
+    mut host: ServerHost,
     inbox: Receiver<Envelope>,
     snapshots: Receiver<SnapshotReq>,
-    published_ust: Arc<AtomicU64>,
+    published_ust: &AtomicU64,
     send: impl Fn(Envelope),
     flush_due: impl Fn(),
-    topo: Arc<Topology>,
     clock: impl PhysicalClock,
-    stop: Arc<AtomicBool>,
-    intervals: paris_types::Intervals,
 ) {
-    let is_root = topo.tree_parent(server.id()).is_none();
-    let start = clock.now_micros();
-    let mut rep = Tick::on_grid(start, intervals.replication_micros);
-    let mut gst = Tick::on_grid(start, intervals.gst_micros);
-    let mut ust = Tick::on_grid(start, intervals.ust_micros);
-    let mut gc = Tick::starting(start, intervals.gc_micros);
+    host.arm(grid(clock.now_micros()));
     loop {
         let now = clock.now_micros();
-        let mut deadline = rep.next.min(gst.next).min(gc.next);
-        if is_root {
-            deadline = deadline.min(ust.next);
-        }
-        let timeout = Duration::from_micros(deadline.saturating_sub(now).min(5_000));
-        match inbox.recv_timeout(timeout) {
+        let timeout = host.next_deadline().saturating_sub(now).min(5_000);
+        match inbox.recv_timeout(Duration::from_micros(timeout)) {
             Ok(env) => {
-                for e in server.handle(&env, clock.now_micros()) {
+                for e in host.server.handle(&env, clock.now_micros()) {
                     send(e);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Disconnected) => return,
         }
-        let now = clock.now_micros();
-        let (rep_due, gst_due, gc_due) = (rep.fire(now), gst.fire(now), gc.fire(now));
-        let ust_due = is_root && ust.fire(now);
-        let mut out = Vec::new();
-        if rep_due {
-            out.extend(server.on_replicate_tick(now));
-        }
-        if gst_due {
-            out.extend(server.on_gst_tick(now));
-        }
-        if ust_due {
-            out.extend(server.on_ust_tick(now));
-        }
-        if gc_due {
-            server.on_gc_tick(now);
-        }
-        published_ust.store(server.ust().as_u64(), Ordering::Relaxed);
-        for e in out {
+        let ticked = host.fire_due(clock.now_micros());
+        published_ust.store(host.server.ust().as_u64(), Ordering::Relaxed);
+        for e in ticked {
             send(e);
         }
         flush_due();
-        while let Ok(req) = snapshots.try_recv() {
-            let _ = req
-                .reply
-                .try_send(crate::server_snapshot(&server, req.chains));
+        loop {
+            match snapshots.try_recv() {
+                Ok(req) => {
+                    let _ = req
+                        .reply
+                        .try_send(crate::server_snapshot(&host.server, req.chains));
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
+            }
         }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-}
-
-/// A periodic deadline that re-arms from its own schedule, not from the
-/// wake-up that served it: `every` = 5 ms means 200 ticks a second
-/// however late each wake-up runs. A loop that was held up for whole
-/// periods skips them rather than firing a burst.
-#[derive(Debug)]
-struct Tick {
-    next: u64,
-    every: u64,
-}
-
-impl Tick {
-    /// First due on the next multiple of `every`, so ticks share a grid.
-    fn on_grid(now: u64, every: u64) -> Tick {
-        Tick::starting(now - now % every, every)
-    }
-
-    /// First due one period after `now`, keeping the phase of its start.
-    fn starting(now: u64, every: u64) -> Tick {
-        Tick {
-            next: now + every,
-            every,
-        }
-    }
-
-    /// Whether the tick is due at `now`; if so, re-arms it to the first
-    /// deadline of its schedule after `now`.
-    fn fire(&mut self, now: u64) -> bool {
-        if now < self.next {
-            return false;
-        }
-        self.next += ((now - self.next) / self.every + 1) * self.every;
-        true
     }
 }
 
@@ -234,13 +207,12 @@ pub(crate) fn run_client(
 mod tests {
     use super::*;
     use paris_clock::SimClock;
-    use paris_core::ServerOptions;
+    use paris_core::{ServerTuning, Topology};
     use paris_proto::{Msg, ReplicatedTx};
     use paris_types::{
-        ClusterConfig, DcId, Key, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry,
+        ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry,
     };
     use std::sync::mpsc::{channel, Sender};
-    use std::thread::JoinHandle;
 
     /// The server under test is at DC 1; DC 0 holds its peer replica.
     fn at(dc: u16) -> ServerId {
@@ -251,7 +223,6 @@ mod tests {
         inbox: Sender<Envelope>,
         asks: SyncSender<SnapshotReq>,
         published_ust: Arc<AtomicU64>,
-        stop: Arc<AtomicBool>,
     }
 
     /// A loop over a bare server (2 DCs × 1 partition, this one at DC 1)
@@ -261,37 +232,15 @@ mod tests {
         let config = ClusterConfig::builder().dcs(2).partitions(1);
         let topo = Arc::new(Topology::new(config.replication_factor(2).build().unwrap()));
         let clock = SimClock::new();
-        let server = Server::new(ServerOptions {
-            id: at(1),
-            topology: Arc::clone(&topo),
-            clock: Box::new(clock.clone()),
-            mode: Mode::Paris,
-            record_events: false,
-        });
-        let intervals = topo.config().intervals;
-        let ((inbox, inbox_rx), (asks, asks_rx)) = (channel(), sync_channel(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let published_ust = Arc::new(AtomicU64::new(0));
-        let (loop_stop, loop_ust) = (Arc::clone(&stop), Arc::clone(&published_ust));
-        let handle = std::thread::spawn(move || {
-            server_loop(
-                server,
-                inbox_rx,
-                asks_rx,
-                loop_ust,
-                |_| {},
-                || {},
-                topo,
-                clock,
-                loop_stop,
-                intervals,
-            )
-        });
+        let tuning = ServerTuning::default();
+        let host = ServerHost::new(at(1), &topo, Box::new(clock.clone()), false, tuning).unwrap();
+        let (inbox, inbox_rx) = channel();
+        let (handle, asks, published_ust) =
+            spawn_server_loop(host, inbox_rx, |_| {}, || {}, clock).unwrap();
         let running = Running {
             inbox,
             asks,
             published_ust,
-            stop,
         };
         (running, handle)
     }
@@ -317,17 +266,15 @@ mod tests {
         let waited = asked.elapsed();
         assert!(waited < Duration::from_millis(50), "{waited:?}");
         assert_eq!((snap.server, snap.stats.msgs_handled), (Some(at(1)), 0));
-        running.stop.store(true, Ordering::Relaxed);
-        assert!(returns(handle), "stop raised");
+        drop(running.asks);
+        assert!(returns(handle), "snapshot requests hung up");
     }
 
     #[test]
     fn a_snapshot_counts_the_handled_envelopes_and_holds_what_they_applied() {
         const N: u64 = 5;
         let (running, handle) = spawn_loop();
-        let Running {
-            inbox, asks, stop, ..
-        } = &running;
+        let Running { inbox, asks, .. } = &running;
         let ct = |i| Timestamp::from_physical_micros(1_000 * i);
         for i in 1..=N {
             let tx = ReplicatedTx {
@@ -356,7 +303,7 @@ mod tests {
             let order = (orders.len(), orders[0].ut, orders[0].tx);
             assert_eq!((*key, order), (Key(i), (1, ct(i), TxId::new(at(0), i))));
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(running.asks);
         assert!(returns(handle));
     }
 
@@ -397,78 +344,7 @@ mod tests {
             ust,
             "the server's own UST"
         );
-        running.stop.store(true, Ordering::Relaxed);
+        drop(running.asks);
         assert!(returns(handle));
-    }
-
-    #[test]
-    fn grid_ticks_made_at_different_instants_fire_together() {
-        let (early, late) = (Tick::on_grid(1_000, 5_000), Tick::on_grid(3_999, 5_000));
-        assert_eq!(
-            (early.next, late.next),
-            (5_000, 5_000),
-            "the next grid line"
-        );
-        // On a grid line the first deadline is a full period away.
-        assert_eq!(Tick::on_grid(5_000, 5_000).next, 10_000);
-        let mut ticks = [early, late, Tick::on_grid(9_000, 5_000)];
-        for now in [5_000, 10_000, 15_000] {
-            let fired: Vec<bool> = ticks.iter_mut().map(|t| t.fire(now)).collect();
-            // The third tick was made after the first line passed.
-            assert_eq!(fired, [true, true, now > 5_000], "at {now}");
-        }
-    }
-
-    #[test]
-    fn a_late_wake_up_rearms_a_grid_tick_onto_the_grid() {
-        let mut tick = Tick::on_grid(2_345, 5_000);
-        assert!(!tick.fire(4_999));
-        // 2.3 ms late: fires once and re-arms on the next line.
-        assert!(tick.fire(7_300));
-        assert_eq!(tick.next, 10_000);
-        // Held up past two lines: one firing, then back on the grid.
-        assert!(tick.fire(21_000));
-        assert_eq!(tick.next, 25_000);
-        assert!(!tick.fire(24_999));
-    }
-
-    #[test]
-    fn a_tick_rearms_from_its_deadline_not_from_the_late_wake_up() {
-        let clock = SimClock::new();
-        clock.advance_to(1_000);
-        let mut tick = Tick::starting(clock.now_micros(), 5_000);
-        assert!(!tick.fire(clock.now_micros()));
-        clock.advance_to(5_999);
-        assert!(!tick.fire(clock.now_micros()), "due at 6 000");
-        // Every wake-up is 700 µs late; the cadence stays on the 5 ms grid.
-        let mut fired = 0;
-        for deadline in (6_000..=1_001_000).step_by(5_000) {
-            clock.advance_to(deadline + 700);
-            assert!(tick.fire(clock.now_micros()));
-            assert_eq!(tick.next, deadline + 5_000, "re-armed from the deadline");
-            assert!(!tick.fire(clock.now_micros()), "once per period");
-            fired += 1;
-        }
-        assert_eq!(
-            fired, 200,
-            "one second of ∆ = 5 ms is 200 ticks, lateness or not"
-        );
-    }
-
-    #[test]
-    fn a_stalled_loop_skips_whole_missed_periods() {
-        let clock = SimClock::new();
-        let mut tick = Tick::starting(clock.now_micros(), 5_000);
-        // Held up for 3.4 periods past the first deadline: one firing, and
-        // the next deadline is the first grid point still ahead.
-        clock.advance_to(22_000);
-        assert!(tick.fire(clock.now_micros()));
-        assert_eq!(tick.next, 25_000);
-        assert!(!tick.fire(clock.now_micros()));
-        // Exactly on a deadline: fires, and the following one is a full
-        // period away.
-        clock.advance_to(25_000);
-        assert!(tick.fire(clock.now_micros()));
-        assert_eq!(tick.next, 30_000);
     }
 }

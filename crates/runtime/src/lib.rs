@@ -46,6 +46,7 @@ mod builder;
 pub mod chaos;
 mod driver;
 mod facade;
+mod host;
 mod live;
 mod measure;
 mod mini_cluster;

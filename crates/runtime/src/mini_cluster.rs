@@ -5,8 +5,11 @@
 //! threads. It is the cheapest [`Cluster`](crate::Cluster) backend:
 //! examples, unit tests and interactive exploration all fit in a few
 //! lines, and every operation completes synchronously. The background
-//! protocols (replication, UST stabilization) advance when
-//! [`Cluster::stabilize`](crate::Cluster::stabilize) is called.
+//! protocols advance when
+//! [`Cluster::stabilize`](crate::Cluster::stabilize) is called: each
+//! round fires every server's [`ServerHost`] ticks once — replication,
+//! GST twice (so child reports reach the roots), UST and GC, which also
+//! trims version chains and, on a durable deployment, writes checkpoints.
 //!
 //! `run_workload` runs its [`WorkloadClient`]s round-robin, one whole
 //! transaction each, with a stabilization round per lap. The clock steps
@@ -23,12 +26,13 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use paris_clock::SimClock;
-use paris_core::{ClientEvent, ClientSession, Server, ServerOptions, Topology, Violation};
+use paris_core::{ClientEvent, ClientSession, Server, Topology, Violation};
 use paris_net::batch::{Coalescer, Offer};
 use paris_proto::{Endpoint, Envelope, Msg};
 use paris_types::{ClientId, DcId, Error, Mode, ServerId, Timestamp};
 
 use crate::facade::Sessions;
+use crate::host::{ServerHost, TickKind};
 use crate::measure::{ClusterStats, RunReport};
 use crate::workload_client::{Step, Tally, WorkloadClient};
 use crate::{replica_convergence, BackendConfig, Cluster, Interactive};
@@ -37,7 +41,7 @@ use crate::{replica_convergence, BackendConfig, Cluster, Interactive};
 pub struct MiniCluster {
     topo: Arc<Topology>,
     clock: SimClock,
-    servers: HashMap<ServerId, Server>,
+    servers: HashMap<ServerId, ServerHost>,
     clients: HashMap<ClientId, Interactive<VecDeque<Envelope>>>,
     queue: VecDeque<Envelope>,
     /// Coalesces background traffic from the periodic ticks; flushed
@@ -66,19 +70,9 @@ impl MiniCluster {
         clock.advance_to(1_000);
         let mut servers = HashMap::new();
         for id in topo.all_servers() {
-            servers.insert(
-                id,
-                Server::try_with_tuning(
-                    ServerOptions {
-                        id,
-                        topology: Arc::clone(&topo),
-                        clock: Box::new(clock.clone()),
-                        mode: config.cluster.mode,
-                        record_events: false,
-                    },
-                    crate::tuning::server_tuning(config.durability.as_ref(), id),
-                )?,
-            );
+            let tuning = crate::tuning::server_tuning(config.durability.as_ref(), id);
+            let host = ServerHost::new(id, &topo, Box::new(clock.clone()), false, tuning)?;
+            servers.insert(id, host);
         }
         Ok(MiniCluster {
             topo,
@@ -111,15 +105,20 @@ impl MiniCluster {
 
     /// Direct read-only access to a server (stores, stats).
     pub fn server(&self, id: ServerId) -> Option<&Server> {
-        self.servers.get(&id)
+        self.servers.get(&id).map(|host| &host.server)
+    }
+
+    /// Every server, in no particular order.
+    fn servers(&self) -> impl Iterator<Item = &Server> {
+        self.servers.values().map(|host| &host.server)
     }
 
     fn pump(&mut self) {
         while let Some(env) = self.queue.pop_front() {
             match env.dst {
                 Endpoint::Server(sid) => {
-                    if let Some(server) = self.servers.get_mut(&sid) {
-                        let out = server.handle(&env, self.now);
+                    if let Some(host) = self.servers.get_mut(&sid) {
+                        let out = host.server.handle(&env, self.now);
                         self.queue.extend(out);
                     }
                 }
@@ -153,21 +152,17 @@ impl MiniCluster {
     }
 
     fn stabilize_rounds(&mut self, rounds: usize) {
-        // Two GST aggregation passes so child reports reach the roots.
-        let ticks: [fn(&mut Server, u64) -> Vec<Envelope>; 4] = [
-            Server::on_replicate_tick,
-            Server::on_gst_tick,
-            Server::on_gst_tick,
-            Server::on_ust_tick,
-        ];
+        use TickKind::{Gc, Gst, Replicate, Ust};
         let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
         ids.sort_unstable();
         for _ in 0..rounds {
             self.now += 1_000;
             self.clock.advance_to(self.now);
-            for tick in ticks {
+            // Two GST aggregation passes so child reports reach the roots.
+            for kind in [Replicate, Gst, Gst, Ust, Gc] {
                 for id in &ids {
-                    let out = tick(self.servers.get_mut(id).expect("known"), self.now);
+                    let host = self.servers.get_mut(id).expect("known");
+                    let out = host.fire(kind, self.now);
                     self.enqueue_background(out);
                 }
                 self.flush_coalesced();
@@ -305,8 +300,7 @@ impl Cluster for MiniCluster {
     }
 
     fn min_ust(&self) -> Timestamp {
-        self.servers
-            .values()
+        self.servers()
             .map(Server::ust)
             .min()
             .unwrap_or(Timestamp::ZERO)
@@ -330,12 +324,12 @@ impl Cluster for MiniCluster {
         let ran = self.run_laps(&mut workers, &mut tally, window_start..=end);
         self.workers = workers;
         ran?;
-        let snaps = crate::server_snapshots(self.servers.values(), self.config.record_history);
+        let snaps = crate::server_snapshots(self.servers(), self.config.record_history);
         Ok(tally.report(self.config.cluster.mode, &snaps))
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let snaps = crate::server_snapshots(self.servers.values(), false);
+        let snaps = crate::server_snapshots(self.servers(), false);
         let mut out = ClusterStats::of_snapshots(&snaps);
         out.set_flush_mix(&self.coalescer.stats());
         Ok(out)
@@ -358,7 +352,7 @@ impl Cluster for MiniCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let snaps = crate::server_snapshots(self.servers.values(), true);
+        let snaps = crate::server_snapshots(self.servers(), true);
         Ok(replica_convergence(&self.topo, &snaps))
     }
 }

@@ -9,13 +9,18 @@
 //! The workload clients are [`WorkloadClient`]s driven by events: a kick
 //! starts a transaction, each reply delivered advances it, and a finished
 //! one kicks the next 1 µs later, or 10 ms after an abort.
+//!
+//! Each server is a [`ServerHost`] whose ticks are armed at seeded random
+//! phases: one `SimEvent::Tick` per kind, re-armed one period after the
+//! event, whose handler runs the host's [`ServerHost::fire`] once the
+//! server's CPU is free, at a cost of one gossip service time.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use paris_clock::{SimClock, SkewCell, SteppableClock};
-use paris_core::{ClientEvent, ClientSession, Server, ServerOptions, Topology, Violation};
+use paris_core::{ClientEvent, ClientSession, Server, Topology, Violation};
 use paris_net::batch::{Coalescer, Offer};
 use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
 use paris_proto::{Endpoint, Envelope};
@@ -28,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::facade::Sessions;
+use crate::host::{ServerHost, TickKind};
 use crate::measure::{visibility_histogram, ClusterStats, RunReport};
 use crate::workload_client::{Step, Tally, WorkloadClient};
 use crate::{open_session, replica_convergence, Cluster, Interactive, INTERACTIVE_SEQ_BASE};
@@ -71,14 +77,6 @@ pub(crate) struct SimConfig {
     pub(crate) fault_plan: Option<FaultPlan>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum TickKind {
-    Replicate,
-    Gst,
-    Ust,
-    Gc,
-}
-
 #[derive(Debug)]
 enum SimEvent {
     Deliver(Envelope),
@@ -91,7 +89,7 @@ enum SimEvent {
 }
 
 struct ServerSlot {
-    server: Server,
+    host: ServerHost,
     busy_until: u64,
 }
 
@@ -160,43 +158,17 @@ impl SimCluster {
             // bit-reproducible across the chaos subsystem's introduction.
             let (server_clock, cell) = SteppableClock::new(clock.clone(), offset);
             skew_cells.entry(id.dc).or_default().push(cell);
-            let server = Server::try_with_tuning(
-                ServerOptions {
-                    id,
-                    topology: Arc::clone(&topo),
-                    clock: Box::new(server_clock),
-                    mode: config.cluster.mode,
-                    record_events: config.record_events,
-                },
-                crate::tuning::server_tuning(config.durability.as_ref(), id),
-            )?;
-            servers.insert(
-                id,
-                ServerSlot {
-                    server,
-                    busy_until: 0,
-                },
-            );
+            let tuning = crate::tuning::server_tuning(config.durability.as_ref(), id);
+            let record = config.record_events;
+            let mut host = ServerHost::new(id, &topo, Box::new(server_clock), record, tuning)?;
             // Stagger the periodic protocols per server.
-            let iv = &config.cluster.intervals;
-            queue.push(
-                rng.gen_range(0..iv.replication_micros),
-                SimEvent::Tick(id, TickKind::Replicate),
-            );
-            queue.push(
-                rng.gen_range(0..iv.gst_micros),
-                SimEvent::Tick(id, TickKind::Gst),
-            );
-            if topo.tree_parent(id).is_none() {
-                queue.push(
-                    rng.gen_range(0..iv.ust_micros),
-                    SimEvent::Tick(id, TickKind::Ust),
-                );
-            }
-            queue.push(
-                rng.gen_range(0..iv.gc_micros),
-                SimEvent::Tick(id, TickKind::Gc),
-            );
+            host.arm(|kind, every| {
+                let at = rng.gen_range(0..every);
+                queue.push(at, SimEvent::Tick(id, kind));
+                at
+            });
+            let busy_until = 0;
+            servers.insert(id, ServerSlot { host, busy_until });
         }
 
         let mut clients = HashMap::new();
@@ -264,11 +236,15 @@ impl SimCluster {
 
     /// The minimum UST across all servers.
     pub fn min_ust(&self) -> Timestamp {
-        self.servers
-            .values()
-            .map(|s| s.server.ust())
+        self.servers()
+            .map(Server::ust)
             .min()
             .unwrap_or(Timestamp::ZERO)
+    }
+
+    /// Every server, in no particular order.
+    fn servers(&self) -> impl Iterator<Item = &Server> {
+        self.servers.values().map(|slot| &slot.host.server)
     }
 
     /// A server, for inspection.
@@ -277,7 +253,7 @@ impl SimCluster {
     ///
     /// Panics if the server does not exist in the deployment.
     pub fn server(&self, id: ServerId) -> &Server {
-        &self.servers[&id].server
+        &self.servers[&id].host.server
     }
 
     /// Enables or disables the failure detector: when enabled, fault
@@ -299,8 +275,8 @@ impl SimCluster {
         }
         let other = |dc: DcId| (dc == a).then_some(b).or((dc == b).then_some(a));
         for slot in self.servers.values_mut() {
-            if let Some(peer) = other(slot.server.id().dc) {
-                slot.server.set_dc_reachability(peer, reachable);
+            if let Some(peer) = other(slot.host.server.id().dc) {
+                slot.host.server.set_dc_reachability(peer, reachable);
             }
         }
         let workload = self.clients.values_mut().map(|(session, _)| session);
@@ -479,30 +455,11 @@ impl SimCluster {
     fn deliver(&mut self, env: Envelope) {
         match env.dst {
             Endpoint::Server(sid) => {
-                let Some(slot) = self.servers.get_mut(&sid) else {
-                    debug_assert!(false, "message to unknown server {sid}");
-                    return;
-                };
-                let start = self.now.max(slot.busy_until);
-                let cost = self.config.service.cost(&env.msg);
-                let blocked_before = slot.server.blocked_reads_now() as u64;
-                let blocks_before = slot.server.stats().blocked_reads;
-                let finish = start + cost;
-                // The coordinator's own share, run in place, costs its CPU.
-                let mut local = 0;
-                let service = self.config.service;
-                let out = slot
-                    .server
-                    .handle_and(&env, finish, |m| local += service.cost(m));
-                slot.busy_until = finish + local;
-                // BPR pays to park a read and to wake it back up — the
-                // "synchronization overhead to block and unblock reads" the
-                // paper charges BPR's throughput loss to (§V-B).
-                let newly_blocked = slot.server.stats().blocked_reads - blocks_before;
-                let drained = (blocked_before + newly_blocked)
-                    .saturating_sub(slot.server.blocked_reads_now() as u64);
-                slot.busy_until += self.config.service.block_overhead * (newly_blocked + drained);
-                self.send_all(finish, out);
+                let (cost, service) = (self.config.service.cost(&env.msg), self.config.service);
+                self.serve(sid, cost, |host, finish, local| {
+                    host.server
+                        .handle_and(&env, finish, |m| *local += service.cost(m))
+                });
             }
             Endpoint::Client(cid) => {
                 if let Some(client) = self.interactive.get_mut(&cid) {
@@ -520,33 +477,43 @@ impl SimCluster {
         }
     }
 
+    /// Runs one of the server's ticks at its seeded phase. Every kind
+    /// costs one gossip service time, and re-arms from the event's time.
     fn tick(&mut self, id: ServerId, kind: TickKind) {
-        let iv = &self.config.cluster.intervals;
-        let (interval, cost) = match kind {
-            TickKind::Replicate => (iv.replication_micros, self.config.service.gossip),
-            TickKind::Gst => (iv.gst_micros, self.config.service.gossip),
-            TickKind::Ust => (iv.ust_micros, self.config.service.gossip),
-            TickKind::Gc => (iv.gc_micros, self.config.service.gossip),
+        let cost = self.config.service.gossip;
+        self.serve(id, cost, |host, finish, _| host.fire(kind, finish));
+        let every = kind.every(&self.config.cluster.intervals);
+        self.queue.push(self.now + every, SimEvent::Tick(id, kind));
+    }
+
+    /// Runs `work` on server `id` once its CPU is free and sends what it
+    /// returns `cost` later. The CPU also pays for what `work` runs in
+    /// place (it adds that to the counter it is handed) and for every read
+    /// parked or woken: the "synchronization overhead to block and unblock
+    /// reads" the paper charges BPR's throughput loss to (§V-B).
+    fn serve(
+        &mut self,
+        id: ServerId,
+        cost: u64,
+        work: impl FnOnce(&mut ServerHost, u64, &mut u64) -> Vec<Envelope>,
+    ) {
+        let Some(slot) = self.servers.get_mut(&id) else {
+            debug_assert!(false, "message to unknown server {id}");
+            return;
         };
-        let slot = self.servers.get_mut(&id).expect("tick for unknown server");
-        let start = self.now.max(slot.busy_until);
-        let finish = start + cost;
-        slot.busy_until = finish;
-        let blocked_before = slot.server.blocked_reads_now() as u64;
-        let out = match kind {
-            TickKind::Replicate => slot.server.on_replicate_tick(finish),
-            TickKind::Gst => slot.server.on_gst_tick(finish),
-            TickKind::Ust => slot.server.on_ust_tick(finish),
-            TickKind::Gc => {
-                slot.server.on_gc_tick(finish);
-                Vec::new()
-            }
-        };
-        let drained = blocked_before.saturating_sub(slot.server.blocked_reads_now() as u64);
-        slot.busy_until += self.config.service.block_overhead * drained;
+        let finish = self.now.max(slot.busy_until) + cost;
+        let server = &slot.host.server;
+        let blocked_before = server.blocked_reads_now() as u64;
+        let blocks_before = server.stats().blocked_reads;
+        let mut local = 0;
+        let out = work(&mut slot.host, finish, &mut local);
+        let server = &slot.host.server;
+        let newly_blocked = server.stats().blocked_reads - blocks_before;
+        let drained =
+            (blocked_before + newly_blocked).saturating_sub(server.blocked_reads_now() as u64);
+        let blocking = self.config.service.block_overhead * (newly_blocked + drained);
+        slot.busy_until = finish + local + blocking;
         self.send_all(finish, out);
-        self.queue
-            .push(self.now + interval, SimEvent::Tick(id, kind));
     }
 
     // ------------------------------------------------------ client driving
@@ -590,11 +557,10 @@ impl SimCluster {
         let visibility = self.config.record_events.then(|| {
             visibility_histogram(
                 self.config.cluster.mode,
-                self.servers.values().filter_map(|s| s.server.events()),
+                self.servers().filter_map(Server::events),
             )
         });
-        let servers = self.servers.values().map(|slot| &slot.server);
-        let snaps = crate::server_snapshots(servers, self.config.record_history);
+        let snaps = crate::server_snapshots(self.servers(), self.config.record_history);
         RunReport {
             visibility,
             net_messages: self.net.messages_sent(),
@@ -616,7 +582,7 @@ impl SimCluster {
         let (mode, cache) = (self.config.cluster.mode, self.value_cache);
         let mut session = open_session(id, &self.topo, mode, cache, via_coordinator);
         // The failure detector's view so far, as the coordinator has it.
-        let coordinator = &self.servers[&session.coordinator()].server;
+        let coordinator = &self.servers[&session.coordinator()].host.server;
         for &cut in coordinator.unreachable_dcs() {
             session.set_dc_reachability(cut, false);
         }
@@ -699,7 +665,7 @@ impl Cluster for SimCluster {
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let snaps = crate::server_snapshots(self.servers.values().map(|slot| &slot.server), false);
+        let snaps = crate::server_snapshots(self.servers(), false);
         let mut out = ClusterStats::of_snapshots(&snaps);
         out.net_messages = self.net.messages_sent();
         out.net_bytes = self.net.bytes_sent();
@@ -733,7 +699,7 @@ impl Cluster for SimCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let snaps = crate::server_snapshots(self.servers.values().map(|slot| &slot.server), true);
+        let snaps = crate::server_snapshots(self.servers(), true);
         Ok(replica_convergence(&self.topo, &snaps))
     }
 }

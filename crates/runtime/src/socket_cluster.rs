@@ -4,7 +4,7 @@
 //! — the deployment shape the paper actually evaluates (one machine per
 //! server), scaled down to loopback. The parent process hosts every
 //! client session plus the control plane; each child process hosts one
-//! [`Server`] state machine driven by the same loops as the threaded
+//! [`ServerHost`] driven by the same loops as the threaded
 //! backend ([`crate::driver`]) over a [`SocketNode`] transport.
 //!
 //! The parent's clients are the live core it shares with the thread
@@ -51,15 +51,14 @@ use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use paris_clock::WallClock;
 use paris_core::{
-    ClientEvent, ClientSession, DurableConfig, FsyncPolicy, Server, ServerOptions, ServerTuning,
-    Topology, Violation,
+    ClientEvent, ClientSession, DurableConfig, FsyncPolicy, ServerTuning, Topology, Violation,
 };
 use paris_net::sim::RegionMatrix;
 use paris_net::socket::framing::{
@@ -71,8 +70,9 @@ use paris_types::{
     BatchConfig, ClientId, ClusterConfig, DcId, Error, Intervals, Mode, ServerId, Timestamp,
 };
 
-use crate::driver::{request_snapshots, server_loop};
+use crate::driver::{request_snapshots, spawn_server_loop};
 use crate::facade::Sessions;
+use crate::host::ServerHost;
 use crate::live::{Live, LiveNet};
 use crate::measure::{ClusterStats, RunReport};
 use crate::{BackendConfig, Cluster, OP_TIMEOUT};
@@ -335,16 +335,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     // tuning this is also the recovery point: a relaunched child replays
     // its checkpoint + WAL suffix here, *before* it says hello — joining
     // the deployment advertises readiness to serve.
-    let server = Server::try_with_tuning(
-        ServerOptions {
-            id,
-            topology: Arc::clone(&topo),
-            clock: Box::new(WallClock::new()),
-            mode: spec.cluster.mode,
-            record_events: false,
-        },
-        spec.tuning.clone(),
-    )?;
+    let host = ServerHost::new(id, &topo, Box::new(WallClock::new()), false, spec.tuning)?;
 
     // Join the deployment: dial the control port, handshake, say hello,
     // learn the peer map.
@@ -377,31 +368,14 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
     // The server loop owns the server and drains the node inbox itself:
     // every message, slice reads included, is handled there, and so is
     // every snapshot request of the control loop below.
-    let (snapshot_tx, snapshots) = sync_channel(1);
-    let published_ust = Arc::new(AtomicU64::new(0));
-    let loop_ust = Arc::clone(&published_ust);
-    let stop = Arc::new(AtomicBool::new(false));
-    let loop_send = node.handle();
-    let loop_flush = node.handle();
-    let loop_stop = Arc::clone(&stop);
-    let intervals = spec.cluster.intervals;
-    let server_handle = std::thread::Builder::new()
-        .name(format!("server-{id}"))
-        .spawn(move || {
-            server_loop(
-                server,
-                inbox,
-                snapshots,
-                loop_ust,
-                move |e| loop_send.send_lossy(e),
-                move || loop_flush.flush_due(),
-                topo,
-                WallClock::new(),
-                loop_stop,
-                intervals,
-            )
-        })
-        .map_err(|_| Error::Transport("could not spawn server loop"))?;
+    let (send, flush) = (node.handle(), node.handle());
+    let (server_handle, snapshot_tx, published_ust) = spawn_server_loop(
+        host,
+        inbox,
+        move |e| send.send_lossy(e),
+        move || flush.flush_due(),
+        WallClock::new(),
+    )?;
 
     // Control loop on the main thread: requests and shutdown. It waits
     // for as long as the parent is there; a vanished parent (EOF or
@@ -446,7 +420,7 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
         }
     }
 
-    stop.store(true, Ordering::Relaxed);
+    drop(snapshot_tx);
     let _ = server_handle.join();
     node.shutdown();
     Ok(())

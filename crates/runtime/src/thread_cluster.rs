@@ -28,27 +28,29 @@
 //! means exactly what it means on the sim backend. A clock-skew step stays
 //! here, on the DC's shared skew cells.
 //!
-//! Each server thread owns its [`Server`]: the cluster keeps no handle on
-//! the state machine, only a bounded snapshot-request channel to its loop
+//! Each server thread owns its [`ServerHost`], and with it the
+//! [`Server`](paris_core::Server): the cluster keeps no handle on the state
+//! machine, only a bounded snapshot-request channel to its loop
 //! and the UST the loop publishes (see [`crate::driver`]). `stats()`, the
 //! checker's ground truth and `check_convergence()` read the servers'
 //! answers, one snapshot per server; `min_ust()` reads the published USTs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::{SkewCell, SteppableClock, SystemClock};
-use paris_core::{ClientEvent, ClientSession, Server, ServerOptions, Topology, Violation};
+use paris_core::{ClientEvent, ClientSession, Topology, Violation};
 use paris_net::threaded::{NetHandle, Router, ThreadedNetConfig};
 use paris_proto::{Envelope, ServerSnapshot};
 use paris_types::{ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Mode, Timestamp};
 
-use crate::driver::{request_snapshots, server_loop, SnapshotReq};
+use crate::driver::{request_snapshots, spawn_server_loop, SnapshotReq};
 use crate::facade::Sessions;
+use crate::host::ServerHost;
 use crate::live::{Live, LiveNet};
 use crate::measure::{ClusterStats, RunReport};
 use crate::{BackendConfig, Cluster};
@@ -112,7 +114,6 @@ impl LiveNet for ThreadNet {
 /// The threaded cluster backend. See the module docs.
 pub struct ThreadCluster {
     live: Live<ThreadNet>,
-    stop_servers: Arc<AtomicBool>,
     server_handles: Vec<JoinHandle<()>>,
     /// One shared skew cell per server, grouped by DC, so a scripted
     /// `SkewClock` event can step every HLC clock in that DC at once.
@@ -135,58 +136,28 @@ impl ThreadCluster {
         let topo = Arc::new(Topology::new(config.cluster.clone()));
         let router = Router::start(net_config.clone());
         let clock = Arc::new(SystemClock::new());
-        let stop_servers = Arc::new(AtomicBool::new(false));
 
-        let mut servers = Vec::new();
-        let usts: Vec<Arc<AtomicU64>> = topo.all_servers().iter().map(|_| Arc::default()).collect();
-        let mut server_handles = Vec::new();
+        let (mut servers, mut usts, mut server_handles) = (Vec::new(), Vec::new(), Vec::new());
         let mut skew_cells: HashMap<DcId, Vec<SkewCell>> = HashMap::new();
-        for (id, ust) in topo.all_servers().into_iter().zip(&usts) {
+        for id in topo.all_servers() {
             // Each server's HLC reads wall time through a steppable shim so
             // a scripted SkewClock fault can shift one DC's clocks at runtime.
             let (server_clock, cell) = SteppableClock::new(Arc::clone(&clock), 0);
             skew_cells.entry(id.dc).or_default().push(cell);
-            let server = Server::try_with_tuning(
-                ServerOptions {
-                    id,
-                    topology: Arc::clone(&topo),
-                    clock: Box::new(server_clock),
-                    mode: config.cluster.mode,
-                    record_events: false,
-                },
-                crate::tuning::server_tuning(config.durability.as_ref(), id),
-            )?;
-            // One request in flight per loop: every caller awaits its
-            // answers before it asks again.
-            let (snapshot_tx, snapshots) = sync_channel(1);
-            servers.push(snapshot_tx);
-            let ust = Arc::clone(ust);
-            let inbox = router.register(id);
+            let tuning = crate::tuning::server_tuning(config.durability.as_ref(), id);
+            let host = ServerHost::new(id, &topo, Box::new(server_clock), false, tuning)?;
             let net = router.handle();
-            let topo = Arc::clone(&topo);
-            let clock = Arc::clone(&clock);
-            let stop = Arc::clone(&stop_servers);
-            let intervals = config.cluster.intervals;
-            server_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("server-{id}"))
-                    .spawn(move || {
-                        server_loop(
-                            server,
-                            inbox,
-                            snapshots,
-                            ust,
-                            move |e| net.send(e),
-                            // The router's delay wheel keeps the ceilings.
-                            || {},
-                            topo,
-                            clock,
-                            stop,
-                            intervals,
-                        )
-                    })
-                    .expect("spawn server thread"),
-            );
+            // The router's delay wheel keeps the coalescer's ceilings.
+            let (handle, snapshots, ust) = spawn_server_loop(
+                host,
+                router.register(id),
+                move |e| net.send(e),
+                || {},
+                Arc::clone(&clock),
+            )?;
+            server_handles.push(handle);
+            servers.push(snapshots);
+            usts.push(ust);
         }
 
         let net = ThreadNet {
@@ -198,7 +169,6 @@ impl ThreadCluster {
         };
         Ok(ThreadCluster {
             live: Live::new(net, config, topo, clock),
-            stop_servers,
             server_handles,
             skew_cells,
             chaos_stop: Arc::new(AtomicBool::new(false)),
@@ -327,7 +297,8 @@ impl Drop for ThreadCluster {
         for h in self.chaos_handles.drain(..) {
             let _ = h.join();
         }
-        self.stop_servers.store(true, Ordering::Relaxed);
+        // Hanging up their snapshot requests stops the server loops.
+        self.live.net.servers.clear();
         for h in self.server_handles.drain(..) {
             let _ = h.join();
         }

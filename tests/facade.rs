@@ -757,3 +757,33 @@ fn durable_mini_cluster_survives_a_rebuild_from_the_same_directory() {
     txn.commit().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_mini_stabilize_round_collects_garbage_and_writes_checkpoints() {
+    let dir = std::env::temp_dir().join(format!("paris-facade-gc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cluster = Paris::builder()
+        .dcs(2)
+        .partitions(2)
+        .replication(2)
+        .keys_per_partition(100)
+        .durability(paris::Durability::new(&dir).checkpoint_interval_micros(0))
+        .build_mini()
+        .expect("valid durable deployment");
+    let a = cluster.open_client(0).unwrap();
+    for value in ["first", "second"] {
+        let mut txn = cluster.begin(a).unwrap();
+        txn.write(Key(0), Value::from(value));
+        txn.commit().unwrap();
+        cluster.stabilize(5);
+    }
+    let gc_removed = cluster.stats().unwrap().gc_removed;
+    assert!(gc_removed > 0, "the overwritten version is collected");
+    for id in cluster.topology().all_servers() {
+        let durable = cluster.server(id).and_then(|s| s.durable_stats());
+        let checkpoints = durable.expect("a durable server").checkpoints;
+        assert!(checkpoints >= 1, "{id}: no checkpoint at interval 0");
+    }
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
