@@ -2,22 +2,30 @@
 //!
 //! These tests drive the real server/client state machines through a
 //! zero-latency synchronous message pump — no network substrate — so any
-//! failure is a protocol bug, not a harness artifact.
+//! failure is a protocol bug, not a harness artifact. The clock moves only
+//! where a test advances it, which is what lets one seeded stream run
+//! twice, with eager and with deferred begins, and compare every read.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use paris_clock::SimClock;
+use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::{
-    ClientEvent, ClientRead, ClientSession, Mode, ReadStep, Server, ServerOptions, Topology,
-    STALE_CONTEXT_MICROS,
+    ClientEvent, ClientRead, ClientSession, Mode, ReadStep, Server, ServerOptions, ServerStats,
+    Topology, STALE_CONTEXT_MICROS,
 };
 use paris_proto::{Endpoint, Envelope};
-use paris_types::{ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, Value};
+use paris_types::{
+    ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, VersionOrd,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A tiny synchronous cluster: all messages delivered in FIFO order with
 /// zero latency; ticks run on demand.
-struct MiniCluster {
+struct PumpedCluster {
     topo: Arc<Topology>,
     clock: SimClock,
     servers: HashMap<ServerId, Server>,
@@ -27,7 +35,7 @@ struct MiniCluster {
     now: u64,
 }
 
-impl MiniCluster {
+impl PumpedCluster {
     fn new(dcs: u16, partitions: u32, r: u16, mode: Mode) -> Self {
         let cfg = ClusterConfig::builder()
             .dcs(dcs)
@@ -54,7 +62,7 @@ impl MiniCluster {
                 )
             })
             .collect();
-        MiniCluster {
+        PumpedCluster {
             topo,
             clock,
             servers,
@@ -69,6 +77,16 @@ impl MiniCluster {
         let id = ClientId::new(DcId(dc), seq);
         let coord = self.topo.coordinator_for(id.dc, id.seq);
         self.clients.insert(id, ClientSession::new(id, coord, mode));
+        id
+    }
+
+    /// A client that, once its transaction knows its snapshot, reads
+    /// straight from the replicas (as every runtime session does).
+    fn add_routed_client(&mut self, dc: u16, seq: u32, mode: Mode) -> ClientId {
+        let id = self.add_client(dc, seq, mode);
+        let session = self.clients.remove(&id).unwrap();
+        let routed = session.with_topology(Arc::clone(&self.topo));
+        self.clients.insert(id, routed);
         id
     }
 
@@ -101,7 +119,9 @@ impl MiniCluster {
     /// One round of background ticks on every server, then pump.
     fn tick_all(&mut self) {
         self.advance(1_000);
-        let ids: Vec<ServerId> = self.servers.keys().copied().collect();
+        let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
+        // One order for every cluster, so two runs of a stream tick alike.
+        ids.sort_unstable();
         for id in &ids {
             let out = self
                 .servers
@@ -149,13 +169,17 @@ impl MiniCluster {
     }
 
     fn read(&mut self, c: ClientId, keys: &[Key]) -> Vec<(Key, Option<Value>)> {
+        let reads = self.read_full(c, keys);
+        reads.into_iter().map(|r| (r.key, r.value)).collect()
+    }
+
+    fn read_full(&mut self, c: ClientId, keys: &[Key]) -> Vec<ClientRead> {
         let step = self.clients.get_mut(&c).unwrap().read(keys).unwrap();
-        let reads = match step {
+        match step {
             ReadStep::Done(reads) => reads,
             ReadStep::Send(env) => self.read_round_trip(c, vec![env]),
             ReadStep::Slices(slices) => self.read_round_trip(c, slices),
-        };
-        reads.into_iter().map(|r| (r.key, r.value)).collect()
+        }
     }
 
     /// Sends a read's envelopes and returns the reads they complete.
@@ -203,11 +227,41 @@ impl MiniCluster {
     fn min_ust(&self) -> Timestamp {
         self.servers.values().map(|s| s.ust()).min().unwrap()
     }
+
+    /// One counter, summed over every server.
+    fn total(&self, counter: impl Fn(&ServerStats) -> u64) -> u64 {
+        self.servers.values().map(|s| counter(&s.stats())).sum()
+    }
+
+    /// Every key whose latest version differs between the replicas of its
+    /// partition.
+    fn check_convergence(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        for p in 0..self.topo.partitions() {
+            let p = PartitionId(p);
+            let replicas: Vec<HashMap<Key, Option<VersionOrd>>> = self
+                .topo
+                .replicas(p)
+                .into_iter()
+                .map(|dc| {
+                    let mut latest = HashMap::new();
+                    let store = self.servers[&ServerId::new(dc, p)].store();
+                    store.for_each_chain(&mut |key, chain| {
+                        latest.insert(key, chain.iter().next().map(|v| v.order()));
+                    });
+                    latest
+                })
+                .collect();
+            let found = HistoryChecker::check_convergence(&replicas);
+            violations.extend(found.iter().map(ToString::to_string));
+        }
+        violations
+    }
 }
 
 #[test]
 fn update_transaction_commits_and_is_readable_after_stabilization() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
 
@@ -242,7 +296,7 @@ fn update_transaction_commits_and_is_readable_after_stabilization() {
 
 #[test]
 fn read_your_own_writes_via_cache_before_stabilization() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
 
@@ -269,7 +323,7 @@ fn read_your_own_writes_via_cache_before_stabilization() {
 
 #[test]
 fn atomicity_multi_partition_writes_visible_together() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
 
@@ -298,7 +352,7 @@ fn atomicity_multi_partition_writes_visible_together() {
 
 #[test]
 fn causal_order_write_then_dependent_write_has_larger_ct() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     let bob = c.add_client(1, 0, Mode::Paris);
     c.advance(10_000);
@@ -324,7 +378,7 @@ fn causal_order_write_then_dependent_write_has_larger_ct() {
 
 #[test]
 fn session_order_is_reflected_in_commit_timestamps() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
 
@@ -340,7 +394,7 @@ fn session_order_is_reflected_in_commit_timestamps() {
 
 #[test]
 fn ust_advances_without_any_writes_via_heartbeats() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     c.advance(50_000);
     for _ in 0..4 {
         c.tick_all();
@@ -354,7 +408,7 @@ fn ust_advances_without_any_writes_via_heartbeats() {
 
 #[test]
 fn snapshots_are_monotonic_per_client_across_coordinator_staleness() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     for _ in 0..3 {
@@ -375,7 +429,7 @@ fn snapshots_are_monotonic_per_client_across_coordinator_staleness() {
 
 #[test]
 fn bpr_serves_fresh_data_without_waiting_for_ust() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Bpr);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Bpr);
     let alice = c.add_client(0, 0, Mode::Bpr);
     let bob = c.add_client(1, 0, Mode::Bpr);
     c.advance(10_000);
@@ -397,7 +451,7 @@ fn bpr_serves_fresh_data_without_waiting_for_ust() {
 
 #[test]
 fn bpr_read_blocks_until_snapshot_installed() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Bpr);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Bpr);
     let alice = c.add_client(0, 0, Mode::Bpr);
     c.advance(10_000);
 
@@ -431,7 +485,7 @@ fn bpr_read_blocks_until_snapshot_installed() {
 
 #[test]
 fn paris_reads_never_block() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     for _ in 0..3 {
@@ -448,7 +502,7 @@ fn paris_reads_never_block() {
 
 #[test]
 fn concurrent_conflicting_writes_converge_last_writer_wins() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     let bob = c.add_client(1, 0, Mode::Paris);
     c.advance(10_000);
@@ -493,7 +547,7 @@ fn concurrent_conflicting_writes_converge_last_writer_wins() {
 
 #[test]
 fn garbage_collection_trims_old_versions_but_preserves_reads() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
 
@@ -527,7 +581,7 @@ fn garbage_collection_trims_old_versions_but_preserves_reads() {
 
 #[test]
 fn stale_context_cleanup_removes_abandoned_transactions() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     c.begin(alice); // never committed (client "fails")
@@ -545,7 +599,7 @@ fn stale_context_cleanup_removes_abandoned_transactions() {
 
 #[test]
 fn an_abandoned_context_is_reclaimed_on_the_gc_tick_and_releases_the_gc_horizon() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     for _ in 0..3 {
@@ -592,7 +646,7 @@ fn an_abandoned_context_is_reclaimed_on_the_gc_tick_and_releases_the_gc_horizon(
 
 #[test]
 fn deferred_begins_read_their_own_writes_and_then_the_stable_snapshot() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     // A write-only transaction: its commit carries its start.
@@ -631,7 +685,7 @@ fn deferred_begins_read_their_own_writes_and_then_the_stable_snapshot() {
 
 #[test]
 fn read_only_commit_releases_coordinator_context() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     c.begin(alice);
@@ -645,7 +699,7 @@ fn read_only_commit_releases_coordinator_context() {
 
 #[test]
 fn replication_is_idempotent_under_duplicate_delivery() {
-    let mut c = MiniCluster::new(3, 6, 2, Mode::Paris);
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     let alice = c.add_client(0, 0, Mode::Paris);
     c.advance(10_000);
     c.begin(alice);
@@ -678,4 +732,204 @@ fn replication_is_idempotent_under_duplicate_delivery() {
         1,
         "duplicate replication must not fork versions"
     );
+}
+
+// ------------------------------------------------ eager vs deferred begins
+
+/// 8 keys per partition.
+const STREAM_KEYS: u64 = 48;
+/// The keys above this one are written once, up front, and only read
+/// afterwards.
+const QUIET_FROM: u64 = 40;
+const VALUE_LEN: usize = 64;
+
+/// One transaction of a stream, with its writer's id still to be learned
+/// (a version read later carries its writer's).
+struct Observed {
+    client: ClientId,
+    snapshot: Timestamp,
+    reads: Vec<ClientRead>,
+    writes: Vec<Key>,
+    ct: Timestamp,
+}
+
+/// Everything one run of the stream produced.
+struct Outcome {
+    /// Every read batch, in issue order, sorted by key.
+    reads: Vec<Vec<ClientRead>>,
+    violations: Vec<String>,
+    txs_coordinated: u64,
+    coordinator_reads: u64,
+}
+
+/// The checker's verdict on a stream's history.
+fn check(history: &[Observed]) -> Vec<String> {
+    let mut writer_of: HashMap<(Key, Timestamp), usize> = HashMap::new();
+    for (index, tx) in history.iter().enumerate() {
+        for key in &tx.writes {
+            writer_of.insert((*key, tx.ct), index);
+        }
+    }
+    let mut learned: HashMap<usize, TxId> = HashMap::new();
+    for version in history
+        .iter()
+        .flat_map(|tx| tx.reads.iter().filter_map(|r| r.version.as_ref()))
+    {
+        if let Some(&writer) = writer_of.get(&(version.key, version.ut)) {
+            learned.insert(writer, version.tx);
+        }
+    }
+    let mut checker = HistoryChecker::new();
+    for (index, tx) in history.iter().enumerate() {
+        // A writer nobody read keeps an id no deployment can produce.
+        let id = learned.get(&index).copied().unwrap_or_else(|| {
+            TxId::new(
+                ServerId::new(DcId(u16::MAX), PartitionId(u32::MAX)),
+                index as u64,
+            )
+        });
+        for key in &tx.writes {
+            let order = VersionOrd {
+                ut: tx.ct,
+                tx: id,
+                src: tx.client.dc,
+            };
+            checker.record_versions(*key, [order]);
+        }
+        checker.record_tx(
+            tx.client,
+            RecordedTx {
+                tx: id,
+                snapshot: tx.snapshot,
+                reads: tx.reads.iter().map(HistoryChecker::recorded_read).collect(),
+                writes: tx.writes.clone(),
+                ct: Some(tx.ct),
+            },
+        );
+    }
+    checker.check().iter().map(ToString::to_string).collect()
+}
+
+/// Runs `steps` seeded transactions — readers and writers in DC 0,
+/// concurrent writers in DC 1 — on 3 DCs × 6 partitions, R = 2, with
+/// every begin eager or every begin deferred to the first read. The clock
+/// steps 10 µs before every begin and commit and never before a read.
+fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
+    c.advance(1_000);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clients: Vec<ClientId> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        .iter()
+        .map(|&(dc, seq)| c.add_routed_client(dc, seq, Mode::Paris))
+        .collect();
+    let begin = |c: &mut PumpedCluster, client: ClientId, deferred: bool| {
+        c.advance(10);
+        if deferred {
+            c.begin_deferred(client);
+        } else {
+            c.begin(client);
+        }
+    };
+    let commit = |c: &mut PumpedCluster, client: ClientId| {
+        c.advance(10);
+        c.commit(client)
+    };
+
+    // Every key gets a first version; the quiet keys never get another.
+    let preload: Vec<(Key, Value)> = (0..STREAM_KEYS)
+        .map(|k| (Key(k), Value::filled(VALUE_LEN, k)))
+        .collect();
+    begin(&mut c, clients[2], false);
+    let snapshot = c.clients[&clients[2]].open_snapshot().unwrap();
+    c.clients
+        .get_mut(&clients[2])
+        .unwrap()
+        .write(&preload)
+        .unwrap();
+    let ct = commit(&mut c, clients[2]);
+    let mut history = vec![Observed {
+        client: clients[2],
+        snapshot,
+        reads: Vec::new(),
+        writes: preload.iter().map(|(k, _)| *k).collect(),
+        ct,
+    }];
+    for _ in 0..4 {
+        c.tick_all();
+    }
+
+    let mut reads = Vec::new();
+    for step in 0..steps {
+        let client = clients[rng.gen_range(0..clients.len())];
+        begin(&mut c, client, deferred);
+        // Skewed towards the low keys, with a couple of quiet keys in most
+        // batches; duplicates are welcome.
+        let mut keys: Vec<Key> = (0..rng.gen_range(1..6))
+            .map(|_| {
+                Key(rng
+                    .gen_range(0..QUIET_FROM)
+                    .min(rng.gen_range(0..QUIET_FROM)))
+            })
+            .collect();
+        for _ in 0..rng.gen_range(0..3) {
+            keys.push(Key(rng.gen_range(QUIET_FROM..STREAM_KEYS)));
+        }
+        let mut got = c.read_full(client, &keys);
+        got.sort_by_key(|r| r.key);
+        let snapshot = c.clients[&client].open_snapshot().unwrap();
+        let mut writes = Vec::new();
+        if rng.gen::<f64>() < 0.5 {
+            for _ in 0..rng.gen_range(1..4) {
+                let key = Key(rng.gen_range(0..QUIET_FROM));
+                writes.push((key, Value::filled(VALUE_LEN, step as u64)));
+            }
+            c.clients.get_mut(&client).unwrap().write(&writes).unwrap();
+        }
+        let ct = commit(&mut c, client);
+        reads.push(got.clone());
+        history.push(Observed {
+            client,
+            snapshot,
+            reads: got,
+            writes: writes.iter().map(|(k, _)| *k).collect(),
+            ct,
+        });
+        if step % 3 == 0 {
+            c.tick_all();
+        }
+    }
+    for _ in 0..4 {
+        c.tick_all();
+    }
+    let mut violations = check(&history);
+    violations.extend(c.check_convergence());
+    Outcome {
+        reads,
+        violations,
+        txs_coordinated: c.total(|s| s.txs_coordinated),
+        coordinator_reads: c.total(|s| s.coordinator_reads),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    #[test]
+    fn prop_reads_are_identical_with_eager_and_deferred_begins(seed in 0u64..10_000) {
+        let eager = drive(seed, 160, false);
+        let deferred = drive(seed, 160, true);
+        prop_assert_eq!(&eager.violations, &Vec::<String>::new());
+        prop_assert_eq!(&deferred.violations, &Vec::<String>::new());
+        prop_assert_eq!(eager.reads.len(), deferred.reads.len());
+        for (step, (a, b)) in eager.reads.iter().zip(&deferred.reads).enumerate() {
+            prop_assert_eq!(a, b, "read batch {} differs", step);
+        }
+        // The same transactions committed. An eager begin knows its
+        // snapshot, so its reads went straight to the replicas; a deferred
+        // begin's one read carried the start, so its coordinator handled
+        // exactly one `ReadReq` per transaction instead of a `StartTxReq`.
+        prop_assert_eq!(eager.txs_coordinated, deferred.txs_coordinated);
+        prop_assert_eq!(eager.coordinator_reads, 0);
+        prop_assert_eq!(deferred.coordinator_reads, 160);
+    }
 }

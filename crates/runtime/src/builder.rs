@@ -10,7 +10,7 @@
 //!     .partitions(6)
 //!     .replication(2)
 //!     .mode(Mode::Paris)
-//!     .backend(Backend::Mini)
+//!     .backend(Backend::Sim)
 //!     .build()?;
 //! let report = cluster.run_workload(50_000, 200_000)?;
 //! assert!(report.violations.is_empty());
@@ -22,7 +22,6 @@ use paris_net::threaded::ThreadedNetConfig;
 use paris_types::{BatchConfig, ClusterConfig, ConfigError, Error, FaultPlan, Intervals, Mode};
 use paris_workload::WorkloadConfig;
 
-use crate::mini_cluster::MiniCluster;
 use crate::sim_cluster::{SimCluster, SimConfig};
 use crate::socket_cluster::SocketCluster;
 use crate::thread_cluster::ThreadCluster;
@@ -31,12 +30,10 @@ use crate::{BackendConfig, Cluster, Durability};
 /// The substrate a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Synchronous in-process pump: zero latency, fully deterministic,
-    /// cheapest. The default.
-    #[default]
-    Mini,
     /// Deterministic discrete-event simulation: WAN latency matrix, CPU
-    /// service model, fault injection — the paper's figures run here.
+    /// service model, fault injection — the paper's figures run here. The
+    /// default.
+    #[default]
     Sim,
     /// Real threads over an in-process transport: one thread per server,
     /// genuine concurrency and races.
@@ -53,7 +50,6 @@ pub enum Backend {
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Backend::Mini => write!(f, "mini"),
             Backend::Sim => write!(f, "sim"),
             Backend::Thread => write!(f, "thread"),
             Backend::Socket => write!(f, "socket"),
@@ -66,7 +62,7 @@ pub struct Paris;
 
 impl Paris {
     /// Starts building a deployment with the paper's default shape
-    /// (5 DCs × 45 partitions, R = 2) on the [`Backend::Mini`] substrate.
+    /// (5 DCs × 45 partitions, R = 2) on the [`Backend::Sim`] substrate.
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder::new()
     }
@@ -84,8 +80,8 @@ enum Latency {
 ///
 /// Shape knobs mirror [`ClusterConfig`]; load and substrate knobs cover
 /// what the runtimes need. `build` validates everything and returns the
-/// backend behind a `Box<dyn Cluster>`; `build_mini`/`build_sim`/
-/// `build_thread` return the concrete type when backend-specific powers
+/// backend behind a `Box<dyn Cluster>`; `build_sim`/`build_thread`/
+/// `build_socket` return the concrete type when backend-specific powers
 /// (fault injection, figure reports) are needed.
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
@@ -123,11 +119,11 @@ impl Default for ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// A builder seeded with the paper's default deployment on the mini
+    /// A builder seeded with the paper's default deployment on the sim
     /// backend.
     pub fn new() -> Self {
         ClusterBuilder {
-            backend: Backend::Mini,
+            backend: Backend::Sim,
             dcs: 5,
             partitions: 45,
             replication: 2,
@@ -233,8 +229,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Master RNG seed: same seed ⇒ identical run on deterministic
-    /// backends.
+    /// Master RNG seed: same seed ⇒ identical run on the sim backend.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -265,16 +260,15 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-message CPU cost model of the simulated backend (the mini and
-    /// thread backends have no CPU model and ignore it).
+    /// Per-message CPU cost model of the simulated backend (the thread
+    /// and socket backends have no CPU model and ignore it).
     pub fn service(mut self, service: ServiceModel) -> Self {
         self.service = service;
         self
     }
 
     /// Records server event logs (update-visibility latency, Fig. 4).
-    /// Sim backend only: `build_mini`/`build_thread`/`build_socket`
-    /// reject it.
+    /// Sim backend only: `build_thread`/`build_socket` reject it.
     pub fn record_events(mut self, on: bool) -> Self {
         self.record_events = on;
         self
@@ -288,8 +282,8 @@ impl ClusterBuilder {
     }
 
     /// Stabilization-tree branching factor (0 = flat tree, the default).
-    /// Sim backend only: `build_mini`/`build_thread`/`build_socket`
-    /// reject non-zero values.
+    /// Sim backend only: `build_thread`/`build_socket` reject non-zero
+    /// values.
     pub fn stab_branching(mut self, branching: usize) -> Self {
         self.stab_branching = branching;
         self
@@ -300,7 +294,7 @@ impl ClusterBuilder {
     /// checkpoints under `durability`'s base directory (one
     /// `dc{d}-p{p}` subdirectory per server), and a restarted server
     /// recovers its state from them. Off by default — the in-memory
-    /// engine — and honored by all four backends; the socket backend
+    /// engine — and honored by every backend; the socket backend
     /// additionally supports [`Cluster::restart_server`] when this is on.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = Some(durability);
@@ -312,7 +306,7 @@ impl ClusterBuilder {
     /// once the cluster is built. Validated against the deployment shape
     /// at build time; supported by the sim backend (virtual time,
     /// bit-reproducible per seed) and the thread backend (wall-clock
-    /// time at the router). `build_mini`/`build_socket` reject it.
+    /// time at the router). `build_socket` rejects it.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -373,7 +367,7 @@ impl ClusterBuilder {
         Ok(())
     }
 
-    /// The configuration of a mini, thread or socket deployment.
+    /// The deployment and workload, as every backend takes them.
     fn backend_config(&self) -> Result<BackendConfig, Error> {
         Ok(BackendConfig {
             cluster: self.cluster_config()?,
@@ -401,26 +395,21 @@ impl ClusterBuilder {
     /// parameters.
     pub fn build(self) -> Result<Box<dyn Cluster>, Error> {
         Ok(match self.backend {
-            Backend::Mini => Box::new(self.build_mini()?),
             Backend::Sim => Box::new(self.build_sim()?),
             Backend::Thread => Box::new(self.build_thread()?),
             Backend::Socket => Box::new(self.build_socket()?),
         })
     }
 
-    /// Builds the concrete [`MiniCluster`] backend.
+    /// [`Self::build_sim`] under the name the benchmark's seam still
+    /// uses; ROADMAP item 1(b) removes it.
     ///
     /// # Errors
     ///
-    /// Returns a configuration error for invalid shapes.
-    pub fn build_mini(self) -> Result<MiniCluster, Error> {
-        self.reject_sim_only_options()?;
-        if self.fault_plan.is_some() {
-            return Err(Error::Unsupported(
-                "fault plans need a backend with a controllable network (sim or thread)",
-            ));
-        }
-        MiniCluster::from_parts(self.backend_config()?)
+    /// As [`Self::build_sim`].
+    #[doc(hidden)]
+    pub fn build_mini(self) -> Result<crate::MiniCluster, Error> {
+        self.build_sim()
     }
 
     /// Builds the concrete [`SimCluster`] backend (fault injection,
@@ -430,20 +419,13 @@ impl ClusterBuilder {
     ///
     /// Returns a configuration error for invalid shapes.
     pub fn build_sim(self) -> Result<SimCluster, Error> {
-        let cluster = self.cluster_config()?;
-        let workload = self.workload_config();
         SimCluster::new(SimConfig {
+            base: self.backend_config()?,
             matrix: self.matrix(),
-            cluster,
             jitter: self.jitter,
             service: self.service,
-            seed: self.seed,
-            clients_per_dc: self.clients_per_dc,
-            workload,
             record_events: self.record_events,
-            record_history: self.record_history,
             stab_branching: self.stab_branching,
-            durability: self.durability,
             fault_plan: self.fault_plan,
         })
     }

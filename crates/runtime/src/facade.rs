@@ -1,10 +1,9 @@
 //! The unified cluster facade: one [`Cluster`] trait over every backend,
 //! with RAII [`Txn`] transaction handles.
 //!
-//! Every runtime — the synchronous in-process [`crate::MiniCluster`], the
-//! discrete-event [`crate::SimCluster`], the multi-threaded
-//! [`crate::ThreadCluster`] and the multi-process [`crate::SocketCluster`]
-//! — exposes the same surface:
+//! Every runtime — the discrete-event [`crate::SimCluster`], the
+//! multi-threaded [`crate::ThreadCluster`] and the multi-process
+//! [`crate::SocketCluster`] — exposes the same surface:
 //!
 //! * [`Cluster::open_client`] to place a client session in a DC,
 //! * [`Cluster::begin`] to open a transaction and get a [`Txn`] handle
@@ -24,8 +23,8 @@
 //! client sessions, and a round trip that sends an operation's envelopes —
 //! one request, or a read's slices — and waits for the [`ClientEvent`]
 //! that completes the operation. Those primitives live on a sealed
-//! supertrait, so [`Cluster`] has exactly the four implementations of this
-//! crate.
+//! supertrait, so [`Cluster`] has exactly the three implementations of
+//! this crate.
 //!
 //! ```
 //! use paris_runtime::{Backend, Cluster, Paris};
@@ -35,7 +34,7 @@
 //!     .dcs(3)
 //!     .partitions(6)
 //!     .replication(2)
-//!     .backend(Backend::Mini)
+//!     .backend(Backend::Sim)
 //!     .build()?;
 //! let alice = cluster.open_client(0)?;
 //!
@@ -124,10 +123,10 @@ fn failed<T>(event: ClientEvent) -> Result<T, Error> {
 /// [`Cluster::begin`] and the [`Txn`] handle, which layer transactional
 /// buffering and abort-on-drop on top of them.
 ///
-/// The trait is sealed: the four backends of this crate are its only
+/// The trait is sealed: the three backends of this crate are its only
 /// implementations.
 pub trait Cluster: Sessions + sealed::AsCluster {
-    /// A short name of the backend ("mini", "sim", "thread", "socket").
+    /// A short name of the backend ("sim", "thread", "socket").
     fn backend_name(&self) -> &'static str;
 
     /// The protocol variant this deployment runs.
@@ -166,6 +165,27 @@ pub trait Cluster: Sessions + sealed::AsCluster {
             ClientEvent::Started { snapshot, .. } => Ok(snapshot),
             other => failed(other),
         }
+    }
+
+    /// Opens a transaction whose first operation carries its start (see
+    /// [`paris_core::ClientSession::begin_deferred`]) — how
+    /// `run_workload` begins. Exposed for the tests that compare it with
+    /// the eager [`Cluster::txn_begin`]; the facade stays eager.
+    ///
+    /// # Errors
+    ///
+    /// Propagates session errors (unknown client, transaction already
+    /// open).
+    #[doc(hidden)]
+    fn txn_begin_deferred(&mut self, client: ClientId) -> Result<(), Error> {
+        self.session(client)?.begin_deferred()
+    }
+
+    /// The open transaction's snapshot, once the coordinator assigned it;
+    /// `None` for an unknown client too.
+    #[doc(hidden)]
+    fn txn_snapshot(&mut self, client: ClientId) -> Option<Timestamp> {
+        self.session(client).ok()?.open_snapshot()
     }
 
     /// Raw operation: reads `keys` within the open transaction.
@@ -246,8 +266,8 @@ pub trait Cluster: Sessions + sealed::AsCluster {
 
     /// Runs the configured closed-loop workload: `warmup_micros` of
     /// untimed warmup, then a measured window of `window_micros`
-    /// (simulated time on deterministic backends, wall-clock time on the
-    /// threaded backend).
+    /// (simulated time on the sim, wall-clock time on the thread and
+    /// socket backends).
     ///
     /// # Errors
     ///
@@ -311,10 +331,9 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// and installs the plan at build time; this method is the facade
     /// path for plans constructed after the cluster is up.
     ///
-    /// The mini backend has no network to break, and the socket backend
-    /// injects real process faults through [`Cluster::kill_server`] /
-    /// [`Cluster::restart_server`] instead; both report
-    /// [`Error::Unsupported`].
+    /// The socket backend injects real process faults through
+    /// [`Cluster::kill_server`] / [`Cluster::restart_server`] instead and
+    /// reports [`Error::Unsupported`].
     ///
     /// # Errors
     ///

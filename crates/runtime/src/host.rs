@@ -8,7 +8,7 @@
 //! place a [`TickKind`] becomes a `Server::on_*_tick` call. The live loop
 //! ([`crate::driver`]) arms the ticks on the [`grid`] and fires what is
 //! due after every wake-up; the sim arms them at seeded phases and fires
-//! one per event; mini fires one round per `stabilize` round.
+//! one per event.
 
 use std::sync::Arc;
 

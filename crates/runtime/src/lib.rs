@@ -1,12 +1,10 @@
 //! Cluster runtimes behind one facade: drive the PaRiS state machines
 //! over any substrate through the [`Cluster`] trait.
 //!
-//! * [`MiniCluster`] — a synchronous in-process pump: zero latency, fully
-//!   deterministic, the cheapest way to *use* PaRiS as a library.
 //! * [`SimCluster`] — the deterministic discrete-event runtime that stands
 //!   in for the paper's AWS deployment: WAN latency matrix, per-server CPU
 //!   service queues, closed-loop clients, fault injection. Every figure of
-//!   the paper is regenerated on it.
+//!   the paper is regenerated on it, and it is the default backend.
 //! * [`ThreadCluster`] — a real multi-threaded in-process deployment: one
 //!   thread per server, used by integration tests to exercise the protocol
 //!   under genuine concurrency.
@@ -14,7 +12,7 @@
 //!   process per server speaking protocol frames over loopback TCP — the
 //!   paper's one-machine-per-server shape, scaled down to one host.
 //!
-//! All four execute the same `paris-core` state machines. Build any of
+//! All three execute the same `paris-core` state machines. Build any of
 //! them with [`Paris::builder`]; interact through [`Cluster`] and the RAII
 //! [`Txn`] handle; measure with [`Cluster::run_workload`], which produces
 //! a [`RunReport`] with throughput, latency percentiles, blocking
@@ -49,7 +47,6 @@ mod facade;
 mod host;
 mod live;
 mod measure;
-mod mini_cluster;
 mod sim_cluster;
 mod socket_cluster;
 mod thread_cluster;
@@ -60,13 +57,17 @@ pub use builder::{Backend, ClusterBuilder, Paris};
 pub use chaos::{chaos_scenario, ChaosOutcome, ChaosScenario, CHAOS_SCENARIOS};
 pub use facade::{Cluster, Txn};
 pub use measure::{visibility_histogram, BlockingStats, ClusterStats, RunReport};
-pub use mini_cluster::MiniCluster;
 pub use sim_cluster::SimCluster;
 pub use socket_cluster::{
     socket_child_main, ChildSpec, SocketCluster, CHILD_SPEC_ENV, SERVER_BIN_ENV,
 };
 pub use thread_cluster::ThreadCluster;
 pub use tuning::Durability;
+
+/// The sim under the name the benchmark's seam still uses; ROADMAP item
+/// 1(b) removes it.
+#[doc(hidden)]
+pub type MiniCluster = SimCluster;
 
 pub use paris_core::{DurableStats, FsyncPolicy, RecoveryInfo};
 
@@ -134,19 +135,8 @@ pub(crate) fn server_snapshot(server: &Server, chains: bool) -> ServerSnapshot {
     snap
 }
 
-/// Snapshots of in-process servers — how the mini and sim backends feed
-/// the same helpers as the live ones.
-pub(crate) fn server_snapshots<'a>(
-    servers: impl Iterator<Item = &'a Server>,
-    chains: bool,
-) -> Vec<ServerSnapshot> {
-    servers
-        .map(|server| server_snapshot(server, chains))
-        .collect()
-}
-
-/// The deployment and workload the mini, thread and socket backends are
-/// built from (assembled by the builder; the sim has its own config).
+/// The deployment and workload every backend is built from (assembled by
+/// the builder; the sim adds its substrate in its own config).
 #[derive(Debug, Clone)]
 pub(crate) struct BackendConfig {
     pub(crate) cluster: ClusterConfig,
@@ -192,7 +182,7 @@ pub(crate) fn open_session(
 }
 
 impl Interactive<VecDeque<Envelope>> {
-    /// An interactive client of a deterministic backend.
+    /// An interactive client of the sim.
     pub(crate) fn new(session: ClientSession) -> Self {
         Interactive {
             session,

@@ -37,11 +37,11 @@ impl BlockingStats {
 ///
 /// Every backend reports through this one struct, folded by one fold
 /// from one stats block: each server's [`paris_core::ServerStats`],
-/// carried in a [`ServerSnapshot`]. The mini and sim backends take the
-/// snapshots off their servers directly; on the thread and socket
-/// backends each server's own loop answers with one, in-process or across
-/// the control plane. Counters are cumulative since the cluster was
-/// built, so diff two snapshots to meter an interval.
+/// carried in a [`ServerSnapshot`]. The sim takes the snapshots off its
+/// servers directly; on the thread and socket backends each server's own
+/// loop answers with one, in-process or across the control plane.
+/// Counters are cumulative since the cluster was built, so diff two
+/// snapshots to meter an interval.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterStats {
     /// Servers folded into this snapshot.
@@ -93,10 +93,9 @@ pub struct ClusterStats {
     pub orphan_commits: u64,
     /// Aggregated BPR read-blocking statistics (zero under PaRiS).
     pub blocking: BlockingStats,
-    /// Total messages the network carried (0 on the mini backend, whose
-    /// synchronous pump has no transport to meter).
+    /// Total messages the network carried.
     pub net_messages: u64,
-    /// Total wire bytes the network carried (0 on the mini backend).
+    /// Total wire bytes the network carried.
     pub net_bytes: u64,
     /// The minimum universal stable time across all servers.
     pub min_ust: Timestamp,

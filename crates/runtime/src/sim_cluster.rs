@@ -23,12 +23,9 @@ use paris_clock::{SimClock, SkewCell, SteppableClock};
 use paris_core::{ClientEvent, ClientSession, Server, Topology, Violation};
 use paris_net::batch::{Coalescer, Offer};
 use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
-use paris_proto::{Endpoint, Envelope};
-use paris_types::{
-    ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Mode, ServerId, Timestamp,
-};
+use paris_proto::{Endpoint, Envelope, ServerSnapshot};
+use paris_types::{ClientId, DcId, Error, FaultKind, FaultPlan, Mode, ServerId, Timestamp};
 use paris_workload::stats::RunStats;
-use paris_workload::WorkloadConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,40 +33,30 @@ use crate::facade::Sessions;
 use crate::host::{ServerHost, TickKind};
 use crate::measure::{visibility_histogram, ClusterStats, RunReport};
 use crate::workload_client::{Step, Tally, WorkloadClient};
-use crate::{open_session, replica_convergence, Cluster, Interactive, INTERACTIVE_SEQ_BASE};
+use crate::{
+    open_session, replica_convergence, BackendConfig, Cluster, Interactive, INTERACTIVE_SEQ_BASE,
+};
 
 /// Configuration of a simulated deployment (assembled by the builder).
 #[derive(Debug, Clone)]
 pub(crate) struct SimConfig {
-    /// Cluster shape (DCs, partitions, replication factor, intervals…).
-    pub(crate) cluster: ClusterConfig,
+    /// The deployment and workload, as every backend takes them. Its
+    /// `durability` does not affect simulated time — gated metrics stay
+    /// bit-identical — but real files are written, so a restarted
+    /// deployment over the same directory recovers the committed prefix.
+    pub(crate) base: BackendConfig,
     /// Inter-DC latency matrix.
     pub(crate) matrix: RegionMatrix,
     /// Network jitter fraction.
     pub(crate) jitter: f64,
     /// Per-message CPU costs.
     pub(crate) service: ServiceModel,
-    /// Master RNG seed: same seed ⇒ identical run.
-    pub(crate) seed: u64,
-    /// Closed-loop client sessions per DC (the paper's "threads ×
-    /// processes"; each session runs transactions back to back).
-    pub(crate) clients_per_dc: u32,
-    /// Workload shape.
-    pub(crate) workload: WorkloadConfig,
     /// Record server event logs (visibility latency, Fig. 4).
     pub(crate) record_events: bool,
-    /// Record client histories and run the consistency checker.
-    pub(crate) record_history: bool,
     /// Stabilization-tree branching factor (`0` = flat tree rooted at the
     /// lowest partition per DC, the default; the tree-shape ablation sets
     /// small fanouts).
     pub(crate) stab_branching: usize,
-    /// Durable storage engine (WAL + checkpoints) for every server; off
-    /// (`None`, purely in-memory) by default. Does not affect simulated
-    /// time — gated metrics stay bit-identical — but real files are
-    /// written, so a restarted deployment over the same directory
-    /// recovers the committed prefix.
-    pub(crate) durability: Option<crate::Durability>,
     /// Scripted fault schedule, validated by the builder; events fire at
     /// their virtual times from simulation start. `None` (the default)
     /// adds no events and no RNG draws, keeping fault-free runs
@@ -135,18 +122,19 @@ impl SimCluster {
     /// Returns [`Error::Storage`] when durability is requested and a
     /// server's data directory cannot be opened or recovered.
     pub(crate) fn new(config: SimConfig) -> Result<Self, Error> {
+        let base = &config.base;
         let topo = Arc::new(Topology::with_branching(
-            config.cluster.clone(),
+            base.cluster.clone(),
             config.stab_branching,
         ));
         let clock = SimClock::new();
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(base.seed);
         let net = SimNetwork::new(config.matrix.clone(), config.jitter);
         let mut queue = EventQueue::new();
 
         let mut servers = HashMap::new();
         let mut skew_cells: HashMap<DcId, Vec<SkewCell>> = HashMap::new();
-        let skew = config.cluster.max_clock_skew_micros as i64;
+        let skew = base.cluster.max_clock_skew_micros as i64;
         for id in topo.all_servers() {
             let offset = if skew > 0 {
                 rng.gen_range(-skew..=skew)
@@ -158,7 +146,7 @@ impl SimCluster {
             // bit-reproducible across the chaos subsystem's introduction.
             let (server_clock, cell) = SteppableClock::new(clock.clone(), offset);
             skew_cells.entry(id.dc).or_default().push(cell);
-            let tuning = crate::tuning::server_tuning(config.durability.as_ref(), id);
+            let tuning = crate::tuning::server_tuning(base.durability.as_ref(), id);
             let record = config.record_events;
             let mut host = ServerHost::new(id, &topo, Box::new(server_clock), record, tuning)?;
             // Stagger the periodic protocols per server.
@@ -172,18 +160,18 @@ impl SimCluster {
         }
 
         let mut clients = HashMap::new();
-        for dc in 0..config.cluster.dcs {
+        for dc in 0..base.cluster.dcs {
             let dc = DcId(dc);
-            for seq in 0..config.clients_per_dc {
+            for seq in 0..base.clients_per_dc {
                 let id = ClientId::new(dc, seq);
-                let session = open_session(id, &topo, config.cluster.mode, true, false);
-                let client = WorkloadClient::new(id, &topo, &config.workload, config.seed);
+                let session = open_session(id, &topo, base.cluster.mode, true, false);
+                let client = WorkloadClient::new(id, &topo, &base.workload, base.seed);
                 clients.insert(id, (session, client));
             }
         }
 
-        let tally = Tally::new(0, config.record_history);
-        let coalescer = Coalescer::new(config.cluster.batch, config.cluster.wire);
+        let tally = Tally::new(0, base.record_history);
+        let coalescer = Coalescer::new(base.cluster.batch, base.cluster.wire);
         // Schedule the fault plan last: with no plan this is a no-op, so
         // fault-free runs push exactly the same events in exactly the same
         // order as before the chaos subsystem existed.
@@ -245,6 +233,13 @@ impl SimCluster {
     /// Every server, in no particular order.
     fn servers(&self) -> impl Iterator<Item = &Server> {
         self.servers.values().map(|slot| &slot.host.server)
+    }
+
+    /// Every server as a [`ServerSnapshot`] — how the sim feeds the same
+    /// helpers as the live backends.
+    fn snapshots(&self, chains: bool) -> Vec<ServerSnapshot> {
+        let servers = self.servers();
+        servers.map(|s| crate::server_snapshot(s, chains)).collect()
     }
 
     /// A server, for inspection.
@@ -323,7 +318,7 @@ impl SimCluster {
         match kind {
             FaultKind::CrashDc(dc) | FaultKind::RejoinDc(dc) => {
                 let reachable = matches!(kind, FaultKind::RejoinDc(_));
-                for other in 0..self.config.cluster.dcs {
+                for other in 0..self.config.base.cluster.dcs {
                     if DcId(other) != dc {
                         self.notify_link(dc, DcId(other), reachable);
                     }
@@ -397,11 +392,11 @@ impl SimCluster {
     /// One stabilization round in simulated microseconds.
     fn stabilize_round_micros(&self) -> u64 {
         crate::gossip_round_micros(
-            &self.config.cluster.intervals,
+            &self.config.base.cluster.intervals,
             &self.config.matrix,
-            self.config.cluster.dcs,
+            self.config.base.cluster.dcs,
             1.0,
-            &self.config.cluster.batch,
+            &self.config.base.cluster.batch,
             5_000,
         )
     }
@@ -482,7 +477,7 @@ impl SimCluster {
     fn tick(&mut self, id: ServerId, kind: TickKind) {
         let cost = self.config.service.gossip;
         self.serve(id, cost, |host, finish, _| host.fire(kind, finish));
-        let every = kind.every(&self.config.cluster.intervals);
+        let every = kind.every(&self.config.base.cluster.intervals);
         self.queue.push(self.now + every, SimEvent::Tick(id, kind));
     }
 
@@ -556,30 +551,30 @@ impl SimCluster {
     pub fn report(&mut self) -> RunReport {
         let visibility = self.config.record_events.then(|| {
             visibility_histogram(
-                self.config.cluster.mode,
+                self.config.base.cluster.mode,
                 self.servers().filter_map(Server::events),
             )
         });
-        let snaps = crate::server_snapshots(self.servers(), self.config.record_history);
+        let snaps = self.snapshots(self.config.base.record_history);
         RunReport {
             visibility,
             net_messages: self.net.messages_sent(),
             net_bytes: self.net.bytes_sent(),
-            ..self.tally.report(self.config.cluster.mode, &snaps)
+            ..self.tally.report(self.config.base.cluster.mode, &snaps)
         }
     }
 
     /// [`Cluster::open_client`], or with `via_coordinator`
     /// [`Cluster::open_client_via_coordinator`].
     fn open(&mut self, dc: u16, via_coordinator: bool) -> Result<ClientId, Error> {
-        if dc >= self.config.cluster.dcs {
+        if dc >= self.config.base.cluster.dcs {
             return Err(paris_types::ConfigError::new("client DC out of range").into());
         }
         let dc = DcId(dc);
         let offset = self.next_interactive.entry(dc).or_insert(0);
         let id = ClientId::new(dc, INTERACTIVE_SEQ_BASE + *offset);
         *offset += 1;
-        let (mode, cache) = (self.config.cluster.mode, self.value_cache);
+        let (mode, cache) = (self.config.base.cluster.mode, self.value_cache);
         let mut session = open_session(id, &self.topo, mode, cache, via_coordinator);
         // The failure detector's view so far, as the coordinator has it.
         let coordinator = &self.servers[&session.coordinator()].host.server;
@@ -640,7 +635,7 @@ impl Cluster for SimCluster {
     }
 
     fn mode(&self) -> Mode {
-        self.config.cluster.mode
+        self.config.base.cluster.mode
     }
 
     fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
@@ -665,7 +660,7 @@ impl Cluster for SimCluster {
     }
 
     fn stats(&mut self) -> Result<ClusterStats, Error> {
-        let snaps = crate::server_snapshots(self.servers(), false);
+        let snaps = self.snapshots(false);
         let mut out = ClusterStats::of_snapshots(&snaps);
         out.net_messages = self.net.messages_sent();
         out.net_bytes = self.net.bytes_sent();
@@ -690,7 +685,7 @@ impl Cluster for SimCluster {
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), Error> {
-        plan.validate(self.config.cluster.dcs)?;
+        plan.validate(self.config.base.cluster.dcs)?;
         for event in plan.sorted_events() {
             self.queue
                 .push(self.now + event.at_micros, SimEvent::Fault(event.kind));
@@ -699,7 +694,7 @@ impl Cluster for SimCluster {
     }
 
     fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        let snaps = crate::server_snapshots(self.servers(), true);
+        let snaps = self.snapshots(true);
         Ok(replica_convergence(&self.topo, &snaps))
     }
 }

@@ -11,7 +11,7 @@
 //! let mut cluster = Paris::builder()
 //!     .dcs(2)
 //!     .partitions(4)
-//!     .backend(Backend::Mini)
+//!     .backend(Backend::Sim)
 //!     .durability(
 //!         Durability::new(&dir)
 //!             .fsync(FsyncPolicy::Always)
@@ -44,7 +44,7 @@ use paris_types::ServerId;
 /// let mut cluster = Paris::builder()
 ///     .dcs(2)
 ///     .partitions(2)
-///     .backend(Backend::Mini)
+///     .backend(Backend::Sim)
 ///     .durability(Durability::new(&dir).fsync(FsyncPolicy::Never))
 ///     .build()?;
 /// # let _ = &mut cluster;

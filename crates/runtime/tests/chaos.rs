@@ -1,6 +1,6 @@
 //! Chaos-suite contract tests: fault plans are validated at build time,
-//! rejected on backends without a controllable network, bit-reproducible
-//! on the simulator, and survivable on the thread backend.
+//! bit-reproducible on the simulator, and survivable on the thread
+//! backend. The socket backend's refusal is in the root `tests/socket.rs`.
 
 use paris_runtime::{Backend, Cluster, ClusterBuilder, Paris};
 use paris_types::{DcId, Error, FaultPlan, Mode};
@@ -62,26 +62,6 @@ fn self_link_and_bad_factor_plans_are_rejected_at_build_time() {
 }
 
 #[test]
-fn backends_without_a_controllable_network_reject_fault_plans() {
-    let plan = FaultPlan::new().partition_link(10_000, DcId(0), DcId(1));
-    let err = sim_builder(1)
-        .fault_plan(plan.clone())
-        .backend(Backend::Mini)
-        .build()
-        .err()
-        .expect("mini build must fail");
-    assert!(
-        matches!(err, Error::Unsupported(_)),
-        "mini must reject plans: {err}"
-    );
-
-    // The facade default: a backend that never overrode the hook.
-    let mut mini = sim_builder(1).build_mini().unwrap();
-    let err = mini.install_fault_plan(plan).unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)));
-}
-
-#[test]
 fn install_fault_plan_validates_against_the_running_shape() {
     let mut sim = sim_builder(1).build_sim().unwrap();
     let err = sim
@@ -95,8 +75,8 @@ fn install_fault_plan_validates_against_the_running_shape() {
 }
 
 #[test]
-fn kill_server_on_sim_and_mini_names_the_backend_after_the_index_check() {
-    for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
+fn kill_server_on_sim_and_thread_names_the_backend_after_the_index_check() {
+    for backend in [Backend::Sim, Backend::Thread] {
         let mut cluster = sim_builder(1).backend(backend).build().unwrap();
         // Out-of-range index: the unified config error, on every backend.
         let err = cluster.kill_server(10_000).unwrap_err();

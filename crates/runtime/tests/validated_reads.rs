@@ -1,18 +1,19 @@
-//! Version-validated reads and deferred begins change what crosses the wire
-//! and nothing else: the same seeded operation stream — readers and writers
-//! in one DC, concurrent writers in another — is run against two identical
+//! Version-validated reads change what crosses the wire and nothing else:
+//! the same seeded operation stream — readers and writers in one DC,
+//! concurrent writers in another — is run against two identical simulated
 //! deployments, one whose sessions stamp their reads from a value cache and
-//! one whose sessions have none (mini and simulated backend, eager begins;
-//! mini, deferred begins), and one whose transactions begin eagerly and one
-//! whose transactions begin with their first read (mini). Every read must
-//! return the same `ClientRead`, the checker must find nothing, and the
-//! cached run must ship strictly less.
+//! one whose sessions have none, once with eager begins and once with
+//! transactions that begin with their first read. Every read must return
+//! the same `ClientRead`, the checker must find nothing, and the cached run
+//! must ship strictly less. (Eager against deferred begins on one stream
+//! needs a clock that only steps where the stream says so; that property
+//! lives on the hand-pumped cluster of `paris-core`'s protocol tests.)
 
 use std::collections::HashMap;
 
 use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::ClientRead;
-use paris_runtime::{Cluster, ClusterBuilder, ClusterStats, MiniCluster, Paris, SimCluster};
+use paris_runtime::{Cluster, ClusterBuilder, ClusterStats, Paris, SimCluster};
 use paris_types::{ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, VersionOrd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -111,7 +112,7 @@ trait Begins {
     /// Begins `client`'s transaction: its snapshot, if already assigned.
     fn begin(&mut self, client: ClientId) -> Option<Timestamp>;
     /// The open transaction's snapshot, once its first read assigned it.
-    fn snapshot(&self, client: ClientId) -> Timestamp;
+    fn snapshot(&mut self, client: ClientId) -> Timestamp;
 }
 
 /// Through the facade: a `StartTxReq` round trip.
@@ -126,15 +127,15 @@ impl<C: Cluster> Begins for Eager<C> {
         Some(self.0.txn_begin(client).expect("begin"))
     }
 
-    fn snapshot(&self, _: ClientId) -> Timestamp {
+    fn snapshot(&mut self, _: ClientId) -> Timestamp {
         unreachable!("eager begins know their snapshot")
     }
 }
 
 /// As `run_workload` begins: the first read carries the start.
-struct Deferred(MiniCluster);
+struct Deferred<C>(C);
 
-impl Begins for Deferred {
+impl<C: Cluster> Begins for Deferred<C> {
     fn cluster(&mut self) -> &mut dyn Cluster {
         &mut self.0
     }
@@ -144,7 +145,7 @@ impl Begins for Deferred {
         None
     }
 
-    fn snapshot(&self, client: ClientId) -> Timestamp {
+    fn snapshot(&mut self, client: ClientId) -> Timestamp {
         self.0
             .txn_snapshot(client)
             .expect("the first read assigned it")
@@ -243,76 +244,64 @@ fn assert_same_reads(what: &str, a: &Outcome, b: &Outcome) {
     }
 }
 
-/// What both backends must show, given the cached and the uncached run.
-fn assert_equivalent(backend: &str, cached: &Outcome, plain: &Outcome) {
-    assert_same_reads(backend, cached, plain);
-    let (on, off) = (&cached.stats, &plain.stats);
-    assert_eq!(
-        off.reads_unchanged, 0,
-        "{backend}: nothing stamps without a cache"
-    );
-    assert!(on.reads_unchanged > 0, "{backend}: no read was validated");
-    // The servers did the same work for the same keys either way…
-    assert_eq!(on.keys_read, off.keys_read, "{backend}");
-    assert_eq!(
-        on.reads_unchanged + on.reads_shipped,
-        off.reads_shipped,
-        "{backend}: every validated read is one the plain run shipped"
-    );
+/// The sim with its clients opened with or without a value cache.
+fn sim(seed: u64, cache: bool) -> SimCluster {
+    let mut sim = deployment(seed).build_sim().expect("valid shape");
+    if !cache {
+        sim.open_clients_without_value_cache();
+    }
+    sim
+}
+
+/// The same eager-begin stream on the sim, with and without a value cache.
+fn eager_runs(seed: u64) -> (Outcome, Outcome) {
+    let run = |cache: bool| drive(&mut Eager(sim(seed, cache)), seed, 160);
+    (run(true), run(false))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn prop_mini_reads_are_identical_with_and_without_the_value_cache(seed in 0u64..10_000) {
-        let run = |cache: bool| {
-            let mut mini: MiniCluster = deployment(seed).build_mini().expect("valid shape");
-            if !cache {
-                mini.open_clients_without_value_cache();
-            }
-            drive(&mut Eager(mini), seed, 160)
-        };
-        let (cached, plain) = (run(true), run(false));
-        assert_equivalent("mini", &cached, &plain);
-        // The mini pump has no wire to meter: what it ships is versions.
-        prop_assert!(cached.stats.reads_shipped < plain.stats.reads_shipped);
+    fn prop_sim_cached_reads_ship_fewer_versions(seed in 0u64..10_000) {
+        let (cached, plain) = eager_runs(seed);
+        assert_same_reads("sim", &cached, &plain);
+        let (on, off) = (&cached.stats, &plain.stats);
+        prop_assert_eq!(off.reads_unchanged, 0, "nothing stamps without a cache");
+        prop_assert!(on.reads_unchanged > 0, "no read was validated");
+        // The servers did the same work for the same keys either way…
+        prop_assert_eq!(on.keys_read, off.keys_read);
+        prop_assert_eq!(
+            on.reads_unchanged + on.reads_shipped,
+            off.reads_shipped,
+            "every validated read is one the plain run shipped"
+        );
+        // …and shipped fewer versions for it.
+        prop_assert!(on.reads_shipped < off.reads_shipped);
     }
 
     #[test]
     fn prop_sim_reads_are_identical_with_and_without_the_value_cache(seed in 0u64..10_000) {
-        let run = |cache: bool| {
-            let mut sim: SimCluster = deployment(seed).build_sim().expect("valid shape");
-            if !cache {
-                sim.open_clients_without_value_cache();
-            }
-            drive(&mut Eager(sim), seed, 160)
-        };
-        let (cached, plain) = (run(true), run(false));
-        assert_equivalent("sim", &cached, &plain);
+        let (cached, plain) = eager_runs(seed);
+        assert_same_reads("sim", &cached, &plain);
+        let (on, off) = (&cached.stats, &plain.stats);
         // A validated read is still one request and one reply…
-        prop_assert_eq!(cached.stats.net_messages, plain.stats.net_messages);
+        prop_assert_eq!(on.net_messages, off.net_messages);
         // …that carries less.
         prop_assert!(
-            cached.stats.net_bytes < plain.stats.net_bytes,
-            "{} vs {} wire bytes", cached.stats.net_bytes, plain.stats.net_bytes
+            on.net_bytes < off.net_bytes,
+            "{} vs {} wire bytes", on.net_bytes, off.net_bytes
         );
     }
 
     #[test]
-    fn prop_mini_deferred_reads_are_identical_with_and_without_the_value_cache(
+    fn prop_sim_deferred_reads_are_identical_with_and_without_the_value_cache(
         seed in 0u64..10_000,
     ) {
         // Where start-form own-write stamps and the value cache meet.
-        let run = |cache: bool| {
-            let mut mini: MiniCluster = deployment(seed).build_mini().expect("valid shape");
-            if !cache {
-                mini.open_clients_without_value_cache();
-            }
-            drive(&mut Deferred(mini), seed, 160)
-        };
+        let run = |cache: bool| drive(&mut Deferred(sim(seed, cache)), seed, 160);
         let (cached, plain) = (run(true), run(false));
-        assert_same_reads("mini, deferred begins", &cached, &plain);
+        assert_same_reads("sim, deferred begins", &cached, &plain);
         // A start form stamps its own writes with or without a cache, so
         // the plain run validates some reads too — fewer.
         let (on, off) = (&cached.stats, &plain.stats);
@@ -322,20 +311,5 @@ proptest! {
             off.reads_unchanged + off.reads_shipped
         );
         prop_assert!(on.reads_shipped < off.reads_shipped);
-    }
-
-    #[test]
-    fn prop_mini_reads_are_identical_with_eager_and_deferred_begins(seed in 0u64..10_000) {
-        let mini = || -> MiniCluster { deployment(seed).build_mini().expect("valid shape") };
-        let eager = drive(&mut Eager(mini()), seed, 160);
-        let deferred = drive(&mut Deferred(mini()), seed, 160);
-        assert_same_reads("eager vs deferred begins", &eager, &deferred);
-        // The same transactions committed. An eager begin knows its
-        // snapshot, so its reads went straight to the replicas; a deferred
-        // begin's one read carried the start, so its coordinator handled
-        // exactly one `ReadReq` per transaction instead of a `StartTxReq`.
-        prop_assert_eq!(eager.stats.txs_coordinated, deferred.stats.txs_coordinated);
-        prop_assert_eq!(eager.stats.coordinator_reads, 0);
-        prop_assert_eq!(deferred.stats.coordinator_reads, 160);
     }
 }

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example geo_storefront`
 
 use paris::types::{DcId, Key, PartitionId, Value};
-use paris::{Backend, Cluster, Error, Mode, Paris};
+use paris::{Cluster, Error, Mode, Paris};
 
 fn main() -> Result<(), Error> {
     let (dcs, partitions, r) = (5u16, 20u32, 2u16);
@@ -20,8 +20,7 @@ fn main() -> Result<(), Error> {
         .partitions(partitions)
         .replication(r)
         .mode(Mode::Paris)
-        .backend(Backend::Mini)
-        .build_mini()?; // concrete backend: placement is inspected below
+        .build_sim()?; // concrete backend: placement is inspected below
 
     // Capacity accounting (paper §I): each DC hosts N·R/M partitions.
     let per_dc = shop.topology().partitions_in_dc(DcId(0)).len();

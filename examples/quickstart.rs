@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use paris::types::{DcId, Key, Value};
-use paris::{Backend, Cluster, Error, Mode, Paris};
+use paris::{Cluster, Error, Mode, Paris};
 
 fn main() -> Result<(), Error> {
     // 3 DCs, 6 partitions, replication factor 2: each DC stores only 4 of
@@ -20,8 +20,7 @@ fn main() -> Result<(), Error> {
         .partitions(6)
         .replication(2)
         .mode(Mode::Paris)
-        .backend(Backend::Mini)
-        .build_mini()?; // concrete backend: we inspect the topology below
+        .build_sim()?; // concrete backend: we inspect the topology below
     println!("deployment: 3 DCs × 6 partitions, R = 2");
     for dc in 0..3u16 {
         let parts = cluster.topology().partitions_in_dc(DcId(dc));

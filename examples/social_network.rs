@@ -31,7 +31,7 @@ fn main() -> Result<(), Error> {
         .partitions(9)
         .replication(2)
         .mode(Mode::Paris)
-        .backend(Backend::Mini)
+        .backend(Backend::Sim)
         .build()?;
 
     // Three users in three different data centers.

@@ -22,9 +22,9 @@
 //!
 //! | backend | substrate | use it for |
 //! |---|---|---|
-//! | [`Backend::Mini`] | synchronous in-process pump | examples, tests, learning the protocol |
-//! | [`Backend::Sim`] | discrete-event WAN simulation | performance figures, fault injection |
+//! | [`Backend::Sim`] (default) | deterministic discrete-event WAN simulation | examples, tests, performance figures, fault injection |
 //! | [`Backend::Thread`] | one OS thread per server | races, genuine concurrency |
+//! | [`Backend::Socket`] | one OS process per server, loopback TCP | real deployments, failure handling |
 //!
 //! ## Quickstart
 //!
@@ -39,7 +39,7 @@
 //!     .partitions(6)
 //!     .replication(2)
 //!     .mode(Mode::Paris)
-//!     .backend(Backend::Mini)
+//!     .backend(Backend::Sim)
 //!     .build()?;
 //!
 //! // A transaction handle: reads, buffered writes, commit. Dropping the
@@ -60,9 +60,9 @@
 //! # Ok::<(), paris::Error>(())
 //! ```
 //!
-//! Swapping `.backend(Backend::Mini)` for [`Backend::Sim`] or
-//! [`Backend::Thread`] runs the same code on the simulated WAN or on real
-//! threads. For workload-style measurement, [`Cluster::run_workload`]
+//! Swapping `.backend(Backend::Sim)` for [`Backend::Thread`] or
+//! [`Backend::Socket`] runs the same code on real threads or on real
+//! processes. For workload-style measurement, [`Cluster::run_workload`]
 //! drives the configured closed-loop load and returns a [`RunReport`].
 //!
 //! ## Crate map
@@ -75,7 +75,7 @@
 //! | [`proto`] | protocol messages + binary wire codec |
 //! | [`net`] | discrete-event simulator and threaded transport |
 //! | [`core`] | server/client state machines, topology, checker |
-//! | [`runtime`] | the three backends and the [`Cluster`] facade |
+//! | [`runtime`] | the sim, thread and socket backends and the [`Cluster`] facade |
 //! | [`workload`] | YCSB-style generator and statistics |
 //!
 //! For driving the protocol by hand (your own substrate), see
@@ -96,7 +96,10 @@ pub use paris_workload as workload;
 
 pub use paris_core::{ClientSession, HistoryChecker, Server, ServerOptions, Topology};
 pub use paris_runtime::{
-    Backend, BlockingStats, Cluster, ClusterBuilder, ClusterStats, Durability, FsyncPolicy,
-    MiniCluster, Paris, RecoveryInfo, RunReport, SimCluster, ThreadCluster, Txn,
+    Backend, BlockingStats, Cluster, ClusterBuilder, ClusterStats, Durability, FsyncPolicy, Paris,
+    RecoveryInfo, RunReport, SimCluster, ThreadCluster, Txn,
 };
+// The benchmark's seam still names it; ROADMAP item 1(b) removes it.
+#[doc(hidden)]
+pub use paris_runtime::MiniCluster;
 pub use paris_types::{ClusterConfig, Error, Mode};

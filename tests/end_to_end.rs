@@ -4,21 +4,21 @@
 //! modes.
 
 use paris::types::{DcId, Key, PartitionId, ServerId, Timestamp, Value};
-use paris::{Backend, Cluster, MiniCluster, Mode, Paris};
+use paris::{Backend, Cluster, Mode, Paris, SimCluster};
 
-fn mini(dcs: u16, partitions: u32, mode: Mode) -> MiniCluster {
+fn sim(dcs: u16, partitions: u32, mode: Mode) -> SimCluster {
     Paris::builder()
         .dcs(dcs)
         .partitions(partitions)
         .replication(2)
         .mode(mode)
-        .build_mini()
+        .build_sim()
         .expect("valid deployment")
 }
 
 #[test]
 fn readme_flow_write_stabilize_read_everywhere() {
-    let mut cluster = mini(3, 6, Mode::Paris);
+    let mut cluster = sim(3, 6, Mode::Paris);
     let writer = cluster.open_client(0).unwrap();
     let mut txn = cluster.begin(writer).unwrap();
     txn.write(Key(4), Value::from("v"));
@@ -40,7 +40,7 @@ fn readme_flow_write_stabilize_read_everywhere() {
 
 #[test]
 fn causal_chain_across_three_dcs() {
-    let mut cluster = mini(3, 9, Mode::Paris);
+    let mut cluster = sim(3, 9, Mode::Paris);
     let a = cluster.open_client(0).unwrap();
     let b = cluster.open_client(1).unwrap();
     let c = cluster.open_client(2).unwrap();
@@ -68,7 +68,7 @@ fn causal_chain_across_three_dcs() {
 
 #[test]
 fn write_write_conflict_converges_identically_everywhere() {
-    let mut cluster = mini(3, 6, Mode::Paris);
+    let mut cluster = sim(3, 6, Mode::Paris);
     let a = cluster.open_client(0).unwrap();
     let b = cluster.open_client(1).unwrap();
 
@@ -90,7 +90,6 @@ fn write_write_conflict_converges_identically_everywhere() {
         .map(|dc| {
             cluster
                 .server(ServerId::new(*dc, PartitionId(0)))
-                .unwrap()
                 .store()
                 .latest(Key(0))
                 .unwrap()
@@ -115,16 +114,16 @@ fn write_write_conflict_converges_identically_everywhere() {
 
 #[test]
 fn bpr_mode_full_flow() {
-    let mut cluster = mini(3, 6, Mode::Bpr);
+    let mut cluster = sim(3, 6, Mode::Bpr);
     let a = cluster.open_client(0).unwrap();
     let mut txn = cluster.begin(a).unwrap();
     txn.write(Key(2), Value::from("fresh"));
     let ct = txn.commit().unwrap();
     assert!(ct > Timestamp::ZERO);
 
-    // BPR reads block until installed; the mini backend advances
-    // background rounds transparently, so this returns the fresh value
-    // without any UST requirement.
+    // BPR reads block until installed; the sim runs on until the reply
+    // arrives, so this returns the fresh value without any UST
+    // requirement.
     let b = cluster.open_client(1).unwrap();
     let mut txn = cluster.begin(b).unwrap();
     assert_eq!(txn.read_one(Key(2)).unwrap(), Some(Value::from("fresh")));
@@ -132,8 +131,8 @@ fn bpr_mode_full_flow() {
 }
 
 #[test]
-fn snapshots_monotonic_in_mini_cluster() {
-    let mut cluster = mini(3, 6, Mode::Paris);
+fn snapshots_monotonic_in_sim_cluster() {
+    let mut cluster = sim(3, 6, Mode::Paris);
     let a = cluster.open_client(0).unwrap();
     let mut prev = Timestamp::ZERO;
     for i in 0..10u64 {

@@ -5,18 +5,18 @@
 use paris::types::{Key, Value};
 use paris::{Backend, Cluster, Error, Mode, Paris};
 
-fn mini() -> paris::MiniCluster {
+fn sim() -> paris::SimCluster {
     Paris::builder()
         .dcs(3)
         .partitions(6)
         .replication(2)
-        .build_mini()
+        .build_sim()
         .expect("valid deployment")
 }
 
 #[test]
 fn txn_abort_on_drop_discards_buffered_writes() {
-    let mut cluster = mini();
+    let mut cluster = sim();
     let a = cluster.open_client(0).unwrap();
 
     {
@@ -38,7 +38,7 @@ fn txn_abort_on_drop_discards_buffered_writes() {
 
 #[test]
 fn txn_explicit_abort_behaves_like_drop() {
-    let mut cluster = mini();
+    let mut cluster = sim();
     let a = cluster.open_client(0).unwrap();
     let mut txn = cluster.begin(a).unwrap();
     txn.write(Key(2), Value::from("doomed"));
@@ -51,7 +51,7 @@ fn txn_explicit_abort_behaves_like_drop() {
 
 #[test]
 fn txn_reads_its_own_buffered_writes() {
-    let mut cluster = mini();
+    let mut cluster = sim();
     let a = cluster.open_client(0).unwrap();
     let mut txn = cluster.begin(a).unwrap();
     txn.write(Key(3), Value::from("first"));
@@ -63,7 +63,7 @@ fn txn_reads_its_own_buffered_writes() {
 
 #[test]
 fn double_begin_is_rejected_per_session() {
-    let mut cluster = mini();
+    let mut cluster = sim();
     let a = cluster.open_client(0).unwrap();
     // Raw-level: a session with an open transaction rejects a second
     // begin (sessions are sequential, §II-C).
@@ -82,12 +82,7 @@ fn double_begin_is_rejected_per_session() {
 fn operations_on_unknown_clients_fail() {
     // The raw operations are written once for every backend: each of them
     // rejects a client id the deployment never opened, the same way.
-    for backend in [
-        Backend::Mini,
-        Backend::Sim,
-        Backend::Thread,
-        Backend::Socket,
-    ] {
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -180,7 +175,7 @@ fn builder_validation_errors() {
         .partitions(6)
         .replication(2)
         .stab_branching(2)
-        .backend(Backend::Mini)
+        .backend(Backend::Thread)
         .build();
     assert!(matches!(
         err.err().expect("must fail"),
@@ -224,7 +219,7 @@ fn boxed_cluster_supports_txn_handles() {
         .dcs(3)
         .partitions(6)
         .replication(2)
-        .backend(Backend::Mini)
+        .backend(Backend::Sim)
         .build()
         .unwrap();
     let a = cluster.open_client(0).unwrap();
@@ -307,12 +302,7 @@ fn cluster_stats_unifies_all_backends() {
     // its control plane: after the same workload, `Cluster::stats()` must
     // report a live write path and counters consistent with the run — and
     // a second snapshot must be monotone (cumulative since build).
-    for backend in [
-        Backend::Mini,
-        Backend::Sim,
-        Backend::Thread,
-        Backend::Socket,
-    ] {
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -368,12 +358,7 @@ fn a_read_goes_straight_to_the_replicas_on_every_backend() {
     // `ReadSliceReq`, and receives 0 `ReadResp` and both `ReadSliceResp`s.
     // The reference session through the coordinator shows what a detour
     // counts.
-    for backend in [
-        Backend::Mini,
-        Backend::Sim,
-        Backend::Thread,
-        Backend::Socket,
-    ] {
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -505,7 +490,7 @@ fn batching_reduces_network_messages_at_equal_load() {
 
 #[test]
 fn reset_client_recovers_a_wedged_session() {
-    let mut cluster = mini();
+    let mut cluster = sim();
     let a = cluster.open_client(0).unwrap();
 
     // Wedge: the session has an open transaction (as after a transport
@@ -549,12 +534,7 @@ fn reset_client_recovers_a_wedged_session() {
 
 #[test]
 fn reset_client_works_on_every_backend() {
-    for backend in [
-        Backend::Mini,
-        Backend::Sim,
-        Backend::Thread,
-        Backend::Socket,
-    ] {
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -578,7 +558,7 @@ fn reset_client_works_on_every_backend() {
 
 #[test]
 fn workload_runs_on_every_backend() {
-    for backend in [Backend::Mini, Backend::Sim, Backend::Thread] {
+    for backend in [Backend::Sim, Backend::Thread] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -602,14 +582,14 @@ fn workload_runs_on_every_backend() {
 }
 
 #[test]
-fn mini_run_workload_reuses_its_clients_window_after_window() {
+fn sim_run_workload_runs_window_after_window() {
     let mut cluster = Paris::builder()
         .dcs(2)
         .partitions(2)
         .keys_per_partition(100)
         .clients_per_dc(2)
         .record_history(true)
-        .build_mini()
+        .build_sim()
         .unwrap();
     for window in 0..3 {
         let report = cluster.run_workload(0, 20_000).unwrap();
@@ -619,8 +599,6 @@ fn mini_run_workload_reuses_its_clients_window_after_window() {
         );
         assert!(report.violations.is_empty(), "{:#?}", report.violations);
     }
-    // The workload holds seqs 0 and 1 of each DC, opened once.
-    assert_eq!(cluster.open_client(0).unwrap().seq, 2);
 }
 
 #[test]
@@ -680,12 +658,7 @@ fn two_partition_commits_are_decided_by_the_last_agent_on_every_backend() {
 
 #[test]
 fn bpr_mode_works_through_the_facade_on_all_backends() {
-    for backend in [
-        Backend::Mini,
-        Backend::Sim,
-        Backend::Thread,
-        Backend::Socket,
-    ] {
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
         let mut cluster = Paris::builder()
             .dcs(3)
             .partitions(6)
@@ -714,7 +687,7 @@ fn bpr_mode_works_through_the_facade_on_all_backends() {
 }
 
 #[test]
-fn durable_mini_cluster_survives_a_rebuild_from_the_same_directory() {
+fn durable_sim_cluster_survives_a_rebuild_from_the_same_directory() {
     let dir = std::env::temp_dir().join(format!("paris-facade-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let build = || {
@@ -724,7 +697,7 @@ fn durable_mini_cluster_survives_a_rebuild_from_the_same_directory() {
             .replication(2)
             .keys_per_partition(100)
             .durability(paris::Durability::new(&dir))
-            .build_mini()
+            .build_sim()
             .expect("valid durable deployment")
     };
 
@@ -759,7 +732,7 @@ fn durable_mini_cluster_survives_a_rebuild_from_the_same_directory() {
 }
 
 #[test]
-fn a_mini_stabilize_round_collects_garbage_and_writes_checkpoints() {
+fn a_sim_stabilize_collects_garbage_and_writes_checkpoints() {
     let dir = std::env::temp_dir().join(format!("paris-facade-gc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cluster = Paris::builder()
@@ -768,7 +741,7 @@ fn a_mini_stabilize_round_collects_garbage_and_writes_checkpoints() {
         .replication(2)
         .keys_per_partition(100)
         .durability(paris::Durability::new(&dir).checkpoint_interval_micros(0))
-        .build_mini()
+        .build_sim()
         .expect("valid durable deployment");
     let a = cluster.open_client(0).unwrap();
     for value in ["first", "second"] {
@@ -780,7 +753,7 @@ fn a_mini_stabilize_round_collects_garbage_and_writes_checkpoints() {
     let gc_removed = cluster.stats().unwrap().gc_removed;
     assert!(gc_removed > 0, "the overwritten version is collected");
     for id in cluster.topology().all_servers() {
-        let durable = cluster.server(id).and_then(|s| s.durable_stats());
+        let durable = cluster.server(id).durable_stats();
         let checkpoints = durable.expect("a durable server").checkpoints;
         assert!(checkpoints >= 1, "{id}: no checkpoint at interval 0");
     }

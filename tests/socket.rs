@@ -9,7 +9,7 @@
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use paris::types::{Key, Value};
+use paris::types::{DcId, FaultPlan, Key, Value};
 use paris::{Backend, Cluster, Error, Paris};
 
 /// The shared small-shape builder: 4 servers, interactive clients only.
@@ -377,9 +377,9 @@ fn crash_recovery_restores_committed_data() {
 #[test]
 fn kill_and_restart_are_socket_only_and_index_checked() {
     // The trait defaults: in-process backends have no processes to kill.
-    let mut mini = small(Backend::Mini).build().unwrap();
-    assert!(matches!(mini.kill_server(0), Err(Error::Unsupported(_))));
-    assert!(matches!(mini.restart_server(0), Err(Error::Unsupported(_))));
+    let mut sim = small(Backend::Sim).build().unwrap();
+    assert!(matches!(sim.kill_server(0), Err(Error::Unsupported(_))));
+    assert!(matches!(sim.restart_server(0), Err(Error::Unsupported(_))));
 
     // The socket backend bounds-checks the server index.
     let mut socket = small(Backend::Socket).build_socket().unwrap();
@@ -392,6 +392,24 @@ fn kill_and_restart_are_socket_only_and_index_checked() {
     let mut txn = socket.begin(a).unwrap();
     txn.write(Key(5), Value::from("post-respawn"));
     txn.commit().unwrap();
+}
+
+#[test]
+fn the_socket_backend_rejects_fault_plans() {
+    // Faults on socket are real processes (`kill_server` /
+    // `restart_server`): a scripted plan is refused at build time…
+    let plan = FaultPlan::new().partition_link(10_000, DcId(0), DcId(1));
+    let err = small(Backend::Socket)
+        .fault_plan(plan.clone())
+        .build()
+        .err()
+        .expect("socket build must fail");
+    assert!(matches!(err, Error::Unsupported(_)), "{err}");
+
+    // …and by the facade's default hook, which socket never overrides.
+    let mut socket = small(Backend::Socket).build_socket().unwrap();
+    let err = socket.install_fault_plan(plan).unwrap_err();
+    assert!(matches!(err, Error::Unsupported(_)), "{err}");
 }
 
 #[test]
