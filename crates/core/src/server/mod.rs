@@ -156,7 +156,7 @@ pub struct ServerOptions {
 
 /// Storage configuration of a [`Server`]: durability. [`Server::new`]
 /// uses the default (in-memory); runtimes pass a per-server durable
-/// directory through [`Server::with_tuning`].
+/// directory through [`Server::try_with_tuning`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerTuning {
     /// Durable-storage configuration. `None` (the default) keeps the
@@ -243,22 +243,8 @@ impl Server {
     /// Panics if the topology does not place this server's partition in
     /// its DC (the server would not exist in the deployment).
     pub fn new(options: ServerOptions) -> Self {
-        Server::with_tuning(options, ServerTuning::default())
-    }
-
-    /// Creates a server with explicit storage configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology does not place this server's partition in
-    /// its DC (the server would not exist in the deployment), or if
-    /// `tuning.durable` is set and the durable store cannot be opened (use
-    /// [`Server::try_with_tuning`] to handle that case).
-    pub fn with_tuning(options: ServerOptions, tuning: ServerTuning) -> Self {
-        match Server::try_with_tuning(options, tuning) {
-            Ok(server) => server,
-            Err(e) => panic!("{e}"),
-        }
+        Server::try_with_tuning(options, ServerTuning::default())
+            .expect("an in-memory store opens without I/O")
     }
 
     /// Creates a server with explicit tuning, surfacing durable-storage

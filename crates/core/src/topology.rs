@@ -160,11 +160,6 @@ impl Topology {
         replicas[(from_dc.index() + partition.index()) % replicas.len()]
     }
 
-    /// The server that serves `partition` for traffic from `from_dc`.
-    pub fn target_server(&self, partition: PartitionId, from_dc: DcId) -> ServerId {
-        ServerId::new(self.target_dc(partition, from_dc), partition)
-    }
-
     /// Like [`Self::target_dc`], but skipping DCs currently considered
     /// unreachable. Returns `None` when *no* replica is reachable — the
     /// §III-C unavailability case. The local DC is always reachable.

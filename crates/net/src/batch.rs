@@ -347,15 +347,9 @@ impl Coalescer {
         self.cfg.is_enabled()
     }
 
-    /// Whether `msg` belongs to the background classes the coalescer may
-    /// delay and fold.
-    pub fn is_coalescable(msg: &Msg) -> bool {
-        msg.is_background()
-    }
-
     /// Offers an envelope at time `now` (microseconds, caller's timebase).
     pub fn offer(&mut self, env: Envelope, now: u64) -> Offer {
-        if !self.cfg.is_enabled() || !Self::is_coalescable(&env.msg) {
+        if !self.cfg.is_enabled() || !env.msg.is_background() {
             return Offer::Pass(env);
         }
         let key = (env.src, env.dst);

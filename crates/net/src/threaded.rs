@@ -94,7 +94,6 @@ enum WheelCmd {
     /// traffic around it.
     Fault(FaultKind),
     Register(Endpoint, Sender<Envelope>),
-    Deregister(Endpoint),
     Shutdown,
 }
 
@@ -187,12 +186,6 @@ impl Router {
         let (tx, rx) = channel();
         let _ = self.wheel_tx.send(WheelCmd::Register(endpoint.into(), tx));
         rx
-    }
-
-    /// Removes an endpoint; in-flight messages to it are dropped on
-    /// delivery.
-    pub fn deregister(&self, endpoint: impl Into<Endpoint>) {
-        let _ = self.wheel_tx.send(WheelCmd::Deregister(endpoint.into()));
     }
 
     /// A sender handle for use by server/client threads.
@@ -335,9 +328,6 @@ impl Wheel {
                 Ok(WheelCmd::Register(endpoint, inbox)) => {
                     self.inboxes.insert(endpoint, inbox);
                 }
-                Ok(WheelCmd::Deregister(endpoint)) => {
-                    self.inboxes.remove(&endpoint);
-                }
                 Ok(WheelCmd::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
                     shutting_down = true;
                     self.release_all();
@@ -427,17 +417,6 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_micros(250), "latency applied");
         assert!(elapsed < Duration::from_millis(200), "latency scaled down");
-    }
-
-    #[test]
-    fn deregister_stops_delivery() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
-        let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(1));
-        let rx = router.register(b);
-        router.deregister(b);
-        router.handle().send(Envelope::new(a, b, hb(1)));
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]

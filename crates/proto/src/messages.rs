@@ -30,20 +30,6 @@ impl Endpoint {
             Endpoint::Client(_) => None,
         }
     }
-
-    /// A stable routing key for this endpoint (Fibonacci-mixed packed
-    /// identity). The write-path taps key lanes by **source** with it —
-    /// per-src FIFO is what keeps commit-after-prepare and
-    /// watermark-after-apply ordering intact when write traffic fans out
-    /// over pool lanes — and the deterministic simulator uses the same
-    /// key, so every backend shards sources identically.
-    pub fn route_key(&self) -> u64 {
-        let packed = match self {
-            Endpoint::Server(s) => (u64::from(s.dc.0) << 32) | u64::from(s.partition.0),
-            Endpoint::Client(c) => (1 << 63) | (u64::from(c.dc.0) << 32) | u64::from(c.seq),
-        };
-        packed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
-    }
 }
 
 impl From<ServerId> for Endpoint {

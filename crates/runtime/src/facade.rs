@@ -23,8 +23,9 @@
 //! client sessions, and a round trip that sends an operation's envelopes —
 //! one request, or a read's slices — and waits for the [`ClientEvent`]
 //! that completes the operation. Those primitives live on a sealed
-//! supertrait, so [`Cluster`] has exactly the three implementations of
-//! this crate.
+//! supertrait, so [`Cluster`] has exactly the two implementations of this
+//! crate: the sim, and the live core that the thread and socket backends
+//! both are, each over its own transport ([`crate::live`]).
 //!
 //! ```
 //! use paris_runtime::{Backend, Cluster, Paris};
@@ -123,8 +124,8 @@ fn failed<T>(event: ClientEvent) -> Result<T, Error> {
 /// [`Cluster::begin`] and the [`Txn`] handle, which layer transactional
 /// buffering and abort-on-drop on top of them.
 ///
-/// The trait is sealed: the three backends of this crate are its only
-/// implementations.
+/// The trait is sealed: the sim and the live core of the thread and
+/// socket backends are its only implementations.
 pub trait Cluster: Sessions + sealed::AsCluster {
     /// A short name of the backend ("sim", "thread", "socket").
     fn backend_name(&self) -> &'static str;
@@ -340,12 +341,7 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// A configuration error when the plan targets a DC or link outside
     /// the deployment, [`Error::Unsupported`] on backends without
     /// scripted fault injection.
-    fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), Error> {
-        let _ = plan;
-        Err(Error::Unsupported(
-            "fault plans need a backend with a controllable network (sim or thread)",
-        ))
-    }
+    fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), Error>;
 
     /// Starts a transaction and returns its RAII [`Txn`] handle.
     ///

@@ -23,8 +23,10 @@
 //! sessions and its round trip (see the [`Cluster`] docs), the closed
 //! loop of [`Cluster::run_workload`] is one sans-I/O workload client that
 //! every backend drives at its own pace, and the thread and socket
-//! backends share one live core for their interactive sessions,
-//! `run_workload` and snapshot observers.
+//! backends are one live core over two transports: [`Cluster`] is
+//! implemented twice, once for the sim and once for that core, whose
+//! interactive sessions, `run_workload` and snapshot observers both live
+//! backends share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

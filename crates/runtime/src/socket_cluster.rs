@@ -9,11 +9,13 @@
 //!
 //! The parent's clients are the live core it shares with the thread
 //! backend ([`crate::live`]): the interactive sessions and their round
-//! trip, `run_workload`, `stabilize` and the snapshot observers. This
-//! module supplies [`SocketNet`] — the data-plane node, whose reader
-//! threads deliver each reply straight into its session's inbox, the
-//! children's control streams and their liveness — plus the process
-//! management of bring-up, `kill_server` and `restart_server`.
+//! trip, `run_workload`, `stabilize` and the snapshot observers. A
+//! [`SocketCluster`] is a `Live<SocketNet>`; this module supplies
+//! [`SocketNet`] — the data-plane node, whose reader threads deliver each
+//! reply straight into its session's inbox, the children's control
+//! streams and their liveness, and the process management of
+//! `kill_server` and `restart_server` — plus the bring-up and the
+//! teardown.
 //!
 //! ## Bring-up
 //!
@@ -57,9 +59,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use paris_clock::WallClock;
-use paris_core::{
-    ClientEvent, ClientSession, DurableConfig, FsyncPolicy, ServerTuning, Topology, Violation,
-};
+use paris_core::{DurableConfig, FsyncPolicy, ServerTuning, Topology};
 use paris_net::sim::RegionMatrix;
 use paris_net::socket::framing::{
     deadline_in, read_ctrl_deadline, read_preamble, write_ctrl, write_preamble,
@@ -71,11 +71,10 @@ use paris_types::{
 };
 
 use crate::driver::{request_snapshots, spawn_server_loop};
-use crate::facade::Sessions;
 use crate::host::ServerHost;
 use crate::live::{Live, LiveNet};
-use crate::measure::{ClusterStats, RunReport};
-use crate::{BackendConfig, Cluster, OP_TIMEOUT};
+use crate::measure::ClusterStats;
+use crate::{BackendConfig, OP_TIMEOUT};
 
 /// How long the parent waits for every child to say hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(30);
@@ -461,16 +460,34 @@ struct ChildProc {
     proc: Mutex<Child>,
 }
 
-/// The parent's data-plane node and the children with their control
-/// streams.
-struct SocketNet {
+/// The multi-process socket backend: one `paris-server` child process per
+/// server over loopback TCP, built with
+/// [`ClusterBuilder::build_socket`](crate::ClusterBuilder::build_socket).
+/// It implements [`Cluster`](crate::Cluster); `topology()` returns its
+/// placement, and `server_pid(id)` / `server_pids()` the children's OS
+/// process ids.
+pub type SocketCluster = Live<SocketNet>;
+
+/// The parent's data-plane node, the children with their control streams,
+/// and what relaunching a child takes.
+pub struct SocketNet {
     node: SocketNode,
     children: Vec<ChildProc>,
     /// Each child's control stream, in `children` order.
     ctrls: Vec<Mutex<TcpStream>>,
+    // Retained for `restart_server`: a relaunched child is spawned from
+    // the same binary and spec, dials back on the same control port and
+    // slots into the updated peer map.
+    binary: PathBuf,
+    ctrl_listener: TcpListener,
+    ctrl_port: u16,
+    peer_map: Vec<(ServerId, u16)>,
+    config: BackendConfig,
 }
 
 impl LiveNet for SocketNet {
+    const NAME: &'static str = "socket";
+
     fn register(&self, client: ClientId) -> Result<Receiver<Envelope>, Error> {
         self.node.register(client)
     }
@@ -534,6 +551,66 @@ impl LiveNet for SocketNet {
             10_000,
         )
     }
+
+    fn kill_server(&mut self, index: usize) -> Result<(), Error> {
+        let child = self.children.get(index).ok_or_else(|| {
+            Error::from(paris_types::ConfigError::new("server index out of range"))
+        })?;
+        let mut proc = child
+            .proc
+            .lock()
+            .map_err(|_| Error::Transport("child handle poisoned"))?;
+        // SIGKILL on unix: no shutdown handshake, no final fsync — the
+        // durable log's torn tail is exactly what recovery must survive.
+        let _ = proc.kill();
+        proc.wait()
+            .map_err(|_| Error::Transport("could not reap the killed server"))?;
+        Ok(())
+    }
+
+    fn restart_server(&mut self, index: usize) -> Result<(), Error> {
+        // Idempotent after kill_server: make sure the old process is gone
+        // before its replacement binds anything.
+        self.kill_server(index)?;
+        let id = self.children[index].id;
+        let spec = child_spec(&self.config, self.ctrl_port, id);
+        let child = spawn_child(&self.binary, &spec)
+            .map_err(|_| Error::Transport("could not spawn a replacement server process"))?;
+
+        // The replacement recovers (checkpoint + WAL replay) before it
+        // says hello, so rejoining means ready-to-serve.
+        let deadline = deadline_in(HELLO_TIMEOUT);
+        let (_, data_port, stream) = match await_hello(&self.ctrl_listener, deadline, |s| s == id) {
+            Ok(joined) => joined,
+            Err(e) => {
+                kill_all(&mut vec![child]);
+                return Err(e);
+            }
+        };
+
+        // Slot the replacement in, then publish its new data port to
+        // every child (including the new one, which is blocked waiting
+        // for exactly this peer map) and to the parent's own routes.
+        if let Some(entry) = self.peer_map.iter_mut().find(|(s, _)| *s == id) {
+            entry.1 = data_port;
+        }
+        self.children[index] = ChildProc {
+            id,
+            proc: Mutex::new(child),
+        };
+        self.ctrls[index] = Mutex::new(stream);
+        let peers = Ctrl::Peers {
+            client_port: self.node.local_addr().port(),
+            servers: self.peer_map.clone(),
+        };
+        for ctrl in &self.ctrls {
+            let mut ctrl = ctrl.lock().map_err(|_| POISONED)?;
+            write_ctrl(&mut *ctrl, &peers)
+                .map_err(|_| Error::Transport("a server process left during restart"))?;
+        }
+        route_loopback(&self.node, None, &self.peer_map);
+        Ok(())
+    }
 }
 
 const POISONED: Error = Error::Transport("control channel poisoned");
@@ -563,17 +640,6 @@ fn ask_each(ctrls: &[Mutex<TcpStream>], req: &Ctrl) -> Vec<Result<Ctrl, Error>> 
             answer
         })
         .collect()
-}
-
-/// The multi-process socket backend. See the module docs.
-pub struct SocketCluster {
-    live: Live<SocketNet>,
-    // Retained for `restart_server`: a relaunched child dials back on the
-    // same control port and slots into the updated peer map.
-    binary: PathBuf,
-    ctrl_listener: TcpListener,
-    ctrl_port: u16,
-    peer_map: Vec<(ServerId, u16)>,
 }
 
 /// The spawn spec for the child hosting `id` — identical for the initial
@@ -670,10 +736,10 @@ fn read_hello(stream: &mut TcpStream, deadline: Instant) -> Option<(ServerId, u1
     }
 }
 
-impl SocketCluster {
+impl Live<SocketNet> {
     /// Spawns the child server processes, completes the control-plane
     /// bring-up and returns the live deployment.
-    pub(crate) fn start(config: BackendConfig) -> Result<SocketCluster, Error> {
+    pub(crate) fn start(config: BackendConfig) -> Result<Self, Error> {
         let binary = server_binary()?;
         let topo = Arc::new(Topology::new(config.cluster.clone()));
         let node = SocketNode::bind(NodeIdentity::ClientHost, socket_config(&config.cluster))?;
@@ -745,26 +811,19 @@ impl SocketCluster {
             node,
             children,
             ctrls,
-        };
-        Ok(SocketCluster {
-            live: Live::new(net, config, topo, Arc::new(WallClock::new())),
             binary,
             ctrl_listener,
             ctrl_port,
             peer_map,
-        })
-    }
-
-    /// The topology, for inspecting placement.
-    pub fn topology(&self) -> &Topology {
-        &self.live.topo
+            config: config.clone(),
+        };
+        Ok(Live::new(net, config, topo, Arc::new(WallClock::new())))
     }
 
     /// The OS process id of the child hosting `id` — robustness tests
     /// kill it to exercise failure handling.
     pub fn server_pid(&self, id: ServerId) -> Option<u32> {
-        self.live
-            .net
+        self.net
             .children
             .iter()
             .find(|c| c.id == id)
@@ -773,8 +832,7 @@ impl SocketCluster {
 
     /// The OS process ids of every child server.
     pub fn server_pids(&self) -> Vec<u32> {
-        self.live
-            .net
+        self.net
             .children
             .iter()
             .filter_map(|c| c.proc.lock().ok().map(|p| p.id()))
@@ -782,126 +840,16 @@ impl SocketCluster {
     }
 }
 
-impl Sessions for SocketCluster {
-    fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error> {
-        self.live.session(client)
-    }
-
-    fn round_trip(&mut self, client: ClientId, envs: Vec<Envelope>) -> Result<ClientEvent, Error> {
-        self.live.round_trip(client, envs)
-    }
-}
-
-impl Cluster for SocketCluster {
-    fn backend_name(&self) -> &'static str {
-        "socket"
-    }
-
-    fn mode(&self) -> Mode {
-        self.live.config.cluster.mode
-    }
-
-    fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
-        self.live.open_client(dc, false)
-    }
-
-    fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error> {
-        self.live.open_client(dc, true)
-    }
-
-    fn stabilize(&mut self, rounds: usize) {
-        self.live.stabilize(rounds);
-    }
-
-    fn min_ust(&self) -> Timestamp {
-        self.live.min_ust()
-    }
-
-    fn run_workload(&mut self, warmup_micros: u64, window_micros: u64) -> Result<RunReport, Error> {
-        self.live.run_workload(warmup_micros, window_micros)
-    }
-
-    fn stats(&mut self) -> Result<ClusterStats, Error> {
-        self.live.stats()
-    }
-
-    fn kill_server(&mut self, index: usize) -> Result<(), Error> {
-        let child = self.live.net.children.get(index).ok_or_else(|| {
-            Error::from(paris_types::ConfigError::new("server index out of range"))
-        })?;
-        let mut proc = child
-            .proc
-            .lock()
-            .map_err(|_| Error::Transport("child handle poisoned"))?;
-        // SIGKILL on unix: no shutdown handshake, no final fsync — the
-        // durable log's torn tail is exactly what recovery must survive.
-        let _ = proc.kill();
-        proc.wait()
-            .map_err(|_| Error::Transport("could not reap the killed server"))?;
-        Ok(())
-    }
-
-    fn restart_server(&mut self, index: usize) -> Result<(), Error> {
-        // Idempotent after kill_server: make sure the old process is gone
-        // before its replacement binds anything.
-        self.kill_server(index)?;
-        let id = self.live.net.children[index].id;
-        let spec = child_spec(&self.live.config, self.ctrl_port, id);
-        let child = spawn_child(&self.binary, &spec)
-            .map_err(|_| Error::Transport("could not spawn a replacement server process"))?;
-
-        // The replacement recovers (checkpoint + WAL replay) before it
-        // says hello, so rejoining means ready-to-serve.
-        let deadline = deadline_in(HELLO_TIMEOUT);
-        let (_, data_port, stream) = match await_hello(&self.ctrl_listener, deadline, |s| s == id) {
-            Ok(joined) => joined,
-            Err(e) => {
-                kill_all(&mut vec![child]);
-                return Err(e);
-            }
-        };
-
-        // Slot the replacement in, then publish its new data port to
-        // every child (including the new one, which is blocked waiting
-        // for exactly this peer map) and to the parent's own routes.
-        if let Some(entry) = self.peer_map.iter_mut().find(|(s, _)| *s == id) {
-            entry.1 = data_port;
-        }
-        let net = &mut self.live.net;
-        net.children[index] = ChildProc {
-            id,
-            proc: Mutex::new(child),
-        };
-        net.ctrls[index] = Mutex::new(stream);
-        let peers = Ctrl::Peers {
-            client_port: net.node.local_addr().port(),
-            servers: self.peer_map.clone(),
-        };
-        for ctrl in &net.ctrls {
-            let mut ctrl = ctrl.lock().map_err(|_| POISONED)?;
-            write_ctrl(&mut *ctrl, &peers)
-                .map_err(|_| Error::Transport("a server process left during restart"))?;
-        }
-        route_loopback(&net.node, None, &self.peer_map);
-        Ok(())
-    }
-
-    fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        self.live.check_convergence()
-    }
-}
-
-impl Drop for SocketCluster {
+impl Drop for SocketNet {
     fn drop(&mut self) {
         // Ask every child to stop, give them a grace window, then kill.
-        let net = &mut self.live.net;
-        for ctrl in &net.ctrls {
+        for ctrl in &self.ctrls {
             if let Ok(mut ctrl) = ctrl.lock() {
                 let _ = write_ctrl(&mut *ctrl, &Ctrl::Stop);
             }
         }
         let deadline = Instant::now() + STOP_GRACE;
-        for child in &net.children {
+        for child in &self.children {
             let Ok(mut proc) = child.proc.lock() else {
                 continue;
             };
@@ -919,7 +867,7 @@ impl Drop for SocketCluster {
                 }
             }
         }
-        net.node.shutdown();
+        self.node.shutdown();
     }
 }
 

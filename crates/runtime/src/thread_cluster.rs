@@ -6,20 +6,19 @@
 //! real races in message arrival — and to validate that the consistency
 //! checker still finds nothing.
 //!
-//! Unlike the original one-shot runner, a [`ThreadCluster`] is a live
-//! deployment: servers keep running between operations, so it serves both
-//! interactive transactions (via [`Cluster::begin`](crate::Cluster::begin))
-//! and closed-loop workloads
+//! A [`ThreadCluster`] is a live deployment: servers keep running between
+//! operations, so it serves both interactive transactions (via
+//! [`Cluster::begin`](crate::Cluster::begin)) and closed-loop workloads
 //! ([`Cluster::run_workload`](crate::Cluster::run_workload)). Build one
 //! with [`crate::Paris::builder`] and
 //! [`Backend::Thread`](crate::Backend::Thread).
 //!
-//! This module supplies only what is threaded about it: the router, the
-//! server threads and the chaos thread of a fault plan. Everything above
-//! the transport — the interactive sessions and their round trip,
-//! `run_workload`, `stabilize` and the snapshot observers — is the live
-//! core it shares with the socket backend ([`crate::live`]), reached
-//! through [`ThreadNet`].
+//! This module supplies only what is threaded about it: [`ThreadNet`] —
+//! the router, the server threads and the chaos threads of fault plans —
+//! and its teardown. Everything above the transport — the interactive
+//! sessions and their round trip, `run_workload`, `stabilize` and the
+//! snapshot observers — is the live core it shares with the socket
+//! backend ([`crate::live`]): a `ThreadCluster` is a `Live<ThreadNet>`.
 //!
 //! The router's delay wheel drives the simulator's link model
 //! ([`paris_net::sim::SimNetwork`]), so the chaos thread only times a
@@ -43,31 +42,46 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paris_clock::{SkewCell, SteppableClock, SystemClock};
-use paris_core::{ClientEvent, ClientSession, Topology, Violation};
+use paris_core::Topology;
 use paris_net::threaded::{NetHandle, Router, ThreadedNetConfig};
 use paris_proto::{Envelope, ServerSnapshot};
-use paris_types::{ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Mode, Timestamp};
+use paris_types::{ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Timestamp};
 
 use crate::driver::{request_snapshots, spawn_server_loop, SnapshotReq};
-use crate::facade::Sessions;
 use crate::host::ServerHost;
 use crate::live::{Live, LiveNet};
-use crate::measure::{ClusterStats, RunReport};
-use crate::{BackendConfig, Cluster};
+use crate::measure::ClusterStats;
+use crate::BackendConfig;
 
-/// The router and the server loops' snapshot channels and USTs.
-struct ThreadNet {
+/// The threaded cluster backend: one OS thread per server, real channels
+/// with WAN-shaped delays, built with
+/// [`ClusterBuilder::build_thread`](crate::ClusterBuilder::build_thread).
+/// It implements [`Cluster`](crate::Cluster), and `topology()` returns its
+/// placement.
+pub type ThreadCluster = Live<ThreadNet>;
+
+/// The router, the server threads with their snapshot channels and USTs,
+/// and the chaos threads of installed fault plans.
+pub struct ThreadNet {
     router: Router,
     handle: NetHandle,
     /// One snapshot-request channel per server loop.
     servers: Vec<SyncSender<SnapshotReq>>,
     /// The UST each server loop publishes, in `servers` order.
     usts: Vec<Arc<AtomicU64>>,
+    server_handles: Vec<JoinHandle<()>>,
+    /// One shared skew cell per server, grouped by DC, so a scripted
+    /// `SkewClock` event can step every HLC clock in that DC at once.
+    skew_cells: HashMap<DcId, Vec<SkewCell>>,
+    chaos_stop: Arc<AtomicBool>,
+    chaos_handles: Vec<JoinHandle<()>>,
     /// The WAN shape, for the round length.
     config: ThreadedNetConfig,
 }
 
 impl LiveNet for ThreadNet {
+    const NAME: &'static str = "thread";
+
     fn register(&self, client: ClientId) -> Result<Receiver<Envelope>, Error> {
         Ok(self.router.register(client))
     }
@@ -109,20 +123,71 @@ impl LiveNet for ThreadNet {
             2_000,
         )
     }
+
+    fn kill_server(&mut self, index: usize) -> Result<(), Error> {
+        crate::no_server_processes(
+            index,
+            self.servers.len(),
+            "kill_server is not available on the thread backend (no server processes); \
+             crash a whole DC with a FaultPlan instead",
+        )
+    }
+
+    fn restart_server(&mut self, index: usize) -> Result<(), Error> {
+        crate::no_server_processes(
+            index,
+            self.servers.len(),
+            "restart_server is not available on the thread backend (no server processes); \
+             rejoin a crashed DC with a FaultPlan instead",
+        )
+    }
+
+    /// Validates `plan` and spawns a chaos thread that fires its events
+    /// on the wall clock.
+    fn install_fault_plan(&mut self, plan: FaultPlan, dcs: u16) -> Result<(), Error> {
+        plan.validate(dcs)?;
+        if plan.is_empty() {
+            return Ok(());
+        }
+        let control = self.router.link_control();
+        let cells = self.skew_cells.clone();
+        let stop = Arc::clone(&self.chaos_stop);
+        let events = plan.sorted_events();
+        let started = Instant::now();
+        let handle = std::thread::Builder::new()
+            .name("chaos-plan".into())
+            .spawn(move || {
+                for event in events {
+                    // Sleep toward the event's wall-clock due time in short
+                    // slices so a dropped cluster never blocks on us.
+                    let due = started + Duration::from_micros(event.at_micros);
+                    loop {
+                        if stop.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        let left = due.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break;
+                        }
+                        std::thread::sleep(left.min(Duration::from_millis(20)));
+                    }
+                    match event.kind {
+                        FaultKind::SkewClock { dc, delta_micros } => {
+                            for cell in cells.get(&dc).into_iter().flatten() {
+                                cell.step(delta_micros);
+                            }
+                        }
+                        kind => control.apply(kind),
+                    }
+                }
+            })
+            .map_err(|_| Error::Transport("could not spawn the chaos thread"))?;
+        self.chaos_handles.push(handle);
+        Ok(())
+    }
 }
 
-/// The threaded cluster backend. See the module docs.
-pub struct ThreadCluster {
-    live: Live<ThreadNet>,
-    server_handles: Vec<JoinHandle<()>>,
-    /// One shared skew cell per server, grouped by DC, so a scripted
-    /// `SkewClock` event can step every HLC clock in that DC at once.
-    skew_cells: HashMap<DcId, Vec<SkewCell>>,
-    chaos_stop: Arc<AtomicBool>,
-    chaos_handles: Vec<JoinHandle<()>>,
-}
-
-impl ThreadCluster {
+impl Live<ThreadNet> {
     /// Spawns the server threads and returns the live deployment.
     ///
     /// # Errors
@@ -165,140 +230,24 @@ impl ThreadCluster {
             router,
             servers,
             usts,
-            config: net_config,
-        };
-        Ok(ThreadCluster {
-            live: Live::new(net, config, topo, clock),
             server_handles,
             skew_cells,
             chaos_stop: Arc::new(AtomicBool::new(false)),
             chaos_handles: Vec::new(),
-        })
-    }
-
-    /// The topology, for inspecting placement.
-    pub fn topology(&self) -> &Topology {
-        &self.live.topo
+            config: net_config,
+        };
+        Ok(Live::new(net, config, topo, clock))
     }
 }
 
-impl Sessions for ThreadCluster {
-    fn session(&mut self, client: ClientId) -> Result<&mut ClientSession, Error> {
-        self.live.session(client)
-    }
-
-    fn round_trip(&mut self, client: ClientId, envs: Vec<Envelope>) -> Result<ClientEvent, Error> {
-        self.live.round_trip(client, envs)
-    }
-}
-
-impl Cluster for ThreadCluster {
-    fn backend_name(&self) -> &'static str {
-        "thread"
-    }
-
-    fn mode(&self) -> Mode {
-        self.live.config.cluster.mode
-    }
-
-    fn kill_server(&mut self, index: usize) -> Result<(), Error> {
-        crate::no_server_processes(
-            index,
-            self.live.net.servers.len(),
-            "kill_server is not available on the thread backend (no server processes); \
-             crash a whole DC with a FaultPlan instead",
-        )
-    }
-
-    fn restart_server(&mut self, index: usize) -> Result<(), Error> {
-        crate::no_server_processes(
-            index,
-            self.live.net.servers.len(),
-            "restart_server is not available on the thread backend (no server processes); \
-             rejoin a crashed DC with a FaultPlan instead",
-        )
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), Error> {
-        let dcs = self.live.config.cluster.dcs;
-        plan.validate(dcs)?;
-        if plan.is_empty() {
-            return Ok(());
-        }
-        let control = self.live.net.router.link_control();
-        let cells = self.skew_cells.clone();
-        let stop = Arc::clone(&self.chaos_stop);
-        let events = plan.sorted_events();
-        let started = Instant::now();
-        let handle = std::thread::Builder::new()
-            .name("chaos-plan".into())
-            .spawn(move || {
-                for event in events {
-                    // Sleep toward the event's wall-clock due time in short
-                    // slices so a dropped cluster never blocks on us.
-                    let due = started + Duration::from_micros(event.at_micros);
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let left = due.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        std::thread::sleep(left.min(Duration::from_millis(20)));
-                    }
-                    match event.kind {
-                        FaultKind::SkewClock { dc, delta_micros } => {
-                            for cell in cells.get(&dc).into_iter().flatten() {
-                                cell.step(delta_micros);
-                            }
-                        }
-                        kind => control.apply(kind),
-                    }
-                }
-            })
-            .expect("spawn chaos thread");
-        self.chaos_handles.push(handle);
-        Ok(())
-    }
-
-    fn open_client(&mut self, dc: u16) -> Result<ClientId, Error> {
-        self.live.open_client(dc, false)
-    }
-
-    fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error> {
-        self.live.open_client(dc, true)
-    }
-
-    fn stabilize(&mut self, rounds: usize) {
-        self.live.stabilize(rounds);
-    }
-
-    fn min_ust(&self) -> Timestamp {
-        self.live.min_ust()
-    }
-
-    fn run_workload(&mut self, warmup_micros: u64, window_micros: u64) -> Result<RunReport, Error> {
-        self.live.run_workload(warmup_micros, window_micros)
-    }
-
-    fn stats(&mut self) -> Result<ClusterStats, Error> {
-        self.live.stats()
-    }
-
-    fn check_convergence(&mut self) -> Result<Vec<Violation>, Error> {
-        self.live.check_convergence()
-    }
-}
-
-impl Drop for ThreadCluster {
+impl Drop for ThreadNet {
     fn drop(&mut self) {
         self.chaos_stop.store(true, Ordering::Relaxed);
         for h in self.chaos_handles.drain(..) {
             let _ = h.join();
         }
         // Hanging up their snapshot requests stops the server loops.
-        self.live.net.servers.clear();
+        self.servers.clear();
         for h in self.server_handles.drain(..) {
             let _ = h.join();
         }

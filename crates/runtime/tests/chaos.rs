@@ -63,15 +63,20 @@ fn self_link_and_bad_factor_plans_are_rejected_at_build_time() {
 
 #[test]
 fn install_fault_plan_validates_against_the_running_shape() {
-    let mut sim = sim_builder(1).build_sim().unwrap();
-    let err = sim
-        .install_fault_plan(FaultPlan::new().rejoin_dc(0, DcId(3)))
-        .unwrap_err();
-    assert!(
-        err.to_string()
-            .contains("fault plan targets a DC out of range"),
-        "unexpected error: {err}"
-    );
+    for backend in [Backend::Sim, Backend::Thread] {
+        let mut cluster = sim_builder(1).backend(backend).build().unwrap();
+        let err = cluster
+            .install_fault_plan(FaultPlan::new().rejoin_dc(0, DcId(3)))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("fault plan targets a DC out of range"),
+            "{backend:?}: unexpected error: {err}"
+        );
+        // A plan inside the running shape installs.
+        let plan = FaultPlan::new().skew_clock(0, DcId(2), 0);
+        cluster.install_fault_plan(plan).unwrap();
+    }
 }
 
 #[test]

@@ -51,21 +51,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// A read-dominant mix (~97:3 r:w) for exercising the parallel read
-    /// path: wide slice reads (32 keys over 2 partitions → 16 keys per
-    /// `ReadSliceReq`), one write per transaction to keep version chains
-    /// and the stabilization pipeline live, all-local transactions so
-    /// offered read load concentrates on the serving replicas.
-    pub fn read_mostly() -> Self {
-        WorkloadConfig {
-            reads_per_tx: 32,
-            writes_per_tx: 1,
-            partitions_per_tx: 2,
-            local_tx_ratio: 1.0,
-            ..WorkloadConfig::read_heavy()
-        }
-    }
-
     /// Returns the config with a different locality ratio (Fig. 3 sweep).
     pub fn with_locality(mut self, local_tx_ratio: f64) -> Self {
         self.local_tx_ratio = local_tx_ratio;
@@ -227,14 +212,6 @@ mod tests {
         assert_eq!(a.partitions_per_tx, 4);
         assert_eq!(a.value_size, 8);
         assert!((a.zipf_theta - 0.99).abs() < 1e-9);
-    }
-
-    #[test]
-    fn read_mostly_preset_shape() {
-        let c = WorkloadConfig::read_mostly();
-        assert_eq!((c.reads_per_tx, c.writes_per_tx), (32, 1));
-        assert_eq!(c.partitions_per_tx, 2);
-        assert!((c.local_tx_ratio - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -52,7 +51,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -88,12 +86,6 @@ impl Zipfian {
     pub fn pmf(&self, rank: u64) -> f64 {
         assert!(rank < self.n);
         1.0 / ((rank + 1) as f64).powf(self.theta) / self.zetan
-    }
-
-    /// Internal consistency value used by tests.
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -406,7 +406,7 @@ fn the_socket_backend_rejects_fault_plans() {
         .expect("socket build must fail");
     assert!(matches!(err, Error::Unsupported(_)), "{err}");
 
-    // …and by the facade's default hook, which socket never overrides.
+    // …and by `SocketNet`'s `LiveNet` default after the build.
     let mut socket = small(Backend::Socket).build_socket().unwrap();
     let err = socket.install_fault_plan(plan).unwrap_err();
     assert!(matches!(err, Error::Unsupported(_)), "{err}");
