@@ -51,13 +51,16 @@ fn sample_messages() -> Vec<Msg> {
         Msg::CommitTx { tx, ct: ts(3) },
         commit_one(false),
         commit_one(true),
-        Msg::Heartbeat {
+        Msg::Replicate {
             partition: PartitionId(4),
+            txs: vec![],
             watermark: ts(4),
         },
-        Msg::UstBroadcast {
-            ust: ts(5),
-            s_old: ts(4),
+        Msg::GossipDigest {
+            reports: vec![],
+            roots: vec![],
+            ust: Some((ts(5), ts(4))),
+            frames: 1,
         },
     ]
 }
@@ -120,7 +123,7 @@ fn main() {
     )));
     println!("  a first ReadReq carrying the start: {fused_extra} timestamp more than a plain one");
     println!(
-        "\n  {:<16} {:>8} {:>11} {:>11} {:>14}",
+        "\n  {:<17} {:>8} {:>11} {:>11} {:>14}",
         "message", "bytes", "metadata B", "timestamps", "× 8 B (paper)"
     );
     let mut points: Vec<Json> = Vec::new();
@@ -134,12 +137,14 @@ fn main() {
                 coordinator_share: true,
                 ..
             } => "CommitOne+share",
+            Msg::Replicate { txs, .. } if txs.is_empty() => "Replicate (empty)",
+            Msg::GossipDigest { .. } => "Digest (UST only)",
             _ => msg.kind(),
         };
         let bytes = wire::encoded_len(msg);
         let meta = wire::metadata(msg);
         println!(
-            "  {:<16} {bytes:>8} {:>11} {:>11} {:>14}",
+            "  {:<17} {bytes:>8} {:>11} {:>11} {:>14}",
             label,
             meta.bytes,
             meta.timestamps,

@@ -9,7 +9,8 @@
 //!   when the own partition is one of two);
 //! * **transaction cohort** (Alg. 3): slice reads, prepare, commit;
 //! * **replication** (Alg. 4): applying committed transactions in commit
-//!   order, pushing them to peer replicas, heartbeats;
+//!   order, pushing them to peer replicas (an empty push is the
+//!   heartbeat);
 //! * **stabilization** (Alg. 4 lines 34–38): the UST gossip over the
 //!   intra-DC tree and the inter-DC root exchange, plus the GC horizon.
 //!
@@ -490,23 +491,8 @@ impl Server {
                 watermark,
                 frames,
             } => self.on_replicate(env, *partition, txs, *watermark, *frames, now),
-            Msg::Heartbeat {
-                partition,
-                watermark,
-            } => self.on_heartbeat(env, *partition, *watermark, now),
 
             // Stabilization.
-            Msg::GstReport {
-                partition,
-                mins,
-                oldest_active,
-            } => self.on_gst_report(*partition, mins, *oldest_active, now),
-            Msg::RootGst {
-                dc,
-                gst,
-                oldest_active,
-            } => self.on_root_gst(*dc, *gst, *oldest_active, now),
-            Msg::UstBroadcast { ust, s_old } => self.on_ust_broadcast(*ust, *s_old, now),
             Msg::GossipDigest {
                 reports,
                 roots,

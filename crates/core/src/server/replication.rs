@@ -14,8 +14,8 @@ impl Server {
     /// anywhere above their proposals), otherwise `max(Clock, HLC)`.
     /// Applies every committed transaction with `ct ≤ ub` in commit-time
     /// order, pushes the batch to peer replicas, and advances the local
-    /// version clock to `ub`. With nothing to apply, sends a heartbeat so
-    /// the UST keeps advancing in write-free periods.
+    /// version clock to `ub`. With nothing to apply the batch is empty: a
+    /// heartbeat, so the UST keeps advancing in write-free periods.
     pub fn on_replicate_tick(&mut self, now: u64) -> Vec<Envelope> {
         let ub = match self.min_prepared() {
             // Future commits are ≥ the minimum proposal, hence > ub.
@@ -73,31 +73,22 @@ impl Server {
         let peers = self.topo.peer_replicas(self.id);
         let mut out: Vec<Envelope> = Vec::with_capacity(peers.len() + 4);
         if batch.is_empty() {
-            // Alg. 4 line 21: heartbeat keeps remote version clocks moving.
+            // Alg. 4 line 21: an empty batch is the heartbeat that keeps
+            // remote version clocks moving.
             self.stats.heartbeats += peers.len() as u64;
-            for peer in peers {
-                out.push(Envelope::new(
-                    self.id,
-                    peer,
-                    Msg::Heartbeat {
-                        partition: self.id.partition,
-                        watermark: ub,
-                    },
-                ));
-            }
         } else {
             self.stats.replicate_batches += 1;
-            for peer in peers {
-                out.push(Envelope::new(
-                    self.id,
-                    peer,
-                    Msg::Replicate {
-                        partition: self.id.partition,
-                        txs: batch.clone(),
-                        watermark: ub,
-                    },
-                ));
-            }
+        }
+        for peer in peers {
+            out.push(Envelope::new(
+                self.id,
+                peer,
+                Msg::Replicate {
+                    partition: self.id.partition,
+                    txs: batch.clone(),
+                    watermark: ub,
+                },
+            ));
         }
 
         out.extend(self.after_clock_move(now));
@@ -116,11 +107,11 @@ impl Server {
         out
     }
 
-    /// `Replicate` from a peer replica (Alg. 4 lines 23–30): apply the
-    /// batch in its ascending `(ct, tx)` order, then advance that
-    /// replica's version-vector entry to the sender's watermark — after
-    /// the store writes, so the installed watermark never announces a
-    /// version that is not yet readable.
+    /// `Replicate` from a peer replica (Alg. 4 lines 23–33, an empty one
+    /// being a heartbeat): apply the batch in its ascending `(ct, tx)`
+    /// order, then advance that replica's version-vector entry to the
+    /// sender's watermark — after the store writes, so the installed
+    /// watermark never announces a version that is not yet readable.
     ///
     /// A `ReplicateBatch` from the coalescing layer lands here too, with
     /// `frames` > 0: several frames from the same peer folded into one
@@ -145,19 +136,6 @@ impl Server {
                 log.applies.push((t.tx, t.ct, now));
             }
         }
-        self.bump_replica_clock(env.src.dc(), watermark);
-        self.after_clock_move(now)
-    }
-
-    /// `Heartbeat` from a peer replica (Alg. 4 lines 31–33).
-    pub(super) fn on_heartbeat(
-        &mut self,
-        env: &Envelope,
-        partition: PartitionId,
-        watermark: Timestamp,
-        now: u64,
-    ) -> Vec<Envelope> {
-        debug_assert_eq!(partition, self.id.partition, "heartbeat cross-partition");
         self.bump_replica_clock(env.src.dc(), watermark);
         self.after_clock_move(now)
     }

@@ -1,6 +1,6 @@
 //! The stabilization child-report table.
 //!
-//! Each tree child forwards a `GstReport` (its subtree's per-source-DC
+//! Each tree child forwards a report (its subtree's per-source-DC
 //! minima plus its oldest active snapshot) one level up; the parent keeps
 //! the freshest report per child and folds them into its own aggregate
 //! (see `stabilization`). Reports reach the table on the server loop

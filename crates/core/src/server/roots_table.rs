@@ -18,7 +18,7 @@ pub(crate) struct RootsTable {
 }
 
 impl RootsTable {
-    /// Folds a remote root's `RootGst` announcement.
+    /// Folds a remote root's GST announcement.
     pub(crate) fn fold_remote(&mut self, dc: DcId, gst: Timestamp, oldest_active: Timestamp) {
         let entry = self
             .entries

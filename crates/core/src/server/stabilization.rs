@@ -9,13 +9,18 @@
 //! The same messages carry the oldest-active-snapshot aggregate that
 //! bounds garbage collection (`S_old`).
 //!
+//! All three travel as [`Msg::GossipDigest`]: a report, a root's GST and
+//! the broadcast are each a one-entry digest (`frames: 1`), the shape the
+//! batching layer folds a link's digests into, and every arrival goes
+//! through one handler, `on_gossip_digest`.
+//!
 //! *When* a server forwards depends on its links. The paper's schedule is
 //! one frame per ∆G / ∆U tick, and that is exactly what runs when batching
 //! is off. Behind batched links, which are paced by stable-time progress,
 //! stabilisation is **push-on-arrival**: whenever an arrival or the server's own replicate
 //! tick moves its stable time, the derived frame is returned at once —
-//! child → `GstReport`, root → `RootGst` and, when the UST moved,
-//! `UstBroadcast` — and the ticks remain only as keep-alives for idle
+//! a child's report, a root's GST and, when the UST moved, the UST
+//! broadcast — and the ticks remain only as keep-alives for idle
 //! links (and for `S_old`, which rides along). Offering more frames is
 //! free there because the coalescer sends one message per quantum of
 //! stable-time progress however many it is offered.
@@ -26,8 +31,8 @@
 
 use std::collections::HashMap;
 
-use paris_proto::{Envelope, Msg};
-use paris_types::{DcId, PartitionId, Timestamp};
+use paris_proto::{DigestReport, Envelope, Msg};
+use paris_types::{DcId, Timestamp};
 
 use super::Server;
 
@@ -91,10 +96,15 @@ impl Server {
             Some(parent) => vec![Envelope::new(
                 self.id,
                 parent,
-                Msg::GstReport {
-                    partition: self.id.partition,
-                    mins,
-                    oldest_active,
+                Msg::GossipDigest {
+                    reports: vec![DigestReport {
+                        partition: self.id.partition,
+                        mins,
+                        oldest_active,
+                    }],
+                    roots: Vec::new(),
+                    ust: None,
+                    frames: 1,
                 },
             )],
             None => {
@@ -108,10 +118,11 @@ impl Server {
                         Envelope::new(
                             self.id,
                             r,
-                            Msg::RootGst {
-                                dc: self.id.dc,
-                                gst: stable,
-                                oldest_active,
+                            Msg::GossipDigest {
+                                reports: Vec::new(),
+                                roots: vec![(self.id.dc, stable, oldest_active)],
+                                ust: None,
+                                frames: 1,
                             },
                         )
                     })
@@ -152,17 +163,25 @@ impl Server {
             .servers_in_dc(self.id.dc)
             .into_iter()
             .filter(|s| *s != self.id)
-            .map(|s| Envelope::new(self.id, s, Msg::UstBroadcast { ust, s_old }))
+            .map(|s| {
+                let broadcast = Msg::GossipDigest {
+                    reports: Vec::new(),
+                    roots: Vec::new(),
+                    ust: Some((ust, s_old)),
+                    frames: 1,
+                };
+                Envelope::new(self.id, s, broadcast)
+            })
             .collect()
     }
 
     /// Push-on-arrival (paced links only; see the module docs): called
     /// after anything that may have moved this server's inputs — a
-    /// replication frame or heartbeat, a child's report, another root's
-    /// GST, the server's own replicate tick. Forwards the aggregate if its
-    /// stable time moved past what was last forwarded and, at a root,
-    /// broadcasts the UST if that moved. Without pacing it returns
-    /// nothing and the ticks are the whole schedule.
+    /// replication frame (a heartbeat included), a digest, the server's
+    /// own replicate tick. Forwards the aggregate if its stable time moved
+    /// past what was last forwarded and, at a root, broadcasts the UST if
+    /// that moved. Without pacing it returns nothing and the ticks are the
+    /// whole schedule.
     pub(super) fn push_stable(&mut self, now: u64) -> Vec<Envelope> {
         if !self.push {
             return Vec::new();
@@ -176,43 +195,23 @@ impl Server {
         out
     }
 
-    /// A child's subtree report (tree-internal message).
-    pub(super) fn on_gst_report(
-        &mut self,
-        partition: PartitionId,
-        mins: &[(DcId, Timestamp)],
-        oldest_active: Timestamp,
-        now: u64,
-    ) -> Vec<Envelope> {
-        self.child_reports.fold(partition, mins, oldest_active);
-        self.push_stable(now)
-    }
-
-    /// Another DC root's GST (inter-DC exchange).
-    pub(super) fn on_root_gst(
-        &mut self,
-        dc: DcId,
-        gst: Timestamp,
-        oldest_active: Timestamp,
-        now: u64,
-    ) -> Vec<Envelope> {
-        self.dc_roots.fold_remote(dc, gst, oldest_active);
-        self.push_stable(now)
-    }
-
-    /// A coalesced gossip digest: folds each component into the exact
-    /// table an individual frame would have hit. Because every component
-    /// is monotonic and the tables keep only the freshest value, a digest
-    /// is indistinguishable from delivering its frames in order.
+    /// A gossip digest — a child's report, another DC root's GST, the
+    /// root's UST broadcast, or several of them coalesced: folds each
+    /// component into its table. Because every component is monotonic and
+    /// the tables keep only the freshest value, a coalesced digest is
+    /// indistinguishable from delivering its frames in order.
     pub(super) fn on_gossip_digest(
         &mut self,
-        reports: &[paris_proto::DigestReport],
+        reports: &[DigestReport],
         roots: &[(DcId, Timestamp, Timestamp)],
         ust: Option<(Timestamp, Timestamp)>,
         frames: u32,
         now: u64,
     ) -> Vec<Envelope> {
-        self.stats.coalesced_frames += u64::from(frames);
+        // Unbatched links send one-entry digests: nothing was coalesced.
+        if self.push {
+            self.stats.coalesced_frames += u64::from(frames);
+        }
         for r in reports {
             self.child_reports
                 .fold(r.partition, &r.mins, r.oldest_active);
@@ -227,17 +226,11 @@ impl Server {
     }
 
     /// The root's UST/S_old broadcast.
-    pub(super) fn on_ust_broadcast(
-        &mut self,
-        ust: Timestamp,
-        s_old: Timestamp,
-        now: u64,
-    ) -> Vec<Envelope> {
+    fn on_ust_broadcast(&mut self, ust: Timestamp, s_old: Timestamp, now: u64) {
         if ust > self.ust {
             self.ust = ust;
             self.log_ust(ust, now);
         }
         self.s_old = self.s_old.max(s_old);
-        Vec::new()
     }
 }

@@ -6,9 +6,11 @@ use std::sync::Arc;
 
 use paris_clock::SimClock;
 use paris_core::{Mode, Server, ServerOptions, Topology, STALE_CONTEXT_MICROS};
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx, TxRef};
+use paris_proto::{
+    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx, TxRef,
+};
 use paris_types::{
-    ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
+    BatchConfig, ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
     VersionStamp, WriteSetEntry,
 };
 
@@ -31,6 +33,37 @@ fn server_at(topo: &Arc<Topology>, clock: &SimClock, dc: u16, p: u32, mode: Mode
         mode,
         record_events: true,
     })
+}
+
+/// A heartbeat: a replication push with no transactions.
+fn heartbeat(partition: u32, watermark: u64) -> Msg {
+    Msg::Replicate {
+        partition: PartitionId(partition),
+        txs: vec![],
+        watermark: Timestamp::from_physical_micros(watermark),
+    }
+}
+
+fn is_heartbeat(msg: &Msg) -> bool {
+    matches!(msg, Msg::Replicate { txs, .. } if txs.is_empty())
+}
+
+/// A one-entry digest, as a server sends its report, GST or UST.
+fn digest(
+    reports: Vec<DigestReport>,
+    roots: Vec<(DcId, Timestamp, Timestamp)>,
+    ust: Option<(Timestamp, Timestamp)>,
+) -> Msg {
+    Msg::GossipDigest {
+        reports,
+        roots,
+        ust,
+        frames: 1,
+    }
+}
+
+fn ust_broadcast(ust: Timestamp, s_old: Timestamp) -> Msg {
+    digest(vec![], vec![], Some((ust, s_old)))
 }
 
 fn client() -> ClientId {
@@ -688,8 +721,8 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
     let announced = participant
         .on_replicate_tick(0)
         .iter()
-        .find_map(|e| match e.msg {
-            Msg::Heartbeat { watermark, .. } => Some(watermark),
+        .find_map(|e| match &e.msg {
+            Msg::Replicate { watermark, .. } if is_heartbeat(&e.msg) => Some(*watermark),
             _ => None,
         })
         .expect("a heartbeat to the peer replica");
@@ -1030,7 +1063,7 @@ fn cohort_commit_applies_on_next_replicate_tick_in_ct_order() {
     );
     let out = s.on_replicate_tick(10);
     assert!(
-        out.iter().all(|e| matches!(e.msg, Msg::Heartbeat { .. })),
+        out.iter().all(|e| is_heartbeat(&e.msg)),
         "tx1 must wait behind tx0's outstanding proposal"
     );
     assert!(s.store().latest(Key(0)).is_none());
@@ -1099,17 +1132,7 @@ fn heartbeat_advances_clock_without_data() {
     let clock = SimClock::new();
     let mut s = server_at(&topo, &clock, 1, 0, Mode::Paris);
     let peer = ServerId::new(DcId(0), PartitionId(0));
-    s.handle(
-        &Envelope::new(
-            peer,
-            s.id(),
-            Msg::Heartbeat {
-                partition: PartitionId(0),
-                watermark: Timestamp::from_physical_micros(9_000),
-            },
-        ),
-        0,
-    );
+    s.handle(&Envelope::new(peer, s.id(), heartbeat(0, 9_000)), 0);
     assert_eq!(
         s.version_vector()[&DcId(0)],
         Timestamp::from_physical_micros(9_000)
@@ -1144,17 +1167,7 @@ fn bpr_read_blocks_then_drains_in_blocked_order() {
     assert_eq!(s.blocked_reads_now(), 2);
     // Watermark to 5_000: only the first read drains.
     let peer = ServerId::new(DcId(1), PartitionId(0));
-    s.handle(
-        &Envelope::new(
-            peer,
-            s.id(),
-            Msg::Heartbeat {
-                partition: PartitionId(0),
-                watermark: Timestamp::from_physical_micros(5_000),
-            },
-        ),
-        200,
-    );
+    s.handle(&Envelope::new(peer, s.id(), heartbeat(0, 5_000)), 200);
     // Local clock must also advance: replicate tick raises VV[own].
     let out = s.on_replicate_tick(300);
     let served: usize = out
@@ -1174,17 +1187,7 @@ fn bpr_read_at_installed_snapshot_serves_immediately() {
     clock.advance_to(10_000);
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Bpr);
     let peer = ServerId::new(DcId(1), PartitionId(0));
-    s.handle(
-        &Envelope::new(
-            peer,
-            s.id(),
-            Msg::Heartbeat {
-                partition: PartitionId(0),
-                watermark: Timestamp::from_physical_micros(20_000),
-            },
-        ),
-        0,
-    );
+    s.handle(&Envelope::new(peer, s.id(), heartbeat(0, 20_000)), 0);
     s.on_replicate_tick(10); // VV[own] ≈ clock
     let coordinator = ServerId::new(DcId(0), PartitionId(3));
     let out = s.handle(
@@ -1212,30 +1215,10 @@ fn ust_broadcast_is_monotonic() {
     let root = ServerId::new(DcId(0), PartitionId(0));
     let fresh = Timestamp::from_physical_micros(5_000);
     let stale = Timestamp::from_physical_micros(1_000);
-    s.handle(
-        &Envelope::new(
-            root,
-            s.id(),
-            Msg::UstBroadcast {
-                ust: fresh,
-                s_old: stale,
-            },
-        ),
-        0,
-    );
+    s.handle(&Envelope::new(root, s.id(), ust_broadcast(fresh, stale)), 0);
     assert_eq!(s.ust(), fresh);
     // A stale broadcast (reordered root messages) must not regress it.
-    s.handle(
-        &Envelope::new(
-            root,
-            s.id(),
-            Msg::UstBroadcast {
-                ust: stale,
-                s_old: stale,
-            },
-        ),
-        0,
-    );
+    s.handle(&Envelope::new(root, s.id(), ust_broadcast(stale, stale)), 0);
     assert_eq!(s.ust(), fresh);
     assert_eq!(s.s_old(), stale);
 }
@@ -1250,7 +1233,9 @@ fn root_does_not_broadcast_until_every_dc_reported() {
     assert!(topo.tree_parent(root.id()).is_none());
     // Own aggregation exists after a gst tick, but DCs 1 and 2 are silent.
     let out = root.on_gst_tick(0);
-    assert!(out.iter().all(|e| matches!(e.msg, Msg::RootGst { .. })));
+    assert!(out
+        .iter()
+        .all(|e| matches!(&e.msg, Msg::GossipDigest { roots, .. } if roots.len() == 1)));
     assert!(root.on_ust_tick(0).is_empty(), "must wait for all DCs");
     // Reports from the other roots arrive.
     for dc in [1u16, 2] {
@@ -1258,11 +1243,15 @@ fn root_does_not_broadcast_until_every_dc_reported() {
             &Envelope::new(
                 topo.dc_root(DcId(dc)),
                 root.id(),
-                Msg::RootGst {
-                    dc: DcId(dc),
-                    gst: Timestamp::from_physical_micros(4_000),
-                    oldest_active: Timestamp::from_physical_micros(4_000),
-                },
+                digest(
+                    vec![],
+                    vec![(
+                        DcId(dc),
+                        Timestamp::from_physical_micros(4_000),
+                        Timestamp::from_physical_micros(4_000),
+                    )],
+                    None,
+                ),
             ),
             0,
         );
@@ -1271,7 +1260,7 @@ fn root_does_not_broadcast_until_every_dc_reported() {
     assert!(!out.is_empty(), "now the UST can be computed and broadcast");
     assert!(out
         .iter()
-        .all(|e| matches!(e.msg, Msg::UstBroadcast { .. })));
+        .all(|e| matches!(e.msg, Msg::GossipDigest { ust: Some(_), .. })));
     // The UST is the minimum over DCs — bounded by the root's own VV (0,
     // since nothing replicated yet).
     assert_eq!(root.ust(), Timestamp::ZERO);
@@ -1295,15 +1284,16 @@ fn gst_tick_from_leaf_reports_to_parent() {
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].dst, Endpoint::Server(topo.dc_root(DcId(0))));
     match &out[0].msg {
-        Msg::GstReport {
-            partition, mins, ..
-        } => {
+        Msg::GossipDigest { reports, .. } if reports.len() == 1 => {
+            let DigestReport {
+                partition, mins, ..
+            } = &reports[0];
             assert_eq!(*partition, PartitionId(2));
             // p2's replicas are dc2 and dc0: both DCs appear in the report.
             let dcs: Vec<u16> = mins.iter().map(|(d, _)| d.0).collect();
             assert!(dcs.contains(&0) && dcs.contains(&2));
         }
-        other => panic!("expected GstReport, got {}", other.kind()),
+        other => panic!("expected a one-report digest, got {other:?}"),
     }
 }
 
@@ -1345,10 +1335,7 @@ fn event_log_records_commits_applies_and_ust() {
         &Envelope::new(
             topo.dc_root(DcId(1)),
             s.id(),
-            Msg::UstBroadcast {
-                ust: Timestamp::from_physical_micros(1),
-                s_old: Timestamp::ZERO,
-            },
+            ust_broadcast(Timestamp::from_physical_micros(1), Timestamp::ZERO),
         ),
         8,
     );
@@ -1525,10 +1512,7 @@ fn a_direct_read_below_the_gc_horizon_is_refused_never_served_from_a_trimmed_cha
     s.on_gc_tick(STALE_CONTEXT_MICROS);
     assert_eq!(s.open_transactions(), 0);
     let root = ServerId::new(DcId(0), PartitionId(0));
-    let moved = Msg::UstBroadcast {
-        ust: ts(30),
-        s_old: ts(25),
-    };
+    let moved = ust_broadcast(ts(30), ts(25));
     s.handle(&Envelope::new(root, s.id(), moved), 0);
     assert_eq!(s.on_gc_tick(STALE_CONTEXT_MICROS), 1, "version 10 trimmed");
     assert!(s.store().read_at(Key(0), snapshot).is_none());
@@ -1555,5 +1539,106 @@ fn a_direct_read_below_the_gc_horizon_is_refused_never_served_from_a_trimmed_cha
             assert_eq!(results[0].outcome.version().unwrap().ut, ts(20));
         }
         other => panic!("expected ReadSliceResp, got {}", other.kind()),
+    }
+}
+
+/// Every background envelope a server emits — from its ticks, and from
+/// the pushes its arrivals trigger behind batched links — is a `Replicate`
+/// or a one-entry `GossipDigest` with `frames: 1`: the shapes the
+/// coalescer folds into a `ReplicateBatch` and a digest, and the only
+/// background shapes the wire has.
+#[test]
+fn background_traffic_is_a_replicate_or_a_one_entry_digest() {
+    let at = Timestamp::from_physical_micros;
+    for batching in [false, true] {
+        let mut cfg = ClusterConfig::builder()
+            .dcs(3)
+            .partitions(6)
+            .replication_factor(2);
+        if !batching {
+            cfg = cfg.batch(BatchConfig::DISABLED);
+        }
+        let topo = Arc::new(Topology::new(cfg.build().unwrap()));
+        for mode in [Mode::Paris, Mode::Bpr] {
+            // The root of DC0, and one of its children.
+            for p in [0, 2] {
+                let clock = SimClock::new();
+                let mut s = server_at(&topo, &clock, 0, p, mode);
+                let root = topo.tree_parent(s.id()).is_none();
+                assert_eq!(root, p == 0);
+                let mut out = Vec::new();
+                for step in 1..=3u64 {
+                    let now = step * 10_000;
+                    clock.advance_to(now);
+                    out.extend(s.on_replicate_tick(now));
+                    out.extend(s.on_gst_tick(now));
+                    out.extend(s.on_ust_tick(now));
+                    // Arrivals: a heartbeat from every peer replica, a
+                    // report from every tree child, and the other roots'
+                    // GSTs at a root or the UST elsewhere.
+                    let mut arrivals: Vec<(ServerId, Msg)> = Vec::new();
+                    for peer in topo.peer_replicas(s.id()) {
+                        arrivals.push((peer, heartbeat(p, now)));
+                    }
+                    for child in topo.tree_children(s.id()) {
+                        let report = DigestReport {
+                            partition: child.partition,
+                            mins: topo
+                                .replicas(child.partition)
+                                .into_iter()
+                                .map(|dc| (dc, at(now)))
+                                .collect(),
+                            oldest_active: at(now),
+                        };
+                        arrivals.push((child, digest(vec![report], vec![], None)));
+                    }
+                    if root {
+                        for other in topo.all_roots().into_iter().filter(|r| r.dc != DcId(0)) {
+                            let gst = (other.dc, at(now), at(now));
+                            arrivals.push((other, digest(vec![], vec![gst], None)));
+                        }
+                    } else {
+                        let ust = ust_broadcast(at(now - 5_000), Timestamp::ZERO);
+                        arrivals.push((topo.dc_root(DcId(0)), ust));
+                    }
+                    for (src, msg) in arrivals {
+                        out.extend(s.handle(&Envelope::new(src, s.id(), msg), now));
+                    }
+                }
+                let case = format!("batching {batching}, {mode:?}, {}", s.id());
+                let (mut heartbeats, mut reports, mut gsts, mut usts) = (0, 0, 0, 0);
+                for env in &out {
+                    match &env.msg {
+                        Msg::Replicate { txs, .. } => {
+                            assert!(txs.is_empty(), "{case}: nothing was written");
+                            heartbeats += 1;
+                        }
+                        Msg::GossipDigest {
+                            reports: r,
+                            roots,
+                            ust,
+                            frames,
+                        } => {
+                            assert_eq!(*frames, 1, "{case}");
+                            let entries = r.len() + roots.len() + usize::from(ust.is_some());
+                            assert_eq!(entries, 1, "{case}: one entry per digest");
+                            reports += r.len();
+                            gsts += roots.len();
+                            usts += usize::from(ust.is_some());
+                        }
+                        other => assert!(!other.is_background(), "{case}: {}", other.kind()),
+                    }
+                }
+                // Each role's frames were all there to be checked.
+                assert!(heartbeats > 0, "{case}: no heartbeat");
+                if root {
+                    assert_eq!(reports, 0, "{case}: a root reports to no one");
+                    assert!(gsts > 0 && usts > 0, "{case}: {gsts} GSTs, {usts} USTs");
+                } else {
+                    assert!(reports > 0, "{case}: no report");
+                    assert_eq!(gsts + usts, 0, "{case}: only roots send GSTs and USTs");
+                }
+            }
+        }
     }
 }

@@ -33,10 +33,17 @@
 //!
 //! * `Replicate` frames concatenate in order (frame *n+1*'s transactions
 //!   all have `ct` above frame *n*'s watermark) and keep the newest
-//!   watermark; `Heartbeat`s fold into that watermark.
-//! * `GstReport` / `RootGst` / `UstBroadcast` handlers keep only the
-//!   freshest value per source, so the digest keeps the latest report per
-//!   partition, the latest GST per DC and the maximum UST.
+//!   watermark; a heartbeat (a `Replicate` with no transactions) folds
+//!   into that watermark.
+//! * A server sends each tree report, root GST and UST broadcast as a
+//!   one-entry `GossipDigest` with `frames: 1`, so a link's digests fold
+//!   into one. Their handlers keep only the freshest value per source, so
+//!   the fold keeps the latest report per partition, the latest GST per DC
+//!   and the maximum UST.
+//!
+//! Frames are counted as they were offered (`frames` of a folded
+//! `ReplicateBatch` or digest, 1 for a `Replicate`), so the size trigger
+//! and the accounting see a server's logical frames.
 
 use std::collections::BTreeMap;
 
@@ -183,10 +190,6 @@ impl Link {
                 txs,
                 watermark,
             } => (partition, txs, watermark, 1),
-            Msg::Heartbeat {
-                partition,
-                watermark,
-            } => (partition, Vec::new(), watermark, 1),
             Msg::ReplicateBatch {
                 partition,
                 txs,
@@ -219,6 +222,15 @@ impl Link {
     }
 
     fn fold_stab(&mut self, msg: Msg, due: u64) {
+        let Msg::GossipDigest {
+            reports,
+            roots,
+            ust,
+            frames,
+        } = msg
+        else {
+            panic!("foreground message offered to fold: {}", msg.kind());
+        };
         let queue = self.stab.get_or_insert(StabQueue {
             due,
             frames: 0,
@@ -226,43 +238,15 @@ impl Link {
             roots: Vec::new(),
             ust: None,
         });
-        queue.frames += match msg {
-            Msg::GossipDigest { frames, .. } => frames,
-            _ => 1,
-        };
-        match msg {
-            Msg::GstReport {
-                partition,
-                mins,
-                oldest_active,
-            } => queue.fold_report(DigestReport {
-                partition,
-                mins,
-                oldest_active,
-            }),
-            Msg::RootGst {
-                dc,
-                gst,
-                oldest_active,
-            } => queue.fold_root(dc, gst, oldest_active),
-            Msg::UstBroadcast { ust, s_old } => queue.fold_ust(ust, s_old),
-            Msg::GossipDigest {
-                reports,
-                roots,
-                ust,
-                ..
-            } => {
-                for r in reports {
-                    queue.fold_report(r);
-                }
-                for (dc, gst, oldest) in roots {
-                    queue.fold_root(dc, gst, oldest);
-                }
-                if let Some((u, s)) = ust {
-                    queue.fold_ust(u, s);
-                }
-            }
-            other => unreachable!("foreground message offered to fold: {}", other.kind()),
+        queue.frames += frames;
+        for r in reports {
+            queue.fold_report(r);
+        }
+        for (dc, gst, oldest) in roots {
+            queue.fold_root(dc, gst, oldest);
+        }
+        if let Some((u, s)) = ust {
+            queue.fold_ust(u, s);
         }
     }
 
@@ -340,11 +324,6 @@ impl Coalescer {
             links: BTreeMap::new(),
             stats: CoalescerStats::default(),
         }
-    }
-
-    /// Whether this coalescer batches anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.is_enabled()
     }
 
     /// Offers an envelope at time `now` (microseconds, caller's timebase).
@@ -469,10 +448,32 @@ mod tests {
         Envelope::new(srv(0, 0), srv(1, 0), msg)
     }
 
+    /// A one-entry digest, as a server sends its report, GST or UST.
+    fn digest(
+        reports: Vec<DigestReport>,
+        roots: Vec<(DcId, Timestamp, Timestamp)>,
+        ust: Option<(Timestamp, Timestamp)>,
+    ) -> Msg {
+        Msg::GossipDigest {
+            reports,
+            roots,
+            ust,
+            frames: 1,
+        }
+    }
+
+    fn report_of(partition: u32, mins: Vec<(DcId, Timestamp)>, oldest: u64) -> Msg {
+        let report = DigestReport {
+            partition: PartitionId(partition),
+            mins,
+            oldest_active: ts(oldest),
+        };
+        digest(vec![report], vec![], None)
+    }
+
     #[test]
     fn disabled_coalescer_passes_everything_through() {
         let mut c = coal(BatchConfig::DISABLED);
-        assert!(!c.is_enabled());
         match c.offer(env(replicate(1, 10, 20)), 0) {
             Offer::Pass(e) => assert!(matches!(e.msg, Msg::Replicate { .. })),
             other => panic!("expected pass-through, got {other:?}"),
@@ -529,14 +530,8 @@ mod tests {
     #[test]
     fn heartbeats_fold_into_the_watermark() {
         let mut c = coal(cfg(2, 1_000));
-        let hb = |wm: u64| {
-            env(Msg::Heartbeat {
-                partition: PartitionId(0),
-                watermark: ts(wm),
-            })
-        };
-        c.offer(hb(10), 0);
-        let flushed = match c.offer(hb(20), 1) {
+        c.offer(heartbeat(10), 0);
+        let flushed = match c.offer(heartbeat(20), 1) {
             Offer::Flush(envs) => envs,
             other => panic!("expected flush, got {other:?}"),
         };
@@ -571,30 +566,11 @@ mod tests {
     #[test]
     fn gossip_folds_to_freshest_per_source() {
         let mut c = coal(cfg(100, 1_000));
-        let report = |wm: u64, oldest: u64| {
-            Envelope::new(
-                srv(0, 1),
-                srv(0, 0),
-                Msg::GstReport {
-                    partition: PartitionId(1),
-                    mins: vec![(DcId(0), ts(wm))],
-                    oldest_active: ts(oldest),
-                },
-            )
-        };
+        let up = |msg: Msg| Envelope::new(srv(0, 1), srv(0, 0), msg);
+        let report = |wm: u64, oldest: u64| up(report_of(1, vec![(DcId(0), ts(wm))], oldest));
         c.offer(report(10, 5), 0);
         c.offer(report(30, 25), 10);
-        c.offer(
-            Envelope::new(
-                srv(0, 1),
-                srv(0, 0),
-                Msg::UstBroadcast {
-                    ust: ts(8),
-                    s_old: ts(4),
-                },
-            ),
-            20,
-        );
+        c.offer(up(digest(vec![], vec![], Some((ts(8), ts(4))))), 20);
         let flushed = c.flush_all();
         assert_eq!(flushed.len(), 1, "one digest for the whole link");
         match &flushed[0].msg {
@@ -619,14 +595,7 @@ mod tests {
     fn mixed_link_produces_batch_and_digest() {
         let mut c = coal(cfg(100, 1_000));
         c.offer(env(replicate(1, 10, 20)), 0);
-        c.offer(
-            env(Msg::RootGst {
-                dc: DcId(0),
-                gst: ts(7),
-                oldest_active: ts(3),
-            }),
-            0,
-        );
+        c.offer(env(digest(vec![], vec![(DcId(0), ts(7), ts(3))], None)), 0);
         let flushed = c.flush_all();
         assert_eq!(flushed.len(), 2);
         assert!(matches!(flushed[0].msg, Msg::ReplicateBatch { .. }));
@@ -649,17 +618,15 @@ mod tests {
     }
 
     fn heartbeat(wm: u64) -> Envelope {
-        env(Msg::Heartbeat {
+        env(Msg::Replicate {
             partition: PartitionId(0),
+            txs: vec![],
             watermark: ts(wm),
         })
     }
 
     fn ust(ust: u64) -> Envelope {
-        env(Msg::UstBroadcast {
-            ust: ts(ust),
-            s_old: ts(0),
-        })
+        env(digest(vec![], vec![], Some((ts(ust), ts(0)))))
     }
 
     #[test]
@@ -740,11 +707,11 @@ mod tests {
         // The digest's minimum is what the crossing is judged by: a report
         // far ahead does not release a UST that lags.
         c.offer(ust(10_000), 40_000);
-        let report = env(Msg::GstReport {
-            partition: PartitionId(1),
-            mins: vec![(DcId(0), ts(90_000)), (DcId(1), ts(95_000))],
-            oldest_active: ts(1),
-        });
+        let report = env(report_of(
+            1,
+            vec![(DcId(0), ts(90_000)), (DcId(1), ts(95_000))],
+            1,
+        ));
         assert!(matches!(c.offer(report, 40_001), Offer::Queued { .. }));
     }
 

@@ -352,8 +352,9 @@ mod tests {
         Envelope::new(
             ServerId::new(DcId(src_dc), PartitionId(0)),
             ServerId::new(DcId(dst_dc), PartitionId(1)),
-            Msg::Heartbeat {
+            Msg::Replicate {
                 partition: PartitionId(0),
+                txs: vec![],
                 watermark: Timestamp::ZERO,
             },
         )

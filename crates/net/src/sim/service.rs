@@ -36,9 +36,10 @@ pub struct ServiceModel {
     pub commit: u64,
     /// Cost of applying one replicated transaction write.
     pub apply_per_key: u64,
-    /// Fixed cost of a replication batch or heartbeat.
+    /// Fixed cost of a replication push or batch (a heartbeat — an empty
+    /// push — costs 1).
     pub replicate_base: u64,
-    /// Cost of any stabilization message (report/root/broadcast).
+    /// Cost of any stabilization digest (report/root/broadcast).
     pub gossip: u64,
     /// Extra cost charged when a read must block and later resume (BPR).
     pub block_overhead: u64,
@@ -63,24 +64,6 @@ impl Default for ServiceModel {
 }
 
 impl ServiceModel {
-    /// A zero-cost model: useful for tests that need pure protocol latency
-    /// with no queueing effects.
-    pub fn zero() -> Self {
-        ServiceModel {
-            start_tx: 0,
-            read_coord: 0,
-            read_slice_base: 0,
-            read_per_key: 0,
-            prepare_base: 0,
-            prepare_per_key: 0,
-            commit: 0,
-            apply_per_key: 0,
-            replicate_base: 0,
-            gossip: 0,
-            block_overhead: 0,
-        }
-    }
-
     /// CPU microseconds a server spends handling `msg`.
     pub fn cost(&self, msg: &Msg) -> u64 {
         match msg {
@@ -112,15 +95,13 @@ impl ServiceModel {
             // A coalesced batch pays the fixed per-message overhead once —
             // that is the entire point of batching; the per-key apply work
             // is unavoidable either way.
+            // A heartbeat (an empty push) only moves a version clock.
+            Msg::Replicate { txs, .. } if txs.is_empty() => 1,
             Msg::Replicate { txs, .. } | Msg::ReplicateBatch { txs, .. } => {
                 let keys: u64 = txs.iter().map(|t| t.writes.len() as u64).sum();
                 self.replicate_base + self.apply_per_key * keys
             }
-            Msg::Heartbeat { .. } => 1,
-            Msg::GstReport { .. }
-            | Msg::RootGst { .. }
-            | Msg::UstBroadcast { .. }
-            | Msg::GossipDigest { .. } => self.gossip,
+            Msg::GossipDigest { .. } => self.gossip,
         }
     }
 }
@@ -151,12 +132,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_model_costs_nothing() {
-        let m = ServiceModel::zero();
-        let msg = Msg::StartTxReq {
-            client_ust: Timestamp::ZERO,
+    fn a_heartbeat_costs_1_and_an_empty_batch_the_replicate_base() {
+        let m = ServiceModel::default();
+        let heartbeat = Msg::Replicate {
+            partition: PartitionId(0),
+            txs: vec![],
+            watermark: Timestamp::ZERO,
         };
-        assert_eq!(m.cost(&msg), 0);
+        assert_eq!(m.cost(&heartbeat), 1);
+        let batch = Msg::ReplicateBatch {
+            partition: PartitionId(0),
+            txs: vec![],
+            watermark: Timestamp::ZERO,
+            frames: 2,
+        };
+        assert_eq!(m.cost(&batch), m.replicate_base);
     }
 
     #[test]

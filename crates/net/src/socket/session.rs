@@ -471,8 +471,9 @@ mod tests {
         Envelope::new(
             ServerId::new(DcId(0), PartitionId(0)),
             ServerId::new(DcId(1), PartitionId(0)),
-            Msg::Heartbeat {
+            Msg::Replicate {
                 partition: PartitionId(0),
+                txs: vec![],
                 watermark: Timestamp::ZERO,
             },
         )

@@ -54,21 +54,6 @@ pub struct ThreadedNetConfig {
     pub wire: WireFormat,
 }
 
-impl ThreadedNetConfig {
-    /// A fast-test configuration: `dcs` DCs on the AWS matrix compressed
-    /// by 100×, no jitter, no batching.
-    pub fn fast(dcs: u16) -> Self {
-        ThreadedNetConfig {
-            matrix: RegionMatrix::aws_10(dcs),
-            scale: 0.01,
-            jitter: 0.0,
-            seed: 0,
-            batch: BatchConfig::DISABLED,
-            wire: WireFormat::default(),
-        }
-    }
-}
-
 /// Snapshot of the router's traffic counters: everything scheduled onto
 /// the (simulated) wire after coalescing, sized in the configured
 /// [`ThreadedNetConfig::wire`] encoding.
@@ -345,16 +330,31 @@ mod tests {
     use paris_proto::Msg;
     use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp};
 
+    /// `dcs` DCs on the AWS matrix compressed by 100×, no jitter, no
+    /// batching.
+    fn fast(dcs: u16) -> ThreadedNetConfig {
+        ThreadedNetConfig {
+            matrix: RegionMatrix::aws_10(dcs),
+            scale: 0.01,
+            jitter: 0.0,
+            seed: 0,
+            batch: BatchConfig::DISABLED,
+            wire: WireFormat::default(),
+        }
+    }
+
+    /// A heartbeat: a replication push with no transactions.
     fn hb(n: u32) -> Msg {
-        Msg::Heartbeat {
+        Msg::Replicate {
             partition: PartitionId(n),
+            txs: vec![],
             watermark: Timestamp::ZERO,
         }
     }
 
     #[test]
     fn delivers_to_registered_inbox() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
+        let router = Router::start(fast(2));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(1));
         let rx = router.register(b);
@@ -367,7 +367,7 @@ mod tests {
     fn preserves_fifo_per_link() {
         let router = Router::start(ThreadedNetConfig {
             jitter: 0.5, // try hard to reorder
-            ..ThreadedNetConfig::fast(2)
+            ..fast(2)
         });
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(1));
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn unregistered_destination_drops_silently() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
+        let router = Router::start(fast(2));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let ghost = ServerId::new(DcId(1), PartitionId(9));
         // No panic, no deadlock.
@@ -421,7 +421,7 @@ mod tests {
 
     #[test]
     fn counters_report_scheduled_traffic_in_the_configured_encoding() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
+        let router = Router::start(fast(2));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(1));
         let rx = router.register(b);
@@ -453,7 +453,7 @@ mod tests {
     fn batching_coalesces_heartbeats_into_one_frame() {
         let router = Router::start(ThreadedNetConfig {
             batch: BatchConfig::stable_time(4, u64::MAX, 2_000_000), // force the size trigger
-            ..ThreadedNetConfig::fast(2)
+            ..fast(2)
         });
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(0));
@@ -463,8 +463,9 @@ mod tests {
             h.send(Envelope::new(
                 a,
                 b,
-                Msg::Heartbeat {
+                Msg::Replicate {
                     partition: PartitionId(0),
+                    txs: vec![],
                     watermark: Timestamp::from_physical_micros(i * 10),
                 },
             ));
@@ -487,7 +488,7 @@ mod tests {
     fn batching_flushes_on_deadline() {
         let router = Router::start(ThreadedNetConfig {
             batch: BatchConfig::stable_time(1_000, u64::MAX, 20_000), // only the deadline
-            ..ThreadedNetConfig::fast(2)
+            ..fast(2)
         });
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(0));
@@ -503,7 +504,7 @@ mod tests {
         {
             let router = Router::start(ThreadedNetConfig {
                 batch: BatchConfig::stable_time(1_000, u64::MAX, 60_000_000), // would park for a minute
-                ..ThreadedNetConfig::fast(2)
+                ..fast(2)
             });
             let a = ServerId::new(DcId(0), PartitionId(0));
             let b = ServerId::new(DcId(1), PartitionId(1));
@@ -532,7 +533,7 @@ mod tests {
 
     #[test]
     fn slice_reads_commits_and_stabilisation_share_the_inbox() {
-        let router = Router::start(ThreadedNetConfig::fast(2));
+        let router = Router::start(fast(2));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(0));
         let inbox = router.register(b);
@@ -542,9 +543,11 @@ mod tests {
         h.send(Envelope::new(
             a,
             b,
-            Msg::UstBroadcast {
-                ust: Timestamp::ZERO,
-                s_old: Timestamp::ZERO,
+            Msg::GossipDigest {
+                reports: vec![],
+                roots: vec![],
+                ust: Some((Timestamp::ZERO, Timestamp::ZERO)),
+                frames: 1,
             },
         ));
         // One server loop drains everything, in link order.
@@ -558,13 +561,13 @@ mod tests {
         ));
         assert!(matches!(
             inbox.recv_timeout(Duration::from_secs(2)).unwrap().msg,
-            Msg::UstBroadcast { .. }
+            Msg::GossipDigest { .. }
         ));
     }
 
     #[test]
     fn partitioned_link_holds_and_heal_releases_in_order() {
-        let router = Router::start(ThreadedNetConfig::fast(3));
+        let router = Router::start(fast(3));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(1));
         let c = ServerId::new(DcId(2), PartitionId(2));
@@ -595,7 +598,7 @@ mod tests {
 
     #[test]
     fn isolate_dc_cuts_every_link_and_rejoin_restores() {
-        let router = Router::start(ThreadedNetConfig::fast(3));
+        let router = Router::start(fast(3));
         let a = ServerId::new(DcId(0), PartitionId(0));
         let b = ServerId::new(DcId(1), PartitionId(1));
         let rx = router.register(b);
@@ -648,7 +651,7 @@ mod tests {
     fn dropping_a_router_with_held_traffic_releases_it() {
         let rx;
         {
-            let router = Router::start(ThreadedNetConfig::fast(2));
+            let router = Router::start(fast(2));
             let a = ServerId::new(DcId(0), PartitionId(0));
             let b = ServerId::new(DcId(1), PartitionId(1));
             rx = router.register(b);
@@ -667,7 +670,7 @@ mod tests {
     fn shutdown_drains_cleanly() {
         let rx;
         {
-            let router = Router::start(ThreadedNetConfig::fast(2));
+            let router = Router::start(fast(2));
             let a = ServerId::new(DcId(0), PartitionId(0));
             let b = ServerId::new(DcId(1), PartitionId(1));
             rx = router.register(b);

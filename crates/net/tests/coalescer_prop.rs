@@ -23,17 +23,33 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use paris_net::{Coalescer, Offer};
-use paris_proto::{Endpoint, Envelope, Msg, ReplicatedTx};
+use paris_proto::{DigestReport, Endpoint, Envelope, Msg, ReplicatedTx};
 use paris_types::{
     BatchConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, WireFormat,
     WriteSetEntry,
 };
 use proptest::prelude::*;
 
+/// A heartbeat: a replication push with no transactions.
 fn hb(watermark: u64) -> Msg {
-    Msg::Heartbeat {
+    Msg::Replicate {
         partition: PartitionId(0),
+        txs: vec![],
         watermark: Timestamp::from_physical_micros(watermark),
+    }
+}
+
+/// A one-entry digest, as a server sends its report, GST or UST.
+fn digest(
+    reports: Vec<DigestReport>,
+    roots: Vec<(DcId, Timestamp, Timestamp)>,
+    ust: Option<(Timestamp, Timestamp)>,
+) -> Msg {
+    Msg::GossipDigest {
+        reports,
+        roots,
+        ust,
+        frames: 1,
     }
 }
 
@@ -151,18 +167,6 @@ impl Receiver {
             Msg::Replicate { txs, watermark, .. } | Msg::ReplicateBatch { txs, watermark, .. } => {
                 self.apply(txs, *watermark)
             }
-            Msg::Heartbeat { watermark, .. } => self.apply(&[], *watermark),
-            Msg::GstReport {
-                partition,
-                mins,
-                oldest_active,
-            } => self.report(*partition, mins, *oldest_active),
-            Msg::RootGst {
-                dc,
-                gst,
-                oldest_active,
-            } => self.root(*dc, *gst, *oldest_active),
-            Msg::UstBroadcast { ust, s_old } => self.ust(*ust, *s_old),
             Msg::GossipDigest {
                 reports,
                 roots,
@@ -267,20 +271,16 @@ fn check_stable_time(steps: &[(u64, usize, u64)], quantum: u64, max_flush: u64, 
             }
             Kind::Replicate => hb(value[s]),
             Kind::Heartbeat => hb(value[s]),
-            Kind::RootGst => Msg::RootGst {
-                dc: DcId(0),
-                gst: v,
-                oldest_active: ts(value[s] / 2),
-            },
-            Kind::GstReport => Msg::GstReport {
-                partition: PartitionId(1),
-                mins: vec![(DcId(0), v), (DcId(1), ts(value[s] + 7))],
-                oldest_active: ts(now % 97),
-            },
-            Kind::Ust => Msg::UstBroadcast {
-                ust: v,
-                s_old: ts(value[s] / 2),
-            },
+            Kind::RootGst => digest(vec![], vec![(DcId(0), v, ts(value[s] / 2))], None),
+            Kind::GstReport => {
+                let report = DigestReport {
+                    partition: PartitionId(1),
+                    mins: vec![(DcId(0), v), (DcId(1), ts(value[s] + 7))],
+                    oldest_active: ts(now % 97),
+                };
+                digest(vec![report], vec![], None)
+            }
+            Kind::Ust => digest(vec![], vec![], Some((v, ts(value[s] / 2)))),
         };
         in_order.deliver(&msg);
         let (src, dst) = kind.link();

@@ -36,8 +36,9 @@ fn send(src: u16, dst: u16, n: u32) -> Step {
             ct: Timestamp::from_physical_micros(10),
         }
     } else {
-        Msg::Heartbeat {
+        Msg::Replicate {
             partition: PartitionId(n),
+            txs: vec![],
             watermark: Timestamp::ZERO,
         }
     };

@@ -48,7 +48,7 @@ proptest! {
             let env = Envelope::new(
                 ServerId::new(DcId(src), PartitionId(0)),
                 ServerId::new(DcId(dst), PartitionId(1)),
-                Msg::Heartbeat { partition: PartitionId(0), watermark: Timestamp::ZERO },
+                Msg::Replicate { partition: PartitionId(0), txs: vec![], watermark: Timestamp::ZERO },
             );
             let at = net.send(now, &env, &mut rng).expect("no partitions active");
             prop_assert!(at > now, "delivery strictly after send");
@@ -69,7 +69,7 @@ proptest! {
         let env = || Envelope::new(
             ServerId::new(DcId(0), PartitionId(0)),
             ServerId::new(DcId(1), PartitionId(0)),
-            Msg::Heartbeat { partition: PartitionId(0), watermark: Timestamp::ZERO },
+            Msg::Replicate { partition: PartitionId(0), txs: vec![], watermark: Timestamp::ZERO },
         );
         let mut delivered = 0;
         for _ in 0..n_before {

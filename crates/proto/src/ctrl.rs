@@ -86,7 +86,7 @@ server_stats! {
     applied_remote,
     /// Replication batches sent.
     replicate_batches,
-    /// Heartbeats sent.
+    /// Heartbeats (empty `Replicate` frames) sent.
     heartbeats,
     /// Logical frames received folded inside coalesced
     /// `ReplicateBatch`/`GossipDigest` messages (each such message counts

@@ -1,4 +1,13 @@
 //! Message definitions.
+//!
+//! Foreground traffic (client operations, slice reads, 2PC) has a variant
+//! per step of the paper's algorithms. Background traffic has two shapes:
+//! replication ([`Msg::Replicate`], and [`Msg::ReplicateBatch`] once the
+//! batching layer folded several frames into one) and stabilisation
+//! ([`Msg::GossipDigest`]). The paper's four logical background frames map
+//! onto them: a heartbeat (Alg. 4 line 21) is a `Replicate` with no
+//! transactions, and a tree report, a root's GST and the UST broadcast
+//! (§IV-B) are each a one-entry digest with `frames: 1`.
 
 use paris_types::{
     ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Version, VersionStamp,
@@ -157,8 +166,9 @@ pub struct ReplicatedTx {
     pub writes: Vec<WriteSetEntry>,
 }
 
-/// One subtree report inside a [`Msg::GossipDigest`]: the freshest
-/// `GstReport` a coalescing window saw from one reporting partition.
+/// One subtree report inside a [`Msg::GossipDigest`]: a tree child's
+/// aggregate, sent to its parent — the freshest a coalescing window saw
+/// from that reporting partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestReport {
     /// Reporting partition.
@@ -330,7 +340,9 @@ pub enum Msg {
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version
-    /// clock (Alg. 4 lines 15 and 23–30).
+    /// clock (Alg. 4 lines 15 and 23–30). With no transactions it is the
+    /// heartbeat that keeps the version clock moving in write-free periods
+    /// (Alg. 4 line 21).
     Replicate {
         /// Partition the batch belongs to.
         partition: PartitionId,
@@ -341,17 +353,8 @@ pub enum Msg {
         /// can carry a smaller timestamp.
         watermark: Timestamp,
     },
-    /// Replica → peer replicas: version-clock heartbeat in the absence of
-    /// updates (Alg. 4 line 21).
-    Heartbeat {
-        /// Partition the heartbeat belongs to.
-        partition: PartitionId,
-        /// Sender's version clock.
-        watermark: Timestamp,
-    },
-    /// Several replication-class frames ([`Msg::Replicate`] /
-    /// [`Msg::Heartbeat`]) on one link, coalesced into a single wire
-    /// message by the batching layer. FIFO channels make the fold exact:
+    /// Several [`Msg::Replicate`] frames (heartbeats included) on one link,
+    /// coalesced into a single wire message by the batching layer. FIFO channels make the fold exact:
     /// transactions stay in ascending `ct` order across the merged frames
     /// and the surviving watermark is the newest one, so the receiver
     /// applies the batch in one pass and advances the sender's
@@ -370,51 +373,24 @@ pub enum Msg {
     },
 
     // ------------------------------------------------- stabilization tree
-    /// Tree child → parent (within a DC): the child's aggregated minimum of
-    /// version-vector entries per source DC, and the subtree's oldest
-    /// active snapshot (for GC).
-    GstReport {
-        /// Reporting partition.
-        partition: PartitionId,
-        /// `(source DC, min VV entry)` for every DC the subtree's
-        /// partitions replicate with.
-        mins: Vec<(DcId, Timestamp)>,
-        /// Oldest snapshot of any transaction running in the subtree
-        /// (or the reporter's stable time if none).
-        oldest_active: Timestamp,
-    },
-    /// DC root → other DC roots: this DC's Global Stable Time — the minimum
-    /// over its GSV entries — plus the DC's oldest active snapshot.
-    RootGst {
-        /// Originating DC.
-        dc: DcId,
-        /// min over the DC's Global Stabilization Vector.
-        gst: Timestamp,
-        /// Oldest active snapshot in the DC.
-        oldest_active: Timestamp,
-    },
-    /// DC root → all servers in the DC (down the tree): the new universal
-    /// stable time and GC horizon.
-    UstBroadcast {
-        /// Universal stable time: every partition in every DC has
-        /// installed a snapshot at least this fresh.
-        ust: Timestamp,
-        /// GC horizon `S_old`: oldest snapshot visible to any running
-        /// transaction, system-wide.
-        s_old: Timestamp,
-    },
-    /// Stabilization-class frames ([`Msg::GstReport`] / [`Msg::RootGst`] /
-    /// [`Msg::UstBroadcast`]) on one link, coalesced into a digest.
-    /// Every component is monotonic and its handler keeps only the
-    /// freshest value, so the fold keeps the latest report per partition,
-    /// the latest GST per DC and the maximum UST — semantically identical
-    /// to delivering the frames individually, in order.
+    /// Stabilization traffic: tree child → parent reports, DC root → other
+    /// roots GSTs, DC root → its DC the UST. A server sends each as a
+    /// one-entry digest with `frames: 1`; the batching layer folds the
+    /// digests of one link into one. Every component is monotonic and its
+    /// handler keeps only the freshest value, so the fold keeps the latest
+    /// report per partition, the latest GST per DC and the maximum UST —
+    /// semantically identical to delivering the digests individually, in
+    /// order.
     GossipDigest {
         /// Freshest subtree report per reporting partition (tree edges).
         reports: Vec<DigestReport>,
-        /// Freshest `(dc, gst, oldest_active)` per DC (root exchange).
+        /// Freshest `(dc, gst, oldest_active)` per DC (root exchange): the
+        /// DC's Global Stable Time — the minimum over its GSV entries —
+        /// and its oldest active snapshot.
         roots: Vec<(DcId, Timestamp, Timestamp)>,
-        /// Freshest `(ust, s_old)` broadcast, if any was coalesced.
+        /// Freshest `(ust, s_old)` broadcast, if any: the universal stable
+        /// time and the GC horizon, the oldest snapshot visible to any
+        /// running transaction system-wide.
         ust: Option<(Timestamp, Timestamp)>,
         /// Number of logical frames folded into this message.
         frames: u32,
@@ -439,11 +415,7 @@ impl Msg {
             Msg::CommitTx { .. } => "CommitTx",
             Msg::CommitOne { .. } => "CommitOne",
             Msg::Replicate { .. } => "Replicate",
-            Msg::Heartbeat { .. } => "Heartbeat",
             Msg::ReplicateBatch { .. } => "ReplicateBatch",
-            Msg::GstReport { .. } => "GstReport",
-            Msg::RootGst { .. } => "RootGst",
-            Msg::UstBroadcast { .. } => "UstBroadcast",
             Msg::GossipDigest { .. } => "GossipDigest",
         }
     }
@@ -453,13 +425,7 @@ impl Msg {
     pub fn is_background(&self) -> bool {
         matches!(
             self,
-            Msg::Replicate { .. }
-                | Msg::Heartbeat { .. }
-                | Msg::ReplicateBatch { .. }
-                | Msg::GstReport { .. }
-                | Msg::RootGst { .. }
-                | Msg::UstBroadcast { .. }
-                | Msg::GossipDigest { .. }
+            Msg::Replicate { .. } | Msg::ReplicateBatch { .. } | Msg::GossipDigest { .. }
         )
     }
 }
@@ -504,11 +470,12 @@ mod tests {
 
     #[test]
     fn msg_kind_covers_background_classification() {
-        let hb = Msg::Heartbeat {
+        let hb = Msg::Replicate {
             partition: PartitionId(0),
+            txs: vec![],
             watermark: Timestamp::ZERO,
         };
-        assert_eq!(hb.kind(), "Heartbeat");
+        assert_eq!(hb.kind(), "Replicate");
         assert!(hb.is_background());
 
         let rr = Msg::ReadReq {

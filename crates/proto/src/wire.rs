@@ -28,8 +28,10 @@
 //! version 4 the one-phase `CommitOne`, and version 5 its last-agent form
 //! (`coordinator_share` set) under a tag of its own. Version 6 dropped the
 //! reply address of `ReadSliceReq` and `PrepareReq`: a cohort answers the
-//! envelope's source, which for a slice read may be the client. Every
-//! other frame is the v2 one, byte for byte.
+//! envelope's source, which for a slice read may be the client. Version 7
+//! retired the heartbeat, tree-report, root-GST and UST-broadcast tags
+//! (13–16): that traffic travels as an empty `Replicate` and one-entry
+//! `GossipDigest`s. Every other frame is the v2 one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -58,7 +60,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -572,10 +574,9 @@ const T_PREPARE_REQ: u8 = 9;
 const T_PREPARE_RESP: u8 = 10;
 const T_COMMIT_TX: u8 = 11;
 const T_REPLICATE: u8 = 12;
-const T_HEARTBEAT: u8 = 13;
-const T_GST_REPORT: u8 = 14;
-const T_ROOT_GST: u8 = 15;
-const T_UST_BROADCAST: u8 = 16;
+// 13–16 (heartbeat, tree report, root GST, UST broadcast) are retired by
+// version 7 and never reused: an old peer's frame under one fails to
+// decode instead of misparsing.
 const T_OP_FAILED: u8 = 17;
 const T_REPLICATE_BATCH: u8 = 18;
 const T_GOSSIP_DIGEST: u8 = 19;
@@ -740,39 +741,6 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             s.varint(u64::from(*frames));
             put_vec(s, txs, put_replicated_tx);
         }
-        Msg::Heartbeat {
-            partition,
-            watermark,
-        } => {
-            s.tag(T_HEARTBEAT);
-            put_partition(s, *partition);
-            s.timestamp(*watermark);
-        }
-        Msg::GstReport {
-            partition,
-            mins,
-            oldest_active,
-        } => {
-            s.tag(T_GST_REPORT);
-            put_partition(s, *partition);
-            s.timestamp(*oldest_active);
-            put_vec(s, mins, put_min);
-        }
-        Msg::RootGst {
-            dc,
-            gst,
-            oldest_active,
-        } => {
-            s.tag(T_ROOT_GST);
-            put_dc(s, *dc);
-            s.timestamp(*gst);
-            s.timestamp(*oldest_active);
-        }
-        Msg::UstBroadcast { ust, s_old } => {
-            s.tag(T_UST_BROADCAST);
-            s.timestamp(*ust);
-            s.timestamp(*s_old);
-        }
         Msg::GossipDigest {
             reports,
             roots,
@@ -886,24 +854,6 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             watermark: get_ts(r)?,
             frames: varint::get_u32(r)?,
             txs: get_vec(r, get_replicated_tx)?,
-        },
-        T_HEARTBEAT => Msg::Heartbeat {
-            partition: get_partition(r)?,
-            watermark: get_ts(r)?,
-        },
-        T_GST_REPORT => Msg::GstReport {
-            partition: get_partition(r)?,
-            oldest_active: get_ts(r)?,
-            mins: get_vec(r, get_min)?,
-        },
-        T_ROOT_GST => Msg::RootGst {
-            dc: get_dc(r)?,
-            gst: get_ts(r)?,
-            oldest_active: get_ts(r)?,
-        },
-        T_UST_BROADCAST => Msg::UstBroadcast {
-            ust: get_ts(r)?,
-            s_old: get_ts(r)?,
         },
         T_GOSSIP_DIGEST => Msg::GossipDigest {
             frames: varint::get_u32(r)?,
@@ -1157,9 +1107,11 @@ mod tests {
                 timestamps: 1
             }
         );
-        let broadcast = Msg::UstBroadcast {
-            ust,
-            s_old: Timestamp::ZERO,
+        let broadcast = Msg::GossipDigest {
+            reports: vec![],
+            roots: vec![],
+            ust: Some((ust, Timestamp::ZERO)),
+            frames: 1,
         };
         assert_eq!(metadata(&broadcast).timestamps, 2);
     }
@@ -1413,23 +1365,6 @@ mod tests {
                     watermark,
                 }
             }),
-            (arb_partition(), arb_ts()).prop_map(|(partition, watermark)| Msg::Heartbeat {
-                partition,
-                watermark,
-            }),
-            (arb_partition(), arb_mins(), arb_ts()).prop_map(|(partition, mins, oldest_active)| {
-                Msg::GstReport {
-                    partition,
-                    mins,
-                    oldest_active,
-                }
-            }),
-            (arb_dc(), arb_ts(), arb_ts()).prop_map(|(dc, gst, oldest_active)| Msg::RootGst {
-                dc,
-                gst,
-                oldest_active,
-            }),
-            (arb_ts(), arb_ts()).prop_map(|(ust, s_old)| Msg::UstBroadcast { ust, s_old }),
             (arb_tx(), proptest::option::of(arb_ts()))
                 .prop_map(|(tx, snapshot)| Msg::OpFailed { tx, snapshot }),
             (arb_partition(), arb_txs(), arb_ts(), any::<u32>()).prop_map(
@@ -1459,9 +1394,17 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     /// One message per tag (both forms where a tag has two), with
     /// multi-byte varints, and the frame the encoder produced for it. The
-    /// frames of tags 1–21 are the v2 codec's, byte for byte: v3 only
+    /// frames of tags 1–21 (13–16 retired by v7) are the v2 codec's, byte
+    /// for byte: v3 only
     /// added the start forms (22–27), v4 only the one-phase commit (28),
     /// and v5 only its last-agent form (29) — except the three requests
     /// to a cohort, which v6 took the reply address out of (see
@@ -1597,36 +1540,6 @@ mod tests {
                 "0cac0280c8ceb40d030101ac02c801e4c8ceb40d000101c8010177",
             ),
             (
-                Msg::Heartbeat {
-                    partition: p,
-                    watermark: now,
-                },
-                "0dac0280c8ceb40d03",
-            ),
-            (
-                Msg::GstReport {
-                    partition: p,
-                    mins: vec![(DcId(0), now), (DcId(300), Timestamp::from_parts(5, 0))],
-                    oldest_active: now,
-                },
-                "0eac0280c8ceb40d03020080c8ceb40d03ac020500",
-            ),
-            (
-                Msg::RootGst {
-                    dc: DcId(2),
-                    gst: now,
-                    oldest_active: Timestamp::ZERO,
-                },
-                "0f0280c8ceb40d030000",
-            ),
-            (
-                Msg::UstBroadcast {
-                    ust: now,
-                    s_old: old,
-                },
-                "1080c8ceb40d03c0c391b40d00",
-            ),
-            (
                 Msg::OpFailed {
                     tx: t,
                     snapshot: None,
@@ -1744,9 +1657,33 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_COMMIT_ONE_SHARE).collect::<Vec<_>>(),
+            (T_START_REQ..=T_COMMIT_ONE_SHARE)
+                .filter(|tag| !RETIRED_TAGS.contains(tag))
+                .collect::<Vec<_>>(),
             "one golden per tag"
         );
+    }
+
+    /// The background tags version 7 retired: heartbeat, tree report, root
+    /// GST and UST broadcast.
+    const RETIRED_TAGS: [u8; 4] = [13, 14, 15, 16];
+
+    #[test]
+    fn retired_background_tags_are_unknown() {
+        // Each v6 frame of a retired tag, as pinned by the v6 goldens: the
+        // tag must be refused, not read as some other message.
+        for frame in [
+            "0dac0280c8ceb40d03",
+            "0eac0280c8ceb40d03020080c8ceb40d03ac020500",
+            "0f0280c8ceb40d030000",
+            "1080c8ceb40d03c0c391b40d00",
+        ] {
+            let bytes = unhex(frame);
+            assert_eq!(decode(&bytes), Err(UnknownTag(bytes[0])), "{frame}");
+        }
+        for tag in RETIRED_TAGS {
+            assert_eq!(decode(&[tag]), Err(UnknownTag(tag)));
+        }
     }
 
     #[test]
@@ -1787,8 +1724,9 @@ mod tests {
         let start = Msg::StartTxReq {
             client_ust: Timestamp::from_parts(3_600_000_000, 3),
         };
-        let heartbeat = Msg::Heartbeat {
+        let heartbeat = Msg::Replicate {
             partition: PartitionId(17),
+            txs: vec![],
             watermark: Timestamp::from_parts(3_600_000_000, 0),
         };
         for (env, golden) in [
@@ -1798,7 +1736,7 @@ mod tests {
             ),
             (
                 Envelope::new(coordinator, cohort, heartbeat),
-                "f200030200ac02110d1180c8ceb40d00",
+                "f200030200ac02110c1180c8ceb40d0000",
             ),
         ] {
             let bytes = encode_envelope_with(&env, WireFormat::V2);
@@ -1886,8 +1824,9 @@ mod tests {
         // A physical part beyond 48 bits cannot come off the encoder;
         // the decoder must reject it rather than silently truncate.
         let mut forged = BytesMut::new();
-        forged.put_u8(T_UST_BROADCAST);
+        forged.put_u8(T_START_REQ);
         varint::put(&mut forged, 1 << 48);
+        varint::put(&mut forged, 0);
         assert!(decode(forged.as_ref()).is_err());
     }
 

@@ -319,9 +319,11 @@ mod tests {
     fn the_loop_publishes_the_ust_a_broadcast_moved_without_a_snapshot_request() {
         let (running, handle) = spawn_loop();
         let ust = Timestamp::from_parts(42_000, 3);
-        let msg = Msg::UstBroadcast {
-            ust,
-            s_old: Timestamp::ZERO,
+        let msg = Msg::GossipDigest {
+            reports: vec![],
+            roots: vec![],
+            ust: Some((ust, Timestamp::ZERO)),
+            frames: 1,
         };
         running
             .inbox

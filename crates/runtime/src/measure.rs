@@ -71,7 +71,7 @@ pub struct ClusterStats {
     pub applied_remote: u64,
     /// Replication batches sent.
     pub replicate_batches: u64,
-    /// Heartbeats sent.
+    /// Heartbeats (empty `Replicate` frames) sent.
     pub heartbeats: u64,
     /// Logical frames folded inside coalesced messages.
     pub coalesced_frames: u64,

@@ -104,8 +104,8 @@ fn threaded_five_dc_deployment_smoke() {
 
 #[test]
 fn threaded_bare_gst_reports_advance_the_ust() {
-    // With batching off, stabilization child reports travel as bare
-    // GstReport frames. They must reach the server loops, so the UST
+    // With batching off, stabilization child reports travel one to a
+    // digest, uncoalesced. They must reach the server loops, so the UST
     // advances (the paper's liveness: stabilization keeps running) and
     // writes become stable.
     use paris_types::{Key, Timestamp, Value};

@@ -28,10 +28,10 @@
 //! # Example
 //!
 //! ```
-//! use paris_storage::PartitionStore;
+//! use paris_storage::MemEngine;
 //! use paris_types::{DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value};
 //!
-//! let store = PartitionStore::new();
+//! let store = MemEngine::new();
 //! let tx = TxId::new(ServerId::new(DcId(0), PartitionId(0)), 1);
 //! store.apply(Key(7), Value::from("a"), Timestamp::from_physical_micros(10), tx, DcId(0));
 //! store.apply(Key(7), Value::from("b"), Timestamp::from_physical_micros(20), tx, DcId(0));
@@ -60,7 +60,3 @@ pub use engine::{DurableStats, Engine};
 pub use store::{MemEngine, StoreStats, DEFAULT_SHARDS};
 
 pub use paris_types::Version;
-
-/// The historical name of [`MemEngine`], kept for call sites that want
-/// the concrete in-memory store rather than a `dyn Engine`.
-pub type PartitionStore = MemEngine;

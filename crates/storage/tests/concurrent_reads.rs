@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use paris_storage::PartitionStore;
+use paris_storage::MemEngine;
 use paris_types::{DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value};
 
 const KEYS: u64 = 32;
@@ -29,7 +29,7 @@ fn ts(t: u64) -> Timestamp {
 /// already present.
 #[test]
 fn readers_race_writer_and_respect_the_snapshot_rule() {
-    let store = Arc::new(PartitionStore::new());
+    let store = Arc::new(MemEngine::new());
     // The published UST, packed.
     let ust = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicBool::new(false));
