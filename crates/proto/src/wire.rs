@@ -1717,6 +1717,38 @@ mod tests {
     }
 
     #[test]
+    fn v7_commit_and_slice_frames_are_pinned() {
+        // The v7 frames of the messages a client-picked snapshot travels
+        // next to: the commit request and its reply in both forms, the
+        // one-phase commit in both forms, and both slice-read layouts.
+        // Any later form must come under a tag of its own and leave these
+        // bytes alone.
+        let v7 = [
+            ("CommitReq", "050102b96080c8ceb40d0302bf060276310503acacac"),
+            ("CommitReq", "1980c8ceb40d03c0c391b40d0001050177"),
+            ("CommitResp", "060102b96080c8ceb40d03"),
+            ("CommitResp", "1a0102b960c0c391b40d0080c8ceb40d03"),
+            ("CommitOne", "1c0102b96080c8ceb40d0301f0a2040101050177"),
+            ("CommitOne", "1d0102b96080c8ceb40d0301f0a2040101050177"),
+            ("ReadSliceReq", "070102b96080c8ceb40d030204bf06"),
+            (
+                "ReadSliceReq",
+                "150102b96080c8ceb40d0303bf0604090200cf0f0102ac024d01aff979000102b960",
+            ),
+        ];
+        let goldens = golden_messages();
+        for (kind, frame) in v7 {
+            let (msg, _) = goldens
+                .iter()
+                .find(|(_, golden)| *golden == frame)
+                .unwrap_or_else(|| panic!("the v7 {kind} frame {frame} is still produced"));
+            assert_eq!(msg.kind(), kind);
+            assert_eq!(hex(&encode(msg)), frame);
+            assert_eq!(decode(&unhex(frame)).as_ref(), Ok(msg));
+        }
+    }
+
+    #[test]
     fn golden_envelope_frames_are_pinned() {
         let client = ClientId::new(DcId(3), 70_000);
         let coordinator = ServerId::new(DcId(3), PartitionId(2));
