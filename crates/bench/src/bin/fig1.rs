@@ -116,16 +116,17 @@ fn main() {
                 paper_deployment(mode, wl, c, 42 + u64::from(c))
             });
             println!(
-                "\n  {mode:<6} {:>12} {:>14} {:>12} {:>12}",
-                "clients/DC", "tput (KTx/s)", "mean (ms)", "p99 (ms)"
+                "\n  {mode:<6} {:>12} {:>14} {:>12} {:>12} {:>12}",
+                "clients/DC", "tput (KTx/s)", "mean (ms)", "p99 (ms)", "refused/tx"
             );
             for p in &sweep {
                 println!(
-                    "  {mode:<6} {:>12} {:>14.1} {:>12.2} {:>12.2}",
+                    "  {mode:<6} {:>12} {:>14.1} {:>12.2} {:>12.2} {:>11.3}%",
                     p.clients_per_dc,
                     p.report.ktps(),
                     p.report.stats.mean_latency_ms(),
                     p.report.stats.percentile_ms(99.0),
+                    100.0 * p.refusal_rate(),
                 );
                 rows.push(format!(
                     "{mode},{},{:.3},{:.3},{:.3}",
@@ -143,6 +144,7 @@ fn main() {
                     ("p99_ms", p.report.stats.percentile_ms(99.0).into()),
                     ("net_messages", p.report.net_messages.into()),
                     ("net_bytes", p.report.net_bytes.into()),
+                    ("refused_slices", p.refused_slices.into()),
                 ]));
             }
             let best = peak(&sweep).report.clone();

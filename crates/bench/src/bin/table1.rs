@@ -3,9 +3,9 @@
 //! with PaRiS's "1 timestamp" claim *measured* on the wire codec: per
 //! message, the metadata bytes as shipped (varints) beside what the paper
 //! counts (8 bytes per timestamp carried). The claim holds whichever way a
-//! transaction begins: a `StartTxReq` is one timestamp, and a first read
-//! that carries the start instead is exactly one timestamp more than a
-//! plain read.
+//! transaction begins: a `StartTxReq` is one timestamp, a first read that
+//! carries the start instead is exactly one timestamp more than a plain
+//! read, and so is the commit that carries a snapshot its client picked.
 //!
 //! Besides the taxonomy, this bench pins the byte cost of a seeded
 //! simulated deployment: the run's byte totals feed `bench/baseline.json`
@@ -48,6 +48,8 @@ fn sample_messages() -> Vec<Msg> {
             writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
             src_dc: DcId(3),
         },
+        commit_req(TxRef::Known(tx)),
+        commit_req(TxRef::Picked { snapshot: ts(1) }),
         Msg::CommitTx { tx, ct: ts(3) },
         commit_one(false),
         commit_one(true),
@@ -75,6 +77,17 @@ fn commit_one(coordinator_share: bool) -> Msg {
         src_dc: DcId(3),
         client: paris_types::ClientId::new(DcId(3), 4),
         coordinator_share,
+        picked: false,
+    }
+}
+
+/// A commit of one write, plain or carrying the snapshot its client
+/// picked.
+fn commit_req(tx: TxRef) -> Msg {
+    Msg::CommitReq {
+        tx,
+        hwt: Timestamp::from_parts(3_600_000_000, 3),
+        writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
     }
 }
 
@@ -122,6 +135,18 @@ fn main() {
         9,
     )));
     println!("  a first ReadReq carrying the start: {fused_extra} timestamp more than a plain one");
+    // A client that picked its snapshot reads at it straight from the
+    // replicas, and its commit carries the snapshot to the coordinator.
+    let timestamps = |tx| wire::metadata(&commit_req(tx)).timestamps;
+    let picked_extra = timestamps(TxRef::Picked {
+        snapshot: Timestamp::from_parts(3_600_000_000, 3),
+    }) - timestamps(TxRef::Known(TxId::new(
+        ServerId::new(DcId(3), PartitionId(17)),
+        9,
+    )));
+    println!(
+        "  a CommitReq carrying a picked snapshot: {picked_extra} timestamp more than a plain one"
+    );
     println!(
         "\n  {:<17} {:>8} {:>11} {:>11} {:>14}",
         "message", "bytes", "metadata B", "timestamps", "× 8 B (paper)"
@@ -133,6 +158,10 @@ fn main() {
                 tx: TxRef::Start { .. },
                 ..
             } => "ReadReq (start)",
+            Msg::CommitReq {
+                tx: TxRef::Picked { .. },
+                ..
+            } => "CommitReq (picked)",
             Msg::CommitOne {
                 coordinator_share: true,
                 ..
@@ -215,6 +244,10 @@ fn main() {
     assert_eq!(
         fused_extra, 1,
         "a start-form ReadReq carries exactly one timestamp more than the plain form"
+    );
+    assert_eq!(
+        picked_extra, 1,
+        "a picked-form CommitReq carries exactly one timestamp more than the plain form"
     );
     assert!(
         report.violations.is_empty(),

@@ -119,9 +119,18 @@ pub fn paper_deployment(
 
 /// Runs one deployment and returns its report.
 pub fn run_point(builder: ClusterBuilder) -> RunReport {
+    run_counted(builder).0
+}
+
+/// [`run_point`], with the slice reads the servers refused below their GC
+/// horizon over the whole run (warmup included).
+fn run_counted(builder: ClusterBuilder) -> (RunReport, u64) {
     let mut sim = builder.build_sim().expect("valid bench deployment");
-    sim.run_workload(warmup_micros(), window_micros())
-        .expect("simulated workload cannot fail")
+    let report = sim
+        .run_workload(warmup_micros(), window_micros())
+        .expect("simulated workload cannot fail");
+    let refused = sim.stats().expect("the sim's stats").refused_slices;
+    (report, refused)
 }
 
 /// Runs one deployment, lets background protocols settle for a second of
@@ -142,6 +151,18 @@ pub struct SweepPoint {
     pub clients_per_dc: u32,
     /// The measurement.
     pub report: RunReport,
+    /// Slice reads refused below a server's GC horizon over the run: under
+    /// PaRiS, client-picked snapshots GC had passed, each refused first
+    /// read retried once in the start form. An upper bound on the retries.
+    pub refused_slices: u64,
+}
+
+impl SweepPoint {
+    /// Refused slice reads per committed transaction: an upper bound on
+    /// the share of transactions that retried a refused pick.
+    pub fn refusal_rate(&self) -> f64 {
+        self.refused_slices as f64 / self.report.stats.committed.max(1) as f64
+    }
 }
 
 /// Sweeps offered load (client sessions per DC), as the paper does by
@@ -156,11 +177,12 @@ pub fn load_sweep(
     clients
         .iter()
         .map(|&c| {
-            let report = run_point(mk(mode, workload.clone(), c));
+            let (report, refused_slices) = run_counted(mk(mode, workload.clone(), c));
             eprintln!("  [{mode} {c:>4} clients/DC] {}", report.summary());
             SweepPoint {
                 clients_per_dc: c,
                 report,
+                refused_slices,
             }
         })
         .collect()
@@ -306,6 +328,7 @@ mod tests {
                     net_messages: 0,
                     net_bytes: 0,
                 },
+                refused_slices: 0,
             }
         };
         let points = vec![mk(2, 5.0), mk(4, 9.0), mk(8, 7.0)];

@@ -23,10 +23,10 @@
 //! and merges the `ReadSliceResp`s into one [`ClientEvent::ReadDone`]: two
 //! messages and two hops per partition, where the coordinator's detour
 //! (Alg. 2 lines 6–16) costs four hops and carries every key and result
-//! twice. Only the start form of a deferred begin's first read still goes
-//! to the coordinator, which alone can assign the snapshot; so does a read
-//! for which some partition has no reachable replica, which the
-//! coordinator then fails. A session without a topology
+//! twice. A read that carries the start still goes to the coordinator,
+//! which alone can assign that snapshot; so does a read for which some
+//! partition has no reachable replica, which the coordinator serves by
+//! its own view or fails. A session without a topology
 //! ([`ClientSession::new`]) sends every read to its coordinator.
 //!
 //! # Beginning a transaction
@@ -34,12 +34,35 @@
 //! START (Alg. 1 lines 1–7) is a round trip that only assigns the snapshot
 //! `max(ust_c, ust)`. [`ClientSession::begin`] pays it up front: a
 //! `StartTxReq`, and the transaction opens on the reply.
-//! [`ClientSession::begin_deferred`] opens the transaction locally instead
-//! and lets its first operation carry the start: the first `ReadReq` or
-//! `CommitReq` is sent in its start form ([`TxRef::Start`], `ust_c` where
-//! the transaction id would be), and its reply names the transaction id
-//! and snapshot, which the session adopts exactly as it adopts a
-//! `StartTxResp` — `ust_c` raised (lines 4–6).
+//! [`ClientSession::begin_deferred`] opens the transaction locally
+//! instead, in one of two ways.
+//!
+//! * **Picked at the client.** `ust_c` is itself a UST some server
+//!   announced, so it names a snapshot every DC has installed: a PaRiS
+//!   session with a topology takes it as the snapshot, with no message.
+//!   Its reads go straight to the replicas at it, and the coordinator
+//!   first hears of the transaction at its commit, whose picked form
+//!   ([`TxRef::Picked`]) carries the snapshot: the coordinator opens the
+//!   context there and assigns the id. Causality and read-your-writes hold
+//!   as with an assigned snapshot: `ust_c` is at least every snapshot the
+//!   session read at, and every own write above it is still in `WC_c`,
+//!   served locally. Freshness rides on the commit reply: whichever server
+//!   answers a picked commit names its own UST where a start form's reply
+//!   names the snapshot, and the session folds it into `ust_c`, so the
+//!   next pick trails the UST by about one transaction. A picked snapshot
+//!   has no context to hold the GC horizon down, so a replica whose GC
+//!   has already trimmed past it refuses the slice; nothing was read at a
+//!   refused first read, so the session gives the pick up and re-sends the
+//!   read in the start form ([`ClientEvent::Retry`]). A refusal of a later
+//!   read aborts, as for an assigned snapshot.
+//! * **Carried by the first operation.** BPR, whose snapshot needs the
+//!   coordinator's HLC; a session without a topology; a fresh session,
+//!   whose `ust_c` is still zero; and one that abandoned a start whose
+//!   reply is still owed: the first `ReadReq` or `CommitReq` is sent in its
+//!   start form ([`TxRef::Start`], `ust_c` where the transaction id would
+//!   be), and its reply names the transaction id and snapshot, which the
+//!   session adopts exactly as it adopts a `StartTxResp` — `ust_c` raised
+//!   (lines 4–6).
 //!
 //! # The version store
 //!
@@ -64,7 +87,7 @@
 //!   cannot return stale data, needs no invalidation, and survives
 //!   [`ClientSession::reset`].
 //!
-//! Until a deferred begin's snapshot is known, the session cannot tell
+//! Until a carried start's snapshot is known, the session cannot tell
 //! which own writes it covers. So a start-form read stamps every own write
 //! it reads (always — correctness, not a byte bet); the coordinator answers
 //! a stamp above the snapshot it just assigned `Unchanged` itself. On the
@@ -133,7 +156,9 @@ pub enum ClientEvent {
     },
     /// A `READ` completed (Alg. 1 lines 8–20).
     ReadDone {
-        /// The transaction id.
+        /// The transaction id — for a transaction reading at a snapshot its
+        /// client picked, which has no id until it commits, the id its
+        /// slices were sent under.
         tx: TxId,
         /// Results in no particular order.
         reads: Vec<ClientRead>,
@@ -143,7 +168,8 @@ pub enum ClientEvent {
         /// The transaction id.
         tx: TxId,
         /// The snapshot the transaction read from — for a deferred begin
-        /// whose first operation was this commit, known only now.
+        /// whose first operation was this commit and carried its start,
+        /// known only now.
         snapshot: Timestamp,
         /// Commit timestamp; `Timestamp::ZERO` for read-only transactions.
         ct: Timestamp,
@@ -157,6 +183,12 @@ pub enum ClientEvent {
         /// The transaction id.
         tx: TxId,
     },
+    /// A replica refused the client-picked snapshot of the transaction's
+    /// first read: it is below the replica's GC horizon `S_old`. Nothing
+    /// was read at it, so the transaction gives the pick up; send this
+    /// envelope — the same read in the start form — and keep waiting. The
+    /// read is still in flight: this is neither an abort nor a failure.
+    Retry(Envelope),
 }
 
 /// Outcome of [`ClientSession::read`]: either all keys were satisfied
@@ -175,9 +207,12 @@ pub enum ReadStep {
 
 #[derive(Debug, Default)]
 struct OpenTx {
-    /// `(tx, snapshot)` as the coordinator assigned them; `None` for a
-    /// deferred begin until the reply to its first operation.
-    assigned: Option<(TxId, Timestamp)>,
+    /// The transaction id, once a coordinator has assigned it: at an eager
+    /// start, or with the reply to the first request that reached one.
+    tx: Option<TxId>,
+    /// The snapshot: picked at a deferred begin, or assigned with the id;
+    /// `None` while a deferred begin's start is still to be carried.
+    snapshot: Option<Timestamp>,
     /// `RS_c`: completed reads, for repeatable-read semantics.
     read_set: HashMap<Key, ClientRead>,
     /// `WS_c`: buffered writes (last write per key wins, Alg. 1 line 23).
@@ -186,20 +221,33 @@ struct OpenTx {
     pending_local: Vec<ClientRead>,
     /// Whether a server operation is in flight.
     in_flight: bool,
-    /// Of a read sent as slices: the partitions still to answer, and the
-    /// results of those that did.
+    /// Of a read sent as slices: the id they name, the partitions still to
+    /// answer, and the results of those that did.
+    slices_as: Option<TxId>,
     awaiting: Vec<PartitionId>,
     gathered: Vec<ReadResult>,
+    /// The keys of a picked transaction's first read while it is in
+    /// flight, for re-sending it in the start form should a replica refuse
+    /// the pick.
+    first_read: Vec<Key>,
 }
 
 impl OpenTx {
-    /// How the next request names the transaction: by id, or — before
-    /// the coordinator assigned one — by the start it carries.
+    /// How the next request names the transaction: by id; before a
+    /// coordinator assigned one, by the snapshot the client picked; or by
+    /// the start it carries.
     fn tx_ref(&self, client_ust: Timestamp) -> TxRef {
-        match self.assigned {
-            Some((tx, _)) => TxRef::Known(tx),
-            None => TxRef::Start { client_ust },
+        match (self.tx, self.snapshot) {
+            (Some(tx), _) => TxRef::Known(tx),
+            (None, Some(snapshot)) => TxRef::Picked { snapshot },
+            (None, None) => TxRef::Start { client_ust },
         }
+    }
+
+    /// Whether a reply naming a timestamp is owed: the request in flight is
+    /// the first to reach a coordinator (a start form, or a picked form).
+    fn opening(&self) -> bool {
+        self.in_flight && self.tx.is_none() && self.slices_as.is_none()
     }
 }
 
@@ -439,6 +487,9 @@ pub struct ClientSession {
     unreachable: HashSet<DcId>,
     /// `ust_c`: highest stable snapshot seen.
     ust: Timestamp,
+    /// Whether a server has named a UST to the session yet: until then
+    /// `ust_c` is only the zero it started from.
+    learned: bool,
     /// `hwt_c`: commit time of the last update transaction.
     hwt: Timestamp,
     /// The version store: `WC_c` above `ust_c`, candidates at or below.
@@ -447,13 +498,18 @@ pub struct ClientSession {
     /// Waiting for a `StartTxResp`.
     starting: bool,
     /// Replies still owed to starts abandoned by [`ClientSession::reset`]
-    /// — a `StartTxResp`, or the reply to a deferred begin's first
-    /// operation. A start's reply carries no correlation the client chose
-    /// (the coordinator assigns the id), but the channel is FIFO, so
-    /// replies arrive in request order: the next `discard_starts` replies
-    /// to starts belong to abandoned ones and must be dropped, not adopted
-    /// by a newer transaction.
+    /// — a `StartTxResp`, or the reply to the first request of a deferred
+    /// begin to reach a coordinator. A start's reply carries no
+    /// correlation the client chose (the coordinator assigns the id), but
+    /// the channel is FIFO, so replies arrive in request order: the next
+    /// `discard_starts` replies to starts belong to abandoned ones and must
+    /// be dropped, not adopted by a newer transaction. While any is owed,
+    /// a deferred begin carries its start rather than pick its snapshot.
     discard_starts: u32,
+    /// Reads sent as slices under an id the session chose: each picked
+    /// read's is new, so a late answer to an earlier one never completes
+    /// it.
+    picked_reads: u64,
     /// Transactions run (stats).
     started_count: u64,
     committed_count: u64,
@@ -485,6 +541,7 @@ impl ClientSession {
             topology: None,
             unreachable: HashSet::new(),
             ust: Timestamp::ZERO,
+            learned: false,
             hwt: Timestamp::ZERO,
             held: Held {
                 budget,
@@ -493,6 +550,7 @@ impl ClientSession {
             open: None,
             starting: false,
             discard_starts: 0,
+            picked_reads: 0,
             started_count: 0,
             committed_count: 0,
         }
@@ -545,16 +603,16 @@ impl ClientSession {
         held.filter(|(_, v)| v.ut > self.ust).count()
     }
 
-    /// The open transaction's id, if a transaction is open and the
+    /// The open transaction's id, if a transaction is open and a
     /// coordinator has assigned it.
     pub fn open_tx(&self) -> Option<TxId> {
-        self.open.as_ref()?.assigned.map(|(tx, _)| tx)
+        self.open.as_ref()?.tx
     }
 
     /// The open transaction's snapshot, if a transaction is open and the
-    /// coordinator has assigned it.
+    /// session picked it or a coordinator assigned it.
     pub fn open_snapshot(&self) -> Option<Timestamp> {
-        self.open.as_ref()?.assigned.map(|(_, snapshot)| snapshot)
+        self.open.as_ref()?.snapshot
     }
 
     /// Transactions started / committed so far.
@@ -584,17 +642,15 @@ impl ClientSession {
     /// the UST covers it.
     /// Late replies for the abandoned transaction are ignored by
     /// [`ClientSession::handle`]: reads and commits by their
-    /// transaction-id checks, and a start abandoned mid-flight — a
-    /// `StartTxReq`, or a deferred begin's first operation — by counting
+    /// transaction-id checks, slice reads by the id they were sent under,
+    /// and a start abandoned mid-flight — a `StartTxReq`, or the first
+    /// request of a deferred begin to reach a coordinator — by counting
     /// it: the channel is FIFO, so the next reply to a start is the
     /// abandoned one and is dropped rather than adopted by a newer
     /// transaction. The coordinator-side context, if any, is reclaimed by
     /// the server's stale-context cleanup on its GC tick.
     pub fn reset(&mut self) {
-        let first_op_in_flight = self
-            .open
-            .as_ref()
-            .is_some_and(|o| o.in_flight && o.assigned.is_none());
+        let first_op_in_flight = self.open.as_ref().is_some_and(OpenTx::opening);
         if self.starting || first_op_in_flight {
             self.discard_starts += 1;
         }
@@ -624,11 +680,15 @@ impl ClientSession {
     }
 
     /// `START-TX` (Alg. 1 lines 1–7), deferred: opens the transaction
-    /// locally, without a message. Its first [`ClientSession::read`] or
+    /// locally, without a message (module docs: beginning a transaction).
+    /// A PaRiS session with a topology that has learned a `ust_c` picks it
+    /// as the snapshot: reads go straight to the replicas at it, and the
+    /// commit carries it to the coordinator, whose reply assigns the id.
+    /// Otherwise the first [`ClientSession::read`] or
     /// [`ClientSession::commit`] carries the start, and the reply to it
-    /// assigns the id and snapshot (see the module docs); until then
-    /// [`ClientSession::open_tx`] and [`ClientSession::open_snapshot`]
-    /// are `None`.
+    /// assigns the id and snapshot. Until then [`ClientSession::open_tx`]
+    /// is `None`, and so is [`ClientSession::open_snapshot`] unless the
+    /// session picked it.
     ///
     /// # Errors
     ///
@@ -636,8 +696,26 @@ impl ClientSession {
     /// starting.
     pub fn begin_deferred(&mut self) -> Result<(), Error> {
         self.ensure_idle()?;
-        self.open = Some(OpenTx::default());
+        let mut open = OpenTx::default();
+        if self.may_pick() {
+            open.snapshot = Some(self.ust);
+            self.started_count += 1;
+        }
+        self.open = Some(open);
         Ok(())
+    }
+
+    /// Whether a deferred begin may pick its snapshot: `ust_c` is a UST
+    /// every DC has installed, so reads at it never block — but BPR's
+    /// snapshot needs the coordinator's HLC, a session without a topology
+    /// cannot reach the replicas itself, a fresh session has learned no
+    /// UST yet (its `ust_c` is zero), and a reply owed to an abandoned
+    /// start must not be taken for the answer to a picked commit.
+    fn may_pick(&self) -> bool {
+        self.mode == Mode::Paris
+            && self.topology.is_some()
+            && self.learned
+            && self.discard_starts == 0
     }
 
     fn ensure_idle(&self) -> Result<(), Error> {
@@ -652,9 +730,9 @@ impl ClientSession {
     /// `READ` (Alg. 1 lines 8–20): serves keys from the write set, read
     /// set and own writes (in that order); missing keys go to the servers,
     /// each stamped with the candidate held for it — straight to the
-    /// replicas once the snapshot is known and the session has a topology,
-    /// otherwise to the coordinator. The first read of a deferred begin
-    /// carries the start and sends its own-write keys too (module docs).
+    /// replicas once the snapshot is known (picked or assigned) and the
+    /// session has a topology, otherwise to the coordinator. A first read
+    /// that carries the start sends its own-write keys too (module docs).
     ///
     /// # Errors
     ///
@@ -684,7 +762,7 @@ impl ClientSession {
                     source: ReadSource::ReadSet,
                 });
             } else if let Some(own) = self.held.get(key).filter(|v| v.ut > self.ust) {
-                if open.assigned.is_some() {
+                if open.snapshot.is_some() {
                     local.push(ClientRead {
                         key,
                         value: Some(own.value.clone()),
@@ -714,9 +792,24 @@ impl ClientSession {
         }
         open.in_flight = true;
         open.pending_local = local;
-        if let (Some((tx, snapshot)), Some(topology)) = (open.assigned, &self.topology) {
+        if let (Some(snapshot), Some(topology)) = (open.snapshot, &self.topology) {
             let routed = route(topology, self.id.dc, &self.unreachable, &remote);
             if let Some(routed) = routed {
+                let tx = match open.tx {
+                    Some(tx) => tx,
+                    None => {
+                        // No coordinator assigns an id under a partition
+                        // no server hosts, so this one names only this
+                        // read.
+                        self.picked_reads += 1;
+                        let nowhere = PartitionId(topology.partitions());
+                        if open.read_set.is_empty() {
+                            open.first_read = keys.to_vec();
+                        }
+                        TxId::new(ServerId::new(self.id.dc, nowhere), self.picked_reads)
+                    }
+                };
+                open.slices_as = Some(tx);
                 let mut slices = Vec::with_capacity(routed.len());
                 for (replica, keys) in routed {
                     open.awaiting.push(replica.partition);
@@ -757,7 +850,8 @@ impl ClientSession {
     /// coordinator with `hwt_c`. Also used to close read-only
     /// transactions (empty write set), which frees the coordinator's
     /// context (and its hold on the GC horizon). The commit of a deferred
-    /// begin that has not reached the coordinator yet carries the start.
+    /// begin that has not reached a coordinator yet carries the start, or
+    /// the snapshot the session picked.
     ///
     /// # Errors
     ///
@@ -789,10 +883,11 @@ impl ClientSession {
 
     /// Consumes a response from the coordinator, from a replica that
     /// served one of the session's slice reads, or from the participant of
-    /// a plain one-phase commit.
+    /// a one-phase commit.
     ///
-    /// Returns the completed event, or `None` for stale/duplicate
-    /// messages.
+    /// Returns the completed event — or, when a replica refused the picked
+    /// snapshot of a first read, the [`ClientEvent::Retry`] to send — or
+    /// `None` for stale/duplicate messages.
     pub fn handle(&mut self, env: &Envelope) -> Option<ClientEvent> {
         debug_assert_eq!(env.dst, Endpoint::Client(self.id));
         match &env.msg {
@@ -802,7 +897,7 @@ impl ClientSession {
                 }
                 self.starting = false;
                 self.open = Some(OpenTx::default());
-                self.adopt(*tx, *snapshot);
+                self.opened(*tx, *snapshot);
                 Some(ClientEvent::Started {
                     tx: *tx,
                     snapshot: *snapshot,
@@ -827,11 +922,11 @@ impl ClientSession {
                 if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
                 }
-                if let Some(snapshot) = snapshot {
-                    self.adopt(*tx, *snapshot);
+                if let Some(slot) = snapshot {
+                    self.opened(*tx, *slot);
                 }
                 let open = self.open.take()?;
-                let (_, snapshot) = open.assigned?;
+                let snapshot = open.snapshot?;
                 if *ct == Timestamp::ZERO && !open.write_set.is_empty() {
                     // No commit time, so the writes were not committed —
                     // whatever the coordinator meant by answering.
@@ -867,6 +962,9 @@ impl ClientSession {
                 })
             }
             Msg::OpFailed { tx, snapshot } => {
+                if snapshot.is_none() && self.refused_first_pick(*tx) {
+                    return self.retry_in_start_form(*tx);
+                }
                 if !self.answers_in_flight(*tx, *snapshot) {
                     return None;
                 }
@@ -895,36 +993,70 @@ impl ClientSession {
     }
 
     /// Whether a reply answers the operation in flight. A reply naming a
-    /// snapshot answers a start form, so it belongs to a deferred begin's
-    /// first operation — unless it is owed to a start abandoned by
-    /// [`ClientSession::reset`]; any other reply must name the open
-    /// transaction.
-    fn answers_in_flight(&mut self, tx: TxId, snapshot: Option<Timestamp>) -> bool {
-        if snapshot.is_some() && self.owed_to_abandoned_start() {
+    /// timestamp answers the first request to reach a coordinator — a
+    /// start form or a picked form — unless it is owed to a start
+    /// abandoned by [`ClientSession::reset`]; any other reply must name the
+    /// open transaction, or the id its slices were sent under.
+    fn answers_in_flight(&mut self, tx: TxId, slot: Option<Timestamp>) -> bool {
+        if slot.is_some() && self.owed_to_abandoned_start() {
             return false;
         }
-        self.open.as_ref().is_some_and(|open| {
-            open.in_flight
-                && match open.assigned {
-                    None => snapshot.is_some(),
-                    Some((open_tx, _)) => snapshot.is_none() && open_tx == tx,
-                }
+        self.open.as_ref().is_some_and(|open| match slot {
+            Some(_) => open.opening(),
+            None => open.in_flight && (open.tx == Some(tx) || open.slices_as == Some(tx)),
         })
     }
 
-    /// Takes the coordinator's `(tx, snapshot)` for the open transaction —
-    /// from a `StartTxResp`, or from the reply to a deferred begin's first
-    /// operation (Alg. 1 lines 3–6).
-    fn adopt(&mut self, tx: TxId, snapshot: Timestamp) {
-        self.started_count += 1;
-        // Alg. 1 line 4: ust_c ← ust. The coordinator guarantees
-        // monotonicity (it maxes with the piggybacked ust_c).
-        self.ust = self.ust.max(snapshot);
-        // Alg. 1 line 6: the own writes ust_c now covers are candidates
-        // from here on — validated when read, counted against the budget.
-        self.held.evict(self.ust);
+    /// Takes what the reply to the first request that reached a
+    /// coordinator names: the transaction id, and in the snapshot slot the
+    /// assigned snapshot (a `StartTxResp` or a start form's reply, Alg. 1
+    /// lines 3–6) or — for a snapshot the session picked — the answering
+    /// server's UST. Either raises `ust_c` (line 4, monotonically), after
+    /// which the own writes it covers are candidates (line 6): validated
+    /// when read, counted against the budget.
+    fn opened(&mut self, tx: TxId, slot: Timestamp) {
         if let Some(open) = self.open.as_mut() {
-            open.assigned = Some((tx, snapshot));
+            open.tx = Some(tx);
+            if open.snapshot.is_none() {
+                open.snapshot = Some(slot);
+                self.started_count += 1;
+            }
+        }
+        self.ust = self.ust.max(slot);
+        self.learned = true;
+        self.held.evict(self.ust);
+    }
+
+    /// Whether `tx` names the slices of a picked transaction's first read
+    /// in flight — a refusal of which is retried in the start form.
+    fn refused_first_pick(&self, tx: TxId) -> bool {
+        self.open.as_ref().is_some_and(|open| {
+            open.in_flight && open.slices_as == Some(tx) && !open.first_read.is_empty()
+        })
+    }
+
+    /// A replica refused the pick (its `S_old` passed it) before anything
+    /// was read at it: the transaction drops the pick and whatever slices
+    /// answered, and re-sends the same read in the start form, whose reply
+    /// assigns a snapshot the coordinator's context pins. Late answers to
+    /// the refused slices name an id nothing waits for any more.
+    fn retry_in_start_form(&mut self, tx: TxId) -> Option<ClientEvent> {
+        let open = self.open.as_mut()?;
+        let keys = std::mem::take(&mut open.first_read);
+        *open = OpenTx {
+            write_set: std::mem::take(&mut open.write_set),
+            ..OpenTx::default()
+        };
+        self.started_count -= 1;
+        match self.read(&keys) {
+            Ok(ReadStep::Send(env)) => Some(ClientEvent::Retry(env)),
+            // Keys outside the write set — the read had some — go to the
+            // coordinator while the snapshot is unknown.
+            _ => {
+                debug_assert!(false, "a start-form read sends its keys");
+                self.open = None;
+                Some(ClientEvent::Aborted { tx })
+            }
         }
     }
 
@@ -937,7 +1069,7 @@ impl ClientSession {
         results: &[ReadResult],
     ) -> Option<ClientEvent> {
         let open = self.open.as_mut()?;
-        if !open.in_flight || open.assigned.map(|(open_tx, _)| open_tx) != Some(tx) {
+        if !open.in_flight || open.slices_as != Some(tx) {
             return None;
         }
         let owed = open.awaiting.iter().position(|p| *p == partition)?;
@@ -946,21 +1078,24 @@ impl ClientSession {
         if !open.awaiting.is_empty() {
             return None;
         }
+        open.slices_as = None;
         let results = std::mem::take(&mut open.gathered);
         self.on_read_resp(tx, None, &results)
     }
 
-    /// A `ReadResp` that answers the read in flight; `start` is the
-    /// snapshot it assigns, for a deferred begin's first read.
+    /// A reply that answers the read in flight; `slot` is what a reply to
+    /// the first request to reach a coordinator names (see
+    /// [`ClientSession::opened`]).
     fn on_read_resp(
         &mut self,
         tx: TxId,
-        start: Option<Timestamp>,
+        slot: Option<Timestamp>,
         results: &[ReadResult],
     ) -> Option<ClientEvent> {
         let open = self.open.as_mut()?;
-        let snapshot = start.or(open.assigned.map(|(_, s)| s))?;
+        let snapshot = open.snapshot.or(slot)?;
         open.in_flight = false;
+        open.first_read.clear();
         let mut reads = std::mem::take(&mut open.pending_local);
         // Every outcome is resolved before `ust_c` rises or a shipped
         // version is admitted: either evicts, and must not evict what an
@@ -1002,8 +1137,8 @@ impl ClientSession {
                 source,
             });
         }
-        if let Some(snapshot) = start {
-            self.adopt(tx, snapshot);
+        if let Some(slot) = slot {
+            self.opened(tx, slot);
         }
         for v in results.iter().filter_map(|r| r.outcome.version()) {
             self.held.admit(v.clone(), self.ust);
@@ -2209,8 +2344,11 @@ mod tests {
 
     #[test]
     fn a_deferred_begin_reads_through_the_coordinator_until_it_knows_its_snapshot() {
+        // A fresh session: its `ust_c` is zero, as it has learned no UST
+        // yet, so it has nothing to pick and carries the start.
         let (mut s, _) = routed_session();
-        let (_, keys) = deferred_read(&mut s, &[1, 2]);
+        let (client_ust, keys) = deferred_read(&mut s, &[1, 2]);
+        assert_eq!(client_ust, Timestamp::ZERO);
         assert_eq!(keys.len(), 2, "the start form goes to the coordinator");
         let absent = |key| ReadResult {
             key: Key(key),
@@ -2223,6 +2361,242 @@ mod tests {
             slices[0].msg,
             Msg::ReadSliceReq { tx: t, snapshot, .. } if t == tx(1) && snapshot == ts(150)
         ));
+        reads_of(s.handle(&answer(&s, &slices[0])));
+        finish(&mut s, tx(1));
+
+        // With a UST learned, a session still carries the start when it
+        // cannot read by itself (no topology) or its snapshot needs the
+        // coordinator (BPR).
+        let mut plain = session(Mode::Paris);
+        observe(&mut plain, 1, 100, version(1, 8, 50, 99));
+        assert_eq!(deferred_read(&mut plain, &[2]).0, ts(100));
+        let (mut bpr, _) = routed_session();
+        bpr.mode = Mode::Bpr;
+        let t = started(&mut bpr, 1, 100);
+        finish(&mut bpr, t);
+        assert_eq!(deferred_read(&mut bpr, &[2]).0, ts(100));
+    }
+
+    // ------------------------------------------------ client-picked snapshots
+
+    /// A routed session that learned `ust_c` = 100 from a read-only
+    /// transaction.
+    fn picking_session() -> (ClientSession, Arc<Topology>) {
+        let (mut s, topo) = routed_session();
+        let t = started(&mut s, 1, 100);
+        finish(&mut s, t);
+        (s, topo)
+    }
+
+    /// The replica's answer to `slice`, under the id it was sent with:
+    /// every key absent.
+    fn answer(s: &ClientSession, slice: &Envelope) -> Envelope {
+        let Msg::ReadSliceReq { tx, .. } = slice.msg else {
+            panic!("expected a ReadSliceReq, got {}", slice.msg.kind());
+        };
+        slice_reply(s, tx, slice)
+    }
+
+    /// The replica of `slice` refusing it (its snapshot is below `S_old`).
+    fn refusal(s: &ClientSession, slice: &Envelope) -> Envelope {
+        let Msg::ReadSliceReq { tx, .. } = slice.msg else {
+            panic!("expected a ReadSliceReq, got {}", slice.msg.kind());
+        };
+        let replica = slice.dst.as_server().unwrap();
+        Envelope::new(replica, s.id(), Msg::OpFailed { tx, snapshot: None })
+    }
+
+    fn slice_tx(slice: &Envelope) -> TxId {
+        match slice.msg {
+            Msg::ReadSliceReq { tx, .. } => tx,
+            _ => panic!("expected a ReadSliceReq"),
+        }
+    }
+
+    #[test]
+    fn a_picked_begin_reads_at_ust_c_straight_from_the_replicas_and_commits_picked() {
+        let (mut s, topo) = picking_session();
+        s.begin_deferred().unwrap();
+        assert_eq!((s.open_tx(), s.open_snapshot()), (None, Some(ts(100))));
+        assert!(!s.has_operation_in_flight(), "nothing sent to begin");
+        let slices = slices_of(s.read(&[Key(0), Key(1)]).unwrap());
+        assert_eq!(slices.len(), 2);
+        let named = slice_tx(&slices[0]);
+        // An id no coordinator assigns: a partition no server hosts.
+        assert_eq!(named.partition, PartitionId(topo.partitions()));
+        for slice in &slices {
+            let Msg::ReadSliceReq { tx, snapshot, .. } = slice.msg else {
+                unreachable!()
+            };
+            assert_eq!((tx, snapshot), (named, ts(100)));
+        }
+        assert_eq!(s.handle(&answer(&s, &slices[0])), None);
+        let reads = reads_of(s.handle(&answer(&s, &slices[1])));
+        assert_eq!(reads.len(), 2);
+
+        // The commit carries the pick; its reply names the id, and the
+        // answering server's UST in the snapshot slot.
+        let env = s.commit().unwrap();
+        assert_eq!(env.dst, s.coordinator().into());
+        let Msg::CommitReq { tx: picked, .. } = env.msg else {
+            panic!("expected a CommitReq, got {env:?}");
+        };
+        assert_eq!(picked, TxRef::Picked { snapshot: ts(100) });
+        let reply = Msg::CommitResp {
+            tx: tx(7),
+            snapshot: Some(ts(180)),
+            ct: Timestamp::ZERO,
+        };
+        let ev = s.handle(&Envelope::new(s.coordinator(), s.id(), reply));
+        assert_eq!(
+            ev,
+            Some(ClientEvent::Committed {
+                tx: tx(7),
+                snapshot: ts(100),
+                ct: Timestamp::ZERO
+            })
+        );
+        assert_eq!((s.ust(), s.counts()), (ts(180), (2, 2)));
+
+        // The next transaction picks the fresher UST, and names its
+        // slices anew: a late answer to the last read completes nothing.
+        s.begin_deferred().unwrap();
+        assert_eq!(s.open_snapshot(), Some(ts(180)));
+        let again = slices_of(s.read(&[Key(0)]).unwrap());
+        assert_ne!(slice_tx(&again[0]), named);
+        assert_eq!(s.handle(&answer(&s, &slices[0])), None);
+        assert_eq!(reads_of(s.handle(&answer(&s, &again[0]))).len(), 1);
+    }
+
+    #[test]
+    fn a_refused_first_read_is_resent_once_in_the_start_form_and_completes() {
+        let (mut s, _) = picking_session();
+        s.begin_deferred().unwrap();
+        s.write(&[(Key(9), Value::from("mine"))]).unwrap();
+        let slices = slices_of(s.read(&[Key(0), Key(1), Key(9)]).unwrap());
+        assert_eq!(slices.len(), 2, "key 9 is the write set's");
+        // One replica answers, the other refuses: the gathered answer is
+        // dropped and the read goes out again, in the start form.
+        assert_eq!(s.handle(&answer(&s, &slices[1])), None);
+        let Some(ClientEvent::Retry(env)) = s.handle(&refusal(&s, &slices[0])) else {
+            panic!("a refused first read is retried");
+        };
+        assert_eq!(env.dst, s.coordinator().into());
+        let Msg::ReadReq { tx: start, keys } = &env.msg else {
+            panic!("expected a ReadReq, got {env:?}");
+        };
+        assert_eq!(
+            *start,
+            TxRef::Start {
+                client_ust: ts(100)
+            }
+        );
+        let keys: Vec<Key> = keys.iter().map(|k| k.key).collect();
+        assert_eq!(keys, [Key(0), Key(1)]);
+        assert!(s.has_operation_in_flight());
+        assert_eq!((s.open_tx(), s.open_snapshot()), (None, None));
+        // The refused read's late answers are nobody's.
+        assert_eq!(s.handle(&answer(&s, &slices[0])), None);
+        assert_eq!(s.handle(&refusal(&s, &slices[1])), None);
+        let absent = |key| ReadResult {
+            key: Key(key),
+            outcome: ReadOutcome::Absent,
+        };
+        let reads = by_key(reads_of(start_reply(
+            &mut s,
+            tx(8),
+            120,
+            vec![absent(0), absent(1)],
+        )));
+        let sources: Vec<ReadSource> = reads.iter().map(|r| r.source).collect();
+        assert_eq!(
+            sources,
+            [ReadSource::Server, ReadSource::Server, ReadSource::WriteSet]
+        );
+        assert_eq!(
+            (s.open_tx(), s.open_snapshot()),
+            (Some(tx(8)), Some(ts(120)))
+        );
+        assert_eq!((s.ust(), s.counts()), (ts(120), (2, 1)));
+        // The transaction goes on as any other: its commit names the id.
+        let Msg::CommitReq { tx: known, .. } = s.commit().unwrap().msg else {
+            panic!("expected a CommitReq");
+        };
+        assert_eq!(known, TxRef::Known(tx(8)));
+    }
+
+    #[test]
+    fn a_refusal_of_a_later_read_aborts_the_picked_transaction() {
+        let (mut s, _) = picking_session();
+        s.begin_deferred().unwrap();
+        let first = slices_of(s.read(&[Key(0)]).unwrap());
+        reads_of(s.handle(&answer(&s, &first[0])));
+        let later = slices_of(s.read(&[Key(1), Key(2)]).unwrap());
+        let named = slice_tx(&later[0]);
+        let ev = s.handle(&refusal(&s, &later[0]));
+        assert_eq!(ev, Some(ClientEvent::Aborted { tx: named }));
+        assert!(!s.has_operation_in_flight() && s.open_snapshot().is_none());
+        assert_eq!(s.handle(&answer(&s, &later[1])), None);
+        // Idle again, and the next begin picks as before.
+        s.begin_deferred().unwrap();
+        assert_eq!(s.open_snapshot(), Some(ts(100)));
+    }
+
+    #[test]
+    fn a_picked_read_with_no_reachable_replica_asks_the_coordinator_at_the_pick() {
+        let (mut s, _) = picking_session();
+        s.set_dc_reachability(DcId(1), false);
+        s.set_dc_reachability(DcId(2), false);
+        s.begin_deferred().unwrap();
+        // Partition 1 lives in DCs 1 and 2 only.
+        let env = match s.read(&[Key(1)]).unwrap() {
+            ReadStep::Send(env) => env,
+            other => panic!("expected a ReadReq, got {other:?}"),
+        };
+        let Msg::ReadReq { tx: picked, .. } = env.msg else {
+            panic!("expected a ReadReq");
+        };
+        assert_eq!(picked, TxRef::Picked { snapshot: ts(100) });
+        let failed = Msg::OpFailed {
+            tx: tx(4),
+            snapshot: Some(ts(130)),
+        };
+        let ev = s.handle(&Envelope::new(s.coordinator(), s.id(), failed));
+        assert_eq!(ev, Some(ClientEvent::Aborted { tx: tx(4) }));
+    }
+
+    #[test]
+    fn a_picked_commit_reply_raises_ust_c_and_evicts_the_own_writes_it_covers() {
+        let (mut s, _) = picking_session();
+        commit_own(&mut s, 2, &[(7, Value::from("mine"))], 300);
+        assert_eq!((s.ust(), s.cache_len()), (ts(100), 1));
+        s.begin_deferred().unwrap();
+        // Above the pick: served from WC_c, no message.
+        let ReadStep::Done(reads) = s.read(&[Key(7)]).unwrap() else {
+            panic!("an own write above the pick is served locally");
+        };
+        assert_eq!(reads[0].source, ReadSource::Cache);
+        s.commit().unwrap();
+        let reply = |tx, ust| Msg::CommitResp {
+            tx,
+            snapshot: Some(ts(ust)),
+            ct: Timestamp::ZERO,
+        };
+        let from = ServerId::new(DcId(0), PartitionId(5));
+        assert!(s
+            .handle(&Envelope::new(from, s.id(), reply(tx(3), 400)))
+            .is_some());
+        assert_eq!(
+            (s.ust(), s.cache_len()),
+            (ts(400), 0),
+            "covered: a candidate now"
+        );
+        assert!(s.held.get(Key(7)).is_some(), "kept for validation");
+        // A staler server's answer never lowers ust_c.
+        s.begin_deferred().unwrap();
+        s.commit().unwrap();
+        s.handle(&Envelope::new(from, s.id(), reply(tx(4), 350)));
+        assert_eq!(s.ust(), ts(400));
     }
 
     #[test]

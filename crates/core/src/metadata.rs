@@ -244,10 +244,11 @@ pub fn table1() -> Vec<SystemRow> {
 /// # Panics
 ///
 /// Panics if `StartTxReq` ever carries anything but its tag and one
-/// timestamp, or `CommitOne`, with or without the coordinator's share,
-/// more than one timestamp.
+/// timestamp, or `CommitOne`, in any of its forms, more than one
+/// timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
-    for coordinator_share in [false, true] {
+    for (coordinator_share, picked) in [(false, false), (true, false), (false, true), (true, true)]
+    {
         let one_phase = Msg::CommitOne {
             tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
             ht: Timestamp::from_parts(123_456, 7),
@@ -255,11 +256,12 @@ pub fn measured_paris_snapshot_metadata() -> usize {
             src_dc: DcId(3),
             client: ClientId::new(DcId(3), 4),
             coordinator_share,
+            picked,
         };
         assert_eq!(
             wire::metadata(&one_phase).timestamps,
             1,
-            "one-phase commit, coordinator share {coordinator_share}"
+            "one-phase commit, coordinator share {coordinator_share}, picked {picked}"
         );
     }
     let ust = Timestamp::from_parts(123_456, 7);

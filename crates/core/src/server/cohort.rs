@@ -1,16 +1,22 @@
 //! Transaction-cohort role (paper Algorithm 3).
 //!
 //! A cohort answers every request to the envelope's source. A slice read
-//! comes from the client itself once its transaction has a snapshot, and
-//! from the coordinator for a start form's first read (coordinator docs);
-//! the cohort serves both alike. It refuses a snapshot below its GC horizon
-//! `S_old` with an `OpFailed`: no open context pins such a snapshot any
-//! more, so GC may have trimmed what it would see, and a read served from
-//! what is left could miss the version the snapshot holds. An open context
-//! pins `S_old` at or below its snapshot everywhere, so a refusal means the
-//! coordinator reclaimed the context as abandoned
-//! ([`STALE_CONTEXT_MICROS`](super::STALE_CONTEXT_MICROS)) — which it never
-//! does while a read of its own is pending, so only a client is refused.
+//! comes from the client itself once its transaction has a snapshot —
+//! picked at the client, or assigned — and from the coordinator for a
+//! start form's first read (coordinator docs); the cohort serves both
+//! alike. It refuses a snapshot below the horizon its chains were last
+//! trimmed to — `S_old` as of its last GC tick — with an `OpFailed`: GC
+//! may have trimmed what such a snapshot would see, and a read served from
+//! what is left could miss the version the snapshot holds. Above that
+//! horizon every chain still holds the newest version at or below the
+//! snapshot, so the read is served even where the `S_old` aggregate has
+//! moved past it. An open context pins `S_old` at or below its snapshot
+//! everywhere, so only a snapshot no context pins is refused: a
+//! client-picked one (which has no context while it reads), or one whose
+//! context the coordinator reclaimed as abandoned
+//! ([`STALE_CONTEXT_MICROS`](super::STALE_CONTEXT_MICROS)). The client
+//! re-sends a refused first read in the start form; a coordinator's
+//! fan-out, refused only at a picked context, fails the read.
 //!
 //! A write set on one partition commits in one phase ([`Msg::CommitOne`]):
 //! PaRiS never aborts, and the `max` over one proposal is that proposal,
@@ -43,8 +49,8 @@ impl Server {
     /// read runs on the server loop, which also runs GC, so no read ever
     /// races the horizon. BPR must first check that the partition has
     /// *installed* the (fresh) snapshot — `min(VV) ≥ snapshot` — and
-    /// parks the read otherwise (§V). A snapshot below `S_old` is refused
-    /// (module docs).
+    /// parks the read otherwise (§V). A snapshot below the horizon the
+    /// chains were trimmed to is refused (module docs).
     pub(super) fn on_read_slice_req(
         &mut self,
         env: &Envelope,
@@ -54,7 +60,8 @@ impl Server {
         now: u64,
     ) -> Vec<Envelope> {
         let reader = env.src;
-        if snapshot < self.s_old {
+        if snapshot < self.trimmed {
+            self.stats.refused_slices += 1;
             let refused = Msg::OpFailed { tx, snapshot: None };
             return vec![Envelope::new(self.id, reader, refused)];
         }
@@ -211,7 +218,8 @@ impl Server {
     }
 
     /// `CommitOne` (module docs): propose as [`Server::on_prepare_req`]
-    /// does, commit under the proposal and answer the client — and the
+    /// does, commit under the proposal and answer the client — naming this
+    /// server's UST when the client picked the snapshot — and the
     /// coordinator, when it holds a share.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn on_commit_one(
@@ -222,6 +230,7 @@ impl Server {
         src_dc: DcId,
         client: ClientId,
         coordinator_share: bool,
+        picked: bool,
         now: u64,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
@@ -240,7 +249,7 @@ impl Server {
         }
         let msg = Msg::CommitResp {
             tx,
-            snapshot: None,
+            snapshot: picked.then_some(self.ust),
             ct,
         };
         let mut out = vec![Envelope::new(self.id, client, msg)];

@@ -1,13 +1,16 @@
 //! Transaction-coordinator role (paper Algorithm 2).
 //!
 //! Reads reach a coordinator only when the client cannot send them to the
-//! cohorts itself: the start form of a deferred begin's first read, whose
-//! snapshot only the coordinator can assign, and every read of a session
-//! built without a topology. A client that knows its snapshot and the
-//! placement sends one `ReadSliceReq` per partition to the replica
+//! cohorts itself: a start form, whose snapshot only the coordinator can
+//! assign, a read some partition of which has no replica the client can
+//! reach, and every read of a session built without a topology. A client
+//! that knows its snapshot and the placement sends one `ReadSliceReq` per
+//! partition to the replica
 //! [`Topology::reachable_target_dc`](crate::Topology::reachable_target_dc)
 //! picks — the one this coordinator would pick — and merges the replies:
-//! two hops instead of four (client docs).
+//! two hops instead of four (client docs). A PaRiS client that picked its
+//! snapshot (`ust_c`) at the client does so from its first read, so for
+//! such a transaction the coordinator only commits.
 //!
 //! Snapshot assignment (Alg. 2 lines 1–5) has one implementation,
 //! [`Server::begin_tx`], reached two ways: an eager `StartTxReq` (the
@@ -17,6 +20,14 @@
 //! plain operation on a transaction begun the moment it arrives, and its
 //! reply names the assigned snapshot — so a transaction whose client
 //! begins lazily costs one round trip less than the paper's START.
+//!
+//! The *picked form* ([`TxRef::Picked`]) carries the snapshot the client
+//! picked and read at: the coordinator opens the context at it, assigns
+//! the id, and handles the operation as the plain one. Its reply names the
+//! answering server's UST where a start form's names the snapshot, which
+//! keeps the client's `ust_c` fresh. A picked context pins nothing the
+//! client needs — its reads are done, or the cohorts refuse what GC has
+//! trimmed — so it may sit below `S_old`.
 //!
 //! A start-form read may carry stamps of the client's own writes (`WC_c`,
 //! Alg. 1 line 6: the client cannot tell which of them a snapshot it does
@@ -37,8 +48,11 @@
 //! that lands, the prepared share holds this partition's watermark — and
 //! so the UST — below `pt_c ≤ ct`, as any participant's prepared share
 //! does. 4 messages instead of 5. A start form keeps 2PC, as only the
-//! coordinator's reply may name the snapshot, and so do two or more
-//! remote participants. The own share runs in place ([`Server::in_place`]).
+//! coordinator's reply may name the snapshot it assigned, and so do two or
+//! more remote participants. A picked form keeps both shortcuts: its
+//! `CommitOne` is marked picked, and the deciding participant names its
+//! own UST in the reply. The own share runs in place
+//! ([`Server::in_place`]).
 //!
 //! Coordinator state lives in the [`TxTable`](super::TxTable).
 
@@ -47,7 +61,7 @@ use std::collections::{BTreeMap, HashSet};
 use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef};
 use paris_types::{ClientId, Mode, PartitionId, Timestamp, TxId, WriteSetEntry};
 
-use super::{PendingOp, Server};
+use super::{Opened, PendingOp, Server};
 
 /// The client that sent a request, if a client did.
 fn client_of(env: &Envelope) -> Option<ClientId> {
@@ -82,19 +96,22 @@ impl Server {
         )
     }
 
-    /// The transaction a request names, begun here if the request is a
-    /// start form — whose reply must then name the snapshot too.
-    fn resolve_tx(
-        &mut self,
-        env: &Envelope,
-        tx: TxRef,
-        now: u64,
-    ) -> Option<(TxId, Option<Timestamp>)> {
+    /// The transaction a request names: begun here if the request is a
+    /// start form, opened at the client's snapshot if it is a picked form
+    /// — and how it was named, which decides what the reply names.
+    fn resolve_tx(&mut self, env: &Envelope, tx: TxRef, now: u64) -> Option<(TxId, Opened)> {
         match tx {
-            TxRef::Known(tx) => Some((tx, None)),
+            TxRef::Known(tx) => Some((tx, Opened::Known)),
             TxRef::Start { client_ust } => {
                 let (tx, snapshot) = self.begin_tx(client_of(env)?, client_ust, now);
-                Some((tx, Some(snapshot)))
+                Some((tx, Opened::Start(snapshot)))
+            }
+            TxRef::Picked { snapshot } => {
+                // A UST value, so the UST here is at least as high.
+                self.ust = self.ust.max(snapshot);
+                let client = client_of(env)?;
+                let tx = self.tx_table.begin(self.id, client, snapshot, now);
+                Some((tx, Opened::Picked))
             }
         }
     }
@@ -119,8 +136,8 @@ impl Server {
 
     /// `ReadReq` (Alg. 2 lines 6–16): fan the keys out to one replica per
     /// partition, local when possible, otherwise the preferred remote DC.
-    /// Only start forms and sessions without a topology send one (module
-    /// docs).
+    /// Only start forms, reads the client could not route and sessions
+    /// without a topology send one (module docs).
     pub(super) fn on_read_req(
         &mut self,
         env: &Envelope,
@@ -129,9 +146,11 @@ impl Server {
         now: u64,
     ) -> Vec<Envelope> {
         self.stats.coordinator_reads += 1;
-        let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
+        let Some((tx, opened)) = self.resolve_tx(env, tx, now) else {
             return Vec::new();
         };
+        let start = matches!(opened, Opened::Start(_));
+        let slot = opened.slot(self.ust);
         let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
             // Unknown transaction (the coordinator restarted, or reclaimed
@@ -152,7 +171,7 @@ impl Server {
         let mut results = Vec::new();
         let mut by_partition: BTreeMap<PartitionId, Vec<ReadKey>> = BTreeMap::new();
         for &k in keys {
-            if start.is_some() && k.held.is_some_and(|held| held.ut > snapshot) {
+            if start && k.held.is_some_and(|held| held.ut > snapshot) {
                 results.push(ReadResult {
                     key: k.key,
                     outcome: ReadOutcome::Unchanged,
@@ -179,10 +198,7 @@ impl Server {
                     return vec![Envelope::new(
                         self.id,
                         client,
-                        Msg::OpFailed {
-                            tx,
-                            snapshot: start,
-                        },
+                        Msg::OpFailed { tx, snapshot: slot },
                     )];
                 }
             }
@@ -193,7 +209,7 @@ impl Server {
                 client,
                 Msg::ReadResp {
                     tx,
-                    snapshot: start,
+                    snapshot: slot,
                     results,
                 },
             )];
@@ -203,7 +219,7 @@ impl Server {
         ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Read {
             awaiting,
             results,
-            start,
+            opened,
         });
 
         // One slice request per involved partition, in parallel
@@ -245,8 +261,10 @@ impl Server {
         if !awaiting.is_empty() {
             return Vec::new();
         }
-        let (results, start) = match ctx.pending.take() {
-            Some(PendingOp::Read { results, start, .. }) => (results, start),
+        let (results, opened) = match ctx.pending.take() {
+            Some(PendingOp::Read {
+                results, opened, ..
+            }) => (results, opened),
             _ => unreachable!("checked above"),
         };
         vec![Envelope::new(
@@ -254,9 +272,32 @@ impl Server {
             ctx.client,
             Msg::ReadResp {
                 tx,
-                snapshot: start,
+                snapshot: opened.slot(self.ust),
                 results,
             },
+        )]
+    }
+
+    /// A cohort refused a slice of this coordinator's fan-out: the
+    /// snapshot is below its GC horizon, which only a picked context's can
+    /// be (an assigned one pins `S_old` at or below it). The read fails
+    /// and the transaction aborts, as a client-sent slice's refusal of a
+    /// read after the first does.
+    pub(super) fn on_slice_refused(&mut self, tx: TxId) -> Vec<Envelope> {
+        let ctxs = &mut self.tx_table.ctxs;
+        let Some(ctx) = ctxs.get(&tx) else {
+            return Vec::new();
+        };
+        let Some(PendingOp::Read { opened, .. }) = ctx.pending else {
+            return Vec::new();
+        };
+        let client = ctx.client;
+        ctxs.remove(&tx);
+        let snapshot = opened.slot(self.ust);
+        vec![Envelope::new(
+            self.id,
+            client,
+            Msg::OpFailed { tx, snapshot },
         )]
     }
 
@@ -275,9 +316,15 @@ impl Server {
         writes: &[WriteSetEntry],
         now: u64,
     ) -> Vec<Envelope> {
-        let Some((tx, start)) = self.resolve_tx(env, tx, now) else {
+        let Some((tx, opened)) = self.resolve_tx(env, tx, now) else {
             return Vec::new();
         };
+        let slot = opened.slot(self.ust);
+        // Only the coordinator's reply can name an assigned snapshot, so a
+        // start form keeps 2PC; a picked form's participant names its own
+        // UST.
+        let one_phase = !matches!(opened, Opened::Start(_));
+        let picked = opened == Opened::Picked;
         let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
             // Unknown transaction: its writes would be dropped, so the
@@ -300,7 +347,7 @@ impl Server {
                 client,
                 Msg::CommitResp {
                     tx,
-                    snapshot: start,
+                    snapshot: slot,
                     ct: Timestamp::ZERO,
                 },
             )];
@@ -329,15 +376,12 @@ impl Server {
                     return vec![Envelope::new(
                         self.id,
                         client,
-                        Msg::OpFailed {
-                            tx,
-                            snapshot: start,
-                        },
+                        Msg::OpFailed { tx, snapshot: slot },
                     )];
                 }
             }
         }
-        if let ([participant], None) = (&participants[..], start) {
+        if let ([participant], true) = (&participants[..], one_phase) {
             ctxs.remove(&tx); // Alg. 2 line 28: the participant answers
             let writes = by_partition.into_values().next().expect("one partition");
             let msg = Msg::CommitOne {
@@ -347,6 +391,7 @@ impl Server {
                 src_dc: self.id.dc,
                 client,
                 coordinator_share: false,
+                picked,
             };
             return vec![Envelope::new(self.id, *participant, msg)];
         }
@@ -356,8 +401,8 @@ impl Server {
         // `handle` call, rather than a direct `on_prepare_req`, so that
         // `handle_and`'s `local` sees it and the simulator charges it; the
         // decider waits in the pending op for that `PrepareResp`.
-        let decider = match (&participants[..], start) {
-            (&[a, b], None) if a == self.id || b == self.id => {
+        let decider = match (&participants[..], one_phase) {
+            (&[a, b], true) if a == self.id || b == self.id => {
                 let other = if a == self.id { b } else { a };
                 let writes = by_partition
                     .remove(&other.partition)
@@ -372,7 +417,7 @@ impl Server {
             awaiting,
             participants: participants.clone(),
             max_proposed: Timestamp::ZERO,
-            start,
+            opened,
             decider,
         });
 
@@ -406,7 +451,7 @@ impl Server {
         proposed: Timestamp,
         now: u64,
     ) -> Vec<Envelope> {
-        let (participants, ct, client, start) = {
+        let (participants, ct, client, opened) = {
             let ctxs = &mut self.tx_table.ctxs;
             let Some(ctx) = ctxs.get_mut(&tx) else {
                 return Vec::new();
@@ -427,14 +472,14 @@ impl Server {
                 return Vec::new();
             }
 
-            let (participants, ct, start, decider) = match ctx.pending.take() {
+            let (participants, ct, opened, decider) = match ctx.pending.take() {
                 Some(PendingOp::Commit {
                     participants,
                     max_proposed,
-                    start,
+                    opened,
                     decider,
                     ..
-                }) => (participants, max_proposed, start, decider),
+                }) => (participants, max_proposed, opened, decider),
                 _ => unreachable!("checked above"),
             };
             let client = ctx.client;
@@ -449,10 +494,11 @@ impl Server {
                     src_dc: self.id.dc,
                     client,
                     coordinator_share: true,
+                    picked: opened == Opened::Picked,
                 };
                 return vec![Envelope::new(self.id, participant, msg)];
             }
-            (participants, ct, client, start)
+            (participants, ct, client, opened)
         };
         self.stats.txs_coordinated += 1;
         if let Some(log) = self.events.as_mut() {
@@ -468,7 +514,7 @@ impl Server {
             client,
             Msg::CommitResp {
                 tx,
-                snapshot: start,
+                snapshot: opened.slot(self.ust),
                 ct,
             },
         ));

@@ -51,7 +51,7 @@ pub const STALE_CONTEXT_MICROS: u64 = 300_000_000;
 /// `TX[id_T]`, Alg. 2 line 4).
 #[derive(Debug)]
 pub(crate) struct TxContext {
-    /// Snapshot assigned at start.
+    /// Snapshot assigned at start, or picked by the client.
     pub snapshot: Timestamp,
     /// The client that owns the transaction.
     pub client: ClientId,
@@ -61,6 +61,29 @@ pub(crate) struct TxContext {
     /// Simulated/real time at which the transaction started (staleness
     /// accounting).
     pub started_at: u64,
+}
+
+/// How the request that opened an operation named its transaction, which
+/// decides what its reply names in a start form's snapshot slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Opened {
+    /// By id: the slot stays empty.
+    Known,
+    /// A start form: the snapshot just assigned.
+    Start(Timestamp),
+    /// A picked form: the answering server's UST when it answers.
+    Picked,
+}
+
+impl Opened {
+    /// The reply's snapshot slot, from a server whose UST is `ust`.
+    pub(crate) fn slot(self, ust: Timestamp) -> Option<Timestamp> {
+        match self {
+            Opened::Known => None,
+            Opened::Start(snapshot) => Some(snapshot),
+            Opened::Picked => Some(ust),
+        }
+    }
 }
 
 /// An in-flight fan-out operation at the coordinator.
@@ -74,9 +97,8 @@ pub(crate) enum PendingOp {
         awaiting: HashSet<PartitionId>,
         /// Accumulated results.
         results: Vec<ReadResult>,
-        /// The snapshot the reply must name: `Some` when the request was
-        /// a start form.
-        start: Option<Timestamp>,
+        /// How the request named the transaction.
+        opened: Opened,
     },
     /// A 2PC awaiting prepare responses (Alg. 2 lines 21–25).
     Commit {
@@ -86,9 +108,8 @@ pub(crate) enum PendingOp {
         participants: Vec<ServerId>,
         /// Max proposed timestamp so far (Alg. 2 line 26).
         max_proposed: Timestamp,
-        /// The snapshot the reply must name: `Some` when the request was
-        /// a start form.
-        start: Option<Timestamp>,
+        /// How the request named the transaction.
+        opened: Opened,
         /// A last-agent commit: the participant that decides once the own
         /// share is prepared, and its writes.
         decider: Option<(ServerId, Vec<WriteSetEntry>)>,
@@ -182,9 +203,15 @@ pub struct Server {
     /// Universal stable time `ust_n^m`: monotone (Alg. 3 lines 2 & 11,
     /// Alg. 4 line 38).
     pub(crate) ust: Timestamp,
-    /// GC horizon `S_old`: monotone, and the floor of every snapshot this
-    /// server may still serve.
+    /// GC horizon `S_old`: monotone, and what the next GC tick trims the
+    /// version chains to.
     pub(crate) s_old: Timestamp,
+    /// The horizon the chains were last trimmed to — `S_old` as of the
+    /// last GC tick, or as recovered — and so the floor of every snapshot
+    /// this server may still serve. It trails `S_old` by at most one GC
+    /// period, which is what lets a client-picked snapshot the aggregate
+    /// has already passed still be read.
+    pub(crate) trimmed: Timestamp,
     /// Version vector `VV_n^m`: one entry per replica DC of this partition
     /// (keyed by DC for clarity; own DC included).
     pub(crate) vv: BTreeMap<DcId, Timestamp>,
@@ -319,6 +346,7 @@ impl Server {
             store,
             ust,
             s_old,
+            trimmed: s_old,
             vv,
             tx_table: TxTable::default(),
             prepared: HashMap::new(),
@@ -477,7 +505,17 @@ impl Server {
                 src_dc,
                 client,
                 coordinator_share,
-            } => self.on_commit_one(*tx, *ht, writes, *src_dc, *client, *coordinator_share, now),
+                picked,
+            } => self.on_commit_one(
+                *tx,
+                *ht,
+                writes,
+                *src_dc,
+                *client,
+                *coordinator_share,
+                *picked,
+                now,
+            ),
 
             // Replication.
             Msg::Replicate {
@@ -500,11 +538,11 @@ impl Server {
                 frames,
             } => self.on_gossip_digest(reports, roots, *ust, *frames, now),
 
+            // A cohort refused a slice of this coordinator's fan-out.
+            Msg::OpFailed { tx, .. } => self.on_slice_refused(*tx),
+
             // Client-bound messages never arrive at a server.
-            Msg::StartTxResp { .. }
-            | Msg::ReadResp { .. }
-            | Msg::CommitResp { .. }
-            | Msg::OpFailed { .. } => {
+            Msg::StartTxResp { .. } | Msg::ReadResp { .. } | Msg::CommitResp { .. } => {
                 debug_assert!(false, "client-bound message delivered to server");
                 Vec::new()
             }
@@ -557,7 +595,8 @@ impl Server {
     pub fn on_gc_tick(&mut self, now: u64) -> usize {
         self.tx_table.expire(now, STALE_CONTEXT_MICROS);
         self.store.maybe_checkpoint(self.ust, now);
-        let removed = self.store.gc(self.s_old);
+        self.trimmed = self.s_old;
+        let removed = self.store.gc(self.trimmed);
         self.stats.gc_removed += removed as u64;
         removed
     }

@@ -6,7 +6,7 @@
 //! where a test advances it, which is what lets one seeded stream run
 //! twice, with eager and with deferred begins, and compare every read.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use paris_clock::SimClock;
@@ -33,6 +33,8 @@ struct PumpedCluster {
     queue: VecDeque<Envelope>,
     events: Vec<(ClientId, ClientEvent)>,
     now: u64,
+    /// Reads re-sent in the start form after a replica refused the pick.
+    retries: u64,
 }
 
 impl PumpedCluster {
@@ -70,6 +72,7 @@ impl PumpedCluster {
             queue: VecDeque::new(),
             events: Vec::new(),
             now: 0,
+            retries: 0,
         }
     }
 
@@ -182,7 +185,9 @@ impl PumpedCluster {
         }
     }
 
-    /// Sends a read's envelopes and returns the reads they complete.
+    /// Sends a read's envelopes and returns the reads they complete — after
+    /// re-sending the read in the start form, if a replica refused the
+    /// snapshot the client picked.
     fn read_round_trip(&mut self, c: ClientId, sent: Vec<Envelope>) -> Vec<ClientRead> {
         self.queue.extend(sent);
         self.pump();
@@ -190,6 +195,11 @@ impl PumpedCluster {
             Some((cid, ClientEvent::ReadDone { reads, .. })) => {
                 assert_eq!(cid, c);
                 reads
+            }
+            Some((cid, ClientEvent::Retry(env))) => {
+                assert_eq!(cid, c);
+                self.retries += 1;
+                self.read_round_trip(c, vec![env])
             }
             other => panic!("expected ReadDone, got {other:?}"),
         }
@@ -755,11 +765,16 @@ struct Observed {
 
 /// Everything one run of the stream produced.
 struct Outcome {
-    /// Every read batch, in issue order, sorted by key.
-    reads: Vec<Vec<ClientRead>>,
+    /// Every read batch, in issue order, sorted by key, with the snapshot
+    /// it was read at.
+    reads: Vec<(Timestamp, Vec<ClientRead>)>,
     violations: Vec<String>,
     txs_coordinated: u64,
     coordinator_reads: u64,
+    /// Clients whose first transaction was one of the stream's (the
+    /// preload taught its writer a UST before).
+    fresh: u64,
+    retries: u64,
 }
 
 /// The checker's verdict on a stream's history.
@@ -812,7 +827,8 @@ fn check(history: &[Observed]) -> Vec<String> {
 
 /// Runs `steps` seeded transactions — readers and writers in DC 0,
 /// concurrent writers in DC 1 — on 3 DCs × 6 partitions, R = 2, with
-/// every begin eager or every begin deferred to the first read. The clock
+/// every begin eager or every begin deferred: to the first read, or —
+/// once the client has learned a UST — picked at the client. The clock
 /// steps 10 µs before every begin and commit and never before a read.
 fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
     let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
@@ -859,8 +875,12 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
     }
 
     let mut reads = Vec::new();
+    let mut fresh = HashSet::new();
     for step in 0..steps {
         let client = clients[rng.gen_range(0..clients.len())];
+        if client != clients[2] {
+            fresh.insert(client);
+        }
         begin(&mut c, client, deferred);
         // Skewed towards the low keys, with a couple of quiet keys in most
         // batches; duplicates are welcome.
@@ -886,7 +906,7 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
             c.clients.get_mut(&client).unwrap().write(&writes).unwrap();
         }
         let ct = commit(&mut c, client);
-        reads.push(got.clone());
+        reads.push((snapshot, got.clone()));
         history.push(Observed {
             client,
             snapshot,
@@ -908,6 +928,8 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
         violations,
         txs_coordinated: c.total(|s| s.txs_coordinated),
         coordinator_reads: c.total(|s| s.coordinator_reads),
+        fresh: fresh.len() as u64,
+        retries: c.retries,
     }
 }
 
@@ -921,15 +943,26 @@ proptest! {
         prop_assert_eq!(&eager.violations, &Vec::<String>::new());
         prop_assert_eq!(&deferred.violations, &Vec::<String>::new());
         prop_assert_eq!(eager.reads.len(), deferred.reads.len());
+        // A picked snapshot is the client's `ust_c`, which may trail the
+        // UST an eager begin is assigned; at the same snapshot, the same
+        // batch.
+        let mut equal = 0;
         for (step, (a, b)) in eager.reads.iter().zip(&deferred.reads).enumerate() {
-            prop_assert_eq!(a, b, "read batch {} differs", step);
+            if a.0 == b.0 {
+                equal += 1;
+                prop_assert_eq!(&a.1, &b.1, "read batch {} differs", step);
+            }
         }
+        prop_assert!(equal > 0, "no two batches shared a snapshot");
         // The same transactions committed. An eager begin knows its
-        // snapshot, so its reads went straight to the replicas; a deferred
-        // begin's one read carried the start, so its coordinator handled
-        // exactly one `ReadReq` per transaction instead of a `StartTxReq`.
+        // snapshot, so its reads went straight to the replicas. A deferred
+        // begin picks its client's `ust_c` once the client has one, and
+        // reads straight from the replicas too: only the first transaction
+        // of a client that has learned no UST yet carries its start in the
+        // read, and only a read a replica refused goes to the coordinator
+        // again.
         prop_assert_eq!(eager.txs_coordinated, deferred.txs_coordinated);
-        prop_assert_eq!(eager.coordinator_reads, 0);
-        prop_assert_eq!(deferred.coordinator_reads, 160);
+        prop_assert_eq!((eager.coordinator_reads, eager.retries), (0, 0));
+        prop_assert_eq!(deferred.coordinator_reads, deferred.fresh + deferred.retries);
     }
 }

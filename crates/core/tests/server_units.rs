@@ -710,6 +710,92 @@ fn commit_known(s: &mut Server, hwt: u64, writes: Vec<WriteSetEntry>) -> (TxId, 
     (tx, out)
 }
 
+/// A picked commit opens its context at the client's snapshot and keeps
+/// the one-phase and last-agent shortcuts: whichever server answers names
+/// its own UST where a start form's reply names the snapshot.
+#[test]
+fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut coordinator = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let mut participant = server_at(&topo, &clock, 0, 2, Mode::Paris);
+    let root = ServerId::new(DcId(0), PartitionId(0));
+    let (low, high) = (ts(3_000), ts(4_000));
+    for (server, ust) in [(&mut coordinator, low), (&mut participant, high)] {
+        server.handle(
+            &Envelope::new(root, server.id(), ust_broadcast(ust, ust)),
+            0,
+        );
+    }
+    let picked = |writes| {
+        let commit = Msg::CommitReq {
+            tx: TxRef::Picked {
+                snapshot: ts(2_000),
+            },
+            hwt: Timestamp::ZERO,
+            writes,
+        };
+        Envelope::new(client(), ServerId::new(DcId(0), PartitionId(0)), commit)
+    };
+    let reply = |out: &[Envelope]| match out {
+        [Envelope {
+            dst: Endpoint::Client(_),
+            msg: Msg::CommitResp { tx, snapshot, ct },
+            ..
+        }] => (*tx, *snapshot, *ct),
+        other => panic!("expected one CommitResp, got {other:?}"),
+    };
+
+    // Read-only: the coordinator answers at once, with its UST.
+    let (_, slot, ct) = reply(&coordinator.handle(&picked(vec![]), 0));
+    assert_eq!((slot, ct), (Some(low), Timestamp::ZERO));
+
+    // One remote partition: a picked `CommitOne`, answered by the
+    // participant with its UST.
+    let write = WriteSetEntry::new(Key(2), Value::from("w"));
+    let out = coordinator.handle(&picked(vec![write.clone()]), 0);
+    let [forward] = &out[..] else {
+        panic!("expected one forward, got {out:?}");
+    };
+    let Msg::CommitOne {
+        tx,
+        ht,
+        coordinator_share: false,
+        picked: true,
+        ..
+    } = forward.msg
+    else {
+        panic!("expected a picked CommitOne, got {forward:?}");
+    };
+    assert_eq!(ht, ts(2_000), "ht is the picked snapshot");
+    assert_eq!(coordinator.open_transactions(), 0);
+    let (answered, slot, ct) = reply(&participant.handle(forward, 0));
+    assert_eq!((answered, slot), (tx, Some(high)));
+    assert!(ct > high);
+
+    // The own partition and one other: last agent, the decider answers.
+    let both = vec![WriteSetEntry::new(Key(0), Value::from("a")), write];
+    let out = coordinator.handle(&picked(both), 0);
+    let [forward] = &out[..] else {
+        panic!("expected one forward, got {out:?}");
+    };
+    assert!(matches!(
+        forward.msg,
+        Msg::CommitOne {
+            coordinator_share: true,
+            picked: true,
+            ..
+        }
+    ));
+    let out = participant.handle(forward, 0);
+    let to_client: Vec<Envelope> = out
+        .into_iter()
+        .filter(|e| matches!(e.dst, Endpoint::Client(_)))
+        .collect();
+    assert_eq!(reply(&to_client).1, Some(high));
+}
+
 #[test]
 fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
     let topo = topo();
@@ -744,6 +830,7 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
             src_dc: DcId(0),
             client: client(),
             coordinator_share: false,
+            picked: false,
         }
     );
     assert_eq!(coordinator.open_transactions(), 0);
@@ -1540,6 +1627,80 @@ fn a_direct_read_below_the_gc_horizon_is_refused_never_served_from_a_trimmed_cha
         }
         other => panic!("expected ReadSliceResp, got {}", other.kind()),
     }
+}
+
+/// A client-picked snapshot has no context to pin `S_old`, so the
+/// aggregate may pass it while its client reads. Until GC trims past it
+/// the chains still hold what it sees, and it is served; once GC has, it
+/// is refused and counted — never answered from a trimmed chain. A picked
+/// read that reaches the coordinator instead fails the same way.
+#[test]
+fn a_picked_slice_below_s_old_is_refused_once_gc_trimmed_never_served_from_a_trimmed_chain() {
+    let (mut s, _clock) = slice_server(Mode::Paris);
+    install(&mut s, Key(0), 10, 1);
+    install(&mut s, Key(0), 20, 2);
+    let picked = ts(15);
+    let root = ServerId::new(DcId(0), PartitionId(0));
+    s.handle(
+        &Envelope::new(root, s.id(), ust_broadcast(ts(30), ts(25))),
+        0,
+    );
+    assert_eq!(s.s_old(), ts(25));
+    // The id a picked read is sent under: no server hosts partition 2.
+    let named = TxId::new(ServerId::new(DcId(0), PartitionId(2)), 1);
+    let read = Msg::ReadSliceReq {
+        tx: named,
+        snapshot: picked,
+        keys: vec![Key(0).into()],
+    };
+    let read = Envelope::new(client(), s.id(), read);
+    // Below the aggregate, above what GC trimmed to: version 10.
+    let out = s.handle(&read, 0);
+    match &out[0].msg {
+        Msg::ReadSliceResp { tx, results, .. } => {
+            assert_eq!(*tx, named);
+            assert_eq!(results[0].outcome.version().unwrap().ut, ts(10));
+        }
+        other => panic!("expected ReadSliceResp, got {}", other.kind()),
+    }
+    // GC trims to 25, and version 10 goes: now refused, to the client.
+    assert_eq!(s.on_gc_tick(0), 1, "version 10 trimmed");
+    let out = s.handle(&read, 0);
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].dst, Endpoint::Client(client()));
+    assert_eq!(
+        out[0].msg,
+        Msg::OpFailed {
+            tx: named,
+            snapshot: None
+        }
+    );
+    let stats = s.stats();
+    assert_eq!((stats.slice_reads, stats.refused_slices), (1, 1));
+
+    // Through the coordinator: the context opens at the pick, its own
+    // slice is refused in place, and the client is failed — with this
+    // server's UST where a picked form's reply names it.
+    let picked_read = Msg::ReadReq {
+        tx: TxRef::Picked { snapshot: picked },
+        keys: vec![Key(0).into()],
+    };
+    let out = s.handle(&Envelope::new(client(), s.id(), picked_read), 0);
+    let [Envelope {
+        dst: Endpoint::Client(c),
+        msg: Msg::OpFailed {
+            snapshot: Some(ust),
+            ..
+        },
+        ..
+    }] = &out[..]
+    else {
+        panic!("expected the client failed, got {out:?}");
+    };
+    assert_eq!((*c, *ust), (client(), ts(30)));
+    assert_eq!(s.open_transactions(), 0, "the context is dropped");
+    let stats = s.stats();
+    assert_eq!((stats.slice_reads, stats.refused_slices), (1, 2));
 }
 
 /// Every background envelope a server emits — from its ticks, and from

@@ -197,6 +197,7 @@ impl RandomizedCluster {
                                             .unwrap();
                                         follow_ups.push(session.commit().unwrap());
                                     }
+                                    paris_core::ClientEvent::Retry(env) => follow_ups.push(env),
                                     paris_core::ClientEvent::ReadDone { .. }
                                     | paris_core::ClientEvent::Committed { .. }
                                     | paris_core::ClientEvent::Aborted { .. } => {}

@@ -20,7 +20,8 @@ use paris_proto::{Msg, TxRef};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
     /// Fixed cost of starting a transaction (snapshot assignment), whether
-    /// by `StartTxReq` or in the start form of a first operation.
+    /// by `StartTxReq` or in the start form of a first operation. A picked
+    /// form pays none: its client chose the snapshot.
     pub start_tx: u64,
     /// Coordinator-side fixed cost of a read fan-out.
     pub read_coord: u64,
@@ -71,7 +72,7 @@ impl ServiceModel {
             Msg::StartTxResp { .. } | Msg::OpFailed { .. } => 0,
             Msg::ReadReq { tx, .. } | Msg::CommitReq { tx, .. } => {
                 let start = match tx {
-                    TxRef::Known(_) => 0,
+                    TxRef::Known(_) | TxRef::Picked { .. } => 0,
                     TxRef::Start { .. } => self.start_tx,
                 };
                 self.read_coord + start
@@ -147,6 +148,22 @@ mod tests {
             frames: 2,
         };
         assert_eq!(m.cost(&batch), m.replicate_base);
+    }
+
+    #[test]
+    fn only_a_start_form_pays_for_snapshot_assignment() {
+        let m = ServiceModel::default();
+        let ts = Timestamp::from_physical_micros(100);
+        let commit = |tx| Msg::CommitReq {
+            tx,
+            hwt: Timestamp::ZERO,
+            writes: vec![],
+        };
+        let known = m.cost(&commit(TxRef::Known(tx())));
+        let picked = m.cost(&commit(TxRef::Picked { snapshot: ts }));
+        let start = m.cost(&commit(TxRef::Start { client_ust: ts }));
+        assert_eq!((known, picked), (m.read_coord, m.read_coord));
+        assert_eq!(start, m.read_coord + m.start_tx);
     }
 
     #[test]

@@ -104,6 +104,12 @@ server_stats! {
     /// the decision reached a server that lost (or never had) the
     /// prepare, so its writes are missing.
     orphan_commits,
+    /// Slice reads refused because their snapshot was below the horizon
+    /// GC last trimmed this server's chains to (`S_old` as of its last GC
+    /// tick) — in PaRiS, a client-picked snapshot GC passed before the
+    /// read arrived; the client re-sends a refused first read in the start
+    /// form.
+    refused_slices,
 }
 
 /// One server as its observers see it: its stable frontier, its counter
@@ -341,6 +347,7 @@ mod tests {
                     gc_removed: 16,
                     orphan_commits: 17,
                     coordinator_reads: 19,
+                    refused_slices: 23,
                 },
                 net_messages: 18,
                 net_bytes: 3_456,

@@ -115,6 +115,25 @@ pub enum TxRef {
         /// The client's `ust_c`.
         client_ust: Timestamp,
     },
+    /// The client picked the transaction's snapshot itself — its `ust_c`,
+    /// a UST every DC has installed — and read straight from the replicas
+    /// at it; this request is the first the coordinator hears of the
+    /// transaction. The coordinator opens the context at `snapshot`,
+    /// assigns the id, and the reply names the id and, where a start
+    /// form's reply names the snapshot, the answering server's UST, which
+    /// keeps the client's `ust_c` fresh.
+    Picked {
+        /// The snapshot the client picked.
+        snapshot: Timestamp,
+    },
+}
+
+impl TxRef {
+    /// Whether the reply names a timestamp: the assigned snapshot of a
+    /// start form, or the answering server's UST for a picked form.
+    pub fn opens(&self) -> bool {
+        !matches!(self, TxRef::Known(_))
+    }
 }
 
 /// What a snapshot read found for one key.
@@ -203,7 +222,8 @@ pub enum Msg {
     },
     /// Client → coordinator: read a set of keys within a transaction
     /// (Alg. 1 line 15) — or, in its start form, start the transaction
-    /// and read.
+    /// and read; or, in its picked form, open the context at the
+    /// client's snapshot and read.
     ReadReq {
         /// The transaction, or the start it carries.
         tx: TxRef,
@@ -216,14 +236,16 @@ pub enum Msg {
     ReadResp {
         /// Transaction id.
         tx: TxId,
-        /// The assigned snapshot, when the request was a start form.
+        /// The assigned snapshot, when the request was a start form; the
+        /// coordinator's UST, when it was a picked form.
         snapshot: Option<Timestamp>,
         /// Per-key results.
         results: Vec<ReadResult>,
     },
     /// Client → coordinator: commit the transaction's buffered writes
     /// (Alg. 1 line 27) — or, in its start form, start the transaction
-    /// and commit.
+    /// and commit; or, in its picked form, open the context at the
+    /// snapshot the client read from and commit.
     CommitReq {
         /// The transaction, or the start it carries.
         tx: TxRef,
@@ -238,7 +260,8 @@ pub enum Msg {
     CommitResp {
         /// Transaction id.
         tx: TxId,
-        /// The assigned snapshot, when the request was a start form.
+        /// The assigned snapshot, when the request was a start form; the
+        /// answering server's UST, when it was a picked form.
         snapshot: Option<Timestamp>,
         /// Commit timestamp.
         ct: Timestamp,
@@ -250,24 +273,28 @@ pub enum Msg {
     /// target that partition, thus leading to unavailability"), or when
     /// the coordinator holds no context for the transaction (it restarted,
     /// or reclaimed the context as abandoned). Also cohort → sender of a
-    /// `ReadSliceReq` whose snapshot is below the cohort's GC horizon: no
-    /// open context pins that snapshot any more, so GC may have trimmed
-    /// what it would see.
+    /// `ReadSliceReq` whose snapshot is below the cohort's GC horizon:
+    /// no open context pins that snapshot — a client-picked one never had
+    /// one — so GC may have trimmed what it would see.
     OpFailed {
         /// Transaction id.
         tx: TxId,
-        /// The assigned snapshot, when the request was a start form.
+        /// The assigned snapshot, when the request was a start form; the
+        /// coordinator's UST, when it was a picked form.
         snapshot: Option<Timestamp>,
     },
 
     // ---------------------------------------------------- to and from cohorts
     /// Client or coordinator → cohort: read `keys` at `snapshot` (Alg. 2
-    /// line 12). A client that knows its transaction's snapshot sends its
-    /// slices itself; a start form's slices come from the coordinator. The
-    /// cohort may be in any DC that replicates the partition, and answers
-    /// the envelope's source.
+    /// line 12). A client that knows its transaction's snapshot — one it
+    /// picked, or one a coordinator assigned — sends its slices itself; a
+    /// start form's slices come from the coordinator. The cohort may be in
+    /// any DC that replicates the partition, and answers the envelope's
+    /// source.
     ReadSliceReq {
-        /// Transaction id (correlation only).
+        /// Transaction id, for correlation only: a picked transaction,
+        /// which has no id until it commits, names its read by one its
+        /// client chose.
         tx: TxId,
         /// Snapshot to read at.
         snapshot: Timestamp,
@@ -337,6 +364,9 @@ pub enum Msg {
         /// The coordinator holds the rest of the write set prepared, and
         /// gets a [`Msg::CommitTx`] with the decided `ct`.
         coordinator_share: bool,
+        /// The client picked the transaction's snapshot
+        /// ([`TxRef::Picked`]): the `CommitResp` names this server's UST.
+        picked: bool,
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version

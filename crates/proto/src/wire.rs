@@ -31,7 +31,10 @@
 //! envelope's source, which for a slice read may be the client. Version 7
 //! retired the heartbeat, tree-report, root-GST and UST-broadcast tags
 //! (13–16): that traffic travels as an empty `Replicate` and one-entry
-//! `GossipDigest`s. Every other frame is the v2 one, byte for byte.
+//! `GossipDigest`s. Version 8 added the picked forms of `ReadReq` /
+//! `CommitReq` (a snapshot the client picked where the id would be) and of
+//! `CommitOne` under tags of their own (30–34). Every other frame is the v2
+//! one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -60,7 +63,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -392,31 +395,63 @@ fn any_held(keys: &[ReadKey]) -> bool {
 }
 
 /// A request's transaction: its id, or — in a start form — the client's
-/// `ust_c`.
+/// `ust_c`, or — in a picked form — the snapshot the client picked. The
+/// tag says which.
 fn put_tx_ref<S: Sink>(s: &mut S, tx: TxRef) {
     match tx {
         TxRef::Known(tx) => put_tx(s, tx),
         TxRef::Start { client_ust } => s.timestamp(client_ust),
+        TxRef::Picked { snapshot } => s.timestamp(snapshot),
     }
 }
 
-fn get_tx_ref(r: &mut &[u8], start: bool) -> Result<TxRef, DecodeError> {
-    Ok(if start {
-        TxRef::Start {
-            client_ust: get_ts(r)?,
+/// The three forms of a client request, each under tags of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    Known,
+    Start,
+    Picked,
+}
+
+impl Form {
+    fn of(tx: TxRef) -> Form {
+        match tx {
+            TxRef::Known(_) => Form::Known,
+            TxRef::Start { .. } => Form::Start,
+            TxRef::Picked { .. } => Form::Picked,
         }
-    } else {
-        TxRef::Known(get_tx(r)?)
+    }
+
+    /// This form's tag out of a message's three.
+    fn tag(self, [known, start, picked]: [u8; 3]) -> u8 {
+        match self {
+            Form::Known => known,
+            Form::Start => start,
+            Form::Picked => picked,
+        }
+    }
+}
+
+fn get_tx_ref(r: &mut &[u8], form: Form) -> Result<TxRef, DecodeError> {
+    Ok(match form {
+        Form::Known => TxRef::Known(get_tx(r)?),
+        Form::Start => TxRef::Start {
+            client_ust: get_ts(r)?,
+        },
+        Form::Picked => TxRef::Picked {
+            snapshot: get_ts(r)?,
+        },
     })
 }
 
 /// What a request's stamps are delta-coded against. No snapshot travels
-/// in a client request, so a plain form's first stamp ships absolute,
-/// while a start form's stamps sit around the `ust_c` it carries.
+/// in a plain client request, so its first stamp ships absolute, while a
+/// start or picked form's stamps sit around the timestamp it carries.
 fn stamp_base(tx: TxRef) -> Timestamp {
     match tx {
         TxRef::Known(_) => Timestamp::ZERO,
         TxRef::Start { client_ust } => client_ust,
+        TxRef::Picked { snapshot } => snapshot,
     }
 }
 
@@ -598,9 +633,48 @@ const T_OP_FAILED_START: u8 = 27;
 // fields, so the plain frame stays byte-identical.
 const T_COMMIT_ONE: u8 = 28;
 const T_COMMIT_ONE_SHARE: u8 = 29;
+// The picked forms (`TxRef::Picked`) of the client requests, and the
+// one-phase commits of a picked transaction, whose participant names its
+// UST in the reply: the same fields under tags of their own.
+const T_READ_REQ_PICKED: u8 = 30;
+const T_READ_REQ_PICKED_STAMPED: u8 = 31;
+const T_COMMIT_REQ_PICKED: u8 = 32;
+const T_COMMIT_ONE_PICKED: u8 = 33;
+const T_COMMIT_ONE_SHARE_PICKED: u8 = 34;
 
-/// A message's tag: `plain`, or `other` for its other form (a start form,
-/// or the last-agent commit).
+const READ_REQ: [u8; 3] = [T_READ_REQ, T_READ_REQ_START, T_READ_REQ_PICKED];
+const READ_REQ_STAMPED: [u8; 3] = [
+    T_READ_REQ_STAMPED,
+    T_READ_REQ_START_STAMPED,
+    T_READ_REQ_PICKED_STAMPED,
+];
+const COMMIT_REQ: [u8; 3] = [T_COMMIT_REQ, T_COMMIT_REQ_START, T_COMMIT_REQ_PICKED];
+
+/// The form a client request's tag names.
+fn form_of_tag(tag: u8) -> Form {
+    if [
+        T_READ_REQ_START,
+        T_READ_REQ_START_STAMPED,
+        T_COMMIT_REQ_START,
+    ]
+    .contains(&tag)
+    {
+        Form::Start
+    } else if [
+        T_READ_REQ_PICKED,
+        T_READ_REQ_PICKED_STAMPED,
+        T_COMMIT_REQ_PICKED,
+    ]
+    .contains(&tag)
+    {
+        Form::Picked
+    } else {
+        Form::Known
+    }
+}
+
+/// A message's tag: `plain`, or `other` for its other form (a start-form
+/// reply).
 fn form(is_other: bool, plain: u8, other: u8) -> u8 {
     if is_other {
         other
@@ -622,12 +696,11 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             s.timestamp(*snapshot);
         }
         Msg::ReadReq { tx, keys } => {
-            let start = matches!(tx, TxRef::Start { .. });
-            s.tag(if any_held(keys) {
-                form(start, T_READ_REQ_STAMPED, T_READ_REQ_START_STAMPED)
+            s.tag(Form::of(*tx).tag(if any_held(keys) {
+                READ_REQ_STAMPED
             } else {
-                form(start, T_READ_REQ, T_READ_REQ_START)
-            });
+                READ_REQ
+            }));
             put_tx_ref(s, *tx);
             put_keys(s, keys, stamp_base(*tx));
         }
@@ -642,8 +715,7 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             put_vec(s, results, put_read_result);
         }
         Msg::CommitReq { tx, hwt, writes } => {
-            let start = matches!(tx, TxRef::Start { .. });
-            s.tag(form(start, T_COMMIT_REQ, T_COMMIT_REQ_START));
+            s.tag(Form::of(*tx).tag(COMMIT_REQ));
             put_tx_ref(s, *tx);
             s.timestamp(*hwt);
             put_vec(s, writes, put_write);
@@ -710,8 +782,14 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             src_dc,
             client,
             coordinator_share,
+            picked,
         } => {
-            s.tag(form(*coordinator_share, T_COMMIT_ONE, T_COMMIT_ONE_SHARE));
+            s.tag(match (*coordinator_share, *picked) {
+                (false, false) => T_COMMIT_ONE,
+                (true, false) => T_COMMIT_ONE_SHARE,
+                (false, true) => T_COMMIT_ONE_PICKED,
+                (true, true) => T_COMMIT_ONE_SHARE_PICKED,
+            });
             put_tx(s, *tx);
             s.timestamp(*ht);
             put_dc(s, client.dc);
@@ -780,12 +858,14 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(r)?,
             snapshot: get_ts(r)?,
         },
-        T_READ_REQ | T_READ_REQ_STAMPED | T_READ_REQ_START | T_READ_REQ_START_STAMPED => {
-            let tx = get_tx_ref(
-                r,
-                matches!(tag, T_READ_REQ_START | T_READ_REQ_START_STAMPED),
-            )?;
-            let stamped = matches!(tag, T_READ_REQ_STAMPED | T_READ_REQ_START_STAMPED);
+        T_READ_REQ
+        | T_READ_REQ_STAMPED
+        | T_READ_REQ_START
+        | T_READ_REQ_START_STAMPED
+        | T_READ_REQ_PICKED
+        | T_READ_REQ_PICKED_STAMPED => {
+            let stamped = READ_REQ_STAMPED.contains(&tag);
+            let tx = get_tx_ref(r, form_of_tag(tag))?;
             Msg::ReadReq {
                 tx,
                 keys: get_keys(r, stamped, stamp_base(tx))?,
@@ -796,8 +876,8 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             snapshot: get_start_snapshot(r, tag == T_READ_RESP_START)?,
             results: get_vec(r, get_read_result)?,
         },
-        T_COMMIT_REQ | T_COMMIT_REQ_START => Msg::CommitReq {
-            tx: get_tx_ref(r, tag == T_COMMIT_REQ_START)?,
+        T_COMMIT_REQ | T_COMMIT_REQ_START | T_COMMIT_REQ_PICKED => Msg::CommitReq {
+            tx: get_tx_ref(r, form_of_tag(tag))?,
             hwt: get_ts(r)?,
             writes: get_vec(r, get_write)?,
         },
@@ -836,14 +916,17 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             tx: get_tx(r)?,
             ct: get_ts(r)?,
         },
-        T_COMMIT_ONE | T_COMMIT_ONE_SHARE => Msg::CommitOne {
-            tx: get_tx(r)?,
-            ht: get_ts(r)?,
-            client: ClientId::new(get_dc(r)?, varint::get_u32(r)?),
-            src_dc: get_dc(r)?,
-            coordinator_share: tag == T_COMMIT_ONE_SHARE,
-            writes: get_vec(r, get_write)?,
-        },
+        T_COMMIT_ONE | T_COMMIT_ONE_SHARE | T_COMMIT_ONE_PICKED | T_COMMIT_ONE_SHARE_PICKED => {
+            Msg::CommitOne {
+                tx: get_tx(r)?,
+                ht: get_ts(r)?,
+                client: ClientId::new(get_dc(r)?, varint::get_u32(r)?),
+                src_dc: get_dc(r)?,
+                coordinator_share: matches!(tag, T_COMMIT_ONE_SHARE | T_COMMIT_ONE_SHARE_PICKED),
+                picked: matches!(tag, T_COMMIT_ONE_PICKED | T_COMMIT_ONE_SHARE_PICKED),
+                writes: get_vec(r, get_write)?,
+            }
+        }
         T_REPLICATE => Msg::Replicate {
             partition: get_partition(r)?,
             watermark: get_ts(r)?,
@@ -1157,6 +1240,38 @@ mod tests {
     }
 
     #[test]
+    fn a_picked_form_is_its_start_form_under_a_tag_of_its_own() {
+        // Both carry one timestamp where the plain form has the id: the
+        // client's `ust_c`, or the snapshot it picked.
+        let ts = Timestamp::from_parts(3_600_000_000, 3);
+        let held = VersionStamp {
+            ut: Timestamp::from_parts(3_599_999_000, 1),
+            tx: tx(2, 300, 77),
+        };
+        let keys = vec![Key(1).into(), stamped(831, held)];
+        let writes = vec![WriteSetEntry::new(Key(5), Value::from("w"))];
+        let read = |tx| Msg::ReadReq {
+            tx,
+            keys: keys.clone(),
+        };
+        let commit = |tx| Msg::CommitReq {
+            tx,
+            hwt: ts,
+            writes: writes.clone(),
+        };
+        let start = TxRef::Start { client_ust: ts };
+        let picked = TxRef::Picked { snapshot: ts };
+        for (as_start, as_picked) in [(read(start), read(picked)), (commit(start), commit(picked))]
+        {
+            let (a, b) = (encode(&as_start), encode(&as_picked));
+            assert_ne!(a[0], b[0]);
+            assert_eq!(a[1..], b[1..]);
+            assert_eq!(metadata(&as_start), metadata(&as_picked));
+            assert_eq!(decode(&b), Ok(as_picked));
+        }
+    }
+
+    #[test]
     fn metadata_excludes_key_and_value_payload() {
         let mk = |size: usize| Msg::CommitReq {
             tx: TxRef::Known(tx(0, 0, 1)),
@@ -1206,6 +1321,7 @@ mod tests {
         prop_oneof![
             arb_tx().prop_map(TxRef::Known),
             arb_ts().prop_map(|client_ust| TxRef::Start { client_ust }),
+            arb_ts().prop_map(|snapshot| TxRef::Picked { snapshot }),
         ]
     }
 
@@ -1347,17 +1463,19 @@ mod tests {
                 arb_dc(),
                 (arb_dc(), any::<u32>()).prop_map(|(dc, seq)| ClientId::new(dc, seq)),
                 any::<bool>(),
+                any::<bool>(),
             )
-                .prop_map(|(tx, ht, writes, src_dc, client, coordinator_share)| {
-                    Msg::CommitOne {
+                .prop_map(
+                    |(tx, ht, writes, src_dc, client, coordinator_share, picked)| Msg::CommitOne {
                         tx,
                         ht,
                         writes,
                         src_dc,
                         client,
                         coordinator_share,
-                    }
-                }),
+                        picked,
+                    },
+                ),
             (arb_partition(), arb_txs(), arb_ts()).prop_map(|(partition, txs, watermark)| {
                 Msg::Replicate {
                     partition,
@@ -1420,6 +1538,7 @@ mod tests {
         };
         let older = VersionStamp { ut: old, tx: t };
         let start = TxRef::Start { client_ust: now };
+        let picked = TxRef::Picked { snapshot: now };
         let version = Version::new(Key(831), Value::from("hello"), held.ut, held.tx, DcId(2));
         let writes = vec![
             WriteSetEntry::new(Key(831), Value::from("v1")),
@@ -1631,12 +1750,56 @@ mod tests {
             ),
             // The one-phase commit (the v4 frame), and its last-agent form:
             // the same bytes under tag 29.
-            (commit_one(false), "1c0102b96080c8ceb40d0301f0a2040101050177"),
-            (commit_one(true), "1d0102b96080c8ceb40d0301f0a2040101050177"),
+            (
+                commit_one(false, false),
+                "1c0102b96080c8ceb40d0301f0a2040101050177",
+            ),
+            (
+                commit_one(true, false),
+                "1d0102b96080c8ceb40d0301f0a2040101050177",
+            ),
+            // The picked forms (v8): the start forms' bytes, the picked
+            // snapshot where `ust_c` was, and the one-phase commits' bytes,
+            // each under a tag of its own.
+            (
+                Msg::ReadReq {
+                    tx: picked,
+                    keys: vec![Key(1).into(), Key(831).into()],
+                },
+                "1e80c8ceb40d030201bf06",
+            ),
+            (
+                Msg::ReadReq {
+                    tx: picked,
+                    keys: vec![
+                        Key(1).into(),
+                        stamped(831, held),
+                        Key(7).into(),
+                        stamped(9, older),
+                    ],
+                },
+                "1f80c8ceb40d030401bf0607090201cf0f0102ac024d01aff979000102b960",
+            ),
+            (
+                Msg::CommitReq {
+                    tx: picked,
+                    hwt: old,
+                    writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
+                },
+                "2080c8ceb40d03c0c391b40d0001050177",
+            ),
+            (
+                commit_one(false, true),
+                "210102b96080c8ceb40d0301f0a2040101050177",
+            ),
+            (
+                commit_one(true, true),
+                "220102b96080c8ceb40d0301f0a2040101050177",
+            ),
         ]
     }
 
-    fn commit_one(coordinator_share: bool) -> Msg {
+    fn commit_one(coordinator_share: bool, picked: bool) -> Msg {
         Msg::CommitOne {
             tx: tx(1, 2, 12_345),
             ht: Timestamp::from_parts(3_600_000_000, 3),
@@ -1644,6 +1807,7 @@ mod tests {
             src_dc: DcId(1),
             client: ClientId::new(DcId(1), 70_000),
             coordinator_share,
+            picked,
         }
     }
 
@@ -1657,7 +1821,7 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_COMMIT_ONE_SHARE)
+            (T_START_REQ..=T_COMMIT_ONE_SHARE_PICKED)
                 .filter(|tag| !RETIRED_TAGS.contains(tag))
                 .collect::<Vec<_>>(),
             "one golden per tag"

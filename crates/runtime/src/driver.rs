@@ -183,8 +183,8 @@ pub(crate) fn run_client(
     let mut finished = Vec::new();
     'txs: while !stop.load(Ordering::Relaxed) {
         let mut step = Step::Send(client.start(&mut session, clock.now_micros()));
-        while let Step::Send(env) = step {
-            send(env);
+        while let Step::Send(envs) = step {
+            envs.into_iter().for_each(&send);
             let event = loop {
                 match inbox.recv_timeout(Duration::from_millis(100)) {
                     Ok(reply) => {

@@ -196,14 +196,19 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// Propagates session errors and transport failures; an abort is
     /// [`Error::PartitionUnreachable`].
     fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
-        let sent = match self.session(client)?.read(keys)? {
+        let mut sent = match self.session(client)?.read(keys)? {
             ReadStep::Done(reads) => return Ok(reads),
             ReadStep::Send(env) => vec![env],
             ReadStep::Slices(slices) => slices,
         };
-        match self.round_trip(client, sent)? {
-            ClientEvent::ReadDone { reads, .. } => Ok(reads),
-            other => failed(other),
+        loop {
+            match self.round_trip(client, sent)? {
+                ClientEvent::ReadDone { reads, .. } => return Ok(reads),
+                // A replica refused a picked snapshot: the same read again,
+                // in the start form.
+                ClientEvent::Retry(env) => sent = vec![env],
+                other => return failed(other),
+            }
         }
     }
 

@@ -53,9 +53,15 @@ pub struct ClusterStats {
     /// Slice reads served.
     pub slice_reads: u64,
     /// Reads a coordinator fanned out (`ReadReq`s handled). A read whose
-    /// client knew its snapshot sent its slices itself and counts none;
-    /// the start form of a deferred begin's first read counts one.
+    /// client knew its snapshot — picked or assigned — sent its slices
+    /// itself and counts none; the start form of a deferred begin's first
+    /// read counts one, and so does its retry after a refused pick.
     pub coordinator_reads: u64,
+    /// Slice reads refused below a server's GC horizon `S_old`: under
+    /// PaRiS, client-picked snapshots the horizon passed before the read
+    /// arrived. Each refused first read costs its transaction one retry in
+    /// the start form, so `refused_slices` bounds the retries from above.
+    pub refused_slices: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,
     /// Keys answered `Unchanged`: the client's stamp named the version
@@ -116,6 +122,7 @@ impl ClusterStats {
             out.txs_coordinated += stats.txs_coordinated;
             out.slice_reads += stats.slice_reads;
             out.coordinator_reads += stats.coordinator_reads;
+            out.refused_slices += stats.refused_slices;
             out.keys_read += stats.keys_read;
             out.reads_unchanged += stats.reads_unchanged;
             out.reads_shipped += stats.reads_shipped;
@@ -161,12 +168,14 @@ impl ClusterStats {
     /// One-line summary, e.g. for progress output.
     pub fn summary(&self) -> String {
         format!(
-            "{} servers: {} msgs, {} coordinated, {} prepares, {} applied remote, ust {}",
+            "{} servers: {} msgs, {} coordinated, {} prepares, {} applied remote, \
+             {} refused slices, ust {}",
             self.servers,
             self.msgs_handled,
             self.txs_coordinated,
             self.prepares,
             self.applied_remote,
+            self.refused_slices,
             self.min_ust,
         )
     }
@@ -344,6 +353,7 @@ mod tests {
             msgs_handled: 1_000,
             prepares: 42,
             applied_remote: 17,
+            refused_slices: 3,
             reads_unchanged: 6,
             reads_shipped: 2,
             ..Default::default()
@@ -354,6 +364,7 @@ mod tests {
         assert!(line.contains("18 servers"), "{line}");
         assert!(line.contains("42 prepares"), "{line}");
         assert!(line.contains("17 applied remote"), "{line}");
+        assert!(line.contains("3 refused slices"), "{line}");
     }
 
     #[test]

@@ -524,8 +524,8 @@ impl SimCluster {
             // network partition); it re-enters the loop on completion.
             return;
         }
-        let env = client.start(session, self.now);
-        self.send_all(self.now, vec![env]);
+        let envs = client.start(session, self.now);
+        self.send_all(self.now, envs);
     }
 
     /// Sends the client's next envelope, or tallies its finished
@@ -534,7 +534,7 @@ impl SimCluster {
     /// (§III-C).
     fn client_step(&mut self, cid: ClientId, step: Step) {
         let pause = match step {
-            Step::Send(env) => return self.send_all(self.now, vec![env]),
+            Step::Send(envs) => return self.send_all(self.now, envs),
             Step::Committed { .. } => 1,
             Step::Aborted => 10_000,
         };

@@ -4,10 +4,18 @@
 //! A [`WorkloadClient`] runs Alg. 1's transaction — start, reads, buffered
 //! writes, commit — over its [`ClientSession`] without doing any I/O: it
 //! draws the next [`paris_workload::TxSpec`] from its seeded generator and
-//! says which envelope to send next, or how the transaction ended. The
-//! begin is deferred: the first read (or a write-only transaction's
-//! commit) carries the start, so a transaction costs one round trip less
-//! than with an eager `StartTxReq`.
+//! says which envelopes to send next, or how the transaction ended.
+//!
+//! The begin is deferred and, once the session has learned a UST, picked
+//! at the client: the snapshot is `ust_c`, the read goes out as one
+//! `ReadSliceReq` per partition straight to the replicas, and the commit
+//! carries the snapshot to the coordinator, whose reply names a fresher
+//! UST for the next transaction. The coordinator is off the read path. A
+//! session's first transaction — its `ust_c` is still zero — sends its
+//! read (or a write-only transaction's commit) in the start form instead,
+//! and so does the one retry of a first read a replica refused below its
+//! GC horizon ([`ClientEvent::Retry`]). Either way a transaction costs one
+//! round trip less than with an eager `StartTxReq`.
 //!
 //! A backend keeps only its pacing: when the next transaction starts, how
 //! a reply reaches the session, and which completions fall inside the
@@ -43,9 +51,9 @@ struct OpenTx {
 
 /// What a client does after an event.
 pub(crate) enum Step {
-    /// Send this envelope; its reply completes the transaction's next
-    /// operation.
-    Send(Envelope),
+    /// Send these envelopes; their replies complete the transaction's
+    /// next operation.
+    Send(Vec<Envelope>),
     /// The transaction committed `latency` µs after it began.
     Committed { latency: u64, record: RecordedTx },
     /// The transaction aborted; the session is idle again.
@@ -70,10 +78,11 @@ impl WorkloadClient {
     }
 
     /// Begins the next transaction at `now` and returns its first
-    /// envelope: the read, or the commit when `session` serves the read
-    /// itself — as it does the empty read of a write-only transaction. A
+    /// envelopes: the read — one slice per partition at a picked snapshot,
+    /// or the start form — or the commit when `session` serves the read
+    /// itself, as it does the empty read of a write-only transaction. A
     /// transaction that a failed round trip left open is abandoned first.
-    pub(crate) fn start(&mut self, session: &mut ClientSession, now: u64) -> Envelope {
+    pub(crate) fn start(&mut self, session: &mut ClientSession, now: u64) -> Vec<Envelope> {
         if self.open.take().is_some() {
             session.reset();
         }
@@ -86,9 +95,9 @@ impl WorkloadClient {
             begun: now,
         });
         match first {
-            ReadStep::Send(env) => env,
-            ReadStep::Done(local) => self.commit(session, &local),
-            ReadStep::Slices(_) => unreachable!("a deferred begin's first read is a start form"),
+            ReadStep::Send(env) => vec![env],
+            ReadStep::Slices(slices) => slices,
+            ReadStep::Done(local) => vec![self.commit(session, &local)],
         }
     }
 
@@ -101,7 +110,8 @@ impl WorkloadClient {
         now: u64,
     ) -> Step {
         match event {
-            ClientEvent::ReadDone { reads, .. } => Step::Send(self.commit(session, &reads)),
+            ClientEvent::ReadDone { reads, .. } => Step::Send(vec![self.commit(session, &reads)]),
+            ClientEvent::Retry(env) => Step::Send(vec![env]),
             ClientEvent::Committed { tx, snapshot, ct } => {
                 let OpenTx { spec, reads, begun } = self.open.take().expect("an open tx");
                 let record = RecordedTx {
@@ -229,9 +239,10 @@ mod tests {
             });
             let id = ClientId::new(DcId(0), 0);
             let coordinator = topo.coordinator_for(id.dc, id.seq);
+            let session = ClientSession::new(id, coordinator, Mode::Paris);
             Deployment {
                 servers: servers.collect(),
-                session: ClientSession::new(id, coordinator, Mode::Paris),
+                session: session.with_topology(Arc::clone(&topo)),
                 client: WorkloadClient::new(id, &topo, &workload, 7),
                 now: 1_000,
             }
@@ -243,9 +254,9 @@ mod tests {
         fn run_tx(&mut self) -> (Vec<Msg>, Step) {
             let mut sent = Vec::new();
             let mut step = Step::Send(self.client.start(&mut self.session, self.now));
-            while let Step::Send(env) = step {
-                sent.push(env.msg.clone());
-                let mut queue = VecDeque::from([env]);
+            while let Step::Send(envs) = step {
+                sent.extend(envs.iter().map(|env| env.msg.clone()));
+                let mut queue = VecDeque::from(envs);
                 let mut event = None;
                 while let Some(env) = queue.pop_front() {
                     match env.dst {
@@ -297,7 +308,13 @@ mod tests {
         let mut d = Deployment::new(1, 1, 1, workload(2, 1, 50));
         let (sent, step) = d.run_tx();
         assert!(matches!(sent[0], Msg::ReadReq { .. }) && starts(&sent[0]));
-        assert!(matches!(sent[1], Msg::CommitReq { .. }) && !starts(&sent[1]));
+        assert!(matches!(
+            sent[1],
+            Msg::CommitReq {
+                tx: TxRef::Known(_),
+                ..
+            }
+        ));
         assert_eq!(sent.len(), 2);
         let (latency, record) = committed(step);
         assert_eq!(latency, 20, "two replies, 10 µs each");
@@ -324,24 +341,73 @@ mod tests {
         );
     }
 
-    /// A deferred begin has no snapshot to check an own write against, so
-    /// no read of a fresh transaction is served by the session: the read
-    /// of the client's own write goes out with its held stamp and comes
-    /// back as that write.
+    #[test]
+    fn once_the_session_learned_a_ust_it_reads_at_the_pick_and_commits_picked() {
+        // 1 DC × 2 partitions: each transaction reads both.
+        let two = WorkloadConfig {
+            partitions_per_tx: 2,
+            ..workload(4, 1, 50)
+        };
+        let mut d = Deployment::new(1, 2, 1, two);
+        let (sent, first) = d.run_tx();
+        assert!(starts(&sent[0]), "nothing learned yet: {sent:?}");
+        committed(first);
+        for _ in 0..3 {
+            let (sent, step) = d.run_tx();
+            // Two slices straight to the replicas, then the picked commit.
+            let kinds: Vec<&str> = sent.iter().map(Msg::kind).collect();
+            assert_eq!(kinds, ["ReadSliceReq", "ReadSliceReq", "CommitReq"]);
+            let Msg::CommitReq { tx, .. } = &sent[2] else {
+                unreachable!()
+            };
+            assert!(matches!(tx, TxRef::Picked { .. }));
+            let (_, record) = committed(step);
+            assert_eq!(record.reads.len(), 4);
+        }
+        let coordinator_reads: u64 = d
+            .servers
+            .values()
+            .map(|s| s.stats().coordinator_reads)
+            .sum();
+        assert_eq!(coordinator_reads, 1, "only the first transaction's start");
+    }
+
+    /// A start has no snapshot to check an own write against, so no read
+    /// of a transaction that carries one is served by the session: the
+    /// read of the client's own write goes out with its held stamp and
+    /// comes back as that write. (A session without a topology carries
+    /// every start.) A picked snapshot is `ust_c` itself, so a session
+    /// that picks serves the own write from `WC_c`, with no message.
     #[test]
     fn a_read_of_an_own_write_still_goes_out_and_reads_the_write() {
-        let mut d = Deployment::new(1, 1, 1, workload(1, 1, 1));
-        let (_, first) = d.run_tx();
-        let (_, first) = committed(first);
-        let (sent, second) = d.run_tx();
-        let (_, second) = committed(second);
-        let Msg::ReadReq { tx, keys } = &sent[0] else {
-            panic!("the read goes out first: {sent:?}")
-        };
-        assert!(matches!(tx, TxRef::Start { .. }));
-        assert!(matches!(keys[..], [ReadKey { held: Some(_), .. }]));
-        let own = second.reads[0].version.expect("a version");
-        assert_eq!((own.tx, Some(own.ut)), (first.tx, first.ct));
+        for picks in [false, true] {
+            let mut d = Deployment::new(1, 1, 1, workload(1, 1, 1));
+            if !picks {
+                let (id, coordinator) = (d.session.id(), d.session.coordinator());
+                d.session = ClientSession::new(id, coordinator, Mode::Paris);
+            }
+            let (_, first) = d.run_tx();
+            let (_, first) = committed(first);
+            let (sent, second) = d.run_tx();
+            let (_, second) = committed(second);
+            let own = second.reads[0].version.expect("a version");
+            assert_eq!((own.tx, Some(own.ut)), (first.tx, first.ct));
+            if picks {
+                assert!(matches!(
+                    sent[..],
+                    [Msg::CommitReq {
+                        tx: TxRef::Picked { .. },
+                        ..
+                    }]
+                ));
+                continue;
+            }
+            let Msg::ReadReq { tx, keys } = &sent[0] else {
+                panic!("the read goes out first: {sent:?}")
+            };
+            assert!(matches!(tx, TxRef::Start { .. }));
+            assert!(matches!(keys[..], [ReadKey { held: Some(_), .. }]));
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Reads straight to the replicas return what the coordinator's detour
-//! returns. One seeded interactive stream — writers in two DCs, readers
-//! in all three — runs on the simulated and the threaded backend; each
-//! read transaction of the stream runs twice, back to back, through a
-//! session that sends its slices itself and through one that sends every
-//! read to its coordinator. Whenever no commit of the stream falls between
-//! the two snapshots, the two saw the same cut, so every read batch must
-//! be the same `ClientRead`s.
+//! returns, at an assigned snapshot and at one the client picked. One
+//! seeded interactive stream — writers in two DCs, readers in all three —
+//! runs on the simulated and the threaded backend; each read transaction
+//! of the stream runs three times, back to back: through a session that
+//! begins eagerly and sends its slices itself, through one that sends
+//! every read to its coordinator, and through one that begins deferred and
+//! so picks its `ust_c` as the snapshot. Whenever no commit of the stream
+//! falls between two of the snapshots, the two saw the same cut, so every
+//! read batch must be the same `ClientRead`s.
 
 use paris_core::ClientRead;
 use paris_runtime::{Backend, Cluster, Paris};
-use paris_types::{ClientId, Key, Timestamp, Value};
+use paris_types::{ClientId, Error, Key, Timestamp, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,6 +37,62 @@ fn read_only(
     (snapshot, batches)
 }
 
+/// What a read-only transaction begun deferred saw.
+struct Picked {
+    /// The session's `ust_c`, picked at the begin — `None` when it had none
+    /// to pick yet and the first read carried the start.
+    picked: Option<Timestamp>,
+    /// The snapshot it read at, and the batches; `None` when a replica GC
+    /// had passed the pick refused a read after the first, which aborts.
+    read: Option<(Timestamp, Vec<Vec<ClientRead>>)>,
+}
+
+/// [`read_only`] begun deferred.
+fn picked_read_only(cluster: &mut dyn Cluster, client: ClientId, reads: &[Vec<Key>]) -> Picked {
+    cluster.txn_begin_deferred(client).expect("begin");
+    let picked = cluster.txn_snapshot(client);
+    let mut batches = Vec::new();
+    for keys in reads {
+        match cluster.txn_read(client, keys) {
+            Ok(mut got) => {
+                got.sort_by_key(|r| r.key);
+                batches.push(got);
+            }
+            Err(Error::PartitionUnreachable) if picked.is_some() && !batches.is_empty() => {
+                return Picked { picked, read: None };
+            }
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+    let snapshot = cluster.txn_snapshot(client).expect("known after a read");
+    assert_eq!(cluster.txn_commit(client).expect("close"), Timestamp::ZERO);
+    Picked {
+        picked,
+        read: Some((snapshot, batches)),
+    }
+}
+
+/// How many read pairs of a stream saw the same cut.
+#[derive(Debug, Default)]
+struct Compared {
+    /// Straight to the replicas against the coordinator's detour.
+    relayed: usize,
+    /// At a picked snapshot against at an assigned one.
+    picked: usize,
+    /// Transactions that read at the snapshot they picked.
+    picks: usize,
+    /// Transactions whose pick a replica refused: the first read's
+    /// refusal is retried in the start form, a later one's aborts.
+    retried: usize,
+    aborted: usize,
+}
+
+/// Whether no commit time in `cts` falls in `(lo, hi]`.
+fn same_cut(cts: &[Timestamp], a: Timestamp, b: Timestamp) -> bool {
+    let (lo, hi) = (a.min(b), a.max(b));
+    cts.iter().all(|ct| *ct <= lo || *ct > hi)
+}
+
 fn some_keys(rng: &mut StdRng) -> Vec<Key> {
     (0..rng.gen_range(1..6))
         .map(|_| Key(rng.gen_range(0..KEYS)))
@@ -43,7 +101,7 @@ fn some_keys(rng: &mut StdRng) -> Vec<Key> {
 
 /// Runs the stream; returns how many of its `steps` read pairs saw the
 /// same cut (and so were compared).
-fn compare(backend: Backend, seed: u64, steps: usize) -> usize {
+fn compare(backend: Backend, seed: u64, steps: usize) -> Compared {
     let mut cluster = Paris::builder()
         .dcs(3)
         .partitions(6)
@@ -60,11 +118,12 @@ fn compare(backend: Backend, seed: u64, steps: usize) -> usize {
         .iter()
         .map(|dc| cluster.open_client(*dc).expect("valid DC"))
         .collect();
-    let readers: Vec<(ClientId, ClientId)> = (0..3)
+    let readers: Vec<(ClientId, ClientId, ClientId)> = (0..3)
         .map(|dc| {
             let routed = cluster.open_client(dc).expect("valid DC");
             let detour = cluster.open_client_via_coordinator(dc).expect("valid DC");
-            (routed, detour)
+            let picker = cluster.open_client(dc).expect("valid DC");
+            (routed, detour, picker)
         })
         .collect();
     let mut cts = Vec::new();
@@ -74,7 +133,7 @@ fn compare(backend: Backend, seed: u64, steps: usize) -> usize {
     cts.push(cluster.txn_commit(writers[0]).expect("commit"));
     cluster.stabilize(4);
 
-    let mut compared = 0;
+    let mut compared = Compared::default();
     for step in 0..steps {
         if rng.gen_bool(0.6) {
             let writer = writers[rng.gen_range(0..writers.len())];
@@ -95,16 +154,33 @@ fn compare(backend: Backend, seed: u64, steps: usize) -> usize {
         let mut second = some_keys(&mut rng);
         second.extend(first.iter().take(2));
         let reads = [first, second];
-        let (routed, detour) = readers[rng.gen_range(0..readers.len())];
+        let (routed, detour, picker) = readers[rng.gen_range(0..readers.len())];
         let (a, direct) = read_only(&mut *cluster, routed, &reads);
         let (b, relayed) = read_only(&mut *cluster, detour, &reads);
-        let (lo, hi) = (a.min(b), a.max(b));
-        if cts.iter().all(|ct| *ct <= lo || *ct > hi) {
+        let Picked { picked, read } = picked_read_only(&mut *cluster, picker, &reads);
+        if same_cut(&cts, a, b) {
             assert_eq!(
                 direct, relayed,
                 "{backend:?}, step {step}: snapshots {a:?} and {b:?}"
             );
-            compared += 1;
+            compared.relayed += 1;
+        }
+        let Some((c, at_pick)) = read else {
+            compared.aborted += 1;
+            continue;
+        };
+        // A replica GC had passed the pick refused it, and the read went
+        // out again in the start form, at a snapshot the coordinator chose.
+        compared.retried += usize::from(picked.is_some_and(|p| p != c));
+        if picked == Some(c) {
+            compared.picks += 1;
+            if same_cut(&cts, a, c) {
+                assert_eq!(
+                    direct, at_pick,
+                    "{backend:?}, step {step}: assigned {a:?}, picked {c:?}"
+                );
+                compared.picked += 1;
+            }
         }
     }
     cluster.stabilize(4);
@@ -116,15 +192,14 @@ fn compare(backend: Backend, seed: u64, steps: usize) -> usize {
 fn sim_direct_and_coordinator_reads_return_the_same_batches() {
     for seed in [1, 2, 3] {
         let compared = compare(Backend::Sim, seed, 120);
-        assert!(
-            compared >= 60,
-            "seed {seed}: only {compared} pairs compared"
-        );
+        assert!(compared.relayed >= 60, "seed {seed}: {compared:?}");
+        assert!(compared.picked >= 20, "seed {seed}: {compared:?}");
     }
 }
 
 #[test]
 fn thread_direct_and_coordinator_reads_return_the_same_batches() {
     let compared = compare(Backend::Thread, 5, 120);
-    assert!(compared >= 60, "only {compared} pairs compared");
+    assert!(compared.relayed >= 60, "{compared:?}");
+    assert!(compared.picked >= 20, "{compared:?}");
 }

@@ -396,6 +396,56 @@ fn a_read_goes_straight_to_the_replicas_on_every_backend() {
     }
 }
 
+#[test]
+fn workload_reads_go_straight_to_the_replicas_at_picked_snapshots_on_every_backend() {
+    // 2 DCs × 2 partitions, R = 2. A `run_workload` session's first
+    // transaction carries its start in its read (its `ust_c` is still
+    // zero); every later one picks `ust_c` as its snapshot, reads straight
+    // from the replicas and reaches the coordinator only to commit. So the
+    // coordinator handles at most one `ReadReq` per session, plus one per
+    // first read a replica refused below its GC horizon — on the sim,
+    // whose run is seeded, exactly one per session.
+    let sessions = 2 * 2;
+    for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
+        let mut cluster = Paris::builder()
+            .dcs(2)
+            .partitions(2)
+            .replication(2)
+            .keys_per_partition(100)
+            .clients_per_dc(2)
+            .uniform_latency_micros(2_000)
+            .record_history(true)
+            .seed(9)
+            .backend(backend)
+            .build()
+            .unwrap();
+        let before = cluster.stats().unwrap();
+        let report = cluster.run_workload(50_000, 300_000).unwrap();
+        assert!(report.stats.committed > 0, "{backend:?}: no progress");
+        assert_eq!(report.stats.aborted, 0, "{backend:?}");
+        assert!(
+            report.violations.is_empty(),
+            "{backend:?} violated TCC: {:#?}",
+            report.violations
+        );
+        let after = cluster.stats().unwrap();
+        let coordinator_reads = after.coordinator_reads - before.coordinator_reads;
+        let refused = after.refused_slices - before.refused_slices;
+        assert!(
+            after.slice_reads - before.slice_reads > report.stats.committed,
+            "{backend:?}: the reads went to the replicas"
+        );
+        if backend == Backend::Sim {
+            assert_eq!((coordinator_reads, refused), (sessions, 0));
+        } else {
+            assert!(
+                coordinator_reads <= sessions + refused,
+                "{backend:?}: {coordinator_reads} coordinator reads, {refused} refusals"
+            );
+        }
+    }
+}
+
 /// The two batching configurations every combination test sweeps:
 /// explicitly off, and the stable-time default.
 #[derive(Debug, Clone, Copy, PartialEq)]
