@@ -148,7 +148,7 @@ fn main() {
         "  a CommitReq carrying a picked snapshot: {picked_extra} timestamp more than a plain one"
     );
     println!(
-        "\n  {:<17} {:>8} {:>11} {:>11} {:>14}",
+        "\n  {:<18} {:>8} {:>11} {:>11} {:>14}",
         "message", "bytes", "metadata B", "timestamps", "× 8 B (paper)"
     );
     let mut points: Vec<Json> = Vec::new();
@@ -173,7 +173,7 @@ fn main() {
         let bytes = wire::encoded_len(msg);
         let meta = wire::metadata(msg);
         println!(
-            "  {:<17} {bytes:>8} {:>11} {:>11} {:>14}",
+            "  {:<18} {bytes:>8} {:>11} {:>11} {:>14}",
             label,
             meta.bytes,
             meta.timestamps,

@@ -57,8 +57,8 @@
 //!   read aborts, as for an assigned snapshot.
 //! * **Carried by the first operation.** BPR, whose snapshot needs the
 //!   coordinator's HLC; a session without a topology; a fresh session,
-//!   whose `ust_c` is still zero; and one that abandoned a start whose
-//!   reply is still owed: the first `ReadReq` or `CommitReq` is sent in its
+//!   which has learned no UST (its `ust_c` is zero); and one that abandoned
+//!   a start whose reply is still owed: the first `ReadReq` or `CommitReq` is sent in its
 //!   start form ([`TxRef::Start`], `ust_c` where the transaction id would
 //!   be), and its reply names the transaction id and snapshot, which the
 //!   session adopts exactly as it adopts a `StartTxResp` — `ust_c` raised
@@ -184,8 +184,9 @@ pub enum ClientEvent {
         tx: TxId,
     },
     /// A replica refused the client-picked snapshot of the transaction's
-    /// first read: it is below the replica's GC horizon `S_old`. Nothing
-    /// was read at it, so the transaction gives the pick up; send this
+    /// first read: its GC has trimmed past it (`S_old` as of the replica's
+    /// last GC tick). Nothing was read at it, so the transaction gives the
+    /// pick up; send this
     /// envelope — the same read in the start form — and keep waiting. The
     /// read is still in flight: this is neither an abort nor a failure.
     Retry(Envelope),

@@ -9,8 +9,8 @@
 //! [`Topology::reachable_target_dc`](crate::Topology::reachable_target_dc)
 //! picks — the one this coordinator would pick — and merges the replies:
 //! two hops instead of four (client docs). A PaRiS client that picked its
-//! snapshot (`ust_c`) at the client does so from its first read, so for
-//! such a transaction the coordinator only commits.
+//! transaction's snapshot (`ust_c`) reads that way from the first read on,
+//! so for such a transaction the coordinator only commits.
 //!
 //! Snapshot assignment (Alg. 2 lines 1–5) has one implementation,
 //! [`Server::begin_tx`], reached two ways: an eager `StartTxReq` (the

@@ -128,14 +128,6 @@ pub enum TxRef {
     },
 }
 
-impl TxRef {
-    /// Whether the reply names a timestamp: the assigned snapshot of a
-    /// start form, or the answering server's UST for a picked form.
-    pub fn opens(&self) -> bool {
-        !matches!(self, TxRef::Known(_))
-    }
-}
-
 /// What a snapshot read found for one key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadOutcome {

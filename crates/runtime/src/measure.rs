@@ -57,10 +57,11 @@ pub struct ClusterStats {
     /// itself and counts none; the start form of a deferred begin's first
     /// read counts one, and so does its retry after a refused pick.
     pub coordinator_reads: u64,
-    /// Slice reads refused below a server's GC horizon `S_old`: under
-    /// PaRiS, client-picked snapshots the horizon passed before the read
-    /// arrived. Each refused first read costs its transaction one retry in
-    /// the start form, so `refused_slices` bounds the retries from above.
+    /// Slice reads refused below the horizon a server's GC last trimmed
+    /// its chains to: under PaRiS, client-picked snapshots GC passed
+    /// before the read arrived. Each refused first read costs its
+    /// transaction one retry in the start form, so `refused_slices` bounds
+    /// the retries from above.
     pub refused_slices: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,

@@ -11,11 +11,11 @@
 //! `ReadSliceReq` per partition straight to the replicas, and the commit
 //! carries the snapshot to the coordinator, whose reply names a fresher
 //! UST for the next transaction. The coordinator is off the read path. A
-//! session's first transaction — its `ust_c` is still zero — sends its
+//! session's first transaction — it has learned no UST yet — sends its
 //! read (or a write-only transaction's commit) in the start form instead,
-//! and so does the one retry of a first read a replica refused below its
-//! GC horizon ([`ClientEvent::Retry`]). Either way a transaction costs one
-//! round trip less than with an eager `StartTxReq`.
+//! and so does the one retry of a first read a replica refused because
+//! its GC had trimmed past the pick ([`ClientEvent::Retry`]). Either way a
+//! transaction costs one round trip less than with an eager `StartTxReq`.
 //!
 //! A backend keeps only its pacing: when the next transaction starts, how
 //! a reply reaches the session, and which completions fall inside the
