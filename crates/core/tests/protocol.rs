@@ -959,10 +959,11 @@ proptest! {
         // begin picks its client's `ust_c` once the client has one, and
         // reads straight from the replicas too: only the first transaction
         // of a client that has learned no UST yet carries its start in the
-        // read, and only a read a replica refused goes to the coordinator
-        // again.
+        // read — three clients; the preload taught its writer one — and no
+        // read is refused and re-sent, as the stream runs no GC tick.
         prop_assert_eq!(eager.txs_coordinated, deferred.txs_coordinated);
         prop_assert_eq!((eager.coordinator_reads, eager.retries), (0, 0));
-        prop_assert_eq!(deferred.coordinator_reads, deferred.fresh + deferred.retries);
+        prop_assert_eq!((deferred.fresh, deferred.retries), (3, 0));
+        prop_assert_eq!(deferred.coordinator_reads, 3);
     }
 }
