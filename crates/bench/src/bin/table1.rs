@@ -49,7 +49,10 @@ fn sample_messages() -> Vec<Msg> {
             src_dc: DcId(3),
         },
         commit_req(TxRef::Known(tx)),
-        commit_req(TxRef::Picked { snapshot: ts(1) }),
+        commit_req(TxRef::Picked {
+            snapshot: ts(1),
+            call: 9,
+        }),
         Msg::CommitTx { tx, ct: ts(3) },
         commit_one(false),
         commit_one(true),
@@ -77,7 +80,7 @@ fn commit_one(coordinator_share: bool) -> Msg {
         src_dc: DcId(3),
         client: paris_types::ClientId::new(DcId(3), 4),
         coordinator_share,
-        picked: false,
+        picked: None,
     }
 }
 
@@ -136,10 +139,12 @@ fn main() {
     )));
     println!("  a first ReadReq carrying the start: {fused_extra} timestamp more than a plain one");
     // A client that picked its snapshot reads at it straight from the
-    // replicas, and its commit carries the snapshot to the coordinator.
+    // replicas, and its commit carries the snapshot to the coordinator,
+    // with a call number where the id would be.
     let timestamps = |tx| wire::metadata(&commit_req(tx)).timestamps;
     let picked_extra = timestamps(TxRef::Picked {
         snapshot: Timestamp::from_parts(3_600_000_000, 3),
+        call: 9,
     }) - timestamps(TxRef::Known(TxId::new(
         ServerId::new(DcId(3), PartitionId(17)),
         9,

@@ -49,17 +49,19 @@
 //!   served locally. Freshness rides on the commit reply: whichever server
 //!   answers a picked commit names its own UST where a start form's reply
 //!   names the snapshot, and the session folds it into `ust_c`, so the
-//!   next pick trails the UST by about one transaction. A picked snapshot
+//!   next pick trails the UST by about one transaction. A picked request
+//!   carries a call number the session chose, and its reply echoes it:
+//!   the session takes a reply for its request by that number, whichever
+//!   server answers and in whatever order. A picked snapshot
 //!   has no context to hold the GC horizon down, so a replica whose GC
 //!   has already trimmed past it refuses the slice; nothing was read at a
 //!   refused first read, so the session gives the pick up and re-sends the
 //!   read in the start form ([`ClientEvent::Retry`]). A refusal of a later
 //!   read aborts, as for an assigned snapshot.
 //! * **Carried by the first operation.** BPR, whose snapshot needs the
-//!   coordinator's HLC; a session without a topology; a fresh session,
-//!   which has learned no UST (its `ust_c` is zero); and one that abandoned
-//!   a start whose reply is still owed: the first `ReadReq` or `CommitReq` is sent in its
-//!   start form ([`TxRef::Start`], `ust_c` where the transaction id would
+//!   coordinator's HLC; a session without a topology; and a fresh session,
+//!   whose `ust_c` is still zero: the first `ReadReq` or `CommitReq` is
+//!   sent in its start form ([`TxRef::Start`], `ust_c` where the transaction id would
 //!   be), and its reply names the transaction id and snapshot, which the
 //!   session adopts exactly as it adopts a `StartTxResp` — `ust_c` raised
 //!   (lines 4–6).
@@ -105,7 +107,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef};
+use paris_proto::{Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, TxRef};
 use paris_types::{
     ClientId, DcId, Error, Key, Mode, PartitionId, ServerId, Timestamp, TxId, Value, Version,
     VersionStamp, WriteSetEntry,
@@ -231,24 +233,33 @@ struct OpenTx {
     /// flight, for re-sending it in the start form should a replica refuse
     /// the pick.
     first_read: Vec<Key>,
+    /// The call of the picked form in flight, which its reply echoes.
+    call: Option<u64>,
 }
 
 impl OpenTx {
     /// How the next request names the transaction: by id; before a
-    /// coordinator assigned one, by the snapshot the client picked; or by
-    /// the start it carries.
-    fn tx_ref(&self, client_ust: Timestamp) -> TxRef {
+    /// coordinator assigned one, by the snapshot the client picked and a
+    /// new call out of `calls`; or by the start it carries.
+    fn tx_ref(&mut self, client_ust: Timestamp, calls: &mut u64) -> TxRef {
         match (self.tx, self.snapshot) {
             (Some(tx), _) => TxRef::Known(tx),
-            (None, Some(snapshot)) => TxRef::Picked { snapshot },
+            (None, Some(snapshot)) => {
+                *calls += 1;
+                self.call = Some(*calls);
+                TxRef::Picked {
+                    snapshot,
+                    call: *calls,
+                }
+            }
             (None, None) => TxRef::Start { client_ust },
         }
     }
 
-    /// Whether a reply naming a timestamp is owed: the request in flight is
-    /// the first to reach a coordinator (a start form, or a picked form).
-    fn opening(&self) -> bool {
-        self.in_flight && self.tx.is_none() && self.slices_as.is_none()
+    /// Whether the request in flight is a start form, whose reply names
+    /// the snapshot the coordinator assigns.
+    fn carrying_start(&self) -> bool {
+        self.in_flight && self.tx.is_none() && self.snapshot.is_none()
     }
 }
 
@@ -488,9 +499,6 @@ pub struct ClientSession {
     unreachable: HashSet<DcId>,
     /// `ust_c`: highest stable snapshot seen.
     ust: Timestamp,
-    /// Whether a server has named a UST to the session yet: until then
-    /// `ust_c` is only the zero it started from.
-    learned: bool,
     /// `hwt_c`: commit time of the last update transaction.
     hwt: Timestamp,
     /// The version store: `WC_c` above `ust_c`, candidates at or below.
@@ -499,18 +507,20 @@ pub struct ClientSession {
     /// Waiting for a `StartTxResp`.
     starting: bool,
     /// Replies still owed to starts abandoned by [`ClientSession::reset`]
-    /// — a `StartTxResp`, or the reply to the first request of a deferred
-    /// begin to reach a coordinator. A start's reply carries no
-    /// correlation the client chose (the coordinator assigns the id), but
-    /// the channel is FIFO, so replies arrive in request order: the next
-    /// `discard_starts` replies to starts belong to abandoned ones and must
-    /// be dropped, not adopted by a newer transaction. While any is owed,
-    /// a deferred begin carries its start rather than pick its snapshot.
+    /// — a `StartTxReq`, or a deferred begin's start form. A start's reply
+    /// carries no correlation the client chose (the coordinator assigns the
+    /// id), so they are counted: the next `discard_starts` replies naming
+    /// an assigned snapshot are taken for the abandoned starts' and
+    /// dropped, not adopted by a newer transaction. That holds while the
+    /// replies arrive in the order the starts were sent, which a
+    /// `StartTxResp` always does, but a start form answered only after its
+    /// fan-out or its 2PC need not. A picked form is never counted: its
+    /// reply echoes its call, which no later request carries.
     discard_starts: u32,
-    /// Reads sent as slices under an id the session chose: each picked
-    /// read's is new, so a late answer to an earlier one never completes
-    /// it.
-    picked_reads: u64,
+    /// The last number the session chose for a picked form's call or for
+    /// the id a picked read's slices are sent under: each is new, so a late
+    /// answer to an earlier request never completes a later one.
+    calls: u64,
     /// Transactions run (stats).
     started_count: u64,
     committed_count: u64,
@@ -542,7 +552,6 @@ impl ClientSession {
             topology: None,
             unreachable: HashSet::new(),
             ust: Timestamp::ZERO,
-            learned: false,
             hwt: Timestamp::ZERO,
             held: Held {
                 budget,
@@ -551,7 +560,7 @@ impl ClientSession {
             open: None,
             starting: false,
             discard_starts: 0,
-            picked_reads: 0,
+            calls: 0,
             started_count: 0,
             committed_count: 0,
         }
@@ -644,15 +653,13 @@ impl ClientSession {
     /// Late replies for the abandoned transaction are ignored by
     /// [`ClientSession::handle`]: reads and commits by their
     /// transaction-id checks, slice reads by the id they were sent under,
-    /// and a start abandoned mid-flight — a `StartTxReq`, or the first
-    /// request of a deferred begin to reach a coordinator — by counting
-    /// it: the channel is FIFO, so the next reply to a start is the
-    /// abandoned one and is dropped rather than adopted by a newer
-    /// transaction. The coordinator-side context, if any, is reclaimed by
-    /// the server's stale-context cleanup on its GC tick.
+    /// a picked form by its call, and a start abandoned mid-flight — a
+    /// `StartTxReq`, or a deferred begin's start form — by counting it
+    /// (see `discard_starts`). The coordinator-side context, if any, is
+    /// reclaimed by the server's stale-context cleanup on its GC tick.
     pub fn reset(&mut self) {
-        let first_op_in_flight = self.open.as_ref().is_some_and(OpenTx::opening);
-        if self.starting || first_op_in_flight {
+        let start_in_flight = self.open.as_ref().is_some_and(OpenTx::carrying_start);
+        if self.starting || start_in_flight {
             self.discard_starts += 1;
         }
         self.starting = false;
@@ -682,14 +689,18 @@ impl ClientSession {
 
     /// `START-TX` (Alg. 1 lines 1–7), deferred: opens the transaction
     /// locally, without a message (module docs: beginning a transaction).
-    /// A PaRiS session with a topology that has learned a `ust_c` picks it
-    /// as the snapshot: reads go straight to the replicas at it, and the
+    /// A PaRiS session with a topology and a non-zero `ust_c` picks it as
+    /// the snapshot: reads go straight to the replicas at it, and the
     /// commit carries it to the coordinator, whose reply assigns the id.
-    /// Otherwise the first [`ClientSession::read`] or
-    /// [`ClientSession::commit`] carries the start, and the reply to it
-    /// assigns the id and snapshot. Until then [`ClientSession::open_tx`]
-    /// is `None`, and so is [`ClientSession::open_snapshot`] unless the
-    /// session picked it.
+    /// Otherwise it begins as [`ClientSession::begin_carried`] does. Until
+    /// the id is assigned [`ClientSession::open_tx`] is `None`, and so is
+    /// [`ClientSession::open_snapshot`] unless the session picked it.
+    ///
+    /// A pick has no coordinator context to hold the replicas' GC below
+    /// it, so it suits a transaction that runs straight after the reply
+    /// that refreshed `ust_c`, as a closed-loop client's does: a replica
+    /// whose GC has passed the pick refuses it, which costs a first read
+    /// one retry in the start form and aborts a later read.
     ///
     /// # Errors
     ///
@@ -706,17 +717,31 @@ impl ClientSession {
         Ok(())
     }
 
+    /// `START-TX` (Alg. 1 lines 1–7), deferred and never picked: opens the
+    /// transaction locally, without a message, and the first
+    /// [`ClientSession::read`] or [`ClientSession::commit`] carries the
+    /// start; the reply to it assigns the id and snapshot. From then on
+    /// the coordinator's context holds the GC horizon at or below the
+    /// snapshot, so no read of the transaction is refused however long it
+    /// runs.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::TransactionAlreadyOpen`] if a transaction is open or
+    /// starting.
+    pub fn begin_carried(&mut self) -> Result<(), Error> {
+        self.ensure_idle()?;
+        self.open = Some(OpenTx::default());
+        Ok(())
+    }
+
     /// Whether a deferred begin may pick its snapshot: `ust_c` is a UST
     /// every DC has installed, so reads at it never block — but BPR's
     /// snapshot needs the coordinator's HLC, a session without a topology
-    /// cannot reach the replicas itself, a fresh session has learned no
-    /// UST yet (its `ust_c` is zero), and a reply owed to an abandoned
-    /// start must not be taken for the answer to a picked commit.
+    /// cannot reach the replicas itself, and a fresh session's `ust_c` is
+    /// zero, no snapshot any server announced.
     fn may_pick(&self) -> bool {
-        self.mode == Mode::Paris
-            && self.topology.is_some()
-            && self.learned
-            && self.discard_starts == 0
+        self.mode == Mode::Paris && self.topology.is_some() && self.ust > Timestamp::ZERO
     }
 
     fn ensure_idle(&self) -> Result<(), Error> {
@@ -802,12 +827,12 @@ impl ClientSession {
                         // No coordinator assigns an id under a partition
                         // no server hosts, so this one names only this
                         // read.
-                        self.picked_reads += 1;
+                        self.calls += 1;
                         let nowhere = PartitionId(topology.partitions());
                         if open.read_set.is_empty() {
                             open.first_read = keys.to_vec();
                         }
-                        TxId::new(ServerId::new(self.id.dc, nowhere), self.picked_reads)
+                        TxId::new(ServerId::new(self.id.dc, nowhere), self.calls)
                     }
                 };
                 open.slices_as = Some(tx);
@@ -824,7 +849,7 @@ impl ClientSession {
             self.id,
             self.coordinator,
             Msg::ReadReq {
-                tx: open.tx_ref(self.ust),
+                tx: open.tx_ref(self.ust, &mut self.calls),
                 keys: remote,
             },
         )))
@@ -873,7 +898,7 @@ impl ClientSession {
             self.id,
             self.coordinator,
             Msg::CommitReq {
-                tx: open.tx_ref(self.ust),
+                tx: open.tx_ref(self.ust, &mut self.calls),
                 hwt: self.hwt,
                 writes,
             },
@@ -898,7 +923,12 @@ impl ClientSession {
                 }
                 self.starting = false;
                 self.open = Some(OpenTx::default());
-                self.opened(*tx, *snapshot);
+                self.opened(
+                    *tx,
+                    Opening::Start {
+                        snapshot: *snapshot,
+                    },
+                );
                 Some(ClientEvent::Started {
                     tx: *tx,
                     snapshot: *snapshot,
@@ -906,25 +936,25 @@ impl ClientSession {
             }
             Msg::ReadResp {
                 tx,
-                snapshot,
+                opening,
                 results,
             } => {
-                if !self.answers_in_flight(*tx, *snapshot) {
+                if !self.answers_in_flight(*tx, *opening) {
                     return None;
                 }
-                self.on_read_resp(*tx, *snapshot, results)
+                self.on_read_resp(*tx, *opening, results)
             }
             Msg::ReadSliceResp {
                 tx,
                 partition,
                 results,
             } => self.on_read_slice_resp(*tx, *partition, results),
-            Msg::CommitResp { tx, snapshot, ct } => {
-                if !self.answers_in_flight(*tx, *snapshot) {
+            Msg::CommitResp { tx, opening, ct } => {
+                if !self.answers_in_flight(*tx, *opening) {
                     return None;
                 }
-                if let Some(slot) = snapshot {
-                    self.opened(*tx, *slot);
+                if let Some(opening) = opening {
+                    self.opened(*tx, *opening);
                 }
                 let open = self.open.take()?;
                 let snapshot = open.snapshot?;
@@ -962,11 +992,11 @@ impl ClientSession {
                     ct: *ct,
                 })
             }
-            Msg::OpFailed { tx, snapshot } => {
-                if snapshot.is_none() && self.refused_first_pick(*tx) {
+            Msg::OpFailed { tx, opening } => {
+                if opening.is_none() && self.refused_first_pick(*tx) {
                     return self.retry_in_start_form(*tx);
                 }
-                if !self.answers_in_flight(*tx, *snapshot) {
+                if !self.answers_in_flight(*tx, *opening) {
                     return None;
                 }
                 // The transaction is gone coordinator-side, or a replica
@@ -993,38 +1023,47 @@ impl ClientSession {
         true
     }
 
-    /// Whether a reply answers the operation in flight. A reply naming a
-    /// timestamp answers the first request to reach a coordinator — a
-    /// start form or a picked form — unless it is owed to a start
-    /// abandoned by [`ClientSession::reset`]; any other reply must name the
-    /// open transaction, or the id its slices were sent under.
-    fn answers_in_flight(&mut self, tx: TxId, slot: Option<Timestamp>) -> bool {
-        if slot.is_some() && self.owed_to_abandoned_start() {
-            return false;
+    /// Whether a reply answers the operation in flight. A reply to a start
+    /// form answers the start form in flight, unless it is owed to a start
+    /// abandoned by [`ClientSession::reset`]; a reply to a picked form
+    /// answers the picked form in flight whose call it echoes; any other
+    /// reply must name the open transaction, or the id its slices were
+    /// sent under.
+    fn answers_in_flight(&mut self, tx: TxId, opening: Option<Opening>) -> bool {
+        match opening {
+            Some(Opening::Start { .. }) if self.owed_to_abandoned_start() => false,
+            Some(Opening::Start { .. }) => self.open.as_ref().is_some_and(OpenTx::carrying_start),
+            Some(Opening::Picked { call, .. }) => self
+                .open
+                .as_ref()
+                .is_some_and(|open| open.in_flight && open.call == Some(call)),
+            None => self.open.as_ref().is_some_and(|open| {
+                open.in_flight && (open.tx == Some(tx) || open.slices_as == Some(tx))
+            }),
         }
-        self.open.as_ref().is_some_and(|open| match slot {
-            Some(_) => open.opening(),
-            None => open.in_flight && (open.tx == Some(tx) || open.slices_as == Some(tx)),
-        })
     }
 
     /// Takes what the reply to the first request that reached a
-    /// coordinator names: the transaction id, and in the snapshot slot the
-    /// assigned snapshot (a `StartTxResp` or a start form's reply, Alg. 1
-    /// lines 3–6) or — for a snapshot the session picked — the answering
-    /// server's UST. Either raises `ust_c` (line 4, monotonically), after
-    /// which the own writes it covers are candidates (line 6): validated
-    /// when read, counted against the budget.
-    fn opened(&mut self, tx: TxId, slot: Timestamp) {
+    /// coordinator names: the transaction id, and the assigned snapshot (a
+    /// `StartTxResp` or a start form's reply, Alg. 1 lines 3–6) or — for a
+    /// snapshot the session picked — the answering server's UST. Either
+    /// raises `ust_c` (line 4, monotonically), after which the own writes
+    /// it covers are candidates (line 6): validated when read, counted
+    /// against the budget.
+    fn opened(&mut self, tx: TxId, opening: Opening) {
+        let ust = match opening {
+            Opening::Start { snapshot } => snapshot,
+            Opening::Picked { ust, .. } => ust,
+        };
         if let Some(open) = self.open.as_mut() {
             open.tx = Some(tx);
+            open.call = None;
             if open.snapshot.is_none() {
-                open.snapshot = Some(slot);
+                open.snapshot = Some(ust);
                 self.started_count += 1;
             }
         }
-        self.ust = self.ust.max(slot);
-        self.learned = true;
+        self.ust = self.ust.max(ust);
         self.held.evict(self.ust);
     }
 
@@ -1084,17 +1123,21 @@ impl ClientSession {
         self.on_read_resp(tx, None, &results)
     }
 
-    /// A reply that answers the read in flight; `slot` is what a reply to
-    /// the first request to reach a coordinator names (see
+    /// A reply that answers the read in flight; `opening` is what a reply
+    /// to the first request to reach a coordinator names (see
     /// [`ClientSession::opened`]).
     fn on_read_resp(
         &mut self,
         tx: TxId,
-        slot: Option<Timestamp>,
+        opening: Option<Opening>,
         results: &[ReadResult],
     ) -> Option<ClientEvent> {
         let open = self.open.as_mut()?;
-        let snapshot = open.snapshot.or(slot)?;
+        let assigned = match opening {
+            Some(Opening::Start { snapshot }) => Some(snapshot),
+            _ => None,
+        };
+        let snapshot = open.snapshot.or(assigned)?;
         open.in_flight = false;
         open.first_read.clear();
         let mut reads = std::mem::take(&mut open.pending_local);
@@ -1138,8 +1181,8 @@ impl ClientSession {
                 source,
             });
         }
-        if let Some(slot) = slot {
-            self.opened(tx, slot);
+        if let Some(opening) = opening {
+            self.opened(tx, opening);
         }
         for v in results.iter().filter_map(|r| r.outcome.version()) {
             self.held.admit(v.clone(), self.ust);
@@ -1188,7 +1231,7 @@ mod tests {
         let ct = Timestamp::from_physical_micros(ct);
         let reply = Msg::CommitResp {
             tx: t,
-            snapshot: None,
+            opening: None,
             ct,
         };
         s.handle(&Envelope::new(s.coordinator(), s.id(), reply))
@@ -1274,7 +1317,7 @@ mod tests {
             s.id(),
             Msg::ReadResp {
                 tx: t,
-                snapshot: None,
+                opening: None,
                 results: vec![ReadResult {
                     key: Key(1),
                     outcome: ReadOutcome::Found(ver),
@@ -1520,7 +1563,7 @@ mod tests {
             s.id(),
             Msg::ReadResp {
                 tx: t,
-                snapshot: None,
+                opening: None,
                 results,
             },
         ))
@@ -1818,7 +1861,7 @@ mod tests {
             s.id(),
             Msg::ReadResp {
                 tx: t,
-                snapshot: Some(ts(snap)),
+                opening: Some(Opening::Start { snapshot: ts(snap) }),
                 results,
             },
         ))
@@ -1900,7 +1943,7 @@ mod tests {
             s.id(),
             Msg::CommitResp {
                 tx: t,
-                snapshot: Some(ts(200)),
+                opening: Some(Opening::Start { snapshot: ts(200) }),
                 ct: ts(300),
             },
         ));
@@ -2087,7 +2130,7 @@ mod tests {
         s.begin().unwrap();
         let failed = Msg::OpFailed {
             tx: tx(3),
-            snapshot: Some(ts(100)),
+            opening: Some(Opening::Start { snapshot: ts(100) }),
         };
         assert!(s
             .handle(&Envelope::new(s.coordinator(), s.id(), failed))
@@ -2117,7 +2160,7 @@ mod tests {
         deferred_read(&mut s, &[2]);
         let late = Msg::CommitResp {
             tx: old,
-            snapshot: None,
+            opening: None,
             ct: ts(500),
         };
         assert!(s
@@ -2154,7 +2197,7 @@ mod tests {
         deferred_read(&mut s, &[3]);
         let late = Msg::CommitResp {
             tx: tx(3),
-            snapshot: Some(ts(150)),
+            opening: Some(Opening::Start { snapshot: ts(150) }),
             ct: ts(600),
         };
         assert!(s
@@ -2176,18 +2219,18 @@ mod tests {
     fn op_failed_on_a_deferred_first_op_aborts_it() {
         let mut s = session(Mode::Paris);
         deferred_read(&mut s, &[1]);
-        let reply = |tx, snapshot| {
+        let reply = |tx, opening| {
             Envelope::new(
                 ServerId::new(DcId(0), PartitionId(3)),
                 ClientId::new(DcId(0), 1),
-                Msg::OpFailed { tx, snapshot },
+                Msg::OpFailed { tx, opening },
             )
         };
         // A failure of some earlier transaction's operation is not this
         // one's: it names no snapshot.
         assert!(s.handle(&reply(tx(9), None)).is_none());
         assert!(s.has_operation_in_flight());
-        let ev = s.handle(&reply(tx(5), Some(ts(100))));
+        let ev = s.handle(&reply(tx(5), Some(Opening::Start { snapshot: ts(100) })));
         assert_eq!(ev, Some(ClientEvent::Aborted { tx: tx(5) }));
         assert!(!s.has_operation_in_flight() && s.open_tx().is_none());
         assert_eq!(s.counts(), (0, 0));
@@ -2332,7 +2375,7 @@ mod tests {
         }
         let failed = Msg::OpFailed {
             tx: t3,
-            snapshot: None,
+            opening: None,
         };
         let ev = s.handle(&Envelope::new(s.coordinator(), s.id(), failed));
         assert_eq!(ev, Some(ClientEvent::Aborted { tx: t3 }));
@@ -2364,6 +2407,13 @@ mod tests {
         ));
         reads_of(s.handle(&answer(&s, &slices[0])));
         finish(&mut s, tx(1));
+
+        // A coordinator whose UST is still zero names no snapshot to pick:
+        // the next begin carries its start again.
+        let (mut zero, _) = routed_session();
+        let t = started(&mut zero, 1, 0);
+        finish(&mut zero, t);
+        assert_eq!(deferred_read(&mut zero, &[2]).0, Timestamp::ZERO);
 
         // With a UST learned, a session still carries the start when it
         // cannot read by itself (no topology) or its snapshot needs the
@@ -2404,7 +2454,7 @@ mod tests {
             panic!("expected a ReadSliceReq, got {}", slice.msg.kind());
         };
         let replica = slice.dst.as_server().unwrap();
-        Envelope::new(replica, s.id(), Msg::OpFailed { tx, snapshot: None })
+        Envelope::new(replica, s.id(), Msg::OpFailed { tx, opening: None })
     }
 
     fn slice_tx(slice: &Envelope) -> TxId {
@@ -2412,6 +2462,34 @@ mod tests {
             Msg::ReadSliceReq { tx, .. } => tx,
             _ => panic!("expected a ReadSliceReq"),
         }
+    }
+
+    /// The snapshot and call of a picked form.
+    fn picked_of(env: &Envelope) -> (Timestamp, u64) {
+        match env.msg {
+            Msg::ReadReq {
+                tx: TxRef::Picked { snapshot, call },
+                ..
+            }
+            | Msg::CommitReq {
+                tx: TxRef::Picked { snapshot, call },
+                ..
+            } => (snapshot, call),
+            _ => panic!("expected a picked form, got {env:?}"),
+        }
+    }
+
+    /// `server`'s reply to the picked commit of `call`, naming `ust`.
+    fn picked_commit_reply(
+        s: &ClientSession,
+        server: ServerId,
+        tx: TxId,
+        (ust, call): (u64, u64),
+        ct: u64,
+    ) -> Envelope {
+        let opening = Some(Opening::Picked { ust: ts(ust), call });
+        let ct = if ct == 0 { Timestamp::ZERO } else { ts(ct) };
+        Envelope::new(server, s.id(), Msg::CommitResp { tx, opening, ct })
     }
 
     #[test]
@@ -2435,20 +2513,17 @@ mod tests {
         let reads = reads_of(s.handle(&answer(&s, &slices[1])));
         assert_eq!(reads.len(), 2);
 
-        // The commit carries the pick; its reply names the id, and the
-        // answering server's UST in the snapshot slot.
+        // The commit carries the pick and a call; its reply names the id,
+        // the answering server's UST and the call.
         let env = s.commit().unwrap();
         assert_eq!(env.dst, s.coordinator().into());
-        let Msg::CommitReq { tx: picked, .. } = env.msg else {
-            panic!("expected a CommitReq, got {env:?}");
-        };
-        assert_eq!(picked, TxRef::Picked { snapshot: ts(100) });
-        let reply = Msg::CommitResp {
-            tx: tx(7),
-            snapshot: Some(ts(180)),
-            ct: Timestamp::ZERO,
-        };
-        let ev = s.handle(&Envelope::new(s.coordinator(), s.id(), reply));
+        let (picked, call) = picked_of(&env);
+        assert_eq!(picked, ts(100));
+        let coordinator = s.coordinator();
+        let other = picked_commit_reply(&s, coordinator, tx(6), (170, call + 1), 0);
+        assert_eq!(s.handle(&other), None, "another call's reply");
+        let reply = picked_commit_reply(&s, coordinator, tx(7), (180, call), 0);
+        let ev = s.handle(&reply);
         assert_eq!(
             ev,
             Some(ClientEvent::Committed {
@@ -2554,13 +2629,11 @@ mod tests {
             ReadStep::Send(env) => env,
             other => panic!("expected a ReadReq, got {other:?}"),
         };
-        let Msg::ReadReq { tx: picked, .. } = env.msg else {
-            panic!("expected a ReadReq");
-        };
-        assert_eq!(picked, TxRef::Picked { snapshot: ts(100) });
+        let (picked, call) = picked_of(&env);
+        assert_eq!(picked, ts(100));
         let failed = Msg::OpFailed {
             tx: tx(4),
-            snapshot: Some(ts(130)),
+            opening: Some(Opening::Picked { ust: ts(130), call }),
         };
         let ev = s.handle(&Envelope::new(s.coordinator(), s.id(), failed));
         assert_eq!(ev, Some(ClientEvent::Aborted { tx: tx(4) }));
@@ -2577,16 +2650,10 @@ mod tests {
             panic!("an own write above the pick is served locally");
         };
         assert_eq!(reads[0].source, ReadSource::Cache);
-        s.commit().unwrap();
-        let reply = |tx, ust| Msg::CommitResp {
-            tx,
-            snapshot: Some(ts(ust)),
-            ct: Timestamp::ZERO,
-        };
+        let (_, call) = picked_of(&s.commit().unwrap());
         let from = ServerId::new(DcId(0), PartitionId(5));
-        assert!(s
-            .handle(&Envelope::new(from, s.id(), reply(tx(3), 400)))
-            .is_some());
+        let reply = picked_commit_reply(&s, from, tx(3), (400, call), 0);
+        assert!(s.handle(&reply).is_some());
         assert_eq!(
             (s.ust(), s.cache_len()),
             (ts(400), 0),
@@ -2595,9 +2662,73 @@ mod tests {
         assert!(s.held.get(Key(7)).is_some(), "kept for validation");
         // A staler server's answer never lowers ust_c.
         s.begin_deferred().unwrap();
-        s.commit().unwrap();
-        s.handle(&Envelope::new(from, s.id(), reply(tx(4), 350)));
+        let (_, call) = picked_of(&s.commit().unwrap());
+        s.handle(&picked_commit_reply(&s, from, tx(4), (350, call), 0));
         assert_eq!(s.ust(), ts(400));
+    }
+
+    #[test]
+    fn a_picked_commit_abandoned_by_reset_is_never_taken_for_a_later_request() {
+        // A picked commit is answered by its coordinator or by a
+        // participant, so its reply may come after the replies to requests
+        // sent later; its call tells it apart from all of them.
+        let (mut s, _) = picking_session();
+        let participant = ServerId::new(DcId(0), PartitionId(5));
+        s.begin_deferred().unwrap();
+        s.write(&[(Key(7), Value::from("lost"))]).unwrap();
+        let (_, abandoned) = picked_of(&s.commit().unwrap());
+        s.reset();
+        let stale =
+            |s: &ClientSession| picked_commit_reply(s, participant, tx(2), (150, abandoned), 140);
+
+        // The next transaction picks again, and its first read is refused,
+        // so a start form is in flight: its reply, which overtook the
+        // stale one, is not dropped for it, and the stale one is nobody's.
+        s.begin_deferred().unwrap();
+        assert_eq!(s.open_snapshot(), Some(ts(100)));
+        let slices = slices_of(s.read(&[Key(0)]).unwrap());
+        let Some(ClientEvent::Retry(_)) = s.handle(&refusal(&s, &slices[0])) else {
+            panic!("a refused first read is retried");
+        };
+        let absent = ReadResult {
+            key: Key(0),
+            outcome: ReadOutcome::Absent,
+        };
+        assert_eq!(
+            reads_of(start_reply(&mut s, tx(3), 120, vec![absent])).len(),
+            1
+        );
+        assert_eq!(
+            (s.open_tx(), s.open_snapshot()),
+            (Some(tx(3)), Some(ts(120)))
+        );
+        assert_eq!(s.handle(&stale(&s)), None);
+        finish(&mut s, tx(3));
+
+        // A later picked commit in flight: the stale reply arrives first
+        // and is ignored; the commit completes on its own reply.
+        s.begin_deferred().unwrap();
+        s.write(&[(Key(8), Value::from("kept"))]).unwrap();
+        let (_, call) = picked_of(&s.commit().unwrap());
+        assert_ne!(call, abandoned);
+        assert_eq!(s.handle(&stale(&s)), None);
+        assert!(s.has_operation_in_flight());
+        let ev = s.handle(&picked_commit_reply(
+            &s,
+            participant,
+            tx(4),
+            (160, call),
+            170,
+        ));
+        assert_eq!(
+            ev,
+            Some(ClientEvent::Committed {
+                tx: tx(4),
+                snapshot: ts(120),
+                ct: ts(170)
+            })
+        );
+        assert_eq!((s.hwt(), s.cache_len()), (ts(170), 1), "only key 8 is held");
     }
 
     #[test]
@@ -2608,7 +2739,7 @@ mod tests {
         // Below the replica's GC horizon (cohort docs): refused.
         let refused = Msg::OpFailed {
             tx: t,
-            snapshot: None,
+            opening: None,
         };
         let replica = slices[0].dst.as_server().unwrap();
         let ev = s.handle(&Envelope::new(replica, s.id(), refused));

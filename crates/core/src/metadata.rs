@@ -247,8 +247,12 @@ pub fn table1() -> Vec<SystemRow> {
 /// timestamp, or `CommitOne`, in any of its forms, more than one
 /// timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
-    for (coordinator_share, picked) in [(false, false), (true, false), (false, true), (true, true)]
-    {
+    for (coordinator_share, picked) in [
+        (false, None),
+        (true, None),
+        (false, Some(7)),
+        (true, Some(7)),
+    ] {
         let one_phase = Msg::CommitOne {
             tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
             ht: Timestamp::from_parts(123_456, 7),
@@ -261,7 +265,7 @@ pub fn measured_paris_snapshot_metadata() -> usize {
         assert_eq!(
             wire::metadata(&one_phase).timestamps,
             1,
-            "one-phase commit, coordinator share {coordinator_share}, picked {picked}"
+            "one-phase commit, coordinator share {coordinator_share}, picked {picked:?}"
         );
     }
     let ust = Timestamp::from_parts(123_456, 7);

@@ -35,7 +35,7 @@
 //! never silently dropped: the server restarted between prepare and
 //! commit, and its share of the writes is lost.
 
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult};
+use paris_proto::{Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult};
 use paris_types::{ClientId, DcId, Mode, Timestamp, TxId, WriteSetEntry};
 
 use super::{BlockedRead, CommittedTx, PreparedTx, Server};
@@ -62,7 +62,7 @@ impl Server {
         let reader = env.src;
         if snapshot < self.trimmed {
             self.stats.refused_slices += 1;
-            let refused = Msg::OpFailed { tx, snapshot: None };
+            let refused = Msg::OpFailed { tx, opening: None };
             return vec![Envelope::new(self.id, reader, refused)];
         }
         match self.mode {
@@ -230,7 +230,7 @@ impl Server {
         src_dc: DcId,
         client: ClientId,
         coordinator_share: bool,
-        picked: bool,
+        picked: Option<u64>,
         now: u64,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
@@ -249,7 +249,10 @@ impl Server {
         }
         let msg = Msg::CommitResp {
             tx,
-            snapshot: picked.then_some(self.ust),
+            opening: picked.map(|call| Opening::Picked {
+                ust: self.ust,
+                call,
+            }),
             ct,
         };
         let mut out = vec![Envelope::new(self.id, client, msg)];

@@ -22,10 +22,13 @@
 //! begins lazily costs one round trip less than the paper's START.
 //!
 //! The *picked form* ([`TxRef::Picked`]) carries the snapshot the client
-//! picked and read at: the coordinator opens the context at it, assigns
-//! the id, and handles the operation as the plain one. Its reply names the
-//! answering server's UST where a start form's names the snapshot, which
-//! keeps the client's `ust_c` fresh. A picked context pins nothing the
+//! picked and read at, and a call number: the coordinator opens the
+//! context at the snapshot, assigns the id, and handles the operation as
+//! the plain one. Its reply ([`Opening::Picked`](paris_proto::Opening))
+//! names the answering server's UST where a start form's names the
+//! snapshot, which keeps the client's `ust_c` fresh, and echoes the call,
+//! by which the client tells it from the reply to any other request. A
+//! picked context pins nothing the
 //! client needs — its reads are done, or the cohorts refuse what GC has
 //! trimmed — so it may sit below `S_old`.
 //!
@@ -50,8 +53,8 @@
 //! does. 4 messages instead of 5. A start form keeps 2PC, as only the
 //! coordinator's reply may name the snapshot it assigned, and so do two or
 //! more remote participants. A picked form keeps both shortcuts: its
-//! `CommitOne` is marked picked, and the deciding participant names its
-//! own UST in the reply. The own share runs in place
+//! `CommitOne` carries the call, and the deciding participant names its
+//! own UST and the call in the reply. The own share runs in place
 //! ([`Server::in_place`]).
 //!
 //! Coordinator state lives in the [`TxTable`](super::TxTable).
@@ -106,12 +109,12 @@ impl Server {
                 let (tx, snapshot) = self.begin_tx(client_of(env)?, client_ust, now);
                 Some((tx, Opened::Start(snapshot)))
             }
-            TxRef::Picked { snapshot } => {
+            TxRef::Picked { snapshot, call } => {
                 // A UST value, so the UST here is at least as high.
                 self.ust = self.ust.max(snapshot);
                 let client = client_of(env)?;
                 let tx = self.tx_table.begin(self.id, client, snapshot, now);
-                Some((tx, Opened::Picked))
+                Some((tx, Opened::Picked(call)))
             }
         }
     }
@@ -150,7 +153,7 @@ impl Server {
             return Vec::new();
         };
         let start = matches!(opened, Opened::Start(_));
-        let slot = opened.slot(self.ust);
+        let opening = opened.opening(self.ust);
         let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
             // Unknown transaction (the coordinator restarted, or reclaimed
@@ -159,7 +162,7 @@ impl Server {
             return vec![Envelope::new(
                 self.id,
                 env.src,
-                Msg::OpFailed { tx, snapshot: None },
+                Msg::OpFailed { tx, opening: None },
             )];
         };
         debug_assert!(ctx.pending.is_none(), "client issued overlapping ops");
@@ -198,7 +201,7 @@ impl Server {
                     return vec![Envelope::new(
                         self.id,
                         client,
-                        Msg::OpFailed { tx, snapshot: slot },
+                        Msg::OpFailed { tx, opening },
                     )];
                 }
             }
@@ -209,7 +212,7 @@ impl Server {
                 client,
                 Msg::ReadResp {
                     tx,
-                    snapshot: slot,
+                    opening,
                     results,
                 },
             )];
@@ -272,7 +275,7 @@ impl Server {
             ctx.client,
             Msg::ReadResp {
                 tx,
-                snapshot: opened.slot(self.ust),
+                opening: opened.opening(self.ust),
                 results,
             },
         )]
@@ -293,11 +296,13 @@ impl Server {
         };
         let client = ctx.client;
         ctxs.remove(&tx);
-        let snapshot = opened.slot(self.ust);
         vec![Envelope::new(
             self.id,
             client,
-            Msg::OpFailed { tx, snapshot },
+            Msg::OpFailed {
+                tx,
+                opening: opened.opening(self.ust),
+            },
         )]
     }
 
@@ -319,12 +324,12 @@ impl Server {
         let Some((tx, opened)) = self.resolve_tx(env, tx, now) else {
             return Vec::new();
         };
-        let slot = opened.slot(self.ust);
+        let opening = opened.opening(self.ust);
         // Only the coordinator's reply can name an assigned snapshot, so a
         // start form keeps 2PC; a picked form's participant names its own
-        // UST.
+        // UST and echoes the call.
         let one_phase = !matches!(opened, Opened::Start(_));
-        let picked = opened == Opened::Picked;
+        let picked = opened.call();
         let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
             // Unknown transaction: its writes would be dropped, so the
@@ -332,7 +337,7 @@ impl Server {
             return vec![Envelope::new(
                 self.id,
                 env.src,
-                Msg::OpFailed { tx, snapshot: None },
+                Msg::OpFailed { tx, opening: None },
             )];
         };
         debug_assert!(ctx.pending.is_none(), "client issued overlapping ops");
@@ -347,7 +352,7 @@ impl Server {
                 client,
                 Msg::CommitResp {
                     tx,
-                    snapshot: slot,
+                    opening,
                     ct: Timestamp::ZERO,
                 },
             )];
@@ -376,7 +381,7 @@ impl Server {
                     return vec![Envelope::new(
                         self.id,
                         client,
-                        Msg::OpFailed { tx, snapshot: slot },
+                        Msg::OpFailed { tx, opening },
                     )];
                 }
             }
@@ -494,7 +499,7 @@ impl Server {
                     src_dc: self.id.dc,
                     client,
                     coordinator_share: true,
-                    picked: opened == Opened::Picked,
+                    picked: opened.call(),
                 };
                 return vec![Envelope::new(self.id, participant, msg)];
             }
@@ -514,7 +519,7 @@ impl Server {
             client,
             Msg::CommitResp {
                 tx,
-                snapshot: opened.slot(self.ust),
+                opening: opened.opening(self.ust),
                 ct,
             },
         ));

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use paris_clock::{Hlc, PhysicalClock};
 pub use paris_proto::ServerStats;
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadResult};
+use paris_proto::{Endpoint, Envelope, Msg, Opening, ReadKey, ReadResult};
 use paris_storage::{DurableConfig, DurableEngine, Engine, MemEngine, RecoveryInfo};
 use paris_types::{ClientId, DcId, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry};
 
@@ -64,24 +64,33 @@ pub(crate) struct TxContext {
 }
 
 /// How the request that opened an operation named its transaction, which
-/// decides what its reply names in a start form's snapshot slot.
+/// decides what its reply names besides the id ([`Opening`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Opened {
-    /// By id: the slot stays empty.
+    /// By id: the reply names nothing more.
     Known,
     /// A start form: the snapshot just assigned.
     Start(Timestamp),
-    /// A picked form: the answering server's UST when it answers.
-    Picked,
+    /// A picked form, with its call: the answering server's UST when it
+    /// answers, and the call echoed.
+    Picked(u64),
 }
 
 impl Opened {
-    /// The reply's snapshot slot, from a server whose UST is `ust`.
-    pub(crate) fn slot(self, ust: Timestamp) -> Option<Timestamp> {
+    /// What the reply names, from a server whose UST is `ust`.
+    pub(crate) fn opening(self, ust: Timestamp) -> Option<Opening> {
         match self {
             Opened::Known => None,
-            Opened::Start(snapshot) => Some(snapshot),
-            Opened::Picked => Some(ust),
+            Opened::Start(snapshot) => Some(Opening::Start { snapshot }),
+            Opened::Picked(call) => Some(Opening::Picked { ust, call }),
+        }
+    }
+
+    /// A picked form's call.
+    pub(crate) fn call(self) -> Option<u64> {
+        match self {
+            Opened::Picked(call) => Some(call),
+            Opened::Known | Opened::Start(_) => None,
         }
     }
 }

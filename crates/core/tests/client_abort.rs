@@ -43,7 +43,7 @@ fn abort_during_read_resets_session() {
         s.id(),
         Msg::OpFailed {
             tx: t,
-            snapshot: None,
+            opening: None,
         },
     ));
     assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
@@ -64,7 +64,7 @@ fn abort_during_commit_leaves_no_trace_in_cache() {
         s.id(),
         Msg::OpFailed {
             tx: t,
-            snapshot: None,
+            opening: None,
         },
     ));
     assert_eq!(ev, Some(ClientEvent::Aborted { tx: t }));
@@ -87,7 +87,7 @@ fn abort_for_wrong_transaction_is_ignored() {
         s.id(),
         Msg::OpFailed {
             tx: tx(99),
-            snapshot: None,
+            opening: None,
         },
     ));
     assert!(ev.is_none());
@@ -104,7 +104,7 @@ fn counts_do_not_include_aborts_as_commits() {
         s.id(),
         Msg::OpFailed {
             tx: t,
-            snapshot: None,
+            opening: None,
         },
     ));
     assert_eq!(s.counts(), (1, 0), "one started, none committed");

@@ -6,7 +6,7 @@
 //! where a test advances it, which is what lets one seeded stream run
 //! twice, with eager and with deferred begins, and compare every read.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use paris_clock::SimClock;
@@ -771,9 +771,8 @@ struct Outcome {
     violations: Vec<String>,
     txs_coordinated: u64,
     coordinator_reads: u64,
-    /// Clients whose first transaction was one of the stream's (the
-    /// preload taught its writer a UST before).
-    fresh: u64,
+    /// Clients that ran a transaction of the stream.
+    ran: u64,
     retries: u64,
 }
 
@@ -830,6 +829,10 @@ fn check(history: &[Observed]) -> Vec<String> {
 /// every begin eager or every begin deferred: to the first read, or —
 /// once the client has learned a UST — picked at the client. The clock
 /// steps 10 µs before every begin and commit and never before a read.
+/// After each round of ticks, every client that ran opens and closes an
+/// empty transaction, begun as the run begins the others: the reply that
+/// closes it teaches the client the new UST — in the deferred run, the
+/// reply to a picked commit.
 fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
     let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
     c.advance(1_000);
@@ -875,12 +878,10 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
     }
 
     let mut reads = Vec::new();
-    let mut fresh = HashSet::new();
+    let mut ran = BTreeSet::new();
     for step in 0..steps {
         let client = clients[rng.gen_range(0..clients.len())];
-        if client != clients[2] {
-            fresh.insert(client);
-        }
+        ran.insert(client);
         begin(&mut c, client, deferred);
         // Skewed towards the low keys, with a couple of quiet keys in most
         // batches; duplicates are welcome.
@@ -916,6 +917,12 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
         });
         if step % 3 == 0 {
             c.tick_all();
+            // The clients that ran learn the new UST, as a closed-loop
+            // client does from its next reply.
+            for client in &ran {
+                begin(&mut c, *client, deferred);
+                commit(&mut c, *client);
+            }
         }
     }
     for _ in 0..4 {
@@ -928,7 +935,7 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
         violations,
         txs_coordinated: c.total(|s| s.txs_coordinated),
         coordinator_reads: c.total(|s| s.coordinator_reads),
-        fresh: fresh.len() as u64,
+        ran: ran.len() as u64,
         retries: c.retries,
     }
 }
@@ -943,27 +950,26 @@ proptest! {
         prop_assert_eq!(&eager.violations, &Vec::<String>::new());
         prop_assert_eq!(&deferred.violations, &Vec::<String>::new());
         prop_assert_eq!(eager.reads.len(), deferred.reads.len());
-        // A picked snapshot is the client's `ust_c`, which may trail the
-        // UST an eager begin is assigned; at the same snapshot, the same
-        // batch.
-        let mut equal = 0;
+        // A picked snapshot is the client's `ust_c`. Every client that ran
+        // learns the UST after each round of ticks — in the deferred run
+        // from its picked commit's reply — and between two rounds its
+        // replies name no other, so each pick is the snapshot the eager
+        // begin was assigned: every batch is compared.
         for (step, (a, b)) in eager.reads.iter().zip(&deferred.reads).enumerate() {
-            if a.0 == b.0 {
-                equal += 1;
-                prop_assert_eq!(&a.1, &b.1, "read batch {} differs", step);
-            }
+            prop_assert_eq!(a.0, b.0, "snapshot of read batch {}", step);
+            prop_assert_eq!(&a.1, &b.1, "read batch {} differs", step);
         }
-        prop_assert!(equal > 0, "no two batches shared a snapshot");
         // The same transactions committed. An eager begin knows its
         // snapshot, so its reads went straight to the replicas. A deferred
         // begin picks its client's `ust_c` once the client has one, and
         // reads straight from the replicas too: only the first transaction
-        // of a client that has learned no UST yet carries its start in the
-        // read — three clients; the preload taught its writer one — and no
-        // read is refused and re-sent, as the stream runs no GC tick.
+        // of each client carries its start in the read — all four; the
+        // preload's writer learned only the UST of zero its eager begin
+        // was assigned before any tick — and no read is refused and
+        // re-sent, as the stream runs no GC tick.
         prop_assert_eq!(eager.txs_coordinated, deferred.txs_coordinated);
         prop_assert_eq!((eager.coordinator_reads, eager.retries), (0, 0));
-        prop_assert_eq!((deferred.fresh, deferred.retries), (3, 0));
-        prop_assert_eq!(deferred.coordinator_reads, 3);
+        prop_assert_eq!((deferred.ran, deferred.retries), (4, 0));
+        prop_assert_eq!(deferred.coordinator_reads, 4);
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use paris_clock::SimClock;
 use paris_core::{Mode, Server, ServerOptions, Topology, STALE_CONTEXT_MICROS};
 use paris_proto::{
-    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReplicatedTx, TxRef,
+    DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReplicatedTx, TxRef,
 };
 use paris_types::{
     BatchConfig, ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
@@ -149,7 +149,7 @@ fn read_req_for_unknown_tx_fails_the_operation() {
         out[0].msg,
         Msg::OpFailed {
             tx: bogus,
-            snapshot: None
+            opening: None
         }
     );
 }
@@ -178,7 +178,7 @@ fn commit_req_for_unknown_tx_fails_instead_of_faking_success() {
         out.iter().map(|e| &e.msg).collect::<Vec<_>>(),
         [&Msg::OpFailed {
             tx: bogus,
-            snapshot: None
+            opening: None
         }]
     );
     assert_eq!(s.stats().prepares, 0);
@@ -229,7 +229,7 @@ fn a_start_form_read_begins_the_transaction_and_names_its_snapshot() {
         out[0].msg,
         Msg::ReadResp {
             tx: *tx,
-            snapshot: Some(ust),
+            opening: Some(Opening::Start { snapshot: ust }),
             results: vec![]
         }
     );
@@ -299,12 +299,12 @@ fn a_stamp_above_the_assigned_snapshot_is_answered_without_any_slice_read() {
         0,
     );
     let Msg::ReadResp {
-        snapshot, results, ..
+        opening, results, ..
     } = &out[0].msg
     else {
         panic!("expected ReadResp");
     };
-    assert_eq!(*snapshot, Some(ust));
+    assert_eq!(*opening, Some(Opening::Start { snapshot: ust }));
     let outcomes: Vec<(Key, &ReadOutcome)> = results.iter().map(|r| (r.key, &r.outcome)).collect();
     assert_eq!(
         outcomes,
@@ -329,7 +329,7 @@ fn a_stamp_above_the_assigned_snapshot_is_answered_without_any_slice_read() {
     assert!(matches!(
         &out[..],
         [Envelope {
-            msg: Msg::ReadResp { snapshot: Some(snap), .. },
+            msg: Msg::ReadResp { opening: Some(Opening::Start { snapshot: snap }), .. },
             ..
         }] if *snap == ust
     ));
@@ -358,7 +358,7 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
     let out = s.handle(&commit(vec![]), 0);
     assert!(matches!(
         out[0].msg,
-        Msg::CommitResp { snapshot: Some(snap), ct, .. } if snap == ust && ct == Timestamp::ZERO
+        Msg::CommitResp { opening: Some(Opening::Start { snapshot: snap }), ct, .. } if snap == ust && ct == Timestamp::ZERO
     ));
     assert_eq!(s.open_transactions(), 0);
     // A write-only transaction on the coordinator's own partition: one
@@ -371,7 +371,7 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
         &out[..],
         [Envelope {
             dst: Endpoint::Client(_),
-            msg: Msg::CommitResp { snapshot: Some(snap), ct, .. },
+            msg: Msg::CommitResp { opening: Some(Opening::Start { snapshot: snap }), ct, .. },
             ..
         }] if *snap == ust && *ct > ust
     ));
@@ -419,7 +419,7 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
                 Endpoint::Client(client()),
                 &Msg::CommitResp {
                     tx: *tx,
-                    snapshot: Some(ust),
+                    opening: Some(Opening::Start { snapshot: ust }),
                     ct: Timestamp::from_physical_micros(10_001)
                 }
             )
@@ -477,7 +477,7 @@ fn a_start_form_commit_names_the_snapshot_it_committed_on() {
                 Endpoint::Client(client()),
                 &Msg::CommitResp {
                     tx: *tx,
-                    snapshot: Some(ust),
+                    opening: Some(Opening::Start { snapshot: ust }),
                     ct: own
                 }
             )
@@ -732,6 +732,7 @@ fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
         let commit = Msg::CommitReq {
             tx: TxRef::Picked {
                 snapshot: ts(2_000),
+                call: 7,
             },
             hwt: Timestamp::ZERO,
             writes,
@@ -741,15 +742,16 @@ fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
     let reply = |out: &[Envelope]| match out {
         [Envelope {
             dst: Endpoint::Client(_),
-            msg: Msg::CommitResp { tx, snapshot, ct },
+            msg: Msg::CommitResp { tx, opening, ct },
             ..
-        }] => (*tx, *snapshot, *ct),
+        }] => (*tx, *opening, *ct),
         other => panic!("expected one CommitResp, got {other:?}"),
     };
 
     // Read-only: the coordinator answers at once, with its UST.
-    let (_, slot, ct) = reply(&coordinator.handle(&picked(vec![]), 0));
-    assert_eq!((slot, ct), (Some(low), Timestamp::ZERO));
+    let answered = |ust| Some(Opening::Picked { ust, call: 7 });
+    let (_, opening, ct) = reply(&coordinator.handle(&picked(vec![]), 0));
+    assert_eq!((opening, ct), (answered(low), Timestamp::ZERO));
 
     // One remote partition: a picked `CommitOne`, answered by the
     // participant with its UST.
@@ -762,7 +764,7 @@ fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
         tx,
         ht,
         coordinator_share: false,
-        picked: true,
+        picked: Some(7),
         ..
     } = forward.msg
     else {
@@ -770,8 +772,8 @@ fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
     };
     assert_eq!(ht, ts(2_000), "ht is the picked snapshot");
     assert_eq!(coordinator.open_transactions(), 0);
-    let (answered, slot, ct) = reply(&participant.handle(forward, 0));
-    assert_eq!((answered, slot), (tx, Some(high)));
+    let (t, opening, ct) = reply(&participant.handle(forward, 0));
+    assert_eq!((t, opening), (tx, answered(high)));
     assert!(ct > high);
 
     // The own partition and one other: last agent, the decider answers.
@@ -784,7 +786,7 @@ fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
         forward.msg,
         Msg::CommitOne {
             coordinator_share: true,
-            picked: true,
+            picked: Some(7),
             ..
         }
     ));
@@ -793,7 +795,7 @@ fn a_picked_commit_is_answered_with_the_answering_servers_ust() {
         .into_iter()
         .filter(|e| matches!(e.dst, Endpoint::Client(_)))
         .collect();
-    assert_eq!(reply(&to_client).1, Some(high));
+    assert_eq!(reply(&to_client).1, answered(high));
 }
 
 #[test]
@@ -830,7 +832,7 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
             src_dc: DcId(0),
             client: client(),
             coordinator_share: false,
-            picked: false,
+            picked: None,
         }
     );
     assert_eq!(coordinator.open_transactions(), 0);
@@ -843,7 +845,7 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
         msg:
             Msg::CommitResp {
                 tx: t,
-                snapshot: None,
+                opening: None,
                 ct,
             },
         ..
@@ -877,7 +879,7 @@ fn a_local_single_partition_commit_emits_only_the_client_reply() {
         msg:
             Msg::CommitResp {
                 tx: t,
-                snapshot: None,
+                opening: None,
                 ct,
             },
         ..
@@ -1615,7 +1617,7 @@ fn a_direct_read_below_the_gc_horizon_is_refused_never_served_from_a_trimmed_cha
     let out = s.handle(&Envelope::new(client(), s.id(), read(snapshot)), 0);
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].dst, Endpoint::Client(client()));
-    assert_eq!(out[0].msg, Msg::OpFailed { tx, snapshot: None });
+    assert_eq!(out[0].msg, Msg::OpFailed { tx, opening: None });
     assert_eq!(s.stats().slice_reads, 0, "nothing served");
     assert_eq!(s.ust(), ts(30), "nor the UST touched");
     // At the horizon, the replica serves, and answers the client.
@@ -1672,7 +1674,7 @@ fn a_picked_slice_below_s_old_is_refused_once_gc_trimmed_never_served_from_a_tri
         out[0].msg,
         Msg::OpFailed {
             tx: named,
-            snapshot: None
+            opening: None
         }
     );
     let stats = s.stats();
@@ -1682,16 +1684,20 @@ fn a_picked_slice_below_s_old_is_refused_once_gc_trimmed_never_served_from_a_tri
     // slice is refused in place, and the client is failed — with this
     // server's UST where a picked form's reply names it.
     let picked_read = Msg::ReadReq {
-        tx: TxRef::Picked { snapshot: picked },
+        tx: TxRef::Picked {
+            snapshot: picked,
+            call: 3,
+        },
         keys: vec![Key(0).into()],
     };
     let out = s.handle(&Envelope::new(client(), s.id(), picked_read), 0);
     let [Envelope {
         dst: Endpoint::Client(c),
-        msg: Msg::OpFailed {
-            snapshot: Some(ust),
-            ..
-        },
+        msg:
+            Msg::OpFailed {
+                opening: Some(Opening::Picked { ust, call: 3 }),
+                ..
+            },
         ..
     }] = &out[..]
     else {

@@ -160,7 +160,10 @@ mod tests {
             writes: vec![],
         };
         let known = m.cost(&commit(TxRef::Known(tx())));
-        let picked = m.cost(&commit(TxRef::Picked { snapshot: ts }));
+        let picked = m.cost(&commit(TxRef::Picked {
+            snapshot: ts,
+            call: 1,
+        }));
         let start = m.cost(&commit(TxRef::Start { client_ust: ts }));
         assert_eq!((known, picked), (m.read_coord, m.read_coord));
         assert_eq!(start, m.read_coord + m.start_tx);

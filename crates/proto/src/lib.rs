@@ -33,5 +33,6 @@ pub mod wire;
 
 pub use ctrl::{Ctrl, ServerSnapshot, ServerStats};
 pub use messages::{
-    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx, TxRef,
+    DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
+    TxRef,
 };

@@ -118,13 +118,35 @@ pub enum TxRef {
     /// The client picked the transaction's snapshot itself — its `ust_c`,
     /// a UST every DC has installed — and read straight from the replicas
     /// at it; this request is the first the coordinator hears of the
-    /// transaction. The coordinator opens the context at `snapshot`,
-    /// assigns the id, and the reply names the id and, where a start
-    /// form's reply names the snapshot, the answering server's UST, which
-    /// keeps the client's `ust_c` fresh.
+    /// transaction. The coordinator opens the context at `snapshot` and
+    /// assigns the id; the reply names the id and [`Opening::Picked`].
     Picked {
         /// The snapshot the client picked.
         snapshot: Timestamp,
+        /// A number the client chose for this request, echoed by the
+        /// reply: whichever server answers, in whatever order, the client
+        /// tells the reply to this request from any other.
+        call: u64,
+    },
+}
+
+/// What the reply to a transaction's opening request — a start form or a
+/// picked form, the first request to reach a coordinator — names besides
+/// the transaction id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opening {
+    /// The reply to a start form: the snapshot the coordinator assigned.
+    Start {
+        /// The assigned snapshot.
+        snapshot: Timestamp,
+    },
+    /// The reply to a picked form: the answering server's UST, which keeps
+    /// the client's `ust_c` fresh, and the request's call number.
+    Picked {
+        /// The answering server's UST.
+        ust: Timestamp,
+        /// The [`TxRef::Picked`] request's `call`.
+        call: u64,
     },
 }
 
@@ -228,9 +250,8 @@ pub enum Msg {
     ReadResp {
         /// Transaction id.
         tx: TxId,
-        /// The assigned snapshot, when the request was a start form; the
-        /// coordinator's UST, when it was a picked form.
-        snapshot: Option<Timestamp>,
+        /// Present when the request was a start or picked form.
+        opening: Option<Opening>,
         /// Per-key results.
         results: Vec<ReadResult>,
     },
@@ -252,9 +273,8 @@ pub enum Msg {
     CommitResp {
         /// Transaction id.
         tx: TxId,
-        /// The assigned snapshot, when the request was a start form; the
-        /// answering server's UST, when it was a picked form.
-        snapshot: Option<Timestamp>,
+        /// Present when the request was a start or picked form.
+        opening: Option<Opening>,
         /// Commit timestamp.
         ct: Timestamp,
     },
@@ -271,9 +291,8 @@ pub enum Msg {
     OpFailed {
         /// Transaction id.
         tx: TxId,
-        /// The assigned snapshot, when the request was a start form; the
-        /// coordinator's UST, when it was a picked form.
-        snapshot: Option<Timestamp>,
+        /// Present when the request was a start or picked form.
+        opening: Option<Opening>,
     },
 
     // ---------------------------------------------------- to and from cohorts
@@ -356,9 +375,10 @@ pub enum Msg {
         /// The coordinator holds the rest of the write set prepared, and
         /// gets a [`Msg::CommitTx`] with the decided `ct`.
         coordinator_share: bool,
-        /// The client picked the transaction's snapshot
-        /// ([`TxRef::Picked`]): the `CommitResp` names this server's UST.
-        picked: bool,
+        /// The call of the client's [`TxRef::Picked`] request, when the
+        /// client picked the transaction's snapshot: the `CommitResp` names
+        /// it and this server's UST ([`Opening::Picked`]).
+        picked: Option<u64>,
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version

@@ -32,9 +32,10 @@
 //! retired the heartbeat, tree-report, root-GST and UST-broadcast tags
 //! (13–16): that traffic travels as an empty `Replicate` and one-entry
 //! `GossipDigest`s. Version 8 added the picked forms of `ReadReq` /
-//! `CommitReq` (a snapshot the client picked where the id would be) and of
-//! `CommitOne` under tags of their own (30–34). Every other frame is the v2
-//! one, byte for byte.
+//! `CommitReq` (the snapshot the client picked and a call number where the
+//! id would be), of `CommitOne`, and of the replies to them (the answering
+//! server's UST and the call echoed) under tags of their own (30–37).
+//! Every other frame is the v2 one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -51,7 +52,8 @@ use paris_types::{
 };
 
 use crate::messages::{
-    DigestReport, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, ReplicatedTx, TxRef,
+    DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
+    TxRef,
 };
 use crate::varint;
 
@@ -395,17 +397,21 @@ fn any_held(keys: &[ReadKey]) -> bool {
 }
 
 /// A request's transaction: its id, or — in a start form — the client's
-/// `ust_c`, or — in a picked form — the snapshot the client picked. The
-/// tag says which.
+/// `ust_c`, or — in a picked form — the snapshot the client picked and the
+/// request's call. The tag says which.
 fn put_tx_ref<S: Sink>(s: &mut S, tx: TxRef) {
     match tx {
         TxRef::Known(tx) => put_tx(s, tx),
         TxRef::Start { client_ust } => s.timestamp(client_ust),
-        TxRef::Picked { snapshot } => s.timestamp(snapshot),
+        TxRef::Picked { snapshot, call } => {
+            s.timestamp(snapshot);
+            s.varint(call);
+        }
     }
 }
 
-/// The three forms of a client request, each under tags of its own.
+/// The three forms of a client request, and of the replies to it, each
+/// under tags of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Form {
     Known,
@@ -419,6 +425,15 @@ impl Form {
             TxRef::Known(_) => Form::Known,
             TxRef::Start { .. } => Form::Start,
             TxRef::Picked { .. } => Form::Picked,
+        }
+    }
+
+    /// The form of the request a reply naming `opening` answers.
+    fn of_reply(opening: Option<Opening>) -> Form {
+        match opening {
+            None => Form::Known,
+            Some(Opening::Start { .. }) => Form::Start,
+            Some(Opening::Picked { .. }) => Form::Picked,
         }
     }
 
@@ -440,6 +455,7 @@ fn get_tx_ref(r: &mut &[u8], form: Form) -> Result<TxRef, DecodeError> {
         },
         Form::Picked => TxRef::Picked {
             snapshot: get_ts(r)?,
+            call: varint::get(r)?,
         },
     })
 }
@@ -451,19 +467,33 @@ fn stamp_base(tx: TxRef) -> Timestamp {
     match tx {
         TxRef::Known(_) => Timestamp::ZERO,
         TxRef::Start { client_ust } => client_ust,
-        TxRef::Picked { snapshot } => snapshot,
+        TxRef::Picked { snapshot, .. } => snapshot,
     }
 }
 
-/// A reply's snapshot, present in the start form only (its tag says which).
-fn put_start_snapshot<S: Sink>(s: &mut S, snapshot: Option<Timestamp>) {
-    if let Some(snapshot) = snapshot {
-        s.timestamp(snapshot);
+/// A reply's opening, absent in the plain form (its tag says which).
+fn put_opening<S: Sink>(s: &mut S, opening: Option<Opening>) {
+    match opening {
+        None => {}
+        Some(Opening::Start { snapshot }) => s.timestamp(snapshot),
+        Some(Opening::Picked { ust, call }) => {
+            s.timestamp(ust);
+            s.varint(call);
+        }
     }
 }
 
-fn get_start_snapshot(r: &mut &[u8], start: bool) -> Result<Option<Timestamp>, DecodeError> {
-    start.then(|| get_ts(r)).transpose()
+fn get_opening(r: &mut &[u8], form: Form) -> Result<Option<Opening>, DecodeError> {
+    Ok(match form {
+        Form::Known => None,
+        Form::Start => Some(Opening::Start {
+            snapshot: get_ts(r)?,
+        }),
+        Form::Picked => Some(Opening::Picked {
+            ust: get_ts(r)?,
+            call: varint::get(r)?,
+        }),
+    })
 }
 
 /// A request's key list: the plain list, followed — under the request's
@@ -633,15 +663,20 @@ const T_OP_FAILED_START: u8 = 27;
 // fields, so the plain frame stays byte-identical.
 const T_COMMIT_ONE: u8 = 28;
 const T_COMMIT_ONE_SHARE: u8 = 29;
-// The picked forms (`TxRef::Picked`) of the client requests, and the
-// one-phase commits of a picked transaction, whose participant names its
-// UST in the reply: the same fields under tags of their own.
+// The picked forms (`TxRef::Picked`) of the client requests, the one-phase
+// commits of a picked transaction, and the replies to them, which name the
+// answering server's UST and echo the request's call: the plain fields
+// plus those, under tags of their own.
 const T_READ_REQ_PICKED: u8 = 30;
 const T_READ_REQ_PICKED_STAMPED: u8 = 31;
 const T_COMMIT_REQ_PICKED: u8 = 32;
 const T_COMMIT_ONE_PICKED: u8 = 33;
 const T_COMMIT_ONE_SHARE_PICKED: u8 = 34;
+const T_READ_RESP_PICKED: u8 = 35;
+const T_COMMIT_RESP_PICKED: u8 = 36;
+const T_OP_FAILED_PICKED: u8 = 37;
 
+// Each message with forms: its plain, start and picked tag.
 const READ_REQ: [u8; 3] = [T_READ_REQ, T_READ_REQ_START, T_READ_REQ_PICKED];
 const READ_REQ_STAMPED: [u8; 3] = [
     T_READ_REQ_STAMPED,
@@ -649,37 +684,26 @@ const READ_REQ_STAMPED: [u8; 3] = [
     T_READ_REQ_PICKED_STAMPED,
 ];
 const COMMIT_REQ: [u8; 3] = [T_COMMIT_REQ, T_COMMIT_REQ_START, T_COMMIT_REQ_PICKED];
+const READ_RESP: [u8; 3] = [T_READ_RESP, T_READ_RESP_START, T_READ_RESP_PICKED];
+const COMMIT_RESP: [u8; 3] = [T_COMMIT_RESP, T_COMMIT_RESP_START, T_COMMIT_RESP_PICKED];
+const OP_FAILED: [u8; 3] = [T_OP_FAILED, T_OP_FAILED_START, T_OP_FAILED_PICKED];
 
-/// The form a client request's tag names.
+/// The form a tag names, out of its message's three.
 fn form_of_tag(tag: u8) -> Form {
-    if [
-        T_READ_REQ_START,
-        T_READ_REQ_START_STAMPED,
-        T_COMMIT_REQ_START,
-    ]
-    .contains(&tag)
-    {
+    let tags = [
+        READ_REQ,
+        READ_REQ_STAMPED,
+        COMMIT_REQ,
+        READ_RESP,
+        COMMIT_RESP,
+        OP_FAILED,
+    ];
+    if tags.iter().any(|[_, start, _]| *start == tag) {
         Form::Start
-    } else if [
-        T_READ_REQ_PICKED,
-        T_READ_REQ_PICKED_STAMPED,
-        T_COMMIT_REQ_PICKED,
-    ]
-    .contains(&tag)
-    {
+    } else if tags.iter().any(|[_, _, picked]| *picked == tag) {
         Form::Picked
     } else {
         Form::Known
-    }
-}
-
-/// A message's tag: `plain`, or `other` for its other form (a start-form
-/// reply).
-fn form(is_other: bool, plain: u8, other: u8) -> u8 {
-    if is_other {
-        other
-    } else {
-        plain
     }
 }
 
@@ -706,12 +730,12 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
         }
         Msg::ReadResp {
             tx,
-            snapshot,
+            opening,
             results,
         } => {
-            s.tag(form(snapshot.is_some(), T_READ_RESP, T_READ_RESP_START));
+            s.tag(Form::of_reply(*opening).tag(READ_RESP));
             put_tx(s, *tx);
-            put_start_snapshot(s, *snapshot);
+            put_opening(s, *opening);
             put_vec(s, results, put_read_result);
         }
         Msg::CommitReq { tx, hwt, writes } => {
@@ -720,10 +744,10 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             s.timestamp(*hwt);
             put_vec(s, writes, put_write);
         }
-        Msg::CommitResp { tx, snapshot, ct } => {
-            s.tag(form(snapshot.is_some(), T_COMMIT_RESP, T_COMMIT_RESP_START));
+        Msg::CommitResp { tx, opening, ct } => {
+            s.tag(Form::of_reply(*opening).tag(COMMIT_RESP));
             put_tx(s, *tx);
-            put_start_snapshot(s, *snapshot);
+            put_opening(s, *opening);
             s.timestamp(*ct);
         }
         Msg::ReadSliceReq { tx, snapshot, keys } => {
@@ -784,7 +808,7 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             coordinator_share,
             picked,
         } => {
-            s.tag(match (*coordinator_share, *picked) {
+            s.tag(match (*coordinator_share, picked.is_some()) {
                 (false, false) => T_COMMIT_ONE,
                 (true, false) => T_COMMIT_ONE_SHARE,
                 (false, true) => T_COMMIT_ONE_PICKED,
@@ -795,6 +819,9 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             put_dc(s, client.dc);
             s.varint(u64::from(client.seq));
             put_dc(s, *src_dc);
+            if let Some(call) = picked {
+                s.varint(*call);
+            }
             put_vec(s, writes, put_write);
         }
         Msg::Replicate {
@@ -838,10 +865,10 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
                 s.timestamp(*s_old);
             });
         }
-        Msg::OpFailed { tx, snapshot } => {
-            s.tag(form(snapshot.is_some(), T_OP_FAILED, T_OP_FAILED_START));
+        Msg::OpFailed { tx, opening } => {
+            s.tag(Form::of_reply(*opening).tag(OP_FAILED));
             put_tx(s, *tx);
-            put_start_snapshot(s, *snapshot);
+            put_opening(s, *opening);
         }
     }
 }
@@ -871,9 +898,9 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
                 keys: get_keys(r, stamped, stamp_base(tx))?,
             }
         }
-        T_READ_RESP | T_READ_RESP_START => Msg::ReadResp {
+        T_READ_RESP | T_READ_RESP_START | T_READ_RESP_PICKED => Msg::ReadResp {
             tx: get_tx(r)?,
-            snapshot: get_start_snapshot(r, tag == T_READ_RESP_START)?,
+            opening: get_opening(r, form_of_tag(tag))?,
             results: get_vec(r, get_read_result)?,
         },
         T_COMMIT_REQ | T_COMMIT_REQ_START | T_COMMIT_REQ_PICKED => Msg::CommitReq {
@@ -881,9 +908,9 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             hwt: get_ts(r)?,
             writes: get_vec(r, get_write)?,
         },
-        T_COMMIT_RESP | T_COMMIT_RESP_START => Msg::CommitResp {
+        T_COMMIT_RESP | T_COMMIT_RESP_START | T_COMMIT_RESP_PICKED => Msg::CommitResp {
             tx: get_tx(r)?,
-            snapshot: get_start_snapshot(r, tag == T_COMMIT_RESP_START)?,
+            opening: get_opening(r, form_of_tag(tag))?,
             ct: get_ts(r)?,
         },
         T_READ_SLICE_REQ | T_READ_SLICE_REQ_STAMPED => {
@@ -923,7 +950,9 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
                 client: ClientId::new(get_dc(r)?, varint::get_u32(r)?),
                 src_dc: get_dc(r)?,
                 coordinator_share: matches!(tag, T_COMMIT_ONE_SHARE | T_COMMIT_ONE_SHARE_PICKED),
-                picked: matches!(tag, T_COMMIT_ONE_PICKED | T_COMMIT_ONE_SHARE_PICKED),
+                picked: matches!(tag, T_COMMIT_ONE_PICKED | T_COMMIT_ONE_SHARE_PICKED)
+                    .then(|| varint::get(r))
+                    .transpose()?,
                 writes: get_vec(r, get_write)?,
             }
         }
@@ -944,9 +973,9 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             roots: get_vec(r, |r| Ok((get_dc(r)?, get_ts(r)?, get_ts(r)?)))?,
             ust: get_opt(r, |r| Ok((get_ts(r)?, get_ts(r)?)))?,
         },
-        T_OP_FAILED | T_OP_FAILED_START => Msg::OpFailed {
+        T_OP_FAILED | T_OP_FAILED_START | T_OP_FAILED_PICKED => Msg::OpFailed {
             tx: get_tx(r)?,
-            snapshot: get_start_snapshot(r, tag == T_OP_FAILED_START)?,
+            opening: get_opening(r, form_of_tag(tag))?,
         },
         other => return Err(DecodeError::UnknownTag(other)),
     })
@@ -1240,9 +1269,11 @@ mod tests {
     }
 
     #[test]
-    fn a_picked_form_is_its_start_form_under_a_tag_of_its_own() {
-        // Both carry one timestamp where the plain form has the id: the
-        // client's `ust_c`, or the snapshot it picked.
+    fn a_picked_form_is_its_start_form_and_the_call_under_a_tag_of_its_own() {
+        // Both requests carry one timestamp where the plain form has the
+        // id: the client's `ust_c`, or the snapshot it picked — the picked
+        // form then its call. The replies name the assigned snapshot, or
+        // the answering server's UST and the call echoed.
         let ts = Timestamp::from_parts(3_600_000_000, 3);
         let held = VersionStamp {
             ut: Timestamp::from_parts(3_599_999_000, 1),
@@ -1260,13 +1291,45 @@ mod tests {
             writes: writes.clone(),
         };
         let start = TxRef::Start { client_ust: ts };
-        let picked = TxRef::Picked { snapshot: ts };
-        for (as_start, as_picked) in [(read(start), read(picked)), (commit(start), commit(picked))]
-        {
+        let picked = TxRef::Picked {
+            snapshot: ts,
+            call: 7,
+        };
+        let t = tx(1, 2, 12_345);
+        let read_resp = |opening| Msg::ReadResp {
+            tx: t,
+            opening: Some(opening),
+            results: vec![ReadResult {
+                key: Key(300),
+                outcome: ReadOutcome::Unchanged,
+            }],
+        };
+        let commit_resp = |opening| Msg::CommitResp {
+            tx: t,
+            opening: Some(opening),
+            ct: ts,
+        };
+        let op_failed = |opening| Msg::OpFailed {
+            tx: t,
+            opening: Some(opening),
+        };
+        let assigned = Opening::Start { snapshot: ts };
+        let answered = Opening::Picked { ust: ts, call: 7 };
+        // (start form, picked form, where the call goes): after the
+        // request's timestamp, or after the reply's id and timestamp.
+        let id = encode(&Msg::CommitTx { tx: t, ct: ts }).len() - 7;
+        for (as_start, as_picked, at) in [
+            (read(start), read(picked), 7),
+            (commit(start), commit(picked), 7),
+            (read_resp(assigned), read_resp(answered), 7 + id),
+            (commit_resp(assigned), commit_resp(answered), 7 + id),
+            (op_failed(assigned), op_failed(answered), 7 + id),
+        ] {
             let (a, b) = (encode(&as_start), encode(&as_picked));
             assert_ne!(a[0], b[0]);
-            assert_eq!(a[1..], b[1..]);
-            assert_eq!(metadata(&as_start), metadata(&as_picked));
+            assert_eq!([&a[1..at], &[7], &a[at..]].concat(), b[1..]);
+            let (ma, mb) = (metadata(&as_start), metadata(&as_picked));
+            assert_eq!((ma.timestamps, ma.bytes + 1), (mb.timestamps, mb.bytes));
             assert_eq!(decode(&b), Ok(as_picked));
         }
     }
@@ -1317,11 +1380,18 @@ mod tests {
         (any::<u16>(), any::<u32>(), any::<u64>()).prop_map(|(d, p, s)| tx(d, p, s))
     }
 
+    fn arb_opening() -> impl Strategy<Value = Opening> {
+        prop_oneof![
+            arb_ts().prop_map(|snapshot| Opening::Start { snapshot }),
+            (arb_ts(), any::<u64>()).prop_map(|(ust, call)| Opening::Picked { ust, call }),
+        ]
+    }
+
     fn arb_tx_ref() -> impl Strategy<Value = TxRef> {
         prop_oneof![
             arb_tx().prop_map(TxRef::Known),
             arb_ts().prop_map(|client_ust| TxRef::Start { client_ust }),
-            arb_ts().prop_map(|snapshot| TxRef::Picked { snapshot }),
+            (arb_ts(), any::<u64>()).prop_map(|(snapshot, call)| TxRef::Picked { snapshot, call }),
         ]
     }
 
@@ -1413,10 +1483,10 @@ mod tests {
             arb_ts().prop_map(|client_ust| Msg::StartTxReq { client_ust }),
             (arb_tx(), arb_ts()).prop_map(|(tx, snapshot)| Msg::StartTxResp { tx, snapshot }),
             (arb_tx_ref(), arb_keys()).prop_map(|(tx, keys)| Msg::ReadReq { tx, keys }),
-            (arb_tx(), proptest::option::of(arb_ts()), arb_results()).prop_map(
-                |(tx, snapshot, results)| Msg::ReadResp {
+            (arb_tx(), proptest::option::of(arb_opening()), arb_results()).prop_map(
+                |(tx, opening, results)| Msg::ReadResp {
                     tx,
-                    snapshot,
+                    opening,
                     results
                 }
             ),
@@ -1425,8 +1495,8 @@ mod tests {
                 hwt,
                 writes
             }),
-            (arb_tx(), proptest::option::of(arb_ts()), arb_ts())
-                .prop_map(|(tx, snapshot, ct)| Msg::CommitResp { tx, snapshot, ct }),
+            (arb_tx(), proptest::option::of(arb_opening()), arb_ts())
+                .prop_map(|(tx, opening, ct)| Msg::CommitResp { tx, opening, ct }),
             (arb_tx(), arb_ts(), arb_keys()).prop_map(|(tx, snapshot, keys)| Msg::ReadSliceReq {
                 tx,
                 snapshot,
@@ -1463,7 +1533,7 @@ mod tests {
                 arb_dc(),
                 (arb_dc(), any::<u32>()).prop_map(|(dc, seq)| ClientId::new(dc, seq)),
                 any::<bool>(),
-                any::<bool>(),
+                proptest::option::of(any::<u64>()),
             )
                 .prop_map(
                     |(tx, ht, writes, src_dc, client, coordinator_share, picked)| Msg::CommitOne {
@@ -1483,8 +1553,8 @@ mod tests {
                     watermark,
                 }
             }),
-            (arb_tx(), proptest::option::of(arb_ts()))
-                .prop_map(|(tx, snapshot)| Msg::OpFailed { tx, snapshot }),
+            (arb_tx(), proptest::option::of(arb_opening()))
+                .prop_map(|(tx, opening)| Msg::OpFailed { tx, opening }),
             (arb_partition(), arb_txs(), arb_ts(), any::<u32>()).prop_map(
                 |(partition, txs, watermark, frames)| Msg::ReplicateBatch {
                     partition,
@@ -1538,7 +1608,10 @@ mod tests {
         };
         let older = VersionStamp { ut: old, tx: t };
         let start = TxRef::Start { client_ust: now };
-        let picked = TxRef::Picked { snapshot: now };
+        let picked = TxRef::Picked {
+            snapshot: now,
+            call: 7,
+        };
         let version = Version::new(Key(831), Value::from("hello"), held.ut, held.tx, DcId(2));
         let writes = vec![
             WriteSetEntry::new(Key(831), Value::from("v1")),
@@ -1575,7 +1648,7 @@ mod tests {
             (
                 Msg::ReadResp {
                     tx: t,
-                    snapshot: None,
+                    opening: None,
                     results: vec![
                         result(831, ReadOutcome::Found(version.clone())),
                         result(2, ReadOutcome::Absent),
@@ -1595,7 +1668,7 @@ mod tests {
             (
                 Msg::CommitResp {
                     tx: t,
-                    snapshot: None,
+                    opening: None,
                     ct: now,
                 },
                 "060102b96080c8ceb40d03",
@@ -1661,7 +1734,7 @@ mod tests {
             (
                 Msg::OpFailed {
                     tx: t,
-                    snapshot: None,
+                    opening: None,
                 },
                 "110102b960",
             ),
@@ -1720,7 +1793,7 @@ mod tests {
             (
                 Msg::ReadResp {
                     tx: t,
-                    snapshot: Some(now),
+                    opening: Some(Opening::Start { snapshot: now }),
                     results: vec![result(300, ReadOutcome::Unchanged)],
                 },
                 "180102b96080c8ceb40d0301ac0202",
@@ -1736,7 +1809,7 @@ mod tests {
             (
                 Msg::CommitResp {
                     tx: t,
-                    snapshot: Some(old),
+                    opening: Some(Opening::Start { snapshot: old }),
                     ct: now,
                 },
                 "1a0102b960c0c391b40d0080c8ceb40d03",
@@ -1744,29 +1817,32 @@ mod tests {
             (
                 Msg::OpFailed {
                     tx: t,
-                    snapshot: Some(now),
+                    opening: Some(Opening::Start { snapshot: now }),
                 },
                 "1b0102b96080c8ceb40d03",
             ),
             // The one-phase commit (the v4 frame), and its last-agent form:
             // the same bytes under tag 29.
             (
-                commit_one(false, false),
+                commit_one(false, None),
                 "1c0102b96080c8ceb40d0301f0a2040101050177",
             ),
             (
-                commit_one(true, false),
+                commit_one(true, None),
                 "1d0102b96080c8ceb40d0301f0a2040101050177",
             ),
-            // The picked forms (v8): the start forms' bytes, the picked
-            // snapshot where `ust_c` was, and the one-phase commits' bytes,
-            // each under a tag of its own.
+            // The picked forms (v8), each under a tag of its own: the start
+            // forms' bytes with the picked snapshot where `ust_c` was and
+            // the call (7) after it, the one-phase commits' bytes with the
+            // call after the source DC, and the start-form replies' bytes
+            // with the answering server's UST where the snapshot was and
+            // the call after it.
             (
                 Msg::ReadReq {
                     tx: picked,
                     keys: vec![Key(1).into(), Key(831).into()],
                 },
-                "1e80c8ceb40d030201bf06",
+                "1e80c8ceb40d03070201bf06",
             ),
             (
                 Msg::ReadReq {
@@ -1778,7 +1854,7 @@ mod tests {
                         stamped(9, older),
                     ],
                 },
-                "1f80c8ceb40d030401bf0607090201cf0f0102ac024d01aff979000102b960",
+                "1f80c8ceb40d03070401bf0607090201cf0f0102ac024d01aff979000102b960",
             ),
             (
                 Msg::CommitReq {
@@ -1786,20 +1862,43 @@ mod tests {
                     hwt: old,
                     writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
                 },
-                "2080c8ceb40d03c0c391b40d0001050177",
+                "2080c8ceb40d0307c0c391b40d0001050177",
             ),
             (
-                commit_one(false, true),
-                "210102b96080c8ceb40d0301f0a2040101050177",
+                commit_one(false, Some(7)),
+                "210102b96080c8ceb40d0301f0a204010701050177",
             ),
             (
-                commit_one(true, true),
-                "220102b96080c8ceb40d0301f0a2040101050177",
+                commit_one(true, Some(7)),
+                "220102b96080c8ceb40d0301f0a204010701050177",
+            ),
+            (
+                Msg::ReadResp {
+                    tx: t,
+                    opening: Some(Opening::Picked { ust: now, call: 7 }),
+                    results: vec![result(300, ReadOutcome::Unchanged)],
+                },
+                "230102b96080c8ceb40d030701ac0202",
+            ),
+            (
+                Msg::CommitResp {
+                    tx: t,
+                    opening: Some(Opening::Picked { ust: old, call: 7 }),
+                    ct: now,
+                },
+                "240102b960c0c391b40d000780c8ceb40d03",
+            ),
+            (
+                Msg::OpFailed {
+                    tx: t,
+                    opening: Some(Opening::Picked { ust: now, call: 7 }),
+                },
+                "250102b96080c8ceb40d0307",
             ),
         ]
     }
 
-    fn commit_one(coordinator_share: bool, picked: bool) -> Msg {
+    fn commit_one(coordinator_share: bool, picked: Option<u64>) -> Msg {
         Msg::CommitOne {
             tx: tx(1, 2, 12_345),
             ht: Timestamp::from_parts(3_600_000_000, 3),
@@ -1821,7 +1920,7 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_COMMIT_ONE_SHARE_PICKED)
+            (T_START_REQ..=T_OP_FAILED_PICKED)
                 .filter(|tag| !RETIRED_TAGS.contains(tag))
                 .collect::<Vec<_>>(),
             "one golden per tag"
@@ -1984,7 +2083,10 @@ mod tests {
         let max_ts = Timestamp::from_parts((1 << 48) - 1, u16::MAX);
         let msg = Msg::ReadResp {
             tx: tx(u16::MAX, u32::MAX, u64::MAX),
-            snapshot: Some(max_ts),
+            opening: Some(Opening::Picked {
+                ust: max_ts,
+                call: u64::MAX,
+            }),
             results: vec![result(
                 u64::MAX,
                 ReadOutcome::Found(Version::new(
@@ -2082,7 +2184,7 @@ mod tests {
     fn an_unknown_outcome_byte_is_rejected() {
         let unchanged = Msg::ReadResp {
             tx: tx(0, 0, 1),
-            snapshot: None,
+            opening: None,
             results: vec![result(5, ReadOutcome::Unchanged)],
         };
         let mut bytes = encode(&unchanged).to_vec();
@@ -2152,7 +2254,7 @@ mod tests {
         );
         let resp = |outcome| Msg::ReadResp {
             tx: t,
-            snapshot: None,
+            opening: None,
             results: vec![result(831, outcome)],
         };
         let found = encoded_len(&resp(ReadOutcome::Found(version)));

@@ -169,9 +169,10 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     }
 
     /// Opens a transaction whose first operation carries its start (see
-    /// [`paris_core::ClientSession::begin_deferred`]) — how
-    /// `run_workload` begins. Exposed for the tests that compare it with
-    /// the eager [`Cluster::txn_begin`]; the facade stays eager.
+    /// [`paris_core::ClientSession::begin_carried`]) — how a
+    /// `run_workload` session's first transaction begins. Exposed for the
+    /// tests that compare it with the eager [`Cluster::txn_begin`]; the
+    /// facade stays eager.
     ///
     /// # Errors
     ///
@@ -179,7 +180,27 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// open).
     #[doc(hidden)]
     fn txn_begin_deferred(&mut self, client: ClientId) -> Result<(), Error> {
-        self.session(client)?.begin_deferred()
+        self.session(client)?.begin_carried()
+    }
+
+    /// Opens a transaction at the snapshot the session picks, its `ust_c`
+    /// (see [`paris_core::ClientSession::begin_deferred`]) — how
+    /// `run_workload` begins once a session has one — and returns the
+    /// pick; `None` when the session has none to pick and the first
+    /// operation carries the start. Exposed for the tests that compare
+    /// picked snapshots with assigned ones. A pick has no context to hold
+    /// the replicas' GC below it, so it is meant right after a reply
+    /// refreshed the session's `ust_c`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates session errors (unknown client, transaction already
+    /// open).
+    #[doc(hidden)]
+    fn txn_begin_picked(&mut self, client: ClientId) -> Result<Option<Timestamp>, Error> {
+        let session = self.session(client)?;
+        session.begin_deferred()?;
+        Ok(session.open_snapshot())
     }
 
     /// The open transaction's snapshot, once the coordinator assigned it;

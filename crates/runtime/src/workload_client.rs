@@ -6,12 +6,13 @@
 //! draws the next [`paris_workload::TxSpec`] from its seeded generator and
 //! says which envelopes to send next, or how the transaction ended.
 //!
-//! The begin is deferred and, once the session has learned a UST, picked
-//! at the client: the snapshot is `ust_c`, the read goes out as one
+//! The begin is deferred and, once the session's `ust_c` is non-zero,
+//! picked at the client: the snapshot is `ust_c`, the read goes out as one
 //! `ReadSliceReq` per partition straight to the replicas, and the commit
 //! carries the snapshot to the coordinator, whose reply names a fresher
-//! UST for the next transaction. The coordinator is off the read path. A
-//! session's first transaction — it has learned no UST yet — sends its
+//! UST for the next transaction — which begins at once, so its pick is
+//! about one transaction old. The coordinator is off the read path. A
+//! session's first transaction — its `ust_c` is still zero — sends its
 //! read (or a write-only transaction's commit) in the start form instead,
 //! and so does the one retry of a first read a replica refused because
 //! its GC had trimmed past the pick ([`ClientEvent::Retry`]). Either way a
@@ -208,7 +209,7 @@ mod tests {
     use paris_clock::SimClock;
     use paris_core::{Server, ServerOptions};
     use paris_proto::{Endpoint, Msg, ReadKey, TxRef};
-    use paris_types::{ClusterConfig, DcId, Key, ServerId, Timestamp};
+    use paris_types::{ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp};
 
     use super::*;
 
@@ -227,14 +228,26 @@ mod tests {
             let topo = Arc::new(Topology::new(config.replication_factor(r).build().unwrap()));
             let clock = SimClock::new();
             clock.advance_to(1_000);
+            // Every server has installed a UST, as after the deployment's
+            // first stabilization round: a session picks only a non-zero
+            // `ust_c`.
+            let ust = Timestamp::from_physical_micros(500);
             let servers = topo.all_servers().into_iter().map(|id| {
-                let server = Server::new(ServerOptions {
+                let mut server = Server::new(ServerOptions {
                     id,
                     topology: Arc::clone(&topo),
                     clock: Box::new(clock.clone()),
                     mode: Mode::Paris,
                     record_events: false,
                 });
+                let root = ServerId::new(id.dc, PartitionId(0));
+                let broadcast = Msg::GossipDigest {
+                    reports: vec![],
+                    roots: vec![],
+                    ust: Some((ust, ust)),
+                    frames: 1,
+                };
+                server.handle(&Envelope::new(root, id, broadcast), 1_000);
                 (id, server)
             });
             let id = ClientId::new(DcId(0), 0);

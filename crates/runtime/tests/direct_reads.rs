@@ -4,14 +4,15 @@
 //! runs on the simulated and the threaded backend; each read transaction
 //! of the stream runs three times, back to back: through a session that
 //! begins eagerly and sends its slices itself, through one that sends
-//! every read to its coordinator, and through one that begins deferred and
-//! so picks its `ust_c` as the snapshot. Whenever no commit of the stream
-//! falls between two of the snapshots, the two saw the same cut, so every
-//! read batch must be the same `ClientRead`s.
+//! every read to its coordinator, and through one that picks its `ust_c`
+//! as the snapshot, as a `run_workload` session does — right after a reply
+//! refreshed it. Whenever no commit of the stream falls between two of the
+//! snapshots, the two saw the same cut, so every read batch must be the
+//! same `ClientRead`s.
 
 use paris_core::ClientRead;
 use paris_runtime::{Backend, Cluster, Paris};
-use paris_types::{ClientId, Error, Key, Timestamp, Value};
+use paris_types::{ClientId, Key, Timestamp, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,39 +38,30 @@ fn read_only(
     (snapshot, batches)
 }
 
-/// What a read-only transaction begun deferred saw.
-struct Picked {
-    /// The session's `ust_c`, picked at the begin — `None` when it had none
-    /// to pick yet and the first read carried the start.
-    picked: Option<Timestamp>,
-    /// The snapshot it read at, and the batches; `None` when a replica GC
-    /// had passed the pick refused a read after the first, which aborts.
-    read: Option<(Timestamp, Vec<Vec<ClientRead>>)>,
-}
-
-/// [`read_only`] begun deferred.
-fn picked_read_only(cluster: &mut dyn Cluster, client: ClientId, reads: &[Vec<Key>]) -> Picked {
-    cluster.txn_begin_deferred(client).expect("begin");
-    let picked = cluster.txn_snapshot(client);
-    let mut batches = Vec::new();
-    for keys in reads {
-        match cluster.txn_read(client, keys) {
-            Ok(mut got) => {
-                got.sort_by_key(|r| r.key);
-                batches.push(got);
-            }
-            Err(Error::PartitionUnreachable) if picked.is_some() && !batches.is_empty() => {
-                return Picked { picked, read: None };
-            }
-            Err(e) => panic!("read: {e}"),
-        }
-    }
+/// [`read_only`] at the snapshot `client` picks right after an empty
+/// transaction taught it the UST: the pick, and the snapshot it read at,
+/// which differs from the pick when a replica GC had passed it refused the
+/// first read and the read went out again in the start form.
+fn picked_read_only(
+    cluster: &mut dyn Cluster,
+    client: ClientId,
+    reads: &[Vec<Key>],
+) -> (Timestamp, Timestamp, Vec<Vec<ClientRead>>) {
+    cluster.txn_begin(client).expect("begin");
+    assert_eq!(cluster.txn_commit(client).expect("close"), Timestamp::ZERO);
+    let picked = cluster.txn_begin_picked(client).expect("begin");
+    let picked = picked.expect("a session that learned a UST picks it");
+    let batches = reads
+        .iter()
+        .map(|keys| {
+            let mut got = cluster.txn_read(client, keys).expect("read");
+            got.sort_by_key(|r| r.key);
+            got
+        })
+        .collect();
     let snapshot = cluster.txn_snapshot(client).expect("known after a read");
     assert_eq!(cluster.txn_commit(client).expect("close"), Timestamp::ZERO);
-    Picked {
-        picked,
-        read: Some((snapshot, batches)),
-    }
+    (picked, snapshot, batches)
 }
 
 /// How many read pairs of a stream saw the same cut.
@@ -79,12 +71,9 @@ struct Compared {
     relayed: usize,
     /// At a picked snapshot against at an assigned one.
     picked: usize,
-    /// Transactions that read at the snapshot they picked.
-    picks: usize,
-    /// Transactions whose pick a replica refused: the first read's
-    /// refusal is retried in the start form, a later one's aborts.
+    /// Transactions whose first read a replica refused, as GC had passed
+    /// the pick, and which read at an assigned snapshot instead.
     retried: usize,
-    aborted: usize,
 }
 
 /// Whether no commit time in `cts` falls in `(lo, hi]`.
@@ -157,7 +146,7 @@ fn compare(backend: Backend, seed: u64, steps: usize) -> Compared {
         let (routed, detour, picker) = readers[rng.gen_range(0..readers.len())];
         let (a, direct) = read_only(&mut *cluster, routed, &reads);
         let (b, relayed) = read_only(&mut *cluster, detour, &reads);
-        let Picked { picked, read } = picked_read_only(&mut *cluster, picker, &reads);
+        let (picked, c, at_pick) = picked_read_only(&mut *cluster, picker, &reads);
         if same_cut(&cts, a, b) {
             assert_eq!(
                 direct, relayed,
@@ -165,22 +154,13 @@ fn compare(backend: Backend, seed: u64, steps: usize) -> Compared {
             );
             compared.relayed += 1;
         }
-        let Some((c, at_pick)) = read else {
-            compared.aborted += 1;
-            continue;
-        };
-        // A replica GC had passed the pick refused it, and the read went
-        // out again in the start form, at a snapshot the coordinator chose.
-        compared.retried += usize::from(picked.is_some_and(|p| p != c));
-        if picked == Some(c) {
-            compared.picks += 1;
-            if same_cut(&cts, a, c) {
-                assert_eq!(
-                    direct, at_pick,
-                    "{backend:?}, step {step}: assigned {a:?}, picked {c:?}"
-                );
-                compared.picked += 1;
-            }
+        compared.retried += usize::from(picked != c);
+        if same_cut(&cts, a, c) {
+            assert_eq!(
+                direct, at_pick,
+                "{backend:?}, step {step}: assigned {a:?}, read at {c:?} (picked {picked:?})"
+            );
+            compared.picked += 1;
         }
     }
     cluster.stabilize(4);
@@ -193,7 +173,10 @@ fn sim_direct_and_coordinator_reads_return_the_same_batches() {
     for seed in [1, 2, 3] {
         let compared = compare(Backend::Sim, seed, 120);
         assert!(compared.relayed >= 60, "seed {seed}: {compared:?}");
-        assert!(compared.picked >= 20, "seed {seed}: {compared:?}");
+        assert!(compared.picked >= 80, "seed {seed}: {compared:?}");
+        // No replica's GC passed a pick a reply refreshed just before:
+        // every picked transaction read at its pick.
+        assert_eq!(compared.retried, 0, "seed {seed}: {compared:?}");
     }
 }
 
@@ -201,5 +184,5 @@ fn sim_direct_and_coordinator_reads_return_the_same_batches() {
 fn thread_direct_and_coordinator_reads_return_the_same_batches() {
     let compared = compare(Backend::Thread, 5, 120);
     assert!(compared.relayed >= 60, "{compared:?}");
-    assert!(compared.picked >= 20, "{compared:?}");
+    assert!(compared.picked >= 80, "{compared:?}");
 }

@@ -132,7 +132,8 @@ impl<C: Cluster> Begins for Eager<C> {
     }
 }
 
-/// As `run_workload` begins: the first read carries the start.
+/// As a `run_workload` session's first transaction begins: the first
+/// read carries the start.
 struct Deferred<C>(C);
 
 impl<C: Cluster> Begins for Deferred<C> {

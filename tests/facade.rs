@@ -398,13 +398,16 @@ fn a_read_goes_straight_to_the_replicas_on_every_backend() {
 
 #[test]
 fn workload_reads_go_straight_to_the_replicas_at_picked_snapshots_on_every_backend() {
-    // 2 DCs × 2 partitions, R = 2. A `run_workload` session's first
+    // 2 DCs × 2 partitions, R = 2, stabilized, so the UST is non-zero
+    // when the sessions start. A `run_workload` session's first
     // transaction carries its start in its read (its `ust_c` is still
     // zero); every later one picks `ust_c` as its snapshot, reads straight
     // from the replicas and reaches the coordinator only to commit. So the
     // coordinator handles at most one `ReadReq` per session, plus one per
     // first read a replica refused below its GC horizon — on the sim,
-    // whose run is seeded, exactly one per session.
+    // whose run is seeded, exactly one per session. (A session never picks
+    // a UST of zero: until the deployment's first UST round, every
+    // transaction carries its start.)
     let sessions = 2 * 2;
     for backend in [Backend::Sim, Backend::Thread, Backend::Socket] {
         let mut cluster = Paris::builder()
@@ -419,6 +422,7 @@ fn workload_reads_go_straight_to_the_replicas_at_picked_snapshots_on_every_backe
             .backend(backend)
             .build()
             .unwrap();
+        cluster.stabilize(4);
         let before = cluster.stats().unwrap();
         let report = cluster.run_workload(50_000, 300_000).unwrap();
         assert!(report.stats.committed > 0, "{backend:?}: no progress");
