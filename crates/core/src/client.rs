@@ -52,19 +52,20 @@
 //!   next pick trails the UST by about one transaction. A picked request
 //!   carries a call number the session chose, and its reply echoes it:
 //!   the session takes a reply for its request by that number, whichever
-//!   server answers and in whatever order. A picked snapshot
-//!   has no context to hold the GC horizon down, so a replica whose GC
-//!   has already trimmed past it refuses the slice; nothing was read at a
+//!   server answers and in whatever order. A picked snapshot has no
+//!   context to hold the GC horizon down, so a replica whose GC has
+//!   already trimmed past it refuses the slice; nothing was read at a
 //!   refused first read, so the session gives the pick up and re-sends the
 //!   read in the start form ([`ClientEvent::Retry`]). A refusal of a later
 //!   read aborts, as for an assigned snapshot.
 //! * **Carried by the first operation.** BPR, whose snapshot needs the
-//!   coordinator's HLC; a session without a topology; and a fresh session,
-//!   whose `ust_c` is still zero: the first `ReadReq` or `CommitReq` is
-//!   sent in its start form ([`TxRef::Start`], `ust_c` where the transaction id would
-//!   be), and its reply names the transaction id and snapshot, which the
-//!   session adopts exactly as it adopts a `StartTxResp` — `ust_c` raised
-//!   (lines 4–6).
+//!   coordinator's HLC; a session without a topology; a fresh session,
+//!   whose `ust_c` is still zero; and [`ClientSession::begin_carried`]:
+//!   the first `ReadReq` or `CommitReq` is sent in its start form
+//!   ([`TxRef::Start`], `ust_c` where the transaction id would be), and
+//!   its reply names the transaction id and snapshot, which the session
+//!   adopts exactly as it adopts a `StartTxResp` — `ust_c` raised (lines
+//!   4–6).
 //!
 //! # The version store
 //!
