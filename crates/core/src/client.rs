@@ -35,7 +35,8 @@
 //! `max(ust_c, ust)`. [`ClientSession::begin`] pays it up front: a
 //! `StartTxReq`, and the transaction opens on the reply.
 //! [`ClientSession::begin_deferred`] opens the transaction locally
-//! instead, in one of two ways.
+//! instead, in one of two ways; [`ClientSession::begin_picked`] only by
+//! the first, with a pick that never moves.
 //!
 //! * **Picked at the client.** `ust_c` is itself a UST some server
 //!   announced, so it names a snapshot every DC has installed: a PaRiS
@@ -54,10 +55,18 @@
 //!   the session takes a reply for its request by that number, whichever
 //!   server answers and in whatever order. A picked snapshot has no
 //!   context to hold the GC horizon down, so a replica whose GC has
-//!   already trimmed past it refuses the slice; nothing was read at a
-//!   refused first read, so the session gives the pick up and re-sends the
-//!   read in the start form ([`ClientEvent::Retry`]). A refusal of a later
-//!   read aborts, as for an assigned snapshot.
+//!   already trimmed past it refuses the slice. Replicas trim one GC
+//!   period late — to the `S_old` of their previous GC tick — so a UST
+//!   every server had learned by time t stays readable everywhere until t
+//!   plus one GC period: a pick from a reply received less than half a GC
+//!   period ago is readable for about another half period. Nothing was
+//!   read at a refused first read, so a deferred begin gives the pick up
+//!   and re-sends the read in the start form ([`ClientEvent::Retry`]); a
+//!   [`ClientSession::begin_picked`] pick, whose snapshot the caller was
+//!   handed up front, aborts instead. A refusal of a later read aborts, as
+//!   for an assigned snapshot. [`ClientSession::refreshes`] counts the
+//!   replies that refreshed `ust_c`, for a caller with a clock to time
+//!   them.
 //! * **Carried by the first operation.** BPR, whose snapshot needs the
 //!   coordinator's HLC; a session without a topology; a fresh session,
 //!   whose `ust_c` is still zero; and [`ClientSession::begin_carried`]:
@@ -186,12 +195,12 @@ pub enum ClientEvent {
         /// The transaction id.
         tx: TxId,
     },
-    /// A replica refused the client-picked snapshot of the transaction's
-    /// first read: its GC has trimmed past it (`S_old` as of the replica's
-    /// last GC tick). Nothing was read at it, so the transaction gives the
-    /// pick up; send this
-    /// envelope — the same read in the start form — and keep waiting. The
-    /// read is still in flight: this is neither an abort nor a failure.
+    /// A replica refused the snapshot a deferred begin picked, at the
+    /// transaction's first read: its GC has trimmed past it (`S_old` as of
+    /// the replica's previous GC tick). Nothing was read at it, so the
+    /// transaction gives the pick up; send this envelope — the same read
+    /// in the start form — and keep waiting. The read is still in flight:
+    /// this is neither an abort nor a failure.
     Retry(Envelope),
 }
 
@@ -234,6 +243,9 @@ struct OpenTx {
     /// flight, for re-sending it in the start form should a replica refuse
     /// the pick.
     first_read: Vec<Key>,
+    /// A pick handed out up front ([`ClientSession::begin_picked`]): it
+    /// never moves, so a refusal aborts even the first read.
+    final_pick: bool,
     /// The call of the picked form in flight, which its reply echoes.
     call: Option<u64>,
 }
@@ -525,6 +537,9 @@ pub struct ClientSession {
     /// Transactions run (stats).
     started_count: u64,
     committed_count: u64,
+    /// Replies that folded a UST into `ust_c` (see
+    /// [`ClientSession::refreshes`]).
+    refreshes: u64,
 }
 
 impl ClientSession {
@@ -564,6 +579,7 @@ impl ClientSession {
             calls: 0,
             started_count: 0,
             committed_count: 0,
+            refreshes: 0,
         }
     }
 
@@ -629,6 +645,14 @@ impl ClientSession {
     /// Transactions started / committed so far.
     pub fn counts(&self) -> (u64, u64) {
         (self.started_count, self.committed_count)
+    }
+
+    /// How many replies have folded a UST into `ust_c`: a `StartTxResp`,
+    /// or a reply naming a start or picked form's [`Opening`]. A caller
+    /// with a clock notes when this moves, to tell how fresh a pick of
+    /// `ust_c` would be ([`ClientSession::begin_picked`]).
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes
     }
 
     /// Whether an operation (start, read or commit) is currently waiting
@@ -736,6 +760,35 @@ impl ClientSession {
         Ok(())
     }
 
+    /// `START-TX` (Alg. 1 lines 1–7), picked and final: opens the
+    /// transaction at `ust_c` with no message, as
+    /// [`ClientSession::begin_deferred`] picks, and returns the snapshot —
+    /// which then never moves: a replica refusing it aborts the
+    /// transaction, its first read included, where a deferred pick would
+    /// re-send that read in the start form. `None`, with nothing opened,
+    /// when the session may not pick. The caller answers for the pick being
+    /// readable: a replica trims one GC period behind the `S_old` it
+    /// learned, so a pick from a reply half a GC period old stays readable
+    /// for about another half period.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::TransactionAlreadyOpen`] if a transaction is open or
+    /// starting.
+    pub fn begin_picked(&mut self) -> Result<Option<Timestamp>, Error> {
+        self.ensure_idle()?;
+        if !self.may_pick() {
+            return Ok(None);
+        }
+        self.started_count += 1;
+        self.open = Some(OpenTx {
+            snapshot: Some(self.ust),
+            final_pick: true,
+            ..OpenTx::default()
+        });
+        Ok(Some(self.ust))
+    }
+
     /// Whether a deferred begin may pick its snapshot: `ust_c` is a UST
     /// every DC has installed, so reads at it never block — but BPR's
     /// snapshot needs the coordinator's HLC, a session without a topology
@@ -830,7 +883,7 @@ impl ClientSession {
                         // read.
                         self.calls += 1;
                         let nowhere = PartitionId(topology.partitions());
-                        if open.read_set.is_empty() {
+                        if open.read_set.is_empty() && !open.final_pick {
                             open.first_read = keys.to_vec();
                         }
                         TxId::new(ServerId::new(self.id.dc, nowhere), self.calls)
@@ -1065,6 +1118,7 @@ impl ClientSession {
             }
         }
         self.ust = self.ust.max(ust);
+        self.refreshes += 1;
         self.held.evict(self.ust);
     }
 
@@ -1102,7 +1156,8 @@ impl ClientSession {
     }
 
     /// One replica's answer to a read sent as slices: the read completes
-    /// with the last partition's, as if the coordinator had merged them.
+    /// with the last partition's, as if the coordinator had merged them,
+    /// the results in partition order.
     fn on_read_slice_resp(
         &mut self,
         tx: TxId,
@@ -1120,7 +1175,11 @@ impl ClientSession {
             return None;
         }
         open.slices_as = None;
-        let results = std::mem::take(&mut open.gathered);
+        let mut results = std::mem::take(&mut open.gathered);
+        // In the order the slices went out, whatever order they came back.
+        if let Some(topology) = &self.topology {
+            results.sort_by_key(|r| topology.partition_of(r.key));
+        }
         self.on_read_resp(tx, None, &results)
     }
 
@@ -2543,6 +2602,34 @@ mod tests {
         assert_ne!(slice_tx(&again[0]), named);
         assert_eq!(s.handle(&answer(&s, &slices[0])), None);
         assert_eq!(reads_of(s.handle(&answer(&s, &again[0]))).len(), 1);
+    }
+
+    #[test]
+    fn a_final_pick_is_ust_c_counts_refreshes_and_aborts_on_a_refused_first_read() {
+        let (mut s, _) = picking_session();
+        assert_eq!(s.refreshes(), 1, "the start reply refreshed ust_c");
+        assert_eq!(s.begin_picked(), Ok(Some(ts(100))));
+        assert_eq!(s.open_snapshot(), Some(ts(100)));
+        assert_eq!(s.begin_picked(), Err(Error::TransactionAlreadyOpen));
+        let slices = slices_of(s.read(&[Key(0), Key(1)]).unwrap());
+        // A refused first read is not sent again at another snapshot.
+        let ev = s.handle(&refusal(&s, &slices[0]));
+        assert_eq!(
+            ev,
+            Some(ClientEvent::Aborted {
+                tx: slice_tx(&slices[0])
+            })
+        );
+        assert_eq!(
+            (s.open_snapshot(), s.has_operation_in_flight()),
+            (None, false)
+        );
+        assert_eq!(s.handle(&answer(&s, &slices[1])), None);
+        assert_eq!(s.refreshes(), 1);
+        // A session that may not pick opens nothing.
+        let mut fresh = routed_session().0;
+        assert_eq!(fresh.begin_picked(), Ok(None));
+        assert!(fresh.begin_picked().is_ok(), "nothing was opened");
     }
 
     #[test]

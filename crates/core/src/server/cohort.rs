@@ -5,7 +5,7 @@
 //! picked at the client, or assigned — and from the coordinator for a
 //! start form's first read (coordinator docs); the cohort serves both
 //! alike. It refuses a snapshot below the horizon its chains were last
-//! trimmed to — `S_old` as of its last GC tick — with an `OpFailed`: GC
+//! trimmed to — `S_old` as of the previous GC tick — with an `OpFailed`: GC
 //! may have trimmed what such a snapshot would see, and a read served from
 //! what is left could miss the version the snapshot holds. Above that
 //! horizon every chain still holds the newest version at or below the

@@ -212,14 +212,18 @@ pub struct Server {
     /// Universal stable time `ust_n^m`: monotone (Alg. 3 lines 2 & 11,
     /// Alg. 4 line 38).
     pub(crate) ust: Timestamp,
-    /// GC horizon `S_old`: monotone, and what the next GC tick trims the
-    /// version chains to.
+    /// GC horizon `S_old`: monotone, as the stabilization protocol last
+    /// announced it.
     pub(crate) s_old: Timestamp,
+    /// `S_old` as of the last GC tick: what the next tick trims the
+    /// version chains to.
+    pub(crate) next_trim: Timestamp,
     /// The horizon the chains were last trimmed to — `S_old` as of the
-    /// last GC tick, or as recovered — and so the floor of every snapshot
-    /// this server may still serve. It trails `S_old` by at most one GC
-    /// period, which is what lets a client-picked snapshot the aggregate
-    /// has already passed still be read.
+    /// previous GC tick, or as recovered — and so the floor of every
+    /// snapshot this server may still serve. It trails `S_old` by one GC
+    /// period or more, which is what lets a client-picked snapshot the
+    /// aggregate has already passed still be read: a UST every server had
+    /// learned by time t stays readable here until t plus one GC period.
     pub(crate) trimmed: Timestamp,
     /// Version vector `VV_n^m`: one entry per replica DC of this partition
     /// (keyed by DC for clarity; own DC included).
@@ -355,6 +359,7 @@ impl Server {
             store,
             ust,
             s_old,
+            next_trim: s_old,
             trimmed: s_old,
             vv,
             tx_table: TxTable::default(),
@@ -586,9 +591,11 @@ impl Server {
     }
 
     /// Runs periodic garbage collection (the paper's background GC,
-    /// §IV-B): trims every version chain to the horizon `S_old` computed by
-    /// the stabilization protocol. Slice reads run on the same loop, so
-    /// none is in flight while GC runs. Returns versions removed.
+    /// §IV-B): trims every version chain to the horizon `S_old` the
+    /// stabilization protocol had computed by the *previous* GC tick, one
+    /// period late, so a snapshot a client picked from a fresh reply stays
+    /// readable (see `trimmed`). Slice reads run on the same loop, so none
+    /// is in flight while GC runs. Returns versions removed.
     ///
     /// The same tick first reclaims coordinator contexts abandoned for
     /// [`STALE_CONTEXT_MICROS`]: an open context pins this server's
@@ -604,7 +611,8 @@ impl Server {
     pub fn on_gc_tick(&mut self, now: u64) -> usize {
         self.tx_table.expire(now, STALE_CONTEXT_MICROS);
         self.store.maybe_checkpoint(self.ust, now);
-        self.trimmed = self.s_old;
+        self.trimmed = self.next_trim;
+        self.next_trim = self.s_old;
         let removed = self.store.gc(self.trimmed);
         self.stats.gc_removed += removed as u64;
         removed

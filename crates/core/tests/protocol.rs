@@ -577,8 +577,11 @@ fn garbage_collection_trims_old_versions_but_preserves_reads() {
 
     let s_old = c.servers[&sid].s_old();
     assert!(s_old > Timestamp::ZERO, "GC horizon must advance");
+    // GC trims to the horizon of the previous tick: the first tick learns
+    // `S_old`, the second trims to it.
     let removed: usize = {
         let server = c.servers.get_mut(&sid).unwrap();
+        server.on_gc_tick(0);
         server.on_gc_tick(0)
     };
     assert!(removed > 0, "old versions must be collected");

@@ -1603,6 +1603,9 @@ fn a_direct_read_below_the_gc_horizon_is_refused_never_served_from_a_trimmed_cha
     let root = ServerId::new(DcId(0), PartitionId(0));
     let moved = ust_broadcast(ts(30), ts(25));
     s.handle(&Envelope::new(root, s.id(), moved), 0);
+    // GC trims to the horizon of the previous tick: the next tick learns
+    // 25, the one after trims to it.
+    assert_eq!(s.on_gc_tick(STALE_CONTEXT_MICROS), 0, "nothing trimmed yet");
     assert_eq!(s.on_gc_tick(STALE_CONTEXT_MICROS), 1, "version 10 trimmed");
     assert!(s.store().read_at(Key(0), snapshot).is_none());
 
@@ -1665,7 +1668,10 @@ fn a_picked_slice_below_s_old_is_refused_once_gc_trimmed_never_served_from_a_tri
         }
         other => panic!("expected ReadSliceResp, got {}", other.kind()),
     }
-    // GC trims to 25, and version 10 goes: now refused, to the client.
+    // GC trims to the horizon of the previous tick: the first tick learns
+    // 25 and trims nothing, the next trims to 25, and version 10 goes: now
+    // refused, to the client.
+    assert_eq!(s.on_gc_tick(0), 0, "nothing trimmed yet");
     assert_eq!(s.on_gc_tick(0), 1, "version 10 trimmed");
     let out = s.handle(&read, 0);
     assert_eq!(out.len(), 1);
@@ -1707,6 +1713,58 @@ fn a_picked_slice_below_s_old_is_refused_once_gc_trimmed_never_served_from_a_tri
     assert_eq!(s.open_transactions(), 0, "the context is dropped");
     let stats = s.stats();
     assert_eq!((stats.slice_reads, stats.refused_slices), (1, 2));
+}
+
+/// GC trims one period late: to the `S_old` the *previous* tick saw. So a
+/// pick equal to the `S_old` of the last GC tick — a UST every server had
+/// learned by then — is still served after the next tick, which trims to
+/// it, and refused only after the one after, once the horizon has moved on.
+#[test]
+fn a_pick_at_the_last_ticks_s_old_is_served_after_one_tick_and_refused_after_the_next() {
+    let (mut s, _clock) = slice_server(Mode::Paris);
+    install(&mut s, Key(0), 10, 1);
+    install(&mut s, Key(0), 20, 2);
+    install(&mut s, Key(0), 30, 3);
+    let root = ServerId::new(DcId(0), PartitionId(0));
+    let broadcast = |s: &mut Server, ust, s_old| {
+        let env = Envelope::new(root, s.id(), ust_broadcast(ts(ust), ts(s_old)));
+        s.handle(&env, 0);
+    };
+    let named = TxId::new(ServerId::new(DcId(0), PartitionId(2)), 1);
+    let read = |s: &mut Server| {
+        let msg = Msg::ReadSliceReq {
+            tx: named,
+            snapshot: ts(25),
+            keys: vec![Key(0).into()],
+        };
+        s.handle(&Envelope::new(client(), s.id(), msg), 0)
+            .pop()
+            .expect("one answer")
+            .msg
+    };
+    let served = |msg: &Msg| match msg {
+        Msg::ReadSliceResp { results, .. } => results[0].outcome.version().map(|v| v.ut),
+        other => panic!("expected ReadSliceResp, got {}", other.kind()),
+    };
+    // The tick sees `S_old` = 25, the pick.
+    broadcast(&mut s, 40, 25);
+    assert_eq!(s.on_gc_tick(0), 0, "nothing trimmed yet");
+    // The horizon moves on; the next tick trims to 25 (version 10 goes),
+    // and the pick is still served what it sees.
+    broadcast(&mut s, 50, 35);
+    assert_eq!(s.on_gc_tick(0), 1, "version 10 trimmed");
+    assert_eq!(served(&read(&mut s)), Some(ts(20)));
+    // The tick after trims to 35 (version 20 goes): now refused.
+    assert_eq!(s.on_gc_tick(0), 1, "version 20 trimmed");
+    assert_eq!(
+        read(&mut s),
+        Msg::OpFailed {
+            tx: named,
+            opening: None
+        }
+    );
+    let stats = s.stats();
+    assert_eq!((stats.slice_reads, stats.refused_slices), (1, 1));
 }
 
 /// Every background envelope a server emits — from its ticks, and from

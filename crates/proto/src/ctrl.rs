@@ -105,10 +105,10 @@ server_stats! {
     /// prepare, so its writes are missing.
     orphan_commits,
     /// Slice reads refused because their snapshot was below the horizon
-    /// GC last trimmed this server's chains to (`S_old` as of its last GC
-    /// tick) — in PaRiS, a client-picked snapshot GC passed before the
-    /// read arrived; the client re-sends a refused first read in the start
-    /// form.
+    /// GC last trimmed this server's chains to (`S_old` as of the previous
+    /// GC tick) — in PaRiS, a client-picked snapshot GC passed before the
+    /// read arrived; a workload client re-sends a refused first read in
+    /// the start form, a facade transaction aborts.
     refused_slices,
 }
 

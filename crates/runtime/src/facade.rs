@@ -105,6 +105,16 @@ mod sealed {
             client: ClientId,
             envs: Vec<Envelope>,
         ) -> Result<ClientEvent, Error>;
+
+        /// Whether a reply folded a UST into `client`'s `ust_c` less than
+        /// half a GC period ago on the backend's clock, and after the last
+        /// [`Cluster::stabilize`]: whether [`Cluster::txn_begin`] may pick
+        /// it.
+        ///
+        /// # Errors
+        ///
+        /// [`Error::UnknownTransaction`] for an unknown client.
+        fn fresh(&mut self, client: ClientId) -> Result<bool, Error>;
     }
 }
 
@@ -153,7 +163,20 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     fn open_client_via_coordinator(&mut self, dc: u16) -> Result<ClientId, Error>;
 
     /// Raw operation: starts a transaction for `client`, returning its
-    /// snapshot timestamp.
+    /// snapshot timestamp — final: every read of the transaction runs at
+    /// it.
+    ///
+    /// A PaRiS session whose `ust_c` a reply refreshed less than half a GC
+    /// period ago (a START reply, or the commit reply of a picked
+    /// transaction), and not before the last [`Cluster::stabilize`], picks
+    /// `ust_c` as the snapshot and sends
+    /// nothing (see [`paris_core::ClientSession::begin_picked`]). Replicas
+    /// trim their versions one GC period behind the horizon they learned,
+    /// so the pick stays readable for about another half period; a
+    /// transaction still reading later than that may abort with
+    /// [`Error::PartitionUnreachable`]. Any other session — BPR, a fresh
+    /// or idle one, one just stabilized — begins with Alg. 1's START round
+    /// trip, whose snapshot its coordinator's context pins.
     ///
     /// # Errors
     ///
@@ -161,6 +184,23 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// open) and transport failures; an abort is
     /// [`Error::PartitionUnreachable`].
     fn txn_begin(&mut self, client: ClientId) -> Result<Timestamp, Error> {
+        if self.fresh(client)? {
+            if let Some(snapshot) = self.session(client)?.begin_picked()? {
+                return Ok(snapshot);
+            }
+        }
+        self.txn_begin_assigned(client)
+    }
+
+    /// Starts a transaction with Alg. 1's START round trip whatever the
+    /// session's freshness: the snapshot its coordinator assigns. Exposed
+    /// for the tests that compare picked snapshots with assigned ones.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::txn_begin`].
+    #[doc(hidden)]
+    fn txn_begin_assigned(&mut self, client: ClientId) -> Result<Timestamp, Error> {
         let env = self.session(client)?.begin()?;
         match self.round_trip(client, vec![env])? {
             ClientEvent::Started { snapshot, .. } => Ok(snapshot),
@@ -171,8 +211,8 @@ pub trait Cluster: Sessions + sealed::AsCluster {
     /// Opens a transaction whose first operation carries its start (see
     /// [`paris_core::ClientSession::begin_carried`]) — how a
     /// `run_workload` session's first transaction begins. Exposed for the
-    /// tests that compare it with the eager [`Cluster::txn_begin`]; the
-    /// facade stays eager.
+    /// tests that compare it with the assigned
+    /// [`Cluster::txn_begin_assigned`].
     ///
     /// # Errors
     ///
@@ -183,53 +223,39 @@ pub trait Cluster: Sessions + sealed::AsCluster {
         self.session(client)?.begin_carried()
     }
 
-    /// Opens a transaction at the snapshot the session picks, its `ust_c`
-    /// (see [`paris_core::ClientSession::begin_deferred`]) — how
-    /// `run_workload` begins once a session has one — and returns the
-    /// pick; `None` when the session has none to pick and the first
-    /// operation carries the start. Exposed for the tests that compare
-    /// picked snapshots with assigned ones. A pick has no context to hold
-    /// the replicas' GC below it, so it is meant right after a reply
-    /// refreshed the session's `ust_c`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates session errors (unknown client, transaction already
-    /// open).
-    #[doc(hidden)]
-    fn txn_begin_picked(&mut self, client: ClientId) -> Result<Option<Timestamp>, Error> {
-        let session = self.session(client)?;
-        session.begin_deferred()?;
-        Ok(session.open_snapshot())
-    }
-
-    /// The open transaction's snapshot, once the coordinator assigned it;
-    /// `None` for an unknown client too.
+    /// The open transaction's snapshot, once it is known; `None` for an
+    /// unknown client too.
     #[doc(hidden)]
     fn txn_snapshot(&mut self, client: ClientId) -> Option<Timestamp> {
         self.session(client).ok()?.open_snapshot()
     }
 
-    /// Raw operation: reads `keys` within the open transaction.
+    /// `client`'s `ust_c`: what its next fresh [`Cluster::txn_begin`]
+    /// picks. `None` for an unknown client.
+    #[doc(hidden)]
+    fn client_ust(&mut self, client: ClientId) -> Option<Timestamp> {
+        Some(self.session(client).ok()?.ust())
+    }
+
+    /// Raw operation: reads `keys` within the open transaction, at its
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// Propagates session errors and transport failures; an abort is
-    /// [`Error::PartitionUnreachable`].
+    /// [`Error::PartitionUnreachable`] — a target partition had no
+    /// reachable replica, or a replica's GC had passed a picked snapshot.
     fn txn_read(&mut self, client: ClientId, keys: &[Key]) -> Result<Vec<ClientRead>, Error> {
-        let mut sent = match self.session(client)?.read(keys)? {
+        let sent = match self.session(client)?.read(keys)? {
             ReadStep::Done(reads) => return Ok(reads),
             ReadStep::Send(env) => vec![env],
             ReadStep::Slices(slices) => slices,
         };
-        loop {
-            match self.round_trip(client, sent)? {
-                ClientEvent::ReadDone { reads, .. } => return Ok(reads),
-                // A replica refused a picked snapshot: the same read again,
-                // in the start form.
-                ClientEvent::Retry(env) => sent = vec![env],
-                other => return failed(other),
-            }
+        // No facade transaction is retried: its pick was handed out final,
+        // and every other snapshot is assigned.
+        match self.round_trip(client, sent)? {
+            ClientEvent::ReadDone { reads, .. } => Ok(reads),
+            other => failed(other),
         }
     }
 
@@ -427,7 +453,10 @@ impl<'a> Txn<'a> {
         self.client
     }
 
-    /// The stable snapshot this transaction reads from.
+    /// The stable snapshot this transaction reads from. It never moves:
+    /// picked at the client from a fresh reply, or assigned by the
+    /// coordinator ([`Cluster::txn_begin`]). A picked one stays readable
+    /// for about half a GC period; a read later than that may abort.
     pub fn snapshot(&self) -> Timestamp {
         self.snapshot
     }

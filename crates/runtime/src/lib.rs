@@ -156,6 +156,46 @@ pub(crate) struct BackendConfig {
 pub(crate) struct Interactive<I> {
     pub(crate) session: ClientSession,
     pub(crate) inbox: I,
+    /// When a reply last folded a UST into the session's `ust_c`, in
+    /// microseconds on the backend's clock; `None` before the first such
+    /// reply and after every [`Cluster::stabilize`].
+    refreshed_at: Option<u64>,
+}
+
+impl<I> Interactive<I> {
+    pub(crate) fn new(session: ClientSession, inbox: I) -> Self {
+        Interactive {
+            session,
+            inbox,
+            refreshed_at: None,
+        }
+    }
+
+    /// Hands `env`, received at `now`, to the session.
+    pub(crate) fn handle(&mut self, env: &Envelope, now: u64) -> Option<ClientEvent> {
+        let refreshes = self.session.refreshes();
+        let event = self.session.handle(env);
+        if self.session.refreshes() != refreshes {
+            self.refreshed_at = Some(now);
+        }
+        event
+    }
+
+    /// Whether a transaction begun at `now` may pick `ust_c` as its
+    /// snapshot ([`Cluster::txn_begin`]): a reply refreshed it less than
+    /// half a GC period ago and after the last [`Cluster::stabilize`]. A
+    /// replica trims one period behind the `S_old` it learned, so the pick
+    /// stays readable everywhere for about another half period.
+    pub(crate) fn fresh(&self, now: u64, gc_micros: u64) -> bool {
+        self.refreshed_at
+            .is_some_and(|at| now.saturating_sub(at) < gc_micros / 2)
+    }
+
+    /// [`Cluster::stabilize`] ran: a transaction begun next reads at a
+    /// snapshot its coordinator assigns, so it sees what was stabilized.
+    pub(crate) fn mark_stale(&mut self) {
+        self.refreshed_at = None;
+    }
 }
 
 /// Client `id`'s session as the runtime opens one: pinned to its
@@ -184,19 +224,11 @@ pub(crate) fn open_session(
 }
 
 impl Interactive<VecDeque<Envelope>> {
-    /// An interactive client of the sim.
-    pub(crate) fn new(session: ClientSession) -> Self {
-        Interactive {
-            session,
-            inbox: VecDeque::new(),
-        }
-    }
-
-    /// Hands the queued replies to the session until one completes an
-    /// operation.
-    pub(crate) fn next_event(&mut self) -> Option<ClientEvent> {
+    /// Hands the replies queued for the sim's client to the session, at
+    /// `now`, until one completes an operation.
+    pub(crate) fn next_event(&mut self, now: u64) -> Option<ClientEvent> {
         while let Some(env) = self.inbox.pop_front() {
-            if let Some(event) = self.session.handle(&env) {
+            if let Some(event) = self.handle(&env, now) {
                 return Some(event);
             }
         }

@@ -108,6 +108,8 @@ pub struct Live<N> {
     clock: Arc<dyn PhysicalClock + Send + Sync>,
     interactive: HashMap<ClientId, Interactive<Receiver<Envelope>>>,
     next_interactive: HashMap<DcId, u32>,
+    /// What the interactive sessions' refreshes are timed from.
+    epoch: Instant,
 }
 
 impl<N: LiveNet> Live<N> {
@@ -124,6 +126,7 @@ impl<N: LiveNet> Live<N> {
             clock,
             interactive: HashMap::new(),
             next_interactive: HashMap::new(),
+            epoch: Instant::now(),
         }
     }
 
@@ -143,7 +146,8 @@ impl<N: LiveNet> Live<N> {
         let inbox = self.net.register(id)?;
         let mode = self.config.cluster.mode;
         let session = open_session(id, &self.topo, mode, true, via_coordinator);
-        self.interactive.insert(id, Interactive { session, inbox });
+        self.interactive
+            .insert(id, Interactive::new(session, inbox));
         Ok(id)
     }
 
@@ -197,7 +201,7 @@ impl<N: LiveNet> Sessions for Live<N> {
     /// probing liveness on every empty slice: a dead server surfaces as a
     /// transport error instead of hanging out the full timeout.
     fn round_trip(&mut self, client: ClientId, envs: Vec<Envelope>) -> Result<ClientEvent, Error> {
-        let Interactive { session, inbox } = self
+        let waiting = self
             .interactive
             .get_mut(&client)
             .ok_or(Error::UnknownTransaction)?;
@@ -210,9 +214,10 @@ impl<N: LiveNet> Sessions for Live<N> {
             if left.is_zero() {
                 return Err(Error::Transport("interactive operation timed out"));
             }
-            match inbox.recv_timeout(left.min(SLICE)) {
+            match waiting.inbox.recv_timeout(left.min(SLICE)) {
                 Ok(env) => {
-                    if let Some(event) = session.handle(&env) {
+                    let now = self.epoch.elapsed().as_micros() as u64;
+                    if let Some(event) = waiting.handle(&env, now) {
                         return Ok(event);
                     }
                 }
@@ -222,6 +227,14 @@ impl<N: LiveNet> Sessions for Live<N> {
                 }
             }
         }
+    }
+
+    /// On the parent's monotonic clock.
+    fn fresh(&mut self, client: ClientId) -> Result<bool, Error> {
+        let waiting = self.interactive.get(&client);
+        let waiting = waiting.ok_or(Error::UnknownTransaction)?;
+        let now = self.epoch.elapsed().as_micros() as u64;
+        Ok(waiting.fresh(now, self.config.cluster.intervals.gc_micros))
     }
 }
 
@@ -245,6 +258,9 @@ impl<N: LiveNet> Cluster for Live<N> {
     fn stabilize(&mut self, rounds: usize) {
         let round = self.net.round_micros(&self.config.cluster);
         std::thread::sleep(Duration::from_micros(round * rounds as u64));
+        self.interactive
+            .values_mut()
+            .for_each(Interactive::mark_stale);
     }
 
     fn min_ust(&self) -> Timestamp {

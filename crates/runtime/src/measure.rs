@@ -58,10 +58,11 @@ pub struct ClusterStats {
     /// read counts one, and so does its retry after a refused pick.
     pub coordinator_reads: u64,
     /// Slice reads refused below the horizon a server's GC last trimmed
-    /// its chains to: under PaRiS, client-picked snapshots GC passed
-    /// before the read arrived. Each refused first read costs its
-    /// transaction one retry in the start form, so `refused_slices` bounds
-    /// the retries from above.
+    /// its chains to (`S_old` as of its previous GC tick): under PaRiS,
+    /// client-picked snapshots GC passed before the read arrived. Each
+    /// refused first read costs a workload transaction one retry in the
+    /// start form, so `refused_slices` bounds the retries from above; a
+    /// facade transaction whose pick is refused aborts.
     pub refused_slices: u64,
     /// Keys returned by slice reads.
     pub keys_read: u64,

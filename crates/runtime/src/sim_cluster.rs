@@ -581,7 +581,8 @@ impl SimCluster {
         for &cut in coordinator.unreachable_dcs() {
             session.set_dc_reachability(cut, false);
         }
-        self.interactive.insert(id, Interactive::new(session));
+        self.interactive
+            .insert(id, Interactive::new(session, VecDeque::new()));
         Ok(id)
     }
 
@@ -616,7 +617,7 @@ impl Sessions for SimCluster {
                 .interactive
                 .get_mut(&client)
                 .ok_or(Error::UnknownTransaction)?;
-            if let Some(event) = waiting.next_event() {
+            if let Some(event) = waiting.next_event(self.now) {
                 return Ok(event);
             }
             if self.now > deadline {
@@ -626,6 +627,13 @@ impl Sessions for SimCluster {
                 return Err(Error::Transport("simulation ran out of events"));
             }
         }
+    }
+
+    /// On the simulated clock.
+    fn fresh(&mut self, client: ClientId) -> Result<bool, Error> {
+        let waiting = self.interactive.get(&client);
+        let waiting = waiting.ok_or(Error::UnknownTransaction)?;
+        Ok(waiting.fresh(self.now, self.config.base.cluster.intervals.gc_micros))
     }
 }
 
@@ -648,6 +656,9 @@ impl Cluster for SimCluster {
 
     fn stabilize(&mut self, rounds: usize) {
         self.settle(self.stabilize_round_micros() * rounds as u64);
+        self.interactive
+            .values_mut()
+            .for_each(Interactive::mark_stale);
     }
 
     fn min_ust(&self) -> Timestamp {

@@ -115,7 +115,7 @@ trait Begins {
     fn snapshot(&mut self, client: ClientId) -> Timestamp;
 }
 
-/// Through the facade: a `StartTxReq` round trip.
+/// A `StartTxReq` round trip, whatever the session's freshness.
 struct Eager<C>(C);
 
 impl<C: Cluster> Begins for Eager<C> {
@@ -124,7 +124,7 @@ impl<C: Cluster> Begins for Eager<C> {
     }
 
     fn begin(&mut self, client: ClientId) -> Option<Timestamp> {
-        Some(self.0.txn_begin(client).expect("begin"))
+        Some(self.0.txn_begin_assigned(client).expect("begin"))
     }
 
     fn snapshot(&mut self, _: ClientId) -> Timestamp {
