@@ -29,6 +29,39 @@
 //! its own view or fails. A session without a topology
 //! ([`ClientSession::new`]) sends every read to its coordinator.
 //!
+//! # Where commits go
+//!
+//! A commit goes to the session's coordinator — the partition it is
+//! collocated with (§V-A) — unless it is in the picked form: no id yet, a
+//! snapshot the session picked, and a topology. Such a commit first
+//! reaches any server with its `CommitReq`, which opens the context there
+//! and assigns the id, so nothing ties it to the coordinator. When its
+//! writes land on one or two partitions and at least one of them is
+//! replicated in the client's DC, it goes to the local server of the
+//! written partition that comes first cyclically from the coordinator's
+//! partition — the coordinator itself when its partition is written, and
+//! otherwise spread over the written partitions as
+//! [`Topology::coordinator_for`] spreads sessions. That server is then a
+//! participant of its own commit:
+//!
+//! * one partition: its `CommitOne` runs in place, and it answers the
+//!   client — `CommitReq` and `CommitResp`, 2 messages and 2 hops where
+//!   the coordinator's forwarded `CommitOne` costs 3 and 3;
+//! * two partitions: it prepares its own share in place and hands the
+//!   other a last-agent `CommitOne`, which decides and answers — 4
+//!   messages where 2PC costs 8.
+//!
+//! The reply echoes the picked form's call, which is how the session takes
+//! it, from whichever server it comes; the id it names is that server's.
+//! The destination is chosen by partition id, never by the write set's
+//! order, and only among the client's own DC, so the commit's source DC —
+//! which stamps its versions — is the client's, and the server is always
+//! reachable. Every other commit goes to the coordinator: a start form,
+//! whose reply must name the snapshot the coordinator assigns; a commit of
+//! an id already assigned, whose context the coordinator holds; BPR, which
+//! never picks; a read-only commit; one writing three or more partitions;
+//! and one writing no partition replicated in the client's DC.
+//!
 //! # Beginning a transaction
 //!
 //! START (Alg. 1 lines 1–7) is a round trip that only assigns the snapshot
@@ -484,6 +517,34 @@ fn route(
         .collect()
 }
 
+/// Where a picked-form commit of `writes` goes (module docs: where commits
+/// go): the local server of the written partition that comes first
+/// cyclically from `coordinator`'s, among those replicated in its DC, when
+/// the writes land on one or two partitions; `None` — the coordinator —
+/// otherwise. Chosen by partition id, never by the write set's order.
+fn picked_commit_target(
+    topology: &Topology,
+    coordinator: ServerId,
+    writes: &[WriteSetEntry],
+) -> Option<ServerId> {
+    let mut written: Vec<PartitionId> = Vec::with_capacity(2);
+    for w in writes {
+        let partition = topology.partition_of(w.key);
+        if !written.contains(&partition) {
+            if written.len() == 2 {
+                return None;
+            }
+            written.push(partition);
+        }
+    }
+    let (n, from) = (topology.partitions(), coordinator.partition.0);
+    written
+        .into_iter()
+        .filter(|p| topology.is_replicated_at(*p, coordinator.dc))
+        .min_by_key(|p| (p.0 + n - from) % n)
+        .map(|p| ServerId::new(coordinator.dc, p))
+}
+
 /// The PaRiS client session (see module docs).
 ///
 /// # Example
@@ -608,7 +669,10 @@ impl ClientSession {
         self.id
     }
 
-    /// The coordinator server.
+    /// The coordinator server: the local server the session is collocated
+    /// with, which gets every request that does not go straight to a
+    /// replica — save a picked-form commit, which goes to a partition it
+    /// writes (module docs: where commits go).
     pub fn coordinator(&self) -> ServerId {
         self.coordinator
     }
@@ -926,12 +990,14 @@ impl ClientSession {
 
     // ----------------------------------------------------------- COMMIT
 
-    /// `COMMIT-TX` (Alg. 1 lines 26–32): ships the write set to the
-    /// coordinator with `hwt_c`. Also used to close read-only
-    /// transactions (empty write set), which frees the coordinator's
-    /// context (and its hold on the GC horizon). The commit of a deferred
-    /// begin that has not reached a coordinator yet carries the start, or
-    /// the snapshot the session picked.
+    /// `COMMIT-TX` (Alg. 1 lines 26–32): ships the write set with `hwt_c`
+    /// to the coordinator — or, for a picked-form commit that writes one
+    /// or two partitions, one of them replicated here, to the local server
+    /// of one of its own participants (module docs: where commits go).
+    /// Also used to close read-only transactions (empty write set), which
+    /// frees the coordinator's context (and its hold on the GC horizon).
+    /// The commit of a deferred begin that has not reached a coordinator
+    /// yet carries the start, or the snapshot the session picked.
     ///
     /// # Errors
     ///
@@ -948,9 +1014,15 @@ impl ClientSession {
             .iter()
             .map(|(k, v)| WriteSetEntry::new(*k, v.clone()))
             .collect();
+        let dst = match (open.tx, open.snapshot, &self.topology) {
+            (None, Some(_), Some(topology)) => {
+                picked_commit_target(topology, self.coordinator, &writes)
+            }
+            _ => None,
+        };
         Ok(Envelope::new(
             self.id,
-            self.coordinator,
+            dst.unwrap_or(self.coordinator),
             Msg::CommitReq {
                 tx: open.tx_ref(self.ust, &mut self.calls),
                 hwt: self.hwt,
@@ -2842,5 +2914,105 @@ mod tests {
         started(&mut s, 3, 300);
         assert_eq!(s.handle(&slice_reply(&s, t2, &slices[0])), None);
         assert_eq!(s.open_tx(), Some(tx(3)));
+    }
+
+    // ------------------------------------------------- where commits go
+
+    /// The commit of `partitions`' writes (one key each, listed in the
+    /// given order) from an open transaction; its destination.
+    fn commit_to(s: &mut ClientSession, topo: &Topology, partitions: &[u32]) -> Envelope {
+        for (rank, &p) in partitions.iter().enumerate() {
+            let key = topo.key_at(PartitionId(p), rank as u64);
+            s.write(&[(key, Value::from("w"))]).unwrap();
+        }
+        s.commit().unwrap()
+    }
+
+    #[test]
+    fn a_picked_commit_goes_to_the_local_written_partition_first_after_the_coordinators() {
+        // DC 0 hosts 0, 2, 3 and 5; the coordinator is partition 2.
+        let local = |p: u32| Endpoint::Server(ServerId::new(DcId(0), PartitionId(p)));
+        for (written, to) in [
+            (&[3][..], 3),
+            (&[5], 5),
+            (&[0], 0),
+            (&[5, 3], 3),
+            (&[3, 5], 3),
+            (&[0, 5], 5),
+            (&[0, 2], 2),
+            (&[4, 0], 0),
+            (&[0, 1], 0),
+            (&[1], 2),
+            (&[1, 4], 2),
+            (&[3, 5, 0], 2),
+            (&[3, 3, 5, 5, 0], 2),
+        ] {
+            let (mut s, topo) = picking_session();
+            assert_eq!(s.coordinator().partition, PartitionId(2));
+            s.begin_deferred().unwrap();
+            let env = commit_to(&mut s, &topo, written);
+            picked_of(&env);
+            assert_eq!(env.dst, local(to), "writes on {written:?}");
+        }
+    }
+
+    fn carries_start(env: &Envelope) -> bool {
+        matches!(
+            env.msg,
+            Msg::CommitReq {
+                tx: TxRef::Start { .. },
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn only_picked_forms_leave_the_coordinator() {
+        // A start form: the session has not learned a UST yet.
+        let (mut s, topo) = routed_session();
+        s.begin_deferred().unwrap();
+        let env = commit_to(&mut s, &topo, &[3]);
+        assert!(carries_start(&env));
+        assert_eq!(env.dst, s.coordinator().into());
+        // An eagerly assigned id.
+        let (mut s, topo) = picking_session();
+        started(&mut s, 2, 120);
+        assert_eq!(commit_to(&mut s, &topo, &[3]).dst, s.coordinator().into());
+        // A read-only picked commit.
+        let (mut s, topo) = picking_session();
+        s.begin_deferred().unwrap();
+        assert_eq!(commit_to(&mut s, &topo, &[]).dst, s.coordinator().into());
+        // BPR, assigned or carried.
+        let (s, topo) = routed_session();
+        let s = ClientSession::new(s.id(), s.coordinator(), Mode::Bpr);
+        let mut s = s.with_topology(Arc::clone(&topo));
+        let t = started(&mut s, 1, 100);
+        assert_eq!(commit_to(&mut s, &topo, &[3]).dst, s.coordinator().into());
+        committed(&mut s, t, 110);
+        s.begin_deferred().unwrap();
+        let env = commit_to(&mut s, &topo, &[3]);
+        assert!(carries_start(&env));
+        assert_eq!(env.dst, s.coordinator().into());
+    }
+
+    #[test]
+    fn the_written_partitions_server_answers_a_picked_commit_by_its_call() {
+        let (mut s, topo) = picking_session();
+        s.begin_deferred().unwrap();
+        let env = commit_to(&mut s, &topo, &[3]);
+        let participant = env.dst.as_server().unwrap();
+        assert_eq!(participant, ServerId::new(DcId(0), PartitionId(3)));
+        let (_, call) = picked_of(&env);
+        let named = TxId::new(participant, 1);
+        let reply = picked_commit_reply(&s, participant, named, (150, call), 160);
+        assert_eq!(
+            s.handle(&reply),
+            Some(ClientEvent::Committed {
+                tx: named,
+                snapshot: ts(100),
+                ct: ts(160)
+            })
+        );
+        assert_eq!((s.ust(), s.hwt(), s.cache_len()), (ts(150), ts(160), 1));
     }
 }

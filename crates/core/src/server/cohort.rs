@@ -28,7 +28,9 @@
 //! write set whose other share the coordinator has prepared already: `ht`
 //! then carries that proposal, so `ct = pt > ht` is the max over both
 //! (Alg. 2 line 26). This server decides, answers the client, and sends
-//! the decision back to the coordinator as a `CommitTx`.
+//! the decision back to the coordinator as a `CommitTx`. Which server a
+//! picked commit reaches is the client's choice: see "Where commits go"
+//! in `client.rs`.
 //!
 //! A `CommitTx` that finds no prepared share here is counted
 //! ([`ServerStats::orphan_commits`](super::ServerStats::orphan_commits)),

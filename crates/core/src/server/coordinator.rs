@@ -57,6 +57,9 @@
 //! own UST and the call in the reply. The own share runs in place
 //! ([`Server::in_place`]).
 //!
+//! Which server a picked commit reaches is the client's choice: see
+//! "Where commits go" in `client.rs`.
+//!
 //! Coordinator state lives in the [`TxTable`](super::TxTable).
 
 use std::collections::{BTreeMap, HashSet};

@@ -1,24 +1,28 @@
-//! Property test of the last-agent commit on two bare servers: the
+//! Property test of the last-agent commit on bare servers: the
 //! coordinator prepares its own share, the other participant decides `ct`
 //! and sends `CommitTx` back — and that `CommitTx` is held back across
 //! arbitrary replicate ticks on clocks with arbitrary skew. Both shares
 //! must apply under the one `ct`, and until the `CommitTx` lands the
 //! coordinator's installed watermark must stay below `ct`: no snapshot the
 //! UST could name may see one share without the other.
+//!
+//! The commit's coordinator is the one the client's session chooses: its
+//! own coordinator for an eagerly begun transaction, or — for a snapshot
+//! the session picked — the written partition that comes first after the
+//! session's coordinator, which may be either of the two.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use paris_clock::SimClock;
-use paris_core::{Mode, Server, ServerOptions, Topology};
+use paris_core::{ClientEvent, ClientSession, Mode, Server, ServerOptions, Topology};
 use paris_proto::{Endpoint, Envelope, Msg, TxRef};
-use paris_types::{
-    ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, Value, WriteSetEntry,
-};
+use paris_types::{ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, Value};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-/// Per transaction: keys written on each partition (1–3 each), then the
-/// clock advance of every replicate tick the `CommitTx` is held across.
+/// Per transaction: keys written on partitions 0 and 1 (1–3 each), then
+/// the clock advance of every replicate tick the `CommitTx` is held across.
 type TxSpec = (usize, usize, Vec<u64>);
 
 fn arb_txs() -> impl Strategy<Value = Vec<TxSpec>> {
@@ -40,17 +44,43 @@ fn watermark(s: &Server) -> Timestamp {
     s.version_vector().values().copied().min().unwrap()
 }
 
+/// Delivers `out` among `servers` (indexed by partition) until quiet.
+fn deliver(servers: &mut [Server], out: Vec<Envelope>, now: u64) {
+    let mut queue = VecDeque::from(out);
+    while let Some(env) = queue.pop_front() {
+        let dst = env.dst.as_server().expect("server traffic only");
+        queue.extend(servers[dst.partition.index()].handle(&env, now));
+    }
+}
+
+/// One stabilization round, so that every server knows a non-zero UST.
+fn stabilize(servers: &mut [Server], now: u64) {
+    let ticks: [fn(&mut Server, u64) -> Vec<Envelope>; 4] = [
+        Server::on_replicate_tick,
+        Server::on_gst_tick,
+        Server::on_gst_tick,
+        Server::on_ust_tick,
+    ];
+    for tick in ticks {
+        let out = servers.iter_mut().flat_map(|s| tick(s, now)).collect();
+        deliver(servers, out, now);
+    }
+}
+
 proptest! {
     #[test]
     fn both_shares_apply_under_one_ct_and_not_before_the_commit_tx(
         txs in arb_txs(),
         skew in 0u64..2_000,
-        participant_ahead in any::<bool>(),
+        first_ahead in any::<bool>(),
+        home in proptest::option::of(0u32..3),
     ) {
+        // Partition 2 is written by no transaction: a session coordinated
+        // there commits on partition 0, the first written after it.
         let topo = Arc::new(Topology::new(
             ClusterConfig::builder()
                 .dcs(1)
-                .partitions(2)
+                .partitions(3)
                 .replication_factor(1)
                 .build()
                 .unwrap(),
@@ -62,83 +92,119 @@ proptest! {
                 .take(3)
                 .collect()
         };
-        let (own_keys, other_keys) = (keys_of(0), keys_of(1));
-        let (c_clock, p_clock) = (SimClock::new(), SimClock::new());
-        let (mut now, offset) = (10_000u64, skew);
+        let keys = [keys_of(0), keys_of(1)];
+        let (first, second) = (SimClock::new(), SimClock::new());
+        let mut now = 10_000u64;
         let advance = |now: u64| {
-            c_clock.advance_to(if participant_ahead { now } else { now + offset });
-            p_clock.advance_to(if participant_ahead { now + offset } else { now });
+            first.advance_to(if first_ahead { now + skew } else { now });
+            second.advance_to(if first_ahead { now } else { now + skew });
         };
         advance(now);
-        let mut coordinator = server(&topo, &c_clock, 0);
-        let mut participant = server(&topo, &p_clock, 1);
-        let client = ClientId::new(DcId(0), 0);
-        let mut hwt = Timestamp::ZERO;
+        let mut servers = vec![
+            server(&topo, &first, 0),
+            server(&topo, &second, 1),
+            server(&topo, &first, 2),
+        ];
+        stabilize(&mut servers, now);
 
-        for (i, (own_n, other_n, held_ticks)) in txs.iter().enumerate() {
+        // Eager: coordinated by partition 0. Picked: by the written
+        // partition first after `home`.
+        let client = ClientId::new(DcId(0), 0);
+        let session_home = ServerId::new(DcId(0), PartitionId(home.unwrap_or(0)));
+        let mut session = ClientSession::new(client, session_home, Mode::Paris);
+        let expected = PartitionId(match home {
+            Some(1) => 1,
+            _ => 0,
+        });
+        let eager_begin = |session: &mut ClientSession, servers: &mut [Server], now: u64| {
+            let start = session.begin().unwrap();
+            let reply = servers[session_home.partition.index()].handle(&start, now);
+            let event = session.handle(&reply[0]);
+            assert!(matches!(event, Some(ClientEvent::Started { .. })));
+        };
+        if home.is_some() {
+            // Learn the UST, so the next begins pick it.
+            session = session.with_topology(Arc::clone(&topo));
+            eager_begin(&mut session, &mut servers, now);
+            let close = session.commit().unwrap();
+            let reply = servers[session_home.partition.index()].handle(&close, now);
+            let event = session.handle(&reply[0]);
+            assert!(matches!(event, Some(ClientEvent::Committed { .. })));
+            prop_assert!(session.ust() > Timestamp::ZERO);
+        }
+
+        for (i, (n0, n1, held_ticks)) in txs.iter().enumerate() {
+            if home.is_some() {
+                session.begin_deferred().unwrap();
+                prop_assert!(session.open_snapshot().is_some(), "picked");
+            } else {
+                eager_begin(&mut session, &mut servers, now);
+            }
             let value = Value::filled(4, i as u64);
-            let writes: Vec<WriteSetEntry> = own_keys[..*own_n]
-                .iter()
-                .chain(&other_keys[..*other_n])
-                .map(|k| WriteSetEntry::new(*k, value.clone()))
-                .collect();
-            let start = Envelope::new(
-                client,
-                coordinator.id(),
-                Msg::StartTxReq { client_ust: Timestamp::ZERO },
-            );
-            let Msg::StartTxResp { tx, .. } = coordinator.handle(&start, now)[0].msg else {
-                panic!("expected StartTxResp");
+            let written = keys[0][..*n0].iter().chain(&keys[1][..*n1]);
+            let writes: Vec<(Key, Value)> = written.map(|k| (*k, value.clone())).collect();
+            session.write(&writes).unwrap();
+            let req = session.commit().unwrap();
+            let Msg::CommitReq { tx: form, .. } = req.msg else {
+                panic!("expected a CommitReq");
             };
-            let req = Envelope::new(
-                client,
-                coordinator.id(),
-                Msg::CommitReq { tx: TxRef::Known(tx), hwt, writes },
-            );
-            let out = coordinator.handle(&req, now);
+            prop_assert_eq!(matches!(form, TxRef::Picked { .. }), home.is_some());
+            let coord = req.dst.as_server().expect("a server");
+            prop_assert_eq!(coord.partition, expected);
+            let (c, p) = (coord.partition.index(), 1 - coord.partition.index());
+            let (own, other) = (&keys[c][..[*n0, *n1][c]], &keys[p][..[*n0, *n1][p]]);
+
+            let out = servers[c].handle(&req, now);
             prop_assert_eq!(out.len(), 1);
             let Msg::CommitOne { ht: pt_c, coordinator_share: true, .. } = out[0].msg else {
                 panic!("expected a last-agent CommitOne, got {:?}", out[0].msg);
             };
-            prop_assert_eq!(coordinator.min_prepared(), Some(pt_c));
+            prop_assert_eq!(servers[c].min_prepared(), Some(pt_c));
 
-            let replies = participant.handle(&out[0], now);
+            let replies = servers[p].handle(&out[0], now);
             prop_assert_eq!(replies.len(), 2);
-            let Msg::CommitResp { ct, .. } = replies[0].msg else {
+            let Some(ClientEvent::Committed { tx, ct, .. }) = session.handle(&replies[0]) else {
                 panic!("expected the client's CommitResp first");
             };
+            prop_assert_eq!(tx.coordinator(), coord);
             prop_assert!(ct > pt_c, "ct is the max over both proposals");
             let back = replies[1].clone();
-            prop_assert_eq!(back.dst, Endpoint::Server(coordinator.id()));
+            prop_assert_eq!(back.dst, Endpoint::Server(coord));
 
             // The CommitTx is held back; both servers keep ticking.
             for step in held_ticks {
                 now += step;
                 advance(now);
-                coordinator.on_replicate_tick(now);
-                participant.on_replicate_tick(now);
-                prop_assert!(watermark(&coordinator) < ct);
-                prop_assert_eq!(coordinator.min_prepared(), Some(pt_c));
-                for k in &own_keys[..*own_n] {
-                    prop_assert!(coordinator.store().latest(*k).is_none_or(|v| v.ut < ct));
+                servers[c].on_replicate_tick(now);
+                servers[p].on_replicate_tick(now);
+                prop_assert!(watermark(&servers[c]) < ct);
+                prop_assert_eq!(servers[c].min_prepared(), Some(pt_c));
+                for k in own {
+                    prop_assert!(servers[c].store().latest(*k).is_none_or(|v| v.ut < ct));
                 }
             }
 
-            prop_assert!(coordinator.handle(&back, now).is_empty());
+            prop_assert!(servers[c].handle(&back, now).is_empty());
             now += 1;
             advance(now);
-            coordinator.on_replicate_tick(now);
-            participant.on_replicate_tick(now);
-            prop_assert!(watermark(&coordinator) >= ct);
-            for (s, keys) in [(&coordinator, &own_keys[..*own_n]), (&participant, &other_keys[..*other_n])] {
+            servers[c].on_replicate_tick(now);
+            servers[p].on_replicate_tick(now);
+            prop_assert!(watermark(&servers[c]) >= ct);
+            for (s, keys) in [(&servers[c], own), (&servers[p], other)] {
                 for k in keys {
                     let v = s.store().latest(*k).expect("applied");
                     prop_assert_eq!((v.ut, v.tx), (ct, tx));
                 }
             }
-            hwt = ct;
         }
-        prop_assert_eq!(coordinator.stats().orphan_commits, 0);
-        prop_assert_eq!(participant.stats().txs_coordinated, txs.len() as u64);
+        let orphans: u64 = servers.iter().map(|s| s.stats().orphan_commits).sum();
+        prop_assert_eq!(orphans, 0);
+        // The decider is the participant other than the chosen coordinator,
+        // the same for every transaction; no other server decides one.
+        let decider = 1 - expected.index();
+        for (i, s) in servers.iter().enumerate() {
+            let decided = if i == decider { txs.len() as u64 } else { 0 };
+            prop_assert_eq!(s.stats().txs_coordinated, decided, "server {}", i);
+        }
     }
 }

@@ -35,6 +35,8 @@ struct PumpedCluster {
     now: u64,
     /// Reads re-sent in the start form after a replica refused the pick.
     retries: u64,
+    /// Every message delivered, in order: source, destination and kind.
+    wire: Vec<(Endpoint, Endpoint, &'static str)>,
 }
 
 impl PumpedCluster {
@@ -73,6 +75,7 @@ impl PumpedCluster {
             events: Vec::new(),
             now: 0,
             retries: 0,
+            wire: Vec::new(),
         }
     }
 
@@ -101,6 +104,7 @@ impl PumpedCluster {
     /// Delivers all queued messages until quiescent.
     fn pump(&mut self) {
         while let Some(env) = self.queue.pop_front() {
+            self.wire.push((env.src, env.dst, env.msg.kind()));
             match env.dst {
                 Endpoint::Server(sid) => {
                     let out = self
@@ -747,6 +751,176 @@ fn replication_is_idempotent_under_duplicate_delivery() {
     );
 }
 
+// ------------------------------------------------------ where commits go
+
+/// Commits `client`'s open transaction after writing one key on each of
+/// `partitions`, and returns the id it committed under and every message
+/// the commit put on the wire, from the `CommitReq` to the last.
+fn commit_writing(
+    c: &mut PumpedCluster,
+    client: ClientId,
+    partitions: &[u32],
+) -> (TxId, Vec<(Endpoint, Endpoint, &'static str)>) {
+    let writes: Vec<(Key, Value)> = partitions
+        .iter()
+        .map(|&p| (c.topo.key_at(PartitionId(p), 0), Value::from("w")))
+        .collect();
+    let session = c.clients.get_mut(&client).unwrap();
+    session.write(&writes).unwrap();
+    c.wire.clear();
+    c.advance(10);
+    let env = c.clients.get_mut(&client).unwrap().commit().unwrap();
+    c.queue.push_back(env);
+    c.pump();
+    match c.events.pop() {
+        Some((cid, ClientEvent::Committed { tx, ct, .. })) => {
+            assert_eq!(cid, client);
+            assert!(ct > Timestamp::ZERO, "the writes committed");
+            (tx, std::mem::take(&mut c.wire))
+        }
+        other => panic!("expected Committed, got {other:?}"),
+    }
+}
+
+fn kinds(wire: &[(Endpoint, Endpoint, &'static str)]) -> Vec<&'static str> {
+    wire.iter().map(|(_, _, kind)| *kind).collect()
+}
+
+/// On 3 DCs × 6 partitions, R = 2, DC 0 hosts partitions 0, 2, 3 and 5,
+/// and the client of sequence 1 there has its coordinator on partition 2.
+/// A picked commit writing one or two partitions, one of them hosted in
+/// DC 0, goes to the local server of the written partition first after
+/// partition 2 (cyclically): one partition costs `CommitReq` and
+/// `CommitResp` only, two commit last-agent. Every other commit goes to the
+/// coordinator: writes on no partition DC 0 hosts, three partitions, a
+/// start form, an eagerly begun id and BPR.
+#[test]
+fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
+    let mut c = PumpedCluster::new(3, 6, 2, Mode::Paris);
+    c.advance(10_000);
+    let alice = c.add_routed_client(0, 1, Mode::Paris);
+    let home = c.clients[&alice].coordinator();
+    assert_eq!(home, ServerId::new(DcId(0), PartitionId(2)));
+    let at = |p: u32| ServerId::new(DcId(0), PartitionId(p));
+    let (client, server) = (Endpoint::Client(alice), |p: u32| Endpoint::Server(at(p)));
+    let went_home = |tx: TxId, wire: &[(Endpoint, Endpoint, &str)]| {
+        assert_eq!(wire[0], (client, Endpoint::Server(home), "CommitReq"));
+        assert_eq!(tx.coordinator(), home, "the coordinator assigned the id");
+    };
+    c.tick_all();
+
+    // A fresh session carries its start, to the coordinator.
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[3]);
+    went_home(tx, &wire);
+    assert!(c.clients[&alice].ust() > Timestamp::ZERO);
+
+    // One local partition, not the coordinator's: 2 messages, 2 hops.
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[3]);
+    assert_eq!(
+        wire,
+        [
+            (client, server(3), "CommitReq"),
+            (server(3), client, "CommitResp")
+        ]
+    );
+    assert_eq!(
+        tx.coordinator(),
+        at(3),
+        "the id names the server it reached"
+    );
+
+    // Two local partitions, neither the coordinator's: partition 3 comes
+    // first after 2 and decides last-agent with 5, with no 2PC.
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[5, 3]);
+    assert_eq!(
+        wire,
+        [
+            (client, server(3), "CommitReq"),
+            (server(3), server(5), "CommitOne"),
+            (server(5), client, "CommitResp"),
+            (server(5), server(3), "CommitTx"),
+        ]
+    );
+    assert_eq!(tx.coordinator(), at(3));
+    // Cyclically, partition 5 comes before 0.
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[0, 5]);
+    assert_eq!(tx.coordinator(), at(5));
+    assert_eq!(
+        kinds(&wire),
+        ["CommitReq", "CommitOne", "CommitResp", "CommitTx"]
+    );
+    // A remote partition beside a local one: the local one, last-agent.
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[4, 0]);
+    assert_eq!(tx.coordinator(), at(0));
+    assert_eq!(
+        kinds(&wire),
+        ["CommitReq", "CommitOne", "CommitResp", "CommitTx"]
+    );
+    // The coordinator's own partition written: the coordinator.
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[0, 2]);
+    went_home(tx, &wire);
+    assert_eq!(
+        kinds(&wire),
+        ["CommitReq", "CommitOne", "CommitResp", "CommitTx"]
+    );
+
+    // Still to the coordinator: no written partition hosted in DC 0 ...
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[1]);
+    went_home(tx, &wire);
+    assert_eq!(kinds(&wire), ["CommitReq", "CommitOne", "CommitResp"]);
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[1, 4]);
+    went_home(tx, &wire);
+    assert_eq!(
+        kinds(&wire).iter().filter(|k| **k == "PrepareReq").count(),
+        2
+    );
+    // ... three partitions ...
+    c.begin_deferred(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[3, 5, 0]);
+    went_home(tx, &wire);
+    assert_eq!(
+        kinds(&wire).iter().filter(|k| **k == "PrepareReq").count(),
+        3
+    );
+    // ... and an eagerly begun id.
+    c.begin(alice);
+    let (tx, wire) = commit_writing(&mut c, alice, &[3]);
+    went_home(tx, &wire);
+    assert_eq!(kinds(&wire), ["CommitReq", "CommitOne", "CommitResp"]);
+
+    c.tick_all();
+    assert_eq!(c.check_convergence(), Vec::<String>::new());
+    assert_eq!(c.total(|s| s.orphan_commits), 0);
+
+    // BPR never picks: its commits go to the coordinator, started or
+    // carried.
+    let mut b = PumpedCluster::new(3, 6, 2, Mode::Bpr);
+    b.advance(10_000);
+    let bob = b.add_routed_client(0, 1, Mode::Bpr);
+    b.tick_all();
+    for eager in [false, true, false] {
+        if eager {
+            b.begin(bob);
+        } else {
+            b.begin_deferred(bob);
+        }
+        let (tx, wire) = commit_writing(&mut b, bob, &[3]);
+        assert_eq!(
+            wire[0],
+            (Endpoint::Client(bob), Endpoint::Server(home), "CommitReq")
+        );
+        assert_eq!(tx.coordinator(), home);
+    }
+}
+
 // ------------------------------------------------ eager vs deferred begins
 
 /// 8 keys per partition.
@@ -769,7 +943,8 @@ struct Observed {
 /// Everything one run of the stream produced.
 struct Outcome {
     /// Every read batch, in issue order, sorted by key, with the snapshot
-    /// it was read at.
+    /// it was read at; each version's writer named by its history index
+    /// (see [`by_writer`]).
     reads: Vec<(Timestamp, Vec<ClientRead>)>,
     violations: Vec<String>,
     txs_coordinated: u64,
@@ -779,14 +954,46 @@ struct Outcome {
     retries: u64,
 }
 
-/// The checker's verdict on a stream's history.
-fn check(history: &[Observed]) -> Vec<String> {
-    let mut writer_of: HashMap<(Key, Timestamp), usize> = HashMap::new();
+/// Which transaction of `history` wrote each `(key, ct)`.
+fn writers(history: &[Observed]) -> HashMap<(Key, Timestamp), usize> {
+    let mut writer_of = HashMap::new();
     for (index, tx) in history.iter().enumerate() {
         for key in &tx.writes {
             writer_of.insert((*key, tx.ct), index);
         }
     }
+    writer_of
+}
+
+/// The id no deployment assigns, naming `history[index]`.
+fn writer_id(index: usize) -> TxId {
+    TxId::new(
+        ServerId::new(DcId(u16::MAX), PartitionId(u32::MAX)),
+        index as u64,
+    )
+}
+
+/// `reads` with every version's writer named by its index in `history`,
+/// as [`check`] names it, instead of by the id and commit time its run
+/// gave it. The server a commit reaches decides both: a picked commit
+/// goes to a written partition's server rather than the session's
+/// coordinator, so the id names that server, and the commit time is the
+/// deciding server's HLC, whose logical part may differ where the physical
+/// part cannot (one clock, no skew). Every other field is kept, the
+/// commit time's physical part included.
+fn by_writer(history: &[Observed], reads: &mut [(Timestamp, Vec<ClientRead>)]) {
+    let writer_of = writers(history);
+    let versions = reads.iter_mut().flat_map(|(_, batch)| batch.iter_mut());
+    for version in versions.filter_map(|r| r.version.as_mut()) {
+        let writer = writer_of[&(version.key, version.ut)];
+        version.tx = writer_id(writer);
+        version.ut = version.ut.with_logical(0);
+    }
+}
+
+/// The checker's verdict on a stream's history.
+fn check(history: &[Observed]) -> Vec<String> {
+    let writer_of = writers(history);
     let mut learned: HashMap<usize, TxId> = HashMap::new();
     for version in history
         .iter()
@@ -799,12 +1006,10 @@ fn check(history: &[Observed]) -> Vec<String> {
     let mut checker = HistoryChecker::new();
     for (index, tx) in history.iter().enumerate() {
         // A writer nobody read keeps an id no deployment can produce.
-        let id = learned.get(&index).copied().unwrap_or_else(|| {
-            TxId::new(
-                ServerId::new(DcId(u16::MAX), PartitionId(u32::MAX)),
-                index as u64,
-            )
-        });
+        let id = learned
+            .get(&index)
+            .copied()
+            .unwrap_or_else(|| writer_id(index));
         for key in &tx.writes {
             let order = VersionOrd {
                 ut: tx.ct,
@@ -933,6 +1138,7 @@ fn drive(seed: u64, steps: usize, deferred: bool) -> Outcome {
     }
     let mut violations = check(&history);
     violations.extend(c.check_convergence());
+    by_writer(&history, &mut reads);
     Outcome {
         reads,
         violations,
@@ -957,7 +1163,8 @@ proptest! {
         // learns the UST after each round of ticks — in the deferred run
         // from its picked commit's reply — and between two rounds its
         // replies name no other, so each pick is the snapshot the eager
-        // begin was assigned: every batch is compared.
+        // begin was assigned: every batch is compared, each version's
+        // writer named by its place in the stream (`by_writer`).
         for (step, (a, b)) in eager.reads.iter().zip(&deferred.reads).enumerate() {
             prop_assert_eq!(a.0, b.0, "snapshot of read batch {}", step);
             prop_assert_eq!(&a.1, &b.1, "read batch {} differs", step);

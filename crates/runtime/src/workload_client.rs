@@ -9,9 +9,11 @@
 //! The begin is deferred and, once the session's `ust_c` is non-zero,
 //! picked at the client: the snapshot is `ust_c`, the read goes out as one
 //! `ReadSliceReq` per partition straight to the replicas, and the commit
-//! carries the snapshot to the coordinator, whose reply names a fresher
-//! UST for the next transaction — which begins at once, so its pick is
-//! about one transaction old. The coordinator is off the read path. A
+//! carries the snapshot to the server that commits it, whose reply names a
+//! fresher UST for the next transaction — which begins at once, so its
+//! pick is about one transaction old. `ClientSession::commit` chooses that
+//! server: usually one the transaction writes, else the session's
+//! coordinator, which is off the read path either way. A
 //! session's first transaction — its `ust_c` is still zero — sends its
 //! read (or a write-only transaction's commit) in the start form instead,
 //! and so does the one retry of a first read a replica refused because
