@@ -17,7 +17,7 @@ use paris_bench::{
     bench_doc, paper_deployment, section, warmup_micros, window_micros, write_bench_json,
 };
 use paris_core::metadata::{measured_paris_snapshot_metadata, table1, MetadataCost};
-use paris_proto::{wire, Msg, TxRef};
+use paris_proto::{wire, Carry, Msg, TxRef, VoteTo};
 use paris_runtime::Cluster;
 use paris_types::{DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, WriteSetEntry};
 use paris_workload::WorkloadConfig;
@@ -41,21 +41,26 @@ fn sample_messages() -> Vec<Msg> {
             snapshot: ts(1),
             keys: vec![Key(1).into(), Key(2).into(), Key(3).into()],
         },
-        Msg::PrepareReq {
-            tx,
-            snapshot: ts(1),
-            ht: ts(2),
-            writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
-            src_dc: DcId(3),
-        },
+        prepare_req(None),
+        prepare_req(Some(Box::new(VoteTo {
+            decider: ServerId::new(DcId(3), PartitionId(18)),
+            carry: Some(Carry {
+                writes: vec![WriteSetEntry::new(Key(2), Value::filled(8, 1))],
+                votes: 2,
+                client: paris_types::ClientId::new(DcId(3), 4),
+                coordinator_share: true,
+                picked: None,
+            }),
+        }))),
         commit_req(TxRef::Known(tx)),
         commit_req(TxRef::Picked {
             snapshot: ts(1),
             call: 9,
         }),
         Msg::CommitTx { tx, ct: ts(3) },
-        commit_one(false),
-        commit_one(true),
+        commit_one(false, 0),
+        commit_one(true, 0),
+        commit_one(true, 2),
         Msg::Replicate {
             partition: PartitionId(4),
             txs: vec![],
@@ -70,9 +75,27 @@ fn sample_messages() -> Vec<Msg> {
     ]
 }
 
+/// A prepare of one write: 2PC's, or a decider commit middle's, which
+/// names the decider, may carry it its share and carries no snapshot.
+fn prepare_req(vote_to: Option<Box<VoteTo>>) -> Msg {
+    let snapshot = match vote_to {
+        None => Timestamp::from_parts(3_600_000_001, 3),
+        Some(_) => Timestamp::ZERO,
+    };
+    Msg::PrepareReq {
+        tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
+        snapshot,
+        ht: Timestamp::from_parts(3_600_000_002, 3),
+        writes: vec![WriteSetEntry::new(Key(1), Value::filled(8, 1))],
+        src_dc: DcId(3),
+        vote_to,
+    }
+}
+
 /// A one-phase commit of one write; with the coordinator's share, the
-/// last-agent form, whose `ht` carries the coordinator's proposal.
-fn commit_one(coordinator_share: bool) -> Msg {
+/// last-agent form, whose `ht` carries the coordinator's proposal; with
+/// votes, a carrying middle's, whose `ht` carries its own.
+fn commit_one(coordinator_share: bool, votes: u32) -> Msg {
     Msg::CommitOne {
         tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
         ht: Timestamp::from_parts(3_600_000_002, 3),
@@ -81,6 +104,7 @@ fn commit_one(coordinator_share: bool) -> Msg {
         client: paris_types::ClientId::new(DcId(3), 4),
         coordinator_share,
         picked: None,
+        votes,
     }
 }
 
@@ -167,6 +191,10 @@ fn main() {
                 tx: TxRef::Picked { .. },
                 ..
             } => "CommitReq (picked)",
+            Msg::PrepareReq {
+                vote_to: Some(_), ..
+            } => "PrepareReq+carry",
+            Msg::CommitOne { votes: 1.., .. } => "CommitOne+votes",
             Msg::CommitOne {
                 coordinator_share: true,
                 ..

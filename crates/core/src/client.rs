@@ -35,21 +35,22 @@
 //! collocated with (§V-A) — unless it is in the picked form: no id yet, a
 //! snapshot the session picked, and a topology. Such a commit first
 //! reaches any server with its `CommitReq`, which opens the context there
-//! and assigns the id, so nothing ties it to the coordinator. When its
-//! writes land on one or two partitions and at least one of them is
-//! replicated in the client's DC, it goes to the local server of the
-//! written partition that comes first cyclically from the coordinator's
-//! partition — the coordinator itself when its partition is written, and
-//! otherwise spread over the written partitions as
+//! and assigns the id, so nothing ties it to the coordinator. When one of
+//! its written partitions is replicated in the client's DC, it goes to the
+//! local server of the written partition that comes first cyclically from
+//! the coordinator's partition — the coordinator itself when its partition
+//! is written, and otherwise spread over the written partitions as
 //! [`Topology::coordinator_for`] spreads sessions. That server is then a
-//! participant of its own commit:
+//! participant of its own commit, on n written partitions:
 //!
-//! * one partition: its `CommitOne` runs in place, and it answers the
-//!   client — `CommitReq` and `CommitResp`, 2 messages and 2 hops where
-//!   the coordinator's forwarded `CommitOne` costs 3 and 3;
-//! * two partitions: it prepares its own share in place and hands the
-//!   other a last-agent `CommitOne`, which decides and answers — 4
-//!   messages where 2PC costs 8.
+//! * n = 1: its `CommitOne` runs in place, and it answers the client —
+//!   `CommitReq` and `CommitResp`, 2 messages and 2 hops where the
+//!   coordinator's forwarded `CommitOne` costs 3 and 3;
+//! * n ≥ 2: it prepares its own share in place, and another participant
+//!   decides and answers (a decider commit, coordinator docs) — 4 messages
+//!   for n = 2 and 3n − 3 for more, in 2PC's hops, where a server holding
+//!   no share pays 3n − 1 — unless no other written partition is local and
+//!   the rest span several DCs, which keeps 2PC.
 //!
 //! The reply echoes the picked form's call, which is how the session takes
 //! it, from whichever server it comes; the id it names is that server's.
@@ -59,8 +60,8 @@
 //! reachable. Every other commit goes to the coordinator: a start form,
 //! whose reply must name the snapshot the coordinator assigns; a commit of
 //! an id already assigned, whose context the coordinator holds; BPR, which
-//! never picks; a read-only commit; one writing three or more partitions;
-//! and one writing no partition replicated in the client's DC.
+//! never picks; a read-only commit; and one writing no partition
+//! replicated in the client's DC.
 //!
 //! # Beginning a transaction
 //!
@@ -519,27 +520,18 @@ fn route(
 
 /// Where a picked-form commit of `writes` goes (module docs: where commits
 /// go): the local server of the written partition that comes first
-/// cyclically from `coordinator`'s, among those replicated in its DC, when
-/// the writes land on one or two partitions; `None` — the coordinator —
-/// otherwise. Chosen by partition id, never by the write set's order.
+/// cyclically from `coordinator`'s, among those replicated in its DC;
+/// `None` — the coordinator — when there is none. Chosen by partition id,
+/// never by the write set's order.
 fn picked_commit_target(
     topology: &Topology,
     coordinator: ServerId,
     writes: &[WriteSetEntry],
 ) -> Option<ServerId> {
-    let mut written: Vec<PartitionId> = Vec::with_capacity(2);
-    for w in writes {
-        let partition = topology.partition_of(w.key);
-        if !written.contains(&partition) {
-            if written.len() == 2 {
-                return None;
-            }
-            written.push(partition);
-        }
-    }
     let (n, from) = (topology.partitions(), coordinator.partition.0);
-    written
-        .into_iter()
+    writes
+        .iter()
+        .map(|w| topology.partition_of(w.key))
         .filter(|p| topology.is_replicated_at(*p, coordinator.dc))
         .min_by_key(|p| (p.0 + n - from) % n)
         .map(|p| ServerId::new(coordinator.dc, p))
@@ -991,9 +983,9 @@ impl ClientSession {
     // ----------------------------------------------------------- COMMIT
 
     /// `COMMIT-TX` (Alg. 1 lines 26–32): ships the write set with `hwt_c`
-    /// to the coordinator — or, for a picked-form commit that writes one
-    /// or two partitions, one of them replicated here, to the local server
-    /// of one of its own participants (module docs: where commits go).
+    /// to the coordinator — or, for a picked-form commit that writes a
+    /// partition replicated here, to the local server of one of its own
+    /// participants (module docs: where commits go).
     /// Also used to close read-only transactions (empty write set), which
     /// frees the coordinator's context (and its hold on the GC horizon).
     /// The commit of a deferred begin that has not reached a coordinator
@@ -2944,8 +2936,11 @@ mod tests {
             (&[0, 1], 0),
             (&[1], 2),
             (&[1, 4], 2),
-            (&[3, 5, 0], 2),
-            (&[3, 3, 5, 5, 0], 2),
+            (&[3, 5, 0], 3),
+            (&[3, 3, 5, 5, 0], 3),
+            (&[0, 5, 3, 2], 2),
+            (&[1, 4, 5], 5),
+            (&[4, 1, 0, 5, 3], 3),
         ] {
             let (mut s, topo) = picking_session();
             assert_eq!(s.coordinator().partition, PartitionId(2));

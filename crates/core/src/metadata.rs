@@ -238,8 +238,9 @@ pub fn table1() -> Vec<SystemRow> {
 /// timestamp): the `ust_c` piggybacked on transaction start is a single
 /// timestamp and the message carries nothing else — independent of `M`
 /// and `N`. A one-phase commit forwards one timestamp too, `ht` — also
-/// when it hands a last agent the decision, since the coordinator's own
-/// proposal is folded into `ht` rather than added beside it.
+/// when it hands a decider the decision, since the sender's own proposal
+/// — which exceeds the coordinator's — is folded into `ht` rather than
+/// added beside it.
 ///
 /// # Panics
 ///
@@ -247,11 +248,12 @@ pub fn table1() -> Vec<SystemRow> {
 /// timestamp, or `CommitOne`, in any of its forms, more than one
 /// timestamp.
 pub fn measured_paris_snapshot_metadata() -> usize {
-    for (coordinator_share, picked) in [
-        (false, None),
-        (true, None),
-        (false, Some(7)),
-        (true, Some(7)),
+    for (coordinator_share, picked, votes) in [
+        (false, None, 0),
+        (true, None, 0),
+        (false, Some(7), 0),
+        (true, Some(7), 0),
+        (true, Some(7), 2),
     ] {
         let one_phase = Msg::CommitOne {
             tx: TxId::new(ServerId::new(DcId(3), PartitionId(17)), 9),
@@ -261,11 +263,13 @@ pub fn measured_paris_snapshot_metadata() -> usize {
             client: ClientId::new(DcId(3), 4),
             coordinator_share,
             picked,
+            votes,
         };
         assert_eq!(
             wire::metadata(&one_phase).timestamps,
             1,
-            "one-phase commit, coordinator share {coordinator_share}, picked {picked:?}"
+            "one-phase commit, coordinator share {coordinator_share}, picked {picked:?}, \
+             votes {votes}"
         );
     }
     let ust = Timestamp::from_parts(123_456, 7);

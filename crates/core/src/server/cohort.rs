@@ -24,23 +24,33 @@
 //! announced here, so it skips the prepared queue. It skips line 11's
 //! `ust` bump too: `ht ≥ snapshot` already puts `ct` above the snapshot.
 //!
-//! The same message makes this server the *last agent* of a two-partition
-//! write set whose other share the coordinator has prepared already: `ht`
-//! then carries that proposal, so `ct = pt > ht` is the max over both
-//! (Alg. 2 line 26). This server decides, answers the client, and sends
-//! the decision back to the coordinator as a `CommitTx`. Which server a
-//! picked commit reaches is the client's choice: see "Where commits go"
-//! in `client.rs`.
+//! The same message makes this server the *decider* of a write set on
+//! several partitions (coordinator docs): `ht` then carries the proposal of
+//! the participant that sent it — the coordinator, or the middle that
+//! carried this share, whose proposal exceeds the coordinator's — and the
+//! message says how many more votes, `PrepareResp`s of the other middles,
+//! to wait for. A small per-transaction table of ballots holds them until
+//! all are in; only then is `ct = pt` proposed above `ht` and every vote,
+//! so it is the max over every proposal (Alg. 2 line 26) and, above the
+//! HLC, skips the prepared queue as a one-phase commit does. This server
+//! decides, answers the client and sends every other participant a
+//! `CommitTx`. The GC tick drops a ballot still incomplete after
+//! [`STALE_CONTEXT_MICROS`](super::STALE_CONTEXT_MICROS), as coordinators
+//! reclaim abandoned contexts
+//! ([`ServerStats::abandoned_votes`](super::ServerStats::abandoned_votes)).
+//! A middle prepares as for 2PC, but votes to the decider its `PrepareReq`
+//! names. Which server a picked commit reaches is the client's choice: see
+//! "Where commits go" in `client.rs`.
 //!
 //! A `CommitTx` that finds no prepared share here is counted
 //! ([`ServerStats::orphan_commits`](super::ServerStats::orphan_commits)),
 //! never silently dropped: the server restarted between prepare and
 //! commit, and its share of the writes is lost.
 
-use paris_proto::{Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult};
-use paris_types::{ClientId, DcId, Mode, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, VoteTo};
+use paris_types::{DcId, Mode, ServerId, Timestamp, TxId, WriteSetEntry};
 
-use super::{BlockedRead, CommittedTx, PreparedTx, Server};
+use super::{Ballot, BlockedRead, CommittedTx, PreparedTx, Server};
 
 impl Server {
     /// `ReadSliceReq` (Alg. 3 lines 1–8), answered to `env.src`.
@@ -162,7 +172,9 @@ impl Server {
     /// `PrepareReq` (Alg. 3 lines 9–14): propose a commit timestamp that
     /// exceeds the transaction snapshot, the client's last commit (`ht`)
     /// and everything this server has seen (`HLC`), then queue the
-    /// transaction as prepared and answer the coordinator, `env.src`.
+    /// transaction as prepared and answer the coordinator, `env.src` — or,
+    /// as a decider commit's middle, vote to the decider (module docs).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn on_prepare_req(
         &mut self,
         env: &Envelope,
@@ -171,6 +183,7 @@ impl Server {
         ht: Timestamp,
         writes: &[WriteSetEntry],
         src_dc: DcId,
+        vote_to: &Option<Box<VoteTo>>,
     ) -> Vec<Envelope> {
         self.stats.prepares += 1;
         // Alg. 3 line 11: ust ← max(ust, snapshot).
@@ -187,15 +200,30 @@ impl Server {
             },
         );
         self.prepared_index.insert((pt, tx));
-        vec![Envelope::new(
-            self.id,
-            env.src,
-            Msg::PrepareResp {
+        let vote = Msg::PrepareResp {
+            tx,
+            partition: self.id.partition,
+            proposed: pt,
+        };
+        let Some(vote_to) = vote_to.as_deref() else {
+            return vec![Envelope::new(self.id, env.src, vote)];
+        };
+        // `pt > ht`, and `ht` carries the coordinator's proposal: this
+        // vote is the max over both.
+        let vote = match &vote_to.carry {
+            None => vote,
+            Some(carry) => Msg::CommitOne {
                 tx,
-                partition: self.id.partition,
-                proposed: pt,
+                ht: pt,
+                writes: carry.writes.clone(),
+                src_dc,
+                client: carry.client,
+                coordinator_share: carry.coordinator_share,
+                picked: carry.picked,
+                votes: carry.votes,
             },
-        )]
+        };
+        vec![Envelope::new(self.id, vote_to.decider, vote)]
     }
 
     /// `CommitTx` (Alg. 3 lines 15–19): move the transaction from the
@@ -219,31 +247,105 @@ impl Server {
         Vec::new()
     }
 
-    /// `CommitOne` (module docs): propose as [`Server::on_prepare_req`]
-    /// does, commit under the proposal and answer the client — naming this
-    /// server's UST when the client picked the snapshot — and the
-    /// coordinator, when it holds a share.
-    #[allow(clippy::too_many_arguments)]
+    /// `CommitOne` (module docs): decide now, unless the carrying middle
+    /// announced votes still to come.
     pub(super) fn on_commit_one(
         &mut self,
+        env: &Envelope,
         tx: TxId,
-        ht: Timestamp,
-        writes: &[WriteSetEntry],
-        src_dc: DcId,
-        client: ClientId,
-        coordinator_share: bool,
-        picked: Option<u64>,
+        votes: u32,
         now: u64,
     ) -> Vec<Envelope> {
+        if votes == 0 {
+            return self.decide(env, Timestamp::ZERO, Vec::new(), now);
+        }
+        self.ballot(tx, now).carried = Some(env.clone());
+        self.decide_if_complete(tx, now)
+    }
+
+    /// A middle's vote (`PrepareResp`) for a decider commit this server
+    /// decides.
+    pub(super) fn on_vote(
+        &mut self,
+        env: &Envelope,
+        tx: TxId,
+        proposed: Timestamp,
+        now: u64,
+    ) -> Vec<Envelope> {
+        let Some(voter) = env.src.as_server() else {
+            return Vec::new();
+        };
+        let ballot = self.ballot(tx, now);
+        if !ballot.voters.contains(&voter) {
+            ballot.voters.push(voter);
+            ballot.max_vote = ballot.max_vote.max(proposed);
+        }
+        self.decide_if_complete(tx, now)
+    }
+
+    fn ballot(&mut self, tx: TxId, now: u64) -> &mut Ballot {
+        self.ballots.entry(tx).or_insert_with(|| Ballot {
+            carried: None,
+            voters: Vec::new(),
+            max_vote: Timestamp::ZERO,
+            since: now,
+        })
+    }
+
+    /// Decides once the carried share and every vote it announces are in.
+    fn decide_if_complete(&mut self, tx: TxId, now: u64) -> Vec<Envelope> {
+        let complete = self.ballots.get(&tx).is_some_and(|b| match &b.carried {
+            Some(Envelope {
+                msg: Msg::CommitOne { votes, .. },
+                ..
+            }) => *votes as usize == b.voters.len(),
+            _ => false,
+        });
+        if !complete {
+            return Vec::new();
+        }
+        let ballot = self.ballots.remove(&tx).expect("checked above");
+        let carried = ballot.carried.expect("checked above");
+        self.decide(&carried, ballot.max_vote, ballot.voters, now)
+    }
+
+    /// Proposes as [`Server::on_prepare_req`] does, above `ht` and every
+    /// vote, commits under the proposal and answers the client — naming
+    /// this server's UST when the client picked the snapshot — then every
+    /// other participant: the coordinator when it holds a share, the
+    /// middle that carried the `CommitOne` and the `voters`.
+    fn decide(
+        &mut self,
+        carried: &Envelope,
+        max_vote: Timestamp,
+        voters: Vec<ServerId>,
+        now: u64,
+    ) -> Vec<Envelope> {
+        let Msg::CommitOne {
+            tx,
+            ht,
+            writes,
+            src_dc,
+            client,
+            coordinator_share,
+            picked,
+            ..
+        } = &carried.msg
+        else {
+            unreachable!("a decision is carried by a CommitOne");
+        };
+        let tx = *tx;
         self.stats.prepares += 1;
         self.stats.txs_coordinated += 1;
         // Alg. 3 lines 10 & 12, and line 16's HLC update with it.
-        let ct = self.hlc.now_after(&self.clock, ht.max(self.ust));
+        let ct = self
+            .hlc
+            .now_after(&self.clock, (*ht).max(max_vote).max(self.ust));
         self.committed.insert(
             (ct, tx),
             CommittedTx {
-                writes: writes.to_vec(),
-                src: src_dc,
+                writes: writes.clone(),
+                src: *src_dc,
             },
         );
         if let Some(log) = self.events.as_mut() {
@@ -257,14 +359,18 @@ impl Server {
             }),
             ct,
         };
-        let mut out = vec![Envelope::new(self.id, client, msg)];
-        if coordinator_share {
-            out.push(Envelope::new(
-                self.id,
-                tx.coordinator(),
-                Msg::CommitTx { tx, ct },
-            ));
-        }
+        let coordinator = tx.coordinator();
+        // A `CommitOne` from another server than the coordinator came from
+        // the middle that carried it, which holds a share prepared.
+        let carrier = carried.src.as_server().filter(|s| *s != coordinator);
+        let shares = coordinator_share.then_some(coordinator).into_iter();
+        let mut out = vec![Envelope::new(self.id, *client, msg)];
+        out.extend(
+            shares
+                .chain(carrier)
+                .chain(voters)
+                .map(|p| Envelope::new(self.id, p, Msg::CommitTx { tx, ct })),
+        );
         out
     }
 

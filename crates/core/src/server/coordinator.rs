@@ -41,21 +41,47 @@
 //! to the cohorts as it came; the coordinator never interprets them
 //! further.
 //!
-//! A plain commit whose writes land on one partition is one `CommitOne`
-//! (cohort docs). One whose writes land on the coordinator's own partition
-//! and one other is a *last-agent* commit: the coordinator prepares its
-//! own share first (Alg. 3 lines 10–13, proposal `pt_c`), then hands the
-//! other participant a `CommitOne` with `ht` raised to `pt_c`. That
-//! participant's proposal is then the max over both (Alg. 2 line 26): it
-//! decides `ct`, answers the client and sends `CommitTx` back here. Until
-//! that lands, the prepared share holds this partition's watermark — and
-//! so the UST — below `pt_c ≤ ct`, as any participant's prepared share
-//! does. 4 messages instead of 5. A start form keeps 2PC, as only the
-//! coordinator's reply may name the snapshot it assigned, and so do two or
-//! more remote participants. A picked form keeps both shortcuts: its
-//! `CommitOne` carries the call, and the deciding participant names its
-//! own UST and the call in the reply. The own share runs in place
-//! ([`Server::in_place`]).
+//! A plain commit — known or picked form — whose writes land on one
+//! partition is one `CommitOne` (cohort docs). One whose writes land on
+//! n ≥ 2 partitions is a *decider commit*: one participant, the decider D,
+//! decides `ct`, and every other participant votes to D instead of back
+//! here, which spares this server's round of `PrepareResp`s and
+//! `CommitTx`s without adding a hop. D is, among the participants other
+//! than this server and in this server's DC first, the one with the
+//! smallest share — the share that travels twice — and then the first
+//! cyclically by partition from this server's (`decider_plan`); the rest
+//! are its *middles*.
+//!
+//! * When this server holds a share, it prepares it first (Alg. 3 lines
+//!   10–13, proposal `pt_c`) and raises `ht` to `pt_c`, so its vote rides
+//!   in whatever it sends on. Until the `CommitTx` lands, the prepared
+//!   share holds this partition's watermark — and so the UST — below
+//!   `pt_c < ct`, as any participant's prepared share does.
+//! * With no middle — two partitions, one of them this server's: the
+//!   *last agent* — D gets its share in a `CommitOne`.
+//! * Otherwise each middle gets a `PrepareReq` naming D
+//!   ([`VoteTo`](paris_proto::VoteTo)), and the first — in this DC when
+//!   one is — also carries D's share and what D needs to decide: how many
+//!   other votes to wait for, the client, the call, and whether this
+//!   server holds a share. Each middle prepares and votes to D: with a
+//!   `PrepareResp`, or, the carrier, with a `CommitOne` of D's share. Like
+//!   D, a middle skips Alg. 3 line 11's `ust` bump, since `ht` covers the
+//!   snapshot, so its `PrepareReq` carries no snapshot.
+//!
+//! D decides once every vote is in (cohort docs). Counting `CommitReq` and
+//! `CommitResp`, a commit costs 2 messages on one partition, 4 on two and
+//! 3n − 3 on more when this server holds a share; 3 on one partition and
+//! 3n − 1 on more when it holds none — where 2PC costs 3n − 1 and 3n + 2.
+//! The client waits client → C → middle → D → client, 2PC's four hops. D
+//! answers the client, so where D is outside this DC — no other
+//! participant is in it — the votes must reach D from D's own DC for the
+//! hops to cost what 2PC's do; a commit whose other participants span
+//! several remote DCs keeps 2PC (`no_hop_added`). A start form keeps 2PC,
+//! as only the coordinator's reply may name the snapshot it assigned; so
+//! does BPR, but for the last-agent shape. A
+//! picked form keeps every shortcut: its `CommitOne` and carried share
+//! carry the call, and D names its own UST and the call in the reply. The
+//! own share runs in place ([`Server::in_place`]).
 //!
 //! Which server a picked commit reaches is the client's choice: see
 //! "Where commits go" in `client.rs`.
@@ -64,10 +90,12 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use paris_proto::{Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef};
-use paris_types::{ClientId, Mode, PartitionId, Timestamp, TxId, WriteSetEntry};
+use paris_proto::{
+    Carry, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef, VoteTo,
+};
+use paris_types::{ClientId, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry};
 
-use super::{Opened, PendingOp, Server};
+use super::{DeciderPlan, Opened, PendingOp, Server};
 
 /// The client that sent a request, if a client did.
 fn client_of(env: &Envelope) -> Option<ClientId> {
@@ -77,6 +105,48 @@ fn client_of(env: &Envelope) -> Option<ClientId> {
             debug_assert!(false, "{} from a server", env.msg.kind());
             None
         }
+    }
+}
+
+/// Whether a decider commit coordinated at `me` costs the client no more
+/// WAN hops than 2PC: its decider answers the client, so one outside `me`'s
+/// DC — there when no other participant is in it — must hear every other
+/// vote from its own DC.
+fn no_hop_added(me: ServerId, participants: &[ServerId]) -> bool {
+    let mut dcs = participants.iter().filter(|p| **p != me).map(|p| p.dc);
+    let Some(first) = dcs.clone().next() else {
+        return true;
+    };
+    dcs.clone().any(|dc| dc == me.dc) || dcs.all(|dc| dc == first)
+}
+
+/// Who decides a decider commit coordinated at `me` among the participants
+/// other than `me`, and who carries it its share. Both come from `me`'s DC
+/// first, so that the votes' paths are 2PC's own. The decider is the one
+/// with the smallest share, which is the share that travels twice; ties,
+/// and the carrier, go cyclically by partition from `me`'s — never by the
+/// write set's order.
+fn decider_plan(
+    me: ServerId,
+    partitions: u32,
+    mut shares: Vec<(ServerId, Vec<WriteSetEntry>)>,
+) -> DeciderPlan {
+    let from = me.partition.0;
+    shares.sort_by_key(|(p, _)| {
+        (
+            p.dc != me.dc,
+            (p.partition.0 + partitions - from) % partitions,
+        )
+    });
+    // The first of the smallest: ties keep the order just sorted.
+    let size =
+        |writes: &[WriteSetEntry]| -> usize { writes.iter().map(|w| 1 + w.value.len()).sum() };
+    let decider = (0..shares.len())
+        .min_by_key(|&i| (shares[i].0.dc != me.dc, size(&shares[i].1)))
+        .expect("a participant besides the coordinator");
+    DeciderPlan {
+        decider: shares.remove(decider),
+        middles: shares,
     }
 }
 
@@ -309,9 +379,9 @@ impl Server {
         )]
     }
 
-    /// `CommitReq` (Alg. 2 lines 17–25): first phase of 2PC, or the only
-    /// phase when the writes land on one partition, or the own prepare of
-    /// a last-agent commit (module docs).
+    /// `CommitReq` (Alg. 2 lines 17–25): the one-phase forward of a
+    /// single-partition write set, a decider commit's own prepare or
+    /// fan-out, or the first phase of 2PC (module docs).
     ///
     /// Read-only transactions (empty write set) are finalized immediately:
     /// the context is dropped — releasing its snapshot from the GC
@@ -331,7 +401,7 @@ impl Server {
         // Only the coordinator's reply can name an assigned snapshot, so a
         // start form keeps 2PC; a picked form's participant names its own
         // UST and echoes the call.
-        let one_phase = !matches!(opened, Opened::Start(_));
+        let start = matches!(opened, Opened::Start(_));
         let picked = opened.call();
         let ctxs = &mut self.tx_table.ctxs;
         let Some(ctx) = ctxs.get(&tx) else {
@@ -389,7 +459,7 @@ impl Server {
                 }
             }
         }
-        if let ([participant], true) = (&participants[..], one_phase) {
+        if let ([participant], false) = (&participants[..], start) {
             ctxs.remove(&tx); // Alg. 2 line 28: the participant answers
             let writes = by_partition.into_values().next().expect("one partition");
             let msg = Msg::CommitOne {
@@ -400,33 +470,63 @@ impl Server {
                 client,
                 coordinator_share: false,
                 picked,
+                votes: 0,
             };
             return vec![Envelope::new(self.id, *participant, msg)];
         }
-        // Last agent (module docs): the own share is prepared first, and
-        // the one other participant decides. The own prepare is the usual
-        // self-addressed `PrepareReq` that `in_place` runs within this same
-        // `handle` call, rather than a direct `on_prepare_req`, so that
-        // `handle_and`'s `local` sees it and the simulator charges it; the
-        // decider waits in the pending op for that `PrepareResp`.
-        let decider = match (&participants[..], one_phase) {
-            (&[a, b], true) if a == self.id || b == self.id => {
-                let other = if a == self.id { b } else { a };
-                let writes = by_partition
-                    .remove(&other.partition)
-                    .expect("a share per participant");
-                participants = vec![self.id];
-                Some((other, writes))
-            }
-            _ => None,
-        };
+        // A decider commit (module docs) — unless its decider would add a
+        // WAN hop; BPR keeps the two-partition one with an own share only,
+        // the last-agent shape that needs no vote.
+        let own = participants.contains(&self.id);
+        let decides = !start
+            && no_hop_added(self.id, &participants)
+            && match self.mode {
+                Mode::Paris => true,
+                Mode::Bpr => own && participants.len() == 2,
+            };
+        if decides {
+            let mut shares: Vec<_> = participants
+                .into_iter()
+                .zip(by_partition.into_values())
+                .collect();
+            let own_writes = shares
+                .iter()
+                .position(|(p, _)| *p == self.id)
+                .map(|i| shares.remove(i).1);
+            let plan = decider_plan(self.id, self.topo.partitions(), shares);
+            let Some(writes) = own_writes else {
+                ctxs.remove(&tx); // Alg. 2 line 28: the decider answers
+                return self.to_decider(tx, ht, plan, client, picked, false);
+            };
+            // The own share is prepared first, by the usual self-addressed
+            // `PrepareReq` that `in_place` runs within this same `handle`
+            // call rather than a direct `on_prepare_req`, so that
+            // `handle_and`'s `local` sees it and the simulator charges it;
+            // the plan waits in the pending op for that `PrepareResp`.
+            ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Commit {
+                awaiting: HashSet::from([self.id.partition]),
+                participants: vec![self.id],
+                max_proposed: Timestamp::ZERO,
+                opened,
+                decider: Some(plan),
+            });
+            let msg = Msg::PrepareReq {
+                tx,
+                snapshot,
+                ht,
+                writes,
+                src_dc: self.id.dc,
+                vote_to: None,
+            };
+            return vec![Envelope::new(self.id, self.id, msg)];
+        }
         let awaiting: HashSet<PartitionId> = by_partition.keys().copied().collect();
         ctxs.get_mut(&tx).expect("context checked above").pending = Some(PendingOp::Commit {
             awaiting,
             participants: participants.clone(),
             max_proposed: Timestamp::ZERO,
             opened,
-            decider,
+            decider: None,
         });
 
         // PrepareReq to each involved partition (Alg. 2 lines 21–25).
@@ -443,15 +543,76 @@ impl Server {
                         ht,
                         writes,
                         src_dc: self.id.dc,
+                        vote_to: None,
                     },
                 )
             })
             .collect()
     }
 
+    /// A decider commit's fan-out, `ht` carrying the own proposal if this
+    /// server holds a share: the decider's share straight to it when no
+    /// other participant votes; otherwise a `PrepareReq` naming it to
+    /// every middle, the first also carrying its share and how many
+    /// `PrepareResp` votes to wait for. A middle, like the decider, skips
+    /// Alg. 3 line 11's `ust` bump — `ht` covers the snapshot — so its
+    /// prepare carries none.
+    fn to_decider(
+        &self,
+        tx: TxId,
+        ht: Timestamp,
+        plan: DeciderPlan,
+        client: ClientId,
+        picked: Option<u64>,
+        coordinator_share: bool,
+    ) -> Vec<Envelope> {
+        let DeciderPlan {
+            decider: (decider, writes),
+            middles,
+        } = plan;
+        let Some(votes) = middles.len().checked_sub(1) else {
+            let msg = Msg::CommitOne {
+                tx,
+                ht,
+                writes,
+                src_dc: self.id.dc,
+                client,
+                coordinator_share,
+                picked,
+                votes: 0,
+            };
+            return vec![Envelope::new(self.id, decider, msg)];
+        };
+        let mut carry = Some(Carry {
+            writes,
+            votes: u32::try_from(votes).expect("fewer middles than partitions"),
+            client,
+            coordinator_share,
+            picked,
+        });
+        middles
+            .into_iter()
+            .map(|(middle, writes)| {
+                let vote_to = VoteTo {
+                    decider,
+                    carry: carry.take(),
+                };
+                let msg = Msg::PrepareReq {
+                    tx,
+                    snapshot: Timestamp::ZERO,
+                    ht,
+                    writes,
+                    src_dc: self.id.dc,
+                    vote_to: Some(Box::new(vote_to)),
+                };
+                Envelope::new(self.id, middle, msg)
+            })
+            .collect()
+    }
+
     /// `PrepareResp`: gather proposals; when all arrived, pick the max as
     /// commit time, notify cohorts and the client (Alg. 2 lines 26–29) —
-    /// or, in a last-agent commit, pass the own proposal to the decider.
+    /// or, in a decider commit, send the own proposal on to the decider.
     pub(super) fn on_prepare_resp(
         &mut self,
         tx: TxId,
@@ -492,19 +653,9 @@ impl Server {
             };
             let client = ctx.client;
             ctxs.remove(&tx); // Alg. 2 line 28
-            if let Some((participant, writes)) = decider {
-                // Last agent: the own proposal rides in `ht`, and the
-                // participant decides, answers and sends `CommitTx` back.
-                let msg = Msg::CommitOne {
-                    tx,
-                    ht: ct,
-                    writes,
-                    src_dc: self.id.dc,
-                    client,
-                    coordinator_share: true,
-                    picked: opened.call(),
-                };
-                return vec![Envelope::new(self.id, participant, msg)];
+            if let Some(plan) = decider {
+                // The own proposal rides in `ht`; the decider decides.
+                return self.to_decider(tx, ct, plan, client, opened.call(), true);
             }
             (participants, ct, client, opened)
         };

@@ -4,10 +4,12 @@
 //!
 //! * **transaction coordinator** (Alg. 2): snapshot assignment, the
 //!   parallel read fan-out of a start form (a client that knows its
-//!   snapshot sends its slice reads to the cohorts itself), 2PC commit
-//!   (one phase for a single partition, the other participant deciding
-//!   when the own partition is one of two);
-//! * **transaction cohort** (Alg. 3): slice reads, prepare, commit;
+//!   snapshot sends its slice reads to the cohorts itself), and the
+//!   commit: one phase for a single partition, otherwise decided by a
+//!   participant every other participant votes to, or 2PC for a start
+//!   form;
+//! * **transaction cohort** (Alg. 3): slice reads, prepare, commit, and
+//!   the decision of a commit whose votes it gathers;
 //! * **replication** (Alg. 4): applying committed transactions in commit
 //!   order, pushing them to peer replicas (an empty push is the
 //!   heartbeat);
@@ -119,10 +121,35 @@ pub(crate) enum PendingOp {
         max_proposed: Timestamp,
         /// How the request named the transaction.
         opened: Opened,
-        /// A last-agent commit: the participant that decides once the own
-        /// share is prepared, and its writes.
-        decider: Option<(ServerId, Vec<WriteSetEntry>)>,
+        /// A decider commit: what goes out once the own share is prepared.
+        decider: Option<DeciderPlan>,
     },
+}
+
+/// A decider commit's fan-out from its coordinator (coordinator docs): sent
+/// once the coordinator's own share is prepared, or at once when it holds
+/// none.
+#[derive(Debug)]
+pub(crate) struct DeciderPlan {
+    /// The participant that decides, and its writes.
+    pub decider: (ServerId, Vec<WriteSetEntry>),
+    /// The participants that vote to it, each with its writes; the first
+    /// carries it its share.
+    pub middles: Vec<(ServerId, Vec<WriteSetEntry>)>,
+}
+
+/// A decider commit's votes at its decider, until the carried share and
+/// every vote it announces are in (cohort docs).
+#[derive(Debug)]
+pub(crate) struct Ballot {
+    /// The carrying middle's `CommitOne`, once it arrived.
+    pub carried: Option<Envelope>,
+    /// The middles whose `PrepareResp` arrived, in arrival order.
+    pub voters: Vec<ServerId>,
+    /// The highest proposal among those votes.
+    pub max_vote: Timestamp,
+    /// When the first of them arrived.
+    pub since: u64,
 }
 
 /// A transaction in the prepared queue (Alg. 3 line 13).
@@ -233,6 +260,9 @@ pub struct Server {
     /// Prepared queue (`Prepared_n^m`), with a sorted index for `min pt`.
     pub(crate) prepared: HashMap<TxId, PreparedTx>,
     pub(crate) prepared_index: BTreeSet<(Timestamp, TxId)>,
+    /// Decider commits this server decides, still waiting for a vote or
+    /// the carried share.
+    pub(crate) ballots: HashMap<TxId, Ballot>,
     /// Committed queue (`Committed_n^m`), ordered by (ct, tx).
     pub(crate) committed: BTreeMap<(Timestamp, TxId), CommittedTx>,
     /// BPR: reads blocked until `min(VV) ≥ snapshot`.
@@ -365,6 +395,7 @@ impl Server {
             tx_table: TxTable::default(),
             prepared: HashMap::new(),
             prepared_index: BTreeSet::new(),
+            ballots: HashMap::new(),
             committed: BTreeMap::new(),
             blocked: Vec::new(),
             child_reports: ReportTable::default(),
@@ -440,6 +471,12 @@ impl Server {
         self.tx_table.ctxs.len()
     }
 
+    /// Number of decider commits waiting here for a vote or their carried
+    /// share.
+    pub fn open_vote_sets(&self) -> usize {
+        self.ballots.len()
+    }
+
     /// Number of currently blocked reads (BPR).
     pub fn blocked_reads_now(&self) -> usize {
         self.blocked.len()
@@ -494,6 +531,11 @@ impl Server {
                 partition,
                 results,
             } => self.on_read_slice_resp(*tx, *partition, results, now),
+            // A vote reaches the decider, never the transaction's
+            // coordinator; at the coordinator it answers the prepare.
+            Msg::PrepareResp { tx, proposed, .. } if tx.coordinator() != self.id => {
+                self.on_vote(env, *tx, *proposed, now)
+            }
             Msg::PrepareResp {
                 tx,
                 partition,
@@ -510,26 +552,10 @@ impl Server {
                 ht,
                 writes,
                 src_dc,
-            } => self.on_prepare_req(env, *tx, *snapshot, *ht, writes, *src_dc),
+                vote_to,
+            } => self.on_prepare_req(env, *tx, *snapshot, *ht, writes, *src_dc, vote_to),
             Msg::CommitTx { tx, ct } => self.on_commit_tx(*tx, *ct),
-            Msg::CommitOne {
-                tx,
-                ht,
-                writes,
-                src_dc,
-                client,
-                coordinator_share,
-                picked,
-            } => self.on_commit_one(
-                *tx,
-                *ht,
-                writes,
-                *src_dc,
-                *client,
-                *coordinator_share,
-                *picked,
-                now,
-            ),
+            Msg::CommitOne { tx, votes, .. } => self.on_commit_one(env, *tx, *votes, now),
 
             // Replication.
             Msg::Replicate {
@@ -601,7 +627,9 @@ impl Server {
     /// [`STALE_CONTEXT_MICROS`]: an open context pins this server's
     /// oldest active snapshot, and with it `S_old` everywhere, so one
     /// client that vanished mid-transaction would otherwise stop GC for
-    /// good.
+    /// good. So it drops decider vote sets as old: a set missing a vote
+    /// or its carried share that long has lost it, and would otherwise
+    /// sit in the table for good. It never decides.
     ///
     /// With durability on, the same tick drives checkpointing: the engine
     /// freezes the ≤ UST stable prefix when its interval has elapsed
@@ -610,6 +638,10 @@ impl Server {
     /// the last checkpoint and the GC horizon are deleted.
     pub fn on_gc_tick(&mut self, now: u64) -> usize {
         self.tx_table.expire(now, STALE_CONTEXT_MICROS);
+        let open = self.ballots.len();
+        self.ballots
+            .retain(|_, ballot| now.saturating_sub(ballot.since) < STALE_CONTEXT_MICROS);
+        self.stats.abandoned_votes += (open - self.ballots.len()) as u64;
         self.store.maybe_checkpoint(self.ust, now);
         self.trimmed = self.next_trim;
         self.next_trim = self.s_old;

@@ -6,7 +6,7 @@
 //! where a test advances it, which is what lets one seeded stream run
 //! twice, with eager and with deferred begins, and compare every read.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use paris_clock::SimClock;
@@ -104,21 +104,25 @@ impl PumpedCluster {
     /// Delivers all queued messages until quiescent.
     fn pump(&mut self) {
         while let Some(env) = self.queue.pop_front() {
-            self.wire.push((env.src, env.dst, env.msg.kind()));
-            match env.dst {
-                Endpoint::Server(sid) => {
-                    let out = self
-                        .servers
-                        .get_mut(&sid)
-                        .unwrap_or_else(|| panic!("no server {sid}"))
-                        .handle(&env, self.now);
-                    self.queue.extend(out);
+            let out = self.deliver(&env);
+            self.queue.extend(out);
+        }
+    }
+
+    /// Delivers one message, and returns what its receiver sends.
+    fn deliver(&mut self, env: &Envelope) -> Vec<Envelope> {
+        self.wire.push((env.src, env.dst, env.msg.kind()));
+        match env.dst {
+            Endpoint::Server(sid) => self
+                .servers
+                .get_mut(&sid)
+                .unwrap_or_else(|| panic!("no server {sid}"))
+                .handle(env, self.now),
+            Endpoint::Client(cid) => {
+                if let Some(ev) = self.clients.get_mut(&cid).unwrap().handle(env) {
+                    self.events.push((cid, ev));
                 }
-                Endpoint::Client(cid) => {
-                    if let Some(ev) = self.clients.get_mut(&cid).unwrap().handle(&env) {
-                        self.events.push((cid, ev));
-                    }
-                }
+                Vec::new()
             }
         }
     }
@@ -753,14 +757,18 @@ fn replication_is_idempotent_under_duplicate_delivery() {
 
 // ------------------------------------------------------ where commits go
 
+type Wire = Vec<(Endpoint, Endpoint, &'static str)>;
+
 /// Commits `client`'s open transaction after writing one key on each of
-/// `partitions`, and returns the id it committed under and every message
-/// the commit put on the wire, from the `CommitReq` to the last.
+/// `partitions`, and returns the id it committed under, every message the
+/// commit put on the wire, from the `CommitReq` to the last, and the hops
+/// the client waited: the messages on the causal path from its
+/// `CommitReq` to the reply.
 fn commit_writing(
     c: &mut PumpedCluster,
     client: ClientId,
     partitions: &[u32],
-) -> (TxId, Vec<(Endpoint, Endpoint, &'static str)>) {
+) -> (TxId, Wire, usize) {
     let writes: Vec<(Key, Value)> = partitions
         .iter()
         .map(|&p| (c.topo.key_at(PartitionId(p), 0), Value::from("w")))
@@ -770,13 +778,21 @@ fn commit_writing(
     c.wire.clear();
     c.advance(10);
     let env = c.clients.get_mut(&client).unwrap().commit().unwrap();
-    c.queue.push_back(env);
-    c.pump();
+    // The pump, each message tagged with its hop on its causal path.
+    let (mut queue, mut waited) = (VecDeque::from([(env, 1)]), None);
+    while let Some((env, hop)) = queue.pop_front() {
+        if env.dst == Endpoint::Client(client) {
+            waited = Some(hop);
+        }
+        let out = c.deliver(&env);
+        queue.extend(out.into_iter().map(|env| (env, hop + 1)));
+    }
     match c.events.pop() {
         Some((cid, ClientEvent::Committed { tx, ct, .. })) => {
             assert_eq!(cid, client);
             assert!(ct > Timestamp::ZERO, "the writes committed");
-            (tx, std::mem::take(&mut c.wire))
+            let waited = waited.expect("the client was answered");
+            (tx, std::mem::take(&mut c.wire), waited)
         }
         other => panic!("expected Committed, got {other:?}"),
     }
@@ -788,11 +804,12 @@ fn kinds(wire: &[(Endpoint, Endpoint, &'static str)]) -> Vec<&'static str> {
 
 /// On 3 DCs × 6 partitions, R = 2, DC 0 hosts partitions 0, 2, 3 and 5,
 /// and the client of sequence 1 there has its coordinator on partition 2.
-/// A picked commit writing one or two partitions, one of them hosted in
-/// DC 0, goes to the local server of the written partition first after
-/// partition 2 (cyclically): one partition costs `CommitReq` and
-/// `CommitResp` only, two commit last-agent. Every other commit goes to the
-/// coordinator: writes on no partition DC 0 hosts, three partitions, a
+/// A picked commit writing a partition hosted in DC 0 goes to the local
+/// server of the written partition first after partition 2 (cyclically),
+/// which holds a share: one partition costs `CommitReq` and `CommitResp`
+/// only, two commit last-agent, and three are decided by the first other
+/// participant after that server, to which the third votes. Every other
+/// commit goes to the coordinator: writes on no partition DC 0 hosts, a
 /// start form, an eagerly begun id and BPR.
 #[test]
 fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
@@ -811,13 +828,13 @@ fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
 
     // A fresh session carries its start, to the coordinator.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[3]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[3]);
     went_home(tx, &wire);
     assert!(c.clients[&alice].ust() > Timestamp::ZERO);
 
     // One local partition, not the coordinator's: 2 messages, 2 hops.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[3]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[3]);
     assert_eq!(
         wire,
         [
@@ -834,7 +851,7 @@ fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
     // Two local partitions, neither the coordinator's: partition 3 comes
     // first after 2 and decides last-agent with 5, with no 2PC.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[5, 3]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[5, 3]);
     assert_eq!(
         wire,
         [
@@ -847,7 +864,7 @@ fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
     assert_eq!(tx.coordinator(), at(3));
     // Cyclically, partition 5 comes before 0.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[0, 5]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[0, 5]);
     assert_eq!(tx.coordinator(), at(5));
     assert_eq!(
         kinds(&wire),
@@ -855,7 +872,7 @@ fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
     );
     // A remote partition beside a local one: the local one, last-agent.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[4, 0]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[4, 0]);
     assert_eq!(tx.coordinator(), at(0));
     assert_eq!(
         kinds(&wire),
@@ -863,36 +880,62 @@ fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
     );
     // The coordinator's own partition written: the coordinator.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[0, 2]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[0, 2]);
     went_home(tx, &wire);
     assert_eq!(
         kinds(&wire),
         ["CommitReq", "CommitOne", "CommitResp", "CommitTx"]
     );
 
+    // Three local partitions: partition 3 prepares its share and sends 0,
+    // the middle, a `PrepareReq` that names 5 the decider and carries 5's
+    // share; 0 votes to 5 by passing the share on, and 5 decides. 6
+    // messages where 2PC costs 8, in 2PC's four hops.
+    c.begin_deferred(alice);
+    let (tx, wire, hops) = commit_writing(&mut c, alice, &[3, 5, 0]);
+    assert_eq!(tx.coordinator(), at(3));
+    assert_eq!(
+        wire,
+        [
+            (client, server(3), "CommitReq"),
+            (server(3), server(0), "PrepareReq"),
+            (server(0), server(5), "CommitOne"),
+            (server(5), client, "CommitResp"),
+            (server(5), server(3), "CommitTx"),
+            (server(5), server(0), "CommitTx"),
+        ]
+    );
+    assert_eq!(hops, 4);
+
     // Still to the coordinator: no written partition hosted in DC 0 ...
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[1]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[1]);
     went_home(tx, &wire);
     assert_eq!(kinds(&wire), ["CommitReq", "CommitOne", "CommitResp"]);
+    // ... which holds no share. A participant would decide all the same,
+    // but partition 1's replica is in DC 2 and 4's in DC 1: either one
+    // deciding would put a WAN hop between the other's vote and the
+    // client's reply, so this commit keeps 2PC.
     c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[1, 4]);
+    let (tx, wire, hops) = commit_writing(&mut c, alice, &[1, 4]);
     went_home(tx, &wire);
     assert_eq!(
-        kinds(&wire).iter().filter(|k| **k == "PrepareReq").count(),
-        2
+        kinds(&wire),
+        [
+            "CommitReq",
+            "PrepareReq",
+            "PrepareReq",
+            "PrepareResp",
+            "PrepareResp",
+            "CommitTx",
+            "CommitTx",
+            "CommitResp"
+        ]
     );
-    // ... three partitions ...
-    c.begin_deferred(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[3, 5, 0]);
-    went_home(tx, &wire);
-    assert_eq!(
-        kinds(&wire).iter().filter(|k| **k == "PrepareReq").count(),
-        3
-    );
+    assert_eq!(hops, 4);
     // ... and an eagerly begun id.
     c.begin(alice);
-    let (tx, wire) = commit_writing(&mut c, alice, &[3]);
+    let (tx, wire, _) = commit_writing(&mut c, alice, &[3]);
     went_home(tx, &wire);
     assert_eq!(kinds(&wire), ["CommitReq", "CommitOne", "CommitResp"]);
 
@@ -912,12 +955,159 @@ fn picked_commits_go_to_a_written_partition_and_the_rest_to_the_coordinator() {
         } else {
             b.begin_deferred(bob);
         }
-        let (tx, wire) = commit_writing(&mut b, bob, &[3]);
+        let (tx, wire, _) = commit_writing(&mut b, bob, &[3]);
         assert_eq!(
             wire[0],
             (Endpoint::Client(bob), Endpoint::Server(home), "CommitReq")
         );
         assert_eq!(tx.coordinator(), home);
+    }
+}
+
+/// A commit's messages by kind.
+fn tally(wire: &[(Endpoint, Endpoint, &'static str)]) -> BTreeMap<&'static str, usize> {
+    let mut tally = BTreeMap::new();
+    for kind in kinds(wire) {
+        *tally.entry(kind).or_default() += 1;
+    }
+    tally
+}
+
+/// How a commit is run, as the coordinator docs tell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    /// One phase on one partition, or a participant decides.
+    Decided,
+    /// The coordinator's 2PC.
+    TwoPhase,
+}
+
+/// The exact messages of each kind a commit of `n` partitions costs on
+/// `path`, counting `CommitReq` and `CommitResp`, when the server its
+/// `CommitReq` reaches holds a share (`own`) or none. Decided: 2 on one
+/// partition with a share, 4 on two, 3n − 3 on more; 3 on one partition
+/// without, 3n − 1 on more. 2PC: 3n − 1 with a share, 3n + 2 without.
+fn cost(n: usize, own: bool, path: Path) -> BTreeMap<&'static str, usize> {
+    let others = n - usize::from(own);
+    let mut cost = BTreeMap::from([("CommitReq", 1), ("CommitResp", 1)]);
+    let mut add = |kind, count| {
+        if count > 0 {
+            cost.insert(kind, count);
+        }
+    };
+    match path {
+        Path::Decided => {
+            // The decider gets its share from the coordinator or a middle;
+            // every middle but that one votes with a `PrepareResp`.
+            let middles = others.saturating_sub(1);
+            add("PrepareReq", middles);
+            add("PrepareResp", middles.saturating_sub(1));
+            add("CommitOne", usize::from(others > 0));
+            add("CommitTx", n - 1);
+        }
+        Path::TwoPhase => {
+            add("PrepareReq", others);
+            add("PrepareResp", others);
+            add("CommitTx", others);
+        }
+    }
+    cost
+}
+
+/// The hops the client waits for that commit: 2PC's are its four, or two
+/// on a share in place; a decided one adds no hop to them — it saves one
+/// where the coordinator hands the decider its share directly.
+fn hops(n: usize, own: bool, path: Path) -> usize {
+    let others = n - usize::from(own);
+    match (path, others) {
+        (_, 0) => 2,
+        (Path::Decided, 1) => 3,
+        _ => 4,
+    }
+}
+
+/// Every commit form on 1 to 5 written partitions costs exactly the
+/// messages the coordinator docs count, by kind — so one `CommitTx` or
+/// `PrepareResp` too many fails it — and keeps 2PC's hops: a picked commit
+/// with a local share and without, a known one whose coordinator holds a
+/// share and one whose coordinator holds none, a start form, and BPR,
+/// which keeps 2PC but for its one-phase and last-agent shapes. So does a
+/// commit whose decider could sit only in another DC than some middle,
+/// which would add a WAN hop.
+#[test]
+fn every_commit_costs_exactly_its_counted_messages() {
+    // 3 DCs × 15 partitions, R = 1: partition p lives in DC p mod 3, and
+    // the client of sequence 1 in DC 0 has its coordinator on partition 3.
+    let dc_of = |p: &u32| p % 3;
+    for mode in [Mode::Paris, Mode::Bpr] {
+        let mut c = PumpedCluster::new(3, 15, 1, mode);
+        c.advance(10_000);
+        let alice = c.add_routed_client(0, 1, mode);
+        let home = c.clients[&alice].coordinator();
+        assert_eq!(home, ServerId::new(DcId(0), PartitionId(3)));
+        c.tick_all();
+        // The first commit carries the start; once it learned a UST, a
+        // PaRiS session picks.
+        c.begin_deferred(alice);
+        commit_writing(&mut c, alice, &[3]);
+        for n in 1..=5 {
+            // Each case's written partitions, the first `n` of its list.
+            let cases: [(&str, [u32; 5]); 9] = [
+                ("known, coordinator's share", [3, 1, 4, 7, 10]),
+                (
+                    "known, coordinator's share, others across DCs",
+                    [3, 1, 2, 4, 5],
+                ),
+                ("known, no share", [1, 4, 7, 10, 13]),
+                ("known, no share, across DCs", [1, 2, 4, 5, 7]),
+                ("picked, local share", [6, 9, 12, 0, 1]),
+                ("picked, none local", [1, 4, 7, 10, 13]),
+                ("picked, none local, across DCs", [1, 2, 4, 5, 7]),
+                ("start, coordinator's share", [3, 1, 4, 7, 10]),
+                ("start, no share", [1, 4, 7, 10, 13]),
+            ];
+            for (case, written) in cases {
+                let written = &written[..n];
+                let form = case.split(',').next().unwrap();
+                if mode == Mode::Bpr && form == "picked" {
+                    continue; // BPR never picks
+                }
+                // The local written partition first after 3 holds a share.
+                let reached = match case {
+                    "picked, local share" => ServerId::new(DcId(0), PartitionId(6)),
+                    _ => home,
+                };
+                let own = written.contains(&reached.partition.0);
+                let others: BTreeSet<u32> = written
+                    .iter()
+                    .filter(|p| **p != reached.partition.0)
+                    .map(dc_of)
+                    .collect();
+                let adds_a_hop = !others.contains(&0) && others.len() > 1;
+                let path = match (form, mode) {
+                    ("start", _) => Path::TwoPhase,
+                    _ if n == 1 => Path::Decided,
+                    (_, Mode::Bpr) if own && n == 2 => Path::Decided,
+                    (_, Mode::Paris) if !adds_a_hop => Path::Decided,
+                    _ => Path::TwoPhase,
+                };
+                match form {
+                    "known" => c.begin(alice),
+                    "picked" => c.begin_deferred(alice),
+                    _ => c.clients.get_mut(&alice).unwrap().begin_carried().unwrap(),
+                }
+                let (tx, wire, hops) = commit_writing(&mut c, alice, written);
+                let what = format!("{mode:?}, {case}, {written:?}");
+                assert_eq!(tally(&wire), cost(n, own, path), "{what}: {wire:?}");
+                assert_eq!(wire[0].1, Endpoint::Server(reached), "{what}");
+                assert_eq!(tx.coordinator(), reached, "{what}");
+                assert_eq!(hops, self::hops(n, own, path), "{what}");
+            }
+        }
+        c.tick_all();
+        assert_eq!(c.check_convergence(), Vec::<String>::new());
+        assert_eq!(c.total(|s| s.orphan_commits), 0);
+        assert!(c.servers.values().all(|s| s.open_vote_sets() == 0));
     }
 }
 

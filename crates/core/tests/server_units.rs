@@ -627,9 +627,9 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
     let clock = SimClock::new();
     clock.advance_to(10_000);
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
-    let (tx, _) = start_tx(&mut s, 0);
-    // Two remote participants (the own partition 0 is not written): full
-    // 2PC, the coordinator decides.
+    // A start form on two remote participants (the own partition 0 is not
+    // written): full 2PC, the coordinator decides. (A known or picked form
+    // would have a participant decide.)
     let writes = vec![
         WriteSetEntry::new(Key(2), Value::from("a")), // partition 2
         WriteSetEntry::new(Key(3), Value::from("b")), // partition 3
@@ -639,7 +639,9 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
             client(),
             s.id(),
             Msg::CommitReq {
-                tx: TxRef::Known(tx),
+                tx: TxRef::Start {
+                    client_ust: Timestamp::ZERO,
+                },
                 hwt: Timestamp::ZERO,
                 writes,
             },
@@ -647,6 +649,12 @@ fn commit_collects_max_proposal_and_notifies_cohorts_and_client() {
         0,
     );
     assert_eq!(out.len(), 2, "one PrepareReq per partition");
+    let Msg::PrepareReq {
+        tx, vote_to: None, ..
+    } = out[0].msg
+    else {
+        panic!("expected a 2PC PrepareReq, got {:?}", out[0].msg);
+    };
     // Answer with two different proposals; the commit must pick the max.
     let p1 = Timestamp::from_physical_micros(11_000);
     let p2 = Timestamp::from_physical_micros(12_345);
@@ -833,6 +841,7 @@ fn a_remote_single_partition_commit_is_one_forward_and_a_direct_reply() {
             client: client(),
             coordinator_share: false,
             picked: None,
+            votes: 0,
         }
     );
     assert_eq!(coordinator.open_transactions(), 0);
@@ -1057,6 +1066,118 @@ fn a_two_partition_commit_with_the_own_share_is_decided_by_the_other_participant
     assert_eq!(coordinator.stats().orphan_commits, 0);
 }
 
+/// A carrying middle's `CommitOne` of the decider's share (partition 0's
+/// key 0), for the coordinator's transaction `tx`: `votes` more to wait
+/// for, the coordinator holding a share, proposal `pt` in `ht`.
+fn carried(tx: TxId, pt: u64, votes: u32) -> Msg {
+    Msg::CommitOne {
+        tx,
+        ht: Timestamp::from_physical_micros(pt),
+        writes: vec![WriteSetEntry::new(Key(0), Value::from("d"))],
+        src_dc: DcId(0),
+        client: client(),
+        coordinator_share: true,
+        picked: None,
+        votes,
+    }
+}
+
+fn vote(tx: TxId, from: ServerId, proposed: u64) -> Envelope {
+    let msg = Msg::PrepareResp {
+        tx,
+        partition: from.partition,
+        proposed: Timestamp::from_physical_micros(proposed),
+    };
+    Envelope::new(from, ServerId::new(DcId(0), PartitionId(0)), msg)
+}
+
+#[test]
+fn a_decider_waits_for_every_vote_in_any_order_and_answers_every_participant() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let coordinator = ServerId::new(DcId(0), PartitionId(2));
+    let [carrier, m1, m2] =
+        [(0, 3), (0, 5), (1, 4)].map(|(dc, p)| ServerId::new(DcId(dc), PartitionId(p)));
+    let tx = TxId::new(coordinator, 1);
+    for carrier_at in 0..3 {
+        let mut d = server_at(&topo, &clock, 0, 0, Mode::Paris);
+        let mut arrivals = vec![vote(tx, m1, 20_000), vote(tx, m2, 30_000)];
+        arrivals.insert(
+            carrier_at,
+            Envelope::new(carrier, d.id(), carried(tx, 25_000, 2)),
+        );
+        let last = arrivals.pop().unwrap();
+        for env in &arrivals {
+            assert!(d.handle(env, 0).is_empty(), "a vote is missing");
+            assert_eq!(d.store().latest(Key(0)), None);
+        }
+        assert_eq!(d.open_vote_sets(), 1);
+        let out = d.handle(&last, 0);
+        assert_eq!(d.open_vote_sets(), 0);
+        let Msg::CommitResp { ct, .. } = out[0].msg else {
+            panic!("expected the client's reply first, got {out:?}");
+        };
+        assert!(
+            ct > Timestamp::from_physical_micros(30_000),
+            "above every vote"
+        );
+        // The coordinator, the carrier, then the voters in arrival order.
+        let mut voters: Vec<ServerId> = arrivals
+            .iter()
+            .chain([&last])
+            .filter(|env| matches!(env.msg, Msg::PrepareResp { .. }))
+            .map(|env| env.src.as_server().unwrap())
+            .collect();
+        voters.splice(0..0, [coordinator, carrier]);
+        let decided: Vec<_> = out[1..]
+            .iter()
+            .map(|env| (env.dst, env.msg.clone()))
+            .collect();
+        let told: Vec<_> = voters
+            .iter()
+            .map(|s| (Endpoint::Server(*s), Msg::CommitTx { tx, ct }))
+            .collect();
+        assert_eq!(decided, told);
+        d.on_replicate_tick(0);
+        assert_eq!(d.store().latest(Key(0)).unwrap().ut, ct);
+        assert_eq!((d.stats().txs_coordinated, d.stats().prepares), (1, 1));
+    }
+}
+
+#[test]
+fn an_abandoned_vote_set_is_reclaimed_on_the_gc_tick_and_never_decides() {
+    let topo = topo();
+    let clock = SimClock::new();
+    clock.advance_to(10_000);
+    let mut d = server_at(&topo, &clock, 0, 0, Mode::Paris);
+    let coordinator = ServerId::new(DcId(0), PartitionId(2));
+    let middle = ServerId::new(DcId(1), PartitionId(4));
+    let tx = TxId::new(coordinator, 1);
+    // A vote whose carried share never comes.
+    assert!(d.handle(&vote(tx, middle, 20_000), 100).is_empty());
+    assert_eq!(d.open_vote_sets(), 1);
+    d.on_gc_tick(100 + STALE_CONTEXT_MICROS - 1);
+    assert_eq!((d.open_vote_sets(), d.stats().abandoned_votes), (1, 0));
+    d.on_gc_tick(100 + STALE_CONTEXT_MICROS);
+    assert_eq!((d.open_vote_sets(), d.stats().abandoned_votes), (0, 1));
+    // The share straggles in: it waits for the vote that was dropped, and
+    // is dropped in turn.
+    let late = Envelope::new(
+        ServerId::new(DcId(0), PartitionId(3)),
+        d.id(),
+        carried(tx, 25_000, 1),
+    );
+    let now = 200 + STALE_CONTEXT_MICROS;
+    assert!(d.handle(&late, now).is_empty());
+    d.on_gc_tick(now + STALE_CONTEXT_MICROS);
+    assert_eq!((d.open_vote_sets(), d.stats().abandoned_votes), (0, 2));
+    d.on_replicate_tick(now);
+    assert_eq!(d.store().latest(Key(0)), None, "never committed");
+    assert_eq!(d.stats().txs_coordinated, 0);
+    assert!(d.events().unwrap().commits.is_empty());
+}
+
 #[test]
 fn a_commit_tx_with_no_prepared_share_is_counted() {
     // A restarted participant, say: the decision finds nothing to commit.
@@ -1094,6 +1215,7 @@ fn cohort_prepare_proposes_above_ht_snapshot_and_ust() {
                 ht,
                 writes: vec![WriteSetEntry::new(Key(0), Value::from("x"))],
                 src_dc: DcId(0),
+                vote_to: None,
             },
         ),
         0,
@@ -1128,6 +1250,7 @@ fn cohort_commit_applies_on_next_replicate_tick_in_ct_order() {
                     ht: Timestamp::ZERO,
                     writes: vec![WriteSetEntry::new(Key(0), Value::filled(8, seq))],
                     src_dc: DcId(0),
+                    vote_to: None,
                 },
             ),
             0,
@@ -1405,6 +1528,7 @@ fn event_log_records_commits_applies_and_ust() {
                 ht: Timestamp::ZERO,
                 writes: vec![WriteSetEntry::new(Key(0), Value::from("e"))],
                 src_dc: DcId(0),
+                vote_to: None,
             },
         ),
         5,

@@ -84,14 +84,15 @@ impl ServiceModel {
             }
             Msg::ReadSliceResp { .. } => 1,
             // A one-phase commit skips the prepared queue: a prepare's work.
-            // Deciding for a coordinator that holds a share adds only the
-            // `CommitTx` it sends back, which the coordinator pays below.
+            // Deciding for other participants adds only the `CommitTx`s it
+            // sends them, which they pay below; a middle's prepare is a
+            // prepare, whatever share it carries on.
             Msg::PrepareReq { writes, .. } | Msg::CommitOne { writes, .. } => {
                 self.prepare_base + self.prepare_per_key * writes.len() as u64
             }
             Msg::PrepareResp { .. } => 1,
-            // Either direction: coordinator → cohort, or last agent →
-            // coordinator.
+            // Either direction: coordinator → cohort, or decider → every
+            // other participant.
             Msg::CommitTx { .. } => self.commit,
             // A coalesced batch pays the fixed per-message overhead once —
             // that is the entire point of batching; the per-key apply work

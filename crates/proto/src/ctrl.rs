@@ -110,6 +110,11 @@ server_stats! {
     /// read arrived; a workload client re-sends a refused first read in
     /// the start form, a facade transaction aborts.
     refused_slices,
+    /// Decider commits' partial vote sets this server dropped as abandoned,
+    /// on the GC tick that finds them as old as a coordinator context it
+    /// reclaims: a vote or the carried share never came, so the set never
+    /// decided. 0 in every healthy run.
+    abandoned_votes,
 }
 
 /// One server as its observers see it: its stable frontier, its counter
@@ -348,6 +353,7 @@ mod tests {
                     orphan_commits: 17,
                     coordinator_reads: 19,
                     refused_slices: 23,
+                    abandoned_votes: 24,
                 },
                 net_messages: 18,
                 net_bytes: 3_456,

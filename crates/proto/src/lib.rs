@@ -33,6 +33,6 @@ pub mod wire;
 
 pub use ctrl::{Ctrl, ServerSnapshot, ServerStats};
 pub use messages::{
-    DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
-    TxRef,
+    Carry, DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult,
+    ReplicatedTx, TxRef, VoteTo,
 };

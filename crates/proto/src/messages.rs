@@ -212,6 +212,36 @@ pub struct DigestReport {
     pub oldest_active: Timestamp,
 }
 
+/// Where a middle of a decider commit sends its vote
+/// ([`Msg::PrepareReq`]'s `vote_to`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VoteTo {
+    /// The participant that decides `ct`.
+    pub decider: ServerId,
+    /// Set at the one middle that carries the decider its share: that
+    /// middle votes by passing it on as a [`Msg::CommitOne`], its own
+    /// proposal in `ht`. The others vote with a [`Msg::PrepareResp`].
+    pub carry: Option<Carry>,
+}
+
+/// The decider's share of a decider commit and what it needs to decide,
+/// as one middle carries it ([`VoteTo::carry`]): the fields of the
+/// [`Msg::CommitOne`] that middle sends on, but for those of the
+/// `PrepareReq` it rides in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Carry {
+    /// The decider's writes.
+    pub writes: Vec<WriteSetEntry>,
+    /// `PrepareResp` votes the decider waits for besides the carried one.
+    pub votes: u32,
+    /// The client the decider answers.
+    pub client: ClientId,
+    /// The coordinator holds a share prepared.
+    pub coordinator_share: bool,
+    /// The call of the client's picked request, if it picked.
+    pub picked: Option<u64>,
+}
+
 /// Every PaRiS protocol message.
 ///
 /// Naming follows the paper's algorithms. A request is answered to its
@@ -322,12 +352,16 @@ pub enum Msg {
         results: Vec<ReadResult>,
     },
     /// Coordinator → cohort: first phase of 2PC (Alg. 2 line 23), for a
-    /// start form or two or more remote partitions (one remote partition
-    /// takes [`Msg::CommitOne`]).
+    /// start form's or a BPR commit's write set on two or more partitions;
+    /// or, naming a decider ([`VoteTo`]), the prepare of a *middle* of a
+    /// decider commit, whose vote goes to the decider instead of back.
     PrepareReq {
         /// Transaction id.
         tx: TxId,
-        /// Transaction snapshot timestamp.
+        /// Transaction snapshot timestamp, for Alg. 3 line 11's `ust` bump.
+        /// Zero, and not on the wire, in a middle's prepare (`vote_to`),
+        /// which skips the bump as a [`Msg::CommitOne`] does: `ht` covers
+        /// the snapshot.
         snapshot: Timestamp,
         /// `ht`: max(snapshot, client's `hwt`) (Alg. 2 line 19).
         ht: Timestamp,
@@ -336,8 +370,13 @@ pub enum Msg {
         /// DC of the committing client/coordinator — recorded as the
         /// version's source (`sr`) consistently at every replica.
         src_dc: DcId,
+        /// In a decider commit, where the vote goes: `ht` then carries the
+        /// coordinator's own proposal, if it holds a share. `None`: 2PC,
+        /// answered to the envelope's source.
+        vote_to: Option<Box<VoteTo>>,
     },
-    /// Cohort → coordinator: proposed prepare timestamp (Alg. 3 line 14).
+    /// Cohort → coordinator: proposed prepare timestamp (Alg. 3 line 14);
+    /// or a middle's vote, to the decider its `PrepareReq` named.
     PrepareResp {
         /// Transaction id.
         tx: TxId,
@@ -347,19 +386,22 @@ pub enum Msg {
         proposed: Timestamp,
     },
     /// Second phase of 2PC with the final commit timestamp (Alg. 2 line
-    /// 27): coordinator → cohort, or — after a [`Msg::CommitOne`] whose
-    /// `coordinator_share` is set — the deciding participant → the
-    /// coordinator, which holds the other share prepared.
+    /// 27): coordinator → cohort, or the deciding participant of a
+    /// [`Msg::CommitOne`] → every other participant, which holds its share
+    /// prepared.
     CommitTx {
         /// Transaction id.
         tx: TxId,
         /// Final commit timestamp (max over proposals).
         ct: Timestamp,
     },
-    /// Coordinator → the one remote participant of a plain commit's write
-    /// set: prepare and commit in one step, `ct` = its proposal, answered
-    /// to the client. The participant decides: every other proposal is
-    /// already folded into `ht`.
+    /// To the participant that decides a plain commit: prepare and commit
+    /// in one step, `ct` = its proposal, answered to the client. From the
+    /// coordinator when no other participant votes after it — every other
+    /// proposal is then already folded into `ht` — or from the middle that
+    /// carried the decider its share ([`VoteTo::carry`]), with that
+    /// middle's proposal in `ht`; the decider then also waits for `votes`
+    /// `PrepareResp`s, and sends that middle a `CommitTx` too.
     CommitOne {
         /// Transaction id.
         tx: TxId,
@@ -372,13 +414,15 @@ pub enum Msg {
         src_dc: DcId,
         /// The client that gets the `CommitResp`.
         client: ClientId,
-        /// The coordinator holds the rest of the write set prepared, and
-        /// gets a [`Msg::CommitTx`] with the decided `ct`.
+        /// The coordinator holds a share prepared, and gets a
+        /// [`Msg::CommitTx`] with the decided `ct`.
         coordinator_share: bool,
         /// The call of the client's [`TxRef::Picked`] request, when the
         /// client picked the transaction's snapshot: the `CommitResp` names
         /// it and this server's UST ([`Opening::Picked`]).
         picked: Option<u64>,
+        /// `PrepareResp` votes the decider waits for besides this one.
+        votes: u32,
     },
     /// Replica → peer replicas of the same partition: transactions applied
     /// locally, in commit-timestamp order, plus the sender's new version

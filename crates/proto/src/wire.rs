@@ -35,7 +35,10 @@
 //! `CommitReq` (the snapshot the client picked and a call number where the
 //! id would be), of `CommitOne`, and of the replies to them (the answering
 //! server's UST and the call echoed) under tags of their own (30–37).
-//! Every other frame is the v2 one, byte for byte.
+//! Version 9 added the decider commit's frames: a `PrepareReq` with no
+//! snapshot, naming the decider its vote goes to (38), one also carrying
+//! the decider's share (39), and a `CommitOne` that makes its receiver wait for further votes
+//! (40). Every other frame is the v2 one, byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -52,8 +55,8 @@ use paris_types::{
 };
 
 use crate::messages::{
-    DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, ReplicatedTx,
-    TxRef,
+    Carry, DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult,
+    ReplicatedTx, TxRef, VoteTo,
 };
 use crate::varint;
 
@@ -65,7 +68,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 8;
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// First byte of every envelope frame.
 pub const FRAME_V2: u8 = 0xF2;
@@ -233,6 +236,28 @@ pub(crate) fn put_server<S: Sink>(s: &mut S, server: ServerId) {
 
 pub(crate) fn get_server(r: &mut &[u8]) -> Result<ServerId, DecodeError> {
     Ok(ServerId::new(get_dc(r)?, get_partition(r)?))
+}
+
+fn put_client<S: Sink>(s: &mut S, client: ClientId) {
+    put_dc(s, client.dc);
+    s.varint(u64::from(client.seq));
+}
+
+fn get_client(r: &mut &[u8]) -> Result<ClientId, DecodeError> {
+    Ok(ClientId::new(get_dc(r)?, varint::get_u32(r)?))
+}
+
+/// A boolean as one discriminant byte, 0 or 1.
+fn put_flag<S: Sink>(s: &mut S, flag: bool) {
+    s.u8(u8::from(flag));
+}
+
+fn get_flag(r: &mut &[u8]) -> Result<bool, DecodeError> {
+    match get_u8(r)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(DecodeError::UnknownTag(other)),
+    }
 }
 
 pub(crate) fn put_tx<S: Sink>(s: &mut S, tx: TxId) {
@@ -608,8 +633,7 @@ fn put_endpoint<S: Sink>(s: &mut S, ep: Endpoint) {
         }
         Endpoint::Client(c) => {
             s.u8(E_CLIENT);
-            put_dc(s, c.dc);
-            s.varint(u64::from(c.seq));
+            put_client(s, c);
         }
     }
 }
@@ -617,10 +641,7 @@ fn put_endpoint<S: Sink>(s: &mut S, ep: Endpoint) {
 fn get_endpoint(r: &mut &[u8]) -> Result<Endpoint, DecodeError> {
     match get_u8(r)? {
         E_SERVER => Ok(Endpoint::Server(get_server(r)?)),
-        E_CLIENT => Ok(Endpoint::Client(ClientId::new(
-            get_dc(r)?,
-            varint::get_u32(r)?,
-        ))),
+        E_CLIENT => Ok(Endpoint::Client(get_client(r)?)),
         other => Err(DecodeError::UnknownTag(other)),
     }
 }
@@ -675,6 +696,14 @@ const T_COMMIT_ONE_SHARE_PICKED: u8 = 34;
 const T_READ_RESP_PICKED: u8 = 35;
 const T_COMMIT_RESP_PICKED: u8 = 36;
 const T_OP_FAILED_PICKED: u8 = 37;
+// A decider commit's prepare of a middle: the plain fields but the
+// snapshot, then the decider the vote goes to — and, at the middle that
+// carries it, the decider's share and decision data. Then the `CommitOne` that carries
+// them on, when the decider waits for further votes: the plain fields,
+// the vote count and both forms' flags.
+const T_PREPARE_REQ_VOTE: u8 = 38;
+const T_PREPARE_REQ_CARRY: u8 = 39;
+const T_COMMIT_ONE_VOTES: u8 = 40;
 
 // Each message with forms: its plain, start and picked tag.
 const READ_REQ: [u8; 3] = [T_READ_REQ, T_READ_REQ_START, T_READ_REQ_PICKED];
@@ -776,13 +805,32 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             ht,
             writes,
             src_dc,
+            vote_to,
         } => {
-            s.tag(T_PREPARE_REQ);
+            s.tag(match vote_to.as_deref() {
+                None => T_PREPARE_REQ,
+                Some(VoteTo { carry: None, .. }) => T_PREPARE_REQ_VOTE,
+                Some(VoteTo { carry: Some(_), .. }) => T_PREPARE_REQ_CARRY,
+            });
             put_tx(s, *tx);
-            s.timestamp(*snapshot);
+            // A middle's prepare carries no snapshot (its field is zero).
+            debug_assert!(vote_to.is_none() || *snapshot == Timestamp::ZERO);
+            if vote_to.is_none() {
+                s.timestamp(*snapshot);
+            }
             s.timestamp(*ht);
             put_dc(s, *src_dc);
             put_vec(s, writes, put_write);
+            if let Some(vote_to) = vote_to {
+                put_server(s, vote_to.decider);
+                if let Some(carry) = &vote_to.carry {
+                    s.varint(u64::from(carry.votes));
+                    put_client(s, carry.client);
+                    put_flag(s, carry.coordinator_share);
+                    put_opt(s, &carry.picked, |s, call| s.varint(*call));
+                    put_vec(s, &carry.writes, put_write);
+                }
+            }
         }
         Msg::PrepareResp {
             tx,
@@ -807,19 +855,24 @@ fn put_msg<S: Sink>(s: &mut S, msg: &Msg) {
             client,
             coordinator_share,
             picked,
+            votes,
         } => {
-            s.tag(match (*coordinator_share, picked.is_some()) {
-                (false, false) => T_COMMIT_ONE,
-                (true, false) => T_COMMIT_ONE_SHARE,
-                (false, true) => T_COMMIT_ONE_PICKED,
-                (true, true) => T_COMMIT_ONE_SHARE_PICKED,
+            s.tag(match (*votes, *coordinator_share, picked.is_some()) {
+                (0, false, false) => T_COMMIT_ONE,
+                (0, true, false) => T_COMMIT_ONE_SHARE,
+                (0, false, true) => T_COMMIT_ONE_PICKED,
+                (0, true, true) => T_COMMIT_ONE_SHARE_PICKED,
+                _ => T_COMMIT_ONE_VOTES,
             });
             put_tx(s, *tx);
             s.timestamp(*ht);
-            put_dc(s, client.dc);
-            s.varint(u64::from(client.seq));
+            put_client(s, *client);
             put_dc(s, *src_dc);
-            if let Some(call) = picked {
+            if *votes > 0 {
+                s.varint(u64::from(*votes));
+                put_flag(s, *coordinator_share);
+                put_opt(s, picked, |s, call| s.varint(*call));
+            } else if let Some(call) = picked {
                 s.varint(*call);
             }
             put_vec(s, writes, put_write);
@@ -927,12 +980,32 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             partition: get_partition(r)?,
             results: get_vec(r, get_read_result)?,
         },
-        T_PREPARE_REQ => Msg::PrepareReq {
+        T_PREPARE_REQ | T_PREPARE_REQ_VOTE | T_PREPARE_REQ_CARRY => Msg::PrepareReq {
             tx: get_tx(r)?,
-            snapshot: get_ts(r)?,
+            snapshot: match tag {
+                T_PREPARE_REQ => get_ts(r)?,
+                _ => Timestamp::ZERO,
+            },
             ht: get_ts(r)?,
             src_dc: get_dc(r)?,
             writes: get_vec(r, get_write)?,
+            vote_to: match tag {
+                T_PREPARE_REQ => None,
+                _ => Some(Box::new(VoteTo {
+                    decider: get_server(r)?,
+                    carry: (tag == T_PREPARE_REQ_CARRY)
+                        .then(|| {
+                            Ok::<_, DecodeError>(Carry {
+                                votes: varint::get_u32(r)?,
+                                client: get_client(r)?,
+                                coordinator_share: get_flag(r)?,
+                                picked: get_opt(r, varint::get)?,
+                                writes: get_vec(r, get_write)?,
+                            })
+                        })
+                        .transpose()?,
+                })),
+            },
         },
         T_PREPARE_RESP => Msg::PrepareResp {
             tx: get_tx(r)?,
@@ -947,12 +1020,31 @@ fn get_msg(r: &mut &[u8]) -> Result<Msg, DecodeError> {
             Msg::CommitOne {
                 tx: get_tx(r)?,
                 ht: get_ts(r)?,
-                client: ClientId::new(get_dc(r)?, varint::get_u32(r)?),
+                client: get_client(r)?,
                 src_dc: get_dc(r)?,
                 coordinator_share: matches!(tag, T_COMMIT_ONE_SHARE | T_COMMIT_ONE_SHARE_PICKED),
                 picked: matches!(tag, T_COMMIT_ONE_PICKED | T_COMMIT_ONE_SHARE_PICKED)
                     .then(|| varint::get(r))
                     .transpose()?,
+                votes: 0,
+                writes: get_vec(r, get_write)?,
+            }
+        }
+        T_COMMIT_ONE_VOTES => {
+            let (tx, ht, client, src_dc) = (get_tx(r)?, get_ts(r)?, get_client(r)?, get_dc(r)?);
+            // No vote to wait for is the plain tags' form, never this one.
+            let votes = match varint::get_u32(r)? {
+                0 => return Err(DecodeError::BadLength),
+                votes => votes,
+            };
+            Msg::CommitOne {
+                tx,
+                ht,
+                client,
+                src_dc,
+                votes,
+                coordinator_share: get_flag(r)?,
+                picked: get_opt(r, varint::get)?,
                 writes: get_vec(r, get_write)?,
             }
         }
@@ -1118,9 +1210,16 @@ mod tests {
             Msg::ReadResp { results, .. } | Msg::ReadSliceResp { results, .. } => {
                 results.iter().map(result).sum()
             }
-            Msg::CommitReq { writes, .. }
-            | Msg::PrepareReq { writes, .. }
-            | Msg::CommitOne { writes, .. } => writes.iter().map(write).sum(),
+            Msg::PrepareReq {
+                writes, vote_to, ..
+            } => {
+                let carried = vote_to.as_ref().and_then(|v| v.carry.as_ref());
+                let carried = carried.map_or(&[][..], |c| &c.writes[..]);
+                writes.iter().chain(carried).map(write).sum()
+            }
+            Msg::CommitReq { writes, .. } | Msg::CommitOne { writes, .. } => {
+                writes.iter().map(write).sum()
+            }
             Msg::Replicate { txs, .. } | Msg::ReplicateBatch { txs, .. } => {
                 txs.iter().flat_map(|t| &t.writes).map(write).sum()
             }
@@ -1446,6 +1545,31 @@ mod tests {
         any::<u16>().prop_map(DcId)
     }
 
+    fn arb_client() -> impl Strategy<Value = ClientId> {
+        (arb_dc(), any::<u32>()).prop_map(|(dc, seq)| ClientId::new(dc, seq))
+    }
+
+    fn arb_vote_to() -> impl Strategy<Value = VoteTo> {
+        let carry = (
+            arb_writes(),
+            any::<u32>(),
+            arb_client(),
+            any::<bool>(),
+            proptest::option::of(any::<u64>()),
+        )
+            .prop_map(|(writes, votes, client, coordinator_share, picked)| Carry {
+                writes,
+                votes,
+                client,
+                coordinator_share,
+                picked,
+            });
+        (arb_dc(), arb_partition(), proptest::option::of(carry)).prop_map(|(dc, p, carry)| VoteTo {
+            decider: ServerId::new(dc, p),
+            carry,
+        })
+    }
+
     fn arb_partition() -> impl Strategy<Value = PartitionId> {
         any::<u32>().prop_map(PartitionId)
     }
@@ -1509,15 +1633,29 @@ mod tests {
                     results,
                 }
             }),
-            (arb_tx(), arb_ts(), arb_ts(), arb_writes(), arb_dc()).prop_map(
-                |(tx, snapshot, ht, writes, src_dc)| Msg::PrepareReq {
-                    tx,
-                    snapshot,
-                    ht,
-                    writes,
-                    src_dc,
-                }
-            ),
+            (
+                arb_tx(),
+                arb_ts(),
+                arb_ts(),
+                arb_writes(),
+                arb_dc(),
+                proptest::option::of(arb_vote_to())
+            )
+                .prop_map(|(tx, snapshot, ht, writes, src_dc, vote_to)| {
+                    Msg::PrepareReq {
+                        tx,
+                        // A middle's prepare carries no snapshot.
+                        snapshot: if vote_to.is_some() {
+                            Timestamp::ZERO
+                        } else {
+                            snapshot
+                        },
+                        ht,
+                        writes,
+                        src_dc,
+                        vote_to: vote_to.map(Box::new),
+                    }
+                }),
             (arb_tx(), arb_partition(), arb_ts()).prop_map(|(tx, partition, proposed)| {
                 Msg::PrepareResp {
                     tx,
@@ -1531,19 +1669,23 @@ mod tests {
                 arb_ts(),
                 arb_writes(),
                 arb_dc(),
-                (arb_dc(), any::<u32>()).prop_map(|(dc, seq)| ClientId::new(dc, seq)),
+                arb_client(),
                 any::<bool>(),
                 proptest::option::of(any::<u64>()),
+                prop_oneof![Just(0u32), any::<u32>()],
             )
                 .prop_map(
-                    |(tx, ht, writes, src_dc, client, coordinator_share, picked)| Msg::CommitOne {
-                        tx,
-                        ht,
-                        writes,
-                        src_dc,
-                        client,
-                        coordinator_share,
-                        picked,
+                    |(tx, ht, writes, src_dc, client, coordinator_share, picked, votes)| {
+                        Msg::CommitOne {
+                            tx,
+                            ht,
+                            writes,
+                            src_dc,
+                            client,
+                            coordinator_share,
+                            picked,
+                            votes,
+                        }
                     },
                 ),
             (arb_partition(), arb_txs(), arb_ts()).prop_map(|(partition, txs, watermark)| {
@@ -1709,8 +1851,9 @@ mod tests {
                     tx: t,
                     snapshot: now,
                     ht: Timestamp::from_parts(3_600_000_500, 0),
-                    writes,
+                    writes: writes.clone(),
                     src_dc: DcId(1),
+                    vote_to: None,
                 },
                 "090102b96080c8ceb40d03f4cbceb40d000102bf060276310503acacac",
             ),
@@ -1824,11 +1967,11 @@ mod tests {
             // The one-phase commit (the v4 frame), and its last-agent form:
             // the same bytes under tag 29.
             (
-                commit_one(false, None),
+                commit_one(false, None, 0),
                 "1c0102b96080c8ceb40d0301f0a2040101050177",
             ),
             (
-                commit_one(true, None),
+                commit_one(true, None, 0),
                 "1d0102b96080c8ceb40d0301f0a2040101050177",
             ),
             // The picked forms (v8), each under a tag of its own: the start
@@ -1865,11 +2008,11 @@ mod tests {
                 "2080c8ceb40d0307c0c391b40d0001050177",
             ),
             (
-                commit_one(false, Some(7)),
+                commit_one(false, Some(7), 0),
                 "210102b96080c8ceb40d0301f0a204010701050177",
             ),
             (
-                commit_one(true, Some(7)),
+                commit_one(true, Some(7), 0),
                 "220102b96080c8ceb40d0301f0a204010701050177",
             ),
             (
@@ -1895,10 +2038,48 @@ mod tests {
                 },
                 "250102b96080c8ceb40d0307",
             ),
+            // The decider commit's frames (v9): the plain prepare's bytes
+            // but the snapshot, and the decider (3, 300) after them; then,
+            // at the carrying middle, the vote count (2), the client, the
+            // coordinator-share flag, the call and the decider's writes;
+            // and the `CommitOne` it sends on — the plain fields, the vote
+            // count, the flag and the call as an option — under a tag of
+            // its own.
+            (prepare_req(&writes, None), "260102b960f4cbceb40d000102bf060276310503acacac03ac02"),
+            (
+                prepare_req(
+                    &writes,
+                    Some(Carry {
+                        writes: vec![WriteSetEntry::new(Key(5), Value::from("w"))],
+                        votes: 2,
+                        client: ClientId::new(DcId(1), 70_000),
+                        coordinator_share: true,
+                        picked: Some(7),
+                    }),
+                ),
+                "270102b960f4cbceb40d000102bf060276310503acacac03ac020201f0a20401010701050177",
+            ),
+            (commit_one(false, Some(7), 2), "280102b96080c8ceb40d0301f0a204010200010701050177"),
         ]
     }
 
-    fn commit_one(coordinator_share: bool, picked: Option<u64>) -> Msg {
+    /// The golden `PrepareReq` of a middle that votes to the decider
+    /// (3, 300), carrying it `carry` if given.
+    fn prepare_req(writes: &[WriteSetEntry], carry: Option<Carry>) -> Msg {
+        Msg::PrepareReq {
+            tx: tx(1, 2, 12_345),
+            snapshot: Timestamp::ZERO,
+            ht: Timestamp::from_parts(3_600_000_500, 0),
+            writes: writes.to_vec(),
+            src_dc: DcId(1),
+            vote_to: Some(Box::new(VoteTo {
+                decider: ServerId::new(DcId(3), PartitionId(300)),
+                carry,
+            })),
+        }
+    }
+
+    fn commit_one(coordinator_share: bool, picked: Option<u64>, votes: u32) -> Msg {
         Msg::CommitOne {
             tx: tx(1, 2, 12_345),
             ht: Timestamp::from_parts(3_600_000_000, 3),
@@ -1907,6 +2088,7 @@ mod tests {
             client: ClientId::new(DcId(1), 70_000),
             coordinator_share,
             picked,
+            votes,
         }
     }
 
@@ -1920,11 +2102,29 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_OP_FAILED_PICKED)
+            (T_START_REQ..=T_COMMIT_ONE_VOTES)
                 .filter(|tag| !RETIRED_TAGS.contains(tag))
                 .collect::<Vec<_>>(),
             "one golden per tag"
         );
+    }
+
+    #[test]
+    fn decider_frames_have_one_encoding() {
+        // Tag 40 with no vote to wait for is the plain tags' frame, never
+        // its own; a coordinator-share flag is 0 or 1, in tag 40 and 39.
+        let voted = "280102b96080c8ceb40d0301f0a204010200010701050177";
+        let carry = "270102b960f4cbceb40d000102bf060276310503acacac03ac020201f0a20401010701050177";
+        assert_eq!(decode(&unhex(voted)), Ok(commit_one(false, Some(7), 2)));
+        for (frame, from, to, error) in [
+            (voted, "010200", "010000", BadLength),
+            (voted, "010200", "010202", UnknownTag(2)),
+            (carry, "01f0a204010107", "01f0a204020107", UnknownTag(2)),
+        ] {
+            assert_eq!(frame.matches(from).count(), 1, "{from} in {frame}");
+            let bad = unhex(&frame.replace(from, to));
+            assert_eq!(decode(&bad), Err(error), "{to}");
+        }
     }
 
     /// The background tags version 7 retired: heartbeat, tree report, root

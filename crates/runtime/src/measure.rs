@@ -99,6 +99,9 @@ pub struct ClusterStats {
     /// `CommitTx` messages that found no prepared share: a server lost a
     /// prepare, and with it its share of a committed write set.
     pub orphan_commits: u64,
+    /// Decider commits' partial vote sets dropped as abandoned: a vote or
+    /// the carried share never reached the decider. 0 in a healthy run.
+    pub abandoned_votes: u64,
     /// Aggregated BPR read-blocking statistics (zero under PaRiS).
     pub blocking: BlockingStats,
     /// Total messages the network carried.
@@ -136,6 +139,7 @@ impl ClusterStats {
             out.coalesced_frames += stats.coalesced_frames;
             out.gc_removed += stats.gc_removed;
             out.orphan_commits += stats.orphan_commits;
+            out.abandoned_votes += stats.abandoned_votes;
             out.blocking.blocked_reads += stats.blocked_reads;
             out.blocking.total_micros += stats.blocked_micros_total;
             out.blocking.max_micros = out.blocking.max_micros.max(stats.blocked_micros_max);

@@ -6,8 +6,9 @@
 //! shrinking test runner.
 //!
 //! Differences from upstream, by design: cases never shrink (the failing
-//! input is printed instead), and case counts default to upstream
-//! `ProptestConfig::default`'s 64.
+//! input is printed instead), and case counts default to 64 — or, as
+//! upstream's do, to the `PROPTEST_CASES` environment variable when it
+//! is set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -128,8 +129,9 @@ pub mod prelude {
 
     impl Default for ProptestConfig {
         fn default() -> Self {
+            let cases = std::env::var("PROPTEST_CASES").ok();
             ProptestConfig {
-                cases: 64,
+                cases: cases.and_then(|v| v.parse().ok()).unwrap_or(64),
                 max_shrink_iters: 0,
             }
         }

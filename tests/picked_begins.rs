@@ -3,6 +3,9 @@
 //! half a GC period ago, and not before the last `stabilize`; otherwise it
 //! pays Alg. 1's START round trip. The snapshot it returns is final: a
 //! replica that GC took past it aborts the transaction, never moves it.
+//! A picked commit goes to the local server of a partition it writes; on
+//! three or more partitions another participant decides, and the rest vote
+//! to it (a decider commit).
 
 use std::collections::HashMap;
 
@@ -168,6 +171,87 @@ fn a_sim_session_idle_for_half_a_gc_period_begins_assigned() {
     assert!(handled(&mut sim) > before, "a START round trip");
     assert!(snapshot > ust, "assigned {snapshot:?}, ust_c {ust:?}");
     sim.txn_commit(a).expect("close");
+}
+
+#[test]
+fn three_and_four_partition_picked_commits_hold_over_threads_and_processes() {
+    for backend in [Backend::Thread, Backend::Socket] {
+        for partitions in [3, 4] {
+            // Every DC hosts 4 partitions, and every transaction writes
+            // exactly `partitions` of its own DC's: a picked commit goes to
+            // one of them, which prepares its share, and a decider decides.
+            let workload = paris::workload::WorkloadConfig {
+                reads_per_tx: 2,
+                writes_per_tx: partitions,
+                partitions_per_tx: partitions,
+                local_tx_ratio: 1.0,
+                ..paris::workload::WorkloadConfig::read_heavy()
+            };
+            let mut cluster = Paris::builder()
+                .dcs(3)
+                .partitions(6)
+                .replication(2)
+                .keys_per_partition(100)
+                .workload(workload)
+                .clients_per_dc(2)
+                .uniform_latency_micros(2_000)
+                .record_history(true)
+                .seed(23)
+                .backend(backend)
+                .build()
+                .expect("valid deployment");
+            let report = cluster.run_workload(50_000, 300_000).unwrap();
+            let what = format!("{backend:?}, {partitions} partitions");
+            assert!(report.stats.committed > 0, "{what}: no progress");
+            assert!(
+                report.violations.is_empty(),
+                "{what} violated TCC: {:#?}",
+                report.violations
+            );
+
+            // A facade transaction on as many partitions, picked.
+            let a = cluster.open_client(0).expect("valid DC");
+            cluster.txn_begin(a).expect("begin");
+            assert_eq!(cluster.txn_commit(a).expect("close"), Timestamp::ZERO);
+            begin_picked(&mut *cluster, a);
+            // Keys of DC 0's partitions 0, 2, 3 and 5 (key = partition + 6 × rank).
+            let keys: Vec<Key> = [0, 2, 3, 5][..partitions]
+                .iter()
+                .map(|p| Key(p + 42))
+                .collect();
+            let writes: Vec<(Key, Value)> = keys.iter().map(|k| (*k, Value::from("d"))).collect();
+            cluster.txn_write(a, &writes).unwrap();
+            let ct = cluster.txn_commit(a).expect("commit");
+            for _ in 0..100 {
+                cluster.stabilize(1);
+                if cluster.min_ust() >= ct {
+                    break;
+                }
+            }
+            cluster.txn_begin(a).expect("begin");
+            let read = cluster.txn_read(a, &keys).expect("read");
+            assert!(
+                read.iter().all(|r| r.value == Some(Value::from("d"))),
+                "{what}"
+            );
+            assert!(
+                read.iter().all(|r| r.version.as_ref().unwrap().ut == ct),
+                "{what}"
+            );
+            cluster.txn_commit(a).expect("close");
+
+            let stats = cluster.stats().unwrap();
+            assert!(stats.txs_coordinated > 0, "{what}: no update committed");
+            assert_eq!(
+                stats.prepares,
+                partitions as u64 * stats.txs_coordinated,
+                "{what}: a proposal per participant, one decision per commit"
+            );
+            assert_eq!(stats.orphan_commits, 0, "{what}");
+            assert_eq!(stats.abandoned_votes, 0, "{what}");
+            assert!(cluster.check_convergence().unwrap().is_empty(), "{what}");
+        }
+    }
 }
 
 /// Keys 0..8 of the refused-pick test, one per partition or so.
