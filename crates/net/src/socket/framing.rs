@@ -4,24 +4,27 @@
 //! Every connection — data plane or control plane — opens with a 6-byte
 //! preamble ([`paris_proto::wire::MAGIC`] + the sender's wire version,
 //! little endian) exchanged in both directions, then carries
-//! length-prefixed frames: a `u32` little-endian payload length followed
-//! by the payload. A peer advertising any version other than
+//! length-prefixed frames: the payload length as a LEB128 varint (1–4 B)
+//! followed by the payload. A peer advertising any version other than
 //! [`wire::PROTOCOL_VERSION`] is refused cleanly during the handshake —
 //! every process of a deployment is spawned from one build, so there is
-//! nothing to negotiate. The frame length is validated
-//! against [`paris_proto::wire::MAX_FRAME_LEN`] **before** any
-//! allocation, so untrusted bytes can neither panic the reader nor make
-//! it reserve an OOM-sized buffer.
+//! nothing to negotiate, and no frame carries a version of its own. The
+//! frame length is validated against [`paris_proto::wire::MAX_FRAME_LEN`]
+//! **before** any allocation, so untrusted bytes can neither panic the
+//! reader nor make it reserve an OOM-sized buffer.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::time::{Duration, Instant};
 
 use paris_proto::ctrl::{self, Ctrl};
-use paris_proto::{wire, Envelope};
+use paris_proto::{varint, wire, Envelope};
 use paris_types::{Error, WireFormat};
 
 /// Size of the connection preamble: magic + protocol version.
 pub const PREAMBLE_LEN: usize = wire::MAGIC.len() + 2;
+
+/// The longest frame header: the varint of [`wire::MAX_FRAME_LEN`].
+const MAX_HEADER_LEN: usize = varint::len(wire::MAX_FRAME_LEN as u64);
 
 /// How many consecutive read timeouts mid-frame the reader tolerates
 /// before declaring the peer stalled. Combined with the socket's read
@@ -115,16 +118,16 @@ pub fn write_frames<W: Write, P: AsRef<[u8]>>(
     if payloads.iter().any(too_long) {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, TOO_LONG));
     }
-    let headers: Vec<[u8; 4]> = payloads
-        .iter()
-        .map(|p| (p.as_ref().len() as u32).to_le_bytes())
-        .collect();
+    let headers: Vec<_> = payloads.iter().map(|p| header(p.as_ref().len())).collect();
     let mut slices: Vec<IoSlice> = headers
         .iter()
         .zip(payloads)
-        .flat_map(|(h, p)| [IoSlice::new(h), IoSlice::new(p.as_ref())])
+        .flat_map(|((h, n), p)| [IoSlice::new(&h[..*n]), IoSlice::new(p.as_ref())])
         .collect();
-    let total = slices.iter().map(|s| s.len() as u64).sum();
+    let total = payloads
+        .iter()
+        .map(|p| frame_len(p.as_ref().len()) as u64)
+        .sum();
     let mut left = &mut slices[..];
     while !left.is_empty() {
         match w.write_vectored(left) {
@@ -142,6 +145,24 @@ pub fn write_frames<W: Write, P: AsRef<[u8]>>(
 }
 
 const TOO_LONG: &str = "frame exceeds maximum length";
+
+/// The wire bytes of a frame whose payload is `payload_len` bytes long:
+/// its varint header and the payload.
+pub fn frame_len(payload_len: usize) -> usize {
+    varint::len(payload_len as u64) + payload_len
+}
+
+/// The varint header of a `len`-byte payload (`len` within bounds) and
+/// how many of its bytes are used.
+fn header(mut len: usize) -> ([u8; MAX_HEADER_LEN], usize) {
+    let (mut h, mut n) = ([0; MAX_HEADER_LEN], 0);
+    while len >= 0x80 {
+        h[n] = len as u8 | 0x80;
+        (len, n) = (len >> 7, n + 1);
+    }
+    h[n] = len as u8;
+    (h, n + 1)
+}
 
 /// The transport error of a failed [`write_frames`].
 fn frame_error(e: &io::Error) -> Error {
@@ -162,20 +183,27 @@ fn frame_error(e: &io::Error) -> Error {
 /// # Errors
 ///
 /// Returns [`Error::Transport`] for connections lost mid-frame, stalled
-/// peers, and length prefixes beyond [`wire::MAX_FRAME_LEN`] (checked
-/// before allocating).
+/// peers, a padded length varint, and lengths beyond
+/// [`wire::MAX_FRAME_LEN`] (checked before allocating, a header still
+/// continuing at its fourth byte included).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameRead, Error> {
-    let mut header = [0u8; 4];
-    if let Some(boundary) = fill(r, &mut header, true)? {
-        return Ok(boundary);
+    let mut header = [0u8; MAX_HEADER_LEN];
+    for n in 1..=MAX_HEADER_LEN {
+        if let Some(boundary) = fill(r, &mut header[n - 1..n], n == 1)? {
+            return Ok(boundary);
+        }
+        if header[n - 1] & 0x80 == 0 {
+            let len = varint::get(&mut &header[..n])
+                .map_err(|_| Error::Transport("malformed frame length"))?;
+            if len > wire::MAX_FRAME_LEN as u64 {
+                break;
+            }
+            let mut payload = vec![0u8; len as usize];
+            fill(r, &mut payload, false)?;
+            return Ok(FrameRead::Frame(payload));
+        }
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > wire::MAX_FRAME_LEN {
-        return Err(Error::Transport(TOO_LONG));
-    }
-    let mut payload = vec![0u8; len];
-    fill(r, &mut payload, false)?;
-    Ok(FrameRead::Frame(payload))
+    Err(Error::Transport(TOO_LONG))
 }
 
 /// Fills `buf`, retrying mid-frame timeouts up to the stall bound. At a
@@ -255,8 +283,8 @@ pub fn deadline_in(timeout: Duration) -> Instant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paris_proto::Msg;
-    use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp};
+    use paris_proto::{Endpoint, Msg, TxRef};
+    use paris_types::{ClientId, DcId, Key, PartitionId, ServerId, Timestamp, WriteSetEntry};
     use proptest::prelude::*;
     use std::io::Cursor;
 
@@ -294,8 +322,11 @@ mod tests {
         );
 
         // Every version but ours is refused: the retired v1, v2 (which
-        // cannot decode a start form), a future v4 and a nonsense v0 alike.
-        for version in [0, 1, 2, wire::PROTOCOL_VERSION + 1, u16::MAX] {
+        // cannot decode a start form), a stale v9 child binary (whose
+        // frames open with a `u32` length and a marker byte), a future
+        // version and a nonsense v0 alike.
+        let stale = wire::PROTOCOL_VERSION - 1;
+        for version in [0, 1, 2, stale, wire::PROTOCOL_VERSION + 1, u16::MAX] {
             let mut bad_version = good.clone();
             bad_version[4..].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -356,21 +387,39 @@ mod tests {
         assert_eq!(read_ctrl_deadline(&mut stream, None), closed);
     }
 
+    /// The varint header of a `len`-byte frame.
+    fn header_of(len: usize) -> Vec<u8> {
+        let (h, n) = header(len);
+        h[..n].to_vec()
+    }
+
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
-        // 4 GiB length prefix: must fail fast with a transport error, not
-        // attempt the allocation.
-        let header = (u32::MAX).to_le_bytes();
-        assert_eq!(
-            read_frame(&mut Cursor::new(&header)).unwrap_err(),
-            Error::Transport("frame exceeds maximum length")
-        );
+        // A 4 GiB length (the retired `u32` header's largest, here a 5 B
+        // varint) and one just past the bound: both fail fast with a
+        // transport error, not the allocation. The first is refused at
+        // its fourth byte, still continuing, before the fifth is read.
+        for header in [
+            vec![0xff, 0xff, 0xff, 0xff, 0x0f],
+            header_of(wire::MAX_FRAME_LEN + 1),
+        ] {
+            assert_eq!(
+                read_frame(&mut Cursor::new(&header)).unwrap_err(),
+                Error::Transport("frame exceeds maximum length")
+            );
+        }
         // Largest in-bound length with no payload behind it: reader sees a
         // closed peer mid-frame, still no panic.
-        let header = (wire::MAX_FRAME_LEN as u32).to_le_bytes();
+        let header = header_of(wire::MAX_FRAME_LEN);
+        assert_eq!(header.len(), MAX_HEADER_LEN);
         assert_eq!(
             read_frame(&mut Cursor::new(&header)).unwrap_err(),
             Error::Transport("peer closed mid-frame")
+        );
+        // A padded length has a shorter form: not a frame of ours.
+        assert_eq!(
+            read_frame(&mut Cursor::new(&[0x80, 0x00])).unwrap_err(),
+            Error::Transport("malformed frame length")
         );
     }
 
@@ -380,6 +429,11 @@ mod tests {
             read_frame(&mut Cursor::new(&[] as &[u8])).unwrap(),
             FrameRead::Eof
         ));
+        // Past the header's first byte, EOF is mid-frame.
+        assert_eq!(
+            read_frame(&mut Cursor::new(&[0x80])).unwrap_err(),
+            Error::Transport("peer closed mid-frame")
+        );
     }
 
     #[test]
@@ -428,6 +482,32 @@ mod tests {
     }
 
     #[test]
+    fn a_buffered_read_outwaits_a_split_inside_a_multi_byte_header() {
+        // 2 B and 3 B headers, split after each of their non-final bytes.
+        for (len, cut) in [(200, 1), (20_000, 1), (20_000, 2)] {
+            let (mut writer, mut reader) = buffered_pair();
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &payload).unwrap();
+            assert_eq!(frame.len(), frame_len(len));
+            let tail = frame.split_off(cut);
+            let paused = std::thread::spawn(move || {
+                writer.write_all(&frame).unwrap();
+                // Several read timeouts pass inside the header.
+                std::thread::sleep(Duration::from_millis(150));
+                writer.write_all(&tail).unwrap();
+                writer
+            });
+            let FrameRead::Frame(got) = read_frame(&mut reader).unwrap() else {
+                panic!("expected the frame split at header byte {cut}");
+            };
+            assert_eq!(got, payload);
+            drop(paused.join().unwrap());
+            assert!(matches!(read_frame(&mut reader).unwrap(), FrameRead::Eof));
+        }
+    }
+
+    #[test]
     fn a_buffered_read_times_out_at_a_frame_boundary() {
         let (mut writer, mut reader) = buffered_pair();
         assert!(matches!(
@@ -452,8 +532,17 @@ mod tests {
     #[test]
     fn a_buffered_read_rejects_an_oversized_length_before_allocating() {
         let (mut writer, mut reader) = buffered_pair();
-        let too_long = (wire::MAX_FRAME_LEN as u32 + 1).to_le_bytes();
-        writer.write_all(&too_long).unwrap();
+        writer
+            .write_all(&header_of(wire::MAX_FRAME_LEN + 1))
+            .unwrap();
+        assert_eq!(
+            read_frame(&mut reader).unwrap_err(),
+            Error::Transport("frame exceeds maximum length")
+        );
+        // A header still continuing at its fourth byte is refused there,
+        // with no fifth byte ever sent.
+        let (mut writer, mut reader) = buffered_pair();
+        writer.write_all(&[0x80; MAX_HEADER_LEN]).unwrap();
         assert_eq!(
             read_frame(&mut reader).unwrap_err(),
             Error::Transport("frame exceeds maximum length")
@@ -468,8 +557,9 @@ mod tests {
             &[b"ab".as_slice(), b"".as_slice(), b"cde".as_slice()],
             None,
         );
-        assert_eq!(spent.unwrap(), 3 * 4 + 5);
-        assert_eq!(sink.len(), 3 * 4 + 5);
+        // One header byte each (the retired `u32` header cost 4).
+        assert_eq!(spent.unwrap(), 3 + 5);
+        assert_eq!(sink.len(), 3 + 5);
         let mut cur = Cursor::new(&sink);
         for want in [&b"ab"[..], b"", b"cde"] {
             let FrameRead::Frame(payload) = read_frame(&mut cur).unwrap() else {
@@ -504,6 +594,43 @@ mod tests {
                     Err(e) => panic!("unexpected error class: {e}"),
                 }
             }
+        }
+
+        /// A written envelope costs exactly `frame_len` of its encoding,
+        /// and that is what the peer receives: every endpoint kind, DCs up
+        /// to `u16::MAX`, ids up to `u32::MAX`, and 1, 2 and 3 B headers.
+        #[test]
+        fn prop_write_envelope_spends_exactly_frame_len(
+            kinds in (any::<bool>(), any::<bool>()),
+            dcs in (any::<u16>(), any::<u16>()),
+            ids in (any::<u32>(), any::<u32>()),
+            value_len in prop_oneof![0..128usize, 128..20_000usize],
+        ) {
+            let endpoint = |client: bool, dc: u16, id: u32| -> Endpoint {
+                if client {
+                    ClientId::new(DcId(dc), id).into()
+                } else {
+                    ServerId::new(DcId(dc), PartitionId(id)).into()
+                }
+            };
+            let msg = Msg::CommitReq {
+                tx: TxRef::Start { client_ust: Timestamp::ZERO },
+                hwt: Timestamp::ZERO,
+                writes: vec![WriteSetEntry::new(Key(1), vec![7u8; value_len].into())],
+            };
+            let env = Envelope {
+                src: endpoint(kinds.0, dcs.0, ids.0),
+                dst: endpoint(kinds.1, dcs.1, ids.1),
+                msg,
+            };
+            let mut sink = Vec::new();
+            let spent = write_envelope(&mut sink, &env, WireFormat::V2).unwrap();
+            prop_assert_eq!(spent as usize, frame_len(wire::envelope_len_with(&env, WireFormat::V2)));
+            prop_assert_eq!(spent as usize, sink.len());
+            let FrameRead::Frame(payload) = read_frame(&mut Cursor::new(&sink)).unwrap() else {
+                panic!("expected a frame");
+            };
+            prop_assert_eq!(decode_envelope_frame(&payload).unwrap(), env);
         }
 
         /// Garbage prepended to the handshake is rejected as a transport

@@ -9,7 +9,7 @@
 //! Layering, bottom up:
 //!
 //! * [`framing`] — the byte protocol: magic + version preamble per
-//!   connection, length-prefixed frames bounded by
+//!   connection, varint-length-prefixed frames bounded by
 //!   [`paris_proto::wire::MAX_FRAME_LEN`] *before* allocation, and the
 //!   envelope/control codecs on top. Hardened against garbage input.
 //! * [`session`] — outbound links: each directed peer connection and its

@@ -34,7 +34,8 @@ use paris_proto::{Endpoint, Envelope};
 use paris_types::{Error, ServerId};
 
 use crate::socket::framing::{
-    deadline_in, decode_envelope_frame, read_frame, read_preamble, write_preamble, FrameRead,
+    deadline_in, decode_envelope_frame, frame_len, read_frame, read_preamble, write_preamble,
+    FrameRead,
 };
 use crate::socket::session::{PeerLink, SocketConfig, WireCounters};
 
@@ -390,7 +391,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<NodeShared>) {
                 shared
                     .counters
                     .bytes_in
-                    .fetch_add(4 + payload.len() as u64, Ordering::Relaxed);
+                    .fetch_add(frame_len(payload.len()) as u64, Ordering::Relaxed);
                 if shared.deliver(env).is_err() {
                     return;
                 }
@@ -442,6 +443,39 @@ mod tests {
 
         assert_eq!(a.counters().messages_out.load(Ordering::Relaxed), 1);
         assert_eq!(a.counters().messages_in.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_senders_bytes_out_equals_its_receivers_bytes_in() {
+        use paris_proto::{wire::envelope_len_with, TxRef};
+        use paris_types::{Key, WireFormat, WriteSetEntry};
+
+        let a_id = server(0, 0);
+        let b_id = server(0, 1);
+        let a = SocketNode::bind(NodeIdentity::Server(a_id), SocketConfig::default()).unwrap();
+        let b = SocketNode::bind(NodeIdentity::Server(b_id), SocketConfig::default()).unwrap();
+        a.set_routes(None, [(b_id, b.local_addr())]);
+        let b_inbox = b.register(b_id).unwrap();
+        // Frames with 1, 2 and 3 B headers: < 128 B, ≥ 128 B, ≥ 16 KiB.
+        let (mut widths, mut spent) = (Vec::new(), 0);
+        for value_len in [8, 200, 20_000] {
+            let msg = Msg::CommitReq {
+                tx: TxRef::Start {
+                    client_ust: Timestamp::ZERO,
+                },
+                hwt: Timestamp::ZERO,
+                writes: vec![WriteSetEntry::new(Key(1), vec![7u8; value_len].into())],
+            };
+            let env = Envelope::new(a_id, b_id, msg);
+            let payload = envelope_len_with(&env, WireFormat::V2);
+            widths.push(frame_len(payload) - payload);
+            spent += frame_len(payload) as u64;
+            a.handle().send(env.clone()).unwrap();
+            assert_eq!(b_inbox.recv_timeout(Duration::from_secs(5)).unwrap(), env);
+        }
+        assert_eq!(widths, [1, 2, 3]);
+        assert_eq!(a.counters().bytes_out.load(Ordering::Relaxed), spent);
+        assert_eq!(b.counters().bytes_in.load(Ordering::Relaxed), spent);
     }
 
     #[test]

@@ -265,7 +265,9 @@ impl Drop for PeerLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::socket::framing::{decode_envelope_frame, read_frame, FrameRead, PREAMBLE_LEN};
+    use crate::socket::framing::{
+        decode_envelope_frame, frame_len, read_frame, FrameRead, PREAMBLE_LEN,
+    };
     use paris_proto::wire::PROTOCOL_VERSION;
     use paris_proto::{Endpoint, Msg};
     use paris_types::{ClientId, DcId, PartitionId, ServerId, Timestamp};
@@ -339,10 +341,13 @@ mod tests {
 
     #[test]
     fn unsupported_peer_version_refuses_the_link() {
-        // A peer advertising any version but ours — the retired v1 or a
-        // "future" v3 — is refused during the handshake: the dialer never
-        // treats the connection as open.
-        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        // A peer advertising any version but ours — a stale child built
+        // before this one (v9 frames open with a `u32` length and a marker
+        // byte, which this reader would misparse) or a future one — is
+        // refused during the handshake: the dialer never treats the
+        // connection as open.
+        let stale = PROTOCOL_VERSION - 1;
+        for version in [stale, PROTOCOL_VERSION + 1] {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let acceptor = accept_with_version(listener, version);
@@ -451,7 +456,7 @@ mod tests {
             let FrameRead::Frame(payload) = read_frame(&mut reader).unwrap() else {
                 panic!("a frame went missing");
             };
-            bytes += 4 + payload.len() as u64;
+            bytes += frame_len(payload.len()) as u64;
             let env = decode_envelope_frame(&payload).expect("every frame decodes whole");
             let Endpoint::Client(client) = env.src else {
                 panic!("unexpected source {:?}", env.src);

@@ -22,8 +22,10 @@
 //! ([`varint`]); a timestamp is two of them (48-bit physical part, 16-bit
 //! logical part), so the zero-heavy stamps of background traffic cost 2–7
 //! bytes instead of a fixed 8. A message is its tag byte followed by its
-//! fields; an envelope frame is the [`FRAME_V2`] marker, both endpoints,
-//! then the message. Protocol version 3 added the start forms of
+//! fields; an envelope frame is both endpoints, then the message. An
+//! endpoint is one varint of its DC shifted left by one with its kind in
+//! the low bit (0 server, 1 client), then its partition or client sequence
+//! number. Protocol version 3 added the start forms of
 //! `ReadReq` / `CommitReq` and of their replies under tags of their own,
 //! version 4 the one-phase `CommitOne`, and version 5 its last-agent form
 //! (`coordinator_share` set) under a tag of its own. Version 6 dropped the
@@ -38,7 +40,9 @@
 //! Version 9 added the decider commit's frames: a `PrepareReq` with no
 //! snapshot, naming the decider its vote goes to (38), one also carrying
 //! the decider's share (39), and a `CommitOne` that makes its receiver wait for further votes
-//! (40). Every other frame is the v2 one, byte for byte.
+//! (40). Version 10 dropped the per-frame marker byte and folded each
+//! endpoint's kind byte into its DC varint; every message is the v9 one,
+//! byte for byte.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -68,10 +72,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 9;
-
-/// First byte of every envelope frame.
-pub const FRAME_V2: u8 = 0xF2;
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Upper bound on the payload length of one framed wire message.
 ///
@@ -114,8 +115,7 @@ pub trait Sink {
     fn tag(&mut self, tag: u8) {
         self.u8(tag);
     }
-    /// A discriminant byte inside a frame (option, read outcome, endpoint
-    /// kind, frame marker).
+    /// A discriminant byte inside a frame (option, read outcome).
     fn u8(&mut self, v: u8);
     /// A length, count, id or sequence number.
     fn varint(&mut self, v: u64);
@@ -621,29 +621,25 @@ fn get_digest_report(r: &mut &[u8]) -> Result<DigestReport, DecodeError> {
     })
 }
 
-// Endpoint kinds.
-const E_SERVER: u8 = 0;
-const E_CLIENT: u8 = 1;
-
+/// An endpoint: `dc << 1 | kind` (0 server, 1 client) as one varint, then
+/// the partition or the client's sequence number.
 fn put_endpoint<S: Sink>(s: &mut S, ep: Endpoint) {
-    match ep {
-        Endpoint::Server(server) => {
-            s.u8(E_SERVER);
-            put_server(s, server);
-        }
-        Endpoint::Client(c) => {
-            s.u8(E_CLIENT);
-            put_client(s, c);
-        }
-    }
+    let (dc, kind, id) = match ep {
+        Endpoint::Server(server) => (server.dc, 0, server.partition.0),
+        Endpoint::Client(c) => (c.dc, 1, c.seq),
+    };
+    s.varint(u64::from(dc.0) << 1 | kind);
+    s.varint(u64::from(id));
 }
 
 fn get_endpoint(r: &mut &[u8]) -> Result<Endpoint, DecodeError> {
-    match get_u8(r)? {
-        E_SERVER => Ok(Endpoint::Server(get_server(r)?)),
-        E_CLIENT => Ok(Endpoint::Client(get_client(r)?)),
-        other => Err(DecodeError::UnknownTag(other)),
-    }
+    let word = varint::get_u32(r)?;
+    let dc = DcId(u16::try_from(word >> 1).map_err(|_| DecodeError::BadLength)?);
+    let id = varint::get_u32(r)?;
+    Ok(match word & 1 {
+        0 => Endpoint::Server(ServerId::new(dc, PartitionId(id))),
+        _ => Endpoint::Client(ClientId::new(dc, id)),
+    })
 }
 
 // --------------------------------------------------------------- messages
@@ -1113,13 +1109,12 @@ pub fn metadata(msg: &Msg) -> Metadata {
 // -------------------------------------------------------------- envelopes
 
 fn put_envelope<S: Sink>(s: &mut S, env: &Envelope) {
-    s.u8(FRAME_V2);
     put_endpoint(s, env.src);
     put_endpoint(s, env.dst);
     put_msg(s, &env.msg);
 }
 
-/// Encodes a full envelope — marker, source, destination and message — as
+/// Encodes a full envelope — source, destination and message — as
 /// one frame payload, in one exactly-sized buffer. This is what the socket
 /// transport ships: endpoints ride along so the receiving process can
 /// route replies without any transport-level correlation state.
@@ -1141,15 +1136,11 @@ pub fn envelope_len_with(env: &Envelope, wire: WireFormat) -> usize {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] for truncated frames, a first byte other
-/// than [`FRAME_V2`], unknown endpoint or message tags, impossible
-/// lengths, or trailing bytes — never panics, whatever the input.
+/// Returns a [`DecodeError`] for truncated frames, an endpoint DC beyond
+/// `u16`, unknown message tags, impossible lengths, or trailing bytes —
+/// never panics, whatever the input.
 pub fn decode_envelope_auto(bytes: &[u8]) -> Result<Envelope, DecodeError> {
     let mut r = bytes;
-    let marker = get_u8(&mut r)?;
-    if marker != FRAME_V2 {
-        return Err(DecodeError::UnknownTag(marker));
-    }
     let env = Envelope {
         src: get_endpoint(&mut r)?,
         dst: get_endpoint(&mut r)?,
@@ -2224,20 +2215,30 @@ mod tests {
             txs: vec![],
             watermark: Timestamp::from_parts(3_600_000_000, 0),
         };
-        for (env, golden) in [
+        // v10: no marker, and each endpoint is `dc << 1 | kind` (client 1,
+        // server 0) then its id. The retired v9 frame opened with the
+        // marker 0xF2 and spent a kind byte before each endpoint's DC.
+        for (env, golden, v9) in [
             (
                 Envelope::new(client, coordinator, start),
+                "07f0a20406020180c8ceb40d03",
                 "f20103f0a2040003020180c8ceb40d03",
             ),
             (
                 Envelope::new(coordinator, cohort, heartbeat),
+                "0602d804110c1180c8ceb40d0000",
                 "f200030200ac02110c1180c8ceb40d0000",
             ),
         ] {
             let bytes = encode_envelope_with(&env, WireFormat::V2);
-            assert_eq!(bytes[0], FRAME_V2);
             assert_eq!(hex(&bytes), golden);
             assert_eq!(decode_envelope_auto(&bytes).unwrap(), env);
+            // The message after the endpoints is the v9 one, byte for byte;
+            // the endpoints cost 3 B less (the marker and two kind bytes),
+            // and DC 300's varint stays 2 B with the kind folded in.
+            let msg = hex(&encode(&env.msg));
+            assert!(golden.ends_with(&msg) && v9.ends_with(&msg));
+            assert_eq!(unhex(v9).len(), bytes.len() + 3);
         }
     }
 
@@ -2268,13 +2269,23 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_envelope_auto(&bytes[..cut]).is_err(), "prefix {cut}");
         }
-        let mut corrupt = bytes.to_vec();
-        corrupt[1] = 9; // endpoint kinds are 0 or 1
-        assert_eq!(decode_envelope_auto(&corrupt), Err(UnknownTag(9)));
-        // A frame that does not open with the marker is not ours.
-        let mut unmarked = bytes.to_vec();
-        unmarked[0] = 1;
-        assert_eq!(decode_envelope_auto(&unmarked), Err(UnknownTag(1)));
+        // The kind is the DC word's low bit, so every kind is known; what
+        // is left to refuse is a DC beyond `u16` (the retired v9 test
+        // refused a kind byte of 9 here, and a frame without the marker,
+        // which the connection preamble's version now rules out).
+        let mut corrupt = BytesMut::new();
+        varint::put(&mut corrupt, (u64::from(u16::MAX) + 1) << 1 | 1);
+        corrupt.put_slice(&bytes[1..]);
+        assert_eq!(decode_envelope_auto(corrupt.as_ref()), Err(BadLength));
+        // The largest DC fits, in either kind, at 3 B of DC word.
+        let edge = Envelope::new(
+            ClientId::new(DcId(u16::MAX), u32::MAX),
+            ServerId::new(DcId(u16::MAX), PartitionId(u32::MAX)),
+            env.msg,
+        );
+        let bytes = encode_envelope_with(&edge, WireFormat::V2);
+        assert_eq!(hex(&bytes[..3]), "ffff07");
+        assert_eq!(decode_envelope_auto(&bytes).unwrap(), edge);
     }
 
     #[test]
