@@ -17,9 +17,12 @@ use paris_bench::{
     bench_doc, paper_deployment, section, warmup_micros, window_micros, write_bench_json,
 };
 use paris_core::metadata::{measured_paris_snapshot_metadata, table1, MetadataCost};
-use paris_proto::{wire, Carry, Msg, TxRef, VoteTo};
+use paris_proto::{wire, Carry, Msg, ReadKey, TxRef, VoteTo};
 use paris_runtime::Cluster;
-use paris_types::{DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, WriteSetEntry};
+use paris_types::{
+    DcId, HeldStamp, Key, PartitionId, ServerId, Timestamp, TxId, Value, VersionStamp,
+    WriteSetEntry,
+};
 use paris_workload::WorkloadConfig;
 
 /// Representative protocol messages with realistic field magnitudes: an
@@ -40,6 +43,24 @@ fn sample_messages() -> Vec<Msg> {
             tx,
             snapshot: ts(1),
             keys: vec![Key(1).into(), Key(2).into(), Key(3).into()],
+        },
+        // The same keys stamped: two by when a read showed them (20 ms and
+        // a second before the snapshot), one — an own write no read has
+        // shown yet — by its identity.
+        Msg::ReadSliceReq {
+            tx,
+            snapshot: ts(1),
+            keys: vec![
+                stamped(1, HeldStamp::Seen(3_599_980_000)),
+                stamped(2, HeldStamp::Seen(3_599_000_000)),
+                stamped(
+                    3,
+                    HeldStamp::Identity(VersionStamp {
+                        ut: Timestamp::from_parts(3_599_998_000, 0),
+                        tx,
+                    }),
+                ),
+            ],
         },
         prepare_req(None),
         prepare_req(Some(Box::new(VoteTo {
@@ -73,6 +94,13 @@ fn sample_messages() -> Vec<Msg> {
             frames: 1,
         },
     ]
+}
+
+fn stamped(key: u64, held: HeldStamp) -> ReadKey {
+    ReadKey {
+        key: Key(key),
+        held: Some(held),
+    }
 }
 
 /// A prepare of one write: 2PC's, or a decider commit middle's, which
@@ -201,6 +229,9 @@ fn main() {
             } => "CommitOne+share",
             Msg::Replicate { txs, .. } if txs.is_empty() => "Replicate (empty)",
             Msg::GossipDigest { .. } => "Digest (UST only)",
+            Msg::ReadSliceReq { keys, .. } if keys.iter().any(|k| k.held.is_some()) => {
+                "SliceReq (stamped)"
+            }
             _ => msg.kind(),
         };
         let bytes = wire::encoded_len(msg);

@@ -123,23 +123,41 @@
 //! * **At or below `ust_c`, a validation candidate.** It never answers a
 //!   read. It is the last version observed for the key — shipped, or an
 //!   own write the UST has since covered — and a read of the key is
-//!   stamped with its identity `(ut, tx)` while stamping is expected to
-//!   pay. The cohort picks the version visible in the snapshot as for an
-//!   unstamped key, and answers [`ReadOutcome::Unchanged`] instead of key,
-//!   value and metadata only when that version's identity equals the
-//!   stamp; the session resolves the outcome from its copy into the same
-//!   [`ClientRead`] (`source: Server`) a shipped version produces. The
-//!   server decides *which* version the snapshot sees, so a candidate
-//!   cannot return stale data, needs no invalidation, and survives
-//!   [`ClientSession::reset`].
+//!   stamped while stamping is expected to pay. The cohort picks the
+//!   version visible in the snapshot as for an unstamped key, and answers
+//!   [`ReadOutcome::Unchanged`] instead of key, value and metadata only
+//!   when that version is the one the stamp names; the session resolves
+//!   the outcome from its copy into the same [`ClientRead`]
+//!   (`source: Server`) a shipped version produces. The server decides
+//!   *which* version the snapshot sees, so a candidate cannot return stale
+//!   data, needs no invalidation, and survives [`ClientSession::reset`].
+//!
+//! A stamp says *when*, not *which*: each candidate keeps the snapshot `T`
+//! of the read that last shipped or confirmed it, and its stamp is `T`'s
+//! physical part ([`HeldStamp::Seen`], one delta-coded time). A snapshot
+//! is a UST — or, under BPR, one the replica waits to install — so every
+//! replica holds every version at or below `T` before it serves a read at
+//! or above it, and orders a key's versions alike (§IV-B): the version
+//! visible at `T` is the candidate everywhere. The cohort answers
+//! `Unchanged` iff `T` is at or below the read's snapshot `S` and the
+//! version visible at `S` has `ut ≤ T` — then nothing was written between
+//! them. GC keeps the newest version at or below its horizon, so a
+//! candidate it trimmed has a newer version above `T`, which ships. An own
+//! write carries its identity `(ut, tx)` instead ([`HeldStamp::Identity`])
+//! until a read ships or confirms it: another transaction may commit at
+//! the same time and win the tie, so its commit time is not a time a read
+//! showed it at. (`T`'s dropped logical part never matters but when `T`
+//! and the candidate's `ut` share a physical part; such a candidate keeps
+//! its previous stamp.)
 //!
 //! Until a carried start's snapshot is known, the session cannot tell
 //! which own writes it covers. So a start-form read stamps every own write
-//! it reads (always — correctness, not a byte bet); the coordinator answers
-//! a stamp above the snapshot it just assigned `Unchanged` itself. On the
-//! reply the own write wins iff its commit time is above the snapshot
-//! (`source: Cache`, as if served locally); otherwise `Unchanged` means it
-//! *is* the visible version and anything shipped is newer.
+//! it reads by identity (always — correctness, not a byte bet); the
+//! coordinator answers an identity stamp above the snapshot it just
+//! assigned `Unchanged` itself. On the reply the own write wins iff its
+//! commit time is above the snapshot (`source: Cache`, as if served
+//! locally); otherwise `Unchanged` means it *is* the visible version and
+//! anything shipped is newer.
 //!
 //! A fixed per-session byte budget (values plus a per-entry overhead)
 //! bounds the candidates, least recently observed evicted first. Eviction
@@ -153,8 +171,8 @@ use std::sync::Arc;
 
 use paris_proto::{Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReadResult, TxRef};
 use paris_types::{
-    ClientId, DcId, Error, Key, Mode, PartitionId, ServerId, Timestamp, TxId, Value, Version,
-    VersionStamp, WriteSetEntry,
+    ClientId, DcId, Error, HeldStamp, Key, Mode, PartitionId, ServerId, Timestamp, TxId, Value,
+    Version, WriteSetEntry,
 };
 
 use crate::topology::Topology;
@@ -323,12 +341,16 @@ const HELD_BUDGET: usize = 4096 * 1024;
 /// metadata, the two index slots and the value's allocation.
 const HELD_ENTRY_OVERHEAD: usize = 128;
 
-/// Wire bytes of one stamp per hop (index gap, time delta, logical part,
-/// transaction id), and of what an `Unchanged` answer leaves out per hop
-/// besides the value itself (length prefix, update time, transaction id,
-/// source DC). Both cross the same hops, so their ratio decides whether a
-/// stamp is expected to pay.
-const STAMP_WIRE_BYTES: u64 = 10;
+/// Wire bytes of one stamp per hop, as the codec writes them
+/// (`stamps_cost_what_the_codec_charges`): a seen stamp is its gap word and
+/// its time, some milliseconds to a second below the snapshot it is
+/// delta-coded against; an identity stamp adds the logical part and the
+/// transaction id. And the bytes of what an `Unchanged` answer leaves out
+/// per hop besides the value itself (length prefix, update time,
+/// transaction id, source DC). Both cross the same hops, so their ratio
+/// decides whether a stamp is expected to pay.
+const SEEN_STAMP_WIRE_BYTES: u64 = 4;
+const IDENTITY_STAMP_WIRE_BYTES: u64 = 10;
 const ANSWER_METADATA_WIRE_BYTES: u64 = 16;
 
 /// Server answers for cached keys the session wants to have seen before it
@@ -356,17 +378,37 @@ impl Stability {
         }
     }
 
-    /// Whether stamping a held value of `len` bytes is expected to save
-    /// more than the stamp costs: always for a kilobyte value, for an
-    /// eight-byte one only while some two in five held versions are still
-    /// current when re-read. Under contention that overwrites small values
-    /// between two reads the session stops stamping them instead of paying
-    /// for stamps that miss.
-    fn favours_stamping(&self, len: usize) -> bool {
+    /// Whether a stamp of `stamp_bytes` on a held value of `len` bytes is
+    /// expected to save more than it costs: always for a kilobyte value,
+    /// for an eight-byte one only while some one in six held versions (a
+    /// seen stamp) or two in five (an identity) are still current when
+    /// re-read. Under contention that overwrites small values between two
+    /// reads the session stops stamping them instead of paying for stamps
+    /// that miss.
+    fn favours_stamping(&self, len: usize, stamp_bytes: u64) -> bool {
         self.seen < STABILITY_MIN_SAMPLE
             || u64::from(self.same) * (len as u64 + ANSWER_METADATA_WIRE_BYTES)
-                > u64::from(self.seen) * STAMP_WIRE_BYTES
+                > u64::from(self.seen) * stamp_bytes
     }
+}
+
+/// One held version.
+#[derive(Debug)]
+struct Entry {
+    /// Its place in the eviction order.
+    at: u64,
+    version: Version,
+    /// The physical part of the snapshot of the read that last showed it
+    /// (module docs); `None` until a read has shown it — an own write — or
+    /// while that part alone falls below its update time.
+    seen: Option<u64>,
+}
+
+/// The seen stamp a read at `snapshot` earns the `version` it showed: the
+/// snapshot's physical part, if that alone still covers the version.
+fn seen_at(version: &Version, snapshot: Timestamp) -> Option<u64> {
+    let micros = snapshot.physical_micros();
+    (Timestamp::from_physical_micros(micros) >= version.ut).then_some(micros)
 }
 
 /// The version store (module docs): whether an entry is an own write or a
@@ -383,7 +425,7 @@ struct Held {
     /// Observation counter; an entry's tick is its place in the eviction
     /// order.
     tick: u64,
-    entries: HashMap<Key, (u64, Version)>,
+    entries: HashMap<Key, Entry>,
     /// Tick → key, so the first entry is the least recently observed.
     /// (A `BTreeMap`, not the `HashMap`'s iteration order: which entry
     /// goes must not differ between two runs of one seed.)
@@ -397,78 +439,97 @@ impl Held {
     }
 
     fn get(&self, key: Key) -> Option<&Version> {
-        self.entries.get(&key).map(|(_, version)| version)
+        self.entries.get(&key).map(|entry| &entry.version)
     }
 
-    /// The stamp to send with a read of a key that has no own write: the
-    /// candidate's identity, if one is held and stamping it is expected to
-    /// pay.
-    fn stamp(&self, key: Key) -> Option<VersionStamp> {
-        self.get(key)
-            .filter(|held| self.stability.favours_stamping(held.value.len()))
-            .map(Version::stamp)
+    /// The stamp to send with a read of a key that has no own write, if a
+    /// candidate is held and stamping it is expected to pay: when a read
+    /// last showed it, or — an own write no read has shown yet — its
+    /// identity.
+    fn stamp(&self, key: Key) -> Option<HeldStamp> {
+        let entry = self.entries.get(&key)?;
+        let (stamp, bytes) = match entry.seen {
+            Some(micros) => (HeldStamp::Seen(micros), SEEN_STAMP_WIRE_BYTES),
+            None => (
+                HeldStamp::Identity(entry.version.stamp()),
+                IDENTITY_STAMP_WIRE_BYTES,
+            ),
+        };
+        let len = entry.version.value.len();
+        self.stability.favours_stamping(len, bytes).then_some(stamp)
     }
 
-    /// Marks `key`'s entry as just observed again.
-    fn touch(&mut self, key: Key) {
-        if let Some((at, _)) = self.entries.get_mut(&key) {
-            self.order.remove(at);
+    /// Marks `key`'s entry as just shown again, by a read at `snapshot`.
+    fn confirm(&mut self, key: Key, snapshot: Timestamp) {
+        if let Some(entry) = self.entries.get_mut(&key) {
+            self.order.remove(&entry.at);
             self.tick += 1;
-            *at = self.tick;
+            entry.at = self.tick;
+            entry.seen = entry.seen.max(seen_at(&entry.version, snapshot));
             self.order.insert(self.tick, key);
         }
     }
 
     /// Holds `version` for its key, as the most recent observation.
-    fn insert(&mut self, version: Version) {
+    fn insert(&mut self, version: Version, seen: Option<u64>) {
         self.remove(version.key);
         self.tick += 1;
         self.used += Self::cost(&version);
         self.order.insert(self.tick, version.key);
-        self.entries.insert(version.key, (self.tick, version));
+        let entry = Entry {
+            at: self.tick,
+            version,
+            seen,
+        };
+        self.entries.insert(entry.version.key, entry);
     }
 
     fn remove(&mut self, key: Key) {
-        if let Some((at, old)) = self.entries.remove(&key) {
+        if let Some(Entry { at, version, .. }) = self.entries.remove(&key) {
             self.order.remove(&at);
-            self.used -= Self::cost(&old);
-            if let Some(bytes) = self.own_bytes.get_mut(&old.ut) {
-                *bytes -= Self::cost(&old);
+            self.used -= Self::cost(&version);
+            if let Some(bytes) = self.own_bytes.get_mut(&version.ut) {
+                *bytes -= Self::cost(&version);
             }
         }
     }
 
     /// Alg. 1 lines 29–31: one commit's writes, tagged with its commit
     /// time, become own writes — in key order, so which entry is evicted
-    /// first never depends on the write set's hash order.
+    /// first never depends on the write set's hash order. No read has
+    /// shown them yet: another transaction may win a tie at the commit
+    /// time, so they are stamped by identity until one does.
     fn commit(&mut self, mut writes: Vec<Version>, ust: Timestamp) {
         writes.sort_unstable_by_key(|v| v.key);
         for version in writes {
             if version.ut > ust {
                 *self.own_bytes.entry(version.ut).or_default() += Self::cost(&version);
             }
-            self.insert(version);
+            self.insert(version, None);
         }
         self.evict(ust);
     }
 
-    /// Holds a `version` a server shipped as the key's candidate, then
-    /// evicts. It never replaces an own write. A version that alone
-    /// exceeds the budget is not kept; neither is a key new to the store
-    /// while held versions of this size go stale before they are re-read
-    /// — a copy would only be dead weight. Keys already held stay current
-    /// either way, which keeps the stability measure alive.
-    fn admit(&mut self, version: Version, ust: Timestamp) {
+    /// Holds a `version` a server shipped for a read at `snapshot` as the
+    /// key's candidate, then evicts. It never replaces an own write. A
+    /// version that alone exceeds the budget is not kept; neither is a key
+    /// new to the store while held versions of this size go stale before
+    /// they are re-read — a copy would only be dead weight. Keys already
+    /// held stay current either way, which keeps the stability measure
+    /// alive.
+    fn admit(&mut self, version: Version, ust: Timestamp, snapshot: Timestamp) {
+        let len = version.value.len();
         match self.get(version.key) {
             Some(held) if held.ut > ust => return,
-            None if !self.stability.favours_stamping(version.value.len()) => return,
+            None if !self.stability.favours_stamping(len, SEEN_STAMP_WIRE_BYTES) => return,
             _ => {}
         }
         if Self::cost(&version) > self.budget {
             self.remove(version.key);
             return;
         }
-        self.insert(version);
+        let seen = seen_at(&version, snapshot);
+        self.insert(version, seen);
         self.evict(ust);
     }
 
@@ -483,7 +544,7 @@ impl Held {
             if excess == 0 {
                 break;
             }
-            let held = &self.entries[key].1;
+            let held = &self.entries[key].version;
             if held.ut <= ust {
                 excess = excess.saturating_sub(Self::cost(held));
                 doomed.push(*key);
@@ -683,7 +744,7 @@ impl ClientSession {
     /// cache `WC_c`.
     pub fn cache_len(&self) -> usize {
         let held = self.held.entries.values();
-        held.filter(|(_, v)| v.ut > self.ust).count()
+        held.filter(|entry| entry.version.ut > self.ust).count()
     }
 
     /// The open transaction's id, if a transaction is open and a
@@ -910,7 +971,7 @@ impl ClientSession {
                     // holds this own write.
                     remote.push(ReadKey {
                         key,
-                        held: Some(own.stamp()),
+                        held: Some(HeldStamp::Identity(own.stamp())),
                     });
                 }
             } else {
@@ -1280,7 +1341,7 @@ impl ClientSession {
                     if !own {
                         self.held.stability.record(true);
                     }
-                    self.held.touch(*key);
+                    self.held.confirm(*key, snapshot);
                     (Some(h), ReadSource::Server)
                 }
                 (None, ReadOutcome::Unchanged) => {
@@ -1309,7 +1370,7 @@ impl ClientSession {
             self.opened(tx, opening);
         }
         for v in results.iter().filter_map(|r| r.outcome.version()) {
-            self.held.admit(v.clone(), self.ust);
+            self.held.admit(v.clone(), self.ust, snapshot);
         }
         // Alg. 1 line 18: RS_c ← RS_c ∪ D.
         let open = self.open.as_mut()?;
@@ -1738,7 +1799,12 @@ mod tests {
 
         let t = started(&mut s, 2, 200);
         let keys = read_remote(&mut s, &[1, 2]);
-        assert_eq!(keys[0].held, Some(v.stamp()), "held version is stamped");
+        // Stamped with when a read last showed it: at snapshot 100.
+        assert_eq!(
+            keys[0].held,
+            Some(HeldStamp::Seen(100)),
+            "held version is stamped"
+        );
         assert_eq!(keys[1].held, None, "nothing held for key 2");
         let reads = reads_of(reply(
             &mut s,
@@ -1760,6 +1826,13 @@ mod tests {
             ReadStep::Done(again) => assert_eq!(again[0].version, Some(v)),
             other => panic!("read set must satisfy repeat reads: {other:?}"),
         }
+        // The validation showed it again, at snapshot 200.
+        finish(&mut s, t);
+        started(&mut s, 3, 300);
+        assert_eq!(
+            read_remote(&mut s, &[1])[0].held,
+            Some(HeldStamp::Seen(200))
+        );
     }
 
     #[test]
@@ -1776,14 +1849,24 @@ mod tests {
         // back.
         let t2 = started(&mut s, 2, 600);
         assert_eq!((s.cache_len(), held(&s).0), (0, 1));
+        // No read has shown it yet, and another transaction may win a tie
+        // at its commit time: it is stamped by identity.
         let keys = read_remote(&mut s, &[7]);
-        assert_eq!(keys[0].held, Some(VersionStamp { ut: ct, tx: t1 }));
+        let identity = paris_types::VersionStamp { ut: ct, tx: t1 };
+        assert_eq!(keys[0].held, Some(HeldStamp::Identity(identity)));
         let reads = reads_of(reply(&mut s, t2, vec![unchanged(7)]));
         assert_eq!(reads[0].value.as_ref().unwrap().as_bytes(), b"mine");
         let v = reads[0].version.as_ref().unwrap();
         // Exactly the tuple every replica stores for this write.
         assert_eq!((v.ut, v.tx, v.src), (ct, t1, s.id().dc));
         assert_eq!(reads[0].source, ReadSource::Server);
+        // Once a read at 600 has shown it, by when that read did.
+        finish(&mut s, t2);
+        started(&mut s, 3, 700);
+        assert_eq!(
+            read_remote(&mut s, &[7])[0].held,
+            Some(HeldStamp::Seen(600))
+        );
     }
 
     #[test]
@@ -1862,17 +1945,62 @@ mod tests {
         observe(&mut s, 1, 100, v.clone());
         // A stamped read is abandoned mid-flight.
         let old = started(&mut s, 2, 200);
-        assert_eq!(read_remote(&mut s, &[1])[0].held, Some(v.stamp()));
+        let seen = Some(HeldStamp::Seen(100));
+        assert_eq!(read_remote(&mut s, &[1])[0].held, seen);
         s.reset();
         assert_eq!(held(&s).0, 1, "reset leaves the store alone");
         let fresh = started(&mut s, 3, 300);
         // The abandoned read's reply straggles in and is ignored.
         assert!(reply(&mut s, old, vec![unchanged(1)]).is_none());
         // The new transaction validates the same entry as if nothing
-        // had happened.
-        assert_eq!(read_remote(&mut s, &[1])[0].held, Some(v.stamp()));
+        // had happened: the straggler did not count as a showing.
+        assert_eq!(read_remote(&mut s, &[1])[0].held, seen);
         let reads = reads_of(reply(&mut s, fresh, vec![unchanged(1)]));
         assert_eq!(reads[0].version, Some(v));
+    }
+
+    #[test]
+    fn stamps_cost_what_the_codec_charges() {
+        // A slice read of two keys, the second stamped as seen 1 ms, 100 ms
+        // or 1 s below the snapshot, or by the identity of a version written
+        // there by a coordinator's hundred-thousandth transaction: what the
+        // stamp adds to the request.
+        let snapshot = ts(3_600_000_000);
+        let len = |held| {
+            let keys = vec![Key(1).into(), ReadKey { key: Key(2), held }];
+            let msg = Msg::ReadSliceReq {
+                tx: tx(1),
+                snapshot,
+                keys,
+            };
+            paris_proto::wire::encoded_len(&msg) as u64
+        };
+        let plain = len(None);
+        for below in [1_000, 100_000, 1_000_000] {
+            let seen = HeldStamp::Seen(snapshot.physical_micros() - below);
+            let cost = len(Some(seen)) - plain;
+            // The first stamp also pays the stamp count, and tag 42 instead
+            // of 7 costs nothing.
+            assert!(
+                cost - 1 <= SEEN_STAMP_WIRE_BYTES,
+                "{below} µs below: {cost} B"
+            );
+            if below >= 100_000 {
+                assert_eq!(cost - 1, SEEN_STAMP_WIRE_BYTES, "{below} µs below");
+            }
+            let identity = HeldStamp::Identity(paris_types::VersionStamp {
+                ut: ts(snapshot.physical_micros() - below),
+                tx: tx(100_000),
+            });
+            let cost = len(Some(identity)) - plain;
+            assert!(
+                cost - 1 <= IDENTITY_STAMP_WIRE_BYTES,
+                "{below} µs below: {cost} B"
+            );
+            if below >= 100_000 {
+                assert_eq!(cost - 1, IDENTITY_STAMP_WIRE_BYTES, "{below} µs below");
+            }
+        }
     }
 
     #[test]
@@ -1889,36 +2017,36 @@ mod tests {
     #[test]
     fn small_values_that_keep_changing_are_no_longer_stamped_until_they_settle() {
         let mut s = session(Mode::Paris);
-        // Four 8-byte values that other clients overwrite between every two
+        // Six 8-byte values that other clients overwrite between every two
         // reads of this session, and one stable 1 KiB value. Returns
         // whether the small keys and the big key were stamped.
         let mut seq = 0;
         let mut round = |s: &mut ClientSession, contended: bool| -> (bool, bool) {
             seq += 1;
             let t = started(s, seq, 100 * seq);
-            let keys = read_remote(s, &[1, 2, 3, 4, 5]);
+            let keys = read_remote(s, &[1, 2, 3, 4, 5, 6, 7]);
             let (ut, writer) = if contended {
                 (10 * seq, 1_000 + seq)
             } else {
                 (1, 1)
             };
             let mut results: Vec<ReadResult> =
-                (1..=4).map(|k| found(version(k, 8, ut, writer))).collect();
-            results.push(found(version(5, 1024, 1, 1)));
+                (1..=6).map(|k| found(version(k, 8, ut, writer))).collect();
+            results.push(found(version(7, 1024, 1, 1)));
             reply(s, t, results);
             finish(s, t);
-            let small: Vec<bool> = keys[..4].iter().map(|k| k.held.is_some()).collect();
+            let small: Vec<bool> = keys[..6].iter().map(|k| k.held.is_some()).collect();
             assert!(small.iter().all(|h| *h == small[0]), "{small:?}");
-            (small[0], keys[4].held.is_some())
+            (small[0], keys[6].held.is_some())
         };
         assert_eq!(round(&mut s, true), (false, false), "nothing held yet");
         assert_eq!(round(&mut s, true), (true, true), "optimistic at first");
         for _ in 0..4 {
             round(&mut s, true);
         }
-        // One held version in five is still current when re-read: an
-        // 8-byte answer is cheaper than the stamps that miss, a kilobyte
-        // one is not.
+        // One held version in seven is still current when re-read: an
+        // 8-byte answer (24 B left out) is cheaper than the six seen stamps
+        // (4 B each) that miss, a kilobyte one is not.
         assert_eq!(round(&mut s, true), (false, true));
         // The writers stop. Shipped versions now match the held ones —
         // which the session notices without stamping — and the small
@@ -2012,7 +2140,7 @@ mod tests {
 
         let (client_ust, keys) = deferred_read(&mut s, &[1, 2]);
         assert_eq!(client_ust, ts(100), "the start carries ust_c");
-        assert_eq!(keys[0].held.map(|h| h.ut), Some(ts(50)), "candidate");
+        assert_eq!(keys[0].held, Some(HeldStamp::Seen(100)), "candidate");
         assert!(s.has_operation_in_flight());
         let t = tx(2);
         let reads = reads_of(start_reply(
@@ -2104,8 +2232,15 @@ mod tests {
         let mut lazy = session(Mode::Paris);
         own(&mut lazy);
         let (_, keys) = deferred_read(&mut lazy, &[1, 2, 3]);
-        // Every WC_c key is sent, stamped with the own write — always.
-        let stamps: Vec<Option<Timestamp>> = keys.iter().map(|k| k.held.map(|h| h.ut)).collect();
+        // Every WC_c key is sent, stamped with the own write's identity —
+        // always.
+        let stamps: Vec<Option<Timestamp>> = keys
+            .iter()
+            .map(|k| match k.held {
+                Some(HeldStamp::Identity(own)) => Some(own.ut),
+                _ => None,
+            })
+            .collect();
         assert_eq!(stamps, [Some(ts(500)), Some(ts(300)), Some(ts(300))]);
         // The coordinator answered key 1 itself (stamp above 400).
         let results = vec![unchanged(1), unchanged(2), found(foreign.clone())];

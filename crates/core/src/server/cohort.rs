@@ -105,7 +105,13 @@ impl Server {
     /// freshest version within the snapshot per key, looked up exactly as
     /// for an unstamped read and only then compared with the client's
     /// stamp — a match is answered `Unchanged`, anything else ships what
-    /// the snapshot holds.
+    /// the snapshot holds. A seen stamp `T` matches when `T` is at or
+    /// below the snapshot and the version the snapshot sees has `ut ≤ T`:
+    /// the store holds every version at or below the snapshot, so nothing
+    /// was written between `T` and the snapshot, and the version visible
+    /// at `T` — the client's — is the one visible now. GC keeps the newest
+    /// version at or below its horizon, so a held version it trimmed has a
+    /// newer one above `T`, which ships.
     pub(super) fn serve_slice(
         &mut self,
         tx: TxId,
@@ -120,7 +126,7 @@ impl Server {
             .map(|k| {
                 let outcome = match self.store.read_at(k.key, snapshot) {
                     None => ReadOutcome::Absent,
-                    Some(v) if k.held == Some(v.stamp()) => {
+                    Some(v) if k.held.is_some_and(|held| held.matches(&v, snapshot)) => {
                         self.stats.reads_unchanged += 1;
                         ReadOutcome::Unchanged
                     }

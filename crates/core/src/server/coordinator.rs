@@ -34,12 +34,13 @@
 //!
 //! A start-form read may carry stamps of the client's own writes (`WC_c`,
 //! Alg. 1 line 6: the client cannot tell which of them a snapshot it does
-//! not know yet covers). A stamp above the snapshot just assigned names an
-//! own write the snapshot does not contain; it is answered `Unchanged`
-//! here, with no fan-out, and the client serves it from `WC_c`. Every other
-//! stamp — the client's own write or a validation candidate — is relayed
-//! to the cohorts as it came; the coordinator never interprets them
-//! further.
+//! not know yet covers), each an identity stamp. An identity stamp above
+//! the snapshot just assigned names an own write the snapshot does not
+//! contain; it is answered `Unchanged` here, with no fan-out, and the
+//! client serves it from `WC_c`. Every other stamp — the client's own
+//! write or a validation candidate, by identity or by when a read last
+//! showed it — is relayed to the cohorts as it came; the coordinator never
+//! interprets them further.
 //!
 //! A plain commit — known or picked form — whose writes land on one
 //! partition is one `CommitOne` (cohort docs). One whose writes land on
@@ -93,7 +94,9 @@ use std::collections::{BTreeMap, HashSet};
 use paris_proto::{
     Carry, Endpoint, Envelope, Msg, ReadKey, ReadOutcome, ReadResult, TxRef, VoteTo,
 };
-use paris_types::{ClientId, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry};
+use paris_types::{
+    ClientId, HeldStamp, Mode, PartitionId, ServerId, Timestamp, TxId, WriteSetEntry,
+};
 
 use super::{DeciderPlan, Opened, PendingOp, Server};
 
@@ -247,7 +250,7 @@ impl Server {
         let mut results = Vec::new();
         let mut by_partition: BTreeMap<PartitionId, Vec<ReadKey>> = BTreeMap::new();
         for &k in keys {
-            if start && k.held.is_some_and(|held| held.ut > snapshot) {
+            if start && matches!(k.held, Some(HeldStamp::Identity(own)) if own.ut > snapshot) {
                 results.push(ReadResult {
                     key: k.key,
                     outcome: ReadOutcome::Unchanged,

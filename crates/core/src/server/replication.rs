@@ -79,16 +79,19 @@ impl Server {
         } else {
             self.stats.replicate_batches += 1;
         }
-        for peer in peers {
-            out.push(Envelope::new(
-                self.id,
-                peer,
-                Msg::Replicate {
-                    partition: self.id.partition,
-                    txs: batch.clone(),
-                    watermark: ub,
-                },
-            ));
+        let (id, partition) = (self.id, self.id.partition);
+        let replicate = |peer, txs| {
+            let msg = Msg::Replicate {
+                partition,
+                txs,
+                watermark: ub,
+            };
+            Envelope::new(id, peer, msg)
+        };
+        // Every peer but the last gets a copy; the last one gets the batch.
+        if let Some((last, rest)) = peers.split_last() {
+            out.extend(rest.iter().map(|peer| replicate(*peer, batch.clone())));
+            out.push(replicate(*last, batch));
         }
 
         out.extend(self.after_clock_move(now));

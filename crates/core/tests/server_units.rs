@@ -5,13 +5,16 @@
 use std::sync::Arc;
 
 use paris_clock::SimClock;
-use paris_core::{Mode, Server, ServerOptions, Topology, STALE_CONTEXT_MICROS};
+use paris_core::{
+    ClientEvent, ClientSession, Mode, ReadStep, Server, ServerOptions, Topology,
+    STALE_CONTEXT_MICROS,
+};
 use paris_proto::{
     DigestReport, Endpoint, Envelope, Msg, Opening, ReadKey, ReadOutcome, ReplicatedTx, TxRef,
 };
 use paris_types::{
-    BatchConfig, ClientId, ClusterConfig, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value,
-    VersionStamp, WriteSetEntry,
+    BatchConfig, ClientId, ClusterConfig, DcId, HeldStamp, Key, PartitionId, ServerId, Timestamp,
+    TxId, Value, VersionStamp, WriteSetEntry,
 };
 
 fn topo() -> Arc<Topology> {
@@ -244,10 +247,10 @@ fn a_stamp_above_the_assigned_snapshot_is_answered_without_any_slice_read() {
     let mut s = server_at(&topo, &clock, 0, 0, Mode::Paris);
     let ust = Timestamp::from_physical_micros(30_000);
     let own = |ut: u64| {
-        Some(VersionStamp {
+        Some(HeldStamp::Identity(VersionStamp {
             ut: Timestamp::from_physical_micros(ut),
             tx: TxId::new(s.id(), 1),
-        })
+        }))
     };
     let keys = vec![
         // Partition 1: an own write the snapshot does not hold.
@@ -499,10 +502,10 @@ fn read_fan_out_targets_one_replica_per_partition() {
     let (tx, _) = start_tx(&mut s, 0);
     // Keys on partitions 0..6: exactly one slice request per partition.
     // One key carries the client's held-version stamp.
-    let held = Some(VersionStamp {
+    let held = Some(HeldStamp::Identity(VersionStamp {
         ut: Timestamp::from_physical_micros(7),
         tx,
-    });
+    }));
     let mut keys: Vec<ReadKey> = (0..12).map(|k| Key(k).into()).collect();
     keys[7].held = held;
     let out = s.handle(
@@ -1658,10 +1661,10 @@ fn slice_read_serves_the_freshest_version_within_the_snapshot() {
 #[test]
 fn stamped_keys_are_validated_against_the_visible_version_in_both_modes() {
     let stamp = |ut, seq| {
-        Some(VersionStamp {
+        Some(HeldStamp::Identity(VersionStamp {
             ut: ts(ut),
             tx: peer_tx(seq),
-        })
+        }))
     };
     let keys = [
         // Holds the visible version (ut 10 at snapshot 15).
@@ -1706,6 +1709,139 @@ fn stamped_keys_are_validated_against_the_visible_version_in_both_modes() {
         assert_eq!((stats.reads_unchanged, stats.reads_shipped), (1, 3));
         assert_eq!(stats.keys_read, 5);
     }
+}
+
+/// A seen stamp `T` names the version a read at `T` showed: the cohort
+/// answers `Unchanged` only when `T` is at or below the snapshot and the
+/// version the snapshot sees has `ut ≤ T` — in PaRiS and in BPR. Above the
+/// snapshot, `T` says nothing about it: a client that saw version 20 at
+/// `T = 20` and now reads at 15 must get version 10, although 10 ≤ `T`.
+#[test]
+fn seen_stamps_are_validated_by_when_they_were_seen_and_never_above_the_snapshot() {
+    let seen = |micros| Some(HeldStamp::Seen(micros));
+    let keys = [
+        // Seen at the snapshot, or between the visible version and it.
+        ReadKey {
+            key: Key(0),
+            held: seen(15),
+        },
+        ReadKey {
+            key: Key(0),
+            held: seen(10),
+        },
+        // Seen before the visible version was written: something older.
+        ReadKey {
+            key: Key(0),
+            held: seen(9),
+        },
+        // Seen above the snapshot: version 20, which it does not contain.
+        ReadKey {
+            key: Key(0),
+            held: seen(20),
+        },
+        // A stamp for a key with no visible version.
+        ReadKey {
+            key: Key(2),
+            held: seen(15),
+        },
+    ];
+    for mode in [Mode::Paris, Mode::Bpr] {
+        let (mut s, clock) = slice_server(mode);
+        install(&mut s, Key(0), 10, 1);
+        install(&mut s, Key(0), 20, 2);
+        clock.advance_to(1_000);
+        s.on_replicate_tick(1_000);
+        let results = slice_read(&mut s, 15, &keys);
+        for unchanged in [0, 1] {
+            assert_eq!(
+                results[unchanged].outcome,
+                ReadOutcome::Unchanged,
+                "{mode:?}"
+            );
+        }
+        for shipped in [2, 3] {
+            let v = results[shipped].outcome.version().expect("shipped in full");
+            assert_eq!((v.ut, v.tx), (ts(10), peer_tx(1)), "{mode:?} key {shipped}");
+        }
+        assert_eq!(results[4].outcome, ReadOutcome::Absent, "{mode:?}");
+        let stats = s.stats();
+        assert_eq!((stats.reads_unchanged, stats.reads_shipped), (2, 2));
+    }
+}
+
+/// A committed own write is stamped by identity until a read has shown it:
+/// another transaction may share its commit time and win the tie (§IV-B's
+/// order: ut, then transaction id). Stamped as seen at its commit time, it
+/// would pass the cohort's `ut ≤ T` test for the winner and come back
+/// `Unchanged` — the session would read its own losing write.
+#[test]
+fn an_own_write_that_loses_a_tie_at_its_commit_time_is_not_read_back() {
+    let (mut s, _clock) = slice_server(Mode::Paris);
+    // The own write and a concurrent one at the same ut 10; the other
+    // transaction's id is ordered after the own one's.
+    let (own, other) = (peer_tx(1), peer_tx(2));
+    install(&mut s, Key(0), 10, 1);
+    install(&mut s, Key(0), 10, 2);
+    let coordinator = ServerId::new(DcId(1), PartitionId(0));
+    let me = ClientId::new(DcId(1), 1);
+    let mut session = ClientSession::new(me, coordinator, Mode::Paris);
+    let reply = |msg| Envelope::new(coordinator, me, msg);
+    let begin = |session: &mut ClientSession, tx, snapshot| {
+        session.begin().unwrap();
+        let started = session.handle(&reply(Msg::StartTxResp {
+            tx,
+            snapshot: ts(snapshot),
+        }));
+        assert!(matches!(started, Some(ClientEvent::Started { .. })));
+    };
+    begin(&mut session, own, 5);
+    session.write(&[(Key(0), Value::filled(8, 1))]).unwrap();
+    session.commit().unwrap();
+    session.handle(&reply(Msg::CommitResp {
+        tx: own,
+        opening: None,
+        ct: ts(10),
+    }));
+    // Two reads at snapshots covering the write: the first validates the
+    // own write, the second the version the first one shipped.
+    for (seq, snapshot) in [(3, 15), (4, 20)] {
+        begin(&mut session, peer_tx(seq), snapshot);
+        let keys = match session.read(&[Key(0)]).unwrap() {
+            ReadStep::Send(env) => match env.msg {
+                Msg::ReadReq { keys, .. } => keys,
+                other => panic!("expected ReadReq, got {}", other.kind()),
+            },
+            other => panic!("key 0 is not local: {other:?}"),
+        };
+        let expected = if seq == 3 {
+            HeldStamp::Identity(VersionStamp {
+                ut: ts(10),
+                tx: own,
+            })
+        } else {
+            HeldStamp::Seen(15)
+        };
+        assert_eq!(keys[0].held, Some(expected));
+        let results = slice_read(&mut s, snapshot, &keys);
+        let read = match session.handle(&reply(Msg::ReadResp {
+            tx: peer_tx(seq),
+            opening: None,
+            results,
+        })) {
+            Some(ClientEvent::ReadDone { mut reads, .. }) => reads.remove(0),
+            other => panic!("expected ReadDone, got {other:?}"),
+        };
+        let version = read.version.expect("key 0 is written");
+        assert_eq!((version.ut, version.tx), (ts(10), other), "read {seq}");
+        session.commit().unwrap();
+        session.handle(&reply(Msg::CommitResp {
+            tx: peer_tx(seq),
+            opening: None,
+            ct: Timestamp::ZERO,
+        }));
+    }
+    let stats = s.stats();
+    assert_eq!((stats.reads_shipped, stats.reads_unchanged), (1, 1));
 }
 
 /// The GC guard: a slice read at a snapshot below the cohort's horizon

@@ -10,8 +10,7 @@
 //! (§IV-B) are each a one-entry digest with `frames: 1`.
 
 use paris_types::{
-    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Version, VersionStamp,
-    WriteSetEntry,
+    ClientId, DcId, HeldStamp, Key, PartitionId, ServerId, Timestamp, TxId, Version, WriteSetEntry,
 };
 
 /// A network endpoint: either a partition server or a client session.
@@ -84,16 +83,17 @@ impl Envelope {
     }
 }
 
-/// One key of a read request, optionally stamped with the identity of the
-/// version the client already holds for it (see [`VersionStamp`]). The
-/// stamp never influences *which* version the snapshot read selects — only
-/// whether the reply has to carry that version's bytes.
+/// One key of a read request, optionally stamped with the version the
+/// client already holds for it (see [`HeldStamp`]): by when a read last
+/// showed it, or by its identity. The stamp never influences *which*
+/// version the snapshot read selects — only whether the reply has to carry
+/// that version's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadKey {
     /// The key to read.
     pub key: Key,
     /// The version of `key` the requesting client holds, if any.
-    pub held: Option<VersionStamp>,
+    pub held: Option<HeldStamp>,
 }
 
 impl From<Key> for ReadKey {

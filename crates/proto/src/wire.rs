@@ -42,7 +42,11 @@
 //! the decider's share (39), and a `CommitOne` that makes its receiver wait for further votes
 //! (40). Version 10 dropped the per-frame marker byte and folded each
 //! endpoint's kind byte into its DC varint; every message is the v9 one,
-//! byte for byte.
+//! byte for byte. Version 11 stamps a held version by when a read last
+//! showed it — one delta-coded time — and keeps the identity `(ut, tx)`
+//! for own writes no read has shown yet, the form flagged in each stamp's
+//! gap word; the stamped read requests moved from tags 20, 21, 23 and 31
+//! to 41–44.
 //!
 //! Decoding reads through a borrowed cursor over the frame (`&mut &[u8]`,
 //! each `get_*` advancing it past what it consumed) and is strict: a frame
@@ -54,8 +58,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use paris_types::{
-    ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, Version, VersionStamp,
-    WireFormat, WriteSetEntry,
+    ClientId, DcId, HeldStamp, Key, PartitionId, ServerId, Timestamp, TxId, Value, Version,
+    VersionStamp, WireFormat, WriteSetEntry,
 };
 
 use crate::messages::{
@@ -72,7 +76,7 @@ pub const MAGIC: [u8; 4] = *b"PaRS";
 /// The wire protocol version this build speaks, advertised in the
 /// connection preamble right after [`MAGIC`]. A peer advertising any other
 /// version is refused instead of misparsing frames.
-pub const PROTOCOL_VERSION: u16 = 10;
+pub const PROTOCOL_VERSION: u16 = 11;
 
 /// Upper bound on the payload length of one framed wire message.
 ///
@@ -522,13 +526,16 @@ fn get_opening(r: &mut &[u8], form: Form) -> Result<Option<Opening>, DecodeError
 }
 
 /// A request's key list: the plain list, followed — under the request's
-/// stamped tag only — by the stamps. Those are sparse: each ships as the
-/// gap to its key's index plus the held version's identity, so a request
-/// pays for the stamps it carries, not for the keys it does not stamp. A
-/// stamp's physical time ships as a zigzag-folded delta against the
-/// previous stamp's — the first against `base`, the snapshot where the
-/// message carries one — because held versions sit just below the
-/// snapshot while absolute wall-clock micros cost seven bytes.
+/// stamped tag only — by the stamps. Those are sparse: each ships as one
+/// varint of the gap to its key's index shifted left by one, its low bit
+/// set for an identity stamp, then a time — so a request pays for the
+/// stamps it carries, not for the keys it does not stamp. The time is the
+/// stamp's physical part — the observation time of a seen stamp, the
+/// update time of an identity stamp — as a zigzag-folded delta against the
+/// previous stamp's, the first against `base`, the snapshot where the
+/// message carries one: stamps sit just below the snapshot, while absolute
+/// wall-clock micros cost seven bytes. An identity stamp goes on with its
+/// logical part and its transaction id.
 fn put_keys<S: Sink>(s: &mut S, keys: &[ReadKey], base: Timestamp) {
     put_vec(s, keys, |s, k| s.key(k.key));
     if !any_held(keys) {
@@ -539,18 +546,27 @@ fn put_keys<S: Sink>(s: &mut S, keys: &[ReadKey], base: Timestamp) {
     let mut prev = base.physical_micros();
     for (index, k) in keys.iter().enumerate() {
         let Some(stamp) = k.held else { continue };
-        s.varint((index - next) as u64);
+        let gap = ((index - next) as u64) << 1;
         next = index + 1;
-        let physical = stamp.ut.physical_micros();
+        let (physical, identity) = match stamp {
+            HeldStamp::Seen(micros) => (micros, None),
+            HeldStamp::Identity(id) => (id.ut.physical_micros(), Some(id)),
+        };
+        s.varint(gap | u64::from(identity.is_some()));
         // Both are 48-bit, so the difference always fits `i64`.
         let delta = physical as i64 - prev as i64;
         s.varint(((delta << 1) ^ (delta >> 63)) as u64);
-        s.varint(u64::from(stamp.ut.logical()));
-        put_tx(s, stamp.tx);
+        if let Some(id) = identity {
+            s.varint(u64::from(id.ut.logical()));
+            put_tx(s, id.tx);
+        }
         prev = physical;
     }
 }
 
+/// Reads a key list written by [`put_keys`]: under a stamped tag, each
+/// stamp's gap word names its key (an index past the list is
+/// `BadLength`) and, in its low bit, whether an identity follows the time.
 fn get_keys(r: &mut &[u8], stamped: bool, base: Timestamp) -> Result<Vec<ReadKey>, DecodeError> {
     let mut keys = get_vec(r, |r| get_key(r).map(ReadKey::from))?;
     if !stamped {
@@ -559,10 +575,12 @@ fn get_keys(r: &mut &[u8], stamped: bool, base: Timestamp) -> Result<Vec<ReadKey
     let mut next: usize = 0;
     let mut prev = base.physical_micros();
     for _ in 0..get_len(r)? {
+        let word = varint::get(r)?;
         // Gaps make the indices strictly increasing; they must also stay
         // inside the key list.
-        let index = next
-            .checked_add(get_len(r)?)
+        let index = usize::try_from(word >> 1)
+            .ok()
+            .and_then(|gap| next.checked_add(gap))
             .filter(|i| *i < keys.len())
             .ok_or(DecodeError::BadLength)?;
         next = index + 1;
@@ -574,9 +592,13 @@ fn get_keys(r: &mut &[u8], stamped: bool, base: Timestamp) -> Result<Vec<ReadKey
             .filter(|p| *p < 1 << 48)
             .ok_or(DecodeError::BadLength)?;
         prev = physical;
-        keys[index].held = Some(VersionStamp {
-            ut: Timestamp::from_parts(physical, varint::get_u16(r)?),
-            tx: get_tx(r)?,
+        keys[index].held = Some(if word & 1 == 0 {
+            HeldStamp::Seen(physical)
+        } else {
+            HeldStamp::Identity(VersionStamp {
+                ut: Timestamp::from_parts(physical, varint::get_u16(r)?),
+                tx: get_tx(r)?,
+            })
         });
     }
     Ok(keys)
@@ -662,15 +684,13 @@ const T_REPLICATE: u8 = 12;
 const T_OP_FAILED: u8 = 17;
 const T_REPLICATE_BATCH: u8 = 18;
 const T_GOSSIP_DIGEST: u8 = 19;
-// The read requests again, with per-key held-version stamps. Tags of their
-// own keep the stamp-free frames free of any stamp bytes.
-const T_READ_REQ_STAMPED: u8 = 20;
-const T_READ_SLICE_REQ_STAMPED: u8 = 21;
+// 20 and 21 (the stamped `ReadReq` and `ReadSliceReq`), 23 and 31 (the
+// stamped start and picked `ReadReq`) carried identity stamps only; they
+// are retired by version 11 for tags 41–44 and never reused.
 // The start forms (`TxRef::Start`) of the client requests, and the replies
 // to them, which name the assigned snapshot. Tags of their own keep every
 // earlier frame byte-identical.
 const T_READ_REQ_START: u8 = 22;
-const T_READ_REQ_START_STAMPED: u8 = 23;
 const T_READ_RESP_START: u8 = 24;
 const T_COMMIT_REQ_START: u8 = 25;
 const T_COMMIT_RESP_START: u8 = 26;
@@ -685,7 +705,6 @@ const T_COMMIT_ONE_SHARE: u8 = 29;
 // answering server's UST and echo the request's call: the plain fields
 // plus those, under tags of their own.
 const T_READ_REQ_PICKED: u8 = 30;
-const T_READ_REQ_PICKED_STAMPED: u8 = 31;
 const T_COMMIT_REQ_PICKED: u8 = 32;
 const T_COMMIT_ONE_PICKED: u8 = 33;
 const T_COMMIT_ONE_SHARE_PICKED: u8 = 34;
@@ -700,6 +719,13 @@ const T_OP_FAILED_PICKED: u8 = 37;
 const T_PREPARE_REQ_VOTE: u8 = 38;
 const T_PREPARE_REQ_CARRY: u8 = 39;
 const T_COMMIT_ONE_VOTES: u8 = 40;
+// The read requests again, with per-key held-version stamps, each one seen
+// or an identity (`put_keys`). Tags of their own keep the stamp-free frames
+// free of any stamp bytes.
+const T_READ_REQ_STAMPED: u8 = 41;
+const T_READ_SLICE_REQ_STAMPED: u8 = 42;
+const T_READ_REQ_START_STAMPED: u8 = 43;
+const T_READ_REQ_PICKED_STAMPED: u8 = 44;
 
 // Each message with forms: its plain, start and picked tag.
 const READ_REQ: [u8; 3] = [T_READ_REQ, T_READ_REQ_START, T_READ_REQ_PICKED];
@@ -1160,10 +1186,10 @@ mod tests {
         TxId::new(ServerId::new(DcId(dc), PartitionId(p)), seq)
     }
 
-    fn stamped(key: u64, stamp: VersionStamp) -> ReadKey {
+    fn stamped(key: u64, stamp: impl Into<HeldStamp>) -> ReadKey {
         ReadKey {
             key: Key(key),
-            held: Some(stamp),
+            held: Some(stamp.into()),
         }
     }
 
@@ -1501,14 +1527,17 @@ mod tests {
         ]
     }
 
+    fn arb_held() -> impl Strategy<Value = HeldStamp> {
+        prop_oneof![
+            (arb_ts(), arb_tx()).prop_map(|(ut, tx)| HeldStamp::Identity(VersionStamp { ut, tx })),
+            arb_ts().prop_map(|seen| HeldStamp::Seen(seen.physical_micros())),
+        ]
+    }
+
     fn arb_keys() -> impl Strategy<Value = Vec<ReadKey>> {
         proptest::collection::vec(
-            (any::<u64>(), proptest::option::of((arb_ts(), arb_tx()))).prop_map(|(k, held)| {
-                ReadKey {
-                    key: Key(k),
-                    held: held.map(|(ut, tx)| VersionStamp { ut, tx }),
-                }
-            }),
+            (any::<u64>(), proptest::option::of(arb_held()))
+                .prop_map(|(k, held)| ReadKey { key: Key(k), held }),
             0..16,
         )
     }
@@ -1724,8 +1753,9 @@ mod tests {
 
     /// One message per tag (both forms where a tag has two), with
     /// multi-byte varints, and the frame the encoder produced for it. The
-    /// frames of tags 1–21 (13–16 retired by v7) are the v2 codec's, byte
-    /// for byte: v3 only
+    /// frames of tags 1–19 (13–16 retired by v7) are the v2 codec's, byte
+    /// for byte (v11 moved the stamped requests, 20, 21, 23 and 31, to
+    /// 41–44 with seen stamps; `V10_STAMPED_FRAMES`): v3 only
     /// added the start forms (22–27), v4 only the one-phase commit (28),
     /// and v5 only its last-agent form (29) — except the three requests
     /// to a cohort, which v6 took the reply address out of (see
@@ -1739,7 +1769,8 @@ mod tests {
             ut: Timestamp::from_parts(3_599_999_000, 1),
             tx: tx(2, 300, 77),
         };
-        let older = VersionStamp { ut: old, tx: t };
+        // A candidate a read at `old` showed: only its physical part ships.
+        let seen = HeldStamp::Seen(old.physical_micros());
         let start = TxRef::Start { client_ust: now };
         let picked = TxRef::Picked {
             snapshot: now,
@@ -1773,10 +1804,10 @@ mod tests {
                         Key(1).into(),
                         stamped(831, held),
                         Key(7).into(),
-                        stamped(9, older),
+                        stamped(9, seen),
                     ],
                 },
-                "140102b9600401bf0607090201b0809de91a0102ac024d01aff979000102b960",
+                "290102b9600401bf0607090203b0809de91a0102ac024d02aff979",
             ),
             (
                 Msg::ReadResp {
@@ -1821,10 +1852,10 @@ mod tests {
                     keys: vec![
                         stamped(831, held),
                         Key(4).into(),
-                        stamped(9, older),
+                        stamped(9, seen),
                     ],
                 },
-                "150102b96080c8ceb40d0303bf0604090200cf0f0102ac024d01aff979000102b960",
+                "2a0102b96080c8ceb40d0303bf0604090201cf0f0102ac024d02aff979",
             ),
             (
                 Msg::ReadSliceResp {
@@ -1919,10 +1950,10 @@ mod tests {
                         Key(1).into(),
                         stamped(831, held),
                         Key(7).into(),
-                        stamped(9, older),
+                        stamped(9, seen),
                     ],
                 },
-                "1780c8ceb40d030401bf0607090201cf0f0102ac024d01aff979000102b960",
+                "2b80c8ceb40d030401bf0607090203cf0f0102ac024d02aff979",
             ),
             (
                 Msg::ReadResp {
@@ -1985,10 +2016,10 @@ mod tests {
                         Key(1).into(),
                         stamped(831, held),
                         Key(7).into(),
-                        stamped(9, older),
+                        stamped(9, seen),
                     ],
                 },
-                "1f80c8ceb40d03070401bf0607090201cf0f0102ac024d01aff979000102b960",
+                "2c80c8ceb40d03070401bf0607090203cf0f0102ac024d02aff979",
             ),
             (
                 Msg::CommitReq {
@@ -2093,8 +2124,8 @@ mod tests {
         }
         assert_eq!(
             tags.into_iter().collect::<Vec<_>>(),
-            (T_START_REQ..=T_COMMIT_ONE_VOTES)
-                .filter(|tag| !RETIRED_TAGS.contains(tag))
+            (T_START_REQ..=T_READ_REQ_PICKED_STAMPED)
+                .filter(|tag| !RETIRED_TAGS.contains(tag) && !RETIRED_STAMPED_TAGS.contains(tag))
                 .collect::<Vec<_>>(),
             "one golden per tag"
         );
@@ -2121,6 +2152,53 @@ mod tests {
     /// The background tags version 7 retired: heartbeat, tree report, root
     /// GST and UST broadcast.
     const RETIRED_TAGS: [u8; 4] = [13, 14, 15, 16];
+
+    /// The stamped read requests version 11 retired, whose stamps were all
+    /// identities: plain, slice, start and picked.
+    const RETIRED_STAMPED_TAGS: [u8; 4] = [20, 21, 23, 31];
+
+    /// The v10 frames of `golden_messages`' four stamped requests, both of
+    /// whose stamps were identities then: `(ut, tx)` after each index gap.
+    const V10_STAMPED_FRAMES: [&str; 4] = [
+        "140102b9600401bf0607090201b0809de91a0102ac024d01aff979000102b960",
+        "150102b96080c8ceb40d0303bf0604090200cf0f0102ac024d01aff979000102b960",
+        "1780c8ceb40d030401bf0607090201cf0f0102ac024d01aff979000102b960",
+        "1f80c8ceb40d03070401bf0607090201cf0f0102ac024d01aff979000102b960",
+    ];
+
+    #[test]
+    fn retired_stamped_read_tags_are_unknown() {
+        // A v10 peer's stamped read must be refused, not read as the v11
+        // layout, in which its identity stamps would parse as seen ones.
+        for frame in V10_STAMPED_FRAMES {
+            let bytes = unhex(frame);
+            assert!(RETIRED_STAMPED_TAGS.contains(&bytes[0]), "{frame}");
+            assert_eq!(decode(&bytes), Err(UnknownTag(bytes[0])), "{frame}");
+        }
+        for tag in RETIRED_STAMPED_TAGS {
+            assert_eq!(decode(&[tag]), Err(UnknownTag(tag)));
+        }
+    }
+
+    #[test]
+    fn a_seen_stamp_is_an_identity_stamp_without_its_logical_part_and_id() {
+        // The v11 goldens stamp key 831 by identity and key 9 as seen; the
+        // v10 frames stamped key 9 by identity too. Key 9's delta is the
+        // same bytes (`aff979`) in both layouts; v11 leaves out its logical
+        // part and transaction id (`00 0102b960`), 5 B, and the flag in
+        // each gap word costs nothing while gaps stay below 64.
+        let goldens = golden_messages();
+        for (old, new) in V10_STAMPED_FRAMES.iter().zip([
+            "290102b9600401bf0607090203b0809de91a0102ac024d02aff979",
+            "2a0102b96080c8ceb40d0303bf0604090201cf0f0102ac024d02aff979",
+            "2b80c8ceb40d030401bf0607090203cf0f0102ac024d02aff979",
+            "2c80c8ceb40d03070401bf0607090203cf0f0102ac024d02aff979",
+        ]) {
+            assert!(goldens.iter().any(|(_, golden)| *golden == new), "{new}");
+            assert!(old.ends_with("aff979000102b960") && new.ends_with("02aff979"));
+            assert_eq!(unhex(old).len(), unhex(new).len() + 5);
+        }
+    }
 
     #[test]
     fn retired_background_tags_are_unknown() {
@@ -2157,16 +2235,20 @@ mod tests {
                 17,
             ),
         ];
+        // The stamped slice read's v6 frame lived on to v10 (v11 retired
+        // its tag).
         let goldens = golden_messages();
+        let frames = goldens.iter().map(|(_, golden)| *golden);
+        let frames: Vec<&str> = frames.chain(V10_STAMPED_FRAMES).collect();
         for (old, at) in v5 {
             let (at, tag) = (2 * at, &old[..2]);
             assert_eq!(&old[at..at + 6], "03ac02", "the reply address of tag {tag}");
             let new = format!("{}{}", &old[..at], &old[at + 6..]);
-            let (msg, golden) = goldens
+            let golden = frames
                 .iter()
-                .find(|(_, golden)| golden.starts_with(tag))
+                .find(|golden| golden.starts_with(tag))
                 .expect("a golden per tag");
-            assert_eq!(*golden, new, "{}", msg.kind());
+            assert_eq!(*golden, new, "tag {tag}");
         }
     }
 
@@ -2174,9 +2256,10 @@ mod tests {
     fn v7_commit_and_slice_frames_are_pinned() {
         // The v7 frames of the messages a client-picked snapshot travels
         // next to: the commit request and its reply in both forms, the
-        // one-phase commit in both forms, and both slice-read layouts.
+        // one-phase commit in both forms, and the unstamped slice read.
         // Any later form must come under a tag of its own and leave these
-        // bytes alone.
+        // bytes alone — as v11's stamped slice read did: its v7 frame (tag
+        // 21, identity stamps only) is refused, and tag 42 carries it.
         let v7 = [
             ("CommitReq", "050102b96080c8ceb40d0302bf060276310503acacac"),
             ("CommitReq", "1980c8ceb40d03c0c391b40d0001050177"),
@@ -2185,11 +2268,13 @@ mod tests {
             ("CommitOne", "1c0102b96080c8ceb40d0301f0a2040101050177"),
             ("CommitOne", "1d0102b96080c8ceb40d0301f0a2040101050177"),
             ("ReadSliceReq", "070102b96080c8ceb40d030204bf06"),
-            (
-                "ReadSliceReq",
-                "150102b96080c8ceb40d0303bf0604090200cf0f0102ac024d01aff979000102b960",
-            ),
         ];
+        let stamped_slice = V10_STAMPED_FRAMES[1];
+        assert!(
+            stamped_slice.starts_with("15"),
+            "the v7 stamped slice frame"
+        );
+        assert_eq!(decode(&unhex(stamped_slice)), Err(UnknownTag(21)));
         let goldens = golden_messages();
         for (kind, frame) in v7 {
             let (msg, _) = goldens
@@ -2318,6 +2403,9 @@ mod tests {
             ut: Timestamp::from_parts(physical, logical),
             tx: tx(u16::MAX, u32::MAX, u64::MAX),
         };
+        // The form is the gap word's flag, not a sentinel value: identity
+        // stamps whose transaction sequence is `u64::MAX` sit between seen
+        // stamps at the same two ends.
         let msg = Msg::ReadSliceReq {
             tx: tx(0, 0, 1),
             snapshot: max_ts,
@@ -2325,6 +2413,9 @@ mod tests {
                 stamped(u64::MAX, stamp(0, 0)),
                 stamped(0, stamp((1 << 48) - 1, u16::MAX)),
                 stamped(1, stamp(0, 1)),
+                stamped(2, HeldStamp::Seen((1 << 48) - 1)),
+                stamped(3, HeldStamp::Seen(0)),
+                stamped(4, stamp((1 << 48) - 1, 0)),
             ],
         };
         let bytes = encode(&msg);
@@ -2352,43 +2443,49 @@ mod tests {
             (2, 1 << 16),
         ] {
             // A stamped `ReadReq`: tag, tx (0,0,1), one key (5), one
-            // stamp, on key index 0 — then its delta, logical part and tx.
+            // identity stamp, on key index 0 — then its delta, logical part
+            // and tx.
             let mut forged = BytesMut::new();
-            forged.put_slice(&[T_READ_REQ_STAMPED, 0, 0, 1, 1, 5, 1, 0]);
+            forged.put_slice(&[T_READ_REQ_STAMPED, 0, 0, 1, 1, 5, 1, 1]);
             varint::put(&mut forged, delta);
             varint::put(&mut forged, logical);
             forged.put_slice(&[0, 0, 1]);
             assert_eq!(decode(forged.as_ref()), Err(BadLength));
+            // A seen stamp is its delta alone, held to the same range.
+            if logical == 0 {
+                let mut forged = BytesMut::new();
+                forged.put_slice(&[T_READ_REQ_STAMPED, 0, 0, 1, 1, 5, 1, 0]);
+                varint::put(&mut forged, delta);
+                assert_eq!(decode(forged.as_ref()), Err(BadLength));
+            }
         }
     }
 
     #[test]
     fn stamps_outside_the_key_list_are_rejected() {
-        // Two keys, one stamp; the stamp's index gap is the last thing
-        // before its identity: tag, tx, n, k, k, stamps, gap.
-        let stamped = Msg::ReadReq {
-            tx: TxRef::Known(tx(0, 0, 1)),
-            keys: vec![
-                Key(5).into(),
-                stamped(
-                    6,
-                    VersionStamp {
-                        ut: Timestamp::from_parts(1, 0),
-                        tx: tx(0, 0, 1),
-                    },
-                ),
-            ],
+        // Two keys, one stamp, in either form; the stamp's gap word — the
+        // index gap shifted left by one, the identity flag in the low bit —
+        // is the last thing before its time: tag, tx, n, k, k, stamps, gap.
+        let identity = VersionStamp {
+            ut: Timestamp::from_parts(1, 0),
+            tx: tx(0, 0, 1),
         };
-        let good = encode(&stamped).to_vec();
-        assert_eq!(good[8], 1, "stamp index located");
-        assert_eq!(decode(&good).unwrap(), stamped);
-        let mut past_the_end = good.clone();
-        past_the_end[8] = 2;
-        assert_eq!(decode(&past_the_end), Err(BadLength));
-        // More stamps than keys can only overrun the list.
-        let mut too_many = good.clone();
-        too_many[7] = 3;
-        assert!(decode(&too_many).is_err());
+        for (held, flag) in [(HeldStamp::Identity(identity), 1), (HeldStamp::Seen(1), 0)] {
+            let stamped = Msg::ReadReq {
+                tx: TxRef::Known(tx(0, 0, 1)),
+                keys: vec![Key(5).into(), stamped(6, held)],
+            };
+            let good = encode(&stamped).to_vec();
+            assert_eq!(good[8], 1 << 1 | flag, "stamp index located");
+            assert_eq!(decode(&good).unwrap(), stamped);
+            let mut past_the_end = good.clone();
+            past_the_end[8] = 2 << 1 | flag;
+            assert_eq!(decode(&past_the_end), Err(BadLength));
+            // More stamps than keys can only overrun the list.
+            let mut too_many = good.clone();
+            too_many[7] = 3;
+            assert!(decode(&too_many).is_err());
+        }
     }
 
     #[test]

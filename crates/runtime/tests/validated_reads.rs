@@ -5,7 +5,12 @@
 //! one whose sessions have none, once with eager begins and once with
 //! transactions that begin with their first read. Every read must return
 //! the same `ClientRead`, the checker must find nothing, and the cached run
-//! must ship strictly less. (Eager against deferred begins on one stream
+//! must ship strictly less. Three more arms run the eager stream where a
+//! held version's stamp is most easily wrong: GC trimming past held
+//! versions mid-stream, BPR, and a link cut that moves reads to another
+//! replica (a session's own DC is always reachable, so what moves is a
+//! partition the DC does not hold: from the replica it prefers to the
+//! other one, and back on the heal). (Eager against deferred begins on one stream
 //! needs a clock that only steps where the stream says so; that property
 //! lives on the hand-pumped cluster of `paris-core`'s protocol tests.)
 
@@ -14,7 +19,9 @@ use std::collections::HashMap;
 use paris_core::checker::{HistoryChecker, RecordedTx};
 use paris_core::ClientRead;
 use paris_runtime::{Cluster, ClusterBuilder, ClusterStats, Paris, SimCluster};
-use paris_types::{ClientId, DcId, Key, PartitionId, ServerId, Timestamp, TxId, Value, VersionOrd};
+use paris_types::{
+    ClientId, DcId, Intervals, Key, Mode, PartitionId, ServerId, Timestamp, TxId, Value, VersionOrd,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,6 +38,46 @@ fn deployment(seed: u64) -> ClusterBuilder {
         .jitter(0.02)
         .clients_per_dc(0)
         .seed(seed)
+}
+
+/// What an arm changes about the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    Plain,
+    /// GC every 20 ms instead of every second: the horizon passes held
+    /// versions mid-stream, and the chains are trimmed below it.
+    Gc,
+    Bpr,
+    /// The DC 0 – DC 1 link is cut from step 50 to step 110, with failure
+    /// detection on.
+    Partition,
+}
+
+impl Arm {
+    fn deployment(self, seed: u64) -> ClusterBuilder {
+        let base = deployment(seed);
+        match self {
+            Arm::Plain | Arm::Partition => base,
+            Arm::Gc => base.intervals(Intervals {
+                gc_micros: 20_000,
+                ..Intervals::default()
+            }),
+            Arm::Bpr => base.mode(Mode::Bpr),
+        }
+    }
+
+    /// Runs before step `step` of the stream.
+    fn before(self, sim: &mut SimCluster, step: usize) {
+        if self != Arm::Partition {
+            return;
+        }
+        match step {
+            0 => sim.set_failure_detection(true),
+            50 => sim.partition_link(DcId(0), DcId(1)),
+            110 => sim.heal_link(DcId(0), DcId(1)),
+            _ => {}
+        }
+    }
 }
 
 const KEYS: u64 = 48;
@@ -57,6 +104,10 @@ struct Outcome {
     reads: Vec<Vec<ClientRead>>,
     violations: Vec<String>,
     stats: ClusterStats,
+    /// Keys DC 2's replica of partition 4 read. No session is in DC 2, and
+    /// DC 0's sessions prefer DC 1's replica, so only a cut moves reads
+    /// there.
+    moved_reads: u64,
 }
 
 fn check(history: &[Observed]) -> Vec<String> {
@@ -108,7 +159,10 @@ fn check(history: &[Observed]) -> Vec<String> {
 
 /// How the stream's transactions begin.
 trait Begins {
-    fn cluster(&mut self) -> &mut dyn Cluster;
+    fn sim(&mut self) -> &mut SimCluster;
+    fn cluster(&mut self) -> &mut dyn Cluster {
+        self.sim()
+    }
     /// Begins `client`'s transaction: its snapshot, if already assigned.
     fn begin(&mut self, client: ClientId) -> Option<Timestamp>;
     /// The open transaction's snapshot, once its first read assigned it.
@@ -116,10 +170,10 @@ trait Begins {
 }
 
 /// A `StartTxReq` round trip, whatever the session's freshness.
-struct Eager<C>(C);
+struct Eager(SimCluster);
 
-impl<C: Cluster> Begins for Eager<C> {
-    fn cluster(&mut self) -> &mut dyn Cluster {
+impl Begins for Eager {
+    fn sim(&mut self) -> &mut SimCluster {
         &mut self.0
     }
 
@@ -134,10 +188,10 @@ impl<C: Cluster> Begins for Eager<C> {
 
 /// As a `run_workload` session's first transaction begins: the first
 /// read carries the start.
-struct Deferred<C>(C);
+struct Deferred(SimCluster);
 
-impl<C: Cluster> Begins for Deferred<C> {
-    fn cluster(&mut self) -> &mut dyn Cluster {
+impl Begins for Deferred {
+    fn sim(&mut self) -> &mut SimCluster {
         &mut self.0
     }
 
@@ -154,7 +208,7 @@ impl<C: Cluster> Begins for Deferred<C> {
 }
 
 /// Drives the seeded stream.
-fn drive(begins: &mut impl Begins, seed: u64, steps: usize) -> Outcome {
+fn drive(begins: &mut impl Begins, arm: Arm, seed: u64, steps: usize) -> Outcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let cluster = begins.cluster();
     // Two sessions in DC 0, two concurrent writers in DC 1.
@@ -182,6 +236,7 @@ fn drive(begins: &mut impl Begins, seed: u64, steps: usize) -> Outcome {
     cluster.stabilize(4);
 
     for step in 0..steps {
+        arm.before(begins.sim(), step);
         let client = clients[rng.gen_range(0..clients.len())];
         let early = begins.begin(client);
         let cluster = begins.cluster();
@@ -228,10 +283,13 @@ fn drive(begins: &mut impl Begins, seed: u64, steps: usize) -> Outcome {
     let convergence = cluster.check_convergence().expect("convergence check");
     let mut violations = check(&history);
     violations.extend(convergence.iter().map(ToString::to_string));
+    let stats = cluster.stats().expect("stats");
+    let far = ServerId::new(DcId(2), PartitionId(4));
     Outcome {
         reads,
         violations,
-        stats: cluster.stats().expect("stats"),
+        stats,
+        moved_reads: begins.sim().server(far).stats().keys_read,
     }
 }
 
@@ -246,8 +304,8 @@ fn assert_same_reads(what: &str, a: &Outcome, b: &Outcome) {
 }
 
 /// The sim with its clients opened with or without a value cache.
-fn sim(seed: u64, cache: bool) -> SimCluster {
-    let mut sim = deployment(seed).build_sim().expect("valid shape");
+fn sim(arm: Arm, seed: u64, cache: bool) -> SimCluster {
+    let mut sim = arm.deployment(seed).build_sim().expect("valid shape");
     if !cache {
         sim.open_clients_without_value_cache();
     }
@@ -255,17 +313,51 @@ fn sim(seed: u64, cache: bool) -> SimCluster {
 }
 
 /// The same eager-begin stream on the sim, with and without a value cache.
-fn eager_runs(seed: u64) -> (Outcome, Outcome) {
-    let run = |cache: bool| drive(&mut Eager(sim(seed, cache)), seed, 160);
+fn eager_runs(arm: Arm, seed: u64) -> (Outcome, Outcome) {
+    let run = |cache: bool| drive(&mut Eager(sim(arm, seed, cache)), arm, seed, 160);
     (run(true), run(false))
 }
 
+/// Everything the plain eager arm asserts, for another arm's runs.
+fn assert_cache_invariance(what: &str, cached: &Outcome, plain: &Outcome) {
+    assert_same_reads(what, cached, plain);
+    let (on, off) = (&cached.stats, &plain.stats);
+    assert_eq!(
+        off.reads_unchanged, 0,
+        "{what}: nothing stamps without a cache"
+    );
+    assert!(on.reads_unchanged > 0, "{what}: no read was validated");
+    assert_eq!(on.keys_read, off.keys_read, "{what}");
+    assert_eq!(
+        on.reads_unchanged + on.reads_shipped,
+        off.reads_shipped,
+        "{what}"
+    );
+    assert!(on.reads_shipped < off.reads_shipped, "{what}");
+    assert_eq!(on.net_messages, off.net_messages, "{what}");
+    assert!(
+        on.net_bytes < off.net_bytes,
+        "{what}: {} vs {} wire bytes",
+        on.net_bytes,
+        off.net_bytes
+    );
+}
+
+/// Six streams per property, or `PROPTEST_CASES` where it is set.
+fn streams() -> ProptestConfig {
+    let config = ProptestConfig::default();
+    match std::env::var_os("PROPTEST_CASES") {
+        Some(_) => config,
+        None => ProptestConfig { cases: 6, ..config },
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(streams())]
 
     #[test]
     fn prop_sim_cached_reads_ship_fewer_versions(seed in 0u64..10_000) {
-        let (cached, plain) = eager_runs(seed);
+        let (cached, plain) = eager_runs(Arm::Plain, seed);
         assert_same_reads("sim", &cached, &plain);
         let (on, off) = (&cached.stats, &plain.stats);
         prop_assert_eq!(off.reads_unchanged, 0, "nothing stamps without a cache");
@@ -283,7 +375,7 @@ proptest! {
 
     #[test]
     fn prop_sim_reads_are_identical_with_and_without_the_value_cache(seed in 0u64..10_000) {
-        let (cached, plain) = eager_runs(seed);
+        let (cached, plain) = eager_runs(Arm::Plain, seed);
         assert_same_reads("sim", &cached, &plain);
         let (on, off) = (&cached.stats, &plain.stats);
         // A validated read is still one request and one reply…
@@ -300,7 +392,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         // Where start-form own-write stamps and the value cache meet.
-        let run = |cache: bool| drive(&mut Deferred(sim(seed, cache)), seed, 160);
+        let run = |cache: bool| {
+            drive(&mut Deferred(sim(Arm::Plain, seed, cache)), Arm::Plain, seed, 160)
+        };
         let (cached, plain) = (run(true), run(false));
         assert_same_reads("sim, deferred begins", &cached, &plain);
         // A start form stamps its own writes with or without a cache, so
@@ -312,5 +406,30 @@ proptest! {
             off.reads_unchanged + off.reads_shipped
         );
         prop_assert!(on.reads_shipped < off.reads_shipped);
+    }
+
+    #[test]
+    fn prop_sim_reads_are_identical_while_gc_trims_past_held_versions(seed in 0u64..10_000) {
+        let (cached, plain) = eager_runs(Arm::Gc, seed);
+        assert_cache_invariance("sim, GC every 20 ms", &cached, &plain);
+        prop_assert!(cached.stats.gc_removed > 0, "GC trimmed nothing");
+        prop_assert_eq!(cached.stats.gc_removed, plain.stats.gc_removed);
+    }
+
+    #[test]
+    fn prop_sim_bpr_reads_are_identical_with_and_without_the_value_cache(seed in 0u64..10_000) {
+        let (cached, plain) = eager_runs(Arm::Bpr, seed);
+        assert_cache_invariance("sim, BPR", &cached, &plain);
+        prop_assert!(cached.stats.blocking.blocked_reads > 0, "no read waited for its snapshot");
+    }
+
+    #[test]
+    fn prop_sim_reads_are_identical_when_a_link_cut_moves_them_to_another_replica(
+        seed in 0u64..10_000,
+    ) {
+        let (cached, plain) = eager_runs(Arm::Partition, seed);
+        assert_cache_invariance("sim, DC 0 – DC 1 cut", &cached, &plain);
+        prop_assert!(cached.moved_reads > 0, "no read moved to DC 2");
+        prop_assert_eq!(cached.moved_reads, plain.moved_reads);
     }
 }

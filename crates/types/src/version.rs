@@ -54,15 +54,54 @@ impl Version {
 /// The identity of one version of a key: its update time and creating
 /// transaction. A transaction writes a key at most once (Alg. 1 line 23:
 /// the last buffered write wins), so `(key, ut, tx)` names exactly one
-/// version system-wide. A client stamps a read with the identity of the
-/// version it already holds; a server whose snapshot read lands on that
-/// same version answers "unchanged" instead of shipping the value back.
+/// version system-wide. A client stamps a read of an own write no read has
+/// shown yet with its identity ([`HeldStamp::Identity`]); a server whose
+/// snapshot read lands on that same version answers "unchanged" instead of
+/// shipping the value back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VersionStamp {
     /// Update (commit) timestamp of the held version.
     pub ut: Timestamp,
     /// Transaction that created the held version.
     pub tx: TxId,
+}
+
+/// What a read request says about the version a client holds for a key,
+/// so that a server whose snapshot read lands on that version can answer
+/// "unchanged" instead of shipping it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HeldStamp {
+    /// The held version's identity: it matches exactly that version.
+    Identity(VersionStamp),
+    /// The physical part, in microseconds, of a snapshot `T` at which a
+    /// read showed the held version, with `T`'s logical part dropped and
+    /// the held version's update time at or below what is left. Every
+    /// replica installs every version at or below a snapshot before it
+    /// serves a read at it, and orders a key's versions alike, so the
+    /// version visible at `T` is the held one at every replica, and a read
+    /// at `S ≥ T` whose visible version has `ut ≤ T` lands on it too.
+    Seen(u64),
+}
+
+impl HeldStamp {
+    /// Whether `visible`, the version a read at `snapshot` selected, is the
+    /// one this stamp names.
+    #[inline]
+    pub fn matches(self, visible: &Version, snapshot: Timestamp) -> bool {
+        match self {
+            HeldStamp::Identity(stamp) => stamp == visible.stamp(),
+            HeldStamp::Seen(micros) => {
+                let seen = Timestamp::from_physical_micros(micros);
+                seen <= snapshot && visible.ut <= seen
+            }
+        }
+    }
+}
+
+impl From<VersionStamp> for HeldStamp {
+    fn from(stamp: VersionStamp) -> Self {
+        HeldStamp::Identity(stamp)
+    }
 }
 
 /// Total order on (possibly concurrent) versions of the same key.
